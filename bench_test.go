@@ -222,63 +222,6 @@ func BenchmarkCrawlWorkersLinkHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepStripes measures the per-visit incoming-weight sweep as the
-// LINK stripe count grows, dst-routed vs the legacy probe-every-stripe
-// sweep, on the link-heavy workload in the disk-resident regime. The
-// routed/unrouted pages-per-second pair prints side by side with the
-// probes-per-sweep figures; a regression in the dst registry shows up as
-// routed-probes/sweep climbing toward the stripe count, and a regression
-// in the routed path itself as the gain collapsing toward 1x at 32
-// stripes.
-func BenchmarkSweepStripes(b *testing.B) {
-	for _, stripes := range []int{8, 32} {
-		b.Run(fmt.Sprintf("stripes=%d", stripes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Bench-friendly budget: the trend (routed flat, legacy
-				// degrading in stripes) shows well before the full study's
-				// crawl length; focusexp -fig sweep runs the full sizes.
-				r, err := eval.RunSweepScaling(eval.SweepScalingConfig{
-					Web:     webgraph.Config{Seed: 99},
-					Budget:  500,
-					Stripes: []int{stripes},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p := r.Points[0]
-				b.ReportMetric(p.Routed.PagesPerSec, "routed-pages/sec")
-				b.ReportMetric(p.Unrouted.PagesPerSec, "unrouted-pages/sec")
-				b.ReportMetric(p.Routed.ProbesPerSweep, "routed-probes/sweep")
-				b.ReportMetric(p.Unrouted.ProbesPerSweep, "unrouted-probes/sweep")
-				b.ReportMetric(p.RoutedGain, "routed-gain")
-			}
-		})
-	}
-}
-
-// BenchmarkDistillStall compares total crawl-worker stall attributable to
-// distillation between the legacy stop-the-world barrier and the
-// concurrent snapshot-and-go pipeline, on the link-heavy workload with
-// realistic fetch latency. The two stall metrics print side by side, so a
-// regression in the snapshot phase (concurrent stall creeping toward
-// barrier stall) is visible straight from the CI log; the reduction
-// should stay well above 5x.
-func BenchmarkDistillStall(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := eval.RunDistillStall(eval.DistillStallConfig{
-			Web: eval.LinkHeavyWeb(95+int64(i), 6000),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.Barrier.Stall.Milliseconds()), "barrier-stall-ms")
-		b.ReportMetric(float64(r.Concurrent.Stall.Milliseconds()), "conc-stall-ms")
-		b.ReportMetric(r.StallRatio, "stall-reduction")
-		b.ReportMetric(r.Barrier.PagesPerSec, "barrier-pages/sec")
-		b.ReportMetric(r.Concurrent.PagesPerSec, "conc-pages/sec")
-	}
-}
-
 // BenchmarkClassifyBatch measures end-to-end crawl throughput as the
 // in-crawl classification batch size grows (batch 1 = the old inline
 // path), on the doc-heavy workload where per-page classification and
@@ -320,32 +263,5 @@ func BenchmarkFig8dDistiller(b *testing.B) {
 		b.ReportMetric(float64(r.IndexWalk.Total().Milliseconds()), "walk-ms")
 		b.ReportMetric(float64(r.Join.Total().Milliseconds()), "join-ms")
 		b.ReportMetric(float64(r.IndexWalk.Total())/float64(r.Join.Total()), "join-speedup")
-	}
-}
-
-// BenchmarkPoolShards compares the serial (1-shard) buffer pool against a
-// 16-shard pool with off-latch miss I/O at fixed total frames, on the
-// disk-resident crawl and the cold-probe microbench. A regression in the
-// loading-frame protocol shows up as sharded-pages/sec collapsing toward
-// serial-pages/sec; the gains should stay well above 1.3x.
-func BenchmarkPoolShards(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := eval.RunPoolScaling(eval.PoolScalingConfig{
-			Web:       webgraph.Config{Seed: 99},
-			Budget:    400,
-			Frames:    []int{128},
-			Shards:    []int{1, 16},
-			ProbeKeys: 8192,
-			Probes:    400,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p1, _ := r.PointAt(128, 1)
-		p16, _ := r.PointAt(128, 16)
-		b.ReportMetric(p1.Crawl.PagesPerSec, "serial-pages/sec")
-		b.ReportMetric(p16.Crawl.PagesPerSec, "sharded-pages/sec")
-		b.ReportMetric(p16.CrawlGain, "crawl-gain")
-		b.ReportMetric(p16.ProbeGain, "probe-gain")
 	}
 }

@@ -26,14 +26,13 @@ func main() {
 		workers = flag.Int("workers", 8, "crawler threads")
 		shards  = flag.Int("shards", 0, "frontier shards (0 = one per worker)")
 		stripes = flag.Int("linkstripes", 0, "LINK store stripes (0 = one per worker)")
-		pshards = flag.Int("poolshards", 0, "buffer-pool shards with off-latch miss I/O (0/1 = the single serial-miss pool)")
+		pshards = flag.Int("poolshards", 0, "buffer-pool shards, each with its own latch (0/1 = one shard)")
 		mode    = flag.String("mode", "soft", "soft | hard | unfocused")
 		distill = flag.Int64("distill", 500, "distill every N visits (0 = off)")
 		dpar    = flag.Int("distillpar", 0, "distiller join partitions (0/1 = serial)")
 		barrier = flag.Bool("distillbarrier", false, "legacy stop-the-world distillation (workers stall for the whole HITS run)")
 		cbatch  = flag.Int("classifybatch", 0, "batched in-crawl classification: accumulate this many pages per bulk classify (<=1 = inline)")
 		cpar    = flag.Int("classifypar", 0, "classifier-stage workers; the batch queue is partitioned by did (0/1 = one stage)")
-		unswept = flag.Bool("unroutedsweep", false, "disable dst-routing of incoming-weight sweeps (probe every LINK stripe per visit; A/B measurement)")
 		polite  = flag.Bool("polite", false, "enable the politeness stack: per-host pacing, retry backoff, circuit breakers")
 		hostile = flag.Int("hostile", 0, "web hostility level (eval.HostileWeb): per-server rate limits, outages, extra timeouts; 0 = the plain web")
 		dbpath  = flag.String("dbpath", "", "back the crawl relations with this durable file instead of memory (required for -checkpointevery and -resume)")
@@ -75,7 +74,6 @@ func main() {
 		Distill:             distiller.Config{Parallelism: *dpar},
 		ClassifyBatch:       *cbatch,
 		ClassifyParallelism: *cpar,
-		UnroutedSweep:       *unswept,
 	}
 	if *polite {
 		ccfg = eval.PoliteCrawl(ccfg)

@@ -8,26 +8,23 @@
 //
 // Figures: 5 (harvest rate, a+b), 6 (coverage, a+b), 7 (distance
 // histogram + hubs), 8a (classifier variants), 8b (memory scaling),
-// 8c (output scaling), 8d (distiller variants), plus four studies beyond
-// the paper: scale (worker scaling of the sharded frontier), stall
-// (distillation worker stall, barrier vs snapshot-and-go), classify
+// 8c (output scaling), 8d (distiller variants), plus five studies beyond
+// the paper: scale (worker scaling of the sharded frontier), classify
 // (the in-crawl classification batch sweep — Figure 8a's set-oriented
-// claim applied to the crawl hot path), sweep (incoming-weight sweep
-// cost by LINK stripe count, dst-routed vs probe-every-stripe), hostile
-// (harvest under rate limits, outages, and timeouts, naive vs the polite
-// politeness/backoff/breaker stack), and cores (crawl throughput and
-// distill latency vs GOMAXPROCS on the doc-heavy workload — the multicore
-// payoff of the parallel classifier stage and partitioned HITS), and pool
-// (buffer-pool sharding: the disk-resident crawl and a cold-B+tree-probe
-// microbench at pool shards 1/4/16 × pool sizes — the serial pool holds
-// its latch across every miss's disk read, the sharded pool does miss I/O
-// off the latch); for sweep, hostile, cores, and pool, -json writes the
-// study as a machine-readable artifact.
+// claim applied to the crawl hot path), hostile (harvest under rate
+// limits, outages, and timeouts, naive vs the polite
+// politeness/backoff/breaker stack), cores (crawl throughput and distill
+// latency vs GOMAXPROCS on the doc-heavy workload — the multicore payoff
+// of the parallel classifier stage and partitioned HITS), and recovery
+// (kill-and-resume trials and checkpoint overhead on durable files); for
+// hostile, cores, and recovery, -json writes the study as a
+// machine-readable artifact.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -35,23 +32,37 @@ import (
 	"focus/internal/webgraph"
 )
 
+// writeJSON writes a study to path as JSON; an empty path writes nothing.
+func writeJSON(path string, study interface{ WriteJSON(io.Writer) error }) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := study.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, scale, stall, classify, sweep, hostile, cores, pool, recovery, all")
-		seed       = flag.Int64("seed", 1999, "random seed")
-		pages      = flag.Int("pages", 30000, "synthetic web size for crawl experiments")
-		budget     = flag.Int64("budget", 4000, "fetch budget for crawl experiments")
-		topic      = flag.String("topic", "cycling", "target topic")
-		weight     = flag.Float64("weight", 3, "page-mass multiplier for the target topic")
-		quick      = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-		latency    = flag.Duration("latency", 50*time.Microsecond, "simulated per-page disk latency for figure 8")
-		stripes    = flag.Int("linkstripes", 0, "LINK store stripes for the scale figure (0 = one per worker)")
-		distillpar = flag.Int("distillpar", 2, "distiller join partitions for the stall figure")
-		cpar       = flag.Int("classifypar", 0, "classifier-stage workers (batch queue partitioned by did) for the classify figure (0/1 = one stage)")
-		cbatch     = flag.Int("classifybatch", 0, "classify figure: sweep {1, N} instead of the default batch sizes (0 = default sweep)")
-		poolshards = flag.Int("poolshards", 0, "pool figure: sweep {1, N} buffer-pool shards instead of the default {1, 4, 16} (0 = default sweep)")
-		jsonPath   = flag.String("json", "", "sweep/hostile/cores/pool/recovery figures: also write that study as JSON to this path (the CI BENCH_sweep.json / BENCH_hostile.json / BENCH_cores.json / BENCH_pool.json / BENCH_recovery.json artifacts; use with a single -fig)")
-		dbpath     = flag.String("dbpath", "", "sweep/hostile/pool figures: back each run's crawl relations with real durable files at this path prefix (removed after measurement) instead of the latency-simulated memory disk; the recovery figure always uses durable files")
+		fig      = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, scale, classify, hostile, cores, recovery, all")
+		seed     = flag.Int64("seed", 1999, "random seed")
+		pages    = flag.Int("pages", 30000, "synthetic web size for crawl experiments")
+		budget   = flag.Int64("budget", 4000, "fetch budget for crawl experiments")
+		topic    = flag.String("topic", "cycling", "target topic")
+		weight   = flag.Float64("weight", 3, "page-mass multiplier for the target topic")
+		quick    = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
+		latency  = flag.Duration("latency", 50*time.Microsecond, "simulated per-page disk latency for figure 8")
+		stripes  = flag.Int("linkstripes", 0, "LINK store stripes for the scale figure (0 = one per worker)")
+		cpar     = flag.Int("classifypar", 0, "classifier-stage workers (batch queue partitioned by did) for the classify figure (0/1 = one stage)")
+		cbatch   = flag.Int("classifybatch", 0, "classify figure: sweep {1, N} instead of the default batch sizes (0 = default sweep)")
+		jsonPath = flag.String("json", "", "hostile/cores/recovery figures: also write that study as JSON to this path (the CI BENCH_hostile.json / BENCH_cores.json / BENCH_recovery.json artifacts; use with a single -fig)")
+		dbpath   = flag.String("dbpath", "", "hostile figure: back each run's crawl relations with real durable files at this path prefix (removed after measurement) instead of the latency-simulated memory disk; the recovery figure always uses durable files")
 	)
 	flag.Parse()
 
@@ -205,37 +216,6 @@ func main() {
 		return nil
 	})
 
-	run("sweep", func() error {
-		// Incoming-weight sweep cost by LINK stripe count: the same
-		// link-heavy crawl at stripes 1/8/32/128, dst-routed vs the legacy
-		// probe-every-stripe sweep, in the paper's disk-resident regime
-		// (small buffer pool plus simulated page-read latency, as the
-		// figure 8 experiments run). The study sizes its own web — a small
-		// page population at hub density, so LINK dominates the I/O
-		// working set — hence only seed, topic, and budget pass through.
-		r, err := eval.RunSweepScaling(eval.SweepScalingConfig{
-			Web:   webgraph.Config{Seed: *seed, TopicWeights: map[string]float64{*topic: *weight}},
-			Topic: *topic, Budget: *budget / 4,
-			DBPath: *dbpath,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		return nil
-	})
-
 	run("hostile", func() error {
 		// Hostile-web robustness: harvest per fetch attempt, naive vs the
 		// polite stack (pacing, backoff, breakers), as the servers get
@@ -250,18 +230,7 @@ func main() {
 			return err
 		}
 		r.Render(os.Stdout)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		return nil
+		return writeJSON(*jsonPath, r)
 	})
 
 	run("cores", func() error {
@@ -279,56 +248,7 @@ func main() {
 			return err
 		}
 		r.Render(os.Stdout)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		return nil
-	})
-
-	run("pool", func() error {
-		// Buffer-pool sharding: the PR 5 disk-resident crawl workload plus
-		// the cold-B+tree-probe microbench, at pool shards 1/4/16 × two
-		// pool sizes with equal total frames. The 1-shard pool is the seed
-		// engine's discipline (latch held across every miss's disk read);
-		// sharded pools publish the victim frame in a loading state and
-		// read off the latch, so independent misses overlap and concurrent
-		// fetchers of one page share a single read. The study sizes its own
-		// link-heavy web; seed, topic, and budget pass through.
-		var shards []int
-		if *poolshards > 0 {
-			shards = []int{1, *poolshards}
-		}
-		r, err := eval.RunPoolScaling(eval.PoolScalingConfig{
-			Web:    webgraph.Config{Seed: *seed, TopicWeights: map[string]float64{*topic: *weight}},
-			Topic:  *topic,
-			Budget: *budget / 4,
-			Shards: shards,
-			DBPath: *dbpath,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		return nil
+		return writeJSON(*jsonPath, r)
 	})
 
 	run("recovery", func() error {
@@ -343,35 +263,6 @@ func main() {
 			return err
 		}
 		r.Render(os.Stdout)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		return nil
-	})
-
-	run("stall", func() error {
-		// Crawl-while-distilling: worker stall attributable to
-		// distillation, legacy stop-the-world barrier vs the concurrent
-		// snapshot-and-go pipeline, on the link-heavy web with realistic
-		// 1999 fetch latency.
-		heavy := eval.LinkHeavyWeb(*seed, *pages/3)
-		heavy.TopicWeights = map[string]float64{*topic: *weight}
-		r, err := eval.RunDistillStall(eval.DistillStallConfig{
-			Web: heavy, Topic: *topic, Budget: *budget / 4,
-			Parallelism: *distillpar,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
+		return writeJSON(*jsonPath, r)
 	})
 }

@@ -12,6 +12,7 @@ package classifier
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"focus/internal/relstore"
@@ -68,6 +69,10 @@ type Model struct {
 	logDenom map[taxonomy.NodeID]float64
 	// statsMem is the in-memory mirror: internal node -> tid -> entries.
 	statsMem map[taxonomy.NodeID]map[uint32][]childTheta
+	// featTids is statsMem's key set per internal node, ascending: the
+	// stream plan accumulates in feature order, and float accumulation
+	// order must not vary run to run.
+	featTids map[taxonomy.NodeID][]uint32
 	// kidPos caches each internal node's children and their positions.
 	kids map[taxonomy.NodeID][]*taxonomy.Node
 }
@@ -88,6 +93,7 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 		logPrior:    make(map[taxonomy.NodeID]float64),
 		logDenom:    make(map[taxonomy.NodeID]float64),
 		statsMem:    make(map[taxonomy.NodeID]map[uint32][]childTheta),
+		featTids:    make(map[taxonomy.NodeID][]uint32),
 		kids:        make(map[taxonomy.NodeID][]*taxonomy.Node),
 	}
 
@@ -205,11 +211,15 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 			}
 		}
 		// Keep per-tid entries in child order for deterministic packing.
+		tids := make([]uint32, 0, len(mem))
 		for t := range mem {
 			es := mem[t]
 			sort.Slice(es, func(i, j int) bool { return es[i].kcid < es[j].kcid })
 			mem[t] = es
+			tids = append(tids, t)
 		}
+		slices.Sort(tids)
+		m.featTids[c0.ID] = tids
 
 		// Unpacked probe path: index STAT_c0 by (tid, kcid).
 		ix, err := st.AddIndex("tid", func(tp relstore.Tuple) []byte {

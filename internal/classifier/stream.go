@@ -182,12 +182,15 @@ func (m *Model) streamPosteriors(docs []BatchDoc, post map[int64]Posterior) {
 		}
 		// Probe F(c0) against the postings: each match is one inner-join
 		// output row (the PARTIAL side), folded straight into the
-		// document's score row.
-		for tid, entries := range m.statsMem[c0.ID] {
+		// document's score row. Features are walked in ascending tid order
+		// so each row's float accumulation order is fixed.
+		mem := m.statsMem[c0.ID]
+		for _, tid := range m.featTids[c0.ID] {
 			idx, ok := head[tid]
 			if !ok {
 				continue
 			}
+			entries := mem[tid]
 			for ; idx >= 0; idx = next[idx] {
 				d, f := int(docOf[idx]), freqOf[idx]
 				docLen[d] += f

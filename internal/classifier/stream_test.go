@@ -43,6 +43,23 @@ func TestStreamMatchesClassify(t *testing.T) {
 				}
 			}
 		}
+		// Run-to-run determinism: float accumulation order decides resume
+		// bit-identity, so a rerun must reproduce every posterior exactly,
+		// not merely within tolerance.
+		for rerun := 0; rerun < 10; rerun++ {
+			again, err := m.BulkClassifyStream(docs, BulkOptions{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range docs {
+				for id, want := range bulk[d.DID] {
+					if got := again[d.DID][id]; got != want {
+						t.Fatalf("parallelism %d rerun %d did %d node %d: %v, first run %v (diff %g)",
+							par, rerun, d.DID, id, got, want, got-want)
+					}
+				}
+			}
+		}
 	}
 }
 

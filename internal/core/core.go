@@ -33,8 +33,8 @@ type Config struct {
 	Crawl crawler.Config
 	// Frames sizes the buffer pool (default 4096 frames = 16 MiB).
 	Frames int
-	// PoolShards partitions the buffer pool into independent shards with
-	// off-latch miss I/O (0/1 = one shard, the serial seed semantics).
+	// PoolShards partitions the buffer pool into independent shards, each
+	// with its own latch (0/1 = one shard).
 	PoolShards int
 	// DBPath, when set, backs the crawl relations with a durable file
 	// (relstore.CreateFile for a fresh system, relstore.OpenFile for

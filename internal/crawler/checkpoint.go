@@ -133,7 +133,15 @@ func (c *Crawler) Checkpoint() error {
 		if len(c.distillJobs) == 0 && c.snapEpoch.Load() == c.pubEpoch.Load() {
 			break
 		}
+		// A failed epoch never publishes, so waiting for it would spin
+		// forever: report its error instead.
+		c.distillMu.Lock()
+		derr := c.distillErr
+		c.distillMu.Unlock()
 		c.unlockAll()
+		if derr != nil {
+			return derr
+		}
 		time.Sleep(200 * time.Microsecond)
 	}
 	for _, ds := range c.docs {
@@ -384,7 +392,6 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	if c.links, err = linkgraph.Attach(db, cfg.LinkStripes); err != nil {
 		return nil, err
 	}
-	c.links.SetRouted(!cfg.UnroutedSweep)
 
 	bindScore := func(name string) (*relstore.Table, error) {
 		tb := db.Table(name)

@@ -65,13 +65,10 @@ type Config struct {
 	MaxRetries int32
 	// RetryBackoff enables exponential backoff for retries: a transiently
 	// failed row re-enters the frontier with a not-before eligibility time
-	// of RetryBackoff·2^(tries-1) plus deterministic jitter, and checkout
-	// skips it until then. 0 disables (immediate requeue, the
-	// pre-politeness behavior).
+	// of RetryBackoff·2^(tries-1), capped at 32×RetryBackoff, plus
+	// deterministic jitter, and checkout skips it until then. 0 disables
+	// (immediate requeue, the pre-politeness behavior).
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the pre-jitter backoff delay (default
-	// 32×RetryBackoff).
-	RetryBackoffMax time.Duration
 	// HostMaxInflight caps concurrent fetches per server id: checkout
 	// skips rows whose host already has that many fetches in flight, so a
 	// worker picks a different host's page instead of blocking. 0 disables.
@@ -101,8 +98,9 @@ type Config struct {
 	// pipeline: the barrier shrinks to a short copy phase and the
 	// distillation runs on a background goroutine against the immutable
 	// snapshot, publishing HUBS/AUTH with an atomic buffer swap. Barrier
-	// mode exists for A/B stall measurement and for tests that need the
-	// crawl's visit order to be independent of distillation timing.
+	// mode is the determinism mode: it makes the crawl's visit order
+	// independent of distillation timing, which the bit-identical resume
+	// contract and the goldens need.
 	DistillBarrier bool
 	// HubNeighborBoost is the relevance assigned to unvisited pages cited
 	// by top-decile hubs after each distillation (default 0.75; 0 keeps the
@@ -136,11 +134,6 @@ type Config struct {
 	// SkipDocuments disables populating the DOCUMENT relation (saves space
 	// when the corpus will not be re-classified in bulk).
 	SkipDocuments bool
-	// UnroutedSweep disables dst-routing of the incoming-weight sweep, so
-	// every visit locks and probes every LINK stripe's bydst index (the
-	// pre-registry behavior). Measurement-only: eval.RunSweepScaling uses it
-	// for the routed-vs-unrouted A/B; results are identical either way.
-	UnroutedSweep bool
 	// CheckpointEvery persists a durable checkpoint after every k page
 	// visits (0 disables), piggybacked on the distillation snapshot point:
 	// the same quiesce (pendingFwd drained, consistent cross-shard and
@@ -176,9 +169,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 3
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.RetryBackoff > 0 && c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = 32 * c.RetryBackoff
 	}
 	if c.BreakerAfter > 0 && c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 50 * time.Millisecond
@@ -383,6 +373,9 @@ type Crawler struct {
 	// the classifier stage just before the given oid's visit would
 	// complete (exercises flushBatch's error path). Test-only.
 	flushFault func(oid int64) error
+	// distillFault, when set before Run, fails the given concurrent
+	// distillation epoch before it computes. Test-only.
+	distillFault func(epoch int64) error
 }
 
 // New creates a crawler over a fresh set of relations in db. The model must
@@ -423,7 +416,6 @@ func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) 
 	if c.links, err = linkgraph.New(db, c.cfg.LinkStripes); err != nil {
 		return nil, err
 	}
-	c.links.SetRouted(!c.cfg.UnroutedSweep)
 	// HUBS and AUTH are double-buffered: the published pair is what
 	// monitors read; the spare pair is the scratch space the next
 	// distillation epoch builds into before the swap publishes it. Roles
@@ -823,18 +815,14 @@ func (c *Crawler) worker(w int) error {
 // selection and finally falls back to probing every shard from the
 // worker's home offset.
 //
-// With politeness on, each shard pop goes through checkoutPolite, which
-// skips ineligible rows; the returned wake time is the earliest moment any
-// skipped row becomes eligible (zero when nothing is waiting on the
-// clock), so an empty-handed caller can wait honestly instead of declaring
-// stagnation.
+// With politeness on, a shard pop skips ineligible rows; the returned wake
+// time is the earliest moment any skipped row becomes eligible (zero when
+// nothing is waiting on the clock), so an empty-handed caller can wait
+// honestly instead of declaring stagnation.
 func (c *Crawler) checkout(home int) (*shard, relstore.RID, relstore.Tuple, bool, time.Time, error) {
 	var wake time.Time
 	pop := func(sh *shard) (relstore.RID, relstore.Tuple, bool, error) {
-		if !c.politeOn {
-			return sh.checkout(c.checkoutHook, &c.inflight)
-		}
-		rid, row, ok, w, err := sh.checkoutPolite(c, c.checkoutHook, &c.inflight)
+		rid, row, ok, w, err := sh.checkout(c)
 		noteWake(&wake, w)
 		return rid, row, ok, err
 	}
@@ -1319,6 +1307,11 @@ func (c *Crawler) drainDistillJobs() {
 // new pair, never a mix), pubEpoch advances, and only then is the §3.4
 // hub-neighbor boost applied shard by shard against the live frontier.
 func (c *Crawler) distillEpoch(job distillJob) error {
+	if c.distillFault != nil {
+		if err := c.distillFault(job.epoch); err != nil {
+			return err
+		}
+	}
 	t0 := time.Now()
 	defer func() { c.computeNS.Add(time.Since(t0).Nanoseconds()) }()
 	c.mu.Lock()

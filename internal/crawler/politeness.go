@@ -7,12 +7,11 @@ package crawler
 // shard under the shard mutex, and the lock tower is unchanged: no new
 // lock is introduced and no politeness decision ever takes a second lock.
 // All features are opt-in (Crawler.politeOn); with them off, checkout
-// takes the pre-politeness fast path untouched, which is what keeps the
+// admits every row and creates no host state, which is what keeps the
 // golden crawls bit-identical.
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"focus/internal/relstore"
@@ -65,80 +64,15 @@ const (
 	bkHalfOpen
 )
 
+// retryBackoffCap bounds the pre-jitter retry delay, as a multiple of
+// Config.RetryBackoff. A power of two, so doubling lands on it exactly.
+const retryBackoffCap = 32
+
 // noteWake keeps the earliest non-zero wake time.
 func noteWake(dst *time.Time, t time.Time) {
 	if !t.IsZero() && (dst.IsZero() || t.Before(*dst)) {
 		*dst = t
 	}
-}
-
-// checkoutPolite is checkout's politeness-aware twin: it walks the
-// frontier index in policy order and pops the first *eligible* row,
-// skipping rows still backing off, hosts at their in-flight cap or inside
-// their inter-fetch delay, and hosts behind an open breaker. Skipped rows
-// stay in the frontier at full priority. The returned wake time is the
-// earliest moment a skipped row becomes eligible by clock (zero when
-// nothing is waiting on the clock — blocks that clear through other
-// events, like a host slot freeing, always coincide with a fetch in
-// flight, which the worker already waits on).
-func (sh *shard) checkoutPolite(c *Crawler, hook func(*shard, relstore.Tuple), inflight *atomic.Int64) (relstore.RID, relstore.Tuple, bool, time.Time, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	now := time.Now()
-	prefix := relstore.EncodeKey(relstore.I32(StatusFrontier))
-	var (
-		rid                relstore.RID
-		row                relstore.Tuple
-		found              bool
-		wake               time.Time
-		firstSkipped, next *[]byte
-	)
-	err := sh.frontier.ScanPrefix(prefix, func(k []byte, r relstore.RID) (bool, error) {
-		if found {
-			// The key right after the popped row: head hint when nothing
-			// better was skipped.
-			kk := append([]byte(nil), k...)
-			next = &kk
-			return true, nil
-		}
-		t, err := sh.crawl.Get(r)
-		if err != nil {
-			return true, err
-		}
-		ok, w := c.admitLocked(sh, t, now)
-		noteWake(&wake, w)
-		if !ok {
-			if firstSkipped == nil {
-				kk := append([]byte(nil), k...)
-				firstSkipped = &kk
-			}
-			return false, nil
-		}
-		rid, row, found = r, t, true
-		return false, nil
-	})
-	if err != nil || !found {
-		return relstore.RID{}, nil, false, wake, err
-	}
-	if hook != nil {
-		hook(sh, row.Clone())
-	}
-	row[CStatus] = relstore.I32(StatusInflight)
-	if err := sh.crawl.Update(rid, row); err != nil {
-		return relstore.RID{}, nil, false, wake, err
-	}
-	inflight.Add(1)
-	sh.frontierN.Add(-1)
-	// Skipped rows sort before the popped one, so the best remaining
-	// frontier key is the first skip when there was one.
-	if firstSkipped != nil {
-		sh.head.Store(firstSkipped)
-	} else {
-		sh.head.Store(next)
-	}
-	c.acquireHostLocked(sh, SIDOf(row[CURL].S), now)
-	delete(sh.notBefore, row[COID].Int())
-	return rid, row, true, wake, nil
 }
 
 // admitLocked decides whether a frontier row may be checked out now.
@@ -246,11 +180,8 @@ func (c *Crawler) retryDelay(oid int64, tries int32, rle *RateLimitedError) time
 		return 0
 	}
 	d := c.cfg.RetryBackoff
-	for i := int32(1); i < tries && d < c.cfg.RetryBackoffMax; i++ {
+	for i := int32(1); i < tries && d < retryBackoffCap*c.cfg.RetryBackoff; i++ {
 		d *= 2
-	}
-	if d > c.cfg.RetryBackoffMax {
-		d = c.cfg.RetryBackoffMax
 	}
 	// Jitter in [1.0, 1.5)×d, splitmix-style.
 	h := uint64(oid) + uint64(tries)*0x9E3779B97F4A7C15

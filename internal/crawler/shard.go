@@ -183,54 +183,90 @@ func (sh *shard) recomputeHeadLocked() error {
 	return nil
 }
 
-// checkout pops the shard's best frontier row (in the policy's order) and
-// marks it in flight. Returns ok=false when this shard's frontier is empty.
-// The caller's inflight counter is raised under the shard lock *before*
+// checkout pops the shard's best eligible frontier row (in the policy's
+// order) and marks it in flight. Returns ok=false when nothing in this
+// shard's frontier can be checked out now. With politeness on (see
+// politeness.go) the walk skips rows still backing off, hosts at their
+// in-flight cap or inside their inter-fetch delay, and hosts behind an open
+// breaker; skipped rows stay in the frontier at full priority, and the
+// returned wake time is the earliest moment one becomes eligible by clock
+// (zero when nothing is waiting on the clock — blocks that clear through
+// other events, like a host slot freeing, always coincide with a fetch in
+// flight, which the worker already waits on). With politeness off every row
+// is eligible, the first key pops, and no host state is touched.
+//
+// The crawler's inflight counter is raised under the shard lock *before*
 // the frontier counter drops, so no observer can see an empty frontier
 // with zero fetches in flight while a popped row awaits its fetch (that
 // window would make idle workers exit as if the crawl had stagnated).
-func (sh *shard) checkout(hook func(*shard, relstore.Tuple), inflight *atomic.Int64) (relstore.RID, relstore.Tuple, bool, error) {
+func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.Time, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	var now time.Time
+	if c.politeOn {
+		now = time.Now()
+	}
 	prefix := relstore.EncodeKey(relstore.I32(StatusFrontier))
-	// One index scan serves both the pop and the head hint: the first
-	// frontier key is the row to pop, and the key right after it is the
-	// shard's head once the pop commits — so no fresh B+tree descent (and
-	// no rescan allocation) per checkout, which recomputeHeadLocked used
-	// to cost on every pop even when nothing but the popped row changed.
+	// One index scan serves both the pop and the head hint: the key right
+	// after the popped row is the shard's head once the pop commits (unless
+	// a better row was skipped), so no fresh B+tree descent per checkout.
 	// Exactness is preserved: sh.mu is held, so no mutation can interleave
 	// between the scan and the hint store.
-	var rid relstore.RID
-	var next *[]byte
-	found := false
+	var (
+		rid                relstore.RID
+		row                relstore.Tuple
+		found              bool
+		wake               time.Time
+		firstSkipped, next *[]byte
+	)
 	err := sh.frontier.ScanPrefix(prefix, func(k []byte, r relstore.RID) (bool, error) {
-		if !found {
-			rid = r
-			found = true
-			return false, nil
+		if found {
+			kk := append([]byte(nil), k...)
+			next = &kk
+			return true, nil
 		}
-		kk := append([]byte(nil), k...)
-		next = &kk
-		return true, nil
+		t, err := sh.crawl.Get(r)
+		if err != nil {
+			return true, err
+		}
+		if c.politeOn {
+			ok, w := c.admitLocked(sh, t, now)
+			noteWake(&wake, w)
+			if !ok {
+				if firstSkipped == nil {
+					kk := append([]byte(nil), k...)
+					firstSkipped = &kk
+				}
+				return false, nil
+			}
+		}
+		rid, row, found = r, t, true
+		return false, nil
 	})
 	if err != nil || !found {
-		return relstore.RID{}, nil, false, err
+		return relstore.RID{}, nil, false, wake, err
 	}
-	row, err := sh.crawl.Get(rid)
-	if err != nil {
-		return relstore.RID{}, nil, false, err
-	}
-	if hook != nil {
-		hook(sh, row.Clone())
+	if c.checkoutHook != nil {
+		c.checkoutHook(sh, row.Clone())
 	}
 	row[CStatus] = relstore.I32(StatusInflight)
 	if err := sh.crawl.Update(rid, row); err != nil {
-		return relstore.RID{}, nil, false, err
+		return relstore.RID{}, nil, false, wake, err
 	}
-	inflight.Add(1)
+	c.inflight.Add(1)
 	sh.frontierN.Add(-1)
-	sh.head.Store(next)
-	return rid, row, true, nil
+	// Skipped rows sort before the popped one, so the best remaining
+	// frontier key is the first skip when there was one.
+	if firstSkipped != nil {
+		sh.head.Store(firstSkipped)
+	} else {
+		sh.head.Store(next)
+	}
+	if c.politeOn {
+		c.acquireHostLocked(sh, SIDOf(row[CURL].S), now)
+		delete(sh.notBefore, row[COID].Int())
+	}
+	return rid, row, true, wake, nil
 }
 
 // boostLocked raises an unvisited, never-tried frontier row's relevance to

@@ -664,156 +664,6 @@ func (r *CrawlScalingResult) Render(w io.Writer) {
 	}
 }
 
-// DistillStallConfig drives the crawl-while-distilling study: the same
-// focused crawl over a link-heavy web, run once with the legacy
-// stop-the-world distillation barrier and once with the concurrent
-// snapshot-and-go pipeline, comparing how long crawl workers stall for
-// distillation and what that does to end-to-end throughput.
-type DistillStallConfig struct {
-	Web          webgraph.Config
-	Topic        string
-	Seeds        int
-	Budget       int64
-	Workers      int
-	DistillEvery int64
-	// Parallelism is the distiller's join partition count (both modes).
-	Parallelism int
-}
-
-func (c DistillStallConfig) withDefaults() DistillStallConfig {
-	if c.Topic == "" {
-		c.Topic = "cycling"
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 20
-	}
-	if c.Budget <= 0 {
-		c.Budget = 600
-	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.DistillEvery <= 0 {
-		c.DistillEvery = 100
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 2
-	}
-	if c.Web.NumPages <= 0 {
-		c.Web = LinkHeavyWeb(c.Web.Seed, 6000)
-	}
-	if c.Web.FetchLatency == 0 {
-		// A 1999 web fetch took tens of milliseconds on a good day; with
-		// realistic latency the crawl has idle network time for the
-		// background epochs to hide in, which is exactly the regime the
-		// snapshot-and-go pipeline targets (under the barrier, stopped
-		// workers can't even keep fetches in flight).
-		c.Web.FetchLatency = 20 * time.Millisecond
-	} else if c.Web.FetchLatency < 0 {
-		c.Web.FetchLatency = 0 // explicit zero: instantaneous fetches
-	}
-	return c
-}
-
-// DistillStallPoint is one mode's measurement.
-type DistillStallPoint struct {
-	Mode        string
-	Visited     int64
-	Distills    int
-	Stall       time.Duration // total worker time stopped for distillation
-	Compute     time.Duration // total HITS epoch computation time
-	Elapsed     time.Duration
-	PagesPerSec float64
-}
-
-// DistillStallResult carries both modes plus the headline ratio.
-type DistillStallResult struct {
-	Barrier    DistillStallPoint
-	Concurrent DistillStallPoint
-	// StallRatio is barrier stall / concurrent stall — how much worker
-	// stall the snapshot-and-go pipeline removes (target: >= 5x).
-	StallRatio float64
-}
-
-// RunDistillStall measures distillation-attributable worker stall in both
-// modes over the same synthetic web.
-func RunDistillStall(cfg DistillStallConfig) (*DistillStallResult, error) {
-	cfg = cfg.withDefaults()
-	web, err := webgraph.Generate(cfg.Web)
-	if err != nil {
-		return nil, err
-	}
-	run := func(barrier bool) (DistillStallPoint, error) {
-		web.ResetFetches()
-		tree := web.Cfg.Tree
-		if n := tree.ByName(cfg.Topic); n != nil {
-			tree.Unmark(n.ID)
-		}
-		sys, err := core.NewSystemOnWeb(web, core.Config{
-			GoodTopics: []string{cfg.Topic},
-			Crawl: crawler.Config{
-				Workers:        cfg.Workers,
-				MaxFetches:     cfg.Budget,
-				DistillEvery:   cfg.DistillEvery,
-				DistillBarrier: barrier,
-				Distill:        distiller.Config{Parallelism: cfg.Parallelism},
-				SkipDocuments:  true,
-			},
-		})
-		if err != nil {
-			return DistillStallPoint{}, err
-		}
-		if err := sys.SeedTopic(cfg.Topic, cfg.Seeds); err != nil {
-			return DistillStallPoint{}, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return DistillStallPoint{}, err
-		}
-		p := DistillStallPoint{
-			Mode:     "concurrent",
-			Visited:  res.Visited,
-			Distills: res.Distills,
-			Stall:    res.DistillStall,
-			Compute:  res.DistillCompute,
-			Elapsed:  res.Elapsed,
-		}
-		if barrier {
-			p.Mode = "barrier"
-		}
-		if res.Elapsed > 0 {
-			p.PagesPerSec = float64(res.Visited) / res.Elapsed.Seconds()
-		}
-		return p, nil
-	}
-	out := &DistillStallResult{}
-	if out.Barrier, err = run(true); err != nil {
-		return nil, err
-	}
-	if out.Concurrent, err = run(false); err != nil {
-		return nil, err
-	}
-	if out.Concurrent.Stall > 0 {
-		out.StallRatio = float64(out.Barrier.Stall) / float64(out.Concurrent.Stall)
-	}
-	return out, nil
-}
-
-// Render prints the stall comparison.
-func (r *DistillStallResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Distillation worker stall: barrier vs snapshot-and-go\n")
-	fmt.Fprintf(w, "%-12s %8s %9s %12s %12s %10s %12s\n",
-		"mode", "visited", "distills", "stall", "compute", "elapsed", "pages/sec")
-	for _, p := range []DistillStallPoint{r.Barrier, r.Concurrent} {
-		fmt.Fprintf(w, "%-12s %8d %9d %12s %12s %10s %12.1f\n",
-			p.Mode, p.Visited, p.Distills, rnd(p.Stall), rnd(p.Compute),
-			rnd(p.Elapsed), p.PagesPerSec)
-	}
-	if r.StallRatio > 0 {
-		fmt.Fprintf(w, "stall reduction: %.1fx\n", r.StallRatio)
-	}
-}
-
 // Render prints the Figure 8(d) bars with their phase decomposition.
 func (r *DistillerPerfResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 8(d): distillation running time over %d edges\n", r.Edges)

@@ -20,7 +20,7 @@ func Attach(db *relstore.DB, n int) (*Store, error) {
 	if n <= 0 {
 		n = 1
 	}
-	s := &Store{db: db, reg: newDstRegistry(n), routed: true}
+	s := &Store{db: db, reg: newDstRegistry(n)}
 	for i := 0; i < n; i++ {
 		tab := db.Table(fmt.Sprintf("LINK#%d", i))
 		if tab == nil {

@@ -174,15 +174,12 @@ type Store struct {
 
 	// reg is the dst -> stripe-presence registry that routes incoming-weight
 	// sweeps to only the stripes storing edges into the target; see
-	// registry.go and UpdateIncomingFwd. routed (default true) can be
-	// cleared for A/B measurement of the legacy every-stripe sweep.
-	reg    *dstRegistry
-	routed bool
+	// registry.go and UpdateIncomingFwd.
+	reg *dstRegistry
 
 	// sweeps counts UpdateIncomingFwd/UpdateIncomingFwdLocked calls;
 	// sweepProbes counts the stripes those sweeps locked and probed. Their
-	// ratio is the per-visit sweep cost the routing flattens — the quantity
-	// eval.RunSweepScaling reports.
+	// ratio is the per-visit sweep cost the routing flattens.
 	sweeps      atomic.Int64
 	sweepProbes atomic.Int64
 }
@@ -194,7 +191,7 @@ func New(db *relstore.DB, n int) (*Store, error) {
 	if n <= 0 {
 		n = 1
 	}
-	s := &Store{db: db, reg: newDstRegistry(n), routed: true}
+	s := &Store{db: db, reg: newDstRegistry(n)}
 	for i := 0; i < n; i++ {
 		st := &stripe{id: i}
 		var err error
@@ -394,12 +391,11 @@ func (st *stripe) scanBySrc(src int64, fn func(Edge) (bool, error)) error {
 // dst registry names the stripes actually holding edges into dst, and only
 // those are locked and probed, in ascending id order — O(in-degree stripes)
 // lock acquisitions and bydst descents per visit instead of O(NumStripes).
-// The rewrite itself is unchanged, so the result is bit-identical to the
-// every-stripe sweep at any stripe count (probing an edge-free stripe was
-// always a no-op); SetRouted(false) restores that legacy sweep for A/B
-// measurement. Callers must not hold any shard or global lock (stripe locks
-// rank below both) and must have published the target's visited state
-// first; see WeightFunc and the registration ordering in Apply.
+// Probing an edge-free stripe would be a no-op, so the result is identical
+// to an every-stripe sweep at any stripe count. Callers must not hold any
+// shard or global lock (stripe locks rank below both) and must have
+// published the target's visited state first; see WeightFunc and the
+// registration ordering in Apply.
 func (s *Store) UpdateIncomingFwd(dst int64, fwd float64) error {
 	return s.sweep(dst, fwd, func(st *stripe, prefix []byte) error {
 		st.mu.Lock()
@@ -427,22 +423,13 @@ func (s *Store) UpdateIncomingFwdLocked(dst int64, fwd float64) error {
 	})
 }
 
-// sweep walks the stripes holding edges into dst (all stripes when routing
-// is off) in ascending id order, applying the rewrite through probe. The
-// dst's mask is copied out of the registry before any stripe is touched —
-// registry locks are leaves, never held while acquiring a stripe lock.
+// sweep walks the stripes holding edges into dst in ascending id order,
+// applying the rewrite through probe. The dst's mask is copied out of the
+// registry before any stripe is touched — registry locks are leaves, never
+// held while acquiring a stripe lock.
 func (s *Store) sweep(dst int64, fwd float64, probe func(st *stripe, prefix []byte) error) error {
 	s.sweeps.Add(1)
 	prefix := relstore.EncodeKey(relstore.I64(dst))
-	if !s.routed {
-		s.sweepProbes.Add(int64(len(s.stripes)))
-		for _, st := range s.stripes {
-			if err := probe(st, prefix); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var scratch [4]uint64 // up to 256 stripes without allocating
 	mask := s.reg.snapshot(dst, scratch[:0])
 	probes := 0
@@ -460,16 +447,9 @@ func (s *Store) sweep(dst int64, fwd float64, probe func(st *stripe, prefix []by
 	return nil
 }
 
-// SetRouted toggles dst-routing of incoming-weight sweeps. Routing is on by
-// default; turning it off restores the legacy probe-every-stripe sweep and
-// exists only so eval.RunSweepScaling can measure the difference. The
-// results are identical either way.
-func (s *Store) SetRouted(routed bool) { s.routed = routed }
-
 // SweepStats reports how many incoming-weight sweeps ran and how many
-// stripe probes (lock + bydst descent) they cost in total. With routing the
-// ratio is the average in-degree stripe spread of swept targets, flat in
-// NumStripes; without it the ratio is exactly NumStripes.
+// stripe probes (lock + bydst descent) they cost in total. The ratio is the
+// average in-degree stripe spread of swept targets, flat in NumStripes.
 func (s *Store) SweepStats() (sweeps, stripeProbes int64) {
 	return s.sweeps.Load(), s.sweepProbes.Load()
 }

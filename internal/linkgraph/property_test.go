@@ -96,10 +96,12 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 // TestRoutedSweepEquivalenceProperty pins the dst-routing of
 // UpdateIncomingFwd at several stripe counts: for random edge sets and a
 // random sweep sequence, the routed sweep must (a) leave the store
-// tuple-for-tuple identical to the legacy probe-every-stripe sweep, and
-// (b) lock and probe exactly the stripes that store at least one edge into
-// the swept target — no more (routing must skip edge-free stripes), no
-// fewer (a skipped stripe would strand a stale weight).
+// tuple-for-tuple identical to the same batches and sweeps applied to a
+// one-stripe store, where there is nothing to route (ByDstIter order is
+// stripe-count-independent), and (b) lock and probe exactly the stripes
+// that store at least one edge into the swept target — no more (routing
+// must skip edge-free stripes), no fewer (a skipped stripe would strand a
+// stale weight).
 func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -132,9 +134,8 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 
 		for _, stripes := range []int{1, 2, 5, 8, 16} {
 			t.Run(fmt.Sprintf("trial=%d/stripes=%d", trial, stripes), func(t *testing.T) {
-				load := func(routed bool) *Store {
+				load := func(stripes int) *Store {
 					s := newStore(t, stripes)
-					s.SetRouted(routed)
 					for lo := 0; lo < len(edges); lo += 60 {
 						hi := lo + 60
 						if hi > len(edges) {
@@ -155,7 +156,7 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 					}
 					return s
 				}
-				routed, legacy := load(true), load(false)
+				routed, single := load(stripes), load(1)
 
 				dump := func(s *Store) []Edge {
 					it, err := s.ByDstIter()
@@ -174,20 +175,19 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 						out = append(out, EdgeOf(tp))
 					}
 				}
-				got, want := dump(routed), dump(legacy)
+				got, want := dump(routed), dump(single)
 				if len(got) != len(want) {
-					t.Fatalf("routed store has %d tuples, legacy sweep leaves %d", len(got), len(want))
+					t.Fatalf("routed store has %d tuples, one-stripe store has %d", len(got), len(want))
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("tuple %d = %+v after routed sweeps, legacy has %+v", i, got[i], want[i])
+						t.Fatalf("tuple %d = %+v after routed sweeps, one-stripe store has %+v", i, got[i], want[i])
 					}
 				}
 
 				// Probe accounting: the routed store must have probed exactly
 				// the stripes holding edges into each swept dst (counting a
-				// dst once per sweep of it), the legacy store exactly
-				// stripes-per-sweep.
+				// dst once per sweep of it).
 				stripesInto := func(dst int64) int64 {
 					seen := map[int]bool{}
 					for _, e := range edges {
@@ -207,9 +207,6 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 				}
 				if probes != wantProbes {
 					t.Fatalf("routed sweeps probed %d stripes, edges into swept dsts span %d", probes, wantProbes)
-				}
-				if _, lp := legacy.SweepStats(); lp != int64(len(sweeps)*stripes) {
-					t.Fatalf("legacy sweeps probed %d stripes, want %d", lp, len(sweeps)*stripes)
 				}
 			})
 		}

@@ -21,15 +21,15 @@ const (
 
 // ErrPoolExhausted is returned when every frame a page may occupy is pinned
 // and a new page is needed. It indicates an iterator leak or an absurdly
-// small pool; with Shards > 1 it is scoped to the page's shard.
+// small pool, and is scoped to the page's shard.
 var ErrPoolExhausted = errors.New("relstore: buffer pool exhausted (all frames pinned)")
 
-// In sharded mode an all-pinned shard is retried with exponential backoff
-// before giving up: pins are transient (B+tree descents and heap scans unpin
-// within microseconds), so a momentary pile-up on one shard — even one whose
-// pinner the scheduler has parked for a few milliseconds — must not fail the
-// caller. Exhaustion by genuinely leaked pins still errors once the full
-// backoff budget (~60 ms) is spent.
+// An all-pinned shard is retried with exponential backoff before giving up:
+// pins are transient (B+tree descents and heap scans unpin within
+// microseconds), so a momentary pile-up on one shard — even one whose pinner
+// the scheduler has parked for a few milliseconds — must not fail the caller.
+// Exhaustion by genuinely leaked pins still errors once the full backoff
+// budget (~60 ms) is spent.
 const (
 	victimRetries    = 40
 	victimRetryDelay = 20 * time.Microsecond // doubled per attempt
@@ -90,11 +90,10 @@ type BufStats struct {
 // shard (hash(PageID) % Shards), so a frame in a shard only ever holds
 // pages of that shard and cross-shard coordination is never needed.
 type poolShard struct {
-	// The shard latch. In the sharded hot path (fetchOffLock/newPageOffLock)
-	// no disk I/O, channel wait, or sleep may run while it is held — that is
-	// the off-latch contract the PR 8 sharding introduced. The serial
-	// (Shards == 1) path and the quiesced maintenance paths intentionally
-	// violate it and carry explained suppressions.
+	// The shard latch. In the hot path (claim) no disk I/O, channel wait, or
+	// sleep may run while it is held — the off-latch contract. The quiesced
+	// maintenance paths (FlushAll, Resize) intentionally violate it and carry
+	// explained suppressions.
 	//focuslint:lock rank=poollatch leaf noblock=io,chan,sleep
 	mu     sync.Mutex
 	frames []*Frame
@@ -123,14 +122,12 @@ type poolShard struct {
 // distinct tables need no coordination).
 //
 // The pool is partitioned into Shards independent shards (Postgres buffer
-// mapping partitions, InnoDB buffer pool instances). With Shards == 1 — the
-// default — the pool keeps the seed engine's semantics: one latch, and a
-// miss holds it across the disk read, so misses serialize. With Shards > 1
-// each shard has its own latch and, on a miss, the victim frame is
-// published in a *loading* state and the latch is released before
-// disk.ReadPage runs: concurrent fetchers of the same page wait on that
-// frame (single-flight — exactly one physical read per page), while hits
-// and misses on every other page proceed untouched.
+// mapping partitions, InnoDB buffer pool instances), one by default. Each
+// shard has its own latch and, on a miss, the victim frame is published in
+// a *loading* state and the latch is released before disk.ReadPage runs:
+// concurrent fetchers of the same page wait on that frame (single-flight —
+// exactly one physical read per page), while hits and misses on every other
+// page proceed untouched.
 type BufferPool struct {
 	disk    DiskManager
 	shards  []*poolShard
@@ -138,7 +135,7 @@ type BufferPool struct {
 }
 
 // NewBufferPool creates a single-shard pool with the given number of frames
-// (minimum 4) — the seed engine's semantics.
+// (minimum 4).
 func NewBufferPool(disk DiskManager, frames int) *BufferPool {
 	return NewBufferPoolSharded(disk, frames, 1)
 }
@@ -259,68 +256,32 @@ func (bp *BufferPool) ResetStats() {
 
 // Fetch pins the frame holding pid, reading it from disk on a miss.
 func (bp *BufferPool) Fetch(pid PageID) (*Frame, error) {
-	sh := bp.shard(pid)
-	if len(bp.shards) == 1 {
-		return bp.fetchSerial(sh, pid)
-	}
-	return bp.fetchOffLock(sh, pid)
+	return bp.claim(pid, false)
 }
 
-// fetchSerial is the seed engine's miss discipline: the shard latch is held
-// across the disk read, so misses serialize behind one another (hits do not
-// pay for this). Kept verbatim as the Shards == 1 mode — both the
-// compatibility mode and the baseline the pool-scaling study measures
-// sharding against.
-func (bp *BufferPool) fetchSerial(sh *poolShard, pid PageID) (*Frame, error) {
-	sh.mu.Lock()
-	if f, ok := sh.table[pid]; ok {
-		f.pin.Add(1)
-		f.ref.Store(true)
-		sh.tick++
-		f.used = sh.tick
-		sh.hits.Add(1)
-		sh.mu.Unlock()
-		return f, nil
-	}
-	sh.misses.Add(1)
-	f, err := sh.victimFlushLocked(bp.disk)
+// NewPage allocates a fresh zeroed page and returns it pinned and dirty.
+func (bp *BufferPool) NewPage() (*Frame, error) {
+	pid, err := bp.disk.Allocate()
 	if err != nil {
-		sh.mu.Unlock()
 		return nil, err
 	}
-	// Reserve the frame for pid before the disk read so a concurrent caller
-	// cannot steal it; the shard latch is held across the read for exact
-	// seed-pool semantics.
-	f.pid = pid
-	f.valid = true
-	f.dirty.Store(false)
-	f.pin.Store(1)
-	f.ref.Store(true)
-	sh.tick++
-	f.used = sh.tick
-	sh.table[pid] = f
-	//focuslint:ignore offlatch serial (Shards==1) mode holds the latch across the read by design — the baseline the pool-scaling study measures against
-	if err := bp.disk.ReadPage(pid, f.data); err != nil {
-		delete(sh.table, pid)
-		f.valid = false
-		f.pin.Store(0)
-		sh.mu.Unlock()
-		return nil, err
-	}
-	sh.mu.Unlock()
-	return f, nil
+	return bp.claim(pid, true)
 }
 
-// fetchOffLock is the sharded miss protocol: claim a victim, publish it in
+// claim is the pool's one miss protocol, shared by Fetch and NewPage: wait
+// out any write-back of pid still in flight, claim a victim, publish it in
 // loading state, release the latch, write back the victim's dirty image and
-// read the new page, then publish the result. Concurrent fetchers of the
-// same page wait on the loading frame; everything else proceeds.
-func (bp *BufferPool) fetchOffLock(sh *poolShard, pid PageID) (*Frame, error) {
+// fill the frame, then publish the result. Concurrent fetchers of the same
+// page wait on the loading frame; everything else proceeds. A fresh page
+// (NewPage) differs only in the fill: it cannot be resident, is zeroed
+// rather than read, starts dirty, and counts no miss.
+func (bp *BufferPool) claim(pid PageID, fresh bool) (*Frame, error) {
+	sh := bp.shard(pid)
 	var f *Frame
 	for attempt := 0; ; attempt++ {
 		sh.mu.Lock()
 		for {
-			if g, ok := sh.table[pid]; ok {
+			if g, ok := sh.table[pid]; ok && !fresh {
 				if ch := g.loading; ch != nil {
 					// Single-flight: another fetcher's read of pid is in
 					// flight. Pin now — under the latch, so the frame cannot
@@ -350,7 +311,8 @@ func (bp *BufferPool) fetchOffLock(sh *poolShard, pid PageID) (*Frame, error) {
 			}
 			// pid's latest bytes are still being written back by an
 			// eviction; reading the on-disk image now would resurrect the
-			// stale version. Wait for the flush, then re-check residency.
+			// stale version, and for a reallocated pid the late write would
+			// overwrite the new page. Wait for the flush, then re-check.
 			sh.mu.Unlock()
 			<-ch
 			sh.mu.Lock()
@@ -365,7 +327,9 @@ func (bp *BufferPool) fetchOffLock(sh *poolShard, pid PageID) (*Frame, error) {
 		}
 		time.Sleep(victimBackoff(attempt))
 	}
-	sh.misses.Add(1)
+	if !fresh {
+		sh.misses.Add(1)
+	}
 	oldPid := f.pid
 	oldDirty := f.valid && f.dirty.Load()
 	if f.valid {
@@ -380,7 +344,7 @@ func (bp *BufferPool) fetchOffLock(sh *poolShard, pid PageID) (*Frame, error) {
 	loadCh := make(chan struct{})
 	f.pid = pid
 	f.valid = true
-	f.dirty.Store(false)
+	f.dirty.Store(fresh)
 	f.pin.Store(1)
 	f.ref.Store(true)
 	sh.tick++
@@ -411,7 +375,12 @@ func (bp *BufferPool) fetchOffLock(sh *poolShard, pid PageID) (*Frame, error) {
 			return nil, err
 		}
 	}
-	rerr := bp.disk.ReadPage(pid, f.data)
+	var rerr error
+	if fresh {
+		clear(f.data)
+	} else {
+		rerr = bp.disk.ReadPage(pid, f.data)
+	}
 	sh.mu.Lock()
 	if oldDirty {
 		delete(sh.flushing, oldPid)
@@ -431,122 +400,6 @@ func (bp *BufferPool) fetchOffLock(sh *poolShard, pid PageID) (*Frame, error) {
 	if rerr != nil {
 		return nil, rerr
 	}
-	return f, nil
-}
-
-// NewPage allocates a fresh zeroed page and returns it pinned and dirty.
-func (bp *BufferPool) NewPage() (*Frame, error) {
-	pid, err := bp.disk.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	sh := bp.shard(pid)
-	if len(bp.shards) == 1 {
-		sh.mu.Lock()
-		f, err := sh.victimFlushLocked(bp.disk)
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-		clear(f.data)
-		f.pid = pid
-		f.valid = true
-		f.dirty.Store(true)
-		f.pin.Store(1)
-		f.ref.Store(true)
-		sh.tick++
-		f.used = sh.tick
-		sh.table[pid] = f
-		sh.mu.Unlock()
-		return f, nil
-	}
-	return bp.newPageOffLock(sh, pid)
-}
-
-// newPageOffLock claims a victim for a freshly allocated page and does the
-// victim write-back and zeroing off the latch, mirroring fetchOffLock. The
-// frame passes through the loading state so a (pathological) concurrent
-// Fetch of the new pid waits rather than double-claims.
-func (bp *BufferPool) newPageOffLock(sh *poolShard, pid PageID) (*Frame, error) {
-	var f *Frame
-	for attempt := 0; ; attempt++ {
-		sh.mu.Lock()
-		for {
-			// A reallocated pid may still have its previous incarnation's
-			// eviction write-back in flight; let it land first so it cannot
-			// overwrite the new page's image later.
-			ch, busy := sh.flushing[pid]
-			if !busy {
-				break
-			}
-			sh.mu.Unlock()
-			<-ch
-			sh.mu.Lock()
-		}
-		f = sh.pickVictimLocked()
-		if f != nil {
-			break
-		}
-		sh.mu.Unlock()
-		if attempt >= victimRetries {
-			return nil, ErrPoolExhausted
-		}
-		time.Sleep(victimBackoff(attempt))
-	}
-	// No miss counted: NewPage never reads, matching the serial pool.
-	oldPid := f.pid
-	oldDirty := f.valid && f.dirty.Load()
-	if f.valid {
-		sh.evictions.Add(1)
-		delete(sh.table, oldPid)
-	}
-	var flushCh chan struct{}
-	if oldDirty {
-		flushCh = make(chan struct{})
-		sh.flushing[oldPid] = flushCh
-	}
-	loadCh := make(chan struct{})
-	f.pid = pid
-	f.valid = true
-	f.dirty.Store(true)
-	f.pin.Store(1)
-	f.ref.Store(true)
-	sh.tick++
-	f.used = sh.tick
-	f.loading = loadCh
-	f.loadErr = nil
-	sh.table[pid] = f
-	sh.mu.Unlock()
-
-	if oldDirty {
-		if err := bp.disk.WritePage(oldPid, f.data); err != nil {
-			sh.mu.Lock()
-			delete(sh.table, pid)
-			delete(sh.flushing, oldPid)
-			sh.table[oldPid] = f
-			f.pid = oldPid
-			f.valid = true
-			f.dirty.Store(true)
-			f.loading = nil
-			f.loadErr = err
-			f.pin.Add(-1)
-			sh.mu.Unlock()
-			close(flushCh)
-			close(loadCh)
-			return nil, err
-		}
-	}
-	clear(f.data)
-	sh.mu.Lock()
-	if oldDirty {
-		delete(sh.flushing, oldPid)
-	}
-	f.loading = nil
-	sh.mu.Unlock()
-	if oldDirty {
-		close(flushCh)
-	}
-	close(loadCh)
 	return f, nil
 }
 
@@ -641,29 +494,6 @@ func (sh *poolShard) pickVictimLocked() *Frame {
 	}
 }
 
-// victimFlushLocked picks a victim and, if dirty, writes it back while
-// holding the shard latch — the serial (Shards == 1) eviction.
-//
-//focuslint:lock requires=poollatch
-func (sh *poolShard) victimFlushLocked(disk DiskManager) (*Frame, error) {
-	f := sh.pickVictimLocked()
-	if f == nil {
-		return nil, ErrPoolExhausted
-	}
-	if f.valid {
-		sh.evictions.Add(1)
-		if f.dirty.Load() {
-			//focuslint:ignore offlatch serial (Shards==1) eviction writes back under the latch by design; the sharded path flushes off-latch instead
-			if err := disk.WritePage(f.pid, f.data); err != nil {
-				return nil, err
-			}
-		}
-		delete(sh.table, f.pid)
-		f.valid = false
-	}
-	return f, nil
-}
-
 // DirtyPages returns the ids of every dirty resident page, sorted. Under
 // the no-steal discipline this is exactly the set of pages whose on-disk
 // image is stale — the checkpoint journals the subset of them that the
@@ -684,7 +514,7 @@ func (bp *BufferPool) DirtyPages() []PageID {
 }
 
 // FlushAll writes every dirty resident page back to disk. Frames mid-load
-// (sharded misses in flight) are skipped: their images are owned by the
+// (misses in flight) are skipped: their images are owned by the
 // loader and are not dirty yet.
 func (bp *BufferPool) FlushAll() error {
 	for _, sh := range bp.shards {

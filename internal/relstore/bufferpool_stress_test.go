@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,9 +15,8 @@ import (
 // from any number of goroutines; page *contents* may be written while
 // pinned only by one owner at a time (here, each goroutine writes only
 // pages it owns) and read freely by concurrent pinners. Each suite runs at
-// Shards=1 (the seed pool's serial-miss semantics) and at several sharded
-// widths (off-latch miss I/O, the loading-frame protocol). Run with -race:
-// the CI workflow does.
+// one shard and at several sharded widths — the same loading-frame miss
+// protocol at every count. Run with -race: the CI workflow does.
 
 var stressShardCounts = []int{1, 4, 16}
 
@@ -227,14 +227,14 @@ func testBufferPoolConcurrentTables(t *testing.T, disk DiskManager, shards int) 
 	}
 }
 
-// TestBufferPoolSingleFlightStress pins the sharded miss protocol's
+// TestBufferPoolSingleFlightStress pins the miss protocol's
 // single-flight guarantee: N goroutines Fetch the same cold page
 // concurrently, and exactly one DiskManager.ReadPage happens — the first
 // fetcher publishes the frame in loading state and reads off-latch, the
 // rest wait on that frame and share the one physical read. Everyone sees
 // the same frame with identical bytes.
 func TestBufferPoolSingleFlightStress(t *testing.T) {
-	for _, shards := range []int{2, 4, 16} {
+	for _, shards := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			const fetchers = 16
 			disk := NewMemDisk()
@@ -405,66 +405,135 @@ func testBufferPoolCrossShardMissStress(t *testing.T, disk DiskManager) {
 
 // TestBufferPoolShardExhaustion pins every frame of one shard and checks
 // that a further miss in that shard fails with ErrPoolExhausted while the
-// other shards keep serving, and that the shard recovers once a pin drops.
+// other shards (if any) keep serving, and that the shard recovers once a pin
+// drops.
 func TestBufferPoolShardExhaustion(t *testing.T) {
-	disk := NewMemDisk()
-	bp := NewBufferPoolSharded(disk, 8, 4) // 2 frames per shard
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const perShard = 4
+			disk := NewMemDisk()
+			bp := NewBufferPoolSharded(disk, perShard*shards, shards)
+			buf := make([]byte, PageSize)
+			// Allocate pages directly until one shard has one more than it
+			// has frames and, when there is one, some other shard has a page.
+			byShard := make(map[*poolShard][]PageID)
+			var target *poolShard
+			for target == nil {
+				pid, err := disk.Allocate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := disk.WritePage(pid, buf); err != nil {
+					t.Fatal(err)
+				}
+				byShard[bp.shard(pid)] = append(byShard[bp.shard(pid)], pid)
+				if len(byShard) < min(2, shards) {
+					continue
+				}
+				for sh, ps := range byShard {
+					if len(ps) > perShard {
+						target = sh
+					}
+				}
+			}
+			want := byShard[target]
+			pinned := make([]*Frame, perShard)
+			for i := range pinned {
+				f, err := bp.Fetch(want[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				pinned[i] = f
+			}
+			// Every frame of the target shard is pinned: one more page of
+			// that shard has nowhere to go.
+			if _, err := bp.Fetch(want[perShard]); !errors.Is(err, ErrPoolExhausted) {
+				t.Fatalf("err = %v, want ErrPoolExhausted", err)
+			}
+			// Other shards are untouched by the exhaustion.
+			for sh, ps := range byShard {
+				if sh == target {
+					continue
+				}
+				f, err := bp.Fetch(ps[0])
+				if err != nil {
+					t.Fatalf("other shard: %v", err)
+				}
+				bp.Unpin(f, false)
+			}
+			// Dropping one pin frees a frame for the blocked page.
+			bp.Unpin(pinned[0], false)
+			f, err := bp.Fetch(want[perShard])
+			if err != nil {
+				t.Fatalf("after unpin: %v", err)
+			}
+			bp.Unpin(f, false)
+			for _, f := range pinned[1:] {
+				bp.Unpin(f, false)
+			}
+		})
+	}
+}
+
+// gateDisk holds every ReadPage until `want` of them are in flight at once.
+type gateDisk struct {
+	*MemDisk
+	want     int32
+	inflight atomic.Int32
+	open     chan struct{}
+}
+
+func (d *gateDisk) ReadPage(pid PageID, buf []byte) error {
+	if d.inflight.Add(1) == d.want {
+		close(d.open)
+	}
+	<-d.open
+	return d.MemDisk.ReadPage(pid, buf)
+}
+
+// TestBufferPoolMissesOverlap pins the off-latch contract at the default
+// single shard: misses on distinct pages read concurrently. The disk
+// completes no read until four are in flight, so a pool that holds its
+// latch across ReadPage never finishes.
+func TestBufferPoolMissesOverlap(t *testing.T) {
+	const fetchers = 4
+	disk := &gateDisk{MemDisk: NewMemDisk(), want: fetchers, open: make(chan struct{})}
+	pids := make([]PageID, fetchers)
 	buf := make([]byte, PageSize)
-	// Allocate pages directly until one shard has three and some other
-	// shard has at least one.
-	byShard := make(map[*poolShard][]PageID)
-	var target *poolShard
-	for target == nil {
+	for i := range pids {
 		pid, err := disk.Allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
+		buf[0] = byte(i + 1)
 		if err := disk.WritePage(pid, buf); err != nil {
 			t.Fatal(err)
 		}
-		byShard[bp.shard(pid)] = append(byShard[bp.shard(pid)], pid)
-		if len(byShard) < 2 {
-			continue
-		}
-		for sh, ps := range byShard {
-			if len(ps) >= 3 {
-				target = sh
+		pids[i] = pid
+	}
+	bp := NewBufferPool(disk, 8)
+	errCh := make(chan error, fetchers)
+	for i, pid := range pids {
+		go func() {
+			f, err := bp.Fetch(pid)
+			if err == nil {
+				if got := f.Data()[0]; got != byte(i+1) {
+					err = fmt.Errorf("page %d: byte 0 = %d, want %d", pid, got, i+1)
+				}
+				bp.Unpin(f, false)
 			}
+			errCh <- err
+		}()
+	}
+	timeout := time.After(10 * time.Second)
+	for range pids {
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatalf("misses on %d distinct pages did not overlap: %d reads in flight", fetchers, disk.inflight.Load())
 		}
 	}
-	var other PageID
-	for sh, ps := range byShard {
-		if sh != target {
-			other = ps[0]
-			break
-		}
-	}
-	want := byShard[target]
-	a, err := bp.Fetch(want[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bp.Fetch(want[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The target shard's two frames are pinned: a third page of that shard
-	// has nowhere to go.
-	if _, err := bp.Fetch(want[2]); !errors.Is(err, ErrPoolExhausted) {
-		t.Fatalf("err = %v, want ErrPoolExhausted", err)
-	}
-	// Other shards are untouched by the exhaustion.
-	f, err := bp.Fetch(other)
-	if err != nil {
-		t.Fatalf("other shard: %v", err)
-	}
-	bp.Unpin(f, false)
-	// Dropping one pin frees a frame for the blocked page.
-	bp.Unpin(b, false)
-	f, err = bp.Fetch(want[2])
-	if err != nil {
-		t.Fatalf("after unpin: %v", err)
-	}
-	bp.Unpin(f, false)
-	bp.Unpin(a, false)
 }

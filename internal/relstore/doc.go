@@ -36,7 +36,7 @@
 //     unpinned frames, so a frame's page image is stable for as long as a
 //     caller holds a pin. The pool may be partitioned into independent
 //     shards (NewBufferPoolSharded); pages are hashed to shards by PageID,
-//     each shard has its own latch, and with more than one shard a miss
+//     each shard has its own latch, and at every shard count a miss
 //     performs its disk read *outside* the shard latch. Concurrent
 //     fetchers of the same cold page single-flight onto one read: a Fetch
 //     that returns never exposes a partially loaded frame, and the page

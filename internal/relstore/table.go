@@ -265,8 +265,8 @@ type Options struct {
 	// Frames is the buffer-pool size in 4 KiB frames (default 2048 = 8 MiB).
 	Frames int
 	// PoolShards partitions the buffer pool's page table and frames into
-	// independent shards with off-latch page I/O on misses (0/1 = a single
-	// shard with the seed pool's serial-miss semantics — the default).
+	// independent shards, each with its own latch (0/1 = a single shard,
+	// the default).
 	PoolShards int
 }
 
