@@ -277,6 +277,13 @@ type Crawler struct {
 	db      *relstore.DB
 	model   *classifier.Model
 	fetcher Fetcher
+	// sortDB is where distillation's external sorts spill their runs. Runs
+	// belong to no relation and live for one half-iteration; in db they
+	// would count toward its size, its no-steal dirty set and its
+	// checkpoints, and a crawl that finishes inside an epoch would keep
+	// that epoch's runs stacked on top of its own pages in the file's
+	// high-water mark.
+	sortDB *relstore.DB
 
 	shards []*shard
 	links  *linkgraph.Store
@@ -378,12 +385,20 @@ type Crawler struct {
 	distillFault func(epoch int64) error
 }
 
+// newSortDB opens the side store for Crawler.sortDB. A run is written once
+// and read once, front to back, so a pool of one sort workspace's size over
+// a memory disk serves any number of them.
+func newSortDB() *relstore.DB {
+	return relstore.Open(relstore.Options{Frames: relstore.DefaultSortMem / relstore.PageSize})
+}
+
 // New creates a crawler over a fresh set of relations in db. The model must
 // be trained and its taxonomy marked with the crawl's good topics.
 func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
 	c := &Crawler{
 		cfg:         cfg.withDefaults(),
 		db:          db,
+		sortDB:      newSortDB(),
 		model:       model,
 		fetcher:     fetcher,
 		policy:      AggressiveDiscovery(),
@@ -1148,7 +1163,7 @@ func (c *Crawler) distillBarrier() error {
 	dcfg.Relevance = rel
 	tb := distiller.Tables{Link: c.links.LockedView(), Hubs: c.hubs, Auth: c.auth}
 	tc := time.Now()
-	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
+	if _, err := distiller.RunJoin(c.sortDB, tb, dcfg); err != nil {
 		return err
 	}
 	c.computeNS.Add(time.Since(tc).Nanoseconds())
@@ -1320,7 +1335,7 @@ func (c *Crawler) distillEpoch(job distillJob) error {
 	dcfg := c.cfg.Distill
 	dcfg.Relevance = job.rel
 	tb := distiller.Tables{Link: job.snap, Hubs: scratchHubs, Auth: scratchAuth}
-	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
+	if _, err := distiller.RunJoin(c.sortDB, tb, dcfg); err != nil {
 		return err
 	}
 	boosts, err := c.boostDelta(scratchHubs, job.snap)

@@ -154,13 +154,17 @@ func TestClassifierPerfOrdering(t *testing.T) {
 		t.Fatalf("variants = %d", len(r.Variants))
 	}
 	sql, blob, bulk := r.Variants[0], r.Variants[1], r.Variants[2]
-	// The paper's ordering: bulk beats both single-probe variants, and the
-	// packed BLOB layout beats unpacked SQL rows.
-	if bulk.Total >= blob.Total {
-		t.Fatalf("bulk (%v) should beat blob (%v)", bulk.Total, blob.Total)
+	// The paper's ordering — bulk far ahead of both single-probe variants,
+	// the packed BLOB layout ahead of unpacked SQL rows — is an argument
+	// about page accesses, and those repeat run to run. Wall times follow
+	// them only when an access costs I/O; at this size nearly all are pool
+	// hits, so the times are rendered, not asserted.
+	acc := func(v VariantPerf) int64 { return v.PoolHits + v.PoolMiss }
+	if acc(bulk)*10 >= acc(blob) {
+		t.Fatalf("bulk (%d page accesses) should be far below blob (%d)", acc(bulk), acc(blob))
 	}
-	if blob.Total >= sql.Total {
-		t.Fatalf("blob (%v) should beat sql (%v)", blob.Total, sql.Total)
+	if acc(blob) >= acc(sql) {
+		t.Fatalf("blob (%d page accesses) should be below sql (%d)", acc(blob), acc(sql))
 	}
 	var buf bytes.Buffer
 	r.Render(&buf)
@@ -229,9 +233,13 @@ func TestDistillerPerfJoinWins(t *testing.T) {
 	if r.Edges == 0 {
 		t.Fatal("no edges crawled")
 	}
-	if r.Join.Total() >= r.IndexWalk.Total() {
-		t.Fatalf("join (%v) should beat index walk (%v)",
-			r.Join.Total(), r.IndexWalk.Total())
+	// Figure 8(d) is likewise asserted on what the plans touch, not on how
+	// long a mostly-resident run happened to take.
+	if r.JoinReads >= r.WalkReads {
+		t.Fatalf("join (%d disk reads) should read less than the index walk (%d)", r.JoinReads, r.WalkReads)
+	}
+	if r.JoinAccesses*4 >= r.WalkAccesses {
+		t.Fatalf("join (%d page accesses) should be far below the index walk (%d)", r.JoinAccesses, r.WalkAccesses)
 	}
 	var buf bytes.Buffer
 	r.Render(&buf)

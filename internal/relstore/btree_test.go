@@ -215,57 +215,250 @@ func TestBTreeLargeCellsSplitSafely(t *testing.T) {
 	}
 }
 
+// TestBTreeAgainstMapReference drives the tree with random inserts, replaces
+// (longer and shorter) and deletes over keys of 1-200 bytes and values from
+// empty to whatever MaxCellLen leaves, against a map, at a pool that holds
+// the whole tree and at one of four frames. Phases lean toward inserting,
+// then deleting, then refilling, so pages fill, go to holes and are
+// compacted in place. Every 500 operations the structural checker runs
+// (which also fails on a pin left behind) and a full scan is compared with
+// the sorted reference.
 func TestBTreeAgainstMapReference(t *testing.T) {
-	bp := newTestPool(512)
-	tr, _ := NewBTree(bp)
-	rng := rand.New(rand.NewSource(42))
-	ref := map[string]string{}
-	for op := 0; op < 20000; op++ {
-		k := key64(int64(rng.Intn(3000)))
-		switch rng.Intn(10) {
-		case 0, 1, 2: // delete
-			ok, err := tr.Delete(k)
+	for _, frames := range []int{4, 512} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			tr, err := NewBTree(newTestPool(frames))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, want := ref[string(k)]
-			if ok != want {
-				t.Fatalf("op %d: delete present=%v want %v", op, ok, want)
+			rng := rand.New(rand.NewSource(42))
+			universe := make([][]byte, 2500)
+			for i := range universe {
+				universe[i] = make([]byte, 1+rng.Intn(200))
+				rng.Read(universe[i])
 			}
-			delete(ref, string(k))
-		default: // insert/replace
-			v := fmt.Sprintf("v%d", rng.Intn(1000000))
-			if err := tr.Insert(k, []byte(v)); err != nil {
+			ref := map[string]string{}
+			verify := func(op int) {
+				t.Helper()
+				if err := tr.check(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+				keys := make([]string, 0, len(ref))
+				for k := range ref {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				i := 0
+				err := tr.Scan(nil, nil, func(k, v []byte) (bool, error) {
+					if i >= len(keys) || string(k) != keys[i] || string(v) != ref[keys[i]] {
+						return true, fmt.Errorf("scan position %d disagrees with the reference", i)
+					}
+					i++
+					return false, nil
+				})
+				if err != nil || i != len(keys) {
+					t.Fatalf("op %d: scan saw %d of %d keys: %v", op, i, len(keys), err)
+				}
+			}
+			const ops = 24000
+			for op := 0; op < ops; op++ {
+				deletes := 2 // in 10
+				if phase := op / (ops / 6); phase == 2 || phase == 4 {
+					deletes = 7
+				}
+				k := universe[rng.Intn(len(universe))]
+				if rng.Intn(10) < deletes {
+					ok, err := tr.Delete(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, want := ref[string(k)]; ok != want {
+						t.Fatalf("op %d: delete present=%v want %v", op, ok, want)
+					}
+					delete(ref, string(k))
+				} else {
+					// Half the values are index-entry sized, so that pages
+					// hold many cells and the tree grows past two levels.
+					vmax := MaxCellLen - len(k)
+					if rng.Intn(2) == 0 {
+						vmax = 16
+					}
+					v := make([]byte, rng.Intn(vmax+1))
+					rng.Read(v)
+					if err := tr.Insert(k, v); err != nil {
+						t.Fatalf("op %d: %v", op, err)
+					}
+					ref[string(k)] = string(v)
+				}
+				got, ok, err := tr.Get(k)
+				if want, present := ref[string(k)]; err != nil || ok != present || string(got) != want {
+					t.Fatalf("op %d: get after write: present=%v want %v: %v", op, ok, present, err)
+				}
+				if (op+1)%500 == 0 {
+					verify(op)
+				}
+			}
+			if tr.Height() < 3 {
+				t.Fatalf("height = %d; the test means to cover internal splits", tr.Height())
+			}
+			if frames == 4 && tr.bp.Stats().Evictions == 0 {
+				t.Fatal("four frames held the whole tree")
+			}
+		})
+	}
+}
+
+// compactPage writes a node the way every file made before in-page access
+// holds it: cells flush against the page end in slot order, no holes, and
+// zeros in the header field its kind does not use.
+func compactPage(leaf bool, next, left PageID, keys, vals [][]byte) []byte {
+	p := make([]byte, PageSize)
+	btInit(p, leaf, next, left)
+	end := PageSize
+	for i := range keys {
+		end -= len(keys[i]) + len(vals[i])
+		copy(p[end:], keys[i])
+		copy(p[end+len(keys[i]):], vals[i])
+		btPutSlot(p, i, end, len(keys[i]), len(vals[i]))
+	}
+	btPutU16(p, 1, len(keys))
+	return p
+}
+
+// TestBTreeReadsCompactPages is the old-file compatibility proof: trees whose
+// pages were laid out by the former whole-node writer are read, updated,
+// grown and split by the in-page code.
+func TestBTreeReadsCompactPages(t *testing.T) {
+	pidVal := func(pid PageID) []byte {
+		var b [4]byte
+		btPutPID(b[:], 0, pid)
+		return b[:]
+	}
+	cells := func(lo, hi int) (keys, vals [][]byte) {
+		for i := lo; i < hi; i++ {
+			keys = append(keys, key64(int64(i*2)))
+			vals = append(vals, []byte(fmt.Sprintf("v%04d", i*2)))
+		}
+		return keys, vals
+	}
+	for _, tc := range []struct {
+		name   string
+		height int
+		keys   int
+		// pages by page id - 1; the root is the last
+		pages func() [][]byte
+	}{
+		{"leaf root", 1, 150, func() [][]byte {
+			k, v := cells(0, 150)
+			return [][]byte{compactPage(true, InvalidPage, InvalidPage, k, v)}
+		}},
+		{"full leaf root", 1, 215, func() [][]byte {
+			// 215 cells x (8 + 5 + 6) = 4085 bytes: not one byte to spare,
+			// so the first new key splits a page nothing has touched.
+			k, v := cells(0, 215)
+			return [][]byte{compactPage(true, InvalidPage, InvalidPage, k, v)}
+		}},
+		{"internal root over two leaves", 2, 300, func() [][]byte {
+			k1, v1 := cells(0, 150)
+			k2, v2 := cells(150, 300)
+			return [][]byte{
+				compactPage(true, 2, InvalidPage, k1, v1),
+				compactPage(true, InvalidPage, InvalidPage, k2, v2),
+				compactPage(false, InvalidPage, 1, [][]byte{k2[0]}, [][]byte{pidVal(2)}),
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bp := newTestPool(64)
+			var root PageID
+			for _, img := range tc.pages() {
+				f, err := bp.NewPage()
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(f.Data(), img)
+				root = f.PID()
+				bp.Unpin(f, true)
+			}
+			tr := &BTree{bp: bp, root: root, height: tc.height, size: int64(tc.keys)}
+			if err := tr.check(); err != nil {
 				t.Fatal(err)
 			}
-			ref[string(k)] = v
+			want := map[int64]string{}
+			for i := 0; i < tc.keys; i++ {
+				want[int64(i*2)] = fmt.Sprintf("v%04d", i*2)
+			}
+			pagesBefore := bp.Disk().NumPages()
+			// Odd keys are new, every tenth even key is replaced by a longer
+			// value, every seventh deleted.
+			for i := 0; i < tc.keys; i++ {
+				k := int64(i * 2)
+				if err := tr.Insert(key64(k+1), []byte("new")); err != nil {
+					t.Fatal(err)
+				}
+				want[k+1] = "new"
+				switch {
+				case i%10 == 0:
+					want[k] += "-and-a-longer-tail"
+					if err := tr.Insert(key64(k), []byte(want[k])); err != nil {
+						t.Fatal(err)
+					}
+				case i%7 == 0:
+					if ok, err := tr.Delete(key64(k)); err != nil || !ok {
+						t.Fatalf("delete %d: %v %v", k, ok, err)
+					}
+					delete(want, k)
+				}
+			}
+			if err := tr.check(); err != nil {
+				t.Fatal(err)
+			}
+			if bp.Disk().NumPages() == pagesBefore {
+				t.Fatal("doubling the keys split nothing")
+			}
+			seen := 0
+			err := tr.Scan(nil, nil, func(k, v []byte) (bool, error) {
+				id := int64(binary.BigEndian.Uint64(k) ^ (1 << 63))
+				if want[id] != string(v) {
+					return true, fmt.Errorf("key %d = %q, want %q", id, v, want[id])
+				}
+				seen++
+				return false, nil
+			})
+			if err != nil || seen != len(want) {
+				t.Fatalf("scan saw %d of %d keys: %v", seen, len(want), err)
+			}
+		})
+	}
+}
+
+// TestBTreeCompactsInPlace churns one leaf — delete a key, insert another —
+// far past the point where the bytes ever written exceed a page. Holes are
+// reclaimed by compaction, not by splitting: the tree stays one page.
+func TestBTreeCompactsInPlace(t *testing.T) {
+	bp := newTestPool(16)
+	tr, _ := NewBTree(bp)
+	val := make([]byte, 40)
+	const resident = 60 // x (8 + 40 + 6) = 3240 bytes live
+	for i := 0; i < resident; i++ {
+		if err := tr.Insert(key64(int64(i)), val); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if int(tr.Len()) != len(ref) {
-		t.Fatalf("len = %d want %d", tr.Len(), len(ref))
-	}
-	// Verify the whole tree matches the reference via ordered scan.
-	keys := make([]string, 0, len(ref))
-	for k := range ref {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	i := 0
-	err := tr.Scan(nil, nil, func(k, v []byte) (bool, error) {
-		if i >= len(keys) {
-			return true, fmt.Errorf("extra key in tree")
+	for i := resident; i < 40*resident; i++ {
+		// Deleting from the middle of the key range leaves the hole away
+		// from the free gap, where only compaction can reach it.
+		if ok, err := tr.Delete(key64(int64(i - resident/2))); err != nil || !ok {
+			t.Fatalf("delete: %v %v", ok, err)
 		}
-		if string(k) != keys[i] || string(v) != ref[keys[i]] {
-			return true, fmt.Errorf("mismatch at %d", i)
+		if err := tr.Insert(key64(int64(i)), val); err != nil {
+			t.Fatal(err)
 		}
-		i++
-		return false, nil
-	})
-	if err != nil {
+	}
+	if err := tr.check(); err != nil {
 		t.Fatal(err)
 	}
-	if i != len(keys) {
-		t.Fatalf("tree missing %d keys", len(keys)-i)
+	if tr.Height() != 1 || tr.Len() != resident || bp.Disk().NumPages() != 1 {
+		t.Fatalf("height %d, %d keys, %d pages; want one leaf of %d", tr.Height(), tr.Len(), bp.Disk().NumPages(), resident)
 	}
 }
 

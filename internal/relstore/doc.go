@@ -14,7 +14,9 @@
 //   - slotted-page HeapFiles for table rows;
 //   - a B+tree over order-preserving byte-encoded composite keys, used for
 //     the classifier's BLOB/STAT index probes and for crawl-frontier
-//     priority orders;
+//     priority orders; every operation searches and edits the pinned page's
+//     bytes in place (no node is decoded), costs exactly one Fetch per node
+//     it visits, and reports a damaged page as ErrCorruptNode;
 //   - query operators: sequential scan, index scan, external merge sort,
 //     sort-merge inner and left outer joins, streaming group-by
 //     aggregation, a k-way merge of pre-sorted inputs (MergeSorted), and
@@ -61,6 +63,14 @@
 //     with one mutex per frontier shard and the linkgraph store does with
 //     one mutex per LINK stripe. Iterators must be drained or abandoned
 //     before the underlying table is mutated.
+//
+// Scan callbacks follow from the same two rules. HeapFile.Scan, BTree.Scan
+// and Index.ScanRange/ScanPrefix hand their callback slices of the page they
+// hold pinned: the bytes are valid during that call only (copy what must
+// outlive it; BTree.Get, BTree.First and Index.First return copies), must
+// not be written, and the callback must not insert into or delete from the
+// structure being scanned — collect first, mutate after the scan returns.
+// It may freely read or write other structures.
 //
 // The DB catalog (CreateTable/DropTable/Table) is also single-writer;
 // callers that create tables while other goroutines run must hold whatever

@@ -15,15 +15,21 @@ type Index struct {
 
 // Lookup returns the RID stored for key.
 func (ix *Index) Lookup(key []byte) (RID, bool, error) {
-	v, ok, err := ix.Tree.Get(key)
-	if err != nil || !ok {
-		return RID{}, ok, err
+	f, v, ok, err := ix.Tree.find(key)
+	if err != nil {
+		return RID{}, false, err
 	}
-	rid, err := DecodeRID(v)
-	return rid, true, err
+	var rid RID
+	if ok {
+		rid, err = DecodeRID(v)
+	}
+	ix.Tree.bp.Unpin(f, false)
+	return rid, ok, err
 }
 
-// ScanRange visits index entries with key in [from, to).
+// ScanRange visits index entries with key in [from, to). The key passed to
+// fn is a slice of the pinned index leaf, valid during that call only, and
+// fn must not modify the index it is scanning (see BTree.Scan).
 func (ix *Index) ScanRange(from, to []byte, fn func(key []byte, rid RID) (bool, error)) error {
 	return ix.Tree.Scan(from, to, func(k, v []byte) (bool, error) {
 		rid, err := DecodeRID(v)
@@ -34,12 +40,13 @@ func (ix *Index) ScanRange(from, to []byte, fn func(key []byte, rid RID) (bool, 
 	})
 }
 
-// ScanPrefix visits index entries whose key starts with prefix.
+// ScanPrefix visits index entries whose key starts with prefix, under
+// ScanRange's callback rules.
 func (ix *Index) ScanPrefix(prefix []byte, fn func(key []byte, rid RID) (bool, error)) error {
 	return ix.ScanRange(prefix, PrefixSuccessor(prefix), fn)
 }
 
-// First returns the smallest index entry.
+// First returns the smallest index entry; the key is the caller's own copy.
 func (ix *Index) First() (key []byte, rid RID, ok bool, err error) {
 	k, v, ok, err := ix.Tree.First()
 	if err != nil || !ok {
