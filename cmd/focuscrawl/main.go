@@ -29,7 +29,7 @@ func main() {
 		pshards = flag.Int("poolshards", 0, "buffer-pool shards, each with its own latch (0/1 = one shard)")
 		mode    = flag.String("mode", "soft", "soft | hard | unfocused")
 		distill = flag.Int64("distill", 500, "distill every N visits (0 = off)")
-		dpar    = flag.Int("distillpar", 0, "distiller join partitions (0/1 = serial)")
+		dpar    = flag.Int("distillpar", 0, "distiller goroutines per half-iteration (0/1 = serial; scores are bit-equal at any value)")
 		barrier = flag.Bool("distillbarrier", false, "legacy stop-the-world distillation (workers stall for the whole HITS run)")
 		cbatch  = flag.Int("classifybatch", 0, "batched in-crawl classification: accumulate this many pages per bulk classify (<=1 = inline)")
 		cpar    = flag.Int("classifypar", 0, "classifier-stage workers; the batch queue is partitioned by did (0/1 = one stage)")

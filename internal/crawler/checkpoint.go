@@ -359,7 +359,6 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	c := &Crawler{
 		cfg:         cfg,
 		db:          db,
-		sortDB:      newSortDB(),
 		model:       model,
 		fetcher:     fetcher,
 		policy:      pol,

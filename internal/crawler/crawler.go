@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,7 +92,7 @@ type Config struct {
 	// (0 disables distillation).
 	DistillEvery int64
 	// Distill configures those runs (including Distill.Parallelism, the
-	// partition count of the parallel HITS join).
+	// goroutines a HITS half-iteration is split across).
 	Distill distiller.Config
 	// DistillBarrier selects the legacy stop-the-world distillation: the
 	// whole HITS run executes under the full barrier and every worker
@@ -277,13 +279,6 @@ type Crawler struct {
 	db      *relstore.DB
 	model   *classifier.Model
 	fetcher Fetcher
-	// sortDB is where distillation's external sorts spill their runs. Runs
-	// belong to no relation and live for one half-iteration; in db they
-	// would count toward its size, its no-steal dirty set and its
-	// checkpoints, and a crawl that finishes inside an epoch would keep
-	// that epoch's runs stacked on top of its own pages in the file's
-	// high-water mark.
-	sortDB *relstore.DB
 
 	shards []*shard
 	links  *linkgraph.Store
@@ -385,20 +380,12 @@ type Crawler struct {
 	distillFault func(epoch int64) error
 }
 
-// newSortDB opens the side store for Crawler.sortDB. A run is written once
-// and read once, front to back, so a pool of one sort workspace's size over
-// a memory disk serves any number of them.
-func newSortDB() *relstore.DB {
-	return relstore.Open(relstore.Options{Frames: relstore.DefaultSortMem / relstore.PageSize})
-}
-
 // New creates a crawler over a fresh set of relations in db. The model must
 // be trained and its taxonomy marked with the crawl's good topics.
 func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
 	c := &Crawler{
 		cfg:         cfg.withDefaults(),
 		db:          db,
-		sortDB:      newSortDB(),
 		model:       model,
 		fetcher:     fetcher,
 		policy:      AggressiveDiscovery(),
@@ -1163,7 +1150,7 @@ func (c *Crawler) distillBarrier() error {
 	dcfg.Relevance = rel
 	tb := distiller.Tables{Link: c.links.LockedView(), Hubs: c.hubs, Auth: c.auth}
 	tc := time.Now()
-	if _, err := distiller.RunJoin(c.sortDB, tb, dcfg); err != nil {
+	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
 		return err
 	}
 	c.computeNS.Add(time.Since(tc).Nanoseconds())
@@ -1254,7 +1241,11 @@ func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
 			return nil, err
 		}
 	}
-	rel := make(map[int64]float64)
+	var rows int64
+	for _, sh := range c.shards {
+		rows += sh.crawl.Rows()
+	}
+	rel := make(map[int64]float64, rows) // sized once: growing it would be barrier time
 	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
 		rel[t[COID].Int()] = t[CRel].Float()
 		return false, nil
@@ -1335,7 +1326,7 @@ func (c *Crawler) distillEpoch(job distillJob) error {
 	dcfg := c.cfg.Distill
 	dcfg.Relevance = job.rel
 	tb := distiller.Tables{Link: job.snap, Hubs: scratchHubs, Auth: scratchAuth}
-	if _, err := distiller.RunJoin(c.sortDB, tb, dcfg); err != nil {
+	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
 		return err
 	}
 	boosts, err := c.boostDelta(scratchHubs, job.snap)
@@ -1375,20 +1366,32 @@ type boostTarget struct {
 // percentile of the given score table, in scan order. Both distillation
 // modes route their §3.4 hub selection through here, so the boost
 // semantics cannot drift between them. Returns nil when the table is
-// empty or every score is zero.
+// empty or every score is zero. It reads the table once: the threshold is
+// distiller.Percentile's nearest-rank score, taken from the rows in hand.
 func topDecileHubs(hubs *relstore.Table) ([]int64, error) {
-	psi, ok, err := distiller.Percentile(hubs, 0.9)
-	if err != nil || !ok || psi == 0 {
-		return nil, err
-	}
-	var tops []int64
-	err = hubs.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		if t[1].Float() > psi {
-			tops = append(tops, t[0].Int())
-		}
+	var oids []int64
+	var scores []float64
+	err := hubs.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+		oids = append(oids, t[0].Int())
+		scores = append(scores, t[1].Float())
 		return false, nil
 	})
-	return tops, err
+	if err != nil || len(scores) == 0 {
+		return nil, err
+	}
+	ranked := slices.Clone(scores)
+	slices.Sort(ranked)
+	psi := ranked[int(math.Round(0.9*float64(len(ranked)-1)))]
+	if psi == 0 {
+		return nil, nil
+	}
+	var tops []int64
+	for i, s := range scores {
+		if s > psi {
+			tops = append(tops, oids[i])
+		}
+	}
+	return tops, nil
 }
 
 // boostDelta derives the §3.4 policy update from a hubs score table and a

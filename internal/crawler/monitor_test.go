@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"focus/internal/distiller"
 	"focus/internal/relstore"
 )
 
@@ -85,5 +88,54 @@ func TestMissedNeighborsBeforeDistillation(t *testing.T) {
 	}
 	if _, err := c.MissedNeighbors(0.9); !errors.Is(err, ErrNoDistillation) {
 		t.Fatalf("MissedNeighbors before any distillation returned %v, want ErrNoDistillation", err)
+	}
+}
+
+// TestTopDecileHubsMatchesPercentile pins topDecileHubs's one-scan selection
+// to the definition it replaced: the hubs scoring strictly above
+// distiller.Percentile(hubs, 0.9), none when that threshold is 0 or the
+// table is empty.
+func TestTopDecileHubsMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := make([]float64, 137)
+	for i := range random {
+		random[i] = float64(rng.Intn(50)) / 50 // plenty of ties, some at the threshold
+	}
+	cases := map[string][]float64{
+		"empty":    nil,
+		"all zero": make([]float64, 12),
+		"one row":  {0.5},
+		"ten rows": {0.1, 0.9, 0.3, 0.3, 0.8, 0.2, 0.7, 0, 0.6, 0.5},
+		"top tie":  {0.2, 0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
+		"random":   random,
+	}
+	for name, scores := range cases {
+		db := relstore.Open(relstore.Options{Frames: 64})
+		hubs, err := db.CreateTable("HUBS", distiller.HubsAuthSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range scores {
+			if _, err := hubs.Insert(relstore.Tuple{relstore.I64(int64(i)), relstore.F64(s)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want []int64
+		if psi, ok, err := distiller.Percentile(hubs, 0.9); err != nil {
+			t.Fatal(err)
+		} else if ok && psi != 0 {
+			for i, s := range scores {
+				if s > psi {
+					want = append(want, int64(i))
+				}
+			}
+		}
+		got, err := topDecileHubs(hubs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: topDecileHubs = %v, want %v", name, got, want)
+		}
 	}
 }

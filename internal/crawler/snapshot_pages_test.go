@@ -1,10 +1,6 @@
 package crawler
 
-import (
-	"testing"
-
-	"focus/internal/distiller"
-)
+import "testing"
 
 // TestRepeatedSnapshotsBoundPages pins the fix for the snapshot page leak:
 // Crawl() and Doc() rebuild their merged view tables through DropTable on
@@ -63,19 +59,21 @@ func TestRepeatedSnapshotsBoundPages(t *testing.T) {
 	}
 }
 
-// TestDistillSortRunsStayOutOfCrawlDB pins where distillation spills: with a
-// sort workspace so small that every sort goes to runs, an epoch allocates
-// them in the crawler's side store, and the crawl DB grows by its score
-// tables only — the runs never raise that file's high-water mark, whenever
-// the epoch happens to end.
-func TestDistillSortRunsStayOutOfCrawlDB(t *testing.T) {
+// TestDistillEpochGrowsCrawlDBByScoreTablesOnly pins what an epoch leaves in
+// the crawl DB: the distiller's plan lives in memory, so the first epoch may
+// grow the file by the score tables' pages and a second one by nothing —
+// truncating HUBS and AUTH frees what their reload takes.
+func TestDistillEpochGrowsCrawlDBByScoreTablesOnly(t *testing.T) {
 	site := map[string]*Fetch{}
-	for i := 0; i < 8; i++ {
-		u := pageURL(0, i)
-		site[u] = page(u, "alpha", pageURL(0, (i+1)%8), pageURL(0, (i+3)%8))
+	for h := 0; h < 4; h++ {
+		for i := 0; i < 8; i++ {
+			u := pageURL(h, i)
+			site[u] = page(u, "alpha", pageURL(h, (i+1)%8), pageURL((h+1)%4, i), pageURL((h+2)%4, (i+3)%8))
+		}
 	}
+	// No boost: it could move a frontier page, which is not what is measured.
 	c, db := newTestCrawler(t, &stubFetcher{pages: site}, Config{
-		Workers: 1, MaxFetches: 16, Distill: distiller.Config{SortMem: 1},
+		Workers: 1, MaxFetches: 32, HubNeighborBoost: -1,
 	})
 	if err := c.Seed([]string{pageURL(0, 0)}); err != nil {
 		t.Fatal(err)
@@ -87,12 +85,21 @@ func TestDistillSortRunsStayOutOfCrawlDB(t *testing.T) {
 	if err := c.distillBarrier(); err != nil {
 		t.Fatal(err)
 	}
-	grown, spilled := db.Disk().NumPages()-before, c.sortDB.Disk().NumPages()
-	if spilled < 8 {
-		t.Fatalf("the sorts spilled %d pages to the side store: too few for this test to mean anything", spilled)
+	if c.hubs.Rows() == 0 || c.auth.Rows() == 0 {
+		t.Fatalf("the epoch scored %d hubs and %d authorities: too few for this test to mean anything",
+			c.hubs.Rows(), c.auth.Rows())
 	}
-	if grown >= spilled {
-		t.Fatalf("the epoch spilled %d pages of runs and grew the crawl DB by %d", spilled, grown)
+	first := db.Disk().NumPages()
+	// Each score table is a heap chain and one index tree, a page each at
+	// this size.
+	if grown := first - before; grown > 4 {
+		t.Fatalf("the first epoch grew the crawl DB by %d pages, more than its score tables hold", grown)
+	}
+	if err := c.distillBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Disk().NumPages(); n != first {
+		t.Fatalf("the second epoch grew the crawl DB from %d to %d pages", first, n)
 	}
 }
 

@@ -12,7 +12,11 @@
 //     updates against the HUBS/AUTH tables — the persistent version of the
 //     classic main-memory edge-walking implementation.
 //   - Join: each half-iteration as a sort-merge join plus group-by, the SQL
-//     of Figure 4. The paper measures this a factor of three faster.
+//     of Figure 4. The paper measures this a factor of three faster. The
+//     plan is compiled once per run: LINK is read, filtered and sorted into
+//     its two join orders once, the iterations are group-sum passes over
+//     those orders, and HUBS and AUTH are written once at the end (RunJoin
+//     states the row-set rule and the summation order).
 package distiller
 
 import (
@@ -61,18 +65,13 @@ type Config struct {
 	// crawler's in-memory view of its sharded CRAWL relation), in which
 	// case Tables.Crawl is not consulted for the rho filter and may be nil.
 	Relevance map[int64]float64
-	// SortMem is the external sort workspace for the join strategy.
-	SortMem int
-	// Parallelism splits each half-iteration into this many hash
-	// partitions executed concurrently (default 1 — the exact serial
-	// plan, bit-identical to the pre-partition code). Partitioning is by
-	// hash of the *group* oid (the side being scored), so per-partition
-	// group sums are disjoint and the merge is concatenation; P>1
-	// reproduces P=1 scores up to floating-point summation order (within
-	// 1e-12 after normalization, pinned by the partition property test).
-	// With Parallelism > 1 the LINK relation is materialized once per
-	// half-iteration, so Tables.Link implementations need not support
-	// concurrent iteration.
+	// Parallelism is the number of goroutines a half-iteration is split
+	// across (default 1, serial). The join gives each a contiguous range of
+	// the groups being scored and keeps every group's summation order, so
+	// its tables are bit-equal at any value. The index walk partitions its
+	// edges by hash of the page being scored, and P>1 reproduces its P=1
+	// scores within 1e-12 after normalization (both pinned by the partition
+	// property tests). Tables.Link is only ever read from one goroutine.
 	Parallelism int
 }
 
@@ -125,20 +124,6 @@ const (
 	lWgtFwd
 	lWgtRev
 )
-
-// linkSchema is the distiller's own statement of the LINK contract the
-// Tables doc spells out — deliberately not imported from a storage package,
-// so the distiller stays agnostic to which LinkRel implementation feeds it.
-func linkSchema() *relstore.Schema {
-	return relstore.NewSchema(
-		relstore.Column{Name: "oid_src", Kind: relstore.KInt64},
-		relstore.Column{Name: "sid_src", Kind: relstore.KInt32},
-		relstore.Column{Name: "oid_dst", Kind: relstore.KInt64},
-		relstore.Column{Name: "sid_dst", Kind: relstore.KInt32},
-		relstore.Column{Name: "wgt_fwd", Kind: relstore.KFloat64},
-		relstore.Column{Name: "wgt_rev", Kind: relstore.KFloat64},
-	)
-}
 
 // seedHubs (re)initializes HUBS with score 1 for every distinct link
 // source, the standard HITS start vector.
@@ -282,8 +267,8 @@ func Percentile(tb *relstore.Table, p float64) (psi float64, ok bool, err error)
 	return scores[i], true, nil
 }
 
-// relevanceOf loads oid -> relevance from CRAWL (sequential scan; the join
-// strategy sorts it, the index strategy probes the CRAWL index instead).
+// relevanceOf loads oid -> relevance from CRAWL (sequential scan; the index
+// walk's serial half probes the CRAWL index instead).
 func relevanceOf(crawl *relstore.Table) (map[int64]float64, error) {
 	out := make(map[int64]float64)
 	oidCol := crawl.Schema.ColIndex("oid")

@@ -1,8 +1,10 @@
 package distiller
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"focus/internal/relstore"
@@ -12,6 +14,18 @@ func crawlSchema() *relstore.Schema {
 	return relstore.NewSchema(
 		relstore.Column{Name: "oid", Kind: relstore.KInt64},
 		relstore.Column{Name: "relevance", Kind: relstore.KFloat64},
+	)
+}
+
+// linkSchema is the LINK contract the Tables doc spells out.
+func linkSchema() *relstore.Schema {
+	return relstore.NewSchema(
+		relstore.Column{Name: "oid_src", Kind: relstore.KInt64},
+		relstore.Column{Name: "sid_src", Kind: relstore.KInt32},
+		relstore.Column{Name: "oid_dst", Kind: relstore.KInt64},
+		relstore.Column{Name: "sid_dst", Kind: relstore.KInt32},
+		relstore.Column{Name: "wgt_fwd", Kind: relstore.KFloat64},
+		relstore.Column{Name: "wgt_rev", Kind: relstore.KFloat64},
 	)
 }
 
@@ -170,16 +184,148 @@ func assertScoresMatch(t *testing.T, got, want map[int64]float64, label string) 
 	}
 }
 
-func TestJoinMatchesReference(t *testing.T) {
-	edges, rel := randomGraph(5, 200, 1500)
-	db, tb := buildGraph(t, edges, rel)
-	cfg := Config{Iterations: 4}
-	if _, err := RunJoin(db, tb, cfg); err != nil {
+// tableRows returns every row of a score table, zero scores included.
+func tableRows(t *testing.T, tb *relstore.Table) map[int64]float64 {
+	t.Helper()
+	out := map[int64]float64{}
+	err := tb.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+		if _, dup := out[tp[0].Int()]; dup {
+			t.Fatalf("oid %d has two rows", tp[0].Int())
+		}
+		out[tp[0].Int()] = tp[1].Float()
+		return false, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	refH, refA := refHITS(edges, rel, cfg)
-	assertScoresMatch(t, tableScores(t, tb.Hubs), refH, "hubs")
-	assertScoresMatch(t, tableScores(t, tb.Auth), refA, "auth")
+	return out
+}
+
+// TestJoinMatchesReference checks RunJoin against the in-memory reference
+// over the Config surface: the row sets are exactly the sources and
+// destinations of eligible edges (zero scores included), the scores are
+// refHITS's, and the index walk — which never materializes a zero — scores
+// the same pages.
+func TestJoinMatchesReference(t *testing.T) {
+	randEdges, randRel := randomGraph(5, 200, 1500)
+	lowRel := map[int64]float64{}
+	for oid := range randRel {
+		lowRel[oid] = 0.1
+	}
+	zeroWeight := []edge{
+		{src: 1, dst: 10, sidSrc: 1, sidDst: 2, wgtFwd: 0.9, wgtRev: 0.5},
+		{src: 2, dst: 11, sidSrc: 3, sidDst: 4, wgtFwd: 0, wgtRev: 0},
+	}
+	cases := []struct {
+		name  string
+		edges []edge
+		rel   map[int64]float64
+		cfg   Config
+		// wantRows is the row count of both tables where the case is built
+		// to produce a particular one; -1 leaves it to the rule.
+		wantRows int
+	}{
+		{"default", randEdges, randRel, Config{}, -1},
+		{"one iteration", randEdges, randRel, Config{Iterations: 1}, -1},
+		{"rho 0.6", randEdges, randRel, Config{Rho: 0.6}, -1},
+		{"unweighted", randEdges, randRel, Config{Unweighted: true}, -1},
+		{"no nepotism filter", randEdges, randRel, Config{NoNepotismFilter: true}, -1},
+		{"every destination fails rho", randEdges, lowRel, Config{}, 0},
+		{"zero-weight eligible edge", zeroWeight, map[int64]float64{10: 0.9, 11: 0.9}, Config{}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db, tb := buildGraph(t, c.edges, c.rel)
+			if _, err := RunJoin(db, tb, c.cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg := c.cfg.withDefaults()
+			wantAuth, wantHubs := map[int64]bool{}, map[int64]bool{}
+			for _, e := range c.edges {
+				if (cfg.NoNepotismFilter || e.sidSrc != e.sidDst) && c.rel[e.dst] > cfg.Rho {
+					wantAuth[e.dst], wantHubs[e.src] = true, true
+				}
+			}
+			for _, side := range []struct {
+				name string
+				rows map[int64]float64
+				want map[int64]bool
+			}{
+				{"auth", tableRows(t, tb.Auth), wantAuth},
+				{"hubs", tableRows(t, tb.Hubs), wantHubs},
+			} {
+				if c.wantRows >= 0 && len(side.rows) != c.wantRows {
+					t.Errorf("%s: %d rows, want %d", side.name, len(side.rows), c.wantRows)
+				}
+				if len(side.rows) != len(side.want) {
+					t.Errorf("%s: %d rows, want the %d endpoints of eligible edges", side.name, len(side.rows), len(side.want))
+				}
+				for oid := range side.want {
+					if _, ok := side.rows[oid]; !ok {
+						t.Errorf("%s: no row for eligible endpoint %d", side.name, oid)
+					}
+				}
+			}
+			refH, refA := refHITS(c.edges, c.rel, c.cfg)
+			joinH, joinA := tableScores(t, tb.Hubs), tableScores(t, tb.Auth)
+			assertScoresMatch(t, joinH, refH, "hubs")
+			assertScoresMatch(t, joinA, refA, "auth")
+
+			db2, tb2 := buildGraph(t, c.edges, c.rel)
+			if _, err := RunIndexWalk(db2, tb2, c.cfg); err != nil {
+				t.Fatal(err)
+			}
+			assertScoresMatch(t, tableScores(t, tb2.Hubs), joinH, "hubs walk-vs-join")
+			assertScoresMatch(t, tableScores(t, tb2.Auth), joinA, "auth walk-vs-join")
+		})
+	}
+}
+
+// TestJoinRerunIsIdempotent: RunJoin again over the same tables leaves them
+// bit-equal, row for row in the same scan order, and takes no new disk page
+// — truncating a score table frees what its reload allocates, and the plan
+// itself allocates none. Pages are counted from the second run on:
+// HeapFile.Truncate takes its new head page before it frees the old chain,
+// so the first reload of a table can find the free list one page short.
+func TestJoinRerunIsIdempotent(t *testing.T) {
+	edges, rel := randomGraph(9, 400, 4000)
+	db, tb := buildGraph(t, edges, rel)
+	scan := func(tb *relstore.Table) (rows []Scored) {
+		t.Helper()
+		err := tb.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+			rows = append(rows, Scored{OID: tp[0].Int(), Score: tp[1].Float()})
+			return false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	run := func() (hubs, auth []Scored, pages int64) {
+		t.Helper()
+		if _, err := RunJoin(db, tb, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		return scan(tb.Hubs), scan(tb.Auth), int64(db.Disk().NumPages())
+	}
+	hubs1, auth1, _ := run()
+	if len(hubs1) == 0 || len(auth1) == 0 {
+		t.Fatal("nothing scored")
+	}
+	if !slices.IsSortedFunc(hubs1, func(a, b Scored) int { return cmp.Compare(a.OID, b.OID) }) {
+		t.Error("HUBS not loaded in ascending oid order")
+	}
+	_, _, pages2 := run()
+	hubs3, auth3, pages3 := run()
+	if !slices.Equal(hubs1, hubs3) {
+		t.Error("HUBS differs between runs over the same tables")
+	}
+	if !slices.Equal(auth1, auth3) {
+		t.Error("AUTH differs between runs over the same tables")
+	}
+	if pages3 != pages2 {
+		t.Errorf("a rerun grew the disk from %d to %d pages", pages2, pages3)
+	}
 }
 
 func TestIndexWalkMatchesReference(t *testing.T) {

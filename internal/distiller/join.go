@@ -1,322 +1,258 @@
 package distiller
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
 	"focus/internal/relstore"
 )
 
-// RunJoin executes the configured number of HITS iterations using the
-// sort-merge join plan of Figure 4 and returns the time breakdown.
-func RunJoin(db *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
+// RunJoin executes the configured number of HITS iterations as the
+// set-oriented plan of Figure 4 — each half-iteration a merge of LINK,
+// sorted by the group column, with a score table, followed by a group-sum —
+// compiled once per run: everything the iterations share is hoisted out of
+// them.
+//
+//   - LINK is read once (Tables.Link.Scan). An edge is eligible iff it
+//     passes the nepotism filter and, when a relevance view exists
+//     (Config.Relevance, else one scan of Tables.Crawl), its destination's
+//     relevance exceeds Rho. Only eligible edges are kept.
+//   - The eligible edges are sorted once by (dst, src) and once by
+//     (src, dst). Each order is laid out as groups of (peer, weight) terms;
+//     the scores live in two dense vectors, so a half-iteration is one pass
+//     over one order.
+//   - HUBS and AUTH are truncated and loaded once, in ascending oid order,
+//     after the last iteration.
+//
+// Row sets: AUTH's rows are exactly the distinct destinations of eligible
+// edges and HUBS's rows exactly their distinct sources, which is what the
+// inner joins of Figure 4 produce from the first iteration on. A row whose
+// score is 0 is still a row. With no eligible edge both tables end empty.
+//
+// Summation order: a group's terms are added in ascending peer oid, and a
+// normalization sum in ascending group oid. Parallelism > 1 sorts the two
+// orders concurrently and gives each goroutine a contiguous range of
+// groups; every group is still summed by one goroutine in that order, so
+// the tables are bit-equal at any Parallelism.
+//
+// The db argument is not read: nothing is spilled. The plan holds under 100
+// bytes per eligible edge in memory. Breakdown.Scan covers reading LINK and
+// the relevance view and laying out the two orders, Sort the two sorts,
+// Update the iterations and the two table loads; Lookup stays 0.
+func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 	cfg = cfg.withDefaults()
 	var bd Breakdown
 	if err := checkTables(tb); err != nil {
 		return bd, err
 	}
-	if err := seedHubsFor(tb, cfg); err != nil {
-		return bd, err
-	}
-	for it := 0; it < cfg.Iterations; it++ {
-		half, err := joinHalf(db, tb, cfg, true)
-		bd.add(half)
-		if err != nil {
-			return bd, err
-		}
-		half, err = joinHalf(db, tb, cfg, false)
-		bd.add(half)
-		if err != nil {
-			return bd, err
-		}
-	}
-	return bd, nil
-}
 
-// joinHalf computes one half-iteration. fwd=true is UpdateAuth (hub scores
-// flow forward to authorities, with the relevance > rho filter); fwd=false
-// is UpdateHubs (authority scores flow backward, no filter) — the asymmetry
-// of Figure 4. With cfg.Parallelism > 1 the plan is split into hash
-// partitions of the group column and executed concurrently (joinHalfPar).
-func joinHalf(db *relstore.DB, tb Tables, cfg Config, fwd bool) (Breakdown, error) {
-	if cfg.Parallelism > 1 {
-		return joinHalfPar(db, tb, cfg, fwd)
-	}
-	var bd Breakdown
-	bp := db.Pool()
-	src, dst := tb.Hubs, tb.Auth
-	joinCol, groupCol := lSrc, lDst
-	if !fwd {
-		src, dst = tb.Auth, tb.Hubs
-		joinCol, groupCol = lDst, lSrc
-	}
-
-	// Scan + filter LINK.
 	t0 := time.Now()
-	linkIt, err := tb.Link.Iter()
+	byDst, err := eligibleEdges(tb, cfg)
 	if err != nil {
 		return bd, err
 	}
-	filtered := relstore.FilterIter(linkIt, cfg.keepEdge)
+	bySrc := slices.Clone(byDst)
 	bd.Scan += time.Since(t0)
 
-	// Sort LINK by the join column; sort the source score table by oid.
 	t0 = time.Now()
-	linkSorted, err := relstore.SortTuples(bp, linkSchema(), filtered,
-		relstore.KeyOfCols(joinCol), cfg.SortMem)
-	if err != nil {
-		return bd, err
-	}
-	srcIt, err := src.Iter()
-	if err != nil {
-		return bd, err
-	}
-	srcSorted, err := relstore.SortByCols(bp, src.Schema, srcIt, cfg.SortMem, "oid")
-	if err != nil {
-		return bd, err
-	}
-	bd.Sort += time.Since(t0)
-
-	// Merge join LINK with the score table on the join column, project to
-	// (group oid, score * weight).
-	t0 = time.Now()
-	joined := relstore.MergeJoin(linkSorted, srcSorted,
-		relstore.KeyOfCols(joinCol), relstore.KeyOfCols(0), false, 0)
-	contrib := relstore.MapIter(joined, func(t relstore.Tuple) relstore.Tuple {
-		w := cfg.revWeight(t)
-		if fwd {
-			w = cfg.fwdWeight(t)
-		}
-		return relstore.Tuple{t[groupCol], relstore.F64(t[7].Float() * w)}
-	})
-	pairSchema := HubsAuthSchema() // (oid, score) — the contribution pairs
-	rows, err := relstore.Collect(contrib)
-	if err != nil {
-		return bd, err
-	}
-	bd.Scan += time.Since(t0)
-
-	// The forward half admits only authorities with relevance > rho:
-	// a further merge join against CRAWL(oid, relevance), or the caller's
-	// in-memory relevance view when one is supplied.
-	if fwd && (cfg.Relevance != nil || tb.Crawl != nil) {
-		t0 = time.Now()
-		rel := cfg.Relevance
-		if rel == nil {
-			var err error
-			if rel, err = relevanceOf(tb.Crawl); err != nil {
-				return bd, err
-			}
-		}
-		kept := rows[:0]
-		for _, r := range rows {
-			if rel[r[0].Int()] > cfg.Rho {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-		bd.Scan += time.Since(t0)
-	}
-
-	// Sort contributions by oid, group-sum, normalize, write the result.
-	t0 = time.Now()
-	sorted, err := relstore.SortByCols(bp, pairSchema, relstore.NewSliceIter(rows), cfg.SortMem, "oid")
-	if err != nil {
-		return bd, err
-	}
+	inParallel(cfg.Parallelism > 1,
+		func() { slices.SortFunc(byDst, compareDstSrc) },
+		func() { slices.SortFunc(bySrc, compareSrcDst) })
 	bd.Sort += time.Since(t0)
 
 	t0 = time.Now()
-	grouped := relstore.GroupBy(sorted, relstore.KeyOfCols(0), []int{0},
-		[]relstore.AggSpec{{Kind: relstore.AggSum, Col: 1}})
-	out, err := relstore.Collect(grouped)
-	if err != nil {
+	auth := layOut(byDst, func(e planEdge) (group, peer int64, w float64) { return e.dst, e.src, e.fwd })
+	hubs := layOut(bySrc, func(e planEdge) (group, peer int64, w float64) { return e.src, e.dst, e.rev })
+	auth.bindPeers(hubs.oids)
+	hubs.bindPeers(auth.oids)
+	bd.Scan += time.Since(t0)
+
+	t0 = time.Now()
+	hubScore := make([]float64, len(hubs.oids))
+	for i := range hubScore {
+		hubScore[i] = 1 // the standard HITS start vector
+	}
+	authScore := make([]float64, len(auth.oids))
+	for it := 0; it < cfg.Iterations; it++ {
+		auth.groupSums(authScore, hubScore, cfg.Parallelism)
+		normalizeScores(authScore)
+		hubs.groupSums(hubScore, authScore, cfg.Parallelism)
+		normalizeScores(hubScore)
+	}
+	if err := loadScores(tb.Auth, auth.oids, authScore); err != nil {
 		return bd, err
 	}
-	var sum float64
-	for _, r := range out {
-		sum += r[1].Float()
-	}
-	if err := dst.Truncate(); err != nil {
+	if err := loadScores(tb.Hubs, hubs.oids, hubScore); err != nil {
 		return bd, err
-	}
-	for _, r := range out {
-		score := r[1].Float()
-		if sum > 0 {
-			score /= sum
-		}
-		_, err := dst.Insert(relstore.Tuple{r[0], relstore.F64(score)})
-		if err != nil {
-			return bd, err
-		}
 	}
 	bd.Update += time.Since(t0)
 	return bd, nil
 }
 
-// joinHalfPar is joinHalf split into cfg.Parallelism hash partitions of the
-// group column. Each partition owns a disjoint set of group oids, so every
-// partition runs the full sort → merge-join → rho-filter → group-sum chain
-// independently on a worker goroutine (spilling through the shared,
-// thread-safe buffer pool), and the merge of the partial aggregates is pure
-// concatenation. The score table and LINK are read single-threaded up front
-// (tables are single-reader structures); only the partitioned operator
-// chain runs concurrently. Per-partition Breakdowns are summed, so the
-// breakdown reports work done, not wall clock.
-func joinHalfPar(db *relstore.DB, tb Tables, cfg Config, fwd bool) (Breakdown, error) {
-	var bd Breakdown
-	bp := db.Pool()
-	src, dst := tb.Hubs, tb.Auth
-	joinCol, groupCol := lSrc, lDst
-	if !fwd {
-		src, dst = tb.Auth, tb.Hubs
-		joinCol, groupCol = lDst, lSrc
-	}
+// planEdge is one eligible LINK row, reduced to what the iterations read.
+type planEdge struct {
+	src, dst int64
+	fwd, rev float64
+}
 
-	// Scan + filter LINK, partitioned by hash(group oid) — fanned out
-	// across segments when the link relation exposes its tuple runs
-	// (partitionLink), streamed through one iterator otherwise.
-	t0 := time.Now()
-	parts, err := partitionLink(tb.Link, cfg, cfg.Parallelism, groupCol)
-	if err != nil {
-		return bd, err
-	}
-	bd.Scan += time.Since(t0)
+func compareDstSrc(a, b planEdge) int { return compareEdges(a, b, a.dst, b.dst, a.src, b.src) }
+func compareSrcDst(a, b planEdge) int { return compareEdges(a, b, a.src, b.src, a.dst, b.dst) }
 
-	// Sort the source score table by oid once; every partition merge-joins
-	// against its own iterator over the shared, read-only row slice.
-	t0 = time.Now()
-	srcIt, err := src.Iter()
-	if err != nil {
-		return bd, err
+// compareEdges orders a and b by their (group, peer) oids. Equal endpoints —
+// LINK stores a (src, dst) pair once, but the contract does not forbid
+// repeats — fall back to the weights, so the order, and with it every float
+// sum, depends on the edge multiset alone.
+func compareEdges(a, b planEdge, groupA, groupB, peerA, peerB int64) int {
+	if groupA != groupB {
+		return cmp.Compare(groupA, groupB)
 	}
-	srcSorted, err := relstore.SortByCols(bp, src.Schema, srcIt, cfg.SortMem, "oid")
-	if err != nil {
-		return bd, err
+	if peerA != peerB {
+		return cmp.Compare(peerA, peerB)
 	}
-	srcRows, err := relstore.Collect(srcSorted)
-	if err != nil {
-		return bd, err
+	if a.fwd != b.fwd {
+		return cmp.Compare(a.fwd, b.fwd)
 	}
-	bd.Sort += time.Since(t0)
+	return cmp.Compare(a.rev, b.rev)
+}
 
+// eligibleEdges reads LINK once and keeps the eligible edges, with weight 1
+// on both sides when cfg.Unweighted is set.
+func eligibleEdges(tb Tables, cfg Config) ([]planEdge, error) {
 	rel := cfg.Relevance
-	if fwd && rel == nil && tb.Crawl != nil {
-		t0 = time.Now()
+	if rel == nil && tb.Crawl != nil {
+		var err error
 		if rel, err = relevanceOf(tb.Crawl); err != nil {
-			return bd, err
+			return nil, err
 		}
-		bd.Lookup += time.Since(t0)
 	}
+	var edges []planEdge
+	err := tb.Link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+		if !cfg.keepEdge(t) {
+			return false, nil
+		}
+		e := planEdge{src: t[lSrc].Int(), dst: t[lDst].Int(), fwd: cfg.fwdWeight(t), rev: cfg.revWeight(t)}
+		if rel == nil || rel[e.dst] > cfg.Rho {
+			edges = append(edges, e)
+		}
+		return false, nil
+	})
+	return edges, err
+}
 
-	// Sort every partition's edges by the join column concurrently (the
-	// spills allocate private run pages, so the sorts share the pool
-	// freely), then fan the per-partition join chains out over the sorted
-	// runs.
-	t0 = time.Now()
-	sortedParts, err := relstore.SortPartitions(bp, linkSchema(), parts,
-		relstore.KeyOfCols(joinCol), cfg.SortMem)
-	if err != nil {
-		return bd, err
+// edgeOrder is the eligible edges in one of the two sorted orders, grouped:
+// group g is the page oids[g], and its terms are positions off[g] up to
+// off[g+1] of peers and weights. peers holds the peer's oid until bindPeers
+// replaces it with the peer's position in the other order's oids.
+type edgeOrder struct {
+	oids    []int64
+	off     []int32
+	peers   []int64
+	weights []float64
+}
+
+// layOut groups a sorted edge slice by the group oid key reports.
+func layOut(sorted []planEdge, key func(planEdge) (group, peer int64, w float64)) edgeOrder {
+	o := edgeOrder{
+		peers:   make([]int64, len(sorted)),
+		weights: make([]float64, len(sorted)),
 	}
-	bd.Sort += time.Since(t0)
+	for i, e := range sorted {
+		group, peer, w := key(e)
+		if i == 0 || group != o.oids[len(o.oids)-1] {
+			o.oids = append(o.oids, group)
+			o.off = append(o.off, int32(i))
+		}
+		o.peers[i], o.weights[i] = peer, w
+	}
+	o.off = append(o.off, int32(len(sorted)))
+	return o
+}
 
-	pairSchema := HubsAuthSchema() // (oid, score) — the contribution pairs
-	outs := make([][]relstore.Tuple, len(parts))
-	bds := make([]Breakdown, len(parts))
-	errs := make([]error, len(parts))
+// bindPeers replaces every peer oid with its position in peerOIDs, the other
+// order's ascending group oids. Every peer is there: both orders hold the
+// same edges.
+func (o *edgeOrder) bindPeers(peerOIDs []int64) {
+	for i, oid := range o.peers {
+		at, _ := slices.BinarySearch(peerOIDs, oid)
+		o.peers[i] = int64(at)
+	}
+}
+
+// groupSums is one half-iteration: out[g] = Σ in[peer] * weight over group
+// g's terms, in their stored order. With p > 1 the groups are split into p
+// contiguous ranges, one goroutine each.
+func (o *edgeOrder) groupSums(out, in []float64, p int) {
+	sumRange := func(lo, hi int) {
+		for g := lo; g < hi; g++ {
+			var s float64
+			for i := o.off[g]; i < o.off[g+1]; i++ {
+				s += in[o.peers[i]] * o.weights[i]
+			}
+			out[g] = s
+		}
+	}
+	n := len(o.oids)
+	if p <= 1 {
+		sumRange(0, n)
+		return
+	}
 	var wg sync.WaitGroup
-	for pi := range parts {
+	for c := 0; c < p; c++ {
 		wg.Add(1)
-		go func(pi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			outs[pi], errs[pi] = joinPartition(bp, pairSchema, sortedParts[pi], srcRows,
-				cfg, fwd, rel, joinCol, groupCol, &bds[pi])
-		}(pi)
+			sumRange(lo, hi)
+		}(c*n/p, (c+1)*n/p)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return bd, err
-		}
-	}
-	for _, pbd := range bds {
-		bd.add(pbd)
-	}
-
-	// Partitions hold disjoint group oids: concatenate, normalize, write
-	// through one reused encode buffer.
-	t0 = time.Now()
-	var sum float64
-	for _, out := range outs {
-		for _, r := range out {
-			sum += r[1].Float()
-		}
-	}
-	if err := dst.Truncate(); err != nil {
-		return bd, err
-	}
-	var buf []byte
-	row := relstore.Tuple{relstore.I64(0), relstore.F64(0)}
-	for _, out := range outs {
-		for _, r := range out {
-			score := r[1].Float()
-			if sum > 0 {
-				score /= sum
-			}
-			row[0], row[1] = r[0], relstore.F64(score)
-			if _, buf, err = dst.InsertBuf(buf, row); err != nil {
-				return bd, err
-			}
-		}
-	}
-	bd.Update += time.Since(t0)
-	return bd, nil
 }
 
-// joinPartition runs one partition's merge-join + group-sum chain over its
-// already-sorted edge run and returns the (group oid, raw summed score)
-// rows.
-func joinPartition(bp *relstore.BufferPool, pairSchema *relstore.Schema,
-	linkSorted relstore.Iterator, srcRows []relstore.Tuple, cfg Config, fwd bool,
-	rel map[int64]float64, joinCol, groupCol int, bd *Breakdown) ([]relstore.Tuple, error) {
-
-	t0 := time.Now()
-	joined := relstore.MergeJoin(linkSorted, relstore.NewSliceIter(srcRows),
-		relstore.KeyOfCols(joinCol), relstore.KeyOfCols(0), false, 0)
-	contrib := relstore.MapIter(joined, func(t relstore.Tuple) relstore.Tuple {
-		w := cfg.revWeight(t)
-		if fwd {
-			w = cfg.fwdWeight(t)
+// normalizeScores rescales scores to sum to 1, adding them in index order;
+// a zero sum leaves them as they are.
+func normalizeScores(scores []float64) {
+	var sum float64
+	for _, s := range scores {
+		sum += s
+	}
+	if sum > 0 {
+		for i := range scores {
+			scores[i] /= sum
 		}
-		return relstore.Tuple{t[groupCol], relstore.F64(t[7].Float() * w)}
-	})
-	rows, err := relstore.Collect(contrib)
-	if err != nil {
-		return nil, err
 	}
-	if fwd && rel != nil {
-		kept := rows[:0]
-		for _, r := range rows {
-			if rel[r[0].Int()] > cfg.Rho {
-				kept = append(kept, r)
-			}
+}
+
+// loadScores replaces a score table's rows with (oids[i], scores[i]), in
+// that order, through one reused encode buffer.
+func loadScores(tb *relstore.Table, oids []int64, scores []float64) error {
+	if err := tb.Truncate(); err != nil {
+		return err
+	}
+	var buf []byte
+	var err error
+	row := relstore.Tuple{relstore.I64(0), relstore.F64(0)}
+	for i, oid := range oids {
+		row[0], row[1] = relstore.I64(oid), relstore.F64(scores[i])
+		if _, buf, err = tb.InsertBuf(buf, row); err != nil {
+			return err
 		}
-		rows = kept
 	}
-	bd.Scan += time.Since(t0)
+	return nil
+}
 
-	t0 = time.Now()
-	sorted, err := relstore.SortByCols(bp, pairSchema, relstore.NewSliceIter(rows), cfg.SortMem, "oid")
-	if err != nil {
-		return nil, err
+// inParallel runs f and g, concurrently when par is set.
+func inParallel(par bool, f, g func()) {
+	if !par {
+		f()
+		g()
+		return
 	}
-	bd.Sort += time.Since(t0)
-
-	t0 = time.Now()
-	grouped := relstore.GroupBy(sorted, relstore.KeyOfCols(0), []int{0},
-		[]relstore.AggSpec{{Kind: relstore.AggSum, Col: 1}})
-	out, err := relstore.Collect(grouped)
-	bd.Update += time.Since(t0)
-	return out, err
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g()
+	}()
+	f()
+	<-done
 }

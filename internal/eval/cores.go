@@ -19,7 +19,7 @@ import (
 // CoreScalingConfig drives the multicore payoff study: the same doc-heavy
 // focused crawl (and a post-crawl distillation of its link graph) run once
 // per GOMAXPROCS setting, with every parallel knob — fetch workers,
-// classifier-stage workers, distill partitions — held at the same values
+// classifier-stage workers, distiller goroutines — held at the same values
 // across points so the only variable is how many cores the runtime may
 // use. On one core the parallel paths should cost roughly nothing over
 // serial; on several they should pay: end-to-end pages/sec and distill
@@ -39,8 +39,8 @@ type CoreScalingConfig struct {
 	// goroutine count).
 	ClassifyBatch       int
 	ClassifyParallelism int
-	// DistillParallelism is the join partition count of the measured
-	// post-crawl distillation (default 4, fixed across points) and of the
+	// DistillParallelism is distiller.Config.Parallelism for the measured
+	// post-crawl distillation (default 4, fixed across points) and for the
 	// in-crawl distillations. DistillIters is its iteration count
 	// (default 5).
 	DistillParallelism int

@@ -539,7 +539,7 @@ type CrawlScalingConfig struct {
 	// DistillBarrier selects the legacy stop-the-world distillation for
 	// every point (default: the concurrent snapshot-and-go pipeline).
 	DistillBarrier bool
-	// DistillParallelism sets the distiller's join partition count.
+	// DistillParallelism sets distiller.Config.Parallelism.
 	DistillParallelism int
 }
 

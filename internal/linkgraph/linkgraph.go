@@ -636,22 +636,6 @@ func (sn *Snapshot) run(i int) ([]relstore.Tuple, error) {
 	return *sn.runs[i].Load(), nil
 }
 
-// TupleRuns exposes the snapshot's per-stripe tuple runs, materializing any
-// still pending. Concatenated in order, the runs equal the Scan order; the
-// parallel distiller partitions the edge scan across cores run by run
-// through this surface instead of re-streaming one Iter.
-func (sn *Snapshot) TupleRuns() ([][]relstore.Tuple, error) {
-	runs := make([][]relstore.Tuple, len(sn.runs))
-	for i := range sn.runs {
-		r, err := sn.run(i)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = r
-	}
-	return runs, nil
-}
-
 // Rows returns the snapshot's edge count (captured at the barrier).
 func (sn *Snapshot) Rows() int64 { return sn.edges }
 
@@ -677,9 +661,8 @@ func (sn *Snapshot) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, erro
 }
 
 // Iter returns an iterator over the snapshot in Scan order. Each call
-// returns an independent iterator, so several consumers (the parallel
-// distiller's partition pass, for one) may stream the same snapshot
-// concurrently.
+// returns an independent iterator, so several consumers may stream the same
+// snapshot concurrently.
 func (sn *Snapshot) Iter() (relstore.Iterator, error) {
 	return &snapshotIter{sn: sn}, nil
 }

@@ -89,23 +89,15 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 		t.Fatalf("live store has %d edges, want %d", len(live), len(want)+20)
 	}
 
-	// TupleRuns concatenated must equal the Scan order.
-	runs, err := sn1.TupleRuns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat []Edge
-	for _, run := range runs {
-		for _, tp := range run {
-			flat = append(flat, EdgeOf(tp))
-		}
-	}
-	if len(flat) != len(want) {
-		t.Fatalf("TupleRuns total = %d, want %d", len(flat), len(want))
+	// A second Scan reads the already materialized runs: same edges, same
+	// order.
+	again := scanEdges(t, sn1)
+	if len(again) != len(want) {
+		t.Fatalf("second Scan: %d edges, want %d", len(again), len(want))
 	}
 	for j := range want {
-		if flat[j] != want[j] {
-			t.Fatalf("TupleRuns edge %d = %+v, want %+v", j, flat[j], want[j])
+		if again[j] != want[j] {
+			t.Fatalf("second Scan edge %d = %+v, want %+v", j, again[j], want[j])
 		}
 	}
 }

@@ -20,12 +20,12 @@
 //   - query operators: sequential scan, index scan, external merge sort,
 //     sort-merge inner and left outer joins, streaming group-by
 //     aggregation, a k-way merge of pre-sorted inputs (MergeSorted), and
-//     hash-partitioned execution support (PartitionByKey and the
-//     concurrent SortPartitions) — enough to express the bulk
-//     classification plan of the paper's Figure 3, the distillation plan
-//     of Figure 4 (including its partition-parallel variant), and the
-//     merged ordered views of partitioned relations (the crawler's
-//     striped LINK store).
+//     hash-partitioned execution support (PartitionByKey) — enough to
+//     express the bulk classification plan of the paper's Figure 3
+//     (including its partition-parallel variant) and the merged ordered
+//     views of partitioned relations (the crawler's striped LINK store).
+//     The distillation plan of Figure 4 reads its relations through Scan
+//     and compiles its joins in memory (distiller.RunJoin).
 //
 // # Concurrency contract
 //

@@ -1,12 +1,9 @@
 package relstore
 
-import "sync"
-
 // Partitioned execution support: one logical sort-merge plan split into P
 // independent partitions by a hash of the grouping key, each sorted (and
 // spilled, when large) through the shared buffer pool concurrently. The
-// distiller's partition-parallel HITS join is the consumer: edges are
-// partitioned by hash(group oid), every partition runs its own
+// classifier's bulk plan is the consumer: every partition runs its own
 // sort + merge-join + group-by, and the partial aggregates are disjoint by
 // construction, so merging them is pure concatenation.
 //
@@ -57,29 +54,4 @@ func PartitionByKey(in Iterator, p int, keyFn func(Tuple) []byte) ([][]Tuple, er
 		p = 1
 	}
 	return PartitionTuples(in, p, func(t Tuple) int { return HashTuple(keyFn(t), p) })
-}
-
-// SortPartitions sorts every partition by keyFn concurrently, each through
-// its own SortTuples over the shared pool, and returns one sorted iterator
-// per partition (aligned with parts). memBytes is the per-partition sort
-// workspace (0 means DefaultSortMem). The first error wins; the remaining
-// sorts still run to completion so no run pages are left half-written.
-func SortPartitions(bp *BufferPool, schema *Schema, parts [][]Tuple, keyFn func(Tuple) []byte, memBytes int) ([]Iterator, error) {
-	its := make([]Iterator, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			its[i], errs[i] = SortTuples(bp, schema, NewSliceIter(parts[i]), keyFn, memBytes)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return its, nil
 }

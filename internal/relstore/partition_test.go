@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -62,11 +63,12 @@ func TestPartitionInvarianceProperty(t *testing.T) {
 	}
 }
 
-// TestSortPartitionsStress runs many concurrent spilling sorts over one
-// deliberately small shared pool: every partition must come back fully
-// sorted and the union must equal the input, with the pool's accounting
-// (exercised under -race) never torn by the concurrent spills.
-func TestSortPartitionsStress(t *testing.T) {
+// TestConcurrentSortsStress runs many concurrent spilling sorts over one
+// deliberately small shared pool — what the classifier's bulk partitions do:
+// every partition must come back fully sorted and the union must equal the
+// input, with the pool's accounting (exercised under -race) never torn by
+// the concurrent spills.
+func TestConcurrentSortsStress(t *testing.T) {
 	disk := NewMemDisk()
 	bp := NewBufferPool(disk, 32)
 	schema := pairSchemaForTest()
@@ -78,9 +80,21 @@ func TestSortPartitionsStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiny workspace forces every partition to spill runs through the pool.
-	its, err := SortPartitions(bp, schema, parts, key, 4*PageSize)
-	if err != nil {
-		t.Fatal(err)
+	its := make([]Iterator, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			its[i], errs[i] = SortTuples(bp, schema, NewSliceIter(parts[i]), key, 4*PageSize)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	var got []Tuple
 	for pi, it := range its {
