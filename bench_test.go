@@ -172,56 +172,6 @@ func BenchmarkFig8cOutputScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkCrawlWorkers measures sharded-frontier crawl throughput at
-// several worker counts (one host-partitioned frontier shard per worker)
-// over a web with simulated network latency. Pages/sec at workers=8 should
-// be well over 2x the workers=1 figure; the old single-mutex frontier is
-// the workers=1, shards=1 point by construction.
-func BenchmarkCrawlWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := eval.RunCrawlScaling(eval.CrawlScalingConfig{
-					Web:     benchWeb(91, 6000),
-					Budget:  600,
-					Workers: []int{w},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p := r.Points[0]
-				b.ReportMetric(p.PagesPerSec, "pages/sec")
-				b.ReportMetric(float64(p.Visited), "visited")
-			}
-		})
-	}
-}
-
-// BenchmarkCrawlWorkersLinkHeavy is the same sweep over a web dense in hub
-// pages (high out-degree), where link ingest rather than fetch latency
-// decides the curve. Under the old global LINK mutex 8 workers ran no
-// faster than 4 here (~250-300 pages/sec); the striped, batch-ingesting
-// link store is what lets the curve keep climbing.
-func BenchmarkCrawlWorkersLinkHeavy(b *testing.B) {
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := eval.RunCrawlScaling(eval.CrawlScalingConfig{
-					Web:     eval.LinkHeavyWeb(91, 6000),
-					Budget:  600,
-					Workers: []int{w},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p := r.Points[0]
-				b.ReportMetric(p.PagesPerSec, "pages/sec")
-				b.ReportMetric(float64(p.Visited), "visited")
-			}
-		})
-	}
-}
-
 // BenchmarkClassifyBatch measures end-to-end crawl throughput as the
 // in-crawl classification batch size grows (batch 1 = the old inline
 // path), on the doc-heavy workload where per-page classification and

@@ -10,7 +10,6 @@ import (
 
 	"focus/internal/core"
 	"focus/internal/crawler"
-	"focus/internal/distiller"
 	"focus/internal/eval"
 	"focus/internal/webgraph"
 )
@@ -24,12 +23,9 @@ func main() {
 		seeds   = flag.Int("seeds", 25, "seed URLs")
 		budget  = flag.Int64("budget", 2000, "fetch budget")
 		workers = flag.Int("workers", 8, "crawler threads")
-		shards  = flag.Int("shards", 0, "frontier shards (0 = one per worker)")
-		stripes = flag.Int("linkstripes", 0, "LINK store stripes (0 = one per worker)")
 		pshards = flag.Int("poolshards", 0, "buffer-pool shards, each with its own latch (0/1 = one shard)")
 		mode    = flag.String("mode", "soft", "soft | hard | unfocused")
 		distill = flag.Int64("distill", 500, "distill every N visits (0 = off)")
-		dpar    = flag.Int("distillpar", 0, "distiller goroutines per half-iteration (0/1 = serial; scores are bit-equal at any value)")
 		barrier = flag.Bool("distillbarrier", false, "legacy stop-the-world distillation (workers stall for the whole HITS run)")
 		cbatch  = flag.Int("classifybatch", 0, "batched in-crawl classification: accumulate this many pages per bulk classify (<=1 = inline)")
 		cpar    = flag.Int("classifypar", 0, "classifier-stage workers; the batch queue is partitioned by did (0/1 = one stage)")
@@ -65,13 +61,10 @@ func main() {
 	}
 	ccfg := crawler.Config{
 		Workers:             *workers,
-		FrontierShards:      *shards,
-		LinkStripes:         *stripes,
 		MaxFetches:          *budget,
 		Mode:                m,
 		DistillEvery:        *distill,
 		DistillBarrier:      *barrier,
-		Distill:             distiller.Config{Parallelism: *dpar},
 		ClassifyBatch:       *cbatch,
 		ClassifyParallelism: *cpar,
 	}
@@ -143,8 +136,8 @@ func main() {
 		fmt.Println()
 	}
 	if res.Distills > 0 {
-		fmt.Printf("  distill stall=%v compute=%v (barrier=%v, partitions=%d)\n",
-			res.DistillStall.Round(1e6), res.DistillCompute.Round(1e6), *barrier, *dpar)
+		fmt.Printf("  distill stall=%v compute=%v (barrier=%v)\n",
+			res.DistillStall.Round(1e6), res.DistillCompute.Round(1e6), *barrier)
 	}
 	fmt.Printf("  true relevant fraction (ground truth): %.3f\n\n", sys.TrueRelevantFraction())
 

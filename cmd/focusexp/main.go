@@ -8,17 +8,15 @@
 //
 // Figures: 5 (harvest rate, a+b), 6 (coverage, a+b), 7 (distance
 // histogram + hubs), 8a (classifier variants), 8b (memory scaling),
-// 8c (output scaling), 8d (distiller variants), plus five studies beyond
-// the paper: scale (worker scaling of the sharded frontier), classify
-// (the in-crawl classification batch sweep — Figure 8a's set-oriented
-// claim applied to the crawl hot path), hostile (harvest under rate
-// limits, outages, and timeouts, naive vs the polite
-// politeness/backoff/breaker stack), cores (crawl throughput and distill
-// latency vs GOMAXPROCS on the doc-heavy workload — the multicore payoff
-// of the parallel classifier stage and partitioned HITS), and recovery
-// (kill-and-resume trials and checkpoint overhead on durable files); for
-// hostile, cores, and recovery, -json writes the study as a
-// machine-readable artifact.
+// 8c (output scaling), 8d (distiller variants), plus four studies beyond
+// the paper: classify (the in-crawl classification batch sweep — Figure
+// 8a's set-oriented claim applied to the crawl hot path), hostile (harvest
+// under rate limits, outages, and timeouts, naive vs the polite
+// politeness/backoff/breaker stack), cores (crawl throughput vs GOMAXPROCS
+// on the doc-heavy workload — the multicore payoff of the parallel
+// classifier stage), and recovery (kill-and-resume trials and checkpoint
+// overhead on durable files); for hostile, cores, and recovery, -json
+// writes the study as a machine-readable artifact.
 package main
 
 import (
@@ -50,7 +48,7 @@ func writeJSON(path string, study interface{ WriteJSON(io.Writer) error }) error
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, scale, classify, hostile, cores, recovery, all")
+		fig      = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, classify, hostile, cores, recovery, all")
 		seed     = flag.Int64("seed", 1999, "random seed")
 		pages    = flag.Int("pages", 30000, "synthetic web size for crawl experiments")
 		budget   = flag.Int64("budget", 4000, "fetch budget for crawl experiments")
@@ -58,7 +56,6 @@ func main() {
 		weight   = flag.Float64("weight", 3, "page-mass multiplier for the target topic")
 		quick    = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
 		latency  = flag.Duration("latency", 50*time.Microsecond, "simulated per-page disk latency for figure 8")
-		stripes  = flag.Int("linkstripes", 0, "LINK store stripes for the scale figure (0 = one per worker)")
 		cpar     = flag.Int("classifypar", 0, "classifier-stage workers (batch queue partitioned by did) for the classify figure (0/1 = one stage)")
 		cbatch   = flag.Int("classifybatch", 0, "classify figure: sweep {1, N} instead of the default batch sizes (0 = default sweep)")
 		jsonPath = flag.String("json", "", "hostile/cores/recovery figures: also write that study as JSON to this path (the CI BENCH_hostile.json / BENCH_cores.json / BENCH_recovery.json artifacts; use with a single -fig)")
@@ -167,34 +164,6 @@ func main() {
 		return nil
 	})
 
-	run("scale", func() error {
-		// Worker scaling of the sharded frontier (not a paper figure: the
-		// paper reports its crawler ran ~30 threads but no scaling study).
-		r, err := eval.RunCrawlScaling(eval.CrawlScalingConfig{
-			Web: webCfg, Topic: *topic, Budget: *budget / 4,
-			LinkStripes: *stripes,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-
-		// The same sweep on the link-heavy web, where ingest throughput —
-		// not fetch latency — decides the scaling curve.
-		fmt.Println("\nlink-heavy workload (dense hubs):")
-		heavy := eval.LinkHeavyWeb(*seed, *pages/3)
-		heavy.TopicWeights = map[string]float64{*topic: *weight}
-		r, err = eval.RunCrawlScaling(eval.CrawlScalingConfig{
-			Web: heavy, Topic: *topic,
-			Budget: *budget / 4, LinkStripes: *stripes,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
-	})
-
 	run("classify", func() error {
 		// The in-crawl classification batch sweep: end-to-end pages/sec at
 		// batch 1 (inline), 16, and 64 on the doc-heavy workload, where
@@ -207,7 +176,7 @@ func main() {
 		}
 		r, err := eval.RunClassifyBatch(eval.ClassifyBatchConfig{
 			Web: dense, Topic: *topic,
-			Budget: *budget / 2, Batches: batches, Parallelism: *cpar,
+			Budget: *budget / 2, Batches: batches, ClassifyParallelism: *cpar,
 		})
 		if err != nil {
 			return err
@@ -234,11 +203,10 @@ func main() {
 	})
 
 	run("cores", func() error {
-		// Multicore payoff: the same doc-heavy crawl (fixed worker,
-		// classifier-stage, and distill-partition counts) at GOMAXPROCS
-		// 1/2/4, measuring end-to-end pages/sec and post-crawl distill
-		// latency. The study sizes its own doc-heavy web; seed, topic, and
-		// budget pass through.
+		// Multicore payoff: the same doc-heavy crawl (fixed worker and
+		// classifier-stage counts) at GOMAXPROCS 1/2/4, measuring
+		// end-to-end pages/sec. The study sizes its own doc-heavy web; seed,
+		// topic, and budget pass through.
 		dense := eval.DocHeavyWeb(*seed, *pages/3)
 		dense.TopicWeights = map[string]float64{*topic: *weight}
 		r, err := eval.RunCoreScaling(eval.CoreScalingConfig{

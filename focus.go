@@ -16,9 +16,8 @@
 //     finds hub pages and periodically boosts their unvisited neighbors,
 //     running concurrently with the crawl: each distillation epoch
 //     snapshots the link graph under a short barrier, computes off to the
-//     side (optionally partition-parallel), and publishes its HUBS/AUTH
-//     score tables with an atomic buffer swap — workers never stall for
-//     the HITS run itself;
+//     side, and publishes its HUBS/AUTH score tables with an atomic buffer
+//     swap — workers never stall for the HITS run itself;
 //   - a multi-threaded crawler whose frontier is host-sharded: the CRAWL
 //     relation is partitioned by server hash into per-worker shards, each
 //     with its own B+tree priority index checked out in (numtries ASC,

@@ -3,7 +3,6 @@ package classifier
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
@@ -24,15 +23,27 @@ func DocSchema() *relstore.Schema {
 
 // InsertDoc appends one document's term vector to a DOCUMENT table, in
 // ascending tid order so the stored row order (and everything downstream
-// that sums in row order) is deterministic across runs.
+// that sums in row order) is deterministic across runs. Every row goes
+// through one reused tuple and encode buffer (Table.InsertBuf).
 func InsertDoc(tb *relstore.Table, did int64, v textproc.TermVector) error {
+	var buf []byte
+	var err error
+	row := relstore.Tuple{relstore.I64(did), relstore.I64(0), relstore.I32(0)}
 	for _, tid := range sortedTids(v) {
-		_, err := tb.Insert(relstore.Tuple{
-			relstore.I64(did),
-			relstore.I64(int64(tid)),
-			relstore.I32(v[tid]),
-		})
-		if err != nil {
+		row[1], row[2] = relstore.I64(int64(tid)), relstore.I32(v[tid])
+		if _, buf, err = tb.InsertBuf(buf, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// InsertDocsBuf appends several documents' term vectors to a DOCUMENT table,
+// each as InsertDoc writes it — the crawl's batched classification stage
+// loads a classified batch's rows stripe by stripe through it.
+func InsertDocsBuf(tb *relstore.Table, docs []BatchDoc) error {
+	for i := range docs {
+		if err := InsertDoc(tb, docs[i].DID, docs[i].Vec); err != nil {
 			return err
 		}
 	}
@@ -44,12 +55,6 @@ type BulkOptions struct {
 	// SortMem is the external-sort workspace in bytes (0 = relstore
 	// default). Figure 8(b) sweeps this together with the buffer pool.
 	SortMem int
-	// Parallelism hash-partitions the batch by did into this many
-	// partitions classified concurrently (<=1 = serial). A document's rows
-	// always travel together (relstore.PartitionByKey never splits a key),
-	// so per-document results are independent of the partition count; the
-	// property tests pin that invariance.
-	Parallelism int
 }
 
 // BulkClassify evaluates the posterior of every document in the DOCUMENT
@@ -88,14 +93,6 @@ func (m *Model) BulkClassify(doc *relstore.Table, opt BulkOptions) (map[int64]Po
 	if err != nil {
 		return nil, err
 	}
-	// Hash-partition the sorted stream by did once, up front: partitioning
-	// preserves arrival order, so every partition is itself sorted by tid
-	// and a did's rows land whole in one partition — each partition is a
-	// self-contained sub-batch the per-node join can run on concurrently.
-	parts, err := partitionByDid(docByTid, opt.Parallelism)
-	if err != nil {
-		return nil, err
-	}
 	for _, c0 := range m.Tree.Internal() {
 		if len(c0.Children) == 0 || m.StatTables[c0.ID] == nil {
 			continue
@@ -104,7 +101,7 @@ func (m *Model) BulkClassify(doc *relstore.Table, opt BulkOptions) (map[int64]Po
 		if err != nil {
 			return nil, err
 		}
-		scores, err := m.bulkNodeParts(parts, statRows, c0, opt)
+		scores, err := m.bulkNode(docByTid, statRows, c0, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -142,49 +139,6 @@ func (m *Model) BulkRelevance(doc *relstore.Table, opt BulkOptions) (map[int64]f
 	return out, nil
 }
 
-// partitionByDid splits a tid-sorted DOCUMENT stream into p hash
-// partitions by did (relstore.PartitionByKey over the did column). p <= 1
-// returns the stream as a single partition without copying.
-func partitionByDid(docByTid []relstore.Tuple, p int) ([][]relstore.Tuple, error) {
-	if p <= 1 || len(docByTid) == 0 {
-		return [][]relstore.Tuple{docByTid}, nil
-	}
-	return relstore.PartitionByKey(relstore.NewSliceIter(docByTid), p, relstore.KeyOfCols(0))
-}
-
-// bulkNodeParts runs bulkNode over every partition of the batch
-// concurrently and merges the per-partition score maps — pure
-// concatenation, since hash-partitioning by did keeps the maps disjoint.
-// One partition (the serial plan) skips the goroutine entirely.
-func (m *Model) bulkNodeParts(parts [][]relstore.Tuple, statRows []relstore.Tuple, c0 *taxonomy.Node, opt BulkOptions) (map[int64][]float64, error) {
-	if len(parts) == 1 {
-		return m.bulkNode(parts[0], statRows, c0, opt)
-	}
-	outs := make([]map[int64][]float64, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], errs[i] = m.bulkNode(parts[i], statRows, c0, opt)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := outs[0]
-	for _, out := range outs[1:] {
-		for did, L := range out {
-			merged[did] = L
-		}
-	}
-	return merged, nil
-}
-
 // bulkNode computes, for every document, the per-child log scores at c0
 // (logprior included) using the SQL of Figure 3:
 //
@@ -194,8 +148,7 @@ func (m *Model) bulkNodeParts(parts [][]relstore.Tuple, statRows []relstore.Tupl
 //	COMPLETE(did, kcid, lpr2) = DOCLEN x children: -len * logdenom
 //	result = COMPLETE left outer join PARTIAL: lpr2 + coalesce(lpr1, 0)
 //
-// statRows is STAT_c0 sorted by (tid, kcid) — materialized once by the
-// caller and shared across partitions.
+// statRows is STAT_c0 sorted by (tid, kcid), materialized by the caller.
 func (m *Model) bulkNode(docByTid, statRows []relstore.Tuple, c0 *taxonomy.Node, opt BulkOptions) (map[int64][]float64, error) {
 	bp := m.DB.Pool()
 	kids := c0.Children

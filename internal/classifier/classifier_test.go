@@ -263,3 +263,37 @@ func TestProbeIOCounts(t *testing.T) {
 			sqlTouches, blobTouches)
 	}
 }
+
+// TestClassifyFeatureSideWalkIsBitIdentical: on a document with more terms
+// than any node has features, Classify walks F(c0) and probes the document;
+// SingleProbe always walks the document. Same matches, same order, so the
+// posteriors must be equal to the last bit.
+func TestClassifyFeatureSideWalkIsBitIdentical(t *testing.T) {
+	m, w := trainedModel(t, 10)
+	v := textproc.TermVector{}
+	for _, leaf := range m.Tree.Leaves() {
+		for _, toks := range w.ExampleDocs(leaf.ID, 4) {
+			for tid, f := range textproc.VectorOfTokens(toks) {
+				v[tid] += f
+			}
+		}
+	}
+	for _, c0 := range m.Tree.Internal() {
+		if n := m.NumFeatures(c0.ID); n >= len(v) {
+			t.Fatalf("%s has %d features, document only %d terms: the feature side is not exercised", c0.Name, n, len(v))
+		}
+	}
+	ref, err := m.SingleProbe(v, LayoutBLOB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.Classify(v)
+	if len(got) != len(ref) {
+		t.Fatalf("%d nodes, SingleProbe has %d", len(got), len(ref))
+	}
+	for id, want := range ref {
+		if got[id] != want {
+			t.Fatalf("node %d: Classify %v, SingleProbe %v (diff %g)", id, got[id], want, got[id]-want)
+		}
+	}
+}

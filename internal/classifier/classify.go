@@ -3,7 +3,7 @@ package classifier
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"focus/internal/relstore"
@@ -52,8 +52,12 @@ type thetaLookup func(c0 taxonomy.NodeID, tid uint32) (entries []childTheta, ok 
 // Terms are visited in ascending tid order, not map order: float accumulation
 // is order-sensitive at the ulp level, and a crawl resumed from a checkpoint
 // can only replay bit-identically if classification is deterministic.
-func (m *Model) posterior(v textproc.TermVector, lookup thetaLookup) (Posterior, error) {
-	tids := sortedTids(v)
+//
+// featSide is for the in-memory statistics only: a node with fewer feature
+// terms than the document has terms walks F(c0), already sorted, and probes
+// the document instead — the same matching terms in the same order.
+func (m *Model) posterior(v textproc.TermVector, lookup thetaLookup, featSide bool) (Posterior, error) {
+	var tids []uint32 // the document's tids, sorted when a node first walks them
 	post := Posterior{m.Tree.Root.ID: 1}
 	for _, c0 := range m.Tree.Internal() {
 		kids := m.kids[c0.ID]
@@ -67,8 +71,18 @@ func (m *Model) posterior(v textproc.TermVector, lookup thetaLookup) (Posterior,
 			L[i] = m.logPrior[k.ID]
 			pos[k.ID] = i
 		}
-		for _, tid := range tids {
-			freq := v[tid]
+		walk := m.featTids[c0.ID]
+		if !featSide || len(walk) >= len(v) {
+			if tids == nil {
+				tids = sortedTids(v)
+			}
+			walk = tids
+		}
+		for _, tid := range walk {
+			freq, inDoc := v[tid]
+			if !inDoc {
+				continue
+			}
 			entries, ok, err := lookup(c0.ID, tid)
 			if err != nil {
 				return nil, err
@@ -102,7 +116,7 @@ func sortedTids(v textproc.TermVector) []uint32 {
 	for tid := range v {
 		tids = append(tids, tid)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	slices.Sort(tids)
 	return tids
 }
 
@@ -128,7 +142,7 @@ func (m *Model) Classify(v textproc.TermVector) Posterior {
 	p, _ := m.posterior(v, func(c0 taxonomy.NodeID, tid uint32) ([]childTheta, bool, error) {
 		es, ok := m.statsMem[c0][tid]
 		return es, ok, nil
-	})
+	}, true)
 	return p
 }
 
@@ -155,9 +169,9 @@ const (
 func (m *Model) SingleProbe(v textproc.TermVector, layout ProbeLayout) (Posterior, error) {
 	switch layout {
 	case LayoutBLOB:
-		return m.posterior(v, m.lookupBlob)
+		return m.posterior(v, m.lookupBlob, false)
 	default:
-		return m.posterior(v, m.lookupSQL)
+		return m.posterior(v, m.lookupSQL, false)
 	}
 }
 
@@ -181,7 +195,7 @@ func (m *Model) SingleProbeTimed(v textproc.TermVector, layout ProbeLayout) (Pos
 		st.ProbeTime += time.Since(t0)
 		st.Probes++
 		return es, ok, err
-	})
+	}, false)
 	return p, st, err
 }
 

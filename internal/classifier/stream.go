@@ -1,11 +1,6 @@
 package classifier
 
-import (
-	"sync"
-
-	"focus/internal/relstore"
-	"focus/internal/textproc"
-)
+import "focus/internal/textproc"
 
 // BatchDoc is one document of an in-crawl classification batch: the did its
 // scratch DOCUMENT rows carry (the crawler passes the page oid) and its term
@@ -41,90 +36,10 @@ type BatchDoc struct {
 // posterior: a did with no rows (empty vector) is still in the batch and
 // falls through to the priors, matching per-page Classify on the same
 // vector. Posteriors agree with Classify to floating-point accumulation
-// order (the equivalence tests pin 1e-9).
-//
-// opt.Parallelism hash-partitions the batch by did (one
-// relstore.PartitionByKey pass over (did, index) header tuples) and
-// classifies the partitions concurrently; a document's rows always travel
-// together, so per-document results are independent of the partition count.
-// dids should be distinct; duplicates land in the same partition and the
-// last posterior wins.
-func (m *Model) BulkClassifyStream(docs []BatchDoc, opt BulkOptions) (map[int64]Posterior, error) {
-	post := make(map[int64]Posterior, len(docs))
-	if len(docs) == 0 {
-		return post, nil
-	}
-	p := opt.Parallelism
-	if p > len(docs) {
-		p = len(docs)
-	}
-	if p <= 1 {
-		m.streamPosteriors(docs, post)
-		return post, nil
-	}
-	// Hash-partition by did, reusing the distiller's partition machinery on
-	// a header tuple per document (did, batch index).
-	hdr := make([]relstore.Tuple, len(docs))
-	for i := range docs {
-		hdr[i] = relstore.Tuple{relstore.I64(docs[i].DID), relstore.I64(int64(i))}
-	}
-	parts, err := relstore.PartitionByKey(relstore.NewSliceIter(hdr), p, relstore.KeyOfCols(0))
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]map[int64]Posterior, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		sub := make([]BatchDoc, len(part))
-		for j, t := range part {
-			sub[j] = docs[t[1].Int()]
-		}
-		outs[i] = make(map[int64]Posterior, len(sub))
-		wg.Add(1)
-		go func(i int, sub []BatchDoc) {
-			defer wg.Done()
-			m.streamPosteriors(sub, outs[i])
-		}(i, sub)
-	}
-	wg.Wait()
-	for _, out := range outs {
-		for did, pr := range out {
-			post[did] = pr
-		}
-	}
-	return post, nil
-}
-
-// InsertDocsBuf appends several documents' term vectors to a DOCUMENT
-// table through one reused encode buffer and row tuple (Table.InsertBuf) —
-// the set-oriented ingest of the crawl's batched classification stage,
-// which groups a classified batch by DOCUMENT stripe and loads each
-// stripe's rows in one pass. Row-for-row it writes exactly what InsertDoc
-// writes; it just refuses to pay one tuple and one record allocation per
-// term row.
-func InsertDocsBuf(tb *relstore.Table, docs []BatchDoc) error {
-	var buf []byte
-	row := relstore.Tuple{relstore.I64(0), relstore.I64(0), relstore.I32(0)}
-	for i := range docs {
-		row[0] = relstore.I64(docs[i].DID)
-		for tid, freq := range docs[i].Vec {
-			row[1] = relstore.I64(int64(tid))
-			row[2] = relstore.I32(freq)
-			var err error
-			if _, buf, err = tb.InsertBuf(buf, row); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// streamPosteriors runs the fused Figure 3 plan over one partition of the
-// batch, writing each document's posterior into post (keyed by did).
-func (m *Model) streamPosteriors(docs []BatchDoc, post map[int64]Posterior) {
+// order (the equivalence tests pin 1e-9). dids should be distinct; of
+// duplicates the last posterior wins. opt is not read: nothing is sorted or
+// spilled.
+func (m *Model) BulkClassifyStream(docs []BatchDoc, _ BulkOptions) (map[int64]Posterior, error) {
 	// Build side, shared by every node's join: tid -> chain of (doc, freq)
 	// postings. The chain is three flat arrays plus one head index per
 	// distinct tid — a classic hash-join build with no per-tid allocation.
@@ -149,6 +64,7 @@ func (m *Model) streamPosteriors(docs []BatchDoc, post map[int64]Posterior) {
 			head[tid] = idx
 		}
 	}
+	post := make(map[int64]Posterior, len(docs))
 	for i := range docs {
 		post[docs[i].DID] = Posterior{m.Tree.Root.ID: 1}
 	}
@@ -216,4 +132,5 @@ func (m *Model) streamPosteriors(docs []BatchDoc, post map[int64]Posterior) {
 			}
 		}
 	}
+	return post, nil
 }

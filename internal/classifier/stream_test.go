@@ -22,41 +22,38 @@ func TestStreamMatchesClassify(t *testing.T) {
 			did++
 		}
 	}
-	for _, par := range []int{1, 4} {
-		bulk, err := m.BulkClassifyStream(docs, BulkOptions{Parallelism: par})
+	bulk, err := m.BulkClassifyStream(docs, BulkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bulk) != len(docs) {
+		t.Fatalf("%d posteriors for %d docs", len(bulk), len(docs))
+	}
+	for _, d := range docs {
+		ref := m.Classify(d.Vec)
+		got := bulk[d.DID]
+		if got == nil {
+			t.Fatalf("no posterior for did %d", d.DID)
+		}
+		for id, want := range ref {
+			if math.Abs(got[id]-want) > 1e-9 {
+				t.Fatalf("did %d node %d: stream=%.12f ref=%.12f", d.DID, id, got[id], want)
+			}
+		}
+	}
+	// Run-to-run determinism: float accumulation order decides resume
+	// bit-identity, so a rerun must reproduce every posterior exactly,
+	// not merely within tolerance.
+	for rerun := 0; rerun < 10; rerun++ {
+		again, err := m.BulkClassifyStream(docs, BulkOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(bulk) != len(docs) {
-			t.Fatalf("parallelism %d: %d posteriors for %d docs", par, len(bulk), len(docs))
-		}
 		for _, d := range docs {
-			ref := m.Classify(d.Vec)
-			got := bulk[d.DID]
-			if got == nil {
-				t.Fatalf("parallelism %d: no posterior for did %d", par, d.DID)
-			}
-			for id, want := range ref {
-				if math.Abs(got[id]-want) > 1e-9 {
-					t.Fatalf("parallelism %d did %d node %d: stream=%.12f ref=%.12f",
-						par, d.DID, id, got[id], want)
-				}
-			}
-		}
-		// Run-to-run determinism: float accumulation order decides resume
-		// bit-identity, so a rerun must reproduce every posterior exactly,
-		// not merely within tolerance.
-		for rerun := 0; rerun < 10; rerun++ {
-			again, err := m.BulkClassifyStream(docs, BulkOptions{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range docs {
-				for id, want := range bulk[d.DID] {
-					if got := again[d.DID][id]; got != want {
-						t.Fatalf("parallelism %d rerun %d did %d node %d: %v, first run %v (diff %g)",
-							par, rerun, d.DID, id, got, want, got-want)
-					}
+			for id, want := range bulk[d.DID] {
+				if got := again[d.DID][id]; got != want {
+					t.Fatalf("rerun %d did %d node %d: %v, first run %v (diff %g)",
+						rerun, d.DID, id, got, want, got-want)
 				}
 			}
 		}
@@ -76,29 +73,26 @@ func TestStreamClassifiesEmptyAndSingleTermDocs(t *testing.T) {
 		{DID: 3, Vec: textproc.TermVector{textproc.TermID("zzzznotaword"): 3}}, // single non-feature term
 		{DID: 4, Vec: textproc.TermVector{textproc.TermID("cycling"): 1}},      // single feature term
 	}
-	for _, par := range []int{1, 3} {
-		bulk, err := m.BulkClassifyStream(docs, BulkOptions{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
+	bulk, err := m.BulkClassifyStream(docs, BulkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		ref := m.Classify(d.Vec)
+		got := bulk[d.DID]
+		if got == nil {
+			t.Fatalf("did %d dropped from the batch", d.DID)
 		}
-		for _, d := range docs {
-			ref := m.Classify(d.Vec)
-			got := bulk[d.DID]
-			if got == nil {
-				t.Fatalf("parallelism %d: did %d dropped from the batch", par, d.DID)
-			}
-			for id, want := range ref {
-				if math.Abs(got[id]-want) > 1e-9 {
-					t.Fatalf("parallelism %d did %d node %d: stream=%.12f ref=%.12f",
-						par, d.DID, id, got[id], want)
-				}
+		for id, want := range ref {
+			if math.Abs(got[id]-want) > 1e-9 {
+				t.Fatalf("did %d node %d: stream=%.12f ref=%.12f", d.DID, id, got[id], want)
 			}
 		}
 	}
 	// The empty documents specifically must land on the pure prior
 	// posterior (root mass pushed down by priors alone).
 	prior := m.Classify(textproc.TermVector{})
-	bulk, err := m.BulkClassifyStream(docs[:2], BulkOptions{})
+	bulk, err = m.BulkClassifyStream(docs[:2], BulkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,63 +100,6 @@ func TestStreamClassifiesEmptyAndSingleTermDocs(t *testing.T) {
 		for id, want := range prior {
 			if math.Abs(bulk[did][id]-want) > 1e-12 {
 				t.Fatalf("empty did %d node %d: %.15f, prior %.15f", did, id, bulk[did][id], want)
-			}
-		}
-	}
-}
-
-// TestBulkPartitionInvarianceProperty pins that hash-partitioning a batch
-// by did never changes any document's result beyond floating-point
-// accumulation order (1e-12, the partition-invariance tolerance the
-// distiller's property tests use), for both batch entry points: the
-// table-backed BulkClassify and BulkClassifyStream.
-func TestBulkPartitionInvarianceProperty(t *testing.T) {
-	m, w := trainedModel(t, 10)
-	doc, err := m.DB.CreateTable("DOCUMENT#partprop", DocSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var docs []BatchDoc
-	did := int64(100)
-	for _, leaf := range []string{"cycling", "running", "news"} {
-		for _, toks := range w.ExampleDocs(m.Tree.ByName(leaf).ID, 7) {
-			v := textproc.VectorOfTokens(toks)
-			docs = append(docs, BatchDoc{DID: did, Vec: v})
-			if err := InsertDoc(doc, did, v); err != nil {
-				t.Fatal(err)
-			}
-			did++
-		}
-	}
-	serialTab, err := m.BulkClassify(doc, BulkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialStream, err := m.BulkClassifyStream(docs, BulkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 3, 5, 8} {
-		partTab, err := m.BulkClassify(doc, BulkOptions{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		partStream, err := m.BulkClassifyStream(docs, BulkOptions{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range docs {
-			for id, want := range serialTab[d.DID] {
-				if got := partTab[d.DID][id]; math.Abs(got-want) > 1e-12 {
-					t.Fatalf("table P=%d did %d node %d: %.17g vs serial %.17g",
-						p, d.DID, id, got, want)
-				}
-			}
-			for id, want := range serialStream[d.DID] {
-				if got := partStream[d.DID][id]; math.Abs(got-want) > 1e-12 {
-					t.Fatalf("stream P=%d did %d node %d: %.17g vs serial %.17g",
-						p, d.DID, id, got, want)
-				}
 			}
 		}
 	}

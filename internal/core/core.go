@@ -28,8 +28,8 @@ type Config struct {
 	ExamplesPerTopic int
 	// Train tunes the classifier.
 	Train classifier.TrainConfig
-	// Crawl tunes the crawler, including Workers and FrontierShards (the
-	// host-partitioned frontier defaults to one shard per worker).
+	// Crawl tunes the crawler, including Workers (the host-partitioned
+	// frontier has one shard per worker).
 	Crawl crawler.Config
 	// Frames sizes the buffer pool (default 4096 frames = 16 MiB).
 	Frames int

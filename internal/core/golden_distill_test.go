@@ -21,7 +21,7 @@ import (
 //	         over Crawler.Tables()
 //
 // That crawl visited 386 pages and stored 6495 LINK rows. A 1-worker crawl
-// defaults to LinkStripes=1, which must reproduce the single-table LINK
+// has one LINK stripe, which must reproduce the single-table LINK
 // contents exactly, so the distiller — reading the striped store through
 // its merged view — must land on bit-equal scores. This pins the link
 // ingest semantics (dedup, EF/EB weights, incoming-weight refresh) the way

@@ -15,7 +15,7 @@ import (
 //	Crawl: crawler.Config{Workers: 1, MaxFetches: 400, DistillEvery: 150}
 //	Seeds: SeedTopic("cycling", 10)
 //
-// A 1-worker sharded crawl defaults to FrontierShards=1, which must
+// A 1-worker sharded crawl has one frontier shard, which must
 // reproduce the pre-shard checkout order exactly; this test guards the
 // (numtries ASC, relevance DESC, serverload ASC) priority semantics against
 // bugs introduced by the shard refactor.

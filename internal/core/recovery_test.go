@@ -151,6 +151,123 @@ func TestGoldenResumeSeed1(t *testing.T) {
 	}
 }
 
+// checkRecoveredCrawl asserts what every resumed crawl must satisfy before it
+// runs on: no lost or duplicated visits, and LINK stripes whose two indexes
+// mirror their heaps.
+func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointState, cr2 *crawler.Crawler) {
+	t.Helper()
+	// No lost or duplicated visits: Resume already cross-checked the
+	// visited row count against the persisted counter; on top of
+	// that, every harvest oid must be unique and the visit sequence
+	// dense in [1, Visit-at-checkpoint].
+	log := cr2.HarvestLog()
+	if int64(len(log)) != st.Visited {
+		t.Fatalf("recovered harvest %d points, checkpoint counter %d", len(log), st.Visited)
+	}
+	seen := make(map[int64]bool, len(log))
+	for i, h := range log {
+		if seen[h.OID] {
+			t.Fatalf("oid %d visited twice in recovered harvest", h.OID)
+		}
+		seen[h.OID] = true
+		if i > 0 && log[i-1].Seq >= h.Seq {
+			t.Fatalf("harvest seq not increasing at %d: %d then %d", i, log[i-1].Seq, h.Seq)
+		}
+	}
+
+	// bysrc/bydst mirror consistency: every stored edge must be
+	// reachable through both indexes.
+	for i := 0; i < st.LinkStripes; i++ {
+		tb := db2.Table(fmt.Sprintf("LINK#%d", i))
+		if tb == nil {
+			t.Fatalf("missing LINK#%d", i)
+		}
+		bysrc, bydst := tb.Index("bysrc"), tb.Index("bydst")
+		var rows int64
+		err := tb.Scan(func(rid relstore.RID, tp relstore.Tuple) (bool, error) {
+			rows++
+			src, dst := tp[linkgraph.ColSrc], tp[linkgraph.ColDst]
+			if r, ok, err := bysrc.Lookup(relstore.EncodeKey(src, dst)); err != nil || !ok || r != rid {
+				return true, fmt.Errorf("bysrc mirror broken for edge %d->%d (ok=%v err=%v)", src.Int(), dst.Int(), ok, err)
+			}
+			if r, ok, err := bydst.Lookup(relstore.EncodeKey(dst, src)); err != nil || !ok || r != rid {
+				return true, fmt.Errorf("bydst mirror broken for edge %d->%d (ok=%v err=%v)", src.Int(), dst.Int(), ok, err)
+			}
+			return false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != tb.Rows() {
+			t.Fatalf("LINK#%d scan saw %d rows, heap says %d", i, rows, tb.Rows())
+		}
+	}
+}
+
+// TestResumeAtDifferentWorkers: the shard and stripe counts are a property
+// of the stored tables, so a crawl checkpointed at Workers=4 and resumed at
+// Workers=2 keeps four of each, passes the recovered-crawl checks, and spends
+// the rest of its budget.
+func TestResumeAtDifferentWorkers(t *testing.T) {
+	cfg := Config{
+		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
+		GoodTopics: []string{"cycling"},
+		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
+		Crawl: crawler.Config{
+			Workers:         4,
+			MaxFetches:      200,
+			DistillEvery:    100,
+			CheckpointEvery: 40,
+		},
+	}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SeedTopic("cycling", 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Crawl.Workers = 2
+	cfg.Crawl.MaxFetches = 500
+	resumed, err := ResumeSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := resumed.Crawler
+	if got := cr.NumShards(); got != 4 {
+		t.Fatalf("NumShards = %d after resume at Workers=2, want the checkpoint's 4", got)
+	}
+	if got := cr.Links().NumStripes(); got != 4 {
+		t.Fatalf("NumStripes = %d after resume at Workers=2, want the checkpoint's 4", got)
+	}
+	st, err := crawler.ReadCheckpoint(resumed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecoveredCrawl(t, resumed.DB, st, cr)
+	res, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fetches < 500 {
+		t.Fatalf("resumed crawl stopped at %d fetches (stagnated=%v), budget 500", res.Fetches, res.Stagnated)
+	}
+	if res.Visited <= st.Visited || int64(len(cr.HarvestLog())) != res.Visited {
+		t.Fatalf("resumed crawl visited %d (harvest log %d), checkpoint had %d",
+			res.Visited, len(cr.HarvestLog()), st.Visited)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveryCrashStress injects a disk fault mid-crawl — the write fails
 // partway through a checkpoint, the crawl aborts, and the database is
 // reopened from the same memory-backed disk image, exactly what a kill -9
@@ -252,52 +369,7 @@ func TestRecoveryCrashStress(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// No lost or duplicated visits: Resume already cross-checked the
-			// visited row count against the persisted counter; on top of
-			// that, every harvest oid must be unique and the visit sequence
-			// dense in [1, Visit-at-checkpoint].
-			log := cr2.HarvestLog()
-			if int64(len(log)) != st.Visited {
-				t.Fatalf("recovered harvest %d points, checkpoint counter %d", len(log), st.Visited)
-			}
-			seen := make(map[int64]bool, len(log))
-			for i, h := range log {
-				if seen[h.OID] {
-					t.Fatalf("oid %d visited twice in recovered harvest", h.OID)
-				}
-				seen[h.OID] = true
-				if i > 0 && log[i-1].Seq >= h.Seq {
-					t.Fatalf("harvest seq not increasing at %d: %d then %d", i, log[i-1].Seq, h.Seq)
-				}
-			}
-
-			// bysrc/bydst mirror consistency: every stored edge must be
-			// reachable through both indexes.
-			for i := 0; i < st.LinkStripes; i++ {
-				tb := db2.Table(fmt.Sprintf("LINK#%d", i))
-				if tb == nil {
-					t.Fatalf("missing LINK#%d", i)
-				}
-				bysrc, bydst := tb.Index("bysrc"), tb.Index("bydst")
-				var rows int64
-				err := tb.Scan(func(rid relstore.RID, tp relstore.Tuple) (bool, error) {
-					rows++
-					src, dst := tp[linkgraph.ColSrc], tp[linkgraph.ColDst]
-					if r, ok, err := bysrc.Lookup(relstore.EncodeKey(src, dst)); err != nil || !ok || r != rid {
-						return true, fmt.Errorf("bysrc mirror broken for edge %d->%d (ok=%v err=%v)", src.Int(), dst.Int(), ok, err)
-					}
-					if r, ok, err := bydst.Lookup(relstore.EncodeKey(dst, src)); err != nil || !ok || r != rid {
-						return true, fmt.Errorf("bydst mirror broken for edge %d->%d (ok=%v err=%v)", src.Int(), dst.Int(), ok, err)
-					}
-					return false, nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rows != tb.Rows() {
-					t.Fatalf("LINK#%d scan saw %d rows, heap says %d", i, rows, tb.Rows())
-				}
-			}
+			checkRecoveredCrawl(t, db2, st, cr2)
 
 			// The recovered crawl keeps going and finishes cleanly.
 			res, err := cr2.Run()

@@ -12,14 +12,13 @@ package crawler
 // rebuilt from the relations at Resume, which keeps the checkpoint write
 // small and the single source of truth on disk.
 //
-// Bit-identical resume is pinned under the same discipline as the
-// FrontierShards=1/LinkStripes=1 equivalences: Workers=1 (so the quiesce
-// point always falls between complete() tails, with nothing in flight) and
-// deterministic fetching. Multi-worker checkpoints are still crash-
-// consistent — no lost or duplicated visits — but rows checked out at the
-// quiesce point flip back to the frontier on resume and their fetch attempts
-// are re-spent, so counters and visit order may differ from the
-// uninterrupted run.
+// Bit-identical resume is pinned under the same discipline as the one-shard,
+// one-stripe goldens: Workers=1 (so the quiesce point always falls between
+// complete() tails, with nothing in flight) and deterministic fetching.
+// Multi-worker checkpoints are still crash-consistent — no lost or
+// duplicated visits — but rows checked out at the quiesce point flip back to
+// the frontier on resume and their fetch attempts are re-spent, so counters
+// and visit order may differ from the uninterrupted run.
 
 import (
 	"encoding/json"
@@ -331,9 +330,10 @@ func policyByName(name string) (Policy, bool) {
 // in-memory state — harvest log, per-shard serverSeen/insertSeq/frontier
 // counts, the link store's dst registry — is recomputed from the relations.
 // cfg supplies the knobs for the continued crawl (budget, workers,
-// politeness); the physical partitioning, mode, and policy come from the
-// checkpoint, and a cfg.Mode mismatch is refused. The fetcher must be
-// positioned to continue (see CheckpointState.Extra).
+// politeness); the shard and stripe counts (a property of the stored tables,
+// whatever cfg.Workers says), mode, and policy come from the checkpoint, and
+// a cfg.Mode mismatch is refused. The fetcher must be positioned to continue
+// (see CheckpointState.Extra).
 func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
 	if !db.Durable() {
 		return nil, errors.New("crawler: Resume requires a durable DB")
@@ -345,32 +345,15 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	if cfg.Mode != st.Mode {
 		return nil, fmt.Errorf("crawler: resume with mode %d, checkpoint was taken under mode %d", cfg.Mode, st.Mode)
 	}
-	// The partitioning is a physical property of the stored tables: the
-	// checkpoint's counts win over whatever cfg says.
-	cfg.FrontierShards = st.FrontierShards
-	cfg.LinkStripes = st.LinkStripes
-	cfg = cfg.withDefaults()
-	cfg.FrontierShards = st.FrontierShards
-	cfg.LinkStripes = st.LinkStripes
 	pol, ok := policyByName(st.Policy)
 	if !ok {
 		return nil, fmt.Errorf("crawler: checkpoint uses unknown checkout policy %q", st.Policy)
 	}
-	c := &Crawler{
-		cfg:         cfg,
-		db:          db,
-		model:       model,
-		fetcher:     fetcher,
-		policy:      pol,
-		pendingFwd:  make(map[int64]float64),
-		distillKick: make(chan struct{}, 1),
-	}
-	c.politeOn = c.cfg.HostMaxInflight > 0 || c.cfg.HostDelay > 0 ||
-		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
+	c := newCrawler(db, model, fetcher, cfg, pol)
 
 	now := time.Now()
 	var harvest []HarvestPoint
-	for i := 0; i < cfg.FrontierShards; i++ {
+	for i := 0; i < st.FrontierShards; i++ {
 		var ss CheckpointShard
 		if i < len(st.Shards) {
 			ss = st.Shards[i]
@@ -389,7 +372,7 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	}
 	c.harvest = harvest
 
-	if c.links, err = linkgraph.Attach(db, cfg.LinkStripes); err != nil {
+	if c.links, err = linkgraph.Attach(db, st.LinkStripes); err != nil {
 		return nil, err
 	}
 
@@ -427,7 +410,7 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 		c.hubs, c.auth, c.hubsAlt, c.authAlt = hubsAlt, authAlt, hubs, auth
 	}
 
-	for i := 0; i < cfg.LinkStripes; i++ {
+	for i := 0; i < st.LinkStripes; i++ {
 		tab := db.Table(fmt.Sprintf("DOCUMENT#%d", i))
 		if tab == nil {
 			return nil, fmt.Errorf("crawler: resume: missing table DOCUMENT#%d", i)

@@ -23,7 +23,7 @@ package crawler
 // worker, so stripe-grouped bulk loads of different partitions never
 // interleave one document's rows.
 //
-// Flush rule: when the queue goes idle for ClassifyFlush with a partial
+// Flush rule: when the queue goes idle for classifyFlush with a partial
 // batch pending, the stage flushes it. This bounds pipeline latency and is
 // what makes the pipeline deadlock-free: an empty frontier refills only
 // when queued visits complete and expand their links, so a batch that will
@@ -46,6 +46,10 @@ import (
 	"focus/internal/textproc"
 )
 
+// classifyFlush is how long a classify stage waits for the next fetched page
+// before flushing a partial batch.
+const classifyFlush = time.Millisecond
+
 // classifyItem is one successfully fetched page parked between its fetch
 // worker and the classifier stage.
 type classifyItem struct {
@@ -59,7 +63,7 @@ type classifyItem struct {
 
 // classifyLoop is one classifier-stage worker: it accumulates its
 // partition's channel into batches of ClassifyBatch, flushing early when
-// the queue idles for ClassifyFlush, and exits only when the channel is
+// the queue idles for classifyFlush, and exits only when the channel is
 // closed and drained — Run's guarantee that no in-flight batch outlives
 // the crawl. After a failure every stage keeps draining (completing
 // nothing, releasing inflight) so workers blocked on any queue always
@@ -82,7 +86,7 @@ func (c *Crawler) classifyLoop(ch <-chan classifyItem) {
 		}
 		batch = batch[:0]
 	}
-	idle := time.NewTimer(c.cfg.ClassifyFlush)
+	idle := time.NewTimer(classifyFlush)
 	if !idle.Stop() {
 		<-idle.C
 	}
@@ -99,7 +103,7 @@ func (c *Crawler) classifyLoop(ch <-chan classifyItem) {
 			flush()
 			continue
 		}
-		idle.Reset(c.cfg.ClassifyFlush)
+		idle.Reset(classifyFlush)
 		select {
 		case item, ok := <-ch:
 			if !idle.Stop() {
@@ -136,10 +140,7 @@ func (c *Crawler) flushBatch(batch []classifyItem) error {
 	for i, it := range batch {
 		docs[i] = classifier.BatchDoc{DID: it.oid, Vec: it.vec}
 	}
-	// Each stage worker classifies its batch serially: the fan-out across
-	// stage workers is the parallelism, and nesting BulkOptions.Parallelism
-	// inside an already-partitioned batch would only add goroutine churn.
-	post, err := c.model.BulkClassifyStream(docs, classifier.BulkOptions{Parallelism: 1})
+	post, err := c.model.BulkClassifyStream(docs, classifier.BulkOptions{})
 	if err == nil && !c.cfg.SkipDocuments {
 		err = c.insertDocBatch(docs)
 	}
@@ -238,12 +239,11 @@ func (c *Crawler) dropOrphanDocRows(items []classifyItem) error {
 	return nil
 }
 
-// insertDocBatch loads the batch's DOCUMENT rows set-orientedly: grouped
-// by stripe, one lock acquisition and one reused encode buffer per stripe
-// (classifier.InsertDocsBuf), instead of the inline path's per-visit
-// per-row inserts. The rows land before the batch's visits are marked,
-// where the inline path writes them just after each visit persists; the
-// DOCUMENT relation is analytical (read through post-crawl Doc()
+// insertDocBatch loads the batch's DOCUMENT rows grouped by stripe
+// (classifier.InsertDocsBuf), one lock acquisition per stripe instead of the
+// inline path's one per visit. The rows land before the batch's visits are
+// marked, where the inline path writes them just after each visit persists;
+// the DOCUMENT relation is analytical (read through post-crawl Doc()
 // snapshots), so only the rows' existence matters, not that ordering.
 func (c *Crawler) insertDocBatch(docs []classifier.BatchDoc) error {
 	byStripe := make(map[*docStripe][]classifier.BatchDoc, len(c.docs))

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
-	"focus/internal/distiller"
 	"focus/internal/relstore"
 	"focus/internal/textproc"
 )
@@ -23,7 +21,7 @@ func TestClassifyBatchCompletesVisits(t *testing.T) {
 	}}
 	c, _ := newTestCrawler(t, f, Config{
 		Workers: 1, MaxFetches: 10,
-		ClassifyBatch: 64, ClassifyFlush: 100 * time.Microsecond,
+		ClassifyBatch: 64,
 	})
 	c.Seed([]string{"http://a.test/1"})
 	res, err := c.Run()
@@ -107,10 +105,8 @@ func classifyPipelineStress(t *testing.T, classifyPar int) {
 		Workers:             8,
 		MaxFetches:          1000,
 		ClassifyBatch:       16,
-		ClassifyFlush:       200 * time.Microsecond,
 		ClassifyParallelism: classifyPar,
 		DistillEvery:        25,
-		Distill:             distiller.Config{Parallelism: 2},
 	})
 	if err := c.Seed(urls[:4]); err != nil {
 		t.Fatal(err)

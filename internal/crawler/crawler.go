@@ -42,23 +42,9 @@ type Config struct {
 	// Workers is the number of concurrent fetch threads (default 8; the
 	// paper ran about thirty).
 	Workers int
-	// FrontierShards is the number of host-partitioned frontier shards
-	// (default Workers). Each shard owns its slice of the CRAWL relation
-	// with its own priority index and lock; workers pop from whichever
-	// shard's published head is globally best. 1 reproduces the pre-shard
-	// single-frontier behavior exactly.
-	FrontierShards int
-	// LinkStripes is the number of source-hashed stripes of the LINK store
-	// and of the DOCUMENT relation (default Workers). Each stripe has its
-	// own table, indexes, and lock, so workers ingesting different pages'
-	// out-links proceed in parallel. 1 reproduces the pre-stripe
-	// single-table LINK (and DOCUMENT) exactly.
-	LinkStripes int
 	// MaxFetches is the fetch-attempt budget; the crawl stops after this
 	// many attempts (default 1000).
 	MaxFetches int64
-	// MaxVisited optionally stops after this many successful page visits.
-	MaxVisited int64
 	// Mode selects soft focus, hard focus, or the unfocused baseline.
 	Mode Mode
 	// MaxRetries is the per-URL transient failure budget (default 3;
@@ -91,8 +77,7 @@ type Config struct {
 	// DistillEvery runs the distiller after every k page visits
 	// (0 disables distillation).
 	DistillEvery int64
-	// Distill configures those runs (including Distill.Parallelism, the
-	// goroutines a HITS half-iteration is split across).
+	// Distill configures those runs.
 	Distill distiller.Config
 	// DistillBarrier selects the legacy stop-the-world distillation: the
 	// whole HITS run executes under the full barrier and every worker
@@ -117,12 +102,6 @@ type Config struct {
 	// classification inline in the workers — the pre-batch path,
 	// bit-identical (golden-pinned).
 	ClassifyBatch int
-	// ClassifyFlush is how long the classify stage waits for the next
-	// fetched page before flushing a partial batch (default 1ms). The
-	// flush bounds pipeline latency and guarantees the crawl can never
-	// deadlock waiting on a batch that will not fill: a flushed visit
-	// expands links, which is what refills an empty frontier.
-	ClassifyFlush time.Duration
 	// ClassifyParallelism is the number of classifier stage workers
 	// (default 1). Queued pages are hash-partitioned by did (oid mod P,
 	// the same routing rule the DOCUMENT stripes use) across the stage
@@ -156,12 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.FrontierShards <= 0 {
-		c.FrontierShards = c.Workers
-	}
-	if c.LinkStripes <= 0 {
-		c.LinkStripes = c.Workers
-	}
 	if c.MaxFetches <= 0 {
 		c.MaxFetches = 1000
 	}
@@ -180,9 +153,6 @@ func (c Config) withDefaults() Config {
 	//focuslint:ignore zerodefault negative disables the boost downstream in boostDelta
 	if c.HubNeighborBoost == 0 {
 		c.HubNeighborBoost = 0.75
-	}
-	if c.ClassifyFlush <= 0 {
-		c.ClassifyFlush = time.Millisecond
 	}
 	if c.ClassifyParallelism <= 0 {
 		c.ClassifyParallelism = 1
@@ -238,12 +208,14 @@ type Result struct {
 }
 
 // Crawler owns the crawl state. The CRAWL relation is partitioned by host
-// into FrontierShards shards (see shard.go), each with its own B+tree
-// priority index and mutex; the LINK relation is striped by source oid into
-// LinkStripes partitions with their own locks (internal/linkgraph), and the
-// DOCUMENT relation is striped the same way under per-stripe RWMutexes — so
-// workers on different shards and stripes touch disjoint tables and proceed
-// in parallel. Only the harvest log, visit sequencing, distillation state
+// into one frontier shard per worker (see shard.go), each with its own
+// B+tree priority index and mutex; the LINK relation is striped by source
+// oid into one partition per worker with its own lock (internal/linkgraph),
+// and the DOCUMENT relation is striped the same way under per-stripe
+// RWMutexes — so workers on different shards and stripes touch disjoint
+// tables and proceed in parallel. The counts are a physical property of the
+// stored tables: a resumed crawl keeps its checkpoint's whatever Workers it
+// continues with. Only the harvest log, visit sequencing, distillation state
 // (HUBS/AUTH), and the policy still serialize through the global mutex.
 // Fetches (the expensive, high-latency part) run outside all locks, and so
 // does classification (the model's in-memory statistics are read-only after
@@ -253,8 +225,8 @@ type Result struct {
 // DESC, serverload ASC) is preserved *within* each shard; across shards it
 // is approximate — each shard publishes its head's priority key and
 // workers pop from the shard whose head is globally best, so the global
-// order holds up to hint staleness and concurrent checkouts. With
-// FrontierShards=1 the pre-shard global order is reproduced exactly.
+// order holds up to hint staleness and concurrent checkouts. With one shard
+// (Workers=1) the global order is exact.
 //
 // Distillation is epoch-based and (by default) concurrent: the barrier
 // (every link stripe lock, then every shard lock, each ascending, then the
@@ -380,23 +352,39 @@ type Crawler struct {
 	distillFault func(epoch int64) error
 }
 
-// New creates a crawler over a fresh set of relations in db. The model must
-// be trained and its taxonomy marked with the crawl's good topics.
-func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
+// newCrawler is the construction New and Resume share: cfg with its defaults
+// applied and no relation created or attached yet.
+func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, pol Policy) *Crawler {
 	c := &Crawler{
 		cfg:         cfg.withDefaults(),
 		db:          db,
 		model:       model,
 		fetcher:     fetcher,
-		policy:      AggressiveDiscovery(),
+		policy:      pol,
 		pendingFwd:  make(map[int64]float64),
 		distillKick: make(chan struct{}, 1),
 	}
 	c.politeOn = c.cfg.HostMaxInflight > 0 || c.cfg.HostDelay > 0 ||
 		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
-	if c.cfg.Mode == ModeUnfocused {
-		c.policy = FIFO()
+	return c
+}
+
+// New creates a crawler over a fresh set of relations in db, with one
+// frontier shard and one LINK/DOCUMENT stripe per worker. The model must be
+// trained and its taxonomy marked with the crawl's good topics.
+func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
+	w := cfg.withDefaults().Workers
+	return newPartitioned(db, model, fetcher, cfg, w, w)
+}
+
+// newPartitioned is New with the partitioning given: shards frontier shards,
+// stripes LINK and DOCUMENT stripes.
+func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, shards, stripes int) (*Crawler, error) {
+	pol := AggressiveDiscovery()
+	if cfg.Mode == ModeUnfocused {
+		pol = FIFO()
 	}
+	c := newCrawler(db, model, fetcher, cfg, pol)
 	if c.cfg.CheckpointEvery > 0 && !db.Durable() {
 		return nil, errors.New("crawler: Config.CheckpointEvery requires a durable DB (relstore.CreateFile or OpenDurable)")
 	}
@@ -407,7 +395,7 @@ func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) 
 			return nil, err
 		}
 	}
-	for i := 0; i < c.cfg.FrontierShards; i++ {
+	for i := 0; i < shards; i++ {
 		sh, err := newShard(db, i, c.policy)
 		if err != nil {
 			return nil, err
@@ -415,7 +403,7 @@ func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) 
 		c.shards = append(c.shards, sh)
 	}
 	var err error
-	if c.links, err = linkgraph.New(db, c.cfg.LinkStripes); err != nil {
+	if c.links, err = linkgraph.New(db, stripes); err != nil {
 		return nil, err
 	}
 	// HUBS and AUTH are double-buffered: the published pair is what
@@ -446,7 +434,7 @@ func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) 
 	if c.authAlt, err = scoreTable("AUTH#spare"); err != nil {
 		return nil, err
 	}
-	for i := 0; i < c.cfg.LinkStripes; i++ {
+	for i := 0; i < stripes; i++ {
 		tab, err := db.CreateTable(fmt.Sprintf("DOCUMENT#%d", i), classifier.DocSchema())
 		if err != nil {
 			return nil, err
@@ -530,7 +518,7 @@ func (c *Crawler) snapshotCrawlLocked() (*relstore.Table, error) {
 	return snap, nil
 }
 
-// Links returns the striped LINK store. Its Scan/Iter/Rows surface is safe
+// Links returns the striped LINK store. Its Scan/Rows surface is safe
 // to use while the crawl runs (each stripe locks for its portion); for a
 // consistent cross-stripe snapshot use it after Run or via Tables.
 func (c *Crawler) Links() *linkgraph.Store { return c.links }
@@ -712,9 +700,7 @@ func (c *Crawler) Run() (Result, error) {
 			res.DeadByCause[deadCauseName[i]] = n
 		}
 	}
-	res.Stagnated = c.frontierEmpty() &&
-		res.Fetches < c.cfg.MaxFetches &&
-		(c.cfg.MaxVisited == 0 || res.Visited < c.cfg.MaxVisited)
+	res.Stagnated = c.frontierEmpty() && res.Fetches < c.cfg.MaxFetches
 	return res, nil
 }
 
@@ -728,13 +714,7 @@ func (c *Crawler) frontierEmpty() bool {
 }
 
 func (c *Crawler) budgetSpent() bool {
-	if c.fetches.Load() >= c.cfg.MaxFetches {
-		return true
-	}
-	if c.cfg.MaxVisited > 0 && c.visited.Load() >= c.cfg.MaxVisited {
-		return true
-	}
-	return false
+	return c.fetches.Load() >= c.cfg.MaxFetches
 }
 
 func (c *Crawler) worker(w int) error {

@@ -266,7 +266,7 @@ func TestLinkDedupAndWeightRefresh(t *testing.T) {
 // serial count.
 func TestLinkDedupAcrossBatchesStress(t *testing.T) {
 	c, _ := newTestCrawler(t, &stubFetcher{pages: map[string]*Fetch{}},
-		Config{Workers: 4, LinkStripes: 4})
+		Config{Workers: 4})
 	store := c.Links()
 
 	const workers = 4
@@ -472,27 +472,5 @@ func TestConcurrentWorkers(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("%s fetched %d times", u, n)
 		}
-	}
-}
-
-func TestMaxVisitedBudget(t *testing.T) {
-	pages := map[string]*Fetch{}
-	for i := 0; i < 30; i++ {
-		u := fmt.Sprintf("http://a.test/p%d", i)
-		next := fmt.Sprintf("http://a.test/p%d", i+1)
-		pages[u] = page(u, "alpha", next)
-	}
-	f := &stubFetcher{pages: pages}
-	c, _ := newTestCrawler(t, f, Config{Workers: 1, MaxFetches: 1000, MaxVisited: 5})
-	c.Seed([]string{"http://a.test/p0"})
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visited != 5 {
-		t.Fatalf("visited = %d, want 5", res.Visited)
-	}
-	if res.Stagnated {
-		t.Fatal("budget stop misreported as stagnation")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"focus/internal/distiller"
 	"focus/internal/relstore"
 )
 
@@ -59,7 +58,6 @@ func TestConcurrentDistillPublishStress(t *testing.T) {
 		Workers:      8,
 		MaxFetches:   1000,
 		DistillEvery: 10,
-		Distill:      distiller.Config{Parallelism: 4},
 	}
 	c, _ := newTestCrawler(t, &stubFetcher{pages: pages}, cfg)
 	if err := c.Seed(urls[:4]); err != nil {

@@ -348,7 +348,7 @@ func TestPoliteHostDarkStress(t *testing.T) {
 	if res.Failed != res.TimeoutFailures+res.NotFoundFailures+res.RateLimitedFailures {
 		t.Fatalf("cause counters do not partition Failed: %+v", res)
 	}
-	if !res.Stagnated && res.Fetches < 300 && (res.Visited < c.cfg.MaxVisited || c.cfg.MaxVisited == 0) {
+	if !res.Stagnated && res.Fetches < 300 {
 		t.Fatalf("crawl ended early without stagnating: %+v", res)
 	}
 	// No row may be stranded in flight, and the status counts must match

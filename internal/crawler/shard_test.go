@@ -242,7 +242,11 @@ func TestShardPartitionDisjoint(t *testing.T) {
 func TestShardCountIndependence(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		f := genSite(13, 150, 9, 0)
-		c, _ := newTestCrawler(t, f, Config{Workers: 4, FrontierShards: shards, MaxFetches: 500})
+		db, m := tinyModel(t)
+		c, err := newPartitioned(db, m, f, Config{Workers: 4, MaxFetches: 500}, shards, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := c.NumShards(); got != shards {
 			t.Fatalf("NumShards = %d, want %d", got, shards)
 		}

@@ -29,13 +29,12 @@ import (
 )
 
 // LinkRel is the read surface the distiller needs from the LINK relation:
-// a sequential scan and a materializing iterator. A plain *relstore.Table
-// satisfies it, and so do the crawler's striped linkgraph store and its
-// barrier-locked view — the distiller is agnostic to how the edges are
-// partitioned, as long as one logical relation comes back.
+// a sequential scan. A plain *relstore.Table satisfies it, and so do the
+// crawler's striped linkgraph store and its barrier-locked view — the
+// distiller is agnostic to how the edges are partitioned, as long as one
+// logical relation comes back.
 type LinkRel interface {
 	Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error
-	Iter() (relstore.Iterator, error)
 }
 
 // Tables names the relations the distiller reads and writes. The LINK
@@ -65,14 +64,6 @@ type Config struct {
 	// crawler's in-memory view of its sharded CRAWL relation), in which
 	// case Tables.Crawl is not consulted for the rho filter and may be nil.
 	Relevance map[int64]float64
-	// Parallelism is the number of goroutines a half-iteration is split
-	// across (default 1, serial). The join gives each a contiguous range of
-	// the groups being scored and keeps every group's summation order, so
-	// its tables are bit-equal at any value. The index walk partitions its
-	// edges by hash of the page being scored, and P>1 reproduces its P=1
-	// scores within 1e-12 after normalization (both pinned by the partition
-	// property tests). Tables.Link is only ever read from one goroutine.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -81,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Rho <= 0 {
 		c.Rho = 0.2
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
 	}
 	return c
 }
@@ -268,7 +256,7 @@ func Percentile(tb *relstore.Table, p float64) (psi float64, ok bool, err error)
 }
 
 // relevanceOf loads oid -> relevance from CRAWL (sequential scan; the index
-// walk's serial half probes the CRAWL index instead).
+// walk probes the CRAWL index instead).
 func relevanceOf(crawl *relstore.Table) (map[int64]float64, error) {
 	out := make(map[int64]float64)
 	oidCol := crawl.Schema.ColIndex("oid")

@@ -1,8 +1,6 @@
 package distiller
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"focus/internal/relstore"
@@ -39,9 +37,6 @@ func RunIndexWalk(db *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 }
 
 func walkHalf(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
-	if cfg.Parallelism > 1 {
-		return walkHalfPar(tb, cfg, fwd)
-	}
 	var bd Breakdown
 	src, dst := tb.Hubs, tb.Auth
 	if !fwd {
@@ -154,128 +149,4 @@ func walkHalf(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
 	err = normalize(dst)
 	bd.Update += time.Since(tUpd)
 	return bd, err
-}
-
-// walkHalfPar is walkHalf split into cfg.Parallelism partitions by hash of
-// the destination endpoint. The source score table (and, in the forward
-// half, CRAWL's relevance) is loaded into a read-only map up front, the
-// edge list is materialized and partitioned once, and each partition walks
-// its edges into a private accumulator — destination oids are disjoint
-// across partitions, so the merge is a map union. Tables are only touched
-// single-threaded (load before, write after); the walk itself is pure CPU.
-// Score values match the serial walk up to float summation order.
-func walkHalfPar(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
-	var bd Breakdown
-	src, dst := tb.Hubs, tb.Auth
-	if !fwd {
-		src, dst = tb.Auth, tb.Hubs
-	}
-
-	// Load the source scores (the walk's per-edge index lookups, batched).
-	t0 := time.Now()
-	srcScore := make(map[int64]float64)
-	err := src.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		srcScore[t[0].Int()] = t[1].Float()
-		return false, nil
-	})
-	if err != nil {
-		return bd, err
-	}
-	relOf := cfg.Relevance
-	if fwd && relOf == nil && tb.Crawl != nil {
-		if relOf, err = relevanceOf(tb.Crawl); err != nil {
-			return bd, err
-		}
-	}
-	if !fwd {
-		relOf = nil
-	}
-	bd.Lookup += time.Since(t0)
-
-	// Materialize + partition the edge list by destination endpoint.
-	t0 = time.Now()
-	linkIt, err := tb.Link.Iter()
-	if err != nil {
-		return bd, err
-	}
-	dstCol := lDst
-	if !fwd {
-		dstCol = lSrc
-	}
-	parts, err := relstore.PartitionByKey(
-		relstore.FilterIter(linkIt, cfg.keepEdge),
-		cfg.Parallelism, relstore.KeyOfCols(dstCol))
-	if err != nil {
-		return bd, err
-	}
-	bd.Scan += time.Since(t0)
-
-	accs := make([]map[int64]float64, len(parts))
-	bds := make([]Breakdown, len(parts))
-	var wg sync.WaitGroup
-	for pi := range parts {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			acc := make(map[int64]float64)
-			for _, t := range parts[pi] {
-				from, to := t[lSrc].Int(), t[lDst].Int()
-				w := cfg.revWeight(t)
-				if fwd {
-					w = cfg.fwdWeight(t)
-				} else {
-					from, to = to, from
-				}
-				s, ok := srcScore[from]
-				if !ok {
-					continue
-				}
-				if relOf != nil && relOf[to] <= cfg.Rho {
-					continue
-				}
-				if score := s * w; score != 0 {
-					acc[to] += score
-				}
-			}
-			accs[pi] = acc
-			bds[pi].Update += time.Since(t0)
-		}(pi)
-	}
-	wg.Wait()
-	for _, pbd := range bds {
-		bd.add(pbd)
-	}
-
-	// Merge (the accumulators hold disjoint oids, so this is pure
-	// concatenation), normalize, and write in ascending oid order — a
-	// deterministic heap order for downstream scans.
-	t0 = time.Now()
-	type scored struct {
-		oid   int64
-		score float64
-	}
-	var merged []scored
-	var sum float64
-	for _, acc := range accs {
-		for oid, s := range acc {
-			merged = append(merged, scored{oid, s})
-			sum += s
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].oid < merged[j].oid })
-	if err := dst.Truncate(); err != nil {
-		return bd, err
-	}
-	for _, m := range merged {
-		score := m.score
-		if sum > 0 {
-			score /= sum
-		}
-		if _, err := dst.Insert(relstore.Tuple{relstore.I64(m.oid), relstore.F64(score)}); err != nil {
-			return bd, err
-		}
-	}
-	bd.Update += time.Since(t0)
-	return bd, nil
 }

@@ -3,7 +3,6 @@ package distiller
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"time"
 
 	"focus/internal/relstore"
@@ -32,10 +31,7 @@ import (
 // score is 0 is still a row. With no eligible edge both tables end empty.
 //
 // Summation order: a group's terms are added in ascending peer oid, and a
-// normalization sum in ascending group oid. Parallelism > 1 sorts the two
-// orders concurrently and gives each goroutine a contiguous range of
-// groups; every group is still summed by one goroutine in that order, so
-// the tables are bit-equal at any Parallelism.
+// normalization sum in ascending group oid.
 //
 // The db argument is not read: nothing is spilled. The plan holds under 100
 // bytes per eligible edge in memory. Breakdown.Scan covers reading LINK and
@@ -57,9 +53,8 @@ func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 	bd.Scan += time.Since(t0)
 
 	t0 = time.Now()
-	inParallel(cfg.Parallelism > 1,
-		func() { slices.SortFunc(byDst, compareDstSrc) },
-		func() { slices.SortFunc(bySrc, compareSrcDst) })
+	slices.SortFunc(byDst, compareDstSrc)
+	slices.SortFunc(bySrc, compareSrcDst)
 	bd.Sort += time.Since(t0)
 
 	t0 = time.Now()
@@ -76,9 +71,9 @@ func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 	}
 	authScore := make([]float64, len(auth.oids))
 	for it := 0; it < cfg.Iterations; it++ {
-		auth.groupSums(authScore, hubScore, cfg.Parallelism)
+		auth.groupSums(authScore, hubScore)
 		normalizeScores(authScore)
-		hubs.groupSums(hubScore, authScore, cfg.Parallelism)
+		hubs.groupSums(hubScore, authScore)
 		normalizeScores(hubScore)
 	}
 	if err := loadScores(tb.Auth, auth.oids, authScore); err != nil {
@@ -181,32 +176,15 @@ func (o *edgeOrder) bindPeers(peerOIDs []int64) {
 }
 
 // groupSums is one half-iteration: out[g] = Σ in[peer] * weight over group
-// g's terms, in their stored order. With p > 1 the groups are split into p
-// contiguous ranges, one goroutine each.
-func (o *edgeOrder) groupSums(out, in []float64, p int) {
-	sumRange := func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			var s float64
-			for i := o.off[g]; i < o.off[g+1]; i++ {
-				s += in[o.peers[i]] * o.weights[i]
-			}
-			out[g] = s
+// g's terms, in their stored order.
+func (o *edgeOrder) groupSums(out, in []float64) {
+	for g := range o.oids {
+		var s float64
+		for i := o.off[g]; i < o.off[g+1]; i++ {
+			s += in[o.peers[i]] * o.weights[i]
 		}
+		out[g] = s
 	}
-	n := len(o.oids)
-	if p <= 1 {
-		sumRange(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < p; c++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sumRange(lo, hi)
-		}(c*n/p, (c+1)*n/p)
-	}
-	wg.Wait()
 }
 
 // normalizeScores rescales scores to sum to 1, adding them in index order;
@@ -239,20 +217,4 @@ func loadScores(tb *relstore.Table, oids []int64, scores []float64) error {
 		}
 	}
 	return nil
-}
-
-// inParallel runs f and g, concurrently when par is set.
-func inParallel(par bool, f, g func()) {
-	if !par {
-		f()
-		g()
-		return
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g()
-	}()
-	f()
-	<-done
 }

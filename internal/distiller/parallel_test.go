@@ -2,8 +2,6 @@ package distiller
 
 import (
 	"fmt"
-	"maps"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -147,94 +145,6 @@ func BenchmarkTop(b *testing.B) {
 	}
 }
 
-// assertScoresClose compares two score maps within tol — the walk's
-// partition property's 1e-12-after-normalization bound is tighter than the
-// 1e-9 the reference-equivalence tests use.
-func assertScoresClose(t *testing.T, got, want map[int64]float64, tol float64, label string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d scores, want %d", label, len(got), len(want))
-	}
-	for k, w := range want {
-		if g := got[k]; math.Abs(g-w) > tol {
-			t.Fatalf("%s: node %d score %.15f, want %.15f (|diff| %g > %g)",
-				label, k, g, w, math.Abs(g-w), tol)
-		}
-	}
-}
-
-// TestJoinPartitionInvarianceProperty: the join at P ∈ {2, 4, 7, 8} must
-// reproduce the P=1 tables exactly, zero rows included — splitting the
-// groups into contiguous ranges (uneven ones at P=7) changes which
-// goroutine sums a group, never the order of its terms.
-func TestJoinPartitionInvarianceProperty(t *testing.T) {
-	for seed := int64(11); seed < 14; seed++ {
-		edges, rel := randomGraph(seed, 250, 2000)
-		db1, tb1 := buildGraph(t, edges, rel)
-		if _, err := RunJoin(db1, tb1, Config{Iterations: 3}); err != nil {
-			t.Fatal(err)
-		}
-		refH, refA := tableRows(t, tb1.Hubs), tableRows(t, tb1.Auth)
-		for _, p := range []int{2, 4, 7, 8} {
-			db, tb := buildGraph(t, edges, rel)
-			if _, err := RunJoin(db, tb, Config{Iterations: 3, Parallelism: p}); err != nil {
-				t.Fatal(err)
-			}
-			if !maps.Equal(tableRows(t, tb.Hubs), refH) {
-				t.Errorf("seed %d P=%d: HUBS is not bit-equal to P=1", seed, p)
-			}
-			if !maps.Equal(tableRows(t, tb.Auth), refA) {
-				t.Errorf("seed %d P=%d: AUTH is not bit-equal to P=1", seed, p)
-			}
-		}
-	}
-}
-
-// TestWalkPartitionInvarianceProperty: the index walk's hash partitions
-// reorder its float sums, never the terms, so P ∈ {2, 4, 8} must reproduce
-// the P=1 scores within 1e-12 after normalization.
-func TestWalkPartitionInvarianceProperty(t *testing.T) {
-	for seed := int64(21); seed < 24; seed++ {
-		edges, rel := randomGraph(seed, 200, 1500)
-		db1, tb1 := buildGraph(t, edges, rel)
-		if _, err := RunIndexWalk(db1, tb1, Config{Iterations: 3}); err != nil {
-			t.Fatal(err)
-		}
-		refH, refA := tableScores(t, tb1.Hubs), tableScores(t, tb1.Auth)
-		for _, p := range []int{2, 4, 8} {
-			db, tb := buildGraph(t, edges, rel)
-			if _, err := RunIndexWalk(db, tb, Config{Iterations: 3, Parallelism: p}); err != nil {
-				t.Fatal(err)
-			}
-			assertScoresClose(t, tableScores(t, tb.Hubs), refH, 1e-12,
-				fmt.Sprintf("seed %d P=%d hubs", seed, p))
-			assertScoresClose(t, tableScores(t, tb.Auth), refA, 1e-12,
-				fmt.Sprintf("seed %d P=%d auth", seed, p))
-		}
-	}
-}
-
-// TestParallelMatchesReference: the partitioned plans must also satisfy the
-// in-memory reference directly, not only match P=1.
-func TestParallelMatchesReference(t *testing.T) {
-	edges, rel := randomGraph(31, 200, 1500)
-	cfg := Config{Iterations: 4, Parallelism: 4}
-	db, tb := buildGraph(t, edges, rel)
-	if _, err := RunJoin(db, tb, cfg); err != nil {
-		t.Fatal(err)
-	}
-	refH, refA := refHITS(edges, rel, cfg)
-	assertScoresMatch(t, tableScores(t, tb.Hubs), refH, "par join hubs")
-	assertScoresMatch(t, tableScores(t, tb.Auth), refA, "par join auth")
-
-	db2, tb2 := buildGraph(t, edges, rel)
-	if _, err := RunIndexWalk(db2, tb2, cfg); err != nil {
-		t.Fatal(err)
-	}
-	assertScoresMatch(t, tableScores(t, tb2.Hubs), refH, "par walk hubs")
-	assertScoresMatch(t, tableScores(t, tb2.Auth), refA, "par walk auth")
-}
-
 // tupleRel is a LINK relation held as decoded tuples, which is how the
 // engine hands it over (a linkgraph.Snapshot's materialized runs).
 type tupleRel []relstore.Tuple
@@ -247,8 +157,6 @@ func (r tupleRel) Scan(fn func(relstore.RID, relstore.Tuple) (bool, error)) erro
 	}
 	return nil
 }
-
-func (r tupleRel) Iter() (relstore.Iterator, error) { return relstore.NewSliceIter(r), nil }
 
 // crawlShapedGraph builds a LINK relation of the given size, and the
 // relevance view over its pages, at the shape a standard crawl leaves at its

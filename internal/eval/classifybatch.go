@@ -44,12 +44,12 @@ type ClassifyBatchConfig struct {
 	// Batches lists the ClassifyBatch settings to sweep (default 1, 16,
 	// 64; 1 is the inline baseline).
 	Batches []int
-	// Parallelism is the classifier-stage worker count: the classify
+	// ClassifyParallelism is the classifier-stage worker count: the classify
 	// queue is hash-partitioned by did across this many stage workers,
 	// each batching, classifying, and completing its own partition
 	// (default 1 — on a single core the batch plan's win is
 	// set-orientation, not parallelism).
-	Parallelism int
+	ClassifyParallelism int
 }
 
 func (c ClassifyBatchConfig) withDefaults() ClassifyBatchConfig {
@@ -123,7 +123,7 @@ func RunClassifyBatch(cfg ClassifyBatchConfig) (*ClassifyBatchResult, error) {
 				Workers:             cfg.Workers,
 				MaxFetches:          cfg.Budget,
 				ClassifyBatch:       b,
-				ClassifyParallelism: cfg.Parallelism,
+				ClassifyParallelism: cfg.ClassifyParallelism,
 			},
 		})
 		if err != nil {

@@ -10,20 +10,17 @@ import (
 	"focus/internal/classifier"
 	"focus/internal/core"
 	"focus/internal/crawler"
-	"focus/internal/distiller"
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
 	"focus/internal/webgraph"
 )
 
 // CoreScalingConfig drives the multicore payoff study: the same doc-heavy
-// focused crawl (and a post-crawl distillation of its link graph) run once
-// per GOMAXPROCS setting, with every parallel knob — fetch workers,
-// classifier-stage workers, distiller goroutines — held at the same values
+// focused crawl run once per GOMAXPROCS setting, with both parallel knobs —
+// fetch workers and classifier-stage workers — held at the same values
 // across points so the only variable is how many cores the runtime may
 // use. On one core the parallel paths should cost roughly nothing over
-// serial; on several they should pay: end-to-end pages/sec and distill
-// wall time are the outputs.
+// serial; on several they should pay: end-to-end pages/sec is the output.
 type CoreScalingConfig struct {
 	Web    webgraph.Config
 	Topic  string
@@ -39,12 +36,6 @@ type CoreScalingConfig struct {
 	// goroutine count).
 	ClassifyBatch       int
 	ClassifyParallelism int
-	// DistillParallelism is distiller.Config.Parallelism for the measured
-	// post-crawl distillation (default 4, fixed across points) and for the
-	// in-crawl distillations. DistillIters is its iteration count
-	// (default 5).
-	DistillParallelism int
-	DistillIters       int
 }
 
 func (c CoreScalingConfig) withDefaults() CoreScalingConfig {
@@ -69,12 +60,6 @@ func (c CoreScalingConfig) withDefaults() CoreScalingConfig {
 	if c.ClassifyParallelism <= 0 {
 		c.ClassifyParallelism = 4
 	}
-	if c.DistillParallelism <= 0 {
-		c.DistillParallelism = 4
-	}
-	if c.DistillIters <= 0 {
-		c.DistillIters = 5
-	}
 	if c.Web.NumPages <= 0 {
 		c.Web = DocHeavyWeb(c.Web.Seed, 6000)
 	}
@@ -92,31 +77,22 @@ type CoreScalingPoint struct {
 	Visited     int64         `json:"visited"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	PagesPerSec float64       `json:"pages_per_sec"`
-	// Edges is the link-graph size the measured distillation ran over;
-	// DistillWall its wall time, DistillCompute the summed per-phase work
-	// (Breakdown.Total — equal to wall on one core, larger when partitions
-	// genuinely overlap).
-	Edges          int64         `json:"edges"`
-	DistillWall    time.Duration `json:"distill_wall_ns"`
-	DistillCompute time.Duration `json:"distill_compute_ns"`
 }
 
-// CoreScalingResult carries the study plus the headline speedups of the
+// CoreScalingResult carries the study plus the headline speedup of the
 // largest core count over the smallest.
 type CoreScalingResult struct {
 	Workers             int                `json:"workers"`
 	ClassifyBatch       int                `json:"classify_batch"`
 	ClassifyParallelism int                `json:"classify_parallelism"`
-	DistillParallelism  int                `json:"distill_parallelism"`
 	Points              []CoreScalingPoint `json:"points"`
 	CrawlSpeedup        float64            `json:"crawl_speedup"`
-	DistillSpeedup      float64            `json:"distill_speedup"`
 }
 
-// RunCoreScaling measures end-to-end crawl throughput and distillation
-// latency as GOMAXPROCS grows over a fixed doc-heavy workload, one fresh
-// system per point over the same synthetic web. GOMAXPROCS is set around
-// each point and restored before returning.
+// RunCoreScaling measures end-to-end crawl throughput as GOMAXPROCS grows
+// over a fixed doc-heavy workload, one fresh system per point over the same
+// synthetic web. GOMAXPROCS is set around each point and restored before
+// returning.
 func RunCoreScaling(cfg CoreScalingConfig) (*CoreScalingResult, error) {
 	cfg = cfg.withDefaults()
 	web, err := webgraph.Generate(cfg.Web)
@@ -130,7 +106,6 @@ func RunCoreScaling(cfg CoreScalingConfig) (*CoreScalingResult, error) {
 		Workers:             cfg.Workers,
 		ClassifyBatch:       cfg.ClassifyBatch,
 		ClassifyParallelism: cfg.ClassifyParallelism,
-		DistillParallelism:  cfg.DistillParallelism,
 	}
 	for _, n := range cfg.Cores {
 		runtime.GOMAXPROCS(n)
@@ -159,7 +134,6 @@ func RunCoreScaling(cfg CoreScalingConfig) (*CoreScalingResult, error) {
 			MaxFetches:          cfg.Budget,
 			ClassifyBatch:       cfg.ClassifyBatch,
 			ClassifyParallelism: cfg.ClassifyParallelism,
-			Distill:             distiller.Config{Parallelism: cfg.DistillParallelism},
 		})
 		if err != nil {
 			return nil, err
@@ -175,25 +149,10 @@ func RunCoreScaling(cfg CoreScalingConfig) (*CoreScalingResult, error) {
 			Cores:   n,
 			Visited: res.Visited,
 			Elapsed: res.Elapsed,
-			Edges:   cr.Links().Rows(),
 		}
 		if res.Elapsed > 0 {
 			p.PagesPerSec = float64(res.Visited) / res.Elapsed.Seconds()
 		}
-		tables, err := cr.Tables()
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		bd, err := distiller.RunJoin(db, tables, distiller.Config{
-			Iterations:  cfg.DistillIters,
-			Parallelism: cfg.DistillParallelism,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.DistillWall = time.Since(t0)
-		p.DistillCompute = bd.Total()
 		out.Points = append(out.Points, p)
 	}
 	if len(out.Points) > 1 {
@@ -209,9 +168,6 @@ func RunCoreScaling(cfg CoreScalingConfig) (*CoreScalingResult, error) {
 		if lo.PagesPerSec > 0 {
 			out.CrawlSpeedup = hi.PagesPerSec / lo.PagesPerSec
 		}
-		if hi.DistillWall > 0 {
-			out.DistillSpeedup = float64(lo.DistillWall) / float64(hi.DistillWall)
-		}
 	}
 	return out, nil
 }
@@ -225,19 +181,15 @@ func (r *CoreScalingResult) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Render prints the core sweep plus the headline speedups.
+// Render prints the core sweep plus the headline speedup.
 func (r *CoreScalingResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Core scaling (doc-heavy workload; %d workers, batch %d x %d stages, distill P=%d)\n",
-		r.Workers, r.ClassifyBatch, r.ClassifyParallelism, r.DistillParallelism)
-	fmt.Fprintf(w, "%6s %8s %10s %12s %10s %13s %13s\n",
-		"cores", "visited", "elapsed", "pages/sec", "edges", "distill-wall", "distill-cpu")
+	fmt.Fprintf(w, "Core scaling (doc-heavy workload; %d workers, batch %d x %d stages)\n",
+		r.Workers, r.ClassifyBatch, r.ClassifyParallelism)
+	fmt.Fprintf(w, "%6s %8s %10s %12s\n", "cores", "visited", "elapsed", "pages/sec")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%6d %8d %10s %12.1f %10d %13s %13s\n",
-			p.Cores, p.Visited, rnd(p.Elapsed), p.PagesPerSec, p.Edges,
-			rnd(p.DistillWall), rnd(p.DistillCompute))
+		fmt.Fprintf(w, "%6d %8d %10s %12.1f\n", p.Cores, p.Visited, rnd(p.Elapsed), p.PagesPerSec)
 	}
 	if r.CrawlSpeedup > 0 {
-		fmt.Fprintf(w, "crawl speedup at max cores: %.2fx; distill speedup: %.2fx\n",
-			r.CrawlSpeedup, r.DistillSpeedup)
+		fmt.Fprintf(w, "crawl speedup at max cores: %.2fx\n", r.CrawlSpeedup)
 	}
 }

@@ -20,9 +20,6 @@ type CoverageConfig struct {
 	SeedsEach int
 	Budget    int64
 	Workers   int
-	// Shards sets FrontierShards (0 = the crawler default of one per
-	// worker); 1 reproduces the pre-shard global checkout order.
-	Shards int
 	// MinRelevance includes a reference page when its relevance exceeds
 	// this (default e^-1, the paper's log R > -1 threshold).
 	MinRelevance float64
@@ -85,9 +82,8 @@ func RunCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 		sys, err := core.NewSystemOnWeb(web, core.Config{
 			GoodTopics: []string{cfg.Topic},
 			Crawl: crawler.Config{
-				Workers:        cfg.Workers,
-				FrontierShards: cfg.Shards,
-				MaxFetches:     cfg.Budget,
+				Workers:    cfg.Workers,
+				MaxFetches: cfg.Budget,
 			},
 		})
 		if err != nil {

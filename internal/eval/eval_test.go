@@ -325,9 +325,6 @@ func TestRunCoreScalingShape(t *testing.T) {
 		if p.Visited == 0 || p.PagesPerSec <= 0 {
 			t.Fatalf("cores=%d: empty crawl measurement %+v", p.Cores, p)
 		}
-		if p.Edges == 0 || p.DistillWall <= 0 || p.DistillCompute <= 0 {
-			t.Fatalf("cores=%d: empty distill measurement %+v", p.Cores, p)
-		}
 	}
 	// On a single-core host the two points legitimately tie, so only the
 	// shape is asserted here; the CI runner checks the speedup floor.
@@ -340,7 +337,7 @@ func TestRunCoreScalingShape(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"\"crawl_speedup\"", "\"distill_wall_ns\"", "\"pages_per_sec\""} {
+	for _, key := range []string{"\"crawl_speedup\"", "\"pages_per_sec\""} {
 		if !strings.Contains(buf.String(), key) {
 			t.Fatalf("json artifact missing %s", key)
 		}

@@ -11,6 +11,7 @@ import (
 	"focus/internal/distiller"
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
+	"focus/internal/textproc"
 	"focus/internal/webgraph"
 )
 
@@ -121,7 +122,7 @@ func newClassifierFixture(o fixtureOpts) (*classifierFixture, error) {
 		li := i % len(leaves)
 		toks := pools[li][i/len(leaves)]
 		did := int64(i + 1)
-		if err := classifier.InsertDoc(doc, did, vectorOf(toks)); err != nil {
+		if err := classifier.InsertDoc(doc, did, textproc.VectorOfTokens(toks)); err != nil {
 			return nil, err
 		}
 		f.dids = append(f.dids, did)
@@ -129,23 +130,6 @@ func newClassifierFixture(o fixtureOpts) (*classifierFixture, error) {
 	// Latency applies to measurement, not setup.
 	disk.SetLatency(o.latency)
 	return f, nil
-}
-
-func vectorOf(tokens []string) map[uint32]int32 {
-	v := make(map[uint32]int32, len(tokens))
-	for _, t := range tokens {
-		v[hash32(t)]++
-	}
-	return v
-}
-
-func hash32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // docVectors reads the whole DOCUMENT table into per-document vectors,
@@ -514,168 +498,6 @@ func RunDistillerPerf(cfg DistillerPerfConfig) (*DistillerPerfResult, error) {
 	out.JoinAccesses = accesses() - before
 	out.JoinReads, _ = disk.Stats().Snapshot()
 	return out, nil
-}
-
-// CrawlScalingConfig drives the worker-scaling study of the sharded
-// frontier: the same focused crawl run at several worker counts, with
-// simulated network latency so parallelism has real work to overlap (the
-// paper's threads existed to hide exactly this latency).
-type CrawlScalingConfig struct {
-	Web    webgraph.Config
-	Topic  string
-	Seeds  int
-	Budget int64
-	// Workers lists the worker counts to sweep (default 1, 2, 4, 8).
-	// FrontierShards follows Workers, the crawler's default.
-	Workers []int
-	// Shards optionally fixes the shard count across all points (0 keeps
-	// the per-point default of one shard per worker).
-	Shards int
-	// LinkStripes optionally fixes the LINK store's stripe count across all
-	// points (0 keeps the per-point default of one stripe per worker).
-	LinkStripes int
-	// DistillEvery exercises distillation under load (0 disables it).
-	DistillEvery int64
-	// DistillBarrier selects the legacy stop-the-world distillation for
-	// every point (default: the concurrent snapshot-and-go pipeline).
-	DistillBarrier bool
-	// DistillParallelism sets distiller.Config.Parallelism.
-	DistillParallelism int
-}
-
-// LinkHeavyWeb returns a webgraph dense in hub pages — a quarter of all
-// pages are hubs with high out-degree, and ordinary pages link twice as
-// much as the default — so link ingest, not fetching, dominates the crawl.
-// This is the workload that exposed the old global LINK mutex: with it,
-// 8 workers ran no faster than 4.
-func LinkHeavyWeb(seed int64, pages int) webgraph.Config {
-	return webgraph.Config{
-		Seed:          seed,
-		NumPages:      pages,
-		TopicWeights:  map[string]float64{"cycling": 3},
-		HubFrac:       0.25,
-		HubOutDegree:  60,
-		OutDegreeMean: 30,
-	}
-}
-
-func (c CrawlScalingConfig) withDefaults() CrawlScalingConfig {
-	if c.Topic == "" {
-		c.Topic = "cycling"
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 20
-	}
-	if c.Budget <= 0 {
-		c.Budget = 600
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 2, 4, 8}
-	}
-	if c.Web.FetchLatency == 0 {
-		c.Web.FetchLatency = 1500 * time.Microsecond
-	} else if c.Web.FetchLatency < 0 {
-		c.Web.FetchLatency = 0 // explicit zero: instantaneous fetches
-	}
-	return c
-}
-
-// CrawlScalingPoint is one worker count's throughput measurement.
-type CrawlScalingPoint struct {
-	Workers     int
-	Shards      int
-	Visited     int64
-	Fetches     int64
-	Elapsed     time.Duration
-	PagesPerSec float64
-}
-
-// CrawlScalingResult carries the sweep plus the headline speedup.
-type CrawlScalingResult struct {
-	Points  []CrawlScalingPoint
-	Speedup float64 // PagesPerSec at the most workers / at the fewest
-}
-
-// RunCrawlScaling measures focused-crawl throughput (visited pages per
-// second) as the worker count grows, one fresh system per point over the
-// same synthetic web.
-func RunCrawlScaling(cfg CrawlScalingConfig) (*CrawlScalingResult, error) {
-	cfg = cfg.withDefaults()
-	web, err := webgraph.Generate(cfg.Web)
-	if err != nil {
-		return nil, err
-	}
-	out := &CrawlScalingResult{}
-	for _, w := range cfg.Workers {
-		web.ResetFetches()
-		tree := web.Cfg.Tree
-		if n := tree.ByName(cfg.Topic); n != nil {
-			tree.Unmark(n.ID)
-		}
-		sys, err := core.NewSystemOnWeb(web, core.Config{
-			GoodTopics: []string{cfg.Topic},
-			Crawl: crawler.Config{
-				Workers:        w,
-				FrontierShards: cfg.Shards,
-				LinkStripes:    cfg.LinkStripes,
-				MaxFetches:     cfg.Budget,
-				DistillEvery:   cfg.DistillEvery,
-				DistillBarrier: cfg.DistillBarrier,
-				Distill:        distiller.Config{Parallelism: cfg.DistillParallelism},
-				SkipDocuments:  true,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.SeedTopic(cfg.Topic, cfg.Seeds); err != nil {
-			return nil, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return nil, err
-		}
-		p := CrawlScalingPoint{
-			Workers: w,
-			Shards:  sys.Crawler.NumShards(),
-			Visited: res.Visited,
-			Fetches: res.Fetches,
-			Elapsed: res.Elapsed,
-		}
-		if res.Elapsed > 0 {
-			p.PagesPerSec = float64(res.Visited) / res.Elapsed.Seconds()
-		}
-		out.Points = append(out.Points, p)
-	}
-	if len(out.Points) > 1 {
-		lo, hi := out.Points[0], out.Points[0]
-		for _, p := range out.Points[1:] {
-			if p.Workers < lo.Workers {
-				lo = p
-			}
-			if p.Workers > hi.Workers {
-				hi = p
-			}
-		}
-		if lo.PagesPerSec > 0 {
-			out.Speedup = hi.PagesPerSec / lo.PagesPerSec
-		}
-	}
-	return out, nil
-}
-
-// Render prints the scaling table.
-func (r *CrawlScalingResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Sharded frontier scaling (pages/sec by worker count)\n")
-	fmt.Fprintf(w, "%8s %8s %10s %10s %10s %12s\n",
-		"workers", "shards", "visited", "fetches", "elapsed", "pages/sec")
-	for _, p := range r.Points {
-		fmt.Fprintf(w, "%8d %8d %10d %10d %10s %12.1f\n",
-			p.Workers, p.Shards, p.Visited, p.Fetches, rnd(p.Elapsed), p.PagesPerSec)
-	}
-	if r.Speedup > 0 {
-		fmt.Fprintf(w, "speedup: %.2fx\n", r.Speedup)
-	}
 }
 
 // Render prints the Figure 8(d) bars with their phase decomposition.

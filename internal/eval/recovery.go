@@ -119,7 +119,7 @@ type RecoveryResult struct {
 
 // RunRecovery runs the study. The equivalence trials use the Workers=1
 // barrier discipline under which resume is pinned bit-identical (the same
-// discipline the FrontierShards=1 golden equivalences use); the overhead
+// discipline the one-shard golden equivalences use); the overhead
 // legs use the ordinary multi-worker crawl, where checkpoints are
 // crash-consistent but the interesting number is their cost.
 func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {

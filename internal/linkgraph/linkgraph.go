@@ -515,34 +515,6 @@ func (s *Store) ScanLocked(fn func(rid relstore.RID, t relstore.Tuple) (bool, er
 	return nil
 }
 
-// Iter returns a materialized iterator over all edges in Scan order.
-func (s *Store) Iter() (relstore.Iterator, error) {
-	var rows []relstore.Tuple
-	err := s.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		rows = append(rows, t)
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return relstore.NewSliceIter(rows), nil
-}
-
-// IterLocked is Iter for callers already holding every stripe lock.
-//
-//focuslint:lock requires=stripe*
-func (s *Store) IterLocked() (relstore.Iterator, error) {
-	var rows []relstore.Tuple
-	err := s.ScanLocked(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		rows = append(rows, t)
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return relstore.NewSliceIter(rows), nil
-}
-
 // ByDstIter returns an iterator over all edges in global (oid_dst, oid_src)
 // order: each stripe's bydst index yields a sorted run, and the runs are
 // k-way merged (relstore.MergeSorted), so the merged order equals the
@@ -698,7 +670,7 @@ func (it *snapshotIter) Next() (relstore.Tuple, bool, error) {
 }
 
 // LockedView adapts a Store held under the barrier to the relational read
-// surface (Scan/Iter without re-locking) that the distiller consumes.
+// surface (Scan without re-locking) that the distiller consumes.
 type LockedView struct{ s *Store }
 
 // LockedView returns the barrier-locked read adapter. The caller must hold
@@ -711,8 +683,3 @@ func (s *Store) LockedView() *LockedView { return &LockedView{s} }
 func (v *LockedView) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
 	return v.s.ScanLocked(fn)
 }
-
-// Iter implements the distiller's link iterator over the locked store.
-//
-//focuslint:lock requires=stripe*
-func (v *LockedView) Iter() (relstore.Iterator, error) { return v.s.IterLocked() }

@@ -12,7 +12,7 @@ const regShards = 64
 // holding at least one edge into it — the routing table of the dst-routed
 // incoming-weight sweep. Before the registry, UpdateIncomingFwd locked and
 // probed every stripe's bydst index per visit, so the per-visit cost grew
-// linearly with LinkStripes even though most stripes hold no edge into the
+// linearly with the stripe count even though most stripes hold no edge into the
 // page; with it a sweep touches only the stripes the mask names.
 //
 // The registry is sharded by hash(dst) under its own mutexes because writers

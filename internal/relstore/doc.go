@@ -19,11 +19,10 @@
 //     it visits, and reports a damaged page as ErrCorruptNode;
 //   - query operators: sequential scan, index scan, external merge sort,
 //     sort-merge inner and left outer joins, streaming group-by
-//     aggregation, a k-way merge of pre-sorted inputs (MergeSorted), and
-//     hash-partitioned execution support (PartitionByKey) — enough to
-//     express the bulk classification plan of the paper's Figure 3
-//     (including its partition-parallel variant) and the merged ordered
-//     views of partitioned relations (the crawler's striped LINK store).
+//     aggregation, and a k-way merge of pre-sorted inputs (MergeSorted) —
+//     enough to express the bulk classification plan of the paper's
+//     Figure 3 and the merged ordered views of partitioned relations (the
+//     crawler's striped LINK store).
 //     The distillation plan of Figure 4 reads its relations through Scan
 //     and compiles its joins in memory (distiller.RunJoin).
 //
