@@ -23,19 +23,20 @@ func DocSchema() *relstore.Schema {
 
 // InsertDoc appends one document's term vector to a DOCUMENT table, in
 // ascending tid order so the stored row order (and everything downstream
-// that sums in row order) is deterministic across runs. Every row goes
-// through one reused tuple and encode buffer (Table.InsertBuf).
+// that sums in row order) is deterministic across runs. The rows go in as
+// one batch (Table.InsertBatch) — the heap's tail page is pinned once for as
+// many rows as it takes, not once per row — through the table's own batch,
+// so the caller must hold whatever serializes the table, as for Insert.
 func InsertDoc(tb *relstore.Table, did int64, v textproc.TermVector) error {
-	var buf []byte
-	var err error
+	b := tb.Batch()
 	row := relstore.Tuple{relstore.I64(did), relstore.I64(0), relstore.I32(0)}
 	for _, tid := range sortedTids(v) {
 		row[1], row[2] = relstore.I64(int64(tid)), relstore.I32(v[tid])
-		if _, buf, err = tb.InsertBuf(buf, row); err != nil {
+		if err := b.Add(row); err != nil {
 			return err
 		}
 	}
-	return nil
+	return tb.InsertBatch(b)
 }
 
 // InsertDocsBuf appends several documents' term vectors to a DOCUMENT table,

@@ -495,8 +495,9 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		return nil, nil, err
 	}
 	for _, f := range flips {
+		old := f.row.Clone()
 		f.row[CStatus] = relstore.I32(StatusFrontier)
-		if err := sh.crawl.Update(f.rid, f.row); err != nil {
+		if err := sh.crawl.UpdateFrom(f.rid, old, f.row); err != nil {
 			return nil, nil, err
 		}
 		frontierN++

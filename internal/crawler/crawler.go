@@ -857,6 +857,7 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 			c.notFoundFails.Add(1)
 		}
 		oid := row[COID].Int()
+		old := row.Clone() // the row as stored, for UpdateFrom
 		var tries int32
 		if retryable {
 			tries = int32(row[CTries].Int()) + 1
@@ -882,7 +883,7 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 			}
 			sh.frontierN.Add(1)
 		}
-		if err := sh.crawl.Update(rid, row); err != nil {
+		if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 			return err
 		}
 		if int32(row[CStatus].Int()) == StatusFrontier {
@@ -913,6 +914,7 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 
 	// Persist the visit: the row update is shard-owned; the harvest log and
 	// visit sequence are global. Lock order: shard, then global.
+	old := row.Clone() // the row as stored (checkout's), for UpdateFrom
 	sh.mu.Lock()
 	c.mu.Lock()
 	c.visitSeq++
@@ -920,7 +922,7 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 	row[CKcid] = relstore.I32(int32(leaf))
 	row[CLast] = relstore.I64(c.visitSeq)
 	row[CStatus] = relstore.I32(StatusVisited)
-	err := sh.crawl.Update(rid, row)
+	err := sh.crawl.UpdateFrom(rid, old, row)
 	if err == nil {
 		c.visited.Add(1)
 		c.harvest = append(c.harvest, HarvestPoint{
@@ -1011,7 +1013,9 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 // accumulated lock-free, committed to the stripes in one Apply pass, and
 // the frontier pass walks the surviving edges in original outlink order —
 // so with one worker and one stripe the observable effects are identical,
-// step for step, to the old per-link path.
+// step for step, to the old per-link path. Each out-link URL is hashed once,
+// here: the edge carries the target's oid and server id to the weight
+// callback and to the frontier pass.
 func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 	var batch linkgraph.Batch
 	urls := make([]string, 0, len(res.Outlinks))
@@ -1047,50 +1051,63 @@ func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 }
 
 // edgeWeight is Apply's weight callback: called under the edge's stripe
-// lock, it locks the target's home shard and reads its row — if the target
-// is already visited, its true relevance replaces the radius-1 estimate.
-// Lock order: stripe, then shard (see the Crawler doc).
+// lock, it locks the target's home shard and reads its row's status and
+// relevance where they lie — if the target is already visited, its true
+// relevance replaces the radius-1 estimate. Lock order: stripe, then shard
+// (see the Crawler doc).
 func (c *Crawler) edgeWeight(e linkgraph.Edge) (float64, error) {
 	sh := c.shardFor(e.SidDst)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, dstRow, ok, err := sh.lookupLocked(e.Dst)
-	if err != nil {
-		return 0, err
+	rid, ok, err := sh.ridOfLocked(e.Dst)
+	if err != nil || !ok {
+		return e.WgtFwd, err
 	}
-	if ok && int32(dstRow[CStatus].Int()) == StatusVisited {
-		return dstRow[CRel].Float(), nil
+	status, rel, err := sh.statusRelLocked(rid)
+	if err == nil && status == StatusVisited {
+		return rel, nil
 	}
-	return e.WgtFwd, nil
+	return e.WgtFwd, err
 }
 
 // enqueueTarget adds a newly linked URL to its home shard's frontier, or —
 // soft focus — raises the priority of an already queued target when the
-// newly discovered citer is more relevant.
+// newly discovered citer is more relevant. One oid-index lookup decides
+// which: an absent target is inserted without probing again, a present one
+// has its status and relevance read in place, and the whole row is decoded
+// only when its priority does rise.
 func (c *Crawler) enqueueTarget(e linkgraph.Edge, dstURL string, srcRel float64) error {
 	sh := c.shardFor(e.SidDst)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	dstRID, dstRow, dstKnown, err := sh.lookupLocked(e.Dst)
+	rid, known, err := sh.ridOfLocked(e.Dst)
 	if err != nil {
 		return err
 	}
-	switch {
-	case !dstKnown:
+	if !known {
 		prio := srcRel
 		if c.cfg.Mode == ModeUnfocused {
 			prio = 0 // FIFO order ignores it anyway
 		}
-		return sh.insertFrontierLocked(dstURL, prio)
-	case int32(dstRow[CStatus].Int()) == StatusFrontier && c.cfg.Mode != ModeUnfocused:
-		if srcRel > dstRow[CRel].Float() {
-			dstRow[CRel] = relstore.F64(srcRel)
-			if err := sh.crawl.Update(dstRID, dstRow); err != nil {
-				return err
-			}
-			sh.improveHeadLocked(sh.policy.Key(dstRow))
-		}
+		return sh.insertNewLocked(e.Dst, e.SidDst, dstURL, prio)
 	}
+	if c.cfg.Mode == ModeUnfocused {
+		return nil
+	}
+	status, rel, err := sh.statusRelLocked(rid)
+	if err != nil || status != StatusFrontier || srcRel <= rel {
+		return err
+	}
+	old, err := sh.crawl.Get(rid)
+	if err != nil {
+		return err
+	}
+	row := old.Clone()
+	row[CRel] = relstore.F64(srcRel)
+	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+		return err
+	}
+	sh.improveHeadLocked(sh.policy.Key(row))
 	return nil
 }
 

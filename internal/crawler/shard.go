@@ -127,10 +127,18 @@ func (c *Crawler) unlockAll() {
 //focuslint:lock requires=shard
 func (sh *shard) insertFrontierLocked(url string, rel float64) error {
 	oid := OIDOf(url)
-	if _, ok, err := sh.oidIx.Lookup(relstore.EncodeKey(relstore.I64(oid))); err != nil || ok {
+	if _, ok, err := sh.ridOfLocked(oid); err != nil || ok {
 		return err
 	}
-	sid := SIDOf(url)
+	return sh.insertNewLocked(oid, SIDOf(url), url, rel)
+}
+
+// insertNewLocked adds the frontier row of a URL the caller has just found
+// absent from the shard, under the same hold of sh.mu; oid and sid are the
+// URL's hashes (OIDOf, SIDOf), which the caller has in hand.
+//
+//focuslint:lock requires=shard
+func (sh *shard) insertNewLocked(oid int64, sid int32, url string, rel float64) error {
 	sh.serverSeen[sid]++
 	sh.insertSeq++
 	row := relstore.Tuple{
@@ -246,11 +254,12 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	if err != nil || !found {
 		return relstore.RID{}, nil, false, wake, err
 	}
+	old := row.Clone()
 	if c.checkoutHook != nil {
-		c.checkoutHook(sh, row.Clone())
+		c.checkoutHook(sh, old)
 	}
 	row[CStatus] = relstore.I32(StatusInflight)
-	if err := sh.crawl.Update(rid, row); err != nil {
+	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 		return relstore.RID{}, nil, false, wake, err
 	}
 	c.inflight.Add(1)
@@ -284,8 +293,9 @@ func (sh *shard) boostLocked(oid int64, boost float64) error {
 	if int32(row[CStatus].Int()) == StatusFrontier &&
 		row[CTries].Int() == 0 &&
 		row[CRel].Float() < boost {
+		old := row.Clone()
 		row[CRel] = relstore.F64(boost)
-		if err := sh.crawl.Update(rid, row); err != nil {
+		if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 			return err
 		}
 		sh.improveHeadLocked(sh.policy.Key(row))
@@ -293,11 +303,29 @@ func (sh *shard) boostLocked(oid int64, boost float64) error {
 	return nil
 }
 
+// ridOfLocked finds where oid's row lies in this shard; sh.mu must be held.
+//
+//focuslint:lock requires=shard
+func (sh *shard) ridOfLocked(oid int64) (relstore.RID, bool, error) {
+	var key [8]byte
+	return sh.oidIx.Lookup(relstore.AppendKey(key[:0], relstore.I64(oid)))
+}
+
+// statusRelLocked reads the status and relevance of the row at rid where
+// they lie on its heap page, decoding nothing else; sh.mu must be held.
+//
+//focuslint:lock requires=shard
+func (sh *shard) statusRelLocked(rid relstore.RID) (status int32, rel float64, err error) {
+	var v [2]relstore.Value
+	err = sh.crawl.ReadCols(rid, []int{CStatus, CRel}, v[:])
+	return int32(v[0].Int()), v[1].Float(), err
+}
+
 // lookupLocked finds the row for oid in this shard; sh.mu must be held.
 //
 //focuslint:lock requires=shard
 func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, error) {
-	rid, ok, err := sh.oidIx.Lookup(relstore.EncodeKey(relstore.I64(oid)))
+	rid, ok, err := sh.ridOfLocked(oid)
 	if err != nil || !ok {
 		return relstore.RID{}, nil, false, err
 	}

@@ -202,17 +202,25 @@ func normalizeScores(scores []float64) {
 }
 
 // loadScores replaces a score table's rows with (oids[i], scores[i]), in
-// that order, through one reused encode buffer.
+// that order, in batches: oids ascend, so an index on oid receives ascending
+// runs and fills leaf after leaf at the tree's right edge. The batches are
+// bounded so that the table's reusable batch stays small however many rows
+// the table holds.
 func loadScores(tb *relstore.Table, oids []int64, scores []float64) error {
 	if err := tb.Truncate(); err != nil {
 		return err
 	}
-	var buf []byte
-	var err error
+	const batchRows = 512
 	row := relstore.Tuple{relstore.I64(0), relstore.F64(0)}
-	for i, oid := range oids {
-		row[0], row[1] = relstore.I64(oid), relstore.F64(scores[i])
-		if _, buf, err = tb.InsertBuf(buf, row); err != nil {
+	for lo := 0; lo < len(oids); lo += batchRows {
+		b := tb.Batch()
+		for i := lo; i < min(lo+batchRows, len(oids)); i++ {
+			row[0], row[1] = relstore.I64(oids[i]), relstore.F64(scores[i])
+			if err := b.Add(row); err != nil {
+				return err
+			}
+		}
+		if err := tb.InsertBatch(b); err != nil {
 			return err
 		}
 	}

@@ -41,6 +41,7 @@
 package linkgraph
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -79,14 +80,6 @@ type Edge struct {
 	SidDst int32
 	WgtFwd float64
 	WgtRev float64
-}
-
-func (e Edge) tuple() relstore.Tuple {
-	return relstore.Tuple{
-		relstore.I64(e.Src), relstore.I32(e.SidSrc),
-		relstore.I64(e.Dst), relstore.I32(e.SidDst),
-		relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev),
-	}
 }
 
 // EdgeOf decodes a LINK tuple back into an Edge.
@@ -130,6 +123,12 @@ type stripe struct {
 	tab   *relstore.Table
 	bysrc *relstore.Index
 	bydst *relstore.Index
+
+	// batches recycles the row batches Apply fills for this stripe's table
+	// (relstore.RowBatch keeps its arena across Reset). A batch is taken
+	// before the stripe lock, because it is filled and sorted outside it, so
+	// the stripe cannot simply own one.
+	batches sync.Pool
 
 	// pend holds snapshots registered against this stripe whose tuple run
 	// has not been copied out yet. Every snapshot here was registered since
@@ -198,6 +197,10 @@ func New(db *relstore.DB, n int) (*Store, error) {
 		if st.tab, err = db.CreateTable(fmt.Sprintf("LINK#%d", i), Schema()); err != nil {
 			return nil, err
 		}
+		// The key functions serve index rebuilds (AddIndex over existing rows,
+		// BindIndexKey after a reopen) and Table.Insert/Update; ingest encodes
+		// its keys itself, into the batch's arena (stripe.prepare), in this
+		// order: bysrc first, then bydst.
 		if st.bysrc, err = st.tab.AddIndex("bysrc", func(t relstore.Tuple) []byte {
 			return relstore.EncodeKey(t[ColSrc], t[ColDst])
 		}); err != nil {
@@ -270,30 +273,89 @@ type WeightFunc func(Edge) (float64, error)
 // worker already committed — are skipped. weight, if non-nil, finalizes
 // WgtFwd per inserted edge. Returns inserted flags aligned with
 // b.Edges(); a false entry means the edge was a duplicate.
+//
+// A stripe's share of the batch is applied as three set operations, not edge
+// by edge: its rows are encoded and their index orders sorted before the
+// stripe lock is taken (prepare); under the lock one bysrc prefix scan per
+// distinct source removes the duplicates, the weight callbacks run, and one
+// relstore.Table.InsertBatch commits the survivors — the heap in arrival
+// order, each index as one ascending run (applyLocked).
 func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
 	inserted := make([]bool, len(b.edges))
 	if len(b.edges) == 0 {
 		return inserted, nil
 	}
-	// Group batch positions by stripe, preserving arrival order within each.
-	groups := make([][]int, len(s.stripes))
+	// Batch positions grouped by stripe, arrival order within each (a
+	// counting sort): once filled, stripe si's positions end at ends[si] and
+	// begin where the stripe before it ends.
+	ends := make([]int, len(s.stripes))
+	for _, e := range b.edges {
+		ends[s.stripeIndex(e.Src)]++
+	}
+	for si, at := 0, 0; si < len(ends); si++ {
+		ends[si], at = at, at+ends[si]
+	}
+	idxs := make([]int, len(b.edges))
 	for i, e := range b.edges {
 		si := s.stripeIndex(e.Src)
-		groups[si] = append(groups[si], i)
+		idxs[ends[si]] = i
+		ends[si]++
 	}
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
+	for si, st := range s.stripes {
+		lo := 0
+		if si > 0 {
+			lo = ends[si-1]
+		}
+		group := idxs[lo:ends[si]]
+		if len(group) == 0 {
 			continue
 		}
-		st := s.stripes[si]
-		if err := st.applyLocked(idxs, b.edges, weight, inserted, s.reg); err != nil {
+		rows, err := st.prepare(group, b.edges)
+		if err == nil {
+			err = st.applyLocked(rows, group, b.edges, weight, inserted, s.reg)
+		}
+		st.batches.Put(rows)
+		if err != nil {
 			return nil, err
 		}
 	}
 	return inserted, nil
 }
 
-func (st *stripe) applyLocked(idxs []int, edges []Edge, weight WeightFunc, inserted []bool, reg *dstRegistry) error {
+// prepare encodes the edges at positions idxs — all of this stripe — as rows
+// of a batch for the stripe's table, row r being edges[idxs[r]], and sorts
+// each index's keys. It reads nothing of the stripe's stored state and runs
+// without the stripe lock.
+func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) {
+	rows, _ := st.batches.Get().(*relstore.RowBatch)
+	if rows == nil {
+		rows = st.tab.NewBatch()
+	}
+	rows.Reset()
+	for _, i := range idxs {
+		e := edges[i]
+		src, dst := relstore.I64(e.Src), relstore.I64(e.Dst)
+		err := rows.AddRecord(relstore.Tuple{
+			src, relstore.I32(e.SidSrc), dst, relstore.I32(e.SidDst),
+			relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev),
+		})
+		if err != nil {
+			return rows, err
+		}
+		rows.Key(src, dst) // bysrc
+		rows.Key(dst, src) // bydst
+	}
+	return rows, rows.Sort()
+}
+
+// The positions of the stripe's indexes in its table, which is the order
+// prepare encodes a row's keys in.
+const (
+	ixBySrc = iota
+	ixByDst
+)
+
+func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge, weight WeightFunc, inserted []bool, reg *dstRegistry) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// Register every destination in the dst registry BEFORE running any
@@ -309,29 +371,75 @@ func (st *stripe) applyLocked(idxs []int, edges []Edge, weight WeightFunc, inser
 	for _, i := range idxs {
 		reg.add(edges[i].Dst, st.id)
 	}
-	for _, i := range idxs {
-		e := edges[i]
-		key := relstore.EncodeKey(relstore.I64(e.Src), relstore.I64(e.Dst))
-		if _, dup, err := st.bysrc.Lookup(key); err != nil {
-			return err
-		} else if dup {
+	if err := st.skipDuplicates(rows, idxs, edges); err != nil {
+		return err
+	}
+	// The weight callbacks, in arrival order, each for an edge that will be
+	// inserted; the final weight is written into the row's encoded record.
+	live := 0
+	for r, i := range idxs {
+		if rows.Skipped(r) {
 			continue
 		}
+		live++
 		if weight != nil {
-			w, err := weight(e)
+			w, err := weight(edges[i])
 			if err != nil {
 				return err
 			}
-			e.WgtFwd = w
+			if err := rows.SetCol(r, ColWgtFwd, relstore.F64(w)); err != nil {
+				return err
+			}
 		}
-		// Copy-on-write: pending snapshots capture the pre-insert image.
-		if err := st.materializePending(); err != nil {
+	}
+	if live == 0 {
+		return nil
+	}
+	// Copy-on-write: pending snapshots capture the pre-insert image.
+	if err := st.materializePending(); err != nil {
+		return err
+	}
+	if err := st.tab.InsertBatch(rows); err != nil {
+		return err
+	}
+	for r, i := range idxs {
+		inserted[i] = !rows.Skipped(r)
+	}
+	return nil
+}
+
+// skipDuplicates marks the rows whose edge must not be inserted: one already
+// stored, found by a single bysrc prefix scan per distinct source merged
+// against the group's ascending bysrc keys (a freshly visited page has no
+// stored out-edge: one descent says so for all of its links), or one that
+// repeats an earlier row of the group — equal keys sort in arrival order, so
+// the first arrival is the one kept.
+//
+//focuslint:lock requires=stripe
+func (st *stripe) skipDuplicates(rows *relstore.RowBatch, idxs []int, edges []Edge) error {
+	ord := rows.Order(ixBySrc)
+	edge := func(at int) Edge { return edges[idxs[ord[at]]] }
+	var prefix [8]byte
+	for lo, hi := 0, 0; lo < len(ord); lo = hi {
+		src := edge(lo).Src
+		for hi = lo + 1; hi < len(ord) && edge(hi).Src == src; hi++ {
+			if edge(hi).Dst == edge(hi-1).Dst {
+				rows.Skip(int(ord[hi]))
+			}
+		}
+		at := lo
+		err := st.bysrc.ScanPrefix(relstore.AppendKey(prefix[:0], relstore.I64(src)), func(stored []byte, _ relstore.RID) (bool, error) {
+			for at < hi && bytes.Compare(rows.KeyOf(int(ord[at]), ixBySrc), stored) < 0 {
+				at++
+			}
+			for ; at < hi && bytes.Equal(rows.KeyOf(int(ord[at]), ixBySrc), stored); at++ {
+				rows.Skip(int(ord[at]))
+			}
+			return at == hi, nil
+		})
+		if err != nil {
 			return err
 		}
-		if _, err := st.tab.Insert(e.tuple()); err != nil {
-			return err
-		}
-		inserted[i] = true
 	}
 	return nil
 }
@@ -456,31 +564,22 @@ func (s *Store) SweepStats() (sweeps, stripeProbes int64) {
 
 //focuslint:lock requires=stripe
 func (st *stripe) updateIncomingFwd(prefix []byte, fwd float64) error {
-	type upd struct {
-		rid relstore.RID
-		row relstore.Tuple
-	}
-	var ups []upd
+	var few [16]relstore.RID // a page's in-links within one stripe are seldom more
+	rids := few[:0]
 	err := st.bydst.ScanPrefix(prefix, func(_ []byte, rid relstore.RID) (bool, error) {
-		row, err := st.tab.Get(rid)
-		if err != nil {
-			return true, err
-		}
-		row[ColWgtFwd] = relstore.F64(fwd)
-		ups = append(ups, upd{rid, row})
+		rids = append(rids, rid)
 		return false, nil
 	})
-	if err != nil {
+	if err != nil || len(rids) == 0 {
 		return err
 	}
-	if len(ups) > 0 {
-		// Copy-on-write: pending snapshots capture the pre-rewrite image.
-		if err := st.materializePending(); err != nil {
-			return err
-		}
+	// Copy-on-write: pending snapshots capture the pre-rewrite image.
+	if err := st.materializePending(); err != nil {
+		return err
 	}
-	for _, u := range ups {
-		if err := st.tab.Update(u.rid, u.row); err != nil {
+	// wgt_fwd is in neither index key, so it is overwritten where it lies.
+	for _, rid := range rids {
+		if err := st.tab.SetCol(rid, ColWgtFwd, relstore.F64(fwd)); err != nil {
 			return err
 		}
 	}

@@ -16,6 +16,15 @@ func newStore(t testing.TB, stripes int) *Store {
 	return s
 }
 
+// tuple is the LINK row of an edge, for tests that fill a plain table.
+func (e Edge) tuple() relstore.Tuple {
+	return relstore.Tuple{
+		relstore.I64(e.Src), relstore.I32(e.SidSrc),
+		relstore.I64(e.Dst), relstore.I32(e.SidDst),
+		relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev),
+	}
+}
+
 func e(src, dst int64) Edge {
 	return Edge{
 		Src: src, SidSrc: int32(src % 7),

@@ -177,24 +177,52 @@ func btChild(p []byte, n, i int) (PageID, error) {
 	return pid, nil
 }
 
-// btUsage returns the node's live cell bytes and the lowest live cell offset
-// (PageSize when there are no cells): the free gap is [end of slots, lo).
-func btUsage(p []byte, n int) (live, lo int, err error) {
-	lo = PageSize
+// btUse is a node's space accounting: its slot count, its live cell bytes and
+// the lowest live cell offset (PageSize when there are no cells). The free gap
+// is [end of slots, lo). The page does not record it; btUsage recomputes it
+// from the slot array, and a run of inserts into one pinned leaf carries it
+// along instead of recomputing it per key (see InsertRun).
+type btUse struct{ n, live, lo int }
+
+// btUsage computes the usage of a node with n slots, vouching for every slot
+// it read.
+func btUsage(p []byte, n int) (btUse, error) {
+	u := btUse{n: n, lo: PageSize}
 	for i := 0; i < n; i++ {
 		off, klen, vlen, ok := btSlotAt(p, n, i)
 		if !ok {
-			return 0, 0, errBadSlot(i)
+			return btUse{}, errBadSlot(i)
 		}
-		live += klen + vlen
-		if off < lo {
-			lo = off
+		u.live += klen + vlen
+		if off < u.lo {
+			u.lo = off
 		}
 	}
-	if btHdr+n*btSlot+live > PageSize {
-		return 0, 0, fmt.Errorf("%w: %d cell bytes in %d slots overfill the page", ErrCorruptNode, live, n)
+	if btHdr+n*btSlot+u.live > PageSize {
+		return btUse{}, fmt.Errorf("%w: %d cell bytes in %d slots overfill the page", ErrCorruptNode, u.live, n)
 	}
-	return live, lo, nil
+	return u, nil
+}
+
+// btPlace makes (key, val) slot i of the node whose usage is u, writing the
+// cell at the top of the free gap, and brings u up to date. It reports false,
+// with nothing written, when the gap as it is cannot take the cell and one
+// more slot. The caller vouches for i <= u.n and for u describing p; the gap
+// test is what keeps the write inside the page.
+func btPlace(p []byte, u *btUse, i int, key, val []byte) bool {
+	need := len(key) + len(val)
+	slotEnd := btHdr + u.n*btSlot
+	if u.lo-need < slotEnd+btSlot {
+		return false
+	}
+	off := u.lo - need
+	copy(p[off:], key)
+	copy(p[off+len(key):], val)
+	copy(p[btHdr+(i+1)*btSlot:slotEnd+btSlot], p[btHdr+i*btSlot:slotEnd])
+	btPutSlot(p, i, off, len(key), len(val))
+	btPutU16(p, 1, u.n+1)
+	u.n, u.live, u.lo = u.n+1, u.live+need, off
+	return true
 }
 
 // btCompact rewrites the node's live cells in slot order, flush against the
@@ -345,39 +373,131 @@ func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// Insert stores (key, val), replacing any existing value for key.
+// Insert stores (key, val), replacing any existing value for key. It is the
+// run of one.
 func (t *BTree) Insert(key, val []byte) error {
-	if len(key)+len(val) > MaxCellLen {
-		return errCellTooBig
+	return t.InsertRun([][]byte{key}, [][]byte{val})
+}
+
+// InsertRun stores (keys[i], vals[i]) for every i, in slice order, each as
+// Insert would: the tree ends up exactly as a loop of Insert leaves it. What
+// a run saves is descents. After a key has gone into the pinned leaf, the
+// next one goes into the same leaf without leaving it when it provably
+// belongs there — it is not below the key just placed, and either some key
+// already in the leaf is greater or the leaf is the last of the chain, which
+// has no upper bound — and the leaf's usage, computed once per descent, is
+// carried from key to key. So an ascending run costs one descent per leaf it
+// touches instead of one per key; keys in any other order are still inserted
+// correctly, one descent each. A cell that does not fit the free gap as it is
+// (compaction, split) or that replaces a shorter value goes through put, as
+// every Insert does, and the run resumes with a fresh descent.
+func (t *BTree) InsertRun(keys, vals [][]byte) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("relstore: InsertRun of %d keys and %d values", len(keys), len(vals))
 	}
-	if len(key) == 0 {
-		return errors.New("relstore: empty btree key")
-	}
-	f, path, err := t.descend(key, make([]btStep, 0, 8))
-	if err != nil {
-		return err
-	}
-	p := f.Data()
-	n, i, found, err := btSearch(p, key)
-	if err != nil {
-		t.bp.Unpin(f, false)
-		return fmt.Errorf("leaf %d: %w", f.PID(), err)
-	}
-	if found {
-		if off, klen, vlen, _ := btSlotAt(p, n, i); len(val) <= vlen {
-			copy(p[off+klen:], val)
-			btPutU16(p, btHdr+i*btSlot+4, len(val))
-			t.bp.Unpin(f, true)
-			return nil
+	for i, key := range keys {
+		if len(key)+len(vals[i]) > MaxCellLen {
+			return errCellTooBig
+		}
+		if len(key) == 0 {
+			return errors.New("relstore: empty btree key")
 		}
 	}
-	// put unpins f. A split hands back the separator and the new right
-	// sibling, to be posted one level up — where it may split again.
-	sep, right, err := t.put(f, i, key, val, found)
+	var steps [8]btStep
+	for i := 0; i < len(keys); {
+		f, path, err := t.descend(keys[i], steps[:0])
+		if err != nil {
+			return err
+		}
+		if i, err = t.fillLeaf(f, path, keys, vals, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// usage returns the accounting of the pinned node f, which stays pinned.
+func (t *BTree) usage(f *Frame) (btUse, error) {
+	n, err := btCount(f.Data())
+	var u btUse
+	if err == nil {
+		u, err = btUsage(f.Data(), n)
+	}
+	if err != nil {
+		return btUse{}, fmt.Errorf("node %d: %w", f.PID(), err)
+	}
+	return u, nil
+}
+
+// fillLeaf inserts keys[i:] into f, the pinned leaf that covers keys[i] and
+// that path leads to, for as long as the next key provably belongs to the
+// same leaf (see InsertRun), and returns the index of the first key it left
+// for another descent. It unpins f.
+func (t *BTree) fillLeaf(f *Frame, path []btStep, keys, vals [][]byte, i int) (int, error) {
+	p := f.Data()
+	u, err := t.usage(f)
+	if err != nil {
+		t.bp.Unpin(f, false)
+		return i, err
+	}
+	for dirty := false; ; {
+		key, val := keys[i], vals[i]
+		_, at, found, err := btSearch(p, key)
+		if err != nil {
+			t.bp.Unpin(f, dirty)
+			return i, fmt.Errorf("leaf %d: %w", f.PID(), err)
+		}
+		placed := false
+		if found {
+			// A value no longer than the one stored overwrites it where it lies.
+			if off, klen, vlen, _ := btSlotAt(p, u.n, at); len(val) <= vlen {
+				copy(p[off+klen:], val)
+				btPutU16(p, btHdr+at*btSlot+4, len(val))
+				u.live -= vlen - len(val)
+				placed = true
+			}
+		} else if placed = btPlace(p, &u, at, key, val); placed {
+			t.size++
+		}
+		if !placed {
+			// put unpins f, clean when it has nothing to write; what the run
+			// wrote before it must be marked first.
+			if dirty {
+				f.dirty.Store(true)
+			}
+			return i + 1, t.putLeaf(f, u, path, at, key, val, found)
+		}
+		dirty = true
+		if i++; i == len(keys) || !btRunsOn(p, u.n, key, keys[i]) {
+			t.bp.Unpin(f, true)
+			return i, nil
+		}
+	}
+}
+
+// btRunsOn reports whether next, the key after prev in a run, belongs to the
+// leaf p (n slots, n > 0) that prev has just gone into: it is not below prev,
+// so not below the leaf's range, and it is below a key the leaf holds, or the
+// leaf is the rightmost and its range has no end.
+func btRunsOn(p []byte, n int, prev, next []byte) bool {
+	if bytes.Compare(next, prev) < 0 {
+		return false
+	}
+	if btPID(p, 3) == InvalidPage {
+		return true
+	}
+	last, _, err := btCell(p, n, n-1)
+	return err == nil && bytes.Compare(last, next) > 0
+}
+
+// putLeaf makes (key, val) slot i of the pinned leaf f through put, and posts
+// each split it causes one level up along path — where it may split again.
+func (t *BTree) putLeaf(f *Frame, u btUse, path []btStep, i int, key, val []byte, replace bool) error {
+	sep, right, err := t.put(f, u, i, key, val, replace)
 	if err != nil {
 		return err
 	}
-	if !found {
+	if !replace {
 		t.size++
 	}
 	var pidBuf [4]byte
@@ -390,8 +510,12 @@ func (t *BTree) Insert(key, val []byte) error {
 		if f, err = t.fetch(up.pid); err != nil {
 			return err
 		}
+		if u, err = t.usage(f); err != nil {
+			t.bp.Unpin(f, false)
+			return err
+		}
 		btPutPID(pidBuf[:], 0, right)
-		if sep, right, err = t.put(f, up.child, sep, pidBuf[:], false); err != nil {
+		if sep, right, err = t.put(f, u, up.child, sep, pidBuf[:], false); err != nil {
 			return err
 		}
 	}
@@ -409,55 +533,40 @@ func (t *BTree) growRoot(sep []byte, right PageID) error {
 	t.height++
 	var pid [4]byte
 	btPutPID(pid[:], 0, right)
-	_, _, err = t.put(f, 0, sep, pid[:], false)
+	_, _, err = t.put(f, btUse{lo: PageSize}, 0, sep, pid[:], false)
 	return err
 }
 
-// put makes (key, val) slot i of the pinned node f — a leaf cell, or a
-// separator and child pointer of an internal node — dropping the current
-// slot i first when replace is set. It unpins f. When the node has to split,
-// put returns the key that separates it from its new right sibling and that
-// sibling's page; otherwise right is InvalidPage.
-func (t *BTree) put(f *Frame, i int, key, val []byte, replace bool) (sep []byte, right PageID, err error) {
+// put makes (key, val) slot i of the pinned node f, whose usage is u — a leaf
+// cell, or a separator and child pointer of an internal node — dropping the
+// current slot i first when replace is set. It unpins f. When the node has to
+// split, put returns the key that separates it from its new right sibling
+// and that sibling's page; otherwise right is InvalidPage.
+func (t *BTree) put(f *Frame, u btUse, i int, key, val []byte, replace bool) (sep []byte, right PageID, err error) {
 	p := f.Data()
-	n, err := btCount(p)
-	var live, lo int
-	if err == nil {
-		live, lo, err = btUsage(p, n)
-	}
-	if err == nil && i > n {
-		err = fmt.Errorf("%w: no slot %d among %d", ErrCorruptNode, i, n)
-	}
-	if err != nil {
+	if i > u.n || (replace && i == u.n) {
 		t.bp.Unpin(f, false)
-		return nil, InvalidPage, fmt.Errorf("node %d: %w", f.PID(), err)
+		return nil, InvalidPage, fmt.Errorf("node %d: %w: no slot %d among %d", f.PID(), ErrCorruptNode, i, u.n)
 	}
-	m := n // slots that stay
+	n := u.n
 	if replace {
 		_, klen, vlen, _ := btSlotAt(p, n, i)
-		live -= klen + vlen
-		m--
+		u.live -= klen + vlen
+		u.n--
 	}
-	need := len(key) + len(val)
-	if btHdr+(m+1)*btSlot+live+need > PageSize {
+	if btHdr+(u.n+1)*btSlot+u.live+len(key)+len(val) > PageSize {
 		return t.split(f, i, key, val, replace)
 	}
 	if replace {
-		// lo may now sit below the lowest live cell; that only makes the
+		// u.lo may now sit below the lowest live cell; that only makes the
 		// gap look smaller than it is.
 		btRemoveSlot(p, n, i)
 	}
-	slotEnd := btHdr + m*btSlot
-	if lo-need < slotEnd+btSlot {
-		btCompact(p, m, lo)
-		lo = PageSize - live
+	if !btPlace(p, &u, i, key, val) {
+		btCompact(p, u.n, u.lo)
+		u.lo = PageSize - u.live
+		btPlace(p, &u, i, key, val)
 	}
-	off := lo - need
-	copy(p[off:], key)
-	copy(p[off+len(key):], val)
-	copy(p[btHdr+(i+1)*btSlot:slotEnd+btSlot], p[btHdr+i*btSlot:slotEnd])
-	btPutSlot(p, i, off, len(key), len(val))
-	btPutU16(p, 1, m+1)
 	t.bp.Unpin(f, true)
 	return nil, InvalidPage, nil
 }

@@ -142,6 +142,26 @@ func FuzzBTreeNode(f *testing.F) {
 			reported("Insert", tr.Insert(k, EncodeRID(RID{Page: 7})))
 		}
 		reported("Insert replacing", tr.Insert(key64(0), make([]byte, 200)))
+		// Runs of two and three keys: the second and third go into the leaf
+		// the first was routed to, on usage carried from key to key, so what
+		// the image claims about its cells must be checked before each write
+		// just as before a single insert's.
+		rid := EncodeRID(RID{Page: 9})
+		for i := 0; i < 120; i++ {
+			a := int64(i*9 + 2)
+			run := [][]byte{key64(a), key64(a + 3), append(key64(a+6), make([]byte, i%7)...)}
+			switch i % 4 {
+			case 1: // the image's own first keys, replaced by longer values
+				run = [][]byte{key64(0), key64(3), key64(6)}
+			case 2: // past every key: the right edge
+				run = [][]byte{key64(int64(4*fuzzKeys + 2*i)), key64(int64(4*fuzzKeys + 2*i + 1))}
+			case 3: // below every key, two of them
+				run = run[:0:0]
+				run = append(run, key64(int64(-3*i-2)), key64(int64(-3*i-1)))
+			}
+			vals := [][]byte{rid, make([]byte, 8+i%5), rid}[:len(run)]
+			reported("InsertRun", tr.InsertRun(run, vals))
+		}
 		for _, k := range probes {
 			_, err := tr.Delete(k)
 			reported("Delete", err)

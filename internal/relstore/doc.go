@@ -17,6 +17,9 @@
 //     priority orders; every operation searches and edits the pinned page's
 //     bytes in place (no node is decoded), costs exactly one Fetch per node
 //     it visits, and reports a damaged page as ErrCorruptNode;
+//   - set-oriented writes (see "Writing in sets" below): BTree.InsertRun,
+//     HeapFile.InsertRun and Table.InsertBatch over a RowBatch, and in-place
+//     access to fixed-width columns (Table.ReadCols, Table.SetCol);
 //   - query operators: sequential scan, index scan, external merge sort,
 //     sort-merge inner and left outer joins, streaming group-by
 //     aggregation, and a k-way merge of pre-sorted inputs (MergeSorted) —
@@ -25,6 +28,42 @@
 //     crawler's striped LINK store).
 //     The distillation plan of Figure 4 reads its relations through Scan
 //     and compiles its joins in memory (distiller.RunJoin).
+//
+// # Writing in sets
+//
+// The write path has one body per structure, and the single-row call is the
+// set of one:
+//
+//   - BTree.InsertRun(keys, vals) stores the pairs in slice order, each as
+//     Insert would — the tree ends up exactly as a loop of Insert leaves it.
+//     What it saves is descents: once a key has gone into the pinned leaf,
+//     the next goes into the same leaf when it is not below that key and
+//     either a key already in the leaf is greater or the leaf is the last of
+//     the chain. The leaf's usage (live bytes, lowest cell) is computed once
+//     per descent and carried along, never stored on the page. Ascending
+//     runs therefore cost one descent per leaf touched; any other order is
+//     still correct, one descent per key. Insert is InsertRun of one.
+//   - HeapFile.InsertRun appends records under one pin of the tail page for
+//     as many as it takes. Insert is the run of one.
+//   - A RowBatch (Table.NewBatch, or the table's own reusable Table.Batch)
+//     holds rows already encoded — record and one key per index — in one
+//     arena that survives Reset. Rows are added whole (Add: keys from the
+//     indexes' key functions) or as AddRecord plus one Key call per index,
+//     in index order, which allocates nothing per row. A batch reads and
+//     writes nothing of the table until InsertBatch, so it can be filled,
+//     sorted (Sort), have rows dropped (Skip) and fixed-width columns
+//     patched (SetCol) outside the table's lock. Table.InsertBatch then puts
+//     the records on the heap in row order and feeds each index its keys as
+//     one ascending run. Table.Insert is the batch of one.
+//
+// Fixed-width columns (INT, BIGINT, DOUBLE) can be read and overwritten
+// where they lie on the pinned heap page: Table.ReadCols decodes just the
+// columns asked for, Table.SetCol overwrites one. Neither copies the record
+// or decodes the rest of the row, and SetCol touches no index — so the rule
+// is: SetCol only a column that no index key contains (the table cannot
+// check this; key functions are opaque). A column that is part of a key is
+// changed through Update, or through UpdateFrom when the caller already
+// holds the stored row and Update's re-read would be wasted.
 //
 // # Concurrency contract
 //

@@ -33,9 +33,14 @@ func (r RID) IsZero() bool { return r.Page == InvalidPage && r.Slot == 0 }
 // EncodeRID packs the RID into 6 bytes (used as index payload).
 func EncodeRID(r RID) []byte {
 	var b [6]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(r.Page))
-	binary.LittleEndian.PutUint16(b[4:], r.Slot)
+	putRID(b[:], r)
 	return b[:]
+}
+
+// putRID is EncodeRID into the caller's 6 bytes.
+func putRID(b []byte, r RID) {
+	binary.LittleEndian.PutUint32(b[:4], uint32(r.Page))
+	binary.LittleEndian.PutUint16(b[4:6], r.Slot)
 }
 
 // DecodeRID unpacks a 6-byte RID.
@@ -103,60 +108,90 @@ func (h *HeapFile) Rows() int64 { return h.rows }
 // FirstPage returns the head of the page chain (for diagnostics).
 func (h *HeapFile) FirstPage() PageID { return h.first }
 
-// Insert appends a record and returns its RID.
+// Insert appends a record and returns its RID. It is the run of one.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
-	if len(rec) > MaxRecordLen {
-		return RID{}, fmt.Errorf("relstore: record too large (%d bytes)", len(rec))
+	var rid [1]RID
+	err := h.InsertRun([][]byte{rec}, rid[:])
+	return rid[0], err
+}
+
+// InsertRun appends recs in slice order, exactly as a loop of Insert would,
+// and stores each record's RID in rids (which must be as long as recs). The
+// tail page is pinned once for all the records it takes instead of once per
+// record.
+func (h *HeapFile) InsertRun(recs [][]byte, rids []RID) error {
+	for _, rec := range recs {
+		if len(rec) > MaxRecordLen {
+			return fmt.Errorf("relstore: record too large (%d bytes)", len(rec))
+		}
+	}
+	if len(recs) == 0 {
+		return nil
 	}
 	f, err := h.bp.Fetch(h.last)
 	if err != nil {
-		return RID{}, err
+		return err
 	}
-	p := f.Data()
-	if !heapRoom(p, len(rec)) {
-		nf, err := h.bp.NewPage()
-		if err != nil {
-			h.bp.Unpin(f, false)
-			return RID{}, err
+	p, wrote := f.Data(), false // wrote: this run has put a record on f
+	for i, rec := range recs {
+		if !heapRoom(p, len(rec)) {
+			nf, err := h.bp.NewPage()
+			if err != nil {
+				h.bp.Unpin(f, wrote)
+				return err
+			}
+			initHeapPage(nf.Data())
+			binary.LittleEndian.PutUint32(p[0:], uint32(nf.PID()))
+			h.bp.Unpin(f, true)
+			h.last = nf.PID()
+			f, p, wrote = nf, nf.Data(), false
 		}
-		initHeapPage(nf.Data())
-		binary.LittleEndian.PutUint32(p[0:], uint32(nf.PID()))
-		h.bp.Unpin(f, true)
-		h.last = nf.PID()
-		f = nf
-		p = f.Data()
+		count := heapCount(p)
+		off := heapFree(p) - uint16(len(rec))
+		copy(p[off:], rec)
+		heapSetSlot(p, count, off, uint16(len(rec)))
+		binary.LittleEndian.PutUint16(p[4:], count+1)
+		binary.LittleEndian.PutUint16(p[6:], off)
+		rids[i] = RID{Page: f.PID(), Slot: count}
+		h.rows++
+		wrote = true
 	}
-	count := heapCount(p)
-	free := heapFree(p)
-	off := free - uint16(len(rec))
-	copy(p[off:], rec)
-	heapSetSlot(p, count, off, uint16(len(rec)))
-	binary.LittleEndian.PutUint16(p[4:], count+1)
-	binary.LittleEndian.PutUint16(p[6:], off)
-	rid := RID{Page: f.PID(), Slot: count}
 	h.bp.Unpin(f, true)
-	h.rows++
-	return rid, nil
+	return nil
+}
+
+// view pins rid's page and hands fn the record where it lies. fn may read
+// the bytes and, when write is set, overwrite them; it must not keep the
+// slice and cannot change the record's length.
+func (h *HeapFile) view(rid RID, write bool, fn func(rec []byte) error) error {
+	f, err := h.bp.Fetch(rid.Page)
+	if err != nil {
+		return err
+	}
+	defer h.bp.Unpin(f, write)
+	p := f.Data()
+	if rid.Slot >= heapCount(p) {
+		return fmt.Errorf("relstore: RID %v out of range", rid)
+	}
+	off, length := heapSlot(p, rid.Slot)
+	if length == delSlot {
+		return fmt.Errorf("relstore: RID %v deleted", rid)
+	}
+	end := int(off) + int(length)
+	if end > PageSize {
+		return fmt.Errorf("relstore: RID %v: record runs off its page", rid)
+	}
+	return fn(p[off:end:end])
 }
 
 // Get returns a copy of the record at rid.
 func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	f, err := h.bp.Fetch(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.bp.Unpin(f, false)
-	p := f.Data()
-	if rid.Slot >= heapCount(p) {
-		return nil, fmt.Errorf("relstore: RID %v out of range", rid)
-	}
-	off, length := heapSlot(p, rid.Slot)
-	if length == delSlot {
-		return nil, fmt.Errorf("relstore: RID %v deleted", rid)
-	}
-	out := make([]byte, length)
-	copy(out, p[off:int(off)+int(length)])
-	return out, nil
+	var out []byte
+	err := h.view(rid, false, func(rec []byte) error {
+		out = cloneBytes(rec)
+		return nil
+	})
+	return out, err
 }
 
 // Update overwrites the record at rid in place. The new record must not be

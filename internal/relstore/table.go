@@ -63,6 +63,8 @@ type Table struct {
 	db      *DB
 	heap    *HeapFile
 	indexes []*Index
+	own     *RowBatch // Batch's, reused
+	rec     []byte    // UpdateFrom's encode buffer, reused
 }
 
 // Heap exposes the underlying heap file (for diagnostics and experiments).
@@ -115,55 +117,90 @@ func (tb *Table) Index(name string) *Index {
 	return nil
 }
 
-// Insert adds a row, maintaining all indexes.
+// Insert adds a row, maintaining all indexes. It is the batch of one.
 func (tb *Table) Insert(t Tuple) (RID, error) {
-	rid, _, err := tb.InsertBuf(nil, t)
-	return rid, err
+	b := tb.Batch()
+	if err := b.Add(t); err != nil {
+		return RID{}, err
+	}
+	if err := tb.InsertBatch(b); err != nil {
+		return RID{}, err
+	}
+	return b.RID(0), nil
 }
 
-// InsertBuf is Insert with a caller-owned encode buffer — the bulk-ingest
-// path. The record is encoded into buf (grown as needed) and the possibly
-// grown buffer is returned for reuse, so a tight loop loading many rows
-// pays one buffer allocation total instead of one per row. The caller may
-// also reuse the tuple itself between calls: neither the heap nor the
-// indexes retain it.
-func (tb *Table) InsertBuf(buf []byte, t Tuple) (RID, []byte, error) {
-	rec, err := EncodeTuple(buf[:0], tb.Schema, t)
-	if err != nil {
-		return RID{}, buf, err
+// Batch returns the table's own batch, emptied — the one Insert goes through.
+// It serves a caller that holds whatever serializes the table from filling
+// the batch to inserting it, and so needs no batch of its own (NewBatch); the
+// next Insert or Batch call on the table takes it over.
+func (tb *Table) Batch() *RowBatch {
+	if tb.own == nil {
+		tb.own = tb.NewBatch()
 	}
-	rid, err := tb.heap.Insert(rec)
-	if err != nil {
-		return RID{}, rec, err
-	}
-	for _, ix := range tb.indexes {
-		if err := ix.Tree.Insert(ix.Key(t), EncodeRID(rid)); err != nil {
-			return RID{}, rec, err
-		}
-	}
-	return rid, rec, nil
+	tb.own.Reset()
+	return tb.own
 }
 
 // Get decodes the row at rid.
 func (tb *Table) Get(rid RID) (Tuple, error) {
-	rec, err := tb.heap.Get(rid)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeTuple(tb.Schema, rec)
+	var t Tuple
+	err := tb.heap.view(rid, false, func(rec []byte) (err error) {
+		t, err = DecodeTuple(tb.Schema, rec)
+		return err
+	})
+	return t, err
+}
+
+// ReadCols decodes the given fixed-width columns of the row at rid into out,
+// out[i] receiving column cols[i], straight from the pinned heap page:
+// nothing is copied and no other column is decoded.
+func (tb *Table) ReadCols(rid RID, cols []int, out []Value) error {
+	return tb.heap.view(rid, false, func(rec []byte) error {
+		for i, col := range cols {
+			at, err := tb.Schema.fixedCol(rec, col)
+			if err != nil {
+				return err
+			}
+			out[i] = fixedValue(tb.Schema.Cols[col].Kind, at)
+		}
+		return nil
+	})
+}
+
+// SetCol overwrites fixed-width column col of the row at rid where it lies
+// on the heap page. No index is touched, so col must not be part of any index
+// key — the table cannot check that, key functions being opaque. A column
+// that is goes through Update.
+func (tb *Table) SetCol(rid RID, col int, v Value) error {
+	return tb.heap.view(rid, true, func(rec []byte) error {
+		at, err := tb.Schema.fixedCol(rec, col)
+		if err != nil {
+			return err
+		}
+		return putFixedValue(tb.Schema.Cols[col], at, v)
+	})
 }
 
 // Update replaces the row at rid, maintaining indexes whose keys changed.
 // The encoded row must not grow (variable-width columns must be unchanged).
+// It reads the stored row first; a caller that holds it uses UpdateFrom.
 func (tb *Table) Update(rid RID, t Tuple) error {
 	old, err := tb.Get(rid)
 	if err != nil {
 		return err
 	}
-	rec, err := EncodeTuple(nil, tb.Schema, t)
+	return tb.UpdateFrom(rid, old, t)
+}
+
+// UpdateFrom is Update for a caller that already holds the stored row: old
+// must be the row at rid as it is now (what Get would return), t what it
+// becomes. old is read only for the index keys it had.
+func (tb *Table) UpdateFrom(rid RID, old, t Tuple) error {
+	rec, err := EncodeTuple(tb.rec[:0], tb.Schema, t)
 	if err != nil {
 		return err
 	}
+	tb.rec = rec
 	if err := tb.heap.Update(rid, rec); err != nil {
 		return err
 	}

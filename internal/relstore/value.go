@@ -220,6 +220,74 @@ func DecodeTuple(s *Schema, rec []byte) (Tuple, error) {
 	return t, nil
 }
 
+// fixedCol returns the bytes of column col inside the row-format record rec,
+// without decoding anything else: the columns before it are stepped over by
+// their widths (a string's by its length prefix). col must be a fixed-width
+// column — the in-place accessors built on this (Table.ReadCols,
+// Table.SetCol, RowBatch.SetCol) read and overwrite a column where it lies,
+// which a column that can change length does not allow.
+func (s *Schema) fixedCol(rec []byte, col int) ([]byte, error) {
+	if col < 0 || col >= len(s.Cols) {
+		return nil, fmt.Errorf("relstore: no column %d in a schema of %d", col, len(s.Cols))
+	}
+	off := 0
+	for i := 0; ; i++ {
+		width := 0
+		switch s.Cols[i].Kind {
+		case KInt32:
+			width = 4
+		case KInt64, KFloat64:
+			width = 8
+		case KString:
+			if i == col {
+				return nil, fmt.Errorf("relstore: column %s is not fixed-width", s.Cols[i].Name)
+			}
+			if off+2 > len(rec) {
+				return nil, fmt.Errorf("relstore: short record at column %s", s.Cols[i].Name)
+			}
+			width = 2 + int(binary.LittleEndian.Uint16(rec[off:]))
+		default:
+			return nil, fmt.Errorf("relstore: column %s: undecodable kind %v", s.Cols[i].Name, s.Cols[i].Kind)
+		}
+		if off+width > len(rec) {
+			return nil, fmt.Errorf("relstore: short record at column %s", s.Cols[i].Name)
+		}
+		if i == col {
+			return rec[off : off+width], nil
+		}
+		off += width
+	}
+}
+
+// fixedValue decodes a fixed-width column's bytes, as fixedCol returns them.
+func fixedValue(k Kind, b []byte) Value {
+	switch k {
+	case KInt32:
+		return I32(int32(binary.LittleEndian.Uint32(b)))
+	case KInt64:
+		return I64(int64(binary.LittleEndian.Uint64(b)))
+	default:
+		return F64(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	}
+}
+
+// putFixedValue overwrites a fixed-width column's bytes with v, which must
+// be of the column's kind.
+func putFixedValue(c Column, b []byte, v Value) error {
+	if v.Kind != c.Kind {
+		return fmt.Errorf("relstore: column %s: kind %v != %v", c.Name, v.Kind, c.Kind)
+	}
+	switch c.Kind {
+	case KInt32:
+		binary.LittleEndian.PutUint32(b, uint32(int32(v.I)))
+	case KInt64:
+		binary.LittleEndian.PutUint64(b, uint64(v.I))
+	default:
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v.F))
+	}
+	return nil
+}
+
 // AppendKey appends an order-preserving (memcmp-comparable) encoding of the
 // values to dst. Integers use biased big-endian form; floats use the usual
 // sign-flip trick; strings are zero-escaped and terminated so that prefixes
@@ -261,8 +329,15 @@ func AppendKey(dst []byte, vals ...Value) []byte {
 	return dst
 }
 
-// EncodeKey is AppendKey into a fresh slice.
-func EncodeKey(vals ...Value) []byte { return AppendKey(nil, vals...) }
+// EncodeKey is AppendKey into a fresh slice, sized up front so that the key
+// costs one allocation (a string with zero bytes to escape may still grow it).
+func EncodeKey(vals ...Value) []byte {
+	n := 0
+	for _, v := range vals {
+		n += 8 + len(v.S)
+	}
+	return AppendKey(make([]byte, 0, n), vals...)
+}
 
 // PrefixSuccessor returns the smallest byte string greater than every string
 // having the given prefix, for use as the exclusive upper bound of a prefix
