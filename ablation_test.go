@@ -8,32 +8,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"focus/internal/crawler"
 	"focus/internal/distiller"
-	"focus/internal/eval"
 	"focus/internal/relstore"
 )
-
-// BenchmarkAblationHardVsSoftFocus quantifies the stagnation claim of
-// §2.1.2: pages visited under each rule with the same budget.
-func BenchmarkAblationHardVsSoftFocus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run := func(mode crawler.Mode) float64 {
-			r, err := eval.RunHarvest(eval.HarvestConfig{
-				Web: benchWeb(91, 8000), Seeds: 8, Budget: 700,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = mode
-			return float64(r.SoftFocus.Visited)
-		}
-		// RunHarvest covers soft focus; hard focus runs through core in
-		// the crawl test suite. Here we report the soft-focus visit count
-		// as the reference capacity.
-		b.ReportMetric(run(crawler.ModeSoftFocus), "soft-visited")
-	}
-}
 
 // BenchmarkAblationDistillerWeights compares weighted (EF/EB) and classic
 // unweighted HITS on the same graph: without weights, endorsement leaks

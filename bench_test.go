@@ -184,9 +184,9 @@ func BenchmarkClassifyBatch(b *testing.B) {
 	for _, batch := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := eval.RunClassifyBatch(eval.ClassifyBatchConfig{
-					Web:     eval.DocHeavyWeb(97, 6000),
-					Batches: []int{batch},
+				r, err := eval.RunThroughput(eval.ThroughputConfig{
+					Web:    eval.DocHeavyWeb(97, 6000),
+					Points: []eval.ThroughputPoint{{Label: b.Name(), ClassifyBatch: batch}},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -8,15 +8,14 @@
 //
 // Figures: 5 (harvest rate, a+b), 6 (coverage, a+b), 7 (distance
 // histogram + hubs), 8a (classifier variants), 8b (memory scaling),
-// 8c (output scaling), 8d (distiller variants), plus four studies beyond
-// the paper: classify (the in-crawl classification batch sweep — Figure
-// 8a's set-oriented claim applied to the crawl hot path), hostile (harvest
-// under rate limits, outages, and timeouts, naive vs the polite
-// politeness/backoff/breaker stack), cores (crawl throughput vs GOMAXPROCS
-// on the doc-heavy workload — the multicore payoff of the parallel
-// classifier stage), and recovery (kill-and-resume trials and checkpoint
-// overhead on durable files); for hostile, cores, and recovery, -json
-// writes the study as a machine-readable artifact.
+// 8c (output scaling), 8d (distiller variants), plus two studies beyond
+// the paper that bench/ cannot run: hostile (harvest under rate limits,
+// outages, and timeouts, naive vs the polite politeness/backoff/breaker
+// stack) and the crawl throughput sweep on the doc-heavy workload, along
+// two point lists — classify (ClassifyBatch 1/16/64: Figure 8a's
+// set-oriented claim applied to the crawl hot path) and cores (GOMAXPROCS
+// 1/2/4: the multicore payoff of the parallel classifier stage). For these
+// three, -json writes the study as a machine-readable artifact.
 package main
 
 import (
@@ -30,25 +29,9 @@ import (
 	"focus/internal/webgraph"
 )
 
-// writeJSON writes a study to path as JSON; an empty path writes nothing.
-func writeJSON(path string, study interface{ WriteJSON(io.Writer) error }) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := study.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, classify, hostile, cores, recovery, all")
+		fig      = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, classify, hostile, cores, all")
 		seed     = flag.Int64("seed", 1999, "random seed")
 		pages    = flag.Int("pages", 30000, "synthetic web size for crawl experiments")
 		budget   = flag.Int64("budget", 4000, "fetch budget for crawl experiments")
@@ -58,10 +41,14 @@ func main() {
 		latency  = flag.Duration("latency", 50*time.Microsecond, "simulated per-page disk latency for figure 8")
 		cpar     = flag.Int("classifypar", 0, "classifier-stage workers (batch queue partitioned by did) for the classify figure (0/1 = one stage)")
 		cbatch   = flag.Int("classifybatch", 0, "classify figure: sweep {1, N} instead of the default batch sizes (0 = default sweep)")
-		jsonPath = flag.String("json", "", "hostile/cores/recovery figures: also write that study as JSON to this path (the CI BENCH_hostile.json / BENCH_cores.json / BENCH_recovery.json artifacts; use with a single -fig)")
-		dbpath   = flag.String("dbpath", "", "hostile figure: back each run's crawl relations with real durable files at this path prefix (removed after measurement) instead of the latency-simulated memory disk; the recovery figure always uses durable files")
+		jsonPath = flag.String("json", "", "classify/hostile/cores figures: also write that study as JSON to this path (the CI BENCH_hostile.json / BENCH_cores.json artifacts; needs a single -fig)")
+		dbpath   = flag.String("dbpath", "", "hostile figure: back each run's crawl relations with real durable files at this path prefix (removed after measurement) instead of the latency-simulated memory disk")
 	)
 	flag.Parse()
+	if *jsonPath != "" && *fig == "all" {
+		fmt.Fprintln(os.Stderr, "focusexp: -json takes one study; name it with -fig")
+		os.Exit(2)
+	}
 
 	if *quick {
 		*pages = 9000
@@ -73,6 +60,27 @@ func main() {
 		TopicWeights: map[string]float64{*topic: *weight},
 	}
 
+	// show prints a finished study and, for the studies that have a JSON
+	// form, writes it to -json's path.
+	show := func(study interface{ Render(io.Writer) }, err error) error {
+		if err != nil {
+			return err
+		}
+		study.Render(os.Stdout)
+		js, ok := study.(interface{ WriteJSON(io.Writer) error })
+		if !ok || *jsonPath == "" {
+			return nil
+		}
+		f, err := os.Create(*jsonPath)
+		if err != nil {
+			return err
+		}
+		if err := js.WriteJSON(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
 	run := func(id string, fn func() error) {
 		if *fig != "all" && *fig != id {
 			return
@@ -97,14 +105,9 @@ func main() {
 		return nil
 	})
 	run("6", func() error {
-		r, err := eval.RunCoverage(eval.CoverageConfig{
+		return show(eval.RunCoverage(eval.CoverageConfig{
 			Web: webCfg, Topic: *topic, Budget: *budget,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
+		}))
 	})
 	run("7", func() error {
 		// Tighter locality and fewer shortcuts give the community the
@@ -113,76 +116,56 @@ func main() {
 		cfg := webCfg
 		cfg.ShortcutProb = 0.02
 		cfg.LocalityWindow = 12
-		r, err := eval.RunDistance(eval.DistanceConfig{
+		return show(eval.RunDistance(eval.DistanceConfig{
 			Web: cfg, Topic: *topic, Budget: *budget,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
+		}))
 	})
 	run("8a", func() error {
-		r, err := eval.RunClassifierPerf(eval.ClassifierPerfConfig{
+		return show(eval.RunClassifierPerf(eval.ClassifierPerfConfig{
 			Seed: *seed, Docs: 150, Frames: 32,
 			DiskLatency: 4 * *latency, BigVocab: true,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
+		}))
 	})
 	run("8b", func() error {
-		r, err := eval.RunMemoryScaling(*seed, 250, []int{128, 328, 528, 728, 928}, *latency)
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
+		return show(eval.RunMemoryScaling(*seed, 250, []int{128, 328, 528, 728, 928}, *latency))
 	})
 	run("8c", func() error {
-		r, err := eval.RunOutputScaling(*seed, []int{25, 80, 250, 800, 2500}, 2048)
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
+		return show(eval.RunOutputScaling(*seed, []int{25, 80, 250, 800, 2500}, 2048))
 	})
 	run("8d", func() error {
 		// A pool far smaller than the crawl graph puts the index walk in
 		// the random-I/O regime the paper measured (their graphs exceeded
 		// the memory shared with classifier and crawler).
-		r, err := eval.RunDistillerPerf(eval.DistillerPerfConfig{
+		return show(eval.RunDistillerPerf(eval.DistillerPerfConfig{
 			Web: webCfg, Topic: *topic, CrawlBudget: *budget / 2,
 			Frames: 96, DiskLatency: *latency,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
+		}))
 	})
 
-	run("classify", func() error {
-		// The in-crawl classification batch sweep: end-to-end pages/sec at
-		// batch 1 (inline), 16, and 64 on the doc-heavy workload, where
-		// per-page classification and DOCUMENT ingest dominate.
+	// The throughput sweep: the same doc-heavy crawl (where per-page
+	// classification and DOCUMENT ingest dominate) once per point,
+	// measuring end-to-end pages/sec. The study sizes its own web; seed,
+	// topic, and budget pass through.
+	sweep := func(points []eval.ThroughputPoint) error {
 		dense := eval.DocHeavyWeb(*seed, *pages/3)
 		dense.TopicWeights = map[string]float64{*topic: *weight}
-		var batches []int
+		return show(eval.RunThroughput(eval.ThroughputConfig{
+			Web: dense, Topic: *topic, Budget: *budget / 2, Points: points,
+		}))
+	}
+	run("classify", func() error {
+		// Batch 1 is inline classification, the rest the batched pipeline.
+		batches := []int{1, 16, 64}
 		if *cbatch > 0 {
 			batches = []int{1, *cbatch}
 		}
-		r, err := eval.RunClassifyBatch(eval.ClassifyBatchConfig{
-			Web: dense, Topic: *topic,
-			Budget: *budget / 2, Batches: batches, ClassifyParallelism: *cpar,
-		})
-		if err != nil {
-			return err
+		var points []eval.ThroughputPoint
+		for _, b := range batches {
+			points = append(points, eval.ThroughputPoint{
+				Label: fmt.Sprintf("batch=%d", b), ClassifyBatch: b, ClassifyParallelism: *cpar,
+			})
 		}
-		r.Render(os.Stdout)
-		return nil
+		return sweep(points)
 	})
 
 	run("hostile", func() error {
@@ -191,46 +174,21 @@ func main() {
 		// nastier — rate limits, outages, timeouts. The study sizes its own
 		// concentrated web (few servers, so per-host budgets actually bind);
 		// seed, topic, and budget pass through.
-		r, err := eval.RunHostile(eval.HostileConfig{
+		return show(eval.RunHostile(eval.HostileConfig{
 			Seed: *seed, Topic: *topic, Budget: *budget / 4,
 			DBPath: *dbpath,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return writeJSON(*jsonPath, r)
+		}))
 	})
 
 	run("cores", func() error {
-		// Multicore payoff: the same doc-heavy crawl (fixed worker and
-		// classifier-stage counts) at GOMAXPROCS 1/2/4, measuring
-		// end-to-end pages/sec. The study sizes its own doc-heavy web; seed,
-		// topic, and budget pass through.
-		dense := eval.DocHeavyWeb(*seed, *pages/3)
-		dense.TopicWeights = map[string]float64{*topic: *weight}
-		r, err := eval.RunCoreScaling(eval.CoreScalingConfig{
-			Web: dense, Topic: *topic, Budget: *budget / 2,
-		})
-		if err != nil {
-			return err
+		// Multicore payoff: worker, batch and classifier-stage counts are
+		// fixed, so the core count is the variable, not the goroutine count.
+		var points []eval.ThroughputPoint
+		for _, n := range []int{1, 2, 4} {
+			points = append(points, eval.ThroughputPoint{
+				Label: fmt.Sprintf("cores=%d", n), Cores: n, ClassifyBatch: 16, ClassifyParallelism: 4,
+			})
 		}
-		r.Render(os.Stdout)
-		return writeJSON(*jsonPath, r)
-	})
-
-	run("recovery", func() error {
-		// Checkpoint/recovery: randomized kill-and-resume trials checked
-		// bit-identical against the uninterrupted run, plus the checkpoint
-		// throughput overhead (acceptance ceiling 15%). Always durable —
-		// the study is about the durable files.
-		r, err := eval.RunRecovery(eval.RecoveryConfig{
-			Seed: *seed, Topic: *topic,
-		})
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return writeJSON(*jsonPath, r)
+		return sweep(points)
 	})
 }

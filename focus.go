@@ -45,7 +45,10 @@
 // the paper's architecture exploits; everything else (storage engine,
 // classifier, distiller, crawler) is implemented as the paper describes.
 // See DESIGN.md for the full system inventory and the shard architecture;
-// cmd/focusexp and `go test -bench .` regenerate the per-figure results.
+// cmd/focusexp and `go test -bench .` regenerate the per-figure results —
+// Figures 5, 6, 7 and 8a–d, plus the hostile-web study and the doc-heavy
+// throughput sweep (focusexp -fig classify, -fig cores); speed and
+// durability are judged by bench/ (bash bench/run.sh).
 // Concurrency and determinism contracts (lock ordering, off-latch I/O,
 // golden-pinned RNG streams) are machine-checked by cmd/focuslint — see
 // DESIGN.md "Statically checked invariants".

@@ -58,7 +58,9 @@ func scoreMaps(t *testing.T, c *crawler.Crawler) (hubs, auth map[int64]float64) 
 // abandoned without Close, exactly like a crash — the file recovers to the
 // last checkpoint, losing the visits after it), resumed with the full
 // budget, and must finish with the same harvest sequence and the same
-// hub/authority scores as the uninterrupted in-memory control run.
+// hub/authority scores as the uninterrupted in-memory control run. The kill
+// points fall just past the first checkpoint, between the second and third,
+// and past the third, all against one control run.
 func TestGoldenResumeSeed1(t *testing.T) {
 	control, err := NewSystem(goldenConfig("", 400, 0))
 	if err != nil {
@@ -74,80 +76,86 @@ func TestGoldenResumeSeed1(t *testing.T) {
 	ctrlLog := control.Crawler.HarvestLog()
 	ctrlHubs, ctrlAuth := scoreMaps(t, control.Crawler)
 
-	// Durable leg: checkpoint every 100 visits, kill at 250 fetches. The
-	// last checkpoint lands at visit 200; the tail past it must be lost to
-	// the crash and re-crawled identically.
-	dbPath := filepath.Join(t.TempDir(), "crawl.db")
-	sys, err := NewSystem(goldenConfig(dbPath, 250, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SeedTopic("cycling", 10); err != nil {
-		t.Fatal(err)
-	}
-	res1, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Checkpoints < 2 {
-		t.Fatalf("pre-kill run took %d checkpoints, want >= 2", res1.Checkpoints)
-	}
-	// Crash: no Close, no final checkpoint — the in-memory DB state and
-	// buffer pool are simply abandoned.
+	// Durable legs: checkpoint every 100 visits, kill at killAt fetches. The
+	// tail past the last checkpoint must be lost to the crash and re-crawled
+	// identically.
+	for _, tc := range []struct {
+		killAt, checkpoints int64
+	}{{110, 1}, {250, 2}, {320, 3}} {
+		t.Run(fmt.Sprintf("kill=%d", tc.killAt), func(t *testing.T) {
+			dbPath := filepath.Join(t.TempDir(), "crawl.db")
+			sys, err := NewSystem(goldenConfig(dbPath, tc.killAt, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SeedTopic("cycling", 10); err != nil {
+				t.Fatal(err)
+			}
+			res1, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res1.Checkpoints < tc.checkpoints {
+				t.Fatalf("pre-kill run took %d checkpoints, want >= %d", res1.Checkpoints, tc.checkpoints)
+			}
+			// Crash: no Close, no final checkpoint — the in-memory DB state and
+			// buffer pool are simply abandoned.
 
-	resumed, err := ResumeSystem(goldenConfig(dbPath, 400, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	preVisited := int64(len(resumed.Crawler.HarvestLog()))
-	if preVisited >= res1.Visited {
-		t.Fatalf("recovered harvest has %d visits, expected fewer than the killed run's %d (tail must be lost)",
-			preVisited, res1.Visited)
-	}
-	res2, err := resumed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Visited != ctrlRes.Visited || res2.Fetches != ctrlRes.Fetches {
-		t.Errorf("resumed visited=%d fetches=%d, control %d/%d",
-			res2.Visited, res2.Fetches, ctrlRes.Visited, ctrlRes.Fetches)
-	}
-	log := resumed.Crawler.HarvestLog()
-	if len(log) != len(ctrlLog) {
-		t.Fatalf("resumed harvest has %d points, control %d", len(log), len(ctrlLog))
-	}
-	for i := range ctrlLog {
-		if log[i] != ctrlLog[i] {
-			t.Fatalf("harvest point %d diverged after resume: %+v, control %+v", i, log[i], ctrlLog[i])
-		}
-	}
-	hubs, auth := scoreMaps(t, resumed.Crawler)
-	if len(hubs) != len(ctrlHubs) || len(auth) != len(ctrlAuth) {
-		t.Fatalf("score table sizes diverged: hubs %d/%d auth %d/%d",
-			len(hubs), len(ctrlHubs), len(auth), len(ctrlAuth))
-	}
-	for oid, want := range ctrlHubs {
-		if got, ok := hubs[oid]; !ok || got != want {
-			t.Fatalf("hub score of %d = %v (present=%v), control %v", oid, got, ok, want)
-		}
-	}
-	for oid, want := range ctrlAuth {
-		if got, ok := auth[oid]; !ok || got != want {
-			t.Fatalf("auth score of %d = %v (present=%v), control %v", oid, got, ok, want)
-		}
-	}
-	if err := resumed.Close(); err != nil {
-		t.Fatal(err)
-	}
+			resumed, err := ResumeSystem(goldenConfig(dbPath, 400, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			preVisited := int64(len(resumed.Crawler.HarvestLog()))
+			if preVisited >= res1.Visited {
+				t.Fatalf("recovered harvest has %d visits, expected fewer than the killed run's %d (tail must be lost)",
+					preVisited, res1.Visited)
+			}
+			res2, err := resumed.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res2.Visited != ctrlRes.Visited || res2.Fetches != ctrlRes.Fetches {
+				t.Errorf("resumed visited=%d fetches=%d, control %d/%d",
+					res2.Visited, res2.Fetches, ctrlRes.Visited, ctrlRes.Fetches)
+			}
+			log := resumed.Crawler.HarvestLog()
+			if len(log) != len(ctrlLog) {
+				t.Fatalf("resumed harvest has %d points, control %d", len(log), len(ctrlLog))
+			}
+			for i := range ctrlLog {
+				if log[i] != ctrlLog[i] {
+					t.Fatalf("harvest point %d diverged after resume: %+v, control %+v", i, log[i], ctrlLog[i])
+				}
+			}
+			hubs, auth := scoreMaps(t, resumed.Crawler)
+			if len(hubs) != len(ctrlHubs) || len(auth) != len(ctrlAuth) {
+				t.Fatalf("score table sizes diverged: hubs %d/%d auth %d/%d",
+					len(hubs), len(ctrlHubs), len(auth), len(ctrlAuth))
+			}
+			for oid, want := range ctrlHubs {
+				if got, ok := hubs[oid]; !ok || got != want {
+					t.Fatalf("hub score of %d = %v (present=%v), control %v", oid, got, ok, want)
+				}
+			}
+			for oid, want := range ctrlAuth {
+				if got, ok := auth[oid]; !ok || got != want {
+					t.Fatalf("auth score of %d = %v (present=%v), control %v", oid, got, ok, want)
+				}
+			}
+			if err := resumed.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// A closed system is resumable too: Close checkpointed, so reopening
-	// must land exactly at the final state.
-	again, err := ResumeSystem(goldenConfig(dbPath, 400, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := int64(len(again.Crawler.HarvestLog())); got != ctrlRes.Visited {
-		t.Fatalf("post-Close reopen has %d visits, want %d", got, ctrlRes.Visited)
+			// A closed system is resumable too: Close checkpointed, so reopening
+			// must land exactly at the final state.
+			again, err := ResumeSystem(goldenConfig(dbPath, 400, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int64(len(again.Crawler.HarvestLog())); got != ctrlRes.Visited {
+				t.Fatalf("post-Close reopen has %d visits, want %d", got, ctrlRes.Visited)
+			}
+		})
 	}
 }
 

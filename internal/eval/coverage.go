@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"focus/internal/core"
 	"focus/internal/crawler"
 	"focus/internal/webgraph"
 )
@@ -77,28 +76,11 @@ func RunCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 	}
 	s1, s2 := web.SeedSets(node.ID, cfg.SeedsEach, cfg.SeedsEach)
 
-	runOne := func(seeds []string) (*core.System, error) {
-		web.Cfg.Tree.Unmark(node.ID)
-		sys, err := core.NewSystemOnWeb(web, core.Config{
-			GoodTopics: []string{cfg.Topic},
-			Crawl: crawler.Config{
-				Workers:    cfg.Workers,
-				MaxFetches: cfg.Budget,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.Crawler.Seed(seeds); err != nil {
-			return nil, err
-		}
-		if _, err := sys.Run(); err != nil {
-			return nil, err
-		}
-		return sys, nil
+	run := crawlRun{
+		Web: web, Topic: cfg.Topic, SeedURLs: s1,
+		Crawl: crawler.Config{Workers: cfg.Workers, MaxFetches: cfg.Budget},
 	}
-
-	ref, err := runOne(s1)
+	ref, _, err := run.run()
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +93,8 @@ func RunCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 		refURLSet[u] = true
 	}
 
-	test, err := runOne(s2)
+	run.SeedURLs = s2
+	test, _, err := run.run()
 	if err != nil {
 		return nil, err
 	}
@@ -152,13 +135,6 @@ func RunCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 		out.FinalServerFrac = out.Points[n-1].ServerFrac
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Render prints the two coverage curves.

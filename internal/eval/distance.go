@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"focus/internal/core"
 	"focus/internal/crawler"
 	"focus/internal/relstore"
 	"focus/internal/webgraph"
@@ -66,30 +65,15 @@ type DistanceResult struct {
 // system actually discovered — the full web's noise links are unknown to it.
 func RunDistance(cfg DistanceConfig) (*DistanceResult, error) {
 	cfg = cfg.withDefaults()
-	web, err := webgraph.Generate(cfg.Web)
-	if err != nil {
-		return nil, err
-	}
-	node := web.Cfg.Tree.ByName(cfg.Topic)
-	if node == nil {
-		return nil, fmt.Errorf("eval: unknown topic %q", cfg.Topic)
-	}
-	sys, err := core.NewSystemOnWeb(web, core.Config{
-		GoodTopics: []string{cfg.Topic},
+	sys, _, err := crawlRun{
+		WebCfg: cfg.Web, Topic: cfg.Topic, Seeds: cfg.Seeds,
 		Crawl: crawler.Config{
 			Workers:      cfg.Workers,
 			MaxFetches:   cfg.Budget,
 			DistillEvery: cfg.DistillEvery,
 		},
-	})
+	}.run()
 	if err != nil {
-		return nil, err
-	}
-	seeds := web.Seeds(node.ID, cfg.Seeds)
-	if err := sys.Crawler.Seed(seeds); err != nil {
-		return nil, err
-	}
-	if _, err := sys.Run(); err != nil {
 		return nil, err
 	}
 
@@ -103,6 +87,7 @@ func RunDistance(cfg DistanceConfig) (*DistanceResult, error) {
 		return nil, err
 	}
 
+	seeds := sys.Web.Seeds(sys.Tree.ByName(cfg.Topic).ID, cfg.Seeds)
 	dist, err := CrawlGraphDistances(sys.Crawler.Links(), seedOIDs(seeds))
 	if err != nil {
 		return nil, err

@@ -309,11 +309,28 @@ func TestRunHostilePoliteBeatsNaive(t *testing.T) {
 }
 
 func TestRunCoreScalingShape(t *testing.T) {
-	r, err := RunCoreScaling(CoreScalingConfig{
+	// On a single-core host the two points legitimately tie, so only the
+	// shape is asserted here; the CI runner checks the speedup floor.
+	checkThroughputShape(t, []ThroughputPoint{
+		{Label: "cores=1", Cores: 1, ClassifyBatch: 16, ClassifyParallelism: 4},
+		{Label: "cores=2", Cores: 2, ClassifyBatch: 16, ClassifyParallelism: 4},
+	})
+}
+
+func TestRunClassifyBatchShape(t *testing.T) {
+	checkThroughputShape(t, []ThroughputPoint{
+		{Label: "batch=1", ClassifyBatch: 1},
+		{Label: "batch=16", ClassifyBatch: 16},
+	})
+}
+
+func checkThroughputShape(t *testing.T, points []ThroughputPoint) {
+	t.Helper()
+	r, err := RunThroughput(ThroughputConfig{
 		Web:    DocHeavyWeb(44, 1200),
 		Seeds:  6,
 		Budget: 150,
-		Cores:  []int{1, 2},
+		Points: points,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,15 +340,13 @@ func TestRunCoreScalingShape(t *testing.T) {
 	}
 	for _, p := range r.Points {
 		if p.Visited == 0 || p.PagesPerSec <= 0 {
-			t.Fatalf("cores=%d: empty crawl measurement %+v", p.Cores, p)
+			t.Fatalf("%s: empty crawl measurement %+v", p.Label, p)
 		}
 	}
-	// On a single-core host the two points legitimately tie, so only the
-	// shape is asserted here; the CI runner checks the speedup floor.
 	var buf bytes.Buffer
 	r.Render(&buf)
-	if !strings.Contains(buf.String(), "crawl speedup at max cores") {
-		t.Fatal("render broken")
+	if !strings.Contains(buf.String(), "crawl speedup, "+points[1].Label+" over "+points[0].Label) {
+		t.Fatalf("render broken:\n%s", buf.String())
 	}
 	buf.Reset()
 	if err := r.WriteJSON(&buf); err != nil {

@@ -1,17 +1,18 @@
 // Package eval contains the experiment harnesses that regenerate every
 // figure of the paper's evaluation section (§3): harvest rate (Figure 5),
 // coverage (Figure 6), distance-to-authority histograms (Figure 7), and the
-// I/O performance studies of the classifier and distiller (Figure 8). Each
-// harness returns a result struct that renders the same series the paper
-// plots; cmd/focusexp prints them and bench_test.go wraps them in
-// testing.B benchmarks.
+// I/O performance studies of the classifier and distiller (Figure 8) — plus
+// the two studies nothing else can run: harvest on a hostile web, and the
+// doc-heavy throughput sweep over ClassifyBatch and GOMAXPROCS, which
+// bench/ pins. Each harness returns a result struct that renders the same
+// series the paper plots; cmd/focusexp prints them and bench_test.go wraps
+// them in testing.B benchmarks. Every crawl here goes through crawlRun.run.
 package eval
 
 import (
 	"fmt"
 	"io"
 
-	"focus/internal/core"
 	"focus/internal/crawler"
 	"focus/internal/webgraph"
 )
@@ -87,39 +88,22 @@ type HarvestResult struct {
 // identical seeds on the same web.
 func RunHarvest(cfg HarvestConfig) (*HarvestResult, error) {
 	cfg = cfg.withDefaults()
-	web, err := webgraph.Generate(cfg.Web)
-	if err != nil {
-		return nil, err
-	}
 	out := &HarvestResult{}
+	run := crawlRun{WebCfg: cfg.Web, Topic: cfg.Topic, Seeds: cfg.Seeds}
 	for _, mode := range []crawler.Mode{crawler.ModeUnfocused, crawler.ModeSoftFocus} {
-		web.ResetFetches()
-		ccfg := crawler.Config{
+		run.Crawl = crawler.Config{
 			Workers:    cfg.Workers,
 			MaxFetches: cfg.Budget,
 			Mode:       mode,
 		}
 		if mode == crawler.ModeSoftFocus {
-			ccfg.DistillEvery = cfg.DistillEvery
+			run.Crawl.DistillEvery = cfg.DistillEvery
 		}
-		tree := web.Cfg.Tree
-		if n := tree.ByName(cfg.Topic); n != nil {
-			tree.Unmark(n.ID)
-		}
-		sys, err := core.NewSystemOnWeb(web, core.Config{
-			GoodTopics: []string{cfg.Topic},
-			Crawl:      ccfg,
-		})
+		sys, res, err := run.run()
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.SeedTopic(cfg.Topic, cfg.Seeds); err != nil {
-			return nil, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return nil, err
-		}
+		run.Web = sys.Web
 		log := sys.Crawler.HarvestLog()
 		var sum float64
 		for _, h := range log {

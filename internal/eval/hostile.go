@@ -1,13 +1,11 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"focus/internal/core"
 	"focus/internal/crawler"
 	"focus/internal/webgraph"
 )
@@ -166,49 +164,32 @@ func RunHostile(cfg HostileConfig) (*HostileResult, error) {
 			return nil, err
 		}
 		run := func(polite bool) (HostileRunStats, error) {
-			web.ResetFetches()
-			tree := web.Cfg.Tree
-			if n := tree.ByName(cfg.Topic); n != nil {
-				tree.Unmark(n.ID)
+			r := crawlRun{
+				Web: web, Topic: cfg.Topic, Seeds: cfg.Seeds,
+				Crawl: crawler.Config{
+					Workers:       cfg.Workers,
+					MaxFetches:    cfg.Budget,
+					SkipDocuments: true,
+				},
 			}
-			ccfg := crawler.Config{
-				Workers:       cfg.Workers,
-				MaxFetches:    cfg.Budget,
-				SkipDocuments: true,
-			}
+			mode := "naive"
 			if polite {
-				ccfg = PoliteCrawl(ccfg)
-			}
-			syscfg := core.Config{
-				GoodTopics: []string{cfg.Topic},
-				Crawl:      ccfg,
+				mode = "polite"
+				r.Crawl = PoliteCrawl(r.Crawl)
 			}
 			if cfg.DBPath != "" {
-				mode := "naive"
-				if polite {
-					mode = "polite"
-				}
-				syscfg.DBPath = fmt.Sprintf("%s.l%d.%s", cfg.DBPath, level, mode)
-				syscfg.Crawl.CheckpointEvery = 200
-				defer os.Remove(syscfg.DBPath)
+				r.DBPath = fmt.Sprintf("%s.l%d.%s", cfg.DBPath, level, mode)
+				r.Crawl.CheckpointEvery = 200
+				defer os.Remove(r.DBPath)
 			}
-			sys, err := core.NewSystemOnWeb(web, syscfg)
+			sys, res, err := r.run()
 			if err != nil {
 				return HostileRunStats{}, err
 			}
 			defer sys.Close()
-			if err := sys.SeedTopic(cfg.Topic, cfg.Seeds); err != nil {
-				return HostileRunStats{}, err
-			}
-			sys.DB.Disk().Stats().Reset()
-			res, err := sys.Run()
-			if err != nil {
-				return HostileRunStats{}, err
-			}
-			reads, writes := sys.DB.Disk().Stats().Snapshot()
 			var rel int64
 			for _, h := range sys.Crawler.HarvestLog() {
-				if p := web.PageByURL(h.URL); p != nil && tree.IsGoodOrSubsumed(p.Topic) {
+				if p := web.PageByURL(h.URL); p != nil && sys.Tree.IsGoodOrSubsumed(p.Topic) {
 					rel++
 				}
 			}
@@ -217,6 +198,7 @@ func RunHostile(cfg HostileConfig) (*HostileResult, error) {
 				Fetches:      res.Fetches,
 				Relevant:     rel,
 				Elapsed:      res.Elapsed,
+				PagesPerSec:  res.PagesPerSec,
 				Timeouts:     res.TimeoutFailures,
 				NotFound:     res.NotFoundFailures,
 				RateLimited:  res.RateLimitedFailures,
@@ -224,14 +206,11 @@ func RunHostile(cfg HostileConfig) (*HostileResult, error) {
 				BreakerTrips: res.BreakerTrips,
 				Dead:         res.Dead,
 				DeadByCause:  res.DeadByCause,
-				DiskReads:    reads,
-				DiskWrites:   writes,
+				DiskReads:    res.DiskReads,
+				DiskWrites:   res.DiskWrites,
 			}
 			if res.Fetches > 0 {
 				st.Harvest = float64(rel) / float64(res.Fetches)
-			}
-			if res.Elapsed > 0 {
-				st.PagesPerSec = float64(res.Visited) / res.Elapsed.Seconds()
 			}
 			return st, nil
 		}
@@ -263,11 +242,7 @@ func (r *HostileResult) PointAt(level int) (HostilePoint, bool) {
 // WriteJSON emits the study as indented JSON — the BENCH_hostile.json
 // artifact CI archives so the robustness trajectory is machine-readable
 // across commits.
-func (r *HostileResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *HostileResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Render prints the study table plus the headline gain at the default
 // hostile level.

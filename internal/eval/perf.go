@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"focus/internal/classifier"
-	"focus/internal/core"
 	"focus/internal/crawler"
 	"focus/internal/distiller"
 	"focus/internal/relstore"
-	"focus/internal/taxonomy"
 	"focus/internal/textproc"
 	"focus/internal/webgraph"
 )
@@ -25,8 +23,9 @@ type ClassifierPerfConfig struct {
 	// DiskLatency adds simulated per-page-I/O delay, amplifying the
 	// access-path differences the way a 1999 SCSI disk did.
 	DiskLatency time.Duration
-	// BigVocab inflates the statistics well past the buffer pool — the
-	// paper's disk-bound regime.
+	// BigVocab inflates the vocabulary and feature budget so the statistics
+	// far exceed small buffer pools — the paper's disk-bound regime (350 MB
+	// of models against 128 MB of RAM).
 	BigVocab bool
 }
 
@@ -68,27 +67,14 @@ type classifierFixture struct {
 	dids  []int64
 }
 
-// fixtureOpts parametrizes the classifier performance fixture. BigVocab
-// inflates the vocabulary and feature budget so the statistics far exceed
-// small buffer pools — the paper's disk-bound regime (350 MB of models
-// against 128 MB of RAM).
-type fixtureOpts struct {
-	seed     int64
-	docs     int
-	frames   int
-	train    classifier.TrainConfig
-	latency  time.Duration
-	bigVocab bool
-}
-
-func newClassifierFixture(o fixtureOpts) (*classifierFixture, error) {
-	webCfg := webgraph.Config{Seed: o.seed, NumPages: 1000}
-	if o.bigVocab {
+func newClassifierFixture(o ClassifierPerfConfig) (*classifierFixture, error) {
+	webCfg := webgraph.Config{Seed: o.Seed, NumPages: 1000}
+	if o.BigVocab {
 		webCfg.BackgroundVocab = 6000
 		webCfg.TopicVocab = 200
 		webCfg.DocLenMean = 220
-		if o.train.FeaturesPerNode == 0 {
-			o.train.FeaturesPerNode = 3000
+		if o.Train.FeaturesPerNode <= 0 {
+			o.Train.FeaturesPerNode = 3000
 		}
 	}
 	web, err := webgraph.Generate(webCfg)
@@ -96,13 +82,13 @@ func newClassifierFixture(o fixtureOpts) (*classifierFixture, error) {
 		return nil, err
 	}
 	disk := relstore.NewMemDisk()
-	db := relstore.Open(relstore.Options{Disk: disk, Frames: o.frames})
+	db := relstore.Open(relstore.Options{Disk: disk, Frames: o.Frames})
 	tree := web.Cfg.Tree
 	examples := classifier.Examples{}
 	for _, leaf := range tree.Leaves() {
 		examples[leaf.ID] = web.ExampleDocs(leaf.ID, 25)
 	}
-	model, err := classifier.Train(db, tree, examples, o.train)
+	model, err := classifier.Train(db, tree, examples, o.Train)
 	if err != nil {
 		return nil, err
 	}
@@ -113,12 +99,12 @@ func newClassifierFixture(o fixtureOpts) (*classifierFixture, error) {
 	leaves := tree.Leaves()
 	f := &classifierFixture{db: db, disk: disk, model: model, doc: doc}
 	// Fresh test documents per leaf, disjoint from the training range.
-	perLeaf := o.docs/len(leaves) + 1
+	perLeaf := o.Docs/len(leaves) + 1
 	pools := make(map[int]([][]string), len(leaves))
 	for li, leaf := range leaves {
 		pools[li] = web.ExampleDocs(leaf.ID, 100+perLeaf)[100:]
 	}
-	for i := 0; i < o.docs; i++ {
+	for i := 0; i < o.Docs; i++ {
 		li := i % len(leaves)
 		toks := pools[li][i/len(leaves)]
 		did := int64(i + 1)
@@ -128,7 +114,7 @@ func newClassifierFixture(o fixtureOpts) (*classifierFixture, error) {
 		f.dids = append(f.dids, did)
 	}
 	// Latency applies to measurement, not setup.
-	disk.SetLatency(o.latency)
+	disk.SetLatency(o.DiskLatency)
 	return f, nil
 }
 
@@ -150,73 +136,78 @@ func (f *classifierFixture) docVectors() (map[int64]map[uint32]int32, time.Durat
 	return out, time.Since(t0), err
 }
 
-// RunClassifierPerf reproduces Figure 8(a).
+// singleProbe classifies every fixture document through one SingleProbe
+// layout and returns the time spent in statistics access.
+func (f *classifierFixture) singleProbe(vecs map[int64]map[uint32]int32, layout classifier.ProbeLayout) (time.Duration, error) {
+	var probe time.Duration
+	for _, did := range f.dids {
+		_, st, err := f.model.SingleProbeTimed(vecs[did], layout)
+		if err != nil {
+			return 0, err
+		}
+		probe += st.ProbeTime
+	}
+	return probe, nil
+}
+
+// RunClassifierPerf reproduces Figure 8(a), each bar on a fresh fixture.
 func RunClassifierPerf(cfg ClassifierPerfConfig) (*ClassifierPerfResult, error) {
 	cfg = cfg.withDefaults()
 	out := &ClassifierPerfResult{Docs: cfg.Docs}
-	for _, layout := range []classifier.ProbeLayout{classifier.LayoutSQL, classifier.LayoutBLOB} {
-		fix, err := newClassifierFixture(fixtureOpts{
-			seed: cfg.Seed, docs: cfg.Docs, frames: cfg.Frames,
-			train: cfg.Train, latency: cfg.DiskLatency, bigVocab: cfg.BigVocab,
-		})
+	// classify runs one access path over the fixture's documents and
+	// returns the time it spent reading DOCUMENT and probing statistics.
+	bar := func(name string, classify func(*classifierFixture) (scan, probe time.Duration, err error)) error {
+		fix, err := newClassifierFixture(cfg)
 		if err != nil {
-			return nil, err
-		}
-		name := "SQL (SingleProbe, unpacked)"
-		if layout == classifier.LayoutBLOB {
-			name = "BLOB (SingleProbe, packed)"
+			return err
 		}
 		pool := fix.db.Pool()
 		pool.ResetStats()
 		fix.disk.Stats().Reset()
 		start := time.Now()
-		vecs, scanTime, err := fix.docVectors()
+		scan, probe, err := classify(fix)
 		if err != nil {
-			return nil, err
-		}
-		var probeTime time.Duration
-		for _, did := range fix.dids {
-			_, st, err := fix.model.SingleProbeTimed(vecs[did], layout)
-			if err != nil {
-				return nil, err
-			}
-			probeTime += st.ProbeTime
+			return err
 		}
 		total := time.Since(start)
 		stats := pool.Stats()
 		reads, _ := fix.disk.Stats().Snapshot()
 		out.Variants = append(out.Variants, VariantPerf{
 			Name: name, Total: total,
-			ScanDoc: scanTime, ProbeStat: probeTime,
-			CPU:      total - scanTime - probeTime,
+			ScanDoc: scan, ProbeStat: probe,
+			CPU:      total - scan - probe,
 			PerDoc:   total / time.Duration(cfg.Docs),
 			PoolHits: stats.Hits, PoolMiss: stats.Misses, DiskReads: reads,
 		})
+		return nil
 	}
-
+	for _, v := range []struct {
+		name   string
+		layout classifier.ProbeLayout
+	}{
+		{"SQL (SingleProbe, unpacked)", classifier.LayoutSQL},
+		{"BLOB (SingleProbe, packed)", classifier.LayoutBLOB},
+	} {
+		err := bar(v.name, func(fix *classifierFixture) (scan, probe time.Duration, err error) {
+			vecs, scan, err := fix.docVectors()
+			if err != nil {
+				return 0, 0, err
+			}
+			probe, err = fix.singleProbe(vecs, v.layout)
+			return scan, probe, err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
 	// Bulk (the paper's CLI bar).
-	fix, err := newClassifierFixture(fixtureOpts{
-		seed: cfg.Seed, docs: cfg.Docs, frames: cfg.Frames,
-		train: cfg.Train, latency: cfg.DiskLatency, bigVocab: cfg.BigVocab,
+	err := bar("CLI (BulkProbe, sort-merge)", func(fix *classifierFixture) (scan, probe time.Duration, err error) {
+		_, err = fix.model.BulkClassify(fix.doc, classifier.BulkOptions{})
+		return 0, 0, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	pool := fix.db.Pool()
-	pool.ResetStats()
-	fix.disk.Stats().Reset()
-	start := time.Now()
-	if _, err := fix.model.BulkClassify(fix.doc, classifier.BulkOptions{}); err != nil {
-		return nil, err
-	}
-	total := time.Since(start)
-	stats := pool.Stats()
-	reads, _ := fix.disk.Stats().Snapshot()
-	out.Variants = append(out.Variants, VariantPerf{
-		Name: "CLI (BulkProbe, sort-merge)", Total: total,
-		CPU: total, PerDoc: total / time.Duration(cfg.Docs),
-		PoolHits: stats.Hits, PoolMiss: stats.Misses, DiskReads: reads,
-	})
 	return out, nil
 }
 
@@ -231,8 +222,6 @@ func (r *ClassifierPerfResult) Render(w io.Writer) {
 			rnd(v.PerDoc), v.PoolHits+v.PoolMiss, v.PoolMiss)
 	}
 }
-
-func rnd(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
 
 // MemoryScalingPoint is one x-position of Figure 8(b).
 type MemoryScalingPoint struct {
@@ -261,9 +250,8 @@ func RunMemoryScaling(seed int64, docs int, frames []int, latency time.Duration)
 	}
 	out := &MemoryScalingResult{Docs: docs}
 	for _, fr := range frames {
-		fix, err := newClassifierFixture(fixtureOpts{
-			seed: seed, docs: docs, frames: fr, latency: latency, bigVocab: true,
-		})
+		fcfg := ClassifierPerfConfig{Seed: seed, Docs: docs, Frames: fr, DiskLatency: latency, BigVocab: true}
+		fix, err := newClassifierFixture(fcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -274,20 +262,14 @@ func RunMemoryScaling(seed int64, docs int, frames []int, latency time.Duration)
 		pool := fix.db.Pool()
 		pool.ResetStats()
 		start := time.Now()
-		var probe time.Duration
-		for _, did := range fix.dids {
-			_, st, err := fix.model.SingleProbeTimed(vecs[did], classifier.LayoutBLOB)
-			if err != nil {
-				return nil, err
-			}
-			probe += st.ProbeTime
+		probe, err := fix.singleProbe(vecs, classifier.LayoutBLOB)
+		if err != nil {
+			return nil, err
 		}
 		singleTotal := time.Since(start)
 		singleMiss := pool.Stats().Misses
 
-		fix2, err := newClassifierFixture(fixtureOpts{
-			seed: seed, docs: docs, frames: fr, latency: latency, bigVocab: true,
-		})
+		fix2, err := newClassifierFixture(fcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +329,7 @@ func RunOutputScaling(seed int64, docCounts []int, frames int) (*OutputScalingRe
 	}
 	out := &OutputScalingResult{}
 	for _, docs := range docCounts {
-		fix, err := newClassifierFixture(fixtureOpts{seed: seed, docs: docs, frames: frames})
+		fix, err := newClassifierFixture(ClassifierPerfConfig{Seed: seed, Docs: docs, Frames: frames})
 		if err != nil {
 			return nil, err
 		}
@@ -426,44 +408,20 @@ type DistillerPerfResult struct {
 // graph, then run both distiller implementations over it.
 func RunDistillerPerf(cfg DistillerPerfConfig) (*DistillerPerfResult, error) {
 	cfg = cfg.withDefaults()
-	web, err := webgraph.Generate(cfg.Web)
+	sys, _, err := crawlRun{
+		WebCfg: cfg.Web, Topic: cfg.Topic, Seeds: 25, Frames: cfg.Frames,
+		Crawl: crawler.Config{
+			Workers:       8,
+			MaxFetches:    cfg.CrawlBudget,
+			SkipDocuments: true,
+		},
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	disk := relstore.NewMemDisk()
-	db := relstore.Open(relstore.Options{Disk: disk, Frames: cfg.Frames})
-	tree := web.Cfg.Tree
-	node := tree.ByName(cfg.Topic)
-	if node == nil {
-		return nil, fmt.Errorf("eval: unknown topic %q", cfg.Topic)
-	}
-	if tree.Mark(node.ID) != taxonomy.MarkGood {
-		if err := tree.MarkGood(node.ID); err != nil {
-			return nil, err
-		}
-	}
-	examples := classifier.Examples{}
-	for _, leaf := range tree.Leaves() {
-		examples[leaf.ID] = web.ExampleDocs(leaf.ID, 25)
-	}
-	model, err := classifier.Train(db, tree, examples, classifier.TrainConfig{})
-	if err != nil {
-		return nil, err
-	}
-	cr, err := crawler.New(db, model, core.NewFetcher(web), crawler.Config{
-		Workers:       8,
-		MaxFetches:    cfg.CrawlBudget,
-		SkipDocuments: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := cr.Seed(web.Seeds(node.ID, 25)); err != nil {
-		return nil, err
-	}
-	if _, err := cr.Run(); err != nil {
-		return nil, err
-	}
+	db, cr := sys.DB, sys.Crawler
+	// No DBPath, so the crawl DB sits on relstore.Open's memory disk.
+	disk := db.Disk().(*relstore.MemDisk)
 
 	out := &DistillerPerfResult{Edges: cr.Links().Rows(), Frames: cfg.Frames}
 	dcfg := distiller.Config{Iterations: cfg.Iterations}
