@@ -32,7 +32,7 @@ func main() {
 		polite  = flag.Bool("polite", false, "enable the politeness stack: per-host pacing, retry backoff, circuit breakers")
 		hostile = flag.Int("hostile", 0, "web hostility level (eval.HostileWeb): per-server rate limits, outages, extra timeouts; 0 = the plain web")
 		dbpath  = flag.String("dbpath", "", "back the crawl relations with this durable file instead of memory (required for -checkpointevery and -resume)")
-		ckevery = flag.Int64("checkpointevery", 0, "checkpoint the crawl every N visits (0 = only at exit; needs -dbpath)")
+		ckevery = flag.Int64("checkpointevery", 0, "checkpoint the crawl at least every N visits (0 = at exit, and before that only when the dirty pages awaiting a checkpoint fill half the buffer pool; needs -dbpath)")
 		resume  = flag.Bool("resume", false, "resume the crawl recorded in -dbpath from its last checkpoint instead of starting fresh")
 	)
 	flag.Parse()

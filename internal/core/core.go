@@ -31,7 +31,7 @@ type Config struct {
 	// Crawl tunes the crawler, including Workers (the host-partitioned
 	// frontier has one shard per worker).
 	Crawl crawler.Config
-	// Frames sizes the buffer pool (default 4096 frames = 16 MiB).
+	// Frames sizes the buffer pool (default 4096 frames = at most 16 MiB).
 	Frames int
 	// PoolShards partitions the buffer pool into independent shards, each
 	// with its own latch (0/1 = one shard).

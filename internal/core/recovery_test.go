@@ -282,114 +282,187 @@ func TestResumeAtDifferentWorkers(t *testing.T) {
 // between two sector writes leaves behind. The recovered crawl must have no
 // lost or duplicated visits, consistent bysrc/bydst LINK mirrors, and must
 // run to completion. Runs with several arm points so the fault lands in
-// different checkpoint phases; run under -race in CI.
+// different checkpoint phases, and at two pool sizes: in 2048 frames every
+// write is a checkpoint's, in 192 the pool also writes back pages the last
+// checkpoint does not reference and checkpoints under pressure, so kills land
+// inside those write-backs too. Run under -race in CI.
 func TestRecoveryCrashStress(t *testing.T) {
+	for _, frames := range []int{2048, 192} {
+		for _, armAt := range []int64{20, 200, 1200} {
+			name := fmt.Sprintf("arm=%d", armAt) // the 2048 legs keep the names they had
+			if frames != 2048 {
+				name = fmt.Sprintf("frames=%d/%s", frames, name)
+			}
+			t.Run(name, func(t *testing.T) { testRecoveryCrash(t, frames, armAt) })
+		}
+	}
+}
+
+func testRecoveryCrash(t *testing.T, frames int, armAt int64) {
 	webCfg := webgraph.Config{Seed: 3, NumPages: 3000, TimeoutRate: 0.1}
-	for _, armAt := range []int64{20, 200, 1200} {
-		armAt := armAt
-		t.Run(fmt.Sprintf("arm=%d", armAt), func(t *testing.T) {
-			mem := relstore.NewMemDisk()
-			fd := relstore.NewFaultDisk(mem, -1)
-			opts := relstore.Options{Frames: 2048}
-			db, err := relstore.OpenDurable(fd, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			web, err := webgraph.Generate(webCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{GoodTopics: []string{"cycling"}}
-			tree, err := markGoodTopics(web, &cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model, err := trainModel(web, tree, cfg, relstore.Open(opts))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ccfg := crawler.Config{
-				Workers:         4,
-				MaxFetches:      500,
-				DistillEvery:    100,
-				CheckpointEvery: 40,
-				CheckpointExtra: web.ExportFetchState,
-			}
-			cr, err := crawler.New(db, model, NewFetcher(web), ccfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			node := tree.ByName("cycling")
-			if err := cr.Seed(web.Seeds(node.ID, 10)); err != nil {
-				t.Fatal(err)
-			}
-			fd.Arm(armAt)
-			_, runErr := cr.Run()
-			tripped := fd.Tripped()
-			if tripped {
-				if runErr == nil || !errors.Is(runErr, relstore.ErrInjectedFault) {
-					t.Fatalf("fault tripped but Run returned %v", runErr)
-				}
-			} else if runErr != nil {
-				t.Fatal(runErr)
-			}
+	mem := relstore.NewMemDisk()
+	fd := relstore.NewFaultDisk(mem, -1)
+	opts := relstore.Options{Frames: frames}
+	db, err := relstore.OpenDurable(fd, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	web, err := webgraph.Generate(webCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{GoodTopics: []string{"cycling"}}
+	tree, err := markGoodTopics(web, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := trainModel(web, tree, cfg, relstore.Open(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := crawler.Config{
+		Workers:         4,
+		MaxFetches:      500,
+		DistillEvery:    100,
+		CheckpointEvery: 40,
+		CheckpointExtra: web.ExportFetchState,
+	}
+	cr, err := crawler.New(db, model, NewFetcher(web), ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := tree.ByName("cycling")
+	if err := cr.Seed(web.Seeds(node.ID, 10)); err != nil {
+		t.Fatal(err)
+	}
+	fd.Arm(armAt)
+	_, runErr := cr.Run()
+	tripped := fd.Tripped()
+	if tripped {
+		if runErr == nil || !errors.Is(runErr, relstore.ErrInjectedFault) {
+			t.Fatalf("fault tripped but Run returned %v", runErr)
+		}
+	} else if runErr != nil {
+		t.Fatal(runErr)
+	}
 
-			// "Reboot": reopen the raw disk image with a fresh pool; the
-			// abandoned DB's dirty frames are gone, like RAM after a crash.
-			fd.Disarm()
-			db2, err := relstore.OpenDurable(mem, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := crawler.ReadCheckpoint(db2)
-			if err != nil {
-				// Legitimate only when the fault killed the very first
-				// crawler checkpoint: recovery then lands on the empty
-				// initial generation, which holds no crawl at all.
-				if tripped && strings.Contains(err.Error(), "CKPT table") {
-					return
-				}
-				t.Fatal(err)
-			}
+	// "Reboot": reopen the raw disk image with a fresh pool; the
+	// abandoned DB's dirty frames are gone, like RAM after a crash.
+	fd.Disarm()
+	db2, err := relstore.OpenDurable(mem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := crawler.ReadCheckpoint(db2)
+	if err != nil {
+		// Legitimate only when the fault killed the very first
+		// crawler checkpoint: recovery then lands on the empty
+		// initial generation, which holds no crawl at all.
+		if tripped && strings.Contains(err.Error(), "CKPT table") {
+			return
+		}
+		t.Fatal(err)
+	}
 
-			// Rebuild the world deterministically and resume.
-			web2, err := webgraph.Generate(webCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg2 := Config{GoodTopics: []string{"cycling"}}
-			tree2, err := markGoodTopics(web2, &cfg2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(st.Extra) > 0 {
-				if err := web2.ImportFetchState(st.Extra); err != nil {
-					t.Fatal(err)
-				}
-			}
-			model2, err := trainModel(web2, tree2, cfg2, relstore.Open(opts))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ccfg.CheckpointExtra = web2.ExportFetchState
-			cr2, err := crawler.Resume(db2, model2, NewFetcher(web2), ccfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// Rebuild the world deterministically and resume.
+	web2, err := webgraph.Generate(webCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := Config{GoodTopics: []string{"cycling"}}
+	tree2, err := markGoodTopics(web2, &cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Extra) > 0 {
+		if err := web2.ImportFetchState(st.Extra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model2, err := trainModel(web2, tree2, cfg2, relstore.Open(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg.CheckpointExtra = web2.ExportFetchState
+	cr2, err := crawler.Resume(db2, model2, NewFetcher(web2), ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			checkRecoveredCrawl(t, db2, st, cr2)
+	checkRecoveredCrawl(t, db2, st, cr2)
 
-			// The recovered crawl keeps going and finishes cleanly.
-			res, err := cr2.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Visited < st.Visited {
-				t.Fatalf("resumed run went backwards: visited %d < checkpoint %d", res.Visited, st.Visited)
-			}
-			if err := db2.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	// The recovered crawl keeps going and finishes cleanly.
+	res, err := cr2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Visited < st.Visited {
+		t.Fatalf("resumed run went backwards: visited %d < checkpoint %d", res.Visited, st.Visited)
+	}
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSmallPoolDurableCrawlStress: a durable crawl whose CheckpointEvery asks
+// for more dirty pages between checkpoints than its pool has frames used to
+// die with ErrPoolExhausted. It now lives within the pool: pages the last
+// checkpoint does not reference are written back as frames are needed, the
+// rest bring the next checkpoint forward, the budget is spent, and the file
+// closes and resumes with every visit accounted for.
+func TestSmallPoolDurableCrawlStress(t *testing.T) {
+	cfg := Config{
+		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
+		GoodTopics: []string{"cycling"},
+		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
+		Frames:     192,
+		Crawl: crawler.Config{
+			Workers:         4,
+			MaxFetches:      600,
+			DistillEvery:    100,
+			CheckpointEvery: 300,
+		},
+	}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SeedTopic("cycling", 10); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fetches < cfg.Crawl.MaxFetches {
+		t.Fatalf("crawl stopped at %d fetches (stagnated=%v), budget %d", res.Fetches, res.Stagnated, cfg.Crawl.MaxFetches)
+	}
+	if byCount := cfg.Crawl.MaxFetches / cfg.Crawl.CheckpointEvery; res.Checkpoints <= byCount {
+		t.Fatalf("%d checkpoints, want more than the %d CheckpointEvery alone takes: pool pressure must bring some forward",
+			res.Checkpoints, byCount)
+	}
+	if ev := sys.DB.Pool().Stats().Evictions; ev == 0 {
+		t.Fatal("no evictions in a 192-frame pool: the crawl did not outgrow it")
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// ResumeSystem is OpenFile + crawler.Resume, which refuses a file whose
+	// StatusVisited rows disagree with the checkpointed counter.
+	resumed, err := ResumeSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(len(resumed.Crawler.HarvestLog())); got != res.Visited {
+		t.Fatalf("recovered %d visited rows, the crawl counted %d", got, res.Visited)
+	}
+	st, err := crawler.ReadCheckpoint(resumed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecoveredCrawl(t, resumed.DB, st, resumed.Crawler)
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

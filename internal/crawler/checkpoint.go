@@ -120,10 +120,16 @@ type CheckpointState struct {
 // the full barrier plus every DOCUMENT stripe lock, drains pendingFwd,
 // writes the CKPT state row, and drives relstore's durable checkpoint
 // (journal, flush, manifest, sync). Safe to call between Runs as well as
-// from the in-crawl trigger.
+// during one.
+func (c *Crawler) Checkpoint() error { return c.checkpoint(-1) }
+
+// checkpoint is Checkpoint for the in-crawl trigger: with seen >= 0 it takes
+// none if, once it holds the barrier, the checkpoint counter is no longer the
+// seen its caller read when the trigger fired — another worker's checkpoint
+// has already answered that trigger.
 //
 //focuslint:lock sequence=stripe*,shard*,global,docstripe*
-func (c *Crawler) Checkpoint() error {
+func (c *Crawler) checkpoint(seen int64) error {
 	if !c.db.Durable() {
 		return errors.New("crawler: Checkpoint requires a durable DB (relstore.CreateFile or OpenDurable)")
 	}
@@ -142,6 +148,10 @@ func (c *Crawler) Checkpoint() error {
 			return derr
 		}
 		time.Sleep(200 * time.Microsecond)
+	}
+	if seen >= 0 && c.checkpoints.Load() != seen {
+		c.unlockAll()
+		return nil
 	}
 	for _, ds := range c.docs {
 		ds.mu.Lock()
@@ -169,14 +179,8 @@ func (c *Crawler) checkpointLocked() error {
 		}
 	}
 	var inflightRows int64
-	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
-		if int32(t[CStatus].Int()) == StatusInflight {
-			inflightRows++
-		}
-		return false, nil
-	})
-	if err != nil {
-		return err
+	for _, sh := range c.shards {
+		inflightRows += sh.inflightRows
 	}
 	now := time.Now()
 	st := CheckpointState{
@@ -502,6 +506,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		}
 		frontierN++
 	}
+	// Every in-flight row has flipped back: inflightRows starts at zero.
 	sh.frontierN.Store(frontierN)
 	//focuslint:ignore locktower shard is under construction during resume and not yet published to any worker
 	if err := sh.recomputeHeadLocked(); err != nil {

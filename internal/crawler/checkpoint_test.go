@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -62,5 +63,102 @@ func TestCheckpointReportsDistillError(t *testing.T) {
 				runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCheckpointInflightCountStress holds the per-shard in-flight counters,
+// kept where the status column is written, to the CRAWL scan they replaced:
+// inside every checkpoint of a four-worker crawl over a site with flaky
+// pages (so requeues and dead rows move the counters too), the sum over
+// shards must equal the number of StatusInflight rows — which is not
+// c.inflight, raised for the checkpointing worker's own finished visit — and
+// a resumed crawl, whose stranded rows flipped back, starts from zero.
+func TestCheckpointInflightCountStress(t *testing.T) {
+	f := genSite(13, 400, 8, 5)
+	_, m := tinyModel(t)
+	path := filepath.Join(t.TempDir(), "crawl.db")
+	db, err := relstore.CreateFile(path, relstore.Options{Frames: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c *Crawler
+	var checked, rowsSeen int64
+	scanInflight := func() (int64, error) {
+		var n int64
+		err := c.scanAllLocked(func(_ *shard, _ relstore.RID, tp relstore.Tuple) (bool, error) {
+			if int32(tp[CStatus].Int()) == StatusInflight {
+				n++
+			}
+			return false, nil
+		})
+		return n, err
+	}
+	cfg := Config{Workers: 4, MaxFetches: 400, DistillEvery: 40, CheckpointEvery: 10}
+	// CheckpointExtra runs inside the checkpoint's quiesce, under the barrier.
+	cfg.CheckpointExtra = func() ([]byte, error) {
+		scan, err := scanInflight()
+		if err != nil {
+			return nil, err
+		}
+		var sum int64
+		for _, sh := range c.shards {
+			sum += sh.inflightRows
+		}
+		if sum != scan {
+			return nil, fmt.Errorf("shards count %d rows in flight, a scan of CRAWL finds %d (c.inflight = %d)",
+				sum, scan, c.inflight.Load())
+		}
+		checked++
+		rowsSeen += scan
+		return nil, nil
+	}
+	// A fetch that takes a moment keeps the other workers' rows checked out
+	// when one of them reaches a checkpoint.
+	slow := &slowFetcher{inner: f, delay: 300 * time.Microsecond}
+	if c, err = New(db, m, slow, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Seed(seedURLs(f, 8)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 || checked != res.Checkpoints {
+		t.Fatalf("hook ran in %d of %d checkpoints", checked, res.Checkpoints)
+	}
+	if rowsSeen == 0 {
+		t.Fatal("no checkpoint caught a row in flight: the comparison never saw a non-zero count")
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := relstore.OpenFile(path, relstore.Options{Frames: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	cfg.CheckpointExtra = nil
+	if c, err = Resume(db2, m, f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	c.lockAll()
+	scan, err := scanInflight()
+	c.unlockAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range c.shards {
+		if sh.inflightRows != 0 {
+			t.Fatalf("shard %d resumes with %d rows counted in flight", sh.id, sh.inflightRows)
+		}
+	}
+	if scan != 0 {
+		t.Fatalf("%d rows still in flight after Resume flipped them back", scan)
 	}
 }

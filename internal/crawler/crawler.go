@@ -116,10 +116,12 @@ type Config struct {
 	// when the corpus will not be re-classified in bulk).
 	SkipDocuments bool
 	// CheckpointEvery persists a durable checkpoint after every k page
-	// visits (0 disables), piggybacked on the distillation snapshot point:
-	// the same quiesce (pendingFwd drained, consistent cross-shard and
+	// visits (0: none by count), piggybacked on the distillation snapshot
+	// point: the same quiesce (pendingFwd drained, consistent cross-shard and
 	// cross-stripe views) plus the DOCUMENT stripe locks, followed by
-	// relstore's atomic checkpoint. Requires a DB opened durable
+	// relstore's atomic checkpoint. It is the longest interval: on a durable
+	// DB a visit also checkpoints once the dirty pages that must wait for
+	// one fill half the buffer pool. Requires a DB opened durable
 	// (relstore.CreateFile/OpenDurable); New errors otherwise. See
 	// checkpoint.go and Crawler.Resume.
 	CheckpointEvery int64
@@ -886,6 +888,7 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 		if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 			return err
 		}
+		sh.inflightRows--
 		if int32(row[CStatus].Int()) == StatusFrontier {
 			sh.improveHeadLocked(sh.policy.Key(row))
 		}
@@ -924,6 +927,7 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 	row[CStatus] = relstore.I32(StatusVisited)
 	err := sh.crawl.UpdateFrom(rid, old, row)
 	if err == nil {
+		sh.inflightRows--
 		c.visited.Add(1)
 		c.harvest = append(c.harvest, HarvestPoint{
 			Seq: c.visitSeq, OID: oid, URL: row[CURL].S,
@@ -992,17 +996,26 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 	// The durable checkpoint trigger comes after the distillation trigger so
 	// a visit that fires both distills first and the checkpoint captures that
 	// epoch's published scores (Checkpoint waits out the concurrent pipeline
-	// either way).
-	if c.cfg.CheckpointEvery > 0 {
+	// either way). CheckpointEvery is the longest interval: dirty pages of
+	// the last checkpoint stay in the pool until the next (relstore's
+	// durability contract), so once they fill half of it the crawl
+	// checkpoints rather than run out of frames. That pressure lasts until
+	// the flush, so every worker finishing a visit meanwhile fires too: each
+	// waits at the barrier — which stops the pool filling further — and all
+	// but the first find the checkpoint counter moved and take none.
+	if c.db.Durable() {
+		pool := c.db.Pool()
 		c.mu.Lock()
 		c.sinceCkpt++
-		due := c.sinceCkpt >= c.cfg.CheckpointEvery
+		seen := c.checkpoints.Load()
+		due := c.cfg.CheckpointEvery > 0 && c.sinceCkpt >= c.cfg.CheckpointEvery ||
+			pool.HeldDirty() >= pool.NumFrames()/2
 		if due {
 			c.sinceCkpt = 0
 		}
 		c.mu.Unlock()
 		if due {
-			return c.Checkpoint()
+			return c.checkpoint(seen)
 		}
 	}
 	return nil

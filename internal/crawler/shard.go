@@ -45,6 +45,10 @@ type shard struct {
 	insertSeq  int64 // per-shard FIFO sequence (cross-shard FIFO is relaxed)
 
 	frontierN atomic.Int64 // checkable frontier rows (read without the lock)
+	// inflightRows counts this shard's StatusInflight rows under mu, moved
+	// where the status column is written; checkpoints sum it. Unlike the
+	// crawler's inflight it drops when the row does, not at the end of complete.
+	inflightRows int64
 
 	// head publishes the priority key of this shard's current frontier
 	// head (nil when empty), written only under mu and read lock-free by
@@ -262,6 +266,7 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 		return relstore.RID{}, nil, false, wake, err
 	}
+	sh.inflightRows++
 	c.inflight.Add(1)
 	sh.frontierN.Add(-1)
 	// Skipped rows sort before the popped one, so the best remaining

@@ -463,7 +463,7 @@ func (t *BTree) fillLeaf(f *Frame, path []btStep, keys, vals [][]byte, i int) (i
 			// put unpins f, clean when it has nothing to write; what the run
 			// wrote before it must be marked first.
 			if dirty {
-				f.dirty.Store(true)
+				t.bp.markDirty(f)
 			}
 			return i + 1, t.putLeaf(f, u, path, at, key, val, found)
 		}

@@ -19,10 +19,12 @@ const (
 	PolicyLRU
 )
 
-// ErrPoolExhausted is returned when every frame a page may occupy is pinned
-// and a new page is needed. It indicates an iterator leak or an absurdly
-// small pool, and is scoped to the page's shard.
-var ErrPoolExhausted = errors.New("relstore: buffer pool exhausted (all frames pinned)")
+// ErrPoolExhausted is returned when a new page is needed and no frame of the
+// page's shard can be claimed; the error wrapping it says which case it is.
+// Every frame is pinned: an iterator leak or an absurdly small pool. Or the
+// unpinned ones all hold dirty pages the write-back guard (BufferPool.held)
+// refuses: operations dirtied more such pages than the shard has frames.
+var ErrPoolExhausted = errors.New("relstore: buffer pool exhausted")
 
 // An all-pinned shard is retried with exponential backoff before giving up:
 // pins are transient (B+tree descents and heap scans unpin within
@@ -49,7 +51,9 @@ func victimBackoff(attempt int) time.Duration {
 }
 
 // Frame is a buffer-pool slot holding one page image. Callers receive a
-// pinned *Frame from Fetch/NewPage and must Unpin it exactly once.
+// pinned *Frame from Fetch/NewPage and must Unpin it exactly once. The image
+// is allocated the first time the frame is claimed, so a pool's memory
+// follows the pages it has held, up to its frame count.
 //
 // Field synchronization: pid, valid, used, loading, and loadErr are guarded
 // by the owning shard's latch (loadErr is additionally published to load
@@ -105,10 +109,6 @@ type poolShard struct {
 	hand     int
 	tick     int64
 	policy   ReplacementPolicy
-	// noSteal forbids evicting dirty frames (durable mode): dirty pages
-	// reach disk only via FlushAll, keeping the on-disk image pinned to the
-	// last checkpoint between checkpoints.
-	noSteal bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -132,6 +132,14 @@ type BufferPool struct {
 	disk    DiskManager
 	shards  []*poolShard
 	nframes atomic.Int64 // total frames; lock-free NumFrames, updated by Resize
+	// held, when set (OpenDurable sets durableState.liveAtLast), is the
+	// write-back guard: a dirty page it reports true for is no eviction
+	// victim and reaches disk only through FlushAll or Resize. Called under
+	// the poollatch leaf and, latch-free, from Unpin: it must not block.
+	held func(PageID) bool
+	// heldDirty counts the resident dirty pages held refuses: markDirty
+	// raises it, markClean lowers it, eviction never claims a counted page.
+	heldDirty atomic.Int64
 }
 
 // NewBufferPool creates a single-shard pool with the given number of frames
@@ -166,7 +174,7 @@ func NewBufferPoolSharded(disk DiskManager, frames, shards int) *BufferPool {
 			frames:   make([]*Frame, n),
 		}
 		for j := range sh.frames {
-			sh.frames[j] = &Frame{data: make([]byte, PageSize)}
+			sh.frames[j] = &Frame{}
 		}
 		bp.shards[i] = sh
 	}
@@ -198,27 +206,31 @@ func (bp *BufferPool) SetPolicy(p ReplacementPolicy) {
 	}
 }
 
-// SetNoSteal switches the pool to a no-steal eviction discipline: dirty
-// frames are never eviction victims, so the only path a dirty page takes to
-// disk is FlushAll. Durable DBs run no-steal so that between checkpoints
-// the on-disk image stays exactly the last checkpoint's — a crash then
-// loses in-pool work but can never leave half-new pages under an old
-// manifest. The cost is a capacity contract: the working set dirtied
-// between checkpoints must fit in the pool, or writes fail with
-// ErrPoolExhausted (checkpoint more often or raise Options.Frames).
-func (bp *BufferPool) SetNoSteal(on bool) {
-	for _, sh := range bp.shards {
-		sh.mu.Lock()
-		sh.noSteal = on
-		sh.mu.Unlock()
-	}
-}
-
 // Disk returns the underlying disk manager.
 func (bp *BufferPool) Disk() DiskManager { return bp.disk }
 
 // NumFrames returns the pool capacity in frames, lock-free.
 func (bp *BufferPool) NumFrames() int { return int(bp.nframes.Load()) }
+
+// HeldDirty returns, lock-free, how many resident pages are dirty and may not
+// be written back before the next FlushAll: none on a pool without a guard;
+// a durable crawl checkpoints when they reach half of NumFrames.
+func (bp *BufferPool) HeldDirty() int { return int(bp.heldDirty.Load()) }
+
+// markDirty and markClean write a frame's dirty bit everywhere but in claim's
+// retag of a victim (never a counted page), so heldDirty moves on exactly the
+// transitions of held pages. The caller holds a pin on f or the shard latch.
+func (bp *BufferPool) markDirty(f *Frame) {
+	if !f.dirty.Swap(true) && bp.held != nil && bp.held(f.pid) {
+		bp.heldDirty.Add(1)
+	}
+}
+
+func (bp *BufferPool) markClean(f *Frame) {
+	if f.dirty.Swap(false) && bp.held != nil && bp.held(f.pid) {
+		bp.heldDirty.Add(-1)
+	}
+}
 
 // Stats returns the pool counters aggregated across shards.
 func (bp *BufferPool) Stats() BufStats {
@@ -317,13 +329,17 @@ func (bp *BufferPool) claim(pid PageID, fresh bool) (*Frame, error) {
 			<-ch
 			sh.mu.Lock()
 		}
-		f = sh.pickVictimLocked()
+		f = sh.pickVictimLocked(bp.held)
 		if f != nil {
 			break // latch still held
 		}
-		sh.mu.Unlock()
+		var err error
 		if attempt >= victimRetries {
-			return nil, ErrPoolExhausted
+			err = sh.exhaustedLocked()
+		}
+		sh.mu.Unlock()
+		if err != nil {
+			return nil, err
 		}
 		time.Sleep(victimBackoff(attempt))
 	}
@@ -342,9 +358,12 @@ func (bp *BufferPool) claim(pid PageID, fresh bool) (*Frame, error) {
 		sh.flushing[oldPid] = flushCh
 	}
 	loadCh := make(chan struct{})
+	f.dirty.Store(false) // the victim was clean or dirty and not held: nothing counted
 	f.pid = pid
 	f.valid = true
-	f.dirty.Store(fresh)
+	if fresh {
+		bp.markDirty(f)
+	}
 	f.pin.Store(1)
 	f.ref.Store(true)
 	sh.tick++
@@ -363,6 +382,7 @@ func (bp *BufferPool) claim(pid PageID, fresh bool) (*Frame, error) {
 			delete(sh.table, pid)
 			delete(sh.flushing, oldPid)
 			sh.table[oldPid] = f
+			bp.markClean(f) // a fresh pid may have been counted
 			f.pid = oldPid
 			f.valid = true
 			f.dirty.Store(true)
@@ -374,6 +394,9 @@ func (bp *BufferPool) claim(pid PageID, fresh bool) (*Frame, error) {
 			close(loadCh)
 			return nil, err
 		}
+	}
+	if f.data == nil {
+		f.data = make([]byte, PageSize) // the frame's first use
 	}
 	var rerr error
 	if fresh {
@@ -428,7 +451,7 @@ func (bp *BufferPool) FreePage(pid PageID) error {
 		}
 		delete(sh.table, pid)
 		f.valid = false
-		f.dirty.Store(false)
+		bp.markClean(f)
 	}
 	sh.mu.Unlock()
 	return bp.disk.Free(pid)
@@ -441,7 +464,7 @@ func (bp *BufferPool) FreePage(pid PageID) error {
 // pinner wrote.
 func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	if dirty {
-		f.dirty.Store(true)
+		bp.markDirty(f)
 	}
 	if f.pin.Add(-1) < 0 {
 		panic(fmt.Sprintf("relstore: unpin of unpinned page %d", f.pid))
@@ -449,9 +472,10 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 }
 
 // pickVictimLocked finds an unpinned frame by the shard's policy, without
-// flushing or invalidating it. Caller holds sh.mu. Returns nil if every
-// frame is pinned (or, under no-steal, dirty).
-func (sh *poolShard) pickVictimLocked() *Frame {
+// flushing or invalidating it. Caller holds sh.mu. A dirty frame whose page
+// held (the pool's guard, nil for none) refuses is passed over; unpinned, its
+// dirty bit cannot change under the latch. Returns nil if all are pinned or held.
+func (sh *poolShard) pickVictimLocked(held func(PageID) bool) *Frame {
 	switch sh.policy {
 	case PolicyLRU:
 		var best *Frame
@@ -462,7 +486,7 @@ func (sh *poolShard) pickVictimLocked() *Frame {
 			if !c.valid {
 				return c
 			}
-			if sh.noSteal && c.dirty.Load() {
+			if held != nil && c.dirty.Load() && held(c.pid) {
 				continue
 			}
 			if best == nil || c.used < best.used {
@@ -481,7 +505,7 @@ func (sh *poolShard) pickVictimLocked() *Frame {
 			if !c.valid {
 				return c
 			}
-			if sh.noSteal && c.dirty.Load() {
+			if held != nil && c.dirty.Load() && held(c.pid) {
 				continue
 			}
 			if c.ref.Load() {
@@ -494,10 +518,25 @@ func (sh *poolShard) pickVictimLocked() *Frame {
 	}
 }
 
-// DirtyPages returns the ids of every dirty resident page, sorted. Under
-// the no-steal discipline this is exactly the set of pages whose on-disk
-// image is stale — the checkpoint journals the subset of them that the
-// previous checkpoint still references before FlushAll overwrites them.
+// exhaustedLocked says why pickVictimLocked found nothing. Caller holds sh.mu.
+func (sh *poolShard) exhaustedLocked() error {
+	pinned := 0
+	for _, c := range sh.frames {
+		if c.pin.Load() > 0 {
+			pinned++
+		}
+	}
+	if pinned == len(sh.frames) {
+		return fmt.Errorf("%w: all %d frames pinned", ErrPoolExhausted, pinned)
+	}
+	return fmt.Errorf("%w: %d of %d frames pinned, the others hold dirty pages that may not be written back before the next checkpoint",
+		ErrPoolExhausted, pinned, len(sh.frames))
+}
+
+// DirtyPages returns the ids of every dirty resident page, sorted: the pages
+// whose on-disk image is stale. The checkpoint journals the subset of them
+// that the previous checkpoint still references — the ones the durable guard
+// kept off the disk — before FlushAll overwrites them.
 func (bp *BufferPool) DirtyPages() []PageID {
 	var out []PageID
 	for _, sh := range bp.shards {
@@ -529,7 +568,7 @@ func (bp *BufferPool) FlushAll() error {
 					sh.mu.Unlock()
 					return err
 				}
-				f.dirty.Store(false)
+				bp.markClean(f)
 			}
 		}
 		sh.mu.Unlock()
@@ -572,6 +611,7 @@ func (bp *BufferPool) Resize(n int) error {
 					sh.mu.Unlock()
 					return err
 				}
+				bp.markClean(f)
 			}
 		}
 		cnt := base
@@ -580,7 +620,7 @@ func (bp *BufferPool) Resize(n int) error {
 		}
 		sh.frames = make([]*Frame, cnt)
 		for j := range sh.frames {
-			sh.frames[j] = &Frame{data: make([]byte, PageSize)}
+			sh.frames[j] = &Frame{}
 		}
 		sh.table = make(map[PageID]*Frame, cnt)
 		sh.hand = 0

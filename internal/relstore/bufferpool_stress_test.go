@@ -537,3 +537,118 @@ func TestBufferPoolMissesOverlap(t *testing.T) {
 		}
 	}
 }
+
+// TestBufferPoolHeldDirtyStress runs fetch, dirty, free and evict traffic
+// from many goroutines over a pool whose guard holds one page in eight, then
+// checks the lock-free HeldDirty count against a latch-held scan of the
+// frames: every clean/dirty transition of a held page was counted once, none
+// of an unheld page was, and eviction wrote back no held page.
+func TestBufferPoolHeldDirtyStress(t *testing.T) {
+	for _, shards := range stressShardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const (
+				goroutines = 8
+				pagesEach  = 48
+				rounds     = 4
+			)
+			disk := NewMemDisk()
+			bp := NewBufferPoolSharded(disk, 160, shards) // 384 live pages, 48 of them held
+			held := func(pid PageID) bool { return pid%8 == 0 }
+			bp.held = held
+
+			var wg sync.WaitGroup
+			errCh := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					var pids []PageID
+					alloc := func() error {
+						f, err := bp.NewPage()
+						if err != nil {
+							return err
+						}
+						binary.LittleEndian.PutUint32(f.Data(), uint32(f.PID()))
+						pids = append(pids, f.PID())
+						bp.Unpin(f, true)
+						return nil
+					}
+					for i := 0; i < pagesEach; i++ {
+						if err := alloc(); err != nil {
+							errCh <- err
+							return
+						}
+					}
+					for r := 0; r < rounds; r++ {
+						for i, pid := range pids {
+							f, err := bp.Fetch(pid)
+							if err != nil {
+								errCh <- err
+								return
+							}
+							if got := binary.LittleEndian.Uint32(f.Data()); got != uint32(pid) {
+								bp.Unpin(f, false)
+								errCh <- fmt.Errorf("page %d holds stamp %d", pid, got)
+								return
+							}
+							bp.Unpin(f, (i+r)%3 != 0) // a mix of clean and dirty unpins
+						}
+						// Free a slice of the pages and allocate as many again:
+						// freed ids (held ones among them) come back fresh.
+						for i := 0; i < pagesEach/4; i++ {
+							if err := bp.FreePage(pids[i]); err != nil {
+								errCh <- err
+								return
+							}
+						}
+						pids = pids[pagesEach/4:]
+						for i := 0; i < pagesEach/4; i++ {
+							if err := alloc(); err != nil {
+								errCh <- err
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errCh)
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			if bp.Stats().Evictions == 0 {
+				t.Fatal("stress ran without evictions")
+			}
+			scan := 0
+			for _, sh := range bp.shards {
+				sh.mu.Lock()
+				for _, f := range sh.frames {
+					if f.valid && f.dirty.Load() && held(f.pid) {
+						scan++
+					}
+				}
+				sh.mu.Unlock()
+			}
+			if got := bp.HeldDirty(); got != scan || scan == 0 {
+				t.Fatalf("HeldDirty = %d, latch-held scan finds %d held dirty frames (want equal, > 0)", got, scan)
+			}
+			// No held page may have reached disk: MemDisk zero-fills pages
+			// never written, and every page image starts with its nonzero id.
+			buf := make([]byte, PageSize)
+			for pid := PageID(8); int64(pid) <= disk.NumPages(); pid += 8 {
+				if err := disk.ReadPage(pid, buf); err != nil {
+					continue // freed and not reallocated
+				}
+				if binary.LittleEndian.Uint32(buf) != 0 {
+					t.Fatalf("held page %d was written back before FlushAll", pid)
+				}
+			}
+			if err := bp.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if got := bp.HeldDirty(); got != 0 {
+				t.Fatalf("HeldDirty = %d after FlushAll", got)
+			}
+		})
+	}
+}

@@ -9,8 +9,9 @@
 //   - a DiskManager abstraction (in-memory or file-backed) that counts page
 //     reads and writes, so experiments can report I/O rather than only wall
 //     time;
-//   - a BufferPool with a configurable number of 4 KiB frames and clock (or
-//     LRU) replacement — the knob swept by the paper's Figure 8(b);
+//   - a BufferPool of at most a configurable number of 4 KiB frames (a
+//     frame's image is allocated when the frame is first used) with clock
+//     (or LRU) replacement — the knob swept by the paper's Figure 8(b);
 //   - slotted-page HeapFiles for table rows;
 //   - a B+tree over order-preserving byte-encoded composite keys, used for
 //     the classifier's BLOB/STAT index probes and for crawl-frontier
@@ -136,16 +137,21 @@
 // A DB opened with CreateFile, OpenFile, or OpenDurable (over any
 // DurableDisk — FileDisk, or MemDisk/FaultDisk in tests) is durable:
 // DB.Checkpoint commits the current state, and reopening after a crash
-// recovers exactly the last completed checkpoint. The design is no-steal
-// plus a rollback journal plus ping-pong manifest roots (see manifest.go
-// for the full crash-consistency argument):
+// recovers exactly the last completed checkpoint. The design is a write-back
+// guard plus a rollback journal plus ping-pong manifest roots (see
+// manifest.go for the full crash-consistency argument):
 //
-//   - Between checkpoints no dirty page is ever written back, so the
-//     on-disk image is always the last checkpoint's. The corollary binds
-//     callers: the set of pages dirtied since the last checkpoint must fit
-//     the buffer pool, or eviction fails with ErrPoolExhausted. Size
-//     Options.Frames for the inter-checkpoint working set, or checkpoint
-//     more often.
+//   - Between checkpoints a dirty page is written back only if the last
+//     committed manifest does not reference it (it lies beyond that
+//     manifest's page count or on its free list — recovery discards such a
+//     page), so every page the last checkpoint references keeps that
+//     checkpoint's image on disk. What binds callers is the rest: a page
+//     that was live at the last checkpoint and has been dirtied since stays
+//     in the pool until the next one. BufferPool.HeldDirty counts those
+//     pages; a caller that checkpoints before they fill the pool (the
+//     crawler does at half of NumFrames) lives within any Options.Frames
+//     that holds the dirty pages of the operations running at once, and only
+//     a pool smaller than that fails a fetch with ErrPoolExhausted.
 //   - Checkpoint journals the prior images of live pages it will
 //     overwrite, flushes the dirty set, and commits by writing a
 //     generation-stamped, CRC-guarded manifest to the alternate root page

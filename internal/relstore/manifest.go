@@ -18,9 +18,16 @@ import (
 //
 // The crash-consistency argument has three legs:
 //
-//  1. No-steal eviction (BufferPool.SetNoSteal): between checkpoints no
-//     dirty page is written back, so the on-disk image stays exactly the
-//     last checkpoint's. A crash mid-epoch loses only in-pool work.
+//  1. A write-back guard (BufferPool.held = durableState.liveAtLast):
+//     between checkpoints a dirty page is written back only if the last
+//     committed manifest does not reference it — it lies beyond that
+//     manifest's page count or on its free list, and recovery discards it
+//     (Restore truncates to the page count and re-imposes the free list).
+//     Every page the last checkpoint references thus keeps that checkpoint's
+//     image on disk; a crash mid-epoch loses only work done since. A page
+//     live at the last checkpoint — freed and re-allocated since included —
+//     stays resident-dirty until the next, counted by BufferPool.HeldDirty
+//     so the caller can checkpoint before such pages fill the pool.
 //  2. A rollback journal: a checkpoint's FlushAll overwrites, in place,
 //     pages the previous checkpoint still references. Before flushing, the
 //     old images of exactly those pages are copied to freshly allocated
@@ -117,11 +124,16 @@ type durableState struct {
 	// Allocator state as of the last committed checkpoint: a page is "live
 	// at the last checkpoint" iff pid <= lastNumPages and not in
 	// lastFreeSet. Live pages must be journaled before an in-place
-	// overwrite and must never host checkpoint scratch data.
+	// overwrite, must never host checkpoint scratch data, and are never
+	// written back between checkpoints.
 	lastNumPages int64
 	lastFreeSet  map[PageID]struct{}
 }
 
+// liveAtLast is also the pool's write-back guard, called under the poollatch
+// leaf and from Unpin: it must stay non-blocking. It takes no lock because its
+// two fields change only in noteCommitted — inside DB.Checkpoint, whose caller
+// has quiesced all table access, and in OpenDurable before the DB is shared.
 func (ds *durableState) liveAtLast(pid PageID) bool {
 	if int64(pid) > ds.lastNumPages {
 		return false
@@ -181,10 +193,9 @@ func OpenDurable(d DurableDisk, o Options) (*DB, error) {
 	o.Disk = d
 	db := Open(o)
 	db.durable = &durableState{disk: d}
-	// No-steal: between checkpoints no dirty page may overwrite its
-	// checkpointed on-disk image. See BufferPool.SetNoSteal and the
-	// crash-consistency argument above.
-	db.pool.SetNoSteal(true)
+	// Between checkpoints no dirty page may overwrite an image the last
+	// manifest references: leg 1 of the crash-consistency argument above.
+	db.pool.held = db.durable.liveAtLast
 	if d.NumPages() == 0 {
 		for _, want := range []PageID{manifestRootA, manifestRootB, journalRoot} {
 			pid, err := d.Allocate()
@@ -279,7 +290,7 @@ func (db *DB) Checkpoint() error {
 	}
 
 	// Journal: copy the current on-disk image (which is the previous
-	// checkpoint's, by no-steal) of every dirty live page to scratch pages,
+	// checkpoint's, by the guard) of every dirty live page to scratch pages,
 	// then commit the journal root. Ordered before FlushAll — this is the
 	// barrier that makes the in-place flush safe.
 	dirty := db.pool.DirtyPages()

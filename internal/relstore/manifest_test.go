@@ -172,7 +172,7 @@ func TestDurableCrashLosesOnlyEpoch(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	fillTable(t, tb, 400, 900) // lost: never flushed (no-steal), never checkpointed
+	fillTable(t, tb, 400, 900) // lost: never checkpointed
 
 	// Crash: drop the DB and pool on the floor, reopen the disk.
 	db2, err := OpenDurable(disk, Options{Frames: 256})
@@ -190,6 +190,66 @@ func TestDurableCrashLosesOnlyEpoch(t *testing.T) {
 	if err := db2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDurableStealCrashRecovers runs a durable table through a pool far
+// smaller than what it dirties between checkpoints: pages the last manifest
+// does not reference are written back as the pool needs their frames, a disk
+// fault inside one of those write-backs surfaces as the insert's error, and
+// reopening the disk recovers exactly the last checkpoint — whatever the
+// stolen pages left beyond its page count or on its free list is discarded.
+func TestDurableStealCrashRecovers(t *testing.T) {
+	mem := NewMemDisk()
+	fd := NewFaultDisk(mem, -1)
+	db, err := OpenDurable(fd, Options{Frames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := db.CreateTable("T", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.AddIndex("oid", oidKey); err != nil {
+		t.Fatal(err)
+	}
+	fillTable(t, tb, 0, 400) // more pages than frames already
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.pool.HeldDirty() != 0 {
+		t.Fatalf("HeldDirty = %d right after a checkpoint", db.pool.HeldDirty())
+	}
+	// No checkpoint runs from here on, so every disk write is a steal.
+	w0 := fd.Stats().Writes.Load()
+	fd.Arm(25)
+	var insErr error
+	for i := 400; i < 20000 && insErr == nil; i++ {
+		_, insErr = tb.Insert(Tuple{I64(int64(i)), Str(fmt.Sprintf("row-%d", i)), F64(1)})
+	}
+	if !errors.Is(insErr, ErrInjectedFault) {
+		t.Fatalf("insert error = %v, want the injected fault from a steal write-back", insErr)
+	}
+	if got := fd.Stats().Writes.Load() - w0; got != 25 {
+		t.Fatalf("%d pages written back before the fault, want 25", got)
+	}
+	if held := db.pool.HeldDirty(); held == 0 || held >= 16 {
+		t.Fatalf("HeldDirty = %d: the last checkpoint's dirtied pages must be resident, and fewer than the pool", held)
+	}
+
+	db2, err := OpenDurable(mem, Options{Frames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := db2.Table("T")
+	if err := rt.BindIndexKey("oid", oidKey); err != nil {
+		t.Fatal(err)
+	}
+	checkTable(t, rt, 400)
+	fillTable(t, rt, 400, 1500)
+	if err := db2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	checkTable(t, rt, 1500)
 }
 
 // TestDurableJournalRollsBack crashes in the middle of a checkpoint — after

@@ -306,7 +306,8 @@ type DB struct {
 type Options struct {
 	// Disk defaults to a fresh MemDisk.
 	Disk DiskManager
-	// Frames is the buffer-pool size in 4 KiB frames (default 2048 = 8 MiB).
+	// Frames is the most 4 KiB frames the buffer pool will hold (default
+	// 2048 = 8 MiB); a frame's memory is allocated when it is first used.
 	Frames int
 	// PoolShards partitions the buffer pool's page table and frames into
 	// independent shards, each with its own latch (0/1 = a single shard,
