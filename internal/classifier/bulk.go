@@ -21,17 +21,18 @@ func DocSchema() *relstore.Schema {
 	)
 }
 
-// InsertDoc appends one document's term vector to a DOCUMENT table, in
-// ascending tid order so the stored row order (and everything downstream
-// that sums in row order) is deterministic across runs. The rows go in as
-// one batch (Table.InsertBatch) — the heap's tail page is pinned once for as
-// many rows as it takes, not once per row — through the table's own batch,
-// so the caller must hold whatever serializes the table, as for Insert.
+// InsertDoc appends one document's term vector to a DOCUMENT table in the
+// vector's ascending tid order, so the stored row order (and everything
+// downstream that sums in row order) is deterministic across runs. The rows
+// go in as one batch (Table.InsertBatch) — the heap's tail page is pinned
+// once for as many rows as it takes, not once per row — through the table's
+// own batch, so the caller must hold whatever serializes the table, as for
+// Insert.
 func InsertDoc(tb *relstore.Table, did int64, v textproc.TermVector) error {
 	b := tb.Batch()
 	row := relstore.Tuple{relstore.I64(did), relstore.I64(0), relstore.I32(0)}
-	for _, tid := range sortedTids(v) {
-		row[1], row[2] = relstore.I64(int64(tid)), relstore.I32(v[tid])
+	for _, t := range v {
+		row[1], row[2] = relstore.I64(int64(t.TID)), relstore.I32(t.Freq)
 		if err := b.Add(row); err != nil {
 			return err
 		}
@@ -117,10 +118,7 @@ func (m *Model) BulkClassify(doc *relstore.Table, opt BulkOptions) (map[int64]Po
 			if L == nil {
 				L = priors
 			}
-			parentP := p[c0.ID]
-			for i, k := range c0.Children {
-				p[k.ID] = parentP * softmaxAt(L, i)
-			}
+			pushDown(p, p[c0.ID], c0.Children, L)
 		}
 	}
 	return post, nil

@@ -1,8 +1,12 @@
 package classifier
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
@@ -202,7 +206,7 @@ func TestBulkClassifyHandlesFeaturelessDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A document whose single term is (almost surely) no feature anywhere.
-	v := textproc.TermVector{textproc.TermID("zzzznotaword"): 3}
+	v := textproc.TermVector{{TID: textproc.TermID("zzzznotaword"), Freq: 3}}
 	if err := InsertDoc(doc, 1, v); err != nil {
 		t.Fatal(err)
 	}
@@ -264,36 +268,120 @@ func TestProbeIOCounts(t *testing.T) {
 	}
 }
 
-// TestClassifyFeatureSideWalkIsBitIdentical: on a document with more terms
-// than any node has features, Classify walks F(c0) and probes the document;
-// SingleProbe always walks the document. Same matches, same order, so the
-// posteriors must be equal to the last bit.
+// vectorOf builds a term vector from tid counts, in the ascending tid order
+// VectorOfTokens builds.
+func vectorOf(counts map[uint32]int32) textproc.TermVector {
+	v := make(textproc.TermVector, 0, len(counts))
+	for tid, f := range counts {
+		v = append(v, textproc.Term{TID: tid, Freq: f})
+	}
+	slices.SortFunc(v, func(a, b textproc.Term) int { return cmp.Compare(a.TID, b.TID) })
+	return v
+}
+
+// TestClassifyFeatureSideWalkIsBitIdentical: Classify makes one term-major
+// probe per document term and fills every node's scores at once; SingleProbe
+// walks the document once per node, probing the database. Each node's
+// scores see the same float operations in the same ascending-tid order, so
+// every posterior must be equal to the last bit, on both layouts, whatever
+// the document: empty, one term in or out of every F(c0), a page with fewer
+// terms than a node has features, a pooled vector with more, and random
+// vectors mixing vocabulary with garbage.
 func TestClassifyFeatureSideWalkIsBitIdentical(t *testing.T) {
 	m, w := trainedModel(t, 10)
-	v := textproc.TermVector{}
-	for _, leaf := range m.Tree.Leaves() {
-		for _, toks := range w.ExampleDocs(leaf.ID, 4) {
-			for tid, f := range textproc.VectorOfTokens(toks) {
-				v[tid] += f
+	same := func(v textproc.TermVector) error {
+		got := m.Classify(v)
+		for _, layout := range []ProbeLayout{LayoutBLOB, LayoutSQL} {
+			ref, err := m.SingleProbe(v, layout)
+			if err != nil {
+				return err
+			}
+			if len(got) != len(ref) {
+				return fmt.Errorf("layout %d: %d nodes, SingleProbe has %d", layout, len(got), len(ref))
+			}
+			for id, want := range ref {
+				if g, ok := got[id]; !ok || g != want {
+					return fmt.Errorf("layout %d node %d: Classify %v, SingleProbe %v (diff %g)", layout, id, g, want, g-want)
+				}
 			}
 		}
+		return nil
 	}
-	for _, c0 := range m.Tree.Internal() {
-		if n := m.NumFeatures(c0.ID); n >= len(v) {
-			t.Fatalf("%s has %d features, document only %d terms: the feature side is not exercised", c0.Name, n, len(v))
+	var pooled []string
+	for _, leaf := range m.Tree.Leaves() {
+		for _, toks := range w.ExampleDocs(leaf.ID, 4) {
+			pooled = append(pooled, toks...)
 		}
 	}
-	ref, err := m.SingleProbe(v, LayoutBLOB)
+	cases := []struct {
+		name string
+		v    textproc.TermVector
+	}{
+		{"empty", nil},
+		{"non-feature", textproc.VectorOfTokens([]string{"zzzznotaword", "zzzznotaword"})},
+		{"feature", textproc.VectorOfTokens([]string{"cycling"})},
+		{"page", textproc.VectorOfTokens(w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0])},
+		{"pooled", textproc.VectorOfTokens(pooled)},
+	}
+	root := m.Tree.Root.ID
+	if n := len(cases[3].v); n >= m.NumFeatures(root) {
+		t.Fatalf("page has %d terms, root %d features: want fewer terms", n, m.NumFeatures(root))
+	}
+	for _, c0 := range m.Tree.Internal() {
+		if n := m.NumFeatures(c0.ID); n >= len(cases[4].v) {
+			t.Fatalf("%s has %d features, pooled vector only %d terms", c0.Name, n, len(cases[4].v))
+		}
+	}
+	for _, c := range cases {
+		if err := same(c.v); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+	vocab := w.ExampleDocs(m.Tree.ByName("hiv").ID, 1)[0]
+	f := func(words []string, picks []uint16, reps uint8) bool {
+		counts := map[uint32]int32{}
+		for _, w := range words {
+			counts[textproc.TermID(w)] += int32(reps%5) + 1
+		}
+		for _, p := range picks {
+			counts[textproc.TermID(vocab[int(p)%len(vocab)])]++
+		}
+		err := same(vectorOf(counts))
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHotPathAllocs gates the per-visit allocations of a ~120-term page
+// (135 distinct terms). With map vectors, per-node walks and re-sorted tids
+// Classify made 21 allocations and InsertDoc 3; now Classify makes its score
+// row and the returned posterior map (four on Go 1.24), and InsertDoc only
+// what the heap does.
+func TestHotPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	m, w := trainedModel(t, 10)
+	v := textproc.VectorOfTokens(w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0])
+	if a := testing.AllocsPerRun(100, func() { m.Classify(v) }); a > 5 {
+		t.Errorf("Classify: %v allocations, want <= 5", a)
+	}
+	doc, err := m.DB.CreateTable("DOCUMENT", DocSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Classify(v)
-	if len(got) != len(ref) {
-		t.Fatalf("%d nodes, SingleProbe has %d", len(got), len(ref))
-	}
-	for id, want := range ref {
-		if got[id] != want {
-			t.Fatalf("node %d: Classify %v, SingleProbe %v (diff %g)", id, got[id], want, got[id]-want)
+	did := int64(0)
+	if a := testing.AllocsPerRun(100, func() {
+		did++
+		if err := InsertDoc(doc, did, v); err != nil {
+			t.Fatal(err)
 		}
+	}); a > 2 {
+		t.Errorf("InsertDoc: %v allocations, want <= 2", a)
 	}
 }

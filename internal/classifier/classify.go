@@ -20,7 +20,7 @@ type Posterior map[taxonomy.NodeID]float64
 func (m *Model) BestLeaf(p Posterior) taxonomy.NodeID {
 	best := taxonomy.NodeID(0)
 	bestP := -1.0
-	for _, leaf := range m.Tree.Leaves() {
+	for _, leaf := range m.leaves {
 		if pr := p[leaf.ID]; pr > bestP {
 			best, bestP = leaf.ID, pr
 		}
@@ -45,83 +45,53 @@ func (m *Model) Relevance(p Posterior) float64 {
 // ok=false when tid is not a feature term of c0.
 type thetaLookup func(c0 taxonomy.NodeID, tid uint32) (entries []childTheta, ok bool, err error)
 
-// posterior runs the recursive descent of §2.1.1: at each internal node,
-// accumulate per-child log-likelihoods over the document's feature terms
-// (present entries add freq*logtheta, absent children pay freq*(-logdenom)),
-// normalize so sibling probabilities sum to the parent's, and push down.
-// Terms are visited in ascending tid order, not map order: float accumulation
-// is order-sensitive at the ulp level, and a crawl resumed from a checkpoint
-// can only replay bit-identically if classification is deterministic.
-//
-// featSide is for the in-memory statistics only: a node with fewer feature
-// terms than the document has terms walks F(c0), already sorted, and probes
-// the document instead — the same matching terms in the same order.
-func (m *Model) posterior(v textproc.TermVector, lookup thetaLookup, featSide bool) (Posterior, error) {
-	var tids []uint32 // the document's tids, sorted when a node first walks them
-	post := Posterior{m.Tree.Root.ID: 1}
-	for _, c0 := range m.Tree.Internal() {
-		kids := m.kids[c0.ID]
-		if len(kids) == 0 {
-			continue
-		}
-		parentP := post[c0.ID]
-		L := make([]float64, len(kids))
-		pos := make(map[taxonomy.NodeID]int, len(kids))
-		for i, k := range kids {
-			L[i] = m.logPrior[k.ID]
+// posterior runs the recursive descent of §2.1.1 the way Figure 2's
+// pseudocode does, one statistics probe per (document term, internal node):
+// at each internal node, accumulate per-child log-likelihoods over the
+// document's feature terms (present entries add freq*logtheta, absent
+// children pay freq*(-logdenom)), normalize so sibling probabilities sum to
+// the parent's, and push down. Terms are visited in the vector's ascending
+// tid order: float accumulation is order-sensitive at the ulp level, and a
+// crawl resumed from a checkpoint can only replay bit-identically if
+// classification is deterministic.
+func (m *Model) posterior(v textproc.TermVector, lookup thetaLookup) (Posterior, error) {
+	post := make(Posterior, m.Tree.Len())
+	post[m.Tree.Root.ID] = 1
+	for _, n := range m.nodes {
+		L := slices.Clone(m.prior[n.off : n.off+len(n.kids)])
+		pos := make(map[taxonomy.NodeID]int, len(n.kids))
+		for i, k := range n.kids {
 			pos[k.ID] = i
 		}
-		walk := m.featTids[c0.ID]
-		if !featSide || len(walk) >= len(v) {
-			if tids == nil {
-				tids = sortedTids(v)
-			}
-			walk = tids
-		}
-		for _, tid := range walk {
-			freq, inDoc := v[tid]
-			if !inDoc {
-				continue
-			}
-			entries, ok, err := lookup(c0.ID, tid)
+		for _, t := range v {
+			entries, ok, err := lookup(n.id, t.TID)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				continue // t not in F(c0)
 			}
-			f := float64(freq)
+			f := float64(t.Freq)
 			// All children pay the absent-term denominator; present
 			// children get it refunded inside logtheta's rewrite
-			// (the inner + outer join trick of Figure 3).
-			for i, k := range kids {
-				L[i] -= f * m.logDenom[k.ID]
+			// (the inner + outer join trick of Figure 3). The explicit
+			// float64 conversions forbid fusing into an FMA, which
+			// Classify's loop must match bit for bit.
+			for i, k := range n.kids {
+				L[i] -= float64(f * m.logDenom[k.ID])
 			}
 			for _, e := range entries {
-				i := pos[e.kcid]
-				L[i] += f * (e.logTheta + m.logDenom[e.kcid])
+				L[pos[e.kcid]] += float64(f * (e.logTheta + m.logDenom[e.kcid]))
 			}
 		}
-		for i, k := range kids {
-			post[k.ID] = parentP * softmaxAt(L, i)
-		}
+		pushDown(post, post[n.id], n.kids, L)
 	}
 	return post, nil
 }
 
-// sortedTids returns the vector's term ids in ascending order — the
-// deterministic iteration order shared by every classification path.
-func sortedTids(v textproc.TermVector) []uint32 {
-	tids := make([]uint32, 0, len(v))
-	for tid := range v {
-		tids = append(tids, tid)
-	}
-	slices.Sort(tids)
-	return tids
-}
-
-// softmaxAt returns exp(L[i]) / sum_j exp(L[j]), max-shifted for stability.
-func softmaxAt(L []float64, i int) float64 {
+// pushDown assigns each child its share of the parent's mass:
+// parentP * exp(L[i]) / sum_j exp(L[j]), max-shifted for stability.
+func pushDown(post Posterior, parentP float64, kids []*taxonomy.Node, L []float64) {
 	maxL := L[0]
 	for _, l := range L[1:] {
 		if l > maxL {
@@ -132,18 +102,41 @@ func softmaxAt(L []float64, i int) float64 {
 	for _, l := range L {
 		sum += math.Exp(l - maxL)
 	}
-	return math.Exp(L[i]-maxL) / sum
+	for i, k := range kids {
+		post[k.ID] = parentP * (math.Exp(L[i]-maxL) / sum)
+	}
 }
 
-// Classify is the in-memory reference path: statistics come from the
-// model's in-core mirror. The crawler's hot loop uses this; the DB paths
-// below must agree with it exactly (see tests).
+// Classify is the in-memory path the crawler's hot loop uses; the DB paths
+// below must agree with it exactly (see tests). It probes the term-major
+// index once per document term and adds that term's contribution to every
+// internal node that selects it, in one row of scores, then pushes down.
+// Each node's scores see exactly posterior's float operations in the same
+// ascending-tid order, so the two are bit-identical.
 func (m *Model) Classify(v textproc.TermVector) Posterior {
-	p, _ := m.posterior(v, func(c0 taxonomy.NodeID, tid uint32) ([]childTheta, bool, error) {
-		es, ok := m.statsMem[c0][tid]
-		return es, ok, nil
-	}, true)
-	return p
+	L := slices.Clone(m.prior)
+	for _, t := range v {
+		hits, ok := m.termIdx[t.TID]
+		if !ok {
+			continue
+		}
+		f := float64(t.Freq)
+		for _, h := range hits {
+			row, den := L[h.lo:h.hi], m.denom[h.lo:h.hi]
+			for i := range row {
+				row[i] -= float64(f * den[i])
+			}
+			for _, e := range h.kids {
+				L[e.slot] += float64(f * e.w)
+			}
+		}
+	}
+	post := make(Posterior, m.Tree.Len())
+	post[m.Tree.Root.ID] = 1
+	for _, n := range m.nodes {
+		pushDown(post, post[n.id], n.kids, L[n.off:n.off+len(n.kids)])
+	}
+	return post
 }
 
 // ClassifyTokens tokenizes nothing (tokens are given) and classifies.
@@ -169,9 +162,9 @@ const (
 func (m *Model) SingleProbe(v textproc.TermVector, layout ProbeLayout) (Posterior, error) {
 	switch layout {
 	case LayoutBLOB:
-		return m.posterior(v, m.lookupBlob, false)
+		return m.posterior(v, m.lookupBlob)
 	default:
-		return m.posterior(v, m.lookupSQL, false)
+		return m.posterior(v, m.lookupSQL)
 	}
 }
 
@@ -195,7 +188,7 @@ func (m *Model) SingleProbeTimed(v textproc.TermVector, layout ProbeLayout) (Pos
 		st.ProbeTime += time.Since(t0)
 		st.Probes++
 		return es, ok, err
-	}, false)
+	})
 	return p, st, err
 }
 

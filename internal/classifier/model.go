@@ -73,8 +73,38 @@ type Model struct {
 	// stream plan accumulates in feature order, and float accumulation
 	// order must not vary run to run.
 	featTids map[taxonomy.NodeID][]uint32
-	// kidPos caches each internal node's children and their positions.
-	kids map[taxonomy.NodeID][]*taxonomy.Node
+
+	// nodes are the internal nodes in Tree.Internal() (push-down) order.
+	// Node n's children own score slots n.off … n.off+len(n.kids)-1 of one
+	// flat row; prior and denom hold each slot's logprior and logdenom.
+	nodes        []classNode
+	prior, denom []float64
+	// termIdx is the term-major mirror of statsMem that Classify probes once
+	// per document term: every internal node that selects tid as a feature,
+	// in nodes order, with its present children's slots and weights.
+	termIdx map[uint32][]nodeTerm
+	// leaves are Tree.Leaves() at training, in ID order.
+	leaves []*taxonomy.Node
+}
+
+// classNode is one internal node of the push-down.
+type classNode struct {
+	id   taxonomy.NodeID
+	kids []*taxonomy.Node
+	off  int
+}
+
+// nodeTerm is one (feature term, internal node) pair of the term-major
+// index: the node's score slots lo … hi-1 and, for each child with a
+// STAT_c0 row for the term, its slot and logtheta + logdenom.
+type nodeTerm struct {
+	lo, hi int
+	kids   []kidTerm
+}
+
+type kidTerm struct {
+	slot int
+	w    float64
 }
 
 // Examples supplies training documents (token lists) per leaf topic — the
@@ -94,7 +124,7 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 		logDenom:    make(map[taxonomy.NodeID]float64),
 		statsMem:    make(map[taxonomy.NodeID]map[uint32][]childTheta),
 		featTids:    make(map[taxonomy.NodeID][]uint32),
-		kids:        make(map[taxonomy.NodeID][]*taxonomy.Node),
+		leaves:      tree.Leaves(),
 	}
 
 	// Vectorize examples and pool them bottom-up: docsUnder(n) is D(n), the
@@ -151,8 +181,8 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 		relstore.Column{Name: "logtheta", Kind: relstore.KFloat64},
 	)
 
-	for _, c0 := range tree.Internal() {
-		m.kids[c0.ID] = c0.Children
+	internal := tree.Internal()
+	for _, c0 := range internal {
 		parentDocs := docsUnder(c0)
 		if len(parentDocs) == 0 {
 			continue
@@ -162,8 +192,8 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 		// Vocabulary size |union over D(c0) of {t in d}| for Eq (1).
 		vocab := make(map[uint32]bool)
 		for _, d := range parentDocs {
-			for t := range d {
-				vocab[t] = true
+			for _, t := range d {
+				vocab[t.TID] = true
 			}
 		}
 
@@ -180,11 +210,11 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 			var mass int64
 			counts := make(map[uint32]int64)
 			for _, d := range ciDocs {
-				for t, f := range d {
-					if feats[t] {
-						counts[t] += int64(f)
+				for _, t := range d {
+					if feats[t.TID] {
+						counts[t.TID] += int64(t.Freq)
 					}
-					mass += int64(f)
+					mass += int64(t.Freq)
 				}
 			}
 			denom := float64(len(vocab)) + float64(mass)
@@ -238,6 +268,7 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 			}
 		}
 	}
+	m.indexTerms(internal)
 
 	// Populate TAXONOMY rows (the root has pcid 0).
 	var fill func(n *taxonomy.Node) error
@@ -286,7 +317,8 @@ func selectFeatures(c0 *taxonomy.Node, docsUnder func(*taxonomy.Node) []textproc
 		nDocs[ki] = int64(len(docs))
 		total += nDocs[ki]
 		for _, d := range docs {
-			for t := range d {
+			for _, e := range d {
+				t := e.TID
 				s := stats[t]
 				if s == nil {
 					s = &termStat{df: make([]int64, nKids)}
@@ -344,6 +376,38 @@ func selectFeatures(c0 *taxonomy.Node, docsUnder func(*taxonomy.Node) []textproc
 		out[c.t] = true
 	}
 	return out
+}
+
+// indexTerms lays out the internal nodes' score slots and builds termIdx
+// from statsMem, once every node's logprior and logdenom are known.
+func (m *Model) indexTerms(internal []*taxonomy.Node) {
+	m.termIdx = make(map[uint32][]nodeTerm)
+	for _, c0 := range internal {
+		lo := len(m.prior)
+		slot := make(map[taxonomy.NodeID]int, len(c0.Children))
+		for i, k := range c0.Children {
+			slot[k.ID] = lo + i
+			m.prior = append(m.prior, m.logPrior[k.ID])
+			m.denom = append(m.denom, m.logDenom[k.ID])
+		}
+		hi := len(m.prior)
+		m.nodes = append(m.nodes, classNode{id: c0.ID, kids: c0.Children, off: lo})
+		mem := m.statsMem[c0.ID]
+		n := 0
+		for _, es := range mem {
+			n += len(es)
+		}
+		flat := make([]kidTerm, 0, n)
+		for _, tid := range m.featTids[c0.ID] {
+			start := len(flat)
+			for _, e := range mem[tid] {
+				// w is the sum posterior forms per term, formed once: the
+				// same float64 addition, so the same bits.
+				flat = append(flat, kidTerm{slot: slot[e.kcid], w: e.logTheta + m.logDenom[e.kcid]})
+			}
+			m.termIdx[tid] = append(m.termIdx[tid], nodeTerm{lo: lo, hi: hi, kids: flat[start:len(flat):len(flat)]})
+		}
+	}
 }
 
 // NumFeatures reports |F(c0)| actually materialized for an internal node.

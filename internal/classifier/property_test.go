@@ -16,18 +16,18 @@ func TestPosteriorAlwaysNormalized(t *testing.T) {
 	m, _ := trainedModel(t, 8)
 	rng := rand.New(rand.NewSource(99))
 	f := func(words []string, reps uint8) bool {
-		v := textproc.TermVector{}
+		counts := map[uint32]int32{}
 		for _, w := range words {
 			if w == "" {
 				continue
 			}
-			v[textproc.TermID(w)] = int32(reps%7) + 1
+			counts[textproc.TermID(w)] = int32(reps%7) + 1
 		}
 		// Mix in some real vocabulary occasionally.
 		if rng.Intn(2) == 0 {
-			v[textproc.TermID("cycling")] = 3
+			counts[textproc.TermID("cycling")] = 3
 		}
-		p := m.Classify(v)
+		p := m.Classify(vectorOf(counts))
 		if p[m.Tree.Root.ID] != 1 {
 			return false
 		}
@@ -126,10 +126,7 @@ func TestFeatureSelectionPicksDiscriminators(t *testing.T) {
 // probe per (term, internal node) pair.
 func TestSingleProbeTimedCountsProbes(t *testing.T) {
 	m, _ := trainedModel(t, 8)
-	v := textproc.TermVector{
-		textproc.TermID("cycling"): 2,
-		textproc.TermID("w0001"):   1,
-	}
+	v := textproc.VectorOfTokens([]string{"cycling", "w0001", "cycling"})
 	_, st, err := m.SingleProbeTimed(v, LayoutBLOB)
 	if err != nil {
 		t.Fatal(err)

@@ -52,16 +52,16 @@ func (m *Model) BulkClassifyStream(docs []BatchDoc, _ BulkOptions) (map[int64]Po
 	freqOf := make([]float64, 0, n)
 	next := make([]int32, 0, n)
 	for i := range docs {
-		for tid, f := range docs[i].Vec {
+		for _, t := range docs[i].Vec {
 			idx := int32(len(docOf))
 			docOf = append(docOf, int32(i))
-			freqOf = append(freqOf, float64(f))
-			if prev, ok := head[tid]; ok {
+			freqOf = append(freqOf, float64(t.Freq))
+			if prev, ok := head[t.TID]; ok {
 				next = append(next, prev)
 			} else {
 				next = append(next, -1)
 			}
-			head[tid] = idx
+			head[t.TID] = idx
 		}
 	}
 	post := make(map[int64]Posterior, len(docs))
@@ -70,19 +70,14 @@ func (m *Model) BulkClassifyStream(docs []BatchDoc, _ BulkOptions) (map[int64]Po
 	}
 	B := len(docs)
 	docLen := make([]float64, B)
-	for _, c0 := range m.Tree.Internal() {
-		kids := m.kids[c0.ID]
+	for _, n := range m.nodes {
+		kids := n.kids
 		K := len(kids)
-		if K == 0 {
-			continue
-		}
 		pos := make(map[int64]int, K)
-		denom := make([]float64, K)
-		prior := make([]float64, K)
+		denom := m.denom[n.off : n.off+K]
+		prior := m.prior[n.off : n.off+K]
 		for i, k := range kids {
 			pos[int64(k.ID)] = i
-			denom[i] = m.logDenom[k.ID]
-			prior[i] = m.logPrior[k.ID]
 		}
 		// One flat (doc x child) score block per node; rows start at the
 		// priors (the COMPLETE side's identity element), and DOCLEN — each
@@ -100,8 +95,8 @@ func (m *Model) BulkClassifyStream(docs []BatchDoc, _ BulkOptions) (map[int64]Po
 		// output row (the PARTIAL side), folded straight into the
 		// document's score row. Features are walked in ascending tid order
 		// so each row's float accumulation order is fixed.
-		mem := m.statsMem[c0.ID]
-		for _, tid := range m.featTids[c0.ID] {
+		mem := m.statsMem[n.id]
+		for _, tid := range m.featTids[n.id] {
 			idx, ok := head[tid]
 			if !ok {
 				continue
@@ -120,16 +115,13 @@ func (m *Model) BulkClassifyStream(docs []BatchDoc, _ BulkOptions) (map[int64]Po
 		// children partition the parent's mass.
 		for d := 0; d < B; d++ {
 			pr := post[docs[d].DID]
-			parentP := pr[c0.ID]
 			row := L[d*K : (d+1)*K]
 			if l := docLen[d]; l != 0 {
 				for i := range row {
 					row[i] -= l * denom[i]
 				}
 			}
-			for i, k := range kids {
-				pr[k.ID] = parentP * softmaxAt(row, i)
-			}
+			pushDown(pr, pr[n.id], kids, row)
 		}
 	}
 	return post, nil

@@ -70,8 +70,8 @@ func TestStreamClassifiesEmptyAndSingleTermDocs(t *testing.T) {
 	docs := []BatchDoc{
 		{DID: 1, Vec: textproc.TermVector{}}, // no tokens at all
 		{DID: 2, Vec: nil},                   // nil vector, same contract
-		{DID: 3, Vec: textproc.TermVector{textproc.TermID("zzzznotaword"): 3}}, // single non-feature term
-		{DID: 4, Vec: textproc.TermVector{textproc.TermID("cycling"): 1}},      // single feature term
+		{DID: 3, Vec: textproc.TermVector{{TID: textproc.TermID("zzzznotaword"), Freq: 3}}}, // single non-feature term
+		{DID: 4, Vec: textproc.TermVector{{TID: textproc.TermID("cycling"), Freq: 1}}},      // single feature term
 	}
 	bulk, err := m.BulkClassifyStream(docs, BulkOptions{})
 	if err != nil {

@@ -256,13 +256,14 @@ func Percentile(tb *relstore.Table, p float64) (psi float64, ok bool, err error)
 }
 
 // relevanceOf loads oid -> relevance from CRAWL (sequential scan; the index
-// walk probes the CRAWL index instead).
+// walk probes the CRAWL index instead). It reads the two columns in place:
+// decoding whole rows, URLs included, was most of a post-crawl epoch's
+// allocation.
 func relevanceOf(crawl *relstore.Table) (map[int64]float64, error) {
-	out := make(map[int64]float64)
-	oidCol := crawl.Schema.ColIndex("oid")
-	relCol := crawl.Schema.ColIndex("relevance")
-	err := crawl.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		out[t[oidCol].Int()] = t[relCol].Float()
+	out := make(map[int64]float64, crawl.Rows())
+	cols := []int{crawl.Schema.ColIndex("oid"), crawl.Schema.ColIndex("relevance")}
+	err := crawl.ScanCols(cols, func(_ relstore.RID, v []relstore.Value) (bool, error) {
+		out[v[0].Int()] = v[1].Float()
 		return false, nil
 	})
 	return out, err

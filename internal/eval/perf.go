@@ -119,18 +119,15 @@ func newClassifierFixture(o ClassifierPerfConfig) (*classifierFixture, error) {
 }
 
 // docVectors reads the whole DOCUMENT table into per-document vectors,
-// timing the scan (the "Scan Doc" slice of Figure 8a).
-func (f *classifierFixture) docVectors() (map[int64]map[uint32]int32, time.Duration, error) {
+// timing the scan (the "Scan Doc" slice of Figure 8a). InsertDoc wrote each
+// document's rows together in ascending tid order, and a heap scan returns
+// them in that order, so appending keeps every vector sorted.
+func (f *classifierFixture) docVectors() (map[int64]textproc.TermVector, time.Duration, error) {
 	t0 := time.Now()
-	out := make(map[int64]map[uint32]int32)
+	out := make(map[int64]textproc.TermVector)
 	err := f.doc.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		did := t[0].Int()
-		v := out[did]
-		if v == nil {
-			v = make(map[uint32]int32)
-			out[did] = v
-		}
-		v[uint32(t[1].Int())] = int32(t[2].Int())
+		out[did] = append(out[did], textproc.Term{TID: uint32(t[1].Int()), Freq: int32(t[2].Int())})
 		return false, nil
 	})
 	return out, time.Since(t0), err
@@ -138,7 +135,7 @@ func (f *classifierFixture) docVectors() (map[int64]map[uint32]int32, time.Durat
 
 // singleProbe classifies every fixture document through one SingleProbe
 // layout and returns the time spent in statistics access.
-func (f *classifierFixture) singleProbe(vecs map[int64]map[uint32]int32, layout classifier.ProbeLayout) (time.Duration, error) {
+func (f *classifierFixture) singleProbe(vecs map[int64]textproc.TermVector, layout classifier.ProbeLayout) (time.Duration, error) {
 	var probe time.Duration
 	for _, did := range f.dids {
 		_, st, err := f.model.SingleProbeTimed(vecs[did], layout)

@@ -254,6 +254,23 @@ func (tb *Table) Truncate() error {
 	return nil
 }
 
+// ScanCols visits every row with the given fixed-width columns decoded as
+// ReadCols decodes them, vals[i] holding column cols[i]. vals is reused from
+// row to row, so a scan that reads a few columns allocates nothing per row.
+func (tb *Table) ScanCols(cols []int, fn func(rid RID, vals []Value) (bool, error)) error {
+	vals := make([]Value, len(cols))
+	return tb.heap.Scan(func(rid RID, rec []byte) (bool, error) {
+		for i, col := range cols {
+			at, err := tb.Schema.fixedCol(rec, col)
+			if err != nil {
+				return true, err
+			}
+			vals[i] = fixedValue(tb.Schema.Cols[col].Kind, at)
+		}
+		return fn(rid, vals)
+	})
+}
+
 // Scan visits every row with its RID.
 func (tb *Table) Scan(fn func(rid RID, t Tuple) (bool, error)) error {
 	return tb.heap.Scan(func(rid RID, rec []byte) (bool, error) {

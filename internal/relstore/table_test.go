@@ -43,6 +43,41 @@ func TestTableInsertGetScan(t *testing.T) {
 	}
 }
 
+// TestTableScanCols: the in-place column scan sees every row, in Scan's
+// order, with the values Scan decodes — across a variable-width column —
+// and refuses a variable-width column.
+func TestTableScanCols(t *testing.T) {
+	tb, err := newTestDB(t).CreateTable("CRAWL", crawlSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 500; i++ {
+		url := "http://a/" + string(rune('a'+i%26))
+		if _, err := tb.Insert(Tuple{I64(i), Str(url), F64(float64(i) / 7), I32(int32(i % 3))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want [][3]Value
+	tb.Scan(func(_ RID, r Tuple) (bool, error) {
+		want = append(want, [3]Value{r[3], r[0], r[2]})
+		return false, nil
+	})
+	i := 0
+	err = tb.ScanCols([]int{3, 0, 2}, func(_ RID, v []Value) (bool, error) {
+		if got := [3]Value{v[0], v[1], v[2]}; got != want[i] {
+			t.Fatalf("row %d: %v, Scan %v", i, got, want[i])
+		}
+		i++
+		return false, nil
+	})
+	if err != nil || i != len(want) {
+		t.Fatalf("%d of %d rows, err %v", i, len(want), err)
+	}
+	if err := tb.ScanCols([]int{1}, func(RID, []Value) (bool, error) { return false, nil }); err == nil {
+		t.Fatal("variable-width column scanned")
+	}
+}
+
 func TestTableIndexMaintenance(t *testing.T) {
 	db := newTestDB(t)
 	tb, _ := db.CreateTable("CRAWL", crawlSchema)

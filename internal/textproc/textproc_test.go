@@ -1,7 +1,11 @@
 package textproc
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -58,9 +62,19 @@ func TestTermIDMatchesFNV1a(t *testing.T) {
 	}
 }
 
+// freqOf looks tid up in v by binary search; 0 when absent.
+func freqOf(v TermVector, tid uint32) int32 {
+	if i, ok := slices.BinarySearchFunc(v, tid, func(t Term, tid uint32) int {
+		return cmp.Compare(t.TID, tid)
+	}); ok {
+		return v[i].Freq
+	}
+	return 0
+}
+
 func TestVectorOf(t *testing.T) {
 	v := VectorOf("bike bike ride")
-	if v[TermID("bike")] != 2 || v[TermID("ride")] != 1 {
+	if freqOf(v, TermID("bike")) != 2 || freqOf(v, TermID("ride")) != 1 || freqOf(v, TermID("walk")) != 0 {
 		t.Fatalf("v = %v", v)
 	}
 	if v.Length() != 3 {
@@ -68,8 +82,37 @@ func TestVectorOf(t *testing.T) {
 	}
 }
 
+// TestVectorOfTokensQuick: the vector is the documents's distinct tids in
+// strictly ascending order with their counts — equal to a map-count
+// reference — its mass is the token count, and it is allocated at exactly
+// its distinct count. Beyond quick's random (mostly distinct, mostly short)
+// lists, it covers empty input, and all-duplicate and small-vocabulary
+// input from one token to far more than a doc-heavy page.
 func TestVectorOfTokensQuick(t *testing.T) {
-	// The vector's total mass must equal the token count.
+	check := func(tokens []string) error {
+		v := VectorOfTokens(tokens)
+		ref := map[uint32]int32{}
+		for _, tok := range tokens {
+			ref[TermID(tok)]++
+		}
+		switch {
+		case len(v) != len(ref):
+			return fmt.Errorf("%d terms, reference %d", len(v), len(ref))
+		case cap(v) != len(v):
+			return fmt.Errorf("cap %d, len %d", cap(v), len(v))
+		case v.Length() != int64(len(tokens)):
+			return fmt.Errorf("length %d, %d tokens", v.Length(), len(tokens))
+		}
+		for i, e := range v {
+			if i > 0 && e.TID <= v[i-1].TID {
+				return fmt.Errorf("tid %d at %d after %d", e.TID, i, v[i-1].TID)
+			}
+			if e.Freq < 1 || e.Freq != ref[e.TID] {
+				return fmt.Errorf("tid %d: freq %d, reference %d", e.TID, e.Freq, ref[e.TID])
+			}
+		}
+		return nil
+	}
 	f := func(tokens []string) bool {
 		clean := make([]string, 0, len(tokens))
 		for _, tok := range tokens {
@@ -77,10 +120,31 @@ func TestVectorOfTokensQuick(t *testing.T) {
 				clean = append(clean, tok)
 			}
 		}
-		v := VectorOfTokens(clean)
-		return v.Length() == int64(len(clean))
+		return check(clean) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	words := func(n, vocab int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("w%d", rng.Intn(vocab))
+		}
+		return out
+	}
+	cases := map[string][]string{
+		"empty": nil,
+		"one":   {"bike"},
+	}
+	for _, n := range []int{1, 2, 3, 255, 256, 257, 5000} {
+		cases[fmt.Sprintf("dup%d", n)] = words(n, 1)
+		cases[fmt.Sprintf("vocab8x%d", n)] = words(n, 8)
+		cases[fmt.Sprintf("vocab20kx%d", n)] = words(n, 20000)
+	}
+	for name, toks := range cases {
+		if err := check(toks); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
