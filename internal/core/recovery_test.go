@@ -160,10 +160,19 @@ func TestGoldenResumeSeed1(t *testing.T) {
 }
 
 // checkRecoveredCrawl asserts what every resumed crawl must satisfy before it
-// runs on: no lost or duplicated visits, and LINK stripes whose two indexes
-// mirror their heaps.
+// runs on: no lost or duplicated visits, CRAWL partitions without an oid
+// B+tree whose in-memory oid directories match their heaps, and LINK stripes
+// whose two indexes mirror their heaps.
 func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointState, cr2 *crawler.Crawler) {
 	t.Helper()
+	for i := 0; i < st.FrontierShards; i++ {
+		if db2.Table(fmt.Sprintf("CRAWL#%d", i)).Index("oid") != nil {
+			t.Fatalf("CRAWL#%d still has an oid index after resume", i)
+		}
+	}
+	if err := cr2.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 	// No lost or duplicated visits: Resume already cross-checked the
 	// visited row count against the persisted counter; on top of
 	// that, every harvest oid must be unique and the visit sequence
@@ -270,6 +279,74 @@ func TestResumeAtDifferentWorkers(t *testing.T) {
 	if res.Visited <= st.Visited || int64(len(cr.HarvestLog())) != res.Visited {
 		t.Fatalf("resumed crawl visited %d (harvest log %d), checkpoint had %d",
 			res.Visited, len(cr.HarvestLog()), st.Visited)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeDropsLegacyOidIndex: a file checkpointed while each CRAWL#i
+// partition still kept an oid B+tree (before the in-memory oid directory)
+// resumes. The index comes back from the catalog with no key function, and
+// the first update through it would panic, so Resume drops it and rebuilds
+// the directory from the heap; the resumed crawl then spends its budget.
+func TestResumeDropsLegacyOidIndex(t *testing.T) {
+	cfg := Config{
+		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
+		GoodTopics: []string{"cycling"},
+		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
+		Crawl: crawler.Config{
+			Workers:         2,
+			MaxFetches:      200,
+			DistillEvery:    100,
+			CheckpointEvery: 100,
+		},
+	}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SeedTopic("cycling", 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	shards := sys.Crawler.NumShards()
+	for i := 0; i < shards; i++ {
+		_, err := sys.DB.Table(fmt.Sprintf("CRAWL#%d", i)).AddIndex("oid", func(tp relstore.Tuple) []byte {
+			return relstore.EncodeKey(tp[crawler.COID])
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil { // checkpoints, catalog included
+		t.Fatal(err)
+	}
+
+	cfg.Crawl.MaxFetches = 400
+	resumed, err := ResumeSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := crawler.ReadCheckpoint(resumed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FrontierShards != shards {
+		t.Fatalf("checkpoint has %d shards, the crawl had %d", st.FrontierShards, shards)
+	}
+	checkRecoveredCrawl(t, resumed.DB, st, resumed.Crawler)
+	res, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fetches < cfg.Crawl.MaxFetches {
+		t.Fatalf("resumed crawl stopped at %d fetches (stagnated=%v), budget %d", res.Fetches, res.Stagnated, cfg.Crawl.MaxFetches)
+	}
+	if err := resumed.Crawler.CheckDirectory(); err != nil {
+		t.Fatal(err)
 	}
 	if err := resumed.Close(); err != nil {
 		t.Fatal(err)

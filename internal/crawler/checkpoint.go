@@ -7,10 +7,10 @@ package crawler
 // HUBS/AUTH buffers) reflects one cut of the visit sequence. The mutable
 // in-memory state that is NOT derivable from the relations (visit sequence,
 // counters, politeness clocks, which score buffer is published) goes into a
-// small CKPT key/value table; everything else — harvest log, per-shard
-// serverSeen/insertSeq, frontier counts, the link store's dst registry — is
-// rebuilt from the relations at Resume, which keeps the checkpoint write
-// small and the single source of truth on disk.
+// small CKPT key/value table; everything else — harvest log, per-shard oid
+// directory, serverSeen/insertSeq, frontier counts, the link store's dst
+// registry — is rebuilt from the relations at Resume, which keeps the
+// checkpoint write small and the single source of truth on disk.
 //
 // Bit-identical resume is pinned under the same discipline as the one-shard,
 // one-stripe goldens: Workers=1 (so the quiesce point always falls between
@@ -331,8 +331,8 @@ func policyByName(name string) (Policy, bool) {
 // leaves it ready to Run with the remaining budget. The persisted relations
 // are attached (key functions re-bound by well-known index names), rows left
 // in flight at the checkpoint flip back to the frontier, and all derivable
-// in-memory state — harvest log, per-shard serverSeen/insertSeq/frontier
-// counts, the link store's dst registry — is recomputed from the relations.
+// in-memory state — harvest log, the shards' oid directories and counters,
+// the link store's dst registry — is recomputed from the relations.
 // cfg supplies the knobs for the continued crawl (budget, workers,
 // politeness); the shard and stripe counts (a property of the stored tables,
 // whatever cfg.Workers says), mode, and policy come from the checkpoint, and
@@ -443,9 +443,9 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	return c, nil
 }
 
-// attachShard reopens one CRAWL partition: binds the oid and frontier index
-// keys, rebuilds serverSeen/insertSeq/frontierN and the shard's slice of the
-// harvest log from the rows, flips rows stranded in flight back to the
+// attachShard reopens one CRAWL partition: binds the frontier index key,
+// rebuilds the oid directory, serverSeen/insertSeq/frontierN and the shard's
+// harvest log slice from the rows, flips rows stranded in flight back to the
 // frontier (their fetches died with the crashed process; the status-prefixed
 // policy key makes Update restore them to the priority index), republishes
 // the head hint, and rebases the persisted politeness clocks.
@@ -454,9 +454,9 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	if tab == nil {
 		return nil, nil, fmt.Errorf("crawler: resume: missing table CRAWL#%d", id)
 	}
-	if err := tab.BindIndexKey("oid", func(t relstore.Tuple) []byte {
-		return relstore.EncodeKey(t[COID])
-	}); err != nil {
+	// A file written before the oid directory has an oid B+tree here whose key
+	// is never bound again: drop it, freeing its pages, before any update.
+	if err := tab.DropIndex("oid"); err != nil {
 		return nil, nil, err
 	}
 	if err := tab.BindIndexKey("frontier", pol.Key); err != nil {
@@ -464,8 +464,8 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	}
 	sh := &shard{
 		id: id, policy: pol, crawl: tab,
-		oidIx:      tab.Index("oid"),
 		frontier:   tab.Index("frontier"),
+		rids:       make(map[int64]relstore.RID, tab.Rows()),
 		serverSeen: make(map[int32]int32),
 		hosts:      make(map[int32]*hostState),
 		notBefore:  make(map[int64]time.Time),
@@ -478,6 +478,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	var frontierN int64
 	var harvest []HarvestPoint
 	err := tab.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
+		sh.rids[t[COID].Int()] = rid
 		sh.serverSeen[SIDOf(t[CURL].S)]++
 		if s := t[CSeq].Int(); s > sh.insertSeq {
 			sh.insertSeq = s

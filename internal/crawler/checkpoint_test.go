@@ -131,6 +131,9 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 	if rowsSeen == 0 {
 		t.Fatal("no checkpoint caught a row in flight: the comparison never saw a non-zero count")
 	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,5 +163,8 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 	}
 	if scan != 0 {
 		t.Fatalf("%d rows still in flight after Resume flipped them back", scan)
+	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -196,4 +196,7 @@ func classifyPipelineStress(t *testing.T, classifyPar int) {
 	if res.Distills == 0 {
 		t.Fatal("distillation never ran under the pipeline")
 	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1072,9 +1072,9 @@ func (c *Crawler) edgeWeight(e linkgraph.Edge) (float64, error) {
 	sh := c.shardFor(e.SidDst)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rid, ok, err := sh.ridOfLocked(e.Dst)
-	if err != nil || !ok {
-		return e.WgtFwd, err
+	rid, ok := sh.rids[e.Dst]
+	if !ok {
+		return e.WgtFwd, nil
 	}
 	status, rel, err := sh.statusRelLocked(rid)
 	if err == nil && status == StatusVisited {
@@ -1085,7 +1085,7 @@ func (c *Crawler) edgeWeight(e linkgraph.Edge) (float64, error) {
 
 // enqueueTarget adds a newly linked URL to its home shard's frontier, or —
 // soft focus — raises the priority of an already queued target when the
-// newly discovered citer is more relevant. One oid-index lookup decides
+// newly discovered citer is more relevant. One oid-directory read decides
 // which: an absent target is inserted without probing again, a present one
 // has its status and relevance read in place, and the whole row is decoded
 // only when its priority does rise.
@@ -1093,10 +1093,7 @@ func (c *Crawler) enqueueTarget(e linkgraph.Edge, dstURL string, srcRel float64)
 	sh := c.shardFor(e.SidDst)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rid, known, err := sh.ridOfLocked(e.Dst)
-	if err != nil {
-		return err
-	}
+	rid, known := sh.rids[e.Dst]
 	if !known {
 		prio := srcRel
 		if c.cfg.Mode == ModeUnfocused {
@@ -1242,7 +1239,7 @@ func (c *Crawler) distillSnapshot() error {
 // barrier applies the sweep itself (idempotent: the worker's own sweep
 // writes the same value) and the distiller never sees a stale radius-1
 // weight on an edge into a visited page — and then copies the cross-shard
-// oid -> relevance view. The barrier must be held.
+// oid -> relevance view, two columns read in place. The barrier must be held.
 //
 //focuslint:lock requires=stripe*,shard*,global
 func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
@@ -1256,12 +1253,14 @@ func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
 		rows += sh.crawl.Rows()
 	}
 	rel := make(map[int64]float64, rows) // sized once: growing it would be barrier time
-	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
-		rel[t[COID].Int()] = t[CRel].Float()
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
+	for _, sh := range c.shards {
+		err := sh.crawl.ScanCols([]int{COID, CRel}, func(_ relstore.RID, v []relstore.Value) (bool, error) {
+			rel[v[0].Int()] = v[1].Float()
+			return false, nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return rel, nil
 }
@@ -1452,15 +1451,12 @@ func (c *Crawler) HarvestLog() []HarvestPoint {
 	return append([]HarvestPoint(nil), c.harvest...)
 }
 
-// URLOf resolves an oid back to its URL through the shard oid indexes.
+// URLOf resolves an oid back to its URL through the shard oid directories,
+// one shard lock at a time (see resolveURLs): no barrier is needed.
 func (c *Crawler) URLOf(oid int64) (string, bool) {
-	c.lockAll()
-	defer c.unlockAll()
-	_, _, row, ok, err := c.lookupOIDLocked(oid)
-	if err != nil || !ok {
-		return "", false
-	}
-	return row[CURL].S, true
+	s := []ScoredURL{{OID: oid}}
+	err := c.resolveURLs(s)
+	return s[0].URL, err == nil && s[0].URL != ""
 }
 
 // FrontierSize reports the number of checkable frontier rows across all

@@ -174,4 +174,7 @@ func TestConcurrentDistillPublishStress(t *testing.T) {
 	if len(top) == 0 {
 		t.Fatal("no hubs published")
 	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 }

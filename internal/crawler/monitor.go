@@ -237,10 +237,14 @@ func (c *Crawler) topURLs(hubs bool, k int) ([]ScoredURL, error) {
 	for _, s := range top {
 		out = append(out, ScoredURL{OID: s.OID, Score: s.Score})
 	}
-	// Resolve URLs shard by shard. A scored oid's home shard is unknown
-	// (scores carry no sid), so probe each shard for all still-unresolved
-	// oids; URLs are immutable once a row exists, so resolving against the
-	// live frontier is exact even as statuses change underneath.
+	return out, c.resolveURLs(out)
+}
+
+// resolveURLs fills in out's URLs one shard lock at a time. An oid's home
+// shard is unknown (scores carry no sid), so each shard's oid directory is
+// probed for the oids still unresolved; URLs are immutable once a row
+// exists, so this is exact even as statuses change underneath.
+func (c *Crawler) resolveURLs(out []ScoredURL) error {
 	unresolved := len(out)
 	for _, sh := range c.shards {
 		if unresolved == 0 {
@@ -254,7 +258,7 @@ func (c *Crawler) topURLs(hubs bool, k int) ([]ScoredURL, error) {
 			_, row, ok, err := sh.lookupLocked(out[i].OID)
 			if err != nil {
 				sh.mu.Unlock()
-				return nil, err
+				return err
 			}
 			if ok {
 				out[i].URL = row[CURL].S
@@ -263,7 +267,7 @@ func (c *Crawler) topURLs(hubs bool, k int) ([]ScoredURL, error) {
 		}
 		sh.mu.Unlock()
 	}
-	return out, nil
+	return nil
 }
 
 // VisitedURLs returns the URLs of visited pages with relevance above the

@@ -131,4 +131,7 @@ sampling:
 			t.Fatalf("hub %d resolved to empty URL", h.OID)
 		}
 	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -379,6 +379,9 @@ func TestPoliteHostDarkStress(t *testing.T) {
 	if dbc != res.Dead {
 		t.Fatalf("DeadByCause sums to %d, Dead = %d", dbc, res.Dead)
 	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPendingBackoffIsNotStagnation(t *testing.T) {

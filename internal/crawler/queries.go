@@ -110,8 +110,11 @@ func (c *Crawler) SpamSuspects(target, citer taxonomy.NodeID, minCiters int) ([]
 			continue
 		}
 		s := Suspect{Citers: len(set)}
-		if _, _, row, ok, err := c.lookupOIDLocked(oid); err == nil && ok {
-			s.URL = row[CURL].S
+		for _, sh := range c.shards {
+			if _, row, ok, err := sh.lookupLocked(oid); err == nil && ok {
+				s.URL = row[CURL].S
+				break
+			}
 		}
 		out = append(out, s)
 	}

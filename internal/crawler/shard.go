@@ -11,10 +11,10 @@ import (
 )
 
 // A shard owns one host-partition of the CRAWL relation: its own table
-// (named CRAWL#<id>), its own oid hash index, and its own B+tree priority
-// index, all guarded by the shard mutex. Hosts are assigned to shards by
-// hashing the server id (shardFor), so every URL of a server — and therefore
-// that server's serverload accounting — lives in exactly one shard.
+// (named CRAWL#<id>), its own in-memory oid directory, and its own B+tree
+// priority index, all guarded by the shard mutex. Hosts are assigned to
+// shards by hashing the server id (shardFor), so every URL of a server — and
+// therefore that server's serverload accounting — lives in exactly one shard.
 //
 // Lock ordering: a goroutine holds at most one shard mutex at a time and may
 // acquire the crawler's global mutex (harvest log, HUBS/AUTH, policy) while
@@ -36,7 +36,7 @@ type shard struct {
 	crawl  *relstore.Table
 	policy Policy
 
-	oidIx    *relstore.Index
+	rids     map[int64]relstore.RID // oid directory: rows are never moved or deleted
 	frontier *relstore.Index
 
 	// serverSeen counts URLs seen per server id. Because a host maps to
@@ -67,21 +67,17 @@ type shard struct {
 	notBefore map[int64]time.Time
 }
 
-// newShard creates the shard's CRAWL partition table and indexes.
+// newShard creates the shard's CRAWL partition table and priority index.
 func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
 	sh := &shard{
 		id: id, policy: policy,
+		rids:       make(map[int64]relstore.RID),
 		serverSeen: make(map[int32]int32),
 		hosts:      make(map[int32]*hostState),
 		notBefore:  make(map[int64]time.Time),
 	}
 	var err error
 	if sh.crawl, err = db.CreateTable(fmt.Sprintf("CRAWL#%d", id), CrawlSchema()); err != nil {
-		return nil, err
-	}
-	if sh.oidIx, err = sh.crawl.AddIndex("oid", func(t relstore.Tuple) []byte {
-		return relstore.EncodeKey(t[COID])
-	}); err != nil {
 		return nil, err
 	}
 	if sh.frontier, err = sh.crawl.AddIndex("frontier", policy.Key); err != nil {
@@ -131,8 +127,8 @@ func (c *Crawler) unlockAll() {
 //focuslint:lock requires=shard
 func (sh *shard) insertFrontierLocked(url string, rel float64) error {
 	oid := OIDOf(url)
-	if _, ok, err := sh.ridOfLocked(oid); err != nil || ok {
-		return err
+	if _, ok := sh.rids[oid]; ok {
+		return nil
 	}
 	return sh.insertNewLocked(oid, SIDOf(url), url, rel)
 }
@@ -156,8 +152,9 @@ func (sh *shard) insertNewLocked(oid int64, sid int32, url string, rel float64) 
 		relstore.I32(StatusFrontier),
 		relstore.I64(sh.insertSeq),
 	}
-	_, err := sh.crawl.Insert(row)
+	rid, err := sh.crawl.Insert(row)
 	if err == nil {
+		sh.rids[oid] = rid
 		sh.frontierN.Add(1)
 		sh.improveHeadLocked(sh.policy.Key(row))
 	}
@@ -308,14 +305,6 @@ func (sh *shard) boostLocked(oid int64, boost float64) error {
 	return nil
 }
 
-// ridOfLocked finds where oid's row lies in this shard; sh.mu must be held.
-//
-//focuslint:lock requires=shard
-func (sh *shard) ridOfLocked(oid int64) (relstore.RID, bool, error) {
-	var key [8]byte
-	return sh.oidIx.Lookup(relstore.AppendKey(key[:0], relstore.I64(oid)))
-}
-
 // statusRelLocked reads the status and relevance of the row at rid where
 // they lie on its heap page, decoding nothing else; sh.mu must be held.
 //
@@ -330,9 +319,9 @@ func (sh *shard) statusRelLocked(rid relstore.RID) (status int32, rel float64, e
 //
 //focuslint:lock requires=shard
 func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, error) {
-	rid, ok, err := sh.ridOfLocked(oid)
-	if err != nil || !ok {
-		return relstore.RID{}, nil, false, err
+	rid, ok := sh.rids[oid]
+	if !ok {
+		return relstore.RID{}, nil, false, nil
 	}
 	row, err := sh.crawl.Get(rid)
 	if err != nil {
@@ -341,21 +330,27 @@ func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, er
 	return rid, row, true, nil
 }
 
-// lookupOIDLocked resolves an oid whose home shard is unknown by probing
-// every shard in turn. The barrier (lockAll) must be held.
-//
-//focuslint:lock requires=stripe*,shard*,global
-func (c *Crawler) lookupOIDLocked(oid int64) (*shard, relstore.RID, relstore.Tuple, bool, error) {
+// CheckDirectory verifies every shard's oid directory against a heap scan of
+// its CRAWL partition: one entry per row, each at that row's RID. It takes one
+// shard lock at a time, so it is exact on a crawl that is not running.
+func (c *Crawler) CheckDirectory() error {
 	for _, sh := range c.shards {
-		rid, row, ok, err := sh.lookupLocked(oid)
-		if err != nil {
-			return nil, relstore.RID{}, nil, false, err
+		sh.mu.Lock()
+		err := sh.crawl.ScanCols([]int{COID}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
+			if at, ok := sh.rids[v[0].Int()]; !ok || at != rid {
+				return true, fmt.Errorf("crawler: shard %d: oid %d lies at %v, directory has %v", sh.id, v[0].Int(), rid, at)
+			}
+			return false, nil
+		})
+		if n := sh.crawl.Rows(); err == nil && int64(len(sh.rids)) != n {
+			err = fmt.Errorf("crawler: shard %d: directory holds %d oids for %d rows", sh.id, len(sh.rids), n)
 		}
-		if ok {
-			return sh, rid, row, true, nil
+		sh.mu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
-	return nil, relstore.RID{}, nil, false, nil
+	return nil
 }
 
 // scanAllLocked visits every CRAWL row across all shards. The barrier must

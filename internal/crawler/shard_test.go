@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"focus/internal/relstore"
 )
@@ -134,6 +136,130 @@ func TestShardedConcurrentCrawl(t *testing.T) {
 			t.Fatalf("harvest out of order at %d: seq %d then %d", i, log[i-1].Seq, log[i].Seq)
 		}
 	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckDirectoryCatchesDrift: the directory checker passes on a seeded
+// crawl and fails once an entry is missing, points at another row, or has no
+// row behind it.
+func TestCheckDirectoryCatchesDrift(t *testing.T) {
+	c, _ := newTestCrawler(t, &stubFetcher{}, Config{Workers: 2})
+	a, b := "http://h00.test/a", "http://h00.test/b"
+	if err := c.Seed([]string{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
+	sh := c.shardFor(SIDOf(a))
+	ra, rb := sh.rids[OIDOf(a)], sh.rids[OIDOf(b)]
+	for name, drift := range map[string]func(){
+		"missing": func() { delete(sh.rids, OIDOf(a)) },
+		"swapped": func() { sh.rids[OIDOf(a)], sh.rids[OIDOf(b)] = rb, ra },
+		"phantom": func() { sh.rids[OIDOf("http://h00.test/c")] = ra },
+	} {
+		drift()
+		if err := c.CheckDirectory(); err == nil {
+			t.Errorf("%s entry: CheckDirectory passed", name)
+		}
+		sh.rids = map[int64]relstore.RID{OIDOf(a): ra, OIDOf(b): rb}
+	}
+}
+
+// gatedFetcher holds its at-th fetch until open closes, so a test can be
+// sure the crawl is still running when something else has happened.
+type gatedFetcher struct {
+	inner Fetcher
+	n     atomic.Int64
+	at    int64
+	open  chan struct{}
+}
+
+func (g *gatedFetcher) Fetch(url string) (*Fetch, error) {
+	if g.n.Add(1) == g.at {
+		select {
+		case <-g.open:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return g.inner.Fetch(url)
+}
+
+// TestURLOfBesideCrawlStress: URLOf probes the shard directories one shard
+// lock at a time instead of stopping the world. Beside an eight-worker crawl
+// it must resolve every oid the harvest log has shown so far to that page's
+// URL, and report an oid with no row as unknown. The crawl's 100th fetch
+// waits until the prober has resolved a non-empty log once, so at least one
+// pass overlaps the crawl.
+func TestURLOfBesideCrawlStress(t *testing.T) {
+	f := genSite(19, 400, 16, 0)
+	gate := &gatedFetcher{inner: f, at: 100, open: make(chan struct{})}
+	c, _ := newTestCrawler(t, gate, Config{Workers: 8, MaxFetches: 300, DistillEvery: 50})
+	if err := c.Seed(seedURLs(f, 6)); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		resolved int
+		queryErr error
+		opened   sync.Once
+	)
+	check := func(h HarvestPoint) bool {
+		if url, ok := c.URLOf(h.OID); !ok || url != h.URL {
+			queryErr = fmt.Errorf("URLOf(%d) = %q, %v; harvested as %q", h.OID, url, ok, h.URL)
+			return false
+		}
+		resolved++
+		return true
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer opened.Do(func() { close(gate.open) })
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			log := c.HarvestLog()
+			for _, h := range log {
+				if !check(h) {
+					return
+				}
+			}
+			if url, ok := c.URLOf(OIDOf("http://nowhere.test/")); ok {
+				queryErr = fmt.Errorf("URLOf of an unknown oid = %q", url)
+				return
+			}
+			if len(log) > 0 {
+				opened.Do(func() { close(gate.open) })
+			}
+		}
+	}()
+	_, err := c.Run()
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queryErr != nil {
+		t.Fatal(queryErr)
+	}
+	if resolved == 0 {
+		t.Fatal("URLOf resolved nothing while the crawl ran")
+	}
+	for _, h := range c.HarvestLog() {
+		if !check(h) {
+			t.Fatal(queryErr)
+		}
+	}
+	if err := c.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestShardCheckoutOrderProperty verifies, for a fixed site seed, that
@@ -193,6 +319,9 @@ func TestShardCheckoutOrderProperty(t *testing.T) {
 	})
 	c.unlockAll()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -208,6 +208,9 @@ func warmStore(tb testing.TB, stripes, edges int) (*Store, *rand.Rand) {
 // inserted flags, the stripe grouping, the prefix-scan bound), not several
 // per edge. The parent of this guard allocated about 400 times here.
 func TestApplyPageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
 	s, rng := warmStore(t, 2, 8000)
 	weight := func(e Edge) (float64, error) { return e.WgtFwd, nil }
 	batches := make([]*Batch, 64)
