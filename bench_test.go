@@ -7,7 +7,6 @@ package focus
 // the same harnesses at full experiment sizes.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -169,33 +168,6 @@ func BenchmarkFig8cOutputScaling(b *testing.B) {
 		a, c := r.Points[0], r.Points[1]
 		b.ReportMetric(float64(a.BulkTotal.Nanoseconds())/float64(a.OutputSize), "ns/out-small")
 		b.ReportMetric(float64(c.BulkTotal.Nanoseconds())/float64(c.OutputSize), "ns/out-large")
-	}
-}
-
-// BenchmarkClassifyBatch measures end-to-end crawl throughput as the
-// in-crawl classification batch size grows (batch 1 = the old inline
-// path), on the doc-heavy workload where per-page classification and
-// DOCUMENT ingest dominate. This is Figure 8(a)'s set-oriented claim
-// transplanted into the crawl hot path: pages/sec at batch 64 should be
-// well above 1.5x the batch-1 figure, and a regression in the pipeline
-// (flush stalls, queue overhead, a fattened batch plan) shows up as the
-// curve flattening toward 1x.
-func BenchmarkClassifyBatch(b *testing.B) {
-	for _, batch := range []int{1, 16, 64} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := eval.RunThroughput(eval.ThroughputConfig{
-					Web:    eval.DocHeavyWeb(97, 6000),
-					Points: []eval.ThroughputPoint{{Label: b.Name(), ClassifyBatch: batch}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p := r.Points[0]
-				b.ReportMetric(p.PagesPerSec, "pages/sec")
-				b.ReportMetric(float64(p.Visited), "visited")
-			}
-		})
 	}
 }
 

@@ -27,8 +27,6 @@ func main() {
 		mode    = flag.String("mode", "soft", "soft | hard | unfocused")
 		distill = flag.Int64("distill", 500, "distill every N visits (0 = off)")
 		barrier = flag.Bool("distillbarrier", false, "legacy stop-the-world distillation (workers stall for the whole HITS run)")
-		cbatch  = flag.Int("classifybatch", 0, "batched in-crawl classification: accumulate this many pages per bulk classify (<=1 = inline)")
-		cpar    = flag.Int("classifypar", 0, "classifier-stage workers; the batch queue is partitioned by did (0/1 = one stage)")
 		polite  = flag.Bool("polite", false, "enable the politeness stack: per-host pacing, retry backoff, circuit breakers")
 		hostile = flag.Int("hostile", 0, "web hostility level (eval.HostileWeb): per-server rate limits, outages, extra timeouts; 0 = the plain web")
 		dbpath  = flag.String("dbpath", "", "back the crawl relations with this durable file instead of memory (required for -checkpointevery and -resume)")
@@ -60,13 +58,11 @@ func main() {
 		wcfg.TopicWeights = map[string]float64{*topic: *weight}
 	}
 	ccfg := crawler.Config{
-		Workers:             *workers,
-		MaxFetches:          *budget,
-		Mode:                m,
-		DistillEvery:        *distill,
-		DistillBarrier:      *barrier,
-		ClassifyBatch:       *cbatch,
-		ClassifyParallelism: *cpar,
+		Workers:        *workers,
+		MaxFetches:     *budget,
+		Mode:           m,
+		DistillEvery:   *distill,
+		DistillBarrier: *barrier,
 	}
 	if *polite {
 		ccfg = eval.PoliteCrawl(ccfg)

@@ -8,14 +8,11 @@
 //
 // Figures: 5 (harvest rate, a+b), 6 (coverage, a+b), 7 (distance
 // histogram + hubs), 8a (classifier variants), 8b (memory scaling),
-// 8c (output scaling), 8d (distiller variants), plus two studies beyond
-// the paper that bench/ cannot run: hostile (harvest under rate limits,
+// 8c (output scaling), 8d (distiller variants), plus one study beyond the
+// paper that bench/ cannot run: hostile (harvest under rate limits,
 // outages, and timeouts, naive vs the polite politeness/backoff/breaker
-// stack) and the crawl throughput sweep on the doc-heavy workload, along
-// two point lists — classify (ClassifyBatch 1/16/64: Figure 8a's
-// set-oriented claim applied to the crawl hot path) and cores (GOMAXPROCS
-// 1/2/4: the multicore payoff of the parallel classifier stage). For these
-// three, -json writes the study as a machine-readable artifact.
+// stack). For hostile, -json writes the study as a machine-readable
+// artifact.
 package main
 
 import (
@@ -31,7 +28,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, classify, hostile, cores, all")
+		fig      = flag.String("fig", "all", "figure to run: 5, 6, 7, 8a, 8b, 8c, 8d, hostile, all")
 		seed     = flag.Int64("seed", 1999, "random seed")
 		pages    = flag.Int("pages", 30000, "synthetic web size for crawl experiments")
 		budget   = flag.Int64("budget", 4000, "fetch budget for crawl experiments")
@@ -39,9 +36,7 @@ func main() {
 		weight   = flag.Float64("weight", 3, "page-mass multiplier for the target topic")
 		quick    = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
 		latency  = flag.Duration("latency", 50*time.Microsecond, "simulated per-page disk latency for figure 8")
-		cpar     = flag.Int("classifypar", 0, "classifier-stage workers (batch queue partitioned by did) for the classify figure (0/1 = one stage)")
-		cbatch   = flag.Int("classifybatch", 0, "classify figure: sweep {1, N} instead of the default batch sizes (0 = default sweep)")
-		jsonPath = flag.String("json", "", "classify/hostile/cores figures: also write that study as JSON to this path (the CI BENCH_hostile.json / BENCH_cores.json artifacts; needs a single -fig)")
+		jsonPath = flag.String("json", "", "hostile figure: also write the study as JSON to this path (the CI BENCH_hostile.json artifact; needs -fig hostile)")
 		dbpath   = flag.String("dbpath", "", "hostile figure: back each run's crawl relations with real durable files at this path prefix (removed after measurement) instead of the latency-simulated memory disk")
 	)
 	flag.Parse()
@@ -142,32 +137,6 @@ func main() {
 		}))
 	})
 
-	// The throughput sweep: the same doc-heavy crawl (where per-page
-	// classification and DOCUMENT ingest dominate) once per point,
-	// measuring end-to-end pages/sec. The study sizes its own web; seed,
-	// topic, and budget pass through.
-	sweep := func(points []eval.ThroughputPoint) error {
-		dense := eval.DocHeavyWeb(*seed, *pages/3)
-		dense.TopicWeights = map[string]float64{*topic: *weight}
-		return show(eval.RunThroughput(eval.ThroughputConfig{
-			Web: dense, Topic: *topic, Budget: *budget / 2, Points: points,
-		}))
-	}
-	run("classify", func() error {
-		// Batch 1 is inline classification, the rest the batched pipeline.
-		batches := []int{1, 16, 64}
-		if *cbatch > 0 {
-			batches = []int{1, *cbatch}
-		}
-		var points []eval.ThroughputPoint
-		for _, b := range batches {
-			points = append(points, eval.ThroughputPoint{
-				Label: fmt.Sprintf("batch=%d", b), ClassifyBatch: b, ClassifyParallelism: *cpar,
-			})
-		}
-		return sweep(points)
-	})
-
 	run("hostile", func() error {
 		// Hostile-web robustness: harvest per fetch attempt, naive vs the
 		// polite stack (pacing, backoff, breakers), as the servers get
@@ -178,17 +147,5 @@ func main() {
 			Seed: *seed, Topic: *topic, Budget: *budget / 4,
 			DBPath: *dbpath,
 		}))
-	})
-
-	run("cores", func() error {
-		// Multicore payoff: worker, batch and classifier-stage counts are
-		// fixed, so the core count is the variable, not the goroutine count.
-		var points []eval.ThroughputPoint
-		for _, n := range []int{1, 2, 4} {
-			points = append(points, eval.ThroughputPoint{
-				Label: fmt.Sprintf("cores=%d", n), Cores: n, ClassifyBatch: 16, ClassifyParallelism: 4,
-			})
-		}
-		return sweep(points)
 	})
 }

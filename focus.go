@@ -7,11 +7,9 @@
 //
 //   - a hierarchical naive Bayes classifier trained from per-topic example
 //     documents, whose soft-focus relevance R(d) = Σ_{good c} Pr[c|d]
-//     drives crawl priorities — classifying inline in each fetch worker,
-//     or (Crawl.ClassifyBatch > 1) as a batched pipeline stage that
-//     accumulates fetched pages and classifies them together with the
-//     set-oriented two-joins-per-node plan of §2.1.2, completing each
-//     visit afterwards exactly as the inline path would;
+//     drives crawl priorities, classifying each page inline in the fetch
+//     worker that fetched it (the set-oriented two-joins-per-node plan of
+//     §2.1.2 is reproduced as Figure 8(a)'s bulk classifier);
 //   - a distiller (relevance-weighted HITS with nepotism filtering) that
 //     finds hub pages and periodically boosts their unvisited neighbors,
 //     running concurrently with the crawl: each distillation epoch
@@ -46,8 +44,7 @@
 // classifier, distiller, crawler) is implemented as the paper describes.
 // See DESIGN.md for the full system inventory and the shard architecture;
 // cmd/focusexp and `go test -bench .` regenerate the per-figure results —
-// Figures 5, 6, 7 and 8a–d, plus the hostile-web study and the doc-heavy
-// throughput sweep (focusexp -fig classify, -fig cores); speed and
+// Figures 5, 6, 7 and 8a–d, plus the hostile-web study; speed and
 // durability are judged by bench/ (bash bench/run.sh).
 // Concurrency and determinism contracts (lock ordering, off-latch I/O,
 // golden-pinned RNG streams) are machine-checked by cmd/focuslint — see

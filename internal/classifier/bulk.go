@@ -40,18 +40,6 @@ func InsertDoc(tb *relstore.Table, did int64, v textproc.TermVector) error {
 	return tb.InsertBatch(b)
 }
 
-// InsertDocsBuf appends several documents' term vectors to a DOCUMENT table,
-// each as InsertDoc writes it — the crawl's batched classification stage
-// loads a classified batch's rows stripe by stripe through it.
-func InsertDocsBuf(tb *relstore.Table, docs []BatchDoc) error {
-	for i := range docs {
-		if err := InsertDoc(tb, docs[i].DID, docs[i].Vec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BulkOptions tunes BulkClassify and BulkClassifyStream.
 type BulkOptions struct {
 	// SortMem is the external-sort workspace in bytes (0 = relstore
@@ -122,20 +110,6 @@ func (m *Model) BulkClassify(doc *relstore.Table, opt BulkOptions) (map[int64]Po
 		}
 	}
 	return post, nil
-}
-
-// BulkRelevance runs BulkClassify and reduces each posterior to the
-// soft-focus relevance — the batch the crawler consumes.
-func (m *Model) BulkRelevance(doc *relstore.Table, opt BulkOptions) (map[int64]float64, error) {
-	post, err := m.BulkClassify(doc, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64]float64, len(post))
-	for did, p := range post {
-		out[did] = m.Relevance(p)
-	}
-	return out, nil
 }
 
 // bulkNode computes, for every document, the per-child log scores at c0

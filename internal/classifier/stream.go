@@ -2,22 +2,23 @@ package classifier
 
 import "focus/internal/textproc"
 
-// BatchDoc is one document of an in-crawl classification batch: the did its
-// scratch DOCUMENT rows carry (the crawler passes the page oid) and its term
-// vector. An empty (or nil) vector is a valid document — it classifies to
-// the prior-based posterior, exactly like the per-page paths.
+// BatchDoc is one document of an in-memory classification batch: the did its
+// scratch DOCUMENT rows would carry (a page oid) and its term vector. An
+// empty (or nil) vector is a valid document — it classifies to the
+// prior-based posterior, exactly like the per-page paths.
 type BatchDoc struct {
 	DID int64
 	Vec textproc.TermVector
 }
 
 // BulkClassifyStream classifies a batch of in-memory documents with the
-// set-oriented plan of Figure 3 — the entry point the crawler's batched
-// classification stage feeds. The batch plays the role of the scratch
-// DOCUMENT relation, but it never enters the table catalog (the stage runs
-// concurrently with monitors that create and drop snapshot tables there);
-// instead the batch is pivoted once into a shared build side, tid ->
-// (doc, freq) postings, that every internal node's join probes:
+// set-oriented plan of Figure 3, the in-memory counterpart of BulkClassify
+// (bench's replay times it against per-page Classify). The batch plays the
+// role of the scratch DOCUMENT relation, but it never enters the table
+// catalog, so it can run beside monitors that create and drop snapshot
+// tables there; instead the batch is pivoted once into a shared build
+// side, tid -> (doc, freq) postings, that every internal node's join
+// probes:
 //
 //   - per node, one pass over F(c0) probes the postings — the inner join
 //     DOCUMENT ⋈ STAT_c0 on tid, evaluated feature-side, which costs

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"focus/internal/relstore"
 	"focus/internal/textproc"
 )
 
@@ -62,7 +61,7 @@ func TestStreamMatchesClassify(t *testing.T) {
 
 // TestStreamClassifiesEmptyAndSingleTermDocs pins the empty-document fix:
 // the table-backed BulkClassify cannot see a document whose vector wrote no
-// rows (it silently drops it), but the crawl's batch path takes the did set
+// rows (it silently drops it), but the stream path takes the did set
 // explicitly and must classify token-less and near-token-less pages exactly
 // as per-page Classify does — the prior-based posterior.
 func TestStreamClassifiesEmptyAndSingleTermDocs(t *testing.T) {
@@ -101,57 +100,6 @@ func TestStreamClassifiesEmptyAndSingleTermDocs(t *testing.T) {
 			if math.Abs(bulk[did][id]-want) > 1e-12 {
 				t.Fatalf("empty did %d node %d: %.15f, prior %.15f", did, id, bulk[did][id], want)
 			}
-		}
-	}
-}
-
-// TestInsertDocsBufMatchesInsertDoc pins the batched DOCUMENT ingest: the
-// buffer-reusing bulk loader must write row-for-row what per-row InsertDoc
-// writes (same multiset of (did, tid, freq) rows).
-func TestInsertDocsBufMatchesInsertDoc(t *testing.T) {
-	m, w := trainedModel(t, 8)
-	a, err := m.DB.CreateTable("DOC#perrow", DocSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.DB.CreateTable("DOC#bulk", DocSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var docs []BatchDoc
-	for i, toks := range w.ExampleDocs(m.Tree.ByName("cycling").ID, 5) {
-		docs = append(docs, BatchDoc{DID: int64(i + 1), Vec: textproc.VectorOfTokens(toks)})
-	}
-	docs = append(docs, BatchDoc{DID: 99, Vec: nil}) // empty doc writes nothing
-	for _, d := range docs {
-		if err := InsertDoc(a, d.DID, d.Vec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := InsertDocsBuf(b, docs); err != nil {
-		t.Fatal(err)
-	}
-	if a.Rows() != b.Rows() {
-		t.Fatalf("row counts differ: per-row %d, bulk %d", a.Rows(), b.Rows())
-	}
-	collect := func(tb *relstore.Table) map[[3]int64]int {
-		out := map[[3]int64]int{}
-		err := tb.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-			out[[3]int64{t[0].Int(), t[1].Int(), t[2].Int()}]++
-			return false, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	ra, rb := collect(a), collect(b)
-	if len(ra) != len(rb) {
-		t.Fatalf("distinct rows differ: %d vs %d", len(ra), len(rb))
-	}
-	for k, n := range ra {
-		if rb[k] != n {
-			t.Fatalf("row %v: per-row count %d, bulk count %d", k, n, rb[k])
 		}
 	}
 }

@@ -57,18 +57,10 @@ var goldenOIDPrefix = []int64{
 }
 
 func TestGoldenHarvestSeed1(t *testing.T) {
-	runGoldenHarvest(t, 0)
+	runGoldenHarvest(t)
 }
 
-// TestGoldenHarvestSeed1ClassifyBatch1 pins the batched-classification
-// refactor's contract that ClassifyBatch <= 1 routes through the inline
-// path bit-identically: an explicit ClassifyBatch of 1 must reproduce the
-// same golden visit order and harvest curve as the pre-batch crawler.
-func TestGoldenHarvestSeed1ClassifyBatch1(t *testing.T) {
-	runGoldenHarvest(t, 1)
-}
-
-func runGoldenHarvest(t *testing.T, classifyBatch int) {
+func runGoldenHarvest(t *testing.T) {
 	t.Helper()
 	sys, err := NewSystem(Config{
 		Web:        webgraph.Config{Seed: 1, NumPages: 6000},
@@ -82,7 +74,6 @@ func runGoldenHarvest(t *testing.T, classifyBatch int) {
 			// publishes its hub-neighbor boosts asynchronously, which would
 			// make the order depend on epoch timing.
 			DistillBarrier: true,
-			ClassifyBatch:  classifyBatch,
 		},
 	})
 	if err != nil {

@@ -2,78 +2,32 @@ package crawler
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"focus/internal/relstore"
 	"focus/internal/textproc"
 )
 
-// TestClassifyBatchCompletesVisits exercises the batched pipeline
-// deterministically: one worker, a batch larger than the site, so every
-// visit is completed by idle flushes — the rule that keeps a partial batch
-// from deadlocking the crawl.
-func TestClassifyBatchCompletesVisits(t *testing.T) {
-	f := &stubFetcher{pages: map[string]*Fetch{
-		"http://a.test/1": page("http://a.test/1", "alpha", "http://a.test/2", "http://b.test/3"),
-		"http://a.test/2": page("http://a.test/2", "alpha", "http://b.test/3"),
-		"http://b.test/3": page("http://b.test/3", "beta"),
-	}}
-	c, _ := newTestCrawler(t, f, Config{
-		Workers: 1, MaxFetches: 10,
-		ClassifyBatch: 64,
-	})
-	c.Seed([]string{"http://a.test/1"})
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visited != 3 {
-		t.Fatalf("visited = %d, want 3", res.Visited)
-	}
-	if !res.Stagnated {
-		t.Fatal("exhausted site should report stagnation")
-	}
-	doc, err := c.Doc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Rows() == 0 {
-		t.Fatal("batched path did not populate DOCUMENT")
-	}
-	// Classification through the batch must match the per-page reference.
-	for _, h := range c.HarvestLog() {
-		ref := c.model.Relevance(c.model.Classify(textproc.VectorOfTokens(f.pages[h.URL].Tokens)))
-		if math.Abs(h.Relevance-ref) > 1e-9 {
-			t.Fatalf("%s: batch relevance %.12f, per-page %.12f", h.URL, h.Relevance, ref)
-		}
-	}
-}
-
-// TestClassifyBatchPipelineStress hammers the batched classification
-// pipeline under -race: eight workers hand fetches to the classify stage
-// (batch 16) while concurrent distillation snapshots and publishes in the
-// background. Invariants:
+// TestClassifyBatchPipelineStress hammers the visit path under -race:
+// eight workers each classify, persist and complete their own visits while
+// concurrent distillation snapshots and publishes in the background. The
+// test and its serial-stage case keep the names they had when
+// classification ran as a batched stage behind the workers; the case now
+// runs the one inline path. Invariants:
 //   - no lost visits: every successfully fetched page is visited exactly
 //     once, and visited == harvest length == visited CRAWL rows;
 //   - harvest/visit-seq consistency: Seq is exactly 1..N in log order with
 //     no duplicate oids;
 //   - posterior equivalence: every harvest point's relevance and class
-//     match a per-page Classify of the same tokens;
-//   - clean drain: Run returns with no in-flight batch — every DOCUMENT
-//     row of every visited page is present — and distillation's published
-//     epoch equals its snapshotted epoch.
-//
-// The parallel variant runs the same workload with four classifier-stage
-// workers, so visit completion itself races across partitions: concurrent
-// complete() calls exercise the whole lock tower under -race, and every
-// invariant above must still hold bit for bit.
+//     equal a per-page Classify of the same tokens;
+//   - clean drain: every DOCUMENT row of every visited page is present
+//     when Run returns, and distillation's published epoch equals its
+//     snapshotted epoch.
 func TestClassifyBatchPipelineStress(t *testing.T) {
-	t.Run("serial-stage", func(t *testing.T) { classifyPipelineStress(t, 1) })
-	t.Run("parallel-stage", func(t *testing.T) { classifyPipelineStress(t, 4) })
+	t.Run("serial-stage", inlineClassifyStress)
 }
 
-func classifyPipelineStress(t *testing.T, classifyPar int) {
+func inlineClassifyStress(t *testing.T) {
 	const nPages = 150
 	urls := make([]string, nPages)
 	for i := range urls {
@@ -102,11 +56,9 @@ func classifyPipelineStress(t *testing.T, classifyPar int) {
 	}
 	f := &stubFetcher{pages: pages}
 	c, _ := newTestCrawler(t, f, Config{
-		Workers:             8,
-		MaxFetches:          1000,
-		ClassifyBatch:       16,
-		ClassifyParallelism: classifyPar,
-		DistillEvery:        25,
+		Workers:      8,
+		MaxFetches:   1000,
+		DistillEvery: 25,
 	})
 	if err := c.Seed(urls[:4]); err != nil {
 		t.Fatal(err)
@@ -165,18 +117,18 @@ func classifyPipelineStress(t *testing.T, classifyPar int) {
 		t.Fatalf("CRAWL has %d visited rows, result says %d", visitedRows, res.Visited)
 	}
 
-	// Posterior equivalence through the pipeline, page by page.
+	// Posterior equivalence, page by page: the crawl made this same call.
 	wantDocRows := int64(0)
 	for _, h := range log {
 		vec := textproc.VectorOfTokens(pages[h.URL].Tokens)
 		wantDocRows += int64(len(vec))
 		p := c.model.Classify(vec)
-		if math.Abs(h.Relevance-c.model.Relevance(p)) > 1e-9 {
-			t.Fatalf("%s: batch relevance %.12f, per-page %.12f",
+		if h.Relevance != c.model.Relevance(p) {
+			t.Fatalf("%s: crawl relevance %.17g, per-page %.17g",
 				h.URL, h.Relevance, c.model.Relevance(p))
 		}
 		if h.Kcid != int32(c.model.BestLeaf(p)) {
-			t.Fatalf("%s: batch kcid %d, per-page %d", h.URL, h.Kcid, c.model.BestLeaf(p))
+			t.Fatalf("%s: crawl kcid %d, per-page %d", h.URL, h.Kcid, c.model.BestLeaf(p))
 		}
 	}
 
@@ -194,7 +146,7 @@ func classifyPipelineStress(t *testing.T, classifyPar int) {
 		t.Fatalf("undrained distillation: snapshotted %d, published %d", snapped, published)
 	}
 	if res.Distills == 0 {
-		t.Fatal("distillation never ran under the pipeline")
+		t.Fatal("distillation never ran during the crawl")
 	}
 	if err := c.CheckDirectory(); err != nil {
 		t.Fatal(err)

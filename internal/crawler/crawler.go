@@ -93,25 +93,6 @@ type Config struct {
 	// by top-decile hubs after each distillation (default 0.75; 0 keeps the
 	// default, negative disables boosting).
 	HubNeighborBoost float64
-	// ClassifyBatch moves classification out of the fetch workers into a
-	// batched pipeline stage: workers tokenize fetched pages and hand them
-	// to a classify queue, and ClassifyParallelism classifier stage workers
-	// each accumulate up to ClassifyBatch documents before classifying them
-	// together with the set-oriented two-joins-per-node plan (§2.1.2,
-	// Figure 3) and completing each visit. <=1 (the default) keeps
-	// classification inline in the workers — the pre-batch path,
-	// bit-identical (golden-pinned).
-	ClassifyBatch int
-	// ClassifyParallelism is the number of classifier stage workers
-	// (default 1). Queued pages are hash-partitioned by did (oid mod P,
-	// the same routing rule the DOCUMENT stripes use) across the stage
-	// workers; each worker batches its own partition, classifies it with
-	// the set-oriented plan, and completes its own visits concurrently
-	// through the shared completion tail — the lock tower (stripe < shard
-	// < global < doc stripe) already admits concurrent completers. <=1
-	// keeps the single-stage pipeline, bit-identical to the pre-partition
-	// path. Only meaningful with ClassifyBatch > 1.
-	ClassifyParallelism int
 	// SkipDocuments disables populating the DOCUMENT relation (saves space
 	// when the corpus will not be re-classified in bulk).
 	SkipDocuments bool
@@ -155,9 +136,6 @@ func (c Config) withDefaults() Config {
 	//focuslint:ignore zerodefault negative disables the boost downstream in boostDelta
 	if c.HubNeighborBoost == 0 {
 		c.HubNeighborBoost = 0.75
-	}
-	if c.ClassifyParallelism <= 0 {
-		c.ClassifyParallelism = 1
 	}
 	return c
 }
@@ -304,21 +282,6 @@ type Crawler struct {
 	distillMu  sync.Mutex
 	distillErr error
 
-	// Batched-classification pipeline state (Config.ClassifyBatch > 1).
-	// Workers route tokenized fetches by did into one of the
-	// ClassifyParallelism stage channels (bounded, so a lagging classifier
-	// stage applies backpressure); each channel's classifyLoop goroutine
-	// accumulates its partition into batches, classifies them with the
-	// set-oriented plan, and completes its own visits. An item keeps the
-	// crawl's inflight counter raised from its checkout until its visit
-	// completes, so an empty frontier with queued items is never mistaken
-	// for stagnation. nil when classification is inline.
-	classifyChs []chan classifyItem
-	// Pure leaf guarding only classifyErr; nothing is acquired under it.
-	//focuslint:lock rank=classifyerr leaf noblock=io,chan,sleep
-	classifyMu  sync.Mutex
-	classifyErr error
-
 	fetches     atomic.Int64
 	visited     atomic.Int64
 	failed      atomic.Int64
@@ -345,10 +308,6 @@ type Crawler struct {
 	// checkoutHook, when set before Run, observes every frontier checkout
 	// (shard, row at checkout time) under the shard lock. Test-only.
 	checkoutHook func(*shard, relstore.Tuple)
-	// flushFault, when set before Run, injects a completion failure into
-	// the classifier stage just before the given oid's visit would
-	// complete (exercises flushBatch's error path). Test-only.
-	flushFault func(oid int64) error
 	// distillFault, when set before Run, fails the given concurrent
 	// distillation epoch before it computes. Test-only.
 	distillFault func(epoch int64) error
@@ -619,19 +578,6 @@ func (c *Crawler) Run() (Result, error) {
 			c.distillLoop(distStop)
 		}()
 	}
-	var classifyWG sync.WaitGroup
-	if c.cfg.ClassifyBatch > 1 {
-		c.classifyChs = make([]chan classifyItem, c.cfg.ClassifyParallelism)
-		for i := range c.classifyChs {
-			ch := make(chan classifyItem, c.cfg.ClassifyBatch+c.cfg.Workers)
-			c.classifyChs[i] = ch
-			classifyWG.Add(1)
-			go func() {
-				defer classifyWG.Done()
-				c.classifyLoop(ch)
-			}()
-		}
-	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, c.cfg.Workers)
 	for w := 0; w < c.cfg.Workers; w++ {
@@ -646,28 +592,14 @@ func (c *Crawler) Run() (Result, error) {
 		}()
 	}
 	wg.Wait()
-	// Drain order matters: close the classify queue first so every handed-
-	// off fetch completes its visit (possibly queueing distillation
-	// epochs), then stop the distiller, which drains those epochs. Run
-	// returns with no in-flight batch, the last snapshot's scores
-	// published, and no background goroutine alive.
-	if c.classifyChs != nil {
-		for _, ch := range c.classifyChs {
-			close(ch)
-		}
-		classifyWG.Wait()
-	}
+	// Every visit has completed (possibly queueing distillation epochs);
+	// stopping the distiller drains those epochs, so Run returns with the
+	// last snapshot's scores published and no background goroutine alive.
 	close(distStop)
 	distWG.Wait()
 	close(errCh)
 	if err := <-errCh; err != nil {
 		return Result{}, err
-	}
-	c.classifyMu.Lock()
-	cerr := c.classifyErr
-	c.classifyMu.Unlock()
-	if cerr != nil {
-		return Result{}, cerr
 	}
 	c.distillMu.Lock()
 	derr := c.distillErr
@@ -760,27 +692,6 @@ func (c *Crawler) worker(w int) error {
 		res, ferr := c.fetcher.Fetch(row[CURL].S)
 		if c.politeOn {
 			c.hostFetchDone(sh, SIDOf(row[CURL].S), ferr)
-		}
-		if c.classifyChs != nil && ferr == nil {
-			// Batched pipeline: tokenize here (it needs no shared state)
-			// and hand the page to its did-partition's classify stage,
-			// which completes the visit — and decrements inflight — after
-			// classification. The send blocks when the queue is full; the
-			// stage always drains it, even after a failure, so workers
-			// never wedge. Only the fetch fields completion needs travel:
-			// dropping the token slice keeps a full queue from pinning
-			// every parked page's text.
-			oid := row[COID].Int()
-			ch := c.classifyChs[int(uint64(oid)%uint64(len(c.classifyChs)))]
-			ch <- classifyItem{
-				sh: sh, rid: rid, row: row, oid: oid,
-				vec: textproc.VectorOfTokens(res.Tokens),
-				res: &Fetch{
-					URL: res.URL, Server: res.Server,
-					ServerID: res.ServerID, Outlinks: res.Outlinks,
-				},
-			}
-			continue
 		}
 		err = c.process(sh, rid, row, res, ferr)
 		c.inflight.Add(-1)
@@ -901,18 +812,13 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 	post := c.model.Classify(vec)
 	rel := c.model.Relevance(post)
 	leaf := c.model.BestLeaf(post)
-	return c.complete(sh, rid, row, vec, res, rel, leaf, false)
+	return c.complete(sh, rid, row, vec, res, rel, leaf)
 }
 
 // complete finishes a classified visit: row update, harvest log, DOCUMENT
 // rows, incoming-weight sweep, link expansion, and the distillation
-// trigger. It is the shared tail of the inline path (process) and the
-// batched classification stage (flushBatch); both must drive it with the
-// same (rel, leaf) a per-page Classify of vec would produce. docRowsDone
-// marks that the caller already ingested the page's DOCUMENT rows (the
-// batch stage loads them stripe by stripe for the whole batch before
-// completing visits). Callers hold no locks.
-func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec textproc.TermVector, res *Fetch, rel float64, leaf taxonomy.NodeID, docRowsDone bool) error {
+// trigger. Callers hold no locks.
+func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec textproc.TermVector, res *Fetch, rel float64, leaf taxonomy.NodeID) error {
 	oid := row[COID].Int()
 
 	// Persist the visit: the row update is shard-owned; the harvest log and
@@ -943,7 +849,7 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 
 	// The term rows go to the page's DOCUMENT stripe, outside the global
 	// lock (a page's vector is often hundreds of rows).
-	if !c.cfg.SkipDocuments && !docRowsDone {
+	if !c.cfg.SkipDocuments {
 		ds := c.docFor(oid)
 		ds.mu.Lock()
 		err = classifier.InsertDoc(ds.tab, oid, vec)

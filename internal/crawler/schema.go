@@ -3,9 +3,8 @@
 // checked out through a B+tree priority index with a dynamically replaceable
 // lexicographic order — aggressive discovery order (numtries ASC, relevance
 // DESC, serverload ASC) by default. The classifier supplies the soft-focus
-// relevance that drives link expansion priorities — inline in each worker,
-// or batched through the pipelined classification stage of classify.go when
-// Config.ClassifyBatch > 1; the distiller runs concurrently and
+// relevance that drives link expansion priorities, classifying each page in
+// the worker that fetched it; the distiller runs concurrently and
 // periodically raises the priority of unvisited pages cited by top hubs.
 package crawler
 

@@ -307,54 +307,3 @@ func TestRunHostilePoliteBeatsNaive(t *testing.T) {
 		t.Fatal("json artifact broken")
 	}
 }
-
-func TestRunCoreScalingShape(t *testing.T) {
-	// On a single-core host the two points legitimately tie, so only the
-	// shape is asserted here; the CI runner checks the speedup floor.
-	checkThroughputShape(t, []ThroughputPoint{
-		{Label: "cores=1", Cores: 1, ClassifyBatch: 16, ClassifyParallelism: 4},
-		{Label: "cores=2", Cores: 2, ClassifyBatch: 16, ClassifyParallelism: 4},
-	})
-}
-
-func TestRunClassifyBatchShape(t *testing.T) {
-	checkThroughputShape(t, []ThroughputPoint{
-		{Label: "batch=1", ClassifyBatch: 1},
-		{Label: "batch=16", ClassifyBatch: 16},
-	})
-}
-
-func checkThroughputShape(t *testing.T, points []ThroughputPoint) {
-	t.Helper()
-	r, err := RunThroughput(ThroughputConfig{
-		Web:    DocHeavyWeb(44, 1200),
-		Seeds:  6,
-		Budget: 150,
-		Points: points,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.Visited == 0 || p.PagesPerSec <= 0 {
-			t.Fatalf("%s: empty crawl measurement %+v", p.Label, p)
-		}
-	}
-	var buf bytes.Buffer
-	r.Render(&buf)
-	if !strings.Contains(buf.String(), "crawl speedup, "+points[1].Label+" over "+points[0].Label) {
-		t.Fatalf("render broken:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"\"crawl_speedup\"", "\"pages_per_sec\""} {
-		if !strings.Contains(buf.String(), key) {
-			t.Fatalf("json artifact missing %s", key)
-		}
-	}
-}

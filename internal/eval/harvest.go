@@ -2,11 +2,10 @@
 // figure of the paper's evaluation section (§3): harvest rate (Figure 5),
 // coverage (Figure 6), distance-to-authority histograms (Figure 7), and the
 // I/O performance studies of the classifier and distiller (Figure 8) — plus
-// the two studies nothing else can run: harvest on a hostile web, and the
-// doc-heavy throughput sweep over ClassifyBatch and GOMAXPROCS, which
-// bench/ pins. Each harness returns a result struct that renders the same
-// series the paper plots; cmd/focusexp prints them and bench_test.go wraps
-// them in testing.B benchmarks. Every crawl here goes through crawlRun.run.
+// the one study bench/ cannot run: harvest on a hostile web. Each harness
+// returns a result struct that renders the same series the paper plots;
+// cmd/focusexp prints them and bench_test.go wraps them in testing.B
+// benchmarks. Every crawl here goes through crawlRun.run.
 package eval
 
 import (

@@ -614,36 +614,6 @@ func (s *Store) ScanLocked(fn func(rid relstore.RID, t relstore.Tuple) (bool, er
 	return nil
 }
 
-// ByDstIter returns an iterator over all edges in global (oid_dst, oid_src)
-// order: each stripe's bydst index yields a sorted run, and the runs are
-// k-way merged (relstore.MergeSorted), so the merged order equals the
-// single-table bydst order tuple for tuple at any stripe count — the
-// invariance the property test pins. The per-stripe runs are materialized
-// under their stripe locks, taken in ascending order one at a time.
-func (s *Store) ByDstIter() (relstore.Iterator, error) {
-	runs := make([]relstore.Iterator, 0, len(s.stripes))
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		var rows []relstore.Tuple
-		err := st.bydst.ScanPrefix(nil, func(_ []byte, rid relstore.RID) (bool, error) {
-			t, err := st.tab.Get(rid)
-			if err != nil {
-				return true, err
-			}
-			rows = append(rows, t)
-			return false, nil
-		})
-		st.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, relstore.NewSliceIter(rows))
-	}
-	return relstore.MergeSorted(runs, func(t relstore.Tuple) []byte {
-		return relstore.EncodeKey(t[ColDst], t[ColSrc])
-	}), nil
-}
-
 // Snapshot is an immutable point-in-time view of the LINK relation: one
 // tuple run per stripe, in ascending stripe id, heap order within each run
 // — exactly the Store.Scan order of the moment the snapshot was taken. It

@@ -1,19 +1,31 @@
 package linkgraph
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"focus/internal/relstore"
 )
 
+// byDst is the store's edge set in global (dst, src) order: every stripe's
+// Scan, sorted by EncodeKey(dst, src) — the order one bydst B+tree over the
+// whole relation would yield, whatever the stripe count.
+func byDst(t testing.TB, s *Store) []Edge {
+	t.Helper()
+	edges := scanEdges(t, s)
+	key := func(e Edge) []byte { return relstore.EncodeKey(relstore.I64(e.Dst), relstore.I64(e.Src)) }
+	slices.SortFunc(edges, func(a, b Edge) int { return bytes.Compare(key(a), key(b)) })
+	return edges
+}
+
 // TestLinkGraphByDstMergeProperty is the striping-invariance property (in
 // the style of the crawler's shard_test.go): for random edge sets and any
-// stripe count, the merged bydst iteration — each stripe's B+tree run,
-// k-way merged by relstore.MergeSorted — must equal the Stripes=1 iteration
-// tuple for tuple. Striping is a physical layout choice; it must never be
-// observable through the ordered read surface.
+// stripe count, the (dst, src)-ordered dump of every stripe must equal the
+// Stripes=1 dump tuple for tuple. Striping is a physical layout choice; it
+// must never be observable in the stored edges or their weights.
 func TestLinkGraphByDstMergeProperty(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -48,21 +60,7 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			it, err := s.ByDstIter()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out []Edge
-			for {
-				tp, ok, err := it.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					return out
-				}
-				out = append(out, EdgeOf(tp))
-			}
+			return byDst(t, s)
 		}
 
 		want := load(1)
@@ -80,13 +78,13 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 			})
 		}
 
-		// The order itself must be (dst, src) ascending in encoded-key
-		// space — the same order a single bydst B+tree would yield.
+		// byDst sorts, so ascending is given; strictly ascending means no
+		// (src, dst) pair is stored twice.
 		var prev []byte
 		for _, e := range want {
 			key := relstore.EncodeKey(relstore.I64(e.Dst), relstore.I64(e.Src))
 			if prev != nil && string(key) <= string(prev) {
-				t.Fatalf("merged bydst order not strictly ascending at %d->%d", e.Src, e.Dst)
+				t.Fatalf("bydst order not strictly ascending at %d->%d", e.Src, e.Dst)
 			}
 			prev = key
 		}
@@ -97,11 +95,11 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 // UpdateIncomingFwd at several stripe counts: for random edge sets and a
 // random sweep sequence, the routed sweep must (a) leave the store
 // tuple-for-tuple identical to the same batches and sweeps applied to a
-// one-stripe store, where there is nothing to route (ByDstIter order is
-// stripe-count-independent), and (b) lock and probe exactly the stripes
-// that store at least one edge into the swept target — no more (routing
-// must skip edge-free stripes), no fewer (a skipped stripe would strand a
-// stale weight).
+// one-stripe store, where there is nothing to route (compared through
+// byDst, whose order is stripe-count-independent), and (b) lock and probe
+// exactly the stripes that store at least one edge into the swept target —
+// no more (routing must skip edge-free stripes), no fewer (a skipped stripe
+// would strand a stale weight).
 func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -158,24 +156,7 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 				}
 				routed, single := load(stripes), load(1)
 
-				dump := func(s *Store) []Edge {
-					it, err := s.ByDstIter()
-					if err != nil {
-						t.Fatal(err)
-					}
-					var out []Edge
-					for {
-						tp, ok, err := it.Next()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !ok {
-							return out
-						}
-						out = append(out, EdgeOf(tp))
-					}
-				}
-				got, want := dump(routed), dump(single)
+				got, want := byDst(t, routed), byDst(t, single)
 				if len(got) != len(want) {
 					t.Fatalf("routed store has %d tuples, one-stripe store has %d", len(got), len(want))
 				}

@@ -12,8 +12,8 @@ type myErr struct{ msg string }
 
 func (e *myErr) Error() string { return e.msg }
 
-// The classify.go:181 shape: the second error is flattened to text and
-// lost to errors.Is.
+// A failure plus the cleanup failure behind it: the second error is
+// flattened to text and lost to errors.Is.
 func bad(base, cleanup error) error {
 	return fmt.Errorf("%w (cleanup also failed: %v)", base, cleanup) // want `errwrapchain: fmt.Errorf mixes %w with %v on an error value`
 }

@@ -22,11 +22,9 @@
 //     HeapFile.InsertRun and Table.InsertBatch over a RowBatch, and in-place
 //     access to fixed-width columns (Table.ReadCols, Table.SetCol);
 //   - query operators: sequential scan, index scan, external merge sort,
-//     sort-merge inner and left outer joins, streaming group-by
-//     aggregation, and a k-way merge of pre-sorted inputs (MergeSorted) —
-//     enough to express the bulk classification plan of the paper's
-//     Figure 3 and the merged ordered views of partitioned relations (the
-//     crawler's striped LINK store).
+//     sort-merge inner and left outer joins, and streaming group-by
+//     aggregation — enough to express the bulk classification plan of the
+//     paper's Figure 3.
 //     The distillation plan of Figure 4 reads its relations through Scan
 //     and compiles its joins in memory (distiller.RunJoin).
 //
@@ -125,8 +123,7 @@
 // coarser locks. The crawler's tower, bottom up, is: link stripe mutexes
 // (ascending id) < frontier shard mutex < crawler global mutex < DOCUMENT
 // stripe RWMutexes. Cross-partition operations (consistent snapshots, the
-// distillation barrier, merged ordered reads via MergeSorted over
-// per-partition index runs) take the partition locks in ascending id order
+// distillation barrier) take the partition locks in ascending id order
 // and everything coarser afterward; single-partition operations may nest a
 // higher-ranked lock (a stripe holder may take a shard lock) but never a
 // lower-ranked one. See DESIGN.md ("Locking and ordering contract") and

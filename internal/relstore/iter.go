@@ -38,28 +38,6 @@ func Collect(it Iterator) ([]Tuple, error) {
 	}
 }
 
-type filterIter struct {
-	in   Iterator
-	pred func(Tuple) bool
-}
-
-// FilterIter yields only tuples for which pred is true.
-func FilterIter(in Iterator, pred func(Tuple) bool) Iterator {
-	return &filterIter{in: in, pred: pred}
-}
-
-func (f *filterIter) Next() (Tuple, bool, error) {
-	for {
-		t, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.pred(t) {
-			return t, true, nil
-		}
-	}
-}
-
 type mapIter struct {
 	in Iterator
 	fn func(Tuple) Tuple
