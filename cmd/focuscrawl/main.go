@@ -23,10 +23,8 @@ func main() {
 		seeds   = flag.Int("seeds", 25, "seed URLs")
 		budget  = flag.Int64("budget", 2000, "fetch budget")
 		workers = flag.Int("workers", 8, "crawler threads")
-		pshards = flag.Int("poolshards", 0, "buffer-pool shards, each with its own latch (0/1 = one shard)")
 		mode    = flag.String("mode", "soft", "soft | hard | unfocused")
 		distill = flag.Int64("distill", 500, "distill every N visits (0 = off)")
-		barrier = flag.Bool("distillbarrier", false, "legacy stop-the-world distillation (workers stall for the whole HITS run)")
 		polite  = flag.Bool("polite", false, "enable the politeness stack: per-host pacing, retry backoff, circuit breakers")
 		hostile = flag.Int("hostile", 0, "web hostility level (eval.HostileWeb): per-server rate limits, outages, extra timeouts; 0 = the plain web")
 		dbpath  = flag.String("dbpath", "", "back the crawl relations with this durable file instead of memory (required for -checkpointevery and -resume)")
@@ -58,11 +56,10 @@ func main() {
 		wcfg.TopicWeights = map[string]float64{*topic: *weight}
 	}
 	ccfg := crawler.Config{
-		Workers:        *workers,
-		MaxFetches:     *budget,
-		Mode:           m,
-		DistillEvery:   *distill,
-		DistillBarrier: *barrier,
+		Workers:      *workers,
+		MaxFetches:   *budget,
+		Mode:         m,
+		DistillEvery: *distill,
 	}
 	if *polite {
 		ccfg = eval.PoliteCrawl(ccfg)
@@ -76,7 +73,6 @@ func main() {
 		Web:        wcfg,
 		GoodTopics: []string{*topic},
 		Crawl:      ccfg,
-		PoolShards: *pshards,
 		DBPath:     *dbpath,
 	}
 	var sys *core.System
@@ -132,8 +128,8 @@ func main() {
 		fmt.Println()
 	}
 	if res.Distills > 0 {
-		fmt.Printf("  distill stall=%v compute=%v (barrier=%v)\n",
-			res.DistillStall.Round(1e6), res.DistillCompute.Round(1e6), *barrier)
+		fmt.Printf("  distill stall=%v compute=%v\n",
+			res.DistillStall.Round(1e6), res.DistillCompute.Round(1e6))
 	}
 	fmt.Printf("  true relevant fraction (ground truth): %.3f\n\n", sys.TrueRelevantFraction())
 

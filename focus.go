@@ -12,10 +12,11 @@
 //     §2.1.2 is reproduced as Figure 8(a)'s bulk classifier);
 //   - a distiller (relevance-weighted HITS with nepotism filtering) that
 //     finds hub pages and periodically boosts their unvisited neighbors,
-//     running concurrently with the crawl: each distillation epoch
-//     snapshots the link graph under a short barrier, computes off to the
-//     side, and publishes its HUBS/AUTH score tables with an atomic buffer
-//     swap — workers never stall for the HITS run itself;
+//     running beside the crawl: the visit that triggers an epoch snapshots
+//     the link graph under a short barrier, then computes HITS and
+//     publishes its HUBS/AUTH score tables with an atomic buffer swap while
+//     the other workers keep crawling (with one worker the visit order is a
+//     pure function of seed and config);
 //   - a multi-threaded crawler whose frontier is host-sharded: the CRAWL
 //     relation is partitioned by server hash into per-worker shards, each
 //     with its own B+tree priority index checked out in (numtries ASC,

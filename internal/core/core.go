@@ -1,7 +1,7 @@
 // Package core wires the Focus system together: the synthetic web (standing
 // in for the live Web), the topic taxonomy with the user's good-set marking,
 // the relational store, the trained hierarchical classifier, and the
-// focused crawler with its concurrent distiller. This is the composition
+// focused crawler with its in-crawl distiller. This is the composition
 // root that the paper's §2 architecture diagram describes; the public
 // package at the module root re-exports it.
 package core
@@ -33,9 +33,6 @@ type Config struct {
 	Crawl crawler.Config
 	// Frames sizes the buffer pool (default 4096 frames = at most 16 MiB).
 	Frames int
-	// PoolShards partitions the buffer pool into independent shards, each
-	// with its own latch (0/1 = one shard).
-	PoolShards int
 	// DBPath, when set, backs the crawl relations with a durable file
 	// (relstore.CreateFile for a fresh system, relstore.OpenFile for
 	// ResumeSystem) instead of an in-memory disk, enabling
@@ -146,7 +143,7 @@ func NewSystemOnWeb(web *webgraph.Web, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := relstore.Options{Frames: cfg.Frames, PoolShards: cfg.PoolShards}
+	opts := relstore.Options{Frames: cfg.Frames}
 	var db, trainDB *relstore.DB
 	if cfg.DBPath != "" {
 		if db, err = relstore.CreateFile(cfg.DBPath, opts); err != nil {
@@ -191,7 +188,7 @@ func ResumeSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := relstore.Options{Frames: cfg.Frames, PoolShards: cfg.PoolShards}
+	opts := relstore.Options{Frames: cfg.Frames}
 	db, err := relstore.OpenFile(cfg.DBPath, opts)
 	if err != nil {
 		return nil, err

@@ -147,10 +147,10 @@ func TestGoldenDistillSeed1999(t *testing.T) {
 //
 // That crawl visited 386 pages, stored 6495 LINK rows, and distilled 3
 // epochs (visits 100, 200, 300). With the boost disabled, distillation has
-// no effect on the crawl itself, so the concurrent snapshot-and-go
-// pipeline must take each epoch's snapshot at exactly the same visit
-// prefix the barrier does, and the two modes run one deterministic plan
-// over equal snapshots: their published scores must be equal bit for bit.
+// no effect on the crawl itself, so today's epochs — snapshotted under the
+// barrier, computed off it — must snapshot exactly the visit prefixes the
+// capture's barrier run saw, and one deterministic plan over equal
+// snapshots must land on the captured scores.
 //
 // The constants are printed at 17 significant digits, but they pin values,
 // not bits. The capture summed a group's terms in whatever order an
@@ -191,87 +191,75 @@ var goldenConcAuths = []distiller.Scored{
 	{OID: 5251265168372474166, Score: 0.0058711207319774965},
 }
 
-// TestGoldenConcurrentDistillEquivalence runs the capture's crawl twice,
-// under the stop-the-world barrier and in the default concurrent mode, and
-// demands that the two publish the same top hubs and authorities bit for
-// bit — snapshot-and-go must not move a single ULP relative to the barrier
-// — and that both sit on the captured values.
+// TestGoldenConcurrentDistillEquivalence runs the capture's crawl at the
+// default configuration — each epoch snapshotted under the barrier and
+// computed off it — and demands that the published top hubs and
+// authorities sit on the values captured when the whole HITS run held the
+// barrier.
 func TestGoldenConcurrentDistillEquivalence(t *testing.T) {
-	run := func(barrier bool) (hubs, auths []crawler.ScoredURL) {
-		t.Helper()
-		sys, err := NewSystem(Config{
-			Web: webgraph.Config{
-				Seed:         1999,
-				NumPages:     6000,
-				TopicWeights: map[string]float64{"cycling": 3},
-			},
-			GoodTopics: []string{"cycling"},
-			Crawl: crawler.Config{
-				Workers:    1,
-				MaxFetches: 400,
-				// One distill per hundred visits; the boost is disabled so the
-				// visit order cannot depend on *when* an epoch publishes, which
-				// is what makes barrier and concurrent runs comparable page for
-				// page (see the capture comment above).
-				DistillEvery:     100,
-				HubNeighborBoost: -1,
-				DistillBarrier:   barrier,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.SeedTopic("cycling", 10); err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Visited != goldenConcVisited {
-			t.Errorf("barrier=%v: visited = %d, golden %d", barrier, res.Visited, goldenConcVisited)
-		}
-		if got := sys.Crawler.Links().Rows(); got != goldenConcLinks {
-			t.Errorf("barrier=%v: LINK rows = %d, golden %d", barrier, got, goldenConcLinks)
-		}
-		if res.Distills != goldenConcDistills {
-			t.Errorf("barrier=%v: distills = %d, golden %d", barrier, res.Distills, goldenConcDistills)
-		}
-		if snap, pub := sys.Crawler.DistillEpochs(); snap != pub || snap != goldenConcDistills {
-			t.Errorf("barrier=%v: epochs snap=%d pub=%d, want both %d", barrier, snap, pub, goldenConcDistills)
-		}
-		if hubs, err = sys.Crawler.TopHubURLs(len(goldenConcHubs)); err != nil {
-			t.Fatal(err)
-		}
-		if auths, err = sys.Crawler.TopAuthorityURLs(len(goldenConcAuths)); err != nil {
-			t.Fatal(err)
-		}
-		return hubs, auths
+	sys, err := NewSystem(Config{
+		Web: webgraph.Config{
+			Seed:         1999,
+			NumPages:     6000,
+			TopicWeights: map[string]float64{"cycling": 3},
+		},
+		GoodTopics: []string{"cycling"},
+		Crawl: crawler.Config{
+			Workers:    1,
+			MaxFetches: 400,
+			// One distill per hundred visits; the boost is disabled so the
+			// crawl is the capture's page for page (see the capture comment
+			// above).
+			DistillEvery:     100,
+			HubNeighborBoost: -1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	barrierHubs, barrierAuths := run(true)
-	concHubs, concAuths := run(false)
-
-	check := func(name string, conc, barrier []crawler.ScoredURL, want []distiller.Scored) {
+	if err := sys.SeedTopic("cycling", 10); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Visited != goldenConcVisited {
+		t.Errorf("visited = %d, golden %d", res.Visited, goldenConcVisited)
+	}
+	if got := sys.Crawler.Links().Rows(); got != goldenConcLinks {
+		t.Errorf("LINK rows = %d, golden %d", got, goldenConcLinks)
+	}
+	if res.Distills != goldenConcDistills {
+		t.Errorf("distills = %d, golden %d", res.Distills, goldenConcDistills)
+	}
+	if snap, pub := sys.Crawler.DistillEpochs(); snap != pub || snap != goldenConcDistills {
+		t.Errorf("epochs snap=%d pub=%d, want both %d", snap, pub, goldenConcDistills)
+	}
+	hubs, err := sys.Crawler.TopHubURLs(len(goldenConcHubs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auths, err := sys.Crawler.TopAuthorityURLs(len(goldenConcAuths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, got []crawler.ScoredURL, want []distiller.Scored) {
 		t.Helper()
-		if len(conc) != len(want) || len(barrier) != len(want) {
-			t.Fatalf("%s: %d concurrent and %d barrier scored pages, golden has %d",
-				name, len(conc), len(barrier), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d scored pages, golden has %d", name, len(got), len(want))
 		}
 		const tol = 1e-12 // summation order only; see the capture comment
 		for i, w := range want {
-			if conc[i].OID != barrier[i].OID || conc[i].Score != barrier[i].Score {
-				t.Errorf("%s[%d]: concurrent (%d, %.17g), barrier (%d, %.17g): not bit-identical",
-					name, i, conc[i].OID, conc[i].Score, barrier[i].OID, barrier[i].Score)
-			}
-			if conc[i].OID != w.OID {
-				t.Errorf("%s[%d] = oid %d, golden %d (ranking drifted)", name, i, conc[i].OID, w.OID)
+			if got[i].OID != w.OID {
+				t.Errorf("%s[%d] = oid %d, golden %d (ranking drifted)", name, i, got[i].OID, w.OID)
 				continue
 			}
-			if math.Abs(conc[i].Score-w.Score) > tol {
-				t.Errorf("%s[%d] score = %.17g, golden %.17g", name, i, conc[i].Score, w.Score)
+			if math.Abs(got[i].Score-w.Score) > tol {
+				t.Errorf("%s[%d] score = %.17g, golden %.17g", name, i, got[i].Score, w.Score)
 			}
 		}
 	}
-	check("hubs", concHubs, barrierHubs, goldenConcHubs)
-	check("auth", concAuths, barrierAuths, goldenConcAuths)
+	check("hubs", hubs, goldenConcHubs)
+	check("auth", auths, goldenConcAuths)
 }

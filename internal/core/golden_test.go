@@ -66,14 +66,13 @@ func runGoldenHarvest(t *testing.T) {
 		Web:        webgraph.Config{Seed: 1, NumPages: 6000},
 		GoodTopics: []string{"cycling"},
 		Crawl: crawler.Config{
+			// One worker keeps the visit order a pure function of the
+			// checkout semantics this golden pins: the visit that triggers
+			// an epoch publishes it and applies its hub-neighbor boosts
+			// before the next checkout.
 			Workers:      1,
 			MaxFetches:   400,
 			DistillEvery: 150,
-			// Barrier mode keeps the visit order a pure function of the
-			// checkout semantics this golden pins: concurrent distillation
-			// publishes its hub-neighbor boosts asynchronously, which would
-			// make the order depend on epoch timing.
-			DistillBarrier: true,
 		},
 	})
 	if err != nil {

@@ -24,7 +24,6 @@ func goldenConfig(dbPath string, maxFetches, checkpointEvery int64) Config {
 			Workers:         1,
 			MaxFetches:      maxFetches,
 			DistillEvery:    150,
-			DistillBarrier:  true,
 			CheckpointEvery: checkpointEvery,
 		},
 	}

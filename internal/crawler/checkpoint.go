@@ -89,8 +89,9 @@ type CheckpointState struct {
 	SinceDist int64 `json:"since_dist"`
 	SinceCkpt int64 `json:"since_ckpt"`
 	Distills  int   `json:"distills"`
-	// Epoch is the published distillation epoch; the checkpoint barrier
-	// waits for the pipeline to go idle, so snapshotted == published here.
+	// Epoch is the published distillation epoch; a checkpoint holds
+	// epochMu, so no epoch is mid-compute and snapshotted == published here
+	// (unless an epoch failed, which aborts the crawl).
 	Epoch int64 `json:"epoch"`
 	// PubIsPrimary records which physical pair of score tables was published
 	// at the checkpoint: true means HUBS/AUTH, false means the #spare pair.
@@ -114,13 +115,11 @@ type CheckpointState struct {
 }
 
 // Checkpoint quiesces the crawl at a distill-grade consistency point and
-// persists everything needed for Resume: it waits for the concurrent
-// distillation pipeline to drain (queued epochs live only in memory, so a
-// checkpoint must not capture a snapshotted-but-unpublished epoch), takes
-// the full barrier plus every DOCUMENT stripe lock, drains pendingFwd,
-// writes the CKPT state row, and drives relstore's durable checkpoint
-// (journal, flush, manifest, sync). Safe to call between Runs as well as
-// during one.
+// persists everything needed for Resume: it takes epochMu (so no epoch is
+// mid-compute and the published scores are the last snapshot's), the full
+// barrier plus every DOCUMENT stripe lock, drains pendingFwd, writes the
+// CKPT state row, and drives relstore's durable checkpoint (journal, flush,
+// manifest, sync). Safe to call between Runs as well as during one.
 func (c *Crawler) Checkpoint() error { return c.checkpoint(-1) }
 
 // checkpoint is Checkpoint for the in-crawl trigger: with seen >= 0 it takes
@@ -128,27 +127,14 @@ func (c *Crawler) Checkpoint() error { return c.checkpoint(-1) }
 // seen its caller read when the trigger fired — another worker's checkpoint
 // has already answered that trigger.
 //
-//focuslint:lock sequence=stripe*,shard*,global,docstripe*
+//focuslint:lock sequence=epoch,stripe*,shard*,global,docstripe*
 func (c *Crawler) checkpoint(seen int64) error {
 	if !c.db.Durable() {
 		return errors.New("crawler: Checkpoint requires a durable DB (relstore.CreateFile or OpenDurable)")
 	}
-	for {
-		c.lockAll()
-		if len(c.distillJobs) == 0 && c.snapEpoch.Load() == c.pubEpoch.Load() {
-			break
-		}
-		// A failed epoch never publishes, so waiting for it would spin
-		// forever: report its error instead.
-		c.distillMu.Lock()
-		derr := c.distillErr
-		c.distillMu.Unlock()
-		c.unlockAll()
-		if derr != nil {
-			return derr
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	c.lockAll()
 	if seen >= 0 && c.checkpoints.Load() != seen {
 		c.unlockAll()
 		return nil

@@ -11,12 +11,12 @@ import (
 	"focus/internal/relstore"
 )
 
-// TestCheckpointReportsDistillError pins the liveness half of the
-// checkpoint barrier: Checkpoint waits for the concurrent distillation
-// pipeline to publish every snapshotted epoch, and a failed epoch never
-// publishes — so the wait must end with that epoch's error, not spin. The
-// visit that queues epoch 1 is the visit that checkpoints, so the worker
-// is inside Checkpoint when the epoch fails.
+// TestCheckpointReportsDistillError pins the liveness of a failed epoch:
+// its error returns through the triggering worker's visit, so Run reports
+// it, and a checkpoint queued behind the epoch on epochMu goes ahead once
+// the epoch gives the mutex up instead of hanging. When epoch 1 fails, a
+// Checkpoint started from inside it is (in all likelihood) waiting on
+// epochMu; it must finish, and no goroutine may outlive the crawl.
 func TestCheckpointReportsDistillError(t *testing.T) {
 	f := genSite(11, 120, 8, 0)
 	_, m := tinyModel(t)
@@ -32,11 +32,14 @@ func TestCheckpointReportsDistillError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("injected distill failure")
+	ckpt := make(chan error, 1)
 	c.distillFault = func(epoch int64) error {
-		if epoch == 1 {
-			return boom
+		if epoch != 1 {
+			return nil
 		}
-		return nil
+		go func() { ckpt <- c.Checkpoint() }()
+		time.Sleep(20 * time.Millisecond) // let the checkpoint park on epochMu
+		return boom
 	}
 	if err := c.Seed(seedURLs(f, 4)); err != nil {
 		t.Fatal(err)
@@ -54,7 +57,15 @@ func TestCheckpointReportsDistillError(t *testing.T) {
 			t.Fatalf("Run error = %v, want the injected distill failure", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return: Checkpoint is waiting on an epoch that failed")
+		t.Fatal("Run did not return after its epoch failed")
+	}
+	select {
+	case err := <-ckpt:
+		if err != nil {
+			t.Fatalf("checkpoint behind the failed epoch: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a checkpoint waiting on the failed epoch's mutex hung")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {

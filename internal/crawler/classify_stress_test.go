@@ -10,7 +10,8 @@ import (
 
 // TestClassifyBatchPipelineStress hammers the visit path under -race:
 // eight workers each classify, persist and complete their own visits while
-// concurrent distillation snapshots and publishes in the background. The
+// the workers whose visits trigger distillation epochs compute and publish
+// them beside the rest. The
 // test and its serial-stage case keep the names they had when
 // classification ran as a batched stage behind the workers; the case now
 // runs the one inline path. Invariants:
@@ -133,7 +134,7 @@ func inlineClassifyStress(t *testing.T) {
 	}
 
 	// Clean drain: every visited page's DOCUMENT rows landed before Run
-	// returned, and no distillation epoch is still queued.
+	// returned, and every snapshotted distillation epoch published.
 	doc, err := c.Doc()
 	if err != nil {
 		t.Fatal(err)

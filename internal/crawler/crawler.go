@@ -79,16 +79,6 @@ type Config struct {
 	DistillEvery int64
 	// Distill configures those runs.
 	Distill distiller.Config
-	// DistillBarrier selects the legacy stop-the-world distillation: the
-	// whole HITS run executes under the full barrier and every worker
-	// stalls for its duration. The default (false) is the snapshot-and-go
-	// pipeline: the barrier shrinks to a short copy phase and the
-	// distillation runs on a background goroutine against the immutable
-	// snapshot, publishing HUBS/AUTH with an atomic buffer swap. Barrier
-	// mode is the determinism mode: it makes the crawl's visit order
-	// independent of distillation timing, which the bit-identical resume
-	// contract and the goldens need.
-	DistillBarrier bool
 	// HubNeighborBoost is the relevance assigned to unvisited pages cited
 	// by top-decile hubs after each distillation (default 0.75; 0 keeps the
 	// default, negative disables boosting).
@@ -163,13 +153,11 @@ type Result struct {
 	Checkpoints int64
 	Elapsed     time.Duration
 	// DistillStall is the total time crawl workers spent stopped for
-	// distillation — the time the world-stopped phase was held. In
-	// barrier mode the whole HITS run happens inside it; in concurrent
-	// mode only the snapshot copy does.
+	// distillation: the world-stopped snapshot phase of every epoch.
 	DistillStall time.Duration
-	// DistillCompute is the total time spent computing HITS epochs
-	// (inside the barrier in barrier mode, on the background goroutine in
-	// concurrent mode).
+	// DistillCompute is the total time spent computing, publishing and
+	// boosting HITS epochs, each on the worker whose visit triggered it
+	// while the other workers keep crawling.
 	DistillCompute time.Duration
 
 	// Failure breakdown. Failed counts failed fetch *attempts*; the three
@@ -208,21 +196,21 @@ type Result struct {
 // order holds up to hint staleness and concurrent checkouts. With one shard
 // (Workers=1) the global order is exact.
 //
-// Distillation is epoch-based and (by default) concurrent: the barrier
-// (every link stripe lock, then every shard lock, each ascending, then the
-// global lock) is held only for a short snapshot phase — drain pendingFwd,
-// copy the LINK edge set per stripe, copy the oid→relevance view — then
-// workers resume immediately while a single distiller goroutine computes
-// queued epochs in order into the spare HUBS/AUTH buffer, publishing each
-// by swapping the buffer pointers under the global mutex. Snapshot points
-// are therefore an exact function of the visit sequence even when epochs
-// compute slowly; monitors read scores that may lag the crawl by the
-// epochs still queued (typically one — see DistillEpochs).
-// Config.DistillBarrier restores the legacy whole-run-under-barrier mode.
+// Distillation is epoch-based, and the visit that triggers an epoch runs
+// it: under epochMu the worker takes the barrier (every link stripe lock,
+// then every shard lock, each ascending, then the global lock) only for a
+// short snapshot phase — drain pendingFwd, register the LINK snapshot, copy
+// the oid→relevance view — then computes HITS into the spare HUBS/AUTH
+// buffers, publishes them by swapping the buffer pointers under the global
+// mutex, and applies the hub-neighbor boosts, while the other workers keep
+// crawling. Snapshot points are an exact function of the visit sequence;
+// monitors read scores that trail the crawl by at most the epoch being
+// computed (see DistillEpochs). With Workers=1 nothing runs beside an
+// epoch, so the visit order is a pure function of seed and config.
 //
-// Lock ordering, from the bottom of the tower up: link stripe mutexes
-// (ascending id) < frontier shard mutex (at most one, except under the
-// barrier) < global mutex < DOCUMENT stripe RWMutexes. A doc stripe lock is
+// Lock ordering, from the bottom of the tower up: epochMu < link stripe
+// mutexes (ascending id) < frontier shard mutex (at most one, except under
+// the barrier) < global mutex < DOCUMENT stripe RWMutexes. A doc stripe lock is
 // always the last lock in any acquisition sequence: the insert path holds
 // exactly one with nothing nested, and Doc's snapshot takes its read locks
 // after the global mutex.
@@ -235,6 +223,13 @@ type Crawler struct {
 	shards []*shard
 	links  *linkgraph.Store
 	docs   []*docStripe
+
+	// epochMu serializes distillation epochs and checkpoints, so the spare
+	// HUBS/AUTH pair belongs to its holder and a checkpoint never sees an
+	// epoch mid-compute. It is taken with no other lock held and stays held
+	// across the HITS run.
+	//focuslint:lock rank=epoch order=5
+	epochMu sync.Mutex
 
 	// mu guards the harvest log, visit sequencing, distillation state
 	// (the published/spare HUBS/AUTH buffer pointers), the policy, and the
@@ -262,25 +257,13 @@ type Crawler struct {
 	// same guarantee the old under-one-mutex refresh gave.
 	pendingFwd map[int64]float64
 
-	// Concurrent-distillation pipeline state. Epochs are snapshotted under
-	// the barrier and appended to distillJobs (guarded by mu, so queue
-	// order is epoch order by construction); a single distiller goroutine
-	// (distillLoop, started by Run) pops and computes them in order, woken
-	// through the distillKick semaphore. Workers never wait for an epoch
-	// to compute — the queue is unbounded, sized in practice by
-	// budget/DistillEvery. snapEpoch counts snapshots taken, pubEpoch the
-	// latest published epoch; the gap is the epochs still queued or
-	// computing — the stale-score window monitors may observe.
-	distillJobs []distillJob
-	distillKick chan struct{}
-	snapEpoch   atomic.Int64
-	pubEpoch    atomic.Int64
-	stallNS     atomic.Int64
-	computeNS   atomic.Int64
-	// Pure leaf guarding only distillErr; nothing is acquired under it.
-	//focuslint:lock rank=distillerr leaf noblock=io,chan,sleep
-	distillMu  sync.Mutex
-	distillErr error
+	// Epoch counters: snapEpoch counts snapshots taken, pubEpoch is the
+	// latest published epoch. They differ only while an epoch computes —
+	// the stale-score window monitors may observe.
+	snapEpoch atomic.Int64
+	pubEpoch  atomic.Int64
+	stallNS   atomic.Int64
+	computeNS atomic.Int64
 
 	fetches     atomic.Int64
 	visited     atomic.Int64
@@ -308,8 +291,8 @@ type Crawler struct {
 	// checkoutHook, when set before Run, observes every frontier checkout
 	// (shard, row at checkout time) under the shard lock. Test-only.
 	checkoutHook func(*shard, relstore.Tuple)
-	// distillFault, when set before Run, fails the given concurrent
-	// distillation epoch before it computes. Test-only.
+	// distillFault, when set before Run, fails the given distillation
+	// epoch before it computes. Test-only.
 	distillFault func(epoch int64) error
 }
 
@@ -317,13 +300,12 @@ type Crawler struct {
 // applied and no relation created or attached yet.
 func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, pol Policy) *Crawler {
 	c := &Crawler{
-		cfg:         cfg.withDefaults(),
-		db:          db,
-		model:       model,
-		fetcher:     fetcher,
-		policy:      pol,
-		pendingFwd:  make(map[int64]float64),
-		distillKick: make(chan struct{}, 1),
+		cfg:        cfg.withDefaults(),
+		db:         db,
+		model:      model,
+		fetcher:    fetcher,
+		policy:     pol,
+		pendingFwd: make(map[int64]float64),
 	}
 	c.politeOn = c.cfg.HostMaxInflight > 0 || c.cfg.HostDelay > 0 ||
 		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
@@ -426,9 +408,9 @@ func (c *Crawler) docFor(oid int64) *docStripe {
 // experiment harnesses). The Crawl table is a freshly materialized
 // cross-shard snapshot taken under the stop-the-world barrier; see Crawl.
 // Hubs and Auth are the currently *published* score buffers: while a crawl
-// runs they may lag the link graph by up to one distillation epoch (see
+// runs they trail the link graph by at most the epoch being computed (see
 // DistillEpochs), and running a distiller directly over them is only safe
-// once Run has returned (a concurrent epoch would swap the buffers away).
+// once Run has returned (an epoch's publish would swap the buffers away).
 func (c *Crawler) Tables() (distiller.Tables, error) {
 	c.lockAll()
 	defer c.unlockAll()
@@ -569,15 +551,6 @@ func (c *Crawler) Seed(urls []string) error {
 // stagnates, then reports totals.
 func (c *Crawler) Run() (Result, error) {
 	start := time.Now()
-	var distWG sync.WaitGroup
-	distStop := make(chan struct{})
-	if c.cfg.DistillEvery > 0 && !c.cfg.DistillBarrier {
-		distWG.Add(1)
-		go func() {
-			defer distWG.Done()
-			c.distillLoop(distStop)
-		}()
-	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, c.cfg.Workers)
 	for w := 0; w < c.cfg.Workers; w++ {
@@ -592,20 +565,11 @@ func (c *Crawler) Run() (Result, error) {
 		}()
 	}
 	wg.Wait()
-	// Every visit has completed (possibly queueing distillation epochs);
-	// stopping the distiller drains those epochs, so Run returns with the
-	// last snapshot's scores published and no background goroutine alive.
-	close(distStop)
-	distWG.Wait()
+	// Every visit has completed, and a visit's epoch publishes before the
+	// visit returns: the last snapshot's scores are published.
 	close(errCh)
 	if err := <-errCh; err != nil {
 		return Result{}, err
-	}
-	c.distillMu.Lock()
-	derr := c.distillErr
-	c.distillMu.Unlock()
-	if derr != nil {
-		return Result{}, derr
 	}
 	c.mu.Lock()
 	distills := c.distills
@@ -901,11 +865,11 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 
 	// The durable checkpoint trigger comes after the distillation trigger so
 	// a visit that fires both distills first and the checkpoint captures that
-	// epoch's published scores (Checkpoint waits out the concurrent pipeline
-	// either way). CheckpointEvery is the longest interval: dirty pages of
-	// the last checkpoint stay in the pool until the next (relstore's
-	// durability contract), so once they fill half of it the crawl
-	// checkpoints rather than run out of frames. That pressure lasts until
+	// epoch's published scores (a checkpoint takes epochMu first, so it never
+	// sees an epoch mid-compute either way). CheckpointEvery is the longest
+	// interval: dirty pages of the last checkpoint stay in the pool until the
+	// next (relstore's durability contract), so once they fill half of it the
+	// crawl checkpoints rather than run out of frames. That pressure lasts until
 	// the flush, so every worker finishing a visit meanwhile fires too: each
 	// waits at the barrier — which stops the pool filling further — and all
 	// but the first find the checkpoint counter moved and take none.
@@ -1027,125 +991,52 @@ func (c *Crawler) enqueueTarget(e linkgraph.Edge, dstURL string, srcRel float64)
 	return nil
 }
 
-// distill runs one distillation cycle: the legacy stop-the-world barrier
-// when Config.DistillBarrier is set, the snapshot-and-go pipeline
-// otherwise. Callers hold no locks.
+// distill runs one distillation epoch on the worker whose visit triggered
+// it and returns only once the epoch is published and its boosts applied.
+// epochMu serializes epochs, so epochs publish in snapshot order and the
+// spare HUBS/AUTH pair belongs to the holder. Only the snapshot phase stops
+// the world and is charged to Result.DistillStall; the HITS run, the swap
+// and the boosts run beside the other workers, which keep crawling. An
+// epoch's error returns through the caller's visit, like any visit error.
+// Callers hold no locks.
 func (c *Crawler) distill() error {
-	if c.cfg.DistillBarrier {
-		return c.distillBarrier()
-	}
-	return c.distillConcurrent()
-}
-
-// distillBarrier stops the world (all stripe locks, then all shard locks,
-// then the global lock), runs the join-based distiller over a consistent
-// cross-shard snapshot of the crawl graph, and then raises the priority of
-// unvisited pages cited by top-decile hubs — the monitoring workflow shown
-// at the end of §3.7. The snapshot is an in-memory oid -> relevance view
-// handed to the distiller's rho filter, not a materialized table (which
-// would abandon O(|CRAWL|) pages on every distill cycle); the link graph is
-// read through its barrier-locked view, so no copy of LINK is made either.
-// Every worker stalls for the whole HITS run — the cost the concurrent
-// pipeline removes, kept measurable through Result.DistillStall.
-func (c *Crawler) distillBarrier() error {
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
 	t0 := time.Now()
-	c.lockAll()
-	defer func() {
-		c.unlockAll()
-		c.stallNS.Add(time.Since(t0).Nanoseconds())
-	}()
-	c.distills++
-	rel, err := c.drainAndRelevanceLocked()
-	if err != nil {
-		return err
-	}
-	dcfg := c.cfg.Distill
-	dcfg.Relevance = rel
-	tb := distiller.Tables{Link: c.links.LockedView(), Hubs: c.hubs, Auth: c.auth}
-	tc := time.Now()
-	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
-		return err
-	}
-	c.computeNS.Add(time.Since(tc).Nanoseconds())
-	e := c.snapEpoch.Add(1)
-	c.pubEpoch.Store(e)
-	// The boost-target derivation is the same boostDelta the concurrent
-	// pipeline uses, read through the barrier-locked link view — one
-	// predicate, two modes, no drift. The barrier holds every lock, so
-	// targets apply directly.
-	boosts, err := c.boostDelta(c.hubs, c.links.LockedView())
-	if err != nil {
-		return err
-	}
-	for _, d := range boosts {
-		if err := c.shardFor(d.sid).boostLocked(d.oid, c.cfg.HubNeighborBoost); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// distillJob is one snapshotted epoch awaiting computation.
-type distillJob struct {
-	epoch int64
-	snap  *linkgraph.Snapshot
-	rel   map[int64]float64
-}
-
-// distillConcurrent is the snapshot-and-go pipeline's producer side: the
-// barrier shrinks to a copy phase — drain pendingFwd, snapshot the LINK
-// stripes, copy the oid→relevance view — the epoch is queued for the
-// distiller goroutine, and the worker resumes crawling immediately. The
-// snapshot is appended to the job queue *inside* the barrier (the queue is
-// guarded by the global mutex), so queue order always equals epoch order
-// even when triggers race. Only the copy phase is charged to
-// Result.DistillStall — workers never wait for an epoch to compute.
-func (c *Crawler) distillConcurrent() error {
-	t0 := time.Now()
-	err := c.distillSnapshot()
+	epoch, snap, rel, err := c.distillSnapshot()
 	c.stallNS.Add(time.Since(t0).Nanoseconds())
 	if err != nil {
 		return err
 	}
-	// Wake the distiller (semaphore of one: a pending kick already covers
-	// this job, since the loop drains the whole queue per kick).
-	select {
-	case c.distillKick <- struct{}{}:
-	default:
-	}
-	return nil
+	return c.distillEpoch(epoch, snap, rel)
 }
 
 // distillSnapshot is the short world-stopped phase: under the full barrier
-// it drains pending incoming-weight sweeps (same guarantee as the legacy
-// barrier — no stale radius-1 weight on an edge into a visited page),
-// copies every LINK stripe and the cross-shard relevance view, and queues
-// the epoch.
-func (c *Crawler) distillSnapshot() error {
+// it drains pending incoming-weight sweeps (no stale radius-1 weight on an
+// edge into a visited page), registers a LINK snapshot, and copies the
+// cross-shard relevance view. It returns the new epoch's number.
+func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float64, error) {
 	c.lockAll()
 	defer c.unlockAll()
 	c.distills++
 	rel, err := c.drainAndRelevanceLocked()
 	if err != nil {
-		return err
+		return 0, nil, nil, err
 	}
 	snap, err := c.links.SnapshotLocked()
 	if err != nil {
-		return err
+		return 0, nil, nil, err
 	}
-	c.distillJobs = append(c.distillJobs, distillJob{epoch: c.snapEpoch.Add(1), snap: snap, rel: rel})
-	return nil
+	return c.snapEpoch.Add(1), snap, rel, nil
 }
 
-// drainAndRelevanceLocked is the part of the world-stopped phase both
-// distillation modes share — extracting it keeps their semantics pinned
-// to each other (the concurrent golden depends on that). It drains
-// incoming-weight sweeps still in flight — a worker past its visit
-// persist but short of its UpdateIncomingFwd holds no locks, so the
-// barrier applies the sweep itself (idempotent: the worker's own sweep
-// writes the same value) and the distiller never sees a stale radius-1
-// weight on an edge into a visited page — and then copies the cross-shard
-// oid -> relevance view, two columns read in place. The barrier must be held.
+// drainAndRelevanceLocked drains incoming-weight sweeps still in flight — a
+// worker past its visit persist but short of its UpdateIncomingFwd holds no
+// locks, so the barrier applies the sweep itself (idempotent: the worker's
+// own sweep writes the same value) and the distiller never sees a stale
+// radius-1 weight on an edge into a visited page — and then copies the
+// cross-shard oid -> relevance view, two columns read in place. The barrier
+// must be held.
 //
 //focuslint:lock requires=stripe*,shard*,global
 func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
@@ -1171,65 +1062,18 @@ func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
 	return rel, nil
 }
 
-// distillLoop is the single distiller goroutine: it computes queued epochs
-// in order until stop closes *and* the queue is drained, so Run returns
-// with every snapshot published. A failed epoch records the error, aborts
-// the crawl, and the loop keeps draining (skipping computation) so workers
-// are never blocked on an unconsumed queue.
-func (c *Crawler) distillLoop(stop <-chan struct{}) {
-	for {
-		select {
-		case <-c.distillKick:
-			c.drainDistillJobs()
-		case <-stop:
-			c.drainDistillJobs()
-			return
-		}
-	}
-}
-
-func (c *Crawler) drainDistillJobs() {
-	for {
-		c.mu.Lock()
-		if len(c.distillJobs) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		job := c.distillJobs[0]
-		// Zero the popped slot: the backing array outlives the pop, and a
-		// job pins an O(edges) snapshot plus a relevance map.
-		c.distillJobs[0] = distillJob{}
-		c.distillJobs = c.distillJobs[1:]
-		c.mu.Unlock()
-		c.distillMu.Lock()
-		failed := c.distillErr != nil
-		c.distillMu.Unlock()
-		if failed {
-			continue
-		}
-		if err := c.distillEpoch(job); err != nil {
-			c.distillMu.Lock()
-			if c.distillErr == nil {
-				c.distillErr = err
-			}
-			c.distillMu.Unlock()
-			c.stop.Store(true)
-		}
-	}
-}
-
-// distillEpoch computes one HITS epoch off to the side and publishes it.
-// The job's snapshot and relevance view are immutable, and the spare
-// HUBS/AUTH buffers belong exclusively to this goroutine between swaps, so
-// the whole computation runs without any crawler lock. Publish order
-// matters: the scratch tables are finished first, the boost delta is
-// derived from them and the snapshot while still private, then the buffer
-// pointers swap under the global mutex (readers see the old pair or the
-// new pair, never a mix), pubEpoch advances, and only then is the §3.4
-// hub-neighbor boost applied shard by shard against the live frontier.
-func (c *Crawler) distillEpoch(job distillJob) error {
+// distillEpoch computes a snapshotted epoch into the spare HUBS/AUTH
+// buffers and publishes it. The snapshot and relevance view are immutable
+// and the spare buffers belong to the epochMu holder, so the computation
+// runs without any crawler lock. Publish order matters: the scratch tables
+// are finished first, the boost delta is derived from them and the snapshot
+// while still private, then the buffer pointers swap under the global mutex
+// (readers see the old pair or the new pair, never a mix), pubEpoch
+// advances, and only then is the §3.4 hub-neighbor boost applied shard by
+// shard against the live frontier.
+func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[int64]float64) error {
 	if c.distillFault != nil {
-		if err := c.distillFault(job.epoch); err != nil {
+		if err := c.distillFault(epoch); err != nil {
 			return err
 		}
 	}
@@ -1239,12 +1083,12 @@ func (c *Crawler) distillEpoch(job distillJob) error {
 	scratchHubs, scratchAuth := c.hubsAlt, c.authAlt
 	c.mu.Unlock()
 	dcfg := c.cfg.Distill
-	dcfg.Relevance = job.rel
-	tb := distiller.Tables{Link: job.snap, Hubs: scratchHubs, Auth: scratchAuth}
+	dcfg.Relevance = rel
+	tb := distiller.Tables{Link: snap, Hubs: scratchHubs, Auth: scratchAuth}
 	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
 		return err
 	}
-	boosts, err := c.boostDelta(scratchHubs, job.snap)
+	boosts, err := c.boostDelta(scratchHubs, snap)
 	if err != nil {
 		return err
 	}
@@ -1254,11 +1098,11 @@ func (c *Crawler) distillEpoch(job distillJob) error {
 	c.mu.Lock()
 	c.hubs, c.hubsAlt = scratchHubs, c.hubs
 	c.auth, c.authAlt = scratchAuth, c.auth
-	c.pubEpoch.Store(job.epoch)
+	c.pubEpoch.Store(epoch)
 	c.mu.Unlock()
 
 	// Apply the boost delta against the live shards, one shard lock at a
-	// time — the policy update that used to run inside the barrier.
+	// time.
 	for _, d := range boosts {
 		sh := c.shardFor(d.sid)
 		sh.mu.Lock()
@@ -1278,11 +1122,10 @@ type boostTarget struct {
 }
 
 // topDecileHubs returns the oids of hubs scoring strictly above the 90th
-// percentile of the given score table, in scan order. Both distillation
-// modes route their §3.4 hub selection through here, so the boost
-// semantics cannot drift between them. Returns nil when the table is
-// empty or every score is zero. It reads the table once: the threshold is
-// distiller.Percentile's nearest-rank score, taken from the rows in hand.
+// percentile of the given score table, in scan order. Returns nil when the
+// table is empty or every score is zero. It reads the table once: the
+// threshold is distiller.Percentile's nearest-rank score, taken from the
+// rows in hand.
 func topDecileHubs(hubs *relstore.Table) ([]int64, error) {
 	var oids []int64
 	var scores []float64
@@ -1309,13 +1152,12 @@ func topDecileHubs(hubs *relstore.Table) ([]int64, error) {
 	return tops, nil
 }
 
-// boostDelta derives the §3.4 policy update from a hubs score table and a
-// link view (the epoch's immutable snapshot in concurrent mode, the
-// barrier-locked store in barrier mode): the cross-server targets of
-// every hub above the 90th score percentile. The target *set* is what
+// boostDelta derives the §3.4 policy update from a hubs score table and the
+// epoch's immutable link snapshot: the cross-server targets of every hub
+// above the 90th score percentile. The target *set* is what
 // matters — boosts are idempotent threshold raises, so application order
 // is irrelevant.
-func (c *Crawler) boostDelta(hubs *relstore.Table, links distiller.LinkRel) ([]boostTarget, error) {
+func (c *Crawler) boostDelta(hubs *relstore.Table, links *linkgraph.Snapshot) ([]boostTarget, error) {
 	if c.cfg.HubNeighborBoost < 0 {
 		return nil, nil
 	}
@@ -1340,11 +1182,9 @@ func (c *Crawler) boostDelta(hubs *relstore.Table, links distiller.LinkRel) ([]b
 
 // DistillEpochs reports the distillation epoch counters: snapshotted is
 // the number of snapshot phases taken, published the epoch of the score
-// tables monitors currently read. published trails snapshotted by the
-// epochs still queued or computing in the background (typically one, more
-// only when epochs are snapshotted faster than they compute); they are
-// equal when the pipeline is idle — always in barrier mode, and always by
-// the time Run returns. Monitors that need scores no older than a given
+// tables monitors currently read. published trails snapshotted by one
+// while an epoch computes and equals it otherwise — always by the time Run
+// returns. Monitors that need scores no older than a given
 // point can poll published.
 func (c *Crawler) DistillEpochs() (snapshotted, published int64) {
 	return c.snapEpoch.Load(), c.pubEpoch.Load()

@@ -10,10 +10,10 @@ import (
 	"focus/internal/relstore"
 )
 
-// TestConcurrentDistillPublishStress hammers the snapshot-and-go pipeline
-// under -race: eight workers ingest links and visits while distillation
-// snapshots, computes in the background (partition-parallel join), and
-// publishes score buffers — for well over three epochs — with a monitor
+// TestConcurrentDistillPublishStress hammers snapshot-and-go distillation
+// under -race: eight workers ingest links and visits while the workers
+// whose visits trigger epochs snapshot, compute (partition-parallel join)
+// and publish score buffers — for well over three epochs — with a monitor
 // goroutine concurrently reading the published tables the whole time.
 //
 // Invariants checked:
@@ -24,7 +24,8 @@ import (
 //     (scores sum to 1) — a half-published or mid-write table cannot
 //     satisfy that;
 //   - epoch counters never regress, and published never leads snapshotted;
-//   - Run drains the epoch queue: at return, published == snapshotted.
+//   - every epoch has published by the time Run returns: published ==
+//     snapshotted.
 func TestConcurrentDistillPublishStress(t *testing.T) {
 	// A 12-server, 120-page site where every page links cross-server to a
 	// handful of others, plus a few deliberate hub pages with high
@@ -176,5 +177,76 @@ func TestConcurrentDistillPublishStress(t *testing.T) {
 	}
 	if err := c.CheckDirectory(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistillPublishesBeforeReturnStress pins distill's contract: an epoch
+// is published, and its boosts applied, before the visit that triggered it
+// returns. With one worker nothing runs beside an epoch, so every checkout
+// sees snapshotted == published. With eight workers epochs overlap
+// crawling but never each other: each epoch starts computing with its
+// predecessor published, published never decreases, and it has caught up
+// with snapshotted once Run returns.
+func TestDistillPublishesBeforeReturnStress(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		every   int64
+	}{{1, 10}, {8, 25}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			f := genSite(17, 300, 12, 0)
+			c, _ := newTestCrawler(t, f, Config{
+				Workers: tc.workers, MaxFetches: 300, DistillEvery: tc.every,
+			})
+			var mu sync.Mutex
+			var lastPub, checkouts int64
+			var fails []string
+			failf := func(format string, args ...interface{}) {
+				if len(fails) < 5 {
+					fails = append(fails, fmt.Sprintf(format, args...))
+				}
+			}
+			c.checkoutHook = func(*shard, relstore.Tuple) {
+				mu.Lock()
+				defer mu.Unlock()
+				checkouts++
+				pub := c.pubEpoch.Load()
+				snap := c.snapEpoch.Load()
+				if pub < lastPub {
+					failf("published epoch fell from %d to %d", lastPub, pub)
+				}
+				if pub > snap {
+					failf("published epoch %d ahead of snapshotted %d", pub, snap)
+				}
+				if tc.workers == 1 && snap != pub {
+					failf("checkout %d: snapshotted %d, published %d", checkouts, snap, pub)
+				}
+				lastPub = pub
+			}
+			c.distillFault = func(epoch int64) error {
+				if pub := c.pubEpoch.Load(); epoch != pub+1 {
+					mu.Lock()
+					failf("epoch %d computes with epoch %d published", epoch, pub)
+					mu.Unlock()
+				}
+				return nil
+			}
+			if err := c.Seed(seedURLs(f, 8)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, msg := range fails {
+				t.Error(msg)
+			}
+			if res.Distills < 3 {
+				t.Fatalf("only %d epochs ran, want >= 3", res.Distills)
+			}
+			snap, pub := c.DistillEpochs()
+			if snap != pub || int(snap) != res.Distills {
+				t.Fatalf("Run returned with epochs snapshotted=%d published=%d, distills=%d", snap, pub, res.Distills)
+			}
+		})
 	}
 }

@@ -21,9 +21,8 @@ import (
 // contract below.
 //
 // Staleness contract: CRAWL and LINK reads are exact as of the barrier,
-// but HUBS/AUTH are the *published* distillation buffers — under the
-// default concurrent distillation they may lag the crawl by up to one
-// epoch (the snapshot currently computing in the background; see
+// but HUBS/AUTH are the *published* distillation buffers — they trail the
+// crawl by at most the epoch being computed (no epochs queue behind it; see
 // Crawler.DistillEpochs). A query never observes a torn or half-written
 // score table: epochs build in a private buffer and publish by swapping
 // the pointers under the global mutex, so published-score reads need only
@@ -211,7 +210,7 @@ type ScoredURL struct {
 }
 
 // topURLs reads the published score buffer without stopping the world. The
-// HUBS/AUTH pointers swap when a concurrent distillation epoch publishes,
+// HUBS/AUTH pointers swap when a distillation epoch publishes,
 // and a published table is only ever rewritten after it has been swapped
 // back to the scratch role — both transitions happen under the global
 // mutex — so holding c.mu for the whole Top selection is exactly what the

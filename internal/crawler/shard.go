@@ -282,9 +282,8 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 
 // boostLocked raises an unvisited, never-tried frontier row's relevance to
 // boost (when currently lower) and republishes the head hint — the §3.4
-// hub-neighbor policy update, applied either under the barrier (legacy
-// distillation) or shard by shard as the post-publish delta of a
-// concurrent epoch. sh.mu must be held.
+// hub-neighbor policy update, applied shard by shard as the post-publish
+// delta of an epoch. sh.mu must be held.
 //
 //focuslint:lock requires=shard
 func (sh *shard) boostLocked(oid int64, boost float64) error {

@@ -737,18 +737,3 @@ func (it *snapshotIter) Next() (relstore.Tuple, bool, error) {
 		it.loaded = false
 	}
 }
-
-// LockedView adapts a Store held under the barrier to the relational read
-// surface (Scan without re-locking) that the distiller consumes.
-type LockedView struct{ s *Store }
-
-// LockedView returns the barrier-locked read adapter. The caller must hold
-// every stripe lock (LockAll) for the view's whole lifetime.
-func (s *Store) LockedView() *LockedView { return &LockedView{s} }
-
-// Scan implements the distiller's link scan over the locked store.
-//
-//focuslint:lock requires=stripe*
-func (v *LockedView) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
-	return v.s.ScanLocked(fn)
-}

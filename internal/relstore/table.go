@@ -326,10 +326,6 @@ type Options struct {
 	// Frames is the most 4 KiB frames the buffer pool will hold (default
 	// 2048 = 8 MiB); a frame's memory is allocated when it is first used.
 	Frames int
-	// PoolShards partitions the buffer pool's page table and frames into
-	// independent shards, each with its own latch (0/1 = a single shard,
-	// the default).
-	PoolShards int
 }
 
 // Open creates a database instance.
@@ -340,12 +336,9 @@ func Open(o Options) *DB {
 	if o.Frames == 0 {
 		o.Frames = 2048
 	}
-	if o.PoolShards < 1 {
-		o.PoolShards = 1
-	}
 	return &DB{
 		disk:   o.Disk,
-		pool:   NewBufferPoolSharded(o.Disk, o.Frames, o.PoolShards),
+		pool:   NewBufferPool(o.Disk, o.Frames),
 		tables: make(map[string]*Table),
 	}
 }
