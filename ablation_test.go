@@ -1,8 +1,10 @@
 package focus
 
-// Ablation benchmarks for the design choices DESIGN.md §7 calls out. Each
-// reports the with/without metric pair so the contribution of the device
-// can be read straight off `go test -bench Ablation`.
+// Ablation benchmarks for the distiller's two devices from the paper's §2.2,
+// relevance-weighted edges and the nepotism filter (DESIGN.md "One plan per
+// epoch" says where RunJoin applies them). Each reports the with/without
+// metric pair so the contribution of the device can be read straight off
+// `go test -bench Ablation`.
 
 import (
 	"math/rand"
@@ -40,43 +42,6 @@ func BenchmarkAblationNepotismFilter(b *testing.B) {
 		without := cliqueAuthorityScore(b, edges, rel, distiller.Config{Iterations: 3, NoNepotismFilter: true})
 		b.ReportMetric(with, "clique-score-filtered")
 		b.ReportMetric(without, "clique-score-unfiltered")
-	}
-}
-
-// BenchmarkAblationBufferPolicy compares clock and LRU replacement under a
-// random-probe workload, the access pattern of SingleProbe.
-func BenchmarkAblationBufferPolicy(b *testing.B) {
-	for _, policy := range []relstore.ReplacementPolicy{relstore.PolicyClock, relstore.PolicyLRU} {
-		name := "clock"
-		if policy == relstore.PolicyLRU {
-			name = "lru"
-		}
-		b.Run(name, func(b *testing.B) {
-			disk := relstore.NewMemDisk()
-			bp := relstore.NewBufferPool(disk, 64)
-			bp.SetPolicy(policy)
-			tree, err := relstore.NewBTree(bp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := int64(0); i < 20000; i++ {
-				if err := tree.Insert(relstore.EncodeKey(relstore.I64(i)), []byte("v")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			rng := rand.New(rand.NewSource(1))
-			bp.ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tree.Get(relstore.EncodeKey(relstore.I64(rng.Int63n(20000)))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := bp.Stats()
-			if st.Hits+st.Misses > 0 {
-				b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit-rate")
-			}
-		})
 	}
 }
 

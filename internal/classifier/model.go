@@ -412,9 +412,3 @@ func (m *Model) indexTerms(internal []*taxonomy.Node) {
 
 // NumFeatures reports |F(c0)| actually materialized for an internal node.
 func (m *Model) NumFeatures(c0 taxonomy.NodeID) int { return len(m.statsMem[c0]) }
-
-// LogPrior exposes log Pr[c | parent(c)].
-func (m *Model) LogPrior(c taxonomy.NodeID) float64 { return m.logPrior[c] }
-
-// LogDenom exposes the Eq (1) denominator's log for class c.
-func (m *Model) LogDenom(c taxonomy.NodeID) float64 { return m.logDenom[c] }

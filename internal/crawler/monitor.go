@@ -48,51 +48,40 @@ type HarvestBucket struct {
 }
 
 // HarvestByWindow groups visited pages into fixed-size visit windows and
-// computes the paper's avg(exp(relevance)) per window, using the store's
-// sort + group-by operators.
+// computes the paper's avg(exp(relevance)) per window, in ascending window
+// order.
 func (c *Crawler) HarvestByWindow(window int64) ([]HarvestBucket, error) {
 	if window <= 0 {
 		window = 100
 	}
 	c.lockAll()
 	defer c.unlockAll()
-	var pairRows []relstore.Tuple
+	type sums struct {
+		exp float64
+		n   int64
+	}
+	buckets := make(map[int64]*sums)
 	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
 		if int32(t[CStatus].Int()) == StatusVisited {
-			pairRows = append(pairRows, relstore.Tuple{
-				relstore.I64(t[CLast].Int() / window),
-				relstore.F64(math.Exp(t[CRel].Float())),
-			})
+			k := t[CLast].Int() / window
+			b := buckets[k]
+			if b == nil {
+				b = &sums{}
+				buckets[k] = b
+			}
+			b.exp += math.Exp(t[CRel].Float())
+			b.n++
 		}
 		return false, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	schema := relstore.NewSchema(
-		relstore.Column{Name: "bucket", Kind: relstore.KInt64},
-		relstore.Column{Name: "rel", Kind: relstore.KFloat64},
-	)
-	sorted, err := relstore.SortByCols(c.db.Pool(), schema,
-		relstore.NewSliceIter(pairRows), 0, "bucket")
-	if err != nil {
-		return nil, err
+	out := make([]HarvestBucket, 0, len(buckets))
+	for k, b := range buckets {
+		out = append(out, HarvestBucket{Bucket: k, Count: b.n, AvgExpRel: b.exp / float64(b.n)})
 	}
-	grouped := relstore.GroupBy(sorted, relstore.KeyOfCols(0), []int{0},
-		[]relstore.AggSpec{{Kind: relstore.AggSum, Col: 1}, {Kind: relstore.AggCount}})
-	rows, err := relstore.Collect(grouped)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]HarvestBucket, 0, len(rows))
-	for _, r := range rows {
-		n := r[2].Int()
-		out = append(out, HarvestBucket{
-			Bucket:    r[0].Int(),
-			Count:     n,
-			AvgExpRel: r[1].Float() / float64(n),
-		})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
 	return out, nil
 }
 

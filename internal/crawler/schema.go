@@ -110,10 +110,6 @@ const (
 	LWgtRev = linkgraph.ColWgtRev
 )
 
-// LinkSchema is the LINK relation of Figure 1, now owned by the striped
-// linkgraph store.
-func LinkSchema() *relstore.Schema { return linkgraph.Schema() }
-
 // OIDOf hashes a URL to its 64-bit object ID (FNV-1a, like the paper's
 // 64-bit hashed oid keys).
 func OIDOf(url string) int64 {

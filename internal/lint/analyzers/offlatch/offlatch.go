@@ -3,9 +3,9 @@
 // noblock class is held.
 //
 // Lock annotations carry the policy. `noblock=io,chan,sleep` on a leaf
-// latch (buffer-pool shard latches) bans the classes transitively — any
+// latch (the buffer-pool latch) bans the classes transitively — any
 // call whose summary reaches such an operation is flagged, because a leaf
-// latch critical section is supposed to be a handful of map/LRU updates.
+// latch critical section is supposed to be a handful of map/clock updates.
 // `noblockdirect=...` on tower locks (the frontier shard mutex) bans only
 // operations written directly in the holding function: tower critical
 // sections legitimately reach the buffer pool (whose misses park on a

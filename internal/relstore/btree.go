@@ -632,8 +632,8 @@ func (s *btSeq) fill(p []byte, lo, hi int) {
 //
 // The node's image is copied and its pin dropped before the sibling is
 // allocated, and the node is fetched again to receive its half: a split
-// never needs two frames at once, which a pool shard may not have, and
-// nothing is written until the sibling exists.
+// never needs two frames at once, and nothing is written until the sibling
+// exists.
 func (t *BTree) split(f *Frame, i int, key, val []byte, replace bool) (sep []byte, right PageID, err error) {
 	pid := f.PID()
 	seq := btSeq{n: btU16(f.Data(), 1), pos: i, key: key, val: val}

@@ -123,14 +123,12 @@ func (t *BTree) checkNode(pid PageID, level int, lo, hi []byte, leaves *[]PageID
 // pinnedFrames counts the pool's frames that are pinned right now.
 func pinnedFrames(bp *BufferPool) int {
 	n := 0
-	for _, sh := range bp.shards {
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.pin.Load() > 0 {
-				n++
-			}
+	bp.mu.Lock()
+	for _, f := range bp.frames {
+		if f.pin.Load() > 0 {
+			n++
 		}
-		sh.mu.Unlock()
 	}
+	bp.mu.Unlock()
 	return n
 }

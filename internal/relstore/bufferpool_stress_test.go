@@ -14,32 +14,28 @@ import (
 // package doc): the pool itself is safe for concurrent Fetch/NewPage/Unpin
 // from any number of goroutines; page *contents* may be written while
 // pinned only by one owner at a time (here, each goroutine writes only
-// pages it owns) and read freely by concurrent pinners. Each suite runs at
-// one shard and at several sharded widths — the same loading-frame miss
-// protocol at every count. Run with -race: the CI workflow does.
-
-var stressShardCounts = []int{1, 4, 16}
+// pages it owns) and read freely by concurrent pinners. Each suite ends with
+// the quiesced pool's invariant check, (*BufferPool).check. Run with -race:
+// the CI workflow does, at 1, 2 and 4 CPUs.
 
 // TestBufferPoolConcurrentStress has every goroutine allocate pages, write
 // a recognizable pattern, unpin dirty, then re-fetch and verify — under
 // heavy eviction traffic from a pool much smaller than the page population.
 func TestBufferPoolConcurrentStress(t *testing.T) {
 	for _, kind := range diskKinds {
-		for _, shards := range stressShardCounts {
-			t.Run(fmt.Sprintf("disk=%s/shards=%d", kind, shards), func(t *testing.T) {
-				testBufferPoolConcurrentStress(t, newTestDisk(t, kind), shards)
-			})
-		}
+		t.Run("disk="+kind+"/shards=1", func(t *testing.T) {
+			testBufferPoolConcurrentStress(t, newTestDisk(t, kind))
+		})
 	}
 }
 
-func testBufferPoolConcurrentStress(t *testing.T, disk DiskManager, shards int) {
+func testBufferPoolConcurrentStress(t *testing.T, disk DiskManager) {
 	const (
 		goroutines = 8
 		pagesEach  = 40
 		rounds     = 3
 	)
-	bp := NewBufferPoolSharded(disk, 16, shards) // far fewer frames than live pages
+	bp := NewBufferPool(disk, 16) // far fewer frames than live pages
 
 	stamp := func(buf []byte, g, i, r int) {
 		binary.LittleEndian.PutUint64(buf[0:], uint64(g)<<40|uint64(i)<<16|uint64(r))
@@ -91,6 +87,9 @@ func testBufferPoolConcurrentStress(t *testing.T, disk DiskManager, shards int) 
 	if st := bp.Stats(); st.Evictions == 0 {
 		t.Fatal("stress ran without evictions; pool too large to test replacement")
 	}
+	if err := bp.check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBufferPoolSharedReaders pins one hot page from many goroutines
@@ -99,16 +98,14 @@ func testBufferPoolConcurrentStress(t *testing.T, disk DiskManager, shards int) 
 // the pool.
 func TestBufferPoolSharedReaders(t *testing.T) {
 	for _, kind := range diskKinds {
-		for _, shards := range stressShardCounts {
-			t.Run(fmt.Sprintf("disk=%s/shards=%d", kind, shards), func(t *testing.T) {
-				testBufferPoolSharedReaders(t, newTestDisk(t, kind), shards)
-			})
-		}
+		t.Run("disk="+kind+"/shards=1", func(t *testing.T) {
+			testBufferPoolSharedReaders(t, newTestDisk(t, kind))
+		})
 	}
 }
 
-func testBufferPoolSharedReaders(t *testing.T, disk DiskManager, shards int) {
-	bp := NewBufferPoolSharded(disk, 8, shards)
+func testBufferPoolSharedReaders(t *testing.T, disk DiskManager) {
+	bp := NewBufferPool(disk, 8)
 
 	hot, err := bp.NewPage()
 	if err != nil {
@@ -164,6 +161,9 @@ func testBufferPoolSharedReaders(t *testing.T, disk DiskManager, shards int) {
 	if st := bp.Stats(); st.Evictions == 0 {
 		t.Fatal("reader/churn mix ran without evictions; pool too large")
 	}
+	if err := bp.check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBufferPoolConcurrentTables drives two independent B+trees (as two
@@ -171,19 +171,17 @@ func testBufferPoolSharedReaders(t *testing.T, disk DiskManager, shards int) {
 // access pattern the sharded frontier relies on.
 func TestBufferPoolConcurrentTables(t *testing.T) {
 	for _, kind := range diskKinds {
-		for _, shards := range stressShardCounts {
-			t.Run(fmt.Sprintf("disk=%s/shards=%d", kind, shards), func(t *testing.T) {
-				testBufferPoolConcurrentTables(t, newTestDisk(t, kind), shards)
-			})
-		}
+		t.Run("disk="+kind+"/shards=1", func(t *testing.T) {
+			testBufferPoolConcurrentTables(t, newTestDisk(t, kind))
+		})
 	}
 }
 
-func testBufferPoolConcurrentTables(t *testing.T, disk DiskManager, shards int) {
+func testBufferPoolConcurrentTables(t *testing.T, disk DiskManager) {
 	// Far fewer frames than the trees' ~20 pages, so frames are stolen
 	// back and forth between the two trees mid-run (but comfortably more
 	// than the pages both writers can pin at once).
-	bp := NewBufferPoolSharded(disk, 12, shards)
+	bp := NewBufferPool(disk, 12)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 2)
@@ -225,6 +223,9 @@ func testBufferPoolConcurrentTables(t *testing.T, disk DiskManager, shards int) 
 	if st := bp.Stats(); st.Evictions == 0 {
 		t.Fatal("cross-table run without evictions; pool too large to test frame stealing")
 	}
+	if err := bp.check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBufferPoolSingleFlightStress pins the miss protocol's
@@ -234,78 +235,79 @@ func testBufferPoolConcurrentTables(t *testing.T, disk DiskManager, shards int) 
 // rest wait on that frame and share the one physical read. Everyone sees
 // the same frame with identical bytes.
 func TestBufferPoolSingleFlightStress(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const fetchers = 16
-			disk := NewMemDisk()
-			pid, err := disk.Allocate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]byte, PageSize)
-			for i := range want {
-				want[i] = byte(i * 7)
-			}
-			if err := disk.WritePage(pid, want); err != nil {
-				t.Fatal(err)
-			}
-			bp := NewBufferPoolSharded(disk, 64, shards)
-			disk.Stats().Reset()
-			// Widen the loading window so most fetchers really do arrive
-			// while the read is in flight (correctness must not depend on
-			// it — latecomers are plain hits and the counts still hold).
-			disk.SetLatency(200 * time.Microsecond)
+	t.Run("shards=1", func(t *testing.T) {
+		const fetchers = 16
+		disk := NewMemDisk()
+		pid, err := disk.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, PageSize)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		if err := disk.WritePage(pid, want); err != nil {
+			t.Fatal(err)
+		}
+		bp := NewBufferPool(disk, 64)
+		disk.Stats().Reset()
+		// Widen the loading window so most fetchers really do arrive
+		// while the read is in flight (correctness must not depend on
+		// it — latecomers are plain hits and the counts still hold).
+		disk.SetLatency(200 * time.Microsecond)
 
-			start := make(chan struct{})
-			frames := make([]*Frame, fetchers)
-			errCh := make(chan error, fetchers)
-			var wg sync.WaitGroup
-			for g := 0; g < fetchers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					<-start
-					f, err := bp.Fetch(pid)
-					if err != nil {
-						errCh <- err
+		start := make(chan struct{})
+		frames := make([]*Frame, fetchers)
+		errCh := make(chan error, fetchers)
+		var wg sync.WaitGroup
+		for g := 0; g < fetchers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				f, err := bp.Fetch(pid)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				for i, b := range f.Data() {
+					if b != want[i] {
+						bp.Unpin(f, false)
+						errCh <- fmt.Errorf("fetcher %d: byte %d = %d, want %d", g, i, b, want[i])
 						return
 					}
-					for i, b := range f.Data() {
-						if b != want[i] {
-							bp.Unpin(f, false)
-							errCh <- fmt.Errorf("fetcher %d: byte %d = %d, want %d", g, i, b, want[i])
-							return
-						}
-					}
-					frames[g] = f
-					bp.Unpin(f, false)
-				}(g)
-			}
-			close(start)
-			wg.Wait()
-			disk.SetLatency(0)
-			close(errCh)
-			if err := <-errCh; err != nil {
-				t.Fatal(err)
-			}
-			if r, _ := disk.Stats().Snapshot(); r != 1 {
-				t.Fatalf("disk reads = %d, want exactly 1 (single-flight)", r)
-			}
-			for g := 1; g < fetchers; g++ {
-				if frames[g] != frames[0] {
-					t.Fatalf("fetcher %d got a different frame", g)
 				}
+				frames[g] = f
+				bp.Unpin(f, false)
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		disk.SetLatency(0)
+		close(errCh)
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+		if r, _ := disk.Stats().Snapshot(); r != 1 {
+			t.Fatalf("disk reads = %d, want exactly 1 (single-flight)", r)
+		}
+		for g := 1; g < fetchers; g++ {
+			if frames[g] != frames[0] {
+				t.Fatalf("fetcher %d got a different frame", g)
 			}
-			st := bp.Stats()
-			if st.Misses != 1 || st.Hits != fetchers-1 {
-				t.Fatalf("stats = %+v, want 1 miss and %d hits", st, fetchers-1)
-			}
-		})
-	}
+		}
+		st := bp.Stats()
+		if st.Misses != 1 || st.Hits != fetchers-1 {
+			t.Fatalf("stats = %+v, want 1 miss and %d hits", st, fetchers-1)
+		}
+		if err := bp.check(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// TestBufferPoolCrossShardMissStress churns concurrent misses across every
-// shard of a pool far smaller than the page population, with dirty pages
+// TestBufferPoolCrossShardMissStress churns concurrent misses from eight
+// goroutines through a pool far smaller than the page population, with dirty pages
 // so the off-latch victim write-back path (and the flushing-wait on
 // re-fetch of a page whose flush is in flight) is constantly exercised.
 // Each goroutine owns a disjoint set of pages (the page-content contract);
@@ -341,7 +343,7 @@ func testBufferPoolCrossShardMissStress(t *testing.T, disk DiskManager) {
 		}
 		pids[i] = pid
 	}
-	bp := NewBufferPoolSharded(disk, 32, 8)
+	bp := NewBufferPool(disk, 32)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, goroutines)
@@ -350,9 +352,8 @@ func testBufferPoolCrossShardMissStress(t *testing.T, disk DiskManager) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 1; r <= rounds; r++ {
-				// Walk the owned pages at a stride so neighbours in the
-				// fetch order land in different shards and rounds collide
-				// with other goroutines' evictions.
+				// Walk the owned pages at a stride so rounds collide with
+				// other goroutines' evictions.
 				for k := 0; k < pages; k++ {
 					i := (k*37 + g*13) % pages
 					if i%goroutines != g {
@@ -399,80 +400,56 @@ func testBufferPoolCrossShardMissStress(t *testing.T, disk DiskManager) {
 		}
 	}
 	if st := bp.Stats(); st.Evictions == 0 {
-		t.Fatal("cross-shard stress ran without evictions")
+		t.Fatal("miss stress ran without evictions")
+	}
+	if err := bp.check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestBufferPoolShardExhaustion pins every frame of one shard and checks
-// that a further miss in that shard fails with ErrPoolExhausted while the
-// other shards (if any) keep serving, and that the shard recovers once a pin
-// drops.
+// TestBufferPoolShardExhaustion pins every frame of the pool and checks
+// that a further miss fails with ErrPoolExhausted, and that the pool recovers
+// once a pin drops.
 func TestBufferPoolShardExhaustion(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const perShard = 4
-			disk := NewMemDisk()
-			bp := NewBufferPoolSharded(disk, perShard*shards, shards)
-			buf := make([]byte, PageSize)
-			// Allocate pages directly until one shard has one more than it
-			// has frames and, when there is one, some other shard has a page.
-			byShard := make(map[*poolShard][]PageID)
-			var target *poolShard
-			for target == nil {
-				pid, err := disk.Allocate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := disk.WritePage(pid, buf); err != nil {
-					t.Fatal(err)
-				}
-				byShard[bp.shard(pid)] = append(byShard[bp.shard(pid)], pid)
-				if len(byShard) < min(2, shards) {
-					continue
-				}
-				for sh, ps := range byShard {
-					if len(ps) > perShard {
-						target = sh
-					}
-				}
-			}
-			want := byShard[target]
-			pinned := make([]*Frame, perShard)
-			for i := range pinned {
-				f, err := bp.Fetch(want[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				pinned[i] = f
-			}
-			// Every frame of the target shard is pinned: one more page of
-			// that shard has nowhere to go.
-			if _, err := bp.Fetch(want[perShard]); !errors.Is(err, ErrPoolExhausted) {
-				t.Fatalf("err = %v, want ErrPoolExhausted", err)
-			}
-			// Other shards are untouched by the exhaustion.
-			for sh, ps := range byShard {
-				if sh == target {
-					continue
-				}
-				f, err := bp.Fetch(ps[0])
-				if err != nil {
-					t.Fatalf("other shard: %v", err)
-				}
-				bp.Unpin(f, false)
-			}
-			// Dropping one pin frees a frame for the blocked page.
-			bp.Unpin(pinned[0], false)
-			f, err := bp.Fetch(want[perShard])
+	t.Run("shards=1", func(t *testing.T) {
+		const frames = 4
+		disk := NewMemDisk()
+		bp := NewBufferPool(disk, frames)
+		buf := make([]byte, PageSize)
+		pids := make([]PageID, frames+1)
+		for i := range pids {
+			pid, err := disk.Allocate()
 			if err != nil {
-				t.Fatalf("after unpin: %v", err)
+				t.Fatal(err)
 			}
+			if err := disk.WritePage(pid, buf); err != nil {
+				t.Fatal(err)
+			}
+			pids[i] = pid
+		}
+		pinned := make([]*Frame, frames)
+		for i := range pinned {
+			f, err := bp.Fetch(pids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned[i] = f
+		}
+		// Every frame is pinned: one more page has nowhere to go.
+		if _, err := bp.Fetch(pids[frames]); !errors.Is(err, ErrPoolExhausted) {
+			t.Fatalf("err = %v, want ErrPoolExhausted", err)
+		}
+		// Dropping one pin frees a frame for the blocked page.
+		bp.Unpin(pinned[0], false)
+		f, err := bp.Fetch(pids[frames])
+		if err != nil {
+			t.Fatalf("after unpin: %v", err)
+		}
+		bp.Unpin(f, false)
+		for _, f := range pinned[1:] {
 			bp.Unpin(f, false)
-			for _, f := range pinned[1:] {
-				bp.Unpin(f, false)
-			}
-		})
-	}
+		}
+	})
 }
 
 // gateDisk holds every ReadPage until `want` of them are in flight at once.
@@ -491,8 +468,8 @@ func (d *gateDisk) ReadPage(pid PageID, buf []byte) error {
 	return d.MemDisk.ReadPage(pid, buf)
 }
 
-// TestBufferPoolMissesOverlap pins the off-latch contract at the default
-// single shard: misses on distinct pages read concurrently. The disk
+// TestBufferPoolMissesOverlap pins the off-latch contract: misses on
+// distinct pages read concurrently. The disk
 // completes no read until four are in flight, so a pool that holds its
 // latch across ReadPage never finishes.
 func TestBufferPoolMissesOverlap(t *testing.T) {
@@ -536,119 +513,112 @@ func TestBufferPoolMissesOverlap(t *testing.T) {
 			t.Fatalf("misses on %d distinct pages did not overlap: %d reads in flight", fetchers, disk.inflight.Load())
 		}
 	}
+	if err := bp.check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBufferPoolHeldDirtyStress runs fetch, dirty, free and evict traffic
 // from many goroutines over a pool whose guard holds one page in eight, then
 // checks the lock-free HeldDirty count against a latch-held scan of the
-// frames: every clean/dirty transition of a held page was counted once, none
-// of an unheld page was, and eviction wrote back no held page.
+// frames (check): every clean/dirty transition of a held page was counted
+// once, none of an unheld page was, and eviction wrote back no held page.
 func TestBufferPoolHeldDirtyStress(t *testing.T) {
-	for _, shards := range stressShardCounts {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const (
-				goroutines = 8
-				pagesEach  = 48
-				rounds     = 4
-			)
-			disk := NewMemDisk()
-			bp := NewBufferPoolSharded(disk, 160, shards) // 384 live pages, 48 of them held
-			held := func(pid PageID) bool { return pid%8 == 0 }
-			bp.held = held
+	t.Run("shards=1", func(t *testing.T) {
+		const (
+			goroutines = 8
+			pagesEach  = 48
+			rounds     = 4
+		)
+		disk := NewMemDisk()
+		bp := NewBufferPool(disk, 160) // 384 live pages, 48 of them held
+		bp.held = func(pid PageID) bool { return pid%8 == 0 }
 
-			var wg sync.WaitGroup
-			errCh := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					var pids []PageID
-					alloc := func() error {
-						f, err := bp.NewPage()
-						if err != nil {
-							return err
-						}
-						binary.LittleEndian.PutUint32(f.Data(), uint32(f.PID()))
-						pids = append(pids, f.PID())
-						bp.Unpin(f, true)
-						return nil
+		var wg sync.WaitGroup
+		errCh := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var pids []PageID
+				alloc := func() error {
+					f, err := bp.NewPage()
+					if err != nil {
+						return err
 					}
-					for i := 0; i < pagesEach; i++ {
+					binary.LittleEndian.PutUint32(f.Data(), uint32(f.PID()))
+					pids = append(pids, f.PID())
+					bp.Unpin(f, true)
+					return nil
+				}
+				for i := 0; i < pagesEach; i++ {
+					if err := alloc(); err != nil {
+						errCh <- err
+						return
+					}
+				}
+				for r := 0; r < rounds; r++ {
+					for i, pid := range pids {
+						f, err := bp.Fetch(pid)
+						if err != nil {
+							errCh <- err
+							return
+						}
+						if got := binary.LittleEndian.Uint32(f.Data()); got != uint32(pid) {
+							bp.Unpin(f, false)
+							errCh <- fmt.Errorf("page %d holds stamp %d", pid, got)
+							return
+						}
+						bp.Unpin(f, (i+r)%3 != 0) // a mix of clean and dirty unpins
+					}
+					// Free a slice of the pages and allocate as many again:
+					// freed ids (held ones among them) come back fresh.
+					for i := 0; i < pagesEach/4; i++ {
+						if err := bp.FreePage(pids[i]); err != nil {
+							errCh <- err
+							return
+						}
+					}
+					pids = pids[pagesEach/4:]
+					for i := 0; i < pagesEach/4; i++ {
 						if err := alloc(); err != nil {
 							errCh <- err
 							return
 						}
 					}
-					for r := 0; r < rounds; r++ {
-						for i, pid := range pids {
-							f, err := bp.Fetch(pid)
-							if err != nil {
-								errCh <- err
-								return
-							}
-							if got := binary.LittleEndian.Uint32(f.Data()); got != uint32(pid) {
-								bp.Unpin(f, false)
-								errCh <- fmt.Errorf("page %d holds stamp %d", pid, got)
-								return
-							}
-							bp.Unpin(f, (i+r)%3 != 0) // a mix of clean and dirty unpins
-						}
-						// Free a slice of the pages and allocate as many again:
-						// freed ids (held ones among them) come back fresh.
-						for i := 0; i < pagesEach/4; i++ {
-							if err := bp.FreePage(pids[i]); err != nil {
-								errCh <- err
-								return
-							}
-						}
-						pids = pids[pagesEach/4:]
-						for i := 0; i < pagesEach/4; i++ {
-							if err := alloc(); err != nil {
-								errCh <- err
-								return
-							}
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(errCh)
-			if err := <-errCh; err != nil {
-				t.Fatal(err)
-			}
-			if bp.Stats().Evictions == 0 {
-				t.Fatal("stress ran without evictions")
-			}
-			scan := 0
-			for _, sh := range bp.shards {
-				sh.mu.Lock()
-				for _, f := range sh.frames {
-					if f.valid && f.dirty.Load() && held(f.pid) {
-						scan++
-					}
 				}
-				sh.mu.Unlock()
+			}(g)
+		}
+		wg.Wait()
+		close(errCh)
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+		if bp.Stats().Evictions == 0 {
+			t.Fatal("stress ran without evictions")
+		}
+		if err := bp.check(); err != nil {
+			t.Fatal(err)
+		}
+		if bp.HeldDirty() == 0 {
+			t.Fatal("no held dirty frames left: the guard was never exercised")
+		}
+		// No held page may have reached disk: MemDisk zero-fills pages
+		// never written, and every page image starts with its nonzero id.
+		buf := make([]byte, PageSize)
+		for pid := PageID(8); int64(pid) <= disk.NumPages(); pid += 8 {
+			if err := disk.ReadPage(pid, buf); err != nil {
+				continue // freed and not reallocated
 			}
-			if got := bp.HeldDirty(); got != scan || scan == 0 {
-				t.Fatalf("HeldDirty = %d, latch-held scan finds %d held dirty frames (want equal, > 0)", got, scan)
+			if binary.LittleEndian.Uint32(buf) != 0 {
+				t.Fatalf("held page %d was written back before FlushAll", pid)
 			}
-			// No held page may have reached disk: MemDisk zero-fills pages
-			// never written, and every page image starts with its nonzero id.
-			buf := make([]byte, PageSize)
-			for pid := PageID(8); int64(pid) <= disk.NumPages(); pid += 8 {
-				if err := disk.ReadPage(pid, buf); err != nil {
-					continue // freed and not reallocated
-				}
-				if binary.LittleEndian.Uint32(buf) != 0 {
-					t.Fatalf("held page %d was written back before FlushAll", pid)
-				}
-			}
-			if err := bp.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			if got := bp.HeldDirty(); got != 0 {
-				t.Fatalf("HeldDirty = %d after FlushAll", got)
-			}
-		})
-	}
+		}
+		if err := bp.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := bp.HeldDirty(); got != 0 {
+			t.Fatalf("HeldDirty = %d after FlushAll", got)
+		}
+	})
 }

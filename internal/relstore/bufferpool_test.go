@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -94,63 +95,6 @@ func TestBufferPoolPinPreventsEviction(t *testing.T) {
 	}
 }
 
-func TestBufferPoolResize(t *testing.T) {
-	disk := NewMemDisk()
-	bp := NewBufferPool(disk, 8)
-	var pids []PageID
-	for i := 0; i < 20; i++ {
-		f, err := bp.NewPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Data()[0] = byte(i)
-		pids = append(pids, f.PID())
-		bp.Unpin(f, true)
-	}
-	if err := bp.Resize(4); err != nil {
-		t.Fatal(err)
-	}
-	if bp.NumFrames() != 4 {
-		t.Fatalf("frames = %d", bp.NumFrames())
-	}
-	for i, pid := range pids {
-		f, err := bp.Fetch(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Data()[0] != byte(i) {
-			t.Fatalf("page %d corrupted after resize", pid)
-		}
-		bp.Unpin(f, false)
-	}
-}
-
-func TestBufferPoolLRUPolicy(t *testing.T) {
-	disk := NewMemDisk()
-	bp := NewBufferPool(disk, 4)
-	bp.SetPolicy(PolicyLRU)
-	var pids []PageID
-	for i := 0; i < 12; i++ {
-		f, err := bp.NewPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Data()[0] = byte(i + 1)
-		pids = append(pids, f.PID())
-		bp.Unpin(f, true)
-	}
-	for i, pid := range pids {
-		f, err := bp.Fetch(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Data()[0] != byte(i+1) {
-			t.Fatalf("LRU pool corrupted page %d", pid)
-		}
-		bp.Unpin(f, false)
-	}
-}
-
 func TestBufferPoolDoubleUnpinPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -210,159 +154,89 @@ func TestMemDiskZeroFill(t *testing.T) {
 	}
 }
 
-func TestBufferPoolShardedRoundTrip(t *testing.T) {
-	disk := NewMemDisk()
-	bp := NewBufferPoolSharded(disk, 10, 4)
-	if bp.Shards() != 4 {
-		t.Fatalf("Shards = %d", bp.Shards())
-	}
-	if bp.NumFrames() != 10 {
-		t.Fatalf("NumFrames = %d", bp.NumFrames())
-	}
-	var pids []PageID
-	for i := 0; i < 40; i++ {
-		f, err := bp.NewPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Data()[0] = byte(i + 1)
-		pids = append(pids, f.PID())
-		bp.Unpin(f, true)
-	}
-	for i, pid := range pids {
-		f, err := bp.Fetch(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Data()[0] != byte(i+1) {
-			t.Fatalf("page %d corrupted across sharded eviction", pid)
-		}
-		bp.Unpin(f, false)
-	}
-	st := bp.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions in sharded round trip; pool too large")
-	}
-	// Per-shard counters must sum to the aggregate.
-	var sum BufStats
-	for _, s := range bp.ShardStats() {
-		sum.Hits += s.Hits
-		sum.Misses += s.Misses
-		sum.Evictions += s.Evictions
-	}
-	if sum != st {
-		t.Fatalf("ShardStats sum %+v != Stats %+v", sum, st)
-	}
-	// Resize redistributes frames across the same shards and keeps data.
-	if err := bp.Resize(6); err != nil {
-		t.Fatal(err)
-	}
-	if bp.NumFrames() != 6 {
-		t.Fatalf("NumFrames after resize = %d", bp.NumFrames())
-	}
-	for i, pid := range pids {
-		f, err := bp.Fetch(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Data()[0] != byte(i+1) {
-			t.Fatalf("page %d corrupted after sharded resize", pid)
-		}
-		bp.Unpin(f, false)
-	}
-}
-
-func TestBufferPoolShardedLRUPolicy(t *testing.T) {
-	disk := NewMemDisk()
-	bp := NewBufferPoolSharded(disk, 8, 4)
-	bp.SetPolicy(PolicyLRU)
-	var pids []PageID
-	for i := 0; i < 24; i++ {
-		f, err := bp.NewPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Data()[0] = byte(i + 1)
-		pids = append(pids, f.PID())
-		bp.Unpin(f, true)
-	}
-	for i, pid := range pids {
-		f, err := bp.Fetch(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Data()[0] != byte(i+1) {
-			t.Fatalf("sharded LRU pool corrupted page %d", pid)
-		}
-		bp.Unpin(f, false)
-	}
-}
-
 // frameImages counts the frames that hold a page image.
 func frameImages(bp *BufferPool) int {
 	n := 0
-	for _, sh := range bp.shards {
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.data != nil {
-				n++
-			}
+	bp.mu.Lock()
+	for _, f := range bp.frames {
+		if f.data != nil {
+			n++
 		}
-		sh.mu.Unlock()
 	}
+	bp.mu.Unlock()
 	return n
+}
+
+// check verifies a quiesced pool's bookkeeping under the latch: the page
+// table maps exactly the valid frames, each to itself; no frame is loading
+// or pinned and no write-back is in flight; and HeldDirty equals the number
+// of valid dirty frames the write-back guard refuses.
+func (bp *BufferPool) check() error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	valid, heldDirty := 0, 0
+	for i, f := range bp.frames {
+		if f.loading != nil {
+			return fmt.Errorf("frame %d (page %d) is loading", i, f.pid)
+		}
+		if n := f.pin.Load(); n != 0 {
+			return fmt.Errorf("frame %d (page %d) holds %d pins", i, f.pid, n)
+		}
+		if !f.valid {
+			continue
+		}
+		valid++
+		if bp.table[f.pid] != f {
+			return fmt.Errorf("frame %d holds page %d, which the page table does not map to it", i, f.pid)
+		}
+		if f.dirty.Load() && bp.held != nil && bp.held(f.pid) {
+			heldDirty++
+		}
+	}
+	if len(bp.table) != valid {
+		return fmt.Errorf("page table maps %d pages, %d frames are valid", len(bp.table), valid)
+	}
+	if len(bp.flushing) != 0 {
+		return fmt.Errorf("%d write-backs in flight", len(bp.flushing))
+	}
+	if got := bp.HeldDirty(); got != heldDirty {
+		return fmt.Errorf("HeldDirty = %d, %d valid dirty frames are held", got, heldDirty)
+	}
+	return nil
 }
 
 // TestBufferPoolFramesOnDemand: a pool's frame count is a cap, not a
 // reservation — a frame gets its image the first time a page is put in it.
 func TestBufferPoolFramesOnDemand(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		bp := NewBufferPoolSharded(NewMemDisk(), 4096, shards)
-		if n := frameImages(bp); n != 0 {
-			t.Fatalf("shards=%d: fresh pool holds %d images, want 0", shards, n)
-		}
-		const k = 37
-		var pids []PageID
-		for i := 0; i < k; i++ {
-			f, err := bp.NewPage()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pids = append(pids, f.PID())
-			bp.Unpin(f, true)
-		}
-		for _, pid := range pids { // hits: no new frame
-			f, err := bp.Fetch(pid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bp.Unpin(f, false)
-		}
-		if n := frameImages(bp); n != k {
-			t.Fatalf("shards=%d: %d images after touching %d pages", shards, n, k)
-		}
-		if err := bp.Resize(4096); err != nil {
+	bp := NewBufferPool(NewMemDisk(), 4096)
+	if n := frameImages(bp); n != 0 {
+		t.Fatalf("fresh pool holds %d images, want 0", n)
+	}
+	const k = 37
+	var pids []PageID
+	for i := 0; i < k; i++ {
+		f, err := bp.NewPage()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if n := frameImages(bp); n != 0 {
-			t.Fatalf("shards=%d: resized pool holds %d images, want 0", shards, n)
+		pids = append(pids, f.PID())
+		bp.Unpin(f, true)
+	}
+	for _, pid := range pids { // hits: no new frame
+		f, err := bp.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, pid := range pids[:5] { // misses after the resize claim frames again
-			f, err := bp.Fetch(pid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bp.Unpin(f, false)
-		}
-		if n := frameImages(bp); n != 5 {
-			t.Fatalf("shards=%d: %d images after 5 misses on the resized pool", shards, n)
-		}
+		bp.Unpin(f, false)
+	}
+	if n := frameImages(bp); n != k {
+		t.Fatalf("%d images after touching %d pages", n, k)
 	}
 }
 
 // TestBufferPoolWriteBackGuard pins the guard's semantics: a dirty page the
 // guard holds reaches disk only through FlushAll, every other dirty page is
-// stolen as before, and a shard left with nothing but held dirty frames
+// stolen as before, and a pool left with nothing but held dirty frames
 // reports that — not pinned frames — as the reason it is exhausted.
 func TestBufferPoolWriteBackGuard(t *testing.T) {
 	disk := NewMemDisk()

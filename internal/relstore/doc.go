@@ -11,7 +11,8 @@
 //     time;
 //   - a BufferPool of at most a configurable number of 4 KiB frames (a
 //     frame's image is allocated when the frame is first used) with clock
-//     (or LRU) replacement — the knob swept by the paper's Figure 8(b);
+//     replacement; the frame count is the setting the paper's Figure 8(b)
+//     varies;
 //   - slotted-page HeapFiles for table rows;
 //   - a B+tree over order-preserving byte-encoded composite keys, used for
 //     the classifier's BLOB/STAT index probes and for crawl-frontier
@@ -73,12 +74,10 @@
 //     are fully thread-safe: Fetch, NewPage, Unpin, and Allocate may be
 //     called from any number of goroutines. Eviction only ever claims
 //     unpinned frames, so a frame's page image is stable for as long as a
-//     caller holds a pin. The pool may be partitioned into independent
-//     shards (NewBufferPoolSharded); pages are hashed to shards by PageID,
-//     each shard has its own latch, and at every shard count a miss
-//     performs its disk read *outside* the shard latch. Concurrent
-//     fetchers of the same cold page single-flight onto one read: a Fetch
-//     that returns never exposes a partially loaded frame, and the page
+//     caller holds a pin. The pool has one latch, and a miss performs its
+//     disk read *outside* it. Concurrent fetchers of the same cold page
+//     single-flight onto one read: a Fetch that returns never exposes a
+//     partially loaded frame, and the page
 //     image it pins is exactly the on-disk image (or the image a
 //     concurrent writer published under the pin-and-own rules below).
 //     Dirty evictions write back before the frame is reused, and a
@@ -120,10 +119,11 @@
 // caller mutex each (frontier shards, link stripes), the per-structure
 // contract above is satisfied stripe by stripe, but the callers must also
 // agree on an acquisition order across the partition mutexes and any
-// coarser locks. The crawler's tower, bottom up, is: link stripe mutexes
-// (ascending id) < frontier shard mutex < crawler global mutex < DOCUMENT
-// stripe RWMutexes. Cross-partition operations (consistent snapshots, the
-// distillation barrier) take the partition locks in ascending id order
+// coarser locks. The crawler's tower, bottom up, is: the epoch mutex
+// (epochMu, which serializes distillation epochs and checkpoints) < link
+// stripe mutexes (ascending id) < frontier shard mutex < crawler global
+// mutex < DOCUMENT stripe RWMutexes. Cross-partition operations (consistent
+// snapshots, the distillation barrier) take the partition locks in ascending id order
 // and everything coarser afterward; single-partition operations may nest a
 // higher-ranked lock (a stripe holder may take a shard lock) but never a
 // lower-ranked one. See DESIGN.md ("Locking and ordering contract") and

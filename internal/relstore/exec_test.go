@@ -219,7 +219,7 @@ func TestGroupByIntSumAndEmpty(t *testing.T) {
 
 func TestFilterMapProject(t *testing.T) {
 	rows := []Tuple{{I64(1), F64(0.1)}, {I64(2), F64(0.9)}, {I64(3), F64(0.5)}}
-	got, err := Collect(ProjectIter(NewSliceIter(rows), []int{0}))
+	got, err := Collect(MapIter(NewSliceIter(rows), func(t Tuple) Tuple { return Tuple{t[0]} }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,6 @@ func heapRoom(p []byte, n int) bool {
 // Rows returns the live record count.
 func (h *HeapFile) Rows() int64 { return h.rows }
 
-// FirstPage returns the head of the page chain (for diagnostics).
-func (h *HeapFile) FirstPage() PageID { return h.first }
-
 // Insert appends a record and returns its RID. It is the run of one.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	var rid [1]RID

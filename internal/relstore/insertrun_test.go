@@ -29,8 +29,8 @@ func treeContents(t *testing.T, tr *BTree) []kvPair {
 // what a run can meet: leaf boundaries, splits and root growth, keys already
 // present (shorter, equal and longer replacement values), the tree's right
 // edge, cells near MaxCellLen, equal keys inside one run, and runs that do
-// not ascend at all. pool = 16x16 is one frame per pool shard, the regime of
-// TestBufferPoolConcurrentTables/shards=16: a run may never need two pins.
+// not ascend at all. pool = 4x1 is the smallest pool NewBufferPool builds,
+// four frames, so nearly every descent misses and evicts.
 func TestInsertRunMatchesInsertLoop(t *testing.T) {
 	type shape struct {
 		name   string
@@ -67,12 +67,12 @@ func TestInsertRunMatchesInsertLoop(t *testing.T) {
 			key:    func(rng *rand.Rand, _, _ int) []byte { return key64(rng.Int63n(5000)) },
 			valLen: small},
 	}
-	for _, frames := range []struct{ frames, shards int }{{64, 1}, {16, 16}} {
+	for _, frames := range []int{64, 4} {
 		for si, sh := range shapes {
-			t.Run(fmt.Sprintf("pool=%dx%d/%s", frames.frames, frames.shards, sh.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("pool=%dx1/%s", frames, sh.name), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(9000 + si)))
 				newTree := func() *BTree {
-					tr, err := NewBTree(NewBufferPoolSharded(NewMemDisk(), frames.frames, frames.shards))
+					tr, err := NewBTree(NewBufferPool(NewMemDisk(), frames))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -55,14 +55,3 @@ func (m *mapIter) Next() (Tuple, bool, error) {
 	}
 	return m.fn(t), true, nil
 }
-
-// ProjectIter keeps only the columns at the given positions, in order.
-func ProjectIter(in Iterator, cols []int) Iterator {
-	return MapIter(in, func(t Tuple) Tuple {
-		out := make(Tuple, len(cols))
-		for i, c := range cols {
-			out[i] = t[c]
-		}
-		return out
-	})
-}

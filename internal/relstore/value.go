@@ -70,12 +70,6 @@ func (s *Schema) ColIndex(name string) int {
 	return i
 }
 
-// HasCol reports whether the schema contains the named column.
-func (s *Schema) HasCol(name string) bool {
-	_, ok := s.byName[name]
-	return ok
-}
-
 // Value is a dynamically typed cell. Exactly one of I, F, S is meaningful
 // depending on Kind.
 type Value struct {

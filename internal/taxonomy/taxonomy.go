@@ -251,9 +251,6 @@ func (t *Tree) walkSubtree(n *Node, fn func(*Node)) {
 	}
 }
 
-// WalkSubtree visits n and all its descendants.
-func (t *Tree) WalkSubtree(n *Node, fn func(*Node)) { t.walkSubtree(n, fn) }
-
 // LeavesUnder returns the leaf topics in the subtree rooted at n.
 func (t *Tree) LeavesUnder(n *Node) []*Node {
 	var out []*Node
