@@ -69,9 +69,12 @@ func TestExpandLinksAllocs(t *testing.T) {
 // 44-link expansion on the same warm crawl, once for pages whose targets are
 // all new and once for pages whose targets are already queued at a lower
 // relevance, so every target's priority is raised (the bump path). Finding a
-// target is a read of its shard's in-memory oid directory. The oid B+tree
-// the directory replaced cost two descents per edge plus an insert per new
-// target: 438 fetches a page for new targets and 570 for known ones.
+// target is a read of its shard's in-memory oid directory, and recording an
+// edge for the incoming-weight sweep an append to its LINK stripe's in-memory
+// in-edge directory. Landed at 147 and 363. The oid B+tree cost two descents
+// per edge plus an insert per new target (438 and 570 fetches a page); the
+// (oid_dst, oid_src) B+tree the in-edge directory replaced cost a random
+// insert per edge (173 and 394).
 func TestExpandLinksPoolFetches(t *testing.T) {
 	c, db := warmExpandCrawler(t)
 	perPage := func(first, targets int, rel float64) float64 {
@@ -90,11 +93,11 @@ func TestExpandLinksPoolFetches(t *testing.T) {
 	rows := c.FrontierSize()
 	known := perPage(2000, 0, 0.9)
 	t.Logf("pool fetches per page: %.1f for new targets, %.1f for known ones", fresh, known)
-	if fresh > 200 {
-		t.Errorf("expanding a page of 44 new targets fetches %.0f pages, want at most 200", fresh)
+	if fresh > 160 {
+		t.Errorf("expanding a page of 44 new targets fetches %.0f pages, want at most 160", fresh)
 	}
-	if known > 430 {
-		t.Errorf("expanding a page of 44 known targets fetches %.0f pages, want at most 430", known)
+	if known > 380 {
+		t.Errorf("expanding a page of 44 known targets fetches %.0f pages, want at most 380", known)
 	}
 	if c.FrontierSize() != rows {
 		t.Fatal("a page of known targets added frontier rows")

@@ -61,18 +61,17 @@ func (c *Crawler) HarvestByWindow(window int64) ([]HarvestBucket, error) {
 		n   int64
 	}
 	buckets := make(map[int64]*sums)
-	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
-		if int32(t[CStatus].Int()) == StatusVisited {
-			k := t[CLast].Int() / window
+	err := c.scanColsAllLocked([]int{CStatus, CLast, CRel}, func(v []relstore.Value) {
+		if int32(v[0].Int()) == StatusVisited {
+			k := v[1].Int() / window
 			b := buckets[k]
 			if b == nil {
 				b = &sums{}
 				buckets[k] = b
 			}
-			b.exp += math.Exp(t[CRel].Float())
+			b.exp += math.Exp(v[2].Float())
 			b.n++
 		}
-		return false, nil
 	})
 	if err != nil {
 		return nil, err
@@ -99,11 +98,10 @@ func (c *Crawler) CensusByClass() ([]CensusRow, error) {
 	c.lockAll()
 	defer c.unlockAll()
 	counts := make(map[int32]int64)
-	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
-		if int32(t[CStatus].Int()) == StatusVisited {
-			counts[int32(t[CKcid].Int())]++
+	err := c.scanColsAllLocked([]int{CStatus, CKcid}, func(v []relstore.Value) {
+		if int32(v[0].Int()) == StatusVisited {
+			counts[int32(v[1].Int())]++
 		}
-		return false, nil
 	})
 	if err != nil {
 		return nil, err

@@ -31,11 +31,10 @@ func classifiedUnder(tree *taxonomy.Tree, c, topic taxonomy.NodeID) bool {
 //focuslint:lock requires=stripe*,shard*,global
 func (c *Crawler) visitedClassesLocked() (map[int64]taxonomy.NodeID, error) {
 	out := make(map[int64]taxonomy.NodeID)
-	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
-		if int32(t[CStatus].Int()) == StatusVisited {
-			out[t[COID].Int()] = taxonomy.NodeID(t[CKcid].Int())
+	err := c.scanColsAllLocked([]int{COID, CStatus, CKcid}, func(v []relstore.Value) {
+		if int32(v[1].Int()) == StatusVisited {
+			out[v[0].Int()] = taxonomy.NodeID(v[2].Int())
 		}
-		return false, nil
 	})
 	return out, err
 }

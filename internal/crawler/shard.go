@@ -330,8 +330,10 @@ func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, er
 }
 
 // CheckDirectory verifies every shard's oid directory against a heap scan of
-// its CRAWL partition: one entry per row, each at that row's RID. It takes one
-// shard lock at a time, so it is exact on a crawl that is not running.
+// its CRAWL partition — one entry per row, each at that row's RID — and then
+// the LINK stripes' in-edge directories (linkgraph.Store.CheckDirectory). It
+// takes one shard or stripe lock at a time, so it is exact on a crawl that is
+// not running.
 func (c *Crawler) CheckDirectory() error {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -349,7 +351,7 @@ func (c *Crawler) CheckDirectory() error {
 			return err
 		}
 	}
-	return nil
+	return c.links.CheckDirectory()
 }
 
 // scanAllLocked visits every CRAWL row across all shards. The barrier must
@@ -360,6 +362,24 @@ func (c *Crawler) scanAllLocked(fn func(sh *shard, rid relstore.RID, t relstore.
 	for _, sh := range c.shards {
 		err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
 			return fn(sh, rid, t)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanColsAllLocked is scanAllLocked for a query that reads only fixed-width
+// columns: vals[i] holds column cols[i], read where it lies on the heap page
+// (relstore.Table.ScanCols), so no URL is decoded. The barrier must be held.
+//
+//focuslint:lock requires=stripe*,shard*,global
+func (c *Crawler) scanColsAllLocked(cols []int, fn func(vals []relstore.Value)) error {
+	for _, sh := range c.shards {
+		err := sh.crawl.ScanCols(cols, func(_ relstore.RID, vals []relstore.Value) (bool, error) {
+			fn(vals)
+			return false, nil
 		})
 		if err != nil {
 			return err

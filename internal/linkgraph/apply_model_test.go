@@ -48,8 +48,9 @@ func (m *refLink) apply(edges []Edge, weight func(Edge) float64) (inserted []boo
 // 2 and 5, and requires: identical inserted flags; the weight callback
 // called exactly once per inserted edge, in the model's order, under the
 // edge's stripe lock with every destination of the group registered; stored
-// tuples identical in heap order stripe by stripe; and bysrc and bydst each
-// indexing exactly the stored rows.
+// tuples identical in heap order stripe by stripe; bysrc indexing exactly
+// the stored rows; and the in-edge directories equal to the heaps
+// (CheckDirectory).
 func TestApplyMatchesPerEdgeModel(t *testing.T) {
 	for _, stripes := range []int{1, 2, 5} {
 		for trial := 0; trial < 4; trial++ {
@@ -135,38 +136,33 @@ func TestApplyMatchesPerEdgeModel(t *testing.T) {
 							t.Fatalf("stripe %d heap position %d = %+v, model has %+v", si, i, heap[i], want)
 						}
 					}
-					// Each index lists every stored row exactly once, under the
-					// key its row gives it, in ascending order.
-					for _, ix := range []struct {
-						ix  *relstore.Index
-						key func(Edge) []byte
-					}{
-						{st.bysrc, func(e Edge) []byte { return relstore.EncodeKey(relstore.I64(e.Src), relstore.I64(e.Dst)) }},
-						{st.bydst, func(e Edge) []byte { return relstore.EncodeKey(relstore.I64(e.Dst), relstore.I64(e.Src)) }},
-					} {
-						seen := 0
-						var prev string
-						err := ix.ix.ScanPrefix(nil, func(k []byte, rid relstore.RID) (bool, error) {
-							e, ok := rids[rid]
-							if !ok {
-								t.Errorf("stripe %d %s entry %x points at %v, which holds no row", si, ix.ix.Name, k, rid)
-							} else if string(ix.key(e)) != string(k) {
-								t.Errorf("stripe %d %s entry %x points at the row of %d->%d", si, ix.ix.Name, k, e.Src, e.Dst)
-							}
-							if seen > 0 && string(k) <= prev {
-								t.Errorf("stripe %d %s keys do not ascend at entry %d", si, ix.ix.Name, seen)
-							}
-							prev = string(k)
-							seen++
-							return false, nil
-						})
-						if err != nil {
-							t.Fatal(err)
+					// bysrc lists every stored row exactly once, under the key
+					// its row gives it, in ascending order.
+					seen := 0
+					var prev string
+					err = st.bysrc.ScanPrefix(nil, func(k []byte, rid relstore.RID) (bool, error) {
+						e, ok := rids[rid]
+						if !ok {
+							t.Errorf("stripe %d bysrc entry %x points at %v, which holds no row", si, k, rid)
+						} else if string(srcKey(e.tuple())) != string(k) {
+							t.Errorf("stripe %d bysrc entry %x points at the row of %d->%d", si, k, e.Src, e.Dst)
 						}
-						if seen != len(heap) {
-							t.Fatalf("stripe %d %s has %d entries for %d rows", si, ix.ix.Name, seen, len(heap))
+						if seen > 0 && string(k) <= prev {
+							t.Errorf("stripe %d bysrc keys do not ascend at entry %d", si, seen)
 						}
+						prev = string(k)
+						seen++
+						return false, nil
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
+					if seen != len(heap) {
+						t.Fatalf("stripe %d bysrc has %d entries for %d rows", si, seen, len(heap))
+					}
+				}
+				if err := s.CheckDirectory(); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}

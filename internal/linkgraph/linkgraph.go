@@ -3,9 +3,10 @@
 // crawler's global mutex, so every worker serialized on it once per outlink
 // — the hot-path bottleneck after the frontier was sharded. Here the
 // relation is partitioned by hash(oid_src) into Stripes physical tables
-// (LINK#0 … LINK#n-1), each with its own bysrc/bydst B+tree indexes and its
-// own mutex; edges of one source page always land in one stripe, so a
-// page's whole out-link batch commits under a single stripe lock.
+// (LINK#0 … LINK#n-1), each with its own bysrc B+tree index, its own
+// in-memory in-edge directory and its own mutex; edges of one source page
+// always land in one stripe, so a page's whole out-link batch commits under
+// a single stripe lock.
 //
 // Ingest is batched: a worker accumulates a fetched page's out-edges in a
 // Batch without holding any lock, then Apply groups the batch by stripe and
@@ -14,14 +15,18 @@
 // the edge identity) before insertion, so the same edge arriving in two
 // workers' batches is stored exactly once. With Stripes=1 the store is the
 // single LINK table of the pre-stripe crawler, bit for bit: one heap, the
-// same insertion order, the same index keys.
+// same insertion order, the same bysrc keys.
 //
 // Incoming-weight sweeps (UpdateIncomingFwd) are dst-routed: a sharded
 // dst -> stripe-presence registry, maintained at ingest under the stripe
 // lock, names the stripes holding edges into a target, and a sweep locks
-// and probes only those — O(in-degree stripes) instead of O(Stripes) per
-// visit. See registry.go for the registry and the registration-ordering
-// argument that keeps routed sweeps exact against concurrent ingest.
+// only those and walks their in-edge directories — O(in-degree stripes)
+// instead of O(Stripes) per visit. The directory maps oid_dst to the RIDs of
+// the stripe's rows into it; it is the sweep's only access path, so it lives
+// in memory rather than as a B+tree every ingested edge would pay a random
+// insert into. See registry.go for the registry and the
+// registration-ordering argument that keeps routed sweeps exact against
+// concurrent ingest.
 //
 // # Lock ordering
 //
@@ -112,7 +117,8 @@ func (b *Batch) Edges() []Edge { return b.edges }
 // Reset empties the batch for reuse.
 func (b *Batch) Reset() { b.edges = b.edges[:0] }
 
-// stripe is one partition: its own table, indexes, and lock.
+// stripe is one partition: its own table, bysrc index, in-edge directory,
+// and lock.
 type stripe struct {
 	id int
 	// The bottom of the lock tower: frontier-shard, global, and doc-stripe
@@ -122,7 +128,11 @@ type stripe struct {
 	mu    sync.Mutex
 	tab   *relstore.Table
 	bysrc *relstore.Index
-	bydst *relstore.Index
+	// in is the in-edge directory, guarded by mu: filled in applyLocked from
+	// the RIDs InsertBatch assigns, in the same critical section, and walked
+	// by updateIncomingFwd. LINK rows are never moved or deleted, so an
+	// entry stays valid for the life of the store.
+	in inEdges
 
 	// batches recycles the row batches Apply fills for this stripe's table
 	// (relstore.RowBatch keeps its arena across Reset). A batch is taken
@@ -136,6 +146,39 @@ type stripe struct {
 	// copy serves them all; mutators materialize (and clear) the list
 	// before their first write. Guarded by mu.
 	pend []*Snapshot
+}
+
+func newStripe(id int, tab *relstore.Table) *stripe {
+	return &stripe{id: id, tab: tab, in: inEdges{head: make(map[int64]int32)}}
+}
+
+// inEdges maps oid_dst to the RIDs of a stripe's rows into it. Each
+// destination's RIDs form a chain through one slice, newest first, so the
+// directory holds no pointer and the garbage collector never marks it entry
+// by entry (a slice of RIDs per destination costs one object per target).
+type inEdges struct {
+	head map[int64]int32 // dst -> index in link of its newest row
+	link []inEdge
+}
+
+type inEdge struct {
+	rid  relstore.RID
+	next int32 // the previous row's entry in the same chain; -1 ends it
+}
+
+// add records that the row at rid is an edge into dst.
+func (d *inEdges) add(dst int64, rid relstore.RID) {
+	next, ok := d.head[dst]
+	if !ok {
+		next = -1
+	}
+	d.head[dst] = int32(len(d.link))
+	d.link = append(d.link, inEdge{rid: rid, next: next})
+}
+
+// srcKey is bysrc's key function: (oid_src, oid_dst).
+func srcKey(t relstore.Tuple) []byte {
+	return relstore.EncodeKey(t[ColSrc], t[ColDst])
 }
 
 // materializePending copies the stripe's current tuples into every snapshot
@@ -183,32 +226,24 @@ type Store struct {
 	sweepProbes atomic.Int64
 }
 
-// New creates the stripe tables LINK#0 … LINK#n-1 in db, each with bysrc
-// ((oid_src, oid_dst)) and bydst ((oid_dst, oid_src)) indexes. n <= 0 means
-// one stripe.
+// New creates the stripe tables LINK#0 … LINK#n-1 in db, each with a bysrc
+// ((oid_src, oid_dst)) index and an empty in-edge directory. n <= 0 means one
+// stripe.
 func New(db *relstore.DB, n int) (*Store, error) {
 	if n <= 0 {
 		n = 1
 	}
 	s := &Store{db: db, reg: newDstRegistry(n)}
 	for i := 0; i < n; i++ {
-		st := &stripe{id: i}
-		var err error
-		if st.tab, err = db.CreateTable(fmt.Sprintf("LINK#%d", i), Schema()); err != nil {
+		tab, err := db.CreateTable(fmt.Sprintf("LINK#%d", i), Schema())
+		if err != nil {
 			return nil, err
 		}
-		// The key functions serve index rebuilds (AddIndex over existing rows,
+		st := newStripe(i, tab)
+		// The key function serves index rebuilds (AddIndex over existing rows,
 		// BindIndexKey after a reopen) and Table.Insert/Update; ingest encodes
-		// its keys itself, into the batch's arena (stripe.prepare), in this
-		// order: bysrc first, then bydst.
-		if st.bysrc, err = st.tab.AddIndex("bysrc", func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(t[ColSrc], t[ColDst])
-		}); err != nil {
-			return nil, err
-		}
-		if st.bydst, err = st.tab.AddIndex("bydst", func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(t[ColDst], t[ColSrc])
-		}); err != nil {
+		// its keys itself, into the batch's arena (stripe.prepare).
+		if st.bysrc, err = tab.AddIndex("bysrc", srcKey); err != nil {
 			return nil, err
 		}
 		s.stripes = append(s.stripes, st)
@@ -275,11 +310,12 @@ type WeightFunc func(Edge) (float64, error)
 // b.Edges(); a false entry means the edge was a duplicate.
 //
 // A stripe's share of the batch is applied as three set operations, not edge
-// by edge: its rows are encoded and their index orders sorted before the
-// stripe lock is taken (prepare); under the lock one bysrc prefix scan per
-// distinct source removes the duplicates, the weight callbacks run, and one
+// by edge: its rows are encoded and their bysrc keys sorted before the stripe
+// lock is taken (prepare); under the lock one bysrc prefix scan per distinct
+// source removes the duplicates, the weight callbacks run, and one
 // relstore.Table.InsertBatch commits the survivors — the heap in arrival
-// order, each index as one ascending run (applyLocked).
+// order, bysrc as one ascending run — whose RIDs then enter the in-edge
+// directory (applyLocked).
 func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
 	inserted := make([]bool, len(b.edges))
 	if len(b.edges) == 0 {
@@ -324,7 +360,7 @@ func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
 
 // prepare encodes the edges at positions idxs — all of this stripe — as rows
 // of a batch for the stripe's table, row r being edges[idxs[r]], and sorts
-// each index's keys. It reads nothing of the stripe's stored state and runs
+// their bysrc keys. It reads nothing of the stripe's stored state and runs
 // without the stripe lock.
 func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) {
 	rows, _ := st.batches.Get().(*relstore.RowBatch)
@@ -343,17 +379,12 @@ func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) 
 			return rows, err
 		}
 		rows.Key(src, dst) // bysrc
-		rows.Key(dst, src) // bydst
 	}
 	return rows, rows.Sort()
 }
 
-// The positions of the stripe's indexes in its table, which is the order
-// prepare encodes a row's keys in.
-const (
-	ixBySrc = iota
-	ixByDst
-)
+// ixBySrc is bysrc's position among the stripe table's indexes: its only one.
+const ixBySrc = 0
 
 func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge, weight WeightFunc, inserted []bool, reg *dstRegistry) error {
 	st.mu.Lock()
@@ -403,7 +434,10 @@ func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge,
 		return err
 	}
 	for r, i := range idxs {
-		inserted[i] = !rows.Skipped(r)
+		if !rows.Skipped(r) {
+			inserted[i] = true
+			st.in.add(edges[i].Dst, rows.RID(r))
+		}
 	}
 	return nil
 }
@@ -498,16 +532,16 @@ func (st *stripe) scanBySrc(src int64, fn func(Edge) (bool, error)) error {
 // edges are striped by their sources, so they may live in any stripe; the
 // dst registry names the stripes actually holding edges into dst, and only
 // those are locked and probed, in ascending id order — O(in-degree stripes)
-// lock acquisitions and bydst descents per visit instead of O(NumStripes).
+// lock acquisitions and directory walks per visit instead of O(NumStripes).
 // Probing an edge-free stripe would be a no-op, so the result is identical
 // to an every-stripe sweep at any stripe count. Callers must not hold any
 // shard or global lock (stripe locks rank below both) and must have
 // published the target's visited state first; see WeightFunc and the
 // registration ordering in Apply.
 func (s *Store) UpdateIncomingFwd(dst int64, fwd float64) error {
-	return s.sweep(dst, fwd, func(st *stripe, prefix []byte) error {
+	return s.sweep(dst, func(st *stripe) error {
 		st.mu.Lock()
-		err := st.updateIncomingFwd(prefix, fwd)
+		err := st.updateIncomingFwd(dst, fwd)
 		st.mu.Unlock()
 		return err
 	})
@@ -522,12 +556,12 @@ func (s *Store) UpdateIncomingFwd(dst int64, fwd float64) error {
 //
 //focuslint:lock requires=stripe*
 func (s *Store) UpdateIncomingFwdLocked(dst int64, fwd float64) error {
-	return s.sweep(dst, fwd, func(st *stripe, prefix []byte) error {
+	return s.sweep(dst, func(st *stripe) error {
 		// The closure runs on the caller's goroutine, under the barrier's
 		// stripe locks; the checker analyzes closures from an empty state and
 		// cannot see the inherited holds.
 		//focuslint:ignore locktower closure inherits the caller's requires=stripe* holds
-		return st.updateIncomingFwd(prefix, fwd)
+		return st.updateIncomingFwd(dst, fwd)
 	})
 }
 
@@ -535,9 +569,8 @@ func (s *Store) UpdateIncomingFwdLocked(dst int64, fwd float64) error {
 // applying the rewrite through probe. The dst's mask is copied out of the
 // registry before any stripe is touched — registry locks are leaves, never
 // held while acquiring a stripe lock.
-func (s *Store) sweep(dst int64, fwd float64, probe func(st *stripe, prefix []byte) error) error {
+func (s *Store) sweep(dst int64, probe func(st *stripe) error) error {
 	s.sweeps.Add(1)
-	prefix := relstore.EncodeKey(relstore.I64(dst))
 	var scratch [4]uint64 // up to 256 stripes without allocating
 	mask := s.reg.snapshot(dst, scratch[:0])
 	probes := 0
@@ -546,7 +579,7 @@ func (s *Store) sweep(dst int64, fwd float64, probe func(st *stripe, prefix []by
 			si := w*64 + bits.TrailingZeros64(word)
 			word &= word - 1
 			probes++
-			if err := probe(s.stripes[si], prefix); err != nil {
+			if err := probe(s.stripes[si]); err != nil {
 				return err
 			}
 		}
@@ -556,32 +589,86 @@ func (s *Store) sweep(dst int64, fwd float64, probe func(st *stripe, prefix []by
 }
 
 // SweepStats reports how many incoming-weight sweeps ran and how many
-// stripe probes (lock + bydst descent) they cost in total. The ratio is the
+// stripe probes (lock + directory walk) they cost in total. The ratio is the
 // average in-degree stripe spread of swept targets, flat in NumStripes.
 func (s *Store) SweepStats() (sweeps, stripeProbes int64) {
 	return s.sweeps.Load(), s.sweepProbes.Load()
 }
 
+// updateIncomingFwd rewrites the stripe's edges into dst, found by walking
+// dst's chain in the in-edge directory: a pending snapshot's copy aside, the
+// only pages it touches are the heap pages holding those rows.
+//
 //focuslint:lock requires=stripe
-func (st *stripe) updateIncomingFwd(prefix []byte, fwd float64) error {
-	var few [16]relstore.RID // a page's in-links within one stripe are seldom more
-	rids := few[:0]
-	err := st.bydst.ScanPrefix(prefix, func(_ []byte, rid relstore.RID) (bool, error) {
-		rids = append(rids, rid)
-		return false, nil
-	})
-	if err != nil || len(rids) == 0 {
-		return err
+func (st *stripe) updateIncomingFwd(dst int64, fwd float64) error {
+	at, ok := st.in.head[dst]
+	if !ok {
+		return nil
 	}
 	// Copy-on-write: pending snapshots capture the pre-rewrite image.
 	if err := st.materializePending(); err != nil {
 		return err
 	}
-	// wgt_fwd is in neither index key, so it is overwritten where it lies.
-	for _, rid := range rids {
-		if err := st.tab.SetCol(rid, ColWgtFwd, relstore.F64(fwd)); err != nil {
+	// wgt_fwd is not in the bysrc key, so it is overwritten where it lies.
+	for ; at >= 0; at = st.in.link[at].next {
+		if err := st.tab.SetCol(st.in.link[at].rid, ColWgtFwd, relstore.F64(fwd)); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// CheckDirectory verifies every stripe's in-edge directory against a scan of
+// its heap: each row is reached exactly once, at its own RID, from the chain
+// of its oid_dst; the chains hold exactly as many entries as the stripe has
+// rows; and every destination in the directory has the stripe's bit in the
+// dst registry. It takes one stripe lock at a time, so it is exact on a store
+// nothing is writing to.
+func (s *Store) CheckDirectory() error {
+	for _, st := range s.stripes {
+		st.mu.Lock()
+		err := st.checkDirectory(s.reg)
+		st.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+//focuslint:lock requires=stripe
+func (st *stripe) checkDirectory(reg *dstRegistry) error {
+	if n := st.tab.Rows(); int64(len(st.in.link)) != n {
+		return fmt.Errorf("linkgraph: stripe %d: directory holds %d entries for %d rows", st.id, len(st.in.link), n)
+	}
+	dstAt := make(map[relstore.RID]int64, len(st.in.link))
+	err := st.tab.ScanCols([]int{ColDst}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
+		dstAt[rid] = v[0].Int()
+		return false, nil
+	})
+	if err != nil {
+		return err
+	}
+	var scratch [4]uint64
+	for dst, at := range st.in.head {
+		mask := reg.snapshot(dst, scratch[:0])
+		if len(mask) == 0 || mask[st.id/64]&(1<<uint(st.id%64)) == 0 {
+			return fmt.Errorf("linkgraph: stripe %d: directory has destination %d but the registry lacks the stripe's bit", st.id, dst)
+		}
+		for ; at >= 0; at = st.in.link[at].next {
+			if int(at) >= len(st.in.link) {
+				return fmt.Errorf("linkgraph: stripe %d: chain of %d runs off the directory at %d", st.id, dst, at)
+			}
+			rid := st.in.link[at].rid
+			if d, ok := dstAt[rid]; !ok || d != dst {
+				return fmt.Errorf("linkgraph: stripe %d: chain of %d reaches %v, which is no row into it or was reached before", st.id, dst, rid)
+			}
+			// A row is reached once: a second reach finds it gone.
+			delete(dstAt, rid)
+		}
+	}
+	if len(dstAt) != 0 {
+		return fmt.Errorf("linkgraph: stripe %d: %d rows are not on their destination's chain", st.id, len(dstAt))
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package linkgraph
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"focus/internal/relstore"
@@ -269,5 +271,101 @@ func TestSingleStripeMatchesPlainTable(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d = %+v, plain table has %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestUpdateIncomingFwdPoolFetches: a sweep into a destination with k
+// in-edges in one stripe walks the in-edge directory, so it fetches no index
+// page — exactly the heap pages holding those k rows, here one page each,
+// since a page's worth of other edges lands between any two of them.
+func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
+	const (
+		k   = 6
+		dst = 1 << 40
+	)
+	s := newStore(t, 2)
+	filler := int64(0)
+	for i := 0; i < k; i++ {
+		var b Batch
+		b.Add(e(int64(2*i), dst)) // even sources: stripe 0
+		for j := 0; j < 150; j++ {
+			b.Add(e(2*(100+filler%50), 1000+filler))
+			filler++
+		}
+		if _, err := s.Apply(&b, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := map[relstore.PageID]bool{}
+	err := s.stripes[0].tab.ScanCols([]int{ColDst}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
+		if v[0].Int() == dst {
+			pages[rid.Page] = true
+		}
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) != k {
+		t.Fatalf("the %d edges into the target lie on %d heap pages, the test wants one each", k, len(pages))
+	}
+	pool := s.db.Pool()
+	before := pool.Stats()
+	if err := s.UpdateIncomingFwd(dst, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	after := pool.Stats()
+	if got := (after.Hits + after.Misses) - (before.Hits + before.Misses); got != int64(len(pages)) {
+		t.Fatalf("the sweep fetched %d pages, its rows lie on %d", got, len(pages))
+	}
+	rewritten := 0
+	err = s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+		if edge := EdgeOf(tp); edge.Dst == dst && edge.WgtFwd == 0.5 {
+			rewritten++
+		}
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten != k {
+		t.Fatalf("the sweep rewrote %d of %d edges", rewritten, k)
+	}
+}
+
+// TestCheckDirectoryCatchesDrift: the in-edge directory checker passes on a
+// store built by Apply, and fails once the directory is made to disagree with
+// the heap or the registry in each way it can.
+func TestCheckDirectoryCatchesDrift(t *testing.T) {
+	s := newStore(t, 2)
+	var b Batch
+	for src := int64(0); src < 8; src += 2 { // stripe 0
+		b.Add(e(src, 3))
+		b.Add(e(src, 4))
+	}
+	if _, err := s.Apply(&b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.stripes[0]
+	clone := func(d inEdges) inEdges { return inEdges{head: maps.Clone(d.head), link: slices.Clone(d.link)} }
+	good, reg := clone(st.in), s.reg
+	for name, drift := range map[string]func(){
+		"missing chain": func() { delete(st.in.head, 4) },
+		"swapped rows": func() {
+			a, b := &st.in.link[st.in.head[3]], &st.in.link[st.in.head[4]]
+			a.rid, b.rid = b.rid, a.rid
+		},
+		"extra entry":  func() { st.in.add(3, st.in.link[0].rid) },
+		"looped chain": func() { st.in.link[st.in.head[3]].next = st.in.head[3] },
+		"unregistered": func() { s.reg = newDstRegistry(len(s.stripes)) },
+	} {
+		drift()
+		if err := s.CheckDirectory(); err == nil {
+			t.Errorf("%s: CheckDirectory passed", name)
+		}
+		st.in, s.reg = clone(good), reg
 	}
 }

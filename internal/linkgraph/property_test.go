@@ -11,8 +11,8 @@ import (
 )
 
 // byDst is the store's edge set in global (dst, src) order: every stripe's
-// Scan, sorted by EncodeKey(dst, src) — the order one bydst B+tree over the
-// whole relation would yield, whatever the stripe count.
+// Scan, sorted by EncodeKey(dst, src) — the order one (oid_dst, oid_src)
+// index over the whole relation would yield, whatever the stripe count.
 func byDst(t testing.TB, s *Store) []Edge {
 	t.Helper()
 	edges := scanEdges(t, s)
@@ -84,7 +84,7 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 		for _, e := range want {
 			key := relstore.EncodeKey(relstore.I64(e.Dst), relstore.I64(e.Src))
 			if prev != nil && string(key) <= string(prev) {
-				t.Fatalf("bydst order not strictly ascending at %d->%d", e.Src, e.Dst)
+				t.Fatalf("(dst, src) order not strictly ascending at %d->%d", e.Src, e.Dst)
 			}
 			prev = key
 		}

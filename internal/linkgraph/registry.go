@@ -11,9 +11,9 @@ const regShards = 64
 // dstRegistry records, for every oid_dst ever ingested, the set of stripes
 // holding at least one edge into it — the routing table of the dst-routed
 // incoming-weight sweep. Before the registry, UpdateIncomingFwd locked and
-// probed every stripe's bydst index per visit, so the per-visit cost grew
-// linearly with the stripe count even though most stripes hold no edge into the
-// page; with it a sweep touches only the stripes the mask names.
+// probed every stripe per visit, so the per-visit cost grew linearly with the
+// stripe count even though most stripes hold no edge into the page; with it a
+// sweep touches only the stripes the mask names.
 //
 // The registry is sharded by hash(dst) under its own mutexes because writers
 // on different stripes (whose stripe locks do not exclude each other) may

@@ -149,9 +149,9 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 // overlapping edge batches concurrently — with interleaved incoming-weight
 // rewrites and prefix reads, the crawler's exact access mix — and then
 // checks the store against a serial oracle: no edge lost, no edge
-// duplicated, weights deterministic, and the bysrc/bydst indexes exact
-// mirrors of the heap. Run it under -race; the CI concurrency step does,
-// twice.
+// duplicated, weights deterministic, bysrc an exact mirror of the heap, and
+// the in-edge directories equal to it (CheckDirectory). Run it under -race;
+// the CI concurrency step does, twice.
 func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 	for _, stripes := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
@@ -288,42 +288,40 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 				t.Errorf("Rows() = %d, oracle has %d", n, len(oracle))
 			}
 
-			// bysrc and bydst stay mirror-consistent: per stripe, both
-			// indexes enumerate exactly the heap's edge set.
+			// bysrc stays mirror-consistent: per stripe, it enumerates
+			// exactly the heap's edge set. The in-edge directory is checked
+			// against the heap by CheckDirectory.
 			for _, st := range s.stripes {
 				heap := map[[2]int64]bool{}
 				st.tab.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
 					heap[[2]int64{tp[ColSrc].Int(), tp[ColDst].Int()}] = true
 					return false, nil
 				})
-				for _, ix := range []struct {
-					name string
-					ix   *relstore.Index
-				}{{"bysrc", st.bysrc}, {"bydst", st.bydst}} {
-					seen := map[[2]int64]bool{}
-					err := ix.ix.ScanPrefix(nil, func(_ []byte, rid relstore.RID) (bool, error) {
-						tp, err := st.tab.Get(rid)
-						if err != nil {
-							return true, err
-						}
-						key := [2]int64{tp[ColSrc].Int(), tp[ColDst].Int()}
-						if seen[key] {
-							t.Errorf("stripe %d %s: duplicate entry for %v", st.id, ix.name, key)
-						}
-						seen[key] = true
-						if !heap[key] {
-							t.Errorf("stripe %d %s: entry %v not in heap", st.id, ix.name, key)
-						}
-						return false, nil
-					})
+				seen := map[[2]int64]bool{}
+				err := st.bysrc.ScanPrefix(nil, func(_ []byte, rid relstore.RID) (bool, error) {
+					tp, err := st.tab.Get(rid)
 					if err != nil {
-						t.Fatal(err)
+						return true, err
 					}
-					if len(seen) != len(heap) {
-						t.Errorf("stripe %d %s: %d entries, heap has %d rows",
-							st.id, ix.name, len(seen), len(heap))
+					key := [2]int64{tp[ColSrc].Int(), tp[ColDst].Int()}
+					if seen[key] {
+						t.Errorf("stripe %d bysrc: duplicate entry for %v", st.id, key)
 					}
+					seen[key] = true
+					if !heap[key] {
+						t.Errorf("stripe %d bysrc: entry %v not in heap", st.id, key)
+					}
+					return false, nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if len(seen) != len(heap) {
+					t.Errorf("stripe %d bysrc: %d entries, heap has %d rows", st.id, len(seen), len(heap))
+				}
+			}
+			if err := s.CheckDirectory(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
