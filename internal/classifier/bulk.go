@@ -10,9 +10,9 @@ import (
 )
 
 // DocSchema is the DOCUMENT relation of Figure 1: (did, tid, freq). The
-// crawler populates it as part of ordinary keyword indexing; BulkProbe
-// classifies a whole batch of its documents with two joins per internal
-// node instead of per-term index probes.
+// crawl keeps none; Figure 8's fixture does, and BulkClassify classifies a
+// whole batch of its documents with two joins per internal node instead of
+// per-term index probes.
 func DocSchema() *relstore.Schema {
 	return relstore.NewSchema(
 		relstore.Column{Name: "did", Kind: relstore.KInt64},
@@ -21,13 +21,12 @@ func DocSchema() *relstore.Schema {
 	)
 }
 
-// InsertDoc appends one document's term vector to a DOCUMENT table in the
-// vector's ascending tid order, so the stored row order (and everything
-// downstream that sums in row order) is deterministic across runs. The rows
-// go in as one batch (Table.InsertBatch) — the heap's tail page is pinned
-// once for as many rows as it takes, not once per row — through the table's
-// own batch, so the caller must hold whatever serializes the table, as for
-// Insert.
+// InsertDoc appends one document's term vector to a DOCUMENT table (Figure
+// 8's fixture) in the vector's ascending tid order, so the stored row order
+// (and everything downstream that sums in row order) is deterministic. The
+// rows go in as one batch (Table.InsertBatch) — the heap's tail page is
+// pinned once for as many rows as it takes, not once per row — so the
+// caller must hold whatever serializes the table, as for Insert.
 func InsertDoc(tb *relstore.Table, did int64, v textproc.TermVector) error {
 	b := tb.Batch()
 	row := relstore.Tuple{relstore.I64(did), relstore.I64(0), relstore.I32(0)}
@@ -49,13 +48,13 @@ type BulkOptions struct {
 
 // BulkClassify evaluates the posterior of every document in the DOCUMENT
 // table, visiting internal taxonomy nodes in topological order and running
-// the Figure 3 plan (one inner join + one left outer join) at each. It
-// returns posteriors keyed by did. Note that a document is only as visible
-// as its rows: a did with no DOCUMENT rows at all cannot be seen by a table
-// scan and gets no posterior — callers classifying a batch that may contain
-// token-less documents must use BulkClassifyStream, which takes the did set
-// explicitly and classifies empty vectors to the prior-based posterior
-// exactly as the per-page paths do.
+// the Figure 3 plan (one inner join + one left outer join) at each: Figure
+// 8's bulk path. It returns posteriors keyed by did. A document is only as
+// visible as its rows: a did with no DOCUMENT rows at all cannot be seen by
+// a table scan and gets no posterior — callers classifying a batch that may
+// contain token-less documents must use BulkClassifyStream, which takes the
+// did set explicitly and classifies empty vectors to the prior-based
+// posterior exactly as the per-page paths do.
 func (m *Model) BulkClassify(doc *relstore.Table, opt BulkOptions) (map[int64]Posterior, error) {
 	post := make(map[int64]Posterior)
 	err := doc.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {

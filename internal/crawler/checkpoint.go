@@ -2,15 +2,15 @@ package crawler
 
 // Durable checkpoint and resume. A checkpoint captures the crawl at the same
 // consistency point the distillation snapshot uses — the full barrier with
-// pending incoming-weight sweeps drained — plus the DOCUMENT stripe locks,
-// so every persisted relation (CRAWL shards, LINK stripes, DOCUMENT stripes,
-// HUBS/AUTH buffers) reflects one cut of the visit sequence. The mutable
-// in-memory state that is NOT derivable from the relations (visit sequence,
-// counters, politeness clocks, which score buffer is published) goes into a
-// small CKPT key/value table; everything else — harvest log, per-shard oid
-// directory, serverSeen/insertSeq, frontier counts, the link store's dst
-// registry — is rebuilt from the relations at Resume, which keeps the
-// checkpoint write small and the single source of truth on disk.
+// pending incoming-weight sweeps drained — so every persisted relation
+// (CRAWL shards, LINK stripes, HUBS/AUTH buffers) reflects one cut of the
+// visit sequence. The mutable in-memory state that is NOT derivable from the
+// relations (visit sequence, counters, politeness clocks, which score buffer
+// is published) goes into a small CKPT key/value table; everything else —
+// harvest log, per-shard oid directory, serverSeen/insertSeq, frontier
+// counts, the link store's dst registry — is rebuilt from the relations at
+// Resume, which keeps the checkpoint write small and the single source of
+// truth on disk.
 //
 // Bit-identical resume is pinned under the same discipline as the one-shard,
 // one-stripe goldens: Workers=1 (so the quiesce point always falls between
@@ -116,18 +116,16 @@ type CheckpointState struct {
 
 // Checkpoint quiesces the crawl at a distill-grade consistency point and
 // persists everything needed for Resume: it takes epochMu (so no epoch is
-// mid-compute and the published scores are the last snapshot's), the full
-// barrier plus every DOCUMENT stripe lock, drains pendingFwd, writes the
-// CKPT state row, and drives relstore's durable checkpoint (journal, flush,
-// manifest, sync). Safe to call between Runs as well as during one.
+// mid-compute and the published scores are the last snapshot's) and the full
+// barrier, drains pendingFwd, writes the CKPT state row, and drives
+// relstore's durable checkpoint (journal, flush, manifest, sync). Safe to
+// call between Runs as well as during one.
 func (c *Crawler) Checkpoint() error { return c.checkpoint(-1) }
 
 // checkpoint is Checkpoint for the in-crawl trigger: with seen >= 0 it takes
 // none if, once it holds the barrier, the checkpoint counter is no longer the
 // seen its caller read when the trigger fired — another worker's checkpoint
 // has already answered that trigger.
-//
-//focuslint:lock sequence=epoch,stripe*,shard*,global,docstripe*
 func (c *Crawler) checkpoint(seen int64) error {
 	if !c.db.Durable() {
 		return errors.New("crawler: Checkpoint requires a durable DB (relstore.CreateFile or OpenDurable)")
@@ -135,22 +133,14 @@ func (c *Crawler) checkpoint(seen int64) error {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
 	c.lockAll()
+	defer c.unlockAll()
 	if seen >= 0 && c.checkpoints.Load() != seen {
-		c.unlockAll()
 		return nil
 	}
-	for _, ds := range c.docs {
-		ds.mu.Lock()
-	}
-	err := c.checkpointLocked()
-	for i := len(c.docs) - 1; i >= 0; i-- {
-		c.docs[i].mu.Unlock()
-	}
-	c.unlockAll()
-	return err
+	return c.checkpointLocked()
 }
 
-// checkpointLocked does the work under the barrier (plus doc stripe locks).
+// checkpointLocked does the work under the barrier.
 //
 //focuslint:lock requires=stripe*,shard*,global
 func (c *Crawler) checkpointLocked() error {
@@ -318,8 +308,8 @@ func policyByName(name string) (Policy, bool) {
 // are attached (key functions re-bound by well-known index names), rows left
 // in flight at the checkpoint flip back to the frontier, and all derivable
 // in-memory state — harvest log, the shards' oid directories and counters,
-// the link store's dst registry — is recomputed from the relations.
-// cfg supplies the knobs for the continued crawl (budget, workers,
+// the link store's dst registry — is recomputed from the relations. cfg
+// supplies the knobs for the continued crawl (budget, workers,
 // politeness); the shard and stripe counts (a property of the stored tables,
 // whatever cfg.Workers says), mode, and policy come from the checkpoint, and
 // a cfg.Mode mismatch is refused. The fetcher must be positioned to continue
@@ -340,6 +330,17 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 		return nil, fmt.Errorf("crawler: checkpoint uses unknown checkout policy %q", st.Policy)
 	}
 	c := newCrawler(db, model, fetcher, cfg, pol)
+
+	// Older files carry the DOCUMENT stripes and merged snapshot the crawl no
+	// longer keeps: drop them, freeing their pages before anything allocates.
+	for i := 0; db.Table(fmt.Sprintf("DOCUMENT#%d", i)) != nil; i++ {
+		if err := db.DropTable(fmt.Sprintf("DOCUMENT#%d", i)); err != nil {
+			return nil, err
+		}
+	}
+	if err := db.DropTable("DOCUMENT"); err != nil {
+		return nil, err
+	}
 
 	now := time.Now()
 	var harvest []HarvestPoint
@@ -398,14 +399,6 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 		c.hubs, c.auth, c.hubsAlt, c.authAlt = hubs, auth, hubsAlt, authAlt
 	} else {
 		c.hubs, c.auth, c.hubsAlt, c.authAlt = hubsAlt, authAlt, hubs, auth
-	}
-
-	for i := 0; i < st.LinkStripes; i++ {
-		tab := db.Table(fmt.Sprintf("DOCUMENT#%d", i))
-		if tab == nil {
-			return nil, fmt.Errorf("crawler: resume: missing table DOCUMENT#%d", i)
-		}
-		c.docs = append(c.docs, &docStripe{tab: tab})
 	}
 
 	c.visitSeq = st.Visit

@@ -21,9 +21,8 @@ import (
 //     no duplicate oids;
 //   - posterior equivalence: every harvest point's relevance and class
 //     equal a per-page Classify of the same tokens;
-//   - clean drain: every DOCUMENT row of every visited page is present
-//     when Run returns, and distillation's published epoch equals its
-//     snapshotted epoch.
+//   - clean drain: when Run returns, distillation's published epoch equals
+//     its snapshotted epoch.
 func TestClassifyBatchPipelineStress(t *testing.T) {
 	t.Run("serial-stage", inlineClassifyStress)
 }
@@ -119,11 +118,8 @@ func inlineClassifyStress(t *testing.T) {
 	}
 
 	// Posterior equivalence, page by page: the crawl made this same call.
-	wantDocRows := int64(0)
 	for _, h := range log {
-		vec := textproc.VectorOfTokens(pages[h.URL].Tokens)
-		wantDocRows += int64(len(vec))
-		p := c.model.Classify(vec)
+		p := c.model.Classify(textproc.VectorOfTokens(pages[h.URL].Tokens))
 		if h.Relevance != c.model.Relevance(p) {
 			t.Fatalf("%s: crawl relevance %.17g, per-page %.17g",
 				h.URL, h.Relevance, c.model.Relevance(p))
@@ -133,15 +129,8 @@ func inlineClassifyStress(t *testing.T) {
 		}
 	}
 
-	// Clean drain: every visited page's DOCUMENT rows landed before Run
-	// returned, and every snapshotted distillation epoch published.
-	doc, err := c.Doc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Rows() != wantDocRows {
-		t.Fatalf("DOCUMENT has %d rows, want %d", doc.Rows(), wantDocRows)
-	}
+	// Clean drain: every snapshotted distillation epoch published before Run
+	// returned.
 	snapped, published := c.DistillEpochs()
 	if snapped != published {
 		t.Fatalf("undrained distillation: snapshotted %d, published %d", snapped, published)

@@ -83,18 +83,17 @@ type Config struct {
 	// by top-decile hubs after each distillation (default 0.75; 0 keeps the
 	// default, negative disables boosting).
 	HubNeighborBoost float64
-	// SkipDocuments disables populating the DOCUMENT relation (saves space
-	// when the corpus will not be re-classified in bulk).
+	// SkipDocuments is a no-op: the crawl keeps no DOCUMENT relation. The
+	// field stays only because the benchmark's workload table still sets it.
 	SkipDocuments bool
 	// CheckpointEvery persists a durable checkpoint after every k page
 	// visits (0: none by count), piggybacked on the distillation snapshot
 	// point: the same quiesce (pendingFwd drained, consistent cross-shard and
-	// cross-stripe views) plus the DOCUMENT stripe locks, followed by
-	// relstore's atomic checkpoint. It is the longest interval: on a durable
-	// DB a visit also checkpoints once the dirty pages that must wait for
-	// one fill half the buffer pool. Requires a DB opened durable
-	// (relstore.CreateFile/OpenDurable); New errors otherwise. See
-	// checkpoint.go and Crawler.Resume.
+	// cross-stripe views), followed by relstore's atomic checkpoint. It is
+	// the longest interval: on a durable DB a visit also checkpoints once the
+	// dirty pages that must wait for one fill half the buffer pool. Requires
+	// a DB opened durable (relstore.CreateFile/OpenDurable); New errors
+	// otherwise. See checkpoint.go and Crawler.Resume.
 	CheckpointEvery int64
 	// CheckpointExtra, when set, is called inside each checkpoint's quiesce
 	// and its blob is persisted alongside the crawler state, surfacing again
@@ -178,11 +177,10 @@ type Result struct {
 // Crawler owns the crawl state. The CRAWL relation is partitioned by host
 // into one frontier shard per worker (see shard.go), each with its own
 // B+tree priority index and mutex; the LINK relation is striped by source
-// oid into one partition per worker with its own lock (internal/linkgraph),
-// and the DOCUMENT relation is striped the same way under per-stripe
-// RWMutexes — so workers on different shards and stripes touch disjoint
-// tables and proceed in parallel. The counts are a physical property of the
-// stored tables: a resumed crawl keeps its checkpoint's whatever Workers it
+// oid into one partition per worker with its own lock (internal/linkgraph) —
+// so workers on different shards and stripes touch disjoint tables and
+// proceed in parallel. The counts are a physical property of the stored
+// tables: a resumed crawl keeps its checkpoint's whatever Workers it
 // continues with. Only the harvest log, visit sequencing, distillation state
 // (HUBS/AUTH), and the policy still serialize through the global mutex.
 // Fetches (the expensive, high-latency part) run outside all locks, and so
@@ -210,10 +208,8 @@ type Result struct {
 //
 // Lock ordering, from the bottom of the tower up: epochMu < link stripe
 // mutexes (ascending id) < frontier shard mutex (at most one, except under
-// the barrier) < global mutex < DOCUMENT stripe RWMutexes. A doc stripe lock is
-// always the last lock in any acquisition sequence: the insert path holds
-// exactly one with nothing nested, and Doc's snapshot takes its read locks
-// after the global mutex.
+// the barrier) < global mutex. The global mutex is the top of the tower: no
+// tower lock is taken while it is held.
 type Crawler struct {
 	cfg     Config
 	db      *relstore.DB
@@ -222,7 +218,6 @@ type Crawler struct {
 
 	shards []*shard
 	links  *linkgraph.Store
-	docs   []*docStripe
 
 	// epochMu serializes distillation epochs and checkpoints, so the spare
 	// HUBS/AUTH pair belongs to its holder and a checkpoint never sees an
@@ -313,7 +308,7 @@ func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg C
 }
 
 // New creates a crawler over a fresh set of relations in db, with one
-// frontier shard and one LINK/DOCUMENT stripe per worker. The model must be
+// frontier shard and one LINK stripe per worker. The model must be
 // trained and its taxonomy marked with the crawl's good topics.
 func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
 	w := cfg.withDefaults().Workers
@@ -321,7 +316,7 @@ func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) 
 }
 
 // newPartitioned is New with the partitioning given: shards frontier shards,
-// stripes LINK and DOCUMENT stripes.
+// stripes LINK stripes.
 func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, shards, stripes int) (*Crawler, error) {
 	pol := AggressiveDiscovery()
 	if cfg.Mode == ModeUnfocused {
@@ -377,31 +372,7 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 	if c.authAlt, err = scoreTable("AUTH#spare"); err != nil {
 		return nil, err
 	}
-	for i := 0; i < stripes; i++ {
-		tab, err := db.CreateTable(fmt.Sprintf("DOCUMENT#%d", i), classifier.DocSchema())
-		if err != nil {
-			return nil, err
-		}
-		c.docs = append(c.docs, &docStripe{tab: tab})
-	}
 	return c, nil
-}
-
-// docStripe is one partition of the DOCUMENT relation. The RWMutex lets
-// any number of snapshot readers (Doc) share the stripe while excluding the
-// single writer inserting a page's term rows. Doc stripe locks come last in
-// the lock order: nothing else is acquired while one is held.
-type docStripe struct {
-	// Top of the tower (rank 40): may be taken while holding stripe, shard,
-	// and global locks; no tower lock may be acquired under it.
-	//focuslint:lock rank=docstripe order=40 noblockdirect=io,chan,sleep
-	mu  sync.RWMutex
-	tab *relstore.Table
-}
-
-// docFor maps a page oid to its DOCUMENT stripe.
-func (c *Crawler) docFor(oid int64) *docStripe {
-	return c.docs[int(uint64(oid)%uint64(len(c.docs)))]
 }
 
 // Tables exposes the crawl relations (for the distiller, monitors, and
@@ -465,42 +436,6 @@ func (c *Crawler) snapshotCrawlLocked() (*relstore.Table, error) {
 // to use while the crawl runs (each stripe locks for its portion); for a
 // consistent cross-stripe snapshot use it after Run or via Tables.
 func (c *Crawler) Links() *linkgraph.Store { return c.links }
-
-// Doc materializes and returns a merged snapshot of the striped DOCUMENT
-// relation as a table named "DOCUMENT". Like Crawl, each call refreshes the
-// snapshot, freeing the previous copy's pages for reuse — safe to poll,
-// but the previously returned table handle becomes invalid.
-//
-//focuslint:lock sequence=global,docstripe*
-func (c *Crawler) Doc() (*relstore.Table, error) {
-	c.mu.Lock() // catalog writes below
-	defer c.mu.Unlock()
-	for _, ds := range c.docs {
-		ds.mu.RLock()
-	}
-	defer func() {
-		for i := len(c.docs) - 1; i >= 0; i-- {
-			c.docs[i].mu.RUnlock()
-		}
-	}()
-	if err := c.db.DropTable("DOCUMENT"); err != nil {
-		return nil, err
-	}
-	snap, err := c.db.CreateTable("DOCUMENT", classifier.DocSchema())
-	if err != nil {
-		return nil, err
-	}
-	for _, ds := range c.docs {
-		err := ds.tab.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-			_, err := snap.Insert(t)
-			return false, err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return snap, nil
-}
 
 // Model returns the classifier guiding this crawl.
 func (c *Crawler) Model() *classifier.Model { return c.model }
@@ -772,17 +707,16 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 
 	// Classification runs outside all locks: the model's statistics are
 	// read-only after training.
-	vec := textproc.VectorOfTokens(res.Tokens)
-	post := c.model.Classify(vec)
+	post := c.model.Classify(textproc.VectorOfTokens(res.Tokens))
 	rel := c.model.Relevance(post)
 	leaf := c.model.BestLeaf(post)
-	return c.complete(sh, rid, row, vec, res, rel, leaf)
+	return c.complete(sh, rid, row, res, rel, leaf)
 }
 
-// complete finishes a classified visit: row update, harvest log, DOCUMENT
-// rows, incoming-weight sweep, link expansion, and the distillation
-// trigger. Callers hold no locks.
-func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec textproc.TermVector, res *Fetch, rel float64, leaf taxonomy.NodeID) error {
+// complete finishes a classified visit: row update, harvest log,
+// incoming-weight sweep, link expansion, and the distillation and checkpoint
+// triggers. Callers hold no locks.
+func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res *Fetch, rel float64, leaf taxonomy.NodeID) error {
 	oid := row[COID].Int()
 
 	// Persist the visit: the row update is shard-owned; the harvest log and
@@ -809,18 +743,6 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, vec 
 	sh.mu.Unlock()
 	if err != nil {
 		return err
-	}
-
-	// The term rows go to the page's DOCUMENT stripe, outside the global
-	// lock (a page's vector is often hundreds of rows).
-	if !c.cfg.SkipDocuments {
-		ds := c.docFor(oid)
-		ds.mu.Lock()
-		err = classifier.InsertDoc(ds.tab, oid, vec)
-		ds.mu.Unlock()
-		if err != nil {
-			return err
-		}
 	}
 
 	// Now that this page's relevance is known, fix up the forward weights

@@ -166,11 +166,7 @@ func RunHostile(cfg HostileConfig) (*HostileResult, error) {
 		run := func(polite bool) (HostileRunStats, error) {
 			r := crawlRun{
 				Web: web, Topic: cfg.Topic, Seeds: cfg.Seeds,
-				Crawl: crawler.Config{
-					Workers:       cfg.Workers,
-					MaxFetches:    cfg.Budget,
-					SkipDocuments: true,
-				},
+				Crawl: crawler.Config{Workers: cfg.Workers, MaxFetches: cfg.Budget},
 			}
 			mode := "naive"
 			if polite {

@@ -407,11 +407,7 @@ func RunDistillerPerf(cfg DistillerPerfConfig) (*DistillerPerfResult, error) {
 	cfg = cfg.withDefaults()
 	sys, _, err := crawlRun{
 		WebCfg: cfg.Web, Topic: cfg.Topic, Seeds: 25, Frames: cfg.Frames,
-		Crawl: crawler.Config{
-			Workers:       8,
-			MaxFetches:    cfg.CrawlBudget,
-			SkipDocuments: true,
-		},
+		Crawl: crawler.Config{Workers: 8, MaxFetches: cfg.CrawlBudget},
 	}.run()
 	if err != nil {
 		return nil, err

@@ -1,9 +1,9 @@
 // Package locktower enforces the repo's documented lock tower statically.
 //
 // Mutex fields annotated `//focuslint:lock rank=... order=N` form the
-// tower (link stripe < frontier shard < crawler global < DOCUMENT
-// stripe); `leaf` marks terminal locks (registry shards, pool-shard
-// latches, disk mutexes) that may be taken under any tower lock but must
+// tower (crawler epoch < link stripe < frontier shard < crawler global);
+// `leaf` marks terminal locks (registry shards, the pool latch, disk
+// mutexes) that may be taken under any tower lock but must
 // acquire nothing themselves. The analyzer abstract-interprets every
 // function body, propagates acquire summaries through the static call
 // graph, and reports:

@@ -76,7 +76,9 @@ type DurableDisk interface {
 	FreeList() []PageID
 	// Restore imposes allocator state recovered from a manifest: the page
 	// count and the free stack. Pages past n (allocated after the
-	// checkpoint being recovered) are discarded.
+	// checkpoint being recovered) are discarded. An n past the pages the
+	// device holds, or a free page out of range or listed twice, is an
+	// error returned before any state changes.
 	Restore(n int64, free []PageID) error
 	// Sync durably flushes all written pages (fsync for files, a no-op for
 	// memory disks).
@@ -246,24 +248,34 @@ func (d *MemDisk) FreeList() []PageID {
 func (d *MemDisk) Restore(n int64, free []PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n < 0 || (len(free) > 0 && n == 0) {
-		return fmt.Errorf("relstore: restore to invalid page count %d", n)
+	freed, err := restoredFreeSet(n, int64(len(d.pages)), free)
+	if err != nil {
+		return err
 	}
-	for int64(len(d.pages)) > n {
-		d.pages = d.pages[:len(d.pages)-1]
-	}
-	for int64(len(d.pages)) < n {
-		d.pages = append(d.pages, nil)
-	}
+	d.pages = d.pages[:n]
 	d.free = append(d.free[:0], free...)
-	d.freed = make(map[PageID]struct{}, len(free))
+	d.freed = freed
+	return nil
+}
+
+// restoredFreeSet checks Restore's arguments against a device of size
+// pages and returns the free list as a set. A page listed twice would let
+// Allocate hand it out twice.
+func restoredFreeSet(n, size int64, free []PageID) (map[PageID]struct{}, error) {
+	if n < 0 || n > size {
+		return nil, fmt.Errorf("relstore: restore to page count %d of a %d-page disk", n, size)
+	}
+	freed := make(map[PageID]struct{}, len(free))
 	for _, pid := range free {
 		if pid == InvalidPage || int64(pid) > n {
-			return fmt.Errorf("relstore: restored free page %d out of range", pid)
+			return nil, fmt.Errorf("relstore: restored free page %d out of range", pid)
 		}
-		d.freed[pid] = struct{}{}
+		if _, dup := freed[pid]; dup {
+			return nil, fmt.Errorf("relstore: restored free page %d listed twice", pid)
+		}
+		freed[pid] = struct{}{}
 	}
-	return nil
+	return freed, nil
 }
 
 // FileDisk is a DiskManager backed by a single operating-system file. The
@@ -422,25 +434,21 @@ func (d *FileDisk) FreeList() []PageID {
 
 // Restore implements DurableDisk: imposes the manifest's allocator state
 // and truncates the file back to n pages, discarding garbage pages
-// allocated after the checkpoint being recovered.
+// allocated after the checkpoint being recovered. A checkpoint syncs the
+// file at its full length, so n past the file's pages is refused.
 func (d *FileDisk) Restore(n int64, free []PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n < 0 {
-		return fmt.Errorf("relstore: restore to invalid page count %d", n)
+	freed, err := restoredFreeSet(n, d.n, free)
+	if err != nil {
+		return err
 	}
 	if err := d.f.Truncate(n * PageSize); err != nil {
 		return err
 	}
 	d.n = n
 	d.free = append(d.free[:0], free...)
-	d.freed = make(map[PageID]struct{}, len(free))
-	for _, pid := range free {
-		if pid == InvalidPage || int64(pid) > n {
-			return fmt.Errorf("relstore: restored free page %d out of range", pid)
-		}
-		d.freed[pid] = struct{}{}
-	}
+	d.freed = freed
 	return nil
 }
 

@@ -122,8 +122,8 @@
 // coarser locks. The crawler's tower, bottom up, is: the epoch mutex
 // (epochMu, which serializes distillation epochs and checkpoints) < link
 // stripe mutexes (ascending id) < frontier shard mutex < crawler global
-// mutex < DOCUMENT stripe RWMutexes. Cross-partition operations (consistent
-// snapshots, the distillation barrier) take the partition locks in ascending id order
+// mutex. Cross-partition operations (consistent snapshots, the distillation
+// barrier) take the partition locks in ascending id order
 // and everything coarser afterward; single-partition operations may nest a
 // higher-ranked lock (a stripe holder may take a shard lock) but never a
 // lower-ranked one. See DESIGN.md ("Locking and ordering contract") and

@@ -86,6 +86,68 @@ func TestFileDiskFreeReuse(t *testing.T) {
 	_ = b
 }
 
+// TestRestoreRejectsBadAllocatorState feeds both durable disks allocator
+// states no checkpoint can have written — a page count past the device, a
+// free page out of range, one free page twice (Allocate would hand it out
+// twice) — and requires each to be refused with the disk as it was: same
+// page count, same free list, the file not truncated. A sound state then
+// restores as asked.
+func TestRestoreRejectsBadAllocatorState(t *testing.T) {
+	mem := NewMemDisk()
+	file, err := OpenFileDisk(filepath.Join(t.TempDir(), "disk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, d := range map[string]DurableDisk{"mem": mem, "file": file} {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < 5; i++ {
+				if _, err := d.Allocate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Free(2); err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range []struct {
+				n    int64
+				free []PageID
+			}{
+				{6, nil},
+				{1 << 40, nil},
+				{-1, nil},
+				{4, []PageID{5}},
+				{4, []PageID{InvalidPage}},
+				{4, []PageID{3, 1, 3}},
+			} {
+				if err := d.Restore(bad.n, bad.free); err == nil {
+					t.Fatalf("Restore(%d, %v) succeeded", bad.n, bad.free)
+				}
+				if n, fl := d.NumPages(), d.FreeList(); n != 5 || len(fl) != 1 || fl[0] != 2 {
+					t.Fatalf("refused Restore(%d, %v) left %d pages, free list %v", bad.n, bad.free, n, fl)
+				}
+			}
+			if fd, ok := d.(*FileDisk); ok {
+				fi, err := fd.f.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fi.Size() != 5*PageSize {
+					t.Fatalf("refused Restores left the file at %d bytes, want %d", fi.Size(), 5*PageSize)
+				}
+			}
+			if err := d.Restore(4, []PageID{3}); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []PageID{3, 5} {
+				if pid, err := d.Allocate(); err != nil || pid != want {
+					t.Fatalf("Allocate after Restore = %d, %v; want %d", pid, err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestBufferPoolFreePage(t *testing.T) {
 	for _, kind := range diskKinds {
 		t.Run("disk="+kind+"/shards=1", func(t *testing.T) {

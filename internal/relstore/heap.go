@@ -95,6 +95,16 @@ func heapSetSlot(p []byte, i uint16, off, length uint16) {
 	binary.LittleEndian.PutUint16(p[base+2:], length)
 }
 
+// heapPageErr reports a page whose slot array and record area overlap or
+// run off it: a damaged catalog pointing a heap at a page that never was one.
+func heapPageErr(pid PageID, p []byte) error {
+	count, free := int(heapCount(p)), int(heapFree(p))
+	if heapHdr+count*heapSlotLen > free || free > PageSize {
+		return fmt.Errorf("relstore: heap page %d: %d slots and records from offset %d do not fit a page", pid, count, free)
+	}
+	return nil
+}
+
 // heapRoom reports whether a record of length n fits in the page.
 func heapRoom(p []byte, n int) bool {
 	count := int(heapCount(p))
@@ -127,6 +137,10 @@ func (h *HeapFile) InsertRun(recs [][]byte, rids []RID) error {
 	}
 	f, err := h.bp.Fetch(h.last)
 	if err != nil {
+		return err
+	}
+	if err := heapPageErr(h.last, f.Data()); err != nil {
+		h.bp.Unpin(f, false)
 		return err
 	}
 	p, wrote := f.Data(), false // wrote: this run has put a record on f
@@ -167,18 +181,32 @@ func (h *HeapFile) view(rid RID, write bool, fn func(rec []byte) error) error {
 	}
 	defer h.bp.Unpin(f, write)
 	p := f.Data()
-	if rid.Slot >= heapCount(p) {
-		return fmt.Errorf("relstore: RID %v out of range", rid)
-	}
-	off, length := heapSlot(p, rid.Slot)
-	if length == delSlot {
-		return fmt.Errorf("relstore: RID %v deleted", rid)
+	off, length, err := heapRecord(p, rid)
+	if err != nil {
+		return err
 	}
 	end := int(off) + int(length)
-	if end > PageSize {
-		return fmt.Errorf("relstore: RID %v: record runs off its page", rid)
-	}
 	return fn(p[off:end:end])
+}
+
+// heapRecord locates rid's live record on its page p, refusing a page that
+// is not a heap page and a slot that is absent, deleted, or points outside
+// the record area.
+func heapRecord(p []byte, rid RID) (off, length uint16, err error) {
+	if err := heapPageErr(rid.Page, p); err != nil {
+		return 0, 0, err
+	}
+	if rid.Slot >= heapCount(p) {
+		return 0, 0, fmt.Errorf("relstore: RID %v out of range", rid)
+	}
+	off, length = heapSlot(p, rid.Slot)
+	if length == delSlot {
+		return 0, 0, fmt.Errorf("relstore: RID %v deleted", rid)
+	}
+	if off < heapFree(p) || int(off)+int(length) > PageSize {
+		return 0, 0, fmt.Errorf("relstore: RID %v: record at %d+%d lies outside its page's records", rid, off, length)
+	}
+	return off, length, nil
 }
 
 // Get returns a copy of the record at rid.
@@ -201,12 +229,9 @@ func (h *HeapFile) Update(rid RID, rec []byte) error {
 	}
 	defer h.bp.Unpin(f, true)
 	p := f.Data()
-	if rid.Slot >= heapCount(p) {
-		return fmt.Errorf("relstore: RID %v out of range", rid)
-	}
-	off, length := heapSlot(p, rid.Slot)
-	if length == delSlot {
-		return fmt.Errorf("relstore: RID %v deleted", rid)
+	off, length, err := heapRecord(p, rid)
+	if err != nil {
+		return err
 	}
 	if len(rec) > int(length) {
 		return fmt.Errorf("relstore: update grows record (%d > %d)", len(rec), length)
@@ -224,12 +249,8 @@ func (h *HeapFile) Delete(rid RID) error {
 	}
 	defer h.bp.Unpin(f, true)
 	p := f.Data()
-	if rid.Slot >= heapCount(p) {
-		return fmt.Errorf("relstore: RID %v out of range", rid)
-	}
-	_, length := heapSlot(p, rid.Slot)
-	if length == delSlot {
-		return fmt.Errorf("relstore: RID %v already deleted", rid)
+	if _, _, err := heapRecord(p, rid); err != nil {
+		return err
 	}
 	heapSetSlot(p, rid.Slot, 0, delSlot)
 	h.rows--
@@ -237,21 +258,33 @@ func (h *HeapFile) Delete(rid RID) error {
 }
 
 // Scan visits every live record in chain order. fn may return stop=true to
-// end early. The record slice is only valid during the callback.
+// end early. The record slice is only valid during the callback. A chain
+// longer than the disk loops, and is an error.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) (stop bool, err error)) error {
-	pid := h.first
-	for pid != InvalidPage {
+	limit := h.bp.Disk().NumPages()
+	for pid, pages := h.first, int64(0); pid != InvalidPage; pages++ {
+		if pages == limit {
+			return fmt.Errorf("relstore: heap chain from page %d passes %d pages: it loops", h.first, limit)
+		}
 		f, err := h.bp.Fetch(pid)
 		if err != nil {
 			return err
 		}
 		p := f.Data()
-		count := heapCount(p)
+		if err := heapPageErr(pid, p); err != nil {
+			h.bp.Unpin(f, false)
+			return err
+		}
+		count, free := heapCount(p), heapFree(p)
 		next := heapNext(p)
 		for i := uint16(0); i < count; i++ {
 			off, length := heapSlot(p, i)
 			if length == delSlot {
 				continue
+			}
+			if off < free || int(off)+int(length) > PageSize {
+				h.bp.Unpin(f, false)
+				return fmt.Errorf("relstore: heap page %d: slot %d record at %d+%d lies outside its records", pid, i, off, length)
 			}
 			stop, err := fn(RID{Page: pid, Slot: i}, p[off:int(off)+int(length)])
 			if err != nil || stop {

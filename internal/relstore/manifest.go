@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -218,6 +219,9 @@ func OpenDurable(d DurableDisk, o Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
 	// The journal must be read before Restore (its pages may lie beyond the
 	// manifest's page count) and replayed after (its targets are live pages
 	// of the recovered generation).
@@ -248,6 +252,52 @@ func OpenDurable(d DurableDisk, o Options) (*DB, error) {
 	return db, nil
 }
 
+// validate checks what a recovered manifest claims before OpenDurable acts
+// on any of it. The CRC proves only that the payload is the one written; a
+// payload written wrong must still come back as an error, not as an
+// allocator that hands a page out twice, one page with two owners (free and
+// live, a manifest chain and a table), a schema that cannot be built or a
+// tree walk that never ends. The pages inside a heap chain or a tree are
+// checked by the reads that reach them.
+func (m *manifest) validate() error {
+	if m.NumPages < int64(journalRoot) {
+		return fmt.Errorf("relstore: manifest page count %d leaves no room for the metadata pages", m.NumPages)
+	}
+	pages := slices.Concat(m.Free, m.Chains[0], m.Chains[1])
+	for _, tm := range m.Tables {
+		cols := make(map[string]bool, len(tm.Cols))
+		for _, c := range tm.Cols {
+			if cols[c.Name] {
+				return fmt.Errorf("relstore: manifest: table %s lists column %s twice", tm.Name, c.Name)
+			}
+			cols[c.Name] = true
+		}
+		if tm.Rows < 0 || tm.Rows/(PageSize/heapSlotLen) > m.NumPages {
+			return fmt.Errorf("relstore: manifest: table %s claims %d rows", tm.Name, tm.Rows)
+		}
+		pages = append(pages, tm.HeapFirst)
+		if tm.HeapLast != tm.HeapFirst {
+			pages = append(pages, tm.HeapLast)
+		}
+		for _, im := range tm.Indexes {
+			// Every node has two children or one key: 2^32 pages stack no
+			// tree higher than 33.
+			if im.Height < 1 || im.Height > 33 || im.Size < 0 {
+				return fmt.Errorf("relstore: manifest: index %s.%s has height %d, size %d", tm.Name, im.Name, im.Height, im.Size)
+			}
+			pages = append(pages, im.Root)
+		}
+	}
+	owned := make(map[PageID]bool, len(pages))
+	for _, pid := range pages {
+		if pid <= journalRoot || int64(pid) > m.NumPages || owned[pid] {
+			return fmt.Errorf("relstore: manifest: page %d out of range or listed twice", pid)
+		}
+		owned[pid] = true
+	}
+	return nil
+}
+
 func (ds *durableState) noteCommitted(m *manifest) {
 	ds.lastNumPages = m.NumPages
 	ds.lastFreeSet = make(map[PageID]struct{}, len(m.Free))
@@ -261,8 +311,8 @@ func (ds *durableState) noteCommitted(m *manifest) {
 // buffer-pool frame, serializes the catalog and allocator into the inactive
 // manifest root (and its overflow chain), and syncs the disk. The caller
 // must have quiesced all table access for the duration — in the crawler
-// that is the stop-the-world barrier plus the DOCUMENT stripe locks, with
-// the distiller pipeline drained (see crawler.Checkpoint). On any error or
+// that is the epoch mutex and the stop-the-world barrier (see
+// crawler.Checkpoint). On any error or
 // crash the previous checkpoint remains recoverable; on success the new
 // generation is the one recovery will choose.
 func (db *DB) Checkpoint() error {

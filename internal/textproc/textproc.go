@@ -1,5 +1,5 @@
 // Package textproc provides the tokenization and term-hashing pipeline that
-// feeds the classifier's DOCUMENT table. As in the paper (§2.1.3), terms are
+// feeds the classifier its term vectors. As in the paper (§2.1.3), terms are
 // identified by 32-bit hash codes, so the classifier's statistics tables key
 // on small fixed-width integers rather than strings.
 package textproc
