@@ -19,7 +19,7 @@
 //     pure function of seed and config);
 //   - a multi-threaded crawler whose frontier is host-sharded: the CRAWL
 //     relation is partitioned by server hash into per-worker shards, each
-//     with its own B+tree priority index checked out in (numtries ASC,
+//     with its own in-memory frontier set checked out in (numtries ASC,
 //     relevance DESC, serverload ASC) order, with work stealing between
 //     shards; the LINK relation is striped by source with incoming-weight
 //     sweeps dst-routed through a stripe-presence registry, so a visit

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,14 +161,17 @@ func TestGoldenResumeSeed1(t *testing.T) {
 }
 
 // checkRecoveredCrawl asserts what every resumed crawl must satisfy before it
-// runs on: no lost or duplicated visits, CRAWL partitions without an oid
-// B+tree whose in-memory oid directories match their heaps, and LINK stripes
-// whose bysrc index and in-edge directory both match their heaps.
+// runs on: no lost or duplicated visits, CRAWL partitions without a B+tree
+// whose in-memory oid directories and frontier sets match their heaps, and
+// bare LINK stripes whose in-edge and out-edge directories both match their
+// heaps.
 func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointState, cr2 *crawler.Crawler) {
 	t.Helper()
 	for i := 0; i < st.FrontierShards; i++ {
-		if db2.Table(fmt.Sprintf("CRAWL#%d", i)).Index("oid") != nil {
-			t.Fatalf("CRAWL#%d still has an oid index after resume", i)
+		for _, name := range []string{"oid", "frontier"} {
+			if db2.Table(fmt.Sprintf("CRAWL#%d", i)).Index(name) != nil {
+				t.Fatalf("CRAWL#%d still has its %s index after resume", i, name)
+			}
 		}
 	}
 	if err := cr2.CheckDirectory(); err != nil {
@@ -191,29 +196,40 @@ func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointS
 		}
 	}
 
-	// bysrc mirror consistency: every stored edge must be reachable through
-	// it. CheckDirectory above already matched the in-edge directories to
-	// the heaps.
+	// Out-edge directory: ScanBySrc, which walks a source's chain, reads back
+	// exactly the edges the heaps hold. CheckDirectory above already matched
+	// both directories to the heaps row by row.
+	heap := map[int64][]int64{}
 	for i := 0; i < st.LinkStripes; i++ {
 		tb := db2.Table(fmt.Sprintf("LINK#%d", i))
 		if tb == nil {
 			t.Fatalf("missing LINK#%d", i)
 		}
-		bysrc := tb.Index("bysrc")
-		var rows int64
-		err := tb.Scan(func(rid relstore.RID, tp relstore.Tuple) (bool, error) {
-			rows++
-			src, dst := tp[linkgraph.ColSrc], tp[linkgraph.ColDst]
-			if r, ok, err := bysrc.Lookup(relstore.EncodeKey(src, dst)); err != nil || !ok || r != rid {
-				return true, fmt.Errorf("bysrc mirror broken for edge %d->%d (ok=%v err=%v)", src.Int(), dst.Int(), ok, err)
+		for _, name := range []string{"bysrc", "bydst"} {
+			if tb.Index(name) != nil {
+				t.Fatalf("LINK#%d still has its %s index after resume", i, name)
 			}
+		}
+		err := tb.ScanCols([]int{linkgraph.ColSrc, linkgraph.ColDst}, func(_ relstore.RID, v []relstore.Value) (bool, error) {
+			heap[v[0].Int()] = append(heap[v[0].Int()], v[1].Int())
 			return false, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rows != tb.Rows() {
-			t.Fatalf("LINK#%d scan saw %d rows, heap says %d", i, rows, tb.Rows())
+	}
+	for src, want := range heap {
+		slices.Sort(want)
+		var got []int64
+		err := cr2.Links().ScanBySrc(src, func(e linkgraph.Edge) (bool, error) {
+			got = append(got, e.Dst)
+			return false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ScanBySrc(%d) reads %d edges, the heap holds %d out of it", src, len(got), len(want))
 		}
 	}
 }
@@ -350,12 +366,140 @@ func TestResumeDropsLegacyOidIndex(t *testing.T) {
 	}
 }
 
+// deadFirst fails its first n fetches as dead links, recording their URLs,
+// and fetches the rest from the web: the first n checkouts of a crawl expand
+// nothing and re-queue nothing, so they follow the frontier order the crawl
+// had when it started.
+type deadFirst struct {
+	n    int
+	seen []string
+	web  crawler.Fetcher
+}
+
+func (f *deadFirst) Fetch(url string) (*crawler.Fetch, error) {
+	if len(f.seen) < f.n {
+		f.seen = append(f.seen, url)
+		return nil, errors.New("dead link")
+	}
+	return f.web.Fetch(url)
+}
+
+// TestResumeDropsParentFrontierIndex: a file checkpointed while each CRAWL#i
+// partition still kept its frontier B+tree (before the in-memory frontier
+// set) resumes. Resume drops the tree, its pages reaching the free list, and
+// rebuilds the frontier sets from the heaps; the resumed crawl checks out in
+// the order the parent's trees gave, read from the file before the drop, and
+// then crawls on into the freed pages without growing the file.
+func TestResumeDropsParentFrontierIndex(t *testing.T) {
+	cfg := Config{
+		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
+		GoodTopics: []string{"cycling"},
+		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
+		Crawl: crawler.Config{
+			Workers:         2,
+			MaxFetches:      200,
+			DistillEvery:    100,
+			CheckpointEvery: 100,
+		},
+	}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SeedTopic("cycling", 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The parent's shape: every partition kept a frontier tree under the
+	// aggressive policy's key, every row in it, status first.
+	shards := sys.Crawler.NumShards()
+	for i := 0; i < shards; i++ {
+		if _, err := sys.DB.Table(fmt.Sprintf("CRAWL#%d", i)).AddIndex("frontier", crawler.AggressiveDiscovery().Key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := relstore.OpenFile(cfg.DBPath, relstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parent's checkout order: its trees' frontier rows, merged by key
+	// across the partitions, as a one-worker checkout merges the shards.
+	type queued struct {
+		key []byte
+		url string
+	}
+	var order []queued
+	for i := 0; i < shards; i++ {
+		tab := db.Table(fmt.Sprintf("CRAWL#%d", i))
+		err := tab.Index("frontier").ScanPrefix(relstore.EncodeKey(relstore.I32(crawler.StatusFrontier)), func(k []byte, rid relstore.RID) (bool, error) {
+			row, err := tab.Get(rid)
+			if err == nil {
+				order = append(order, queued{slices.Clone(k), row[crawler.CURL].S})
+			}
+			return err != nil, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.SortFunc(order, func(a, b queued) int { return bytes.Compare(a.key, b.key) })
+	st, err := crawler.ReadCheckpoint(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dead = 40
+	if len(order) < dead {
+		t.Fatalf("the parent queued %d rows, the test checks the first %d", len(order), dead)
+	}
+
+	free := db.Disk().FreePages()
+	fetcher := &deadFirst{n: dead, web: NewFetcher(sys.Web)}
+	ccfg := cfg.Crawl
+	ccfg.Workers, ccfg.CheckpointEvery, ccfg.MaxFetches = 1, 0, st.Fetches+dead+40
+	cr, err := crawler.Resume(db, sys.Model, fetcher, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Disk().FreePages() <= free {
+		t.Fatalf("free list %d pages after dropping the frontier trees, %d before", db.Disk().FreePages(), free)
+	}
+	checkRecoveredCrawl(t, db, st, cr)
+	pages := db.Disk().NumPages()
+	res, err := cr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, url := range fetcher.seen {
+		if url != order[i].url {
+			t.Fatalf("checkout %d after resume is %s, the parent's frontier tree put %s there", i, url, order[i].url)
+		}
+	}
+	if res.Visited <= st.Visited {
+		t.Fatalf("the resumed crawl visited nothing past its %d dead links", dead)
+	}
+	if n := db.Disk().NumPages(); n != pages {
+		t.Fatalf("file grew from %d to %d pages with the frontier trees' freed pages to reuse", pages, n)
+	}
+	if err := cr.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveryCrashStress injects a disk fault mid-crawl — the write fails
 // partway through a checkpoint, the crawl aborts, and the database is
 // reopened from the same memory-backed disk image, exactly what a kill -9
 // between two sector writes leaves behind. The recovered crawl must have no
-// lost or duplicated visits, a bysrc index and in-edge directory matching
-// every LINK stripe's heap, and must run to completion. Runs with several arm points so the fault lands in
+// lost or duplicated visits, in-edge and out-edge directories matching every
+// LINK stripe's heap, and must run to completion. Runs with several arm points so the fault lands in
 // different checkpoint phases, and at two pool sizes: in 2048 frames every
 // write is a checkpoint's, in 192 the pool also writes back pages the last
 // checkpoint does not reference and checkpoints under pressure, so kills land
@@ -483,13 +627,14 @@ func testRecoveryCrash(t *testing.T, frames int, armAt int64) {
 // die with ErrPoolExhausted. It now lives within the pool: pages the last
 // checkpoint does not reference are written back as frames are needed, the
 // rest bring the next checkpoint forward, the budget is spent, and the file
-// closes and resumes with every visit accounted for.
+// closes and resumes with every visit accounted for. The pool is 128 frames:
+// with no B+tree on CRAWL or LINK the crawl fits in 192.
 func TestSmallPoolDurableCrawlStress(t *testing.T) {
 	cfg := Config{
 		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
 		GoodTopics: []string{"cycling"},
 		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
-		Frames:     192,
+		Frames:     128,
 		Crawl: crawler.Config{
 			Workers:         4,
 			MaxFetches:      600,
@@ -516,7 +661,7 @@ func TestSmallPoolDurableCrawlStress(t *testing.T) {
 			res.Checkpoints, byCount)
 	}
 	if ev := sys.DB.Pool().Stats().Evictions; ev == 0 {
-		t.Fatal("no evictions in a 192-frame pool: the crawl did not outgrow it")
+		t.Fatalf("no evictions in a %d-frame pool: the crawl did not outgrow it", cfg.Frames)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)

@@ -7,10 +7,10 @@ package crawler
 // visit sequence. The mutable in-memory state that is NOT derivable from the
 // relations (visit sequence, counters, politeness clocks, which score buffer
 // is published) goes into a small CKPT key/value table; everything else —
-// harvest log, per-shard oid directory, serverSeen/insertSeq, frontier
-// counts, the link store's dst registry — is rebuilt from the relations at
-// Resume, which keeps the checkpoint write small and the single source of
-// truth on disk.
+// harvest log, per-shard oid directory and frontier set, serverSeen/insertSeq,
+// frontier counts, the link store's directories and dst registry — is
+// rebuilt from the relations at Resume, which keeps the checkpoint write
+// small and the single source of truth on disk.
 //
 // Bit-identical resume is pinned under the same discipline as the one-shard,
 // one-stripe goldens: Workers=1 (so the quiesce point always falls between
@@ -305,10 +305,11 @@ func policyByName(name string) (Policy, bool) {
 
 // Resume rebuilds a crawler from the checkpoint in a reopened durable DB and
 // leaves it ready to Run with the remaining budget. The persisted relations
-// are attached (key functions re-bound by well-known index names), rows left
-// in flight at the checkpoint flip back to the frontier, and all derivable
-// in-memory state — harvest log, the shards' oid directories and counters,
-// the link store's dst registry — is recomputed from the relations. cfg
+// are attached (the score tables' key functions re-bound by index name), rows
+// left in flight at the checkpoint flip back to the frontier, and all
+// derivable in-memory state — harvest log, the shards' oid directories,
+// frontier sets and counters, the link store's directories and dst registry
+// — is recomputed from the relations. cfg
 // supplies the knobs for the continued crawl (budget, workers,
 // politeness); the shard and stripe counts (a property of the stored tables,
 // whatever cfg.Workers says), mode, and policy come from the checkpoint, and
@@ -422,28 +423,26 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	return c, nil
 }
 
-// attachShard reopens one CRAWL partition: binds the frontier index key,
-// rebuilds the oid directory, serverSeen/insertSeq/frontierN and the shard's
-// harvest log slice from the rows, flips rows stranded in flight back to the
-// frontier (their fetches died with the crashed process; the status-prefixed
-// policy key makes Update restore them to the priority index), republishes
-// the head hint, and rebases the persisted politeness clocks.
+// attachShard reopens one CRAWL partition: rebuilds the oid directory, the
+// frontier set, serverSeen/insertSeq/frontierN and the shard's harvest log
+// slice from the rows, flips rows stranded in flight back to the frontier
+// (their fetches died with the crashed process), republishes the head hint,
+// and rebases the persisted politeness clocks.
 func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now time.Time) (*shard, []HarvestPoint, error) {
 	tab := db.Table(fmt.Sprintf("CRAWL#%d", id))
 	if tab == nil {
 		return nil, nil, fmt.Errorf("crawler: resume: missing table CRAWL#%d", id)
 	}
-	// A file written before the oid directory has an oid B+tree here whose key
-	// is never bound again: drop it, freeing its pages, before any update.
-	if err := tab.DropIndex("oid"); err != nil {
-		return nil, nil, err
-	}
-	if err := tab.BindIndexKey("frontier", pol.Key); err != nil {
-		return nil, nil, err
+	// A file written before the oid directory and the frontier set has an oid
+	// B+tree and a frontier B+tree here whose keys are never bound again:
+	// drop them, freeing their pages, before any update.
+	for _, name := range []string{"oid", "frontier"} {
+		if err := tab.DropIndex(name); err != nil {
+			return nil, nil, err
+		}
 	}
 	sh := &shard{
 		id: id, policy: pol, crawl: tab,
-		frontier:   tab.Index("frontier"),
 		rids:       make(map[int64]relstore.RID, tab.Rows()),
 		serverSeen: make(map[int32]int32),
 		hosts:      make(map[int32]*hostState),
@@ -454,7 +453,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		row relstore.Tuple
 	}
 	var flips []flip
-	var frontierN int64
+	var entries []frontierEntry
 	var harvest []HarvestPoint
 	err := tab.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
 		sh.rids[t[COID].Int()] = rid
@@ -464,7 +463,11 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		}
 		switch int32(t[CStatus].Int()) {
 		case StatusFrontier:
-			frontierN++
+			key, err := frontierKeyOf(pol, t)
+			if err != nil {
+				return true, err
+			}
+			entries = append(entries, frontierEntry{key, rid})
 		case StatusInflight:
 			flips = append(flips, flip{rid, t})
 		case StatusVisited:
@@ -481,17 +484,20 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	for _, f := range flips {
 		old := f.row.Clone()
 		f.row[CStatus] = relstore.I32(StatusFrontier)
+		key, err := frontierKeyOf(pol, f.row)
+		if err != nil {
+			return nil, nil, err
+		}
 		if err := sh.crawl.UpdateFrom(f.rid, old, f.row); err != nil {
 			return nil, nil, err
 		}
-		frontierN++
+		entries = append(entries, frontierEntry{key, f.rid})
 	}
 	// Every in-flight row has flipped back: inflightRows starts at zero.
-	sh.frontierN.Store(frontierN)
+	sh.front = buildFrontierSet(entries)
+	sh.frontierN.Store(int64(len(entries)))
 	//focuslint:ignore locktower shard is under construction during resume and not yet published to any worker
-	if err := sh.recomputeHeadLocked(); err != nil {
-		return nil, nil, err
-	}
+	sh.recomputeHeadLocked()
 	for sid, ch := range ss.Hosts {
 		hs := &hostState{fails: ch.Fails, breaker: ch.Breaker}
 		if ch.OpenRemain > 0 {

@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -176,7 +175,7 @@ type Result struct {
 
 // Crawler owns the crawl state. The CRAWL relation is partitioned by host
 // into one frontier shard per worker (see shard.go), each with its own
-// B+tree priority index and mutex; the LINK relation is striped by source
+// in-memory frontier set and mutex; the LINK relation is striped by source
 // oid into one partition per worker with its own lock (internal/linkgraph) —
 // so workers on different shards and stripes touch disjoint tables and
 // proceed in parallel. The counts are a physical property of the stored
@@ -444,24 +443,35 @@ func (c *Crawler) Model() *classifier.Model { return c.model }
 func (c *Crawler) NumShards() int { return len(c.shards) }
 
 // SetPolicy swaps the frontier checkout order, rebuilding every shard's
-// priority index under the barrier — the "policy changed dynamically"
-// capability of §3.1.
+// frontier set from a scan of its heap under the barrier — the "policy
+// changed dynamically" capability of §3.1. A policy whose keys do not lead
+// with the row's status or do not fit the set's width is refused by name,
+// and the crawl keeps its old order.
 func (c *Crawler) SetPolicy(p Policy) error {
 	c.lockAll()
 	defer c.unlockAll()
-	for _, sh := range c.shards {
-		if err := sh.crawl.DropIndex("frontier"); err != nil {
-			return err
-		}
-		ix, err := sh.crawl.AddIndex("frontier", p.Key)
+	if err := checkPolicy(p); err != nil {
+		return err
+	}
+	sets := make([]*frontierSet, len(c.shards))
+	for i, sh := range c.shards {
+		var entries []frontierEntry
+		err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
+			if int32(t[CStatus].Int()) != StatusFrontier {
+				return false, nil
+			}
+			key, err := frontierKeyOf(p, t)
+			entries = append(entries, frontierEntry{key, rid})
+			return err != nil, err
+		})
 		if err != nil {
 			return err
 		}
-		sh.frontier = ix
-		sh.policy = p
-		if err := sh.recomputeHeadLocked(); err != nil {
-			return err
-		}
+		sets[i] = buildFrontierSet(entries)
+	}
+	for i, sh := range c.shards {
+		sh.front, sh.policy = sets[i], p
+		sh.recomputeHeadLocked()
 	}
 	c.policy = p
 	return nil
@@ -622,10 +632,10 @@ func (c *Crawler) checkout(home int) (*shard, relstore.RID, relstore.Tuple, bool
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		var best *shard
-		var bestKey []byte
+		var bestKey *frontierKey
 		for _, sh := range c.shards {
-			if h := sh.head.Load(); h != nil && (best == nil || bytes.Compare(*h, bestKey) < 0) {
-				best, bestKey = sh, *h
+			if h := sh.head.Load(); h != nil && (best == nil || h.compare(bestKey) < 0) {
+				best, bestKey = sh, h
 			}
 		}
 		if best == nil {
@@ -682,26 +692,31 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 			c.deadCause[c.deadCauseLocked(sh, row, retryable, limited)].Add(1)
 			row[CStatus] = relstore.I32(StatusDead)
 			delete(sh.notBefore, oid)
-		} else {
-			row[CStatus] = relstore.I32(StatusFrontier)
-			c.retries.Add(1)
-			if c.politeOn {
-				// The row re-enters the frontier but checkout must not
-				// touch it before its backoff (or the server's retry-after
-				// hint) has elapsed.
-				if d := c.retryDelay(oid, tries, rle); d > 0 {
-					sh.notBefore[oid] = time.Now().Add(d)
-				}
+			if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+				return err
 			}
-			sh.frontierN.Add(1)
+			sh.inflightRows--
+			return nil
+		}
+		row[CStatus] = relstore.I32(StatusFrontier)
+		c.retries.Add(1)
+		if c.politeOn {
+			// The row re-enters the frontier but checkout must not touch it
+			// before its backoff (or the server's retry-after hint) has
+			// elapsed.
+			if d := c.retryDelay(oid, tries, rle); d > 0 {
+				sh.notBefore[oid] = time.Now().Add(d)
+			}
+		}
+		key, err := frontierKeyOf(sh.policy, row)
+		if err != nil {
+			return err
 		}
 		if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 			return err
 		}
 		sh.inflightRows--
-		if int32(row[CStatus].Int()) == StatusFrontier {
-			sh.improveHeadLocked(sh.policy.Key(row))
-		}
+		sh.enterLocked(key, rid)
 		return nil
 	}
 
@@ -900,17 +915,11 @@ func (c *Crawler) enqueueTarget(e linkgraph.Edge, dstURL string, srcRel float64)
 	if err != nil || status != StatusFrontier || srcRel <= rel {
 		return err
 	}
-	old, err := sh.crawl.Get(rid)
+	row, err := sh.crawl.Get(rid)
 	if err != nil {
 		return err
 	}
-	row := old.Clone()
-	row[CRel] = relstore.F64(srcRel)
-	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
-		return err
-	}
-	sh.improveHeadLocked(sh.policy.Key(row))
-	return nil
+	return sh.raiseLocked(rid, row, srcRel)
 }
 
 // distill runs one distillation epoch on the worker whose visit triggered

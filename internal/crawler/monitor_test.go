@@ -27,6 +27,11 @@ func plantVisited(t *testing.T, c *Crawler, url string, seq int64, rel float64) 
 	if err != nil || !ok {
 		t.Fatalf("planted row lost: %v ok=%v", err, ok)
 	}
+	key, err := frontierKeyOf(sh.policy, row)
+	if err != nil || !sh.front.delete(&key) {
+		t.Fatalf("planted row not in the frontier set: %v", err)
+	}
+	sh.recomputeHeadLocked()
 	row[CRel] = relstore.F64(rel)
 	row[CLast] = relstore.I64(seq)
 	row[CStatus] = relstore.I32(StatusVisited)

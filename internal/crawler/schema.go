@@ -1,11 +1,12 @@
 // Package crawler implements the paper's goal-directed crawler (§3.2): a
 // multi-threaded fetch loop whose frontier lives in the CRAWL table and is
-// checked out through a B+tree priority index with a dynamically replaceable
-// lexicographic order — aggressive discovery order (numtries ASC, relevance
-// DESC, serverload ASC) by default. The classifier supplies the soft-focus
-// relevance that drives link expansion priorities, classifying each page in
-// the worker that fetched it; the distiller runs concurrently and
-// periodically raises the priority of unvisited pages cited by top hubs.
+// checked out through an in-memory ordered set over that table's unvisited
+// rows, in a dynamically replaceable lexicographic order — aggressive
+// discovery order (numtries ASC, relevance DESC, serverload ASC) by default.
+// The classifier supplies the soft-focus relevance that drives link
+// expansion priorities, classifying each page in the worker that fetched it;
+// the distiller runs concurrently and periodically raises the priority of
+// unvisited pages cited by top hubs.
 package crawler
 
 import (
@@ -152,9 +153,11 @@ func SIDOf(url string) int32 {
 	return int32(h)
 }
 
-// Policy maps a CRAWL row to its frontier-index key. The index orders
-// status first so that checkout can range-scan only unvisited rows;
-// everything after status is the crawl priority.
+// Policy maps a CRAWL row to its checkout-order key: the row's status, then
+// the crawl priority, ending in the oid so that keys are unique. A key must
+// be fixed-width, as EncodeKey of fixed-width columns is. Only StatusFrontier
+// rows are ordered, so the frontier set drops the status and holds the rest,
+// at most 24 bytes; SetPolicy refuses a wider key.
 type Policy struct {
 	Name string
 	Key  func(relstore.Tuple) []byte

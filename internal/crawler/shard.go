@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,8 +10,10 @@ import (
 )
 
 // A shard owns one host-partition of the CRAWL relation: its own table
-// (named CRAWL#<id>), its own in-memory oid directory, and its own B+tree
-// priority index, all guarded by the shard mutex. Hosts are assigned to
+// (named CRAWL#<id>), its own in-memory oid directory, and its own in-memory
+// frontier set — the checkout order over the rows checkout can return — all
+// guarded by the shard mutex. Both are rebuilt from the table's heap on
+// resume; the heap is the only durable state. Hosts are assigned to
 // shards by hashing the server id (shardFor), so every URL of a server — and
 // therefore that server's serverload accounting — lives in exactly one shard.
 //
@@ -36,8 +37,8 @@ type shard struct {
 	crawl  *relstore.Table
 	policy Policy
 
-	rids     map[int64]relstore.RID // oid directory: rows are never moved or deleted
-	frontier *relstore.Index
+	rids  map[int64]relstore.RID // oid directory: rows are never moved or deleted
+	front *frontierSet           // the StatusFrontier rows, ascending by policy key
 
 	// serverSeen counts URLs seen per server id. Because a host maps to
 	// exactly one shard, these counts equal the pre-shard global ones.
@@ -50,13 +51,13 @@ type shard struct {
 	// crawler's inflight it drops when the row does, not at the end of complete.
 	inflightRows int64
 
-	// head publishes the priority key of this shard's current frontier
+	// head publishes the frontier-set key of this shard's current frontier
 	// head (nil when empty), written only under mu and read lock-free by
 	// checkout's shard selection, which pops from the shard whose head is
 	// globally best. The hint may lag mutations by one checkout; that
 	// bounded staleness only affects which shard is chosen, never the
 	// within-shard order.
-	head atomic.Pointer[[]byte]
+	head atomic.Pointer[frontierKey]
 
 	// Politeness state, guarded by mu and populated only when the
 	// crawler's politeness/backoff features are on (see politeness.go).
@@ -67,20 +68,19 @@ type shard struct {
 	notBefore map[int64]time.Time
 }
 
-// newShard creates the shard's CRAWL partition table and priority index.
+// newShard creates the shard's CRAWL partition table and an empty frontier
+// set.
 func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
 	sh := &shard{
 		id: id, policy: policy,
 		rids:       make(map[int64]relstore.RID),
+		front:      &frontierSet{},
 		serverSeen: make(map[int32]int32),
 		hosts:      make(map[int32]*hostState),
 		notBefore:  make(map[int64]time.Time),
 	}
 	var err error
 	if sh.crawl, err = db.CreateTable(fmt.Sprintf("CRAWL#%d", id), CrawlSchema()); err != nil {
-		return nil, err
-	}
-	if sh.frontier, err = sh.crawl.AddIndex("frontier", policy.Key); err != nil {
 		return nil, err
 	}
 	return sh, nil
@@ -152,13 +152,42 @@ func (sh *shard) insertNewLocked(oid int64, sid int32, url string, rel float64) 
 		relstore.I32(StatusFrontier),
 		relstore.I64(sh.insertSeq),
 	}
+	key, err := frontierKeyOf(sh.policy, row)
+	if err != nil {
+		return err
+	}
 	rid, err := sh.crawl.Insert(row)
 	if err == nil {
 		sh.rids[oid] = rid
-		sh.frontierN.Add(1)
-		sh.improveHeadLocked(sh.policy.Key(row))
+		sh.enterLocked(key, rid)
 	}
 	return err
+}
+
+// enterLocked puts the frontier row at rid into the frontier set under key,
+// counts it, and improves the head hint; sh.mu must be held.
+//
+//focuslint:lock requires=shard
+func (sh *shard) enterLocked(key frontierKey, rid relstore.RID) {
+	sh.front.insert(key, rid)
+	sh.frontierN.Add(1)
+	sh.improveHeadLocked(&key)
+}
+
+// rekeyLocked moves the frontier row at rid from key from to key to — its
+// priority was raised — and improves the head hint; sh.mu must be held.
+//
+//focuslint:lock requires=shard
+func (sh *shard) rekeyLocked(from, to frontierKey, rid relstore.RID) error {
+	if from == to {
+		return nil
+	}
+	if !sh.front.delete(&from) {
+		return fmt.Errorf("crawler: shard %d: frontier row at %v is not in the frontier set", sh.id, rid)
+	}
+	sh.front.insert(to, rid)
+	sh.improveHeadLocked(&to)
+	return nil
 }
 
 // improveHeadLocked lowers the published head hint to key if it is better;
@@ -166,30 +195,24 @@ func (sh *shard) insertNewLocked(oid int64, sid int32, url string, rel float64) 
 // a row's priority (inserts, retry re-entries, relevance bumps).
 //
 //focuslint:lock requires=shard
-func (sh *shard) improveHeadLocked(key []byte) {
-	if h := sh.head.Load(); h == nil || bytes.Compare(key, *h) < 0 {
-		k := append([]byte(nil), key...)
+func (sh *shard) improveHeadLocked(key *frontierKey) {
+	if h := sh.head.Load(); h == nil || key.compare(h) < 0 {
+		k := *key
 		sh.head.Store(&k)
 	}
 }
 
-// recomputeHeadLocked rescans the frontier index for the true head (after
-// a removal or an index rebuild); sh.mu must be held.
+// recomputeHeadLocked publishes the frontier set's first key as the head
+// (after a removal or a rebuild); sh.mu must be held.
 //
 //focuslint:lock requires=shard
-func (sh *shard) recomputeHeadLocked() error {
-	prefix := relstore.EncodeKey(relstore.I32(StatusFrontier))
-	var head *[]byte
-	err := sh.frontier.ScanPrefix(prefix, func(k []byte, _ relstore.RID) (bool, error) {
-		kk := append([]byte(nil), k...)
-		head = &kk
-		return true, nil
-	})
-	if err != nil {
-		return err
+func (sh *shard) recomputeHeadLocked() {
+	e, ok := sh.front.first()
+	if !ok {
+		sh.head.Store(nil)
+		return
 	}
-	sh.head.Store(head)
-	return nil
+	sh.head.Store(&e.key)
 }
 
 // checkout pops the shard's best eligible frontier row (in the policy's
@@ -215,46 +238,33 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	if c.politeOn {
 		now = time.Now()
 	}
-	prefix := relstore.EncodeKey(relstore.I32(StatusFrontier))
-	// One index scan serves both the pop and the head hint: the key right
-	// after the popped row is the shard's head once the pop commits (unless
-	// a better row was skipped), so no fresh B+tree descent per checkout.
-	// Exactness is preserved: sh.mu is held, so no mutation can interleave
-	// between the scan and the hint store.
+	// The walk reads each row it passes; with politeness off the first
+	// admits, so a checkout reads one row and writes it back.
 	var (
-		rid                relstore.RID
-		row                relstore.Tuple
-		found              bool
-		wake               time.Time
-		firstSkipped, next *[]byte
+		pop  frontierEntry
+		row  relstore.Tuple
+		wake time.Time
+		err  error
 	)
-	err := sh.frontier.ScanPrefix(prefix, func(k []byte, r relstore.RID) (bool, error) {
-		if found {
-			kk := append([]byte(nil), k...)
-			next = &kk
-			return true, nil
-		}
-		t, err := sh.crawl.Get(r)
-		if err != nil {
-			return true, err
+	sh.front.walk(func(e *frontierEntry) bool {
+		var t relstore.Tuple
+		if t, err = sh.crawl.Get(e.rid); err != nil {
+			return true
 		}
 		if c.politeOn {
 			ok, w := c.admitLocked(sh, t, now)
 			noteWake(&wake, w)
 			if !ok {
-				if firstSkipped == nil {
-					kk := append([]byte(nil), k...)
-					firstSkipped = &kk
-				}
-				return false, nil
+				return false
 			}
 		}
-		rid, row, found = r, t, true
-		return false, nil
+		pop, row = *e, t
+		return true
 	})
-	if err != nil || !found {
+	if err != nil || row == nil {
 		return relstore.RID{}, nil, false, wake, err
 	}
+	rid := pop.rid
 	old := row.Clone()
 	if c.checkoutHook != nil {
 		c.checkoutHook(sh, old)
@@ -263,16 +273,13 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 		return relstore.RID{}, nil, false, wake, err
 	}
+	sh.front.delete(&pop.key)
 	sh.inflightRows++
 	c.inflight.Add(1)
 	sh.frontierN.Add(-1)
-	// Skipped rows sort before the popped one, so the best remaining
-	// frontier key is the first skip when there was one.
-	if firstSkipped != nil {
-		sh.head.Store(firstSkipped)
-	} else {
-		sh.head.Store(next)
-	}
+	// Skipped rows stay in the set ahead of the popped one, so its first key
+	// is the best remaining one either way.
+	sh.recomputeHeadLocked()
 	if c.politeOn {
 		c.acquireHostLocked(sh, SIDOf(row[CURL].S), now)
 		delete(sh.notBefore, row[COID].Int())
@@ -294,14 +301,31 @@ func (sh *shard) boostLocked(oid int64, boost float64) error {
 	if int32(row[CStatus].Int()) == StatusFrontier &&
 		row[CTries].Int() == 0 &&
 		row[CRel].Float() < boost {
-		old := row.Clone()
-		row[CRel] = relstore.F64(boost)
-		if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
-			return err
-		}
-		sh.improveHeadLocked(sh.policy.Key(row))
+		return sh.raiseLocked(rid, row, boost)
 	}
 	return nil
+}
+
+// raiseLocked sets the relevance of the frontier row at rid, which holds
+// row, to rel — a raise — and re-keys it in the frontier set; sh.mu must be
+// held. row is modified.
+//
+//focuslint:lock requires=shard
+func (sh *shard) raiseLocked(rid relstore.RID, row relstore.Tuple, rel float64) error {
+	from, err := frontierKeyOf(sh.policy, row)
+	if err != nil {
+		return err
+	}
+	old := row.Clone()
+	row[CRel] = relstore.F64(rel)
+	to, err := frontierKeyOf(sh.policy, row)
+	if err != nil {
+		return err
+	}
+	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+		return err
+	}
+	return sh.rekeyLocked(from, to, rid)
 }
 
 // statusRelLocked reads the status and relevance of the row at rid where
@@ -329,29 +353,66 @@ func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, er
 	return rid, row, true, nil
 }
 
-// CheckDirectory verifies every shard's oid directory against a heap scan of
-// its CRAWL partition — one entry per row, each at that row's RID — and then
-// the LINK stripes' in-edge directories (linkgraph.Store.CheckDirectory). It
-// takes one shard or stripe lock at a time, so it is exact on a crawl that is
-// not running.
+// CheckDirectory verifies every shard's in-memory state against a heap scan
+// of its CRAWL partition, and then the LINK stripes' directories
+// (linkgraph.Store.CheckDirectory). A shard's oid directory must hold one
+// entry per row, each at that row's RID. Its frontier set must be well
+// formed and hold each StatusFrontier row exactly once, at its RID, under
+// the policy's key, and no other row; its size must equal the frontier
+// counter, and the published head must be its first key. It takes one shard
+// or stripe lock at a time, so it is exact on a crawl that is not running.
 func (c *Crawler) CheckDirectory() error {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		err := sh.crawl.ScanCols([]int{COID}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
-			if at, ok := sh.rids[v[0].Int()]; !ok || at != rid {
-				return true, fmt.Errorf("crawler: shard %d: oid %d lies at %v, directory has %v", sh.id, v[0].Int(), rid, at)
-			}
-			return false, nil
-		})
-		if n := sh.crawl.Rows(); err == nil && int64(len(sh.rids)) != n {
-			err = fmt.Errorf("crawler: shard %d: directory holds %d oids for %d rows", sh.id, len(sh.rids), n)
-		}
+		err := sh.checkDirectoryLocked()
 		sh.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
 	return c.links.CheckDirectory()
+}
+
+//focuslint:lock requires=shard
+func (sh *shard) checkDirectoryLocked() error {
+	if err := sh.front.check(); err != nil {
+		return fmt.Errorf("crawler: shard %d: frontier set: %w", sh.id, err)
+	}
+	var frontier int
+	err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
+		if at, ok := sh.rids[t[COID].Int()]; !ok || at != rid {
+			return true, fmt.Errorf("crawler: shard %d: oid %d lies at %v, directory has %v", sh.id, t[COID].Int(), rid, at)
+		}
+		if int32(t[CStatus].Int()) != StatusFrontier {
+			return false, nil
+		}
+		frontier++
+		key, err := frontierKeyOf(sh.policy, t)
+		if err != nil {
+			return true, err
+		}
+		if at, ok := sh.front.find(&key); !ok || at != rid {
+			return true, fmt.Errorf("crawler: shard %d: frontier row %d at %v is not in the frontier set under its key", sh.id, t[COID].Int(), rid)
+		}
+		return false, nil
+	})
+	if err != nil {
+		return err
+	}
+	if n := sh.crawl.Rows(); int64(len(sh.rids)) != n {
+		return fmt.Errorf("crawler: shard %d: directory holds %d oids for %d rows", sh.id, len(sh.rids), n)
+	}
+	if sh.front.Len() != frontier {
+		return fmt.Errorf("crawler: shard %d: frontier set holds %d entries for %d frontier rows", sh.id, sh.front.Len(), frontier)
+	}
+	if n := sh.frontierN.Load(); n != int64(frontier) {
+		return fmt.Errorf("crawler: shard %d: frontier counter says %d, the heap holds %d frontier rows", sh.id, n, frontier)
+	}
+	first, ok := sh.front.first()
+	if h := sh.head.Load(); ok != (h != nil) || ok && *h != first.key {
+		return fmt.Errorf("crawler: shard %d: published head is not the frontier set's first key", sh.id)
+	}
+	return nil
 }
 
 // scanAllLocked visits every CRAWL row across all shards. The barrier must

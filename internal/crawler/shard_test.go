@@ -265,7 +265,7 @@ func TestURLOfBesideCrawlStress(t *testing.T) {
 // TestShardCheckoutOrderProperty verifies, for a fixed site seed, that
 // every checkout respects the (numtries ASC, relevance DESC, serverload
 // ASC) order within its shard — by recomputing the minimum over a direct
-// table scan, independent of the frontier index — and that every URL is
+// table scan, independent of the frontier set — and that every URL is
 // checked out of the shard its host hashes to.
 func TestShardCheckoutOrderProperty(t *testing.T) {
 	f := genSite(11, 240, 12, 0)

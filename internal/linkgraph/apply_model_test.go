@@ -3,6 +3,7 @@ package linkgraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"focus/internal/relstore"
@@ -48,9 +49,9 @@ func (m *refLink) apply(edges []Edge, weight func(Edge) float64) (inserted []boo
 // 2 and 5, and requires: identical inserted flags; the weight callback
 // called exactly once per inserted edge, in the model's order, under the
 // edge's stripe lock with every destination of the group registered; stored
-// tuples identical in heap order stripe by stripe; bysrc indexing exactly
-// the stored rows; and the in-edge directories equal to the heaps
-// (CheckDirectory).
+// tuples identical in heap order stripe by stripe; the out-edge directory
+// reaching exactly the stored rows, read back by ScanBySrc in ascending dst
+// order; and both directories equal to the heaps (CheckDirectory).
 func TestApplyMatchesPerEdgeModel(t *testing.T) {
 	for _, stripes := range []int{1, 2, 5} {
 		for trial := 0; trial < 4; trial++ {
@@ -136,29 +137,32 @@ func TestApplyMatchesPerEdgeModel(t *testing.T) {
 							t.Fatalf("stripe %d heap position %d = %+v, model has %+v", si, i, heap[i], want)
 						}
 					}
-					// bysrc lists every stored row exactly once, under the key
-					// its row gives it, in ascending order.
-					seen := 0
-					var prev string
-					err = st.bysrc.ScanPrefix(nil, func(k []byte, rid relstore.RID) (bool, error) {
-						e, ok := rids[rid]
-						if !ok {
-							t.Errorf("stripe %d bysrc entry %x points at %v, which holds no row", si, k, rid)
-						} else if string(srcKey(e.tuple())) != string(k) {
-							t.Errorf("stripe %d bysrc entry %x points at the row of %d->%d", si, k, e.Src, e.Dst)
+					// The out-edge directory lists every stored row exactly once,
+					// on its source's chain, and ScanBySrc reads a source's
+					// edges back in ascending dst order.
+					seen := map[relstore.RID]bool{}
+					for src, at := range st.dir.out {
+						for ; at >= 0; at = st.dir.rows[at].nextOut {
+							rid := st.dir.rows[at].rid
+							if e, ok := rids[rid]; !ok || e.Src != src || seen[rid] {
+								t.Fatalf("stripe %d out-edge chain of %d reaches %v: row %+v, in heap %v, seen before %v", si, src, rid, e, ok, seen[rid])
+							}
+							seen[rid] = true
 						}
-						if seen > 0 && string(k) <= prev {
-							t.Errorf("stripe %d bysrc keys do not ascend at entry %d", si, seen)
+						var dsts []int64
+						err := s.ScanBySrc(src, func(e Edge) (bool, error) {
+							dsts = append(dsts, e.Dst)
+							return false, nil
+						})
+						if err != nil {
+							t.Fatal(err)
 						}
-						prev = string(k)
-						seen++
-						return false, nil
-					})
-					if err != nil {
-						t.Fatal(err)
+						if !slices.IsSorted(dsts) {
+							t.Fatalf("stripe %d: ScanBySrc(%d) = %v, not ascending", si, src, dsts)
+						}
 					}
-					if seen != len(heap) {
-						t.Fatalf("stripe %d bysrc has %d entries for %d rows", si, seen, len(heap))
+					if len(seen) != len(heap) {
+						t.Fatalf("stripe %d out-edge directory reaches %d rows of %d", si, len(seen), len(heap))
 					}
 				}
 				if err := s.CheckDirectory(); err != nil {

@@ -3,18 +3,21 @@ package linkgraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"focus/internal/relstore"
 )
 
 // TestAttachParentShapedFile reopens a durable LINK store written in the
-// layout that predates the in-edge directory — every stripe carrying a bydst
-// (oid_dst, oid_src) B+tree beside bysrc — and requires Attach to refuse a
-// stripe count short of the file's, drop every bydst tree (its pages reach
-// the free list at the next checkpoint), rebuild directories equal to the
-// heaps, and leave a store whose ingest and sweeps work: new edges insert,
-// stored ones dedup, and a sweep rewrites exactly the edges into its target.
+// layout that predates both directories — every stripe carrying a bysrc
+// (oid_src, oid_dst) B+tree, and a bydst (oid_dst, oid_src) one from before
+// the in-edge directory — and requires Attach to refuse a stripe count short
+// of the file's, drop both trees (their pages reach the free list at the next
+// checkpoint), rebuild directories equal to the heaps, and leave a store
+// whose ingest, reads and sweeps work: new edges insert, stored ones dedup,
+// ScanBySrc reads a source's edges in ascending dst order, and a sweep
+// rewrites exactly the edges into its target.
 func TestAttachParentShapedFile(t *testing.T) {
 	const stripes = 3
 	disk := relstore.NewMemDisk()
@@ -28,7 +31,9 @@ func TestAttachParentShapedFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tab.AddIndex("bysrc", srcKey); err != nil {
+		if _, err := tab.AddIndex("bysrc", func(t relstore.Tuple) []byte {
+			return relstore.EncodeKey(t[ColSrc], t[ColDst])
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tab.AddIndex("bydst", func(t relstore.Tuple) []byte {
@@ -70,12 +75,14 @@ func TestAttachParentShapedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < stripes; i++ {
-		if db2.Table(fmt.Sprintf("LINK#%d", i)).Index("bydst") != nil {
-			t.Fatalf("LINK#%d still has its bydst index after Attach", i)
+		for _, name := range []string{"bysrc", "bydst"} {
+			if db2.Table(fmt.Sprintf("LINK#%d", i)).Index(name) != nil {
+				t.Fatalf("LINK#%d still has its %s index after Attach", i, name)
+			}
 		}
 	}
 	if disk.FreePages() <= freeBefore {
-		t.Fatalf("free list %d pages after dropping the bydst trees, %d before", disk.FreePages(), freeBefore)
+		t.Fatalf("free list %d pages after dropping the bysrc and bydst trees, %d before", disk.FreePages(), freeBefore)
 	}
 	if err := s.CheckDirectory(); err != nil {
 		t.Fatal(err)
@@ -94,6 +101,25 @@ func TestAttachParentShapedFile(t *testing.T) {
 			t.Errorf("edge %d->%d inserted = %v, want %v", edge.Src, edge.Dst, inserted[i], want)
 		}
 		stored[[2]int64{edge.Src, edge.Dst}] = true
+	}
+	for src := int64(0); src < 60; src++ {
+		var want, got []int64
+		for edge := range stored {
+			if edge[0] == src {
+				want = append(want, edge[1])
+			}
+		}
+		slices.Sort(want)
+		err := s.ScanBySrc(src, func(edge Edge) (bool, error) {
+			got = append(got, edge.Dst)
+			return false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ScanBySrc(%d) = %v, want %v", src, got, want)
+		}
 	}
 	if err := s.UpdateIncomingFwd(7, 0.25); err != nil {
 		t.Fatal(err)

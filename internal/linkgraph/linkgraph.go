@@ -3,28 +3,31 @@
 // crawler's global mutex, so every worker serialized on it once per outlink
 // — the hot-path bottleneck after the frontier was sharded. Here the
 // relation is partitioned by hash(oid_src) into Stripes physical tables
-// (LINK#0 … LINK#n-1), each with its own bysrc B+tree index, its own
-// in-memory in-edge directory and its own mutex; edges of one source page
-// always land in one stripe, so a page's whole out-link batch commits under
-// a single stripe lock.
+// (LINK#0 … LINK#n-1), each a bare heap with its own in-memory in-edge and
+// out-edge directories and its own mutex; edges of one source page always
+// land in one stripe, so a page's whole out-link batch commits under a single
+// stripe lock.
 //
 // Ingest is batched: a worker accumulates a fetched page's out-edges in a
 // Batch without holding any lock, then Apply groups the batch by stripe and
 // walks the stripes in ascending id order, locking each once. Within a
-// stripe, each edge is deduplicated against the bysrc index ((src, dst) is
-// the edge identity) before insertion, so the same edge arriving in two
+// stripe, each edge is deduplicated ((src, dst) is the edge identity) against
+// the batch and against the source's stored edges, found through the
+// out-edge directory, before insertion, so the same edge arriving in two
 // workers' batches is stored exactly once. With Stripes=1 the store is the
 // single LINK table of the pre-stripe crawler, bit for bit: one heap, the
-// same insertion order, the same bysrc keys.
+// same insertion order.
 //
 // Incoming-weight sweeps (UpdateIncomingFwd) are dst-routed: a sharded
 // dst -> stripe-presence registry, maintained at ingest under the stripe
 // lock, names the stripes holding edges into a target, and a sweep locks
 // only those and walks their in-edge directories — O(in-degree stripes)
-// instead of O(Stripes) per visit. The directory maps oid_dst to the RIDs of
-// the stripe's rows into it; it is the sweep's only access path, so it lives
-// in memory rather than as a B+tree every ingested edge would pay a random
-// insert into. See registry.go for the registry and the
+// instead of O(Stripes) per visit. The in-edge directory maps oid_dst to the
+// RIDs of the stripe's rows into it, and the out-edge directory oid_src to
+// the RIDs of the rows out of it. They are the stripe's only access paths
+// besides a heap scan, so they live in memory rather than as B+trees every
+// ingested edge would pay a random insert into. See registry.go for the
+// registry and the
 // registration-ordering argument that keeps routed sweeps exact against
 // concurrent ingest.
 //
@@ -46,9 +49,10 @@
 package linkgraph
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -117,27 +121,30 @@ func (b *Batch) Edges() []Edge { return b.edges }
 // Reset empties the batch for reuse.
 func (b *Batch) Reset() { b.edges = b.edges[:0] }
 
-// stripe is one partition: its own table, bysrc index, in-edge directory,
+// stripe is one partition: its own table, in-edge and out-edge directories,
 // and lock.
 type stripe struct {
 	id int
-	// The bottom of the lock tower: frontier-shard, global, and doc-stripe
-	// locks may all be acquired while a stripe mutex is held (Apply's weight
-	// callback does exactly that), never the reverse.
+	// The bottom of the lock tower: frontier-shard and global locks may be
+	// acquired while a stripe mutex is held (Apply's weight callback does
+	// exactly that), never the reverse.
 	//focuslint:lock rank=stripe order=10
-	mu    sync.Mutex
-	tab   *relstore.Table
-	bysrc *relstore.Index
-	// in is the in-edge directory, guarded by mu: filled in applyLocked from
-	// the RIDs InsertBatch assigns, in the same critical section, and walked
-	// by updateIncomingFwd. LINK rows are never moved or deleted, so an
-	// entry stays valid for the life of the store.
-	in inEdges
+	mu  sync.Mutex
+	tab *relstore.Table
+	// dir holds the in-edge and out-edge directories, guarded by mu: filled
+	// in applyLocked from the RIDs InsertBatch assigns, in the same critical
+	// section. Its in-edge chains are walked by updateIncomingFwd, its
+	// out-edge chains by ingest's dedup, Contains and ScanBySrc. LINK rows are
+	// never moved or deleted, so an entry stays valid for the life of the
+	// store.
+	dir edgeDirectory
+	// ord is skipDuplicates' sort scratch, guarded by mu.
+	ord []int32
 
 	// batches recycles the row batches Apply fills for this stripe's table
 	// (relstore.RowBatch keeps its arena across Reset). A batch is taken
-	// before the stripe lock, because it is filled and sorted outside it, so
-	// the stripe cannot simply own one.
+	// before the stripe lock, because it is filled outside it, so the stripe
+	// cannot simply own one.
 	batches sync.Pool
 
 	// pend holds snapshots registered against this stripe whose tuple run
@@ -149,36 +156,42 @@ type stripe struct {
 }
 
 func newStripe(id int, tab *relstore.Table) *stripe {
-	return &stripe{id: id, tab: tab, in: inEdges{head: make(map[int64]int32)}}
+	return &stripe{id: id, tab: tab, dir: edgeDirectory{in: map[int64]int32{}, out: map[int64]int32{}}}
 }
 
-// inEdges maps oid_dst to the RIDs of a stripe's rows into it. Each
-// destination's RIDs form a chain through one slice, newest first, so the
-// directory holds no pointer and the garbage collector never marks it entry
-// by entry (a slice of RIDs per destination costs one object per target).
-type inEdges struct {
-	head map[int64]int32 // dst -> index in link of its newest row
-	link []inEdge
+// edgeDirectory is a stripe's in-edge and out-edge directories over one entry
+// per row: in maps an oid_dst, and out an oid_src, to the entry of the newest
+// row carrying it, and each entry links to the previous row into the same
+// destination and to the previous row out of the same source. A destination's
+// rows and a source's rows each form a chain through one slice, newest
+// first, so the directory holds no pointer and the garbage collector never
+// marks it entry by entry (a slice of RIDs per oid costs one object per oid),
+// and the two directions share each row's RID.
+type edgeDirectory struct {
+	in, out map[int64]int32 // oid -> index in rows of its newest row
+	rows    []edgeRow
 }
 
-type inEdge struct {
-	rid  relstore.RID
-	next int32 // the previous row's entry in the same chain; -1 ends it
+type edgeRow struct {
+	rid relstore.RID
+	// The previous row's entry in the same in-edge and out-edge chain; -1
+	// ends a chain.
+	nextIn, nextOut int32
 }
 
-// add records that the row at rid is an edge into dst.
-func (d *inEdges) add(dst int64, rid relstore.RID) {
-	next, ok := d.head[dst]
-	if !ok {
-		next = -1
+// add records the row at rid, an edge src -> dst.
+func (d *edgeDirectory) add(src, dst int64, rid relstore.RID) {
+	at := int32(len(d.rows))
+	d.rows = append(d.rows, edgeRow{rid: rid, nextIn: chainHead(d.in, dst), nextOut: chainHead(d.out, src)})
+	d.in[dst], d.out[src] = at, at
+}
+
+// chainHead is the entry of oid's newest row in head, or -1.
+func chainHead(head map[int64]int32, oid int64) int32 {
+	if at, ok := head[oid]; ok {
+		return at
 	}
-	d.head[dst] = int32(len(d.link))
-	d.link = append(d.link, inEdge{rid: rid, next: next})
-}
-
-// srcKey is bysrc's key function: (oid_src, oid_dst).
-func srcKey(t relstore.Tuple) []byte {
-	return relstore.EncodeKey(t[ColSrc], t[ColDst])
+	return -1
 }
 
 // materializePending copies the stripe's current tuples into every snapshot
@@ -226,9 +239,8 @@ type Store struct {
 	sweepProbes atomic.Int64
 }
 
-// New creates the stripe tables LINK#0 … LINK#n-1 in db, each with a bysrc
-// ((oid_src, oid_dst)) index and an empty in-edge directory. n <= 0 means one
-// stripe.
+// New creates the stripe tables LINK#0 … LINK#n-1 in db, each a bare heap
+// with empty in-edge and out-edge directories. n <= 0 means one stripe.
 func New(db *relstore.DB, n int) (*Store, error) {
 	if n <= 0 {
 		n = 1
@@ -239,14 +251,7 @@ func New(db *relstore.DB, n int) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := newStripe(i, tab)
-		// The key function serves index rebuilds (AddIndex over existing rows,
-		// BindIndexKey after a reopen) and Table.Insert/Update; ingest encodes
-		// its keys itself, into the batch's arena (stripe.prepare).
-		if st.bysrc, err = tab.AddIndex("bysrc", srcKey); err != nil {
-			return nil, err
-		}
-		s.stripes = append(s.stripes, st)
+		s.stripes = append(s.stripes, newStripe(i, tab))
 	}
 	return s, nil
 }
@@ -256,7 +261,7 @@ func (s *Store) NumStripes() int { return len(s.stripes) }
 
 // stripeIndex is the partition function: a pure function of the source oid
 // and the stripe count, so an edge's location is stable for the life of the
-// store and bysrc lookups touch exactly one stripe. Every path — ingest,
+// store and a source's out-edges lie in exactly one stripe. Every path — ingest,
 // dedup, point lookups, prefix scans — must route through it.
 func (s *Store) stripeIndex(src int64) int {
 	return int(uint64(src) % uint64(len(s.stripes)))
@@ -303,19 +308,18 @@ type WeightFunc func(Edge) (float64, error)
 // Apply ingests a batch in one pass: edges are grouped by stripe, stripes
 // are visited in ascending id order and locked once each, and within a
 // stripe edges apply in batch arrival order (so with one stripe the heap
-// order is exactly the arrival order). Each edge is deduplicated against
-// the bysrc index; duplicates — within the batch or against edges another
-// worker already committed — are skipped. weight, if non-nil, finalizes
-// WgtFwd per inserted edge. Returns inserted flags aligned with
+// order is exactly the arrival order). Each edge is deduplicated against the
+// batch and the stored edges; duplicates — within the batch or against edges
+// another worker already committed — are skipped. weight, if non-nil,
+// finalizes WgtFwd per inserted edge. Returns inserted flags aligned with
 // b.Edges(); a false entry means the edge was a duplicate.
 //
 // A stripe's share of the batch is applied as three set operations, not edge
-// by edge: its rows are encoded and their bysrc keys sorted before the stripe
-// lock is taken (prepare); under the lock one bysrc prefix scan per distinct
-// source removes the duplicates, the weight callbacks run, and one
-// relstore.Table.InsertBatch commits the survivors — the heap in arrival
-// order, bysrc as one ascending run — whose RIDs then enter the in-edge
-// directory (applyLocked).
+// by edge: its rows are encoded before the stripe lock is taken (prepare);
+// under the lock the duplicates are marked (skipDuplicates), the weight
+// callbacks run, and one relstore.Table.InsertBatch commits the survivors to
+// the heap in arrival order, whose RIDs then enter the in-edge and out-edge
+// directories (applyLocked).
 func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
 	inserted := make([]bool, len(b.edges))
 	if len(b.edges) == 0 {
@@ -359,9 +363,8 @@ func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
 }
 
 // prepare encodes the edges at positions idxs — all of this stripe — as rows
-// of a batch for the stripe's table, row r being edges[idxs[r]], and sorts
-// their bysrc keys. It reads nothing of the stripe's stored state and runs
-// without the stripe lock.
+// of a batch for the stripe's table, row r being edges[idxs[r]]. It reads
+// nothing of the stripe's stored state and runs without the stripe lock.
 func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) {
 	rows, _ := st.batches.Get().(*relstore.RowBatch)
 	if rows == nil {
@@ -370,21 +373,16 @@ func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) 
 	rows.Reset()
 	for _, i := range idxs {
 		e := edges[i]
-		src, dst := relstore.I64(e.Src), relstore.I64(e.Dst)
 		err := rows.AddRecord(relstore.Tuple{
-			src, relstore.I32(e.SidSrc), dst, relstore.I32(e.SidDst),
+			relstore.I64(e.Src), relstore.I32(e.SidSrc), relstore.I64(e.Dst), relstore.I32(e.SidDst),
 			relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev),
 		})
 		if err != nil {
 			return rows, err
 		}
-		rows.Key(src, dst) // bysrc
 	}
-	return rows, rows.Sort()
+	return rows, nil
 }
-
-// ixBySrc is bysrc's position among the stripe table's indexes: its only one.
-const ixBySrc = 0
 
 func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge, weight WeightFunc, inserted []bool, reg *dstRegistry) error {
 	st.mu.Lock()
@@ -436,40 +434,55 @@ func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge,
 	for r, i := range idxs {
 		if !rows.Skipped(r) {
 			inserted[i] = true
-			st.in.add(edges[i].Dst, rows.RID(r))
+			st.dir.add(edges[i].Src, edges[i].Dst, rows.RID(r))
 		}
 	}
 	return nil
 }
 
-// skipDuplicates marks the rows whose edge must not be inserted: one already
-// stored, found by a single bysrc prefix scan per distinct source merged
-// against the group's ascending bysrc keys (a freshly visited page has no
-// stored out-edge: one descent says so for all of its links), or one that
-// repeats an earlier row of the group — equal keys sort in arrival order, so
-// the first arrival is the one kept.
+// skipDuplicates marks the rows whose edge must not be inserted: one that
+// repeats an earlier row of the group, or one already stored. The group's
+// rows are sorted by (src, dst) in the stripe's scratch, equal edges in
+// arrival order, so a repeat lies next to its first arrival, which is the one
+// kept. A source's stored edges are read only if the out-edge directory has
+// any: a freshly visited page has none, so its links cost no read.
 //
 //focuslint:lock requires=stripe
 func (st *stripe) skipDuplicates(rows *relstore.RowBatch, idxs []int, edges []Edge) error {
-	ord := rows.Order(ixBySrc)
-	edge := func(at int) Edge { return edges[idxs[ord[at]]] }
-	var prefix [8]byte
+	edge := func(r int32) *Edge { return &edges[idxs[r]] }
+	ord := st.ord[:0]
+	for r := range idxs {
+		ord = append(ord, int32(r))
+	}
+	slices.SortFunc(ord, func(x, y int32) int {
+		a, b := edge(x), edge(y)
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	st.ord = ord
 	for lo, hi := 0, 0; lo < len(ord); lo = hi {
-		src := edge(lo).Src
-		for hi = lo + 1; hi < len(ord) && edge(hi).Src == src; hi++ {
-			if edge(hi).Dst == edge(hi-1).Dst {
+		src := edge(ord[lo]).Src
+		for hi = lo + 1; hi < len(ord) && edge(ord[hi]).Src == src; hi++ {
+			if edge(ord[hi]).Dst == edge(ord[hi-1]).Dst {
 				rows.Skip(int(ord[hi]))
 			}
 		}
-		at := lo
-		err := st.bysrc.ScanPrefix(relstore.AppendKey(prefix[:0], relstore.I64(src)), func(stored []byte, _ relstore.RID) (bool, error) {
-			for at < hi && bytes.Compare(rows.KeyOf(int(ord[at]), ixBySrc), stored) < 0 {
-				at++
+		run := ord[lo:hi]
+		err := st.walkOut(src, func(rid relstore.RID) error {
+			dst, err := st.dstOf(rid)
+			if err != nil {
+				return err
 			}
-			for ; at < hi && bytes.Equal(rows.KeyOf(int(ord[at]), ixBySrc), stored); at++ {
-				rows.Skip(int(ord[at]))
+			at, _ := slices.BinarySearchFunc(run, dst, func(r int32, dst int64) int { return cmp.Compare(edge(r).Dst, dst) })
+			for ; at < len(run) && edge(run[at]).Dst == dst; at++ {
+				rows.Skip(int(run[at]))
 			}
-			return at == hi, nil
+			return nil
 		})
 		if err != nil {
 			return err
@@ -478,13 +491,39 @@ func (st *stripe) skipDuplicates(rows *relstore.RowBatch, idxs []int, edges []Ed
 	return nil
 }
 
+// walkOut calls fn with the RID of each of src's stored out-edges, newest
+// first.
+//
+//focuslint:lock requires=stripe
+func (st *stripe) walkOut(src int64, fn func(rid relstore.RID) error) error {
+	for at := chainHead(st.dir.out, src); at >= 0; at = st.dir.rows[at].nextOut {
+		if err := fn(st.dir.rows[at].rid); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dstOf reads the oid_dst of the row at rid where it lies; st.mu must be
+// held.
+func (st *stripe) dstOf(rid relstore.RID) (int64, error) {
+	var v [1]relstore.Value
+	err := st.tab.ReadCols(rid, []int{ColDst}, v[:])
+	return v[0].Int(), err
+}
+
 // Contains reports whether the edge (src, dst) is stored.
 func (s *Store) Contains(src, dst int64) (bool, error) {
 	st := s.stripeFor(src)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, ok, err := st.bysrc.Lookup(relstore.EncodeKey(relstore.I64(src), relstore.I64(dst)))
-	return ok, err
+	found := false
+	err := st.walkOut(src, func(rid relstore.RID) error {
+		stored, err := st.dstOf(rid)
+		found = found || stored == dst
+		return err
+	})
+	return found && err == nil, err
 }
 
 // Rows returns the total stored edge count.
@@ -517,14 +556,24 @@ func (s *Store) ScanBySrcLocked(src int64, fn func(Edge) (bool, error)) error {
 
 //focuslint:lock requires=stripe
 func (st *stripe) scanBySrc(src int64, fn func(Edge) (bool, error)) error {
-	prefix := relstore.EncodeKey(relstore.I64(src))
-	return st.bysrc.ScanPrefix(prefix, func(_ []byte, rid relstore.RID) (bool, error) {
+	var out []Edge
+	err := st.walkOut(src, func(rid relstore.RID) error {
 		t, err := st.tab.Get(rid)
-		if err != nil {
-			return true, err
+		if err == nil {
+			out = append(out, EdgeOf(t))
 		}
-		return fn(EdgeOf(t))
+		return err
 	})
+	if err != nil {
+		return err
+	}
+	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.Dst, b.Dst) })
+	for _, e := range out {
+		if stop, err := fn(e); stop || err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // UpdateIncomingFwd sets wgt_fwd = fwd on every stored edge into dst — the
@@ -601,29 +650,29 @@ func (s *Store) SweepStats() (sweeps, stripeProbes int64) {
 //
 //focuslint:lock requires=stripe
 func (st *stripe) updateIncomingFwd(dst int64, fwd float64) error {
-	at, ok := st.in.head[dst]
-	if !ok {
+	at := chainHead(st.dir.in, dst)
+	if at < 0 {
 		return nil
 	}
 	// Copy-on-write: pending snapshots capture the pre-rewrite image.
 	if err := st.materializePending(); err != nil {
 		return err
 	}
-	// wgt_fwd is not in the bysrc key, so it is overwritten where it lies.
-	for ; at >= 0; at = st.in.link[at].next {
-		if err := st.tab.SetCol(st.in.link[at].rid, ColWgtFwd, relstore.F64(fwd)); err != nil {
+	for ; at >= 0; at = st.dir.rows[at].nextIn {
+		if err := st.tab.SetCol(st.dir.rows[at].rid, ColWgtFwd, relstore.F64(fwd)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// CheckDirectory verifies every stripe's in-edge directory against a scan of
-// its heap: each row is reached exactly once, at its own RID, from the chain
-// of its oid_dst; the chains hold exactly as many entries as the stripe has
-// rows; and every destination in the directory has the stripe's bit in the
-// dst registry. It takes one stripe lock at a time, so it is exact on a store
-// nothing is writing to.
+// CheckDirectory verifies every stripe's in-edge and out-edge directories
+// against a scan of its heap: each row is reached exactly once, at its own
+// RID, from the in-edge chain of its oid_dst and from the out-edge chain of
+// its oid_src; each directory holds exactly as many entries as the stripe has
+// rows; and every destination in the in-edge directory has the stripe's bit
+// in the dst registry. It takes one stripe lock at a time, so it is exact on
+// a store nothing is writing to.
 func (s *Store) CheckDirectory() error {
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -638,37 +687,53 @@ func (s *Store) CheckDirectory() error {
 
 //focuslint:lock requires=stripe
 func (st *stripe) checkDirectory(reg *dstRegistry) error {
-	if n := st.tab.Rows(); int64(len(st.in.link)) != n {
-		return fmt.Errorf("linkgraph: stripe %d: directory holds %d entries for %d rows", st.id, len(st.in.link), n)
+	if n := st.tab.Rows(); int64(len(st.dir.rows)) != n {
+		return fmt.Errorf("linkgraph: stripe %d: directory holds %d entries for %d rows", st.id, len(st.dir.rows), n)
 	}
-	dstAt := make(map[relstore.RID]int64, len(st.in.link))
-	err := st.tab.ScanCols([]int{ColDst}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
-		dstAt[rid] = v[0].Int()
+	dstAt := make(map[relstore.RID]int64, len(st.dir.rows))
+	srcAt := make(map[relstore.RID]int64, len(st.dir.rows))
+	err := st.tab.ScanCols([]int{ColDst, ColSrc}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
+		dstAt[rid], srcAt[rid] = v[0].Int(), v[1].Int()
 		return false, nil
 	})
 	if err != nil {
 		return err
 	}
 	var scratch [4]uint64
-	for dst, at := range st.in.head {
+	for dst := range st.dir.in {
 		mask := reg.snapshot(dst, scratch[:0])
 		if len(mask) == 0 || mask[st.id/64]&(1<<uint(st.id%64)) == 0 {
 			return fmt.Errorf("linkgraph: stripe %d: directory has destination %d but the registry lacks the stripe's bit", st.id, dst)
 		}
-		for ; at >= 0; at = st.in.link[at].next {
-			if int(at) >= len(st.in.link) {
-				return fmt.Errorf("linkgraph: stripe %d: chain of %d runs off the directory at %d", st.id, dst, at)
+	}
+	if err := st.dir.check(st.dir.in, func(r *edgeRow) int32 { return r.nextIn }, dstAt); err != nil {
+		return fmt.Errorf("linkgraph: stripe %d: in-edge directory: %w", st.id, err)
+	}
+	if err := st.dir.check(st.dir.out, func(r *edgeRow) int32 { return r.nextOut }, srcAt); err != nil {
+		return fmt.Errorf("linkgraph: stripe %d: out-edge directory: %w", st.id, err)
+	}
+	return nil
+}
+
+// check verifies the chains head starts, linked by next, against endAt, the
+// oid each of the stripe's rows carries at their end: every row is reached
+// exactly once, at its RID, from its oid's chain. endAt is emptied.
+func (d *edgeDirectory) check(head map[int64]int32, next func(*edgeRow) int32, endAt map[relstore.RID]int64) error {
+	for oid, at := range head {
+		for ; at >= 0; at = next(&d.rows[at]) {
+			if int(at) >= len(d.rows) {
+				return fmt.Errorf("chain of %d runs off the directory at %d", oid, at)
 			}
-			rid := st.in.link[at].rid
-			if d, ok := dstAt[rid]; !ok || d != dst {
-				return fmt.Errorf("linkgraph: stripe %d: chain of %d reaches %v, which is no row into it or was reached before", st.id, dst, rid)
+			rid := d.rows[at].rid
+			if end, ok := endAt[rid]; !ok || end != oid {
+				return fmt.Errorf("chain of %d reaches %v, which is no row of it or was reached before", oid, rid)
 			}
 			// A row is reached once: a second reach finds it gone.
-			delete(dstAt, rid)
+			delete(endAt, rid)
 		}
 	}
-	if len(dstAt) != 0 {
-		return fmt.Errorf("linkgraph: stripe %d: %d rows are not on their destination's chain", st.id, len(dstAt))
+	if len(endAt) != 0 {
+		return fmt.Errorf("%d rows are not on their chain", len(endAt))
 	}
 	return nil
 }

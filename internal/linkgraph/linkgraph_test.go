@@ -333,9 +333,9 @@ func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
 	}
 }
 
-// TestCheckDirectoryCatchesDrift: the in-edge directory checker passes on a
-// store built by Apply, and fails once the directory is made to disagree with
-// the heap or the registry in each way it can.
+// TestCheckDirectoryCatchesDrift: the directory checker passes on a store
+// built by Apply, and fails once the in-edge or the out-edge directory is made
+// to disagree with the heap or the registry in each way it can.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	s := newStore(t, 2)
 	var b Batch
@@ -350,22 +350,28 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.stripes[0]
-	clone := func(d inEdges) inEdges { return inEdges{head: maps.Clone(d.head), link: slices.Clone(d.link)} }
-	good, reg := clone(st.in), s.reg
+	clone := func(d edgeDirectory) edgeDirectory {
+		return edgeDirectory{in: maps.Clone(d.in), out: maps.Clone(d.out), rows: slices.Clone(d.rows)}
+	}
+	good, reg := clone(st.dir), s.reg
 	for name, drift := range map[string]func(){
-		"missing chain": func() { delete(st.in.head, 4) },
+		"missing chain": func() { delete(st.dir.in, 4) },
 		"swapped rows": func() {
-			a, b := &st.in.link[st.in.head[3]], &st.in.link[st.in.head[4]]
+			a, b := &st.dir.rows[st.dir.in[3]], &st.dir.rows[st.dir.in[4]]
 			a.rid, b.rid = b.rid, a.rid
 		},
-		"extra entry":  func() { st.in.add(3, st.in.link[0].rid) },
-		"looped chain": func() { st.in.link[st.in.head[3]].next = st.in.head[3] },
+		"extra entry":  func() { st.dir.add(0, 3, st.dir.rows[0].rid) },
+		"looped chain": func() { st.dir.rows[st.dir.in[3]].nextIn = st.dir.in[3] },
 		"unregistered": func() { s.reg = newDstRegistry(len(s.stripes)) },
+		"out-edge chain into another source's rows": func() {
+			st.dir.rows[st.dir.out[0]].nextOut = st.dir.out[2]
+		},
+		"out-edge chain cut short": func() { st.dir.rows[st.dir.out[6]].nextOut = -1 },
 	} {
 		drift()
 		if err := s.CheckDirectory(); err == nil {
 			t.Errorf("%s: CheckDirectory passed", name)
 		}
-		st.in, s.reg = clone(good), reg
+		st.dir, s.reg = clone(good), reg
 	}
 }

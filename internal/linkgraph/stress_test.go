@@ -149,8 +149,8 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 // overlapping edge batches concurrently — with interleaved incoming-weight
 // rewrites and prefix reads, the crawler's exact access mix — and then
 // checks the store against a serial oracle: no edge lost, no edge
-// duplicated, weights deterministic, bysrc an exact mirror of the heap, and
-// the in-edge directories equal to it (CheckDirectory). Run it under -race;
+// duplicated, weights deterministic, ScanBySrc reading back exactly the
+// heap's edges, and both directories equal to it (CheckDirectory). Run it under -race;
 // the CI concurrency step does, twice.
 func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 	for _, stripes := range []int{1, 4, 7} {
@@ -288,37 +288,30 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 				t.Errorf("Rows() = %d, oracle has %d", n, len(oracle))
 			}
 
-			// bysrc stays mirror-consistent: per stripe, it enumerates
-			// exactly the heap's edge set. The in-edge directory is checked
-			// against the heap by CheckDirectory.
-			for _, st := range s.stripes {
-				heap := map[[2]int64]bool{}
-				st.tab.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-					heap[[2]int64{tp[ColSrc].Int(), tp[ColDst].Int()}] = true
-					return false, nil
-				})
-				seen := map[[2]int64]bool{}
-				err := st.bysrc.ScanPrefix(nil, func(_ []byte, rid relstore.RID) (bool, error) {
-					tp, err := st.tab.Get(rid)
-					if err != nil {
-						return true, err
+			// The out-edge directory stays consistent with the heap: over
+			// every source, ScanBySrc reads back exactly the stored edge set,
+			// each edge once, in ascending dst order. Both directories are
+			// checked against the heap by CheckDirectory.
+			bySrc := map[[2]int64]bool{}
+			for src := int64(0); src < srcs; src++ {
+				prev := int64(-1)
+				err := s.ScanBySrc(src, func(edge Edge) (bool, error) {
+					key := [2]int64{edge.Src, edge.Dst}
+					if edge.Src != src || edge.Dst <= prev || bySrc[key] {
+						t.Errorf("ScanBySrc(%d) read %d->%d after dst %d", src, edge.Src, edge.Dst, prev)
 					}
-					key := [2]int64{tp[ColSrc].Int(), tp[ColDst].Int()}
-					if seen[key] {
-						t.Errorf("stripe %d bysrc: duplicate entry for %v", st.id, key)
+					if _, ok := got[key]; !ok {
+						t.Errorf("ScanBySrc(%d) read %d->%d, which the heap does not hold", src, edge.Src, edge.Dst)
 					}
-					seen[key] = true
-					if !heap[key] {
-						t.Errorf("stripe %d bysrc: entry %v not in heap", st.id, key)
-					}
+					bySrc[key], prev = true, edge.Dst
 					return false, nil
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(seen) != len(heap) {
-					t.Errorf("stripe %d bysrc: %d entries, heap has %d rows", st.id, len(seen), len(heap))
-				}
+			}
+			if len(bySrc) != len(got) {
+				t.Errorf("ScanBySrc read %d edges, the heap holds %d", len(bySrc), len(got))
 			}
 			if err := s.CheckDirectory(); err != nil {
 				t.Fatal(err)

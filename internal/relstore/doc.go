@@ -15,8 +15,8 @@
 //     varies;
 //   - slotted-page HeapFiles for table rows;
 //   - a B+tree over order-preserving byte-encoded composite keys, used for
-//     the classifier's BLOB/STAT index probes and for crawl-frontier
-//     priority orders; every operation searches and edits the pinned page's
+//     the classifier's BLOB/STAT index probes and the distiller's score
+//     tables; every operation searches and edits the pinned page's
 //     bytes in place (no node is decoded), costs exactly one Fetch per node
 //     it visits, and reports a damaged page as ErrCorruptNode;
 //   - set-oriented writes (see "Writing in sets" below): BTree.InsertRun,
