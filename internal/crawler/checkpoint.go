@@ -423,7 +423,8 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	return c, nil
 }
 
-// attachShard reopens one CRAWL partition: rebuilds the oid directory, the
+// attachShard reopens one CRAWL partition: rebuilds the oid directory (with
+// each row's status and relevance), the
 // frontier set, serverSeen/insertSeq/frontierN and the shard's harvest log
 // slice from the rows, flips rows stranded in flight back to the frontier
 // (their fetches died with the crashed process), republishes the head hint,
@@ -443,7 +444,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	}
 	sh := &shard{
 		id: id, policy: pol, crawl: tab,
-		rids:       make(map[int64]relstore.RID, tab.Rows()),
+		rids:       make(map[int64]dirEntry, tab.Rows()),
 		serverSeen: make(map[int32]int32),
 		hosts:      make(map[int32]*hostState),
 		notBefore:  make(map[int64]time.Time),
@@ -456,7 +457,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	var entries []frontierEntry
 	var harvest []HarvestPoint
 	err := tab.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
-		sh.rids[t[COID].Int()] = rid
+		sh.rids[t[COID].Int()] = entryOf(rid, t)
 		sh.serverSeen[SIDOf(t[CURL].S)]++
 		if s := t[CSeq].Int(); s > sh.insertSeq {
 			sh.insertSeq = s
@@ -491,6 +492,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		if err := sh.crawl.UpdateFrom(f.rid, old, f.row); err != nil {
 			return nil, nil, err
 		}
+		sh.rids[f.row[COID].Int()] = entryOf(f.rid, f.row)
 		entries = append(entries, frontierEntry{key, f.rid})
 	}
 	// Every in-flight row has flipped back: inflightRows starts at zero.

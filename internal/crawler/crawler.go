@@ -218,6 +218,10 @@ type Crawler struct {
 	shards []*shard
 	links  *linkgraph.Store
 
+	// expansions recycles the *expansion scratch of Seed and expandLinks, so
+	// a visit's link expansion allocates no per-edge slice.
+	expansions sync.Pool
+
 	// epochMu serializes distillation epochs and checkpoints, so the spare
 	// HUBS/AUTH pair belongs to its holder and a checkpoint never sees an
 	// epoch mid-compute. It is taken with no other lock held and stays held
@@ -478,12 +482,65 @@ func (c *Crawler) SetPolicy(p Policy) error {
 }
 
 // Seed inserts the start set D(C*) with relevance 1, each URL into its
-// host's home shard.
+// host's home shard unless it is there already.
 func (c *Crawler) Seed(urls []string) error {
+	x := c.expansion()
+	defer c.expansions.Put(x)
 	for _, u := range urls {
-		sh := c.shardFor(SIDOf(u))
+		x.targets = append(x.targets, target{OIDOf(u), SIDOf(u), u})
+	}
+	return c.admit(x, 1.0, false)
+}
+
+// expansion is the scratch of one Seed or link expansion: the out-edge
+// batch, the targets in arrival order, and the same targets grouped by home
+// shard — grouped[ends[i-1]:ends[i]] are shard i's (from 0 for shard 0).
+type expansion struct {
+	batch   linkgraph.Batch
+	targets []target
+	grouped []target
+	ends    []int
+}
+
+// expansion takes an emptied scratch from c.expansions.
+func (c *Crawler) expansion() *expansion {
+	x, _ := c.expansions.Get().(*expansion)
+	if x == nil {
+		return &expansion{}
+	}
+	x.batch.Reset()
+	x.targets = x.targets[:0]
+	return x
+}
+
+// admit enters x.targets into their home shards a shard at a time: grouped
+// by shard (a counting sort, arrival order kept within each group), shards
+// in ascending id order, each group under one hold of its shard's lock
+// (shard.admitLocked, which says what prio and raise mean). With one shard
+// the group is the targets in arrival order.
+func (c *Crawler) admit(x *expansion, prio float64, raise bool) error {
+	x.ends = append(x.ends[:0], make([]int, len(c.shards))...)
+	for _, t := range x.targets {
+		x.ends[c.shardIndex(t.sid)]++
+	}
+	for si, at := 0, 0; si < len(x.ends); si++ {
+		x.ends[si], at = at, at+x.ends[si]
+	}
+	x.grouped = append(x.grouped[:0], x.targets...)
+	for _, t := range x.targets {
+		si := c.shardIndex(t.sid)
+		x.grouped[x.ends[si]] = t
+		x.ends[si]++
+	}
+	lo := 0
+	for si, sh := range c.shards {
+		group := x.grouped[lo:x.ends[si]]
+		lo = x.ends[si]
+		if len(group) == 0 {
+			continue
+		}
 		sh.mu.Lock()
-		err := sh.insertFrontierLocked(u, 1.0)
+		err := sh.admitLocked(group, prio, raise)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -692,7 +749,7 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 			c.deadCause[c.deadCauseLocked(sh, row, retryable, limited)].Add(1)
 			row[CStatus] = relstore.I32(StatusDead)
 			delete(sh.notBefore, oid)
-			if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+			if err := sh.writeLocked(rid, old, row); err != nil {
 				return err
 			}
 			sh.inflightRows--
@@ -712,7 +769,7 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 		if err != nil {
 			return err
 		}
-		if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+		if err := sh.writeLocked(rid, old, row); err != nil {
 			return err
 		}
 		sh.inflightRows--
@@ -744,7 +801,7 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res 
 	row[CKcid] = relstore.I32(int32(leaf))
 	row[CLast] = relstore.I64(c.visitSeq)
 	row[CStatus] = relstore.I32(StatusVisited)
-	err := sh.crawl.UpdateFrom(rid, old, row)
+	err := sh.writeLocked(rid, old, row)
 	if err == nil {
 		sh.inflightRows--
 		c.visited.Add(1)
@@ -829,97 +886,67 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res 
 }
 
 // expandLinks records the page's out-edges through the batched linkgraph
-// ingest and then enqueues (or priority-boosts) the targets. The batch is
-// accumulated lock-free, committed to the stripes in one Apply pass, and
-// the frontier pass walks the surviving edges in original outlink order —
-// so with one worker and one stripe the observable effects are identical,
-// step for step, to the old per-link path. Each out-link URL is hashed once,
-// here: the edge carries the target's oid and server id to the weight
-// callback and to the frontier pass.
+// ingest and then enters the targets into the frontier. The batch is
+// accumulated lock-free and committed to the stripes in one Apply pass; the
+// frontier pass then takes the surviving edges a shard at a time (admit):
+// a new target is queued at srcRel, a queued one whose citer is more
+// relevant is raised to it (soft focus; the unfocused baseline queues at 0
+// and raises nothing). With one worker — one stripe, one shard — the
+// observable effects are identical, step for step, to the old per-link
+// path. Each out-link URL is hashed once, here: the edge carries the
+// target's oid and server id to the weight callback and to the frontier
+// pass.
 func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
-	var batch linkgraph.Batch
-	urls := make([]string, 0, len(res.Outlinks))
+	x := c.expansion()
+	defer c.expansions.Put(x)
 	for _, out := range res.Outlinks {
 		dst := OIDOf(out)
 		if dst == src {
 			continue
 		}
+		t := target{dst, SIDOf(out), out}
 		// Forward weight EF[u,v] = relevance(v); until v is classified, the
 		// radius-1 rule makes R(u) the best available estimate (the weight
 		// callback substitutes the true relevance at commit time if v has
 		// been visited). Backward weight EB[u,v] = relevance(u), known now.
-		batch.Add(linkgraph.Edge{
+		x.batch.Add(linkgraph.Edge{
 			Src: src, SidSrc: res.ServerID,
-			Dst: dst, SidDst: SIDOf(out),
+			Dst: t.oid, SidDst: t.sid,
 			WgtFwd: srcRel, WgtRev: srcRel,
 		})
-		urls = append(urls, out)
+		x.targets = append(x.targets, t)
 	}
-	inserted, err := c.links.Apply(&batch, c.edgeWeight)
+	inserted, err := c.links.Apply(&x.batch, c.edgeWeight)
 	if err != nil {
 		return err
 	}
-	for i, e := range batch.Edges() {
-		if !inserted[i] {
-			continue // duplicate edge: already enqueued or boosted once
-		}
-		if err := c.enqueueTarget(e, urls[i], srcRel); err != nil {
-			return err
+	// A duplicate edge's target was entered when the edge first was.
+	kept := x.targets[:0]
+	for i, t := range x.targets {
+		if inserted[i] {
+			kept = append(kept, t)
 		}
 	}
-	return nil
+	x.targets = kept
+	if c.cfg.Mode == ModeUnfocused {
+		return c.admit(x, 0, false) // FIFO order ignores relevance
+	}
+	return c.admit(x, srcRel, true)
 }
 
 // edgeWeight is Apply's weight callback: called under the edge's stripe
-// lock, it locks the target's home shard and reads its row's status and
-// relevance where they lie — if the target is already visited, its true
-// relevance replaces the radius-1 estimate. Lock order: stripe, then shard
-// (see the Crawler doc).
+// lock, it locks the target's home shard and reads the target's directory
+// entry — if the target is already visited, its true relevance replaces the
+// radius-1 estimate. Lock order: stripe, then shard (see the Crawler doc).
 func (c *Crawler) edgeWeight(e linkgraph.Edge) (float64, error) {
 	sh := c.shardFor(e.SidDst)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	rid, ok := sh.rids[e.Dst]
-	if !ok {
-		return e.WgtFwd, nil
+	d, ok := sh.rids[e.Dst]
+	sh.mu.Unlock()
+	if ok && int32(d.status) == StatusVisited {
+		return d.rel, nil
 	}
-	status, rel, err := sh.statusRelLocked(rid)
-	if err == nil && status == StatusVisited {
-		return rel, nil
-	}
-	return e.WgtFwd, err
-}
-
-// enqueueTarget adds a newly linked URL to its home shard's frontier, or —
-// soft focus — raises the priority of an already queued target when the
-// newly discovered citer is more relevant. One oid-directory read decides
-// which: an absent target is inserted without probing again, a present one
-// has its status and relevance read in place, and the whole row is decoded
-// only when its priority does rise.
-func (c *Crawler) enqueueTarget(e linkgraph.Edge, dstURL string, srcRel float64) error {
-	sh := c.shardFor(e.SidDst)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	rid, known := sh.rids[e.Dst]
-	if !known {
-		prio := srcRel
-		if c.cfg.Mode == ModeUnfocused {
-			prio = 0 // FIFO order ignores it anyway
-		}
-		return sh.insertNewLocked(e.Dst, e.SidDst, dstURL, prio)
-	}
-	if c.cfg.Mode == ModeUnfocused {
-		return nil
-	}
-	status, rel, err := sh.statusRelLocked(rid)
-	if err != nil || status != StatusFrontier || srcRel <= rel {
-		return err
-	}
-	row, err := sh.crawl.Get(rid)
-	if err != nil {
-		return err
-	}
-	return sh.raiseLocked(rid, row, srcRel)
+	return e.WgtFwd, nil
 }
 
 // distill runs one distillation epoch on the worker whose visit triggered
@@ -966,8 +993,8 @@ func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float
 // locks, so the barrier applies the sweep itself (idempotent: the worker's
 // own sweep writes the same value) and the distiller never sees a stale
 // radius-1 weight on an edge into a visited page — and then copies the
-// cross-shard oid -> relevance view, two columns read in place. The barrier
-// must be held.
+// cross-shard oid -> relevance view from the oid directories, reading no
+// CRAWL page. The barrier must be held.
 //
 //focuslint:lock requires=stripe*,shard*,global
 func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
@@ -976,18 +1003,14 @@ func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
 			return nil, err
 		}
 	}
-	var rows int64
+	var rows int
 	for _, sh := range c.shards {
-		rows += sh.crawl.Rows()
+		rows += len(sh.rids)
 	}
 	rel := make(map[int64]float64, rows) // sized once: growing it would be barrier time
 	for _, sh := range c.shards {
-		err := sh.crawl.ScanCols([]int{COID, CRel}, func(_ relstore.RID, v []relstore.Value) (bool, error) {
-			rel[v[0].Int()] = v[1].Float()
-			return false, nil
-		})
-		if err != nil {
-			return nil, err
+		for oid, d := range sh.rids {
+			rel[oid] = d.rel
 		}
 	}
 	return rel, nil

@@ -257,9 +257,14 @@ func TestCheckFrontierSetCatchesDrift(t *testing.T) {
 	}
 	rewrite := func(col int, v relstore.Value) func() {
 		return func() {
-			changed := row.Clone()
+			stored, err := sh.crawl.Get(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := stored.Clone()
 			changed[col] = v
-			if err := sh.crawl.Update(rid, changed); err != nil {
+			// Heap and directory agree: only the frontier set drifts.
+			if err := sh.writeLocked(rid, stored, changed); err != nil {
 				t.Fatal(err)
 			}
 		}

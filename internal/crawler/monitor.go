@@ -152,7 +152,7 @@ func (c *Crawler) MissedNeighbors(percentile float64) ([]MissedNeighbor, error) 
 			return false, nil
 		}
 		hub := h[0].Int()
-		// Both closures below run synchronously under MissedNeighbors'
+		// The closure below runs synchronously under MissedNeighbors'
 		// barrier (lockAll above); the checker analyzes closures from an
 		// empty state and cannot see the inherited holds.
 		//focuslint:ignore locktower closure runs under the caller's lockAll barrier
@@ -160,13 +160,18 @@ func (c *Crawler) MissedNeighbors(percentile float64) ([]MissedNeighbor, error) 
 			if e.SidSrc == e.SidDst {
 				return false, nil
 			}
+			// The directory rules out every target not in the frontier; only
+			// frontier rows are read, for their tries and URL.
 			sh := c.shardFor(e.SidDst)
-			//focuslint:ignore locktower closure runs under the caller's lockAll barrier
-			_, row, ok, err := sh.lookupLocked(e.Dst)
-			if err != nil || !ok {
-				return err != nil, err
+			d, ok := sh.rids[e.Dst]
+			if !ok || int32(d.status) != StatusFrontier {
+				return false, nil
 			}
-			if int32(row[CStatus].Int()) == StatusFrontier && row[CTries].Int() == 0 {
+			row, err := sh.crawl.Get(d.rid())
+			if err != nil {
+				return true, err
+			}
+			if row[CTries].Int() == 0 {
 				out = append(out, MissedNeighbor{
 					URL:       row[CURL].S,
 					Relevance: row[CRel].Float(),

@@ -17,12 +17,12 @@ import (
 // monitoring queries against hand-computed answers.
 func plantVisited(t *testing.T, c *Crawler, url string, seq int64, rel float64) {
 	t.Helper()
+	if err := c.Seed([]string{url}); err != nil {
+		t.Fatal(err)
+	}
 	sh := c.shardFor(SIDOf(url))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.insertFrontierLocked(url, 0); err != nil {
-		t.Fatal(err)
-	}
 	rid, row, ok, err := sh.lookupLocked(OIDOf(url))
 	if err != nil || !ok {
 		t.Fatalf("planted row lost: %v ok=%v", err, ok)
@@ -32,10 +32,11 @@ func plantVisited(t *testing.T, c *Crawler, url string, seq int64, rel float64) 
 		t.Fatalf("planted row not in the frontier set: %v", err)
 	}
 	sh.recomputeHeadLocked()
+	old := row.Clone()
 	row[CRel] = relstore.F64(rel)
 	row[CLast] = relstore.I64(seq)
 	row[CStatus] = relstore.I32(StatusVisited)
-	if err := sh.crawl.Update(rid, row); err != nil {
+	if err := sh.writeLocked(rid, old, row); err != nil {
 		t.Fatal(err)
 	}
 	sh.frontierN.Add(-1)

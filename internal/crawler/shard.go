@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +11,8 @@ import (
 )
 
 // A shard owns one host-partition of the CRAWL relation: its own table
-// (named CRAWL#<id>), its own in-memory oid directory, and its own in-memory
+// (named CRAWL#<id>), its own in-memory oid directory — each row's RID with
+// a mirror of its status and relevance (dirEntry) — and its own in-memory
 // frontier set — the checkout order over the rows checkout can return — all
 // guarded by the shard mutex. Both are rebuilt from the table's heap on
 // resume; the heap is the only durable state. Hosts are assigned to
@@ -20,9 +22,9 @@ import (
 // Lock ordering: a goroutine holds at most one shard mutex at a time and may
 // acquire the crawler's global mutex (harvest log, HUBS/AUTH, policy) while
 // holding it; link stripe mutexes rank *below* shard mutexes (the link
-// store's ingest callback reads a target's shard row under its stripe lock)
-// and are never acquired while a shard or the global mutex is held outside
-// the barrier. Whole-frontier operations (distillation, policy swaps,
+// store's ingest callback reads a target's directory entry under its stripe
+// lock) and are never acquired while a shard or the global mutex is held
+// outside the barrier. Whole-frontier operations (distillation, policy swaps,
 // monitoring queries) take every link stripe lock, then every shard mutex,
 // each in ascending id order, and the global mutex last — see
 // Crawler.lockAll.
@@ -37,8 +39,13 @@ type shard struct {
 	crawl  *relstore.Table
 	policy Policy
 
-	rids  map[int64]relstore.RID // oid directory: rows are never moved or deleted
-	front *frontierSet           // the StatusFrontier rows, ascending by policy key
+	rids  map[int64]dirEntry // oid directory: rows are never moved or deleted
+	front *frontierSet       // the StatusFrontier rows, ascending by policy key
+
+	// Scratch of admitLocked, guarded by mu: the tuple each new row is
+	// encoded from, and the rows the current group adds to the heap.
+	row  relstore.Tuple
+	born []bornRow
 
 	// serverSeen counts URLs seen per server id. Because a host maps to
 	// exactly one shard, these counts equal the pre-shard global ones.
@@ -73,7 +80,7 @@ type shard struct {
 func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
 	sh := &shard{
 		id: id, policy: policy,
-		rids:       make(map[int64]relstore.RID),
+		rids:       make(map[int64]dirEntry),
 		front:      &frontierSet{},
 		serverSeen: make(map[int32]int32),
 		hosts:      make(map[int32]*hostState),
@@ -86,13 +93,59 @@ func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
 	return sh, nil
 }
 
-// shardFor maps a server id to its home shard. The mapping is a pure
-// function of the sid and the shard count, so a host is stable for the
+// dirEntry is a CRAWL row's oid-directory entry: where the row lies, and a
+// mirror of its status and relevance columns, so that link expansion, the
+// hub-neighbor boost and the distill barrier decide what to do with a row
+// without reading its heap page. Every write of either column updates the
+// entry in the critical section that writes the heap (writeLocked,
+// admitLocked; attachShard while it rebuilds). 16 bytes, no pointer.
+type dirEntry struct {
+	page   uint32
+	slot   uint16
+	status int16
+	rel    float64
+}
+
+// newDirEntry is the entry of a row at rid with the given status and
+// relevance.
+func newDirEntry(rid relstore.RID, status int32, rel float64) dirEntry {
+	return dirEntry{page: uint32(rid.Page), slot: rid.Slot, status: int16(status), rel: rel}
+}
+
+// entryOf is the entry of row, stored at rid.
+func entryOf(rid relstore.RID, row relstore.Tuple) dirEntry {
+	return newDirEntry(rid, int32(row[CStatus].Int()), row[CRel].Float())
+}
+
+func (d dirEntry) rid() relstore.RID {
+	return relstore.RID{Page: relstore.PageID(d.page), Slot: d.slot}
+}
+
+// target is a URL to enter into its home shard, with its hashes (OIDOf,
+// SIDOf) computed once by the caller.
+type target struct {
+	oid int64
+	sid int32
+	url string
+}
+
+// bornRow is a row admitLocked has encoded into the table's batch: its oid
+// and frontier-set key, entered once InsertBatch has placed it.
+type bornRow struct {
+	oid int64
+	key frontierKey
+}
+
+// shardIndex maps a server id to its home shard's index. The mapping is a
+// pure function of the sid and the shard count, so a host is stable for the
 // lifetime of a crawl and LINK rows (which carry sid_dst) locate the
 // target's shard without a URL in hand.
-func (c *Crawler) shardFor(sid int32) *shard {
-	return c.shards[int(uint32(sid)%uint32(len(c.shards)))]
+func (c *Crawler) shardIndex(sid int32) int {
+	return int(uint32(sid) % uint32(len(c.shards)))
 }
+
+// shardFor maps a server id to its home shard.
+func (c *Crawler) shardFor(sid int32) *shard { return c.shards[c.shardIndex(sid)] }
 
 // lockAll acquires every link stripe mutex, then every shard mutex, each in
 // ascending id order, and then the global mutex — the stop-the-world
@@ -121,47 +174,87 @@ func (c *Crawler) unlockAll() {
 	c.links.UnlockAll()
 }
 
-// insertFrontierLocked adds a URL to the shard's CRAWL partition if absent;
-// sh.mu must be held.
+// admitLocked enters a group of targets homed in this shard, in the group's
+// order, under one hold of sh.mu — the one way a CRAWL row is born. The oid
+// directory decides each target without reading a heap page: an absent one
+// becomes a frontier row at relevance prio; with raise set, a known frontier
+// row below prio is raised to it (the only case that reads and rewrites a
+// row); any other known target is left alone. The new rows are encoded into
+// the table's own batch and committed by one Table.InsertBatch — one pin of
+// the tail page, and the heap order a loop of inserts would give — and only
+// then enter the directory and the frontier set under the RIDs it assigned.
+// insertSeq and serverSeen are assigned in the group's order. A target
+// repeated in the group is new once and known after: its entry is written
+// when it is encoded, at relevance prio, so no later copy raises it. sh.mu
+// must be held.
 //
 //focuslint:lock requires=shard
-func (sh *shard) insertFrontierLocked(url string, rel float64) error {
-	oid := OIDOf(url)
-	if _, ok := sh.rids[oid]; ok {
-		return nil
+func (sh *shard) admitLocked(group []target, prio float64, raise bool) error {
+	rows := sh.crawl.Batch()
+	sh.born = sh.born[:0]
+	err := sh.stageLocked(rows, group, prio, raise)
+	if err == nil && len(sh.born) > 0 {
+		err = sh.crawl.InsertBatch(rows)
 	}
-	return sh.insertNewLocked(oid, SIDOf(url), url, rel)
-}
-
-// insertNewLocked adds the frontier row of a URL the caller has just found
-// absent from the shard, under the same hold of sh.mu; oid and sid are the
-// URL's hashes (OIDOf, SIDOf), which the caller has in hand.
-//
-//focuslint:lock requires=shard
-func (sh *shard) insertNewLocked(oid int64, sid int32, url string, rel float64) error {
-	sh.serverSeen[sid]++
-	sh.insertSeq++
-	row := relstore.Tuple{
-		relstore.I64(oid),
-		relstore.Str(url),
-		relstore.F64(rel),
-		relstore.I32(0),
-		relstore.I32(sh.serverSeen[sid]),
-		relstore.I64(0),
-		relstore.I32(0),
-		relstore.I32(StatusFrontier),
-		relstore.I64(sh.insertSeq),
-	}
-	key, err := frontierKeyOf(sh.policy, row)
-	if err != nil {
-		return err
-	}
-	rid, err := sh.crawl.Insert(row)
-	if err == nil {
-		sh.rids[oid] = rid
-		sh.enterLocked(key, rid)
+	for r, b := range sh.born {
+		if err != nil {
+			delete(sh.rids, b.oid) // never stored
+			continue
+		}
+		rid := rows.RID(r)
+		sh.rids[b.oid] = newDirEntry(rid, StatusFrontier, prio)
+		sh.enterLocked(b.key, rid)
 	}
 	return err
+}
+
+// stageLocked is admitLocked's pass over the group: it raises what needs
+// raising and encodes each new target's row into rows, listing it in
+// sh.born with a directory entry still to be placed; sh.mu must be held.
+//
+//focuslint:lock requires=shard
+func (sh *shard) stageLocked(rows *relstore.RowBatch, group []target, prio float64, raise bool) error {
+	if sh.row == nil {
+		sh.row = make(relstore.Tuple, len(CrawlSchema().Cols))
+	}
+	row := sh.row
+	for _, t := range group {
+		d, known := sh.rids[t.oid]
+		if known {
+			if !raise || int32(d.status) != StatusFrontier || prio <= d.rel {
+				continue
+			}
+			stored, err := sh.crawl.Get(d.rid())
+			if err != nil {
+				return err
+			}
+			if err := sh.raiseLocked(d.rid(), stored, prio); err != nil {
+				return err
+			}
+			continue
+		}
+		sh.serverSeen[t.sid]++
+		sh.insertSeq++
+		row[COID] = relstore.I64(t.oid)
+		row[CURL] = relstore.Str(t.url)
+		row[CRel] = relstore.F64(prio)
+		row[CTries] = relstore.I32(0)
+		row[CLoad] = relstore.I32(sh.serverSeen[t.sid])
+		row[CLast] = relstore.I64(0)
+		row[CKcid] = relstore.I32(0)
+		row[CStatus] = relstore.I32(StatusFrontier)
+		row[CSeq] = relstore.I64(sh.insertSeq)
+		key, err := frontierKeyOf(sh.policy, row)
+		if err != nil {
+			return err
+		}
+		if err := rows.AddRecord(row); err != nil {
+			return err
+		}
+		sh.rids[t.oid] = newDirEntry(relstore.RID{}, StatusFrontier, prio) // placed by admitLocked
+		sh.born = append(sh.born, bornRow{t.oid, key})
+	}
+	return nil
 }
 
 // enterLocked puts the frontier row at rid into the frontier set under key,
@@ -270,7 +363,7 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 		c.checkoutHook(sh, old)
 	}
 	row[CStatus] = relstore.I32(StatusInflight)
-	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+	if err := sh.writeLocked(rid, old, row); err != nil {
 		return relstore.RID{}, nil, false, wake, err
 	}
 	sh.front.delete(&pop.key)
@@ -290,20 +383,20 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 // boostLocked raises an unvisited, never-tried frontier row's relevance to
 // boost (when currently lower) and republishes the head hint — the §3.4
 // hub-neighbor policy update, applied shard by shard as the post-publish
-// delta of an epoch. sh.mu must be held.
+// delta of an epoch. The directory entry rules out all but the frontier rows
+// below boost, and only those are read. sh.mu must be held.
 //
 //focuslint:lock requires=shard
 func (sh *shard) boostLocked(oid int64, boost float64) error {
-	rid, row, ok, err := sh.lookupLocked(oid)
-	if err != nil || !ok {
+	d, ok := sh.rids[oid]
+	if !ok || int32(d.status) != StatusFrontier || d.rel >= boost {
+		return nil
+	}
+	row, err := sh.crawl.Get(d.rid())
+	if err != nil || row[CTries].Int() != 0 {
 		return err
 	}
-	if int32(row[CStatus].Int()) == StatusFrontier &&
-		row[CTries].Int() == 0 &&
-		row[CRel].Float() < boost {
-		return sh.raiseLocked(rid, row, boost)
-	}
-	return nil
+	return sh.raiseLocked(d.rid(), row, boost)
 }
 
 // raiseLocked sets the relevance of the frontier row at rid, which holds
@@ -322,41 +415,46 @@ func (sh *shard) raiseLocked(rid relstore.RID, row relstore.Tuple, rel float64) 
 	if err != nil {
 		return err
 	}
-	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+	if err := sh.writeLocked(rid, old, row); err != nil {
 		return err
 	}
 	return sh.rekeyLocked(from, to, rid)
 }
 
-// statusRelLocked reads the status and relevance of the row at rid where
-// they lie on its heap page, decoding nothing else; sh.mu must be held.
+// writeLocked rewrites the row at rid, which holds old, as row
+// (relstore.Table.UpdateFrom) and mirrors its status and relevance into its
+// directory entry; sh.mu must be held. Every update of a CRAWL row goes
+// through it.
 //
 //focuslint:lock requires=shard
-func (sh *shard) statusRelLocked(rid relstore.RID) (status int32, rel float64, err error) {
-	var v [2]relstore.Value
-	err = sh.crawl.ReadCols(rid, []int{CStatus, CRel}, v[:])
-	return int32(v[0].Int()), v[1].Float(), err
+func (sh *shard) writeLocked(rid relstore.RID, old, row relstore.Tuple) error {
+	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
+		return err
+	}
+	sh.rids[row[COID].Int()] = entryOf(rid, row)
+	return nil
 }
 
 // lookupLocked finds the row for oid in this shard; sh.mu must be held.
 //
 //focuslint:lock requires=shard
 func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, error) {
-	rid, ok := sh.rids[oid]
+	d, ok := sh.rids[oid]
 	if !ok {
 		return relstore.RID{}, nil, false, nil
 	}
-	row, err := sh.crawl.Get(rid)
+	row, err := sh.crawl.Get(d.rid())
 	if err != nil {
 		return relstore.RID{}, nil, false, err
 	}
-	return rid, row, true, nil
+	return d.rid(), row, true, nil
 }
 
 // CheckDirectory verifies every shard's in-memory state against a heap scan
 // of its CRAWL partition, and then the LINK stripes' directories
 // (linkgraph.Store.CheckDirectory). A shard's oid directory must hold one
-// entry per row, each at that row's RID. Its frontier set must be well
+// entry per row, each at that row's RID and carrying its status and
+// relevance, the latter bit for bit. Its frontier set must be well
 // formed and hold each StatusFrontier row exactly once, at its RID, under
 // the policy's key, and no other row; its size must equal the frontier
 // counter, and the published head must be its first key. It takes one shard
@@ -380,8 +478,13 @@ func (sh *shard) checkDirectoryLocked() error {
 	}
 	var frontier int
 	err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
-		if at, ok := sh.rids[t[COID].Int()]; !ok || at != rid {
-			return true, fmt.Errorf("crawler: shard %d: oid %d lies at %v, directory has %v", sh.id, t[COID].Int(), rid, at)
+		d, ok := sh.rids[t[COID].Int()]
+		if !ok || d.rid() != rid {
+			return true, fmt.Errorf("crawler: shard %d: oid %d lies at %v, directory has %v", sh.id, t[COID].Int(), rid, d.rid())
+		}
+		if want := entryOf(rid, t); d.status != want.status || math.Float64bits(d.rel) != math.Float64bits(want.rel) {
+			return true, fmt.Errorf("crawler: shard %d: oid %d has status %d and relevance %v, directory has %d and %v",
+				sh.id, t[COID].Int(), want.status, want.rel, d.status, d.rel)
 		}
 		if int32(t[CStatus].Int()) != StatusFrontier {
 			return false, nil

@@ -3,11 +3,13 @@ package crawler
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"focus/internal/relstore"
 )
@@ -141,30 +143,55 @@ func TestShardedConcurrentCrawl(t *testing.T) {
 	}
 }
 
-// TestCheckDirectoryCatchesDrift: the directory checker passes on a seeded
-// crawl and fails once an entry is missing, points at another row, or has no
-// row behind it.
+// TestCheckDirectoryCatchesDrift: the directory checker passes on a crawl
+// holding a frontier row and a visited one, and fails once an entry is
+// missing, points at another row, has no row behind it, or mirrors a stale
+// status or relevance.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	c, _ := newTestCrawler(t, &stubFetcher{}, Config{Workers: 2})
 	a, b := "http://h00.test/a", "http://h00.test/b"
-	if err := c.Seed([]string{a, b}); err != nil {
+	if err := c.Seed([]string{a}); err != nil {
 		t.Fatal(err)
 	}
+	plantVisited(t, c, b, 1, 0.25)
 	if err := c.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 	sh := c.shardFor(SIDOf(a))
-	ra, rb := sh.rids[OIDOf(a)], sh.rids[OIDOf(b)]
+	oa, ob := OIDOf(a), OIDOf(b)
+	da, db := sh.rids[oa], sh.rids[ob]
+	swapped := func(d, at dirEntry) dirEntry { d.page, d.slot = at.page, at.slot; return d }
 	for name, drift := range map[string]func(){
-		"missing": func() { delete(sh.rids, OIDOf(a)) },
-		"swapped": func() { sh.rids[OIDOf(a)], sh.rids[OIDOf(b)] = rb, ra },
-		"phantom": func() { sh.rids[OIDOf("http://h00.test/c")] = ra },
+		"missing": func() { delete(sh.rids, oa) },
+		"swapped": func() { sh.rids[oa], sh.rids[ob] = swapped(da, db), swapped(db, da) },
+		"phantom": func() { sh.rids[OIDOf("http://h00.test/c")] = da },
+		"stale status": func() {
+			d := db
+			d.status = int16(StatusFrontier) // visited, still marked frontier
+			sh.rids[ob] = d
+		},
+		"stale relevance": func() {
+			d := da
+			d.rel = math.Nextafter(d.rel, 0) // off in the last bit
+			sh.rids[oa] = d
+		},
 	} {
 		drift()
 		if err := c.CheckDirectory(); err == nil {
 			t.Errorf("%s entry: CheckDirectory passed", name)
 		}
-		sh.rids = map[int64]relstore.RID{OIDOf(a): ra, OIDOf(b): rb}
+		sh.rids = map[int64]dirEntry{oa: da, ob: db}
+		if err := c.CheckDirectory(); err != nil {
+			t.Fatalf("after undoing the %s entry: %v", name, err)
+		}
+	}
+}
+
+// TestDirEntrySize: an oid-directory entry is a RID plus the status and
+// relevance it mirrors, packed into 16 bytes (DESIGN.md "Memory growth law").
+func TestDirEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n != 16 {
+		t.Fatalf("dirEntry is %d bytes, want 16", n)
 	}
 }
 
