@@ -41,7 +41,7 @@ func benchFixture(b *testing.B, cfg webgraph.Config) (*Model, [][]string) {
 		ex[leaf.ID] = all[:25]
 		docs = append(docs, all[25:]...)
 	}
-	m, err := Train(relstore.Open(relstore.Options{Frames: 4096}), w.Cfg.Tree, ex, TrainConfig{})
+	m, err := Train(nil, w.Cfg.Tree, ex, TrainConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,22 +83,23 @@ func BenchmarkClassify(b *testing.B) {
 func BenchmarkInsertDoc(b *testing.B) {
 	for _, bw := range benchWebs {
 		b.Run(bw.name, func(b *testing.B) {
-			m, docs := benchFixture(b, bw.cfg)
+			_, docs := benchFixture(b, bw.cfg)
 			vecs := make([]textproc.TermVector, len(docs))
 			for i, d := range docs {
 				vecs[i] = textproc.VectorOfTokens(d)
 			}
+			db := relstore.Open(relstore.Options{Frames: 4096})
 			var doc *relstore.Table
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%256 == 0 {
 					b.StopTimer()
-					if err := m.DB.DropTable("DOCUMENT"); err != nil {
+					if err := db.DropTable("DOCUMENT"); err != nil {
 						b.Fatal(err)
 					}
 					var err error
-					if doc, err = m.DB.CreateTable("DOCUMENT", DocSchema()); err != nil {
+					if doc, err = db.CreateTable("DOCUMENT", DocSchema()); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()

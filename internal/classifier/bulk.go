@@ -49,13 +49,18 @@ type BulkOptions struct {
 // BulkClassify evaluates the posterior of every document in the DOCUMENT
 // table, visiting internal taxonomy nodes in topological order and running
 // the Figure 3 plan (one inner join + one left outer join) at each: Figure
-// 8's bulk path. It returns posteriors keyed by did. A document is only as
-// visible as its rows: a did with no DOCUMENT rows at all cannot be seen by
-// a table scan and gets no posterior — callers classifying a batch that may
-// contain token-less documents must use BulkClassifyStream, which takes the
-// did set explicitly and classifies empty vectors to the prior-based
-// posterior exactly as the per-page paths do.
+// 8's bulk path, over the STAT_c0 relations Materialize wrote (a model it
+// has not written out is an error). It returns posteriors keyed by did. A
+// document is only as visible as its rows: a did with no DOCUMENT rows at
+// all cannot be seen by a table scan and gets no posterior — callers
+// classifying a batch that may contain token-less documents must use
+// BulkClassifyStream, which takes the did set explicitly and classifies
+// empty vectors to the prior-based posterior exactly as the per-page paths
+// do.
 func (m *Model) BulkClassify(doc *relstore.Table, opt BulkOptions) (map[int64]Posterior, error) {
+	if m.DB == nil {
+		return nil, errUnmaterialized
+	}
 	post := make(map[int64]Posterior)
 	err := doc.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		did := t[0].Int()

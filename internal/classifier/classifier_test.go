@@ -14,8 +14,21 @@ import (
 	"focus/internal/webgraph"
 )
 
-// trainedModel builds a model over the default synthetic web's taxonomy.
+// trainedModel builds a model over the default synthetic web's taxonomy and
+// materializes it into a fresh DB, as Figure 8's fixture does.
 func trainedModel(t *testing.T, docsPerLeaf int) (*Model, *webgraph.Web) {
+	t.Helper()
+	db := relstore.Open(relstore.Options{Frames: 2048})
+	m, w := train(t, db, docsPerLeaf)
+	if err := m.Materialize(db); err != nil {
+		t.Fatal(err)
+	}
+	return m, w
+}
+
+// train trains a model over the default synthetic web's taxonomy, handing
+// Train db.
+func train(t *testing.T, db *relstore.DB, docsPerLeaf int) (*Model, *webgraph.Web) {
 	t.Helper()
 	w, err := webgraph.Generate(webgraph.Config{Seed: 11, NumPages: 2000})
 	if err != nil {
@@ -26,7 +39,6 @@ func trainedModel(t *testing.T, docsPerLeaf int) (*Model, *webgraph.Web) {
 	for _, leaf := range tree.Leaves() {
 		ex[leaf.ID] = w.ExampleDocs(leaf.ID, docsPerLeaf)
 	}
-	db := relstore.Open(relstore.Options{Frames: 2048})
 	m, err := Train(db, tree, ex, TrainConfig{FeaturesPerNode: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -34,15 +46,23 @@ func trainedModel(t *testing.T, docsPerLeaf int) (*Model, *webgraph.Web) {
 	return m, w
 }
 
+// TestTrainBuildsTables: Train writes nothing into the DB it is handed;
+// Materialize writes one indexed STAT_c0 relation per internal node and the
+// BLOB tree.
 func TestTrainBuildsTables(t *testing.T) {
-	m, _ := trainedModel(t, 10)
-	if m.TaxonomyTable.Rows() != int64(m.Tree.Len()) {
-		t.Fatalf("TAXONOMY rows = %d, want %d", m.TaxonomyTable.Rows(), m.Tree.Len())
+	disk := relstore.NewMemDisk()
+	db := relstore.Open(relstore.Options{Disk: disk, Frames: 2048})
+	m, _ := train(t, db, 10)
+	if n := disk.NumPages(); n != 0 || m.DB != nil || m.Blob != nil {
+		t.Fatalf("Train wrote %d pages (DB set: %v, BLOB set: %v)", n, m.DB != nil, m.Blob != nil)
+	}
+	if err := m.Materialize(db); err != nil {
+		t.Fatal(err)
 	}
 	for _, c0 := range m.Tree.Internal() {
 		st := m.StatTables[c0.ID]
-		if st == nil || st.Rows() == 0 {
-			t.Fatalf("no STAT table for %s", c0.Name)
+		if st == nil || st.Rows() == 0 || st.Index("tid") == nil {
+			t.Fatalf("no indexed STAT table for %s", c0.Name)
 		}
 		if m.NumFeatures(c0.ID) == 0 {
 			t.Fatalf("no features for %s", c0.Name)

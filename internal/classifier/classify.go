@@ -2,6 +2,7 @@ package classifier
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"slices"
 	"time"
@@ -157,15 +158,15 @@ const (
 	LayoutBLOB
 )
 
+// errUnmaterialized is what Figure 8's access paths return for a model whose
+// statistics Materialize has not written into a database.
+var errUnmaterialized = errors.New("classifier: model not materialized")
+
 // SingleProbe classifies one document through the database, issuing index
 // probes per term exactly as Figure 2's pseudocode does.
 func (m *Model) SingleProbe(v textproc.TermVector, layout ProbeLayout) (Posterior, error) {
-	switch layout {
-	case LayoutBLOB:
-		return m.posterior(v, m.lookupBlob)
-	default:
-		return m.posterior(v, m.lookupSQL)
-	}
+	p, _, err := m.SingleProbeTimed(v, layout)
+	return p, err
 }
 
 // ProbeStats decomposes a SingleProbe run for the Figure 8(a) bars: time
@@ -178,6 +179,9 @@ type ProbeStats struct {
 // SingleProbeTimed is SingleProbe with per-probe instrumentation.
 func (m *Model) SingleProbeTimed(v textproc.TermVector, layout ProbeLayout) (Posterior, ProbeStats, error) {
 	var st ProbeStats
+	if m.DB == nil {
+		return nil, st, errUnmaterialized
+	}
 	base := m.lookupSQL
 	if layout == LayoutBLOB {
 		base = m.lookupBlob

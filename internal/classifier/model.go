@@ -1,15 +1,16 @@
 // Package classifier implements the paper's hierarchical naive Bayes
 // (Bernoulli/multinomial) text classifier (§2.1): training with feature
-// selection and the smoothed parameter estimation of Eq. (1), and three
-// classification access paths whose I/O behaviour Figure 8 compares —
-// SingleProbe over unpacked statistics rows ("SQL"), SingleProbe over
-// packed per-(node,term) records ("BLOB"), and the batched sort-merge-join
-// BulkProbe ("CLI", the plan of Figure 3). An in-memory reference
-// implementation exists so tests can prove all access paths compute the
-// same posteriors.
+// selection and the smoothed parameter estimation of Eq. (1), the in-memory
+// Classify the crawl runs on every page, and the three database access
+// paths whose I/O behaviour Figure 8 compares — SingleProbe over unpacked
+// statistics rows ("SQL"), SingleProbe over packed per-(node,term) records
+// ("BLOB"), and the batched sort-merge-join BulkClassify ("CLI", the plan of
+// Figure 3). Those three read the relations Model.Materialize writes; tests
+// prove all paths compute the same posteriors.
 package classifier
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -46,16 +47,16 @@ type childTheta struct {
 	logTheta float64
 }
 
-// Model is a trained hierarchical classifier, materialized both in the
-// relational store (TAXONOMY, STAT_c0 tables, BLOB index — Figure 1) and in
-// memory (the reference path).
+// Model is a trained hierarchical classifier. Train builds it in memory,
+// which is all Classify reads. Materialize also writes its statistics into
+// a database in Figure 1's STAT_c0 and BLOB layouts, which only the Figure 8
+// access paths (SingleProbe, BulkClassify) read; until then DB, StatTables
+// and Blob are nil.
 type Model struct {
 	Tree *taxonomy.Tree
-	DB   *relstore.DB
+	// DB holds the materialized statistics (nil until Materialize).
+	DB *relstore.DB
 
-	// TaxonomyTable is the TAXONOMY relation:
-	// (pcid, kcid, logprior, logdenom, type, name).
-	TaxonomyTable *relstore.Table
 	// StatTables maps internal node -> its STAT_c0 relation
 	// (kcid, tid, logtheta).
 	StatTables map[taxonomy.NodeID]*relstore.Table
@@ -67,7 +68,7 @@ type Model struct {
 
 	logPrior map[taxonomy.NodeID]float64
 	logDenom map[taxonomy.NodeID]float64
-	// statsMem is the in-memory mirror: internal node -> tid -> entries.
+	// statsMem holds the statistics: internal node -> tid -> entries.
 	statsMem map[taxonomy.NodeID]map[uint32][]childTheta
 	// featTids is statsMem's key set per internal node, ascending: the
 	// stream plan accumulates in feature order, and float accumulation
@@ -111,20 +112,18 @@ type kidTerm struct {
 // D(c) sets of the problem formulation.
 type Examples map[taxonomy.NodeID][][]string
 
-// Train builds a Model from example documents. db receives the statistics
-// relations; pass a dedicated DB (or the crawler's) as the paper does.
-func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainConfig) (*Model, error) {
+// Train builds a Model from example documents, in memory only: it writes
+// no relation (Materialize does, for Figure 8). The db parameter is unused:
+// it is kept because the benchmark module still passes one.
+func Train(_ *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainConfig) (*Model, error) {
 	cfg = cfg.withDefaults()
 	m := &Model{
-		Tree:        tree,
-		DB:          db,
-		StatTables:  make(map[taxonomy.NodeID]*relstore.Table),
-		statIndexes: make(map[taxonomy.NodeID]*relstore.Index),
-		logPrior:    make(map[taxonomy.NodeID]float64),
-		logDenom:    make(map[taxonomy.NodeID]float64),
-		statsMem:    make(map[taxonomy.NodeID]map[uint32][]childTheta),
-		featTids:    make(map[taxonomy.NodeID][]uint32),
-		leaves:      tree.Leaves(),
+		Tree:     tree,
+		logPrior: make(map[taxonomy.NodeID]float64),
+		logDenom: make(map[taxonomy.NodeID]float64),
+		statsMem: make(map[taxonomy.NodeID]map[uint32][]childTheta),
+		featTids: make(map[taxonomy.NodeID][]uint32),
+		leaves:   tree.Leaves(),
 	}
 
 	// Vectorize examples and pool them bottom-up: docsUnder(n) is D(n), the
@@ -155,32 +154,6 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 		return nil, fmt.Errorf("classifier: no training documents")
 	}
 
-	// Create the TAXONOMY relation.
-	taxSchema := relstore.NewSchema(
-		relstore.Column{Name: "pcid", Kind: relstore.KInt32},
-		relstore.Column{Name: "kcid", Kind: relstore.KInt32},
-		relstore.Column{Name: "logprior", Kind: relstore.KFloat64},
-		relstore.Column{Name: "logdenom", Kind: relstore.KFloat64},
-		relstore.Column{Name: "type", Kind: relstore.KInt32},
-		relstore.Column{Name: "name", Kind: relstore.KString},
-	)
-	taxTable, err := db.CreateTable("TAXONOMY", taxSchema)
-	if err != nil {
-		return nil, err
-	}
-	m.TaxonomyTable = taxTable
-	blob, err := relstore.NewBTree(db.Pool())
-	if err != nil {
-		return nil, err
-	}
-	m.Blob = blob
-
-	statSchema := relstore.NewSchema(
-		relstore.Column{Name: "kcid", Kind: relstore.KInt32},
-		relstore.Column{Name: "tid", Kind: relstore.KInt64},
-		relstore.Column{Name: "logtheta", Kind: relstore.KFloat64},
-	)
-
 	internal := tree.Internal()
 	for _, c0 := range internal {
 		parentDocs := docsUnder(c0)
@@ -197,14 +170,8 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 			}
 		}
 
-		st, err := db.CreateTable("STAT_"+c0.Name, statSchema)
-		if err != nil {
-			return nil, err
-		}
-		m.StatTables[c0.ID] = st
 		mem := make(map[uint32][]childTheta)
 		m.statsMem[c0.ID] = mem
-
 		for _, ci := range c0.Children {
 			ciDocs := docsUnder(ci)
 			var mass int64
@@ -230,14 +197,6 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 				}
 				lt := math.Log(1+float64(n)) - math.Log(denom)
 				mem[t] = append(mem[t], childTheta{kcid: ci.ID, logTheta: lt})
-				_, err := st.Insert(relstore.Tuple{
-					relstore.I32(int32(ci.ID)),
-					relstore.I64(int64(t)),
-					relstore.F64(lt),
-				})
-				if err != nil {
-					return nil, err
-				}
 			}
 		}
 		// Keep per-tid entries in child order for deterministic packing.
@@ -250,55 +209,81 @@ func Train(db *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainCon
 		}
 		slices.Sort(tids)
 		m.featTids[c0.ID] = tids
+	}
+	m.indexTerms(internal)
+	return m, nil
+}
 
-		// Unpacked probe path: index STAT_c0 by (tid, kcid).
+// Materialize writes the model's statistics into db in Figure 1's two
+// layouts, which only Figure 8's access paths read: one STAT_c0 relation
+// (kcid, tid, logtheta) per internal node with its (tid, kcid) index — the
+// unpacked "SQL" layout — and then the BLOB tree keyed (pcid, tid) — the
+// packed one. It sets DB, which BulkClassify's sorts spill into. A model
+// is materialized at most once per db: the STAT_c0 names are taken.
+func (m *Model) Materialize(db *relstore.DB) error {
+	statSchema := relstore.NewSchema(
+		relstore.Column{Name: "kcid", Kind: relstore.KInt32},
+		relstore.Column{Name: "tid", Kind: relstore.KInt64},
+		relstore.Column{Name: "logtheta", Kind: relstore.KFloat64},
+	)
+	stats := make(map[taxonomy.NodeID]*relstore.Table, len(m.nodes))
+	indexes := make(map[taxonomy.NodeID]*relstore.Index, len(m.nodes))
+	for _, n := range m.nodes {
+		mem := m.statsMem[n.id]
+		if mem == nil {
+			continue // no training documents under the node: no statistics
+		}
+		st, err := db.CreateTable("STAT_"+m.Tree.Node(n.id).Name, statSchema)
+		if err != nil {
+			return err
+		}
+		order := loadOrder(m.featTids[n.id])
+		for _, ci := range n.kids {
+			for _, t := range order {
+				for _, e := range mem[t] {
+					if e.kcid != ci.ID {
+						continue
+					}
+					row := relstore.Tuple{relstore.I32(int32(ci.ID)), relstore.I64(int64(t)), relstore.F64(e.logTheta)}
+					if _, err := st.Insert(row); err != nil {
+						return err
+					}
+				}
+			}
+		}
 		ix, err := st.AddIndex("tid", func(tp relstore.Tuple) []byte {
 			return relstore.EncodeKey(tp[1], tp[0])
 		})
 		if err != nil {
-			return nil, err
-		}
-		m.statIndexes[c0.ID] = ix
-
-		// Packed probe path: BLOB[(pcid, tid)] -> record list.
-		for t, es := range mem {
-			key := relstore.EncodeKey(relstore.I32(int32(c0.ID)), relstore.I64(int64(t)))
-			if err := m.Blob.Insert(key, encodeThetas(es)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	m.indexTerms(internal)
-
-	// Populate TAXONOMY rows (the root has pcid 0).
-	var fill func(n *taxonomy.Node) error
-	fill = func(n *taxonomy.Node) error {
-		var pcid int32
-		if n.Parent != nil {
-			pcid = int32(n.Parent.ID)
-		}
-		_, err := taxTable.Insert(relstore.Tuple{
-			relstore.I32(pcid),
-			relstore.I32(int32(n.ID)),
-			relstore.F64(m.logPrior[n.ID]),
-			relstore.F64(m.logDenom[n.ID]),
-			relstore.I32(int32(tree.Mark(n.ID))),
-			relstore.Str(n.Name),
-		})
-		if err != nil {
 			return err
 		}
-		for _, c := range n.Children {
-			if err := fill(c); err != nil {
+		stats[n.id], indexes[n.id] = st, ix
+	}
+	blob, err := relstore.NewBTree(db.Pool())
+	if err != nil {
+		return err
+	}
+	for _, n := range m.nodes {
+		mem := m.statsMem[n.id]
+		for _, t := range loadOrder(m.featTids[n.id]) {
+			key := relstore.EncodeKey(relstore.I32(int32(n.id)), relstore.I64(int64(t)))
+			if err := blob.Insert(key, encodeThetas(mem[t])); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	if err := fill(tree.Root); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.DB, m.StatTables, m.statIndexes, m.Blob = db, stats, indexes, blob
+	return nil
+}
+
+// loadOrder is the order Materialize inserts a node's feature terms in: a
+// fixed permutation of tids, unrelated to key order. A B+tree node splits in
+// half when full, so a load in key order would leave every leaf half full;
+// this one fills the trees the way a random-order load does.
+func loadOrder(tids []uint32) []uint32 {
+	out := slices.Clone(tids)
+	slices.SortFunc(out, func(a, b uint32) int { return cmp.Compare(a*0x9E3779B1, b*0x9E3779B1) })
+	return out
 }
 
 // selectFeatures picks the FeaturesPerNode terms with the highest mutual
@@ -410,5 +395,5 @@ func (m *Model) indexTerms(internal []*taxonomy.Node) {
 	}
 }
 
-// NumFeatures reports |F(c0)| actually materialized for an internal node.
+// NumFeatures reports |F(c0)|, the features selected at an internal node.
 func (m *Model) NumFeatures(c0 taxonomy.NodeID) int { return len(m.statsMem[c0]) }

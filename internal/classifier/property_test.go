@@ -1,11 +1,13 @@
 package classifier
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"focus/internal/relstore"
 	"focus/internal/textproc"
 )
 
@@ -134,6 +136,34 @@ func TestSingleProbeTimedCountsProbes(t *testing.T) {
 	want := int64(len(v) * len(m.Tree.Internal()))
 	if st.Probes != want {
 		t.Fatalf("probes = %d, want %d", st.Probes, want)
+	}
+}
+
+// TestUnmaterializedModelRefusesFigure8Paths: a model Train built but
+// Materialize never wrote out classifies in memory, and both layouts of
+// SingleProbe and the table BulkClassify return an error instead of
+// dereferencing a missing BLOB or returning empty posteriors as a success.
+func TestUnmaterializedModelRefusesFigure8Paths(t *testing.T) {
+	m, w := train(t, nil, 8)
+	v := textproc.VectorOfTokens(w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0])
+	if p := m.Classify(v); p[m.Tree.Root.ID] != 1 {
+		t.Fatalf("Classify on an unmaterialized model: root %v", p[m.Tree.Root.ID])
+	}
+	for _, layout := range []ProbeLayout{LayoutSQL, LayoutBLOB} {
+		if _, err := m.SingleProbe(v, layout); !errors.Is(err, errUnmaterialized) {
+			t.Errorf("SingleProbe layout %d: err %v, want errUnmaterialized", layout, err)
+		}
+	}
+	db := relstore.Open(relstore.Options{Frames: 64})
+	doc, err := db.CreateTable("DOCUMENT", DocSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := InsertDoc(doc, 1, v); err != nil {
+		t.Fatal(err)
+	}
+	if post, err := m.BulkClassify(doc, BulkOptions{}); !errors.Is(err, errUnmaterialized) {
+		t.Errorf("BulkClassify: %d posteriors, err %v, want errUnmaterialized", len(post), err)
 	}
 }
 

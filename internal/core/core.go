@@ -36,10 +36,9 @@ type Config struct {
 	// DBPath, when set, backs the crawl relations with a durable file
 	// (relstore.CreateFile for a fresh system, relstore.OpenFile for
 	// ResumeSystem) instead of an in-memory disk, enabling
-	// Crawl.CheckpointEvery and crash recovery. The classifier's term
-	// statistics stay in a side in-memory DB either way: they are a pure
-	// function of the web and config, so a restart retrains them, and
-	// keeping them out of the durable file keeps checkpoints small.
+	// Crawl.CheckpointEvery and crash recovery. The classifier lives in
+	// memory either way: it is a pure function of the web and config, so a
+	// restart retrains it.
 	DBPath string
 }
 
@@ -121,43 +120,40 @@ func markGoodTopics(web *webgraph.Web, cfg *Config) (*taxonomy.Tree, error) {
 	return tree, nil
 }
 
-// trainModel trains the classifier on examples of every leaf topic into db.
-// Training is a pure function of the web and config, so both the fresh and
-// the resume path produce the same model.
-func trainModel(web *webgraph.Web, tree *taxonomy.Tree, cfg Config, db *relstore.DB) (*classifier.Model, error) {
+// trainModel trains the in-memory classifier on examples of every leaf
+// topic. Training is a pure function of the web and config, so both the
+// fresh and the resume path produce the same model.
+func trainModel(web *webgraph.Web, tree *taxonomy.Tree, cfg Config) (*classifier.Model, error) {
 	examples := classifier.Examples{}
 	for _, leaf := range tree.Leaves() {
 		examples[leaf.ID] = web.ExampleDocs(leaf.ID, cfg.ExamplesPerTopic)
 	}
-	return classifier.Train(db, tree, examples, cfg.Train)
+	return classifier.Train(nil, tree, examples, cfg.Train)
 }
 
 // NewSystemOnWeb builds a system over an existing web (so experiments can
 // run several crawlers against the same world). With Config.DBPath set, the
-// crawl relations live in a fresh durable file, the classifier trains into a
-// side in-memory DB (see Config.DBPath), and checkpoints automatically carry
-// the web's network-simulation state unless the caller set
-// Crawl.CheckpointExtra itself.
+// crawl relations live in a fresh durable file, and checkpoints
+// automatically carry the web's network-simulation state unless the caller
+// set Crawl.CheckpointExtra itself.
 func NewSystemOnWeb(web *webgraph.Web, cfg Config) (*System, error) {
 	tree, err := markGoodTopics(web, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	opts := relstore.Options{Frames: cfg.Frames}
-	var db, trainDB *relstore.DB
+	var db *relstore.DB
 	if cfg.DBPath != "" {
 		if db, err = relstore.CreateFile(cfg.DBPath, opts); err != nil {
 			return nil, err
 		}
-		trainDB = relstore.Open(opts)
 		if cfg.Crawl.CheckpointExtra == nil {
 			cfg.Crawl.CheckpointExtra = web.ExportFetchState
 		}
 	} else {
 		db = relstore.Open(opts)
-		trainDB = db
 	}
-	model, err := trainModel(web, tree, cfg, trainDB)
+	model, err := trainModel(web, tree, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,10 +168,10 @@ func NewSystemOnWeb(web *webgraph.Web, cfg Config) (*System, error) {
 // a System that continues the crawl from its last checkpoint: the web is
 // regenerated from Config.Web and its network-simulation state imported from
 // the checkpoint's Extra blob (so the deterministic web replays identically
-// across the restart), the classifier is retrained into a side in-memory DB,
-// and the crawler is rebuilt over the recovered relations with
-// crawler.Resume. The recovered crawl is already seeded — do not SeedTopic
-// again; just Run with the remaining budget.
+// across the restart), the classifier is retrained, and the crawler is
+// rebuilt over the recovered relations with crawler.Resume. The recovered
+// crawl is already seeded — do not SeedTopic again; just Run with the
+// remaining budget.
 func ResumeSystem(cfg Config) (*System, error) {
 	if cfg.DBPath == "" {
 		return nil, errors.New("core: ResumeSystem requires Config.DBPath")
@@ -202,7 +198,7 @@ func ResumeSystem(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	model, err := trainModel(web, tree, cfg, relstore.Open(opts))
+	model, err := trainModel(web, tree, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"focus/internal/crawler"
 	"focus/internal/distiller"
+	"focus/internal/relstore"
 	"focus/internal/webgraph"
 )
 
@@ -122,7 +123,13 @@ func TestGoldenDistillSeed1999(t *testing.T) {
 	checkGoldenScores("auth", auths, goldenAuths)
 
 	// Both distillation strategies must agree on the graph: the index-walk
-	// ranking over the same striped store matches the join ranking.
+	// ranking over the same striped store matches the join ranking. The
+	// walk probes oid indexes the crawl does not keep.
+	for _, tab := range []*relstore.Table{tb.Crawl, tb.Hubs, tb.Auth} {
+		if _, err := tab.AddIndex("oid", func(t relstore.Tuple) []byte { return relstore.EncodeKey(t[0]) }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := distiller.RunIndexWalk(sys.DB, tb, distiller.Config{}); err != nil {
 		t.Fatal(err)
 	}

@@ -534,7 +534,7 @@ func testRecoveryCrash(t *testing.T, frames int, armAt int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := trainModel(web, tree, cfg, relstore.Open(opts))
+	model, err := trainModel(web, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func testRecoveryCrash(t *testing.T, frames int, armAt int64) {
 			t.Fatal(err)
 		}
 	}
-	model2, err := trainModel(web2, tree2, cfg2, relstore.Open(opts))
+	model2, err := trainModel(web2, tree2, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,15 +305,14 @@ func policyByName(name string) (Policy, bool) {
 
 // Resume rebuilds a crawler from the checkpoint in a reopened durable DB and
 // leaves it ready to Run with the remaining budget. The persisted relations
-// are attached (the score tables' key functions re-bound by index name), rows
-// left in flight at the checkpoint flip back to the frontier, and all
-// derivable in-memory state — harvest log, the shards' oid directories,
-// frontier sets and counters, the link store's directories and dst registry
-// — is recomputed from the relations. cfg
-// supplies the knobs for the continued crawl (budget, workers,
-// politeness); the shard and stripe counts (a property of the stored tables,
-// whatever cfg.Workers says), mode, and policy come from the checkpoint, and
-// a cfg.Mode mismatch is refused. The fetcher must be positioned to continue
+// are attached (an older file's index trees dropped), rows left in flight
+// at the checkpoint flip back to the frontier, and all derivable in-memory
+// state — harvest log, the shards' oid directories, frontier sets and
+// counters, the link store's directories and dst registry — is recomputed
+// from the relations. cfg supplies the knobs for the continued crawl
+// (budget, workers, politeness); the shard and stripe counts (a property of
+// the stored tables, whatever cfg.Workers says), mode, and policy come from
+// the checkpoint, and a cfg.Mode mismatch is refused. The fetcher must be positioned to continue
 // (see CheckpointState.Extra).
 func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
 	if !db.Durable() {
@@ -368,38 +367,21 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 		return nil, err
 	}
 
-	bindScore := func(name string) (*relstore.Table, error) {
-		tb := db.Table(name)
-		if tb == nil {
+	// A file written while the score tables kept an oid B+tree has one
+	// here whose key is never bound again: drop it, freeing its pages.
+	var sc [4]*relstore.Table // HUBS, AUTH, HUBS#spare, AUTH#spare
+	for i, name := range scoreTables {
+		if sc[i] = db.Table(name); sc[i] == nil {
 			return nil, fmt.Errorf("crawler: resume: missing table %s", name)
 		}
-		if err := tb.BindIndexKey("oid", func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(t[0])
-		}); err != nil {
+		if err := sc[i].DropIndex("oid"); err != nil {
 			return nil, err
 		}
-		return tb, nil
-	}
-	hubs, err := bindScore("HUBS")
-	if err != nil {
-		return nil, err
-	}
-	auth, err := bindScore("AUTH")
-	if err != nil {
-		return nil, err
-	}
-	hubsAlt, err := bindScore("HUBS#spare")
-	if err != nil {
-		return nil, err
-	}
-	authAlt, err := bindScore("AUTH#spare")
-	if err != nil {
-		return nil, err
 	}
 	if st.PubIsPrimary {
-		c.hubs, c.auth, c.hubsAlt, c.authAlt = hubs, auth, hubsAlt, authAlt
+		c.hubs, c.auth, c.hubsAlt, c.authAlt = sc[0], sc[1], sc[2], sc[3]
 	} else {
-		c.hubs, c.auth, c.hubsAlt, c.authAlt = hubsAlt, authAlt, hubs, auth
+		c.hubs, c.auth, c.hubsAlt, c.authAlt = sc[2], sc[3], sc[0], sc[1]
 	}
 
 	c.visitSeq = st.Visit

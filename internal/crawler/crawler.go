@@ -351,32 +351,20 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 	// monitors read; the spare pair is the scratch space the next
 	// distillation epoch builds into before the swap publishes it. Roles
 	// alternate, so the catalog names carry no meaning beyond identity.
-	scoreTable := func(name string) (*relstore.Table, error) {
-		tb, err := db.CreateTable(name, distiller.HubsAuthSchema())
-		if err != nil {
+	// They keep no index: RunJoin reads them whole.
+	var sc [4]*relstore.Table
+	for i, name := range scoreTables {
+		if sc[i], err = db.CreateTable(name, distiller.HubsAuthSchema()); err != nil {
 			return nil, err
 		}
-		if _, err = tb.AddIndex("oid", func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(t[0])
-		}); err != nil {
-			return nil, err
-		}
-		return tb, nil
 	}
-	if c.hubs, err = scoreTable("HUBS"); err != nil {
-		return nil, err
-	}
-	if c.auth, err = scoreTable("AUTH"); err != nil {
-		return nil, err
-	}
-	if c.hubsAlt, err = scoreTable("HUBS#spare"); err != nil {
-		return nil, err
-	}
-	if c.authAlt, err = scoreTable("AUTH#spare"); err != nil {
-		return nil, err
-	}
+	c.hubs, c.auth, c.hubsAlt, c.authAlt = sc[0], sc[1], sc[2], sc[3]
 	return c, nil
 }
+
+// scoreTables names the score tables: the primary HUBS and AUTH, then the
+// spare pair.
+var scoreTables = [4]string{"HUBS", "AUTH", "HUBS#spare", "AUTH#spare"}
 
 // Tables exposes the crawl relations (for the distiller, monitors, and
 // experiment harnesses). The Crawl table is a freshly materialized
@@ -385,6 +373,8 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 // runs they trail the link graph by at most the epoch being computed (see
 // DistillEpochs), and running a distiller directly over them is only safe
 // once Run has returned (an epoch's publish would swap the buffers away).
+// No table has an index; distiller.RunIndexWalk's caller adds the ones it
+// probes.
 func (c *Crawler) Tables() (distiller.Tables, error) {
 	c.lockAll()
 	defer c.unlockAll()
@@ -396,8 +386,8 @@ func (c *Crawler) Tables() (distiller.Tables, error) {
 }
 
 // Crawl materializes and returns a consistent snapshot of the full CRAWL
-// relation, merged across shards into a table named "CRAWL" (with an "oid"
-// index). Each call refreshes the snapshot: the previous copy's pages are
+// relation, merged across shards into a table named "CRAWL" with no index.
+// Each call refreshes the snapshot: the previous copy's pages are
 // returned to the disk manager's free list and reused, so polling monitors
 // hold the allocated-page count flat — but any previously returned table
 // handle becomes invalid. Rows are copies, so mutating the returned table
@@ -418,11 +408,6 @@ func (c *Crawler) snapshotCrawlLocked() (*relstore.Table, error) {
 	}
 	snap, err := c.db.CreateTable("CRAWL", CrawlSchema())
 	if err != nil {
-		return nil, err
-	}
-	if _, err := snap.AddIndex("oid", func(t relstore.Tuple) []byte {
-		return relstore.EncodeKey(t[COID])
-	}); err != nil {
 		return nil, err
 	}
 	err = c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {

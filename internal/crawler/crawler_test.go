@@ -12,8 +12,16 @@ import (
 	"focus/internal/taxonomy"
 )
 
-// tinyModel trains a two-topic classifier (alpha vs beta) good on alpha.
+// tinyModel trains a two-topic classifier (alpha vs beta) good on alpha,
+// handing Train a fresh DB, which it returns for the crawl.
 func tinyModel(t *testing.T) (*relstore.DB, *classifier.Model) {
+	t.Helper()
+	db := relstore.Open(relstore.Options{Frames: 512})
+	return db, trainTiny(t, db)
+}
+
+// trainTiny is tinyModel's training, handing Train db.
+func trainTiny(t *testing.T, db *relstore.DB) *classifier.Model {
 	t.Helper()
 	tree := taxonomy.New()
 	alpha := tree.MustAdd(tree.Root, "alpha")
@@ -25,7 +33,6 @@ func tinyModel(t *testing.T) (*relstore.DB, *classifier.Model) {
 		ex[beta.ID] = append(ex[beta.ID], strings.Fields(fmt.Sprintf(
 			"beta beta betaone betatwo betavar%d common filler", i%4)))
 	}
-	db := relstore.Open(relstore.Options{Frames: 512})
 	m, err := classifier.Train(db, tree, ex, classifier.TrainConfig{FeaturesPerNode: 60, MinDocFreq: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +40,7 @@ func tinyModel(t *testing.T) (*relstore.DB, *classifier.Model) {
 	if err := tree.MarkGood(alpha.ID); err != nil {
 		t.Fatal(err)
 	}
-	return db, m
+	return m
 }
 
 // stubFetcher serves a hand-built site map; URLs absent from pages 404, and

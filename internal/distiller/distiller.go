@@ -40,8 +40,9 @@ type LinkRel interface {
 // Tables names the relations the distiller reads and writes. The LINK
 // relation must have columns (oid_src BIGINT, sid_src INT, oid_dst BIGINT,
 // sid_dst INT, wgt_fwd DOUBLE, wgt_rev DOUBLE); CRAWL must contain
-// (oid BIGINT, ..., relevance DOUBLE) with an index named "oid"; HUBS and
-// AUTH are (oid BIGINT, score DOUBLE) with an index named "oid".
+// (oid BIGINT, ..., relevance DOUBLE); HUBS and AUTH are (oid BIGINT,
+// score DOUBLE). RunJoin needs no index; RunIndexWalk states the indexes it
+// probes.
 type Tables struct {
 	Link  LinkRel
 	Crawl *relstore.Table

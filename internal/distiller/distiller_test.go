@@ -2,9 +2,11 @@ package distiller
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"focus/internal/relstore"
@@ -487,6 +489,40 @@ func TestTopAndPercentile(t *testing.T) {
 	}
 	if p < 0.7 || p > 0.9 {
 		t.Fatalf("p90 = %f", p)
+	}
+}
+
+// TestIndexWalkRefusesUnindexedTables: the walk probes oid indexes on
+// HUBS and AUTH, and on CRAWL for the rho filter unless Config.Relevance
+// supplies it. A table missing its index is refused by name — not a nil
+// dereference, and not a walk that silently skips the rho filter and so
+// disagrees with RunJoin.
+func TestIndexWalkRefusesUnindexedTables(t *testing.T) {
+	edges, rel := randomGraph(5, 40, 200)
+	for _, c := range []struct {
+		drop string
+		cfg  Config
+		ok   bool
+	}{
+		{drop: "HUBS"},
+		{drop: "AUTH"},
+		{drop: "CRAWL"},
+		{drop: "CRAWL", cfg: Config{Relevance: rel}, ok: true},
+	} {
+		db, tb := buildGraph(t, edges, rel)
+		if err := db.Table(c.drop).DropIndex("oid"); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RunIndexWalk(db, tb, c.cfg)
+		if c.ok {
+			if err != nil {
+				t.Errorf("%s unindexed, relevance given: %v", c.drop, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errNoOidIndex) || !strings.Contains(err.Error(), c.drop) {
+			t.Errorf("%s unindexed: err %v, want errNoOidIndex naming it", c.drop, err)
+		}
 	}
 }
 

@@ -1,10 +1,15 @@
 package distiller
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"focus/internal/relstore"
 )
+
+// errNoOidIndex is RunIndexWalk's refusal of a table it cannot probe.
+var errNoOidIndex = errors.New("distiller: index walk needs an oid index on")
 
 // RunIndexWalk executes HITS iterations the way pre-database
 // implementations did: walk the edge list sequentially and, per edge, look
@@ -12,11 +17,26 @@ import (
 // accumulator through point index accesses. Persisted through the store,
 // this is the random-I/O baseline the join strategy beats by ~3x in
 // Figure 8(d).
+//
+// The walk probes an index named "oid" keyed EncodeKey(oid) on HUBS and
+// AUTH, and on Crawl unless cfg.Relevance supplies the relevance (a nil
+// Crawl, as in RunJoin, applies no rho filter). The crawl keeps none of
+// them, so a caller adds them first; a missing one is an error naming the
+// table.
 func RunIndexWalk(db *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 	cfg = cfg.withDefaults()
 	var bd Breakdown
 	if err := checkTables(tb); err != nil {
 		return bd, err
+	}
+	walked := []*relstore.Table{tb.Hubs, tb.Auth}
+	if cfg.Relevance == nil && tb.Crawl != nil {
+		walked = append(walked, tb.Crawl)
+	}
+	for _, t := range walked {
+		if t.Index("oid") == nil {
+			return bd, fmt.Errorf("%w: %s", errNoOidIndex, t.Name)
+		}
 	}
 	if err := seedHubs(tb); err != nil {
 		return bd, err
@@ -43,7 +63,6 @@ func walkHalf(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
 		src, dst = tb.Auth, tb.Hubs
 	}
 	srcIx := src.Index("oid")
-	dstIx := dst.Index("oid")
 	var crawlIx *relstore.Index
 	var crawlRelCol int
 	relOf := cfg.Relevance
@@ -57,7 +76,7 @@ func walkHalf(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
 	if err := dst.Truncate(); err != nil {
 		return bd, err
 	}
-	dstIx = dst.Index("oid") // truncation rebuilds indexes
+	dstIx := dst.Index("oid") // truncation rebuilds indexes
 
 	err := tb.Link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		tScan := time.Now()

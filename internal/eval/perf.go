@@ -58,7 +58,8 @@ type ClassifierPerfResult struct {
 	Variants []VariantPerf // SQL, BLOB, Bulk (CLI)
 }
 
-// classifierFixture builds a trained model plus a populated DOCUMENT table.
+// classifierFixture builds a trained model, materialized into the fixture's
+// DB, plus a populated DOCUMENT table.
 type classifierFixture struct {
 	db    *relstore.DB
 	disk  *relstore.MemDisk
@@ -88,8 +89,11 @@ func newClassifierFixture(o ClassifierPerfConfig) (*classifierFixture, error) {
 	for _, leaf := range tree.Leaves() {
 		examples[leaf.ID] = web.ExampleDocs(leaf.ID, 25)
 	}
-	model, err := classifier.Train(db, tree, examples, o.Train)
+	model, err := classifier.Train(nil, tree, examples, o.Train)
 	if err != nil {
+		return nil, err
+	}
+	if err := model.Materialize(db); err != nil {
 		return nil, err
 	}
 	doc, err := db.CreateTable("DOCUMENT", classifier.DocSchema())
@@ -418,11 +422,17 @@ func RunDistillerPerf(cfg DistillerPerfConfig) (*DistillerPerfResult, error) {
 
 	out := &DistillerPerfResult{Edges: cr.Links().Rows(), Frames: cfg.Frames}
 	dcfg := distiller.Config{Iterations: cfg.Iterations}
-	// Materialize the cross-shard CRAWL snapshot once, before latency and
+	// Materialize the cross-shard CRAWL snapshot and the oid indexes the
+	// index walk probes (the crawl keeps none) once, before latency and
 	// stats kick in, so both strategies measure pure distillation I/O.
 	tables, err := cr.Tables()
 	if err != nil {
 		return nil, err
+	}
+	for _, tb := range []*relstore.Table{tables.Crawl, tables.Hubs, tables.Auth} {
+		if _, err := tb.AddIndex("oid", func(t relstore.Tuple) []byte { return relstore.EncodeKey(t[0]) }); err != nil {
+			return nil, err
+		}
 	}
 	disk.SetLatency(cfg.DiskLatency)
 	defer disk.SetLatency(0)

@@ -14,9 +14,10 @@
 //     replacement; the frame count is the setting the paper's Figure 8(b)
 //     varies;
 //   - slotted-page HeapFiles for table rows;
-//   - a B+tree over order-preserving byte-encoded composite keys, used for
-//     the classifier's BLOB/STAT index probes and the distiller's score
-//     tables; every operation searches and edits the pinned page's
+//   - a B+tree over order-preserving byte-encoded composite keys, used by
+//     Figure 8's access paths — the materialized classifier's BLOB and
+//     STAT_c0 probes, the index walk's oid lookups — and by no table the
+//     crawl keeps; every operation searches and edits the pinned page's
 //     bytes in place (no node is decoded), costs exactly one Fetch per node
 //     it visits, and reports a damaged page as ErrCorruptNode;
 //   - set-oriented writes (see "Writing in sets" below): BTree.InsertRun,
@@ -164,7 +165,9 @@
 //
 // Index key functions are closures and cannot be persisted: a reopened
 // table's indexes have their trees intact but Key nil, and the owner must
-// re-bind them by name (Table.BindIndexKey) before any index operation.
+// re-bind them by name (Table.BindIndexKey) before any index operation, or
+// drop them (Table.DropIndex), as the crawler's Resume does with the trees
+// older files carry: none of its tables keeps an index.
 // Checkpoint is single-writer like the catalog: the caller must hold
 // whatever serializes all table access (the crawler checkpoints under its
 // full lock tower). DurableDisk adds Sync, FreeList, and Restore to

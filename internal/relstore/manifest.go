@@ -48,9 +48,10 @@ import (
 // What the manifest cannot carry is code: index key functions are closures.
 // A reopened table's indexes come back with their trees intact but their
 // Key functions nil; the owning subsystem re-binds them by well-known name
-// (Table.BindIndexKey) before use — on resume the crawler does this for the
-// score tables' "oid" indexes. CRAWL and LINK keep no index: an older file's
-// "oid", "frontier", "bysrc" and "bydst" trees are dropped on resume instead.
+// (Table.BindIndexKey) before use. The crawler keeps no index on any table:
+// on resume it drops the trees an older file carries instead — CRAWL's
+// "oid" and "frontier", LINK's "bysrc" and "bydst", and the score tables'
+// "oid".
 
 // Framed metadata page layout (manifest roots and the journal root):
 //
