@@ -21,9 +21,10 @@
 //     relation is partitioned by server hash into per-worker shards, each
 //     with its own in-memory frontier set checked out in (numtries ASC,
 //     relevance DESC, serverload ASC) order, with work stealing between
-//     shards; the LINK relation is striped by source with incoming-weight
-//     sweeps dst-routed through a stripe-presence registry, so a visit
-//     touches only the stripes holding edges into it; monitors read the
+//     shards; the LINK relation is striped by source and append-only, each
+//     edge's forward weight resolved when it is read against a log of
+//     visited pages' relevance, so a visit rewrites no LINK page; monitors
+//     read the
 //     latest published distillation epoch — without stopping the crawl —
 //     which may trail it by the epoch still computing.
 //

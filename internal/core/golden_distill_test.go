@@ -25,7 +25,7 @@ import (
 // has one LINK stripe, which must reproduce the single-table LINK
 // contents exactly, so the distiller — reading the striped store through
 // its merged view — must land on bit-equal scores. This pins the link
-// ingest semantics (dedup, EF/EB weights, incoming-weight refresh) the way
+// ingest semantics (dedup, EF/EB weights, forward weights resolved on read) the way
 // the harvest golden pins the checkout order.
 const (
 	goldenDistillVisited = 386

@@ -162,9 +162,10 @@ func TestGoldenResumeSeed1(t *testing.T) {
 
 // checkRecoveredCrawl asserts what every resumed crawl must satisfy before it
 // runs on: no lost or duplicated visits, CRAWL partitions without a B+tree
-// whose in-memory oid directories and frontier sets match their heaps, and
-// bare LINK stripes whose in-edge and out-edge directories both match their
-// heaps.
+// whose in-memory oid directories and frontier sets match their heaps, bare
+// LINK stripes whose out-edge directories match their heaps, and every edge
+// reading the forward weight checkForwardWeights states — which holds only
+// if Resume re-logged the visits.
 func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointState, cr2 *crawler.Crawler) {
 	t.Helper()
 	for i := 0; i < st.FrontierShards; i++ {
@@ -196,9 +197,11 @@ func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointS
 		}
 	}
 
+	checkForwardWeights(t, cr2)
+
 	// Out-edge directory: ScanBySrc, which walks a source's chain, reads back
 	// exactly the edges the heaps hold. CheckDirectory above already matched
-	// both directories to the heaps row by row.
+	// the directories to the heaps row by row.
 	heap := map[int64][]int64{}
 	for i := 0; i < st.LinkStripes; i++ {
 		tb := db2.Table(fmt.Sprintf("LINK#%d", i))
@@ -498,8 +501,8 @@ func TestResumeDropsParentFrontierIndex(t *testing.T) {
 // partway through a checkpoint, the crawl aborts, and the database is
 // reopened from the same memory-backed disk image, exactly what a kill -9
 // between two sector writes leaves behind. The recovered crawl must have no
-// lost or duplicated visits, in-edge and out-edge directories matching every
-// LINK stripe's heap, and must run to completion. Runs with several arm points so the fault lands in
+// lost or duplicated visits, out-edge directories matching every LINK
+// stripe's heap, exact forward weights, and must run to completion. Runs with several arm points so the fault lands in
 // different checkpoint phases, and at two pool sizes: in 2048 frames every
 // write is a checkpoint's, in 192 the pool also writes back pages the last
 // checkpoint does not reference and checkpoints under pressure, so kills land
@@ -627,14 +630,15 @@ func testRecoveryCrash(t *testing.T, frames int, armAt int64) {
 // die with ErrPoolExhausted. It now lives within the pool: pages the last
 // checkpoint does not reference are written back as frames are needed, the
 // rest bring the next checkpoint forward, the budget is spent, and the file
-// closes and resumes with every visit accounted for. The pool is 128 frames:
-// with no B+tree on CRAWL or LINK the crawl fits in 192.
+// closes and resumes with every visit accounted for. The pool is 96 frames:
+// with no B+tree on CRAWL or LINK and no LINK page rewritten after ingest,
+// 128 no longer fill with dirty pages before the count-driven checkpoints.
 func TestSmallPoolDurableCrawlStress(t *testing.T) {
 	cfg := Config{
 		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
 		GoodTopics: []string{"cycling"},
 		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
-		Frames:     128,
+		Frames:     96,
 		Crawl: crawler.Config{
 			Workers:         4,
 			MaxFetches:      600,

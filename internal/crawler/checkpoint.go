@@ -1,16 +1,15 @@
 package crawler
 
 // Durable checkpoint and resume. A checkpoint captures the crawl at the same
-// consistency point the distillation snapshot uses — the full barrier with
-// pending incoming-weight sweeps drained — so every persisted relation
-// (CRAWL shards, LINK stripes, HUBS/AUTH buffers) reflects one cut of the
-// visit sequence. The mutable in-memory state that is NOT derivable from the
+// consistency point the distillation snapshot uses — the full barrier — so
+// every persisted relation (CRAWL shards, LINK stripes, HUBS/AUTH buffers)
+// reflects one cut of the visit sequence. The mutable in-memory state that is NOT derivable from the
 // relations (visit sequence, counters, politeness clocks, which score buffer
 // is published) goes into a small CKPT key/value table; everything else —
 // harvest log, per-shard oid directory and frontier set, serverSeen/insertSeq,
-// frontier counts, the link store's directories and dst registry — is
-// rebuilt from the relations at Resume, which keeps the checkpoint write
-// small and the single source of truth on disk.
+// frontier counts, the link store's out-edge directories and forward-weight
+// log — is rebuilt from the relations at Resume, which keeps the checkpoint
+// write small and the single source of truth on disk.
 //
 // Bit-identical resume is pinned under the same discipline as the one-shard,
 // one-stripe goldens: Workers=1 (so the quiesce point always falls between
@@ -117,9 +116,9 @@ type CheckpointState struct {
 // Checkpoint quiesces the crawl at a distill-grade consistency point and
 // persists everything needed for Resume: it takes epochMu (so no epoch is
 // mid-compute and the published scores are the last snapshot's) and the full
-// barrier, drains pendingFwd, writes the CKPT state row, and drives
-// relstore's durable checkpoint (journal, flush, manifest, sync). Safe to
-// call between Runs as well as during one.
+// barrier, writes the CKPT state row, and drives relstore's durable
+// checkpoint (journal, flush, manifest, sync). Safe to call between Runs as
+// well as during one.
 func (c *Crawler) Checkpoint() error { return c.checkpoint(-1) }
 
 // checkpoint is Checkpoint for the in-crawl trigger: with seen >= 0 it takes
@@ -144,16 +143,6 @@ func (c *Crawler) checkpoint(seen int64) error {
 //
 //focuslint:lock requires=stripe*,shard*,global
 func (c *Crawler) checkpointLocked() error {
-	// Drain pending incoming-weight sweeps exactly like the distill barrier:
-	// the persisted LINK weights must be final for every visited page. The
-	// entries stay in pendingFwd — the owning workers' own sweeps commit the
-	// same value, and a resumed crawl starts with the map empty because the
-	// drain below already made the weights durable.
-	for oid, rel := range c.pendingFwd {
-		if err := c.links.UpdateIncomingFwdLocked(oid, rel); err != nil {
-			return err
-		}
-	}
 	var inflightRows int64
 	for _, sh := range c.shards {
 		inflightRows += sh.inflightRows
@@ -308,9 +297,9 @@ func policyByName(name string) (Policy, bool) {
 // are attached (an older file's index trees dropped), rows left in flight
 // at the checkpoint flip back to the frontier, and all derivable in-memory
 // state — harvest log, the shards' oid directories, frontier sets and
-// counters, the link store's directories and dst registry — is recomputed
-// from the relations. cfg supplies the knobs for the continued crawl
-// (budget, workers, politeness); the shard and stripe counts (a property of
+// counters, the link store's out-edge directories — is recomputed from the
+// relations, and the harvest log is re-logged as the forward weights. cfg
+// supplies the knobs for the continued crawl (budget, workers, politeness); the shard and stripe counts (a property of
 // the stored tables, whatever cfg.Workers says), mode, and policy come from
 // the checkpoint, and a cfg.Mode mismatch is refused. The fetcher must be positioned to continue
 // (see CheckpointState.Extra).
@@ -365,6 +354,13 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 
 	if c.links, err = linkgraph.Attach(db, st.LinkStripes); err != nil {
 		return nil, err
+	}
+	// LINK's pages hold ingest-time estimates; each visited page's relevance
+	// is the forward weight of the edges into it, in visit order.
+	for _, h := range harvest {
+		if err := c.links.UpdateIncomingFwd(h.OID, h.Relevance); err != nil {
+			return nil, err
+		}
 	}
 
 	// A file written while the score tables kept an oid B+tree has one

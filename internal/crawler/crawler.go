@@ -87,10 +87,10 @@ type Config struct {
 	SkipDocuments bool
 	// CheckpointEvery persists a durable checkpoint after every k page
 	// visits (0: none by count), piggybacked on the distillation snapshot
-	// point: the same quiesce (pendingFwd drained, consistent cross-shard and
-	// cross-stripe views), followed by relstore's atomic checkpoint. It is
-	// the longest interval: on a durable DB a visit also checkpoints once the
-	// dirty pages that must wait for one fill half the buffer pool. Requires
+	// point: the same quiesce (consistent cross-shard and cross-stripe
+	// views), followed by relstore's atomic checkpoint. It is the longest
+	// interval: on a durable DB a visit also checkpoints once the dirty
+	// pages that must wait for one fill half the buffer pool. Requires
 	// a DB opened durable (relstore.CreateFile/OpenDurable); New errors
 	// otherwise. See checkpoint.go and Crawler.Resume.
 	CheckpointEvery int64
@@ -196,11 +196,10 @@ type Result struct {
 // Distillation is epoch-based, and the visit that triggers an epoch runs
 // it: under epochMu the worker takes the barrier (every link stripe lock,
 // then every shard lock, each ascending, then the global lock) only for a
-// short snapshot phase — drain pendingFwd, register the LINK snapshot, copy
-// the oid→relevance view — then computes HITS into the spare HUBS/AUTH
-// buffers, publishes them by swapping the buffer pointers under the global
-// mutex, and applies the hub-neighbor boosts, while the other workers keep
-// crawling. Snapshot points are an exact function of the visit sequence;
+// short snapshot phase — cut the LINK snapshot, copy the oid→relevance
+// view — then computes HITS into the spare HUBS/AUTH buffers, publishes
+// them by swapping the buffer pointers under the global mutex, and applies
+// the hub-neighbor boosts, while the other workers keep crawling. Snapshot points are an exact function of the visit sequence;
 // monitors read scores that trail the crawl by at most the epoch being
 // computed (see DistillEpochs). With Workers=1 nothing runs beside an
 // epoch, so the visit order is a pure function of seed and config.
@@ -247,13 +246,6 @@ type Crawler struct {
 	sinceDist int64
 	sinceCkpt int64 // visits since the last durable checkpoint
 	distills  int
-	// pendingFwd holds oid -> relevance for pages marked visited whose
-	// incoming-weight sweep (UpdateIncomingFwd) has not completed yet. The
-	// entry is added in the same critical section that marks the row
-	// visited and removed only after the sweep commits, so the distill
-	// barrier can drain it and never observe a stale forward weight — the
-	// same guarantee the old under-one-mutex refresh gave.
-	pendingFwd map[int64]float64
 
 	// Epoch counters: snapEpoch counts snapshots taken, pubEpoch is the
 	// latest published epoch. They differ only while an epoch computes —
@@ -298,12 +290,11 @@ type Crawler struct {
 // applied and no relation created or attached yet.
 func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, pol Policy) *Crawler {
 	c := &Crawler{
-		cfg:        cfg.withDefaults(),
-		db:         db,
-		model:      model,
-		fetcher:    fetcher,
-		policy:     pol,
-		pendingFwd: make(map[int64]float64),
+		cfg:     cfg.withDefaults(),
+		db:      db,
+		model:   model,
+		fetcher: fetcher,
+		policy:  pol,
 	}
 	c.politeOn = c.cfg.HostMaxInflight > 0 || c.cfg.HostDelay > 0 ||
 		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
@@ -770,14 +761,19 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 	return c.complete(sh, rid, row, res, rel, leaf)
 }
 
-// complete finishes a classified visit: row update, harvest log,
-// incoming-weight sweep, link expansion, and the distillation and checkpoint
-// triggers. Callers hold no locks.
+// complete finishes a classified visit: row update, harvest log, forward
+// weight, link expansion, and the distillation and checkpoint triggers.
+// Callers hold no locks.
 func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res *Fetch, rel float64, leaf taxonomy.NodeID) error {
 	oid := row[COID].Int()
 
 	// Persist the visit: the row update is shard-owned; the harvest log and
-	// visit sequence are global. Lock order: shard, then global.
+	// visit sequence are global. Lock order: shard, then global. The page's
+	// relevance is now known, so it becomes the forward weight of every edge
+	// into it (the paper uses a trigger): logged in the critical section that
+	// marks the row visited, so any barrier sees both or neither, and every
+	// LINK read resolves the edges into this page against it, including
+	// edges ingested later.
 	old := row.Clone() // the row as stored (checkout's), for UpdateFrom
 	sh.mu.Lock()
 	c.mu.Lock()
@@ -794,28 +790,13 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res 
 			Seq: c.visitSeq, OID: oid, URL: row[CURL].S,
 			Relevance: rel, Kcid: int32(leaf),
 		})
-		c.pendingFwd[oid] = rel
+		err = c.links.UpdateIncomingFwd(oid, rel)
 	}
 	c.mu.Unlock()
 	sh.mu.Unlock()
 	if err != nil {
 		return err
 	}
-
-	// Now that this page's relevance is known, fix up the forward weights
-	// of links pointing at it (the paper uses triggers). The CRAWL row was
-	// marked visited above, so a concurrent ingester of an edge into this
-	// page either commits before this sweep (and is rewritten by it) or
-	// enters its stripe section after it and reads the visited relevance
-	// itself — either way no stale weight survives. A distillation barrier
-	// landing in the window before this sweep drains the pendingFwd entry
-	// itself; the entry clears only once the sweep has committed.
-	if err := c.links.UpdateIncomingFwd(oid, rel); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	delete(c.pendingFwd, oid)
-	c.mu.Unlock()
 
 	expand := true
 	if c.cfg.Mode == ModeHardFocus {
@@ -879,8 +860,7 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res 
 // and raises nothing). With one worker — one stripe, one shard — the
 // observable effects are identical, step for step, to the old per-link
 // path. Each out-link URL is hashed once, here: the edge carries the
-// target's oid and server id to the weight callback and to the frontier
-// pass.
+// target's oid and server id to the frontier pass.
 func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 	x := c.expansion()
 	defer c.expansions.Put(x)
@@ -891,9 +871,9 @@ func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 		}
 		t := target{dst, SIDOf(out), out}
 		// Forward weight EF[u,v] = relevance(v); until v is classified, the
-		// radius-1 rule makes R(u) the best available estimate (the weight
-		// callback substitutes the true relevance at commit time if v has
-		// been visited). Backward weight EB[u,v] = relevance(u), known now.
+		// radius-1 rule makes R(u) the best available estimate (a LINK read
+		// resolves it to v's logged relevance once v is visited). Backward
+		// weight EB[u,v] = relevance(u), known now.
 		x.batch.Add(linkgraph.Edge{
 			Src: src, SidSrc: res.ServerID,
 			Dst: t.oid, SidDst: t.sid,
@@ -901,7 +881,7 @@ func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 		})
 		x.targets = append(x.targets, t)
 	}
-	inserted, err := c.links.Apply(&x.batch, c.edgeWeight)
+	inserted, err := c.links.Apply(&x.batch, nil)
 	if err != nil {
 		return err
 	}
@@ -917,21 +897,6 @@ func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 		return c.admit(x, 0, false) // FIFO order ignores relevance
 	}
 	return c.admit(x, srcRel, true)
-}
-
-// edgeWeight is Apply's weight callback: called under the edge's stripe
-// lock, it locks the target's home shard and reads the target's directory
-// entry — if the target is already visited, its true relevance replaces the
-// radius-1 estimate. Lock order: stripe, then shard (see the Crawler doc).
-func (c *Crawler) edgeWeight(e linkgraph.Edge) (float64, error) {
-	sh := c.shardFor(e.SidDst)
-	sh.mu.Lock()
-	d, ok := sh.rids[e.Dst]
-	sh.mu.Unlock()
-	if ok && int32(d.status) == StatusVisited {
-		return d.rel, nil
-	}
-	return e.WgtFwd, nil
 }
 
 // distill runs one distillation epoch on the worker whose visit triggered
@@ -955,17 +920,14 @@ func (c *Crawler) distill() error {
 }
 
 // distillSnapshot is the short world-stopped phase: under the full barrier
-// it drains pending incoming-weight sweeps (no stale radius-1 weight on an
-// edge into a visited page), registers a LINK snapshot, and copies the
+// it cuts a LINK snapshot — every visited page's relevance is logged by
+// then, so no edge into one reads a radius-1 weight — and copies the
 // cross-shard relevance view. It returns the new epoch's number.
 func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float64, error) {
 	c.lockAll()
 	defer c.unlockAll()
 	c.distills++
-	rel, err := c.drainAndRelevanceLocked()
-	if err != nil {
-		return 0, nil, nil, err
-	}
+	rel := c.relevanceLocked()
 	snap, err := c.links.SnapshotLocked()
 	if err != nil {
 		return 0, nil, nil, err
@@ -973,21 +935,11 @@ func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float
 	return c.snapEpoch.Add(1), snap, rel, nil
 }
 
-// drainAndRelevanceLocked drains incoming-weight sweeps still in flight — a
-// worker past its visit persist but short of its UpdateIncomingFwd holds no
-// locks, so the barrier applies the sweep itself (idempotent: the worker's
-// own sweep writes the same value) and the distiller never sees a stale
-// radius-1 weight on an edge into a visited page — and then copies the
-// cross-shard oid -> relevance view from the oid directories, reading no
-// CRAWL page. The barrier must be held.
+// relevanceLocked copies the cross-shard oid -> relevance view from the oid
+// directories, reading no CRAWL page. The barrier must be held.
 //
 //focuslint:lock requires=stripe*,shard*,global
-func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
-	for oid, pendRel := range c.pendingFwd {
-		if err := c.links.UpdateIncomingFwdLocked(oid, pendRel); err != nil {
-			return nil, err
-		}
-	}
+func (c *Crawler) relevanceLocked() map[int64]float64 {
 	var rows int
 	for _, sh := range c.shards {
 		rows += len(sh.rids)
@@ -998,7 +950,7 @@ func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
 			rel[oid] = d.rel
 		}
 	}
-	return rel, nil
+	return rel
 }
 
 // distillEpoch computes a snapshotted epoch into the spare HUBS/AUTH

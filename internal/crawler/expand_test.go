@@ -33,8 +33,7 @@ func warmExpandCrawler(t *testing.T) (*Crawler, *relstore.DB) {
 }
 
 // TestExpandLinksAllocs guards the allocation count of a visit's link
-// expansion — linkgraph.Apply with the edgeWeight callback, then the frontier
-// pass — for a 44-link page whose targets are all new, into a crawl already
+// expansion — linkgraph.Apply, then the frontier pass — for a 44-link page whose targets are all new, into a crawl already
 // holding a few thousand rows. What is left per new target is its policy
 // key: its row is encoded from the shard's scratch tuple into the table's
 // batch, its frontier-set entry is a fixed-width key in a block, the page's
@@ -76,10 +75,10 @@ func TestExpandLinksAllocs(t *testing.T) {
 // target's priority is raised), and pages whose targets are queued at the
 // citer's relevance already (nothing to raise). No index page is fetched: a
 // target is found in its shard's oid directory and ordered in its frontier
-// set, and an edge is deduplicated and recorded in its stripe's out-edge and
-// in-edge directories, all in memory. The directory entry also carries the
-// target's status and relevance, so neither the edge-weight callback nor the
-// frontier pass reads a CRAWL page to decide. The fetch law is heap pages,
+// set, and an edge is deduplicated and recorded in its stripe's out-edge
+// directory, all in memory. The directory entry also carries the target's
+// status and relevance, so the frontier pass reads no CRAWL page to decide.
+// The fetch law is heap pages,
 // one fetch per touch:
 //   - the LINK stripe's tail page, once per page of links;
 //   - each shard's CRAWL tail page, once per page that adds rows there (the
@@ -125,11 +124,11 @@ func TestExpandLinksPoolFetches(t *testing.T) {
 	}
 }
 
-// TestDistillSnapshotFetchesNoPage: with no incoming-weight sweep pending,
-// an epoch's world-stopped snapshot reads no page. The relevance view comes
-// from the oid directories and the LINK snapshot is copied lazily, so the
-// barrier's cost does not grow with CRAWL's pages. The view still equals the
-// heap's relevance column.
+// TestDistillSnapshotFetchesNoPage: an epoch's world-stopped snapshot reads
+// no page. The relevance view comes from the oid directories and the LINK
+// snapshot is a cut of row counts, so the barrier's cost does not grow with
+// CRAWL's or LINK's pages. The view still equals the heap's relevance
+// column.
 func TestDistillSnapshotFetchesNoPage(t *testing.T) {
 	c, db := warmExpandCrawler(t)
 	before := db.Pool().Stats()

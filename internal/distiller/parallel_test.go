@@ -145,8 +145,8 @@ func BenchmarkTop(b *testing.B) {
 	}
 }
 
-// tupleRel is a LINK relation held as decoded tuples, which is how the
-// engine hands it over (a linkgraph.Snapshot's materialized runs).
+// tupleRel is a LINK relation held as decoded tuples, the shape a scan of
+// the engine's store hands over.
 type tupleRel []relstore.Tuple
 
 func (r tupleRel) Scan(fn func(relstore.RID, relstore.Tuple) (bool, error)) error {

@@ -10,14 +10,14 @@ import (
 )
 
 // TestAttachParentShapedFile reopens a durable LINK store written in the
-// layout that predates both directories — every stripe carrying a bysrc
-// (oid_src, oid_dst) B+tree, and a bydst (oid_dst, oid_src) one from before
-// the in-edge directory — and requires Attach to refuse a stripe count short
-// of the file's, drop both trees (their pages reach the free list at the next
-// checkpoint), rebuild directories equal to the heaps, and leave a store
-// whose ingest, reads and sweeps work: new edges insert, stored ones dedup,
-// ScanBySrc reads a source's edges in ascending dst order, and a sweep
-// rewrites exactly the edges into its target.
+// layout that predates the in-memory directories — every stripe carrying a
+// bysrc (oid_src, oid_dst) B+tree, and a bydst (oid_dst, oid_src) one — and
+// requires Attach to refuse a stripe count short of the file's, drop both
+// trees (their pages reach the free list at the next checkpoint), rebuild
+// out-edge directories equal to the heaps, and leave a store whose ingest,
+// reads and logged weights work: new edges insert, stored ones dedup,
+// ScanBySrc reads a source's edges in ascending dst order, and a logged
+// weight reads on exactly the edges into its target.
 func TestAttachParentShapedFile(t *testing.T) {
 	const stripes = 3
 	disk := relstore.NewMemDisk()
@@ -133,7 +133,7 @@ func TestAttachParentShapedFile(t *testing.T) {
 		if want := e(edge.Src, edge.Dst).WgtFwd; edge.Dst == 7 {
 			into7++
 			if edge.WgtFwd != 0.25 {
-				t.Errorf("edge %d->7 wgt_fwd = %v, want the sweep's 0.25", edge.Src, edge.WgtFwd)
+				t.Errorf("edge %d->7 wgt_fwd = %v, want the logged 0.25", edge.Src, edge.WgtFwd)
 			}
 		} else if edge.WgtFwd != want {
 			t.Errorf("edge %d->%d wgt_fwd = %v, want its ingest weight %v", edge.Src, edge.Dst, edge.WgtFwd, want)
@@ -144,7 +144,7 @@ func TestAttachParentShapedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if into7 < 2 {
-		t.Fatalf("%d edges into 7: the sweep exercised nothing", into7)
+		t.Fatalf("%d edges into 7: the logged weight exercised nothing", into7)
 	}
 	if err := s.CheckDirectory(); err != nil {
 		t.Fatal(err)

@@ -3,10 +3,10 @@
 // crawler's global mutex, so every worker serialized on it once per outlink
 // — the hot-path bottleneck after the frontier was sharded. Here the
 // relation is partitioned by hash(oid_src) into Stripes physical tables
-// (LINK#0 … LINK#n-1), each a bare heap with its own in-memory in-edge and
-// out-edge directories and its own mutex; edges of one source page always
-// land in one stripe, so a page's whole out-link batch commits under a single
-// stripe lock.
+// (LINK#0 … LINK#n-1), each a bare heap with its own in-memory out-edge
+// directory and its own mutex; edges of one source page always land in one
+// stripe, so a page's whole out-link batch commits under a single stripe
+// lock.
 //
 // Ingest is batched: a worker accumulates a fetched page's out-edges in a
 // Batch without holding any lock, then Apply groups the batch by stripe and
@@ -18,43 +18,38 @@
 // single LINK table of the pre-stripe crawler, bit for bit: one heap, the
 // same insertion order.
 //
-// Incoming-weight sweeps (UpdateIncomingFwd) are dst-routed: a sharded
-// dst -> stripe-presence registry, maintained at ingest under the stripe
-// lock, names the stripes holding edges into a target, and a sweep locks
-// only those and walks their in-edge directories — O(in-degree stripes)
-// instead of O(Stripes) per visit. The in-edge directory maps oid_dst to the
-// RIDs of the stripe's rows into it, and the out-edge directory oid_src to
-// the RIDs of the rows out of it. They are the stripe's only access paths
-// besides a heap scan, so they live in memory rather than as B+trees every
-// ingested edge would pay a random insert into. See registry.go for the
-// registry and the
-// registration-ordering argument that keeps routed sweeps exact against
-// concurrent ingest.
+// LINK is append-only: a row is never moved, rewritten or deleted, and a
+// stripe's heap only grows at its tail. The paper keeps EF[u,v] =
+// relevance(v) exact with a trigger that rewrites LINK when v is
+// classified; this store resolves it where it is read instead.
+// UpdateIncomingFwd appends (v, relevance) to a forward-weight log that
+// touches no page, and every read surface (Scan, ScanLocked, ScanBySrc,
+// Snapshot.Scan) returns wgt_fwd as the log's value for oid_dst when the
+// log has one, else the weight stored at ingest. A snapshot is therefore
+// a cut: each stripe's row count and the log's length, read into memory
+// once, when it is first scanned.
 //
 // # Lock ordering
 //
 // Stripe mutexes rank below every crawler lock: a goroutine may acquire a
 // frontier-shard mutex or the crawler's global mutex while holding a stripe
-// mutex (Apply's weight callback does exactly that), but never the reverse.
-// Registry shard mutexes sit outside the stripe order as pure leaf locks:
-// applyLocked registers destinations while holding its stripe lock, sweeps
-// read masks holding nothing, and nothing is ever acquired while a registry
-// lock is held (sweeps copy the mask out first) — so no cycle can involve
-// them.
-// Multi-stripe operations (LockAll, Apply, UpdateIncomingFwd, the snapshot
-// iterators) take stripe locks in ascending id order, one at a time unless
-// a consistent cross-stripe view is required. The crawler's stop-the-world
-// barrier therefore begins with LockAll before it touches shard locks; see
-// DESIGN.md and the internal/relstore package doc for the full contract.
+// mutex (the crawler's barrier does exactly that), but never the reverse.
+// The log's mutex is a pure leaf: it may be taken under any tower lock (the
+// crawler logs a visit under its shard and global locks) and nothing is
+// acquired while it is held, so no cycle can involve it.
+// Multi-stripe operations (LockAll, Apply, the scans) take stripe locks in
+// ascending id order, one at a time unless a consistent cross-stripe view
+// is required. The crawler's stop-the-world barrier therefore begins with
+// LockAll before it touches shard locks; see DESIGN.md and the
+// internal/relstore package doc for the full contract.
 package linkgraph
 
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
+	"maps"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"focus/internal/relstore"
 )
@@ -121,22 +116,19 @@ func (b *Batch) Edges() []Edge { return b.edges }
 // Reset empties the batch for reuse.
 func (b *Batch) Reset() { b.edges = b.edges[:0] }
 
-// stripe is one partition: its own table, in-edge and out-edge directories,
-// and lock.
+// stripe is one partition: its own table, out-edge directory, and lock.
 type stripe struct {
 	id int
 	// The bottom of the lock tower: frontier-shard and global locks may be
-	// acquired while a stripe mutex is held (Apply's weight callback does
+	// acquired while a stripe mutex is held (the crawler's barrier does
 	// exactly that), never the reverse.
 	//focuslint:lock rank=stripe order=10
 	mu  sync.Mutex
 	tab *relstore.Table
-	// dir holds the in-edge and out-edge directories, guarded by mu: filled
-	// in applyLocked from the RIDs InsertBatch assigns, in the same critical
-	// section. Its in-edge chains are walked by updateIncomingFwd, its
-	// out-edge chains by ingest's dedup, Contains and ScanBySrc. LINK rows are
-	// never moved or deleted, so an entry stays valid for the life of the
-	// store.
+	// dir is the out-edge directory, guarded by mu: filled in applyLocked
+	// from the RIDs InsertBatch assigns, in the same critical section, and
+	// walked by ingest's dedup, Contains and ScanBySrc. LINK rows are never
+	// moved or deleted, so an entry stays valid for the life of the store.
 	dir edgeDirectory
 	// ord is skipDuplicates' sort scratch, guarded by mu.
 	ord []int32
@@ -146,106 +138,105 @@ type stripe struct {
 	// before the stripe lock, because it is filled outside it, so the stripe
 	// cannot simply own one.
 	batches sync.Pool
-
-	// pend holds snapshots registered against this stripe whose tuple run
-	// has not been copied out yet. Every snapshot here was registered since
-	// the stripe's last mutation, so they all see the same state and one
-	// copy serves them all; mutators materialize (and clear) the list
-	// before their first write. Guarded by mu.
-	pend []*Snapshot
 }
 
 func newStripe(id int, tab *relstore.Table) *stripe {
-	return &stripe{id: id, tab: tab, dir: edgeDirectory{in: map[int64]int32{}, out: map[int64]int32{}}}
+	return &stripe{id: id, tab: tab, dir: edgeDirectory{head: map[int64]int32{}}}
 }
 
-// edgeDirectory is a stripe's in-edge and out-edge directories over one entry
-// per row: in maps an oid_dst, and out an oid_src, to the entry of the newest
-// row carrying it, and each entry links to the previous row into the same
-// destination and to the previous row out of the same source. A destination's
-// rows and a source's rows each form a chain through one slice, newest
-// first, so the directory holds no pointer and the garbage collector never
-// marks it entry by entry (a slice of RIDs per oid costs one object per oid),
-// and the two directions share each row's RID.
+// edgeDirectory is a stripe's out-edge directory over one entry per row: head
+// maps an oid_src to the entry of its newest row, and each entry links to the
+// previous row out of the same source. A source's rows form a chain through
+// one slice, newest first, so the directory holds no pointer and the garbage
+// collector never marks it entry by entry (a slice of RIDs per oid costs one
+// object per oid).
 type edgeDirectory struct {
-	in, out map[int64]int32 // oid -> index in rows of its newest row
-	rows    []edgeRow
+	head map[int64]int32 // oid_src -> index in rows of its newest row
+	rows []edgeRow
 }
 
 type edgeRow struct {
 	rid relstore.RID
-	// The previous row's entry in the same in-edge and out-edge chain; -1
-	// ends a chain.
-	nextIn, nextOut int32
+	// The previous row's entry in the same source's chain; -1 ends a chain.
+	next int32
 }
 
-// add records the row at rid, an edge src -> dst.
-func (d *edgeDirectory) add(src, dst int64, rid relstore.RID) {
+// add records the row at rid, an edge out of src.
+func (d *edgeDirectory) add(src int64, rid relstore.RID) {
 	at := int32(len(d.rows))
-	d.rows = append(d.rows, edgeRow{rid: rid, nextIn: chainHead(d.in, dst), nextOut: chainHead(d.out, src)})
-	d.in[dst], d.out[src] = at, at
+	d.rows = append(d.rows, edgeRow{rid: rid, next: d.first(src)})
+	d.head[src] = at
 }
 
-// chainHead is the entry of oid's newest row in head, or -1.
-func chainHead(head map[int64]int32, oid int64) int32 {
-	if at, ok := head[oid]; ok {
+// first is the entry of src's newest row, or -1.
+func (d *edgeDirectory) first(src int64) int32 {
+	if at, ok := d.head[src]; ok {
 		return at
 	}
 	return -1
 }
 
-// materializePending copies the stripe's current tuples into every snapshot
-// still pending on it — one shared copy, since all pending snapshots were
-// taken since the last mutation — and clears the list. The caller must hold
-// st.mu. Mutators call it before their first write; snapshot readers call
-// it (through Snapshot.run) on first access to a stripe no write has
-// reached. O(1) when nothing is pending, so writers pay the copy at most
-// once per snapshot epoch.
-//
-//focuslint:lock requires=stripe
-func (st *stripe) materializePending() error {
-	if len(st.pend) == 0 {
-		return nil
+// fwdLog is the forward-weight log: one entry per UpdateIncomingFwd, in call
+// order, and the newest value per destination. Both are pointer-free, and
+// they grow by one entry per logged visit, not per edge or per destination
+// ever linked to.
+type fwdLog struct {
+	// Pure leaf: taken under any tower lock or none; nothing may be acquired
+	// and no blocking operation may run while it is held.
+	//focuslint:lock rank=fwdlog leaf noblock=io,chan,sleep
+	mu      sync.Mutex
+	entries []fwdEntry
+	// latest is entries resolved, for point reads (ScanBySrc).
+	latest map[int64]float64
+}
+
+type fwdEntry struct {
+	dst int64
+	fwd float64
+}
+
+// cut returns the log as it stands. Entries are never rewritten and later
+// ones land past the returned length, so the cut may be read without the
+// lock.
+func (l *fwdLog) cut() []fwdEntry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.entries[:len(l.entries):len(l.entries)]
+}
+
+func (l *fwdLog) append(dst int64, fwd float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.latest == nil {
+		l.latest = map[int64]float64{}
 	}
-	run := make([]relstore.Tuple, 0, st.tab.Rows())
-	err := st.tab.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		run = append(run, t)
-		return false, nil
-	})
-	if err != nil {
-		return err
+	l.entries = append(l.entries, fwdEntry{dst, fwd})
+	l.latest[dst] = fwd
+}
+
+// resolve maps each destination in a cut to its last logged weight.
+func resolve(cut []fwdEntry) map[int64]float64 {
+	w := make(map[int64]float64, len(cut))
+	for _, e := range cut {
+		w[e.dst] = e.fwd
 	}
-	for _, sn := range st.pend {
-		sn.runs[st.id].Store(&run)
-	}
-	st.pend = nil
-	return nil
+	return w
 }
 
 // Store is the striped LINK relation.
 type Store struct {
 	db      *relstore.DB
 	stripes []*stripe
-
-	// reg is the dst -> stripe-presence registry that routes incoming-weight
-	// sweeps to only the stripes storing edges into the target; see
-	// registry.go and UpdateIncomingFwd.
-	reg *dstRegistry
-
-	// sweeps counts UpdateIncomingFwd/UpdateIncomingFwdLocked calls;
-	// sweepProbes counts the stripes those sweeps locked and probed. Their
-	// ratio is the per-visit sweep cost the routing flattens.
-	sweeps      atomic.Int64
-	sweepProbes atomic.Int64
+	log     fwdLog
 }
 
 // New creates the stripe tables LINK#0 … LINK#n-1 in db, each a bare heap
-// with empty in-edge and out-edge directories. n <= 0 means one stripe.
+// with an empty out-edge directory. n <= 0 means one stripe.
 func New(db *relstore.DB, n int) (*Store, error) {
 	if n <= 0 {
 		n = 1
 	}
-	s := &Store{db: db, reg: newDstRegistry(n)}
+	s := &Store{db: db}
 	for i := 0; i < n; i++ {
 		tab, err := db.CreateTable(fmt.Sprintf("LINK#%d", i), Schema())
 		if err != nil {
@@ -292,17 +283,11 @@ func (s *Store) UnlockAll() {
 	}
 }
 
-// WeightFunc finalizes an edge's forward weight at ingest time. It is
-// called under the edge's stripe lock, immediately before insertion; the
-// crawler's implementation locks the target's frontier shard and substitutes
-// the target's true relevance if it has already been classified. Running
-// under the stripe lock is what makes the weight immune to a concurrent
-// visit of the target: the visitor marks its CRAWL row visited before
-// rewriting incoming weights (UpdateIncomingFwd), so an ingester either
-// observes the visited row here, or inserts early enough that the rewrite
-// sweeps its edge — the dst registry is updated before this callback runs
-// (see applyLocked), so a routed rewrite always knows about the stripe such
-// an early insert lands in.
+// WeightFunc sets an inserted edge's stored forward weight, the ingest-time
+// estimate. It is called under the edge's stripe lock, immediately before
+// insertion. Reads resolve wgt_fwd against the forward-weight log, so the
+// stored value shows only for targets never logged; the crawler passes no
+// WeightFunc, and the type stays for the benchmark's replay.
 type WeightFunc func(Edge) (float64, error)
 
 // Apply ingests a batch in one pass: edges are grouped by stripe, stripes
@@ -311,15 +296,15 @@ type WeightFunc func(Edge) (float64, error)
 // order is exactly the arrival order). Each edge is deduplicated against the
 // batch and the stored edges; duplicates — within the batch or against edges
 // another worker already committed — are skipped. weight, if non-nil,
-// finalizes WgtFwd per inserted edge. Returns inserted flags aligned with
+// sets WgtFwd per inserted edge. Returns inserted flags aligned with
 // b.Edges(); a false entry means the edge was a duplicate.
 //
 // A stripe's share of the batch is applied as three set operations, not edge
 // by edge: its rows are encoded before the stripe lock is taken (prepare);
 // under the lock the duplicates are marked (skipDuplicates), the weight
 // callbacks run, and one relstore.Table.InsertBatch commits the survivors to
-// the heap in arrival order, whose RIDs then enter the in-edge and out-edge
-// directories (applyLocked).
+// the heap in arrival order, whose RIDs then enter the out-edge directory
+// (applyLocked).
 func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
 	inserted := make([]bool, len(b.edges))
 	if len(b.edges) == 0 {
@@ -352,7 +337,7 @@ func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
 		}
 		rows, err := st.prepare(group, b.edges)
 		if err == nil {
-			err = st.applyLocked(rows, group, b.edges, weight, inserted, s.reg)
+			err = st.applyLocked(rows, group, b.edges, weight, inserted)
 		}
 		st.batches.Put(rows)
 		if err != nil {
@@ -384,27 +369,14 @@ func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) 
 	return rows, nil
 }
 
-func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge, weight WeightFunc, inserted []bool, reg *dstRegistry) error {
+func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge, weight WeightFunc, inserted []bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// Register every destination in the dst registry BEFORE running any
-	// weight callback. The ordering is what keeps routed sweeps exact: if
-	// this batch's callback reads a target's row before its visitor marks it
-	// visited (and so inserts a stale radius-1 weight), the registration
-	// here preceded that read, and the visitor's sweep — whose registry
-	// lookup happens after the visited mark — is guaranteed to see this
-	// stripe's bit, block on our stripe lock, and rewrite the edge once we
-	// commit. Registering a destination whose edge then dedups away is
-	// harmless: the bit was already set by the stored copy (same src, same
-	// stripe), so masks never name a stripe without edges into the dst.
-	for _, i := range idxs {
-		reg.add(edges[i].Dst, st.id)
-	}
 	if err := st.skipDuplicates(rows, idxs, edges); err != nil {
 		return err
 	}
 	// The weight callbacks, in arrival order, each for an edge that will be
-	// inserted; the final weight is written into the row's encoded record.
+	// inserted; the weight is written into the row's encoded record.
 	live := 0
 	for r, i := range idxs {
 		if rows.Skipped(r) {
@@ -424,17 +396,13 @@ func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge,
 	if live == 0 {
 		return nil
 	}
-	// Copy-on-write: pending snapshots capture the pre-insert image.
-	if err := st.materializePending(); err != nil {
-		return err
-	}
 	if err := st.tab.InsertBatch(rows); err != nil {
 		return err
 	}
 	for r, i := range idxs {
 		if !rows.Skipped(r) {
 			inserted[i] = true
-			st.dir.add(edges[i].Src, edges[i].Dst, rows.RID(r))
+			st.dir.add(edges[i].Src, rows.RID(r))
 		}
 	}
 	return nil
@@ -496,7 +464,7 @@ func (st *stripe) skipDuplicates(rows *relstore.RowBatch, idxs []int, edges []Ed
 //
 //focuslint:lock requires=stripe
 func (st *stripe) walkOut(src int64, fn func(rid relstore.RID) error) error {
-	for at := chainHead(st.dir.out, src); at >= 0; at = st.dir.rows[at].nextOut {
+	for at := st.dir.first(src); at >= 0; at = st.dir.rows[at].next {
 		if err := fn(st.dir.rows[at].rid); err != nil {
 			return err
 		}
@@ -543,7 +511,7 @@ func (s *Store) ScanBySrc(src int64, fn func(Edge) (bool, error)) error {
 	st := s.stripeFor(src)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.scanBySrc(src, fn)
+	return s.scanBySrc(st, src, fn)
 }
 
 // ScanBySrcLocked is ScanBySrc for callers already holding the stripe locks
@@ -551,11 +519,11 @@ func (s *Store) ScanBySrc(src int64, fn func(Edge) (bool, error)) error {
 //
 //focuslint:lock requires=stripe*
 func (s *Store) ScanBySrcLocked(src int64, fn func(Edge) (bool, error)) error {
-	return s.stripeFor(src).scanBySrc(src, fn)
+	return s.scanBySrc(s.stripeFor(src), src, fn)
 }
 
 //focuslint:lock requires=stripe
-func (st *stripe) scanBySrc(src int64, fn func(Edge) (bool, error)) error {
+func (s *Store) scanBySrc(st *stripe, src int64, fn func(Edge) (bool, error)) error {
 	var out []Edge
 	err := st.walkOut(src, func(rid relstore.RID) error {
 		t, err := st.tab.Get(rid)
@@ -567,6 +535,13 @@ func (st *stripe) scanBySrc(src int64, fn func(Edge) (bool, error)) error {
 	if err != nil {
 		return err
 	}
+	s.log.mu.Lock()
+	for i := range out {
+		if fwd, ok := s.log.latest[out[i].Dst]; ok {
+			out[i].WgtFwd = fwd
+		}
+	}
+	s.log.mu.Unlock()
 	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.Dst, b.Dst) })
 	for _, e := range out {
 		if stop, err := fn(e); stop || err != nil {
@@ -576,178 +551,123 @@ func (st *stripe) scanBySrc(src int64, fn func(Edge) (bool, error)) error {
 	return nil
 }
 
-// UpdateIncomingFwd sets wgt_fwd = fwd on every stored edge into dst — the
-// crawler's trigger once the target's true relevance is known. Incoming
-// edges are striped by their sources, so they may live in any stripe; the
-// dst registry names the stripes actually holding edges into dst, and only
-// those are locked and probed, in ascending id order — O(in-degree stripes)
-// lock acquisitions and directory walks per visit instead of O(NumStripes).
-// Probing an edge-free stripe would be a no-op, so the result is identical
-// to an every-stripe sweep at any stripe count. Callers must not hold any
-// shard or global lock (stripe locks rank below both) and must have
-// published the target's visited state first; see WeightFunc and the
-// registration ordering in Apply.
+// UpdateIncomingFwd records fwd as the forward weight of every edge into dst
+// — the crawler's trigger once the target's true relevance is known. It
+// appends to the forward-weight log in O(1) and touches no page; every later
+// read resolves the edges into dst against it, including edges ingested
+// after this call. A later call for the same dst supersedes the earlier
+// one. Any lock may be held, or none.
 func (s *Store) UpdateIncomingFwd(dst int64, fwd float64) error {
-	return s.sweep(dst, func(st *stripe) error {
-		st.mu.Lock()
-		err := st.updateIncomingFwd(dst, fwd)
-		st.mu.Unlock()
-		return err
-	})
-}
-
-// UpdateIncomingFwdLocked is UpdateIncomingFwd for callers already holding
-// every stripe lock — the crawler's barrier uses it to drain sweeps still
-// pending when a distillation stops the world. It routes through the dst
-// registry exactly as the unlocked form does: registrations happen under
-// stripe locks the barrier holds, so no ingest can be mid-flight and the
-// mask is exact.
-//
-//focuslint:lock requires=stripe*
-func (s *Store) UpdateIncomingFwdLocked(dst int64, fwd float64) error {
-	return s.sweep(dst, func(st *stripe) error {
-		// The closure runs on the caller's goroutine, under the barrier's
-		// stripe locks; the checker analyzes closures from an empty state and
-		// cannot see the inherited holds.
-		//focuslint:ignore locktower closure inherits the caller's requires=stripe* holds
-		return st.updateIncomingFwd(dst, fwd)
-	})
-}
-
-// sweep walks the stripes holding edges into dst in ascending id order,
-// applying the rewrite through probe. The dst's mask is copied out of the
-// registry before any stripe is touched — registry locks are leaves, never
-// held while acquiring a stripe lock.
-func (s *Store) sweep(dst int64, probe func(st *stripe) error) error {
-	s.sweeps.Add(1)
-	var scratch [4]uint64 // up to 256 stripes without allocating
-	mask := s.reg.snapshot(dst, scratch[:0])
-	probes := 0
-	for w, word := range mask {
-		for word != 0 {
-			si := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			probes++
-			if err := probe(s.stripes[si]); err != nil {
-				return err
-			}
-		}
-	}
-	s.sweepProbes.Add(int64(probes))
+	s.log.append(dst, fwd)
 	return nil
 }
 
-// SweepStats reports how many incoming-weight sweeps ran and how many
-// stripe probes (lock + directory walk) they cost in total. The ratio is the
-// average in-degree stripe spread of swept targets, flat in NumStripes.
-func (s *Store) SweepStats() (sweeps, stripeProbes int64) {
-	return s.sweeps.Load(), s.sweepProbes.Load()
-}
+// SweepStats reports no sweeps and no stripe probes: forward weights are
+// resolved where they are read, so nothing sweeps LINK. It stays while the
+// benchmark still reads it.
+func (s *Store) SweepStats() (sweeps, stripeProbes int64) { return 0, 0 }
 
-// updateIncomingFwd rewrites the stripe's edges into dst, found by walking
-// dst's chain in the in-edge directory: a pending snapshot's copy aside, the
-// only pages it touches are the heap pages holding those rows.
-//
-//focuslint:lock requires=stripe
-func (st *stripe) updateIncomingFwd(dst int64, fwd float64) error {
-	at := chainHead(st.dir.in, dst)
-	if at < 0 {
-		return nil
-	}
-	// Copy-on-write: pending snapshots capture the pre-rewrite image.
-	if err := st.materializePending(); err != nil {
-		return err
-	}
-	for ; at >= 0; at = st.dir.rows[at].nextIn {
-		if err := st.tab.SetCol(st.dir.rows[at].rid, ColWgtFwd, relstore.F64(fwd)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckDirectory verifies every stripe's in-edge and out-edge directories
-// against a scan of its heap: each row is reached exactly once, at its own
-// RID, from the in-edge chain of its oid_dst and from the out-edge chain of
-// its oid_src; each directory holds exactly as many entries as the stripe has
-// rows; and every destination in the in-edge directory has the stripe's bit
-// in the dst registry. It takes one stripe lock at a time, so it is exact on
-// a store nothing is writing to.
+// CheckDirectory verifies every stripe's out-edge directory against a scan
+// of its heap — each row is reached exactly once, at its own RID, from the
+// chain of its oid_src, and the directory holds exactly as many entries as
+// the stripe has rows — and the forward-weight log's point-read map against
+// its entries. It takes one lock at a time, so it is exact on a store
+// nothing is writing to.
 func (s *Store) CheckDirectory() error {
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		err := st.checkDirectory(s.reg)
+		err := st.checkDirectory()
 		st.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
+	return s.log.check()
+}
+
+// check verifies the point-read map against the entries.
+func (l *fwdLog) check() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !maps.Equal(l.latest, resolve(l.entries)) {
+		return fmt.Errorf("linkgraph: the forward-weight log's point reads disagree with its %d entries", len(l.entries))
+	}
 	return nil
 }
 
 //focuslint:lock requires=stripe
-func (st *stripe) checkDirectory(reg *dstRegistry) error {
+func (st *stripe) checkDirectory() error {
 	if n := st.tab.Rows(); int64(len(st.dir.rows)) != n {
 		return fmt.Errorf("linkgraph: stripe %d: directory holds %d entries for %d rows", st.id, len(st.dir.rows), n)
 	}
-	dstAt := make(map[relstore.RID]int64, len(st.dir.rows))
 	srcAt := make(map[relstore.RID]int64, len(st.dir.rows))
-	err := st.tab.ScanCols([]int{ColDst, ColSrc}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
-		dstAt[rid], srcAt[rid] = v[0].Int(), v[1].Int()
+	err := st.tab.ScanCols([]int{ColSrc}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
+		srcAt[rid] = v[0].Int()
 		return false, nil
 	})
 	if err != nil {
 		return err
 	}
-	var scratch [4]uint64
-	for dst := range st.dir.in {
-		mask := reg.snapshot(dst, scratch[:0])
-		if len(mask) == 0 || mask[st.id/64]&(1<<uint(st.id%64)) == 0 {
-			return fmt.Errorf("linkgraph: stripe %d: directory has destination %d but the registry lacks the stripe's bit", st.id, dst)
+	for src, at := range st.dir.head {
+		for ; at >= 0; at = st.dir.rows[at].next {
+			if int(at) >= len(st.dir.rows) {
+				return fmt.Errorf("linkgraph: stripe %d: chain of %d runs off the directory at %d", st.id, src, at)
+			}
+			rid := st.dir.rows[at].rid
+			if got, ok := srcAt[rid]; !ok || got != src {
+				return fmt.Errorf("linkgraph: stripe %d: chain of %d reaches %v, which is no row of it or was reached before", st.id, src, rid)
+			}
+			// A row is reached once: a second reach finds it gone.
+			delete(srcAt, rid)
 		}
 	}
-	if err := st.dir.check(st.dir.in, func(r *edgeRow) int32 { return r.nextIn }, dstAt); err != nil {
-		return fmt.Errorf("linkgraph: stripe %d: in-edge directory: %w", st.id, err)
-	}
-	if err := st.dir.check(st.dir.out, func(r *edgeRow) int32 { return r.nextOut }, srcAt); err != nil {
-		return fmt.Errorf("linkgraph: stripe %d: out-edge directory: %w", st.id, err)
+	if len(srcAt) != 0 {
+		return fmt.Errorf("linkgraph: stripe %d: %d rows are not on their chain", st.id, len(srcAt))
 	}
 	return nil
 }
 
-// check verifies the chains head starts, linked by next, against endAt, the
-// oid each of the stripe's rows carries at their end: every row is reached
-// exactly once, at its RID, from its oid's chain. endAt is emptied.
-func (d *edgeDirectory) check(head map[int64]int32, next func(*edgeRow) int32, endAt map[relstore.RID]int64) error {
-	for oid, at := range head {
-		for ; at >= 0; at = next(&d.rows[at]) {
-			if int(at) >= len(d.rows) {
-				return fmt.Errorf("chain of %d runs off the directory at %d", oid, at)
-			}
-			rid := d.rows[at].rid
-			if end, ok := endAt[rid]; !ok || end != oid {
-				return fmt.Errorf("chain of %d reaches %v, which is no row of it or was reached before", oid, rid)
-			}
-			// A row is reached once: a second reach finds it gone.
-			delete(endAt, rid)
+// allCols lists every LINK column; all of them are fixed-width.
+var allCols = []int{ColSrc, ColSidSrc, ColDst, ColSidDst, ColWgtFwd, ColWgtRev}
+
+// scan calls fn with the stripe's first n rows in heap order, wgt_fwd
+// resolved against w; stop reports that fn ended the scan. The heap only
+// appends at its tail, so its first n rows are the stripe as it stood when
+// it held n. Rows are decoded into one tuple reused from row to row, so a
+// scan allocates nothing per row.
+//
+//focuslint:lock requires=stripe
+func (st *stripe) scan(n int64, w map[int64]float64, fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) (stop bool, err error) {
+	if n == 0 {
+		return false, nil
+	}
+	var seen int64
+	err = st.tab.ScanCols(allCols, func(rid relstore.RID, t []relstore.Value) (bool, error) {
+		if fwd, ok := w[t[ColDst].Int()]; ok {
+			t[ColWgtFwd] = relstore.F64(fwd)
 		}
-	}
-	if len(endAt) != 0 {
-		return fmt.Errorf("%d rows are not on their chain", len(endAt))
-	}
-	return nil
+		seen++
+		var ferr error
+		stop, ferr = fn(rid, t)
+		return stop || seen == n, ferr
+	})
+	return stop, err
 }
 
 // Scan visits every stored edge tuple in stripe order (stripe 0 first),
 // heap order within a stripe — with one stripe, exactly the single-table
-// LINK scan order. Each stripe is locked for its portion of the scan; for
-// a consistent cross-stripe snapshot hold the barrier and use ScanLocked.
+// LINK scan order — with wgt_fwd resolved against the forward-weight log as
+// it stood when the scan began. The tuple is valid only during the call.
+// Each stripe is locked for its portion of the scan, fn included, so fn
+// must not write to the store; for a consistent cross-stripe view hold the
+// barrier and use ScanLocked, or take a Snapshot.
 func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
+	w := resolve(s.log.cut())
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		err := st.tab.Scan(fn)
+		stop, err := st.scan(st.tab.Rows(), w, fn)
 		st.mu.Unlock()
-		if err != nil {
+		if stop || err != nil {
 			return err
 		}
 	}
@@ -758,134 +678,86 @@ func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) 
 //
 //focuslint:lock requires=stripe*
 func (s *Store) ScanLocked(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
+	w := resolve(s.log.cut())
 	for _, st := range s.stripes {
-		if err := st.tab.Scan(fn); err != nil {
+		if stop, err := st.scan(st.tab.Rows(), w, fn); stop || err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Snapshot is an immutable point-in-time view of the LINK relation: one
-// tuple run per stripe, in ascending stripe id, heap order within each run
-// — exactly the Store.Scan order of the moment the snapshot was taken. It
-// satisfies the distiller's LinkRel surface, so a distillation epoch can
-// run entirely off to the side while workers keep mutating the live store.
-//
-// The view is copy-on-write: taking a snapshot registers it with every
-// stripe in O(stripes) — the part that runs under the crawler's
-// stop-the-world barrier — and the O(rows) tuple copy of a stripe happens
-// later, off the barrier, at the stripe's first subsequent write (which
-// copies once and shares the run with every snapshot pending there) or at
-// the snapshot reader's first access to that stripe, whichever comes
-// first. A stripe no write or read ever touches again is never copied at
-// all. Scan reports a zero RID (snapshot rows have no stable storage
-// address).
+// Snapshot is an immutable point-in-time view of the LINK relation: the
+// first rows[i] heap rows of each stripe i, with wgt_fwd resolved against
+// the first entries of the forward-weight log — exactly what Store.Scan
+// returned the moment the snapshot was taken. It satisfies the distiller's
+// LinkRel surface, so a distillation epoch can run entirely off to the side
+// while workers keep appending to the live store: rows and log entries
+// written later lie past the cut.
 type Snapshot struct {
 	store *Store
+	rows  []int64
 	edges int64
-	// runs[i] is stripe i's materialized tuple run, nil until the stripe's
-	// copy-on-write or a reader's lazy materialization fills it (both under
-	// the stripe lock). Immutable once stored.
-	runs []atomic.Pointer[[]relstore.Tuple]
+	fwd   []fwdEntry
+
+	// read fills cut, the snapshot's edges in Scan order, on the first Scan:
+	// each stripe's lock is held once per snapshot, and an epoch's later
+	// scans read no page and take no lock.
+	read sync.Once
+	cut  []Edge
+	err  error
 }
 
-// SnapshotLocked registers a snapshot against every stripe. The caller must
-// hold every stripe lock (the crawler's short distill barrier); the
-// registration is therefore a consistent cross-stripe cut, and costs
-// O(stripes), not O(edges) — the copies happen copy-on-write after the
-// barrier drops (see Snapshot).
+// SnapshotLocked takes a snapshot. The caller must hold every stripe lock
+// (the crawler's short distill barrier), so the cut is consistent across
+// stripes; it costs O(stripes) and reads no page.
 //
 //focuslint:lock requires=stripe*
 func (s *Store) SnapshotLocked() (*Snapshot, error) {
-	sn := &Snapshot{
-		store: s,
-		runs:  make([]atomic.Pointer[[]relstore.Tuple], len(s.stripes)),
-	}
-	for _, st := range s.stripes {
-		st.pend = append(st.pend, sn)
-		sn.edges += st.tab.Rows()
+	sn := &Snapshot{store: s, rows: make([]int64, len(s.stripes)), fwd: s.log.cut()}
+	for i, st := range s.stripes {
+		sn.rows[i] = st.tab.Rows()
+		sn.edges += sn.rows[i]
 	}
 	return sn, nil
-}
-
-// run returns stripe i's tuple run, lazily materializing it from the live
-// stripe if no post-snapshot write has copied it out yet. The stripe lock
-// is taken only on that first access; once the pointer is set the stripe
-// is never touched again.
-func (sn *Snapshot) run(i int) ([]relstore.Tuple, error) {
-	if p := sn.runs[i].Load(); p != nil {
-		return *p, nil
-	}
-	st := sn.store.stripes[i]
-	st.mu.Lock()
-	err := st.materializePending()
-	st.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	// materializePending filled sn.runs[i] (either our call or a racing
-	// writer's before we took the lock).
-	return *sn.runs[i].Load(), nil
 }
 
 // Rows returns the snapshot's edge count (captured at the barrier).
 func (sn *Snapshot) Rows() int64 { return sn.edges }
 
 // Scan visits every snapshot edge in stripe order, heap order within a
-// stripe — the same order Store.Scan produced at snapshot time.
+// stripe — the same order and weights Store.Scan produced at snapshot time
+// — with a zero RID. The tuple is valid only during the call.
 func (sn *Snapshot) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
-	for i := range sn.runs {
-		run, err := sn.run(i)
-		if err != nil {
+	sn.read.Do(sn.readCut)
+	if sn.err != nil {
+		return sn.err
+	}
+	t := make(relstore.Tuple, len(allCols))
+	for _, e := range sn.cut {
+		t[ColSrc], t[ColSidSrc], t[ColDst] = relstore.I64(e.Src), relstore.I32(e.SidSrc), relstore.I64(e.Dst)
+		t[ColSidDst], t[ColWgtFwd], t[ColWgtRev] = relstore.I32(e.SidDst), relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev)
+		if stop, err := fn(relstore.RID{}, t); stop || err != nil {
 			return err
-		}
-		for _, t := range run {
-			stop, err := fn(relstore.RID{}, t)
-			if err != nil {
-				return err
-			}
-			if stop {
-				return nil
-			}
 		}
 	}
 	return nil
 }
 
-// Iter returns an iterator over the snapshot in Scan order. Each call
-// returns an independent iterator, so several consumers may stream the same
-// snapshot concurrently.
-func (sn *Snapshot) Iter() (relstore.Iterator, error) {
-	return &snapshotIter{sn: sn}, nil
-}
-
-type snapshotIter struct {
-	sn     *Snapshot
-	run    int
-	cur    []relstore.Tuple
-	loaded bool
-	next   int
-}
-
-func (it *snapshotIter) Next() (relstore.Tuple, bool, error) {
-	for {
-		if !it.loaded {
-			if it.run >= len(it.sn.runs) {
-				return nil, false, nil
-			}
-			r, err := it.sn.run(it.run)
-			if err != nil {
-				return nil, false, err
-			}
-			it.cur, it.loaded, it.next = r, true, 0
+// readCut reads each stripe's first rows[i] rows, weights resolved, into cut,
+// holding the stripe's lock while it does.
+func (sn *Snapshot) readCut() {
+	w := resolve(sn.fwd)
+	sn.cut = make([]Edge, 0, sn.edges)
+	for i, st := range sn.store.stripes {
+		st.mu.Lock()
+		_, sn.err = st.scan(sn.rows[i], w, func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+			sn.cut = append(sn.cut, EdgeOf(t))
+			return false, nil
+		})
+		st.mu.Unlock()
+		if sn.err != nil {
+			return
 		}
-		if it.next < len(it.cur) {
-			t := it.cur[it.next]
-			it.next++
-			return t, true, nil
-		}
-		it.run++
-		it.loaded = false
 	}
 }

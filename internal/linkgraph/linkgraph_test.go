@@ -111,8 +111,9 @@ func TestApplyWeightCallback(t *testing.T) {
 }
 
 func TestUpdateIncomingFwd(t *testing.T) {
-	// Edges into dst=9 from sources on different stripes; all must be
-	// rewritten, edges into other targets untouched.
+	// Edges into dst=9 from sources on different stripes; every read must
+	// carry the logged weight, edges into other targets their stored one —
+	// including an edge into 9 ingested after the weight was logged.
 	s := newStore(t, 4)
 	var b Batch
 	for src := int64(1); src <= 8; src++ {
@@ -125,90 +126,39 @@ func TestUpdateIncomingFwd(t *testing.T) {
 	if err := s.UpdateIncomingFwd(9, 0.625); err != nil {
 		t.Fatal(err)
 	}
+	var late Batch
+	late.Add(e(11, 9))
+	if _, err := s.Apply(&late, nil); err != nil {
+		t.Fatal(err)
+	}
+	into9 := 0
 	err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
 		edge := EdgeOf(tp)
-		if edge.Dst == 9 && edge.WgtFwd != 0.625 {
-			t.Errorf("edge %d->9 wgt_fwd = %v, want 0.625", edge.Src, edge.WgtFwd)
-		}
-		if edge.Dst == 10 && edge.WgtFwd == 0.625 {
-			t.Errorf("edge %d->10 rewritten; only dst=9 should be", edge.Src)
-		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRoutedSweepProbesOnlyDstStripes(t *testing.T) {
-	// Edges into dst=9 come from srcs 1 and 2 (stripes 1 and 2 of 8); a
-	// routed sweep must probe exactly those two stripes, and a sweep of a
-	// never-linked dst must probe none.
-	s := newStore(t, 8)
-	var b Batch
-	b.Add(e(1, 9))
-	b.Add(e(2, 9))
-	b.Add(e(3, 12))
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UpdateIncomingFwd(9, 0.75); err != nil {
-		t.Fatal(err)
-	}
-	sweeps, probes := s.SweepStats()
-	if sweeps != 1 || probes != 2 {
-		t.Fatalf("SweepStats = (%d, %d), want (1, 2)", sweeps, probes)
-	}
-	if err := s.UpdateIncomingFwd(77, 0.5); err != nil { // no edges into 77
-		t.Fatal(err)
-	}
-	if sweeps, probes = s.SweepStats(); sweeps != 2 || probes != 2 {
-		t.Fatalf("SweepStats after no-edge sweep = (%d, %d), want (2, 2)", sweeps, probes)
-	}
-	err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		edge := EdgeOf(tp)
-		if edge.Dst == 9 && edge.WgtFwd != 0.75 {
-			t.Errorf("edge %d->9 wgt_fwd = %v, want 0.75", edge.Src, edge.WgtFwd)
-		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRoutedSweepMultiWordMasks(t *testing.T) {
-	// 130 stripes needs a 3-word registry mask; srcs land on stripes 0, 65,
-	// and 129 — one bit in each word.
-	s := newStore(t, 130)
-	var b Batch
-	for _, src := range []int64{130, 65, 129} { // stripe = src % 130
-		b.Add(e(src, 7))
-	}
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UpdateIncomingFwd(7, 0.875); err != nil {
-		t.Fatal(err)
-	}
-	if sweeps, probes := s.SweepStats(); sweeps != 1 || probes != 3 {
-		t.Fatalf("SweepStats = (%d, %d), want (1, 3)", sweeps, probes)
-	}
-	rewritten := 0
-	err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		if edge := EdgeOf(tp); edge.Dst == 7 {
-			if edge.WgtFwd != 0.875 {
-				t.Errorf("edge %d->7 wgt_fwd = %v, want 0.875", edge.Src, edge.WgtFwd)
+		if edge.Dst == 9 {
+			into9++
+			if edge.WgtFwd != 0.625 {
+				t.Errorf("edge %d->9 wgt_fwd = %v, want 0.625", edge.Src, edge.WgtFwd)
 			}
-			rewritten++
+		}
+		if edge.Dst == 10 && edge.WgtFwd != e(edge.Src, 10).WgtFwd {
+			t.Errorf("edge %d->10 wgt_fwd = %v, want its stored %v; only dst=9 is logged", edge.Src, edge.WgtFwd, e(edge.Src, 10).WgtFwd)
 		}
 		return false, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rewritten != 3 {
-		t.Fatalf("rewrote %d edges, want 3", rewritten)
+	if into9 != 9 {
+		t.Fatalf("read %d edges into 9, want 9", into9)
+	}
+	err = s.ScanBySrc(11, func(edge Edge) (bool, error) {
+		if edge.WgtFwd != 0.625 {
+			t.Errorf("ScanBySrc: edge 11->%d wgt_fwd = %v, want 0.625", edge.Dst, edge.WgtFwd)
+		}
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -274,40 +224,17 @@ func TestSingleStripeMatchesPlainTable(t *testing.T) {
 	}
 }
 
-// TestUpdateIncomingFwdPoolFetches: a sweep into a destination with k
-// in-edges in one stripe walks the in-edge directory, so it fetches no index
-// page — exactly the heap pages holding those k rows, here one page each,
-// since a page's worth of other edges lands between any two of them.
+// TestUpdateIncomingFwdPoolFetches: logging a forward weight touches no
+// page, however many stored edges lead into the destination.
 func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
-	const (
-		k   = 6
-		dst = 1 << 40
-	)
+	const dst = 1 << 40
 	s := newStore(t, 2)
-	filler := int64(0)
-	for i := 0; i < k; i++ {
-		var b Batch
-		b.Add(e(int64(2*i), dst)) // even sources: stripe 0
-		for j := 0; j < 150; j++ {
-			b.Add(e(2*(100+filler%50), 1000+filler))
-			filler++
-		}
-		if _, err := s.Apply(&b, nil); err != nil {
-			t.Fatal(err)
-		}
+	var b Batch
+	for src := int64(0); src < 300; src++ {
+		b.Add(e(src, dst))
 	}
-	pages := map[relstore.PageID]bool{}
-	err := s.stripes[0].tab.ScanCols([]int{ColDst}, func(rid relstore.RID, v []relstore.Value) (bool, error) {
-		if v[0].Int() == dst {
-			pages[rid.Page] = true
-		}
-		return false, nil
-	})
-	if err != nil {
+	if _, err := s.Apply(&b, nil); err != nil {
 		t.Fatal(err)
-	}
-	if len(pages) != k {
-		t.Fatalf("the %d edges into the target lie on %d heap pages, the test wants one each", k, len(pages))
 	}
 	pool := s.db.Pool()
 	before := pool.Stats()
@@ -315,27 +242,28 @@ func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := pool.Stats()
-	if got := (after.Hits + after.Misses) - (before.Hits + before.Misses); got != int64(len(pages)) {
-		t.Fatalf("the sweep fetched %d pages, its rows lie on %d", got, len(pages))
+	if got := (after.Hits + after.Misses) - (before.Hits + before.Misses); got != 0 {
+		t.Fatalf("logging a forward weight fetched %d pages, want 0", got)
 	}
-	rewritten := 0
-	err = s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+	read := 0
+	err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
 		if edge := EdgeOf(tp); edge.Dst == dst && edge.WgtFwd == 0.5 {
-			rewritten++
+			read++
 		}
 		return false, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rewritten != k {
-		t.Fatalf("the sweep rewrote %d of %d edges", rewritten, k)
+	if read != 300 {
+		t.Fatalf("%d of 300 edges read the logged weight", read)
 	}
 }
 
 // TestCheckDirectoryCatchesDrift: the directory checker passes on a store
-// built by Apply, and fails once the in-edge or the out-edge directory is made
-// to disagree with the heap or the registry in each way it can.
+// built by Apply, and fails once the out-edge directory is made to disagree
+// with the heap, or the log's point reads with its entries, in each way they
+// can.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	s := newStore(t, 2)
 	var b Batch
@@ -346,32 +274,34 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	if _, err := s.Apply(&b, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.UpdateIncomingFwd(3, 0.5); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.stripes[0]
 	clone := func(d edgeDirectory) edgeDirectory {
-		return edgeDirectory{in: maps.Clone(d.in), out: maps.Clone(d.out), rows: slices.Clone(d.rows)}
+		return edgeDirectory{head: maps.Clone(d.head), rows: slices.Clone(d.rows)}
 	}
-	good, reg := clone(st.dir), s.reg
+	good, latest := clone(st.dir), maps.Clone(s.log.latest)
 	for name, drift := range map[string]func(){
-		"missing chain": func() { delete(st.dir.in, 4) },
+		"missing chain": func() { delete(st.dir.head, 4) },
 		"swapped rows": func() {
-			a, b := &st.dir.rows[st.dir.in[3]], &st.dir.rows[st.dir.in[4]]
+			a, b := &st.dir.rows[st.dir.head[0]], &st.dir.rows[st.dir.head[2]]
 			a.rid, b.rid = b.rid, a.rid
 		},
-		"extra entry":  func() { st.dir.add(0, 3, st.dir.rows[0].rid) },
-		"looped chain": func() { st.dir.rows[st.dir.in[3]].nextIn = st.dir.in[3] },
-		"unregistered": func() { s.reg = newDstRegistry(len(s.stripes)) },
-		"out-edge chain into another source's rows": func() {
-			st.dir.rows[st.dir.out[0]].nextOut = st.dir.out[2]
-		},
-		"out-edge chain cut short": func() { st.dir.rows[st.dir.out[6]].nextOut = -1 },
+		"extra entry":                       func() { st.dir.add(0, st.dir.rows[0].rid) },
+		"looped chain":                      func() { st.dir.rows[st.dir.head[0]].next = st.dir.head[0] },
+		"chain into another source's rows":  func() { st.dir.rows[st.dir.head[0]].next = st.dir.head[2] },
+		"chain cut short":                   func() { st.dir.rows[st.dir.head[6]].next = -1 },
+		"log point read of an unlogged dst": func() { s.log.latest[4] = 0.5 },
+		"log point read off its last entry": func() { s.log.latest[3] = 0.25 },
 	} {
 		drift()
 		if err := s.CheckDirectory(); err == nil {
 			t.Errorf("%s: CheckDirectory passed", name)
 		}
-		st.dir, s.reg = clone(good), reg
+		st.dir, s.log.latest = clone(good), maps.Clone(latest)
 	}
 }

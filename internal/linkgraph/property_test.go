@@ -91,15 +91,13 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 	}
 }
 
-// TestRoutedSweepEquivalenceProperty pins the dst-routing of
-// UpdateIncomingFwd at several stripe counts: for random edge sets and a
-// random sweep sequence, the routed sweep must (a) leave the store
-// tuple-for-tuple identical to the same batches and sweeps applied to a
-// one-stripe store, where there is nothing to route (compared through
-// byDst, whose order is stripe-count-independent), and (b) lock and probe
-// exactly the stripes that store at least one edge into the swept target —
-// no more (routing must skip edge-free stripes), no fewer (a skipped stripe
-// would strand a stale weight).
+// TestRoutedSweepEquivalenceProperty pins UpdateIncomingFwd at several
+// stripe counts: for random edge sets and a random sequence of logged
+// weights — for targets with in-edges and targets without, a target possibly
+// more than once — the store must read tuple for tuple what the same batches and
+// weights give a one-stripe store (compared through byDst, whose order is
+// stripe-count-independent). The name is from when UpdateIncomingFwd
+// rewrote LINK, routed to the stripes holding the target's in-edges.
 func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -117,7 +115,7 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 				WgtRev: float64(rng.Intn(100)) / 100,
 			})
 		}
-		// Sweep a mix of targets with in-edges and targets without any.
+		// Log weights for a mix of targets with in-edges and targets without any.
 		type sweep struct {
 			dst int64
 			fwd float64
@@ -162,32 +160,8 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("tuple %d = %+v after routed sweeps, one-stripe store has %+v", i, got[i], want[i])
+						t.Fatalf("tuple %d = %+v with the logged weights, one-stripe store has %+v", i, got[i], want[i])
 					}
-				}
-
-				// Probe accounting: the routed store must have probed exactly
-				// the stripes holding edges into each swept dst (counting a
-				// dst once per sweep of it).
-				stripesInto := func(dst int64) int64 {
-					seen := map[int]bool{}
-					for _, e := range edges {
-						if e.Dst == dst {
-							seen[int(uint64(e.Src)%uint64(stripes))] = true
-						}
-					}
-					return int64(len(seen))
-				}
-				var wantProbes int64
-				for _, sw := range sweeps {
-					wantProbes += stripesInto(sw.dst)
-				}
-				nSweeps, probes := routed.SweepStats()
-				if nSweeps != int64(len(sweeps)) {
-					t.Fatalf("routed SweepStats sweeps = %d, ran %d", nSweeps, len(sweeps))
-				}
-				if probes != wantProbes {
-					t.Fatalf("routed sweeps probed %d stripes, edges into swept dsts span %d", probes, wantProbes)
 				}
 			})
 		}

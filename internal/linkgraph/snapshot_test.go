@@ -2,6 +2,7 @@ package linkgraph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // snapshotAll is the crawler's barrier in miniature: lock every stripe,
-// register the snapshot, unlock.
+// cut the snapshot, unlock.
 func snapshotAll(t testing.TB, s *Store) *Snapshot {
 	t.Helper()
 	s.LockAll()
@@ -36,12 +37,11 @@ func scanEdges(t testing.TB, rel interface {
 	return out
 }
 
-// TestSnapshotIsolationUnderWrites pins the copy-on-write contract: a
-// snapshot registered at the barrier must keep serving the barrier-time
-// image — same edges, same order — while inserts and incoming-weight
-// rewrites keep mutating the live store underneath it. Two snapshots
-// pending on the same stripes must both stay correct (the first write
-// materializes them from one shared copy).
+// TestSnapshotIsolationUnderWrites pins the snapshot contract: a snapshot
+// cut at the barrier must keep serving the barrier-time image — same edges,
+// same weights, same order — while inserts and logged forward weights keep
+// changing what the live store reads underneath it. Two snapshots cut at
+// the same point must both stay correct.
 func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	s := newStore(t, 4)
 	var b Batch
@@ -60,7 +60,7 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 		t.Fatalf("snapshot Rows = %d, want %d", sn1.Rows(), len(want))
 	}
 
-	// Mutate every stripe after the barrier: new edges and a weight sweep.
+	// Change every stripe after the barrier: new edges and a logged weight.
 	var b2 Batch
 	for src := int64(21); src <= 40; src++ {
 		b2.Add(e(src, src+100))
@@ -89,8 +89,7 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 		t.Fatalf("live store has %d edges, want %d", len(live), len(want)+20)
 	}
 
-	// A second Scan reads the already materialized runs: same edges, same
-	// order.
+	// A second Scan reads the same cut: same edges, same order.
 	again := scanEdges(t, sn1)
 	if len(again) != len(want) {
 		t.Fatalf("second Scan: %d edges, want %d", len(again), len(want))
@@ -102,9 +101,8 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	}
 }
 
-// TestSnapshotLazyReadWithoutWrites covers the other materialization path:
-// nothing writes after the barrier, so the snapshot's first reader copies
-// each stripe out itself.
+// TestSnapshotLazyReadWithoutWrites: with nothing written after the
+// barrier, a snapshot reads exactly what the live store does.
 func TestSnapshotLazyReadWithoutWrites(t *testing.T) {
 	s := newStore(t, 3)
 	var b Batch
@@ -128,10 +126,10 @@ func TestSnapshotLazyReadWithoutWrites(t *testing.T) {
 }
 
 // TestSnapshotConcurrentReadersAndWriters races snapshot consumption
-// against live ingest and sweeps under -race: writers keep applying batches
-// while each snapshot, taken mid-stream, is scanned by two concurrent
-// iterators. Every snapshot must see exactly the edge count its barrier
-// recorded, and both iterators must agree tuple for tuple.
+// against live ingest and logged weights under -race: writers keep applying
+// batches while each snapshot, taken mid-stream, is scanned by two
+// concurrent readers. Every snapshot must read exactly the edges its
+// barrier recorded, and both readers must agree tuple for tuple.
 func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	s := newStore(t, 8)
 	const rounds, perRound = 12, 60
@@ -148,9 +146,12 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 		sn := snapshotAll(t, s)
-		wantRows := sn.Rows()
+		want := scanEdges(t, sn)
+		if int64(len(want)) != sn.Rows() {
+			t.Fatalf("snapshot read %d rows, barrier recorded %d", len(want), sn.Rows())
+		}
 		wg.Add(3)
-		go func(r int) { // concurrent ingest + sweeps while readers run
+		go func(r int) { // concurrent ingest + logged weights while readers run
 			defer wg.Done()
 			var wb Batch
 			for k := 0; k < perRound; k++ {
@@ -168,25 +169,17 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 		for reader := 0; reader < 2; reader++ {
 			go func() {
 				defer wg.Done()
-				it, err := sn.Iter()
+				var got []Edge
+				err := sn.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+					got = append(got, EdgeOf(tp))
+					return false, nil
+				})
 				if err != nil {
 					errs <- err
 					return
 				}
-				var n int64
-				for {
-					_, ok, err := it.Next()
-					if err != nil {
-						errs <- err
-						return
-					}
-					if !ok {
-						break
-					}
-					n++
-				}
-				if n != wantRows {
-					errs <- fmt.Errorf("snapshot iter saw %d rows, barrier recorded %d", n, wantRows)
+				if !slices.Equal(got, want) {
+					errs <- fmt.Errorf("snapshot reader saw %d rows, differing from the %d first read", len(got), len(want))
 				}
 			}()
 		}
@@ -195,5 +188,34 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotKeepsSupersededWeight: a destination logged before the cut
+// and again after it reads, through the snapshot, the weight logged before.
+func TestSnapshotKeepsSupersededWeight(t *testing.T) {
+	s := newStore(t, 2)
+	var b Batch
+	b.Add(e(1, 9))
+	b.Add(e(2, 9))
+	if _, err := s.Apply(&b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpdateIncomingFwd(9, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	sn := snapshotAll(t, s)
+	if err := s.UpdateIncomingFwd(9, 0.75); err != nil {
+		t.Fatal(err)
+	}
+	for _, edge := range scanEdges(t, sn) {
+		if edge.WgtFwd != 0.25 {
+			t.Errorf("snapshot edge %d->9 wgt_fwd = %v, want 0.25, logged before the cut", edge.Src, edge.WgtFwd)
+		}
+	}
+	for _, edge := range scanEdges(t, s) {
+		if edge.WgtFwd != 0.75 {
+			t.Errorf("live edge %d->9 wgt_fwd = %v, want the newest 0.75", edge.Src, edge.WgtFwd)
+		}
 	}
 }

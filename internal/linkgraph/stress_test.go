@@ -2,6 +2,7 @@ package linkgraph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,20 +10,19 @@ import (
 	"focus/internal/relstore"
 )
 
-// TestLinkGraphRoutedSweepStress hammers the dst-routed incoming-weight
-// sweep with the crawler's exact ordering: 8 workers ingest overlapping
-// batches over a small, hot set of destinations (so the same dst keeps
-// gaining edges from many stripes) while marking targets "visited" and
-// sweeping them concurrently. The visited map plays the CRAWL row: a worker
-// marks the dst under the map lock *before* sweeping (as complete() marks
-// the row before UpdateIncomingFwd), and the ingest weight callback reads
-// the map under the same lock (as edgeWeight reads the row under the shard
-// lock). The invariant — no stored edge into a visited dst ever retains a
-// stale weight — holds only if the registry registration precedes the
-// weight callback inside applyLocked; a registration placed after the
-// insert would let a routed sweep miss the stripe of an in-flight stale
-// insert, and this test (under -race in CI, twice) is built to catch that.
-// The 128-stripe case exercises multi-word registry masks.
+// TestLinkGraphRoutedSweepStress hammers forward-weight resolution with the
+// crawler's access mix: 8 workers ingest overlapping batches over a small,
+// hot set of destinations (so the same dst keeps gaining edges from many
+// stripes) while marking targets "visited", logging their weights, and
+// taking snapshots concurrently. The visited map plays the CRAWL row: a
+// worker marks the dst and logs its weight under the map lock, as complete()
+// marks the row and logs under the shard lock. Half the workers ingest with
+// a weight callback that reads the map (the benchmark's replay does), half
+// with none (the crawler). The invariant — every read of an edge into a
+// visited dst carries its final weight, every other edge its ingest weight —
+// must hold for the live store and for every snapshot, each against the
+// visits marked when it was cut. The name is from when UpdateIncomingFwd
+// rewrote LINK through a routed sweep; the 128-stripe case remains.
 func TestLinkGraphRoutedSweepStress(t *testing.T) {
 	for _, stripes := range []int{1, 4, 128} {
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
@@ -35,11 +35,8 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 			)
 			s := newStore(t, stripes)
 
-			weightOf := func(src, dst int64) float64 {
-				return float64((src*31+dst)%97) / 97
-			}
 			finalOf := func(dst int64) float64 {
-				return 2 + float64(dst%11) // disjoint from weightOf's range
+				return 2 + float64(dst%11) // disjoint from stressWeight's range
 			}
 
 			var visited struct {
@@ -47,7 +44,7 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 				m map[int64]float64
 			}
 			visited.m = make(map[int64]float64)
-			weight := func(e Edge) (float64, error) {
+			visitedWeight := func(e Edge) (float64, error) {
 				visited.Lock()
 				defer visited.Unlock()
 				if w, ok := visited.m[e.Dst]; ok {
@@ -65,6 +62,10 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(9000*stripes + w)))
+					var weight WeightFunc
+					if w%2 == 1 {
+						weight = visitedWeight
+					}
 					<-start
 					for b := 0; b < batches; b++ {
 						batch := &Batch{}
@@ -73,25 +74,44 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 							batch.Add(Edge{
 								Src: src, SidSrc: int32(src % 5),
 								Dst: dst, SidDst: int32(dst % 5),
-								WgtFwd: weightOf(src, dst), WgtRev: weightOf(dst, src),
+								WgtFwd: stressWeight(src, dst), WgtRev: stressWeight(dst, src),
 							})
 						}
 						if _, err := s.Apply(batch, weight); err != nil {
 							errs <- err
 							return
 						}
-						// Visit a hot dst: mark first, then sweep — the
-						// crawler's order. Several workers visiting the same
-						// dst write the same deterministic final weight, so
-						// the race is harmless by construction, as in the
-						// crawler (idempotent sweeps).
+						// Visit a hot dst: mark it and log its weight in one
+						// critical section, as the crawler does. Several
+						// workers visiting the same dst log the same
+						// deterministic final weight.
 						dst := rng.Int63n(dsts)
 						visited.Lock()
 						visited.m[dst] = finalOf(dst)
+						err := s.UpdateIncomingFwd(dst, finalOf(dst))
 						visited.Unlock()
-						if err := s.UpdateIncomingFwd(dst, finalOf(dst)); err != nil {
+						if err != nil {
 							errs <- err
 							return
+						}
+						// Every few batches, cut a snapshot with the map
+						// still: the barrier in miniature. Stripe locks come
+						// first, as the weight callback takes the map lock
+						// under one.
+						if b%5 == 0 {
+							s.LockAll()
+							visited.Lock()
+							sn, err := s.SnapshotLocked()
+							cut := maps.Clone(visited.m)
+							visited.Unlock()
+							s.UnlockAll()
+							if err == nil {
+								err = checkWeights(sn, cut)
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
 						}
 					}
 				}()
@@ -103,54 +123,54 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Every stored edge into a visited dst carries the final weight —
-			// whether its ingest landed before the sweep (rewritten) or after
-			// the visit mark (weight callback read the map). Edges into
-			// never-visited dsts keep their ingest weight.
-			checked := 0
-			err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-				edge := EdgeOf(tp)
-				if fin, ok := visited.m[edge.Dst]; ok {
-					checked++
-					if edge.WgtFwd != fin {
-						t.Errorf("edge %d->%d wgt_fwd = %v, dst visited with %v (stale weight survived)",
-							edge.Src, edge.Dst, edge.WgtFwd, fin)
-					}
-				} else if edge.WgtFwd != weightOf(edge.Src, edge.Dst) {
-					t.Errorf("edge %d->%d wgt_fwd = %v, never swept, want ingest weight %v",
-						edge.Src, edge.Dst, edge.WgtFwd, weightOf(edge.Src, edge.Dst))
-				}
-				return false, nil
-			})
-			if err != nil {
+			if err := checkWeights(s, visited.m); err != nil {
 				t.Fatal(err)
+			}
+			checked := 0
+			for _, edge := range scanEdges(t, s) {
+				if _, ok := visited.m[edge.Dst]; ok {
+					checked++
+				}
 			}
 			if checked == 0 {
 				t.Fatal("no edges into visited dsts — stress exercised nothing")
-			}
-
-			// Routing sanity: sweeps ran, and on multi-stripe stores they
-			// probed strictly fewer stripes than the legacy
-			// every-stripe sweep would have (dsts span at most `dsts` srcs'
-			// stripes, and early sweeps see sparse masks).
-			sweeps, probes := s.SweepStats()
-			if sweeps != workers*batches {
-				t.Fatalf("SweepStats sweeps = %d, ran %d", sweeps, workers*batches)
-			}
-			if stripes > srcs && probes >= sweeps*int64(stripes) {
-				t.Fatalf("routed sweeps probed %d stripes over %d sweeps — not routed at %d stripes",
-					probes, sweeps, stripes)
 			}
 		})
 	}
 }
 
+// checkWeights reads every edge of rel and requires wgt_fwd to be the
+// visited weight of its dst, or the stress tests' ingest weight when its dst
+// is not in visited.
+func checkWeights(rel interface {
+	Scan(func(relstore.RID, relstore.Tuple) (bool, error)) error
+}, visited map[int64]float64) error {
+	return rel.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+		edge := EdgeOf(tp)
+		want, ok := visited[edge.Dst]
+		if !ok {
+			want = stressWeight(edge.Src, edge.Dst)
+		}
+		if edge.WgtFwd != want {
+			return true, fmt.Errorf("edge %d->%d wgt_fwd = %v, want %v (dst visited: %v)", edge.Src, edge.Dst, edge.WgtFwd, want, ok)
+		}
+		return false, nil
+	})
+}
+
+// stressWeight is the stress tests' ingest weight of an edge, deterministic
+// so the final state is independent of which worker's copy wins the insert
+// race.
+func stressWeight(src, dst int64) float64 {
+	return float64((src*31+dst)%97) / 97
+}
+
 // TestLinkGraphStressOverlappingIngest drives N workers applying
-// overlapping edge batches concurrently — with interleaved incoming-weight
-// rewrites and prefix reads, the crawler's exact access mix — and then
+// overlapping edge batches concurrently — with interleaved logged forward
+// weights and prefix reads, the crawler's exact access mix — and then
 // checks the store against a serial oracle: no edge lost, no edge
 // duplicated, weights deterministic, ScanBySrc reading back exactly the
-// heap's edges, and both directories equal to it (CheckDirectory). Run it under -race;
+// heap's edges, and the directories equal to it (CheckDirectory). Run it under -race;
 // the CI concurrency step does, twice.
 func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 	for _, stripes := range []int{1, 4, 7} {
@@ -272,10 +292,9 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 					t.Errorf("edge %d->%d lost", key[0], key[1])
 					continue
 				}
-				// WgtFwd may have been rewritten by UpdateIncomingFwd, but
-				// both writers use the same deterministic function of dst
-				// — apply-time weight weightOf(src,dst) or rewrite weight
-				// weightOf(-1,dst) — so only those two values are legal.
+				// WgtFwd reads the logged weightOf(-1,dst) if some worker
+				// logged dst, else the apply-time weightOf(src,dst), so
+				// only those two values are legal.
 				if edge.WgtFwd != weightOf(key[0], key[1]) && edge.WgtFwd != weightOf(-1, key[1]) {
 					t.Errorf("edge %d->%d wgt_fwd = %v, not a value any writer wrote",
 						key[0], key[1], edge.WgtFwd)

@@ -2,7 +2,7 @@
 //
 // Mutex fields annotated `//focuslint:lock rank=... order=N` form the
 // tower (crawler epoch < link stripe < frontier shard < crawler global);
-// `leaf` marks terminal locks (registry shards, the pool latch, disk
+// `leaf` marks terminal locks (the forward-weight log, the pool latch, disk
 // mutexes) that may be taken under any tower lock but must
 // acquire nothing themselves. The analyzer abstract-interprets every
 // function body, propagates acquire summaries through the static call
