@@ -13,10 +13,11 @@
 //   - a distiller (relevance-weighted HITS with nepotism filtering) that
 //     finds hub pages and periodically boosts their unvisited neighbors,
 //     running beside the crawl: the visit that triggers an epoch snapshots
-//     the link graph under a short barrier, then computes HITS and
-//     publishes its HUBS/AUTH score tables with an atomic buffer swap while
-//     the other workers keep crawling (with one worker the visit order is a
-//     pure function of seed and config);
+//     the link graph under a short barrier, then computes HITS in memory
+//     and publishes its ranked hub and authority scores as immutable
+//     arrays through one atomic pointer while the other workers keep
+//     crawling (with one worker the visit order is a pure function of seed
+//     and config);
 //   - a multi-threaded crawler whose frontier is host-sharded: the CRAWL
 //     relation is partitioned by server hash into per-worker shards, each
 //     with its own in-memory frontier set checked out in (numtries ASC,

@@ -2,14 +2,24 @@ package crawler
 
 // Durable checkpoint and resume. A checkpoint captures the crawl at the same
 // consistency point the distillation snapshot uses — the full barrier — so
-// every persisted relation (CRAWL shards, LINK stripes, HUBS/AUTH buffers)
-// reflects one cut of the visit sequence. The mutable in-memory state that is NOT derivable from the
-// relations (visit sequence, counters, politeness clocks, which score buffer
-// is published) goes into a small CKPT key/value table; everything else —
-// harvest log, per-shard oid directory and frontier set, serverSeen/insertSeq,
-// frontier counts, the link store's out-edge directories and forward-weight
-// log — is rebuilt from the relations at Resume, which keeps the checkpoint
-// write small and the single source of truth on disk.
+// every persisted relation (CRAWL shards, LINK stripes) reflects one cut of
+// the visit sequence. What is NOT derivable from the relations goes into
+// framed records in two small key/value tables: the crawler state (visit
+// sequence, counters, politeness clocks) and the CheckpointExtra blob in
+// CKPT, rewritten every checkpoint, and the published scores in
+// CKPT#scores, rewritten only when an epoch has published since. Everything
+// else — harvest log, per-shard oid directory and frontier set,
+// serverSeen/insertSeq, frontier counts, the link store's out-edge
+// directories and forward-weight log — is rebuilt from the relations at
+// Resume, which keeps the checkpoint write small and the single source of
+// truth on disk.
+//
+// A record is one payload, whatever its size: a 17-byte header (kind, the
+// published epoch it was written at, payload length, CRC-32 of the payload)
+// and the payload, split into rows keyed "<kind>#<i>" of at most
+// relstore.MaxRecordLen bytes each. A file written before records were
+// framed holds single unframed "state" and "extra" rows, and its scores in
+// four HUBS/AUTH tables; Resume reads both.
 //
 // Bit-identical resume is pinned under the same discipline as the one-shard,
 // one-stripe goldens: Workers=1 (so the quiesce point always falls between
@@ -20,22 +30,45 @@ package crawler
 // and visit order may differ from the uninterrupted run.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"focus/internal/classifier"
+	"focus/internal/distiller"
 	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
 const (
-	ckptTable    = "CKPT"
-	ckptStateKey = "state"
-	ckptExtraKey = "extra"
+	ckptTable       = "CKPT"
+	ckptScoresTable = "CKPT#scores"
 )
+
+// Record kinds: the first byte of a record's header, and by recordNames
+// the prefix of its rows' keys.
+const (
+	recState byte = 1 + iota
+	recExtra
+	recScores
+)
+
+var recordNames = [...]string{recState: "state", recExtra: "extra", recScores: "scores"}
+
+// recordHdr is a record header's length: kind (1), epoch (8), payload
+// length (4), payload CRC-32 (4).
+const recordHdr = 17
+
+// legacyScoreTables are the score tables of a file written before the
+// score record: the primary HUBS and AUTH, then the spare pair.
+var legacyScoreTables = [4]string{"HUBS", "AUTH", "HUBS#spare", "AUTH#spare"}
 
 func ckptSchema() *relstore.Schema {
 	return relstore.NewSchema(
@@ -65,7 +98,7 @@ type CheckpointShard struct {
 }
 
 // CheckpointState is the crawler's persisted non-relational state, stored as
-// one JSON row in the CKPT table. Fields that are pure functions of the
+// JSON in the CKPT table's state record. Fields that are pure functions of the
 // persisted relations (harvest log, serverSeen, insertSeq, frontier counts)
 // are deliberately absent — Resume recomputes them.
 type CheckpointState struct {
@@ -90,13 +123,13 @@ type CheckpointState struct {
 	Distills  int   `json:"distills"`
 	// Epoch is the published distillation epoch; a checkpoint holds
 	// epochMu, so no epoch is mid-compute and snapshotted == published here
-	// (unless an epoch failed, which aborts the crawl).
+	// (unless an epoch failed, which aborts the crawl). The score record
+	// must carry the same epoch.
 	Epoch int64 `json:"epoch"`
-	// PubIsPrimary records which physical pair of score tables was published
-	// at the checkpoint: true means HUBS/AUTH, false means the #spare pair.
-	// The names alternate roles with every epoch swap, so without this bit a
-	// resume could hand monitors the stale buffer.
-	PubIsPrimary bool `json:"pub_is_primary"`
+	// PubIsPrimary is read only from a file written before the score
+	// record, whose epochs alternated between two pairs of score tables:
+	// true means HUBS/AUTH held the published scores, false the #spare pair.
+	PubIsPrimary bool `json:"pub_is_primary,omitempty"`
 
 	// The physical partitioning, fixed at creation; Resume attaches exactly
 	// these tables and refuses a mode or policy mismatch.
@@ -108,17 +141,115 @@ type CheckpointState struct {
 	Shards []CheckpointShard `json:"shards"`
 
 	// Extra is the opaque Config.CheckpointExtra blob (the synthetic web's
-	// RNG/fault state rides here). Stored as its own CKPT row, not in the
+	// RNG/fault state rides here). Stored as its own record, not in the
 	// JSON.
 	Extra []byte `json:"-"`
+}
+
+// writeRecord appends payload to tab as one record of the given kind,
+// stamped with epoch, in rows of at most relstore.MaxRecordLen bytes.
+func writeRecord(tab *relstore.Table, kind byte, epoch int64, payload []byte) error {
+	rec := make([]byte, recordHdr, recordHdr+len(payload))
+	rec[0] = kind
+	binary.LittleEndian.PutUint64(rec[1:], uint64(epoch))
+	binary.LittleEndian.PutUint32(rec[9:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[13:], crc32.ChecksumIEEE(payload))
+	rec = append(rec, payload...)
+	for i := 0; len(rec) > 0; i++ {
+		key := recordNames[kind] + "#" + strconv.Itoa(i)
+		n := min(len(rec), relstore.MaxRecordLen-4-len(key)) // 4: the two length prefixes
+		if _, err := tab.Insert(relstore.Tuple{relstore.Str(key), relstore.Str(string(rec[:n]))}); err != nil {
+			return err
+		}
+		rec = rec[n:]
+	}
+	return nil
+}
+
+// record is one decoded record: the epoch it was written at (-1 for an
+// unframed row) and its payload.
+type record struct {
+	epoch   int64
+	payload []byte
+}
+
+// readRecords decodes tab's records by kind. A row must name a kind and
+// come in its record's chunk order, and a record's header must match its
+// kind, its length and its CRC; anything else is refused. Nothing is
+// allocated past the rows' bytes.
+func readRecords(tab *relstore.Table) (map[byte]record, error) {
+	recs, bufs, chunks := map[byte]record{}, map[byte][]byte{}, map[byte]int{}
+	err := tab.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+		name, idx, framed := strings.Cut(t[0].S, "#")
+		kind := slices.Index(recordNames[:], name)
+		switch {
+		case kind <= 0:
+			return true, fmt.Errorf("crawler: checkpoint row %q names no record", t[0].S)
+		case !framed: // a file older than the framing
+			recs[byte(kind)] = record{-1, []byte(t[1].S)}
+		case idx != strconv.Itoa(chunks[byte(kind)]):
+			return true, fmt.Errorf("crawler: checkpoint row %q is out of order", t[0].S)
+		default:
+			bufs[byte(kind)] = append(bufs[byte(kind)], t[1].S...)
+			chunks[byte(kind)]++
+		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for kind, b := range bufs {
+		if len(b) < recordHdr || b[0] != kind || uint64(binary.LittleEndian.Uint32(b[9:])) != uint64(len(b)-recordHdr) ||
+			crc32.ChecksumIEEE(b[recordHdr:]) != binary.LittleEndian.Uint32(b[13:]) {
+			return nil, fmt.Errorf("crawler: checkpoint %s record fails its header", recordNames[kind])
+		}
+		recs[kind] = record{int64(binary.LittleEndian.Uint64(b[1:])), b[recordHdr:]}
+	}
+	return recs, nil
+}
+
+// encodeScores is the score record's payload: the hub count, then the hubs
+// and the authorities as (oid, score) pairs, little-endian, in rank order.
+func encodeScores(r *scores) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(len(r.hubs)))
+	b, _ = binary.Append(b, binary.LittleEndian, r.hubs)
+	b, _ = binary.Append(b, binary.LittleEndian, r.auth)
+	return b
+}
+
+// readScoreRecord decodes db's score record, refusing one that is not whole
+// entries or not in rank order. A file without one is at epoch 0, with no
+// scores.
+func readScoreRecord(db *relstore.DB) (*scores, error) {
+	recs, err := readRecords(db.Table(ckptScoresTable))
+	rec, ok := recs[recScores]
+	if err != nil || !ok {
+		return &scores{}, err
+	}
+	b := rec.payload
+	n := (len(b) - 8) / 16
+	if len(b) < 8 || (len(b)-8)%16 != 0 || binary.LittleEndian.Uint64(b) > uint64(n) {
+		return nil, fmt.Errorf("crawler: checkpoint score record of %d bytes is no hub count and whole entries", len(b))
+	}
+	all := make([]distiller.Scored, n)
+	if _, err := binary.Decode(b[8:], binary.LittleEndian, all); err != nil {
+		return nil, err
+	}
+	nh := binary.LittleEndian.Uint64(b)
+	r := &scores{epoch: rec.epoch, hubs: all[:nh:nh], auth: all[nh:]}
+	if !distiller.IsRanked(r.hubs) || !distiller.IsRanked(r.auth) {
+		return nil, errors.New("crawler: checkpoint score record is not in rank order")
+	}
+	return r, nil
 }
 
 // Checkpoint quiesces the crawl at a distill-grade consistency point and
 // persists everything needed for Resume: it takes epochMu (so no epoch is
 // mid-compute and the published scores are the last snapshot's) and the full
-// barrier, writes the CKPT state row, and drives relstore's durable
-// checkpoint (journal, flush, manifest, sync). Safe to call between Runs as
-// well as during one.
+// barrier, writes the state and extra records and, if an epoch has
+// published since the last one, the score record, and drives relstore's
+// durable checkpoint (journal, flush, manifest, sync). Safe to call between
+// Runs as well as during one.
 func (c *Crawler) Checkpoint() error { return c.checkpoint(-1) }
 
 // checkpoint is Checkpoint for the in-crawl trigger: with seen >= 0 it takes
@@ -131,6 +262,9 @@ func (c *Crawler) checkpoint(seen int64) error {
 	}
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
+	if _, err := c.adoptLocked(); err != nil {
+		return err
+	}
 	c.lockAll()
 	defer c.unlockAll()
 	if seen >= 0 && c.checkpoints.Load() != seen {
@@ -148,6 +282,7 @@ func (c *Crawler) checkpointLocked() error {
 		inflightRows += sh.inflightRows
 	}
 	now := time.Now()
+	pub := c.pub.Load()
 	st := CheckpointState{
 		Visit:          c.visitSeq,
 		Fetches:        c.fetches.Load() - inflightRows,
@@ -162,8 +297,7 @@ func (c *Crawler) checkpointLocked() error {
 		SinceDist:      c.sinceDist,
 		SinceCkpt:      c.sinceCkpt,
 		Distills:       c.distills,
-		Epoch:          c.pubEpoch.Load(),
-		PubIsPrimary:   c.hubs.Name == "HUBS",
+		Epoch:          pub.epoch,
 		FrontierShards: len(c.shards),
 		LinkStripes:    c.links.NumStripes(),
 		Mode:           c.cfg.Mode,
@@ -207,14 +341,14 @@ func (c *Crawler) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	ck := c.db.Table(ckptTable)
-	if ck == nil {
-		return errors.New("crawler: CKPT table missing (crawler was not created on this DB)")
+	ck, sc := c.db.Table(ckptTable), c.db.Table(ckptScoresTable)
+	if ck == nil || sc == nil {
+		return errors.New("crawler: checkpoint tables missing (crawler was not created on this DB)")
 	}
 	if err := ck.Truncate(); err != nil {
 		return err
 	}
-	if _, err := ck.Insert(relstore.Tuple{relstore.Str(ckptStateKey), relstore.Str(string(blob))}); err != nil {
+	if err := writeRecord(ck, recState, st.Epoch, blob); err != nil {
 		return err
 	}
 	if c.cfg.CheckpointExtra != nil {
@@ -222,13 +356,22 @@ func (c *Crawler) checkpointLocked() error {
 		if err != nil {
 			return err
 		}
-		if _, err := ck.Insert(relstore.Tuple{relstore.Str(ckptExtraKey), relstore.Str(string(extra))}); err != nil {
+		if err := writeRecord(ck, recExtra, st.Epoch, extra); err != nil {
+			return err
+		}
+	}
+	if pub != c.ckptScores {
+		if err := sc.Truncate(); err != nil {
+			return err
+		}
+		if err := writeRecord(sc, recScores, pub.epoch, encodeScores(pub)); err != nil {
 			return err
 		}
 	}
 	if err := c.db.Checkpoint(); err != nil {
 		return err
 	}
+	c.ckptScores = pub
 	c.checkpoints.Add(1)
 	return nil
 }
@@ -243,33 +386,24 @@ func ReadCheckpoint(db *relstore.DB) (*CheckpointState, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("crawler: database has no %s table (not a crawl checkpoint)", ckptTable)
 	}
-	var blob, extra string
-	var found, hasExtra bool
-	err := ck.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		switch t[0].S {
-		case ckptStateKey:
-			blob, found = t[1].S, true
-		case ckptExtraKey:
-			extra, hasExtra = t[1].S, true
-		}
-		return false, nil
-	})
+	recs, err := readRecords(ck)
 	if err != nil {
 		return nil, err
 	}
-	if !found {
-		return nil, errors.New("crawler: checkpoint table holds no state row")
+	state, ok := recs[recState]
+	if !ok {
+		return nil, errors.New("crawler: checkpoint table holds no state record")
 	}
 	st := &CheckpointState{}
-	if err := json.Unmarshal([]byte(blob), st); err != nil {
+	if err := json.Unmarshal(state.payload, st); err != nil {
 		return nil, fmt.Errorf("crawler: checkpoint state decode: %w", err)
 	}
 	if st.FrontierShards <= 0 || st.LinkStripes <= 0 {
 		return nil, fmt.Errorf("crawler: checkpoint state invalid: %d shards, %d stripes",
 			st.FrontierShards, st.LinkStripes)
 	}
-	if hasExtra {
-		st.Extra = []byte(extra)
+	if extra, ok := recs[recExtra]; ok {
+		st.Extra = extra.payload
 	}
 	return st, nil
 }
@@ -298,7 +432,8 @@ func policyByName(name string) (Policy, bool) {
 // at the checkpoint flip back to the frontier, and all derivable in-memory
 // state — harvest log, the shards' oid directories, frontier sets and
 // counters, the link store's out-edge directories — is recomputed from the
-// relations, and the harvest log is re-logged as the forward weights. cfg
+// relations, and the harvest log is re-logged as the forward weights. The
+// checkpoint's published scores are published again. cfg
 // supplies the knobs for the continued crawl (budget, workers, politeness); the shard and stripe counts (a property of
 // the stored tables, whatever cfg.Workers says), mode, and policy come from
 // the checkpoint, and a cfg.Mode mismatch is refused. The fetcher must be positioned to continue
@@ -363,29 +498,48 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 		}
 	}
 
-	// A file written while the score tables kept an oid B+tree has one
-	// here whose key is never bound again: drop it, freeing its pages.
-	var sc [4]*relstore.Table // HUBS, AUTH, HUBS#spare, AUTH#spare
-	for i, name := range scoreTables {
-		if sc[i] = db.Table(name); sc[i] == nil {
-			return nil, fmt.Errorf("crawler: resume: missing table %s", name)
+	// The scores published at the checkpoint: its score record, or in a
+	// file written before the record, the pair of its four score tables
+	// that PubIsPrimary names; then a table for the record, which the next
+	// checkpoint writes. Either way the score tables — those four, or a
+	// pair Tables materialized — are dropped, freeing their pages.
+	var r *scores
+	if db.Table(ckptScoresTable) != nil {
+		if r, err = readScoreRecord(db); err == nil && r.epoch != st.Epoch {
+			err = fmt.Errorf("crawler: resume: the checkpoint's score record is epoch %d, its state epoch %d", r.epoch, st.Epoch)
 		}
-		if err := sc[i].DropIndex("oid"); err != nil {
+		c.ckptScores = r
+	} else {
+		pair := legacyScoreTables[2:]
+		if st.PubIsPrimary {
+			pair = legacyScoreTables[:2]
+		}
+		if db.Table(pair[0]) == nil || db.Table(pair[1]) == nil {
+			return nil, fmt.Errorf("crawler: resume: the checkpoint has no score record and no %s/%s pair", pair[0], pair[1])
+		}
+		r, err = readScores(st.Epoch, db.Table(pair[0]), db.Table(pair[1]))
+		c.ckptScores = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range legacyScoreTables {
+		if err := db.DropTable(name); err != nil {
 			return nil, err
 		}
 	}
-	if st.PubIsPrimary {
-		c.hubs, c.auth, c.hubsAlt, c.authAlt = sc[0], sc[1], sc[2], sc[3]
-	} else {
-		c.hubs, c.auth, c.hubsAlt, c.authAlt = sc[2], sc[3], sc[0], sc[1]
+	if db.Table(ckptScoresTable) == nil {
+		if _, err := db.CreateTable(ckptScoresTable, ckptSchema()); err != nil {
+			return nil, err
+		}
 	}
+	c.pub.Store(r)
 
 	c.visitSeq = st.Visit
 	c.sinceDist = st.SinceDist
 	c.sinceCkpt = st.SinceCkpt
 	c.distills = st.Distills
 	c.snapEpoch.Store(st.Epoch)
-	c.pubEpoch.Store(st.Epoch)
 	c.fetches.Store(st.Fetches)
 	c.visited.Store(st.Visited)
 	c.failed.Store(st.Failed)

@@ -1,9 +1,9 @@
 package crawler
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -180,8 +180,8 @@ type Result struct {
 // so workers on different shards and stripes touch disjoint tables and
 // proceed in parallel. The counts are a physical property of the stored
 // tables: a resumed crawl keeps its checkpoint's whatever Workers it
-// continues with. Only the harvest log, visit sequencing, distillation state
-// (HUBS/AUTH), and the policy still serialize through the global mutex.
+// continues with. Only the harvest log, visit sequencing, the epoch
+// triggers and the policy still serialize through the global mutex.
 // Fetches (the expensive, high-latency part) run outside all locks, and so
 // does classification (the model's in-memory statistics are read-only after
 // training).
@@ -197,9 +197,10 @@ type Result struct {
 // it: under epochMu the worker takes the barrier (every link stripe lock,
 // then every shard lock, each ascending, then the global lock) only for a
 // short snapshot phase — cut the LINK snapshot, copy the oid→relevance
-// view — then computes HITS into the spare HUBS/AUTH buffers, publishes
-// them by swapping the buffer pointers under the global mutex, and applies
-// the hub-neighbor boosts, while the other workers keep crawling. Snapshot points are an exact function of the visit sequence;
+// view — then computes HITS in memory, ranks each side, publishes the
+// rankings through one atomic pointer, and applies the hub-neighbor
+// boosts, while the other workers keep crawling. Snapshot points are an
+// exact function of the visit sequence;
 // monitors read scores that trail the crawl by at most the epoch being
 // computed (see DistillEpochs). With Workers=1 nothing runs beside an
 // epoch, so the visit order is a pure function of seed and config.
@@ -221,25 +222,22 @@ type Crawler struct {
 	// a visit's link expansion allocates no per-edge slice.
 	expansions sync.Pool
 
-	// epochMu serializes distillation epochs and checkpoints, so the spare
-	// HUBS/AUTH pair belongs to its holder and a checkpoint never sees an
+	// epochMu serializes distillation epochs, checkpoints and Tables, so
+	// publishing is one writer at a time and a checkpoint never sees an
 	// epoch mid-compute. It is taken with no other lock held and stays held
-	// across the HITS run.
+	// across the HITS run. It also guards handed's adoption and ckptScores.
 	//focuslint:lock rank=epoch order=5
 	epochMu sync.Mutex
 
-	// mu guards the harvest log, visit sequencing, distillation state
-	// (the published/spare HUBS/AUTH buffer pointers), the policy, and the
-	// table catalog. Lock ordering: any number of link stripe locks and
-	// any one shard mutex may be held when acquiring mu; never the
-	// reverse. Table operations under it may transitively reach pool
-	// channel waits and disk I/O, so only direct blocking is banned.
+	// mu guards the harvest log, visit sequencing, the distillation and
+	// checkpoint triggers, the policy, and the table catalog. No score is
+	// read under it: the published scores are pub's. Lock ordering: any
+	// number of link stripe locks and any one shard mutex may be held when
+	// acquiring mu; never the reverse. Table operations under it may
+	// transitively reach pool channel waits and disk I/O, so only direct
+	// blocking is banned.
 	//focuslint:lock rank=global order=30 noblockdirect=io,chan,sleep
 	mu        sync.Mutex
-	hubs      *relstore.Table // published score buffers: monitors read these
-	auth      *relstore.Table
-	hubsAlt   *relstore.Table // spare buffers: owned by the in-flight epoch
-	authAlt   *relstore.Table
 	policy    Policy
 	harvest   []HarvestPoint
 	visitSeq  int64
@@ -247,13 +245,22 @@ type Crawler struct {
 	sinceCkpt int64 // visits since the last durable checkpoint
 	distills  int
 
-	// Epoch counters: snapEpoch counts snapshots taken, pubEpoch is the
-	// latest published epoch. They differ only while an epoch computes —
-	// the stale-score window monitors may observe.
+	// pub is the latest published epoch and its scores, never nil (epoch
+	// 0, empty, before the first). An epoch replaces it whole, so a reader
+	// loads it once and needs no lock; snapEpoch counts snapshots taken.
+	// The two differ only while an epoch computes — the stale-score window
+	// monitors may observe.
+	pub       atomic.Pointer[scores]
 	snapEpoch atomic.Int64
-	pubEpoch  atomic.Int64
-	stallNS   atomic.Int64
-	computeNS atomic.Int64
+	// handed is the HUBS/AUTH pair the last Tables call materialized,
+	// until a score read adopts it (see Tables); nil otherwise.
+	handed atomic.Pointer[distiller.Tables]
+	// ckptScores is the published scores the durable file's score record
+	// holds (checkpoint.go), so a checkpoint rewrites it only when pub has
+	// moved on.
+	ckptScores *scores
+	stallNS    atomic.Int64
+	computeNS  atomic.Int64
 
 	fetches     atomic.Int64
 	visited     atomic.Int64
@@ -298,7 +305,16 @@ func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg C
 	}
 	c.politeOn = c.cfg.HostMaxInflight > 0 || c.cfg.HostDelay > 0 ||
 		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
+	c.pub.Store(&scores{})
+	c.ckptScores = c.pub.Load() // an empty score table is epoch 0's record
 	return c
+}
+
+// scores is what a distillation epoch publishes: each side ranked
+// (distiller.Rank). It is never modified once published.
+type scores struct {
+	epoch      int64
+	hubs, auth distiller.Ranking
 }
 
 // New creates a crawler over a fresh set of relations in db, with one
@@ -321,10 +337,12 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 		return nil, errors.New("crawler: Config.CheckpointEvery requires a durable DB (relstore.CreateFile or OpenDurable)")
 	}
 	if db.Durable() {
-		// The CKPT state table exists from creation so Checkpoint never has
-		// to mutate the catalog mid-crawl.
-		if _, err := db.CreateTable(ckptTable, ckptSchema()); err != nil {
-			return nil, err
+		// The checkpoint's tables exist from creation so Checkpoint never
+		// has to mutate the catalog mid-crawl.
+		for _, name := range []string{ckptTable, ckptScoresTable} {
+			if _, err := db.CreateTable(name, ckptSchema()); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for i := 0; i < shards; i++ {
@@ -338,42 +356,100 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 	if c.links, err = linkgraph.New(db, stripes); err != nil {
 		return nil, err
 	}
-	// HUBS and AUTH are double-buffered: the published pair is what
-	// monitors read; the spare pair is the scratch space the next
-	// distillation epoch builds into before the swap publishes it. Roles
-	// alternate, so the catalog names carry no meaning beyond identity.
-	// They keep no index: RunJoin reads them whole.
-	var sc [4]*relstore.Table
-	for i, name := range scoreTables {
-		if sc[i], err = db.CreateTable(name, distiller.HubsAuthSchema()); err != nil {
-			return nil, err
-		}
-	}
-	c.hubs, c.auth, c.hubsAlt, c.authAlt = sc[0], sc[1], sc[2], sc[3]
 	return c, nil
 }
 
-// scoreTables names the score tables: the primary HUBS and AUTH, then the
-// spare pair.
-var scoreTables = [4]string{"HUBS", "AUTH", "HUBS#spare", "AUTH#spare"}
-
-// Tables exposes the crawl relations (for the distiller, monitors, and
-// experiment harnesses). The Crawl table is a freshly materialized
-// cross-shard snapshot taken under the stop-the-world barrier; see Crawl.
-// Hubs and Auth are the currently *published* score buffers: while a crawl
-// runs they trail the link graph by at most the epoch being computed (see
-// DistillEpochs), and running a distiller directly over them is only safe
-// once Run has returned (an epoch's publish would swap the buffers away).
-// No table has an index; distiller.RunIndexWalk's caller adds the ones it
-// probes.
+// Tables exposes the crawl relations as the distiller and Figure 8's
+// fixtures read them, each materialized under the stop-the-world barrier:
+// Link is the live striped store, Crawl a fresh cross-shard snapshot (see
+// Crawl), and Hubs and Auth heap tables named HUBS and AUTH holding the
+// published scores in ascending oid order, as RunJoin leaves them. Like
+// Crawl's, each call replaces the previous tables, whose handles become
+// invalid; no table has an index (distiller.RunIndexWalk's caller adds the
+// ones it probes). A distiller run over the returned tables republishes
+// its result: the next score read — or checkpoint — ranks Hubs and Auth
+// and publishes them, unless an epoch publishes first. That is how a crawl
+// that ran no epoch gets the end-of-crawl one its report asks for.
 func (c *Crawler) Tables() (distiller.Tables, error) {
-	c.lockAll()
-	defer c.unlockAll()
-	snap, err := c.snapshotCrawlLocked()
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	r, err := c.adoptLocked()
 	if err != nil {
 		return distiller.Tables{}, err
 	}
-	return distiller.Tables{Link: c.links, Crawl: snap, Hubs: c.hubs, Auth: c.auth}, nil
+	c.lockAll()
+	defer c.unlockAll()
+	tb := distiller.Tables{Link: c.links}
+	if tb.Crawl, err = c.snapshotCrawlLocked(); err != nil {
+		return distiller.Tables{}, err
+	}
+	if tb.Hubs, err = c.materializeLocked("HUBS", r.hubs); err != nil {
+		return distiller.Tables{}, err
+	}
+	if tb.Auth, err = c.materializeLocked("AUTH", r.auth); err != nil {
+		return distiller.Tables{}, err
+	}
+	c.handed.Store(&tb)
+	return tb, nil
+}
+
+// materializeLocked replaces the table name with a ranking's rows in
+// ascending oid order. The barrier must be held: it edits the catalog.
+//
+//focuslint:lock requires=stripe*,shard*,global
+func (c *Crawler) materializeLocked(name string, r distiller.Ranking) (*relstore.Table, error) {
+	if err := c.db.DropTable(name); err != nil {
+		return nil, err
+	}
+	tb, err := c.db.CreateTable(name, distiller.HubsAuthSchema())
+	if err != nil {
+		return nil, err
+	}
+	byOID := slices.Clone(r)
+	slices.SortFunc(byOID, func(a, b distiller.Scored) int { return cmp.Compare(a.OID, b.OID) })
+	return tb, distiller.WriteScores(tb, byOID)
+}
+
+// published returns the published scores, first adopting the pair Tables
+// last handed out, if any.
+func (c *Crawler) published() (*scores, error) {
+	if c.handed.Load() == nil {
+		return c.pub.Load(), nil
+	}
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	return c.adoptLocked()
+}
+
+// adoptLocked publishes what the pair Tables last handed out holds, ranked,
+// under the published epoch's number, and forgets the pair; with none
+// handed out it returns the published scores. epochMu must be held.
+//
+//focuslint:lock requires=epoch
+func (c *Crawler) adoptLocked() (*scores, error) {
+	tb := c.handed.Swap(nil)
+	if tb == nil {
+		return c.pub.Load(), nil
+	}
+	r, err := readScores(c.pub.Load().epoch, tb.Hubs, tb.Auth)
+	if err != nil {
+		return nil, err
+	}
+	c.pub.Store(r)
+	return r, nil
+}
+
+// readScores ranks a HUBS/AUTH pair's rows as the scores of epoch.
+func readScores(epoch int64, hubs, auth *relstore.Table) (*scores, error) {
+	h, err := distiller.ReadScores(hubs)
+	if err != nil {
+		return nil, err
+	}
+	a, err := distiller.ReadScores(auth)
+	if err != nil {
+		return nil, err
+	}
+	return &scores{epoch: epoch, hubs: distiller.Rank(h), auth: distiller.Rank(a)}, nil
 }
 
 // Crawl materializes and returns a consistent snapshot of the full CRAWL
@@ -901,12 +977,11 @@ func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 
 // distill runs one distillation epoch on the worker whose visit triggered
 // it and returns only once the epoch is published and its boosts applied.
-// epochMu serializes epochs, so epochs publish in snapshot order and the
-// spare HUBS/AUTH pair belongs to the holder. Only the snapshot phase stops
-// the world and is charged to Result.DistillStall; the HITS run, the swap
-// and the boosts run beside the other workers, which keep crawling. An
-// epoch's error returns through the caller's visit, like any visit error.
-// Callers hold no locks.
+// epochMu serializes epochs, so epochs publish in snapshot order. Only the
+// snapshot phase stops the world and is charged to Result.DistillStall;
+// the HITS run, the publish and the boosts run beside the other workers,
+// which keep crawling. An epoch's error returns through the caller's
+// visit, like any visit error. Callers hold no locks.
 func (c *Crawler) distill() error {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
@@ -953,14 +1028,14 @@ func (c *Crawler) relevanceLocked() map[int64]float64 {
 	return rel
 }
 
-// distillEpoch computes a snapshotted epoch into the spare HUBS/AUTH
-// buffers and publishes it. The snapshot and relevance view are immutable
-// and the spare buffers belong to the epochMu holder, so the computation
-// runs without any crawler lock. Publish order matters: the scratch tables
-// are finished first, the boost delta is derived from them and the snapshot
-// while still private, then the buffer pointers swap under the global mutex
-// (readers see the old pair or the new pair, never a mix), pubEpoch
-// advances, and only then is the §3.4 hub-neighbor boost applied shard by
+// distillEpoch computes a snapshotted epoch and publishes it. The snapshot
+// and relevance view are immutable, so the computation runs without any
+// crawler lock, and epochMu makes this the only publisher. Publish order
+// matters: each side is ranked and the boost delta derived from the hub
+// ranking and the snapshot while both are private; then one pointer store
+// publishes the epoch (readers load the old scores or the new, never a
+// mix), dropping any HUBS/AUTH pair Tables handed out (this epoch is
+// newer); and only then is the §3.4 hub-neighbor boost applied shard by
 // shard against the live frontier.
 func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[int64]float64) error {
 	if c.distillFault != nil {
@@ -970,27 +1045,19 @@ func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[in
 	}
 	t0 := time.Now()
 	defer func() { c.computeNS.Add(time.Since(t0).Nanoseconds()) }()
-	c.mu.Lock()
-	scratchHubs, scratchAuth := c.hubsAlt, c.authAlt
-	c.mu.Unlock()
 	dcfg := c.cfg.Distill
 	dcfg.Relevance = rel
-	tb := distiller.Tables{Link: snap, Hubs: scratchHubs, Auth: scratchAuth}
-	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
-		return err
-	}
-	boosts, err := c.boostDelta(scratchHubs, snap)
+	hubs, auth, _, err := distiller.Distill(distiller.Tables{Link: snap}, dcfg)
 	if err != nil {
 		return err
 	}
-
-	// Publish: swap the score buffers. The previously published pair
-	// becomes the next epoch's scratch space.
-	c.mu.Lock()
-	c.hubs, c.hubsAlt = scratchHubs, c.hubs
-	c.auth, c.authAlt = scratchAuth, c.auth
-	c.pubEpoch.Store(epoch)
-	c.mu.Unlock()
+	r := &scores{epoch: epoch, hubs: distiller.Rank(hubs), auth: distiller.Rank(auth)}
+	boosts, err := c.boostDelta(r.hubs, snap)
+	if err != nil {
+		return err
+	}
+	c.handed.Store(nil)
+	c.pub.Store(r)
 
 	// Apply the boost delta against the live shards, one shard lock at a
 	// time.
@@ -1012,56 +1079,36 @@ type boostTarget struct {
 	sid int32
 }
 
-// topDecileHubs returns the oids of hubs scoring strictly above the 90th
-// percentile of the given score table, in scan order. Returns nil when the
-// table is empty or every score is zero. It reads the table once: the
-// threshold is distiller.Percentile's nearest-rank score, taken from the
-// rows in hand.
-func topDecileHubs(hubs *relstore.Table) ([]int64, error) {
-	var oids []int64
-	var scores []float64
-	err := hubs.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		oids = append(oids, t[0].Int())
-		scores = append(scores, t[1].Float())
-		return false, nil
-	})
-	if err != nil || len(scores) == 0 {
-		return nil, err
+// topDecileHubs returns the hubs scoring strictly above the ranking's 90th
+// percentile (distiller.Ranking.Percentile's nearest rank): a prefix of
+// it. None when the ranking is empty or that threshold is 0.
+func topDecileHubs(hubs distiller.Ranking) distiller.Ranking {
+	psi, ok := hubs.Percentile(0.9)
+	if !ok || psi == 0 {
+		return nil
 	}
-	ranked := slices.Clone(scores)
-	slices.Sort(ranked)
-	psi := ranked[int(math.Round(0.9*float64(len(ranked)-1)))]
-	if psi == 0 {
-		return nil, nil
-	}
-	var tops []int64
-	for i, s := range scores {
-		if s > psi {
-			tops = append(tops, oids[i])
-		}
-	}
-	return tops, nil
+	return hubs.Above(psi)
 }
 
-// boostDelta derives the §3.4 policy update from a hubs score table and the
-// epoch's immutable link snapshot: the cross-server targets of every hub
+// boostDelta derives the §3.4 policy update from an epoch's hub ranking and
+// its immutable link snapshot: the cross-server targets of every hub
 // above the 90th score percentile. The target *set* is what
 // matters — boosts are idempotent threshold raises, so application order
 // is irrelevant.
-func (c *Crawler) boostDelta(hubs *relstore.Table, links *linkgraph.Snapshot) ([]boostTarget, error) {
+func (c *Crawler) boostDelta(hubs distiller.Ranking, links *linkgraph.Snapshot) ([]boostTarget, error) {
 	if c.cfg.HubNeighborBoost < 0 {
 		return nil, nil
 	}
-	hubList, err := topDecileHubs(hubs)
-	if err != nil || len(hubList) == 0 {
-		return nil, err
+	top := topDecileHubs(hubs)
+	if len(top) == 0 {
+		return nil, nil
 	}
-	tops := make(map[int64]bool, len(hubList))
-	for _, hub := range hubList {
-		tops[hub] = true
+	tops := make(map[int64]bool, len(top))
+	for _, h := range top {
+		tops[h.OID] = true
 	}
 	var out []boostTarget
-	err = links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+	err := links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		e := linkgraph.EdgeOf(t)
 		if tops[e.Src] && e.SidSrc != e.SidDst {
 			out = append(out, boostTarget{e.Dst, e.SidDst})
@@ -1072,13 +1119,13 @@ func (c *Crawler) boostDelta(hubs *relstore.Table, links *linkgraph.Snapshot) ([
 }
 
 // DistillEpochs reports the distillation epoch counters: snapshotted is
-// the number of snapshot phases taken, published the epoch of the score
-// tables monitors currently read. published trails snapshotted by one
+// the number of snapshot phases taken, published the epoch of the scores
+// monitors currently read. published trails snapshotted by one
 // while an epoch computes and equals it otherwise — always by the time Run
 // returns. Monitors that need scores no older than a given
 // point can poll published.
 func (c *Crawler) DistillEpochs() (snapshotted, published int64) {
-	return c.snapEpoch.Load(), c.pubEpoch.Load()
+	return c.snapEpoch.Load(), c.pub.Load().epoch
 }
 
 // HarvestLog returns the visit-ordered harvest points (copy).

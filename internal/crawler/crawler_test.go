@@ -14,14 +14,14 @@ import (
 
 // tinyModel trains a two-topic classifier (alpha vs beta) good on alpha,
 // handing Train a fresh DB, which it returns for the crawl.
-func tinyModel(t *testing.T) (*relstore.DB, *classifier.Model) {
+func tinyModel(t testing.TB) (*relstore.DB, *classifier.Model) {
 	t.Helper()
 	db := relstore.Open(relstore.Options{Frames: 512})
 	return db, trainTiny(t, db)
 }
 
 // trainTiny is tinyModel's training, handing Train db.
-func trainTiny(t *testing.T, db *relstore.DB) *classifier.Model {
+func trainTiny(t testing.TB, db *relstore.DB) *classifier.Model {
 	t.Helper()
 	tree := taxonomy.New()
 	alpha := tree.MustAdd(tree.Root, "alpha")

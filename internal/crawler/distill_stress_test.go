@@ -7,23 +7,25 @@ import (
 	"testing"
 	"time"
 
+	"focus/internal/distiller"
 	"focus/internal/relstore"
 )
 
 // TestConcurrentDistillPublishStress hammers snapshot-and-go distillation
 // under -race: eight workers ingest links and visits while the workers
-// whose visits trigger epochs snapshot, compute (partition-parallel join)
-// and publish score buffers — for well over three epochs — with a monitor
-// goroutine concurrently reading the published tables the whole time.
+// whose visits trigger epochs snapshot, compute and publish their rankings
+// through the atomic pointer — for well over three epochs — with a monitor
+// goroutine concurrently reading the published scores the whole time.
 //
 // Invariants checked:
 //   - no lost edges: the striped LINK store ends up with exactly the
 //     distinct (src, dst) pairs of the crawled site;
-//   - no torn HUBS/AUTH reads: every published score table a monitor
-//     observes is either empty (nothing published yet) or normalized
-//     (scores sum to 1) — a half-published or mid-write table cannot
+//   - no torn score reads: every published side a monitor observes is
+//     either empty (nothing published yet) or normalized (scores sum to 1)
+//     and in rank order — a half-published or mid-write ranking cannot
 //     satisfy that;
-//   - epoch counters never regress, and published never leads snapshotted;
+//   - epoch counters never regress, published never leads snapshotted, and
+//     the published struct's epoch is the one DistillEpochs reports;
 //   - every epoch has published by the time Run returns: published ==
 //     snapshotted.
 func TestConcurrentDistillPublishStress(t *testing.T) {
@@ -65,9 +67,9 @@ func TestConcurrentDistillPublishStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The monitor: reads the published buffers under the global mutex
-	// (exactly what the §3.7 queries do through lockAll) and checks the
-	// torn-read and epoch invariants until the crawl finishes.
+	// The monitor: loads the published scores with no lock (exactly what
+	// the §3.7 score reads do) and checks the torn-read and epoch invariants
+	// until the crawl finishes.
 	done := make(chan struct{})
 	var monWG sync.WaitGroup
 	var monErr error
@@ -96,26 +98,22 @@ func TestConcurrentDistillPublishStress(t *testing.T) {
 				return
 			}
 			lastSnap, lastPub = snap, pub
-			for _, which := range []bool{true, false} {
-				c.mu.Lock()
-				tb := c.hubs
-				if !which {
-					tb = c.auth
-				}
+			r := c.pub.Load()
+			if r.epoch < pub {
+				fail("published scores are epoch %d after DistillEpochs reported %d", r.epoch, pub)
+				return
+			}
+			for _, side := range []distiller.Ranking{r.hubs, r.auth} {
 				var sum float64
-				rows := 0
-				err := tb.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-					sum += t[1].Float()
-					rows++
-					return false, nil
-				})
-				c.mu.Unlock()
-				if err != nil {
-					fail("monitor scan: %v", err)
+				for _, e := range side {
+					sum += e.Score
+				}
+				if len(side) > 0 && math.Abs(sum-1) > 1e-6 {
+					fail("torn ranking: %d scores sum to %.9f", len(side), sum)
 					return
 				}
-				if rows > 0 && math.Abs(sum-1) > 1e-6 {
-					fail("torn score table: %d rows sum to %.9f", rows, sum)
+				if !distiller.IsRanked(side) {
+					fail("published side of %d scores is not in rank order", len(side))
 					return
 				}
 			}
@@ -209,7 +207,7 @@ func TestDistillPublishesBeforeReturnStress(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				checkouts++
-				pub := c.pubEpoch.Load()
+				pub := c.pub.Load().epoch
 				snap := c.snapEpoch.Load()
 				if pub < lastPub {
 					failf("published epoch fell from %d to %d", lastPub, pub)
@@ -223,7 +221,7 @@ func TestDistillPublishesBeforeReturnStress(t *testing.T) {
 				lastPub = pub
 			}
 			c.distillFault = func(epoch int64) error {
-				if pub := c.pubEpoch.Load(); epoch != pub+1 {
+				if pub := c.pub.Load().epoch; epoch != pub+1 {
 					mu.Lock()
 					failf("epoch %d computes with epoch %d published", epoch, pub)
 					mu.Unlock()

@@ -42,11 +42,19 @@ func documentTables(db *relstore.DB, stripes int) []string {
 // bydst, the score tables' and the snapshot's oid, and STAT_c0's tid.
 var indexNames = []string{"oid", "frontier", "bysrc", "bydst", "tid"}
 
-// crawlCatalog lists the tables a crawl keeps in db: the checkpoint row, the
-// merged snapshot, the four score tables, and the CRAWL and LINK partitions.
-func crawlCatalog(db *relstore.DB) []*relstore.Table {
+// crawlCatalog lists the tables a crawl keeps in db: the two checkpoint
+// tables, the merged snapshot, and the CRAWL and LINK partitions. It
+// refuses a catalog that holds a score table: the crawl publishes its
+// scores as arrays, and only Tables builds HUBS and AUTH.
+func crawlCatalog(t *testing.T, db *relstore.DB) []*relstore.Table {
+	t.Helper()
+	for _, name := range legacyScoreTables {
+		if db.Table(name) != nil {
+			t.Fatalf("the crawl DB holds a score table %s", name)
+		}
+	}
 	var out []*relstore.Table
-	for _, name := range append([]string{ckptTable, "CRAWL"}, scoreTables[:]...) {
+	for _, name := range []string{ckptTable, ckptScoresTable, "CRAWL"} {
 		if tb := db.Table(name); tb != nil {
 			out = append(out, tb)
 		}
@@ -61,7 +69,8 @@ func crawlCatalog(db *relstore.DB) []*relstore.Table {
 
 // TestCrawlKeepsNoDocumentRelation guards against the per-visit DOCUMENT
 // write returning: a crawl creates no DOCUMENT table at New, writes none
-// during Run, and a resumed crawl has none either. A long-document crawl's
+// during Run, and a resumed crawl has none either — nor any score table
+// (crawlCatalog). A long-document crawl's
 // file stays within a page bound sized from its CRAWL and LINK rows alone;
 // the old write put each visit's few hundred term rows on top. Nor does the
 // crawl DB hold anything only Figure 8 reads: the model is trained into it,
@@ -84,7 +93,7 @@ func TestCrawlKeepsNoDocumentRelation(t *testing.T) {
 		if db.Table("DOCUMENT#0") != nil {
 			t.Fatalf("DOCUMENT#0 exists after %s", when)
 		}
-		for _, tb := range crawlCatalog(db) {
+		for _, tb := range crawlCatalog(t, db) {
 			for _, ix := range indexNames {
 				if tb.Index(ix) != nil {
 					t.Fatalf("%s keeps an index %s after %s", tb.Name, ix, when)
@@ -102,8 +111,8 @@ func TestCrawlKeepsNoDocumentRelation(t *testing.T) {
 	}
 	// pageBound sizes the file from what the crawl must keep: CRAWL rows
 	// (a URL and eight numbers) and LINK rows (six numbers), each heap plus
-	// an index, with slack for the score tables, the metadata pages and the
-	// checkpoint's journal and manifest chain.
+	// an index, with slack for the metadata pages and the checkpoint's
+	// records, journal and manifest chain.
 	pageBound := func(c *Crawler) int64 {
 		var crawlRows int64
 		for _, sh := range c.shards {
@@ -111,13 +120,13 @@ func TestCrawlKeepsNoDocumentRelation(t *testing.T) {
 		}
 		return 64 + 4*(crawlRows*128+c.links.Rows()*64)/relstore.PageSize
 	}
-	cfg := Config{Workers: workers, MaxFetches: 120, CheckpointEvery: 50}
+	cfg := Config{Workers: workers, MaxFetches: 120, CheckpointEvery: 50, DistillEvery: 40}
 	c, err := New(db, m, f, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare("New", db)
-	if got, tables := disk.NumPages()-base, int64(len(crawlCatalog(db))); got != tables {
+	if got, tables := disk.NumPages()-base, int64(len(crawlCatalog(t, db))); got != tables {
 		t.Fatalf("training and New allocated %d pages for %d bare tables", got, tables)
 	}
 	if err := c.Seed(seedURLs(f, 4)); err != nil {
@@ -159,10 +168,10 @@ func TestCrawlKeepsNoDocumentRelation(t *testing.T) {
 
 // TestResumeDropsParentDocumentTables reopens a durable crawl written when
 // the crawl still kept a DOCUMENT relation — DOCUMENT#0..n-1 stripes of
-// InsertDoc rows plus a leftover merged DOCUMENT snapshot — and an oid
-// B+tree on each of the four score tables, and requires Resume to drop
-// every one of them, their pages reaching the free list, and to leave a
-// crawl that runs on without growing the file while those pages last. A
+// InsertDoc rows plus a leftover merged DOCUMENT snapshot — and requires
+// Resume to drop every one of them, their pages reaching the free list,
+// and to leave a crawl that runs on without growing the file while those
+// pages last. A
 // crash between the drop and the next checkpoint brings them back (the drop
 // was never checkpointed); resuming again drops them again, and once a
 // checkpoint commits they stay gone.
@@ -210,20 +219,10 @@ func TestResumeDropsParentDocumentTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range scoreTables {
-		if _, err := db.Table(name).AddIndex("oid", func(tp relstore.Tuple) []byte { return relstore.EncodeKey(tp[0]) }); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: the pool is dropped without Close.
-
-	// scoreIndexes lists the score tables that carry an oid tree.
-	scoreIndexes := func(db *relstore.DB) []string {
-		return slices.DeleteFunc(slices.Clone(scoreTables[:]), func(name string) bool { return db.Table(name).Index("oid") == nil })
-	}
 
 	resume := func(budget int64) *Crawler {
 		t.Helper()
@@ -234,9 +233,6 @@ func TestResumeDropsParentDocumentTables(t *testing.T) {
 		if got := documentTables(db, workers); len(got) != workers+1 {
 			t.Fatalf("reopened file holds DOCUMENT tables %v, want the parent's %d", got, workers+1)
 		}
-		if got := scoreIndexes(db); len(got) != len(scoreTables) {
-			t.Fatalf("reopened file has oid trees on %v, want the parent's on all of %v", got, scoreTables)
-		}
 		free := disk.FreePages()
 		cfg.MaxFetches = budget
 		c, err := Resume(db, m, f, cfg)
@@ -246,11 +242,8 @@ func TestResumeDropsParentDocumentTables(t *testing.T) {
 		if got := documentTables(db, workers); len(got) != 0 {
 			t.Fatalf("Resume left DOCUMENT tables %v", got)
 		}
-		if got := scoreIndexes(db); len(got) != 0 {
-			t.Fatalf("Resume left oid trees on %v", got)
-		}
 		if disk.FreePages() <= free {
-			t.Fatalf("free list %d pages after dropping DOCUMENT and the score trees, %d before", disk.FreePages(), free)
+			t.Fatalf("free list %d pages after dropping DOCUMENT, %d before", disk.FreePages(), free)
 		}
 		if err := c.CheckDirectory(); err != nil {
 			t.Fatal(err)
@@ -291,9 +284,6 @@ func TestResumeDropsParentDocumentTables(t *testing.T) {
 	}
 	if got := documentTables(db4, workers); len(got) != 0 {
 		t.Fatalf("checkpointed file holds DOCUMENT tables %v", got)
-	}
-	if got := scoreIndexes(db4); len(got) != 0 {
-		t.Fatalf("checkpointed file has oid trees on %v", got)
 	}
 	cfg.MaxFetches = 150
 	c4, err := Resume(db4, m, f, cfg)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"focus/internal/distiller"
 	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
@@ -21,18 +20,19 @@ import (
 // contract below.
 //
 // Staleness contract: CRAWL and LINK reads are exact as of the barrier,
-// but HUBS/AUTH are the *published* distillation buffers — they trail the
-// crawl by at most the epoch being computed (no epochs queue behind it; see
-// Crawler.DistillEpochs). A query never observes a torn or half-written
-// score table: epochs build in a private buffer and publish by swapping
-// the pointers under the global mutex, so published-score reads need only
-// the global mutex, never the barrier — topURLs snapshots the scores under
-// c.mu alone and resolves URLs shard by shard, and crawl workers keep
-// fetching throughout (the monitor-under-load stress test pins that).
+// but the hub and authority scores are the *published* distillation epoch
+// — they trail the crawl by at most the epoch being computed (no epochs
+// queue behind it; see Crawler.DistillEpochs). A query never observes a
+// torn or half-written ranking: an epoch ranks its scores privately and
+// publishes them whole through one atomic pointer, and a published ranking
+// is never modified. So a score read loads the pointer once and takes no
+// lock at all — topURLs slices the ranking and resolves URLs shard by
+// shard, and crawl workers keep fetching throughout (the monitor-under-load
+// stress test pins that).
 
 // ErrNoDistillation reports a monitoring query that needs distilled scores
 // before any distillation epoch has published them (hub-percentile
-// thresholds are undefined over an empty score table).
+// thresholds are undefined over an empty ranking).
 var ErrNoDistillation = errors.New("crawler: no distillation epoch published yet")
 
 // HarvestBucket is one window of the harvest-rate monitor (the applet's
@@ -131,32 +131,27 @@ type MissedNeighbor struct {
 }
 
 // MissedNeighbors runs the §3.7 query: URLs with numtries = 0 that are
-// linked from hubs above the given score percentile, across servers.
-// Before the first distillation epoch publishes there is no hub score
-// distribution to take a percentile of; that returns ErrNoDistillation
-// rather than silently treating ψ=0 as the threshold (which would report
-// every unvisited neighbor of every page as "missed").
+// linked from hubs above the given score percentile, across servers, in
+// hub rank order (each hub's targets in its out-edge order). The hubs come
+// from the published ranking, loaded before the barrier; the targets are
+// read under it. Before the first distillation epoch publishes there is no
+// hub score distribution to take a percentile of; that returns
+// ErrNoDistillation rather than silently treating ψ=0 as the threshold
+// (which would report every unvisited neighbor of every page as "missed").
 func (c *Crawler) MissedNeighbors(percentile float64) ([]MissedNeighbor, error) {
-	c.lockAll()
-	defer c.unlockAll()
-	psi, ok, err := distiller.Percentile(c.hubs, percentile)
+	r, err := c.published()
 	if err != nil {
 		return nil, err
 	}
+	psi, ok := r.hubs.Percentile(percentile)
 	if !ok {
 		return nil, ErrNoDistillation
 	}
+	c.lockAll()
+	defer c.unlockAll()
 	var out []MissedNeighbor
-	err = c.hubs.Scan(func(_ relstore.RID, h relstore.Tuple) (bool, error) {
-		if h[1].Float() <= psi {
-			return false, nil
-		}
-		hub := h[0].Int()
-		// The closure below runs synchronously under MissedNeighbors'
-		// barrier (lockAll above); the checker analyzes closures from an
-		// empty state and cannot see the inherited holds.
-		//focuslint:ignore locktower closure runs under the caller's lockAll barrier
-		return false, c.links.ScanBySrcLocked(hub, func(e linkgraph.Edge) (bool, error) {
+	for _, h := range r.hubs.Above(psi) {
+		err := c.links.ScanBySrcLocked(h.OID, func(e linkgraph.Edge) (bool, error) {
 			if e.SidSrc == e.SidDst {
 				return false, nil
 			}
@@ -175,13 +170,16 @@ func (c *Crawler) MissedNeighbors(percentile float64) ([]MissedNeighbor, error) 
 				out = append(out, MissedNeighbor{
 					URL:       row[CURL].S,
 					Relevance: row[CRel].Float(),
-					HubOID:    hub,
+					HubOID:    h.OID,
 				})
 			}
 			return false, nil
 		})
-	})
-	return out, err
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // TopHubURLs returns the k best hubs with URLs resolved.
@@ -201,29 +199,20 @@ type ScoredURL struct {
 	Score float64
 }
 
-// topURLs reads the published score buffer without stopping the world. The
-// HUBS/AUTH pointers swap when a distillation epoch publishes,
-// and a published table is only ever rewritten after it has been swapped
-// back to the scratch role — both transitions happen under the global
-// mutex — so holding c.mu for the whole Top selection is exactly what the
-// staleness contract requires, and nothing more: no stripe or shard lock,
-// so crawl workers keep ingesting and checking out throughout. URL
-// resolution then walks the shards one shard lock at a time; a worker
-// holds at most one shard lock itself, so monitors polling in a loop
-// interleave with ingest instead of freezing it (the old implementation
-// took the full lockAll barrier for both phases, stalling every worker per
-// poll).
+// topURLs reads the published ranking without any lock: the top k are its
+// prefix. URL resolution then walks the shards one shard lock at a time; a
+// worker holds at most one shard lock itself, so monitors polling in a loop
+// interleave with ingest instead of freezing it.
 func (c *Crawler) topURLs(hubs bool, k int) ([]ScoredURL, error) {
-	c.mu.Lock()
-	tb := c.auth
-	if hubs {
-		tb = c.hubs
-	}
-	top, err := distiller.Top(tb, k)
-	c.mu.Unlock()
+	r, err := c.published()
 	if err != nil {
 		return nil, err
 	}
+	side := r.auth
+	if hubs {
+		side = r.hubs
+	}
+	top := side.Top(k)
 	out := make([]ScoredURL, 0, len(top))
 	for _, s := range top {
 		out = append(out, ScoredURL{OID: s.OID, Score: s.Score})

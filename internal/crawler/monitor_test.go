@@ -1,12 +1,15 @@
 package crawler
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
+	"time"
 
 	"focus/internal/distiller"
 	"focus/internal/relstore"
@@ -97,10 +100,10 @@ func TestMissedNeighborsBeforeDistillation(t *testing.T) {
 	}
 }
 
-// TestTopDecileHubsMatchesPercentile pins topDecileHubs's one-scan selection
-// to the definition it replaced: the hubs scoring strictly above
-// distiller.Percentile(hubs, 0.9), none when that threshold is 0 or the
-// table is empty.
+// TestTopDecileHubsMatchesPercentile pins topDecileHubs's prefix of the
+// ranking to the definition it replaced: the hubs scoring strictly above the
+// nearest-rank 90th percentile — the score at ascending position
+// round(0.9*(n-1)) — none when that threshold is 0 or there are no hubs.
 func TestTopDecileHubsMatchesPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	random := make([]float64, 137)
@@ -116,32 +119,141 @@ func TestTopDecileHubsMatchesPercentile(t *testing.T) {
 		"random":   random,
 	}
 	for name, scores := range cases {
-		db := relstore.Open(relstore.Options{Frames: 64})
-		hubs, err := db.CreateTable("HUBS", distiller.HubsAuthSchema())
-		if err != nil {
-			t.Fatal(err)
-		}
+		hubs := make([]distiller.Scored, len(scores))
 		for i, s := range scores {
-			if _, err := hubs.Insert(relstore.Tuple{relstore.I64(int64(i)), relstore.F64(s)}); err != nil {
-				t.Fatal(err)
-			}
+			hubs[i] = distiller.Scored{OID: int64(i), Score: s}
 		}
 		var want []int64
-		if psi, ok, err := distiller.Percentile(hubs, 0.9); err != nil {
-			t.Fatal(err)
-		} else if ok && psi != 0 {
-			for i, s := range scores {
-				if s > psi {
-					want = append(want, int64(i))
+		if len(scores) > 0 {
+			asc := slices.Clone(scores)
+			sort.Float64s(asc)
+			if psi := asc[int(math.Round(0.9*float64(len(asc)-1)))]; psi != 0 {
+				for i, s := range scores {
+					if s > psi {
+						want = append(want, int64(i))
+					}
 				}
 			}
 		}
-		got, err := topDecileHubs(hubs)
-		if err != nil {
-			t.Fatal(err)
+		var got []int64
+		for _, h := range topDecileHubs(distiller.Rank(hubs)) {
+			got = append(got, h.OID)
 		}
+		slices.Sort(got)
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: topDecileHubs = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestScoreReadsTakeNoGlobalLock: TopHubURLs and TopAuthorityURLs read the
+// published ranking through its atomic pointer and resolve URLs under shard
+// locks alone, so they answer while another goroutine holds c.mu.
+func TestScoreReadsTakeNoGlobalLock(t *testing.T) {
+	f := genSite(31, 120, 8, 0)
+	c, _ := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 80, DistillEvery: 30})
+	if err := c.Seed(seedURLs(f, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		hubs, err := c.TopHubURLs(5)
+		if err == nil && len(hubs) == 0 {
+			err = errors.New("no hubs published")
+		}
+		if err == nil {
+			_, err = c.TopAuthorityURLs(5)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a top-k score read waited on the global mutex")
+	}
+}
+
+// TestTablesRunJoinRepublishes pins Tables' contract. Its HUBS and AUTH hold
+// the published scores in ascending oid order; a distiller run over them
+// publishes its result to the next score read, which is how a crawl that
+// ran no epoch gets an end-of-crawl one; and an epoch published meanwhile
+// supersedes the handed-out pair.
+func TestTablesRunJoinRepublishes(t *testing.T) {
+	f := genSite(37, 120, 8, 0)
+	c, db := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 80}) // no epoch of its own
+	if err := c.Seed(seedURLs(f, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if hubs, err := c.TopHubURLs(5); err != nil || len(hubs) != 0 {
+		t.Fatalf("before any distillation TopHubURLs = %v, %v; want nothing", hubs, err)
+	}
+	tb, err := c.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Hubs == nil || tb.Auth == nil || tb.Hubs.Rows() != 0 || tb.Auth.Rows() != 0 {
+		t.Fatal("Tables must hand out empty HUBS and AUTH before any distillation")
+	}
+	if _, err := distiller.RunJoin(db, tb, distiller.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		tab *relstore.Table
+		top func(int) ([]ScoredURL, error)
+	}{{tb.Hubs, c.TopHubURLs}, {tb.Auth, c.TopAuthorityURLs}} {
+		s, err := distiller.ReadScores(side.tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := distiller.Rank(s).Top(10)
+		got, err := side.top(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: %d published after RunJoin, the table ranks %d", side.tab.Name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].OID != want[i].OID || got[i].Score != want[i].Score {
+				t.Fatalf("%s[%d] = %+v, RunJoin's table ranks %+v", side.tab.Name, i, got[i], want[i])
+			}
+		}
+	}
+	if _, err := c.MissedNeighbors(0.5); err != nil {
+		t.Fatalf("MissedNeighbors over the adopted scores: %v", err)
+	}
+
+	// Tables again: the same scores, in ascending oid order.
+	tb2, err := c.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := distiller.ReadScores(tb2.Hubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := c.pub.Load()
+	if len(s) != len(pub.hubs) || !slices.IsSortedFunc(s, func(a, b distiller.Scored) int { return cmp.Compare(a.OID, b.OID) }) {
+		t.Fatalf("Tables' HUBS holds %d rows (published %d), want them all in ascending oid order", len(s), len(pub.hubs))
+	}
+	if err := c.distill(); err != nil {
+		t.Fatal(err)
+	}
+	if c.handed.Load() != nil {
+		t.Fatal("an epoch left the handed-out pair to be adopted over it")
+	}
+	if _, pubEpoch := c.DistillEpochs(); pubEpoch != 1 {
+		t.Fatalf("published epoch %d after one epoch", pubEpoch)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // therefore that server's serverload accounting — lives in exactly one shard.
 //
 // Lock ordering: a goroutine holds at most one shard mutex at a time and may
-// acquire the crawler's global mutex (harvest log, HUBS/AUTH, policy) while
+// acquire the crawler's global mutex (harvest log, triggers, policy) while
 // holding it; link stripe mutexes rank *below* shard mutexes (the link
 // store's ingest callback reads a target's directory entry under its stripe
 // lock) and are never acquired while a shard or the global mutex is held

@@ -14,14 +14,22 @@
 //   - Join: each half-iteration as a sort-merge join plus group-by, the SQL
 //     of Figure 4. The paper measures this a factor of three faster. The
 //     plan is compiled once per run: LINK is read, filtered and sorted into
-//     its two join orders once, the iterations are group-sum passes over
-//     those orders, and HUBS and AUTH are written once at the end (RunJoin
-//     states the row-set rule and the summation order).
+//     its two join orders once, and the iterations are group-sum passes over
+//     those orders. Distill is that plan in memory and returns the scores as
+//     arrays (it states the row-set rule and the summation order); RunJoin
+//     is Distill plus one load of HUBS and AUTH.
+//
+// The crawler keeps no score table: each epoch ranks Distill's arrays
+// (Rank) and publishes them whole, and its score reads are index reads on
+// the Ranking. HUBS and AUTH exist only where a caller builds them — the
+// crawler's Tables and Figure 8(d)'s fixture.
 package distiller
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,8 +49,8 @@ type LinkRel interface {
 // relation must have columns (oid_src BIGINT, sid_src INT, oid_dst BIGINT,
 // sid_dst INT, wgt_fwd DOUBLE, wgt_rev DOUBLE); CRAWL must contain
 // (oid BIGINT, ..., relevance DOUBLE); HUBS and AUTH are (oid BIGINT,
-// score DOUBLE). RunJoin needs no index; RunIndexWalk states the indexes it
-// probes.
+// score DOUBLE), and Distill reads neither. RunJoin needs no index;
+// RunIndexWalk states the indexes it probes.
 type Tables struct {
 	Link  LinkRel
 	Crawl *relstore.Table
@@ -165,95 +173,86 @@ type Scored struct {
 	Score float64
 }
 
-// scoredBetter reports whether a outranks b in Top's output order
-// (score DESC, oid ASC on ties) — a strict total order, so the bounded
-// selection below is deterministic regardless of scan order.
-func scoredBetter(a, b Scored) bool {
+// Ranking is one side's scores in rank order: score descending, oid
+// ascending among equal scores. That is a strict total order, so a score
+// set has exactly one ranking, and every read a monitor or the §3.4 boost
+// makes is an index read or a prefix of it.
+type Ranking []Scored
+
+// rankOrder is Ranking's order as a comparison.
+func rankOrder(a, b Scored) int {
 	if a.Score != b.Score {
-		return a.Score > b.Score
+		return cmp.Compare(b.Score, a.Score)
 	}
-	return a.OID < b.OID
+	return cmp.Compare(a.OID, b.OID)
 }
 
-// Top returns the k highest-scored rows of a HUBS/AUTH table, in
-// (score DESC, oid ASC) order. Monitors run this over the full HUBS/AUTH
-// relation on every query, so selection is a bounded min-heap of size k
-// (heap[0] is the weakest kept row): O(n log k) and k live entries,
-// against the old sort-everything O(n log n) with an n-row copy.
-func Top(tb *relstore.Table, k int) ([]Scored, error) {
-	if k <= 0 {
-		return nil, nil
+// Rank sorts s into rank order, in place, and returns it.
+func Rank(s []Scored) Ranking {
+	slices.SortFunc(s, rankOrder)
+	return s
+}
+
+// IsRanked reports whether s is in rank order.
+func IsRanked(s []Scored) bool { return slices.IsSortedFunc(s, rankOrder) }
+
+// Top returns the k best entries: a prefix of r, shorter when r is.
+func (r Ranking) Top(k int) Ranking { return r[:max(0, min(k, len(r)))] }
+
+// Percentile returns the p-th percentile (0..1) score, used by the
+// monitoring query that finds neglected neighbors of great hubs (§3.7) and
+// by the §3.4 boost. The rank is nearest: the score at ascending position
+// round(p*(n-1)). ok is false when r is empty — no distillation has
+// published scores yet — so no percentile exists and a caller cannot
+// mistake ψ=0 for a threshold.
+func (r Ranking) Percentile(p float64) (psi float64, ok bool) {
+	if len(r) == 0 {
+		return 0, false
 	}
-	heap := make([]Scored, 0, k)
+	i := int(math.Round(p * float64(len(r)-1)))
+	i = max(0, min(i, len(r)-1))
+	return r[len(r)-1-i].Score, true
+}
+
+// Above returns the entries scoring strictly above psi: a prefix of r.
+func (r Ranking) Above(psi float64) Ranking {
+	return r[:sort.Search(len(r), func(i int) bool { return r[i].Score <= psi })]
+}
+
+// ReadScores reads a HUBS/AUTH table's rows, in scan order.
+func ReadScores(tb *relstore.Table) ([]Scored, error) {
+	out := make([]Scored, 0, tb.Rows())
 	err := tb.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		s := Scored{OID: t[0].Int(), Score: t[1].Float()}
-		if len(heap) < k {
-			heap = append(heap, s)
-			// Sift up: parent must not outrank its children in *reverse*
-			// order (the heap keeps the weakest at the root).
-			for i := len(heap) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !scoredBetter(heap[parent], heap[i]) {
-					break
-				}
-				heap[parent], heap[i] = heap[i], heap[parent]
-				i = parent
-			}
-			return false, nil
-		}
-		if !scoredBetter(s, heap[0]) {
-			return false, nil // weaker than everything kept
-		}
-		heap[0] = s
-		for i := 0; ; {
-			weakest := i
-			if l := 2*i + 1; l < len(heap) && scoredBetter(heap[weakest], heap[l]) {
-				weakest = l
-			}
-			if r := 2*i + 2; r < len(heap) && scoredBetter(heap[weakest], heap[r]) {
-				weakest = r
-			}
-			if weakest == i {
-				break
-			}
-			heap[i], heap[weakest] = heap[weakest], heap[i]
-			i = weakest
-		}
+		out = append(out, Scored{OID: t[0].Int(), Score: t[1].Float()})
 		return false, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(heap, func(i, j int) bool { return scoredBetter(heap[i], heap[j]) })
-	return heap, nil
+	return out, err
 }
 
-// Percentile returns the p-th percentile (0..1) score of a score table,
-// used by the monitoring query that finds neglected neighbors of great
-// hubs (§3.7). The rank is nearest (round(p*(n-1))), not floored — the
-// floor truncation systematically biased every percentile low, most
-// visibly the top-decile hub threshold on small score tables. ok is false
-// when the table is empty — no distillation has published scores yet — in
-// which case no percentile exists; returning (0, nil) here used to make
-// MissedNeighbors silently treat ψ=0 as a real threshold.
-func Percentile(tb *relstore.Table, p float64) (psi float64, ok bool, err error) {
-	var scores []float64
-	err = tb.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		scores = append(scores, t[1].Float())
-		return false, nil
-	})
-	if err != nil || len(scores) == 0 {
-		return 0, false, err
+// WriteScores replaces a HUBS/AUTH table's rows with s, in that order, in
+// batches: RunJoin's oids ascend, so an index on oid receives ascending
+// runs and fills leaf after leaf at the tree's right edge. The batches are
+// bounded so that the table's reusable batch stays small however many rows
+// the table holds.
+func WriteScores(tb *relstore.Table, s []Scored) error {
+	if err := tb.Truncate(); err != nil {
+		return err
 	}
-	sort.Float64s(scores)
-	i := int(math.Round(p * float64(len(scores)-1)))
-	if i < 0 {
-		i = 0
+	const batchRows = 512
+	row := relstore.Tuple{relstore.I64(0), relstore.F64(0)}
+	for lo := 0; lo < len(s); lo += batchRows {
+		b := tb.Batch()
+		for _, e := range s[lo:min(lo+batchRows, len(s))] {
+			row[0], row[1] = relstore.I64(e.OID), relstore.F64(e.Score)
+			if err := b.Add(row); err != nil {
+				return err
+			}
+		}
+		if err := tb.InsertBatch(b); err != nil {
+			return err
+		}
 	}
-	if i >= len(scores) {
-		i = len(scores) - 1
-	}
-	return scores[i], true, nil
+	return nil
 }
 
 // relevanceOf loads oid -> relevance from CRAWL (sequential scan; the index

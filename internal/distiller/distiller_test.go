@@ -283,6 +283,33 @@ func TestJoinMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDistillIsRunJoinWithoutTheLoad: Distill's arrays are exactly the rows
+// RunJoin loads into HUBS and AUTH, bit for bit and in the same ascending
+// oid order, and Distill reads no score table.
+func TestDistillIsRunJoinWithoutTheLoad(t *testing.T) {
+	edges, rel := randomGraph(4, 300, 2500)
+	db, tb := buildGraph(t, edges, rel)
+	if _, err := RunJoin(db, tb, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	hubs, auth, _, err := Distill(Tables{Link: tb.Link, Crawl: tb.Crawl}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		tab *relstore.Table
+		got []Scored
+	}{{tb.Hubs, hubs}, {tb.Auth, auth}} {
+		want, err := ReadScores(side.tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !slices.Equal(side.got, want) {
+			t.Errorf("%s: Distill returned %d scores, RunJoin loaded %d (or they differ)", side.tab.Name, len(side.got), len(want))
+		}
+	}
+}
+
 // TestJoinRerunIsIdempotent: RunJoin again over the same tables leaves them
 // bit-equal, row for row in the same scan order, and takes no new disk page
 // — truncating a score table frees what its reload allocates, and the plan
@@ -449,10 +476,11 @@ func TestHubsFindResourceLists(t *testing.T) {
 	if _, err := RunJoin(db, tb, Config{Iterations: 4}); err != nil {
 		t.Fatal(err)
 	}
-	top, err := Top(tb.Hubs, 5)
+	hubScores, err := ReadScores(tb.Hubs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top := Rank(hubScores).Top(5)
 	if len(top) != 5 {
 		t.Fatalf("top = %v", top)
 	}
@@ -473,22 +501,24 @@ func TestTopAndPercentile(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		hubs.Insert(relstore.Tuple{relstore.I64(i), relstore.F64(float64(i) / 10)})
 	}
-	top, err := Top(hubs, 3)
+	s, err := ReadScores(hubs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := Rank(s)
+	top := r.Top(3)
 	if len(top) != 3 || top[0].OID != 9 || top[1].OID != 8 || top[2].OID != 7 {
 		t.Fatalf("top = %v", top)
 	}
-	p, ok, err := Percentile(hubs, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, ok := r.Percentile(0.9)
 	if !ok {
-		t.Fatal("Percentile reported empty table for 10 rows")
+		t.Fatal("Percentile reported an empty ranking for 10 rows")
 	}
 	if p < 0.7 || p > 0.9 {
 		t.Fatalf("p90 = %f", p)
+	}
+	if above := r.Above(p); len(above) == 0 || above[len(above)-1].Score <= p || len(above) < len(r) && r[len(above)].Score > p {
+		t.Fatalf("Above(%f) = %v: not the prefix scoring above it", p, above)
 	}
 }
 

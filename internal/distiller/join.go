@@ -2,6 +2,7 @@ package distiller
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"time"
 
@@ -11,8 +12,30 @@ import (
 // RunJoin executes the configured number of HITS iterations as the
 // set-oriented plan of Figure 4 — each half-iteration a merge of LINK,
 // sorted by the group column, with a score table, followed by a group-sum —
-// compiled once per run: everything the iterations share is hoisted out of
-// them.
+// and loads the result into HUBS and AUTH: Distill, then each table
+// truncated and loaded once, in ascending oid order. Breakdown.Update
+// covers the iterations and the two loads.
+func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
+	if err := checkTables(tb); err != nil {
+		return Breakdown{}, err
+	}
+	hubs, auth, bd, err := Distill(tb, cfg)
+	if err != nil {
+		return bd, err
+	}
+	t0 := time.Now()
+	if err := WriteScores(tb.Auth, auth); err != nil {
+		return bd, err
+	}
+	if err := WriteScores(tb.Hubs, hubs); err != nil {
+		return bd, err
+	}
+	bd.Update += time.Since(t0)
+	return bd, nil
+}
+
+// Distill is RunJoin's in-memory core. It compiles the plan once per run:
+// everything the iterations share is hoisted out of them.
 //
 //   - LINK is read once (Tables.Link.Scan). An edge is eligible iff it
 //     passes the nepotism filter and, when a relevance view exists
@@ -22,32 +45,32 @@ import (
 //     (src, dst). Each order is laid out as groups of (peer, weight) terms;
 //     the scores live in two dense vectors, so a half-iteration is one pass
 //     over one order.
-//   - HUBS and AUTH are truncated and loaded once, in ascending oid order,
-//     after the last iteration.
 //
-// Row sets: AUTH's rows are exactly the distinct destinations of eligible
-// edges and HUBS's rows exactly their distinct sources, which is what the
-// inner joins of Figure 4 produce from the first iteration on. A row whose
-// score is 0 is still a row. With no eligible edge both tables end empty.
+// It returns each side's scores in ascending oid order, 16 pointer-free
+// bytes a scored page. Hubs and Auth are neither read nor needed.
+//
+// Row sets: the authorities are exactly the distinct destinations of
+// eligible edges and the hubs exactly their distinct sources, which is what
+// the inner joins of Figure 4 produce from the first iteration on. A page
+// scoring 0 is still scored. With no eligible edge both sides are empty.
 //
 // Summation order: a group's terms are added in ascending peer oid, and a
 // normalization sum in ascending group oid.
 //
-// The db argument is not read: nothing is spilled. The plan holds under 100
-// bytes per eligible edge in memory. Breakdown.Scan covers reading LINK and
-// the relevance view and laying out the two orders, Sort the two sorts,
-// Update the iterations and the two table loads; Lookup stays 0.
-func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
+// Nothing is spilled: the plan holds under 100 bytes per eligible edge in
+// memory. Breakdown.Scan covers reading LINK and the relevance view and
+// laying out the two orders, Sort the two sorts, Update the iterations;
+// Lookup stays 0.
+func Distill(tb Tables, cfg Config) (hubs, auth []Scored, bd Breakdown, err error) {
 	cfg = cfg.withDefaults()
-	var bd Breakdown
-	if err := checkTables(tb); err != nil {
-		return bd, err
+	if tb.Link == nil {
+		return nil, nil, bd, fmt.Errorf("distiller: missing tables")
 	}
 
 	t0 := time.Now()
 	byDst, err := eligibleEdges(tb, cfg)
 	if err != nil {
-		return bd, err
+		return nil, nil, bd, err
 	}
 	bySrc := slices.Clone(byDst)
 	bd.Scan += time.Since(t0)
@@ -58,32 +81,36 @@ func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 	bd.Sort += time.Since(t0)
 
 	t0 = time.Now()
-	auth := layOut(byDst, func(e planEdge) (group, peer int64, w float64) { return e.dst, e.src, e.fwd })
-	hubs := layOut(bySrc, func(e planEdge) (group, peer int64, w float64) { return e.src, e.dst, e.rev })
-	auth.bindPeers(hubs.oids)
-	hubs.bindPeers(auth.oids)
+	authOrder := layOut(byDst, func(e planEdge) (group, peer int64, w float64) { return e.dst, e.src, e.fwd })
+	hubOrder := layOut(bySrc, func(e planEdge) (group, peer int64, w float64) { return e.src, e.dst, e.rev })
+	authOrder.bindPeers(hubOrder.oids)
+	hubOrder.bindPeers(authOrder.oids)
 	bd.Scan += time.Since(t0)
 
 	t0 = time.Now()
-	hubScore := make([]float64, len(hubs.oids))
+	hubScore := make([]float64, len(hubOrder.oids))
 	for i := range hubScore {
 		hubScore[i] = 1 // the standard HITS start vector
 	}
-	authScore := make([]float64, len(auth.oids))
+	authScore := make([]float64, len(authOrder.oids))
 	for it := 0; it < cfg.Iterations; it++ {
-		auth.groupSums(authScore, hubScore)
+		authOrder.groupSums(authScore, hubScore)
 		normalizeScores(authScore)
-		hubs.groupSums(hubScore, authScore)
+		hubOrder.groupSums(hubScore, authScore)
 		normalizeScores(hubScore)
 	}
-	if err := loadScores(tb.Auth, auth.oids, authScore); err != nil {
-		return bd, err
-	}
-	if err := loadScores(tb.Hubs, hubs.oids, hubScore); err != nil {
-		return bd, err
-	}
+	hubs, auth = scored(hubOrder.oids, hubScore), scored(authOrder.oids, authScore)
 	bd.Update += time.Since(t0)
-	return bd, nil
+	return hubs, auth, bd, nil
+}
+
+// scored pairs oids[i] with scores[i].
+func scored(oids []int64, scores []float64) []Scored {
+	out := make([]Scored, len(oids))
+	for i, oid := range oids {
+		out[i] = Scored{OID: oid, Score: scores[i]}
+	}
+	return out
 }
 
 // planEdge is one eligible LINK row, reduced to what the iterations read.
@@ -199,30 +226,4 @@ func normalizeScores(scores []float64) {
 			scores[i] /= sum
 		}
 	}
-}
-
-// loadScores replaces a score table's rows with (oids[i], scores[i]), in
-// that order, in batches: oids ascend, so an index on oid receives ascending
-// runs and fills leaf after leaf at the tree's right edge. The batches are
-// bounded so that the table's reusable batch stays small however many rows
-// the table holds.
-func loadScores(tb *relstore.Table, oids []int64, scores []float64) error {
-	if err := tb.Truncate(); err != nil {
-		return err
-	}
-	const batchRows = 512
-	row := relstore.Tuple{relstore.I64(0), relstore.F64(0)}
-	for lo := 0; lo < len(oids); lo += batchRows {
-		b := tb.Batch()
-		for i := lo; i < min(lo+batchRows, len(oids)); i++ {
-			row[0], row[1] = relstore.I64(oids[i]), relstore.F64(scores[i])
-			if err := b.Add(row); err != nil {
-				return err
-			}
-		}
-		if err := tb.InsertBatch(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }

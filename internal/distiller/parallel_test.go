@@ -8,23 +8,14 @@ import (
 	"focus/internal/relstore"
 )
 
-// scoreTable builds a HUBS-shaped table holding the given scores with
-// oid = position, inserted in a shuffled order so rank logic cannot lean
-// on heap order.
-func scoreTable(t testing.TB, scores []float64, seed int64) *relstore.Table {
-	t.Helper()
-	db := relstore.Open(relstore.Options{Frames: 256})
-	tb, err := db.CreateTable("SCORES", HubsAuthSchema())
-	if err != nil {
-		t.Fatal(err)
+// shuffledRanking ranks the given scores with oid = position, handing Rank
+// them in a shuffled order so the ranking cannot lean on input order.
+func shuffledRanking(scores []float64, seed int64) Ranking {
+	s := make([]Scored, 0, len(scores))
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(len(scores)) {
+		s = append(s, Scored{OID: int64(i), Score: scores[i]})
 	}
-	order := rand.New(rand.NewSource(seed)).Perm(len(scores))
-	for _, i := range order {
-		if _, err := tb.Insert(relstore.Tuple{relstore.I64(int64(i)), relstore.F64(scores[i])}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tb
+	return Rank(s)
 }
 
 // TestPercentileNearestRank pins the nearest-rank rounding: the old
@@ -59,34 +50,27 @@ func TestPercentileNearestRank(t *testing.T) {
 		{1, 1.0, 0},
 	}
 	for _, c := range cases {
-		tb := scoreTable(t, mk(c.n), int64(c.n)*31+int64(c.p*100))
-		got, ok, err := Percentile(tb, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, ok := shuffledRanking(mk(c.n), int64(c.n)*31+int64(c.p*100)).Percentile(c.p)
 		if !ok {
-			t.Errorf("Percentile(n=%d, p=%.2f) reported an empty table", c.n, c.p)
+			t.Errorf("Percentile(n=%d, p=%.2f) reported an empty ranking", c.n, c.p)
 		}
 		if got != c.want {
 			t.Errorf("Percentile(n=%d, p=%.2f) = %v, want %v", c.n, c.p, got, c.want)
 		}
 	}
 
-	// The empty table has no percentile at any p: ok must be false, so
+	// The empty ranking has no percentile at any p: ok must be false, so
 	// callers can distinguish "no distillation yet" from a real ψ=0.
 	for _, p := range []float64{0, 0.5, 0.9, 1} {
-		got, ok, err := Percentile(scoreTable(t, nil, 1), p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, ok := shuffledRanking(nil, 1).Percentile(p)
 		if ok || got != 0 {
 			t.Errorf("Percentile(empty, p=%.2f) = (%v, %v), want (0, false)", p, got, ok)
 		}
 	}
 }
 
-// TestTopMatchesSortReference checks the bounded-heap selection against the
-// straightforward sort-everything reference on random tables, including
+// TestTopMatchesSortReference checks a ranking's top-k prefix against a
+// straightforward insertion-sort reference on random score sets, including
 // duplicate scores (ties break toward the lower oid) and k beyond n.
 func TestTopMatchesSortReference(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
@@ -96,18 +80,16 @@ func TestTopMatchesSortReference(t *testing.T) {
 		for i := range scores {
 			scores[i] = float64(rng.Intn(40)) / 40 // plenty of exact ties
 		}
-		tb := scoreTable(t, scores, seed)
+		r := shuffledRanking(scores, seed)
 		for _, k := range []int{1, 3, 10, n, n + 7} {
-			got, err := Top(tb, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := r.Top(k)
 			ref := make([]Scored, n)
 			for i, s := range scores {
 				ref[i] = Scored{OID: int64(i), Score: s}
 			}
 			for i := 1; i < len(ref); i++ { // insertion sort: stable and simple
-				for j := i; j > 0 && scoredBetter(ref[j], ref[j-1]); j-- {
+				for j := i; j > 0 && (ref[j].Score > ref[j-1].Score ||
+					ref[j].Score == ref[j-1].Score && ref[j].OID < ref[j-1].OID); j-- {
 					ref[j], ref[j-1] = ref[j-1], ref[j]
 				}
 			}
@@ -126,20 +108,19 @@ func TestTopMatchesSortReference(t *testing.T) {
 	}
 }
 
-func BenchmarkTop(b *testing.B) {
+// BenchmarkRank times ranking an epoch's worth of scores, the one sort a
+// published side costs.
+func BenchmarkRank(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	scores := make([]float64, 20000)
+	scores := make([]Scored, 20000)
 	for i := range scores {
-		scores[i] = rng.Float64()
+		scores[i] = Scored{OID: int64(i), Score: rng.Float64()}
 	}
-	tb := scoreTable(b, scores, 42)
+	work := make([]Scored, len(scores))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		top, err := Top(tb, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(top) != 10 {
+		copy(work, scores)
+		if top := Rank(work).Top(10); len(top) != 10 {
 			b.Fatal("short result")
 		}
 	}

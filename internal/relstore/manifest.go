@@ -50,8 +50,8 @@ import (
 // Key functions nil; the owning subsystem re-binds them by well-known name
 // (Table.BindIndexKey) before use. The crawler keeps no index on any table:
 // on resume it drops the trees an older file carries instead — CRAWL's
-// "oid" and "frontier", LINK's "bysrc" and "bydst", and the score tables'
-// "oid".
+// "oid" and "frontier" and LINK's "bysrc" and "bydst" — and drops an older
+// file's score tables whole, "oid" trees included.
 
 // Framed metadata page layout (manifest roots and the journal root):
 //
