@@ -70,6 +70,9 @@ func TestForwardWeightsResolvedProperty(t *testing.T) {
 			if into := checkForwardWeights(t, sys.Crawler); into == 0 {
 				t.Fatal("no edge leads into a visited page: the rule was not exercised")
 			}
+			if err := sys.Crawler.CheckDirectory(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

@@ -30,13 +30,13 @@ package crawler
 // and visit order may differ from the uninterrupted run.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -102,10 +102,11 @@ type CheckpointShard struct {
 // persisted relations (harvest log, serverSeen, insertSeq, frontier counts)
 // are deliberately absent — Resume recomputes them.
 type CheckpointState struct {
-	// Visit is the visit-sequence counter; Fetches is the attempt counter
-	// net of fetches whose rows were still in flight at the quiesce point
-	// (those re-run after resume, so charging them would double-count).
-	Visit   int64 `json:"visit"`
+	// Fetches is the attempt counter net of fetches whose rows were still
+	// in flight at the quiesce point (those re-run after resume, so charging
+	// them would double-count). Visited also numbers the visits: the next
+	// one is Visited+1. A file written while the state also carried "visit"
+	// and "since_dist" (both derived) still decodes: JSON ignores them.
 	Fetches int64 `json:"fetches"`
 	Visited int64 `json:"visited"`
 	Failed  int64 `json:"failed"`
@@ -118,7 +119,6 @@ type CheckpointState struct {
 	BreakerTrips  int64          `json:"breaker_trips"`
 	DeadCause     [dcCount]int64 `json:"dead_cause"`
 
-	SinceDist int64 `json:"since_dist"`
 	SinceCkpt int64 `json:"since_ckpt"`
 	Distills  int   `json:"distills"`
 	// Epoch is the published distillation epoch; a checkpoint holds
@@ -275,7 +275,7 @@ func (c *Crawler) checkpoint(seen int64) error {
 
 // checkpointLocked does the work under the barrier.
 //
-//focuslint:lock requires=stripe*,shard*,global
+//focuslint:lock requires=stripe*,shard*
 func (c *Crawler) checkpointLocked() error {
 	var inflightRows int64
 	for _, sh := range c.shards {
@@ -284,7 +284,6 @@ func (c *Crawler) checkpointLocked() error {
 	now := time.Now()
 	pub := c.pub.Load()
 	st := CheckpointState{
-		Visit:          c.visitSeq,
 		Fetches:        c.fetches.Load() - inflightRows,
 		Visited:        c.visited.Load(),
 		Failed:         c.failed.Load(),
@@ -294,8 +293,7 @@ func (c *Crawler) checkpointLocked() error {
 		NotFoundFails:  c.notFoundFails.Load(),
 		LimitedFails:   c.limitedFails.Load(),
 		BreakerTrips:   c.breakerTrips.Load(),
-		SinceDist:      c.sinceDist,
-		SinceCkpt:      c.sinceCkpt,
+		SinceCkpt:      c.sinceCkpt.Load(),
 		Distills:       c.distills,
 		Epoch:          pub.epoch,
 		FrontierShards: len(c.shards),
@@ -467,32 +465,31 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	}
 
 	now := time.Now()
-	var harvest []HarvestPoint
+	var visited int64
 	for i := 0; i < st.FrontierShards; i++ {
 		var ss CheckpointShard
 		if i < len(st.Shards) {
 			ss = st.Shards[i]
 		}
-		sh, hv, err := attachShard(db, i, pol, ss, now)
+		sh, err := attachShard(db, i, pol, ss, now)
 		if err != nil {
 			return nil, err
 		}
-		harvest = append(harvest, hv...)
+		visited += int64(len(sh.visits))
 		c.shards = append(c.shards, sh)
 	}
-	sort.Slice(harvest, func(a, b int) bool { return harvest[a].Seq < harvest[b].Seq })
-	if int64(len(harvest)) != st.Visited {
+	if visited != st.Visited {
 		return nil, fmt.Errorf("crawler: checkpoint inconsistent: %d visited rows, counter says %d",
-			len(harvest), st.Visited)
+			visited, st.Visited)
 	}
-	c.harvest = harvest
+	c.visited.Store(st.Visited)
 
 	if c.links, err = linkgraph.Attach(db, st.LinkStripes); err != nil {
 		return nil, err
 	}
 	// LINK's pages hold ingest-time estimates; each visited page's relevance
 	// is the forward weight of the edges into it, in visit order.
-	for _, h := range harvest {
+	for _, h := range c.HarvestLog() {
 		if err := c.links.UpdateIncomingFwd(h.OID, h.Relevance); err != nil {
 			return nil, err
 		}
@@ -535,13 +532,10 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	}
 	c.pub.Store(r)
 
-	c.visitSeq = st.Visit
-	c.sinceDist = st.SinceDist
-	c.sinceCkpt = st.SinceCkpt
+	c.sinceCkpt.Store(st.SinceCkpt)
 	c.distills = st.Distills
 	c.snapEpoch.Store(st.Epoch)
 	c.fetches.Store(st.Fetches)
-	c.visited.Store(st.Visited)
 	c.failed.Store(st.Failed)
 	c.dead.Store(st.Dead)
 	c.retries.Store(st.Retries)
@@ -556,22 +550,22 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 }
 
 // attachShard reopens one CRAWL partition: rebuilds the oid directory (with
-// each row's status and relevance), the
-// frontier set, serverSeen/insertSeq/frontierN and the shard's harvest log
-// slice from the rows, flips rows stranded in flight back to the frontier
-// (their fetches died with the crashed process), republishes the head hint,
-// and rebases the persisted politeness clocks.
-func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now time.Time) (*shard, []HarvestPoint, error) {
+// each row's status and relevance), the frontier set,
+// serverSeen/insertSeq/frontierN and the visit log (sorted by Seq) from the
+// rows, flips rows stranded in flight back to the frontier (their fetches
+// died with the crashed process), republishes the head hint, and rebases
+// the persisted politeness clocks.
+func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now time.Time) (*shard, error) {
 	tab := db.Table(fmt.Sprintf("CRAWL#%d", id))
 	if tab == nil {
-		return nil, nil, fmt.Errorf("crawler: resume: missing table CRAWL#%d", id)
+		return nil, fmt.Errorf("crawler: resume: missing table CRAWL#%d", id)
 	}
 	// A file written before the oid directory and the frontier set has an oid
 	// B+tree and a frontier B+tree here whose keys are never bound again:
 	// drop them, freeing their pages, before any update.
 	for _, name := range []string{"oid", "frontier"} {
 		if err := tab.DropIndex(name); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	sh := &shard{
@@ -587,7 +581,6 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	}
 	var flips []flip
 	var entries []frontierEntry
-	var harvest []HarvestPoint
 	err := tab.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
 		sh.rids[t[COID].Int()] = entryOf(rid, t)
 		sh.serverSeen[SIDOf(t[CURL].S)]++
@@ -604,7 +597,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		case StatusInflight:
 			flips = append(flips, flip{rid, t})
 		case StatusVisited:
-			harvest = append(harvest, HarvestPoint{
+			sh.visits = append(sh.visits, HarvestPoint{
 				Seq: t[CLast].Int(), OID: t[COID].Int(), URL: t[CURL].S,
 				Relevance: t[CRel].Float(), Kcid: int32(t[CKcid].Int()),
 			})
@@ -612,21 +605,22 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		return false, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, f := range flips {
 		old := f.row.Clone()
 		f.row[CStatus] = relstore.I32(StatusFrontier)
 		key, err := frontierKeyOf(pol, f.row)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := sh.crawl.UpdateFrom(f.rid, old, f.row); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sh.rids[f.row[COID].Int()] = entryOf(f.rid, f.row)
 		entries = append(entries, frontierEntry{key, f.rid})
 	}
+	slices.SortFunc(sh.visits, func(a, b HarvestPoint) int { return cmp.Compare(a.Seq, b.Seq) })
 	// Every in-flight row has flipped back: inflightRows starts at zero.
 	sh.front = buildFrontierSet(entries)
 	sh.frontierN.Store(int64(len(entries)))
@@ -647,5 +641,5 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 			sh.notBefore[oid] = now.Add(d)
 		}
 	}
-	return sh, harvest, nil
+	return sh, nil
 }

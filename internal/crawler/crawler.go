@@ -175,15 +175,17 @@ type Result struct {
 
 // Crawler owns the crawl state. The CRAWL relation is partitioned by host
 // into one frontier shard per worker (see shard.go), each with its own
-// in-memory frontier set and mutex; the LINK relation is striped by source
-// oid into one partition per worker with its own lock (internal/linkgraph) —
-// so workers on different shards and stripes touch disjoint tables and
-// proceed in parallel. The counts are a physical property of the stored
-// tables: a resumed crawl keeps its checkpoint's whatever Workers it
-// continues with. Only the harvest log, visit sequencing, the epoch
-// triggers and the policy still serialize through the global mutex.
-// Fetches (the expensive, high-latency part) run outside all locks, and so
-// does classification (the model's in-memory statistics are read-only after
+// in-memory frontier set, visit log and mutex; the LINK relation is striped
+// by source oid into one partition per worker with its own lock
+// (internal/linkgraph) — so workers on different shards and stripes touch
+// disjoint tables and proceed in parallel. The counts are a physical
+// property of the stored tables: a resumed crawl keeps its checkpoint's
+// whatever Workers it continues with. A visit is numbered by the visited
+// counter and logged in its shard's critical section, the epoch trigger is
+// that number and the checkpoint trigger an atomic, so no crawl-wide mutex
+// remains. Fetches
+// (the expensive, high-latency part) run outside all locks, and so does
+// classification (the model's in-memory statistics are read-only after
 // training).
 //
 // Ordering contract: the paper's checkout order (numtries ASC, relevance
@@ -195,20 +197,20 @@ type Result struct {
 //
 // Distillation is epoch-based, and the visit that triggers an epoch runs
 // it: under epochMu the worker takes the barrier (every link stripe lock,
-// then every shard lock, each ascending, then the global lock) only for a
-// short snapshot phase — cut the LINK snapshot, copy the oid→relevance
-// view — then computes HITS in memory, ranks each side, publishes the
-// rankings through one atomic pointer, and applies the hub-neighbor
-// boosts, while the other workers keep crawling. Snapshot points are an
-// exact function of the visit sequence;
+// then every shard lock, each ascending) only for a short snapshot phase —
+// cut the LINK snapshot, copy the oid→relevance view — then computes HITS
+// in memory, ranks each side, publishes the rankings through one atomic
+// pointer, and applies the hub-neighbor boosts, while the other workers
+// keep crawling. Snapshot points are an exact function of the visit
+// sequence: the visit whose number is a multiple of DistillEvery fires one;
 // monitors read scores that trail the crawl by at most the epoch being
 // computed (see DistillEpochs). With Workers=1 nothing runs beside an
 // epoch, so the visit order is a pure function of seed and config.
 //
 // Lock ordering, from the bottom of the tower up: epochMu < link stripe
 // mutexes (ascending id) < frontier shard mutex (at most one, except under
-// the barrier) < global mutex. The global mutex is the top of the tower: no
-// tower lock is taken while it is held.
+// the barrier). The shard mutex is the top of the tower; only leaves (the
+// forward-weight log, the pool latch, disk mutexes) are taken under it.
 type Crawler struct {
 	cfg     Config
 	db      *relstore.DB
@@ -225,25 +227,17 @@ type Crawler struct {
 	// epochMu serializes distillation epochs, checkpoints and Tables, so
 	// publishing is one writer at a time and a checkpoint never sees an
 	// epoch mid-compute. It is taken with no other lock held and stays held
-	// across the HITS run. It also guards handed's adoption and ckptScores.
+	// across the HITS run. It also guards handed's adoption, ckptScores and
+	// distills.
 	//focuslint:lock rank=epoch order=5
 	epochMu sync.Mutex
 
-	// mu guards the harvest log, visit sequencing, the distillation and
-	// checkpoint triggers, the policy, and the table catalog. No score is
-	// read under it: the published scores are pub's. Lock ordering: any
-	// number of link stripe locks and any one shard mutex may be held when
-	// acquiring mu; never the reverse. Table operations under it may
-	// transitively reach pool channel waits and disk I/O, so only direct
-	// blocking is banned.
-	//focuslint:lock rank=global order=30 noblockdirect=io,chan,sleep
-	mu        sync.Mutex
+	// policy is written only under the barrier, so any one shard lock reads
+	// it; distills is guarded by epochMu; a CompareAndSwap of sinceCkpt to 0
+	// claims the checkpoint count trigger.
 	policy    Policy
-	harvest   []HarvestPoint
-	visitSeq  int64
-	sinceDist int64
-	sinceCkpt int64 // visits since the last durable checkpoint
 	distills  int
+	sinceCkpt atomic.Int64
 
 	// pub is the latest published epoch and its scores, never nil (epoch
 	// 0, empty, before the first). An epoch replaces it whole, so a reader
@@ -396,7 +390,7 @@ func (c *Crawler) Tables() (distiller.Tables, error) {
 // materializeLocked replaces the table name with a ranking's rows in
 // ascending oid order. The barrier must be held: it edits the catalog.
 //
-//focuslint:lock requires=stripe*,shard*,global
+//focuslint:lock requires=stripe*,shard*
 func (c *Crawler) materializeLocked(name string, r distiller.Ranking) (*relstore.Table, error) {
 	if err := c.db.DropTable(name); err != nil {
 		return nil, err
@@ -468,7 +462,7 @@ func (c *Crawler) Crawl() (*relstore.Table, error) {
 // snapshotCrawlLocked rebuilds the merged CRAWL view table. The barrier
 // must be held, so the copy is a consistent cross-shard snapshot.
 //
-//focuslint:lock requires=stripe*,shard*,global
+//focuslint:lock requires=stripe*,shard*
 func (c *Crawler) snapshotCrawlLocked() (*relstore.Table, error) {
 	if err := c.db.DropTable("CRAWL"); err != nil {
 		return nil, err
@@ -477,12 +471,14 @@ func (c *Crawler) snapshotCrawlLocked() (*relstore.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
-		_, err := snap.Insert(t)
-		return false, err
-	})
-	if err != nil {
-		return nil, err
+	for _, sh := range c.shards {
+		err := sh.crawl.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+			_, err := snap.Insert(t)
+			return false, err
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return snap, nil
 }
@@ -625,9 +621,9 @@ func (c *Crawler) Run() (Result, error) {
 	if err := <-errCh; err != nil {
 		return Result{}, err
 	}
-	c.mu.Lock()
+	c.epochMu.Lock()
 	distills := c.distills
-	c.mu.Unlock()
+	c.epochMu.Unlock()
 	res := Result{
 		Visited:             c.visited.Load(),
 		Fetches:             c.fetches.Load(),
@@ -837,38 +833,34 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 	return c.complete(sh, rid, row, res, rel, leaf)
 }
 
-// complete finishes a classified visit: row update, harvest log, forward
+// complete finishes a classified visit: row update, visit log, forward
 // weight, link expansion, and the distillation and checkpoint triggers.
 // Callers hold no locks.
 func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res *Fetch, rel float64, leaf taxonomy.NodeID) error {
 	oid := row[COID].Int()
 
-	// Persist the visit: the row update is shard-owned; the harvest log and
-	// visit sequence are global. Lock order: shard, then global. The page's
-	// relevance is now known, so it becomes the forward weight of every edge
-	// into it (the paper uses a trigger): logged in the critical section that
-	// marks the row visited, so any barrier sees both or neither, and every
-	// LINK read resolves the edges into this page against it, including
-	// edges ingested later.
+	// Persist the visit in one shard critical section: number it (the
+	// visited counter), mark the row visited, log it in the shard's visit
+	// log, and log its relevance as the forward weight of every edge into it
+	// (the paper uses a trigger) — so any barrier sees all of it or none, and
+	// every LINK read resolves the edges into this page against it,
+	// including edges ingested later.
 	old := row.Clone() // the row as stored (checkout's), for UpdateFrom
 	sh.mu.Lock()
-	c.mu.Lock()
-	c.visitSeq++
+	seq := c.visited.Add(1)
 	row[CRel] = relstore.F64(rel)
 	row[CKcid] = relstore.I32(int32(leaf))
-	row[CLast] = relstore.I64(c.visitSeq)
+	row[CLast] = relstore.I64(seq)
 	row[CStatus] = relstore.I32(StatusVisited)
 	err := sh.writeLocked(rid, old, row)
 	if err == nil {
 		sh.inflightRows--
-		c.visited.Add(1)
-		c.harvest = append(c.harvest, HarvestPoint{
-			Seq: c.visitSeq, OID: oid, URL: row[CURL].S,
+		sh.visits = append(sh.visits, HarvestPoint{
+			Seq: seq, OID: oid, URL: row[CURL].S,
 			Relevance: rel, Kcid: int32(leaf),
 		})
 		err = c.links.UpdateIncomingFwd(oid, rel)
 	}
-	c.mu.Unlock()
 	sh.mu.Unlock()
 	if err != nil {
 		return err
@@ -884,18 +876,9 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res 
 		}
 	}
 
-	if c.cfg.DistillEvery > 0 {
-		c.mu.Lock()
-		c.sinceDist++
-		due := c.sinceDist >= c.cfg.DistillEvery
-		if due {
-			c.sinceDist = 0
-		}
-		c.mu.Unlock()
-		if due {
-			if err := c.distill(); err != nil {
-				return err
-			}
+	if c.cfg.DistillEvery > 0 && seq%c.cfg.DistillEvery == 0 {
+		if err := c.distill(); err != nil {
+			return err
 		}
 	}
 
@@ -908,20 +891,17 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res 
 	// crawl checkpoints rather than run out of frames. That pressure lasts until
 	// the flush, so every worker finishing a visit meanwhile fires too: each
 	// waits at the barrier — which stops the pool filling further — and all
-	// but the first find the checkpoint counter moved and take none.
+	// but the first find the checkpoint counter moved and take none. The count
+	// trigger is claimed by the one visit whose CompareAndSwap resets it.
 	if c.db.Durable() {
 		pool := c.db.Pool()
-		c.mu.Lock()
-		c.sinceCkpt++
+		n := c.sinceCkpt.Add(1)
 		seen := c.checkpoints.Load()
-		due := c.cfg.CheckpointEvery > 0 && c.sinceCkpt >= c.cfg.CheckpointEvery ||
-			pool.HeldDirty() >= pool.NumFrames()/2
-		if due {
-			c.sinceCkpt = 0
-		}
-		c.mu.Unlock()
-		if due {
-			return c.checkpoint(seen)
+		pressure := pool.HeldDirty() >= pool.NumFrames()/2
+		if pressure || c.cfg.CheckpointEvery > 0 && n >= c.cfg.CheckpointEvery {
+			if c.sinceCkpt.CompareAndSwap(n, 0) || pressure {
+				return c.checkpoint(seen)
+			}
 		}
 	}
 	return nil
@@ -997,7 +977,10 @@ func (c *Crawler) distill() error {
 // distillSnapshot is the short world-stopped phase: under the full barrier
 // it cuts a LINK snapshot — every visited page's relevance is logged by
 // then, so no edge into one reads a radius-1 weight — and copies the
-// cross-shard relevance view. It returns the new epoch's number.
+// cross-shard relevance view. It returns the new epoch's number. epochMu
+// must be held; it guards the snapshot count.
+//
+//focuslint:lock requires=epoch
 func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float64, error) {
 	c.lockAll()
 	defer c.unlockAll()
@@ -1013,7 +996,7 @@ func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float
 // relevanceLocked copies the cross-shard oid -> relevance view from the oid
 // directories, reading no CRAWL page. The barrier must be held.
 //
-//focuslint:lock requires=stripe*,shard*,global
+//focuslint:lock requires=stripe*,shard*
 func (c *Crawler) relevanceLocked() map[int64]float64 {
 	var rows int
 	for _, sh := range c.shards {
@@ -1128,11 +1111,15 @@ func (c *Crawler) DistillEpochs() (snapshotted, published int64) {
 	return c.snapEpoch.Load(), c.pub.Load().epoch
 }
 
-// HarvestLog returns the visit-ordered harvest points (copy).
+// HarvestLog returns the harvest points in visit order (a copy): the
+// shards' visit logs merged by Seq. While a crawl runs it holds each shard's
+// log as of the moment its lock was taken, so a visit another shard logged
+// later may be missing; after Run it is dense, Seq 1..Visited.
 func (c *Crawler) HarvestLog() []HarvestPoint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]HarvestPoint(nil), c.harvest...)
+	var out []HarvestPoint
+	c.eachVisit(func(h *HarvestPoint) { out = append(out, *h) })
+	slices.SortFunc(out, func(a, b HarvestPoint) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
 }
 
 // URLOf resolves an oid back to its URL through the shard oid directories,
@@ -1155,9 +1142,10 @@ func (c *Crawler) FrontierSize() int64 {
 
 // String describes the crawler state briefly.
 func (c *Crawler) String() string {
-	c.mu.Lock()
+	sh := c.shards[0] // any shard lock excludes SetPolicy's barrier
+	sh.mu.Lock()
 	name := c.policy.Name
-	c.mu.Unlock()
+	sh.mu.Unlock()
 	return fmt.Sprintf("crawler{visited=%d fetches=%d frontier=%d shards=%d policy=%s}",
 		c.visited.Load(), c.fetches.Load(), c.FrontierSize(), len(c.shards), name)
 }

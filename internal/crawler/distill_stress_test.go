@@ -245,6 +245,9 @@ func TestDistillPublishesBeforeReturnStress(t *testing.T) {
 			if snap != pub || int(snap) != res.Distills {
 				t.Fatalf("Run returned with epochs snapshotted=%d published=%d, distills=%d", snap, pub, res.Distills)
 			}
+			if err := c.CheckDirectory(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

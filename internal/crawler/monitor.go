@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"focus/internal/linkgraph"
-	"focus/internal/relstore"
 	"focus/internal/taxonomy"
 )
 
@@ -14,21 +13,26 @@ import (
 // the crawl relations exactly as the paper's SQL is. They are what made the
 // DBMS-backed design pleasant to operate: harvest plots, stagnation
 // diagnosis by class census, and the missed-neighbors-of-great-hubs probe.
-// Queries over CRAWL and LINK take the stop-the-world barrier so they see a
-// consistent cross-shard state even while workers run; queries over only
-// the published scores (TopHubURLs, TopAuthorityURLs) do not — see the
-// contract below.
+// Only MissedNeighbors takes the stop-the-world barrier, because it reads
+// the frontier rows of many shards as one state. The queries over visited
+// pages (HarvestByWindow, CensusByClass, VisitedURLs) read the shards'
+// visit logs, and the queries over the published scores (TopHubURLs,
+// TopAuthorityURLs) the published ranking — see the contract below.
 //
-// Staleness contract: CRAWL and LINK reads are exact as of the barrier,
-// but the hub and authority scores are the *published* distillation epoch
-// — they trail the crawl by at most the epoch being computed (no epochs
-// queue behind it; see Crawler.DistillEpochs). A query never observes a
-// torn or half-written ranking: an epoch ranks its scores privately and
-// publishes them whole through one atomic pointer, and a published ranking
-// is never modified. So a score read loads the pointer once and takes no
-// lock at all — topURLs slices the ranking and resolves URLs shard by
-// shard, and crawl workers keep fetching throughout (the monitor-under-load
-// stress test pins that).
+// Staleness contract: MissedNeighbors' CRAWL and LINK reads are exact as of
+// the barrier. A visit-log query reads each shard's log as of that shard's
+// lock, taken one shard at a time, so it holds every visit completed before
+// it began and, from another shard, may miss one completed while it runs;
+// an entry it does read is the visit's final row, never a half-written one.
+// The hub and authority scores are the *published* distillation epoch —
+// they trail the crawl by at most the epoch being computed (no epochs queue
+// behind it; see Crawler.DistillEpochs). A query never observes a torn or
+// half-written ranking: an epoch ranks its scores privately and publishes
+// them whole through one atomic pointer, and a published ranking is never
+// modified. So a score read loads the pointer once and takes no lock at
+// all — topURLs slices the ranking and resolves URLs shard by shard, and
+// crawl workers keep fetching throughout (the monitor-under-load stress
+// test pins that).
 
 // ErrNoDistillation reports a monitoring query that needs distilled scores
 // before any distillation epoch has published them (hub-percentile
@@ -54,31 +58,18 @@ func (c *Crawler) HarvestByWindow(window int64) ([]HarvestBucket, error) {
 	if window <= 0 {
 		window = 100
 	}
-	c.lockAll()
-	defer c.unlockAll()
-	type sums struct {
-		exp float64
-		n   int64
-	}
-	buckets := make(map[int64]*sums)
-	err := c.scanColsAllLocked([]int{CStatus, CLast, CRel}, func(v []relstore.Value) {
-		if int32(v[0].Int()) == StatusVisited {
-			k := v[1].Int() / window
-			b := buckets[k]
-			if b == nil {
-				b = &sums{}
-				buckets[k] = b
-			}
-			b.exp += math.Exp(v[2].Float())
-			b.n++
-		}
+	buckets := make(map[int64]HarvestBucket) // AvgExpRel holds the sum until the end
+	c.eachVisit(func(h *HarvestPoint) {
+		b := buckets[h.Seq/window]
+		b.Bucket = h.Seq / window
+		b.Count++
+		b.AvgExpRel += math.Exp(h.Relevance)
+		buckets[b.Bucket] = b
 	})
-	if err != nil {
-		return nil, err
-	}
 	out := make([]HarvestBucket, 0, len(buckets))
-	for k, b := range buckets {
-		out = append(out, HarvestBucket{Bucket: k, Count: b.n, AvgExpRel: b.exp / float64(b.n)})
+	for _, b := range buckets {
+		b.AvgExpRel /= float64(b.Count)
+		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
 	return out, nil
@@ -95,17 +86,8 @@ type CensusRow struct {
 // landed in each best-matching class (ascending count, like the paper's
 // "order by cnt").
 func (c *Crawler) CensusByClass() ([]CensusRow, error) {
-	c.lockAll()
-	defer c.unlockAll()
 	counts := make(map[int32]int64)
-	err := c.scanColsAllLocked([]int{CStatus, CKcid}, func(v []relstore.Value) {
-		if int32(v[0].Int()) == StatusVisited {
-			counts[int32(v[1].Int())]++
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
+	c.eachVisit(func(h *HarvestPoint) { counts[h.Kcid]++ })
 	out := make([]CensusRow, 0, len(counts))
 	for kcid, n := range counts {
 		row := CensusRow{Kcid: kcid, Count: n}
@@ -254,18 +236,12 @@ func (c *Crawler) resolveURLs(out []ScoredURL) error {
 // threshold, plus the set of their servers — the coverage experiment's raw
 // material (§3.5).
 func (c *Crawler) VisitedURLs(minRelevance float64) (urls []string, servers map[string]bool, err error) {
-	c.lockAll()
-	defer c.unlockAll()
 	servers = make(map[string]bool)
-	err = c.scanAllLocked(func(_ *shard, _ relstore.RID, t relstore.Tuple) (bool, error) {
-		if int32(t[CStatus].Int()) != StatusVisited {
-			return false, nil
+	c.eachVisit(func(h *HarvestPoint) {
+		if h.Relevance >= minRelevance {
+			urls = append(urls, h.URL)
+			servers[HostOf(h.URL)] = true
 		}
-		if t[CRel].Float() >= minRelevance {
-			urls = append(urls, t[CURL].S)
-			servers[HostOf(t[CURL].S)] = true
-		}
-		return false, nil
 	})
-	return urls, servers, err
+	return urls, servers, nil
 }

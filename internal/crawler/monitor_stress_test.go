@@ -19,14 +19,15 @@ func (s *slowFetcher) Fetch(url string) (*Fetch, error) {
 	return s.inner.Fetch(url)
 }
 
-// TestMonitorUnderLoadStress asserts the published-score monitor queries no
-// longer stop the world: 8 workers crawl (with distillation epochs
-// publishing all along) while a monitor goroutine polls TopHubURLs and
-// TopAuthorityURLs in a tight loop, and workers must keep making fetch
-// progress throughout. Under the old implementation every poll took the
-// full lockAll barrier, so a polling loop serialized the whole crawl; now
-// the score snapshot needs only the global mutex and URL resolution one
-// shard lock at a time. The test fails on (a) a wedged crawl — deadlock
+// TestMonitorUnderLoadStress asserts the monitor queries that need no
+// barrier do not stop the world: 8 workers crawl (with distillation epochs
+// publishing all along) while a monitor goroutine polls TopHubURLs,
+// TopAuthorityURLs, HarvestByWindow and CensusByClass in a tight loop, and
+// workers must keep making fetch progress throughout. Under the old
+// implementation every poll took the full lockAll barrier, so a polling
+// loop serialized the whole crawl; now the score reads load the published
+// ranking, the visit-log reads take one shard lock at a time, and so does
+// URL resolution. The test fails on (a) a wedged crawl — deadlock
 // between monitor and ingest lock orders, the thing -race plus this
 // schedule hunts — or (b) a fetch counter frozen for seconds while the
 // monitor polls, or (c) a monitor that never completes polls concurrently
@@ -57,6 +58,14 @@ func TestMonitorUnderLoadStress(t *testing.T) {
 				return
 			}
 			if _, err := c.TopAuthorityURLs(5); err != nil {
+				monErr = err
+				return
+			}
+			if _, err := c.HarvestByWindow(50); err != nil {
+				monErr = err
+				return
+			}
+			if _, err := c.CensusByClass(); err != nil {
 				monErr = err
 				return
 			}

@@ -16,9 +16,10 @@ import (
 )
 
 // plantVisited inserts a row for url and marks it visited with the given
-// relevance and visit sequence — a hand-built CRAWL state for pinning the
-// monitoring queries against hand-computed answers.
-func plantVisited(t *testing.T, c *Crawler, url string, seq int64, rel float64) {
+// relevance as the crawl's next visit, logging it in its shard's visit log
+// as complete does — a hand-built CRAWL state for pinning the monitoring
+// queries against hand-computed answers.
+func plantVisited(t *testing.T, c *Crawler, url string, rel float64) {
 	t.Helper()
 	if err := c.Seed([]string{url}); err != nil {
 		t.Fatal(err)
@@ -35,6 +36,7 @@ func plantVisited(t *testing.T, c *Crawler, url string, seq int64, rel float64) 
 		t.Fatalf("planted row not in the frontier set: %v", err)
 	}
 	sh.recomputeHeadLocked()
+	seq := c.visited.Add(1)
 	old := row.Clone()
 	row[CRel] = relstore.F64(rel)
 	row[CLast] = relstore.I64(seq)
@@ -43,6 +45,9 @@ func plantVisited(t *testing.T, c *Crawler, url string, seq int64, rel float64) 
 		t.Fatal(err)
 	}
 	sh.frontierN.Add(-1)
+	sh.visits = append(sh.visits, HarvestPoint{
+		Seq: seq, OID: OIDOf(url), URL: url, Relevance: rel, Kcid: int32(row[CKcid].Int()),
+	})
 }
 
 // TestHarvestByWindowExpAverage pins the harvest monitor to the paper's
@@ -54,7 +59,7 @@ func TestHarvestByWindowExpAverage(t *testing.T) {
 		Config{Workers: 1, MaxFetches: 1})
 	rels := []float64{0, 0.5, 1, 0.25}
 	for i, rel := range rels {
-		plantVisited(t, c, fmt.Sprintf("http://h%d.test/p", i), int64(i+1), rel)
+		plantVisited(t, c, fmt.Sprintf("http://h%d.test/p", i), rel)
 	}
 	hb, err := c.HarvestByWindow(2)
 	if err != nil {
@@ -148,7 +153,8 @@ func TestTopDecileHubsMatchesPercentile(t *testing.T) {
 
 // TestScoreReadsTakeNoGlobalLock: TopHubURLs and TopAuthorityURLs read the
 // published ranking through its atomic pointer and resolve URLs under shard
-// locks alone, so they answer while another goroutine holds c.mu.
+// locks alone, so they answer while another goroutine holds every link
+// stripe lock — the first half of the barrier.
 func TestScoreReadsTakeNoGlobalLock(t *testing.T) {
 	f := genSite(31, 120, 8, 0)
 	c, _ := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 80, DistillEvery: 30})
@@ -158,10 +164,7 @@ func TestScoreReadsTakeNoGlobalLock(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	done := make(chan error, 1)
-	go func() {
+	answersBesideStripeLocks(t, c, "a top-k score read", func() error {
 		hubs, err := c.TopHubURLs(5)
 		if err == nil && len(hubs) == 0 {
 			err = errors.New("no hubs published")
@@ -169,15 +172,64 @@ func TestScoreReadsTakeNoGlobalLock(t *testing.T) {
 		if err == nil {
 			_, err = c.TopAuthorityURLs(5)
 		}
-		done <- err
-	}()
+		return err
+	})
+}
+
+// TestVisitLogReadsTakeNoBarrier: HarvestByWindow, CensusByClass and
+// VisitedURLs read the shards' visit logs one shard lock at a time, so they
+// answer — with every visit, once the crawl is done — while another
+// goroutine holds every link stripe lock, where the barrier would wait.
+func TestVisitLogReadsTakeNoBarrier(t *testing.T) {
+	f := genSite(33, 120, 8, 0)
+	c, _ := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 80})
+	if err := c.Seed(seedURLs(f, 4)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answersBesideStripeLocks(t, c, "a visit-log read", func() error {
+		var n [3]int64
+		hb, err := c.HarvestByWindow(10)
+		if err != nil {
+			return err
+		}
+		for _, b := range hb {
+			n[0] += b.Count
+		}
+		census, err := c.CensusByClass()
+		if err != nil {
+			return err
+		}
+		for _, r := range census {
+			n[1] += r.Count
+		}
+		urls, _, err := c.VisitedURLs(math.Inf(-1))
+		n[2] = int64(len(urls))
+		if err == nil && (n[0] != res.Visited || n[1] != res.Visited || n[2] != res.Visited) {
+			err = fmt.Errorf("harvest, census and visited URLs count %v visits, the crawl made %d", n, res.Visited)
+		}
+		return err
+	})
+}
+
+// answersBesideStripeLocks holds every link stripe lock while read runs in
+// another goroutine, and fails unless read returns nil within five seconds.
+func answersBesideStripeLocks(t *testing.T, c *Crawler, what string, read func() error) {
+	t.Helper()
+	c.links.LockAll()
+	defer c.links.UnlockAll()
+	done := make(chan error, 1)
+	go func() { done <- read() }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("a top-k score read waited on the global mutex")
+		t.Fatalf("%s waited on the link stripe locks", what)
 	}
 }
 

@@ -8,10 +8,14 @@ import (
 )
 
 // This file implements the paper's §1 "advanced query power" examples over
-// the materialized crawl relations: queries that combine topical content
-// (the classifier's best-leaf classes) with hyperlink structure (the LINK
+// the crawl relations: queries that combine topical content (the
+// classifier's best-leaf classes) with hyperlink structure (the LINK
 // relation). These are exactly the standing queries the Focus system exists
-// to answer without crawling the whole web.
+// to answer without crawling the whole web. None stops the crawl: the
+// classes come from the shards' visit logs, one shard lock at a time, and
+// LINK is read through Store.Scan, one stripe lock at a time — so on a
+// running crawl an answer may miss visits and edges that land while it
+// reads (monitor.go's staleness contract).
 
 // classifiedUnder reports whether class c lies in topic's subtree
 // (ancestor-or-self), so queries can name internal topics.
@@ -25,18 +29,12 @@ func classifiedUnder(tree *taxonomy.Tree, c, topic taxonomy.NodeID) bool {
 	return false
 }
 
-// visitedClassesLocked loads oid -> best-leaf class for visited pages
-// across all shards; the barrier (lockAll) must be held.
-//
-//focuslint:lock requires=stripe*,shard*,global
-func (c *Crawler) visitedClassesLocked() (map[int64]taxonomy.NodeID, error) {
+// visitedClasses maps each logged visit's oid to its best-leaf class, from
+// the shards' visit logs (see eachVisit).
+func (c *Crawler) visitedClasses() map[int64]taxonomy.NodeID {
 	out := make(map[int64]taxonomy.NodeID)
-	err := c.scanColsAllLocked([]int{COID, CStatus, CKcid}, func(v []relstore.Value) {
-		if int32(v[1].Int()) == StatusVisited {
-			out[v[0].Int()] = taxonomy.NodeID(v[2].Int())
-		}
-	})
-	return out, err
+	c.eachVisit(func(h *HarvestPoint) { out[h.OID] = taxonomy.NodeID(h.Kcid) })
+	return out
 }
 
 // CrossTopicCitations is the "community evolution" query shape of §1
@@ -45,15 +43,10 @@ func (c *Crawler) visitedClassesLocked() (map[int64]taxonomy.NodeID, error) {
 // source is classified under topic a and whose target is classified under
 // topic b. Either may be an internal taxonomy node.
 func (c *Crawler) CrossTopicCitations(a, b taxonomy.NodeID) (int64, error) {
-	c.lockAll()
-	defer c.unlockAll()
-	classes, err := c.visitedClassesLocked()
-	if err != nil {
-		return 0, err
-	}
+	classes := c.visitedClasses()
 	tree := c.model.Tree
 	var n int64
-	err = c.links.ScanLocked(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+	err := c.links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		src, okS := classes[t[LSrc].Int()]
 		dst, okD := classes[t[LDst].Int()]
 		if okS && okD && classifiedUnder(tree, src, a) && classifiedUnder(tree, dst, b) {
@@ -76,15 +69,10 @@ type Suspect struct {
 // that are cited by at least minCiters distinct visited pages classified
 // under the off-topic citer topic.
 func (c *Crawler) SpamSuspects(target, citer taxonomy.NodeID, minCiters int) ([]Suspect, error) {
-	c.lockAll()
-	defer c.unlockAll()
-	classes, err := c.visitedClassesLocked()
-	if err != nil {
-		return nil, err
-	}
+	classes := c.visitedClasses()
 	tree := c.model.Tree
 	citersOf := make(map[int64]map[int64]bool)
-	err = c.links.ScanLocked(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+	err := c.links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		src, okS := classes[t[LSrc].Int()]
 		dst, okD := classes[t[LDst].Int()]
 		if !okS || !okD {
@@ -103,19 +91,18 @@ func (c *Crawler) SpamSuspects(target, citer taxonomy.NodeID, minCiters int) ([]
 	if err != nil {
 		return nil, err
 	}
-	var out []Suspect
+	var found []ScoredURL
 	for oid, set := range citersOf {
-		if len(set) < minCiters {
-			continue
+		if len(set) >= minCiters {
+			found = append(found, ScoredURL{OID: oid})
 		}
-		s := Suspect{Citers: len(set)}
-		for _, sh := range c.shards {
-			if _, row, ok, err := sh.lookupLocked(oid); err == nil && ok {
-				s.URL = row[CURL].S
-				break
-			}
-		}
-		out = append(out, s)
+	}
+	if err := c.resolveURLs(found); err != nil {
+		return nil, err
+	}
+	out := make([]Suspect, 0, len(found))
+	for _, f := range found {
+		out = append(out, Suspect{URL: f.URL, Citers: len(citersOf[f.OID])})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Citers != out[j].Citers {
@@ -132,15 +119,10 @@ func (c *Crawler) SpamSuspects(target, citer taxonomy.NodeID, minCiters int) ([]
 // examples/citationsociology for the lift computation against web-at-large
 // base rates).
 func (c *Crawler) NeighborhoodCensus(topic taxonomy.NodeID) (map[taxonomy.NodeID]int64, error) {
-	c.lockAll()
-	defer c.unlockAll()
-	classes, err := c.visitedClassesLocked()
-	if err != nil {
-		return nil, err
-	}
+	classes := c.visitedClasses()
 	tree := c.model.Tree
 	out := make(map[taxonomy.NodeID]int64)
-	err = c.links.ScanLocked(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+	err := c.links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		src, okS := classes[t[LSrc].Int()]
 		dst, okD := classes[t[LDst].Int()]
 		if okS && okD && classifiedUnder(tree, src, topic) {

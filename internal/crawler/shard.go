@@ -3,6 +3,7 @@ package crawler
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,25 +13,24 @@ import (
 
 // A shard owns one host-partition of the CRAWL relation: its own table
 // (named CRAWL#<id>), its own in-memory oid directory — each row's RID with
-// a mirror of its status and relevance (dirEntry) — and its own in-memory
-// frontier set — the checkout order over the rows checkout can return — all
-// guarded by the shard mutex. Both are rebuilt from the table's heap on
-// resume; the heap is the only durable state. Hosts are assigned to
-// shards by hashing the server id (shardFor), so every URL of a server — and
-// therefore that server's serverload accounting — lives in exactly one shard.
+// a mirror of its status and relevance (dirEntry) — its own in-memory
+// frontier set — the checkout order over the rows checkout can return — and
+// its own visit log, all guarded by the shard mutex. All three are rebuilt
+// from the table's heap on resume; the heap is the only durable state.
+// Hosts are assigned to shards by hashing the server id (shardFor), so
+// every URL of a server — and therefore that server's serverload
+// accounting — lives in exactly one shard.
 //
-// Lock ordering: a goroutine holds at most one shard mutex at a time and may
-// acquire the crawler's global mutex (harvest log, triggers, policy) while
-// holding it; link stripe mutexes rank *below* shard mutexes (the link
-// store's ingest callback reads a target's directory entry under its stripe
-// lock) and are never acquired while a shard or the global mutex is held
-// outside the barrier. Whole-frontier operations (distillation, policy swaps,
-// monitoring queries) take every link stripe lock, then every shard mutex,
-// each in ascending id order, and the global mutex last — see
-// Crawler.lockAll.
+// Lock ordering: a goroutine holds at most one shard mutex at a time, the
+// top of the lock tower: only leaf locks are taken under it. Link stripe
+// mutexes rank *below* shard mutexes, because the barrier takes them
+// first, and are never acquired while a shard mutex is held. Whole-frontier
+// operations (distillation, checkpoints, policy swaps, the missed-neighbors
+// query) take every link stripe lock, then every shard mutex, each in
+// ascending id order — see Crawler.lockAll.
 type shard struct {
 	id int
-	// Tower rank 20: above link stripes, below the global mutex. Table
+	// Tower rank 20: above link stripes, the top of the tower. Table
 	// operations under it may transitively reach buffer-pool channel waits
 	// and disk I/O (that is the off-latch design), so only *direct* blocking
 	// operations are banned in its critical sections.
@@ -41,6 +41,9 @@ type shard struct {
 
 	rids  map[int64]dirEntry // oid directory: rows are never moved or deleted
 	front *frontierSet       // the StatusFrontier rows, ascending by policy key
+	// visits is the visit log: one point per StatusVisited row, ascending by
+	// Seq, appended where complete marks the row visited (see eachVisit).
+	visits []HarvestPoint
 
 	// Scratch of admitLocked, guarded by mu: the tuple each new row is
 	// encoded from, and the rows the current group adds to the heap.
@@ -148,30 +151,42 @@ func (c *Crawler) shardIndex(sid int32) int {
 func (c *Crawler) shardFor(sid int32) *shard { return c.shards[c.shardIndex(sid)] }
 
 // lockAll acquires every link stripe mutex, then every shard mutex, each in
-// ascending id order, and then the global mutex — the stop-the-world
-// barrier used by distillation snapshots, policy swaps, and cross-shard
-// monitoring queries. Stripes come first because they rank lowest in the
-// lock order: an ingesting worker holding a stripe lock may be waiting for
-// a shard lock, so taking stripes before shards lets it drain.
+// ascending id order — the stop-the-world barrier used by distillation
+// snapshots, checkpoints, policy swaps, Tables and Crawl, and the
+// missed-neighbors query. Stripes come first because they rank lowest in
+// the lock order: an ingesting worker holding a stripe lock may be waiting
+// for a shard lock, so taking stripes before shards lets it drain.
 //
-//focuslint:lock sequence=stripe*,shard*,global exit=held
+//focuslint:lock sequence=stripe*,shard* exit=held
 func (c *Crawler) lockAll() {
 	c.links.LockAll()
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 	}
-	c.mu.Lock()
 }
 
 // unlockAll releases the barrier in reverse order.
 //
-//focuslint:lock releases=global,shard*,stripe*
+//focuslint:lock releases=shard*,stripe*
 func (c *Crawler) unlockAll() {
-	c.mu.Unlock()
 	for i := len(c.shards) - 1; i >= 0; i-- {
 		c.shards[i].mu.Unlock()
 	}
 	c.links.UnlockAll()
+}
+
+// eachVisit calls fn with every logged visit, a shard at a time. A shard's
+// log is read as it stood when its lock was taken, without the lock: an
+// entry is never rewritten, and later ones land past the copied length.
+func (c *Crawler) eachVisit(fn func(h *HarvestPoint)) {
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		log := sh.visits[:len(sh.visits):len(sh.visits)]
+		sh.mu.Unlock()
+		for i := range log {
+			fn(&log[i])
+		}
+	}
 }
 
 // admitLocked enters a group of targets homed in this shard, in the group's
@@ -457,15 +472,31 @@ func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, er
 // relevance, the latter bit for bit. Its frontier set must be well
 // formed and hold each StatusFrontier row exactly once, at its RID, under
 // the policy's key, and no other row; its size must equal the frontier
-// counter, and the published head must be its first key. It takes one shard
+// counter, and the published head must be its first key. Its visit log must
+// hold exactly its StatusVisited rows, ascending by Seq, each entry with its
+// row's oid, URL, class and relevance (bit for bit) and lastvisited = Seq;
+// across the shards the Seqs must be exactly 1..visited. It takes one shard
 // or stripe lock at a time, so it is exact on a crawl that is not running.
 func (c *Crawler) CheckDirectory() error {
+	var seqs []int64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		err := sh.checkDirectoryLocked()
+		for _, h := range sh.visits {
+			seqs = append(seqs, h.Seq)
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			return err
+		}
+	}
+	slices.Sort(seqs)
+	if n := c.visited.Load(); int64(len(seqs)) != n {
+		return fmt.Errorf("crawler: the visit logs hold %d visits, the visited counter says %d", len(seqs), n)
+	}
+	for i, seq := range seqs {
+		if seq != int64(i+1) {
+			return fmt.Errorf("crawler: the visit logs' sequence numbers are not 1..%d: position %d holds %d", len(seqs), i+1, seq)
 		}
 	}
 	return c.links.CheckDirectory()
@@ -477,6 +508,7 @@ func (sh *shard) checkDirectoryLocked() error {
 		return fmt.Errorf("crawler: shard %d: frontier set: %w", sh.id, err)
 	}
 	var frontier int
+	visited := make(map[int64]HarvestPoint)
 	err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
 		d, ok := sh.rids[t[COID].Int()]
 		if !ok || d.rid() != rid {
@@ -485,6 +517,12 @@ func (sh *shard) checkDirectoryLocked() error {
 		if want := entryOf(rid, t); d.status != want.status || math.Float64bits(d.rel) != math.Float64bits(want.rel) {
 			return true, fmt.Errorf("crawler: shard %d: oid %d has status %d and relevance %v, directory has %d and %v",
 				sh.id, t[COID].Int(), want.status, want.rel, d.status, d.rel)
+		}
+		if int32(t[CStatus].Int()) == StatusVisited {
+			visited[t[COID].Int()] = HarvestPoint{
+				Seq: t[CLast].Int(), OID: t[COID].Int(), URL: t[CURL].S,
+				Relevance: t[CRel].Float(), Kcid: int32(t[CKcid].Int()),
+			}
 		}
 		if int32(t[CStatus].Int()) != StatusFrontier {
 			return false, nil
@@ -515,38 +553,17 @@ func (sh *shard) checkDirectoryLocked() error {
 	if h := sh.head.Load(); ok != (h != nil) || ok && *h != first.key {
 		return fmt.Errorf("crawler: shard %d: published head is not the frontier set's first key", sh.id)
 	}
-	return nil
-}
-
-// scanAllLocked visits every CRAWL row across all shards. The barrier must
-// be held.
-//
-//focuslint:lock requires=stripe*,shard*,global
-func (c *Crawler) scanAllLocked(fn func(sh *shard, rid relstore.RID, t relstore.Tuple) (bool, error)) error {
-	for _, sh := range c.shards {
-		err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
-			return fn(sh, rid, t)
-		})
-		if err != nil {
-			return err
-		}
+	if len(sh.visits) != len(visited) {
+		return fmt.Errorf("crawler: shard %d: visit log holds %d entries for %d visited rows", sh.id, len(sh.visits), len(visited))
 	}
-	return nil
-}
-
-// scanColsAllLocked is scanAllLocked for a query that reads only fixed-width
-// columns: vals[i] holds column cols[i], read where it lies on the heap page
-// (relstore.Table.ScanCols), so no URL is decoded. The barrier must be held.
-//
-//focuslint:lock requires=stripe*,shard*,global
-func (c *Crawler) scanColsAllLocked(cols []int, fn func(vals []relstore.Value)) error {
-	for _, sh := range c.shards {
-		err := sh.crawl.ScanCols(cols, func(_ relstore.RID, vals []relstore.Value) (bool, error) {
-			fn(vals)
-			return false, nil
-		})
-		if err != nil {
-			return err
+	for i, h := range sh.visits {
+		if i > 0 && sh.visits[i-1].Seq >= h.Seq {
+			return fmt.Errorf("crawler: shard %d: visit log is not ascending at entry %d: seq %d then %d", sh.id, i, sh.visits[i-1].Seq, h.Seq)
+		}
+		want, ok := visited[h.OID]
+		if !ok || h.URL != want.URL || h.Seq != want.Seq || h.Kcid != want.Kcid ||
+			math.Float64bits(h.Relevance) != math.Float64bits(want.Relevance) {
+			return fmt.Errorf("crawler: shard %d: visit log entry %+v, its row reads %+v", sh.id, h, want)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,14 +147,15 @@ func TestShardedConcurrentCrawl(t *testing.T) {
 // TestCheckDirectoryCatchesDrift: the directory checker passes on a crawl
 // holding a frontier row and a visited one, and fails once an entry is
 // missing, points at another row, has no row behind it, or mirrors a stale
-// status or relevance.
+// status or relevance — and once the visit log misses a visit, logs a row
+// that is not visited, disagrees with its row, or with the visited counter.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	c, _ := newTestCrawler(t, &stubFetcher{}, Config{Workers: 2})
 	a, b := "http://h00.test/a", "http://h00.test/b"
 	if err := c.Seed([]string{a}); err != nil {
 		t.Fatal(err)
 	}
-	plantVisited(t, c, b, 1, 0.25)
+	plantVisited(t, c, b, 0.25)
 	if err := c.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +185,27 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 		sh.rids = map[int64]dirEntry{oa: da, ob: db}
 		if err := c.CheckDirectory(); err != nil {
 			t.Fatalf("after undoing the %s entry: %v", name, err)
+		}
+	}
+
+	// The visit log: b's one entry, at Seq 1 = the visited counter.
+	logged := slices.Clone(sh.visits)
+	for name, drift := range map[string]func(){
+		"unlogged visit":  func() { sh.visits = nil },
+		"phantom visit":   func() { sh.visits = append(sh.visits, HarvestPoint{Seq: 2, OID: oa, URL: a}) },
+		"stale relevance": func() { sh.visits[0].Relevance = math.Nextafter(0.25, 0) },
+		"stale class":     func() { sh.visits[0].Kcid++ },
+		"wrong seq":       func() { sh.visits[0].Seq = 2 },
+		"counter ahead":   func() { c.visited.Add(1) },
+	} {
+		drift()
+		if err := c.CheckDirectory(); err == nil {
+			t.Errorf("%s: CheckDirectory passed", name)
+		}
+		sh.visits = slices.Clone(logged)
+		c.visited.Store(1)
+		if err := c.CheckDirectory(); err != nil {
+			t.Fatalf("after undoing the %s: %v", name, err)
 		}
 	}
 }
@@ -336,17 +359,17 @@ func TestShardCheckoutOrderProperty(t *testing.T) {
 
 	// Host -> shard assignment is stable: every row lives in the shard its
 	// host hashes to, across the whole CRAWL relation.
-	c.lockAll()
-	err := c.scanAllLocked(func(sh *shard, _ relstore.RID, row relstore.Tuple) (bool, error) {
-		if home := c.shardFor(SIDOf(row[CURL].S)); home != sh {
-			t.Errorf("row %s stored in shard %d, host hashes to shard %d",
-				row[CURL].S, sh.id, home.id)
+	for _, sh := range c.shards {
+		err := sh.crawl.Scan(func(_ relstore.RID, row relstore.Tuple) (bool, error) {
+			if home := c.shardFor(SIDOf(row[CURL].S)); home != sh {
+				t.Errorf("row %s stored in shard %d, host hashes to shard %d",
+					row[CURL].S, sh.id, home.id)
+			}
+			return false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false, nil
-	})
-	c.unlockAll()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if err := c.CheckDirectory(); err != nil {
 		t.Fatal(err)
@@ -374,14 +397,14 @@ func TestShardPartitionDisjoint(t *testing.T) {
 		t.Fatalf("frontier = %d, want 40", got)
 	}
 	counts := map[int64]int{}
-	c.lockAll()
-	err := c.scanAllLocked(func(_ *shard, _ relstore.RID, row relstore.Tuple) (bool, error) {
-		counts[row[COID].Int()]++
-		return false, nil
-	})
-	c.unlockAll()
-	if err != nil {
-		t.Fatal(err)
+	for _, sh := range c.shards {
+		err := sh.crawl.Scan(func(_ relstore.RID, row relstore.Tuple) (bool, error) {
+			counts[row[COID].Int()]++
+			return false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(counts) != 40 {
 		t.Fatalf("distinct rows = %d, want 40", len(counts))

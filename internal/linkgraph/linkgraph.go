@@ -23,7 +23,7 @@
 // relevance(v) exact with a trigger that rewrites LINK when v is
 // classified; this store resolves it where it is read instead.
 // UpdateIncomingFwd appends (v, relevance) to a forward-weight log that
-// touches no page, and every read surface (Scan, ScanLocked, ScanBySrc,
+// touches no page, and every read surface (Scan, ScanBySrc,
 // Snapshot.Scan) returns wgt_fwd as the log's value for oid_dst when the
 // log has one, else the weight stored at ingest. A snapshot is therefore
 // a cut: each stripe's row count and the log's length, read into memory
@@ -31,12 +31,12 @@
 //
 // # Lock ordering
 //
-// Stripe mutexes rank below every crawler lock: a goroutine may acquire a
-// frontier-shard mutex or the crawler's global mutex while holding a stripe
-// mutex (the crawler's barrier does exactly that), but never the reverse.
-// The log's mutex is a pure leaf: it may be taken under any tower lock (the
-// crawler logs a visit under its shard and global locks) and nothing is
-// acquired while it is held, so no cycle can involve it.
+// Stripe mutexes rank above the crawler's epoch mutex and below its
+// frontier-shard mutexes: a goroutine may acquire a shard mutex while
+// holding a stripe mutex (the crawler's barrier does exactly that), but
+// never the reverse. The log's mutex is a pure leaf: it may be taken under
+// any tower lock (the crawler logs a visit under its shard lock) and
+// nothing is acquired while it is held, so no cycle can involve it.
 // Multi-stripe operations (LockAll, Apply, the scans) take stripe locks in
 // ascending id order, one at a time unless a consistent cross-stripe view
 // is required. The crawler's stop-the-world barrier therefore begins with
@@ -119,7 +119,7 @@ func (b *Batch) Reset() { b.edges = b.edges[:0] }
 // stripe is one partition: its own table, out-edge directory, and lock.
 type stripe struct {
 	id int
-	// The bottom of the lock tower: frontier-shard and global locks may be
+	// Below the crawler's shard locks in the tower: a shard lock may be
 	// acquired while a stripe mutex is held (the crawler's barrier does
 	// exactly that), never the reverse.
 	//focuslint:lock rank=stripe order=10
@@ -265,7 +265,7 @@ func (s *Store) stripeFor(src int64) *stripe {
 
 // LockAll acquires every stripe mutex in ascending id order — the link
 // store's part of the crawler's stop-the-world barrier. Stripe locks rank
-// below shard and global locks, so LockAll must come first in the barrier.
+// below shard locks, so LockAll must come first in the barrier.
 //
 //focuslint:lock sequence=stripe* exit=held
 func (s *Store) LockAll() {
@@ -659,8 +659,8 @@ func (st *stripe) scan(n int64, w map[int64]float64, fn func(rid relstore.RID, t
 // LINK scan order — with wgt_fwd resolved against the forward-weight log as
 // it stood when the scan began. The tuple is valid only during the call.
 // Each stripe is locked for its portion of the scan, fn included, so fn
-// must not write to the store; for a consistent cross-stripe view hold the
-// barrier and use ScanLocked, or take a Snapshot.
+// must not write to the store; for a consistent cross-stripe view take a
+// Snapshot.
 func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
 	w := resolve(s.log.cut())
 	for _, st := range s.stripes {
@@ -668,19 +668,6 @@ func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) 
 		stop, err := st.scan(st.tab.Rows(), w, fn)
 		st.mu.Unlock()
 		if stop || err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanLocked is Scan for callers already holding every stripe lock.
-//
-//focuslint:lock requires=stripe*
-func (s *Store) ScanLocked(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
-	w := resolve(s.log.cut())
-	for _, st := range s.stripes {
-		if stop, err := st.scan(st.tab.Rows(), w, fn); stop || err != nil {
 			return err
 		}
 	}

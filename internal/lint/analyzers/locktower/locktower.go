@@ -1,7 +1,7 @@
 // Package locktower enforces the repo's documented lock tower statically.
 //
 // Mutex fields annotated `//focuslint:lock rank=... order=N` form the
-// tower (crawler epoch < link stripe < frontier shard < crawler global);
+// tower (crawler epoch < link stripe < frontier shard);
 // `leaf` marks terminal locks (the forward-weight log, the pool latch, disk
 // mutexes) that may be taken under any tower lock but must
 // acquire nothing themselves. The analyzer abstract-interprets every

@@ -122,12 +122,11 @@
 // agree on an acquisition order across the partition mutexes and any
 // coarser locks. The crawler's tower, bottom up, is: the epoch mutex
 // (epochMu, which serializes distillation epochs and checkpoints) < link
-// stripe mutexes (ascending id) < frontier shard mutex < crawler global
-// mutex. Cross-partition operations (consistent snapshots, the distillation
-// barrier) take the partition locks in ascending id order
-// and everything coarser afterward; single-partition operations may nest a
-// higher-ranked lock (a stripe holder may take a shard lock) but never a
-// lower-ranked one. See DESIGN.md ("Locking and ordering contract") and
+// stripe mutexes (ascending id) < frontier shard mutex. Cross-partition
+// operations (consistent snapshots, the distillation barrier) take the
+// partition locks in ascending id order; single-partition operations may
+// nest a higher-ranked lock (a stripe holder may take a shard lock) but
+// never a lower-ranked one. See DESIGN.md ("Locking and ordering contract") and
 // the linkgraph package doc for the rationale on each edge of that order.
 //
 // # Durability contract
@@ -150,10 +149,14 @@
 //     crawler does at half of NumFrames) lives within any Options.Frames
 //     that holds the dirty pages of the operations running at once, and only
 //     a pool smaller than that fails a fetch with ErrPoolExhausted.
-//   - Checkpoint journals the prior images of live pages it will
-//     overwrite, flushes the dirty set, and commits by writing a
-//     generation-stamped, CRC-guarded manifest to the alternate root page
-//     followed by Sync. The manifest carries the catalog (schemas, heap
+//   - The device model: a write is durable once a later Sync returns;
+//     until then a crash may keep any subset of the writes since the last
+//     Sync, in any order, and tear a page at a sector boundary. So
+//     Checkpoint orders its writes in up to three sync windows: the prior
+//     images of live pages it will overwrite, each CRC'd in the journal
+//     root written beside them; the flush of the dirty set; the commit, a
+//     generation-stamped, CRC-guarded manifest in the alternate root page.
+//     The manifest carries the catalog (schemas, heap
 //     chains, row counts, B+tree roots) and the allocator's ordered free
 //     list, so recovery restores both the data and the allocation order —
 //     a resumed run's physical page layout is deterministic.
@@ -170,6 +173,6 @@
 // older files carry: none of its tables keeps an index.
 // Checkpoint is single-writer like the catalog: the caller must hold
 // whatever serializes all table access (the crawler checkpoints under its
-// full lock tower). DurableDisk adds Sync, FreeList, and Restore to
+// barrier). DurableDisk adds Sync, FreeList, and Restore to
 // DiskManager; Stats() exposes physical read/write counters either way.
 package relstore

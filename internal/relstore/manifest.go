@@ -32,12 +32,14 @@ import (
 //  2. A rollback journal: a checkpoint's FlushAll overwrites, in place,
 //     pages the previous checkpoint still references. Before flushing, the
 //     old images of exactly those pages are copied to freshly allocated
-//     journal pages and the journal root is committed (write, then Sync).
-//     A crash after that point replays the journal on reopen, restoring
-//     the previous checkpoint's image bit-for-bit.
+//     journal pages and the journal root, which carries each image's
+//     CRC-32, is written; one Sync covers them all. Recovery replays the
+//     journal only if every image checks: a failing one means that Sync
+//     never returned, so no page had been overwritten yet.
 //  3. Ping-pong manifest roots: checkpoints alternate between the two
-//     roots, each carrying a generation number and a CRC over its payload;
-//     the commit point is the root-page write followed by a Sync. The
+//     roots, each carrying a generation number and a CRC over its payload.
+//     The flushed pages are synced before the root is written, and the
+//     commit point is the root-page write followed by a Sync. The
 //     newest valid root wins recovery, so a torn newer manifest is simply
 //     ignored and the journal rolls the data pages back to the older one.
 //
@@ -66,7 +68,8 @@ import (
 // Chain page layout: [0:4) next chain page, [4:) payload continuation.
 const (
 	manifestMagic   = 0x4D434F46 // "FOCM" little-endian
-	journalMagic    = 0x4A434F46 // "FOCJ"
+	journalMagic    = 0x4B434F46 // "FOCK": image CRCs in the payload
+	oldJournalMagic = 0x4A434F46 // "FOCJ": no image CRCs
 	manifestVersion = 1
 	manifestHdr     = 28
 	chainHdr        = 4
@@ -363,7 +366,7 @@ func (db *DB) Checkpoint() error {
 			return err
 		}
 		journalPages = append(journalPages, jp)
-		pairs = append(pairs, journalPair{orig: pid, copy: jp})
+		pairs = append(pairs, journalPair{orig: pid, copy: jp, crc: crc32.ChecksumIEEE(buf)})
 	}
 	if len(pairs) > 0 {
 		jpayload := encodeJournal(pairs)
@@ -376,12 +379,8 @@ func (db *DB) Checkpoint() error {
 			jchain = append(jchain, pid)
 		}
 		journalPages = append(journalPages, jchain...)
-		// Two syncs: the first makes the image copies (and chain) durable,
-		// the second commits the journal root over them — header-valid
-		// implies images-readable, in that order.
-		if err := ds.disk.Sync(); err != nil {
-			return err
-		}
+		// The images, the chain and the root share one sync window: the
+		// images' CRCs in the root tell recovery whether it closed.
 		if err := writeFramed(ds.disk, journalRoot, jchain, journalMagic, ds.gen, jpayload); err != nil {
 			return err
 		}
@@ -390,8 +389,15 @@ func (db *DB) Checkpoint() error {
 		}
 	}
 
+	// A device may persist a sync window's writes in any order, so the
+	// flushed pages are made durable before the root that references them.
 	if err := db.pool.FlushAll(); err != nil {
 		return err
+	}
+	if len(dirty) > 0 {
+		if err := ds.disk.Sync(); err != nil {
+			return err
+		}
 	}
 
 	slot := ds.slot
@@ -641,16 +647,18 @@ func readNewestManifest(d DiskManager) (*manifest, int, error) {
 }
 
 // journalPair records one journaled page: orig is the live page about to be
-// overwritten, copy holds its previous-checkpoint image.
+// overwritten, copy holds its previous-checkpoint image, whose CRC-32 is crc.
 type journalPair struct {
 	orig, copy PageID
+	crc        uint32
 }
 
 func encodeJournal(pairs []journalPair) []byte {
-	out := make([]byte, 8*len(pairs))
+	out := make([]byte, 12*len(pairs))
 	for i, p := range pairs {
-		binary.LittleEndian.PutUint32(out[8*i:], uint32(p.orig))
-		binary.LittleEndian.PutUint32(out[8*i+4:], uint32(p.copy))
+		binary.LittleEndian.PutUint32(out[12*i:], uint32(p.orig))
+		binary.LittleEndian.PutUint32(out[12*i+4:], uint32(p.copy))
+		binary.LittleEndian.PutUint32(out[12*i+8:], p.crc)
 	}
 	return out
 }
@@ -663,23 +671,26 @@ type journalImage struct {
 // readJournal reads the rollback journal and, when it protects exactly the
 // generation being recovered (bestGen — meaning the checkpoint after it
 // never committed), loads the saved images. Any invalid, torn, or stale
-// journal means no rollback is needed: either the interrupted checkpoint
-// never got to its in-place flush, or it committed.
+// journal, or an image failing its CRC, means no rollback is needed: the
+// interrupted checkpoint never got to its in-place flush, or it committed.
+// A journal at bestGen written without image CRCs is refused by name.
 func readJournal(d DiskManager, bestGen uint64) ([]journalImage, error) {
+	if gen, _, err := readFramed(d, journalRoot, oldJournalMagic); err == nil && gen == bestGen {
+		return nil, fmt.Errorf("relstore: the journal of generation %d has the layout without image CRCs; recover the file with the release that wrote it", gen)
+	}
 	gen, payload, err := readFramed(d, journalRoot, journalMagic)
-	if err != nil || gen != bestGen {
+	if err != nil || gen != bestGen || len(payload)%12 != 0 {
 		return nil, nil
 	}
-	if len(payload)%8 != 0 {
-		return nil, nil
-	}
-	images := make([]journalImage, 0, len(payload)/8)
-	for off := 0; off < len(payload); off += 8 {
-		orig := PageID(binary.LittleEndian.Uint32(payload[off:]))
+	images := make([]journalImage, 0, len(payload)/12)
+	for off := 0; off < len(payload); off += 12 {
 		cp := PageID(binary.LittleEndian.Uint32(payload[off+4:]))
-		img := journalImage{pid: orig, data: make([]byte, PageSize)}
+		img := journalImage{pid: PageID(binary.LittleEndian.Uint32(payload[off:])), data: make([]byte, PageSize)}
 		if err := d.ReadPage(cp, img.data); err != nil {
 			return nil, fmt.Errorf("relstore: journal page %d unreadable: %w", cp, err)
+		}
+		if crc32.ChecksumIEEE(img.data) != binary.LittleEndian.Uint32(payload[off+8:]) {
+			return nil, nil
 		}
 		images = append(images, img)
 	}
