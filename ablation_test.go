@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"focus/internal/distiller"
+	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
@@ -76,6 +77,14 @@ func ablationGraph(seed int64) ([]ablationEdge, map[int64]float64) {
 	return edges, rel
 }
 
+// tableLink reads a plain LINK table as distiller.LinkRel: its typed scan
+// decodes each tuple the table's own scan returns.
+type tableLink struct{ *relstore.Table }
+
+func (l tableLink) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
+	return l.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) { return fn(linkgraph.EdgeOf(t)) })
+}
+
 func buildAblationTables(b *testing.B, edges []ablationEdge, rel map[int64]float64) (*relstore.DB, distiller.Tables) {
 	b.Helper()
 	db := relstore.Open(relstore.Options{Frames: 1024})
@@ -118,7 +127,7 @@ func buildAblationTables(b *testing.B, edges []ablationEdge, rel map[int64]float
 			b.Fatal(err)
 		}
 	}
-	return db, distiller.Tables{Link: link, Crawl: crawl, Hubs: hubs, Auth: auth}
+	return db, distiller.Tables{Link: tableLink{link}, Crawl: crawl, Hubs: hubs, Auth: auth}
 }
 
 // irrelevantAuthorityMass runs distillation and returns the authority-score

@@ -19,6 +19,7 @@ import (
 
 	"focus"
 	"focus/internal/crawler"
+	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
 	"focus/internal/webgraph"
@@ -74,12 +75,11 @@ func main() {
 	// Class shares within one link of cycling pages.
 	near := map[taxonomy.NodeID]float64{}
 	var nearTotal float64
-	err = sys.Crawler.Links().Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		src, dst := t[crawler.LSrc].Int(), t[crawler.LDst].Int()
-		if classOf[src] != cyc {
+	err = sys.Crawler.Links().ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		if classOf[e.Src] != cyc {
 			return false, nil
 		}
-		dc, visited := classOf[dst]
+		dc, visited := classOf[e.Dst]
 		if !visited || dc == cyc {
 			return false, nil
 		}

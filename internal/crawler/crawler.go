@@ -1091,8 +1091,7 @@ func (c *Crawler) boostDelta(hubs distiller.Ranking, links *linkgraph.Snapshot) 
 		tops[h.OID] = true
 	}
 	var out []boostTarget
-	err := links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		e := linkgraph.EdgeOf(t)
+	err := links.ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		if tops[e.Src] && e.SidSrc != e.SidDst {
 			out = append(out, boostTarget{e.Dst, e.SidDst})
 		}

@@ -247,8 +247,8 @@ func TestLinkDedupAndWeightRefresh(t *testing.T) {
 		t.Fatalf("LINK rows = %d, want 1", got)
 	}
 	var fwd, rev float64
-	c.Links().Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		fwd, rev = tp[LWgtFwd].Float(), tp[LWgtRev].Float()
+	c.Links().ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		fwd, rev = e.WgtFwd, e.WgtRev
 		return true, nil
 	})
 	if fwd > 0.3 {

@@ -3,7 +3,7 @@ package crawler
 import (
 	"sort"
 
-	"focus/internal/relstore"
+	"focus/internal/linkgraph"
 	"focus/internal/taxonomy"
 )
 
@@ -46,9 +46,9 @@ func (c *Crawler) CrossTopicCitations(a, b taxonomy.NodeID) (int64, error) {
 	classes := c.visitedClasses()
 	tree := c.model.Tree
 	var n int64
-	err := c.links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		src, okS := classes[t[LSrc].Int()]
-		dst, okD := classes[t[LDst].Int()]
+	err := c.links.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		src, okS := classes[e.Src]
+		dst, okD := classes[e.Dst]
 		if okS && okD && classifiedUnder(tree, src, a) && classifiedUnder(tree, dst, b) {
 			n++
 		}
@@ -72,19 +72,19 @@ func (c *Crawler) SpamSuspects(target, citer taxonomy.NodeID, minCiters int) ([]
 	classes := c.visitedClasses()
 	tree := c.model.Tree
 	citersOf := make(map[int64]map[int64]bool)
-	err := c.links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		src, okS := classes[t[LSrc].Int()]
-		dst, okD := classes[t[LDst].Int()]
+	err := c.links.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		src, okS := classes[e.Src]
+		dst, okD := classes[e.Dst]
 		if !okS || !okD {
 			return false, nil
 		}
 		if classifiedUnder(tree, dst, target) && classifiedUnder(tree, src, citer) {
-			set := citersOf[t[LDst].Int()]
+			set := citersOf[e.Dst]
 			if set == nil {
 				set = make(map[int64]bool)
-				citersOf[t[LDst].Int()] = set
+				citersOf[e.Dst] = set
 			}
-			set[t[LSrc].Int()] = true
+			set[e.Src] = true
 		}
 		return false, nil
 	})
@@ -122,9 +122,9 @@ func (c *Crawler) NeighborhoodCensus(topic taxonomy.NodeID) (map[taxonomy.NodeID
 	classes := c.visitedClasses()
 	tree := c.model.Tree
 	out := make(map[taxonomy.NodeID]int64)
-	err := c.links.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		src, okS := classes[t[LSrc].Int()]
-		dst, okD := classes[t[LDst].Int()]
+	err := c.links.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		src, okS := classes[e.Src]
+		dst, okD := classes[e.Dst]
 		if okS && okD && classifiedUnder(tree, src, topic) {
 			out[dst]++
 		}

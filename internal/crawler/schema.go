@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
@@ -99,17 +98,6 @@ func CrawlSchema() *relstore.Schema {
 		relstore.Column{Name: "seq", Kind: relstore.KInt64},
 	)
 }
-
-// LINK column positions (aliases of the linkgraph package's, kept here so
-// query code over raw LINK tuples reads in the crawler's vocabulary).
-const (
-	LSrc    = linkgraph.ColSrc
-	LSidSrc = linkgraph.ColSidSrc
-	LDst    = linkgraph.ColDst
-	LSidDst = linkgraph.ColSidDst
-	LWgtFwd = linkgraph.ColWgtFwd
-	LWgtRev = linkgraph.ColWgtRev
-)
 
 // OIDOf hashes a URL to its 64-bit object ID (FNV-1a, like the paper's
 // 64-bit hashed oid keys).

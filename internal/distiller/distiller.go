@@ -13,9 +13,9 @@
 //     classic main-memory edge-walking implementation.
 //   - Join: each half-iteration as a sort-merge join plus group-by, the SQL
 //     of Figure 4. The paper measures this a factor of three faster. The
-//     plan is compiled once per run: LINK is read, filtered and sorted into
-//     its two join orders once, and the iterations are group-sum passes over
-//     those orders. Distill is that plan in memory and returns the scores as
+//     plan is compiled once per run: LINK is read and filtered once, sorted
+//     once and laid out in its two join orders, and the iterations are
+//     group-sum passes over those orders. Distill is that plan in memory and returns the scores as
 //     arrays (it states the row-set rule and the summation order); RunJoin
 //     is Distill plus one load of HUBS and AUTH.
 //
@@ -33,15 +33,18 @@ import (
 	"sort"
 	"time"
 
+	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
 // LinkRel is the read surface the distiller needs from the LINK relation:
-// a sequential scan. A plain *relstore.Table satisfies it, and so do the
-// crawler's striped linkgraph store and its barrier-locked view — the
-// distiller is agnostic to how the edges are partitioned, as long as one
-// logical relation comes back.
+// a sequential scan, as typed edges for Distill and as tuples for the index
+// walk and seedHubs. The crawler's striped linkgraph store and its snapshot
+// satisfy it; a plain *relstore.Table needs an adapter. The distiller is
+// agnostic to how the edges are partitioned, as long as one logical
+// relation comes back.
 type LinkRel interface {
+	ScanEdges(fn func(linkgraph.Edge) (bool, error)) error
 	Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error
 }
 
@@ -112,16 +115,6 @@ func HubsAuthSchema() *relstore.Schema {
 	)
 }
 
-// link column positions (see Tables doc).
-const (
-	lSrc = iota
-	lSidSrc
-	lDst
-	lSidDst
-	lWgtFwd
-	lWgtRev
-)
-
 // seedHubs (re)initializes HUBS with score 1 for every distinct link
 // source, the standard HITS start vector.
 func seedHubs(tb Tables) error {
@@ -130,7 +123,7 @@ func seedHubs(tb Tables) error {
 	}
 	seen := make(map[int64]bool)
 	err := tb.Link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		src := t[lSrc].Int()
+		src := t[linkgraph.ColSrc].Int()
 		if !seen[src] {
 			seen[src] = true
 			_, err := tb.Hubs.Insert(relstore.Tuple{relstore.I64(src), relstore.F64(1)})
@@ -269,22 +262,17 @@ func relevanceOf(crawl *relstore.Table) (map[int64]float64, error) {
 	return out, err
 }
 
-func (c Config) fwdWeight(t relstore.Tuple) float64 {
+// weights are e's forward and reverse weights, 1 and 1 when cfg.Unweighted
+// is set.
+func (c Config) weights(e linkgraph.Edge) (fwd, rev float64) {
 	if c.Unweighted {
-		return 1
+		return 1, 1
 	}
-	return t[lWgtFwd].Float()
+	return e.WgtFwd, e.WgtRev
 }
 
-func (c Config) revWeight(t relstore.Tuple) float64 {
-	if c.Unweighted {
-		return 1
-	}
-	return t[lWgtRev].Float()
-}
-
-func (c Config) keepEdge(t relstore.Tuple) bool {
-	return c.NoNepotismFilter || t[lSidSrc].Int() != t[lSidDst].Int()
+func (c Config) keepEdge(e linkgraph.Edge) bool {
+	return c.NoNepotismFilter || e.SidSrc != e.SidDst
 }
 
 func checkTables(tb Tables) error {

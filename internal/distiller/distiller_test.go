@@ -8,7 +8,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
@@ -29,6 +31,14 @@ func linkSchema() *relstore.Schema {
 		relstore.Column{Name: "wgt_fwd", Kind: relstore.KFloat64},
 		relstore.Column{Name: "wgt_rev", Kind: relstore.KFloat64},
 	)
+}
+
+// tableLink reads a plain LINK table as LinkRel: its typed scan decodes each
+// tuple the table's own scan returns.
+type tableLink struct{ *relstore.Table }
+
+func (l tableLink) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
+	return l.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) { return fn(linkgraph.EdgeOf(t)) })
 }
 
 type edge struct {
@@ -71,7 +81,7 @@ func buildGraph(t *testing.T, edges []edge, rel map[int64]float64) (*relstore.DB
 			t.Fatal(err)
 		}
 	}
-	return db, Tables{Link: link, Crawl: crawl, Hubs: hubs, Auth: auth}
+	return db, Tables{Link: tableLink{link}, Crawl: crawl, Hubs: hubs, Auth: auth}
 }
 
 // refHITS is an in-memory reference implementation mirroring Config.
@@ -590,4 +600,51 @@ func TestBreakdownAccounting(t *testing.T) {
 	if bd2.Sort == 0 {
 		t.Fatal("join recorded no sort time")
 	}
+
+	// Distill's split: reading and decoding LINK and laying out the
+	// authorities' side are Scan; ranking the sources, the sort and the
+	// counting sort are Sort; the iterations are Update. A LINK whose typed
+	// scan takes delay lands in Scan alone.
+	link := make(edgeRel, len(edges))
+	for i, e := range edges {
+		link[i] = linkgraph.Edge{Src: e.src, SidSrc: e.sidSrc, Dst: e.dst, SidDst: e.sidDst, WgtFwd: e.wgtFwd, WgtRev: e.wgtRev}
+	}
+	const delay = 30 * time.Millisecond
+	_, _, bd3, err := Distill(Tables{Link: slowLink{link, delay}}, Config{Relevance: rel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd3.Scan < delay || bd3.Sort >= delay || bd3.Update >= delay || bd3.Lookup != 0 {
+		t.Fatalf("a %v LINK scan was charged %+v: it belongs to Scan alone", delay, bd3)
+	}
+
+	// Every step is in some phase: the phases add up to Distill's wall
+	// time, so no step — the counting sort included — runs untimed. With
+	// every edge eligible, in no useful order, and one iteration, the
+	// sort is the largest phase.
+	big, _ := crawlShapedGraph(t, 100000)
+	t0 := time.Now()
+	_, _, bd4, err := Distill(big, Config{Iterations: 1, Rho: 1e-300, NoNepotismFilter: true})
+	wall := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd4.Total() < wall*99/100 { // an untimed counting sort leaves ~3% out
+		t.Fatalf("the phases cover %v of Distill's %v (%+v)", bd4.Total(), wall, bd4)
+	}
+	if bd4.Sort <= bd4.Scan || bd4.Sort <= bd4.Update {
+		t.Fatalf("sorting 100k edges was not the largest phase: %+v", bd4)
+	}
+}
+
+// slowLink is a LINK relation whose typed scan takes at least delay, as an
+// expensive decode would.
+type slowLink struct {
+	edgeRel
+	delay time.Duration
+}
+
+func (l slowLink) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
+	time.Sleep(l.delay)
+	return l.edgeRel.ScanEdges(fn)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
@@ -80,16 +81,15 @@ func walkHalf(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
 
 	err := tb.Link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
 		tScan := time.Now()
-		if !cfg.keepEdge(t) {
+		e := linkgraph.EdgeOf(t)
+		if !cfg.keepEdge(e) {
 			bd.Scan += time.Since(tScan)
 			return false, nil
 		}
-		from, to := t[lSrc].Int(), t[lDst].Int()
-		w := cfg.revWeight(t)
-		if fwd {
-			w = cfg.fwdWeight(t)
-		} else {
-			from, to = to, from
+		from, to := e.Src, e.Dst
+		w, rev := cfg.weights(e)
+		if !fwd {
+			from, to, w = to, from, rev
 		}
 		bd.Scan += time.Since(tScan)
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
@@ -37,14 +38,15 @@ func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 // Distill is RunJoin's in-memory core. It compiles the plan once per run:
 // everything the iterations share is hoisted out of them.
 //
-//   - LINK is read once (Tables.Link.Scan). An edge is eligible iff it
-//     passes the nepotism filter and, when a relevance view exists
-//     (Config.Relevance, else one scan of Tables.Crawl), its destination's
-//     relevance exceeds Rho. Only eligible edges are kept.
-//   - The eligible edges are sorted once by (dst, src) and once by
-//     (src, dst). Each order is laid out as groups of (peer, weight) terms;
-//     the scores live in two dense vectors, so a half-iteration is one pass
-//     over one order.
+//   - LINK is read once, as typed edges (Tables.Link.ScanEdges). An edge is
+//     eligible iff it passes the nepotism filter and, when a relevance view
+//     exists (Config.Relevance, else one scan of Tables.Crawl), its
+//     destination's relevance exceeds Rho. Only eligible edges are kept.
+//   - The eligible edges are sorted once, by (dst, src, fwd, rev): grouped
+//     by dst, the authorities' side. A stable counting sort on source rank
+//     turns it into the hubs' side, grouped by src. Each side is groups of
+//     (peer rank, weight) terms; the scores live in two dense vectors, so a
+//     half-iteration is one pass over one side.
 //
 // It returns each side's scores in ascending oid order, 16 pointer-free
 // bytes a scored page. Hubs and Auth are neither read nor needed.
@@ -54,13 +56,14 @@ func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 // the inner joins of Figure 4 produce from the first iteration on. A page
 // scoring 0 is still scored. With no eligible edge both sides are empty.
 //
-// Summation order: a group's terms are added in ascending peer oid, and a
-// normalization sum in ascending group oid.
+// Summation order: a group's terms are added in ascending peer oid (equal
+// endpoints in ascending weights), and a normalization sum in ascending
+// group oid.
 //
 // Nothing is spilled: the plan holds under 100 bytes per eligible edge in
 // memory. Breakdown.Scan covers reading LINK and the relevance view and
-// laying out the two orders, Sort the two sorts, Update the iterations;
-// Lookup stays 0.
+// the layout, Sort the source ranking, the sort and the counting sort,
+// Update the iterations; Lookup stays 0.
 func Distill(tb Tables, cfg Config) (hubs, auth []Scored, bd Breakdown, err error) {
 	cfg = cfg.withDefaults()
 	if tb.Link == nil {
@@ -68,24 +71,24 @@ func Distill(tb Tables, cfg Config) (hubs, auth []Scored, bd Breakdown, err erro
 	}
 
 	t0 := time.Now()
-	byDst, err := eligibleEdges(tb, cfg)
+	edges, err := eligibleEdges(tb, cfg)
 	if err != nil {
 		return nil, nil, bd, err
 	}
-	bySrc := slices.Clone(byDst)
 	bd.Scan += time.Since(t0)
 
 	t0 = time.Now()
-	slices.SortFunc(byDst, compareDstSrc)
-	slices.SortFunc(bySrc, compareSrcDst)
+	hubOIDs := rankSources(edges)
+	slices.SortFunc(edges, compareEdges)
 	bd.Sort += time.Since(t0)
 
 	t0 = time.Now()
-	authOrder := layOut(byDst, func(e planEdge) (group, peer int64, w float64) { return e.dst, e.src, e.fwd })
-	hubOrder := layOut(bySrc, func(e planEdge) (group, peer int64, w float64) { return e.src, e.dst, e.rev })
-	authOrder.bindPeers(hubOrder.oids)
-	hubOrder.bindPeers(authOrder.oids)
+	authOrder := layOut(edges)
 	bd.Scan += time.Since(t0)
+
+	t0 = time.Now()
+	hubOrder := authOrder.bySource(hubOIDs, edges)
+	bd.Sort += time.Since(t0)
 
 	t0 = time.Now()
 	hubScore := make([]float64, len(hubOrder.oids))
@@ -113,25 +116,23 @@ func scored(oids []int64, scores []float64) []Scored {
 	return out
 }
 
-// planEdge is one eligible LINK row, reduced to what the iterations read.
+// planEdge is one eligible LINK row, reduced to what the plan reads.
 type planEdge struct {
 	src, dst int64
 	fwd, rev float64
+	hub      int32
 }
 
-func compareDstSrc(a, b planEdge) int { return compareEdges(a, b, a.dst, b.dst, a.src, b.src) }
-func compareSrcDst(a, b planEdge) int { return compareEdges(a, b, a.src, b.src, a.dst, b.dst) }
-
-// compareEdges orders a and b by their (group, peer) oids. Equal endpoints —
-// LINK stores a (src, dst) pair once, but the contract does not forbid
-// repeats — fall back to the weights, so the order, and with it every float
-// sum, depends on the edge multiset alone.
-func compareEdges(a, b planEdge, groupA, groupB, peerA, peerB int64) int {
-	if groupA != groupB {
-		return cmp.Compare(groupA, groupB)
+// compareEdges orders edges by (dst, src). Equal endpoints — LINK stores a
+// (src, dst) pair once, but the contract does not forbid repeats — fall
+// back to the weights, so the order, and with it every float sum, depends
+// on the edge multiset alone.
+func compareEdges(a, b planEdge) int {
+	if a.dst != b.dst {
+		return cmp.Compare(a.dst, b.dst)
 	}
-	if peerA != peerB {
-		return cmp.Compare(peerA, peerB)
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
 	}
 	if a.fwd != b.fwd {
 		return cmp.Compare(a.fwd, b.fwd)
@@ -150,56 +151,84 @@ func eligibleEdges(tb Tables, cfg Config) ([]planEdge, error) {
 		}
 	}
 	var edges []planEdge
-	err := tb.Link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		if !cfg.keepEdge(t) {
-			return false, nil
-		}
-		e := planEdge{src: t[lSrc].Int(), dst: t[lDst].Int(), fwd: cfg.fwdWeight(t), rev: cfg.revWeight(t)}
-		if rel == nil || rel[e.dst] > cfg.Rho {
-			edges = append(edges, e)
+	err := tb.Link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		if cfg.keepEdge(e) && (rel == nil || rel[e.Dst] > cfg.Rho) {
+			fwd, rev := cfg.weights(e)
+			edges = append(edges, planEdge{src: e.Src, dst: e.Dst, fwd: fwd, rev: rev})
 		}
 		return false, nil
 	})
 	return edges, err
 }
 
-// edgeOrder is the eligible edges in one of the two sorted orders, grouped:
-// group g is the page oids[g], and its terms are positions off[g] up to
-// off[g+1] of peers and weights. peers holds the peer's oid until bindPeers
-// replaces it with the peer's position in the other order's oids.
+// rankSources returns the edges' distinct sources in ascending oid order and
+// sets each edge's hub to its source's position there, looked up once per
+// run of a source's edges: LINK stores a source's out-edges together.
+func rankSources(edges []planEdge) []int64 {
+	var srcs []int64
+	for i, e := range edges {
+		if i == 0 || e.src != edges[i-1].src {
+			srcs = append(srcs, e.src)
+		}
+	}
+	slices.Sort(srcs)
+	srcs = slices.Compact(srcs)
+	var at int
+	for i := range edges {
+		if i == 0 || edges[i].src != edges[i-1].src {
+			at, _ = slices.BinarySearch(srcs, edges[i].src)
+		}
+		edges[i].hub = int32(at)
+	}
+	return srcs
+}
+
+// edgeOrder is the eligible edges grouped by one endpoint: group g is the
+// page oids[g], and its terms are positions off[g] up to off[g+1] of peers,
+// each the other endpoint's rank in the other side's oids, and weights.
 type edgeOrder struct {
 	oids    []int64
 	off     []int32
-	peers   []int64
+	peers   []int32
 	weights []float64
 }
 
-// layOut groups a sorted edge slice by the group oid key reports.
-func layOut(sorted []planEdge, key func(planEdge) (group, peer int64, w float64)) edgeOrder {
-	o := edgeOrder{
-		peers:   make([]int64, len(sorted)),
-		weights: make([]float64, len(sorted)),
-	}
+// layOut groups edges, sorted by compareEdges, by destination: the
+// authorities' side, each term a source rank and a forward weight.
+func layOut(sorted []planEdge) edgeOrder {
+	o := edgeOrder{peers: make([]int32, len(sorted)), weights: make([]float64, len(sorted))}
 	for i, e := range sorted {
-		group, peer, w := key(e)
-		if i == 0 || group != o.oids[len(o.oids)-1] {
-			o.oids = append(o.oids, group)
+		if i == 0 || e.dst != sorted[i-1].dst {
+			o.oids = append(o.oids, e.dst)
 			o.off = append(o.off, int32(i))
 		}
-		o.peers[i], o.weights[i] = peer, w
+		o.peers[i], o.weights[i] = e.hub, e.fwd
 	}
 	o.off = append(o.off, int32(len(sorted)))
 	return o
 }
 
-// bindPeers replaces every peer oid with its position in peerOIDs, the other
-// order's ascending group oids. Every peer is there: both orders hold the
-// same edges.
-func (o *edgeOrder) bindPeers(peerOIDs []int64) {
-	for i, oid := range o.peers {
-		at, _ := slices.BinarySearch(peerOIDs, oid)
-		o.peers[i] = int64(at)
+// bySource derives the hubs' side from the authorities' side o, laid out
+// from sorted: a stable counting sort on source rank, so a hub's terms keep
+// o's (dst, fwd, rev) order, each an authority rank and a reverse weight.
+func (o *edgeOrder) bySource(hubOIDs []int64, sorted []planEdge) edgeOrder {
+	h := edgeOrder{oids: hubOIDs, off: make([]int32, len(hubOIDs)+1),
+		peers: make([]int32, len(sorted)), weights: make([]float64, len(sorted))}
+	for _, hub := range o.peers {
+		h.off[hub+1]++
 	}
+	for g := range hubOIDs {
+		h.off[g+1] += h.off[g]
+	}
+	next := slices.Clone(h.off)
+	for g := range o.oids {
+		for i := o.off[g]; i < o.off[g+1]; i++ {
+			at := &next[o.peers[i]]
+			h.peers[*at], h.weights[*at] = int32(g), sorted[i].rev
+			*at++
+		}
+	}
+	return h
 }
 
 // groupSums is one half-iteration: out[g] = Σ in[peer] * weight over group

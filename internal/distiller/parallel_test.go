@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
@@ -126,17 +127,24 @@ func BenchmarkRank(b *testing.B) {
 	}
 }
 
-// tupleRel is a LINK relation held as decoded tuples, the shape a scan of
+// edgeRel is a LINK relation held as typed edges, the shape a snapshot of
 // the engine's store hands over.
-type tupleRel []relstore.Tuple
+type edgeRel []linkgraph.Edge
 
-func (r tupleRel) Scan(fn func(relstore.RID, relstore.Tuple) (bool, error)) error {
-	for _, t := range r {
-		if stop, err := fn(relstore.RID{}, t); err != nil || stop {
+func (r edgeRel) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
+	for _, e := range r {
+		if stop, err := fn(e); err != nil || stop {
 			return err
 		}
 	}
 	return nil
+}
+
+func (r edgeRel) Scan(fn func(relstore.RID, relstore.Tuple) (bool, error)) error {
+	return r.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		return fn(relstore.RID{}, relstore.Tuple{relstore.I64(e.Src), relstore.I32(e.SidSrc),
+			relstore.I64(e.Dst), relstore.I32(e.SidDst), relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev)})
+	})
 }
 
 // crawlShapedGraph builds a LINK relation of the given size, and the
@@ -146,7 +154,7 @@ func (r tupleRel) Scan(fn func(relstore.RID, relstore.Tuple) (bool, error)) erro
 // seven destinations per source, a tenth of the destinations above rho and
 // drawing a sixth of the edges, 64-bit oids. The crawl's web has no
 // same-server links; a twentieth here keeps that filter in the measurement.
-func crawlShapedGraph(b *testing.B, nedges int) (Tables, map[int64]float64) {
+func crawlShapedGraph(b testing.TB, nedges int) (Tables, map[int64]float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(nedges)))
 	sources := nedges / 17
@@ -162,7 +170,7 @@ func crawlShapedGraph(b *testing.B, nedges int) (Tables, map[int64]float64) {
 			rel[oids[i]] = 0.2 * rng.Float64()
 		}
 	}
-	link := make(tupleRel, nedges)
+	link := make(edgeRel, nedges)
 	for i := range link {
 		src, dst := oids[rng.Intn(sources)], oids[relevant+rng.Intn(pages-relevant)]
 		if rng.Intn(6) == 0 {
@@ -172,8 +180,7 @@ func crawlShapedGraph(b *testing.B, nedges int) (Tables, map[int64]float64) {
 		if rng.Intn(20) == 0 {
 			sidDst = sidSrc
 		}
-		link[i] = relstore.Tuple{relstore.I64(src), relstore.I32(sidSrc), relstore.I64(dst), relstore.I32(sidDst),
-			relstore.F64(rel[dst]), relstore.F64(rel[src])}
+		link[i] = linkgraph.Edge{Src: src, SidSrc: sidSrc, Dst: dst, SidDst: sidDst, WgtFwd: rel[dst], WgtRev: rel[src]}
 	}
 	db := relstore.Open(relstore.Options{Frames: 1024})
 	scoreTable := func(name string) *relstore.Table {

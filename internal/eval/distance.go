@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"focus/internal/crawler"
-	"focus/internal/relstore"
+	"focus/internal/linkgraph"
 	"focus/internal/webgraph"
 )
 
@@ -114,18 +114,17 @@ func seedOIDs(urls []string) []int64 {
 	return out
 }
 
-// LinkScanner is the read surface BFS needs from the LINK relation; both a
-// plain *relstore.Table and the crawler's striped linkgraph store satisfy it.
+// LinkScanner is the read surface BFS needs from the LINK relation, which
+// the crawler's striped linkgraph store satisfies.
 type LinkScanner interface {
-	Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error
+	ScanEdges(fn func(linkgraph.Edge) (bool, error)) error
 }
 
 // CrawlGraphDistances runs BFS over the LINK relation from the given oids.
 func CrawlGraphDistances(link LinkScanner, from []int64) (map[int64]int, error) {
 	adj := make(map[int64][]int64)
-	err := link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		src, dst := t[crawler.LSrc].Int(), t[crawler.LDst].Int()
-		adj[src] = append(adj[src], dst)
+	err := link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		adj[e.Src] = append(adj[e.Src], e.Dst)
 		return false, nil
 	})
 	if err != nil {

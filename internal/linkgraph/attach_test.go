@@ -51,7 +51,7 @@ func TestAttachParentShapedFile(t *testing.T) {
 			continue
 		}
 		stored[[2]int64{edge.Src, edge.Dst}] = true
-		if _, err := tabs[int(uint64(edge.Src)%stripes)].Insert(edge.tuple()); err != nil {
+		if _, err := tabs[int(uint64(edge.Src)%stripes)].Insert(edge.tuple(make(relstore.Tuple, 6))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,11 +23,12 @@
 // relevance(v) exact with a trigger that rewrites LINK when v is
 // classified; this store resolves it where it is read instead.
 // UpdateIncomingFwd appends (v, relevance) to a forward-weight log that
-// touches no page, and every read surface (Scan, ScanBySrc,
-// Snapshot.Scan) returns wgt_fwd as the log's value for oid_dst when the
-// log has one, else the weight stored at ingest. A snapshot is therefore
-// a cut: each stripe's row count and the log's length, read into memory
-// once, when it is first scanned.
+// touches no page, and every read surface (ScanEdges, ScanBySrc and the
+// snapshot's scans) returns wgt_fwd as the log's value for oid_dst when
+// the log has one, else the weight stored at ingest. A snapshot is
+// therefore a cut: each stripe's row count and the log's length, read into
+// memory once, when it is first scanned. Every scan decodes LINK's records
+// straight into Edges; the tuple Scans adapt that one reader.
 //
 // # Lock ordering
 //
@@ -46,8 +47,10 @@ package linkgraph
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 
@@ -96,6 +99,30 @@ func EdgeOf(t relstore.Tuple) Edge {
 		WgtFwd: t[ColWgtFwd].Float(),
 		WgtRev: t[ColWgtRev].Float(),
 	}
+}
+
+// tuple writes e into t, a LINK tuple, and returns t.
+func (e Edge) tuple(t relstore.Tuple) relstore.Tuple {
+	t[ColSrc], t[ColSidSrc], t[ColDst] = relstore.I64(e.Src), relstore.I32(e.SidSrc), relstore.I64(e.Dst)
+	t[ColSidDst], t[ColWgtFwd], t[ColWgtRev] = relstore.I32(e.SidDst), relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev)
+	return t
+}
+
+// recordLen is a LINK record's length: six fixed-width little-endian columns.
+const recordLen = 40
+
+// decodeRecord decodes one LINK record as the heap stores it. Any other
+// length is an error, so a record of another schema cannot pass for one.
+func decodeRecord(rec []byte) (Edge, error) {
+	if len(rec) != recordLen {
+		return Edge{}, fmt.Errorf("linkgraph: a LINK record is %d bytes, not %d", recordLen, len(rec))
+	}
+	le := binary.LittleEndian
+	return Edge{
+		Src: int64(le.Uint64(rec)), SidSrc: int32(le.Uint32(rec[8:])),
+		Dst: int64(le.Uint64(rec[12:])), SidDst: int32(le.Uint32(rec[20:])),
+		WgtFwd: math.Float64frombits(le.Uint64(rec[24:])), WgtRev: math.Float64frombits(le.Uint64(rec[32:])),
+	}, nil
 }
 
 // Batch accumulates out-edges lock-free; one worker owns one batch at a
@@ -356,13 +383,9 @@ func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) 
 		rows = st.tab.NewBatch()
 	}
 	rows.Reset()
+	var t [6]relstore.Value
 	for _, i := range idxs {
-		e := edges[i]
-		err := rows.AddRecord(relstore.Tuple{
-			relstore.I64(e.Src), relstore.I32(e.SidSrc), relstore.I64(e.Dst), relstore.I32(e.SidDst),
-			relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev),
-		})
-		if err != nil {
+		if err := rows.AddRecord(edges[i].tuple(t[:])); err != nil {
 			return rows, err
 		}
 	}
@@ -627,41 +650,41 @@ func (st *stripe) checkDirectory() error {
 	return nil
 }
 
-// allCols lists every LINK column; all of them are fixed-width.
-var allCols = []int{ColSrc, ColSidSrc, ColDst, ColSidDst, ColWgtFwd, ColWgtRev}
-
-// scan calls fn with the stripe's first n rows in heap order, wgt_fwd
+// scan calls fn with the stripe's first n edges in heap order, wgt_fwd
 // resolved against w; stop reports that fn ended the scan. The heap only
 // appends at its tail, so its first n rows are the stripe as it stood when
-// it held n. Rows are decoded into one tuple reused from row to row, so a
-// scan allocates nothing per row.
+// it held n. This is LINK's one typed reader: each record is decoded
+// straight into an Edge, so a scan allocates nothing per row.
 //
 //focuslint:lock requires=stripe
-func (st *stripe) scan(n int64, w map[int64]float64, fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) (stop bool, err error) {
+func (st *stripe) scan(n int64, w map[int64]float64, fn func(Edge) (bool, error)) (stop bool, err error) {
 	if n == 0 {
 		return false, nil
 	}
 	var seen int64
-	err = st.tab.ScanCols(allCols, func(rid relstore.RID, t []relstore.Value) (bool, error) {
-		if fwd, ok := w[t[ColDst].Int()]; ok {
-			t[ColWgtFwd] = relstore.F64(fwd)
+	err = st.tab.Heap().Scan(func(rid relstore.RID, rec []byte) (bool, error) {
+		e, err := decodeRecord(rec)
+		if err != nil {
+			return true, fmt.Errorf("linkgraph: stripe %d, row %v: %w", st.id, rid, err)
+		}
+		if fwd, ok := w[e.Dst]; ok {
+			e.WgtFwd = fwd
 		}
 		seen++
 		var ferr error
-		stop, ferr = fn(rid, t)
+		stop, ferr = fn(e)
 		return stop || seen == n, ferr
 	})
 	return stop, err
 }
 
-// Scan visits every stored edge tuple in stripe order (stripe 0 first),
-// heap order within a stripe — with one stripe, exactly the single-table
-// LINK scan order — with wgt_fwd resolved against the forward-weight log as
-// it stood when the scan began. The tuple is valid only during the call.
-// Each stripe is locked for its portion of the scan, fn included, so fn
-// must not write to the store; for a consistent cross-stripe view take a
-// Snapshot.
-func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
+// ScanEdges visits every stored edge in stripe order (stripe 0 first), heap
+// order within a stripe — with one stripe, exactly the single-table LINK
+// scan order — with wgt_fwd resolved against the forward-weight log as it
+// stood when the scan began. Each stripe is locked for its portion of the
+// scan, fn included, so fn must not write to the store; for a consistent
+// cross-stripe view take a Snapshot.
+func (s *Store) ScanEdges(fn func(Edge) (bool, error)) error {
 	w := resolve(s.log.cut())
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -674,20 +697,32 @@ func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) 
 	return nil
 }
 
+// Scan is ScanEdges for readers of LINK tuples, the distiller's index walk:
+// each edge as a tuple, valid only during the call, with a zero RID.
+func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
+	return scanTuples(s.ScanEdges, fn)
+}
+
+// scanTuples runs a typed scan, handing fn each edge in one reused tuple.
+func scanTuples(scan func(func(Edge) (bool, error)) error, fn func(relstore.RID, relstore.Tuple) (bool, error)) error {
+	t := make(relstore.Tuple, 6)
+	return scan(func(e Edge) (bool, error) { return fn(relstore.RID{}, e.tuple(t)) })
+}
+
 // Snapshot is an immutable point-in-time view of the LINK relation: the
 // first rows[i] heap rows of each stripe i, with wgt_fwd resolved against
-// the first entries of the forward-weight log — exactly what Store.Scan
-// returned the moment the snapshot was taken. It satisfies the distiller's
-// LinkRel surface, so a distillation epoch can run entirely off to the side
-// while workers keep appending to the live store: rows and log entries
-// written later lie past the cut.
+// the first entries of the forward-weight log — exactly what
+// Store.ScanEdges returned the moment the snapshot was taken. It satisfies
+// the distiller's LinkRel surface, so a distillation epoch can run entirely
+// off to the side while workers keep appending to the live store: rows and
+// log entries written later lie past the cut.
 type Snapshot struct {
 	store *Store
 	rows  []int64
 	edges int64
 	fwd   []fwdEntry
 
-	// read fills cut, the snapshot's edges in Scan order, on the first Scan:
+	// read fills cut, the snapshot's edges in scan order, on the first scan:
 	// each stripe's lock is held once per snapshot, and an epoch's later
 	// scans read no page and take no lock.
 	read sync.Once
@@ -712,23 +747,24 @@ func (s *Store) SnapshotLocked() (*Snapshot, error) {
 // Rows returns the snapshot's edge count (captured at the barrier).
 func (sn *Snapshot) Rows() int64 { return sn.edges }
 
-// Scan visits every snapshot edge in stripe order, heap order within a
-// stripe — the same order and weights Store.Scan produced at snapshot time
-// — with a zero RID. The tuple is valid only during the call.
-func (sn *Snapshot) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
+// ScanEdges visits every snapshot edge in the order and with the weights
+// Store.ScanEdges produced at snapshot time.
+func (sn *Snapshot) ScanEdges(fn func(Edge) (bool, error)) error {
 	sn.read.Do(sn.readCut)
 	if sn.err != nil {
 		return sn.err
 	}
-	t := make(relstore.Tuple, len(allCols))
 	for _, e := range sn.cut {
-		t[ColSrc], t[ColSidSrc], t[ColDst] = relstore.I64(e.Src), relstore.I32(e.SidSrc), relstore.I64(e.Dst)
-		t[ColSidDst], t[ColWgtFwd], t[ColWgtRev] = relstore.I32(e.SidDst), relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev)
-		if stop, err := fn(relstore.RID{}, t); stop || err != nil {
+		if stop, err := fn(e); stop || err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Scan is Store.Scan over the snapshot.
+func (sn *Snapshot) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
+	return scanTuples(sn.ScanEdges, fn)
 }
 
 // readCut reads each stripe's first rows[i] rows, weights resolved, into cut,
@@ -738,8 +774,8 @@ func (sn *Snapshot) readCut() {
 	sn.cut = make([]Edge, 0, sn.edges)
 	for i, st := range sn.store.stripes {
 		st.mu.Lock()
-		_, sn.err = st.scan(sn.rows[i], w, func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-			sn.cut = append(sn.cut, EdgeOf(t))
+		_, sn.err = st.scan(sn.rows[i], w, func(e Edge) (bool, error) {
+			sn.cut = append(sn.cut, e)
 			return false, nil
 		})
 		st.mu.Unlock()

@@ -18,15 +18,6 @@ func newStore(t testing.TB, stripes int) *Store {
 	return s
 }
 
-// tuple is the LINK row of an edge, for tests that fill a plain table.
-func (e Edge) tuple() relstore.Tuple {
-	return relstore.Tuple{
-		relstore.I64(e.Src), relstore.I32(e.SidSrc),
-		relstore.I64(e.Dst), relstore.I32(e.SidDst),
-		relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev),
-	}
-}
-
 func e(src, dst int64) Edge {
 	return Edge{
 		Src: src, SidSrc: int32(src % 7),
@@ -198,7 +189,7 @@ func TestSingleStripeMatchesPlainTable(t *testing.T) {
 	var b Batch
 	for _, edge := range edges {
 		b.Add(edge)
-		if _, err := plain.Insert(edge.tuple()); err != nil {
+		if _, err := plain.Insert(edge.tuple(make(relstore.Tuple, 6))); err != nil {
 			t.Fatal(err)
 		}
 	}
