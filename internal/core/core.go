@@ -37,8 +37,10 @@ type Config struct {
 	// (relstore.CreateFile for a fresh system, relstore.OpenFile for
 	// ResumeSystem) instead of an in-memory disk, enabling
 	// Crawl.CheckpointEvery and crash recovery. The classifier lives in
-	// memory either way: it is a pure function of the web and config, so a
-	// restart retrains it.
+	// memory either way: it is a pure function of the web's vocabulary and
+	// config, so a restart retrains it, beside the regeneration of the
+	// web's pages and links. A failed start closes the file without a
+	// commit.
 	DBPath string
 }
 
@@ -86,13 +88,11 @@ func (f webFetcher) Fetch(url string) (*crawler.Fetch, error) {
 func NewFetcher(w *webgraph.Web) crawler.Fetcher { return webFetcher{w} }
 
 // NewSystem generates the web, trains the classifier on examples of every
-// leaf topic, marks the good set, and builds a crawler.
+// leaf topic, marks the good set, and builds a crawler. The web's pages and
+// links are built on a second goroutine while this one opens the store,
+// trains and builds the crawler (see assemble).
 func NewSystem(cfg Config) (*System, error) {
-	web, err := webgraph.Generate(cfg.Web)
-	if err != nil {
-		return nil, err
-	}
-	return NewSystemOnWeb(web, cfg)
+	return assemble(cfg, nil, false)
 }
 
 // markGoodTopics marks cfg.GoodTopics on the web's taxonomy and applies the
@@ -135,33 +135,10 @@ func trainModel(web *webgraph.Web, tree *taxonomy.Tree, cfg Config) (*classifier
 // run several crawlers against the same world). With Config.DBPath set, the
 // crawl relations live in a fresh durable file, and checkpoints
 // automatically carry the web's network-simulation state unless the caller
-// set Crawl.CheckpointExtra itself.
+// set Crawl.CheckpointExtra itself. The web is the caller's, so nothing runs
+// beside the training.
 func NewSystemOnWeb(web *webgraph.Web, cfg Config) (*System, error) {
-	tree, err := markGoodTopics(web, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	opts := relstore.Options{Frames: cfg.Frames}
-	var db *relstore.DB
-	if cfg.DBPath != "" {
-		if db, err = relstore.CreateFile(cfg.DBPath, opts); err != nil {
-			return nil, err
-		}
-		if cfg.Crawl.CheckpointExtra == nil {
-			cfg.Crawl.CheckpointExtra = web.ExportFetchState
-		}
-	} else {
-		db = relstore.Open(opts)
-	}
-	model, err := trainModel(web, tree, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cr, err := crawler.New(db, model, webFetcher{web}, cfg.Crawl)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Web: web, Tree: tree, DB: db, Model: model, Crawler: cr}, nil
+	return assemble(cfg, web, false)
 }
 
 // ResumeSystem reopens a durable crawl database (Config.DBPath) and rebuilds
@@ -169,47 +146,120 @@ func NewSystemOnWeb(web *webgraph.Web, cfg Config) (*System, error) {
 // regenerated from Config.Web and its network-simulation state imported from
 // the checkpoint's Extra blob (so the deterministic web replays identically
 // across the restart), the classifier is retrained, and the crawler is
-// rebuilt over the recovered relations with crawler.Resume. The recovered
-// crawl is already seeded — do not SeedTopic again; just Run with the
-// remaining budget.
+// rebuilt over the recovered relations with crawler.Resume. The web's pages
+// and links are built on a second goroutine while this one reopens the
+// file, reads the checkpoint, retrains from the web's vocabulary and calls
+// crawler.Resume; the Extra blob is imported after the two join. On an
+// error the file is closed without a commit, so it still holds its last
+// checkpoint. The recovered crawl is already seeded — do not SeedTopic
+// again; just Run with the remaining budget.
 func ResumeSystem(cfg Config) (*System, error) {
 	if cfg.DBPath == "" {
 		return nil, errors.New("core: ResumeSystem requires Config.DBPath")
 	}
-	web, err := webgraph.Generate(cfg.Web)
-	if err != nil {
-		return nil, err
+	return assemble(cfg, nil, true)
+}
+
+// assemble is the one construction path. Given no web, it generates one
+// from cfg.Web: webgraph.NewWeb builds the vocabulary, and the pages, links
+// and fetch state are built on a second goroutine while this one runs
+// start, which reads the web only through ExampleDocs. Both join before
+// assemble returns, on every path. Given a web, start runs alone. The
+// checkpoint's Extra blob, which positions the web's fetch state, is
+// imported after the join.
+func assemble(cfg Config, web *webgraph.Web, resume bool) (*System, error) {
+	generate := web == nil
+	if generate {
+		var err error
+		if web, err = webgraph.NewWeb(cfg.Web); err != nil {
+			return nil, err
+		}
 	}
+	// The good set is marked before the build starts: both halves read
+	// the taxonomy.
 	tree, err := markGoodTopics(web, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	opts := relstore.Options{Frames: cfg.Frames}
-	db, err := relstore.OpenFile(cfg.DBPath, opts)
+	join := func() {}
+	if generate {
+		built := make(chan struct{})
+		go func() {
+			defer close(built)
+			web.Build()
+		}()
+		join = func() { <-built }
+	}
+	sys, extra, err := start(web, tree, cfg, resume)
+	join()
 	if err != nil {
 		return nil, err
 	}
-	st, err := crawler.ReadCheckpoint(db)
-	if err != nil {
-		return nil, err
-	}
-	if len(st.Extra) > 0 {
-		if err := web.ImportFetchState(st.Extra); err != nil {
+	if len(extra) > 0 {
+		if err := web.ImportFetchState(extra); err != nil {
+			discard(sys.DB)
 			return nil, err
 		}
 	}
-	model, err := trainModel(web, tree, cfg)
-	if err != nil {
-		return nil, err
+	return sys, nil
+}
+
+// start opens the store, trains the classifier and builds the crawler: over
+// a fresh store (durable at cfg.DBPath, else in memory) with crawler.New,
+// or with resume over the file at cfg.DBPath reopened, with crawler.Resume,
+// also returning the checkpoint's Extra blob. Of the web it reads only the
+// vocabulary (ExampleDocs), so it may run while the pages are built. On an
+// error the store is discarded.
+func start(web *webgraph.Web, tree *taxonomy.Tree, cfg Config, resume bool) (sys *System, extra []byte, err error) {
+	opts := relstore.Options{Frames: cfg.Frames}
+	var db *relstore.DB
+	switch {
+	case resume:
+		db, err = relstore.OpenFile(cfg.DBPath, opts)
+	case cfg.DBPath != "":
+		db, err = relstore.CreateFile(cfg.DBPath, opts)
+	default:
+		db = relstore.Open(opts)
 	}
-	if cfg.Crawl.CheckpointExtra == nil {
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		if err != nil {
+			discard(db)
+		}
+	}()
+	if resume {
+		var st *crawler.CheckpointState
+		if st, err = crawler.ReadCheckpoint(db); err != nil {
+			return nil, nil, err
+		}
+		extra = st.Extra
+	}
+	if db.Durable() && cfg.Crawl.CheckpointExtra == nil {
 		cfg.Crawl.CheckpointExtra = web.ExportFetchState
 	}
-	cr, err := crawler.Resume(db, model, webFetcher{web}, cfg.Crawl)
+	model, err := trainModel(web, tree, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &System{Web: web, Tree: tree, DB: db, Model: model, Crawler: cr}, nil
+	newCrawler := crawler.New
+	if resume {
+		newCrawler = crawler.Resume
+	}
+	cr, err := newCrawler(db, model, webFetcher{web}, cfg.Crawl)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &System{Web: web, Tree: tree, DB: db, Model: model, Crawler: cr}, extra, nil
+}
+
+// discard releases a store whose system failed to start. It closes the disk
+// without the checkpoint DB.Close would take, so a durable file keeps its
+// last committed checkpoint, as after a crash, rather than a half-resumed
+// state.
+func discard(db *relstore.DB) {
+	db.Disk().Close()
 }
 
 // Close makes a durable system's stored state resumable — a final crawler

@@ -581,7 +581,8 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	}
 	var flips []flip
 	var entries []frontierEntry
-	err := tab.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
+	// One tuple serves every row: only an in-flight row's is kept, cloned.
+	err := tab.ScanShared(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
 		sh.rids[t[COID].Int()] = entryOf(rid, t)
 		sh.serverSeen[SIDOf(t[CURL].S)]++
 		if s := t[CSeq].Int(); s > sh.insertSeq {
@@ -595,7 +596,7 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 			}
 			entries = append(entries, frontierEntry{key, rid})
 		case StatusInflight:
-			flips = append(flips, flip{rid, t})
+			flips = append(flips, flip{rid, t.Clone()})
 		case StatusVisited:
 			sh.visits = append(sh.visits, HarvestPoint{
 				Seq: t[CLast].Int(), OID: t[COID].Int(), URL: t[CURL].S,

@@ -85,7 +85,8 @@ func TestCheckpointReportsDistillError(t *testing.T) {
 // inside every checkpoint of a four-worker crawl over a site with flaky
 // pages (so requeues and dead rows move the counters too), the sum over
 // shards must equal the number of StatusInflight rows — which is not
-// c.inflight, raised for the checkpointing worker's own finished visit — and
+// c.inflight, raised for the checkpointing worker's own finished visit —
+// the fetch counter less that sum must equal the visits and failures, and
 // a resumed crawl, whose stranded rows flipped back, starts from zero.
 func TestCheckpointInflightCountStress(t *testing.T) {
 	f := genSite(13, 400, 8, 5)
@@ -126,6 +127,12 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 		if sum != scan {
 			return nil, fmt.Errorf("shards count %d rows in flight, a scan of CRAWL finds %d (c.inflight = %d)",
 				sum, scan, c.inflight.Load())
+		}
+		// The state records the fetch count net of the rows in flight:
+		// exactly the fetches that have completed.
+		if net, done := c.fetches.Load()-sum, c.visited.Load()+c.failed.Load(); net != done {
+			return nil, fmt.Errorf("%d fetches net of %d rows in flight, but %d visited + %d failed",
+				net, sum, c.visited.Load(), c.failed.Load())
 		}
 		checked++
 		rowsSeen += scan

@@ -702,7 +702,6 @@ func (c *Crawler) worker(w int) error {
 			time.Sleep(d)
 			continue
 		}
-		c.fetches.Add(1)
 		res, ferr := c.fetcher.Fetch(row[CURL].S)
 		if c.politeOn {
 			c.hostFetchDone(sh, SIDOf(row[CURL].S), ferr)

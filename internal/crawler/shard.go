@@ -338,7 +338,11 @@ func (sh *shard) recomputeHeadLocked() {
 // The crawler's inflight counter is raised under the shard lock *before*
 // the frontier counter drops, so no observer can see an empty frontier
 // with zero fetches in flight while a popped row awaits its fetch (that
-// window would make idle workers exit as if the crawl had stagnated).
+// window would make idle workers exit as if the crawl had stagnated). The
+// fetch counter is raised under the same lock as the shard's inflightRows,
+// so a checkpoint's barrier sees the row's fetch counted whenever it sees
+// the row in flight, and the fetch count it records net of those rows is
+// exactly the completed fetches.
 func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.Time, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -383,6 +387,7 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	}
 	sh.front.delete(&pop.key)
 	sh.inflightRows++
+	c.fetches.Add(1)
 	c.inflight.Add(1)
 	sh.frontierN.Add(-1)
 	// Skipped rows stay in the set ahead of the popped one, so its first key

@@ -282,6 +282,19 @@ func (tb *Table) Scan(fn func(rid RID, t Tuple) (bool, error)) error {
 	})
 }
 
+// ScanShared is Scan with one Tuple reused from row to row: fn must not
+// keep t (Clone what it keeps), so the scan allocates nothing per row but
+// its strings.
+func (tb *Table) ScanShared(fn func(rid RID, t Tuple) (bool, error)) error {
+	t := make(Tuple, len(tb.Schema.Cols))
+	return tb.heap.Scan(func(rid RID, rec []byte) (bool, error) {
+		if err := decodeInto(tb.Schema, rec, t); err != nil {
+			return true, err
+		}
+		return fn(rid, t)
+	})
+}
+
 type tableIter struct {
 	rows []Tuple
 	i    int

@@ -1,6 +1,8 @@
 package relstore
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +77,41 @@ func TestTableScanCols(t *testing.T) {
 	}
 	if err := tb.ScanCols([]int{1}, func(RID, []Value) (bool, error) { return false, nil }); err == nil {
 		t.Fatal("variable-width column scanned")
+	}
+}
+
+// TestTableScanShared: the shared-tuple scan sees every row, in Scan's
+// order, with the values Scan decodes, strings included, and hands every
+// row the same tuple.
+func TestTableScanShared(t *testing.T) {
+	tb, err := newTestDB(t).CreateTable("CRAWL", crawlSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 500; i++ {
+		url := "http://a/" + strings.Repeat("x", int(i%40))
+		if _, err := tb.Insert(Tuple{I64(i), Str(url), F64(float64(i) / 7), I32(int32(i % 3))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []Tuple
+	tb.Scan(func(_ RID, r Tuple) (bool, error) {
+		want = append(want, r)
+		return false, nil
+	})
+	var got []Tuple
+	var first *Value
+	err = tb.ScanShared(func(_ RID, r Tuple) (bool, error) {
+		if first == nil {
+			first = &r[0]
+		} else if &r[0] != first {
+			t.Fatalf("row %d got a tuple of its own", len(got))
+		}
+		got = append(got, r.Clone())
+		return false, nil
+	})
+	if err != nil || !slices.EqualFunc(got, want, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("ScanShared read %d rows unlike Scan's %d, err %v", len(got), len(want), err)
 	}
 }
 

@@ -175,43 +175,51 @@ func EncodeTuple(dst []byte, s *Schema, t Tuple) ([]byte, error) {
 // DecodeTuple parses a row-format record according to the schema.
 func DecodeTuple(s *Schema, rec []byte) (Tuple, error) {
 	t := make(Tuple, len(s.Cols))
+	if err := decodeInto(s, rec, t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// decodeInto is DecodeTuple into t, which has the schema's arity.
+func decodeInto(s *Schema, rec []byte, t Tuple) error {
 	off := 0
 	for i, c := range s.Cols {
 		switch c.Kind {
 		case KInt32:
 			if off+4 > len(rec) {
-				return nil, fmt.Errorf("relstore: short record at column %s", c.Name)
+				return fmt.Errorf("relstore: short record at column %s", c.Name)
 			}
 			t[i] = I32(int32(binary.LittleEndian.Uint32(rec[off:])))
 			off += 4
 		case KInt64:
 			if off+8 > len(rec) {
-				return nil, fmt.Errorf("relstore: short record at column %s", c.Name)
+				return fmt.Errorf("relstore: short record at column %s", c.Name)
 			}
 			t[i] = I64(int64(binary.LittleEndian.Uint64(rec[off:])))
 			off += 8
 		case KFloat64:
 			if off+8 > len(rec) {
-				return nil, fmt.Errorf("relstore: short record at column %s", c.Name)
+				return fmt.Errorf("relstore: short record at column %s", c.Name)
 			}
 			t[i] = F64(math.Float64frombits(binary.LittleEndian.Uint64(rec[off:])))
 			off += 8
 		case KString:
 			if off+2 > len(rec) {
-				return nil, fmt.Errorf("relstore: short record at column %s", c.Name)
+				return fmt.Errorf("relstore: short record at column %s", c.Name)
 			}
 			n := int(binary.LittleEndian.Uint16(rec[off:]))
 			off += 2
 			if off+n > len(rec) {
-				return nil, fmt.Errorf("relstore: short string at column %s", c.Name)
+				return fmt.Errorf("relstore: short string at column %s", c.Name)
 			}
 			t[i] = Str(string(rec[off : off+n]))
 			off += n
 		default:
-			return nil, fmt.Errorf("relstore: column %s: undecodable kind %v", c.Name, c.Kind)
+			return fmt.Errorf("relstore: column %s: undecodable kind %v", c.Name, c.Kind)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // fixedCol returns the bytes of column col inside the row-format record rec,

@@ -230,15 +230,26 @@ type vocabulary struct {
 }
 
 // Generate builds a web from the configuration. Generation is deterministic
-// for a given Config.
-//
-//focuslint:rng baseline
+// for a given Config. It is NewWeb followed by Build.
 func Generate(cfg Config) (*Web, error) {
+	w, err := NewWeb(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.Build()
+	return w, nil
+}
+
+// NewWeb is the first half of generation: it checks cfg and builds the
+// vocabulary, which is all ExampleDocs reads, but no pages. ExampleDocs may
+// run while Build does, so a caller can train a classifier on a web that is
+// still being built; nothing else may be called before Build returns. NewWeb
+// draws nothing from the generator's random stream.
+func NewWeb(cfg Config) (*Web, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NumPages < 100 {
 		return nil, fmt.Errorf("webgraph: NumPages %d too small", cfg.NumPages)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &Web{
 		Cfg:        cfg,
 		byURL:      make(map[string]int32, cfg.NumPages),
@@ -252,6 +263,18 @@ func Generate(cfg Config) (*Web, error) {
 	if len(leaves) == 0 || (len(leaves) == 1 && leaves[0] == cfg.Tree.Root) {
 		return nil, fmt.Errorf("webgraph: taxonomy has no leaf topics")
 	}
+	return w, nil
+}
+
+// Build is the second half of generation: the pages with their topics,
+// servers and URLs, the links, and the fetch state. Call it once, on a web
+// from NewWeb.
+//
+//focuslint:rng baseline
+func (w *Web) Build() {
+	cfg := w.Cfg
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	leaves := cfg.Tree.Leaves()
 	weights := make([]float64, len(leaves))
 	var totalW float64
 	gen := cfg.Tree.ByName("general")
@@ -311,7 +334,6 @@ func Generate(cfg Config) (*Web, error) {
 		}
 	}
 	w.fetchState.init(cfg)
-	return w, nil
 }
 
 func (w *Web) buildVocab() {
