@@ -157,8 +157,7 @@ func (m *Model) bulkNode(docByTid, statRows []relstore.Tuple, c0 *taxonomy.Node,
 	if err != nil {
 		return nil, err
 	}
-	partial := relstore.GroupBy(partialSorted, relstore.KeyOfCols(0, 1), []int{0, 1},
-		[]relstore.AggSpec{{Kind: relstore.AggSum, Col: 2}})
+	partial := relstore.GroupBy(partialSorted, relstore.KeyOfCols(0, 1), []int{0, 1}, []int{2})
 
 	// DOCLEN: distinct feature tids, semi-joined against DOCUMENT.
 	distinctTids := distinctCol(statRows, 1)
@@ -178,8 +177,7 @@ func (m *Model) bulkNode(docByTid, statRows []relstore.Tuple, c0 *taxonomy.Node,
 	if err != nil {
 		return nil, err
 	}
-	doclen := relstore.GroupBy(lenSorted, relstore.KeyOfCols(0), []int{0},
-		[]relstore.AggSpec{{Kind: relstore.AggSum, Col: 1}})
+	doclen := relstore.GroupBy(lenSorted, relstore.KeyOfCols(0), []int{0}, []int{1})
 
 	// COMPLETE: DOCLEN x children, already sorted by (did, kcid) because
 	// doclen streams in did order and children are emitted in kcid order.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +15,7 @@ import (
 
 	"focus/internal/classifier"
 	"focus/internal/crawler"
+	"focus/internal/relstore"
 	"focus/internal/webgraph"
 )
 
@@ -105,14 +109,10 @@ func samePosterior(got, want classifier.Posterior) string {
 	return ""
 }
 
-// TestFailedResumeReleasesFileAndGoroutine: a resume that fails after the
-// file is open — here crawler.Resume refusing a Crawl.Mode other than the
-// checkpoint's — closes the file and joins the goroutine that builds the
-// web, leaving the process's open descriptors and goroutines as they were.
-func TestFailedResumeReleasesFileAndGoroutine(t *testing.T) {
-	if _, err := os.Stat("/proc/self/fd"); err != nil {
-		t.Skip("no /proc/self/fd to count descriptors in")
-	}
+// durableCrawl runs a small checkpointed crawl into a file under t's
+// temporary directory, closes it, and returns its config.
+func durableCrawl(t *testing.T) Config {
+	t.Helper()
 	cfg := Config{
 		Web:        webgraph.Config{Seed: 5, NumPages: 1500},
 		GoodTopics: []string{"cycling"},
@@ -132,7 +132,17 @@ func TestFailedResumeReleasesFileAndGoroutine(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return cfg
+}
 
+// processResources returns a check that the process's open descriptors
+// and goroutines are back to the counts they have now. It skips t where
+// there is no /proc/self/fd to count descriptors in.
+func processResources(t *testing.T) func(after string) {
+	t.Helper()
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
 	openFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
@@ -141,20 +151,33 @@ func TestFailedResumeReleasesFileAndGoroutine(t *testing.T) {
 		return len(ents)
 	}
 	fds, goroutines := openFDs(), runtime.NumGoroutine()
+	return func(after string) {
+		t.Helper()
+		if got := openFDs(); got != fds {
+			t.Fatalf("%d open descriptors after %s, %d before", got, after, fds)
+		}
+		// A joined goroutine may still be on its way out: give it a moment.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after %s, %d before", runtime.NumGoroutine(), after, goroutines)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestFailedResumeReleasesFileAndGoroutine: a resume that fails after the
+// file is open — here crawler.Resume refusing a Crawl.Mode other than the
+// checkpoint's — closes the file and joins the goroutine that builds the
+// web, leaving the process's open descriptors and goroutines as they were.
+func TestFailedResumeReleasesFileAndGoroutine(t *testing.T) {
+	cfg := durableCrawl(t)
+	released := processResources(t)
 	cfg.Crawl.Mode = crawler.ModeHardFocus
 	if _, err := ResumeSystem(cfg); err == nil || !strings.Contains(err.Error(), "mode") {
 		t.Fatalf("ResumeSystem with a mismatched mode: err = %v, want the mode refusal", err)
 	}
-	if got := openFDs(); got != fds {
-		t.Fatalf("%d open descriptors after the failed resume, %d before", got, fds)
-	}
-	// A joined goroutine may still be on its way out: give it a moment.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the failed resume, %d before", runtime.NumGoroutine(), goroutines)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	released("the failed resume")
 
 	// The refusal committed nothing: the file still resumes under its mode.
 	cfg.Crawl.Mode = crawler.ModeSoftFocus
@@ -164,5 +187,54 @@ func TestFailedResumeReleasesFileAndGoroutine(t *testing.T) {
 	}
 	if err := resumed.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeRefusesAnotherWeb: the checkpoint's fetch state names the web
+// it was taken on, so a resume that regenerates another one — here a
+// different page count, whose pages differ under the same URLs — is
+// refused by name, and the file still resumes on its own web.
+func TestResumeRefusesAnotherWeb(t *testing.T) {
+	cfg := durableCrawl(t)
+	other := cfg
+	other.Web.NumPages = 1600
+	if _, err := ResumeSystem(other); err == nil || !strings.Contains(err.Error(), "web config") {
+		t.Fatalf("ResumeSystem on a %d-page web of a %d-page crawl: err = %v, want the web config refusal",
+			other.Web.NumPages, cfg.Web.NumPages, err)
+	}
+	resumed, err := ResumeSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeRefusesOlderLayout: ResumeSystem over a file whose manifest
+// roots carry an older layout version returns relstore.ErrLayoutVersion,
+// releases the file and the build goroutine, and leaves the file's bytes
+// as they were.
+func TestResumeRefusesOlderLayout(t *testing.T) {
+	cfg := durableCrawl(t)
+	b, err := os.ReadFile(cfg.DBPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both roots (pages 1 and 2, at file offsets 0 and PageSize) restamped
+	// with layout version 1 in their frame headers' bytes 4-8.
+	for root := range 2 {
+		binary.LittleEndian.PutUint32(b[root*relstore.PageSize+4:], 1)
+	}
+	if err := os.WriteFile(cfg.DBPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	released := processResources(t)
+	if _, err := ResumeSystem(cfg); !errors.Is(err, relstore.ErrLayoutVersion) {
+		t.Fatalf("ResumeSystem of a version-1 file: err = %v, want relstore.ErrLayoutVersion", err)
+	}
+	released("the refused resume")
+	if after, err := os.ReadFile(cfg.DBPath); err != nil || !bytes.Equal(after, b) {
+		t.Fatalf("the refused resume changed the file (%v)", err)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -297,202 +296,6 @@ func TestResumeAtDifferentWorkers(t *testing.T) {
 			res.Visited, len(cr.HarvestLog()), st.Visited)
 	}
 	if err := resumed.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResumeDropsLegacyOidIndex: a file checkpointed while each CRAWL#i
-// partition still kept an oid B+tree (before the in-memory oid directory)
-// resumes. The index comes back from the catalog with no key function, and
-// the first update through it would panic, so Resume drops it and rebuilds
-// the directory from the heap; the resumed crawl then spends its budget.
-func TestResumeDropsLegacyOidIndex(t *testing.T) {
-	cfg := Config{
-		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
-		GoodTopics: []string{"cycling"},
-		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
-		Crawl: crawler.Config{
-			Workers:         2,
-			MaxFetches:      200,
-			DistillEvery:    100,
-			CheckpointEvery: 100,
-		},
-	}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SeedTopic("cycling", 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	shards := sys.Crawler.NumShards()
-	for i := 0; i < shards; i++ {
-		_, err := sys.DB.Table(fmt.Sprintf("CRAWL#%d", i)).AddIndex("oid", func(tp relstore.Tuple) []byte {
-			return relstore.EncodeKey(tp[crawler.COID])
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sys.Close(); err != nil { // checkpoints, catalog included
-		t.Fatal(err)
-	}
-
-	cfg.Crawl.MaxFetches = 400
-	resumed, err := ResumeSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := crawler.ReadCheckpoint(resumed.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FrontierShards != shards {
-		t.Fatalf("checkpoint has %d shards, the crawl had %d", st.FrontierShards, shards)
-	}
-	checkRecoveredCrawl(t, resumed.DB, st, resumed.Crawler)
-	res, err := resumed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fetches < cfg.Crawl.MaxFetches {
-		t.Fatalf("resumed crawl stopped at %d fetches (stagnated=%v), budget %d", res.Fetches, res.Stagnated, cfg.Crawl.MaxFetches)
-	}
-	if err := resumed.Crawler.CheckDirectory(); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// deadFirst fails its first n fetches as dead links, recording their URLs,
-// and fetches the rest from the web: the first n checkouts of a crawl expand
-// nothing and re-queue nothing, so they follow the frontier order the crawl
-// had when it started.
-type deadFirst struct {
-	n    int
-	seen []string
-	web  crawler.Fetcher
-}
-
-func (f *deadFirst) Fetch(url string) (*crawler.Fetch, error) {
-	if len(f.seen) < f.n {
-		f.seen = append(f.seen, url)
-		return nil, errors.New("dead link")
-	}
-	return f.web.Fetch(url)
-}
-
-// TestResumeDropsParentFrontierIndex: a file checkpointed while each CRAWL#i
-// partition still kept its frontier B+tree (before the in-memory frontier
-// set) resumes. Resume drops the tree, its pages reaching the free list, and
-// rebuilds the frontier sets from the heaps; the resumed crawl checks out in
-// the order the parent's trees gave, read from the file before the drop, and
-// then crawls on into the freed pages without growing the file.
-func TestResumeDropsParentFrontierIndex(t *testing.T) {
-	cfg := Config{
-		Web:        webgraph.Config{Seed: 3, NumPages: 3000},
-		GoodTopics: []string{"cycling"},
-		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
-		Crawl: crawler.Config{
-			Workers:         2,
-			MaxFetches:      200,
-			DistillEvery:    100,
-			CheckpointEvery: 100,
-		},
-	}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SeedTopic("cycling", 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The parent's shape: every partition kept a frontier tree under the
-	// aggressive policy's key, every row in it, status first.
-	shards := sys.Crawler.NumShards()
-	for i := 0; i < shards; i++ {
-		if _, err := sys.DB.Table(fmt.Sprintf("CRAWL#%d", i)).AddIndex("frontier", crawler.AggressiveDiscovery().Key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := relstore.OpenFile(cfg.DBPath, relstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The parent's checkout order: its trees' frontier rows, merged by key
-	// across the partitions, as a one-worker checkout merges the shards.
-	type queued struct {
-		key []byte
-		url string
-	}
-	var order []queued
-	for i := 0; i < shards; i++ {
-		tab := db.Table(fmt.Sprintf("CRAWL#%d", i))
-		err := tab.Index("frontier").ScanPrefix(relstore.EncodeKey(relstore.I32(crawler.StatusFrontier)), func(k []byte, rid relstore.RID) (bool, error) {
-			row, err := tab.Get(rid)
-			if err == nil {
-				order = append(order, queued{slices.Clone(k), row[crawler.CURL].S})
-			}
-			return err != nil, err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	slices.SortFunc(order, func(a, b queued) int { return bytes.Compare(a.key, b.key) })
-	st, err := crawler.ReadCheckpoint(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const dead = 40
-	if len(order) < dead {
-		t.Fatalf("the parent queued %d rows, the test checks the first %d", len(order), dead)
-	}
-
-	free := db.Disk().FreePages()
-	fetcher := &deadFirst{n: dead, web: NewFetcher(sys.Web)}
-	ccfg := cfg.Crawl
-	ccfg.Workers, ccfg.CheckpointEvery, ccfg.MaxFetches = 1, 0, st.Fetches+dead+40
-	cr, err := crawler.Resume(db, sys.Model, fetcher, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Disk().FreePages() <= free {
-		t.Fatalf("free list %d pages after dropping the frontier trees, %d before", db.Disk().FreePages(), free)
-	}
-	checkRecoveredCrawl(t, db, st, cr)
-	pages := db.Disk().NumPages()
-	res, err := cr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, url := range fetcher.seen {
-		if url != order[i].url {
-			t.Fatalf("checkout %d after resume is %s, the parent's frontier tree put %s there", i, url, order[i].url)
-		}
-	}
-	if res.Visited <= st.Visited {
-		t.Fatalf("the resumed crawl visited nothing past its %d dead links", dead)
-	}
-	if n := db.Disk().NumPages(); n != pages {
-		t.Fatalf("file grew from %d to %d pages with the frontier trees' freed pages to reuse", pages, n)
-	}
-	if err := cr.CheckDirectory(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

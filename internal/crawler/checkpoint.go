@@ -17,9 +17,9 @@ package crawler
 // A record is one payload, whatever its size: a 17-byte header (kind, the
 // published epoch it was written at, payload length, CRC-32 of the payload)
 // and the payload, split into rows keyed "<kind>#<i>" of at most
-// relstore.MaxRecordLen bytes each. A file written before records were
-// framed holds single unframed "state" and "extra" rows, and its scores in
-// four HUBS/AUTH tables; Resume reads both.
+// relstore.MaxRecordLen bytes each. A change to these records or to the
+// tables the crawl keeps is a change of the file's layout: it bumps
+// relstore's layout version, which refuses files of any other.
 //
 // Bit-identical resume is pinned under the same discipline as the one-shard,
 // one-stripe goldens: Workers=1 (so the quiesce point always falls between
@@ -66,10 +66,6 @@ var recordNames = [...]string{recState: "state", recExtra: "extra", recScores: "
 // length (4), payload CRC-32 (4).
 const recordHdr = 17
 
-// legacyScoreTables are the score tables of a file written before the
-// score record: the primary HUBS and AUTH, then the spare pair.
-var legacyScoreTables = [4]string{"HUBS", "AUTH", "HUBS#spare", "AUTH#spare"}
-
 func ckptSchema() *relstore.Schema {
 	return relstore.NewSchema(
 		relstore.Column{Name: "k", Kind: relstore.KString},
@@ -105,8 +101,7 @@ type CheckpointState struct {
 	// Fetches is the attempt counter net of fetches whose rows were still
 	// in flight at the quiesce point (those re-run after resume, so charging
 	// them would double-count). Visited also numbers the visits: the next
-	// one is Visited+1. A file written while the state also carried "visit"
-	// and "since_dist" (both derived) still decodes: JSON ignores them.
+	// one is Visited+1.
 	Fetches int64 `json:"fetches"`
 	Visited int64 `json:"visited"`
 	Failed  int64 `json:"failed"`
@@ -126,13 +121,10 @@ type CheckpointState struct {
 	// (unless an epoch failed, which aborts the crawl). The score record
 	// must carry the same epoch.
 	Epoch int64 `json:"epoch"`
-	// PubIsPrimary is read only from a file written before the score
-	// record, whose epochs alternated between two pairs of score tables:
-	// true means HUBS/AUTH held the published scores, false the #spare pair.
-	PubIsPrimary bool `json:"pub_is_primary,omitempty"`
 
 	// The physical partitioning, fixed at creation; Resume attaches exactly
-	// these tables and refuses a mode or policy mismatch.
+	// these tables and refuses a mode or policy mismatch. Shards holds one
+	// entry per frontier shard.
 	FrontierShards int    `json:"frontier_shards"`
 	LinkStripes    int    `json:"link_stripes"`
 	Mode           Mode   `json:"mode"`
@@ -166,8 +158,8 @@ func writeRecord(tab *relstore.Table, kind byte, epoch int64, payload []byte) er
 	return nil
 }
 
-// record is one decoded record: the epoch it was written at (-1 for an
-// unframed row) and its payload.
+// record is one decoded record: the epoch it was written at and its
+// payload.
 type record struct {
 	epoch   int64
 	payload []byte
@@ -180,13 +172,11 @@ type record struct {
 func readRecords(tab *relstore.Table) (map[byte]record, error) {
 	recs, bufs, chunks := map[byte]record{}, map[byte][]byte{}, map[byte]int{}
 	err := tab.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		name, idx, framed := strings.Cut(t[0].S, "#")
+		name, idx, chunked := strings.Cut(t[0].S, "#")
 		kind := slices.Index(recordNames[:], name)
 		switch {
-		case kind <= 0:
-			return true, fmt.Errorf("crawler: checkpoint row %q names no record", t[0].S)
-		case !framed: // a file older than the framing
-			recs[byte(kind)] = record{-1, []byte(t[1].S)}
+		case kind <= 0 || !chunked:
+			return true, fmt.Errorf("crawler: checkpoint row %q names no record chunk", t[0].S)
 		case idx != strconv.Itoa(chunks[byte(kind)]):
 			return true, fmt.Errorf("crawler: checkpoint row %q is out of order", t[0].S)
 		default:
@@ -400,6 +390,10 @@ func ReadCheckpoint(db *relstore.DB) (*CheckpointState, error) {
 		return nil, fmt.Errorf("crawler: checkpoint state invalid: %d shards, %d stripes",
 			st.FrontierShards, st.LinkStripes)
 	}
+	if len(st.Shards) != st.FrontierShards {
+		return nil, fmt.Errorf("crawler: checkpoint state invalid: %d shard records for %d frontier shards",
+			len(st.Shards), st.FrontierShards)
+	}
 	if extra, ok := recs[recExtra]; ok {
 		st.Extra = extra.payload
 	}
@@ -426,16 +420,17 @@ func policyByName(name string) (Policy, bool) {
 
 // Resume rebuilds a crawler from the checkpoint in a reopened durable DB and
 // leaves it ready to Run with the remaining budget. The persisted relations
-// are attached (an older file's index trees dropped), rows left in flight
-// at the checkpoint flip back to the frontier, and all derivable in-memory
-// state — harvest log, the shards' oid directories, frontier sets and
-// counters, the link store's out-edge directories — is recomputed from the
-// relations, and the harvest log is re-logged as the forward weights. The
-// checkpoint's published scores are published again. cfg
-// supplies the knobs for the continued crawl (budget, workers, politeness); the shard and stripe counts (a property of
-// the stored tables, whatever cfg.Workers says), mode, and policy come from
-// the checkpoint, and a cfg.Mode mismatch is refused. The fetcher must be positioned to continue
-// (see CheckpointState.Extra).
+// are attached, rows left in flight at the checkpoint flip back to the
+// frontier, and all derivable in-memory state — harvest log, the shards'
+// oid directories, frontier sets and counters, the link store's out-edge
+// directories — is recomputed from the relations, and the harvest log is
+// re-logged as the forward weights. The checkpoint's published scores are
+// published again. cfg supplies the knobs for the continued crawl (budget,
+// workers, politeness); the shard and stripe counts (a property of the
+// stored tables, whatever cfg.Workers says), mode, and policy come from the
+// checkpoint, and a cfg.Mode mismatch is refused, as is a file without the
+// score table. The fetcher must be positioned to continue (see
+// CheckpointState.Extra).
 func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
 	if !db.Durable() {
 		return nil, errors.New("crawler: Resume requires a durable DB")
@@ -451,26 +446,14 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	if !ok {
 		return nil, fmt.Errorf("crawler: checkpoint uses unknown checkout policy %q", st.Policy)
 	}
+	if db.Table(ckptScoresTable) == nil {
+		return nil, fmt.Errorf("crawler: resume: the checkpoint has no %s table", ckptScoresTable)
+	}
 	c := newCrawler(db, model, fetcher, cfg, pol)
-
-	// Older files carry the DOCUMENT stripes and merged snapshot the crawl no
-	// longer keeps: drop them, freeing their pages before anything allocates.
-	for i := 0; db.Table(fmt.Sprintf("DOCUMENT#%d", i)) != nil; i++ {
-		if err := db.DropTable(fmt.Sprintf("DOCUMENT#%d", i)); err != nil {
-			return nil, err
-		}
-	}
-	if err := db.DropTable("DOCUMENT"); err != nil {
-		return nil, err
-	}
 
 	now := time.Now()
 	var visited int64
-	for i := 0; i < st.FrontierShards; i++ {
-		var ss CheckpointShard
-		if i < len(st.Shards) {
-			ss = st.Shards[i]
-		}
+	for i, ss := range st.Shards {
 		sh, err := attachShard(db, i, pol, ss, now)
 		if err != nil {
 			return nil, err
@@ -495,41 +478,22 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 		}
 	}
 
-	// The scores published at the checkpoint: its score record, or in a
-	// file written before the record, the pair of its four score tables
-	// that PubIsPrimary names; then a table for the record, which the next
-	// checkpoint writes. Either way the score tables — those four, or a
-	// pair Tables materialized — are dropped, freeing their pages.
-	var r *scores
-	if db.Table(ckptScoresTable) != nil {
-		if r, err = readScoreRecord(db); err == nil && r.epoch != st.Epoch {
-			err = fmt.Errorf("crawler: resume: the checkpoint's score record is epoch %d, its state epoch %d", r.epoch, st.Epoch)
-		}
-		c.ckptScores = r
-	} else {
-		pair := legacyScoreTables[2:]
-		if st.PubIsPrimary {
-			pair = legacyScoreTables[:2]
-		}
-		if db.Table(pair[0]) == nil || db.Table(pair[1]) == nil {
-			return nil, fmt.Errorf("crawler: resume: the checkpoint has no score record and no %s/%s pair", pair[0], pair[1])
-		}
-		r, err = readScores(st.Epoch, db.Table(pair[0]), db.Table(pair[1]))
-		c.ckptScores = nil
-	}
+	// The scores published at the checkpoint are its score record's. A
+	// HUBS/AUTH pair Tables materialized before the checkpoint is dropped,
+	// freeing its pages.
+	r, err := readScoreRecord(db)
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range legacyScoreTables {
+	if r.epoch != st.Epoch {
+		return nil, fmt.Errorf("crawler: resume: the checkpoint's score record is epoch %d, its state epoch %d", r.epoch, st.Epoch)
+	}
+	for _, name := range []string{"HUBS", "AUTH"} {
 		if err := db.DropTable(name); err != nil {
 			return nil, err
 		}
 	}
-	if db.Table(ckptScoresTable) == nil {
-		if _, err := db.CreateTable(ckptScoresTable, ckptSchema()); err != nil {
-			return nil, err
-		}
-	}
+	c.ckptScores = r
 	c.pub.Store(r)
 
 	c.sinceCkpt.Store(st.SinceCkpt)
@@ -559,14 +523,6 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	tab := db.Table(fmt.Sprintf("CRAWL#%d", id))
 	if tab == nil {
 		return nil, fmt.Errorf("crawler: resume: missing table CRAWL#%d", id)
-	}
-	// A file written before the oid directory and the frontier set has an oid
-	// B+tree and a frontier B+tree here whose keys are never bound again:
-	// drop them, freeing their pages, before any update.
-	for _, name := range []string{"oid", "frontier"} {
-		if err := tab.DropIndex(name); err != nil {
-			return nil, err
-		}
 	}
 	sh := &shard{
 		id: id, policy: pol, crawl: tab,

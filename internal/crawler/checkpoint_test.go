@@ -1,13 +1,10 @@
 package crawler
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -191,90 +188,6 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 		t.Fatalf("%d rows still in flight after Resume flipped them back", scan)
 	}
 	if err := c.CheckDirectory(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResumeParentStateRecord reopens a file whose state record carries the
-// two fields an older crawler also wrote — "visit", the visit number that
-// always equalled Visited, and "since_dist", now derived from it — as that
-// crawler framed it. Resume must rebuild an equal harvest log, pass the
-// directory checks, and number the next visits on from Visited.
-func TestResumeParentStateRecord(t *testing.T) {
-	f := genSite(29, 160, 8, 0)
-	_, m := tinyModel(t)
-	disk := relstore.NewMemDisk()
-	opts := relstore.Options{Frames: 2048}
-	db, err := relstore.OpenDurable(disk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Workers: 3, MaxFetches: 70, DistillEvery: 25}
-	c, err := New(db, m, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Seed(seedURLs(f, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReadCheckpoint(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	older := struct {
-		*CheckpointState
-		Visit     int64 `json:"visit"`
-		SinceDist int64 `json:"since_dist"`
-	}{st, st.Visited, st.Visited % cfg.DistillEvery}
-	blob, err := json.Marshal(older)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(blob), `"visit":`) || !strings.Contains(string(blob), `"since_dist":`) {
-		t.Fatalf("the older state record lacks its fields: %s", blob)
-	}
-	ck := db.Table(ckptTable)
-	if err := ck.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRecord(ck, recState, st.Epoch, blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: the pool is dropped without Close.
-
-	db2, err := relstore.OpenDurable(disk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Resume(db2, m, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := c.HarvestLog(), c2.HarvestLog()
-	if st.Visited < 50 || int64(len(want)) != st.Visited || !slices.Equal(got, want) {
-		t.Fatalf("resumed harvest log of %d points differs from the %d the crawl logged", len(got), len(want))
-	}
-	if err := c2.CheckDirectory(); err != nil {
-		t.Fatal(err)
-	}
-	c2.cfg.MaxFetches += 30
-	res, err := c2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visited <= st.Visited {
-		t.Fatalf("the resumed crawl visited nothing: %d visits, %d at the checkpoint", res.Visited, st.Visited)
-	}
-	if err := c2.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"focus/internal/distiller"
 	"focus/internal/relstore"
 )
 
@@ -285,23 +284,20 @@ func TestResumeRefusesScoreRecordOfAnotherEpoch(t *testing.T) {
 	}
 }
 
-// TestResumePublishesParentScoreTables reopens a file in the layout written
-// before the score record: no record, the four score tables (the primary
-// HUBS with the oid B+tree older files kept), and a state whose
-// PubIsPrimary names the #spare pair, in unframed "state" and "extra" rows.
-// Resume must publish exactly that pair's scores, drop all four tables with
-// their pages going to the free list, and write the score record at its
-// first checkpoint.
-func TestResumePublishesParentScoreTables(t *testing.T) {
-	f := genSite(23, 120, 8, 0)
+// TestResumeRefusesOtherLayouts: Resume refuses by name what only another
+// layout of the file holds — a state in unframed rows, a state with shard
+// records for another shard count, and no score table — and each refusal
+// leaves the file resumable.
+func TestResumeRefusesOtherLayouts(t *testing.T) {
+	f := genSite(29, 120, 8, 0)
 	_, m := tinyModel(t)
 	disk := relstore.NewMemDisk()
-	opts := relstore.Options{Frames: 2048}
+	opts := relstore.Options{Frames: 1024}
 	db, err := relstore.OpenDurable(disk, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 2, MaxFetches: 60, DistillEvery: 25}
+	cfg := Config{Workers: 3, MaxFetches: 50, DistillEvery: 20}
 	c, err := New(db, m, f, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -319,110 +315,64 @@ func TestResumePublishesParentScoreTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The older layout. Each table scores the first visited pages
-	// differently, so only the #spare pair's scores can pass.
-	if err := db.DropTable(ckptScoresTable); err != nil {
+	state, err := json.Marshal(st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	visited := c.HarvestLog()[:30]
-	var want [4][]distiller.Scored
-	for i, name := range legacyScoreTables {
-		tab, err := db.CreateTable(name, distiller.HubsAuthSchema())
+	short := *st
+	short.Shards = short.Shards[1:]
+	shortState, err := json.Marshal(&short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// setState replaces the state record with rows written by write.
+	setState := func(db *relstore.DB, write func(*relstore.Table) error) {
+		t.Helper()
+		ck := db.Table(ckptTable)
+		if err := ck.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(ck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(*relstore.DB)
+		refusal string
+	}{
+		{"unframed state", func(db *relstore.DB) {
+			setState(db, func(ck *relstore.Table) error {
+				_, err := ck.Insert(relstore.Tuple{relstore.Str("state"), relstore.Str(string(state))})
+				return err
+			})
+		}, `row "state" names no record chunk`},
+		{"short shard records", func(db *relstore.DB) {
+			setState(db, func(ck *relstore.Table) error { return writeRecord(ck, recState, st.Epoch, shortState) })
+		}, "2 shard records for 3 frontier shards"},
+		{"no score table", func(db *relstore.DB) {
+			if err := db.DropTable(ckptScoresTable); err != nil {
+				t.Fatal(err)
+			}
+		}, "has no " + ckptScoresTable},
+	} {
+		db2, err := relstore.OpenDurable(disk, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			if _, err := tab.AddIndex("oid", func(tp relstore.Tuple) []byte { return relstore.EncodeKey(tp[0]) }); err != nil {
-				t.Fatal(err)
-			}
+		tc.edit(db2)
+		if _, err := Resume(db2, m, f, cfg); err == nil || !strings.Contains(err.Error(), tc.refusal) {
+			t.Errorf("%s: Resume returned %v, want a refusal naming %q", tc.name, err, tc.refusal)
 		}
-		for j, h := range visited {
-			s := distiller.Scored{OID: h.OID, Score: float64((j*7+i*11)%31) / 100}
-			if _, err := tab.Insert(relstore.Tuple{relstore.I64(s.OID), relstore.F64(s.Score)}); err != nil {
-				t.Fatal(err)
-			}
-			want[i] = append(want[i], s)
-		}
-	}
-	st.PubIsPrimary = false
-	blob, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := db.Table(ckptTable)
-	if err := ck.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range [][2]string{{"state", string(blob)}, {"extra", "older extra"}} {
-		if _, err := ck.Insert(relstore.Tuple{relstore.Str(row[0]), relstore.Str(row[1])}); err != nil {
+		// Nothing was checkpointed: the file as written still resumes.
+		db3, err := relstore.OpenDurable(disk, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: the pool is dropped without Close.
-
-	db2, err := relstore.OpenDurable(disk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2, err := ReadCheckpoint(db2); err != nil || string(st2.Extra) != "older extra" || st2.PubIsPrimary {
-		t.Fatalf("unframed checkpoint rows read back as %+v, %v", st2, err)
-	}
-	free := disk.FreePages()
-	c2, err := Resume(db2, m, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range legacyScoreTables {
-		if db2.Table(name) != nil {
-			t.Fatalf("Resume left the score table %s", name)
+		if _, err := Resume(db3, m, f, cfg); err != nil {
+			t.Fatalf("after the %s refusal: %v", tc.name, err)
 		}
 	}
-	// Four heap pages and the oid tree's root went to the free list; the
-	// score record's table took one back.
-	if got := disk.FreePages(); got < free+4 {
-		t.Fatalf("free list %d pages after dropping the score tables, %d before", got, free)
-	}
-	checkTop := func(c *Crawler) {
-		t.Helper()
-		for _, side := range []struct {
-			name string
-			top  func(int) ([]ScoredURL, error)
-			want distiller.Ranking
-		}{
-			{"hubs", c.TopHubURLs, distiller.Rank(slices.Clone(want[2]))},
-			{"authorities", c.TopAuthorityURLs, distiller.Rank(slices.Clone(want[3]))},
-		} {
-			got, err := side.top(len(visited) + 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(side.want) {
-				t.Fatalf("%s: %d published, the #spare table holds %d", side.name, len(got), len(side.want))
-			}
-			for i, w := range side.want {
-				if got[i].OID != w.OID || got[i].Score != w.Score || got[i].URL == "" {
-					t.Fatalf("%s[%d] = %+v, the #spare table ranks %+v first", side.name, i, got[i], w)
-				}
-			}
-		}
-	}
-	checkTop(c2)
-	if err := c2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	db3, err := relstore.OpenDurable(disk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3, err := Resume(db3, m, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTop(c3)
 }
 
 // ckptRow is one fuzzed checkpoint row: which of the two tables it goes in,
@@ -542,8 +492,8 @@ func FuzzCheckpointRecord(f *testing.F) {
 		}
 		f.Add(encodeCkptRows(damaged))
 	}
-	// A header claiming 4 GiB over a few bytes, and the unframed rows of a
-	// file older than the framing.
+	// A header claiming 4 GiB over a few bytes, and unframed rows, which
+	// are refused.
 	huge := make([]byte, recordHdr)
 	huge[0] = recScores
 	binary.LittleEndian.PutUint32(huge[9:], 1<<32-1)

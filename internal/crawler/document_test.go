@@ -6,9 +6,7 @@ import (
 	"slices"
 	"testing"
 
-	"focus/internal/classifier"
 	"focus/internal/relstore"
-	"focus/internal/textproc"
 )
 
 // longDocSite is genSite with long documents: every page carries terms
@@ -27,16 +25,6 @@ func longDocSite(seed int64, npages, nhosts, terms int) *stubFetcher {
 	return f
 }
 
-// documentTables lists the DOCUMENT tables in db's catalog: the merged
-// snapshot and the stripes, probed one past the highest stripe asked for.
-func documentTables(db *relstore.DB, stripes int) []string {
-	names := []string{"DOCUMENT"}
-	for i := 0; i <= stripes; i++ {
-		names = append(names, fmt.Sprintf("DOCUMENT#%d", i))
-	}
-	return slices.DeleteFunc(names, func(name string) bool { return db.Table(name) == nil })
-}
-
 // indexNames are the names of every index a crawl table or the classifier's
 // statistics ever kept: CRAWL's oid and frontier trees, LINK's bysrc and
 // bydst, the score tables' and the snapshot's oid, and STAT_c0's tid.
@@ -48,7 +36,7 @@ var indexNames = []string{"oid", "frontier", "bysrc", "bydst", "tid"}
 // scores as arrays, and only Tables builds HUBS and AUTH.
 func crawlCatalog(t *testing.T, db *relstore.DB) []*relstore.Table {
 	t.Helper()
-	for _, name := range legacyScoreTables {
+	for _, name := range []string{"HUBS", "AUTH"} {
 		if db.Table(name) != nil {
 			t.Fatalf("the crawl DB holds a score table %s", name)
 		}
@@ -163,137 +151,5 @@ func TestCrawlKeepsNoDocumentRelation(t *testing.T) {
 	bare("the resumed Run", db2)
 	if n, bound := disk.NumPages(), pageBound(c2); n > bound {
 		t.Fatalf("resumed crawl holds %d pages, bound %d from its CRAWL and LINK rows", n, bound)
-	}
-}
-
-// TestResumeDropsParentDocumentTables reopens a durable crawl written when
-// the crawl still kept a DOCUMENT relation — DOCUMENT#0..n-1 stripes of
-// InsertDoc rows plus a leftover merged DOCUMENT snapshot — and requires
-// Resume to drop every one of them, their pages reaching the free list,
-// and to leave a crawl that runs on without growing the file while those
-// pages last. A
-// crash between the drop and the next checkpoint brings them back (the drop
-// was never checkpointed); resuming again drops them again, and once a
-// checkpoint commits they stay gone.
-func TestResumeDropsParentDocumentTables(t *testing.T) {
-	const workers = 2
-	f := longDocSite(19, 240, 8, 300)
-	_, m := tinyModel(t)
-	disk := relstore.NewMemDisk()
-	opts := relstore.Options{Frames: 4096}
-	db, err := relstore.OpenDurable(disk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Workers: workers, MaxFetches: 60}
-	c, err := New(db, m, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Seed(seedURLs(f, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The parent's shape: one DOCUMENT stripe per LINK stripe, each page's
-	// term rows in its oid's stripe, and the merged snapshot Doc() left.
-	var stripes []*relstore.Table
-	for i := 0; i < workers; i++ {
-		tab, err := db.CreateTable(fmt.Sprintf("DOCUMENT#%d", i), classifier.DocSchema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		stripes = append(stripes, tab)
-	}
-	merged, err := db.CreateTable("DOCUMENT", classifier.DocSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range c.HarvestLog() {
-		vec := textproc.VectorOfTokens(f.pages[h.URL].Tokens)
-		if err := classifier.InsertDoc(stripes[uint64(h.OID)%workers], h.OID, vec); err != nil {
-			t.Fatal(err)
-		}
-		if err := classifier.InsertDoc(merged, h.OID, vec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: the pool is dropped without Close.
-
-	resume := func(budget int64) *Crawler {
-		t.Helper()
-		db, err := relstore.OpenDurable(disk, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := documentTables(db, workers); len(got) != workers+1 {
-			t.Fatalf("reopened file holds DOCUMENT tables %v, want the parent's %d", got, workers+1)
-		}
-		free := disk.FreePages()
-		cfg.MaxFetches = budget
-		c, err := Resume(db, m, f, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := documentTables(db, workers); len(got) != 0 {
-			t.Fatalf("Resume left DOCUMENT tables %v", got)
-		}
-		if disk.FreePages() <= free {
-			t.Fatalf("free list %d pages after dropping DOCUMENT, %d before", disk.FreePages(), free)
-		}
-		if err := c.CheckDirectory(); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	runFlat := func(c *Crawler) {
-		t.Helper()
-		pages, visited := disk.NumPages(), c.visited.Load()
-		res, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Visited <= visited {
-			t.Fatalf("the resumed crawl visited nothing (%d before, %d after)", visited, res.Visited)
-		}
-		if n := disk.NumPages(); n != pages {
-			t.Fatalf("file grew from %d to %d pages with DOCUMENT's freed pages to reuse", pages, n)
-		}
-		if err := c.CheckDirectory(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	runFlat(resume(90))
-	// Crash again, before any checkpoint has recorded the drop.
-
-	c3 := resume(120)
-	runFlat(c3)
-	if err := c3.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash once more, after the checkpoint that records the drop.
-
-	db4, err := relstore.OpenDurable(disk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := documentTables(db4, workers); len(got) != 0 {
-		t.Fatalf("checkpointed file holds DOCUMENT tables %v", got)
-	}
-	cfg.MaxFetches = 150
-	c4, err := Resume(db4, m, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c4.CheckDirectory(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c4.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

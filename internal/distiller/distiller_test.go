@@ -47,24 +47,36 @@ type edge struct {
 	wgtFwd, wgtRev float64
 }
 
-// buildGraph materializes edges and per-node relevance into fresh tables.
+// buildGraph materializes edges and per-node relevance into fresh tables,
+// CRAWL, HUBS and AUTH each with an oid index.
 func buildGraph(t *testing.T, edges []edge, rel map[int64]float64) (*relstore.DB, Tables) {
+	return buildGraphUnindexed(t, edges, rel, "")
+}
+
+// buildGraphUnindexed is buildGraph with the table named unindexed left
+// without its oid index.
+func buildGraphUnindexed(t *testing.T, edges []edge, rel map[int64]float64, unindexed string) (*relstore.DB, Tables) {
 	t.Helper()
 	db := relstore.Open(relstore.Options{Frames: 1024})
 	link, err := db.CreateTable("LINK", linkSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	crawl, _ := db.CreateTable("CRAWL", crawlSchema())
-	if _, err := crawl.AddIndex("oid", func(tp relstore.Tuple) []byte {
-		return relstore.EncodeKey(tp[0])
-	}); err != nil {
-		t.Fatal(err)
+	oidTable := func(name string, schema *relstore.Schema) *relstore.Table {
+		tab, err := db.CreateTable(name, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != unindexed {
+			if _, err := tab.AddIndex("oid", func(tp relstore.Tuple) []byte { return relstore.EncodeKey(tp[0]) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
 	}
-	hubs, _ := db.CreateTable("HUBS", HubsAuthSchema())
-	hubs.AddIndex("oid", func(tp relstore.Tuple) []byte { return relstore.EncodeKey(tp[0]) })
-	auth, _ := db.CreateTable("AUTH", HubsAuthSchema())
-	auth.AddIndex("oid", func(tp relstore.Tuple) []byte { return relstore.EncodeKey(tp[0]) })
+	crawl := oidTable("CRAWL", crawlSchema())
+	hubs := oidTable("HUBS", HubsAuthSchema())
+	auth := oidTable("AUTH", HubsAuthSchema())
 
 	for _, e := range edges {
 		_, err := link.Insert(relstore.Tuple{
@@ -549,10 +561,7 @@ func TestIndexWalkRefusesUnindexedTables(t *testing.T) {
 		{drop: "CRAWL"},
 		{drop: "CRAWL", cfg: Config{Relevance: rel}, ok: true},
 	} {
-		db, tb := buildGraph(t, edges, rel)
-		if err := db.Table(c.drop).DropIndex("oid"); err != nil {
-			t.Fatal(err)
-		}
+		db, tb := buildGraphUnindexed(t, edges, rel, c.drop)
 		_, err := RunIndexWalk(db, tb, c.cfg)
 		if c.ok {
 			if err != nil {

@@ -15,11 +15,6 @@ import (
 // crawler's Resume does, from its harvest log). n must equal the stripe count the store was created with
 // (the crawler persists it in its checkpoint state): a LINK#n table means it
 // does not, and is an error rather than edges left unread.
-//
-// A file written before the directories carries a bysrc (oid_src, oid_dst)
-// B+tree on every stripe, and an older one a bydst (oid_dst, oid_src) B+tree
-// too. Nothing reads them and ingest no longer keys them, so they are dropped,
-// their pages going to the free list.
 func Attach(db *relstore.DB, n int) (*Store, error) {
 	if n <= 0 {
 		n = 1
@@ -32,11 +27,6 @@ func Attach(db *relstore.DB, n int) (*Store, error) {
 		tab := db.Table(fmt.Sprintf("LINK#%d", i))
 		if tab == nil {
 			return nil, fmt.Errorf("linkgraph: attach: missing table LINK#%d", i)
-		}
-		for _, name := range []string{"bydst", "bysrc"} {
-			if err := tab.DropIndex(name); err != nil {
-				return nil, err
-			}
 		}
 		st := newStripe(i, tab)
 		err := tab.ScanCols([]int{ColSrc}, func(rid relstore.RID, v []relstore.Value) (bool, error) {

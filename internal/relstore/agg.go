@@ -2,92 +2,41 @@ package relstore
 
 import "bytes"
 
-// AggKind selects an aggregate function for GroupBy.
-type AggKind int
-
-// Supported aggregates.
-const (
-	AggSum AggKind = iota
-	AggCount
-	AggMin
-	AggMax
-)
-
-// AggSpec is one aggregate column: Kind applied to input column Col.
-// AggCount ignores Col.
-type AggSpec struct {
-	Kind AggKind
-	Col  int
-}
-
-type aggState struct {
-	spec    AggSpec
-	n       int64
-	sumF    float64
+// sumState is one sum column's running total over a group. The sum is
+// accumulated in float64 and comes out in the kind of the group's first
+// non-null value; a group of nulls sums to Null.
+type sumState struct {
+	sum     float64
 	isFloat bool
 	started bool
-	minV    Value
-	maxV    Value
 }
 
-func (a *aggState) add(t Tuple) {
-	a.n++
-	if a.spec.Kind == AggCount {
-		return
-	}
-	v := t[a.spec.Col]
+func (a *sumState) add(v Value) {
 	if v.IsNull() {
 		return
 	}
 	if !a.started {
 		a.started = true
 		a.isFloat = v.Kind == KFloat64
-		a.minV, a.maxV = v, v
 	}
-	a.sumF += v.Float()
-	if less(v, a.minV) {
-		a.minV = v
-	}
-	if less(a.maxV, v) {
-		a.maxV = v
-	}
+	a.sum += v.Float()
 }
 
-func less(a, b Value) bool {
-	return a.Float() < b.Float()
-}
-
-func (a *aggState) result() Value {
-	switch a.spec.Kind {
-	case AggCount:
-		return I64(a.n)
-	case AggSum:
-		if !a.started {
-			return Null()
-		}
-		if a.isFloat {
-			return F64(a.sumF)
-		}
-		return I64(int64(a.sumF))
-	case AggMin:
-		if !a.started {
-			return Null()
-		}
-		return a.minV
-	case AggMax:
-		if !a.started {
-			return Null()
-		}
-		return a.maxV
+func (a *sumState) result() Value {
+	switch {
+	case !a.started:
+		return Null()
+	case a.isFloat:
+		return F64(a.sum)
 	}
-	return Null()
+	return I64(int64(a.sum))
 }
 
 type groupByIter struct {
 	in       Iterator
 	keyFn    func(Tuple) []byte
 	keyCols  []int
-	aggs     []AggSpec
+	sumCols  []int
 	pend     Tuple
 	pendKey  []byte
 	pendOK   bool
@@ -95,10 +44,11 @@ type groupByIter struct {
 	finished bool
 }
 
-// GroupBy aggregates an input stream that is already sorted by the grouping
-// key. Output rows are the key columns followed by one column per AggSpec.
-func GroupBy(in Iterator, keyFn func(Tuple) []byte, keyCols []int, aggs []AggSpec) Iterator {
-	return &groupByIter{in: in, keyFn: keyFn, keyCols: keyCols, aggs: aggs}
+// GroupBy sums an input stream that is already sorted by the grouping key.
+// Output rows are the key columns followed by the sum of each of sumCols
+// over the group.
+func GroupBy(in Iterator, keyFn func(Tuple) []byte, keyCols, sumCols []int) Iterator {
+	return &groupByIter{in: in, keyFn: keyFn, keyCols: keyCols, sumCols: sumCols}
 }
 
 func (g *groupByIter) Next() (Tuple, bool, error) {
@@ -121,15 +71,12 @@ func (g *groupByIter) Next() (Tuple, bool, error) {
 		g.finished = true
 		return nil, false, nil
 	}
-	states := make([]aggState, len(g.aggs))
-	for i := range states {
-		states[i].spec = g.aggs[i]
-	}
+	states := make([]sumState, len(g.sumCols))
 	first := g.pend
 	key := g.pendKey
 	for g.pendOK && bytes.Equal(g.pendKey, key) {
-		for i := range states {
-			states[i].add(g.pend)
+		for i, c := range g.sumCols {
+			states[i].add(g.pend[c])
 		}
 		t, ok, err := g.in.Next()
 		if err != nil {

@@ -783,7 +783,7 @@ func scanLeaf(pid PageID, p, from, to []byte, fn func(k, v []byte) (bool, error)
 
 // FreePages returns every node page of the tree to the disk manager's free
 // list via depth-first walk. The tree is unusable afterwards; callers drop
-// it (DropIndex, DropTable) or replace it (Truncate).
+// it (DropTable) or replace it (Truncate).
 func (t *BTree) FreePages() error {
 	if t.root == InvalidPage {
 		return nil

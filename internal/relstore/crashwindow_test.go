@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -244,39 +243,5 @@ func TestCheckpointSurvivesEverySyncWindowCrash(t *testing.T) {
 	}
 	if got, err := tableRows(db2); err != nil || !slices.Equal(got, next) {
 		t.Fatalf("after the checkpoint recovery reads %d rows (%v), want the %d it committed", len(got), err, len(next))
-	}
-}
-
-// TestOpenRefusesJournalWithoutImageCRCs: a journal at the recovered
-// generation in the layout written before its images carried CRCs is
-// refused by name, not parsed; one at an older generation is ignored, as
-// every journal a later checkpoint committed over is.
-func TestOpenRefusesJournalWithoutImageCRCs(t *testing.T) {
-	mem := NewMemDisk()
-	db, err := OpenDurable(mem, Options{Frames: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := db.CreateTable("T", testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillTable(t, tb, 0, 100)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	gen := db.durable.gen
-	old := encodeJournal(nil) // no pairs: the frame alone carries the layout
-	if err := writeFramed(mem, journalRoot, nil, oldJournalMagic, gen-1, old); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDurable(mem, Options{Frames: 16}); err != nil {
-		t.Fatalf("an older generation's journal must be ignored: %v", err)
-	}
-	if err := writeFramed(mem, journalRoot, nil, oldJournalMagic, gen, old); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDurable(mem, Options{Frames: 16}); err == nil || !strings.Contains(err.Error(), "without image CRCs") {
-		t.Fatalf("OpenDurable over an old-layout journal at generation %d: %v", gen, err)
 	}
 }

@@ -165,12 +165,15 @@
 //     restoring the free list. A disk with pages but no valid manifest is
 //     rejected with ErrNoManifest; Checkpoint on a non-durable DB returns
 //     ErrNotDurable.
+//   - The file has one layout version, stamped in every framed page. Any
+//     layer that changes what it writes bumps it, and a file whose roots
+//     carry another version is refused with ErrLayoutVersion, naming both:
+//     no reader of an older layout is kept, and nothing migrates.
 //
 // Index key functions are closures and cannot be persisted: a reopened
 // table's indexes have their trees intact but Key nil, and the owner must
-// re-bind them by name (Table.BindIndexKey) before any index operation, or
-// drop them (Table.DropIndex), as the crawler's Resume does with the trees
-// older files carry: none of its tables keeps an index.
+// re-bind them by name (Table.BindIndexKey) before any index operation.
+// The crawler keeps no index on any table.
 // Checkpoint is single-writer like the catalog: the caller must hold
 // whatever serializes all table access (the crawler checkpoints under its
 // barrier). DurableDisk adds Sync, FreeList, and Restore to

@@ -278,42 +278,6 @@ func TestTruncateReusesPages(t *testing.T) {
 	}
 }
 
-func TestDropIndexFreesPages(t *testing.T) {
-	db := Open(Options{Frames: 64})
-	schema := NewSchema(Column{Name: "oid", Kind: KInt64})
-	tb, err := db.CreateTable("T", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		if _, err := tb.Insert(Tuple{I64(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := db.Disk().NumPages()
-	if _, err := tb.AddIndex("oid", func(tp Tuple) []byte { return EncodeKey(tp[0]) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.DropIndex("oid"); err != nil {
-		t.Fatal(err)
-	}
-	grown := db.Disk().NumPages()
-	// Re-adding the index reuses the freed tree pages.
-	if _, err := tb.AddIndex("oid", func(tp Tuple) []byte { return EncodeKey(tp[0]) }); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.Disk().NumPages(); n != grown {
-		t.Fatalf("NumPages after re-add = %d, want %d", n, grown)
-	}
-	if err := tb.DropIndex("oid"); err != nil {
-		t.Fatal(err)
-	}
-	if free := db.Disk().FreePages(); free == 0 {
-		t.Fatal("DropIndex freed no pages")
-	}
-	_ = base
-}
-
 func TestSortSpillFreesRunPages(t *testing.T) {
 	db := Open(Options{Frames: 64})
 	schema := NewSchema(Column{Name: "k", Kind: KInt64})

@@ -50,15 +50,19 @@ import (
 // What the manifest cannot carry is code: index key functions are closures.
 // A reopened table's indexes come back with their trees intact but their
 // Key functions nil; the owning subsystem re-binds them by well-known name
-// (Table.BindIndexKey) before use. The crawler keeps no index on any table:
-// on resume it drops the trees an older file carries instead — CRAWL's
-// "oid" and "frontier" and LINK's "bysrc" and "bydst" — and drops an older
-// file's score tables whole, "oid" trees included.
+// (Table.BindIndexKey) before use.
+//
+// The file has one layout, named by manifestVersion in every framed page.
+// A layer that changes what it writes — a frame, the manifest, a heap or
+// B+tree page, or the tables and records a crawl keeps in the catalog —
+// bumps manifestVersion, and a file of another version is refused with
+// ErrLayoutVersion, naming both versions. Nothing migrates: a file is
+// recovered by the release that wrote it.
 
 // Framed metadata page layout (manifest roots and the journal root):
 //
 //	[0:4)   magic
-//	[4:8)   format version (u32)
+//	[4:8)   layout version (u32)
 //	[8:16)  generation (u64)
 //	[16:20) payload length (u32)
 //	[20:24) CRC-32 (IEEE) of the whole payload
@@ -69,8 +73,7 @@ import (
 const (
 	manifestMagic   = 0x4D434F46 // "FOCM" little-endian
 	journalMagic    = 0x4B434F46 // "FOCK": image CRCs in the payload
-	oldJournalMagic = 0x4A434F46 // "FOCJ": no image CRCs
-	manifestVersion = 1
+	manifestVersion = 2          // the file's layout version (see above)
 	manifestHdr     = 28
 	chainHdr        = 4
 	manifestRootA   = PageID(1)
@@ -85,6 +88,11 @@ var ErrNotDurable = errors.New("relstore: checkpoint on a non-durable DB")
 // but no valid manifest — a corrupt file, or one never created by
 // CreateFile/OpenDurable.
 var ErrNoManifest = errors.New("relstore: no valid manifest (corrupt or foreign file)")
+
+// ErrLayoutVersion reports an OpenFile/OpenDurable of a file whose framed
+// pages carry another layout version than this release writes: no manifest
+// root is valid, and one is well framed at another version.
+var ErrLayoutVersion = errors.New("relstore: file layout version")
 
 // manifest is the serialized checkpoint state (JSON inside the page set).
 type manifest struct {
@@ -571,7 +579,8 @@ func readFramed(d DiskManager, root PageID, magic uint32) (uint64, []byte, error
 		return 0, nil, fmt.Errorf("relstore: page %d: bad frame magic", root)
 	}
 	if v := binary.LittleEndian.Uint32(page[4:]); v != manifestVersion {
-		return 0, nil, fmt.Errorf("relstore: page %d: frame version %d unsupported", root, v)
+		return 0, nil, fmt.Errorf("%w: page %d is layout version %d, this release reads %d; recover the file with the release that wrote it",
+			ErrLayoutVersion, root, v, manifestVersion)
 	}
 	gen := binary.LittleEndian.Uint64(page[8:])
 	plen := int(binary.LittleEndian.Uint32(page[16:]))
@@ -623,16 +632,20 @@ func readManifestAt(d DiskManager, root PageID) (*manifest, error) {
 }
 
 // readNewestManifest tries both roots and returns the valid manifest with
-// the highest generation and the slot it was read from.
+// the highest generation and the slot it was read from. With neither valid,
+// a root of another layout version makes the error ErrLayoutVersion.
 func readNewestManifest(d DiskManager) (*manifest, int, error) {
 	var best *manifest
 	slot := -1
-	var firstErr error
+	var firstErr, versionErr error
 	for s, root := range []PageID{manifestRootA, manifestRootB} {
 		m, err := readManifestAt(d, root)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
+			}
+			if versionErr == nil && errors.Is(err, ErrLayoutVersion) {
+				versionErr = err
 			}
 			continue
 		}
@@ -640,10 +653,13 @@ func readNewestManifest(d DiskManager) (*manifest, int, error) {
 			best, slot = m, s
 		}
 	}
-	if best == nil {
-		return nil, -1, fmt.Errorf("%w: %w", ErrNoManifest, firstErr)
+	switch {
+	case best != nil:
+		return best, slot, nil
+	case versionErr != nil:
+		return nil, -1, versionErr
 	}
-	return best, slot, nil
+	return nil, -1, fmt.Errorf("%w: %w", ErrNoManifest, firstErr)
 }
 
 // journalPair records one journaled page: orig is the live page about to be
@@ -673,11 +689,7 @@ type journalImage struct {
 // never committed), loads the saved images. Any invalid, torn, or stale
 // journal, or an image failing its CRC, means no rollback is needed: the
 // interrupted checkpoint never got to its in-place flush, or it committed.
-// A journal at bestGen written without image CRCs is refused by name.
 func readJournal(d DiskManager, bestGen uint64) ([]journalImage, error) {
-	if gen, _, err := readFramed(d, journalRoot, oldJournalMagic); err == nil && gen == bestGen {
-		return nil, fmt.Errorf("relstore: the journal of generation %d has the layout without image CRCs; recover the file with the release that wrote it", gen)
-	}
 	gen, payload, err := readFramed(d, journalRoot, journalMagic)
 	if err != nil || gen != bestGen || len(payload)%12 != 0 {
 		return nil, nil

@@ -1,10 +1,13 @@
 package relstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -426,6 +429,78 @@ func TestOpenFileErrors(t *testing.T) {
 	}
 	if _, err := OpenFile(partial, Options{}); err == nil {
 		t.Fatal("OpenFile of a partial file did not error")
+	}
+}
+
+// TestOpenRefusesOlderLayout: a file whose manifest roots carry an older
+// layout version is refused with ErrLayoutVersion naming both versions —
+// with both roots at that version, and with one of them torn, which leaves
+// no valid root — and the refusal leaves the file's bytes as they were.
+func TestOpenRefusesOlderLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.db")
+	db, err := CreateFile(path, Options{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := db.CreateTable("T", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillTable(t, tb, 0, 300)
+	if err := db.Checkpoint(); err != nil { // both roots now hold a manifest
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The older layout: the same frames stamped version 1 (the CRC covers
+	// the payload only).
+	older := bytes.Clone(current)
+	for _, root := range []PageID{manifestRootA, manifestRootB} {
+		binary.LittleEndian.PutUint32(older[int(root-1)*PageSize+4:], 1)
+	}
+	torn := func(root PageID) []byte {
+		b := bytes.Clone(older)
+		clear(b[int(root-1)*PageSize : int(root-1)*PageSize+512]) // the header's sector never landed
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{
+		{"both roots at version 1", older},
+		{"root A torn", torn(manifestRootA)},
+		{"root B torn", torn(manifestRootB)},
+	} {
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenFile(path, Options{Frames: 64})
+		want := fmt.Sprintf("layout version 1, this release reads %d", manifestVersion)
+		if !errors.Is(err, ErrLayoutVersion) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: OpenFile returned %v, want ErrLayoutVersion naming %q", c.name, err, want)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, c.file) {
+			t.Errorf("%s: the refused open changed the file (%v)", c.name, err)
+		}
+	}
+	// The file as written opens.
+	if err := os.WriteFile(path, current, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenFile(path, Options{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb := db2.Table("T"); tb == nil || tb.Rows() != 300 {
+		t.Fatal("the file as written does not reopen with its 300 rows")
+	}
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

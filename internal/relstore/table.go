@@ -95,18 +95,6 @@ func (tb *Table) AddIndex(name string, key func(Tuple) []byte) (*Index, error) {
 	return ix, nil
 }
 
-// DropIndex removes the named index and returns its B+tree pages to the
-// disk manager's free list.
-func (tb *Table) DropIndex(name string) error {
-	for i, ix := range tb.indexes {
-		if ix.Name == name {
-			tb.indexes = append(tb.indexes[:i], tb.indexes[i+1:]...)
-			return ix.Tree.FreePages()
-		}
-	}
-	return nil
-}
-
 // Index returns the named index or nil.
 func (tb *Table) Index(name string) *Index {
 	for _, ix := range tb.indexes {

@@ -220,6 +220,9 @@ type Web struct {
 	topicPages map[taxonomy.NodeID][]int32
 	vocab      *vocabulary
 	related    map[taxonomy.NodeID][]taxonomy.NodeID
+	// digest fingerprints Cfg (configDigest), computed once by NewWeb:
+	// the fetch state carries it, so an import refuses another web's.
+	digest string
 	fetchState
 }
 
@@ -255,6 +258,7 @@ func NewWeb(cfg Config) (*Web, error) {
 		byURL:      make(map[string]int32, cfg.NumPages),
 		topicPages: make(map[taxonomy.NodeID][]int32),
 		related:    make(map[taxonomy.NodeID][]taxonomy.NodeID),
+		digest:     configDigest(cfg),
 	}
 	w.buildVocab()
 	w.buildAffinities()

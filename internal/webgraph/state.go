@@ -1,9 +1,13 @@
 package webgraph
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"focus/internal/taxonomy"
 )
 
 // FetchState is the serializable snapshot of a Web's mutable fetch-side
@@ -26,8 +30,31 @@ type FetchState struct {
 	Outages  int64 `json:"outages"`
 	// Seed echoes Config.Seed so a mismatched import fails loudly instead
 	// of silently replaying a different stream.
-	Seed  int64                `json:"seed"`
-	Hosts map[string]HostFault `json:"hosts,omitempty"`
+	Seed int64 `json:"seed"`
+	// Config is the exporting web's config digest: a web generated from
+	// another config (another page count, say) holds other pages under the
+	// same URLs, and its import is refused.
+	Config string               `json:"config"`
+	Hosts  map[string]HostFault `json:"hosts,omitempty"`
+}
+
+// configDigest fingerprints a defaulted Config: the taxonomy as its node
+// names in tree order, then every other field. Maps print in key order and
+// floats in their shortest exact form, so equal configs digest equally.
+func configDigest(c Config) string {
+	h := sha256.New()
+	var walk func(n *taxonomy.Node)
+	walk = func(n *taxonomy.Node) {
+		fmt.Fprintf(h, "%q(", n.Name)
+		for _, ch := range n.Children {
+			walk(ch)
+		}
+		fmt.Fprint(h, ")")
+	}
+	walk(c.Tree.Root)
+	c.Tree = nil
+	fmt.Fprintf(h, "%+v", c)
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // HostFault is one server's exported fault state, times relative to the
@@ -53,6 +80,7 @@ func (w *Web) ExportFetchState() ([]byte, error) {
 		Limited:  w.limited.Load(),
 		Outages:  w.outages.Load(),
 		Seed:     w.Cfg.Seed,
+		Config:   w.digest,
 	}
 	if len(w.hosts) > 0 {
 		st.Hosts = make(map[string]HostFault, len(w.hosts))
@@ -68,7 +96,8 @@ func (w *Web) ExportFetchState() ([]byte, error) {
 }
 
 // ImportFetchState restores state captured by ExportFetchState onto a
-// freshly Generated Web with the same Config: the failure RNG is re-seeded
+// freshly Generated Web with the same Config, refusing by name a state
+// exported by a web of another seed or config: the failure RNG is re-seeded
 // and fast-forwarded to the exported stream position, counters are set, and
 // host fault windows are rebased to the import instant.
 func (w *Web) ImportFetchState(data []byte) error {
@@ -78,6 +107,10 @@ func (w *Web) ImportFetchState(data []byte) error {
 	}
 	if st.Seed != w.Cfg.Seed {
 		return fmt.Errorf("webgraph: fetch state for seed %d imported into web with seed %d", st.Seed, w.Cfg.Seed)
+	}
+	if st.Config != w.digest {
+		return fmt.Errorf("webgraph: fetch state for web config %s imported into web with config %s (another page count or generator setting)",
+			st.Config, w.digest)
 	}
 	if st.Draws < 0 {
 		return fmt.Errorf("webgraph: fetch state has negative draw count %d", st.Draws)

@@ -2,6 +2,7 @@ package webgraph
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -85,13 +86,12 @@ func TestFetchStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFetchStateSeedMismatch pins the import guard.
+// TestFetchStateSeedMismatch pins the import guard: a state exported by a
+// web of another seed, or of the same seed and another config (here another
+// page count, so other pages under the same URLs), is refused by name, and
+// a web of the same config accepts it.
 func TestFetchStateSeedMismatch(t *testing.T) {
 	a, err := Generate(Config{Seed: 1, NumPages: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(Config{Seed: 2, NumPages: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,22 @@ func TestFetchStateSeedMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ImportFetchState(blob); err == nil {
-		t.Fatal("seed-mismatched import did not error")
+	for _, c := range []struct {
+		cfg     Config
+		refusal string
+	}{
+		{Config{Seed: 2, NumPages: 150}, "seed"},
+		{Config{Seed: 1, NumPages: 160}, "web config"},
+		{Config{Seed: 1, NumPages: 150}, ""},
+	} {
+		b, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = b.ImportFetchState(blob)
+		if c.refusal == "" && err != nil || c.refusal != "" && (err == nil || !strings.Contains(err.Error(), c.refusal)) {
+			t.Errorf("import into a web of seed %d, %d pages: %v, want a refusal naming %q (none if empty)",
+				c.cfg.Seed, c.cfg.NumPages, err, c.refusal)
+		}
 	}
 }
