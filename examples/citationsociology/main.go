@@ -4,8 +4,8 @@
 // aid."
 //
 // This example runs a focused cycling crawl, then issues the query against
-// the materialized crawl relations: for every visited page classified as
-// cycling, census the best-leaf classes of its visited link targets, and
+// its harvest log and its LINK relation: for every visited page classified
+// as cycling, census the best-leaf classes of its visited link targets, and
 // compare each class's share in that 1-link neighborhood against its share
 // among all visited pages (the "web at large" the crawl saw).
 //
@@ -20,7 +20,6 @@ import (
 	"focus"
 	"focus/internal/crawler"
 	"focus/internal/linkgraph"
-	"focus/internal/relstore"
 	"focus/internal/taxonomy"
 	"focus/internal/webgraph"
 )
@@ -49,18 +48,8 @@ func main() {
 
 	// Best-leaf class of every visited page, by oid.
 	classOf := map[int64]taxonomy.NodeID{}
-	crawlTb, err := sys.Crawler.Crawl()
-	if err != nil {
-		log.Fatal(err)
-	}
-	err = crawlTb.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		if int32(t[crawler.CStatus].Int()) == crawler.StatusVisited {
-			classOf[t[crawler.COID].Int()] = taxonomy.NodeID(t[crawler.CKcid].Int())
-		}
-		return false, nil
-	})
-	if err != nil {
-		log.Fatal(err)
+	for _, h := range sys.Crawler.HarvestLog() {
+		classOf[h.OID] = taxonomy.NodeID(h.Kcid)
 	}
 
 	// "The web at large": the global topic distribution. A production

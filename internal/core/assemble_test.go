@@ -212,29 +212,31 @@ func TestResumeRefusesAnotherWeb(t *testing.T) {
 }
 
 // TestResumeRefusesOlderLayout: ResumeSystem over a file whose manifest
-// roots carry an older layout version returns relstore.ErrLayoutVersion,
-// releases the file and the build goroutine, and leaves the file's bytes
-// as they were.
+// roots carry an older layout version — 1, or 2, whose CRAWL heaps could
+// hold rows in flight — returns relstore.ErrLayoutVersion, releases the file
+// and the build goroutine, and leaves the file's bytes as they were.
 func TestResumeRefusesOlderLayout(t *testing.T) {
 	cfg := durableCrawl(t)
-	b, err := os.ReadFile(cfg.DBPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both roots (pages 1 and 2, at file offsets 0 and PageSize) restamped
-	// with layout version 1 in their frame headers' bytes 4-8.
-	for root := range 2 {
-		binary.LittleEndian.PutUint32(b[root*relstore.PageSize+4:], 1)
-	}
-	if err := os.WriteFile(cfg.DBPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	released := processResources(t)
-	if _, err := ResumeSystem(cfg); !errors.Is(err, relstore.ErrLayoutVersion) {
-		t.Fatalf("ResumeSystem of a version-1 file: err = %v, want relstore.ErrLayoutVersion", err)
-	}
-	released("the refused resume")
-	if after, err := os.ReadFile(cfg.DBPath); err != nil || !bytes.Equal(after, b) {
-		t.Fatalf("the refused resume changed the file (%v)", err)
+	for _, v := range []uint32{1, 2} {
+		b, err := os.ReadFile(cfg.DBPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both roots (pages 1 and 2, at file offsets 0 and PageSize)
+		// restamped with layout version v in their frame headers' bytes 4-8.
+		for root := range 2 {
+			binary.LittleEndian.PutUint32(b[root*relstore.PageSize+4:], v)
+		}
+		if err := os.WriteFile(cfg.DBPath, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		released := processResources(t)
+		if _, err := ResumeSystem(cfg); !errors.Is(err, relstore.ErrLayoutVersion) {
+			t.Fatalf("ResumeSystem of a version-%d file: err = %v, want relstore.ErrLayoutVersion", v, err)
+		}
+		released("the refused resume")
+		if after, err := os.ReadFile(cfg.DBPath); err != nil || !bytes.Equal(after, b) {
+			t.Fatalf("the refused resume of a version-%d file changed it (%v)", v, err)
+		}
 	}
 }

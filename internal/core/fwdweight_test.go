@@ -7,7 +7,6 @@ import (
 
 	"focus/internal/crawler"
 	"focus/internal/linkgraph"
-	"focus/internal/relstore"
 	"focus/internal/webgraph"
 )
 
@@ -23,8 +22,7 @@ func checkForwardWeights(t *testing.T, cr *crawler.Crawler) int {
 		rel[h.OID] = h.Relevance
 	}
 	into := 0
-	err := cr.Links().Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		e := linkgraph.EdgeOf(tp)
+	err := cr.Links().ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		want, visited := rel[e.Dst]
 		if visited {
 			into++

@@ -21,13 +21,16 @@ package crawler
 // tables the crawl keeps is a change of the file's layout: it bumps
 // relstore's layout version, which refuses files of any other.
 //
-// Bit-identical resume is pinned under the same discipline as the one-shard,
-// one-stripe goldens: Workers=1 (so the quiesce point always falls between
-// complete() tails, with nothing in flight) and deterministic fetching.
-// Multi-worker checkpoints are still crash-consistent — no lost or
-// duplicated visits — but rows checked out at the quiesce point flip back to
-// the frontier on resume and their fetch attempts are re-spent, so counters
-// and visit order may differ from the uninterrupted run.
+// A row checked out at the quiesce point is a frontier row on disk: checkout
+// marks it in flight only in its shard's oid directory, so the file holds no
+// row in flight and resume writes nothing to put one back. Bit-identical
+// resume is pinned under the same discipline as the one-shard, one-stripe
+// goldens: Workers=1 (so the quiesce point always falls between complete()
+// tails, with nothing in flight) and deterministic fetching. Multi-worker
+// checkpoints are still crash-consistent — no lost or duplicated visits —
+// but rows checked out at the quiesce point resume as frontier rows and
+// their fetch attempts are re-spent, so counters and visit order may differ
+// from the uninterrupted run.
 
 import (
 	"cmp"
@@ -284,7 +287,7 @@ func (c *Crawler) checkpointLocked() error {
 		LimitedFails:   c.limitedFails.Load(),
 		BreakerTrips:   c.breakerTrips.Load(),
 		SinceCkpt:      c.sinceCkpt.Load(),
-		Distills:       c.distills,
+		Distills:       int(c.snapEpoch.Load()),
 		Epoch:          pub.epoch,
 		FrontierShards: len(c.shards),
 		LinkStripes:    c.links.NumStripes(),
@@ -420,8 +423,8 @@ func policyByName(name string) (Policy, bool) {
 
 // Resume rebuilds a crawler from the checkpoint in a reopened durable DB and
 // leaves it ready to Run with the remaining budget. The persisted relations
-// are attached, rows left in flight at the checkpoint flip back to the
-// frontier, and all derivable in-memory state — harvest log, the shards'
+// are attached — a row in flight at the checkpoint is a frontier row there —
+// and all derivable in-memory state — harvest log, the shards'
 // oid directories, frontier sets and counters, the link store's out-edge
 // directories — is recomputed from the relations, and the harvest log is
 // re-logged as the forward weights. The checkpoint's published scores are
@@ -497,7 +500,6 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	c.pub.Store(r)
 
 	c.sinceCkpt.Store(st.SinceCkpt)
-	c.distills = st.Distills
 	c.snapEpoch.Store(st.Epoch)
 	c.fetches.Store(st.Fetches)
 	c.failed.Store(st.Failed)
@@ -516,9 +518,11 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 // attachShard reopens one CRAWL partition: rebuilds the oid directory (with
 // each row's status and relevance), the frontier set,
 // serverSeen/insertSeq/frontierN and the visit log (sorted by Seq) from the
-// rows, flips rows stranded in flight back to the frontier (their fetches
-// died with the crashed process), republishes the head hint, and rebases
-// the persisted politeness clocks.
+// rows, republishes the head hint, and rebases the persisted politeness
+// clocks. It reads the file and writes nothing: a row that was in flight at
+// the checkpoint is a frontier row in its heap, so its fetch, which died
+// with the crashed process, is simply spent again, and nothing starts in
+// flight.
 func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now time.Time) (*shard, error) {
 	tab := db.Table(fmt.Sprintf("CRAWL#%d", id))
 	if tab == nil {
@@ -531,13 +535,8 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 		hosts:      make(map[int32]*hostState),
 		notBefore:  make(map[int64]time.Time),
 	}
-	type flip struct {
-		rid relstore.RID
-		row relstore.Tuple
-	}
-	var flips []flip
 	var entries []frontierEntry
-	// One tuple serves every row: only an in-flight row's is kept, cloned.
+	// One tuple serves every row.
 	err := tab.ScanShared(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
 		sh.rids[t[COID].Int()] = entryOf(rid, t)
 		sh.serverSeen[SIDOf(t[CURL].S)]++
@@ -551,8 +550,6 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 				return true, err
 			}
 			entries = append(entries, frontierEntry{key, rid})
-		case StatusInflight:
-			flips = append(flips, flip{rid, t.Clone()})
 		case StatusVisited:
 			sh.visits = append(sh.visits, HarvestPoint{
 				Seq: t[CLast].Int(), OID: t[COID].Int(), URL: t[CURL].S,
@@ -564,25 +561,12 @@ func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now ti
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range flips {
-		old := f.row.Clone()
-		f.row[CStatus] = relstore.I32(StatusFrontier)
-		key, err := frontierKeyOf(pol, f.row)
-		if err != nil {
-			return nil, err
-		}
-		if err := sh.crawl.UpdateFrom(f.rid, old, f.row); err != nil {
-			return nil, err
-		}
-		sh.rids[f.row[COID].Int()] = entryOf(f.rid, f.row)
-		entries = append(entries, frontierEntry{key, f.rid})
-	}
 	slices.SortFunc(sh.visits, func(a, b HarvestPoint) int { return cmp.Compare(a.Seq, b.Seq) })
-	// Every in-flight row has flipped back: inflightRows starts at zero.
 	sh.front = buildFrontierSet(entries)
 	sh.frontierN.Store(int64(len(entries)))
-	//focuslint:ignore locktower shard is under construction during resume and not yet published to any worker
+	sh.mu.Lock()
 	sh.recomputeHeadLocked()
+	sh.mu.Unlock()
 	for sid, ch := range ss.Hosts {
 		hs := &hostState{fails: ch.Fails, breaker: ch.Breaker}
 		if ch.OpenRemain > 0 {

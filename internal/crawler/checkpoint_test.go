@@ -78,13 +78,13 @@ func TestCheckpointReportsDistillError(t *testing.T) {
 }
 
 // TestCheckpointInflightCountStress holds the per-shard in-flight counters,
-// kept where the status column is written, to the CRAWL scan they replaced:
+// kept where a row is checked out and written, to the oid directories:
 // inside every checkpoint of a four-worker crawl over a site with flaky
 // pages (so requeues and dead rows move the counters too), the sum over
-// shards must equal the number of StatusInflight rows — which is not
-// c.inflight, raised for the checkpointing worker's own finished visit —
-// the fetch counter less that sum must equal the visits and failures, and
-// a resumed crawl, whose stranded rows flipped back, starts from zero.
+// shards must equal the number of directory entries in flight — which is
+// not c.inflight, raised for the checkpointing worker's own finished visit —
+// no heap row may hold StatusInflight, the fetch counter less that sum must
+// equal the visits and failures, and a resumed crawl starts from zero.
 func TestCheckpointInflightCountStress(t *testing.T) {
 	f := genSite(13, 400, 8, 5)
 	_, m := tinyModel(t)
@@ -95,35 +95,44 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 	}
 	var c *Crawler
 	var checked, rowsSeen int64
-	scanInflight := func() (int64, error) {
-		var n int64
+	// inflight counts the directory entries in flight and the heap rows at
+	// StatusInflight; the barrier must be held.
+	inflight := func() (entries, heapRows int64, err error) {
 		for _, sh := range c.shards {
-			err := sh.crawl.ScanCols([]int{CStatus}, func(_ relstore.RID, v []relstore.Value) (bool, error) {
+			for _, d := range sh.rids {
+				if int32(d.status) == StatusInflight {
+					entries++
+				}
+			}
+			err = sh.crawl.ScanCols([]int{CStatus}, func(_ relstore.RID, v []relstore.Value) (bool, error) {
 				if int32(v[0].Int()) == StatusInflight {
-					n++
+					heapRows++
 				}
 				return false, nil
 			})
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
-		return n, nil
+		return entries, heapRows, nil
 	}
 	cfg := Config{Workers: 4, MaxFetches: 400, DistillEvery: 40, CheckpointEvery: 10}
 	// CheckpointExtra runs inside the checkpoint's quiesce, under the barrier.
 	cfg.CheckpointExtra = func() ([]byte, error) {
-		scan, err := scanInflight()
+		entries, heapRows, err := inflight()
 		if err != nil {
 			return nil, err
+		}
+		if heapRows != 0 {
+			return nil, fmt.Errorf("%d heap rows hold StatusInflight", heapRows)
 		}
 		var sum int64
 		for _, sh := range c.shards {
 			sum += sh.inflightRows
 		}
-		if sum != scan {
-			return nil, fmt.Errorf("shards count %d rows in flight, a scan of CRAWL finds %d (c.inflight = %d)",
-				sum, scan, c.inflight.Load())
+		if sum != entries {
+			return nil, fmt.Errorf("shards count %d rows in flight, the directories hold %d (c.inflight = %d)",
+				sum, entries, c.inflight.Load())
 		}
 		// The state records the fetch count net of the rows in flight:
 		// exactly the fetches that have completed.
@@ -132,7 +141,7 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 				net, sum, c.visited.Load(), c.failed.Load())
 		}
 		checked++
-		rowsSeen += scan
+		rowsSeen += entries
 		return nil, nil
 	}
 	// A fetch that takes a moment keeps the other workers' rows checked out
@@ -174,7 +183,7 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.lockAll()
-	scan, err := scanInflight()
+	entries, heapRows, err := inflight()
 	c.unlockAll()
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +193,8 @@ func TestCheckpointInflightCountStress(t *testing.T) {
 			t.Fatalf("shard %d resumes with %d rows counted in flight", sh.id, sh.inflightRows)
 		}
 	}
-	if scan != 0 {
-		t.Fatalf("%d rows still in flight after Resume flipped them back", scan)
+	if entries != 0 || heapRows != 0 {
+		t.Fatalf("%d directory entries and %d heap rows in flight after Resume", entries, heapRows)
 	}
 	if err := c.CheckDirectory(); err != nil {
 		t.Fatal(err)

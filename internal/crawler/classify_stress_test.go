@@ -99,12 +99,8 @@ func inlineClassifyStress(t *testing.T) {
 	}
 
 	// Visited CRAWL rows agree.
-	snap, err := c.Crawl()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var visitedRows int64
-	err = snap.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+	err = crawlTable(t, c).Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
 		if int32(tp[CStatus].Int()) == StatusVisited {
 			visitedRows++
 		}

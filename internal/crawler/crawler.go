@@ -227,21 +227,20 @@ type Crawler struct {
 	// epochMu serializes distillation epochs, checkpoints and Tables, so
 	// publishing is one writer at a time and a checkpoint never sees an
 	// epoch mid-compute. It is taken with no other lock held and stays held
-	// across the HITS run. It also guards handed's adoption, ckptScores and
-	// distills.
+	// across the HITS run. It also guards handed's adoption and ckptScores.
 	//focuslint:lock rank=epoch order=5
 	epochMu sync.Mutex
 
 	// policy is written only under the barrier, so any one shard lock reads
-	// it; distills is guarded by epochMu; a CompareAndSwap of sinceCkpt to 0
-	// claims the checkpoint count trigger.
+	// it; a CompareAndSwap of sinceCkpt to 0 claims the checkpoint count
+	// trigger.
 	policy    Policy
-	distills  int
 	sinceCkpt atomic.Int64
 
 	// pub is the latest published epoch and its scores, never nil (epoch
 	// 0, empty, before the first). An epoch replaces it whole, so a reader
-	// loads it once and needs no lock; snapEpoch counts snapshots taken.
+	// loads it once and needs no lock; snapEpoch counts snapshots taken, the
+	// crawl's one epoch counter (Result.Distills reads it).
 	// The two differ only while an epoch computes — the stale-score window
 	// monitors may observe.
 	pub       atomic.Pointer[scores]
@@ -355,12 +354,13 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 
 // Tables exposes the crawl relations as the distiller and Figure 8's
 // fixtures read them, each materialized under the stop-the-world barrier:
-// Link is the live striped store, Crawl a fresh cross-shard snapshot (see
-// Crawl), and Hubs and Auth heap tables named HUBS and AUTH holding the
-// published scores in ascending oid order, as RunJoin leaves them. Like
-// Crawl's, each call replaces the previous tables, whose handles become
-// invalid; no table has an index (distiller.RunIndexWalk's caller adds the
-// ones it probes). A distiller run over the returned tables republishes
+// Link is the live striped store, Crawl a copy of every shard's CRAWL rows
+// in a table named CRAWL (a row in flight reads as the frontier row its
+// heap holds), and Hubs and Auth heap tables named HUBS and AUTH holding
+// the published scores in ascending oid order, as RunJoin leaves them. Each
+// call replaces the previous tables, whose pages are freed for reuse and
+// whose handles become invalid; no table has an index
+// (distiller.RunIndexWalk's caller adds the ones it probes). A distiller run over the returned tables republishes
 // its result: the next score read — or checkpoint — ranks Hubs and Auth
 // and publishes them, unless an epoch publishes first. That is how a crawl
 // that ran no epoch gets the end-of-crawl one its report asks for.
@@ -374,8 +374,20 @@ func (c *Crawler) Tables() (distiller.Tables, error) {
 	c.lockAll()
 	defer c.unlockAll()
 	tb := distiller.Tables{Link: c.links}
-	if tb.Crawl, err = c.snapshotCrawlLocked(); err != nil {
+	if err := c.db.DropTable("CRAWL"); err != nil {
 		return distiller.Tables{}, err
+	}
+	if tb.Crawl, err = c.db.CreateTable("CRAWL", CrawlSchema()); err != nil {
+		return distiller.Tables{}, err
+	}
+	for _, sh := range c.shards {
+		err := sh.crawl.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+			_, err := tb.Crawl.Insert(t)
+			return false, err
+		})
+		if err != nil {
+			return distiller.Tables{}, err
+		}
 	}
 	if tb.Hubs, err = c.materializeLocked("HUBS", r.hubs); err != nil {
 		return distiller.Tables{}, err
@@ -446,44 +458,7 @@ func readScores(epoch int64, hubs, auth *relstore.Table) (*scores, error) {
 	return &scores{epoch: epoch, hubs: distiller.Rank(h), auth: distiller.Rank(a)}, nil
 }
 
-// Crawl materializes and returns a consistent snapshot of the full CRAWL
-// relation, merged across shards into a table named "CRAWL" with no index.
-// Each call refreshes the snapshot: the previous copy's pages are
-// returned to the disk manager's free list and reused, so polling monitors
-// hold the allocated-page count flat — but any previously returned table
-// handle becomes invalid. Rows are copies, so mutating the returned table
-// does not affect the live frontier.
-func (c *Crawler) Crawl() (*relstore.Table, error) {
-	c.lockAll()
-	defer c.unlockAll()
-	return c.snapshotCrawlLocked()
-}
-
-// snapshotCrawlLocked rebuilds the merged CRAWL view table. The barrier
-// must be held, so the copy is a consistent cross-shard snapshot.
-//
-//focuslint:lock requires=stripe*,shard*
-func (c *Crawler) snapshotCrawlLocked() (*relstore.Table, error) {
-	if err := c.db.DropTable("CRAWL"); err != nil {
-		return nil, err
-	}
-	snap, err := c.db.CreateTable("CRAWL", CrawlSchema())
-	if err != nil {
-		return nil, err
-	}
-	for _, sh := range c.shards {
-		err := sh.crawl.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-			_, err := snap.Insert(t)
-			return false, err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return snap, nil
-}
-
-// Links returns the striped LINK store. Its Scan/Rows surface is safe
+// Links returns the striped LINK store. Its ScanEdges/Rows surface is safe
 // to use while the crawl runs (each stripe locks for its portion); for a
 // consistent cross-stripe snapshot use it after Run or via Tables.
 func (c *Crawler) Links() *linkgraph.Store { return c.links }
@@ -496,9 +471,10 @@ func (c *Crawler) NumShards() int { return len(c.shards) }
 
 // SetPolicy swaps the frontier checkout order, rebuilding every shard's
 // frontier set from a scan of its heap under the barrier — the "policy
-// changed dynamically" capability of §3.1. A policy whose keys do not lead
-// with the row's status or do not fit the set's width is refused by name,
-// and the crawl keeps its old order.
+// changed dynamically" capability of §3.1. A row's status is read from its
+// directory entry: a row in flight is a frontier row in the heap. A policy
+// whose keys do not lead with the row's status or do not fit the set's
+// width is refused by name, and the crawl keeps its old order.
 func (c *Crawler) SetPolicy(p Policy) error {
 	c.lockAll()
 	defer c.unlockAll()
@@ -509,7 +485,7 @@ func (c *Crawler) SetPolicy(p Policy) error {
 	for i, sh := range c.shards {
 		var entries []frontierEntry
 		err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
-			if int32(t[CStatus].Int()) != StatusFrontier {
+			if int32(sh.rids[t[COID].Int()].status) != StatusFrontier {
 				return false, nil
 			}
 			key, err := frontierKeyOf(p, t)
@@ -621,15 +597,12 @@ func (c *Crawler) Run() (Result, error) {
 	if err := <-errCh; err != nil {
 		return Result{}, err
 	}
-	c.epochMu.Lock()
-	distills := c.distills
-	c.epochMu.Unlock()
 	res := Result{
 		Visited:             c.visited.Load(),
 		Fetches:             c.fetches.Load(),
 		Failed:              c.failed.Load(),
 		Dead:                c.dead.Load(),
-		Distills:            distills,
+		Distills:            int(c.snapEpoch.Load()),
 		Checkpoints:         c.checkpoints.Load(),
 		Elapsed:             time.Since(start),
 		DistillStall:        time.Duration(c.stallNS.Load()),
@@ -977,13 +950,12 @@ func (c *Crawler) distill() error {
 // it cuts a LINK snapshot — every visited page's relevance is logged by
 // then, so no edge into one reads a radius-1 weight — and copies the
 // cross-shard relevance view. It returns the new epoch's number. epochMu
-// must be held; it guards the snapshot count.
+// must be held, so epochs are numbered in snapshot order.
 //
 //focuslint:lock requires=epoch
 func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float64, error) {
 	c.lockAll()
 	defer c.unlockAll()
-	c.distills++
 	rel := c.relevanceLocked()
 	snap, err := c.links.SnapshotLocked()
 	if err != nil {

@@ -88,6 +88,17 @@ func newTestCrawler(t *testing.T, f Fetcher, cfg Config) (*Crawler, *relstore.DB
 	return c, db
 }
 
+// crawlTable returns CRAWL merged across the shards, as Tables materializes
+// it under the barrier.
+func crawlTable(t *testing.T, c *Crawler) *relstore.Table {
+	t.Helper()
+	tb, err := c.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb.Crawl
+}
+
 func TestCrawlVisitsAndClassifies(t *testing.T) {
 	f := &stubFetcher{pages: map[string]*Fetch{
 		"http://a.test/1": page("http://a.test/1", "alpha", "http://a.test/2"),
@@ -260,7 +271,8 @@ func TestLinkDedupAndWeightRefresh(t *testing.T) {
 }
 
 // TestLinkDedupAcrossBatchesStress covers the case the single-crawl test above
-// cannot: the same edge arriving in two workers' batches concurrently.
+// cannot: the same edge arriving in two workers' batches concurrently, each
+// batch one page's out-links.
 // Every distinct (src, dst) must be stored exactly once no matter how the
 // batches interleave, and the crawler's link store must agree with a
 // serial count.
@@ -282,17 +294,18 @@ func TestLinkDedupAcrossBatchesStress(t *testing.T) {
 	errs := make(chan error, workers)
 	start := make(chan struct{})
 	for w := 0; w < workers; w++ {
-		// Every worker submits the same overlapping edges, split across
-		// several batches.
+		// Every worker submits the same overlapping pages: a source comes
+		// back in several of them.
 		var batches []*linkgraph.Batch
 		for b := 0; b < 5; b++ {
-			batch := &linkgraph.Batch{}
-			for i := 0; i < 30; i++ {
-				src, dst := int64(b*7+i%11), int64(100+i)
-				batch.Add(edge(src, dst))
-				distinct[[2]int64{src, dst}] = true
+			for k := 0; k < 11; k++ {
+				batch, src := &linkgraph.Batch{}, int64(b*7+k)
+				for i := k; i < 30; i += 11 {
+					batch.Add(edge(src, int64(100+i)))
+					distinct[[2]int64{src, int64(100 + i)}] = true
+				}
+				batches = append(batches, batch)
 			}
-			batches = append(batches, batch)
 		}
 		wg.Add(1)
 		go func() {

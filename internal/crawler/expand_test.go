@@ -60,7 +60,8 @@ func TestExpandLinksAllocs(t *testing.T) {
 		t.Fatalf("frontier holds %d rows, every link of every page should have added one", got)
 	}
 	t.Logf("expanding a 44-link page of new targets allocates %.0f times", avg)
-	// Lands at 51: one per new target plus a few per page. It was 103 while
+	// Lands at 48: one per new target plus a few per page. It was 50 while
+	// linkgraph.Apply grouped a batch by stripe (two slices a page), 103 while
 	// each new target was its own insert from a fresh tuple and each page
 	// fresh edge and URL slices, 152 while the frontier was a B+tree (a third
 	// per target for its index key) and 197 while CRAWL also had an oid index.

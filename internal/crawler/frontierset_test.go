@@ -301,19 +301,28 @@ func TestCheckFrontierSetCatchesDrift(t *testing.T) {
 }
 
 // TestCheckoutPoolFetches: with politeness off a checkout reads its row and
-// writes it back, so it fetches at most two pool pages whatever the frontier
-// holds — the frontier set is in memory.
+// marks it in flight in the oid directory, so it fetches at most one pool
+// page whatever the frontier holds — the frontier set is in memory, and the
+// heap row is not rewritten. Every checkout's row must be in flight in its
+// directory entry and still a frontier row in its heap.
 func TestCheckoutPoolFetches(t *testing.T) {
 	c, db := warmExpandCrawler(t)
 	for i := 0; i < 100; i++ {
 		before := db.Pool().Stats()
-		_, _, _, ok, _, err := c.checkout(i % 2)
+		sh, rid, row, ok, _, err := c.checkout(i % 2)
 		after := db.Pool().Stats()
 		if err != nil || !ok {
 			t.Fatalf("checkout %d: ok=%v err=%v", i, ok, err)
 		}
-		if n := (after.Hits + after.Misses) - (before.Hits + before.Misses); n > 2 {
-			t.Fatalf("checkout %d fetched %d pool pages, want at most 2", i, n)
+		if n := (after.Hits + after.Misses) - (before.Hits + before.Misses); n > 1 {
+			t.Fatalf("checkout %d fetched %d pool pages, want at most 1", i, n)
+		}
+		stored, err := sh.crawl.Get(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sh.rids[row[COID].Int()]; int32(d.status) != StatusInflight || int32(stored[CStatus].Int()) != StatusFrontier {
+			t.Fatalf("checkout %d: directory status %d, heap status %d", i, d.status, stored[CStatus].Int())
 		}
 	}
 	if err := c.CheckDirectory(); err != nil {

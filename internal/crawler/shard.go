@@ -56,9 +56,10 @@ type shard struct {
 	insertSeq  int64 // per-shard FIFO sequence (cross-shard FIFO is relaxed)
 
 	frontierN atomic.Int64 // checkable frontier rows (read without the lock)
-	// inflightRows counts this shard's StatusInflight rows under mu, moved
-	// where the status column is written; checkpoints sum it. Unlike the
-	// crawler's inflight it drops when the row does, not at the end of complete.
+	// inflightRows counts this shard's rows in flight under mu: directory
+	// entries at StatusInflight, whose heap rows stay frontier rows.
+	// Checkpoints sum it. Unlike the crawler's inflight it drops when the row
+	// is written, not at the end of complete.
 	inflightRows int64
 
 	// head publishes the frontier-set key of this shard's current frontier
@@ -101,7 +102,10 @@ func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
 // hub-neighbor boost and the distill barrier decide what to do with a row
 // without reading its heap page. Every write of either column updates the
 // entry in the critical section that writes the heap (writeLocked,
-// admitLocked; attachShard while it rebuilds). 16 bytes, no pointer.
+// admitLocked; attachShard while it rebuilds). One status lives only here:
+// checkout marks a row StatusInflight in its entry and leaves its heap row
+// the frontier row, which is what a resume makes of a row in flight, so no
+// heap row is ever in flight. 16 bytes, no pointer.
 type dirEntry struct {
 	page   uint32
 	slot   uint16
@@ -152,10 +156,10 @@ func (c *Crawler) shardFor(sid int32) *shard { return c.shards[c.shardIndex(sid)
 
 // lockAll acquires every link stripe mutex, then every shard mutex, each in
 // ascending id order — the stop-the-world barrier used by distillation
-// snapshots, checkpoints, policy swaps, Tables and Crawl, and the
-// missed-neighbors query. Stripes come first because they rank lowest in
-// the lock order: an ingesting worker holding a stripe lock may be waiting
-// for a shard lock, so taking stripes before shards lets it drain.
+// snapshots, checkpoints, policy swaps, Tables, and the missed-neighbors
+// query. Stripes come first because they rank lowest in the lock order: an
+// ingesting worker holding a stripe lock may be waiting for a shard lock,
+// so taking stripes before shards lets it drain.
 //
 //focuslint:lock sequence=stripe*,shard* exit=held
 func (c *Crawler) lockAll() {
@@ -324,11 +328,11 @@ func (sh *shard) recomputeHeadLocked() {
 }
 
 // checkout pops the shard's best eligible frontier row (in the policy's
-// order) and marks it in flight. Returns ok=false when nothing in this
-// shard's frontier can be checked out now. With politeness on (see
-// politeness.go) the walk skips rows still backing off, hosts at their
-// in-flight cap or inside their inter-fetch delay, and hosts behind an open
-// breaker; skipped rows stay in the frontier at full priority, and the
+// order) and marks it in flight in the oid directory. Returns ok=false when
+// nothing in this shard's frontier can be checked out now. With politeness
+// on (see politeness.go) the walk skips rows still backing off, hosts at
+// their in-flight cap or inside their inter-fetch delay, and hosts behind an
+// open breaker; skipped rows stay in the frontier at full priority, and the
 // returned wake time is the earliest moment one becomes eligible by clock
 // (zero when nothing is waiting on the clock — blocks that clear through
 // other events, like a host slot freeing, always coincide with a fetch in
@@ -351,7 +355,7 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 		now = time.Now()
 	}
 	// The walk reads each row it passes; with politeness off the first
-	// admits, so a checkout reads one row and writes it back.
+	// admits, so a checkout reads one row.
 	var (
 		pop  frontierEntry
 		row  relstore.Tuple
@@ -376,15 +380,15 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	if err != nil || row == nil {
 		return relstore.RID{}, nil, false, wake, err
 	}
-	rid := pop.rid
-	old := row.Clone()
 	if c.checkoutHook != nil {
-		c.checkoutHook(sh, old)
+		c.checkoutHook(sh, row)
 	}
-	row[CStatus] = relstore.I32(StatusInflight)
-	if err := sh.writeLocked(rid, old, row); err != nil {
-		return relstore.RID{}, nil, false, wake, err
-	}
+	// The heap row stays the frontier row resume would make of a row in
+	// flight: only its directory entry marks it checked out.
+	oid := row[COID].Int()
+	d := sh.rids[oid]
+	d.status = int16(StatusInflight)
+	sh.rids[oid] = d
 	sh.front.delete(&pop.key)
 	sh.inflightRows++
 	c.fetches.Add(1)
@@ -395,9 +399,9 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	sh.recomputeHeadLocked()
 	if c.politeOn {
 		c.acquireHostLocked(sh, SIDOf(row[CURL].S), now)
-		delete(sh.notBefore, row[COID].Int())
+		delete(sh.notBefore, oid)
 	}
-	return rid, row, true, wake, nil
+	return pop.rid, row, true, wake, nil
 }
 
 // boostLocked raises an unvisited, never-tried frontier row's relevance to
@@ -474,14 +478,17 @@ func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, er
 // of its CRAWL partition, and then the LINK stripes' directories
 // (linkgraph.Store.CheckDirectory). A shard's oid directory must hold one
 // entry per row, each at that row's RID and carrying its status and
-// relevance, the latter bit for bit. Its frontier set must be well
-// formed and hold each StatusFrontier row exactly once, at its RID, under
-// the policy's key, and no other row; its size must equal the frontier
-// counter, and the published head must be its first key. Its visit log must
-// hold exactly its StatusVisited rows, ascending by Seq, each entry with its
-// row's oid, URL, class and relevance (bit for bit) and lastvisited = Seq;
-// across the shards the Seqs must be exactly 1..visited. It takes one shard
-// or stripe lock at a time, so it is exact on a crawl that is not running.
+// relevance, the latter bit for bit — but for the rows in flight, whose
+// entries say StatusInflight over a StatusFrontier heap row: no heap row may
+// be in flight, and the in-flight entries must number inflightRows. Its
+// frontier set must be well formed and hold each row whose entry is
+// StatusFrontier exactly once, at its RID, under the policy's key, and no
+// other row; its size must equal the frontier counter, and the published
+// head must be its first key. Its visit log must hold exactly its
+// StatusVisited rows, ascending by Seq, each entry with its row's oid, URL,
+// class and relevance (bit for bit) and lastvisited = Seq; across the
+// shards the Seqs must be exactly 1..visited. It takes one shard or stripe
+// lock at a time, so it is exact on a crawl that is not running.
 func (c *Crawler) CheckDirectory() error {
 	var seqs []int64
 	for _, sh := range c.shards {
@@ -513,15 +520,21 @@ func (sh *shard) checkDirectoryLocked() error {
 		return fmt.Errorf("crawler: shard %d: frontier set: %w", sh.id, err)
 	}
 	var frontier int
+	var inflight int64
 	visited := make(map[int64]HarvestPoint)
 	err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
 		d, ok := sh.rids[t[COID].Int()]
 		if !ok || d.rid() != rid {
 			return true, fmt.Errorf("crawler: shard %d: oid %d lies at %v, directory has %v", sh.id, t[COID].Int(), rid, d.rid())
 		}
-		if want := entryOf(rid, t); d.status != want.status || math.Float64bits(d.rel) != math.Float64bits(want.rel) {
+		want := entryOf(rid, t)
+		if int32(d.status) == StatusInflight && int32(want.status) == StatusFrontier {
+			want.status = d.status
+			inflight++
+		}
+		if int32(t[CStatus].Int()) == StatusInflight || d.status != want.status || math.Float64bits(d.rel) != math.Float64bits(want.rel) {
 			return true, fmt.Errorf("crawler: shard %d: oid %d has status %d and relevance %v, directory has %d and %v",
-				sh.id, t[COID].Int(), want.status, want.rel, d.status, d.rel)
+				sh.id, t[COID].Int(), t[CStatus].Int(), want.rel, d.status, d.rel)
 		}
 		if int32(t[CStatus].Int()) == StatusVisited {
 			visited[t[COID].Int()] = HarvestPoint{
@@ -529,7 +542,7 @@ func (sh *shard) checkDirectoryLocked() error {
 				Relevance: t[CRel].Float(), Kcid: int32(t[CKcid].Int()),
 			}
 		}
-		if int32(t[CStatus].Int()) != StatusFrontier {
+		if int32(d.status) != StatusFrontier {
 			return false, nil
 		}
 		frontier++
@@ -553,6 +566,9 @@ func (sh *shard) checkDirectoryLocked() error {
 	}
 	if n := sh.frontierN.Load(); n != int64(frontier) {
 		return fmt.Errorf("crawler: shard %d: frontier counter says %d, the heap holds %d frontier rows", sh.id, n, frontier)
+	}
+	if inflight != sh.inflightRows {
+		return fmt.Errorf("crawler: shard %d: %d directory entries are in flight, inflightRows says %d", sh.id, inflight, sh.inflightRows)
 	}
 	first, ok := sh.front.first()
 	if h := sh.head.Load(); ok != (h != nil) || ok && *h != first.key {

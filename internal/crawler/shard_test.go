@@ -328,11 +328,13 @@ func TestShardCheckoutOrderProperty(t *testing.T) {
 				url, sh.id, home.id)
 		}
 		// The checked-out row must be minimal under the policy key among
-		// this shard's frontier rows (sh.mu is held by the caller).
+		// this shard's frontier rows (sh.mu is held by the caller). A row in
+		// flight is a frontier row in the heap: its status is read from its
+		// directory entry.
 		key := c.policy.Key(row)
 		var minKey []byte
 		err := sh.crawl.Scan(func(_ relstore.RID, rt relstore.Tuple) (bool, error) {
-			if int32(rt[CStatus].Int()) != StatusFrontier {
+			if int32(sh.rids[rt[COID].Int()].status) != StatusFrontier {
 				return false, nil
 			}
 			if k := c.policy.Key(rt); minKey == nil || bytes.Compare(k, minKey) < 0 {

@@ -3,12 +3,11 @@ package crawler
 import "testing"
 
 // TestRepeatedSnapshotsBoundPages pins the fix for the snapshot page leak:
-// Crawl() rebuilds its merged view table through DropTable on every call,
-// and before the disk manager grew a free-page list each poll leaked the
-// previous copy's heap and index pages — O(|CRAWL|) pages per query for a
-// monitor that polls. Crawl() is the only merged snapshot left to poll (the
-// crawl keeps no DOCUMENT relation). After the first refresh the allocated
-// page count must stay exactly flat.
+// Tables() rebuilds its merged CRAWL table and its score tables through
+// DropTable on every call, and before the disk manager grew a free-page list
+// each call leaked the previous copies' heap and index pages — O(|CRAWL|)
+// pages per call for a caller that polls. After the first refresh the
+// allocated page count must stay exactly flat.
 func TestRepeatedSnapshotsBoundPages(t *testing.T) {
 	site := map[string]*Fetch{}
 	var seeds []string
@@ -33,11 +32,7 @@ func TestRepeatedSnapshotsBoundPages(t *testing.T) {
 	}
 
 	snapshot := func() {
-		snap, err := c.Crawl()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Rows() == 0 {
+		if crawlTable(t, c).Rows() == 0 {
 			t.Fatal("empty CRAWL snapshot")
 		}
 	}

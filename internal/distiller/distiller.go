@@ -38,14 +38,12 @@ import (
 )
 
 // LinkRel is the read surface the distiller needs from the LINK relation:
-// a sequential scan, as typed edges for Distill and as tuples for the index
-// walk and seedHubs. The crawler's striped linkgraph store and its snapshot
-// satisfy it; a plain *relstore.Table needs an adapter. The distiller is
-// agnostic to how the edges are partitioned, as long as one logical
-// relation comes back.
+// a sequential scan as typed edges. The crawler's striped linkgraph store and
+// its snapshot satisfy it; a plain *relstore.Table needs an adapter. The
+// distiller is agnostic to how the edges are partitioned, as long as one
+// logical relation comes back.
 type LinkRel interface {
 	ScanEdges(fn func(linkgraph.Edge) (bool, error)) error
-	Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error
 }
 
 // Tables names the relations the distiller reads and writes. The LINK
@@ -122,11 +120,10 @@ func seedHubs(tb Tables) error {
 		return err
 	}
 	seen := make(map[int64]bool)
-	err := tb.Link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
-		src := t[linkgraph.ColSrc].Int()
-		if !seen[src] {
-			seen[src] = true
-			_, err := tb.Hubs.Insert(relstore.Tuple{relstore.I64(src), relstore.F64(1)})
+	err := tb.Link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		if !seen[e.Src] {
+			seen[e.Src] = true
+			_, err := tb.Hubs.Insert(relstore.Tuple{relstore.I64(e.Src), relstore.F64(1)})
 			return false, err
 		}
 		return false, nil

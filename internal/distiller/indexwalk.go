@@ -79,9 +79,8 @@ func walkHalf(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
 	}
 	dstIx := dst.Index("oid") // truncation rebuilds indexes
 
-	err := tb.Link.Scan(func(_ relstore.RID, t relstore.Tuple) (bool, error) {
+	err := tb.Link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		tScan := time.Now()
-		e := linkgraph.EdgeOf(t)
 		if !cfg.keepEdge(e) {
 			bd.Scan += time.Since(tScan)
 			return false, nil

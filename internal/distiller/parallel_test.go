@@ -140,13 +140,6 @@ func (r edgeRel) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
 	return nil
 }
 
-func (r edgeRel) Scan(fn func(relstore.RID, relstore.Tuple) (bool, error)) error {
-	return r.ScanEdges(func(e linkgraph.Edge) (bool, error) {
-		return fn(relstore.RID{}, relstore.Tuple{relstore.I64(e.Src), relstore.I32(e.SidSrc),
-			relstore.I64(e.Dst), relstore.I32(e.SidDst), relstore.F64(e.WgtFwd), relstore.F64(e.WgtRev)})
-	})
-}
-
 // crawlShapedGraph builds a LINK relation of the given size, and the
 // relevance view over its pages, at the shape a standard crawl leaves at its
 // last epoch (seed 7: 32.7k edges from 1.9k sources to 13.7k destinations,

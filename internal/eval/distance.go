@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"focus/internal/crawler"
+	"focus/internal/distiller"
 	"focus/internal/linkgraph"
 	"focus/internal/webgraph"
 )
@@ -114,14 +115,8 @@ func seedOIDs(urls []string) []int64 {
 	return out
 }
 
-// LinkScanner is the read surface BFS needs from the LINK relation, which
-// the crawler's striped linkgraph store satisfies.
-type LinkScanner interface {
-	ScanEdges(fn func(linkgraph.Edge) (bool, error)) error
-}
-
 // CrawlGraphDistances runs BFS over the LINK relation from the given oids.
-func CrawlGraphDistances(link LinkScanner, from []int64) (map[int64]int, error) {
+func CrawlGraphDistances(link distiller.LinkRel, from []int64) (map[int64]int, error) {
 	adj := make(map[int64][]int64)
 	err := link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		adj[e.Src] = append(adj[e.Src], e.Dst)

@@ -248,15 +248,6 @@ func TestDistillerPerfJoinWins(t *testing.T) {
 	}
 }
 
-func TestCrawlGraphDistancesSeedZero(t *testing.T) {
-	// BFS helper sanity: seeds at distance zero, neighbors at one.
-	web, err := webgraph.Generate(webgraph.Config{Seed: 38, NumPages: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = web // distances over LINK are covered by TestRunDistanceShape
-}
-
 func TestRunHostilePoliteBeatsNaive(t *testing.T) {
 	// The headline acceptance number: at the default hostile level, the
 	// polite stack must buy at least 1.3x the naive crawler's harvest

@@ -23,35 +23,33 @@ func newRefLink(stripes int) *refLink {
 	return &refLink{stripes: stripes, stored: map[[2]int64]bool{}, heap: make([][]Edge, stripes)}
 }
 
-// apply returns the inserted flags and the edges handed to weight, in order.
+// apply returns the inserted flags and the edges handed to weight, in order:
+// arrival order, the order the callbacks are seen in.
 func (m *refLink) apply(edges []Edge, weight func(Edge) float64) (inserted []bool, calls []Edge) {
 	inserted = make([]bool, len(edges))
-	// Apply walks the stripes in ascending order and a stripe's edges in
-	// arrival order; that is the order the callbacks are seen in.
-	for si := 0; si < m.stripes; si++ {
-		for i, e := range edges {
-			if int(uint64(e.Src)%uint64(m.stripes)) != si || m.stored[[2]int64{e.Src, e.Dst}] {
-				continue
-			}
-			calls = append(calls, e)
-			e.WgtFwd = weight(e)
-			m.stored[[2]int64{e.Src, e.Dst}] = true
-			m.heap[si] = append(m.heap[si], e)
-			inserted[i] = true
+	for i, e := range edges {
+		if m.stored[[2]int64{e.Src, e.Dst}] {
+			continue
 		}
+		si := int(uint64(e.Src) % uint64(m.stripes))
+		calls = append(calls, e)
+		e.WgtFwd = weight(e)
+		m.stored[[2]int64{e.Src, e.Dst}] = true
+		m.heap[si] = append(m.heap[si], e)
+		inserted[i] = true
 	}
 	return inserted, calls
 }
 
 // TestApplyMatchesPerEdgeModel drives Apply and the per-edge model with the
-// same random batches — several sources per batch, duplicates inside a
-// batch, duplicates of edges stored by earlier batches — at stripe counts 1,
-// 2 and 5, and requires: identical inserted flags; the weight callback
-// called exactly once per inserted edge, in the model's order, under the
-// edge's stripe lock; stored tuples identical in heap order stripe by
-// stripe; the out-edge directory reaching exactly the stored rows, read back
-// by ScanBySrc in ascending dst order; and the directories equal to the
-// heaps (CheckDirectory).
+// same random pages — a source's out-links, duplicates inside a page,
+// duplicates of edges stored by an earlier page of the same source — at
+// stripe counts 1, 2 and 5, and requires: identical inserted flags; the
+// weight callback called exactly once per inserted edge, in the model's
+// order, under the edge's stripe lock; stored tuples identical in heap order
+// stripe by stripe; the out-edge directory reaching exactly the stored rows,
+// read back by ScanBySrc in ascending dst order; and the directories equal
+// to the heaps (CheckDirectory).
 func TestApplyMatchesPerEdgeModel(t *testing.T) {
 	for _, stripes := range []int{1, 2, 5} {
 		for trial := 0; trial < 4; trial++ {
@@ -64,14 +62,9 @@ func TestApplyMatchesPerEdgeModel(t *testing.T) {
 
 				for batchNo := 0; batchNo < 40; batchNo++ {
 					b := &Batch{}
-					// A page's out-links (one source, many targets), sometimes
-					// with a few edges of other sources mixed in.
-					page := rng.Int63n(2*srcRange) - srcRange
+					// A page's out-links: one source, many targets.
+					src := rng.Int63n(2*srcRange) - srcRange
 					for i, n := 0, 1+rng.Intn(60); i < n; i++ {
-						src := page
-						if rng.Intn(4) == 0 {
-							src = rng.Int63n(2*srcRange) - srcRange
-						}
 						dst := rng.Int63n(2*dstRange) - dstRange
 						b.Add(Edge{
 							Src: src, SidSrc: int32(src % 3), Dst: dst, SidDst: int32(dst % 3),
@@ -195,9 +188,8 @@ func warmStore(tb testing.TB, stripes, edges int) (*Store, *rand.Rand) {
 
 // TestApplyPageAllocs guards the allocation count of the ingest path: a
 // 44-edge page applied to a warm store encodes its rows and keys into a
-// recycled arena, so what is left is a handful of per-call slices (the
-// inserted flags, the stripe grouping, the prefix-scan bound), not several
-// per edge. The parent of this guard allocated about 400 times here.
+// recycled arena, so what is left is a handful of per-call allocations (the
+// inserted flags among them), not several per edge. The parent of this guard allocated about 400 times here.
 func TestApplyPageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

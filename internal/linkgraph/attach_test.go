@@ -26,15 +26,17 @@ func TestAttachReopensCheckpointedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small batches of random edges, so every source's chain interleaves
-	// with the others' on the stripes' pages.
+	// Pages of ten random out-links, a source coming back many times, so
+	// every source's chain interleaves with the others' on the stripes'
+	// pages.
 	rng := rand.New(rand.NewSource(30))
 	stored := map[[2]int64]bool{}
 	var in Batch
 	for len(stored) < 1500 {
 		in.Reset()
+		src := rng.Int63n(60)
 		for range 10 {
-			edge := e(rng.Int63n(60), rng.Int63n(90))
+			edge := e(src, rng.Int63n(90))
 			in.Add(edge)
 			stored[[2]int64{edge.Src, edge.Dst}] = true
 		}
@@ -64,15 +66,9 @@ func TestAttachReopensCheckpointedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var b Batch
-	b.Add(e(1, 7))
-	b.Add(e(1, 500))
-	b.Add(e(200, 7))
-	inserted, err := s.Apply(&b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, edge := range b.Edges() {
+	late := []Edge{e(1, 7), e(1, 500), e(200, 7)}
+	inserted := applyPages(t, s, late, nil)
+	for i, edge := range late {
 		if want := !stored[[2]int64{edge.Src, edge.Dst}]; inserted[i] != want {
 			t.Errorf("edge %d->%d inserted = %v, want %v", edge.Src, edge.Dst, inserted[i], want)
 		}
@@ -104,8 +100,7 @@ func TestAttachReopensCheckpointedStore(t *testing.T) {
 		t.Fatalf("store holds %d edges, want %d", got, len(stored))
 	}
 	into7 := 0
-	err = s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		edge := EdgeOf(tp)
+	for _, edge := range scanEdges(t, s) {
 		if want := e(edge.Src, edge.Dst).WgtFwd; edge.Dst == 7 {
 			into7++
 			if edge.WgtFwd != 0.25 {
@@ -114,10 +109,6 @@ func TestAttachReopensCheckpointedStore(t *testing.T) {
 		} else if edge.WgtFwd != want {
 			t.Errorf("edge %d->%d wgt_fwd = %v, want its ingest weight %v", edge.Src, edge.Dst, edge.WgtFwd, want)
 		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if into7 < 2 {
 		t.Fatalf("%d edges into 7: the logged weight exercised nothing", into7)

@@ -8,15 +8,14 @@
 // stripe, so a page's whole out-link batch commits under a single stripe
 // lock.
 //
-// Ingest is batched: a worker accumulates a fetched page's out-edges in a
-// Batch without holding any lock, then Apply groups the batch by stripe and
-// walks the stripes in ascending id order, locking each once. Within a
-// stripe, each edge is deduplicated ((src, dst) is the edge identity) against
-// the batch and against the source's stored edges, found through the
-// out-edge directory, before insertion, so the same edge arriving in two
-// workers' batches is stored exactly once. With Stripes=1 the store is the
-// single LINK table of the pre-stripe crawler, bit for bit: one heap, the
-// same insertion order.
+// Ingest is one page at a time: a worker accumulates a fetched page's
+// out-edges in a Batch without holding any lock, then Apply commits the
+// batch under the one stripe lock of its source. Each edge is deduplicated
+// ((src, dst) is the edge identity) against the batch and against the
+// source's stored edges, found through the out-edge directory, before
+// insertion, so the same edge arriving in two workers' batches is stored
+// exactly once. With Stripes=1 the store is the single LINK table of the
+// pre-stripe crawler, bit for bit: one heap, the same insertion order.
 //
 // LINK is append-only: a row is never moved, rewritten or deleted, and a
 // stripe's heap only grows at its tail. The paper keeps EF[u,v] =
@@ -27,8 +26,8 @@
 // snapshot's scans) returns wgt_fwd as the log's value for oid_dst when
 // the log has one, else the weight stored at ingest. A snapshot is
 // therefore a cut: each stripe's row count and the log's length, read into
-// memory once, when it is first scanned. Every scan decodes LINK's records
-// straight into Edges; the tuple Scans adapt that one reader.
+// memory once, when it is first scanned. LINK is read only as typed
+// Edges: every read decodes its records through one decoder, decodeRecord.
 //
 // # Lock ordering
 //
@@ -38,7 +37,7 @@
 // never the reverse. The log's mutex is a pure leaf: it may be taken under
 // any tower lock (the crawler logs a visit under its shard lock) and
 // nothing is acquired while it is held, so no cycle can involve it.
-// Multi-stripe operations (LockAll, Apply, the scans) take stripe locks in
+// Multi-stripe operations (LockAll, the scans) take stripe locks in
 // ascending id order, one at a time unless a consistent cross-stripe view
 // is required. The crawler's stop-the-world barrier therefore begins with
 // LockAll before it touches shard locks; see DESIGN.md and the
@@ -89,7 +88,9 @@ type Edge struct {
 	WgtRev float64
 }
 
-// EdgeOf decodes a LINK tuple back into an Edge.
+// EdgeOf decodes a LINK tuple back into an Edge: the schema's tuple decoder,
+// for fixtures that build LINK as a plain table. The store itself is read
+// only through decodeRecord.
 func EdgeOf(t relstore.Tuple) Edge {
 	return Edge{
 		Src:    t[ColSrc].Int(),
@@ -125,8 +126,8 @@ func decodeRecord(rec []byte) (Edge, error) {
 	}, nil
 }
 
-// Batch accumulates out-edges lock-free; one worker owns one batch at a
-// time (typically the out-links of the page it just classified).
+// Batch accumulates one page's out-edges lock-free; one worker owns one
+// batch at a time (the out-links of the page it just classified).
 type Batch struct {
 	edges []Edge
 }
@@ -277,17 +278,13 @@ func New(db *relstore.DB, n int) (*Store, error) {
 // NumStripes returns the stripe count.
 func (s *Store) NumStripes() int { return len(s.stripes) }
 
-// stripeIndex is the partition function: a pure function of the source oid
-// and the stripe count, so an edge's location is stable for the life of the
-// store and a source's out-edges lie in exactly one stripe. Every path — ingest,
-// dedup, point lookups, prefix scans — must route through it.
-func (s *Store) stripeIndex(src int64) int {
-	return int(uint64(src) % uint64(len(s.stripes)))
-}
-
-// stripeFor maps a source oid to its home stripe.
+// stripeFor maps a source oid to its home stripe, the partition function: a
+// pure function of the source oid and the stripe count, so an edge's location
+// is stable for the life of the store and a source's out-edges lie in exactly
+// one stripe. Every path — ingest, dedup, point lookups, prefix scans — must
+// route through it.
 func (s *Store) stripeFor(src int64) *stripe {
-	return s.stripes[s.stripeIndex(src)]
+	return s.stripes[uint64(src)%uint64(len(s.stripes))]
 }
 
 // LockAll acquires every stripe mutex in ascending id order — the link
@@ -317,97 +314,78 @@ func (s *Store) UnlockAll() {
 // WeightFunc, and the type stays for the benchmark's replay.
 type WeightFunc func(Edge) (float64, error)
 
-// Apply ingests a batch in one pass: edges are grouped by stripe, stripes
-// are visited in ascending id order and locked once each, and within a
-// stripe edges apply in batch arrival order (so with one stripe the heap
-// order is exactly the arrival order). Each edge is deduplicated against the
-// batch and the stored edges; duplicates — within the batch or against edges
-// another worker already committed — are skipped. weight, if non-nil,
-// sets WgtFwd per inserted edge. Returns inserted flags aligned with
-// b.Edges(); a false entry means the edge was a duplicate.
+// Apply ingests one page's out-links: every edge of b must leave the same
+// source, so the batch lands in that source's stripe, locked once; a batch
+// whose edges leave two sources is refused, and nothing of it is stored.
+// Edges apply in arrival order, which is the heap order. Each edge is
+// deduplicated against the batch and the stored edges; duplicates — within
+// the batch or against edges another worker already committed — are
+// skipped. weight, if non-nil, sets WgtFwd per inserted edge. Returns
+// inserted flags aligned with b.Edges(); a false entry means the edge was a
+// duplicate.
 //
-// A stripe's share of the batch is applied as three set operations, not edge
-// by edge: its rows are encoded before the stripe lock is taken (prepare);
-// under the lock the duplicates are marked (skipDuplicates), the weight
-// callbacks run, and one relstore.Table.InsertBatch commits the survivors to
-// the heap in arrival order, whose RIDs then enter the out-edge directory
-// (applyLocked).
+// The batch is applied as three set operations, not edge by edge: its rows
+// are encoded before the stripe lock is taken (prepare); under the lock the
+// duplicates are marked (skipDuplicates), the weight callbacks run, and one
+// relstore.Table.InsertBatch commits the survivors to the heap, whose RIDs
+// then enter the out-edge directory (applyLocked).
 func (s *Store) Apply(b *Batch, weight WeightFunc) ([]bool, error) {
-	inserted := make([]bool, len(b.edges))
 	if len(b.edges) == 0 {
-		return inserted, nil
+		return nil, nil
 	}
-	// Batch positions grouped by stripe, arrival order within each (a
-	// counting sort): once filled, stripe si's positions end at ends[si] and
-	// begin where the stripe before it ends.
-	ends := make([]int, len(s.stripes))
-	for _, e := range b.edges {
-		ends[s.stripeIndex(e.Src)]++
+	src := b.edges[0].Src
+	for _, e := range b.edges[1:] {
+		if e.Src != src {
+			return nil, fmt.Errorf("linkgraph: Apply of edges out of %d and %d: a batch is one page's out-links", src, e.Src)
+		}
 	}
-	for si, at := 0, 0; si < len(ends); si++ {
-		ends[si], at = at, at+ends[si]
+	st := s.stripeFor(src)
+	inserted := make([]bool, len(b.edges))
+	rows, err := st.prepare(b.edges)
+	if err == nil {
+		err = st.applyLocked(rows, b.edges, weight, inserted)
 	}
-	idxs := make([]int, len(b.edges))
-	for i, e := range b.edges {
-		si := s.stripeIndex(e.Src)
-		idxs[ends[si]] = i
-		ends[si]++
-	}
-	for si, st := range s.stripes {
-		lo := 0
-		if si > 0 {
-			lo = ends[si-1]
-		}
-		group := idxs[lo:ends[si]]
-		if len(group) == 0 {
-			continue
-		}
-		rows, err := st.prepare(group, b.edges)
-		if err == nil {
-			err = st.applyLocked(rows, group, b.edges, weight, inserted)
-		}
-		st.batches.Put(rows)
-		if err != nil {
-			return nil, err
-		}
+	st.batches.Put(rows)
+	if err != nil {
+		return nil, err
 	}
 	return inserted, nil
 }
 
-// prepare encodes the edges at positions idxs — all of this stripe — as rows
-// of a batch for the stripe's table, row r being edges[idxs[r]]. It reads
-// nothing of the stripe's stored state and runs without the stripe lock.
-func (st *stripe) prepare(idxs []int, edges []Edge) (*relstore.RowBatch, error) {
+// prepare encodes edges, all of this stripe, as rows of a batch for the
+// stripe's table, row r being edges[r]. It reads nothing of the stripe's
+// stored state and runs without the stripe lock.
+func (st *stripe) prepare(edges []Edge) (*relstore.RowBatch, error) {
 	rows, _ := st.batches.Get().(*relstore.RowBatch)
 	if rows == nil {
 		rows = st.tab.NewBatch()
 	}
 	rows.Reset()
 	var t [6]relstore.Value
-	for _, i := range idxs {
-		if err := rows.AddRecord(edges[i].tuple(t[:])); err != nil {
+	for _, e := range edges {
+		if err := rows.AddRecord(e.tuple(t[:])); err != nil {
 			return rows, err
 		}
 	}
 	return rows, nil
 }
 
-func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge, weight WeightFunc, inserted []bool) error {
+func (st *stripe) applyLocked(rows *relstore.RowBatch, edges []Edge, weight WeightFunc, inserted []bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.skipDuplicates(rows, idxs, edges); err != nil {
+	if err := st.skipDuplicates(rows, edges); err != nil {
 		return err
 	}
 	// The weight callbacks, in arrival order, each for an edge that will be
 	// inserted; the weight is written into the row's encoded record.
 	live := 0
-	for r, i := range idxs {
+	for r, e := range edges {
 		if rows.Skipped(r) {
 			continue
 		}
 		live++
 		if weight != nil {
-			w, err := weight(edges[i])
+			w, err := weight(e)
 			if err != nil {
 				return err
 			}
@@ -422,64 +400,52 @@ func (st *stripe) applyLocked(rows *relstore.RowBatch, idxs []int, edges []Edge,
 	if err := st.tab.InsertBatch(rows); err != nil {
 		return err
 	}
-	for r, i := range idxs {
+	for r, e := range edges {
 		if !rows.Skipped(r) {
-			inserted[i] = true
-			st.dir.add(edges[i].Src, rows.RID(r))
+			inserted[r] = true
+			st.dir.add(e.Src, rows.RID(r))
 		}
 	}
 	return nil
 }
 
 // skipDuplicates marks the rows whose edge must not be inserted: one that
-// repeats an earlier row of the group, or one already stored. The group's
-// rows are sorted by (src, dst) in the stripe's scratch, equal edges in
-// arrival order, so a repeat lies next to its first arrival, which is the one
-// kept. A source's stored edges are read only if the out-edge directory has
-// any: a freshly visited page has none, so its links cost no read.
+// repeats an earlier row of the batch, or one already stored. The batch's
+// rows, all out of one source, are sorted by dst in the stripe's scratch,
+// equal edges in arrival order, so a repeat lies next to its first arrival,
+// which is the one kept. The source's stored edges are read only if the
+// out-edge directory has any: a freshly visited page has none, so its links
+// cost no read.
 //
 //focuslint:lock requires=stripe
-func (st *stripe) skipDuplicates(rows *relstore.RowBatch, idxs []int, edges []Edge) error {
-	edge := func(r int32) *Edge { return &edges[idxs[r]] }
+func (st *stripe) skipDuplicates(rows *relstore.RowBatch, edges []Edge) error {
 	ord := st.ord[:0]
-	for r := range idxs {
+	for r := range edges {
 		ord = append(ord, int32(r))
 	}
 	slices.SortFunc(ord, func(x, y int32) int {
-		a, b := edge(x), edge(y)
-		if c := cmp.Compare(a.Src, b.Src); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		if c := cmp.Compare(edges[x].Dst, edges[y].Dst); c != 0 {
 			return c
 		}
 		return cmp.Compare(x, y)
 	})
 	st.ord = ord
-	for lo, hi := 0, 0; lo < len(ord); lo = hi {
-		src := edge(ord[lo]).Src
-		for hi = lo + 1; hi < len(ord) && edge(ord[hi]).Src == src; hi++ {
-			if edge(ord[hi]).Dst == edge(ord[hi-1]).Dst {
-				rows.Skip(int(ord[hi]))
-			}
+	for i := 1; i < len(ord); i++ {
+		if edges[ord[i]].Dst == edges[ord[i-1]].Dst {
+			rows.Skip(int(ord[i]))
 		}
-		run := ord[lo:hi]
-		err := st.walkOut(src, func(rid relstore.RID) error {
-			dst, err := st.dstOf(rid)
-			if err != nil {
-				return err
-			}
-			at, _ := slices.BinarySearchFunc(run, dst, func(r int32, dst int64) int { return cmp.Compare(edge(r).Dst, dst) })
-			for ; at < len(run) && edge(run[at]).Dst == dst; at++ {
-				rows.Skip(int(run[at]))
-			}
-			return nil
-		})
+	}
+	return st.walkOut(edges[0].Src, func(rid relstore.RID) error {
+		dst, err := st.dstOf(rid)
 		if err != nil {
 			return err
 		}
-	}
-	return nil
+		at, _ := slices.BinarySearchFunc(ord, dst, func(r int32, dst int64) int { return cmp.Compare(edges[r].Dst, dst) })
+		for ; at < len(ord) && edges[ord[at]].Dst == dst; at++ {
+			rows.Skip(int(ord[at]))
+		}
+		return nil
+	})
 }
 
 // walkOut calls fn with the RID of each of src's stored out-edges, newest
@@ -549,11 +515,16 @@ func (s *Store) ScanBySrcLocked(src int64, fn func(Edge) (bool, error)) error {
 func (s *Store) scanBySrc(st *stripe, src int64, fn func(Edge) (bool, error)) error {
 	var out []Edge
 	err := st.walkOut(src, func(rid relstore.RID) error {
-		t, err := st.tab.Get(rid)
-		if err == nil {
-			out = append(out, EdgeOf(t))
+		rec, err := st.tab.Heap().Get(rid)
+		if err != nil {
+			return err
 		}
-		return err
+		e, err := decodeRecord(rec)
+		if err != nil {
+			return fmt.Errorf("linkgraph: stripe %d, row %v: %w", st.id, rid, err)
+		}
+		out = append(out, e)
+		return nil
 	})
 	if err != nil {
 		return err
@@ -653,8 +624,8 @@ func (st *stripe) checkDirectory() error {
 // scan calls fn with the stripe's first n edges in heap order, wgt_fwd
 // resolved against w; stop reports that fn ended the scan. The heap only
 // appends at its tail, so its first n rows are the stripe as it stood when
-// it held n. This is LINK's one typed reader: each record is decoded
-// straight into an Edge, so a scan allocates nothing per row.
+// it held n. Each record is decoded straight into an Edge (decodeRecord), so
+// a scan allocates nothing per row.
 //
 //focuslint:lock requires=stripe
 func (st *stripe) scan(n int64, w map[int64]float64, fn func(Edge) (bool, error)) (stop bool, err error) {
@@ -695,18 +666,6 @@ func (s *Store) ScanEdges(fn func(Edge) (bool, error)) error {
 		}
 	}
 	return nil
-}
-
-// Scan is ScanEdges for readers of LINK tuples, the distiller's index walk:
-// each edge as a tuple, valid only during the call, with a zero RID.
-func (s *Store) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
-	return scanTuples(s.ScanEdges, fn)
-}
-
-// scanTuples runs a typed scan, handing fn each edge in one reused tuple.
-func scanTuples(scan func(func(Edge) (bool, error)) error, fn func(relstore.RID, relstore.Tuple) (bool, error)) error {
-	t := make(relstore.Tuple, 6)
-	return scan(func(e Edge) (bool, error) { return fn(relstore.RID{}, e.tuple(t)) })
 }
 
 // Snapshot is an immutable point-in-time view of the LINK relation: the
@@ -760,11 +719,6 @@ func (sn *Snapshot) ScanEdges(fn func(Edge) (bool, error)) error {
 		}
 	}
 	return nil
-}
-
-// Scan is Store.Scan over the snapshot.
-func (sn *Snapshot) Scan(fn func(rid relstore.RID, t relstore.Tuple) (bool, error)) error {
-	return scanTuples(sn.ScanEdges, fn)
 }
 
 // readCut reads each stripe's first rows[i] rows, weights resolved, into cut,

@@ -26,6 +26,26 @@ func e(src, dst int64) Edge {
 	}
 }
 
+// applyPages applies edges a page at a time, as the crawler's ingest does:
+// each run of consecutive edges out of one source is one batch. It returns
+// the inserted flags aligned with edges.
+func applyPages(t testing.TB, s *Store, edges []Edge, weight WeightFunc) []bool {
+	t.Helper()
+	var out []bool
+	for lo, hi := 0, 0; lo < len(edges); lo = hi {
+		var b Batch
+		for hi = lo; hi < len(edges) && edges[hi].Src == edges[lo].Src; hi++ {
+			b.Add(edges[hi])
+		}
+		inserted, err := s.Apply(&b, weight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, inserted...)
+	}
+	return out
+}
+
 func TestApplyDedupWithinBatch(t *testing.T) {
 	s := newStore(t, 4)
 	var b Batch
@@ -72,32 +92,61 @@ func TestApplyDedupAgainstStored(t *testing.T) {
 	}
 }
 
+// TestApplyRefusesTwoSources: a batch is one page's out-links. One whose
+// edges leave two sources is refused, whether the sources share a stripe or
+// not, and leaves every stripe's heap and directory as they were.
+func TestApplyRefusesTwoSources(t *testing.T) {
+	s := newStore(t, 2)
+	applyPages(t, s, []Edge{e(1, 2), e(1, 3), e(2, 3), e(3, 4)}, nil)
+	edges, rows := scanEdges(t, s), make([]int64, len(s.stripes))
+	dirs := make([]edgeDirectory, len(s.stripes))
+	for i, st := range s.stripes {
+		rows[i] = st.tab.Rows()
+		dirs[i] = edgeDirectory{head: maps.Clone(st.dir.head), rows: slices.Clone(st.dir.rows)}
+	}
+	for name, mixed := range map[string][]Edge{
+		"two stripes": {e(1, 5), e(2, 5)},
+		"one stripe":  {e(1, 6), e(3, 6)},
+		"late source": {e(1, 7), e(1, 8), e(3, 7)},
+	} {
+		var b Batch
+		for _, edge := range mixed {
+			b.Add(edge)
+		}
+		if _, err := s.Apply(&b, nil); err == nil {
+			t.Errorf("%s: Apply of edges out of two sources succeeded", name)
+		}
+		for i, st := range s.stripes {
+			if n := st.tab.Rows(); n != rows[i] {
+				t.Errorf("%s: stripe %d holds %d rows, want %d", name, i, n, rows[i])
+			}
+			if !maps.Equal(st.dir.head, dirs[i].head) || !slices.Equal(st.dir.rows, dirs[i].rows) {
+				t.Errorf("%s: stripe %d's directory changed", name, i)
+			}
+		}
+		if got := scanEdges(t, s); !slices.Equal(got, edges) {
+			t.Errorf("%s: the store reads %v, want %v", name, got, edges)
+		}
+	}
+	if err := s.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestApplyWeightCallback(t *testing.T) {
 	s := newStore(t, 2)
-	var b Batch
-	b.Add(e(1, 2))
-	b.Add(e(1, 2)) // dup: callback must not fire for it
-	b.Add(e(2, 3))
 	calls := 0
-	inserted, err := s.Apply(&b, func(edge Edge) (float64, error) {
+	applyPages(t, s, []Edge{e(1, 2), e(1, 2), e(2, 3)}, func(edge Edge) (float64, error) { // the dup must not call it
 		calls++
 		return 0.875, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if calls != 2 {
 		t.Fatalf("weight callback fired %d times, want 2 (once per inserted edge)", calls)
 	}
-	_ = inserted
-	err = s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		if got := tp[ColWgtFwd].Float(); got != 0.875 {
-			t.Errorf("wgt_fwd = %v, want the callback's 0.875", got)
+	for _, edge := range scanEdges(t, s) {
+		if edge.WgtFwd != 0.875 {
+			t.Errorf("wgt_fwd = %v, want the callback's 0.875", edge.WgtFwd)
 		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -106,25 +155,17 @@ func TestUpdateIncomingFwd(t *testing.T) {
 	// carry the logged weight, edges into other targets their stored one —
 	// including an edge into 9 ingested after the weight was logged.
 	s := newStore(t, 4)
-	var b Batch
+	var edges []Edge
 	for src := int64(1); src <= 8; src++ {
-		b.Add(e(src, 9))
-		b.Add(e(src, 10))
+		edges = append(edges, e(src, 9), e(src, 10))
 	}
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, edges, nil)
 	if err := s.UpdateIncomingFwd(9, 0.625); err != nil {
 		t.Fatal(err)
 	}
-	var late Batch
-	late.Add(e(11, 9))
-	if _, err := s.Apply(&late, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, []Edge{e(11, 9)}, nil)
 	into9 := 0
-	err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		edge := EdgeOf(tp)
+	for _, edge := range scanEdges(t, s) {
 		if edge.Dst == 9 {
 			into9++
 			if edge.WgtFwd != 0.625 {
@@ -134,15 +175,11 @@ func TestUpdateIncomingFwd(t *testing.T) {
 		if edge.Dst == 10 && edge.WgtFwd != e(edge.Src, 10).WgtFwd {
 			t.Errorf("edge %d->10 wgt_fwd = %v, want its stored %v; only dst=9 is logged", edge.Src, edge.WgtFwd, e(edge.Src, 10).WgtFwd)
 		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if into9 != 9 {
 		t.Fatalf("read %d edges into 9, want 9", into9)
 	}
-	err = s.ScanBySrc(11, func(edge Edge) (bool, error) {
+	err := s.ScanBySrc(11, func(edge Edge) (bool, error) {
 		if edge.WgtFwd != 0.625 {
 			t.Errorf("ScanBySrc: edge 11->%d wgt_fwd = %v, want 0.625", edge.Dst, edge.WgtFwd)
 		}
@@ -155,14 +192,7 @@ func TestUpdateIncomingFwd(t *testing.T) {
 
 func TestScanBySrcOrderAndIsolation(t *testing.T) {
 	s := newStore(t, 3)
-	var b Batch
-	b.Add(e(4, 30))
-	b.Add(e(4, 10))
-	b.Add(e(4, 20))
-	b.Add(e(5, 99))
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, []Edge{e(4, 30), e(4, 10), e(4, 20), e(5, 99)}, nil)
 	var dsts []int64
 	err := s.ScanBySrc(4, func(edge Edge) (bool, error) {
 		dsts = append(dsts, edge.Dst)
@@ -186,21 +216,14 @@ func TestSingleStripeMatchesPlainTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	edges := []Edge{e(3, 1), e(1, 2), e(2, 1), e(1, 5), e(7, 2)}
-	var b Batch
 	for _, edge := range edges {
-		b.Add(edge)
 		if _, err := plain.Insert(edge.tuple(make(relstore.Tuple, 6))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	var got, want []Edge
-	s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		got = append(got, EdgeOf(tp))
-		return false, nil
-	})
+	applyPages(t, s, edges, nil)
+	got := scanEdges(t, s)
+	var want []Edge
 	plain.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
 		want = append(want, EdgeOf(tp))
 		return false, nil
@@ -220,13 +243,11 @@ func TestSingleStripeMatchesPlainTable(t *testing.T) {
 func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
 	const dst = 1 << 40
 	s := newStore(t, 2)
-	var b Batch
+	var edges []Edge
 	for src := int64(0); src < 300; src++ {
-		b.Add(e(src, dst))
+		edges = append(edges, e(src, dst))
 	}
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, edges, nil)
 	pool := s.db.Pool()
 	before := pool.Stats()
 	if err := s.UpdateIncomingFwd(dst, 0.5); err != nil {
@@ -237,14 +258,10 @@ func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
 		t.Fatalf("logging a forward weight fetched %d pages, want 0", got)
 	}
 	read := 0
-	err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		if edge := EdgeOf(tp); edge.Dst == dst && edge.WgtFwd == 0.5 {
+	for _, edge := range scanEdges(t, s) {
+		if edge.Dst == dst && edge.WgtFwd == 0.5 {
 			read++
 		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if read != 300 {
 		t.Fatalf("%d of 300 edges read the logged weight", read)
@@ -257,14 +274,11 @@ func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
 // can.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	s := newStore(t, 2)
-	var b Batch
+	var edges []Edge
 	for src := int64(0); src < 8; src += 2 { // stripe 0
-		b.Add(e(src, 3))
-		b.Add(e(src, 4))
+		edges = append(edges, e(src, 3), e(src, 4))
 	}
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, edges, nil)
 	if err := s.UpdateIncomingFwd(3, 0.5); err != nil {
 		t.Fatal(err)
 	}

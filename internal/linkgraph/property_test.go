@@ -21,20 +21,15 @@ func byDst(t testing.TB, s *Store) []Edge {
 	return edges
 }
 
-// TestLinkGraphByDstMergeProperty is the striping-invariance property (in
-// the style of the crawler's shard_test.go): for random edge sets and any
-// stripe count, the (dst, src)-ordered dump of every stripe must equal the
-// Stripes=1 dump tuple for tuple. Striping is a physical layout choice; it
-// must never be observable in the stored edges or their weights.
-func TestLinkGraphByDstMergeProperty(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		nEdges := rng.Intn(500)
-		srcRange := int64(1 + rng.Intn(40))
-		dstRange := int64(1 + rng.Intn(60))
-		var edges []Edge
-		for i := 0; i < nEdges; i++ {
-			src := rng.Int63n(2*srcRange) - srcRange // negative oids too
+// randomPages draws about n edges as pages of up to ten out-links, sources in
+// [-srcRange, srcRange) and destinations in [-dstRange, dstRange) — negative
+// oids too. A page may repeat a link, and a source may come back in a later
+// page.
+func randomPages(rng *rand.Rand, n int, srcRange, dstRange int64) []Edge {
+	var edges []Edge
+	for len(edges) < n {
+		src := rng.Int63n(2*srcRange) - srcRange
+		for range 1 + rng.Intn(10) {
 			dst := rng.Int63n(2*dstRange) - dstRange
 			edges = append(edges, Edge{
 				Src: src, SidSrc: int32(src % 3),
@@ -43,23 +38,23 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 				WgtRev: float64(rng.Intn(100)) / 100,
 			})
 		}
+	}
+	return edges
+}
+
+// TestLinkGraphByDstMergeProperty is the striping-invariance property (in
+// the style of the crawler's shard_test.go): for random edge sets and any
+// stripe count, the (dst, src)-ordered dump of every stripe must equal the
+// Stripes=1 dump tuple for tuple. Striping is a physical layout choice; it
+// must never be observable in the stored edges or their weights.
+func TestLinkGraphByDstMergeProperty(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		edges := randomPages(rng, rng.Intn(500), int64(1+rng.Intn(40)), int64(1+rng.Intn(60)))
 
 		load := func(stripes int) []Edge {
 			s := newStore(t, stripes)
-			// Split the edge list into several batches, as workers would.
-			for lo := 0; lo < len(edges); lo += 50 {
-				hi := lo + 50
-				if hi > len(edges) {
-					hi = len(edges)
-				}
-				b := &Batch{}
-				for _, e := range edges[lo:hi] {
-					b.Add(e)
-				}
-				if _, err := s.Apply(b, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
+			applyPages(t, s, edges, nil)
 			return byDst(t, s)
 		}
 
@@ -101,20 +96,9 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
-		nEdges := 50 + rng.Intn(400)
-		srcRange := int64(1 + rng.Intn(50))
+		nEdges, srcRange := 50+rng.Intn(400), int64(1+rng.Intn(50))
 		dstRange := int64(1 + rng.Intn(40))
-		var edges []Edge
-		for i := 0; i < nEdges; i++ {
-			src := rng.Int63n(2*srcRange) - srcRange
-			dst := rng.Int63n(2*dstRange) - dstRange
-			edges = append(edges, Edge{
-				Src: src, SidSrc: int32(src % 3),
-				Dst: dst, SidDst: int32(dst % 3),
-				WgtFwd: float64(rng.Intn(100)) / 100,
-				WgtRev: float64(rng.Intn(100)) / 100,
-			})
-		}
+		edges := randomPages(rng, nEdges, srcRange, dstRange)
 		// Log weights for a mix of targets with in-edges and targets without any.
 		type sweep struct {
 			dst int64
@@ -132,19 +116,7 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 			t.Run(fmt.Sprintf("trial=%d/stripes=%d", trial, stripes), func(t *testing.T) {
 				load := func(stripes int) *Store {
 					s := newStore(t, stripes)
-					for lo := 0; lo < len(edges); lo += 60 {
-						hi := lo + 60
-						if hi > len(edges) {
-							hi = len(edges)
-						}
-						b := &Batch{}
-						for _, e := range edges[lo:hi] {
-							b.Add(e)
-						}
-						if _, err := s.Apply(b, nil); err != nil {
-							t.Fatal(err)
-						}
-					}
+					applyPages(t, s, edges, nil)
 					for _, sw := range sweeps {
 						if err := s.UpdateIncomingFwd(sw.dst, sw.fwd); err != nil {
 							t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"focus/internal/relstore"
 )
 
 // snapshotAll is the crawler's barrier in miniature: lock every stripe,
@@ -22,13 +20,14 @@ func snapshotAll(t testing.TB, s *Store) *Snapshot {
 	return sn
 }
 
+// scanEdges returns every edge of a store or a snapshot in ScanEdges order.
 func scanEdges(t testing.TB, rel interface {
-	Scan(func(relstore.RID, relstore.Tuple) (bool, error)) error
+	ScanEdges(func(Edge) (bool, error)) error
 }) []Edge {
 	t.Helper()
 	var out []Edge
-	err := rel.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		out = append(out, EdgeOf(tp))
+	err := rel.ScanEdges(func(edge Edge) (bool, error) {
+		out = append(out, edge)
 		return false, nil
 	})
 	if err != nil {
@@ -44,14 +43,11 @@ func scanEdges(t testing.TB, rel interface {
 // the same point must both stay correct.
 func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	s := newStore(t, 4)
-	var b Batch
+	var edges []Edge
 	for src := int64(1); src <= 20; src++ {
-		b.Add(e(src, src+100))
-		b.Add(e(src, 9))
+		edges = append(edges, e(src, src+100), e(src, 9))
 	}
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, edges, nil)
 	want := scanEdges(t, s)
 
 	sn1 := snapshotAll(t, s)
@@ -61,13 +57,11 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	}
 
 	// Change every stripe after the barrier: new edges and a logged weight.
-	var b2 Batch
+	edges = edges[:0]
 	for src := int64(21); src <= 40; src++ {
-		b2.Add(e(src, src+100))
+		edges = append(edges, e(src, src+100))
 	}
-	if _, err := s.Apply(&b2, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, edges, nil)
 	if err := s.UpdateIncomingFwd(9, 0.3125); err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +99,11 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 // barrier, a snapshot reads exactly what the live store does.
 func TestSnapshotLazyReadWithoutWrites(t *testing.T) {
 	s := newStore(t, 3)
-	var b Batch
+	var edges []Edge
 	for src := int64(1); src <= 9; src++ {
-		b.Add(e(src, src*2))
+		edges = append(edges, e(src, src*2))
 	}
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, edges, nil)
 	want := scanEdges(t, s)
 	sn := snapshotAll(t, s)
 	got := scanEdges(t, sn)
@@ -137,14 +129,12 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	errs := make(chan error, rounds*3)
 	for r := 0; r < rounds; r++ {
 		// One writer round, then a snapshot read raced against the next.
-		var b Batch
+		var edges []Edge
 		for k := 0; k < perRound; k++ {
 			src := int64(r*perRound + k + 1)
-			b.Add(e(src, src%97+1))
+			edges = append(edges, e(src, src%97+1))
 		}
-		if _, err := s.Apply(&b, nil); err != nil {
-			t.Fatal(err)
-		}
+		applyPages(t, s, edges, nil)
 		sn := snapshotAll(t, s)
 		want := scanEdges(t, sn)
 		if int64(len(want)) != sn.Rows() {
@@ -153,14 +143,14 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 		wg.Add(3)
 		go func(r int) { // concurrent ingest + logged weights while readers run
 			defer wg.Done()
-			var wb Batch
 			for k := 0; k < perRound; k++ {
 				src := int64(100000 + r*perRound + k)
+				var wb Batch
 				wb.Add(e(src, src%89+1))
-			}
-			if _, err := s.Apply(&wb, nil); err != nil {
-				errs <- err
-				return
+				if _, err := s.Apply(&wb, nil); err != nil {
+					errs <- err
+					return
+				}
 			}
 			if err := s.UpdateIncomingFwd(int64(r%97+1), 0.5); err != nil {
 				errs <- err
@@ -170,8 +160,8 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var got []Edge
-				err := sn.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-					got = append(got, EdgeOf(tp))
+				err := sn.ScanEdges(func(edge Edge) (bool, error) {
+					got = append(got, edge)
 					return false, nil
 				})
 				if err != nil {
@@ -195,12 +185,7 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 // and again after it reads, through the snapshot, the weight logged before.
 func TestSnapshotKeepsSupersededWeight(t *testing.T) {
 	s := newStore(t, 2)
-	var b Batch
-	b.Add(e(1, 9))
-	b.Add(e(2, 9))
-	if _, err := s.Apply(&b, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyPages(t, s, []Edge{e(1, 9), e(2, 9)}, nil)
 	if err := s.UpdateIncomingFwd(9, 0.25); err != nil {
 		t.Fatal(err)
 	}

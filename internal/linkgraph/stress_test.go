@@ -6,12 +6,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"focus/internal/relstore"
 )
 
 // TestLinkGraphRoutedSweepStress hammers forward-weight resolution with the
-// crawler's access mix: 8 workers ingest overlapping batches over a small,
+// crawler's access mix: 8 workers ingest overlapping pages over a small,
 // hot set of destinations (so the same dst keeps gaining edges from many
 // stripes) while marking targets "visited", logging their weights, and
 // taking snapshots concurrently. The visited map plays the CRAWL row: a
@@ -68,9 +66,9 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 					}
 					<-start
 					for b := 0; b < batches; b++ {
-						batch := &Batch{}
+						batch, src := &Batch{}, rng.Int63n(srcs)
 						for i := 0; i < perBat; i++ {
-							src, dst := rng.Int63n(srcs), rng.Int63n(dsts)
+							dst := rng.Int63n(dsts)
 							batch.Add(Edge{
 								Src: src, SidSrc: int32(src % 5),
 								Dst: dst, SidDst: int32(dst % 5),
@@ -143,10 +141,9 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 // visited weight of its dst, or the stress tests' ingest weight when its dst
 // is not in visited.
 func checkWeights(rel interface {
-	Scan(func(relstore.RID, relstore.Tuple) (bool, error)) error
+	ScanEdges(func(Edge) (bool, error)) error
 }, visited map[int64]float64) error {
-	return rel.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-		edge := EdgeOf(tp)
+	return rel.ScanEdges(func(edge Edge) (bool, error) {
 		want, ok := visited[edge.Dst]
 		if !ok {
 			want = stressWeight(edge.Src, edge.Dst)
@@ -166,7 +163,7 @@ func stressWeight(src, dst int64) float64 {
 }
 
 // TestLinkGraphStressOverlappingIngest drives N workers applying
-// overlapping edge batches concurrently — with interleaved logged forward
+// overlapping pages of out-links concurrently — with interleaved logged forward
 // weights and prefix reads, the crawler's exact access mix — and then
 // checks the store against a serial oracle: no edge lost, no edge
 // duplicated, weights deterministic, ScanBySrc reading back exactly the
@@ -197,16 +194,16 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 				}
 			}
 
-			// Pre-generate every worker's batches so the oracle can replay
-			// them serially.
+			// Pre-generate every worker's pages so the oracle can replay
+			// them serially. A source comes back in many workers' pages.
 			all := make([][][]Edge, workers)
 			for w := range all {
 				rng := rand.New(rand.NewSource(int64(1000*stripes + w)))
 				all[w] = make([][]Edge, batches)
 				for b := range all[w] {
+					src := rng.Int63n(srcs)
 					for i := 0; i < perBat; i++ {
-						all[w][b] = append(all[w][b],
-							mkEdge(rng.Int63n(srcs), rng.Int63n(dsts)))
+						all[w][b] = append(all[w][b], mkEdge(src, rng.Int63n(dsts)))
 					}
 				}
 			}
@@ -271,17 +268,12 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 
 			// No lost or duplicated edges.
 			got := map[[2]int64]Edge{}
-			err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
-				edge := EdgeOf(tp)
+			for _, edge := range scanEdges(t, s) {
 				key := [2]int64{edge.Src, edge.Dst}
 				if _, dup := got[key]; dup {
 					t.Errorf("edge %d->%d stored twice", edge.Src, edge.Dst)
 				}
 				got[key] = edge
-				return false, nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 			if len(got) != len(oracle) {
 				t.Errorf("stored %d distinct edges, oracle has %d", len(got), len(oracle))

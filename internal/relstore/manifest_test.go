@@ -433,11 +433,12 @@ func TestOpenFileErrors(t *testing.T) {
 }
 
 // TestOpenRefusesOlderLayout: a file whose manifest roots carry an older
-// layout version is refused with ErrLayoutVersion naming both versions —
-// with both roots at that version, and with one of them torn, which leaves
-// no valid root — and the refusal leaves the file's bytes as they were.
+// layout version — each of them — is refused with ErrLayoutVersion naming
+// both versions — with both roots at that version, and with one of them
+// torn, which leaves no valid root — and the refusal leaves the file's bytes
+// as they were.
 func TestOpenRefusesOlderLayout(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.db")
+	path := filepath.Join(t.TempDir(), "older.db")
 	db, err := CreateFile(path, Options{Frames: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -457,35 +458,37 @@ func TestOpenRefusesOlderLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The older layout: the same frames stamped version 1 (the CRC covers
-	// the payload only).
-	older := bytes.Clone(current)
-	for _, root := range []PageID{manifestRootA, manifestRootB} {
-		binary.LittleEndian.PutUint32(older[int(root-1)*PageSize+4:], 1)
-	}
-	torn := func(root PageID) []byte {
-		b := bytes.Clone(older)
-		clear(b[int(root-1)*PageSize : int(root-1)*PageSize+512]) // the header's sector never landed
-		return b
-	}
-	for _, c := range []struct {
-		name string
-		file []byte
-	}{
-		{"both roots at version 1", older},
-		{"root A torn", torn(manifestRootA)},
-		{"root B torn", torn(manifestRootB)},
-	} {
-		if err := os.WriteFile(path, c.file, 0o644); err != nil {
-			t.Fatal(err)
+	for v := uint32(1); v < manifestVersion; v++ {
+		// The older layout: the same frames stamped version v (the CRC
+		// covers the payload only).
+		older := bytes.Clone(current)
+		for _, root := range []PageID{manifestRootA, manifestRootB} {
+			binary.LittleEndian.PutUint32(older[int(root-1)*PageSize+4:], v)
 		}
-		_, err := OpenFile(path, Options{Frames: 64})
-		want := fmt.Sprintf("layout version 1, this release reads %d", manifestVersion)
-		if !errors.Is(err, ErrLayoutVersion) || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: OpenFile returned %v, want ErrLayoutVersion naming %q", c.name, err, want)
+		torn := func(root PageID) []byte {
+			b := bytes.Clone(older)
+			clear(b[int(root-1)*PageSize : int(root-1)*PageSize+512]) // the header's sector never landed
+			return b
 		}
-		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, c.file) {
-			t.Errorf("%s: the refused open changed the file (%v)", c.name, err)
+		for _, c := range []struct {
+			name string
+			file []byte
+		}{
+			{fmt.Sprintf("both roots at version %d", v), older},
+			{fmt.Sprintf("version %d, root A torn", v), torn(manifestRootA)},
+			{fmt.Sprintf("version %d, root B torn", v), torn(manifestRootB)},
+		} {
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenFile(path, Options{Frames: 64})
+			want := fmt.Sprintf("layout version %d, this release reads %d", v, manifestVersion)
+			if !errors.Is(err, ErrLayoutVersion) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: OpenFile returned %v, want ErrLayoutVersion naming %q", c.name, err, want)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, c.file) {
+				t.Errorf("%s: the refused open changed the file (%v)", c.name, err)
+			}
 		}
 	}
 	// The file as written opens.

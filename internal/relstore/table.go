@@ -366,7 +366,7 @@ func (db *DB) CreateTable(name string, schema *Schema) (*Table, error) {
 
 // DropTable removes a table from the catalog and returns its heap and
 // index pages to the disk manager's free list, so drop/recreate cycles
-// (the crawler's Crawl() snapshot refresh) reuse the same pages instead of
+// (the crawler's Tables() refresh) reuse the same pages instead of
 // growing the disk. Any previously returned handle to the table becomes
 // invalid: reads of its freed pages fail.
 func (db *DB) DropTable(name string) error {
