@@ -119,9 +119,9 @@ func (c Config) withDefaults() Config {
 	if c.BreakerAfter > 0 && c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 50 * time.Millisecond
 	}
-	// Negative already means "boost disabled": boostDelta treats any
-	// HubNeighborBoost < 0 as a no-op, so the sentinel needs no clamp here.
-	//focuslint:ignore zerodefault negative disables the boost downstream in boostDelta
+	// Negative already means "boost disabled": distillEpoch applies no
+	// boost when HubNeighborBoost < 0, so the sentinel needs no clamp here.
+	//focuslint:ignore zerodefault negative disables the boost downstream in distillEpoch
 	if c.HubNeighborBoost == 0 {
 		c.HubNeighborBoost = 0.75
 	}
@@ -252,8 +252,14 @@ type Crawler struct {
 	// holds (checkpoint.go), so a checkpoint rewrites it only when pub has
 	// moved on.
 	ckptScores *scores
-	stallNS    atomic.Int64
-	computeNS  atomic.Int64
+	// arr is the distiller's arrangement of LINK as of the snapshot arrAt,
+	// which each epoch extends by the snapshot's tail past arrAt. Both are
+	// guarded by epochMu and nil until the first epoch, so a resumed crawl
+	// rebuilds the arrangement from its whole LINK once.
+	arr       *distiller.Arrangement
+	arrAt     *linkgraph.Snapshot
+	stallNS   atomic.Int64
+	computeNS atomic.Int64
 
 	fetches     atomic.Int64
 	visited     atomic.Int64
@@ -984,9 +990,11 @@ func (c *Crawler) relevanceLocked() map[int64]float64 {
 
 // distillEpoch computes a snapshotted epoch and publishes it. The snapshot
 // and relevance view are immutable, so the computation runs without any
-// crawler lock, and epochMu makes this the only publisher. Publish order
+// crawler lock, and epochMu makes this the only publisher. The kept
+// arrangement is extended by what the snapshot holds past the previous
+// epoch's, so an epoch reads and sorts only LINK's new tail. Publish order
 // matters: each side is ranked and the boost delta derived from the hub
-// ranking and the snapshot while both are private; then one pointer store
+// ranking and the arrangement while both are private; then one pointer store
 // publishes the epoch (readers load the old scores or the new, never a
 // mix), dropping any HUBS/AUTH pair Tables handed out (this epoch is
 // newer); and only then is the §3.4 hub-neighbor boost applied shard by
@@ -999,26 +1007,45 @@ func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[in
 	}
 	t0 := time.Now()
 	defer func() { c.computeNS.Add(time.Since(t0).Nanoseconds()) }()
-	dcfg := c.cfg.Distill
-	dcfg.Relevance = rel
-	hubs, auth, _, err := distiller.Distill(distiller.Tables{Link: snap}, dcfg)
+	if c.arr == nil {
+		c.arr = distiller.NewArrangement(c.cfg.Distill)
+	}
+	tail, err := snap.Since(c.arrAt)
+	if err == nil {
+		err = c.arr.Extend(tail)
+	}
 	if err != nil {
 		return err
 	}
+	c.arrAt = snap
+	hubs, auth, _ := c.arr.Run(rel)
 	r := &scores{epoch: epoch, hubs: distiller.Rank(hubs), auth: distiller.Rank(auth)}
-	boosts, err := c.boostDelta(r.hubs, snap)
-	if err != nil {
-		return err
+	var boosts []distiller.Page
+	if top := topDecileHubs(r.hubs); c.cfg.HubNeighborBoost >= 0 && len(top) > 0 {
+		boosts = c.arr.Cited(top)
 	}
 	c.handed.Store(nil)
 	c.pub.Store(r)
 
-	// Apply the boost delta against the live shards, one shard lock at a
-	// time.
-	for _, d := range boosts {
-		sh := c.shardFor(d.sid)
+	// Apply the boost delta against the live shards, each shard's targets
+	// under one hold of its lock. Boosts are idempotent threshold raises, so
+	// the order does not matter.
+	byShard := make([][]int64, len(c.shards))
+	for _, p := range boosts {
+		i := c.shardIndex(p.Sid)
+		byShard[i] = append(byShard[i], p.OID)
+	}
+	for i, oids := range byShard {
+		if len(oids) == 0 {
+			continue
+		}
+		sh := c.shards[i]
 		sh.mu.Lock()
-		err := sh.boostLocked(d.oid, c.cfg.HubNeighborBoost)
+		for _, oid := range oids {
+			if err = sh.boostLocked(oid, c.cfg.HubNeighborBoost); err != nil {
+				break
+			}
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -1027,48 +1054,16 @@ func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[in
 	return nil
 }
 
-// boostTarget is one unvisited page cited by a top-decile hub.
-type boostTarget struct {
-	oid int64
-	sid int32
-}
-
 // topDecileHubs returns the hubs scoring strictly above the ranking's 90th
 // percentile (distiller.Ranking.Percentile's nearest rank): a prefix of
-// it. None when the ranking is empty or that threshold is 0.
+// it. None when the ranking is empty or that threshold is 0. The §3.4
+// boost raises the unvisited pages they cite on other servers.
 func topDecileHubs(hubs distiller.Ranking) distiller.Ranking {
 	psi, ok := hubs.Percentile(0.9)
 	if !ok || psi == 0 {
 		return nil
 	}
 	return hubs.Above(psi)
-}
-
-// boostDelta derives the §3.4 policy update from an epoch's hub ranking and
-// its immutable link snapshot: the cross-server targets of every hub
-// above the 90th score percentile. The target *set* is what
-// matters — boosts are idempotent threshold raises, so application order
-// is irrelevant.
-func (c *Crawler) boostDelta(hubs distiller.Ranking, links *linkgraph.Snapshot) ([]boostTarget, error) {
-	if c.cfg.HubNeighborBoost < 0 {
-		return nil, nil
-	}
-	top := topDecileHubs(hubs)
-	if len(top) == 0 {
-		return nil, nil
-	}
-	tops := make(map[int64]bool, len(top))
-	for _, h := range top {
-		tops[h.OID] = true
-	}
-	var out []boostTarget
-	err := links.ScanEdges(func(e linkgraph.Edge) (bool, error) {
-		if tops[e.Src] && e.SidSrc != e.SidDst {
-			out = append(out, boostTarget{e.Dst, e.SidDst})
-		}
-		return false, nil
-	})
-	return out, err
 }
 
 // DistillEpochs reports the distillation epoch counters: snapshotted is

@@ -89,3 +89,52 @@ func TestDistillEpochGrowsCrawlDBByScoreTablesOnly(t *testing.T) {
 func pageURL(host, i int) string {
 	return "http://h" + string(rune('a'+host)) + ".test/p" + string(rune('0'+i))
 }
+
+// TestDistillEpochReadsLinkTail: an epoch extends the kept arrangement by
+// LINK's tail past the previous epoch's snapshot and reads nothing else of
+// LINK. The law: its pool fetches are at most the pages the tail's rows
+// fill, ceil(rows / 92) a stripe (a 40-byte record and its 4-byte slot, 92
+// to a 4 KiB page after the 8-byte header), plus one page a stripe, where
+// the tail starts inside the previous epoch's last page. The first epoch
+// reads all of LINK. The boost is off, so no CRAWL page is read.
+func TestDistillEpochReadsLinkTail(t *testing.T) {
+	c, db := newTestCrawler(t, &stubFetcher{}, Config{Workers: 2, HubNeighborBoost: -1})
+	next := 0
+	ingest := func(pages int) (rows [2]int64) {
+		for ; pages > 0; pages-- {
+			src, f := expandPage(next, next)
+			next++
+			before := c.links.Rows()
+			if err := c.expandLinks(src, f, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			rows[uint64(src)%2] += c.links.Rows() - before
+		}
+		return rows
+	}
+	epochFetches := func() int64 {
+		before := db.Pool().Stats()
+		if err := c.distill(); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Pool().Stats()
+		return (after.Hits + after.Misses) - (before.Hits + before.Misses)
+	}
+	ingest(100)
+	first := epochFetches()
+	if first < c.links.Rows()/92 {
+		t.Fatalf("the first epoch fetched %d pages for %d LINK rows: it should read them all", first, c.links.Rows())
+	}
+	for epoch := 2; epoch <= 5; epoch++ {
+		rows := ingest(7 + epoch)
+		bound := int64(len(rows))
+		for _, n := range rows {
+			bound += (n + 91) / 92
+		}
+		if got := epochFetches(); got > bound {
+			t.Errorf("epoch %d fetched %d pages for a tail of %v rows a stripe: the law allows %d", epoch, got, rows, bound)
+		} else {
+			t.Logf("epoch %d: %d fetches for a tail of %v rows a stripe (law %d; the first epoch %d)", epoch, got, rows, bound, first)
+		}
+	}
+}

@@ -19,9 +19,11 @@
 //     arrays (it states the row-set rule and the summation order); RunJoin
 //     is Distill plus one load of HUBS and AUTH.
 //
-// The crawler keeps no score table: each epoch ranks Distill's arrays
-// (Rank) and publishes them whole, and its score reads are index reads on
-// the Ranking. HUBS and AUTH exist only where a caller builds them — the
+// LINK only grows, so the crawler does not rebuild the plan each epoch: it
+// keeps one Arrangement, LINK sorted into the join's order, extends it by
+// what LINK appended since the last epoch, and runs it. Each epoch ranks
+// the run's arrays (Rank) and publishes them whole; the crawler keeps no
+// score table, and its score reads are index reads on the Ranking. HUBS and AUTH exist only where a caller builds them — the
 // crawler's Tables and Figure 8(d)'s fixture.
 package distiller
 
@@ -38,8 +40,9 @@ import (
 )
 
 // LinkRel is the read surface the distiller needs from the LINK relation:
-// a sequential scan as typed edges. The crawler's striped linkgraph store and
-// its snapshot satisfy it; a plain *relstore.Table needs an adapter. The
+// a sequential scan as typed edges. The crawler's striped linkgraph store,
+// its snapshot and a snapshot's tail satisfy it; a plain *relstore.Table
+// needs an adapter. The
 // distiller is agnostic to how the edges are partitioned, as long as one
 // logical relation comes back.
 type LinkRel interface {
@@ -259,13 +262,13 @@ func relevanceOf(crawl *relstore.Table) (map[int64]float64, error) {
 	return out, err
 }
 
-// weights are e's forward and reverse weights, 1 and 1 when cfg.Unweighted
-// is set.
-func (c Config) weights(e linkgraph.Edge) (fwd, rev float64) {
+// weights are an edge's forward and reverse weights as a run reads them:
+// fwd and rev, or 1 and 1 when cfg.Unweighted is set.
+func (c Config) weights(fwd, rev float64) (float64, float64) {
 	if c.Unweighted {
 		return 1, 1
 	}
-	return e.WgtFwd, e.WgtRev
+	return fwd, rev
 }
 
 func (c Config) keepEdge(e linkgraph.Edge) bool {

@@ -610,10 +610,11 @@ func TestBreakdownAccounting(t *testing.T) {
 		t.Fatal("join recorded no sort time")
 	}
 
-	// Distill's split: reading and decoding LINK and laying out the
-	// authorities' side are Scan; ranking the sources, the sort and the
-	// counting sort are Sort; the iterations are Update. A LINK whose typed
-	// scan takes delay lands in Scan alone.
+	// Distill's split: reading and decoding LINK, the eligibility pass,
+	// ranking the sources and laying out the authorities' side are Scan;
+	// the arrangement's sorts and merge and the counting sort are Sort; the
+	// iterations are Update. A LINK whose typed scan takes delay lands in
+	// Scan alone.
 	link := make(edgeRel, len(edges))
 	for i, e := range edges {
 		link[i] = linkgraph.Edge{Src: e.src, SidSrc: e.sidSrc, Dst: e.dst, SidDst: e.sidDst, WgtFwd: e.wgtFwd, WgtRev: e.wgtRev}

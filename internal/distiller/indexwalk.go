@@ -86,7 +86,7 @@ func walkHalf(tb Tables, cfg Config, fwd bool) (Breakdown, error) {
 			return false, nil
 		}
 		from, to := e.Src, e.Dst
-		w, rev := cfg.weights(e)
+		w, rev := cfg.weights(e.WgtFwd, e.WgtRev)
 		if !fwd {
 			from, to, w = to, from, rev
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 )
 
@@ -35,8 +34,9 @@ func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 	return bd, nil
 }
 
-// Distill is RunJoin's in-memory core. It compiles the plan once per run:
-// everything the iterations share is hoisted out of them.
+// Distill is RunJoin's in-memory core: a fresh Arrangement extended by all
+// of Tables.Link, and one Run, so a one-shot run and the crawler's kept
+// arrangement share one plan.
 //
 //   - LINK is read once, as typed edges (Tables.Link.ScanEdges). An edge is
 //     eligible iff it passes the nepotism filter and, when a relevance view
@@ -61,49 +61,33 @@ func RunJoin(_ *relstore.DB, tb Tables, cfg Config) (Breakdown, error) {
 // group oid.
 //
 // Nothing is spilled: the plan holds under 100 bytes per eligible edge in
-// memory. Breakdown.Scan covers reading LINK and the relevance view and
-// the layout, Sort the source ranking, the sort and the counting sort,
-// Update the iterations; Lookup stays 0.
+// memory. Breakdown.Scan covers reading LINK and the relevance view, the
+// eligibility pass, the source ranking and the authorities' layout, Sort
+// the sorts, the merge and the counting sort, Update the iterations;
+// Lookup stays 0.
 func Distill(tb Tables, cfg Config) (hubs, auth []Scored, bd Breakdown, err error) {
-	cfg = cfg.withDefaults()
 	if tb.Link == nil {
 		return nil, nil, bd, fmt.Errorf("distiller: missing tables")
 	}
-
 	t0 := time.Now()
-	edges, err := eligibleEdges(tb, cfg)
+	rel := cfg.Relevance
+	if rel == nil && tb.Crawl != nil {
+		if rel, err = relevanceOf(tb.Crawl); err != nil {
+			return nil, nil, bd, err
+		}
+	}
+	// The one run reads only the eligible edges, so only they are held.
+	a := NewArrangement(cfg)
+	tail, err := a.read(tb.Link, rel, nil)
 	if err != nil {
 		return nil, nil, bd, err
 	}
 	bd.Scan += time.Since(t0)
-
 	t0 = time.Now()
-	hubOIDs := rankSources(edges)
-	slices.SortFunc(edges, compareEdges)
+	a.insert(tail, nil)
 	bd.Sort += time.Since(t0)
-
-	t0 = time.Now()
-	authOrder := layOut(edges)
-	bd.Scan += time.Since(t0)
-
-	t0 = time.Now()
-	hubOrder := authOrder.bySource(hubOIDs, edges)
-	bd.Sort += time.Since(t0)
-
-	t0 = time.Now()
-	hubScore := make([]float64, len(hubOrder.oids))
-	for i := range hubScore {
-		hubScore[i] = 1 // the standard HITS start vector
-	}
-	authScore := make([]float64, len(authOrder.oids))
-	for it := 0; it < cfg.Iterations; it++ {
-		authOrder.groupSums(authScore, hubScore)
-		normalizeScores(authScore)
-		hubOrder.groupSums(hubScore, authScore)
-		normalizeScores(hubScore)
-	}
-	hubs, auth = scored(hubOrder.oids, hubScore), scored(authOrder.oids, authScore)
-	bd.Update += time.Since(t0)
+	hubs, auth, run := a.Run(rel)
+	bd.add(run)
 	return hubs, auth, bd, nil
 }
 
@@ -114,13 +98,6 @@ func scored(oids []int64, scores []float64) []Scored {
 		out[i] = Scored{OID: oid, Score: scores[i]}
 	}
 	return out
-}
-
-// planEdge is one eligible LINK row, reduced to what the plan reads.
-type planEdge struct {
-	src, dst int64
-	fwd, rev float64
-	hub      int32
 }
 
 // compareEdges orders edges by (dst, src). Equal endpoints — LINK stores a
@@ -140,49 +117,6 @@ func compareEdges(a, b planEdge) int {
 	return cmp.Compare(a.rev, b.rev)
 }
 
-// eligibleEdges reads LINK once and keeps the eligible edges, with weight 1
-// on both sides when cfg.Unweighted is set.
-func eligibleEdges(tb Tables, cfg Config) ([]planEdge, error) {
-	rel := cfg.Relevance
-	if rel == nil && tb.Crawl != nil {
-		var err error
-		if rel, err = relevanceOf(tb.Crawl); err != nil {
-			return nil, err
-		}
-	}
-	var edges []planEdge
-	err := tb.Link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
-		if cfg.keepEdge(e) && (rel == nil || rel[e.Dst] > cfg.Rho) {
-			fwd, rev := cfg.weights(e)
-			edges = append(edges, planEdge{src: e.Src, dst: e.Dst, fwd: fwd, rev: rev})
-		}
-		return false, nil
-	})
-	return edges, err
-}
-
-// rankSources returns the edges' distinct sources in ascending oid order and
-// sets each edge's hub to its source's position there, looked up once per
-// run of a source's edges: LINK stores a source's out-edges together.
-func rankSources(edges []planEdge) []int64 {
-	var srcs []int64
-	for i, e := range edges {
-		if i == 0 || e.src != edges[i-1].src {
-			srcs = append(srcs, e.src)
-		}
-	}
-	slices.Sort(srcs)
-	srcs = slices.Compact(srcs)
-	var at int
-	for i := range edges {
-		if i == 0 || edges[i].src != edges[i-1].src {
-			at, _ = slices.BinarySearch(srcs, edges[i].src)
-		}
-		edges[i].hub = int32(at)
-	}
-	return srcs
-}
-
 // edgeOrder is the eligible edges grouped by one endpoint: group g is the
 // page oids[g], and its terms are positions off[g] up to off[g+1] of peers,
 // each the other endpoint's rank in the other side's oids, and weights.
@@ -193,27 +127,12 @@ type edgeOrder struct {
 	weights []float64
 }
 
-// layOut groups edges, sorted by compareEdges, by destination: the
-// authorities' side, each term a source rank and a forward weight.
-func layOut(sorted []planEdge) edgeOrder {
-	o := edgeOrder{peers: make([]int32, len(sorted)), weights: make([]float64, len(sorted))}
-	for i, e := range sorted {
-		if i == 0 || e.dst != sorted[i-1].dst {
-			o.oids = append(o.oids, e.dst)
-			o.off = append(o.off, int32(i))
-		}
-		o.peers[i], o.weights[i] = e.hub, e.fwd
-	}
-	o.off = append(o.off, int32(len(sorted)))
-	return o
-}
-
-// bySource derives the hubs' side from the authorities' side o, laid out
-// from sorted: a stable counting sort on source rank, so a hub's terms keep
-// o's (dst, fwd, rev) order, each an authority rank and a reverse weight.
-func (o *edgeOrder) bySource(hubOIDs []int64, sorted []planEdge) edgeOrder {
+// bySource derives the hubs' side from the authorities' side o: a stable
+// counting sort on source rank, so a hub's terms keep o's (dst, fwd, rev)
+// order, each an authority rank and a reverse weight, revs[i] for o's term i.
+func (o *edgeOrder) bySource(hubOIDs []int64, revs []float64) edgeOrder {
 	h := edgeOrder{oids: hubOIDs, off: make([]int32, len(hubOIDs)+1),
-		peers: make([]int32, len(sorted)), weights: make([]float64, len(sorted))}
+		peers: make([]int32, len(revs)), weights: make([]float64, len(revs))}
 	for _, hub := range o.peers {
 		h.off[hub+1]++
 	}
@@ -224,7 +143,7 @@ func (o *edgeOrder) bySource(hubOIDs []int64, sorted []planEdge) edgeOrder {
 	for g := range o.oids {
 		for i := o.off[g]; i < o.off[g+1]; i++ {
 			at := &next[o.peers[i]]
-			h.peers[*at], h.weights[*at] = int32(g), sorted[i].rev
+			h.peers[*at], h.weights[*at] = int32(g), revs[i]
 			*at++
 		}
 	}

@@ -216,7 +216,7 @@ func TestOutputScalingRoughlyLinear(t *testing.T) {
 }
 
 func TestDistillerPerfJoinWins(t *testing.T) {
-	r, err := RunDistillerPerf(DistillerPerfConfig{
+	cfg := DistillerPerfConfig{
 		Web: webgraph.Config{
 			Seed:         37,
 			NumPages:     6000,
@@ -226,9 +226,22 @@ func TestDistillerPerfJoinWins(t *testing.T) {
 		Iterations:  2,
 		Frames:      256,
 		DiskLatency: 10 * time.Microsecond,
-	})
+	}
+	r, err := RunDistillerPerf(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The figure's counts repeat run to run: the fixture's crawl is a
+	// function of its config.
+	again, err := RunDistillerPerf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func(r *DistillerPerfResult) [5]int64 {
+		return [5]int64{r.Edges, r.WalkAccesses, r.JoinAccesses, r.WalkReads, r.JoinReads}
+	}
+	if counts(r) != counts(again) {
+		t.Fatalf("two runs of one config counted (edges, walk and join accesses, walk and join reads) %v and %v", counts(r), counts(again))
 	}
 	if r.Edges == 0 {
 		t.Fatal("no edges crawled")

@@ -406,12 +406,14 @@ type DistillerPerfResult struct {
 }
 
 // RunDistillerPerf reproduces Figure 8(d): crawl a topic to build a LINK
-// graph, then run both distiller implementations over it.
+// graph, then run both distiller implementations over it. The crawl runs
+// at one worker, so the graph, and with it every count, is a function of
+// the config.
 func RunDistillerPerf(cfg DistillerPerfConfig) (*DistillerPerfResult, error) {
 	cfg = cfg.withDefaults()
 	sys, _, err := crawlRun{
 		WebCfg: cfg.Web, Topic: cfg.Topic, Seeds: 25, Frames: cfg.Frames,
-		Crawl: crawler.Config{Workers: 8, MaxFetches: cfg.CrawlBudget},
+		Crawl: crawler.Config{Workers: 1, MaxFetches: cfg.CrawlBudget},
 	}.run()
 	if err != nil {
 		return nil, err

@@ -25,8 +25,10 @@
 // touches no page, and every read surface (ScanEdges, ScanBySrc and the
 // snapshot's scans) returns wgt_fwd as the log's value for oid_dst when
 // the log has one, else the weight stored at ingest. A snapshot is
-// therefore a cut: each stripe's row count and the log's length, read into
-// memory once, when it is first scanned. LINK is read only as typed
+// therefore a cut: each stripe's row count and the log's length. What a
+// later snapshot holds past an earlier one (Snapshot.Since) is a tail of
+// each stripe's heap, read from its first row on with the weights stored,
+// and a tail of the log to resolve them. LINK is read only as typed
 // Edges: every read decodes its records through one decoder, decodeRecord.
 //
 // # Lock ordering
@@ -621,19 +623,21 @@ func (st *stripe) checkDirectory() error {
 	return nil
 }
 
-// scan calls fn with the stripe's first n edges in heap order, wgt_fwd
-// resolved against w; stop reports that fn ended the scan. The heap only
-// appends at its tail, so its first n rows are the stripe as it stood when
-// it held n. Each record is decoded straight into an Edge (decodeRecord), so
+// scan calls fn with the stripe's rows from up to to, in heap order, wgt_fwd
+// resolved against w (nil: as stored); stop reports that fn ended the scan.
+// The heap only appends at its tail, in the order of the out-edge
+// directory's rows, so its first n rows are the stripe as it stood when it
+// held n, and row from lies at dir.rows[from].rid: the scan reads no page
+// before it. Each record is decoded straight into an Edge (decodeRecord), so
 // a scan allocates nothing per row.
 //
 //focuslint:lock requires=stripe
-func (st *stripe) scan(n int64, w map[int64]float64, fn func(Edge) (bool, error)) (stop bool, err error) {
-	if n == 0 {
+func (st *stripe) scan(from, to int64, w map[int64]float64, fn func(Edge) (bool, error)) (stop bool, err error) {
+	if from >= to {
 		return false, nil
 	}
-	var seen int64
-	err = st.tab.Heap().Scan(func(rid relstore.RID, rec []byte) (bool, error) {
+	seen := from
+	err = st.tab.Heap().ScanFrom(st.dir.rows[from].rid, func(rid relstore.RID, rec []byte) (bool, error) {
 		e, err := decodeRecord(rec)
 		if err != nil {
 			return true, fmt.Errorf("linkgraph: stripe %d, row %v: %w", st.id, rid, err)
@@ -644,7 +648,7 @@ func (st *stripe) scan(n int64, w map[int64]float64, fn func(Edge) (bool, error)
 		seen++
 		var ferr error
 		stop, ferr = fn(e)
-		return stop || seen == n, ferr
+		return stop || seen == to, ferr
 	})
 	return stop, err
 }
@@ -659,7 +663,7 @@ func (s *Store) ScanEdges(fn func(Edge) (bool, error)) error {
 	w := resolve(s.log.cut())
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		stop, err := st.scan(st.tab.Rows(), w, fn)
+		stop, err := st.scan(0, st.tab.Rows(), w, fn)
 		st.mu.Unlock()
 		if stop || err != nil {
 			return err
@@ -680,13 +684,6 @@ type Snapshot struct {
 	rows  []int64
 	edges int64
 	fwd   []fwdEntry
-
-	// read fills cut, the snapshot's edges in scan order, on the first scan:
-	// each stripe's lock is held once per snapshot, and an epoch's later
-	// scans read no page and take no lock.
-	read sync.Once
-	cut  []Edge
-	err  error
 }
 
 // SnapshotLocked takes a snapshot. The caller must hold every stripe lock
@@ -707,34 +704,79 @@ func (s *Store) SnapshotLocked() (*Snapshot, error) {
 func (sn *Snapshot) Rows() int64 { return sn.edges }
 
 // ScanEdges visits every snapshot edge in the order and with the weights
-// Store.ScanEdges produced at snapshot time.
+// Store.ScanEdges produced at snapshot time, reading each stripe's part
+// under its lock, as Store.ScanEdges does.
 func (sn *Snapshot) ScanEdges(fn func(Edge) (bool, error)) error {
-	sn.read.Do(sn.readCut)
-	if sn.err != nil {
-		return sn.err
+	t, _ := sn.Since(nil)
+	return t.scan(resolve(sn.fwd), fn)
+}
+
+// Tail is what a snapshot holds past an earlier snapshot of the same store:
+// for each stripe i, its rows from prev.rows[i] up to rows[i], and the
+// forward-weight log's entries past prev's. LINK is
+// append-only, so the earlier snapshot's edges and the tails since are
+// together exactly this snapshot's. A tail's edges carry the wgt_fwd stored
+// at ingest, not resolved: the log entries resolve them, and the earlier
+// edges, to what this snapshot's ScanEdges returns.
+type Tail struct {
+	sn   *Snapshot
+	from []int64
+	fwd  []fwdEntry
+}
+
+// Since returns sn's tail past prev, an earlier snapshot of the same store;
+// a nil prev is the empty snapshot, so the tail is all of sn. It reads no
+// page.
+func (sn *Snapshot) Since(prev *Snapshot) (Tail, error) {
+	t := Tail{sn: sn, from: make([]int64, len(sn.rows)), fwd: sn.fwd}
+	if prev == nil {
+		return t, nil
 	}
-	for _, e := range sn.cut {
-		if stop, err := fn(e); stop || err != nil {
+	ok := prev.store == sn.store && len(prev.fwd) <= len(sn.fwd)
+	for i := 0; ok && i < len(t.from); i++ {
+		t.from[i] = prev.rows[i]
+		ok = t.from[i] <= sn.rows[i]
+	}
+	if !ok {
+		return Tail{}, fmt.Errorf("linkgraph: a tail since a snapshot of another store, or a later one")
+	}
+	t.fwd = sn.fwd[len(prev.fwd):]
+	return t, nil
+}
+
+// Rows returns the tail's edge count.
+func (t Tail) Rows() (n int64) {
+	for i, from := range t.from {
+		n += t.sn.rows[i] - from
+	}
+	return n
+}
+
+// ScanEdges visits the tail's edges, stripe 0 first and heap order within a
+// stripe, with wgt_fwd as stored. Each stripe's lock is held over its tail
+// only, fn included, and a stripe with no tail is not locked.
+func (t Tail) ScanEdges(fn func(Edge) (bool, error)) error { return t.scan(nil, fn) }
+
+// ScanFwd visits the tail's forward-weight log entries, each a
+// UpdateIncomingFwd(dst, fwd), in log order: a later one supersedes an
+// earlier one for its dst.
+func (t Tail) ScanFwd(fn func(dst int64, fwd float64)) {
+	for _, e := range t.fwd {
+		fn(e.dst, e.fwd)
+	}
+}
+
+func (t Tail) scan(w map[int64]float64, fn func(Edge) (bool, error)) error {
+	for i, st := range t.sn.store.stripes {
+		if t.from[i] == t.sn.rows[i] {
+			continue
+		}
+		st.mu.Lock()
+		stop, err := st.scan(t.from[i], t.sn.rows[i], w, fn)
+		st.mu.Unlock()
+		if stop || err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// readCut reads each stripe's first rows[i] rows, weights resolved, into cut,
-// holding the stripe's lock while it does.
-func (sn *Snapshot) readCut() {
-	w := resolve(sn.fwd)
-	sn.cut = make([]Edge, 0, sn.edges)
-	for i, st := range sn.store.stripes {
-		st.mu.Lock()
-		_, sn.err = st.scan(sn.rows[i], w, func(e Edge) (bool, error) {
-			sn.cut = append(sn.cut, e)
-			return false, nil
-		})
-		st.mu.Unlock()
-		if sn.err != nil {
-			return
-		}
-	}
 }

@@ -1,9 +1,12 @@
 package linkgraph
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -202,5 +205,92 @@ func TestSnapshotKeepsSupersededWeight(t *testing.T) {
 		if edge.WgtFwd != 0.75 {
 			t.Errorf("live edge %d->9 wgt_fwd = %v, want the newest 0.75", edge.Src, edge.WgtFwd)
 		}
+	}
+}
+
+// TestSnapshotTailStress reads LINK the way the distiller's kept
+// arrangement does: four workers apply pages and log forward weights into
+// four stripes while snapshots are cut one after another, and each
+// snapshot's tail past the one before is read while the writers run. The
+// tails so far, their stored weights resolved against the log tails so far,
+// must be exactly each snapshot's full ScanEdges; a tail since a later
+// snapshot, or one of another store, is refused.
+func TestSnapshotTailStress(t *testing.T) {
+	s := newStore(t, 4)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var writing atomic.Int32
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		writing.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer writing.Add(-1)
+			for page := int64(0); page < 400; page++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				src := page*4 + int64(w)
+				var b Batch
+				for k := int64(0); k < 1+src%9; k++ {
+					b.Add(e(src%300, (src*7+k*13)%211))
+				}
+				if _, err := s.Apply(&b, nil); err != nil {
+					errs <- err
+					return
+				}
+				if err := s.UpdateIncomingFwd(src%211, float64(page%5)/4); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	byEdge := func(a, b Edge) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) }
+	var prev *Snapshot
+	var tails []Edge
+	var logged []fwdEntry
+	for k := 0; k < 25; k++ {
+		for s.Rows() < int64(k)*150 && writing.Load() > 0 {
+			runtime.Gosched() // let the writers get ahead of the last cut
+		}
+		sn := snapshotAll(t, s)
+		tail, err := sn.Since(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tails = append(tails, scanEdges(t, tail)...)
+		logged = append(logged, tail.fwd...)
+		w := resolve(logged)
+		got := slices.Clone(tails)
+		for i := range got {
+			if fwd, ok := w[got[i].Dst]; ok {
+				got[i].WgtFwd = fwd
+			}
+		}
+		want := scanEdges(t, sn)
+		slices.SortFunc(got, byEdge)
+		slices.SortFunc(want, byEdge)
+		if int64(len(want)) != sn.Rows() || !slices.Equal(got, want) {
+			t.Fatalf("snapshot %d: %d rows, %d edges read whole and %d through tails, or they differ", k, sn.Rows(), len(want), len(got))
+		}
+		if prev != nil {
+			if _, err := prev.Since(sn); err == nil && sn.Rows() > prev.Rows() {
+				t.Fatalf("snapshot %d: a tail since a later snapshot was not refused", k)
+			}
+		}
+		prev = sn
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if _, err := snapshotAll(t, newStore(t, 4)).Since(prev); err == nil {
+		t.Fatal("a tail since another store's snapshot was not refused")
 	}
 }

@@ -261,23 +261,47 @@ func (h *HeapFile) Delete(rid RID) error {
 // end early. The record slice is only valid during the callback. A chain
 // longer than the disk loops, and is an error.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) (stop bool, err error)) error {
+	return h.scanFrom(RID{Page: h.first}, false, fn)
+}
+
+// ScanFrom is Scan started at the live record at rid: it visits that record
+// and every later one, and reads no page before rid's. A rid that names no
+// live record is an error.
+func (h *HeapFile) ScanFrom(rid RID, fn func(rid RID, rec []byte) (stop bool, err error)) error {
+	if rid.Page == InvalidPage {
+		return fmt.Errorf("relstore: RID %v names no record", rid)
+	}
+	return h.scanFrom(rid, true, fn)
+}
+
+// scanFrom visits the records from slot from.Slot of page from.Page on;
+// live requires that slot to hold a live record.
+func (h *HeapFile) scanFrom(from RID, live bool, fn func(rid RID, rec []byte) (stop bool, err error)) error {
 	limit := h.bp.Disk().NumPages()
-	for pid, pages := h.first, int64(0); pid != InvalidPage; pages++ {
+	for pid, pages := from.Page, int64(0); pid != InvalidPage; pages++ {
 		if pages == limit {
-			return fmt.Errorf("relstore: heap chain from page %d passes %d pages: it loops", h.first, limit)
+			return fmt.Errorf("relstore: heap chain from page %d passes %d pages: it loops", from.Page, limit)
 		}
 		f, err := h.bp.Fetch(pid)
 		if err != nil {
 			return err
 		}
-		p := f.Data()
-		if err := heapPageErr(pid, p); err != nil {
+		p, first := f.Data(), uint16(0)
+		if pages == 0 {
+			first = from.Slot
+		}
+		if pages == 0 && live {
+			_, _, err = heapRecord(p, from)
+		} else {
+			err = heapPageErr(pid, p)
+		}
+		if err != nil {
 			h.bp.Unpin(f, false)
 			return err
 		}
 		count, free := heapCount(p), heapFree(p)
 		next := heapNext(p)
-		for i := uint16(0); i < count; i++ {
+		for i := first; i < count; i++ {
 			off, length := heapSlot(p, i)
 			if length == delSlot {
 				continue

@@ -247,3 +247,70 @@ func TestRIDRoundTrip(t *testing.T) {
 		t.Fatal("IsZero misbehaviour")
 	}
 }
+
+// TestHeapScanFromIsSuffix: a scan from any record's RID visits exactly the
+// suffix of a full scan that starts at that record, across page boundaries
+// (a page holds three of its records), and stops early
+// when asked. A RID that names no live record is an error, not a panic.
+func TestHeapScanFromIsSuffix(t *testing.T) {
+	bp := newTestPool(16)
+	h, err := NewHeapFile(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, 1100)
+	for i := 0; i < 20; i++ {
+		rec[0] = byte(i)
+		if _, err := h.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Delete(RID{Page: h.first, Slot: 1}); err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		rid RID
+		b   byte
+	}
+	scan := func(from *RID, stopAfter int) ([]row, error) {
+		var out []row
+		fn := func(rid RID, rec []byte) (bool, error) {
+			out = append(out, row{rid, rec[0]})
+			return len(out) == stopAfter, nil
+		}
+		if from == nil {
+			return out, h.Scan(fn)
+		}
+		return out, h.ScanFrom(*from, fn)
+	}
+	full, err := scan(nil, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 19 || full[len(full)-1].rid.Page == h.first {
+		t.Fatalf("full scan: %d records ending on page %d; the test wants 19 over several pages", len(full), full[len(full)-1].rid.Page)
+	}
+	for i, r := range full {
+		got, err := scan(&r.rid, -1)
+		if err != nil {
+			t.Fatalf("scan from %v: %v", r.rid, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(full[i:]) {
+			t.Fatalf("scan from %v = %v, want %v", r.rid, got, full[i:])
+		}
+		if got, err := scan(&r.rid, 2); err != nil || len(got) != min(2, len(full)-i) {
+			t.Fatalf("scan from %v stopping after 2: %d records, %v", r.rid, len(got), err)
+		}
+	}
+	last := full[len(full)-1].rid
+	for _, rid := range []RID{
+		{},                                       // the zero RID
+		{Page: h.first, Slot: 3},                 // deleted
+		{Page: last.Page, Slot: last.Slot + 1},   // past the tail page's records
+		{Page: PageID(bp.Disk().NumPages() + 5)}, // past the disk
+	} {
+		if _, err := scan(&rid, -1); err == nil {
+			t.Errorf("scan from %v: no error", rid)
+		}
+	}
+}
