@@ -3,11 +3,11 @@
 // large. The answer found by the system described in this paper is first
 // aid."
 //
-// This example runs a focused cycling crawl, then issues the query against
-// its harvest log and its LINK relation: for every visited page classified
-// as cycling, census the best-leaf classes of its visited link targets, and
-// compare each class's share in that 1-link neighborhood against its share
-// among all visited pages (the "web at large" the crawl saw).
+// This example runs a focused cycling crawl, then issues the query through
+// Crawler.NeighborhoodCensus: for every visited page classified as cycling,
+// census the best-leaf classes of its visited link targets, and compare
+// each class's share in that 1-link neighborhood against its share on the
+// generated web at large.
 //
 //	go run ./examples/citationsociology
 package main
@@ -19,7 +19,6 @@ import (
 
 	"focus"
 	"focus/internal/crawler"
-	"focus/internal/linkgraph"
 	"focus/internal/taxonomy"
 	"focus/internal/webgraph"
 )
@@ -46,12 +45,6 @@ func main() {
 
 	cyc := sys.Tree.ByName("cycling").ID
 
-	// Best-leaf class of every visited page, by oid.
-	classOf := map[int64]taxonomy.NodeID{}
-	for _, h := range sys.Crawler.HarvestLog() {
-		classOf[h.OID] = taxonomy.NodeID(h.Kcid)
-	}
-
 	// "The web at large": the global topic distribution. A production
 	// system would estimate this from a reference corpus (the paper knew
 	// Yahoo!-wide base rates); here the generator's ground truth serves.
@@ -61,23 +54,15 @@ func main() {
 			float64(len(sys.Web.Pages))
 	}
 
-	// Class shares within one link of cycling pages.
-	near := map[taxonomy.NodeID]float64{}
-	var nearTotal float64
-	err = sys.Crawler.Links().ScanEdges(func(e linkgraph.Edge) (bool, error) {
-		if classOf[e.Src] != cyc {
-			return false, nil
-		}
-		dc, visited := classOf[e.Dst]
-		if !visited || dc == cyc {
-			return false, nil
-		}
-		near[dc]++
-		nearTotal++
-		return false, nil
-	})
+	// Class shares within one link of cycling pages, cycling itself aside.
+	near, err := sys.Crawler.NeighborhoodCensus(cyc)
 	if err != nil {
 		log.Fatal(err)
+	}
+	delete(near, cyc)
+	var nearTotal float64
+	for _, n := range near {
+		nearTotal += float64(n)
 	}
 
 	type liftRow struct {
@@ -88,7 +73,7 @@ func main() {
 	}
 	var rows []liftRow
 	for c, n := range near {
-		share := n / nearTotal
+		share := float64(n) / nearTotal
 		base := overall[c]
 		if base == 0 || n < 10 {
 			continue

@@ -194,11 +194,11 @@ func TestAllPathsAgree(t *testing.T) {
 	}
 	for i, v := range vecs {
 		ref := m.Classify(v)
-		sql, err := m.SingleProbe(v, LayoutSQL)
+		sql, _, err := m.SingleProbeTimed(v, LayoutSQL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := m.SingleProbe(v, LayoutBLOB)
+		blob, _, err := m.SingleProbeTimed(v, LayoutBLOB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,13 +271,13 @@ func TestProbeIOCounts(t *testing.T) {
 	pool := m.DB.Pool()
 
 	pool.ResetStats()
-	if _, err := m.SingleProbe(d, LayoutBLOB); err != nil {
+	if _, _, err := m.SingleProbeTimed(d, LayoutBLOB); err != nil {
 		t.Fatal(err)
 	}
 	blobTouches := pool.Stats().Hits + pool.Stats().Misses
 
 	pool.ResetStats()
-	if _, err := m.SingleProbe(d, LayoutSQL); err != nil {
+	if _, _, err := m.SingleProbeTimed(d, LayoutSQL); err != nil {
 		t.Fatal(err)
 	}
 	sqlTouches := pool.Stats().Hits + pool.Stats().Misses
@@ -312,7 +312,7 @@ func TestClassifyFeatureSideWalkIsBitIdentical(t *testing.T) {
 	same := func(v textproc.TermVector) error {
 		got := m.Classify(v)
 		for _, layout := range []ProbeLayout{LayoutBLOB, LayoutSQL} {
-			ref, err := m.SingleProbe(v, layout)
+			ref, _, err := m.SingleProbeTimed(v, layout)
 			if err != nil {
 				return err
 			}

@@ -145,7 +145,7 @@ func (m *Model) ClassifyTokens(tokens []string) Posterior {
 	return m.Classify(textproc.VectorOfTokens(tokens))
 }
 
-// ProbeLayout selects a SingleProbe statistics layout (Figure 8a's bars).
+// ProbeLayout selects a SingleProbeTimed statistics layout (Figure 8a's bars).
 type ProbeLayout int
 
 const (
@@ -162,21 +162,16 @@ const (
 // statistics Materialize has not written into a database.
 var errUnmaterialized = errors.New("classifier: model not materialized")
 
-// SingleProbe classifies one document through the database, issuing index
-// probes per term exactly as Figure 2's pseudocode does.
-func (m *Model) SingleProbe(v textproc.TermVector, layout ProbeLayout) (Posterior, error) {
-	p, _, err := m.SingleProbeTimed(v, layout)
-	return p, err
-}
-
-// ProbeStats decomposes a SingleProbe run for the Figure 8(a) bars: time
-// spent probing the statistics versus everything else (CPU).
+// ProbeStats decomposes a SingleProbeTimed run for the Figure 8(a) bars:
+// time spent probing the statistics versus everything else (CPU).
 type ProbeStats struct {
 	Probes    int64
 	ProbeTime time.Duration
 }
 
-// SingleProbeTimed is SingleProbe with per-probe instrumentation.
+// SingleProbeTimed classifies one document through the database, issuing
+// index probes per term exactly as Figure 2's pseudocode does, and counts
+// and times the probes.
 func (m *Model) SingleProbeTimed(v textproc.TermVector, layout ProbeLayout) (Posterior, ProbeStats, error) {
 	var st ProbeStats
 	if m.DB == nil {

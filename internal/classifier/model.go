@@ -2,10 +2,10 @@
 // (Bernoulli/multinomial) text classifier (§2.1): training with feature
 // selection and the smoothed parameter estimation of Eq. (1), the in-memory
 // Classify the crawl runs on every page, and the three database access
-// paths whose I/O behaviour Figure 8 compares — SingleProbe over unpacked
-// statistics rows ("SQL"), SingleProbe over packed per-(node,term) records
-// ("BLOB"), and the batched sort-merge-join BulkClassify ("CLI", the plan of
-// Figure 3). Those three read the relations Model.Materialize writes; tests
+// paths whose I/O behaviour Figure 8 compares — SingleProbeTimed over
+// unpacked statistics rows ("SQL"), SingleProbeTimed over packed
+// per-(node,term) records ("BLOB"), and the batched sort-merge-join
+// BulkClassify ("CLI", the plan of Figure 3). Those three read the relations Model.Materialize writes; tests
 // prove all paths compute the same posteriors.
 package classifier
 
@@ -50,7 +50,7 @@ type childTheta struct {
 // Model is a trained hierarchical classifier. Train builds it in memory,
 // which is all Classify reads. Materialize also writes its statistics into
 // a database in Figure 1's STAT_c0 and BLOB layouts, which only the Figure 8
-// access paths (SingleProbe, BulkClassify) read; until then DB, StatTables
+// access paths (SingleProbeTimed, BulkClassify) read; until then DB, StatTables
 // and Blob are nil.
 type Model struct {
 	Tree *taxonomy.Tree

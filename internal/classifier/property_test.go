@@ -77,11 +77,11 @@ func TestEmptyDocumentFallsBackToPriors(t *testing.T) {
 	m, _ := trainedModel(t, 8)
 	v := textproc.TermVector{}
 	ref := m.Classify(v)
-	sql, err := m.SingleProbe(v, LayoutSQL)
+	sql, _, err := m.SingleProbeTimed(v, LayoutSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := m.SingleProbe(v, LayoutBLOB)
+	blob, _, err := m.SingleProbeTimed(v, LayoutBLOB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestUnmaterializedModelRefusesFigure8Paths(t *testing.T) {
 		t.Fatalf("Classify on an unmaterialized model: root %v", p[m.Tree.Root.ID])
 	}
 	for _, layout := range []ProbeLayout{LayoutSQL, LayoutBLOB} {
-		if _, err := m.SingleProbe(v, layout); !errors.Is(err, errUnmaterialized) {
+		if _, _, err := m.SingleProbeTimed(v, layout); !errors.Is(err, errUnmaterialized) {
 			t.Errorf("SingleProbe layout %d: err %v, want errUnmaterialized", layout, err)
 		}
 	}

@@ -198,8 +198,8 @@ func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointS
 
 	checkForwardWeights(t, cr2)
 
-	// Out-edge directory: ScanBySrc, which walks a source's chain, reads back
-	// exactly the edges the heaps hold. CheckDirectory above already matched
+	// Out-edge directory: OutEdgesLocked, which walks a source's chain, reads
+	// back exactly the edges the heaps hold. CheckDirectory above already matched
 	// the directories to the heaps row by row.
 	heap := map[int64][]int64{}
 	for i := 0; i < st.LinkStripes; i++ {
@@ -220,18 +220,21 @@ func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointS
 			t.Fatal(err)
 		}
 	}
+	links := cr2.Links()
 	for src, want := range heap {
 		slices.Sort(want)
 		var got []int64
-		err := cr2.Links().ScanBySrc(src, func(e linkgraph.Edge) (bool, error) {
-			got = append(got, e.Dst)
+		links.LockAll()
+		err := links.OutEdgesLocked(src, func(dst int64, _, _ int32) (bool, error) {
+			got = append(got, dst)
 			return false, nil
 		})
+		links.UnlockAll()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("ScanBySrc(%d) reads %d edges, the heap holds %d out of it", src, len(got), len(want))
+			t.Fatalf("OutEdgesLocked(%d) reads %d edges, the heap holds %d out of it", src, len(got), len(want))
 		}
 	}
 }
@@ -273,9 +276,6 @@ func TestResumeAtDifferentWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := resumed.Crawler
-	if got := cr.NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d after resume at Workers=2, want the checkpoint's 4", got)
-	}
 	if got := cr.Links().NumStripes(); got != 4 {
 		t.Fatalf("NumStripes = %d after resume at Workers=2, want the checkpoint's 4", got)
 	}
@@ -290,6 +290,15 @@ func TestResumeAtDifferentWorkers(t *testing.T) {
 	}
 	if res.Fetches < 500 {
 		t.Fatalf("resumed crawl stopped at %d fetches (stagnated=%v), budget 500", res.Fetches, res.Stagnated)
+	}
+	// The resumed crawl's own checkpoints record the shards it ran with.
+	after, err := crawler.ReadCheckpoint(resumed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Visited <= st.Visited || after.FrontierShards != 4 {
+		t.Fatalf("the resumed crawl's checkpoint holds %d visits over %d frontier shards; want past %d, over the first checkpoint's 4",
+			after.Visited, after.FrontierShards, st.Visited)
 	}
 	if res.Visited <= st.Visited || int64(len(cr.HarvestLog())) != res.Visited {
 		t.Fatalf("resumed crawl visited %d (harvest log %d), checkpoint had %d",

@@ -31,10 +31,14 @@ const (
 	ModeUnfocused
 )
 
-// NoRetries is the explicit-zero sentinel for Config.MaxRetries, whose
-// zero value means "use the default of 3": any negative value disables
-// retries, so the first transient failure marks the row dead.
-const NoRetries = -1
+const (
+	// maxRetries is the per-URL transient failure budget: a row's third
+	// transient failure kills it.
+	maxRetries = 3
+	// breakerCooldown is the open-breaker cooling period before the
+	// half-open probe (Config.BreakerAfter).
+	breakerCooldown = 50 * time.Millisecond
+)
 
 // Config tunes a crawl.
 type Config struct {
@@ -46,10 +50,6 @@ type Config struct {
 	MaxFetches int64
 	// Mode selects soft focus, hard focus, or the unfocused baseline.
 	Mode Mode
-	// MaxRetries is the per-URL transient failure budget (default 3;
-	// negative — see NoRetries — disables retries, so the first transient
-	// failure kills the row).
-	MaxRetries int32
 	// RetryBackoff enables exponential backoff for retries: a transiently
 	// failed row re-enters the frontier with a not-before eligibility time
 	// of RetryBackoff·2^(tries-1), capped at 32×RetryBackoff, plus
@@ -66,13 +66,10 @@ type Config struct {
 	HostDelay time.Duration
 	// BreakerAfter opens a per-host circuit breaker after this many
 	// consecutive failures: the host's rows stay queued — skipped at
-	// checkout, not burned against MaxFetches — until BreakerCooldown
-	// passes, then a single half-open probe decides whether to close the
-	// breaker or re-open it. 0 disables.
+	// checkout, not burned against MaxFetches — for a 50 ms cooldown, then
+	// a single half-open probe decides whether to close the breaker or
+	// re-open it. 0 disables.
 	BreakerAfter int
-	// BreakerCooldown is the open-breaker cooling period before the
-	// half-open probe (default 50ms when BreakerAfter is set).
-	BreakerCooldown time.Duration
 	// DistillEvery runs the distiller after every k page visits
 	// (0 disables distillation).
 	DistillEvery int64
@@ -108,16 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFetches <= 0 {
 		c.MaxFetches = 1000
-	}
-	// Zero keeps the default; negative (NoRetries) means an explicit
-	// zero — before the clamp, "no retries" was inexpressible.
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.BreakerAfter > 0 && c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 50 * time.Millisecond
 	}
 	// Negative already means "boost disabled": distillEpoch applies no
 	// boost when HubNeighborBoost < 0, so the sentinel needs no clamp here.
@@ -284,6 +271,11 @@ type Crawler struct {
 	breakerTrips  atomic.Int64
 	deadCause     [dcCount]atomic.Int64
 
+	// retryBudget is the transient failure budget and cooldown the open
+	// breaker's cooling period: maxRetries and breakerCooldown, which tests
+	// may change before Run.
+	retryBudget int32
+	cooldown    time.Duration
 	// checkoutHook, when set before Run, observes every frontier checkout
 	// (shard, row at checkout time) under the shard lock. Test-only.
 	checkoutHook func(*shard, relstore.Tuple)
@@ -296,11 +288,13 @@ type Crawler struct {
 // applied and no relation created or attached yet.
 func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, pol Policy) *Crawler {
 	c := &Crawler{
-		cfg:     cfg.withDefaults(),
-		db:      db,
-		model:   model,
-		fetcher: fetcher,
-		policy:  pol,
+		cfg:         cfg.withDefaults(),
+		db:          db,
+		model:       model,
+		fetcher:     fetcher,
+		policy:      pol,
+		retryBudget: maxRetries,
+		cooldown:    breakerCooldown,
 	}
 	c.politeOn = c.cfg.HostMaxInflight > 0 || c.cfg.HostDelay > 0 ||
 		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
@@ -471,9 +465,6 @@ func (c *Crawler) Links() *linkgraph.Store { return c.links }
 
 // Model returns the classifier guiding this crawl.
 func (c *Crawler) Model() *classifier.Model { return c.model }
-
-// NumShards returns the frontier shard count.
-func (c *Crawler) NumShards() int { return len(c.shards) }
 
 // SetPolicy swaps the frontier checkout order, rebuilding every shard's
 // frontier set from a scan of its heap under the barrier — the "policy
@@ -770,7 +761,7 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 			// Lazily refresh the server-load estimate while we have the row.
 			row[CLoad] = relstore.I32(sh.serverSeen[SIDOf(row[CURL].S)])
 		}
-		if !retryable || tries >= c.cfg.MaxRetries {
+		if !retryable || tries >= c.retryBudget {
 			c.dead.Add(1)
 			c.deadCause[c.deadCauseLocked(sh, row, retryable, limited)].Add(1)
 			row[CStatus] = relstore.I32(StatusDead)

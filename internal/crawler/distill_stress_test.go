@@ -152,12 +152,9 @@ func TestConcurrentDistillPublishStress(t *testing.T) {
 	if got := c.Links().Rows(); got != int64(len(distinct)) {
 		t.Fatalf("LINK rows = %d, want %d distinct edges", got, len(distinct))
 	}
+	stored := storedEdges(t, c.Links())
 	for p := range distinct {
-		ok, err := c.Links().Contains(p.src, p.dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		if !stored[[2]int64{p.src, p.dst}] {
 			t.Fatalf("edge %d->%d lost", p.src, p.dst)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"focus/internal/linkgraph"
 	"focus/internal/taxonomy"
 )
 
@@ -133,14 +132,14 @@ func (c *Crawler) MissedNeighbors(percentile float64) ([]MissedNeighbor, error) 
 	defer c.unlockAll()
 	var out []MissedNeighbor
 	for _, h := range r.hubs.Above(psi) {
-		err := c.links.ScanBySrcLocked(h.OID, func(e linkgraph.Edge) (bool, error) {
-			if e.SidSrc == e.SidDst {
+		err := c.links.OutEdgesLocked(h.OID, func(dst int64, sidSrc, sidDst int32) (bool, error) {
+			if sidSrc == sidDst {
 				return false, nil
 			}
 			// The directory rules out every target not in the frontier; only
 			// frontier rows are read, for their tries and URL.
-			sh := c.shardFor(e.SidDst)
-			d, ok := sh.rids[e.Dst]
+			sh := c.shardFor(sidDst)
+			d, ok := sh.rids[dst]
 			if !ok || int32(d.status) != StatusFrontier {
 				return false, nil
 			}

@@ -162,7 +162,7 @@ func (c *Crawler) hostFetchDone(sh *shard, sid int32, ferr error) {
 		(hs.breaker == bkClosed && hs.fails >= c.cfg.BreakerAfter) {
 		hs.breaker = bkOpen
 		hs.probing = false
-		hs.openUntil = time.Now().Add(c.cfg.BreakerCooldown)
+		hs.openUntil = time.Now().Add(c.cooldown)
 		c.breakerTrips.Add(1)
 	}
 }

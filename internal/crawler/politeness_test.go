@@ -14,7 +14,8 @@ func TestMaxRetriesDisabledFailsFast(t *testing.T) {
 		pages: map[string]*Fetch{"http://a.test/1": page("http://a.test/1", "alpha")},
 		flaky: map[string]int{"http://a.test/1": 99},
 	}
-	c, _ := newTestCrawler(t, f, Config{Workers: 1, MaxFetches: 10, MaxRetries: NoRetries})
+	c, _ := newTestCrawler(t, f, Config{Workers: 1, MaxFetches: 10})
+	c.retryBudget = 0
 	c.Seed([]string{"http://a.test/1"})
 	res, err := c.Run()
 	if err != nil {
@@ -39,7 +40,7 @@ func TestFailureBreakdownCounters(t *testing.T) {
 		},
 		flaky: map[string]int{"http://a.test/1": 1},
 	}
-	c, _ := newTestCrawler(t, f, Config{Workers: 1, MaxFetches: 10, MaxRetries: 3})
+	c, _ := newTestCrawler(t, f, Config{Workers: 1, MaxFetches: 10})
 	c.Seed([]string{"http://a.test/1"})
 	res, err := c.Run()
 	if err != nil {
@@ -100,7 +101,7 @@ func TestRetryBackoffDelaysRequeue(t *testing.T) {
 		return page(url, "alpha"), nil
 	}}
 	c, _ := newTestCrawler(t, f, Config{
-		Workers: 2, MaxFetches: 10, MaxRetries: 3, RetryBackoff: 40 * time.Millisecond,
+		Workers: 2, MaxFetches: 10, RetryBackoff: 40 * time.Millisecond,
 	})
 	c.Seed([]string{u})
 	res, err := c.Run()
@@ -131,7 +132,7 @@ func TestRateLimitedRetryAfterHonored(t *testing.T) {
 	// Polite config: the retry-after hint gates the requeue.
 	f := mk()
 	c, _ := newTestCrawler(t, f, Config{
-		Workers: 2, MaxFetches: 10, MaxRetries: 3, RetryBackoff: time.Millisecond,
+		Workers: 2, MaxFetches: 10, RetryBackoff: time.Millisecond,
 	})
 	c.Seed([]string{u})
 	res, err := c.Run()
@@ -147,7 +148,7 @@ func TestRateLimitedRetryAfterHonored(t *testing.T) {
 
 	// Naive config ignores the hint and retries immediately.
 	f = mk()
-	c, _ = newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 10, MaxRetries: 3})
+	c, _ = newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 10})
 	c.Seed([]string{u})
 	if res, err = c.Run(); err != nil {
 		t.Fatal(err)
@@ -256,10 +257,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		return page(url, "alpha"), nil
 	}}
 	c, _ := newTestCrawler(t, f, Config{
-		Workers: 2, MaxFetches: 50, MaxRetries: 10,
+		Workers: 2, MaxFetches: 50,
 		RetryBackoff: 2 * time.Millisecond, BreakerAfter: 2,
-		BreakerCooldown: 15 * time.Millisecond,
 	})
+	c.retryBudget, c.cooldown = 10, 15*time.Millisecond
 	c.Seed([]string{"http://a.test/1", "http://a.test/2", "http://b.test/1"})
 	res, err := c.Run()
 	if err != nil {
@@ -326,11 +327,11 @@ func TestPoliteHostDarkStress(t *testing.T) {
 		}
 	}
 	c, _ := newTestCrawler(t, f, Config{
-		Workers: 8, MaxFetches: 300, MaxRetries: 2,
+		Workers: 8, MaxFetches: 300,
 		RetryBackoff: time.Millisecond, HostMaxInflight: 2,
 		HostDelay: 500 * time.Microsecond, BreakerAfter: 3,
-		BreakerCooldown: 5 * time.Millisecond,
 	})
+	c.retryBudget, c.cooldown = 2, 5*time.Millisecond
 	c.Seed(seeds)
 	res, err := c.Run()
 	if err != nil {
@@ -393,7 +394,7 @@ func TestPendingBackoffIsNotStagnation(t *testing.T) {
 		return page(url, "alpha"), nil
 	}}
 	c, _ := newTestCrawler(t, f, Config{
-		Workers: 4, MaxFetches: 10, MaxRetries: 3, RetryBackoff: 30 * time.Millisecond,
+		Workers: 4, MaxFetches: 10, RetryBackoff: 30 * time.Millisecond,
 	})
 	c.Seed([]string{u})
 	res, err := c.Run()

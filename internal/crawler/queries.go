@@ -115,9 +115,8 @@ func (c *Crawler) SpamSuspects(target, citer taxonomy.NodeID, minCiters int) ([]
 
 // NeighborhoodCensus returns, for visited pages classified under the given
 // topic, the class distribution of their visited link targets — the raw
-// material of the §1 citation-sociology query (see
-// examples/citationsociology for the lift computation against web-at-large
-// base rates).
+// material of the §1 citation-sociology query. examples/citationsociology
+// calls it and computes each class's lift over web-at-large base rates.
 func (c *Crawler) NeighborhoodCensus(topic taxonomy.NodeID) (map[taxonomy.NodeID]int64, error) {
 	classes := c.visitedClasses()
 	tree := c.model.Tree

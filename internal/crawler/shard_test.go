@@ -428,8 +428,8 @@ func TestShardCountIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.NumShards(); got != shards {
-			t.Fatalf("NumShards = %d, want %d", got, shards)
+		if got := len(c.shards); got != shards {
+			t.Fatalf("%d shards, want %d", got, shards)
 		}
 		if err := c.Seed(seedURLs(f, 5)); err != nil {
 			t.Fatal(err)

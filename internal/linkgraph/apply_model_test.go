@@ -48,7 +48,7 @@ func (m *refLink) apply(edges []Edge, weight func(Edge) float64) (inserted []boo
 // weight callback called exactly once per inserted edge, in the model's
 // order, under the edge's stripe lock; stored tuples identical in heap order
 // stripe by stripe; the out-edge directory reaching exactly the stored rows,
-// read back by ScanBySrc in ascending dst order; and the directories equal
+// read back by OutEdgesLocked in ascending dst order; and the directories equal
 // to the heaps (CheckDirectory).
 func TestApplyMatchesPerEdgeModel(t *testing.T) {
 	for _, stripes := range []int{1, 2, 5} {
@@ -122,8 +122,8 @@ func TestApplyMatchesPerEdgeModel(t *testing.T) {
 						}
 					}
 					// The out-edge directory lists every stored row exactly once,
-					// on its source's chain, and ScanBySrc reads a source's
-					// edges back in ascending dst order.
+					// on its source's chain, and OutEdgesLocked reads a
+					// source's edges back in ascending dst order.
 					seen := map[relstore.RID]bool{}
 					for src, at := range st.dir.head {
 						for ; at >= 0; at = st.dir.rows[at].next {
@@ -134,15 +134,11 @@ func TestApplyMatchesPerEdgeModel(t *testing.T) {
 							seen[rid] = true
 						}
 						var dsts []int64
-						err := s.ScanBySrc(src, func(e Edge) (bool, error) {
+						for _, e := range outEdges(t, s, src) {
 							dsts = append(dsts, e.Dst)
-							return false, nil
-						})
-						if err != nil {
-							t.Fatal(err)
 						}
 						if !slices.IsSorted(dsts) {
-							t.Fatalf("stripe %d: ScanBySrc(%d) = %v, not ascending", si, src, dsts)
+							t.Fatalf("stripe %d: out-edges of %d = %v, not ascending", si, src, dsts)
 						}
 					}
 					if len(seen) != len(heap) {

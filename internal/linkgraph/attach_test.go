@@ -12,8 +12,8 @@ import (
 // ingest built and a checkpoint committed, and requires Attach to refuse a
 // stripe count short of the file's, rebuild out-edge directories equal to
 // the heaps, and leave a store whose ingest, reads and logged weights work:
-// new edges insert, stored ones dedup, ScanBySrc reads a source's edges in
-// ascending dst order, and a logged weight reads on exactly the edges into
+// new edges insert, stored ones dedup, OutEdgesLocked reads a source's
+// edges in ascending dst order, and a logged weight reads on exactly the edges into
 // its target.
 func TestAttachReopensCheckpointedStore(t *testing.T) {
 	const stripes = 3
@@ -82,15 +82,11 @@ func TestAttachReopensCheckpointedStore(t *testing.T) {
 			}
 		}
 		slices.Sort(want)
-		err := s.ScanBySrc(src, func(edge Edge) (bool, error) {
+		for _, edge := range outEdges(t, s, src) {
 			got = append(got, edge.Dst)
-			return false, nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("ScanBySrc(%d) = %v, want %v", src, got, want)
+			t.Fatalf("out-edges of %d = %v, want %v", src, got, want)
 		}
 	}
 	if err := s.UpdateIncomingFwd(7, 0.25); err != nil {

@@ -22,9 +22,10 @@
 // relevance(v) exact with a trigger that rewrites LINK when v is
 // classified; this store resolves it where it is read instead.
 // UpdateIncomingFwd appends (v, relevance) to a forward-weight log that
-// touches no page, and every read surface (ScanEdges, ScanBySrc and the
-// snapshot's scans) returns wgt_fwd as the log's value for oid_dst when
-// the log has one, else the weight stored at ingest. A snapshot is
+// touches no page, and every weighted read (ScanEdges and the snapshot's
+// scans) returns wgt_fwd as the log's value for oid_dst when the log has
+// one, else the weight stored at ingest. The per-source read
+// (OutEdgesLocked) returns no weight at all. A snapshot is
 // therefore a cut: each stripe's row count and the log's length. What a
 // later snapshot holds past an earlier one (Snapshot.Since) is a tail of
 // each stripe's heap, read from its first row on with the weights stored,
@@ -50,7 +51,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -157,7 +157,7 @@ type stripe struct {
 	tab *relstore.Table
 	// dir is the out-edge directory, guarded by mu: filled in applyLocked
 	// from the RIDs InsertBatch assigns, in the same critical section, and
-	// walked by ingest's dedup, Contains and ScanBySrc. LINK rows are never
+	// walked by ingest's dedup and OutEdgesLocked. LINK rows are never
 	// moved or deleted, so an entry stays valid for the life of the store.
 	dir edgeDirectory
 	// ord is skipDuplicates' sort scratch, guarded by mu.
@@ -207,17 +207,15 @@ func (d *edgeDirectory) first(src int64) int32 {
 }
 
 // fwdLog is the forward-weight log: one entry per UpdateIncomingFwd, in call
-// order, and the newest value per destination. Both are pointer-free, and
-// they grow by one entry per logged visit, not per edge or per destination
-// ever linked to.
+// order. It is pointer-free and grows by one entry per logged visit, not per
+// edge or per destination ever linked to; reads resolve a cut of it
+// (resolve).
 type fwdLog struct {
 	// Pure leaf: taken under any tower lock or none; nothing may be acquired
 	// and no blocking operation may run while it is held.
 	//focuslint:lock rank=fwdlog leaf noblock=io,chan,sleep
 	mu      sync.Mutex
 	entries []fwdEntry
-	// latest is entries resolved, for point reads (ScanBySrc).
-	latest map[int64]float64
 }
 
 type fwdEntry struct {
@@ -237,11 +235,7 @@ func (l *fwdLog) cut() []fwdEntry {
 func (l *fwdLog) append(dst int64, fwd float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.latest == nil {
-		l.latest = map[int64]float64{}
-	}
 	l.entries = append(l.entries, fwdEntry{dst, fwd})
-	l.latest[dst] = fwd
 }
 
 // resolve maps each destination in a cut to its last logged weight.
@@ -471,20 +465,6 @@ func (st *stripe) dstOf(rid relstore.RID) (int64, error) {
 	return v[0].Int(), err
 }
 
-// Contains reports whether the edge (src, dst) is stored.
-func (s *Store) Contains(src, dst int64) (bool, error) {
-	st := s.stripeFor(src)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	found := false
-	err := st.walkOut(src, func(rid relstore.RID) error {
-		stored, err := st.dstOf(rid)
-		found = found || stored == dst
-		return err
-	})
-	return found && err == nil, err
-}
-
 // Rows returns the total stored edge count.
 func (s *Store) Rows() int64 {
 	var n int64
@@ -496,25 +476,14 @@ func (s *Store) Rows() int64 {
 	return n
 }
 
-// ScanBySrc visits the stored out-edges of src in ascending dst order,
-// locking the source's stripe for the duration.
-func (s *Store) ScanBySrc(src int64, fn func(Edge) (bool, error)) error {
-	st := s.stripeFor(src)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return s.scanBySrc(st, src, fn)
-}
-
-// ScanBySrcLocked is ScanBySrc for callers already holding the stripe locks
-// (the crawler's barrier).
+// OutEdgesLocked calls fn with the oid_dst, sid_src and sid_dst of each of
+// src's stored out-edges, in ascending oid_dst order, until fn stops it. It
+// reads no weight. The caller holds the stripe locks (the crawler's
+// barrier).
 //
 //focuslint:lock requires=stripe*
-func (s *Store) ScanBySrcLocked(src int64, fn func(Edge) (bool, error)) error {
-	return s.scanBySrc(s.stripeFor(src), src, fn)
-}
-
-//focuslint:lock requires=stripe
-func (s *Store) scanBySrc(st *stripe, src int64, fn func(Edge) (bool, error)) error {
+func (s *Store) OutEdgesLocked(src int64, fn func(dst int64, sidSrc, sidDst int32) (stop bool, err error)) error {
+	st := s.stripeFor(src)
 	var out []Edge
 	err := st.walkOut(src, func(rid relstore.RID) error {
 		rec, err := st.tab.Heap().Get(rid)
@@ -531,16 +500,9 @@ func (s *Store) scanBySrc(st *stripe, src int64, fn func(Edge) (bool, error)) er
 	if err != nil {
 		return err
 	}
-	s.log.mu.Lock()
-	for i := range out {
-		if fwd, ok := s.log.latest[out[i].Dst]; ok {
-			out[i].WgtFwd = fwd
-		}
-	}
-	s.log.mu.Unlock()
 	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.Dst, b.Dst) })
 	for _, e := range out {
-		if stop, err := fn(e); stop || err != nil {
+		if stop, err := fn(e.Dst, e.SidSrc, e.SidDst); stop || err != nil {
 			return err
 		}
 	}
@@ -564,11 +526,10 @@ func (s *Store) UpdateIncomingFwd(dst int64, fwd float64) error {
 func (s *Store) SweepStats() (sweeps, stripeProbes int64) { return 0, 0 }
 
 // CheckDirectory verifies every stripe's out-edge directory against a scan
-// of its heap — each row is reached exactly once, at its own RID, from the
+// of its heap: each row is reached exactly once, at its own RID, from the
 // chain of its oid_src, and the directory holds exactly as many entries as
-// the stripe has rows — and the forward-weight log's point-read map against
-// its entries. It takes one lock at a time, so it is exact on a store
-// nothing is writing to.
+// the stripe has rows. It takes one lock at a time, so it is exact on a
+// store nothing is writing to.
 func (s *Store) CheckDirectory() error {
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -577,16 +538,6 @@ func (s *Store) CheckDirectory() error {
 		if err != nil {
 			return err
 		}
-	}
-	return s.log.check()
-}
-
-// check verifies the point-read map against the entries.
-func (l *fwdLog) check() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !maps.Equal(l.latest, resolve(l.entries)) {
-		return fmt.Errorf("linkgraph: the forward-weight log's point reads disagree with its %d entries", len(l.entries))
 	}
 	return nil
 }

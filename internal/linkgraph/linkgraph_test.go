@@ -26,6 +26,23 @@ func e(src, dst int64) Edge {
 	}
 }
 
+// outEdges reads src's out-edges through OutEdgesLocked under every stripe
+// lock, as Edges with no weights.
+func outEdges(t testing.TB, s *Store, src int64) []Edge {
+	t.Helper()
+	var out []Edge
+	s.LockAll()
+	err := s.OutEdgesLocked(src, func(dst int64, sidSrc, sidDst int32) (bool, error) {
+		out = append(out, Edge{Src: src, SidSrc: sidSrc, Dst: dst, SidDst: sidDst})
+		return false, nil
+	})
+	s.UnlockAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // applyPages applies edges a page at a time, as the crawler's ingest does:
 // each run of consecutive edges out of one source is one batch. It returns
 // the inserted flags aligned with edges.
@@ -84,11 +101,11 @@ func TestApplyDedupAgainstStored(t *testing.T) {
 	if inserted[0] || !inserted[1] {
 		t.Fatalf("inserted = %v, want [false true]", inserted)
 	}
-	if ok, err := s.Contains(5, 6); err != nil || !ok {
-		t.Fatalf("Contains(5,6) = %v, %v", ok, err)
+	if got := outEdges(t, s, 5); len(got) != 2 || got[0].Dst != 6 || got[1].Dst != 7 {
+		t.Fatalf("out-edges of 5 = %v, want 5->6 once and 5->7", got)
 	}
-	if ok, err := s.Contains(6, 5); err != nil || ok {
-		t.Fatalf("Contains(6,5) = %v, %v; reverse edge must not exist", ok, err)
+	if got := outEdges(t, s, 6); len(got) != 0 {
+		t.Fatalf("out-edges of 6 = %v; reverse edge must not exist", got)
 	}
 }
 
@@ -179,30 +196,30 @@ func TestUpdateIncomingFwd(t *testing.T) {
 	if into9 != 9 {
 		t.Fatalf("read %d edges into 9, want 9", into9)
 	}
-	err := s.ScanBySrc(11, func(edge Edge) (bool, error) {
-		if edge.WgtFwd != 0.625 {
-			t.Errorf("ScanBySrc: edge 11->%d wgt_fwd = %v, want 0.625", edge.Dst, edge.WgtFwd)
+	from11 := 0
+	for _, edge := range scanEdges(t, snapshotAll(t, s)) {
+		if edge.Src == 11 {
+			from11++
+			if edge.WgtFwd != 0.625 {
+				t.Errorf("snapshot: edge 11->%d wgt_fwd = %v, want 0.625", edge.Dst, edge.WgtFwd)
+			}
 		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	if from11 != 1 {
+		t.Fatalf("snapshot reads %d edges out of 11, want 1", from11)
 	}
 }
 
-func TestScanBySrcOrderAndIsolation(t *testing.T) {
+func TestOutEdgesOrderAndIsolation(t *testing.T) {
 	s := newStore(t, 3)
 	applyPages(t, s, []Edge{e(4, 30), e(4, 10), e(4, 20), e(5, 99)}, nil)
-	var dsts []int64
-	err := s.ScanBySrc(4, func(edge Edge) (bool, error) {
-		dsts = append(dsts, edge.Dst)
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	got := outEdges(t, s, 4)
+	want := []Edge{e(4, 10), e(4, 20), e(4, 30)}
+	for i := range want {
+		want[i].WgtFwd, want[i].WgtRev = 0, 0
 	}
-	if len(dsts) != 3 || dsts[0] != 10 || dsts[1] != 20 || dsts[2] != 30 {
-		t.Fatalf("ScanBySrc(4) = %v, want [10 20 30] (ascending dst)", dsts)
+	if !slices.Equal(got, want) {
+		t.Fatalf("out-edges of 4 = %v, want %v (ascending dst, with their server ids)", got, want)
 	}
 }
 
@@ -270,8 +287,7 @@ func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
 
 // TestCheckDirectoryCatchesDrift: the directory checker passes on a store
 // built by Apply, and fails once the out-edge directory is made to disagree
-// with the heap, or the log's point reads with its entries, in each way they
-// can.
+// with the heap in each way it can.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	s := newStore(t, 2)
 	var edges []Edge
@@ -289,24 +305,22 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	clone := func(d edgeDirectory) edgeDirectory {
 		return edgeDirectory{head: maps.Clone(d.head), rows: slices.Clone(d.rows)}
 	}
-	good, latest := clone(st.dir), maps.Clone(s.log.latest)
+	good := clone(st.dir)
 	for name, drift := range map[string]func(){
 		"missing chain": func() { delete(st.dir.head, 4) },
 		"swapped rows": func() {
 			a, b := &st.dir.rows[st.dir.head[0]], &st.dir.rows[st.dir.head[2]]
 			a.rid, b.rid = b.rid, a.rid
 		},
-		"extra entry":                       func() { st.dir.add(0, st.dir.rows[0].rid) },
-		"looped chain":                      func() { st.dir.rows[st.dir.head[0]].next = st.dir.head[0] },
-		"chain into another source's rows":  func() { st.dir.rows[st.dir.head[0]].next = st.dir.head[2] },
-		"chain cut short":                   func() { st.dir.rows[st.dir.head[6]].next = -1 },
-		"log point read of an unlogged dst": func() { s.log.latest[4] = 0.5 },
-		"log point read off its last entry": func() { s.log.latest[3] = 0.25 },
+		"extra entry":                      func() { st.dir.add(0, st.dir.rows[0].rid) },
+		"looped chain":                     func() { st.dir.rows[st.dir.head[0]].next = st.dir.head[0] },
+		"chain into another source's rows": func() { st.dir.rows[st.dir.head[0]].next = st.dir.head[2] },
+		"chain cut short":                  func() { st.dir.rows[st.dir.head[6]].next = -1 },
 	} {
 		drift()
 		if err := s.CheckDirectory(); err == nil {
 			t.Errorf("%s: CheckDirectory passed", name)
 		}
-		st.dir, s.log.latest = clone(good), maps.Clone(latest)
+		st.dir = clone(good)
 	}
 }

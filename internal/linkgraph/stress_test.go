@@ -166,8 +166,8 @@ func stressWeight(src, dst int64) float64 {
 // overlapping pages of out-links concurrently — with interleaved logged forward
 // weights and prefix reads, the crawler's exact access mix — and then
 // checks the store against a serial oracle: no edge lost, no edge
-// duplicated, weights deterministic, ScanBySrc reading back exactly the
-// heap's edges, and the directories equal to it (CheckDirectory). Run it under -race;
+// duplicated, weights deterministic, OutEdgesLocked reading back exactly
+// the heap's edges, and the directories equal to it (CheckDirectory). Run it under -race;
 // the CI concurrency step does, twice.
 func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 	for _, stripes := range []int{1, 4, 7} {
@@ -235,9 +235,11 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 							errs <- err
 							return
 						}
-						err := s.ScanBySrc(rng.Int63n(srcs), func(Edge) (bool, error) {
+						s.LockAll()
+						err := s.OutEdgesLocked(rng.Int63n(srcs), func(int64, int32, int32) (bool, error) {
 							return false, nil
 						})
+						s.UnlockAll()
 						if err != nil {
 							errs <- err
 							return
@@ -300,29 +302,29 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 			}
 
 			// The out-edge directory stays consistent with the heap: over
-			// every source, ScanBySrc reads back exactly the stored edge set,
-			// each edge once, in ascending dst order. Both directories are
-			// checked against the heap by CheckDirectory.
+			// every source, OutEdgesLocked reads back exactly the stored edge
+			// set, each edge once, in ascending dst order, with its server
+			// ids. The directories are checked against the heap by
+			// CheckDirectory.
 			bySrc := map[[2]int64]bool{}
 			for src := int64(0); src < srcs; src++ {
 				prev := int64(-1)
-				err := s.ScanBySrc(src, func(edge Edge) (bool, error) {
+				for _, edge := range outEdges(t, s, src) {
 					key := [2]int64{edge.Src, edge.Dst}
-					if edge.Src != src || edge.Dst <= prev || bySrc[key] {
-						t.Errorf("ScanBySrc(%d) read %d->%d after dst %d", src, edge.Src, edge.Dst, prev)
+					if edge.Dst <= prev || bySrc[key] {
+						t.Errorf("out-edges of %d read %d->%d after dst %d", src, edge.Src, edge.Dst, prev)
 					}
-					if _, ok := got[key]; !ok {
-						t.Errorf("ScanBySrc(%d) read %d->%d, which the heap does not hold", src, edge.Src, edge.Dst)
+					if stored, ok := got[key]; !ok {
+						t.Errorf("out-edges of %d read %d->%d, which the heap does not hold", src, edge.Src, edge.Dst)
+					} else if edge.SidSrc != stored.SidSrc || edge.SidDst != stored.SidDst {
+						t.Errorf("out-edges of %d read %d->%d with server ids %d->%d, the heap holds %d->%d",
+							src, edge.Src, edge.Dst, edge.SidSrc, edge.SidDst, stored.SidSrc, stored.SidDst)
 					}
 					bySrc[key], prev = true, edge.Dst
-					return false, nil
-				})
-				if err != nil {
-					t.Fatal(err)
 				}
 			}
 			if len(bySrc) != len(got) {
-				t.Errorf("ScanBySrc read %d edges, the heap holds %d", len(bySrc), len(got))
+				t.Errorf("OutEdgesLocked read %d edges, the heap holds %d", len(bySrc), len(got))
 			}
 			if err := s.CheckDirectory(); err != nil {
 				t.Fatal(err)

@@ -1,5 +1,5 @@
 // Package zerodefault guards the repo's negative-sentinel defaulting idiom
-// (webgraph.Off, crawler.NoRetries). A config field defaulted with
+// (webgraph.Off). A config field defaulted with
 //
 //	if c.Field == 0 { c.Field = v }
 //

@@ -12,11 +12,10 @@ import (
 //	[6:8)  freeEnd (u16): records occupy [freeEnd, PageSize)
 //	[8+4i : 8+4i+4) slot i: record offset (u16), record length (u16)
 //
-// A deleted slot has length == delSlot. Records never span pages.
+// Records are never deleted and never span pages.
 const (
 	heapHdr     = 8
 	heapSlotLen = 4
-	delSlot     = 0xFFFF
 	// MaxRecordLen is the largest record a heap page (or B+tree cell) holds.
 	MaxRecordLen = PageSize - heapHdr - heapSlotLen
 )
@@ -112,7 +111,7 @@ func heapRoom(p []byte, n int) bool {
 	return free-(heapHdr+count*heapSlotLen) >= n+heapSlotLen
 }
 
-// Rows returns the live record count.
+// Rows returns the record count.
 func (h *HeapFile) Rows() int64 { return h.rows }
 
 // Insert appends a record and returns its RID. It is the run of one.
@@ -189,9 +188,9 @@ func (h *HeapFile) view(rid RID, write bool, fn func(rec []byte) error) error {
 	return fn(p[off:end:end])
 }
 
-// heapRecord locates rid's live record on its page p, refusing a page that
-// is not a heap page and a slot that is absent, deleted, or points outside
-// the record area.
+// heapRecord locates rid's record on its page p, refusing a page that is
+// not a heap page and a slot that is absent or points outside the record
+// area.
 func heapRecord(p []byte, rid RID) (off, length uint16, err error) {
 	if err := heapPageErr(rid.Page, p); err != nil {
 		return 0, 0, err
@@ -200,9 +199,6 @@ func heapRecord(p []byte, rid RID) (off, length uint16, err error) {
 		return 0, 0, fmt.Errorf("relstore: RID %v out of range", rid)
 	}
 	off, length = heapSlot(p, rid.Slot)
-	if length == delSlot {
-		return 0, 0, fmt.Errorf("relstore: RID %v deleted", rid)
-	}
 	if off < heapFree(p) || int(off)+int(length) > PageSize {
 		return 0, 0, fmt.Errorf("relstore: RID %v: record at %d+%d lies outside its page's records", rid, off, length)
 	}
@@ -220,8 +216,8 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 }
 
 // Update overwrites the record at rid in place. The new record must not be
-// longer than the old one (all row growth in this system happens through
-// delete+insert; the crawl tables only mutate fixed-width columns).
+// longer than the old one (the crawl tables only mutate fixed-width
+// columns).
 func (h *HeapFile) Update(rid RID, rec []byte) error {
 	f, err := h.bp.Fetch(rid.Page)
 	if err != nil {
@@ -241,32 +237,17 @@ func (h *HeapFile) Update(rid RID, rec []byte) error {
 	return nil
 }
 
-// Delete tombstones the record at rid.
-func (h *HeapFile) Delete(rid RID) error {
-	f, err := h.bp.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	defer h.bp.Unpin(f, true)
-	p := f.Data()
-	if _, _, err := heapRecord(p, rid); err != nil {
-		return err
-	}
-	heapSetSlot(p, rid.Slot, 0, delSlot)
-	h.rows--
-	return nil
-}
-
-// Scan visits every live record in chain order. fn may return stop=true to
-// end early. The record slice is only valid during the callback. A chain
-// longer than the disk loops, and is an error.
+// Scan visits every record in chain order. fn may return stop=true to end
+// early. The record slice is only valid during the callback. A chain longer
+// than the disk loops, and is an error, as is a slot whose record lies
+// outside its page's records.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) (stop bool, err error)) error {
 	return h.scanFrom(RID{Page: h.first}, false, fn)
 }
 
-// ScanFrom is Scan started at the live record at rid: it visits that record
-// and every later one, and reads no page before rid's. A rid that names no
-// live record is an error.
+// ScanFrom is Scan started at the record at rid: it visits that record and
+// every later one, and reads no page before rid's. A rid that names no
+// record is an error.
 func (h *HeapFile) ScanFrom(rid RID, fn func(rid RID, rec []byte) (stop bool, err error)) error {
 	if rid.Page == InvalidPage {
 		return fmt.Errorf("relstore: RID %v names no record", rid)
@@ -275,8 +256,8 @@ func (h *HeapFile) ScanFrom(rid RID, fn func(rid RID, rec []byte) (stop bool, er
 }
 
 // scanFrom visits the records from slot from.Slot of page from.Page on;
-// live requires that slot to hold a live record.
-func (h *HeapFile) scanFrom(from RID, live bool, fn func(rid RID, rec []byte) (stop bool, err error)) error {
+// named requires that slot to hold a record.
+func (h *HeapFile) scanFrom(from RID, named bool, fn func(rid RID, rec []byte) (stop bool, err error)) error {
 	limit := h.bp.Disk().NumPages()
 	for pid, pages := from.Page, int64(0); pid != InvalidPage; pages++ {
 		if pages == limit {
@@ -290,7 +271,7 @@ func (h *HeapFile) scanFrom(from RID, live bool, fn func(rid RID, rec []byte) (s
 		if pages == 0 {
 			first = from.Slot
 		}
-		if pages == 0 && live {
+		if pages == 0 && named {
 			_, _, err = heapRecord(p, from)
 		} else {
 			err = heapPageErr(pid, p)
@@ -303,9 +284,6 @@ func (h *HeapFile) scanFrom(from RID, live bool, fn func(rid RID, rec []byte) (s
 		next := heapNext(p)
 		for i := first; i < count; i++ {
 			off, length := heapSlot(p, i)
-			if length == delSlot {
-				continue
-			}
 			if off < free || int(off)+int(length) > PageSize {
 				h.bp.Unpin(f, false)
 				return fmt.Errorf("relstore: heap page %d: slot %d record at %d+%d lies outside its records", pid, i, off, length)

@@ -65,7 +65,7 @@ func TestHeapPageOverflowChains(t *testing.T) {
 	}
 }
 
-func TestHeapUpdateDelete(t *testing.T) {
+func TestHeapUpdate(t *testing.T) {
 	bp := newTestPool(16)
 	h, _ := NewHeapFile(bp)
 	rid, _ := h.Insert([]byte("abcdef"))
@@ -88,43 +88,53 @@ func TestHeapUpdateDelete(t *testing.T) {
 	if err := h.Update(rid, []byte("0123456789")); err == nil {
 		t.Fatal("growing update accepted")
 	}
-	if err := h.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get(rid); err == nil {
-		t.Fatal("get of deleted record succeeded")
-	}
-	if err := h.Delete(rid); err == nil {
-		t.Fatal("double delete succeeded")
-	}
-	if h.Rows() != 0 {
+	if h.Rows() != 1 {
 		t.Fatalf("rows = %d", h.Rows())
 	}
 }
 
-func TestHeapScanSkipsDeleted(t *testing.T) {
-	bp := newTestPool(16)
-	h, _ := NewHeapFile(bp)
-	var rids []RID
-	for i := 0; i < 10; i++ {
-		rid, _ := h.Insert([]byte{byte(i)})
-		rids = append(rids, rid)
-	}
-	for i := 0; i < 10; i += 2 {
-		if err := h.Delete(rids[i]); err != nil {
+// TestHeapRefusesTombstoneLengthSlot: no record is ever deleted, so a slot
+// of length 0xFFFF (what a deleted slot once held, at its old offset or at
+// 0) is damage. Get, ScanFrom and Scan each return an error for it through
+// the slot bounds check; none skips it or panics.
+func TestHeapRefusesTombstoneLengthSlot(t *testing.T) {
+	for _, zeroOff := range []bool{false, true} {
+		bp := newTestPool(16)
+		h, err := NewHeapFile(bp)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	var seen []byte
-	err := h.Scan(func(_ RID, rec []byte) (bool, error) {
-		seen = append(seen, rec[0])
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seen, []byte{1, 3, 5, 7, 9}) {
-		t.Fatalf("seen = %v", seen)
+		var rids []RID
+		for i := 0; i < 3; i++ {
+			rid, err := h.Insert([]byte{byte(i), 1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		f, err := bp.Fetch(rids[1].Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, _ := heapSlot(f.Data(), rids[1].Slot)
+		if zeroOff {
+			off = 0
+		}
+		heapSetSlot(f.Data(), rids[1].Slot, off, 0xFFFF)
+		bp.Unpin(f, true)
+
+		if _, err := h.Get(rids[1]); err == nil {
+			t.Errorf("zero offset %v: Get of the damaged slot succeeded", zeroOff)
+		}
+		visit := func(RID, []byte) (bool, error) { return false, nil }
+		for _, from := range rids[:2] {
+			if err := h.ScanFrom(from, visit); err == nil {
+				t.Errorf("zero offset %v: ScanFrom(%v) passed the damaged slot", zeroOff, from)
+			}
+		}
+		if err := h.Scan(visit); err == nil {
+			t.Errorf("zero offset %v: Scan passed the damaged slot", zeroOff)
+		}
 	}
 }
 
@@ -191,7 +201,7 @@ func TestHeapRandomizedAgainstReference(t *testing.T) {
 			}
 			ref[rid] = append([]byte(nil), rec...)
 			live = append(live, rid)
-		case rng.Intn(2) == 0:
+		default:
 			i := rng.Intn(len(live))
 			rid := live[i]
 			old := ref[rid]
@@ -201,14 +211,6 @@ func TestHeapRandomizedAgainstReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref[rid] = append([]byte(nil), rec...)
-		default:
-			i := rng.Intn(len(live))
-			rid := live[i]
-			if err := h.Delete(rid); err != nil {
-				t.Fatal(err)
-			}
-			delete(ref, rid)
-			live = append(live[:i], live[i+1:]...)
 		}
 	}
 	if int(h.Rows()) != len(ref) {
@@ -251,7 +253,7 @@ func TestRIDRoundTrip(t *testing.T) {
 // TestHeapScanFromIsSuffix: a scan from any record's RID visits exactly the
 // suffix of a full scan that starts at that record, across page boundaries
 // (a page holds three of its records), and stops early
-// when asked. A RID that names no live record is an error, not a panic.
+// when asked. A RID that names no record is an error, not a panic.
 func TestHeapScanFromIsSuffix(t *testing.T) {
 	bp := newTestPool(16)
 	h, err := NewHeapFile(bp)
@@ -264,9 +266,6 @@ func TestHeapScanFromIsSuffix(t *testing.T) {
 		if _, err := h.Insert(rec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.Delete(RID{Page: h.first, Slot: 1}); err != nil {
-		t.Fatal(err)
 	}
 	type row struct {
 		rid RID
@@ -287,8 +286,8 @@ func TestHeapScanFromIsSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) != 19 || full[len(full)-1].rid.Page == h.first {
-		t.Fatalf("full scan: %d records ending on page %d; the test wants 19 over several pages", len(full), full[len(full)-1].rid.Page)
+	if len(full) != 20 || full[len(full)-1].rid.Page == h.first {
+		t.Fatalf("full scan: %d records ending on page %d; the test wants 20 over several pages", len(full), full[len(full)-1].rid.Page)
 	}
 	for i, r := range full {
 		got, err := scan(&r.rid, -1)
@@ -305,7 +304,7 @@ func TestHeapScanFromIsSuffix(t *testing.T) {
 	last := full[len(full)-1].rid
 	for _, rid := range []RID{
 		{},                                       // the zero RID
-		{Page: h.first, Slot: 3},                 // deleted
+		{Page: h.first, Slot: 3},                 // past the first page's records
 		{Page: last.Page, Slot: last.Slot + 1},   // past the tail page's records
 		{Page: PageID(bp.Disk().NumPages() + 5)}, // past the disk
 	} {

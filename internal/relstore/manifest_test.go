@@ -530,9 +530,9 @@ func TestBindIndexKeyUnknown(t *testing.T) {
 	}
 }
 
-// TestDurableManyEpochs runs many checkpoint epochs with churn (inserts,
-// deletes, truncates) and reopens after each, checking the disk does not
-// leak pages across epochs and state always matches the last checkpoint.
+// TestDurableManyEpochs runs many checkpoint epochs with churn (inserts, and
+// in-place updates that re-key the index) and reopens after the last,
+// checking the state matches the last checkpoint.
 func TestDurableManyEpochs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "epochs.db")
 	db, err := CreateFile(path, Options{Frames: 256})
@@ -551,28 +551,29 @@ func TestDurableManyEpochs(t *testing.T) {
 		fillTable(t, tb, rows, rows+120)
 		rows += 120
 		if epoch%2 == 1 {
-			// Churn: drop every row divisible by 7 this epoch.
-			var kill []RID
+			// Churn: re-key every row divisible by 7 this epoch to a
+			// negative oid, which no later epoch divides by 7 again.
+			var churn []RID
 			err := tb.Scan(func(rid RID, tp Tuple) (bool, error) {
 				if tp[0].Int()%7 == 0 {
-					kill = append(kill, rid)
+					churn = append(churn, rid)
 				}
 				return false, nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Deleting by saved RID is safe: heap RIDs are stable.
-			for _, rid := range kill {
+			// Updating by saved RID is safe: heap RIDs are stable.
+			for _, rid := range churn {
 				tp, err := tb.Get(rid)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tb.Delete(rid); err != nil {
+				nt := tp.Clone()
+				nt[0] = I64(-tp[0].Int() - 1)
+				if err := tb.UpdateFrom(rid, tp, nt); err != nil {
 					t.Fatal(err)
 				}
-				_ = tp
-				rows--
 			}
 		}
 		if err := db.Checkpoint(); err != nil {
@@ -594,6 +595,9 @@ func TestDurableManyEpochs(t *testing.T) {
 	}
 	if rt.Rows() != want {
 		t.Fatalf("rows after many epochs = %d, want %d", rt.Rows(), want)
+	}
+	if n := rt.Index("oid").Tree.Len(); n != want {
+		t.Fatalf("oid index holds %d keys after many epochs, want %d", n, want)
 	}
 	n := 0
 	err = rt.Scan(func(_ RID, tp Tuple) (bool, error) {

@@ -70,7 +70,7 @@ type Table struct {
 // Heap exposes the underlying heap file (for diagnostics and experiments).
 func (tb *Table) Heap() *HeapFile { return tb.heap }
 
-// Rows returns the live row count.
+// Rows returns the row count.
 func (tb *Table) Rows() int64 { return tb.heap.Rows() }
 
 // AddIndex creates an index and populates it from existing rows.
@@ -201,23 +201,6 @@ func (tb *Table) UpdateFrom(rid RID, old, t Tuple) error {
 			if err := ix.Tree.Insert(nk, EncodeRID(rid)); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// Delete removes the row at rid and its index entries.
-func (tb *Table) Delete(rid RID) error {
-	old, err := tb.Get(rid)
-	if err != nil {
-		return err
-	}
-	if err := tb.heap.Delete(rid); err != nil {
-		return err
-	}
-	for _, ix := range tb.indexes {
-		if _, err := ix.Tree.Delete(ix.Key(old)); err != nil {
-			return err
 		}
 	}
 	return nil

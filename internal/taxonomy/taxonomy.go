@@ -236,28 +236,9 @@ func (t *Tree) IsGoodOrSubsumed(id NodeID) bool {
 	return false
 }
 
-// OnGoodPath reports whether the node is good, subsumed, or a path node —
-// i.e. whether the hard focus rule would accept a page whose best leaf is
-// this node's descendant-or-self.
-func (t *Tree) OnGoodPath(id NodeID) bool {
-	m := t.marks[id]
-	return m == MarkGood || m == MarkPath || t.IsGoodOrSubsumed(id)
-}
-
 func (t *Tree) walkSubtree(n *Node, fn func(*Node)) {
 	fn(n)
 	for _, c := range n.Children {
 		t.walkSubtree(c, fn)
 	}
-}
-
-// LeavesUnder returns the leaf topics in the subtree rooted at n.
-func (t *Tree) LeavesUnder(n *Node) []*Node {
-	var out []*Node
-	t.walkSubtree(n, func(d *Node) {
-		if d.IsLeaf() {
-			out = append(out, d)
-		}
-	})
-	return out
 }

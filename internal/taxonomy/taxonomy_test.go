@@ -119,10 +119,10 @@ func TestSubsumedAndGoodPath(t *testing.T) {
 	if tr.IsGoodOrSubsumed(n["cycling"].ID) {
 		t.Fatal("cycling wrongly subsumed")
 	}
-	if !tr.OnGoodPath(n["business"].ID) || !tr.OnGoodPath(n["investing"].ID) {
-		t.Fatal("good-path detection broken")
+	if tr.Mark(n["business"].ID) != MarkPath || tr.Mark(n["investing"].ID) != MarkGood {
+		t.Fatal("good-path marks broken")
 	}
-	if tr.OnGoodPath(n["recreation"].ID) {
+	if tr.Mark(n["recreation"].ID) != MarkNull {
 		t.Fatal("recreation wrongly on good path")
 	}
 }
@@ -144,17 +144,6 @@ func TestUnmarkRecomputesPaths(t *testing.T) {
 	}
 	if !tr.IsGoodOrSubsumed(n["mutualfunds"].ID) {
 		t.Fatal("mutualfunds should be subsumed after the fix")
-	}
-}
-
-func TestLeavesUnder(t *testing.T) {
-	tr, n := buildTestTree(t)
-	got := tr.LeavesUnder(n["investing"])
-	if len(got) != 2 {
-		t.Fatalf("leaves under investing = %d", len(got))
-	}
-	if got := tr.LeavesUnder(n["cycling"]); len(got) != 1 || got[0] != n["cycling"] {
-		t.Fatal("leaf subtree should be itself")
 	}
 }
 
