@@ -10,19 +10,25 @@ import (
 	"focus/internal/webgraph"
 )
 
-// checkForwardWeights requires every edge read through the crawler's LINK
-// store to carry the paper's EF[u,v] = relevance(v) when v was visited — the
-// harvest log's relevance, bit for bit — and otherwise the ingest-time
-// estimate relevance(u), which the crawl also stores as the edge's wgt_rev.
-// It returns how many edges lead into visited pages.
+// checkForwardWeights requires every edge the distiller reads through the
+// crawler's Tables to carry the paper's EF[u,v] = relevance(v) when v was
+// visited — the harvest log's relevance, bit for bit — and otherwise the
+// ingest-time estimate relevance(u), which the crawl also stores as the
+// edge's wgt_rev. LINK itself stores that estimate as both weights of every
+// edge, which the crawler's Links must read back. It returns how many edges
+// lead into visited pages.
 func checkForwardWeights(t *testing.T, cr *crawler.Crawler) int {
 	t.Helper()
 	rel := map[int64]float64{}
 	for _, h := range cr.HarvestLog() {
 		rel[h.OID] = h.Relevance
 	}
+	tb, err := cr.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
 	into := 0
-	err := cr.Links().ScanEdges(func(e linkgraph.Edge) (bool, error) {
+	err = tb.Link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		want, visited := rel[e.Dst]
 		if visited {
 			into++
@@ -34,6 +40,14 @@ func checkForwardWeights(t *testing.T, cr *crawler.Crawler) int {
 		}
 		return false, nil
 	})
+	if err == nil {
+		err = cr.Links().ScanEdges(func(e linkgraph.Edge) (bool, error) {
+			if math.Float64bits(e.WgtFwd) != math.Float64bits(e.WgtRev) {
+				return true, fmt.Errorf("LINK stores edge %d->%d with wgt_fwd %v and wgt_rev %v, want both the ingest estimate", e.Src, e.Dst, e.WgtFwd, e.WgtRev)
+			}
+			return false, nil
+		})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +57,9 @@ func checkForwardWeights(t *testing.T, cr *crawler.Crawler) int {
 // TestForwardWeightsResolvedProperty crawls a generated web at 1, 2 and 8
 // workers, distilling as it goes, and requires the EF rule of
 // checkForwardWeights on every stored edge: concurrent visits, ingest and
-// snapshots must leave no edge into a visited page with its radius-1
-// estimate, and no other edge with anything but that estimate.
+// snapshots must leave no edge into a visited page reading its radius-1
+// estimate through Tables, and no other edge with anything but that
+// estimate.
 func TestForwardWeightsResolvedProperty(t *testing.T) {
 	web, err := webgraph.Generate(webgraph.Config{Seed: 7, NumPages: 12000})
 	if err != nil {

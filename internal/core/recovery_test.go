@@ -164,7 +164,7 @@ func TestGoldenResumeSeed1(t *testing.T) {
 // whose in-memory oid directories and frontier sets match their heaps, bare
 // LINK stripes whose out-edge directories match their heaps, and every edge
 // reading the forward weight checkForwardWeights states — which holds only
-// if Resume re-logged the visits.
+// if the recovered visit logs hold every visit's relevance.
 func checkRecoveredCrawl(t *testing.T, db2 *relstore.DB, st *crawler.CheckpointState, cr2 *crawler.Crawler) {
 	t.Helper()
 	for i := 0; i < st.FrontierShards; i++ {

@@ -10,9 +10,8 @@ package crawler
 // CKPT#scores, rewritten only when an epoch has published since. Everything
 // else — harvest log, per-shard oid directory and frontier set,
 // serverSeen/insertSeq, frontier counts, the link store's out-edge
-// directories and forward-weight log — is rebuilt from the relations at
-// Resume, which keeps the checkpoint write small and the single source of
-// truth on disk.
+// directories — is rebuilt from the relations at Resume, which keeps the
+// checkpoint write small and the single source of truth on disk.
 //
 // A record is one payload, whatever its size: a 17-byte header (kind, the
 // published epoch it was written at, payload length, CRC-32 of the payload)
@@ -426,11 +425,11 @@ func policyByName(name string) (Policy, bool) {
 // are attached — a row in flight at the checkpoint is a frontier row there —
 // and all derivable in-memory state — harvest log, the shards'
 // oid directories, frontier sets and counters, the link store's out-edge
-// directories — is recomputed from the relations, and the harvest log is
-// re-logged as the forward weights. The checkpoint's published scores are
-// published again. cfg supplies the knobs for the continued crawl (budget,
-// workers, politeness); the shard and stripe counts (a property of the
-// stored tables, whatever cfg.Workers says), mode, and policy come from the
+// directories — is recomputed from the relations; the visit logs are the
+// forward weights. The checkpoint's published scores are published again.
+// cfg supplies the knobs for the continued crawl (budget, workers,
+// politeness); the shard and stripe counts (a property of the stored
+// tables, whatever cfg.Workers says), mode, and policy come from the
 // checkpoint, and a cfg.Mode mismatch is refused, as is a file without the
 // score table. The fetcher must be positioned to continue (see
 // CheckpointState.Extra).
@@ -472,13 +471,6 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 
 	if c.links, err = linkgraph.Attach(db, st.LinkStripes); err != nil {
 		return nil, err
-	}
-	// LINK's pages hold ingest-time estimates; each visited page's relevance
-	// is the forward weight of the edges into it, in visit order.
-	for _, h := range c.HarvestLog() {
-		if err := c.links.UpdateIncomingFwd(h.OID, h.Relevance); err != nil {
-			return nil, err
-		}
 	}
 
 	// The scores published at the checkpoint are its score record's. A

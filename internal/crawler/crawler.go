@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -185,10 +186,10 @@ type Result struct {
 // Distillation is epoch-based, and the visit that triggers an epoch runs
 // it: under epochMu the worker takes the barrier (every link stripe lock,
 // then every shard lock, each ascending) only for a short snapshot phase —
-// cut the LINK snapshot, copy the oid→relevance view — then computes HITS
-// in memory, ranks each side, publishes the rankings through one atomic
-// pointer, and applies the hub-neighbor boosts, while the other workers
-// keep crawling. Snapshot points are an exact function of the visit
+// cut LINK and the visit logs, copy the oid→relevance view — then computes
+// HITS in memory, ranks each side, publishes the rankings through one
+// atomic pointer, and applies the hub-neighbor boosts, while the other
+// workers keep crawling. Snapshot points are an exact function of the visit
 // sequence: the visit whose number is a multiple of DistillEvery fires one;
 // monitors read scores that trail the crawl by at most the epoch being
 // computed (see DistillEpochs). With Workers=1 nothing runs beside an
@@ -197,7 +198,7 @@ type Result struct {
 // Lock ordering, from the bottom of the tower up: epochMu < link stripe
 // mutexes (ascending id) < frontier shard mutex (at most one, except under
 // the barrier). The shard mutex is the top of the tower; only leaves (the
-// forward-weight log, the pool latch, disk mutexes) are taken under it.
+// pool latch, disk mutexes) are taken under it.
 type Crawler struct {
 	cfg     Config
 	db      *relstore.DB
@@ -239,12 +240,12 @@ type Crawler struct {
 	// holds (checkpoint.go), so a checkpoint rewrites it only when pub has
 	// moved on.
 	ckptScores *scores
-	// arr is the distiller's arrangement of LINK as of the snapshot arrAt,
-	// which each epoch extends by the snapshot's tail past arrAt. Both are
-	// guarded by epochMu and nil until the first epoch, so a resumed crawl
-	// rebuilds the arrangement from its whole LINK once.
+	// arr is the distiller's arrangement of LINK and the visit logs as of the
+	// cut arrAt, which each epoch extends by its cut's tails past arrAt. Both
+	// are guarded by epochMu and zero until the first epoch, so a resumed
+	// crawl rebuilds the arrangement from its whole LINK and logs once.
 	arr       *distiller.Arrangement
-	arrAt     *linkgraph.Snapshot
+	arrAt     epochCut
 	stallNS   atomic.Int64
 	computeNS atomic.Int64
 
@@ -354,10 +355,11 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 
 // Tables exposes the crawl relations as the distiller and Figure 8's
 // fixtures read them, each materialized under the stop-the-world barrier:
-// Link is the live striped store, Crawl a copy of every shard's CRAWL rows
-// in a table named CRAWL (a row in flight reads as the frontier row its
-// heap holds), and Hubs and Auth heap tables named HUBS and AUTH holding
-// the published scores in ascending oid order, as RunJoin leaves them. Each
+// Link is the live striped store, wgt_fwd resolved against the visit logs
+// (linkRel), Crawl a copy of every shard's CRAWL rows in a table named CRAWL
+// (a row in flight reads as the frontier row its heap holds), and Hubs and
+// Auth heap tables named HUBS and AUTH holding the published scores in
+// ascending oid order, as RunJoin leaves them. Each
 // call replaces the previous tables, whose pages are freed for reuse and
 // whose handles become invalid; no table has an index
 // (distiller.RunIndexWalk's caller adds the ones it probes). A distiller run over the returned tables republishes
@@ -373,7 +375,7 @@ func (c *Crawler) Tables() (distiller.Tables, error) {
 	}
 	c.lockAll()
 	defer c.unlockAll()
-	tb := distiller.Tables{Link: c.links}
+	tb := distiller.Tables{Link: linkRel{c}}
 	if err := c.db.DropTable("CRAWL"); err != nil {
 		return distiller.Tables{}, err
 	}
@@ -460,8 +462,25 @@ func readScores(epoch int64, hubs, auth *relstore.Table) (*scores, error) {
 
 // Links returns the striped LINK store. Its ScanEdges/Rows surface is safe
 // to use while the crawl runs (each stripe locks for its portion); for a
-// consistent cross-stripe snapshot use it after Run or via Tables.
+// consistent cross-stripe snapshot use it after Run or via Tables. Its
+// weights are the ingest estimates: wgt_fwd is the source's relevance.
 func (c *Crawler) Links() *linkgraph.Store { return c.links }
+
+// linkRel is LINK as Tables hands it out: each edge into a visited page
+// reads that page's relevance as its wgt_fwd (EF[u,v] = relevance(v)), as
+// the visit logs stand when a scan begins.
+type linkRel struct{ c *Crawler }
+
+func (l linkRel) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
+	rel := make(map[int64]float64, l.c.visited.Load())
+	l.c.eachVisit(func(h *HarvestPoint) { rel[h.OID] = h.Relevance })
+	return l.c.links.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		if fwd, ok := rel[e.Dst]; ok {
+			e.WgtFwd = fwd
+		}
+		return fn(e)
+	})
+}
 
 // Model returns the classifier guiding this crawl.
 func (c *Crawler) Model() *classifier.Model { return c.model }
@@ -802,18 +821,15 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 	return c.complete(sh, rid, row, res, rel, leaf)
 }
 
-// complete finishes a classified visit: row update, visit log, forward
-// weight, link expansion, and the distillation and checkpoint triggers.
-// Callers hold no locks.
+// complete finishes a classified visit: row update, visit log, link
+// expansion, and the distillation and checkpoint triggers. No lock is held.
 func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res *Fetch, rel float64, leaf taxonomy.NodeID) error {
 	oid := row[COID].Int()
 
 	// Persist the visit in one shard critical section: number it (the
-	// visited counter), mark the row visited, log it in the shard's visit
-	// log, and log its relevance as the forward weight of every edge into it
-	// (the paper uses a trigger) — so any barrier sees all of it or none, and
-	// every LINK read resolves the edges into this page against it,
-	// including edges ingested later.
+	// visited counter), mark the row visited, and log it in the shard's visit
+	// log, whose relevance is the forward weight of every edge into it (the
+	// paper uses a trigger) — so any barrier sees all of it or none.
 	old := row.Clone() // the row as stored (checkout's), for UpdateFrom
 	sh.mu.Lock()
 	seq := c.visited.Add(1)
@@ -828,7 +844,6 @@ func (c *Crawler) complete(sh *shard, rid relstore.RID, row relstore.Tuple, res 
 			Seq: seq, OID: oid, URL: row[CURL].S,
 			Relevance: rel, Kcid: int32(leaf),
 		})
-		err = c.links.UpdateIncomingFwd(oid, rel)
 	}
 	sh.mu.Unlock()
 	if err != nil {
@@ -896,9 +911,9 @@ func (c *Crawler) expandLinks(src int64, res *Fetch, srcRel float64) error {
 		}
 		t := target{dst, SIDOf(out), out}
 		// Forward weight EF[u,v] = relevance(v); until v is classified, the
-		// radius-1 rule makes R(u) the best available estimate (a LINK read
-		// resolves it to v's logged relevance once v is visited). Backward
-		// weight EB[u,v] = relevance(u), known now.
+		// radius-1 rule makes R(u) the best available estimate (the epochs
+		// and Tables resolve it to v's logged relevance once v is visited).
+		// Backward weight EB[u,v] = relevance(u), known now.
 		x.batch.Add(linkgraph.Edge{
 			Src: src, SidSrc: res.ServerID,
 			Dst: t.oid, SidDst: t.sid,
@@ -935,30 +950,41 @@ func (c *Crawler) distill() error {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
 	t0 := time.Now()
-	epoch, snap, rel, err := c.distillSnapshot()
+	epoch, cut, rel, err := c.distillSnapshot()
 	c.stallNS.Add(time.Since(t0).Nanoseconds())
 	if err != nil {
 		return err
 	}
-	return c.distillEpoch(epoch, snap, rel)
+	return c.distillEpoch(epoch, cut, rel)
+}
+
+// epochCut is a LINK snapshot and each shard's visit log as it stood,
+// visits[i] shard i's: entries are never rewritten, later ones land past it.
+type epochCut struct {
+	link   *linkgraph.Snapshot
+	visits [][]HarvestPoint
 }
 
 // distillSnapshot is the short world-stopped phase: under the full barrier
-// it cuts a LINK snapshot — every visited page's relevance is logged by
-// then, so no edge into one reads a radius-1 weight — and copies the
-// cross-shard relevance view. It returns the new epoch's number. epochMu
-// must be held, so epochs are numbered in snapshot order.
+// it cuts LINK and the visit logs — every visited page's relevance is
+// logged by then — and copies the cross-shard relevance view. It returns
+// the new epoch's number. epochMu must be held, so epochs are numbered in
+// snapshot order.
 //
 //focuslint:lock requires=epoch
-func (c *Crawler) distillSnapshot() (int64, *linkgraph.Snapshot, map[int64]float64, error) {
+func (c *Crawler) distillSnapshot() (int64, epochCut, map[int64]float64, error) {
 	c.lockAll()
 	defer c.unlockAll()
 	rel := c.relevanceLocked()
 	snap, err := c.links.SnapshotLocked()
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, epochCut{}, nil, err
 	}
-	return c.snapEpoch.Add(1), snap, rel, nil
+	cut := epochCut{snap, make([][]HarvestPoint, len(c.shards))}
+	for i, sh := range c.shards {
+		cut.visits[i] = sh.visits[:len(sh.visits):len(sh.visits)]
+	}
+	return c.snapEpoch.Add(1), cut, rel, nil
 }
 
 // relevanceLocked copies the cross-shard oid -> relevance view from the oid
@@ -982,15 +1008,15 @@ func (c *Crawler) relevanceLocked() map[int64]float64 {
 // distillEpoch computes a snapshotted epoch and publishes it. The snapshot
 // and relevance view are immutable, so the computation runs without any
 // crawler lock, and epochMu makes this the only publisher. The kept
-// arrangement is extended by what the snapshot holds past the previous
-// epoch's, so an epoch reads and sorts only LINK's new tail. Publish order
-// matters: each side is ranked and the boost delta derived from the hub
-// ranking and the arrangement while both are private; then one pointer store
-// publishes the epoch (readers load the old scores or the new, never a
-// mix), dropping any HUBS/AUTH pair Tables handed out (this epoch is
-// newer); and only then is the §3.4 hub-neighbor boost applied shard by
-// shard against the live frontier.
-func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[int64]float64) error {
+// arrangement is extended by the cut's tails past the previous epoch's, so
+// an epoch reads and sorts only what LINK and the visit logs appended since.
+// Publish order matters: each side is ranked and the boost delta derived
+// from the hub ranking and the arrangement while both are private; then one
+// pointer store publishes the epoch (readers load the old scores or the
+// new, never a mix), dropping any HUBS/AUTH pair Tables handed out (this
+// epoch is newer); and only then is the §3.4 hub-neighbor boost applied
+// shard by shard against the live frontier.
+func (c *Crawler) distillEpoch(epoch int64, cut epochCut, rel map[int64]float64) error {
 	if c.distillFault != nil {
 		if err := c.distillFault(epoch); err != nil {
 			return err
@@ -1001,14 +1027,14 @@ func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[in
 	if c.arr == nil {
 		c.arr = distiller.NewArrangement(c.cfg.Distill)
 	}
-	tail, err := snap.Since(c.arrAt)
+	tail, err := cut.link.Since(c.arrAt.link)
 	if err == nil {
-		err = c.arr.Extend(tail)
+		err = c.arr.Extend(tail, cut.loggedSince(c.arrAt))
 	}
 	if err != nil {
 		return err
 	}
-	c.arrAt = snap
+	c.arrAt = cut
 	hubs, auth, _ := c.arr.Run(rel)
 	r := &scores{epoch: epoch, hubs: distiller.Rank(hubs), auth: distiller.Rank(auth)}
 	var boosts []distiller.Page
@@ -1043,6 +1069,23 @@ func (c *Crawler) distillEpoch(epoch int64, snap *linkgraph.Snapshot, rel map[in
 		}
 	}
 	return nil
+}
+
+// loggedSince yields each visit cut holds past prev, an earlier cut (the
+// zero cut: every visit), as its page and relevance.
+func (cut epochCut) loggedSince(prev epochCut) iter.Seq2[int64, float64] {
+	return func(yield func(int64, float64) bool) {
+		for i, log := range cut.visits {
+			if i < len(prev.visits) {
+				log = log[len(prev.visits[i]):]
+			}
+			for _, h := range log {
+				if !yield(h.OID, h.Relevance) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // topDecileHubs returns the hubs scoring strictly above the ranking's 90th

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"focus/internal/classifier"
+	"focus/internal/distiller"
 	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
@@ -257,8 +258,9 @@ func TestHardFocusSkipsOffTopicExpansion(t *testing.T) {
 }
 
 func TestLinkDedupAndWeightRefresh(t *testing.T) {
-	// seed links twice to the same target; LINK must store one edge whose
-	// forward weight is refreshed once the target is classified.
+	// seed links twice to the same target; LINK must store one edge, with
+	// the source's relevance as both weights, and Tables must read its
+	// forward weight refreshed once the target is classified.
 	f := &stubFetcher{pages: map[string]*Fetch{
 		"http://a.test/1": page("http://a.test/1", "alpha", "http://b.test/2", "http://b.test/2"),
 		"http://b.test/2": page("http://b.test/2", "beta"),
@@ -271,16 +273,30 @@ func TestLinkDedupAndWeightRefresh(t *testing.T) {
 	if got := c.Links().Rows(); got != 1 {
 		t.Fatalf("LINK rows = %d, want 1", got)
 	}
-	var fwd, rev float64
-	c.Links().ScanEdges(func(e linkgraph.Edge) (bool, error) {
-		fwd, rev = e.WgtFwd, e.WgtRev
-		return true, nil
-	})
-	if fwd > 0.3 {
-		t.Fatalf("wgt_fwd = %.3f; should reflect beta target's low relevance", fwd)
+	weights := func(link distiller.LinkRel) (fwd, rev float64) {
+		t.Helper()
+		err := link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+			fwd, rev = e.WgtFwd, e.WgtRev
+			return true, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fwd, rev
 	}
+	fwd, rev := weights(c.Links())
 	if rev < 0.7 {
 		t.Fatalf("wgt_rev = %.3f; should reflect alpha source's relevance", rev)
+	}
+	if fwd != rev {
+		t.Fatalf("LINK stores wgt_fwd = %.3f, want the ingest estimate, the source's relevance %.3f", fwd, rev)
+	}
+	tb, err := c.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fwd, _ := weights(tb.Link); fwd > 0.3 {
+		t.Fatalf("Tables reads wgt_fwd = %.3f; should reflect beta target's low relevance", fwd)
 	}
 }
 

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"focus/internal/relstore"
@@ -126,14 +127,32 @@ func TestExpandLinksPoolFetches(t *testing.T) {
 }
 
 // TestDistillSnapshotFetchesNoPage: an epoch's world-stopped snapshot reads
-// no page. The relevance view comes from the oid directories and the LINK
-// snapshot is a cut of row counts, so the barrier's cost does not grow with
-// CRAWL's or LINK's pages. The view still equals the heap's relevance
-// column.
+// no page. The relevance view comes from the oid directories, the LINK
+// snapshot is a cut of row counts and the visit logs are cut by length, so
+// the barrier's cost does not grow with CRAWL's or LINK's pages. The view
+// still equals the heap's relevance column, and the cut visit logs are the
+// shards' logs as they stood, unmoved by a later visit.
 func TestDistillSnapshotFetchesNoPage(t *testing.T) {
 	c, db := warmExpandCrawler(t)
+	visit := func(rel float64) {
+		t.Helper()
+		sh, rid, row, ok, _, err := c.checkout(0)
+		if err != nil || !ok {
+			t.Fatalf("checkout: ok %v, %v", ok, err)
+		}
+		if err := c.complete(sh, rid, row, &Fetch{URL: row[CURL].S, ServerID: SIDOf(row[CURL].S)}, rel, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 20 {
+		visit(float64(i) / 20)
+	}
+	logs := make([][]HarvestPoint, len(c.shards))
+	for i, sh := range c.shards {
+		logs[i] = slices.Clone(sh.visits)
+	}
 	before := db.Pool().Stats()
-	_, _, rel, err := c.distillSnapshot()
+	_, cut, rel, err := c.distillSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,5 +175,19 @@ func TestDistillSnapshotFetchesNoPage(t *testing.T) {
 	}
 	if rows != len(rel) || rows != 4400 {
 		t.Fatalf("relevance view holds %d oids for %d rows, want 4400", len(rel), rows)
+	}
+	if cut.link.Rows() != c.links.Rows() {
+		t.Fatalf("the LINK snapshot holds %d rows, the store %d", cut.link.Rows(), c.links.Rows())
+	}
+	visit(1) // lands past the cut
+	var cutVisits int
+	for i, log := range cut.visits {
+		cutVisits += len(log)
+		if !slices.Equal(log, logs[i]) {
+			t.Fatalf("shard %d: the cut holds %d visits, differing from the %d its log held", i, len(log), len(logs[i]))
+		}
+	}
+	if cutVisits != 20 {
+		t.Fatalf("the cut holds %d visits, want 20", cutVisits)
 	}
 }

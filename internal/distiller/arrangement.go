@@ -2,6 +2,7 @@ package distiller
 
 import (
 	"cmp"
+	"iter"
 	"math"
 	"slices"
 	"time"
@@ -67,18 +68,20 @@ func NewArrangement(cfg Config) *Arrangement {
 	return &Arrangement{cfg: cfg.withDefaults(), off: []int32{0}}
 }
 
-// Extend adds tail's edges, LINK's tail since the last Extend, and then its
-// forward-weight log entries, a later one superseding an earlier one for
-// its destination. Only the new edges are sorted, then merged in. On error
-// the arrangement is unchanged.
-func (a *Arrangement) Extend(tail linkgraph.Tail) error {
+// Extend adds tail's edges, LINK's tail since the last Extend, and then the
+// weights logged since, each a page and the forward weight of the edges into
+// it (a visit's relevance), a later one superseding an earlier one. Only the
+// new edges are sorted, then merged in. On error nothing changes.
+func (a *Arrangement) Extend(tail linkgraph.Tail, logged iter.Seq2[int64, float64]) error {
 	edges, err := a.read(tail, nil, make([]planEdge, 0, tail.Rows()))
 	if err != nil {
 		return err
 	}
-	var logged []dstGroup
-	tail.ScanFwd(func(dst int64, fwd float64) { logged = append(logged, dstGroup{oid: dst, fwd: fwd, logged: true}) })
-	a.insert(edges, logged)
+	var fwd []dstGroup
+	for dst, w := range logged {
+		fwd = append(fwd, dstGroup{oid: dst, fwd: w, logged: true})
+	}
+	a.insert(edges, fwd)
 	return nil
 }
 

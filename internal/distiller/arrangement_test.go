@@ -3,6 +3,7 @@ package distiller
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,10 +16,12 @@ import (
 // page's out-links into a striped linkgraph store (which dedups them), logs
 // the page's relevance as the forward weight of every edge into it, and
 // moves the relevance view. Pages have 64-bit oids and a server that is a
-// function of the oid, as a URL's host is.
+// function of the oid, as a URL's host is. The log is the harness's own, as
+// the crawler's visit logs are its own: LINK stores no logged weight.
 type linkWeb struct {
 	rng     *rand.Rand
 	store   *linkgraph.Store
+	log     []logged
 	pages   []int64
 	servers int64
 	rel     map[int64]float64
@@ -53,6 +56,23 @@ func (w *linkWeb) level() float64 {
 
 func (w *linkWeb) sid(oid int64) int32 { return int32(uint64(oid) % uint64(w.servers)) }
 
+// logged is one log entry: the forward weight of every edge into a page.
+type logged struct {
+	oid int64
+	fwd float64
+}
+
+// logs yields log's entries as Extend reads them.
+func logs(log []logged) iter.Seq2[int64, float64] {
+	return func(yield func(int64, float64) bool) {
+		for _, l := range log {
+			if !yield(l.oid, l.fwd) {
+				return
+			}
+		}
+	}
+}
+
 // visit crawls the next n pages: each links to about deg pages, now and
 // then to one on its own server or to itself, then its relevance is
 // logged. A few other pages' relevance moves, and now and then one is
@@ -78,22 +98,27 @@ func (w *linkWeb) visit(tb testing.TB, n, deg int) {
 			tb.Fatal(err)
 		}
 		w.rel[src] = w.level()
-		if err := w.store.UpdateIncomingFwd(src, w.rel[src]); err != nil {
-			tb.Fatal(err)
-		}
+		w.log = append(w.log, logged{src, w.rel[src]})
 		if w.rng.Intn(4) == 0 {
 			other := w.pages[w.rng.Intn(len(w.pages))]
 			w.rel[other] = w.level()
 			if w.rng.Intn(2) == 0 {
-				if err := w.store.UpdateIncomingFwd(other, w.rel[other]); err != nil {
-					tb.Fatal(err)
-				}
+				w.log = append(w.log, logged{other, w.rel[other]})
 			}
 		}
 	}
 }
 
-func (w *linkWeb) snapshot(tb testing.TB) *linkgraph.Snapshot {
+// webCut is a snapshot of the web's LINK and its log as they stood. Its
+// ScanEdges reads the snapshot with each edge's wgt_fwd resolved against the
+// log, a later entry superseding an earlier one: the relation Extend
+// arranges.
+type webCut struct {
+	sn  *linkgraph.Snapshot
+	log []logged
+}
+
+func (w *linkWeb) snapshot(tb testing.TB) webCut {
 	tb.Helper()
 	w.store.LockAll()
 	defer w.store.UnlockAll()
@@ -101,15 +126,28 @@ func (w *linkWeb) snapshot(tb testing.TB) *linkgraph.Snapshot {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sn
+	return webCut{sn, w.log[:len(w.log):len(w.log)]}
 }
 
-// extend extends a by sn's tail past prev.
-func extend(tb testing.TB, a *Arrangement, sn, prev *linkgraph.Snapshot) {
+func (c webCut) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
+	fwd := make(map[int64]float64, len(c.log))
+	for _, l := range c.log {
+		fwd[l.oid] = l.fwd
+	}
+	return c.sn.ScanEdges(func(e linkgraph.Edge) (bool, error) {
+		if w, ok := fwd[e.Dst]; ok {
+			e.WgtFwd = w
+		}
+		return fn(e)
+	})
+}
+
+// extend extends a by c's LINK tail and log tail past prev's.
+func extend(tb testing.TB, a *Arrangement, c, prev webCut) {
 	tb.Helper()
-	tail, err := sn.Since(prev)
+	tail, err := c.sn.Since(prev.sn)
 	if err == nil {
-		err = a.Extend(tail)
+		err = a.Extend(tail, logs(c.log[len(prev.log):]))
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -128,13 +166,13 @@ func TestArrangementMatchesFreshBuildProperty(t *testing.T) {
 		for _, cfg := range []Config{{}, {Unweighted: true}, {NoNepotismFilter: true}, {Unweighted: true, NoNepotismFilter: true}} {
 			w := newLinkWeb(t, rng.Int63(), 20+rng.Intn(300), 1+rng.Intn(4))
 			a := NewArrangement(cfg)
-			var prev *linkgraph.Snapshot
+			var prev webCut
 			for epoch := 0; epoch < 6; epoch++ {
 				w.visit(t, rng.Intn(30), 1+rng.Intn(8))
 				sn := w.snapshot(t)
 				extend(t, a, sn, prev)
 				prev = sn
-				name := fmt.Sprintf("trial %d, %+v, epoch %d, %d edges", trial, cfg, epoch, sn.Rows())
+				name := fmt.Sprintf("trial %d, %+v, epoch %d, %d edges", trial, cfg, epoch, sn.sn.Rows())
 
 				hubs, auth, _ := a.Run(w.rel)
 				c := cfg
@@ -185,20 +223,20 @@ func TestArrangementMatchesFreshBuildProperty(t *testing.T) {
 func BenchmarkDistillEpochs(b *testing.B) {
 	const epochs, edges = 8, 100000
 	w := newLinkWeb(b, 7, 60000, 2)
-	var snaps []*linkgraph.Snapshot
+	var snaps []webCut
 	var held int64
 	for e := 1; e <= epochs; e++ {
 		for w.store.Rows() < int64(e*edges/epochs) {
 			w.visit(b, 1, 17)
 		}
 		snaps = append(snaps, w.snapshot(b))
-		held += snaps[len(snaps)-1].Rows()
+		held += snaps[len(snaps)-1].sn.Rows()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := NewArrangement(Config{})
-		var prev *linkgraph.Snapshot
+		var prev webCut
 		for _, sn := range snaps {
 			extend(b, a, sn, prev)
 			prev = sn
@@ -208,6 +246,6 @@ func BenchmarkDistillEpochs(b *testing.B) {
 		}
 	}
 	perRun := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(perRun/float64(snaps[len(snaps)-1].Rows()), "ns/appended-edge")
+	b.ReportMetric(perRun/float64(snaps[len(snaps)-1].sn.Rows()), "ns/appended-edge")
 	b.ReportMetric(perRun/float64(held), "ns/held-edge")
 }

@@ -41,8 +41,8 @@ import (
 
 // LinkRel is the read surface the distiller needs from the LINK relation:
 // a sequential scan as typed edges. The crawler's striped linkgraph store,
-// its snapshot and a snapshot's tail satisfy it; a plain *relstore.Table
-// needs an adapter. The
+// its snapshot and a snapshot's tail satisfy it, as does the crawler's
+// Tables().Link; a plain *relstore.Table needs an adapter. The
 // distiller is agnostic to how the edges are partitioned, as long as one
 // logical relation comes back.
 type LinkRel interface {
@@ -76,6 +76,9 @@ type Config struct {
 	// Relevance optionally supplies oid -> relevance directly (e.g. the
 	// crawler's in-memory view of its sharded CRAWL relation), in which
 	// case Tables.Crawl is not consulted for the rho filter and may be nil.
+	// It feeds the rho filter only: wgt_fwd is read as Tables.Link returns
+	// it, so over a bare linkgraph store (the benchmark's replay) it is the
+	// weight LINK stored at ingest.
 	Relevance map[int64]float64
 }
 

@@ -10,10 +10,10 @@ import (
 // out-edge directory is pure in-memory state, rebuilt in one pass over each
 // stripe's oid_src column. The store never moves or deletes an edge, so it
 // comes back exactly as the original store held it at its last checkpoint,
-// each chain in the order ingest built it. The forward-weight log starts
-// empty: the caller re-logs the visits its own relations record (the
-// crawler's Resume does, from its harvest log). n must equal the stripe count the store was created with
-// (the crawler persists it in its checkpoint state): a LINK#n table means it
+// each chain in the order ingest built it, and it holds nothing else: a
+// visited page's relevance is its caller's to keep (the crawler's visit
+// logs). n must equal the stripe count the store was created with (the
+// crawler persists it in its checkpoint state): a LINK#n table means it
 // does not, and is an error rather than edges left unread.
 func Attach(db *relstore.DB, n int) (*Store, error) {
 	if n <= 0 {

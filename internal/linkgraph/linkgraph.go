@@ -20,31 +20,25 @@
 // LINK is append-only: a row is never moved, rewritten or deleted, and a
 // stripe's heap only grows at its tail. The paper keeps EF[u,v] =
 // relevance(v) exact with a trigger that rewrites LINK when v is
-// classified; this store resolves it where it is read instead.
-// UpdateIncomingFwd appends (v, relevance) to a forward-weight log that
-// touches no page, and every weighted read (ScanEdges and the snapshot's
-// scans) returns wgt_fwd as the log's value for oid_dst when the log has
-// one, else the weight stored at ingest. The per-source read
-// (OutEdgesLocked) returns no weight at all. A snapshot is
-// therefore a cut: each stripe's row count and the log's length. What a
-// later snapshot holds past an earlier one (Snapshot.Since) is a tail of
-// each stripe's heap, read from its first row on with the weights stored,
-// and a tail of the log to resolve them. LINK is read only as typed
-// Edges: every read decodes its records through one decoder, decodeRecord.
+// classified; this store keeps no relevance at all. Every read returns an
+// edge as ingest stored it (the crawler stores wgt_fwd = relevance(u), the
+// radius-1 estimate), and the crawler resolves EF against its visit logs.
+// The per-source read (OutEdgesLocked) returns no weight. A snapshot is
+// therefore each stripe's row count. What a later snapshot holds past an
+// earlier one (Snapshot.Since) is a tail of each stripe's heap, read from
+// its first row on. LINK is read only as typed Edges: every read decodes
+// its records through one decoder, decodeRecord.
 //
 // # Lock ordering
 //
 // Stripe mutexes rank above the crawler's epoch mutex and below its
 // frontier-shard mutexes: a goroutine may acquire a shard mutex while
 // holding a stripe mutex (the crawler's barrier does exactly that), but
-// never the reverse. The log's mutex is a pure leaf: it may be taken under
-// any tower lock (the crawler logs a visit under its shard lock) and
-// nothing is acquired while it is held, so no cycle can involve it.
-// Multi-stripe operations (LockAll, the scans) take stripe locks in
-// ascending id order, one at a time unless a consistent cross-stripe view
-// is required. The crawler's stop-the-world barrier therefore begins with
-// LockAll before it touches shard locks; see DESIGN.md and the
-// internal/relstore package doc for the full contract.
+// never the reverse. Multi-stripe operations (LockAll, the scans) take
+// stripe locks in ascending id order, one at a time unless a consistent
+// cross-stripe view is required. The crawler's stop-the-world barrier
+// therefore begins with LockAll before it touches shard locks; see
+// DESIGN.md and the internal/relstore package doc for the full contract.
 package linkgraph
 
 import (
@@ -206,52 +200,10 @@ func (d *edgeDirectory) first(src int64) int32 {
 	return -1
 }
 
-// fwdLog is the forward-weight log: one entry per UpdateIncomingFwd, in call
-// order. It is pointer-free and grows by one entry per logged visit, not per
-// edge or per destination ever linked to; reads resolve a cut of it
-// (resolve).
-type fwdLog struct {
-	// Pure leaf: taken under any tower lock or none; nothing may be acquired
-	// and no blocking operation may run while it is held.
-	//focuslint:lock rank=fwdlog leaf noblock=io,chan,sleep
-	mu      sync.Mutex
-	entries []fwdEntry
-}
-
-type fwdEntry struct {
-	dst int64
-	fwd float64
-}
-
-// cut returns the log as it stands. Entries are never rewritten and later
-// ones land past the returned length, so the cut may be read without the
-// lock.
-func (l *fwdLog) cut() []fwdEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.entries[:len(l.entries):len(l.entries)]
-}
-
-func (l *fwdLog) append(dst int64, fwd float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = append(l.entries, fwdEntry{dst, fwd})
-}
-
-// resolve maps each destination in a cut to its last logged weight.
-func resolve(cut []fwdEntry) map[int64]float64 {
-	w := make(map[int64]float64, len(cut))
-	for _, e := range cut {
-		w[e.dst] = e.fwd
-	}
-	return w
-}
-
 // Store is the striped LINK relation.
 type Store struct {
 	db      *relstore.DB
 	stripes []*stripe
-	log     fwdLog
 }
 
 // New creates the stripe tables LINK#0 … LINK#n-1 in db, each a bare heap
@@ -305,9 +257,8 @@ func (s *Store) UnlockAll() {
 
 // WeightFunc sets an inserted edge's stored forward weight, the ingest-time
 // estimate. It is called under the edge's stripe lock, immediately before
-// insertion. Reads resolve wgt_fwd against the forward-weight log, so the
-// stored value shows only for targets never logged; the crawler passes no
-// WeightFunc, and the type stays for the benchmark's replay.
+// insertion, and every read returns the value it set. The crawler passes no
+// WeightFunc; the type stays for the benchmark's replay.
 type WeightFunc func(Edge) (float64, error)
 
 // Apply ingests one page's out-links: every edge of b must leave the same
@@ -509,20 +460,13 @@ func (s *Store) OutEdgesLocked(src int64, fn func(dst int64, sidSrc, sidDst int3
 	return nil
 }
 
-// UpdateIncomingFwd records fwd as the forward weight of every edge into dst
-// — the crawler's trigger once the target's true relevance is known. It
-// appends to the forward-weight log in O(1) and touches no page; every later
-// read resolves the edges into dst against it, including edges ingested
-// after this call. A later call for the same dst supersedes the earlier
-// one. Any lock may be held, or none.
-func (s *Store) UpdateIncomingFwd(dst int64, fwd float64) error {
-	s.log.append(dst, fwd)
-	return nil
-}
+// UpdateIncomingFwd does nothing: LINK keeps no visited page's relevance,
+// and every read returns wgt_fwd as ingest stored it. It stays only while
+// the benchmark's replay calls it.
+func (s *Store) UpdateIncomingFwd(dst int64, fwd float64) error { return nil }
 
-// SweepStats reports no sweeps and no stripe probes: forward weights are
-// resolved where they are read, so nothing sweeps LINK. It stays while the
-// benchmark still reads it.
+// SweepStats reports no sweeps and no stripe probes: nothing sweeps LINK.
+// It stays while the benchmark still reads it.
 func (s *Store) SweepStats() (sweeps, stripeProbes int64) { return 0, 0 }
 
 // CheckDirectory verifies every stripe's out-edge directory against a scan
@@ -574,16 +518,15 @@ func (st *stripe) checkDirectory() error {
 	return nil
 }
 
-// scan calls fn with the stripe's rows from up to to, in heap order, wgt_fwd
-// resolved against w (nil: as stored); stop reports that fn ended the scan.
-// The heap only appends at its tail, in the order of the out-edge
-// directory's rows, so its first n rows are the stripe as it stood when it
-// held n, and row from lies at dir.rows[from].rid: the scan reads no page
-// before it. Each record is decoded straight into an Edge (decodeRecord), so
-// a scan allocates nothing per row.
+// scan calls fn with the stripe's rows from up to to, in heap order; stop
+// reports that fn ended the scan. The heap only appends at its tail, in the
+// order of the out-edge directory's rows, so its first n rows are the stripe
+// as it stood when it held n, and row from lies at dir.rows[from].rid: the
+// scan reads no page before it. Each record is decoded straight into an
+// Edge (decodeRecord), so a scan allocates nothing per row.
 //
 //focuslint:lock requires=stripe
-func (st *stripe) scan(from, to int64, w map[int64]float64, fn func(Edge) (bool, error)) (stop bool, err error) {
+func (st *stripe) scan(from, to int64, fn func(Edge) (bool, error)) (stop bool, err error) {
 	if from >= to {
 		return false, nil
 	}
@@ -593,9 +536,6 @@ func (st *stripe) scan(from, to int64, w map[int64]float64, fn func(Edge) (bool,
 		if err != nil {
 			return true, fmt.Errorf("linkgraph: stripe %d, row %v: %w", st.id, rid, err)
 		}
-		if fwd, ok := w[e.Dst]; ok {
-			e.WgtFwd = fwd
-		}
 		seen++
 		var ferr error
 		stop, ferr = fn(e)
@@ -604,17 +544,15 @@ func (st *stripe) scan(from, to int64, w map[int64]float64, fn func(Edge) (bool,
 	return stop, err
 }
 
-// ScanEdges visits every stored edge in stripe order (stripe 0 first), heap
-// order within a stripe — with one stripe, exactly the single-table LINK
-// scan order — with wgt_fwd resolved against the forward-weight log as it
-// stood when the scan began. Each stripe is locked for its portion of the
-// scan, fn included, so fn must not write to the store; for a consistent
-// cross-stripe view take a Snapshot.
+// ScanEdges visits every stored edge, as ingest stored it, in stripe order
+// (stripe 0 first), heap order within a stripe — with one stripe, exactly
+// the single-table LINK scan order. Each stripe is locked for its portion of
+// the scan, fn included, so fn must not write to the store; for a
+// consistent cross-stripe view take a Snapshot.
 func (s *Store) ScanEdges(fn func(Edge) (bool, error)) error {
-	w := resolve(s.log.cut())
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		stop, err := st.scan(0, st.tab.Rows(), w, fn)
+		stop, err := st.scan(0, st.tab.Rows(), fn)
 		st.mu.Unlock()
 		if stop || err != nil {
 			return err
@@ -624,17 +562,15 @@ func (s *Store) ScanEdges(fn func(Edge) (bool, error)) error {
 }
 
 // Snapshot is an immutable point-in-time view of the LINK relation: the
-// first rows[i] heap rows of each stripe i, with wgt_fwd resolved against
-// the first entries of the forward-weight log — exactly what
-// Store.ScanEdges returned the moment the snapshot was taken. It satisfies
-// the distiller's LinkRel surface, so a distillation epoch can run entirely
-// off to the side while workers keep appending to the live store: rows and
-// log entries written later lie past the cut.
+// first rows[i] heap rows of each stripe i — exactly what Store.ScanEdges
+// returned the moment the snapshot was taken. It satisfies the distiller's
+// LinkRel surface, so a distillation epoch can run entirely off to the side
+// while workers keep appending to the live store: rows written later lie
+// past the cut.
 type Snapshot struct {
 	store *Store
 	rows  []int64
 	edges int64
-	fwd   []fwdEntry
 }
 
 // SnapshotLocked takes a snapshot. The caller must hold every stripe lock
@@ -643,7 +579,7 @@ type Snapshot struct {
 //
 //focuslint:lock requires=stripe*
 func (s *Store) SnapshotLocked() (*Snapshot, error) {
-	sn := &Snapshot{store: s, rows: make([]int64, len(s.stripes)), fwd: s.log.cut()}
+	sn := &Snapshot{store: s, rows: make([]int64, len(s.stripes))}
 	for i, st := range s.stripes {
 		sn.rows[i] = st.tab.Rows()
 		sn.edges += sn.rows[i]
@@ -654,36 +590,32 @@ func (s *Store) SnapshotLocked() (*Snapshot, error) {
 // Rows returns the snapshot's edge count (captured at the barrier).
 func (sn *Snapshot) Rows() int64 { return sn.edges }
 
-// ScanEdges visits every snapshot edge in the order and with the weights
-// Store.ScanEdges produced at snapshot time, reading each stripe's part
-// under its lock, as Store.ScanEdges does.
+// ScanEdges visits every snapshot edge in the order Store.ScanEdges produced
+// at snapshot time, reading each stripe's part under its lock, as
+// Store.ScanEdges does.
 func (sn *Snapshot) ScanEdges(fn func(Edge) (bool, error)) error {
 	t, _ := sn.Since(nil)
-	return t.scan(resolve(sn.fwd), fn)
+	return t.ScanEdges(fn)
 }
 
 // Tail is what a snapshot holds past an earlier snapshot of the same store:
-// for each stripe i, its rows from prev.rows[i] up to rows[i], and the
-// forward-weight log's entries past prev's. LINK is
+// for each stripe i, its rows from prev.rows[i] up to rows[i]. LINK is
 // append-only, so the earlier snapshot's edges and the tails since are
-// together exactly this snapshot's. A tail's edges carry the wgt_fwd stored
-// at ingest, not resolved: the log entries resolve them, and the earlier
-// edges, to what this snapshot's ScanEdges returns.
+// together exactly this snapshot's.
 type Tail struct {
 	sn   *Snapshot
 	from []int64
-	fwd  []fwdEntry
 }
 
 // Since returns sn's tail past prev, an earlier snapshot of the same store;
 // a nil prev is the empty snapshot, so the tail is all of sn. It reads no
 // page.
 func (sn *Snapshot) Since(prev *Snapshot) (Tail, error) {
-	t := Tail{sn: sn, from: make([]int64, len(sn.rows)), fwd: sn.fwd}
+	t := Tail{sn: sn, from: make([]int64, len(sn.rows))}
 	if prev == nil {
 		return t, nil
 	}
-	ok := prev.store == sn.store && len(prev.fwd) <= len(sn.fwd)
+	ok := prev.store == sn.store
 	for i := 0; ok && i < len(t.from); i++ {
 		t.from[i] = prev.rows[i]
 		ok = t.from[i] <= sn.rows[i]
@@ -691,7 +623,6 @@ func (sn *Snapshot) Since(prev *Snapshot) (Tail, error) {
 	if !ok {
 		return Tail{}, fmt.Errorf("linkgraph: a tail since a snapshot of another store, or a later one")
 	}
-	t.fwd = sn.fwd[len(prev.fwd):]
 	return t, nil
 }
 
@@ -704,26 +635,15 @@ func (t Tail) Rows() (n int64) {
 }
 
 // ScanEdges visits the tail's edges, stripe 0 first and heap order within a
-// stripe, with wgt_fwd as stored. Each stripe's lock is held over its tail
-// only, fn included, and a stripe with no tail is not locked.
-func (t Tail) ScanEdges(fn func(Edge) (bool, error)) error { return t.scan(nil, fn) }
-
-// ScanFwd visits the tail's forward-weight log entries, each a
-// UpdateIncomingFwd(dst, fwd), in log order: a later one supersedes an
-// earlier one for its dst.
-func (t Tail) ScanFwd(fn func(dst int64, fwd float64)) {
-	for _, e := range t.fwd {
-		fn(e.dst, e.fwd)
-	}
-}
-
-func (t Tail) scan(w map[int64]float64, fn func(Edge) (bool, error)) error {
+// stripe. Each stripe's lock is held over its tail only, fn included, and a
+// stripe with no tail is not locked.
+func (t Tail) ScanEdges(fn func(Edge) (bool, error)) error {
 	for i, st := range t.sn.store.stripes {
 		if t.from[i] == t.sn.rows[i] {
 			continue
 		}
 		st.mu.Lock()
-		stop, err := st.scan(t.from[i], t.sn.rows[i], w, fn)
+		stop, err := st.scan(t.from[i], t.sn.rows[i], fn)
 		st.mu.Unlock()
 		if stop || err != nil {
 			return err

@@ -167,49 +167,6 @@ func TestApplyWeightCallback(t *testing.T) {
 	}
 }
 
-func TestUpdateIncomingFwd(t *testing.T) {
-	// Edges into dst=9 from sources on different stripes; every read must
-	// carry the logged weight, edges into other targets their stored one —
-	// including an edge into 9 ingested after the weight was logged.
-	s := newStore(t, 4)
-	var edges []Edge
-	for src := int64(1); src <= 8; src++ {
-		edges = append(edges, e(src, 9), e(src, 10))
-	}
-	applyPages(t, s, edges, nil)
-	if err := s.UpdateIncomingFwd(9, 0.625); err != nil {
-		t.Fatal(err)
-	}
-	applyPages(t, s, []Edge{e(11, 9)}, nil)
-	into9 := 0
-	for _, edge := range scanEdges(t, s) {
-		if edge.Dst == 9 {
-			into9++
-			if edge.WgtFwd != 0.625 {
-				t.Errorf("edge %d->9 wgt_fwd = %v, want 0.625", edge.Src, edge.WgtFwd)
-			}
-		}
-		if edge.Dst == 10 && edge.WgtFwd != e(edge.Src, 10).WgtFwd {
-			t.Errorf("edge %d->10 wgt_fwd = %v, want its stored %v; only dst=9 is logged", edge.Src, edge.WgtFwd, e(edge.Src, 10).WgtFwd)
-		}
-	}
-	if into9 != 9 {
-		t.Fatalf("read %d edges into 9, want 9", into9)
-	}
-	from11 := 0
-	for _, edge := range scanEdges(t, snapshotAll(t, s)) {
-		if edge.Src == 11 {
-			from11++
-			if edge.WgtFwd != 0.625 {
-				t.Errorf("snapshot: edge 11->%d wgt_fwd = %v, want 0.625", edge.Dst, edge.WgtFwd)
-			}
-		}
-	}
-	if from11 != 1 {
-		t.Fatalf("snapshot reads %d edges out of 11, want 1", from11)
-	}
-}
-
 func TestOutEdgesOrderAndIsolation(t *testing.T) {
 	s := newStore(t, 3)
 	applyPages(t, s, []Edge{e(4, 30), e(4, 10), e(4, 20), e(5, 99)}, nil)
@@ -255,36 +212,6 @@ func TestSingleStripeMatchesPlainTable(t *testing.T) {
 	}
 }
 
-// TestUpdateIncomingFwdPoolFetches: logging a forward weight touches no
-// page, however many stored edges lead into the destination.
-func TestUpdateIncomingFwdPoolFetches(t *testing.T) {
-	const dst = 1 << 40
-	s := newStore(t, 2)
-	var edges []Edge
-	for src := int64(0); src < 300; src++ {
-		edges = append(edges, e(src, dst))
-	}
-	applyPages(t, s, edges, nil)
-	pool := s.db.Pool()
-	before := pool.Stats()
-	if err := s.UpdateIncomingFwd(dst, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	after := pool.Stats()
-	if got := (after.Hits + after.Misses) - (before.Hits + before.Misses); got != 0 {
-		t.Fatalf("logging a forward weight fetched %d pages, want 0", got)
-	}
-	read := 0
-	for _, edge := range scanEdges(t, s) {
-		if edge.Dst == dst && edge.WgtFwd == 0.5 {
-			read++
-		}
-	}
-	if read != 300 {
-		t.Fatalf("%d of 300 edges read the logged weight", read)
-	}
-}
-
 // TestCheckDirectoryCatchesDrift: the directory checker passes on a store
 // built by Apply, and fails once the out-edge directory is made to disagree
 // with the heap in each way it can.
@@ -295,9 +222,6 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 		edges = append(edges, e(src, 3), e(src, 4))
 	}
 	applyPages(t, s, edges, nil)
-	if err := s.UpdateIncomingFwd(3, 0.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}

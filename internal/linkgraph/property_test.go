@@ -86,12 +86,14 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 	}
 }
 
-// TestRoutedSweepEquivalenceProperty pins UpdateIncomingFwd at several
-// stripe counts: for random edge sets and a random sequence of logged
-// weights — for targets with in-edges and targets without, a target possibly
-// more than once — the store must read tuple for tuple what the same batches and
-// weights give a one-stripe store (compared through byDst, whose order is
-// stripe-count-independent). The name is from when UpdateIncomingFwd
+// TestRoutedSweepEquivalenceProperty pins ingest with a weight callback at
+// several stripe counts: for random edge sets, applied a page at a time with
+// a random sequence of targets marked visited between pages — targets with
+// in-edges and targets without, a target possibly more than once — and a
+// callback that stores a marked target's weight, the store must read tuple
+// for tuple what the same pages and marks give a one-stripe store (compared
+// through byDst, whose order is stripe-count-independent), and a snapshot
+// must read what the live store does. The name is from when a logged weight
 // rewrote LINK, routed to the stripes holding the target's in-edges.
 func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
@@ -99,28 +101,45 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 		nEdges, srcRange := 50+rng.Intn(400), int64(1+rng.Intn(50))
 		dstRange := int64(1 + rng.Intn(40))
 		edges := randomPages(rng, nEdges, srcRange, dstRange)
-		// Log weights for a mix of targets with in-edges and targets without any.
-		type sweep struct {
+		// Mark a mix of targets with in-edges and targets without any, each
+		// before the edge at its position.
+		type mark struct {
+			at  int
 			dst int64
 			fwd float64
 		}
-		var sweeps []sweep
+		var marks []mark
 		for i := 0; i < 12; i++ {
-			sweeps = append(sweeps, sweep{
+			marks = append(marks, mark{
+				at:  rng.Intn(len(edges)),
 				dst: rng.Int63n(3*dstRange) - dstRange,
 				fwd: 1 + float64(i)/16,
 			})
 		}
+		slices.SortStableFunc(marks, func(a, b mark) int { return a.at - b.at })
 
 		for _, stripes := range []int{1, 2, 5, 8, 16} {
 			t.Run(fmt.Sprintf("trial=%d/stripes=%d", trial, stripes), func(t *testing.T) {
 				load := func(stripes int) *Store {
 					s := newStore(t, stripes)
-					applyPages(t, s, edges, nil)
-					for _, sw := range sweeps {
-						if err := s.UpdateIncomingFwd(sw.dst, sw.fwd); err != nil {
-							t.Fatal(err)
+					visited := map[int64]float64{}
+					weight := func(e Edge) (float64, error) {
+						if w, ok := visited[e.Dst]; ok {
+							return w, nil
 						}
+						return e.WgtFwd, nil
+					}
+					next := marks
+					for lo := 0; lo < len(edges); {
+						hi := lo + 1
+						for hi < len(edges) && edges[hi].Src == edges[lo].Src {
+							hi++
+						}
+						for ; len(next) > 0 && next[0].at < hi; next = next[1:] {
+							visited[next[0].dst] = next[0].fwd
+						}
+						applyPages(t, s, edges[lo:hi], weight)
+						lo = hi
 					}
 					return s
 				}
@@ -132,8 +151,11 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("tuple %d = %+v with the logged weights, one-stripe store has %+v", i, got[i], want[i])
+						t.Fatalf("tuple %d = %+v with the stored weights, one-stripe store has %+v", i, got[i], want[i])
 					}
+				}
+				if live, sn := scanEdges(t, routed), scanEdges(t, snapshotAll(t, routed)); !slices.Equal(sn, live) {
+					t.Fatalf("a snapshot reads %d edges, differing from the live store's %d", len(sn), len(live))
 				}
 			})
 		}

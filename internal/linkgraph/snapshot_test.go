@@ -41,9 +41,9 @@ func scanEdges(t testing.TB, rel interface {
 
 // TestSnapshotIsolationUnderWrites pins the snapshot contract: a snapshot
 // cut at the barrier must keep serving the barrier-time image — same edges,
-// same weights, same order — while inserts and logged forward weights keep
-// changing what the live store reads underneath it. Two snapshots cut at
-// the same point must both stay correct.
+// same weights, same order — while inserts keep changing what the live
+// store reads underneath it. Two snapshots cut at the same point must both
+// stay correct.
 func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	s := newStore(t, 4)
 	var edges []Edge
@@ -59,15 +59,13 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 		t.Fatalf("snapshot Rows = %d, want %d", sn1.Rows(), len(want))
 	}
 
-	// Change every stripe after the barrier: new edges and a logged weight.
+	// Change every stripe after the barrier, with edges into the snapshot's
+	// targets too.
 	edges = edges[:0]
 	for src := int64(21); src <= 40; src++ {
-		edges = append(edges, e(src, src+100))
+		edges = append(edges, e(src, src+100), e(src, 9))
 	}
 	applyPages(t, s, edges, nil)
-	if err := s.UpdateIncomingFwd(9, 0.3125); err != nil {
-		t.Fatal(err)
-	}
 
 	for i, sn := range []*Snapshot{sn1, sn2} {
 		got := scanEdges(t, sn)
@@ -82,8 +80,8 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	}
 	// The live store did move on.
 	live := scanEdges(t, s)
-	if len(live) != len(want)+20 {
-		t.Fatalf("live store has %d edges, want %d", len(live), len(want)+20)
+	if len(live) != len(want)+40 {
+		t.Fatalf("live store has %d edges, want %d", len(live), len(want)+40)
 	}
 
 	// A second Scan reads the same cut: same edges, same order.
@@ -121,7 +119,7 @@ func TestSnapshotLazyReadWithoutWrites(t *testing.T) {
 }
 
 // TestSnapshotConcurrentReadersAndWriters races snapshot consumption
-// against live ingest and logged weights under -race: writers keep applying
+// against live ingest under -race: writers keep applying
 // batches while each snapshot, taken mid-stream, is scanned by two
 // concurrent readers. Every snapshot must read exactly the edges its
 // barrier recorded, and both readers must agree tuple for tuple.
@@ -144,7 +142,7 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 			t.Fatalf("snapshot read %d rows, barrier recorded %d", len(want), sn.Rows())
 		}
 		wg.Add(3)
-		go func(r int) { // concurrent ingest + logged weights while readers run
+		go func(r int) { // concurrent ingest while readers run
 			defer wg.Done()
 			for k := 0; k < perRound; k++ {
 				src := int64(100000 + r*perRound + k)
@@ -154,9 +152,6 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 					errs <- err
 					return
 				}
-			}
-			if err := s.UpdateIncomingFwd(int64(r%97+1), 0.5); err != nil {
-				errs <- err
 			}
 		}(r)
 		for reader := 0; reader < 2; reader++ {
@@ -184,36 +179,11 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
-// TestSnapshotKeepsSupersededWeight: a destination logged before the cut
-// and again after it reads, through the snapshot, the weight logged before.
-func TestSnapshotKeepsSupersededWeight(t *testing.T) {
-	s := newStore(t, 2)
-	applyPages(t, s, []Edge{e(1, 9), e(2, 9)}, nil)
-	if err := s.UpdateIncomingFwd(9, 0.25); err != nil {
-		t.Fatal(err)
-	}
-	sn := snapshotAll(t, s)
-	if err := s.UpdateIncomingFwd(9, 0.75); err != nil {
-		t.Fatal(err)
-	}
-	for _, edge := range scanEdges(t, sn) {
-		if edge.WgtFwd != 0.25 {
-			t.Errorf("snapshot edge %d->9 wgt_fwd = %v, want 0.25, logged before the cut", edge.Src, edge.WgtFwd)
-		}
-	}
-	for _, edge := range scanEdges(t, s) {
-		if edge.WgtFwd != 0.75 {
-			t.Errorf("live edge %d->9 wgt_fwd = %v, want the newest 0.75", edge.Src, edge.WgtFwd)
-		}
-	}
-}
-
 // TestSnapshotTailStress reads LINK the way the distiller's kept
-// arrangement does: four workers apply pages and log forward weights into
-// four stripes while snapshots are cut one after another, and each
-// snapshot's tail past the one before is read while the writers run. The
-// tails so far, their stored weights resolved against the log tails so far,
-// must be exactly each snapshot's full ScanEdges; a tail since a later
+// arrangement does: four workers apply pages into four stripes while
+// snapshots are cut one after another, and each snapshot's tail past the one
+// before is read while the writers run. The tails so far must be exactly
+// each snapshot's full ScanEdges, weights as stored; a tail since a later
 // snapshot, or one of another store, is refused.
 func TestSnapshotTailStress(t *testing.T) {
 	s := newStore(t, 4)
@@ -242,17 +212,12 @@ func TestSnapshotTailStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := s.UpdateIncomingFwd(src%211, float64(page%5)/4); err != nil {
-					errs <- err
-					return
-				}
 			}
 		}(w)
 	}
 	byEdge := func(a, b Edge) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) }
 	var prev *Snapshot
 	var tails []Edge
-	var logged []fwdEntry
 	for k := 0; k < 25; k++ {
 		for s.Rows() < int64(k)*150 && writing.Load() > 0 {
 			runtime.Gosched() // let the writers get ahead of the last cut
@@ -263,14 +228,7 @@ func TestSnapshotTailStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		tails = append(tails, scanEdges(t, tail)...)
-		logged = append(logged, tail.fwd...)
-		w := resolve(logged)
 		got := slices.Clone(tails)
-		for i := range got {
-			if fwd, ok := w[got[i].Dst]; ok {
-				got[i].WgtFwd = fwd
-			}
-		}
 		want := scanEdges(t, sn)
 		slices.SortFunc(got, byEdge)
 		slices.SortFunc(want, byEdge)

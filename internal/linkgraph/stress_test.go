@@ -2,25 +2,23 @@ package linkgraph
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// TestLinkGraphRoutedSweepStress hammers forward-weight resolution with the
-// crawler's access mix: 8 workers ingest overlapping pages over a small,
-// hot set of destinations (so the same dst keeps gaining edges from many
-// stripes) while marking targets "visited", logging their weights, and
-// taking snapshots concurrently. The visited map plays the CRAWL row: a
-// worker marks the dst and logs its weight under the map lock, as complete()
-// marks the row and logs under the shard lock. Half the workers ingest with
-// a weight callback that reads the map (the benchmark's replay does), half
-// with none (the crawler). The invariant — every read of an edge into a
-// visited dst carries its final weight, every other edge its ingest weight —
-// must hold for the live store and for every snapshot, each against the
-// visits marked when it was cut. The name is from when UpdateIncomingFwd
-// rewrote LINK through a routed sweep; the 128-stripe case remains.
+// TestLinkGraphRoutedSweepStress hammers ingest with the access mix of the
+// benchmark's replay: 8 workers ingest overlapping pages over a small, hot
+// set of destinations (so the same dst keeps gaining edges from many
+// stripes) while marking targets "visited" and taking snapshots
+// concurrently. Half the workers ingest with a weight callback that reads
+// the visited map (the replay does), half with none (the crawler). Each
+// callback records the weight it stores; every read of an edge — of the
+// live store and of every snapshot — must carry exactly the weight ingest
+// stored, the recorded one or else the edge's own, and a snapshot must read
+// as many edges as it cut. The name is from when a visit rewrote the
+// forward weights in LINK through a routed sweep; the 128-stripe case
+// remains.
 func TestLinkGraphRoutedSweepStress(t *testing.T) {
 	for _, stripes := range []int{1, 4, 128} {
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
@@ -42,13 +40,43 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 				m map[int64]float64
 			}
 			visited.m = make(map[int64]float64)
+			// stored records what the callback stored for an edge. It runs
+			// under the edge's stripe lock, before the insert, so a read
+			// that meets the edge finds its entry.
+			var stored struct {
+				sync.Mutex
+				m map[[2]int64]float64
+			}
+			stored.m = make(map[[2]int64]float64)
 			visitedWeight := func(e Edge) (float64, error) {
 				visited.Lock()
-				defer visited.Unlock()
-				if w, ok := visited.m[e.Dst]; ok {
-					return w, nil
+				w, ok := visited.m[e.Dst]
+				visited.Unlock()
+				if !ok {
+					w = e.WgtFwd
 				}
-				return e.WgtFwd, nil
+				stored.Lock()
+				stored.m[[2]int64{e.Src, e.Dst}] = w
+				stored.Unlock()
+				return w, nil
+			}
+			check := func(rel interface {
+				ScanEdges(func(Edge) (bool, error)) error
+			}) (n int64, err error) {
+				err = rel.ScanEdges(func(edge Edge) (bool, error) {
+					n++
+					stored.Lock()
+					want, ok := stored.m[[2]int64{edge.Src, edge.Dst}]
+					stored.Unlock()
+					if !ok {
+						want = stressWeight(edge.Src, edge.Dst)
+					}
+					if edge.WgtFwd != want {
+						return true, fmt.Errorf("edge %d->%d wgt_fwd = %v, ingest stored %v", edge.Src, edge.Dst, edge.WgtFwd, want)
+					}
+					return false, nil
+				})
+				return n, err
 			}
 
 			var wg sync.WaitGroup
@@ -79,32 +107,24 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 							errs <- err
 							return
 						}
-						// Visit a hot dst: mark it and log its weight in one
-						// critical section, as the crawler does. Several
-						// workers visiting the same dst log the same
-						// deterministic final weight.
+						// Visit a hot dst. Several workers visiting the same
+						// dst mark the same deterministic final weight.
 						dst := rng.Int63n(dsts)
 						visited.Lock()
 						visited.m[dst] = finalOf(dst)
-						err := s.UpdateIncomingFwd(dst, finalOf(dst))
 						visited.Unlock()
-						if err != nil {
-							errs <- err
-							return
-						}
-						// Every few batches, cut a snapshot with the map
-						// still: the barrier in miniature. Stripe locks come
-						// first, as the weight callback takes the map lock
-						// under one.
+						// Every few batches, cut a snapshot: the barrier in
+						// miniature.
 						if b%5 == 0 {
 							s.LockAll()
-							visited.Lock()
 							sn, err := s.SnapshotLocked()
-							cut := maps.Clone(visited.m)
-							visited.Unlock()
 							s.UnlockAll()
+							var n int64
 							if err == nil {
-								err = checkWeights(sn, cut)
+								n, err = check(sn)
+							}
+							if err == nil && n != sn.Rows() {
+								err = fmt.Errorf("snapshot read %d edges, it cut %d", n, sn.Rows())
 							}
 							if err != nil {
 								errs <- err
@@ -121,38 +141,20 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if err := checkWeights(s, visited.m); err != nil {
+			if _, err := check(s); err != nil {
 				t.Fatal(err)
 			}
-			checked := 0
-			for _, edge := range scanEdges(t, s) {
-				if _, ok := visited.m[edge.Dst]; ok {
-					checked++
+			final := 0
+			for _, w := range stored.m {
+				if w >= 2 {
+					final++
 				}
 			}
-			if checked == 0 {
-				t.Fatal("no edges into visited dsts — stress exercised nothing")
+			if final == 0 {
+				t.Fatal("no edge was stored with a visited weight — stress exercised nothing")
 			}
 		})
 	}
-}
-
-// checkWeights reads every edge of rel and requires wgt_fwd to be the
-// visited weight of its dst, or the stress tests' ingest weight when its dst
-// is not in visited.
-func checkWeights(rel interface {
-	ScanEdges(func(Edge) (bool, error)) error
-}, visited map[int64]float64) error {
-	return rel.ScanEdges(func(edge Edge) (bool, error) {
-		want, ok := visited[edge.Dst]
-		if !ok {
-			want = stressWeight(edge.Src, edge.Dst)
-		}
-		if edge.WgtFwd != want {
-			return true, fmt.Errorf("edge %d->%d wgt_fwd = %v, want %v (dst visited: %v)", edge.Src, edge.Dst, edge.WgtFwd, want, ok)
-		}
-		return false, nil
-	})
 }
 
 // stressWeight is the stress tests' ingest weight of an edge, deterministic
@@ -163,10 +165,9 @@ func stressWeight(src, dst int64) float64 {
 }
 
 // TestLinkGraphStressOverlappingIngest drives N workers applying
-// overlapping pages of out-links concurrently — with interleaved logged forward
-// weights and prefix reads, the crawler's exact access mix — and then
-// checks the store against a serial oracle: no edge lost, no edge
-// duplicated, weights deterministic, OutEdgesLocked reading back exactly
+// overlapping pages of out-links concurrently — with interleaved prefix
+// reads, the crawler's exact access mix — and then checks the store against
+// a serial oracle: no edge lost, no edge duplicated, weights as stored, OutEdgesLocked reading back exactly
 // the heap's edges, and the directories equal to it (CheckDirectory). Run it under -race;
 // the CI concurrency step does, twice.
 func TestLinkGraphStressOverlappingIngest(t *testing.T) {
@@ -227,14 +228,8 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 							errs <- err
 							return
 						}
-						// The crawler's companion operations, interleaved:
-						// a weight rewrite (idempotent: the deterministic
-						// weight) and a hub-style prefix read.
-						dst := rng.Int63n(dsts)
-						if err := s.UpdateIncomingFwd(dst, weightOf(-1, dst)); err != nil {
-							errs <- err
-							return
-						}
+						// The crawler's companion operation, interleaved: a
+						// hub-style prefix read.
 						s.LockAll()
 						err := s.OutEdgesLocked(rng.Int63n(srcs), func(int64, int32, int32) (bool, error) {
 							return false, nil
@@ -286,12 +281,8 @@ func TestLinkGraphStressOverlappingIngest(t *testing.T) {
 					t.Errorf("edge %d->%d lost", key[0], key[1])
 					continue
 				}
-				// WgtFwd reads the logged weightOf(-1,dst) if some worker
-				// logged dst, else the apply-time weightOf(src,dst), so
-				// only those two values are legal.
-				if edge.WgtFwd != weightOf(key[0], key[1]) && edge.WgtFwd != weightOf(-1, key[1]) {
-					t.Errorf("edge %d->%d wgt_fwd = %v, not a value any writer wrote",
-						key[0], key[1], edge.WgtFwd)
+				if edge.WgtFwd != want.WgtFwd {
+					t.Errorf("edge %d->%d wgt_fwd = %v, want %v", key[0], key[1], edge.WgtFwd, want.WgtFwd)
 				}
 				if edge.WgtRev != want.WgtRev {
 					t.Errorf("edge %d->%d wgt_rev = %v, want %v", key[0], key[1], edge.WgtRev, want.WgtRev)

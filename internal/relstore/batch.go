@@ -129,11 +129,6 @@ func (b *RowBatch) Sort() error {
 	return nil
 }
 
-// Order returns the rows in ascending order of their key in the table's k-th
-// index, rows with equal keys in the order they were added. Sort must have
-// run since the last row was added. Skipped rows are listed too.
-func (b *RowBatch) Order(k int) []int32 { return b.order[k] }
-
 // Skip leaves row r out of the insert.
 func (b *RowBatch) Skip(r int) { b.skip[r] = true }
 
