@@ -1036,7 +1036,7 @@ func (c *Crawler) distillEpoch(epoch int64, cut epochCut, rel map[int64]float64)
 	}
 	c.arrAt = cut
 	hubs, auth, _ := c.arr.Run(rel)
-	r := &scores{epoch: epoch, hubs: distiller.Rank(hubs), auth: distiller.Rank(auth)}
+	r := &scores{epoch: epoch, hubs: c.arr.Rank(hubs), auth: c.arr.Rank(auth)}
 	var boosts []distiller.Page
 	if top := topDecileHubs(r.hubs); c.cfg.HubNeighborBoost >= 0 && len(top) > 0 {
 		boosts = c.arr.Cited(top)

@@ -3,7 +3,6 @@ package distiller
 import (
 	"cmp"
 	"iter"
-	"math"
 	"slices"
 	"time"
 
@@ -18,17 +17,34 @@ import (
 // weights. LINK is append-only, so an epoch Extends it by LINK's tail, and
 // a Run looks up one relevance per group and nothing per edge.
 //
+// Its arrays are kept: an Extend merges the tail in, in place, and they and
+// the scratch Extend, Run, Rank and Cited reslice are reallocated only when
+// full, so an epoch whose tail fits allocates only the two sides Run
+// returns. A one-shot arrangement (Distill's) sizes everything exactly.
+//
 // Run's scores equal Distill's bit for bit when no (src, dst) pair repeats,
 // as in the linkgraph store, whose Apply dedups: a repeated pair's terms are
 // ordered by their stored forward weights, not by the logged one.
 type Arrangement struct {
 	cfg  Config
+	kept bool   // Extended: a reallocated array gets room to spare
 	srcs []Page // the source table
 	// groups, ascending oid, one per destination of a held edge or of a
 	// logged weight; group g's edges are edges[off[g]:off[g+1]].
 	groups []dstGroup
 	off    []int32
 	edges  []heldEdge
+
+	// Scratch of Extend (logged[i]'s weight is fwd[logged[i].at]), insert,
+	// addSources (the other source table), Run's layout, Rank and Cited.
+	plan                    []planEdge
+	logged, runs, keys, tmp []sortKey
+	spareSrcs, cited        []Page
+	moved, rank, elig, next []int32
+	fwd, revs, hubs, auths  []float64
+	authOrder, hubOrder     edgeOrder
+	ranked                  []Scored
+	top                     []bool
 }
 
 // Page is a page and its server.
@@ -73,23 +89,30 @@ func NewArrangement(cfg Config) *Arrangement {
 // it (a visit's relevance), a later one superseding an earlier one. Only the
 // new edges are sorted, then merged in. On error nothing changes.
 func (a *Arrangement) Extend(tail linkgraph.Tail, logged iter.Seq2[int64, float64]) error {
-	edges, err := a.read(tail, nil, make([]planEdge, 0, tail.Rows()))
+	a.kept = true
+	rows := int(tail.Rows())
+	plan, err := a.read(tail, nil, fit(a, a.plan, rows, 0)[:0])
 	if err != nil {
 		return err
 	}
-	var fwd []dstGroup
+	a.plan, a.logged, a.fwd = plan, a.logged[:0], a.fwd[:0]
 	for dst, w := range logged {
-		fwd = append(fwd, dstGroup{oid: dst, fwd: w, logged: true})
+		a.logged = append(a.logged, sortKey{key: flip(dst), at: int32(len(a.fwd))})
+		a.fwd = append(a.fwd, w)
 	}
-	a.insert(edges, fwd)
+	a.insert(plan)
 	return nil
 }
 
 // read appends to tail link's edges that pass the nepotism filter and,
-// given a relevance view rel, lead to a page above Rho.
+// given a relevance view rel, lead to a page above Rho. A full tail doubles:
+// append's quarter steps copied a large LINK four times over.
 func (a *Arrangement) read(link LinkRel, rel map[int64]float64, tail []planEdge) ([]planEdge, error) {
 	err := link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		if a.cfg.keepEdge(e) && (rel == nil || rel[e.Dst] > a.cfg.Rho) {
+			if len(tail) == cap(tail) {
+				tail = slices.Grow(tail, len(tail)+256)
+			}
 			tail = append(tail, planEdge{e.Src, e.Dst, e.WgtFwd, e.WgtRev, e.SidSrc, e.SidDst})
 		}
 		return false, nil
@@ -97,27 +120,29 @@ func (a *Arrangement) read(link LinkRel, rel map[int64]float64, tail []planEdge)
 	return tail, err
 }
 
-// insert merges tail and the log entries fwd, each a group holding only its
-// logged weight, in log order, in; it reorders fwd. tail is ordered by radix
+// insert merges tail and the logged weights in. tail is ordered by radix
 // sorts: its runs of one source's edges (LINK stores a page's out-links
 // together) by source, then every edge stably by destination, so only a
-// repeated pair is left to order by its weights.
-func (a *Arrangement) insert(tail []planEdge, fwd []dstGroup) {
-	var runs []sortKey
+// repeated pair is left to order by its weights. The log entries are sorted
+// stably by destination, so a later one still supersedes an earlier one.
+func (a *Arrangement) insert(tail []planEdge) {
+	runs := a.runs[:0]
 	for i := range tail {
 		if i == 0 || tail[i].src != tail[i-1].src {
 			runs = append(runs, sortKey{key: flip(tail[i].src), at: int32(i)})
 		}
 	}
-	runs = radixSort(runs)
+	n := max(len(tail), len(a.logged))
+	a.tmp = fit(a, a.tmp, n, 0)
+	radixSort(runs, a.tmp)
 	a.addSources(tail, runs)
-	keys := make([]sortKey, 0, len(tail))
+	keys := fit(a, a.keys, len(tail), 0)[:0]
 	for _, r := range runs {
 		for i := r.at; int(i) < len(tail) && tail[i].src == tail[r.at].src; i++ {
 			keys = append(keys, sortKey{flip(tail[i].dst), i, r.slot})
 		}
 	}
-	keys = radixSort(keys)
+	radixSort(keys, a.tmp)
 	dsts := 0
 	for i := range keys {
 		if i == 0 || keys[i].key != keys[i-1].key {
@@ -128,45 +153,68 @@ func (a *Arrangement) insert(tail []planEdge, fwd []dstGroup) {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	slices.SortStableFunc(fwd, func(x, y dstGroup) int { return cmp.Compare(x.oid, y.oid) })
-	a.merge(tail, keys, fwd, len(a.groups)+dsts+len(fwd))
+	radixSort(a.logged, a.tmp)
+	a.runs, a.keys = runs, keys
+	a.merge(tail, keys, len(a.groups)+dsts+len(a.logged))
+}
+
+// fit returns s resliced to length n, its contents stale. Only when its
+// capacity is short is it reallocated: to n in a one-shot arrangement, and
+// in a kept one with room for twice added more and a quarter more.
+func fit[T any](a *Arrangement, s []T, n, added int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	} else if !a.kept {
+		return make([]T, n)
+	}
+	return make([]T, n, n+2*added+n/4)
 }
 
 // flip maps int64 order onto uint64 order, and unflip back.
 func flip(x int64) uint64   { return uint64(x) ^ 1<<63 }
 func unflip(k uint64) int64 { return int64(k ^ 1<<63) }
 
-// radixSort sorts keys stably by key, a byte at a time from the least
-// significant, and returns them sorted, in keys or a new slice. A byte every
-// key shares costs no pass.
-func radixSort(keys []sortKey) []sortKey {
-	tmp := make([]sortKey, len(keys))
-	for shift := 0; shift < 64; shift += 8 {
-		var at [257]int
-		for _, k := range keys {
-			at[int(byte(k.key>>shift))+1]++
+// radixSort sorts keys stably by key, through tmp, which is at least as
+// long: 11 bits at a time from the least significant, all the digits counted
+// in one pass. A digit every key shares costs no pass.
+func radixSort(keys, tmp []sortKey) {
+	const bits, digits, mask = 11, 6, 1<<11 - 1
+	var counts [digits][1 << bits]int32
+	for _, k := range keys {
+		for d := range digits {
+			counts[d][k.key>>(d*bits)&mask]++
 		}
-		if slices.Contains(at[1:], len(keys)) {
+	}
+	src, dst := keys, tmp[:len(keys)]
+	for d := range digits {
+		at, shift := &counts[d], d*bits
+		if len(keys) == 0 || int(at[keys[0].key>>shift&mask]) == len(keys) {
 			continue
 		}
-		for d := 1; d < len(at); d++ {
-			at[d] += at[d-1]
+		var sum int32
+		for b, n := range at {
+			at[b], sum = sum, sum+n
 		}
-		for _, k := range keys {
-			d := byte(k.key >> shift)
-			tmp[at[d]] = k
-			at[d]++
+		for _, k := range src {
+			b := k.key >> shift & mask
+			dst[at[b]] = k
+			at[b]++
 		}
-		keys, tmp = tmp, keys
+		src, dst = dst, src
 	}
-	return keys
+	if len(keys) > 0 && &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // addSources merges the sources of the runs of tail that start at bySrc's
 // positions, in source order, into the source table, moves the held edges'
-// slots with their sources, and sets each run's slot.
+// slots with their sources, and sets each run's slot. The merged table is
+// written into the other of two kept tables.
 func (a *Arrangement) addSources(tail []planEdge, bySrc []sortKey) {
-	merged, moved := make([]Page, 0, len(a.srcs)+len(bySrc)), make([]int32, len(a.srcs))
+	n := len(a.srcs) + len(bySrc)
+	merged := fit(a, a.spareSrcs, n, len(bySrc))[:0]
+	moved := fit(a, a.moved, len(a.srcs), 0)
 	for i, j := 0, 0; i < len(a.srcs) || j < len(bySrc); {
 		if j == len(bySrc) || (i < len(a.srcs) && a.srcs[i].OID < tail[bySrc[j].at].src) {
 			moved[i], merged = int32(len(merged)), append(merged, a.srcs[i])
@@ -189,62 +237,84 @@ func (a *Arrangement) addSources(tail []planEdge, bySrc []sortKey) {
 			a.edges[i].src = moved[a.edges[i].src]
 		}
 	}
-	a.srcs = merged
+	a.srcs, a.spareSrcs, a.moved = merged, a.srcs, moved
 }
 
 // merge merges tail, in the order of keys order (compareEdges', each key
-// its destination), and the log entries fwd, in ascending destination
-// order, into the groups, of which there will be at most most. The groups
-// neither touches are copied as blocks.
-func (a *Arrangement) merge(tail []planEdge, order []sortKey, fwd []dstGroup, most int) {
-	groups := make([]dstGroup, 0, most)
-	off := make([]int32, 0, most+1)
-	edges := make([]heldEdge, 0, len(a.edges)+len(order))
-	for i, j, k := 0, 0, 0; ; {
-		next := int64(math.MaxInt64)
-		if j < len(order) {
-			next = unflip(order[j].key)
+// its destination), and the logged weights, in ascending destination order,
+// into the groups, of which there will be at most most. It works in place,
+// from the last group back, so a held group or edge only moves toward the
+// end, past what is still to be read; the groups neither touches move as
+// blocks.
+func (a *Arrangement) merge(tail []planEdge, order []sortKey, most int) {
+	logged, fwd := a.logged, a.fwd
+	ne := len(a.edges) + len(order)
+	groups, off := fit(a, a.groups, most, most-len(a.groups)), fit(a, a.off, most+1, most-len(a.groups))
+	edges := fit(a, a.edges, ne, len(order))
+	// Old group i-1 and its edges, ending at hi, are next to move; new group
+	// w-1 and its edges, ending at we, next to be written.
+	i, j, k, w := len(a.groups), len(order), len(logged), most
+	hi, we := int32(len(a.edges)), int32(ne)
+	off[w] = we
+	for {
+		next, more := uint64(0), j > 0 || k > 0 // the largest destination left
+		if j > 0 {
+			next = order[j-1].key
 		}
-		if k < len(fwd) {
-			next = min(next, fwd[k].oid)
+		if k > 0 && logged[k-1].key >= next {
+			next = logged[k-1].key
 		}
-		end := i
-		for end < len(a.groups) && a.groups[end].oid < next {
-			end++
+		start := i
+		for start > 0 && (!more || flip(a.groups[start-1].oid) > next) {
+			start--
 		}
-		groups, edges = append(groups, a.groups[i:end]...), append(edges, a.edges[a.off[i]:a.off[end]]...)
-		for shift := int32(len(edges)) - a.off[end]; i < end; i++ {
-			off = append(off, a.off[i]+shift)
+		if start < i {
+			lo, shift := a.off[start], we-hi
+			copy(edges[lo+shift:we], a.edges[lo:hi])
+			copy(groups[w-(i-start):w], a.groups[start:i])
+			for x := i - 1; x >= start; x-- {
+				off[x+w-i] = a.off[x] + shift
+			}
+			w, i, hi, we = w-(i-start), start, lo, lo+shift
 		}
-		if j == len(order) && k == len(fwd) {
+		if !more {
 			break
 		}
-		g, held := dstGroup{oid: next}, a.edges[:0]
-		if i < len(a.groups) && a.groups[i].oid == next {
-			g, held = a.groups[i], a.edges[a.off[i]:a.off[i+1]]
-			i++
+		g, lo := dstGroup{oid: unflip(next)}, hi
+		if i > 0 && flip(a.groups[i-1].oid) == next {
+			g, lo = a.groups[i-1], a.off[i-1]
+			i--
 		}
 		j0 := j
-		for j < len(order) && order[j].key == flip(next) {
-			j++
+		for j0 > 0 && order[j0-1].key == next {
+			j0--
 		}
-		if len(held) == 0 && j > j0 {
+		if lo == hi && j > j0 {
 			g.sid = tail[order[j0].at].sidDst
 		}
-		for ; k < len(fwd) && fwd[k].oid == next; k++ {
-			g.fwd, g.logged = fwd[k].fwd, true
+		if k > 0 && logged[k-1].key == next { // the latest entry
+			g.fwd, g.logged = fwd[logged[k-1].at], true
 		}
-		off = append(off, int32(len(edges)))
-		for _, o := range order[j0:j] {
+		for k > 0 && logged[k-1].key == next {
+			k--
+		}
+		for ; j > j0; j-- {
+			o := order[j-1]
 			e := heldEdge{o.slot, tail[o.at].fwd, tail[o.at].rev}
-			for ; len(held) > 0 && compareHeld(held[0], e) <= 0; held = held[1:] {
-				edges = append(edges, held[0])
+			for ; hi > lo && compareHeld(a.edges[hi-1], e) > 0; hi-- {
+				we--
+				edges[we] = a.edges[hi-1]
 			}
-			edges = append(edges, e)
+			we--
+			edges[we] = e
 		}
-		edges, groups = append(edges, held...), append(groups, g)
+		we -= hi - lo
+		copy(edges[we:], a.edges[lo:hi])
+		w, hi = w-1, lo
+		groups[w], off[w] = g, we
 	}
-	a.groups, a.off, a.edges = groups, append(off, int32(len(edges))), edges
+	// Drop the positions most counted for destinations a group already held.
+	a.groups, a.off, a.edges = groups[:copy(groups, groups[w:])], off[:copy(off, off[w:])], edges
 }
 
 // compareHeld orders a group's edges by (source, fwd, rev).
@@ -254,17 +324,19 @@ func compareHeld(a, b heldEdge) int {
 
 // Run computes the configured HITS iterations over the held edges with the
 // relevance view rel (nil applies no rho filter) and returns each side's
-// scores as Distill does. A group is checked for eligibility, and its
-// forward weight resolved, once. Breakdown.Scan covers the eligibility
-// pass, the source ranking and the authorities' layout, Sort the counting
-// sort, Update the iterations.
+// scores as Distill does, in new slices; its layout is the arrangement's
+// scratch. A group is checked for eligibility, and its forward weight
+// resolved, once. Breakdown.Scan covers the eligibility pass, the source
+// ranking and the authorities' layout, Sort the counting sort, Update the
+// iterations.
 func (a *Arrangement) Run(rel map[int64]float64) (hubs, auth []Scored, bd Breakdown) {
 	t0 := time.Now()
+	ao, ho := &a.authOrder, &a.hubOrder
 	// The eligible groups, and at each source of their edges 1, then its
 	// hub rank.
-	var elig []int32
-	var terms int
-	rank := make([]int32, len(a.srcs))
+	elig, terms := a.elig[:0], 0
+	rank := fit(a, a.rank, len(a.srcs), 0)
+	clear(rank)
 	for g, grp := range a.groups {
 		held := a.edges[a.off[g]:a.off[g+1]]
 		if len(held) == 0 || (rel != nil && !(rel[grp.oid] > a.cfg.Rho)) {
@@ -275,15 +347,16 @@ func (a *Arrangement) Run(rel map[int64]float64) (hubs, auth []Scored, bd Breakd
 			rank[e.src] = 1
 		}
 	}
-	var hubOIDs []int64
-	for s, used := range rank {
+	ho.oids = ho.oids[:0]
+	for src, used := range rank {
 		if used == 1 {
-			rank[s], hubOIDs = int32(len(hubOIDs)), append(hubOIDs, a.srcs[s].OID)
+			rank[src], ho.oids = int32(len(ho.oids)), append(ho.oids, a.srcs[src].OID)
 		}
 	}
-	authOrder := edgeOrder{oids: make([]int64, len(elig)), off: make([]int32, len(elig)+1),
-		peers: make([]int32, 0, terms), weights: make([]float64, 0, terms)}
-	revs := make([]float64, 0, terms)
+	ao.oids, ao.off = fit(a, ao.oids, len(elig), 0), fit(a, ao.off, len(elig)+1, 0)
+	ao.off[0] = 0
+	ao.peers, ao.weights = fit(a, ao.peers, terms, 0)[:0], fit(a, ao.weights, terms, 0)[:0]
+	revs := fit(a, a.revs, terms, 0)[:0]
 	for x, g := range elig {
 		grp := a.groups[g]
 		for _, e := range a.edges[a.off[g]:a.off[g+1]] {
@@ -292,44 +365,56 @@ func (a *Arrangement) Run(rel map[int64]float64) (hubs, auth []Scored, bd Breakd
 				fwd = grp.fwd
 			}
 			fwd, rev := a.cfg.weights(fwd, e.rev)
-			authOrder.peers, authOrder.weights, revs = append(authOrder.peers, rank[e.src]), append(authOrder.weights, fwd), append(revs, rev)
+			ao.peers, ao.weights, revs = append(ao.peers, rank[e.src]), append(ao.weights, fwd), append(revs, rev)
 		}
-		authOrder.oids[x], authOrder.off[x+1] = grp.oid, int32(len(revs))
+		ao.oids[x], ao.off[x+1] = grp.oid, int32(len(revs))
 	}
+	a.elig, a.rank, a.revs = elig, rank, revs
 	bd.Scan = time.Since(t0)
 
 	t0 = time.Now()
-	hubOrder := authOrder.bySource(hubOIDs, revs)
+	hubsN := len(ho.oids)
+	ho.off, a.next = fit(a, ho.off, hubsN+1, 0), fit(a, a.next, hubsN+1, 0)
+	ho.peers, ho.weights = fit(a, ho.peers, terms, 0), fit(a, ho.weights, terms, 0)
+	ao.bySource(ho, revs, a.next)
 	bd.Sort = time.Since(t0)
 
 	t0 = time.Now()
-	hubScore := make([]float64, len(hubOrder.oids))
-	for i := range hubScore {
-		hubScore[i] = 1 // the standard HITS start vector
+	a.hubs, a.auths = fit(a, a.hubs, hubsN, 0), fit(a, a.auths, len(elig), 0)
+	for i := range a.hubs {
+		a.hubs[i] = 1 // the standard HITS start vector
 	}
-	authScore := make([]float64, len(authOrder.oids))
 	for it := 0; it < a.cfg.Iterations; it++ {
-		authOrder.groupSums(authScore, hubScore)
-		normalizeScores(authScore)
-		hubOrder.groupSums(hubScore, authScore)
-		normalizeScores(hubScore)
+		ao.groupSums(a.auths, a.hubs)
+		normalizeScores(a.auths)
+		ho.groupSums(a.hubs, a.auths)
+		normalizeScores(a.hubs)
 	}
-	hubs, auth = scored(hubOrder.oids, hubScore), scored(authOrder.oids, authScore)
+	hubs, auth = scored(ho.oids, a.hubs), scored(ao.oids, a.auths)
 	bd.Update = time.Since(t0)
 	return hubs, auth, bd
 }
 
+// Rank is the package's Rank through the arrangement's scratch.
+func (a *Arrangement) Rank(s []Scored) Ranking {
+	n := len(s)
+	a.keys, a.tmp, a.ranked = fit(a, a.keys, n, 0), fit(a, a.tmp, n, 0), fit(a, a.ranked, n, 0)
+	return rank(s, a.keys, a.tmp, a.ranked)
+}
+
 // Cited returns the pages that a hub of hubs links to on another server,
 // each once, in ascending oid order: the §3.4 boost's targets. The held
-// edges include every cross-server edge.
+// edges include every cross-server edge. The slice is the arrangement's,
+// valid until the next Cited.
 func (a *Arrangement) Cited(hubs []Scored) []Page {
-	top := make([]bool, len(a.srcs))
+	top := fit(a, a.top, len(a.srcs), 0)
+	clear(top)
 	for _, h := range hubs {
 		if at, ok := slices.BinarySearchFunc(a.srcs, h.OID, func(p Page, oid int64) int { return cmp.Compare(p.OID, oid) }); ok {
 			top[at] = true
 		}
 	}
-	var out []Page
+	out := a.cited[:0]
 	for g, grp := range a.groups {
 		for _, e := range a.edges[a.off[g]:a.off[g+1]] {
 			if top[e.src] && a.srcs[e.src].Sid != grp.sid {
@@ -338,5 +423,6 @@ func (a *Arrangement) Cited(hubs []Scored) []Page {
 			}
 		}
 	}
+	a.top, a.cited = top, out
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -215,11 +216,67 @@ func TestArrangementMatchesFreshBuildProperty(t *testing.T) {
 	}
 }
 
+// runEpoch runs on a, once extended, what the crawler's distillation epoch
+// runs: a Run, both sides ranked, and the boost targets of the hubs above
+// the 90th percentile score, as the crawler's top decile.
+func runEpoch(a *Arrangement, rel map[int64]float64) (hubs, auth Ranking, cited []Page) {
+	h, au, _ := a.Run(rel)
+	hubs, auth = a.Rank(h), a.Rank(au)
+	if psi, ok := hubs.Percentile(0.9); ok && psi > 0 {
+		cited = a.Cited(hubs.Above(psi))
+	}
+	return hubs, auth, cited
+}
+
+// TestArrangementEpochAllocs: once warmed up, an epoch whose tail fits the
+// arrangement's kept arrays — an Extend and everything runEpoch does —
+// allocates the two sides Run publishes and a small constant more, however
+// many edges the arrangement holds. The first small epoch after the large
+// ones may find an array full and reallocate it, with room for the rest.
+func TestArrangementEpochAllocs(t *testing.T) {
+	w := newLinkWeb(t, 46, 4000, 2)
+	a := NewArrangement(Config{})
+	var prev webCut
+	for epoch := 0; epoch < 12; epoch++ {
+		visits := 300
+		if epoch >= 8 {
+			visits = 10
+		}
+		w.visit(t, visits, 8)
+		sn := w.snapshot(t)
+		tail, err := sn.sn.Since(prev.sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := logs(sn.log[len(prev.log):])
+		prev = sn
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := a.Extend(tail, log); err != nil {
+			t.Fatal(err)
+		}
+		hubs, auth, cited := runEpoch(a, w.rel)
+		runtime.ReadMemStats(&after)
+		if epoch < 9 {
+			continue
+		}
+		// 16 B a scored page; the slack covers closures and each side's
+		// rounding to a size class.
+		const slack = 4 << 10
+		published := uint64(16 * (len(hubs) + len(auth)))
+		if got := after.TotalAlloc - before.TotalAlloc; got > published+slack {
+			t.Errorf("epoch %d (%d edges held, %d hubs, %d authorities, %d cited) allocated %d B, want at most the %d B published and %d",
+				epoch, len(a.edges), len(hubs), len(auth), len(cited), got, published, slack)
+		}
+	}
+}
+
 // BenchmarkDistillEpochs is eight epochs over a LINK that grows to 100k
-// edges, each an Extend by the epoch's tail and a Run, on one arrangement.
-// ns/appended-edge is the time over the edges appended; ns/held-edge the
-// time over the edges the eight runs held, which is what a rebuild per
-// epoch would read.
+// edges on one arrangement, each what the crawler's epoch computes: an
+// Extend by the epoch's tail, a Run, both sides ranked and the top decile's
+// boost targets. ns/appended-edge is the time over the edges appended;
+// ns/held-edge the time over the edges the eight runs held, which is what a
+// rebuild per epoch would read.
 func BenchmarkDistillEpochs(b *testing.B) {
 	const epochs, edges = 8, 100000
 	w := newLinkWeb(b, 7, 60000, 2)
@@ -240,7 +297,7 @@ func BenchmarkDistillEpochs(b *testing.B) {
 		for _, sn := range snaps {
 			extend(b, a, sn, prev)
 			prev = sn
-			if hubs, _, _ := a.Run(w.rel); len(hubs) == 0 {
+			if hubs, _, _ := runEpoch(a, w.rel); len(hubs) == 0 {
 				b.Fatal("no hubs")
 			}
 		}

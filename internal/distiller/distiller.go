@@ -183,10 +183,45 @@ func rankOrder(a, b Scored) int {
 	return cmp.Compare(a.OID, b.OID)
 }
 
-// Rank sorts s into rank order, in place, and returns it.
+// Rank sorts s into rank order, in place, and returns it. It is a stable
+// LSD radix sort (radixSort) by oid and then by the scores' bits
+// (scoreKey); input already in ascending oid order, as Run returns it, is
+// sorted by score alone. Scores that are NaN, which rankOrder leaves
+// unordered among themselves, land last, in ascending oid order.
 func Rank(s []Scored) Ranking {
-	slices.SortFunc(s, rankOrder)
+	return rank(s, make([]sortKey, len(s)), make([]sortKey, len(s)), make([]Scored, len(s)))
+}
+
+// rank is Rank through keys, tmp and out, each at least as long as s.
+func rank(s []Scored, keys, tmp []sortKey, out []Scored) Ranking {
+	keys = keys[:len(s)]
+	for i, e := range s {
+		keys[i] = sortKey{key: flip(e.OID), at: int32(i)}
+	}
+	if !slices.IsSortedFunc(keys, func(x, y sortKey) int { return cmp.Compare(x.key, y.key) }) {
+		radixSort(keys, tmp)
+	}
+	for i, k := range keys {
+		keys[i].key = scoreKey(s[k.at].Score)
+	}
+	radixSort(keys, tmp)
+	for i, k := range keys {
+		out[i] = s[k.at]
+	}
+	copy(s, out)
 	return s
+}
+
+// scoreKey maps a score onto a key in rank order: higher scores first, −0
+// as +0, and NaN after every number.
+func scoreKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if f != f {
+		return math.MaxUint64
+	} else if f == 0 {
+		b = 0
+	}
+	return b ^ (b>>63-1)>>1 // flips a positive score's magnitude bits
 }
 
 // IsRanked reports whether s is in rank order.

@@ -3,7 +3,6 @@ package distiller
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"focus/internal/relstore"
@@ -84,7 +83,7 @@ func Distill(tb Tables, cfg Config) (hubs, auth []Scored, bd Breakdown, err erro
 	}
 	bd.Scan += time.Since(t0)
 	t0 = time.Now()
-	a.insert(tail, nil)
+	a.insert(tail)
 	bd.Sort += time.Since(t0)
 	hubs, auth, run := a.Run(rel)
 	bd.add(run)
@@ -127,19 +126,20 @@ type edgeOrder struct {
 	weights []float64
 }
 
-// bySource derives the hubs' side from the authorities' side o: a stable
-// counting sort on source rank, so a hub's terms keep o's (dst, fwd, rev)
-// order, each an authority rank and a reverse weight, revs[i] for o's term i.
-func (o *edgeOrder) bySource(hubOIDs []int64, revs []float64) edgeOrder {
-	h := edgeOrder{oids: hubOIDs, off: make([]int32, len(hubOIDs)+1),
-		peers: make([]int32, len(revs)), weights: make([]float64, len(revs))}
+// bySource lays out h, the hubs' side, from the authorities' side o: a
+// stable counting sort on source rank, so a hub's terms keep o's (dst, fwd,
+// rev) order, each an authority rank and a reverse weight, revs[i] for o's
+// term i. h.oids is set; h.off and next are len(h.oids)+1 long, and h.peers
+// and h.weights len(revs), their contents stale.
+func (o *edgeOrder) bySource(h *edgeOrder, revs []float64, next []int32) {
+	clear(h.off)
 	for _, hub := range o.peers {
 		h.off[hub+1]++
 	}
-	for g := range hubOIDs {
+	for g := range h.oids {
 		h.off[g+1] += h.off[g]
 	}
-	next := slices.Clone(h.off)
+	copy(next, h.off)
 	for g := range o.oids {
 		for i := o.off[g]; i < o.off[g+1]; i++ {
 			at := &next[o.peers[i]]
@@ -147,7 +147,6 @@ func (o *edgeOrder) bySource(hubOIDs []int64, revs []float64) edgeOrder {
 			*at++
 		}
 	}
-	return h
 }
 
 // groupSums is one half-iteration: out[g] = Σ in[peer] * weight over group

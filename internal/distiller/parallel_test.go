@@ -1,8 +1,11 @@
 package distiller
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"focus/internal/linkgraph"
@@ -105,6 +108,101 @@ func TestTopMatchesSortReference(t *testing.T) {
 					t.Fatalf("seed %d k=%d row %d: %+v, want %+v", seed, k, i, got[i], ref[i])
 				}
 			}
+		}
+	}
+}
+
+// TestRankMatchesSortProperty: Rank, a radix sort, orders random score sets
+// exactly as a comparison sort by rankOrder does, bit for bit, whether it is
+// handed them in random order or in ascending oid order as Run returns
+// them, and through its own buffer or an arrangement's. The scores include
+// ties, both zeros, subnormals, both infinities and one score many oids
+// share; oids are narrow, so that bytes every key shares are skipped, or
+// wide. NaN, which rankOrder leaves unordered among NaNs, lands after every
+// number, in ascending oid order.
+func TestRankMatchesSortProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, -0x1p-1040, math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.5}
+	nans := []float64{math.NaN(), math.Float64frombits(0xfff8000000000001), math.Float64frombits(0x7ff0000000000001)}
+	a := NewArrangement(Config{})
+	for trial := 0; trial < 200; trial++ {
+		n, shared := rng.Intn(3000), rng.Float64()
+		if trial < 4 {
+			n = trial
+		}
+		oids := map[int64]bool{}
+		var s []Scored
+		for len(s) < n {
+			oid := int64(rng.Uint64())
+			if trial%2 == 0 {
+				oid = int64(rng.Intn(4*n)) - int64(n)
+			}
+			if oids[oid] {
+				continue
+			}
+			oids[oid] = true
+			var f float64
+			switch rng.Intn(5) {
+			case 0:
+				f = special[rng.Intn(len(special))]
+			case 1:
+				f = shared
+			case 2:
+				if f = math.Float64frombits(rng.Uint64()); f != f {
+					f = -shared
+				}
+			default:
+				f = rng.Float64() / float64(1+rng.Intn(n))
+			}
+			s = append(s, Scored{OID: oid, Score: f})
+		}
+		want := slices.Clone(s)
+		slices.SortFunc(want, rankOrder)
+		byOID := slices.Clone(s)
+		slices.SortFunc(byOID, func(x, y Scored) int { return cmp.Compare(x.OID, y.OID) })
+		for _, c := range []struct {
+			name string
+			got  Ranking
+		}{
+			{"random order", Rank(slices.Clone(s))},
+			{"oid order", Rank(slices.Clone(byOID))},
+			{"random order, an arrangement's buffer", a.Rank(slices.Clone(s))},
+			{"oid order, an arrangement's buffer", a.Rank(slices.Clone(byOID))},
+		} {
+			sameRanking(t, fmt.Sprintf("trial %d, %d scores, %s", trial, n, c.name), c.got, want)
+		}
+	}
+
+	// NaN: after -Inf, in ascending oid order, its bits kept.
+	rng = rand.New(rand.NewSource(47))
+	var s, numbers, nan []Scored
+	for oid := range rng.Perm(200) {
+		e := Scored{OID: int64(oid), Score: special[rng.Intn(len(special))]}
+		if rng.Intn(3) == 0 {
+			e.Score = nans[rng.Intn(len(nans))]
+			nan = append(nan, e)
+		} else {
+			numbers = append(numbers, e)
+		}
+		s = append(s, e)
+	}
+	rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	slices.SortFunc(numbers, rankOrder)
+	sameRanking(t, "with NaN", Rank(s), append(numbers, nan...))
+}
+
+// sameRanking fails unless got and want hold the same oids and score bits in
+// the same order.
+func sameRanking(t *testing.T, name string, got, want []Scored) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].OID != want[i].OID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: entry %d is %d:%v (%#x), want %d:%v (%#x)", name, i, got[i].OID, got[i].Score,
+				math.Float64bits(got[i].Score), want[i].OID, want[i].Score, math.Float64bits(want[i].Score))
 		}
 	}
 }
