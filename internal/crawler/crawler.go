@@ -963,6 +963,7 @@ func (c *Crawler) distill() error {
 type epochCut struct {
 	link   *linkgraph.Snapshot
 	visits [][]HarvestPoint
+	epoch  int64 // the epoch cut; 0 before the first
 }
 
 // distillSnapshot is the short world-stopped phase: under the full barrier
@@ -980,11 +981,11 @@ func (c *Crawler) distillSnapshot() (int64, epochCut, map[int64]float64, error) 
 	if err != nil {
 		return 0, epochCut{}, nil, err
 	}
-	cut := epochCut{snap, make([][]HarvestPoint, len(c.shards))}
+	cut := epochCut{snap, make([][]HarvestPoint, len(c.shards)), c.snapEpoch.Add(1)}
 	for i, sh := range c.shards {
 		cut.visits[i] = sh.visits[:len(sh.visits):len(sh.visits)]
 	}
-	return c.snapEpoch.Add(1), cut, rel, nil
+	return cut.epoch, cut, rel, nil
 }
 
 // relevanceLocked copies the cross-shard oid -> relevance view from the oid
@@ -1029,7 +1030,7 @@ func (c *Crawler) distillEpoch(epoch int64, cut epochCut, rel map[int64]float64)
 	}
 	tail, err := cut.link.Since(c.arrAt.link)
 	if err == nil {
-		err = c.arr.Extend(tail, cut.loggedSince(c.arrAt))
+		err = c.arr.Extend(tail, cut.loggedSince(c.arrAt), int(cut.epoch-c.arrAt.epoch))
 	}
 	if err != nil {
 		return err

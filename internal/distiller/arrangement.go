@@ -19,15 +19,15 @@ import (
 //
 // Its arrays are kept: an Extend merges the tail in, in place, and they and
 // the scratch Extend, Run, Rank and Cited reslice are reallocated only when
-// full, so an epoch whose tail fits allocates only the two sides Run
-// returns. A one-shot arrangement (Distill's) sizes everything exactly.
+// full (see fit), so an epoch whose tail fits allocates only the two sides
+// Run returns. A one-shot arrangement (Distill's) sizes everything exactly.
 //
 // Run's scores equal Distill's bit for bit when no (src, dst) pair repeats,
 // as in the linkgraph store, whose Apply dedups: a repeated pair's terms are
 // ordered by their stored forward weights, not by the logged one.
 type Arrangement struct {
 	cfg  Config
-	kept bool   // Extended: a reallocated array gets room to spare
+	span int    // epochs the last Extend's tail spans; 0 in a one-shot arrangement
 	srcs []Page // the source table
 	// groups, ascending oid, one per destination of a held edge or of a
 	// logged weight; group g's edges are edges[off[g]:off[g+1]].
@@ -86,10 +86,10 @@ func NewArrangement(cfg Config) *Arrangement {
 
 // Extend adds tail's edges, LINK's tail since the last Extend, and then the
 // weights logged since, each a page and the forward weight of the edges into
-// it (a visit's relevance), a later one superseding an earlier one. Only the
-// new edges are sorted, then merged in. On error nothing changes.
-func (a *Arrangement) Extend(tail linkgraph.Tail, logged iter.Seq2[int64, float64]) error {
-	a.kept = true
+// it (a visit's relevance), a later one superseding an earlier one. The tail,
+// of epochs epochs, is sorted and merged in; on error nothing is added.
+func (a *Arrangement) Extend(tail linkgraph.Tail, logged iter.Seq2[int64, float64], epochs int) error {
+	a.span = max(epochs, 1)
 	rows := int(tail.Rows())
 	plan, err := a.read(tail, nil, fit(a, a.plan, rows, 0)[:0])
 	if err != nil {
@@ -101,18 +101,17 @@ func (a *Arrangement) Extend(tail linkgraph.Tail, logged iter.Seq2[int64, float6
 		a.fwd = append(a.fwd, w)
 	}
 	a.insert(plan)
+	if a.span > 1 { // no epoch's tail needs this scratch
+		a.plan, a.logged, a.fwd, a.runs, a.keys, a.tmp = nil, nil, nil, nil, nil, nil
+	}
 	return nil
 }
 
 // read appends to tail link's edges that pass the nepotism filter and,
-// given a relevance view rel, lead to a page above Rho. A full tail doubles:
-// append's quarter steps copied a large LINK four times over.
+// given a relevance view rel, lead to a page above Rho.
 func (a *Arrangement) read(link LinkRel, rel map[int64]float64, tail []planEdge) ([]planEdge, error) {
 	err := link.ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		if a.cfg.keepEdge(e) && (rel == nil || rel[e.Dst] > a.cfg.Rho) {
-			if len(tail) == cap(tail) {
-				tail = slices.Grow(tail, len(tail)+256)
-			}
 			tail = append(tail, planEdge{e.Src, e.Dst, e.WgtFwd, e.WgtRev, e.SidSrc, e.SidDst})
 		}
 		return false, nil
@@ -158,16 +157,17 @@ func (a *Arrangement) insert(tail []planEdge) {
 	a.merge(tail, keys, len(a.groups)+dsts+len(a.logged))
 }
 
-// fit returns s resliced to length n, its contents stale. Only when its
-// capacity is short is it reallocated: to n in a one-shot arrangement, and
-// in a kept one with room for twice added more and a quarter more.
+// fit returns s resliced to length n, its contents stale. Only when short is
+// it reallocated: to n in a one-shot arrangement, and in a kept one with room
+// for two epochs' shares of added more (a resumed crawl's first Extend reads
+// all of LINK, keeping none of its scratch) and a quarter more.
 func fit[T any](a *Arrangement, s []T, n, added int) []T {
 	if cap(s) >= n {
 		return s[:n]
-	} else if !a.kept {
+	} else if a.span == 0 {
 		return make([]T, n)
 	}
-	return make([]T, n, n+2*added+n/4)
+	return make([]T, n, n+2*added/a.span+n/4)
 }
 
 // flip maps int64 order onto uint64 order, and unflip back.

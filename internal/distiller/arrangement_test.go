@@ -148,7 +148,7 @@ func extend(tb testing.TB, a *Arrangement, c, prev webCut) {
 	tb.Helper()
 	tail, err := c.sn.Since(prev.sn)
 	if err == nil {
-		err = a.Extend(tail, logs(c.log[len(prev.log):]))
+		err = a.Extend(tail, logs(c.log[len(prev.log):]), 1)
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -252,7 +252,7 @@ func TestArrangementEpochAllocs(t *testing.T) {
 		prev = sn
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := a.Extend(tail, log); err != nil {
+		if err := a.Extend(tail, log, 1); err != nil {
 			t.Fatal(err)
 		}
 		hubs, auth, cited := runEpoch(a, w.rel)
@@ -268,6 +268,41 @@ func TestArrangementEpochAllocs(t *testing.T) {
 			t.Errorf("epoch %d (%d edges held, %d hubs, %d authorities, %d cited) allocated %d B, want at most the %d B published and %d",
 				epoch, len(a.edges), len(hubs), len(auth), len(cited), got, published, slack)
 		}
+	}
+}
+
+// TestArrangementCatchUp: an Extend whose tail spans several epochs, as a
+// resumed crawl's first, which reads all of LINK, leaves room for two
+// epochs' shares of it rather than for two more such tails, and keeps none
+// of its tail's scratch; the epochs after it score as a fresh Distill does.
+func TestArrangementCatchUp(t *testing.T) {
+	const epochs = 8
+	w := newLinkWeb(t, 47, 2000, 2)
+	w.visit(t, 400, 8)
+	prev := w.snapshot(t)
+	a := NewArrangement(Config{})
+	tail, err := prev.sn.Since(nil)
+	if err == nil {
+		err = a.Extend(tail, logs(prev.log), epochs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(a.edges); cap(a.edges) > n+2*n/epochs+n/4 || a.plan != nil || a.keys != nil {
+		t.Fatalf("%d edges held in room for %d; tail scratch kept: %v", n, cap(a.edges), a.plan != nil || a.keys != nil)
+	}
+	for epoch := 0; epoch < 2; epoch++ {
+		w.visit(t, 50, 8)
+		sn := w.snapshot(t)
+		extend(t, a, sn, prev)
+		prev = sn
+		hubs, auth, _ := a.Run(w.rel)
+		freshHubs, freshAuth, _, err := Distill(Tables{Link: sn}, Config{Relevance: w.rel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("epoch %d: hubs", epoch), hubs, freshHubs)
+		sameBits(t, fmt.Sprintf("epoch %d: auth", epoch), auth, freshAuth)
 	}
 }
 

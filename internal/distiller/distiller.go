@@ -183,10 +183,9 @@ func rankOrder(a, b Scored) int {
 	return cmp.Compare(a.OID, b.OID)
 }
 
-// Rank sorts s into rank order, in place, and returns it. It is a stable
-// LSD radix sort (radixSort) by oid and then by the scores' bits
-// (scoreKey); input already in ascending oid order, as Run returns it, is
-// sorted by score alone. Scores that are NaN, which rankOrder leaves
+// Rank sorts s into rank order, in place, and returns it: a stable LSD radix
+// sort by oid, skipped when s already ascends by oid (as Run returns it), and
+// then by the scores' bits (scoreKey). NaN scores, which rankOrder leaves
 // unordered among themselves, land last, in ascending oid order.
 func Rank(s []Scored) Ranking {
 	return rank(s, make([]sortKey, len(s)), make([]sortKey, len(s)), make([]Scored, len(s)))
