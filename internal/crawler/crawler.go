@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -186,10 +185,10 @@ type Result struct {
 // Distillation is epoch-based, and the visit that triggers an epoch runs
 // it: under epochMu the worker takes the barrier (every link stripe lock,
 // then every shard lock, each ascending) only for a short snapshot phase —
-// cut LINK and the visit logs, copy the oid→relevance view — then computes
-// HITS in memory, ranks each side, publishes the rankings through one
-// atomic pointer, and applies the hub-neighbor boosts, while the other
-// workers keep crawling. Snapshot points are an exact function of the visit
+// cut LINK, swap out each shard's relevance change log — then computes HITS
+// in memory, ranks each side, publishes the rankings through one atomic
+// pointer, and applies the hub-neighbor boosts, while the other workers
+// keep crawling. Snapshot points are an exact function of the visit
 // sequence: the visit whose number is a multiple of DistillEvery fires one;
 // monitors read scores that trail the crawl by at most the epoch being
 // computed (see DistillEpochs). With Workers=1 nothing runs beside an
@@ -240,12 +239,14 @@ type Crawler struct {
 	// holds (checkpoint.go), so a checkpoint rewrites it only when pub has
 	// moved on.
 	ckptScores *scores
-	// arr is the distiller's arrangement of LINK and the visit logs as of the
-	// cut arrAt, which each epoch extends by its cut's tails past arrAt. Both
-	// are guarded by epochMu and zero until the first epoch, so a resumed
-	// crawl rebuilds the arrangement from its whole LINK and logs once.
+	// arr is the distiller's arrangement of LINK as of snapshot arrAt, cut
+	// for epoch arrEpoch, and of the changes merged so far; changes holds the
+	// logs a cut drained that no Extend has merged. All are guarded by
+	// epochMu and zero until the first cut, which seeds them (a resume too).
 	arr       *distiller.Arrangement
-	arrAt     epochCut
+	arrAt     *linkgraph.Snapshot
+	arrEpoch  int64
+	changes   [][]distiller.Change
 	stallNS   atomic.Int64
 	computeNS atomic.Int64
 
@@ -950,74 +951,55 @@ func (c *Crawler) distill() error {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
 	t0 := time.Now()
-	epoch, cut, rel, err := c.distillSnapshot()
+	snap, epoch, err := c.distillSnapshot()
 	c.stallNS.Add(time.Since(t0).Nanoseconds())
 	if err != nil {
 		return err
 	}
-	return c.distillEpoch(epoch, cut, rel)
-}
-
-// epochCut is a LINK snapshot and each shard's visit log as it stood,
-// visits[i] shard i's: entries are never rewritten, later ones land past it.
-type epochCut struct {
-	link   *linkgraph.Snapshot
-	visits [][]HarvestPoint
-	epoch  int64 // the epoch cut; 0 before the first
+	return c.distillEpoch(snap, epoch)
 }
 
 // distillSnapshot is the short world-stopped phase: under the full barrier
-// it cuts LINK and the visit logs — every visited page's relevance is
-// logged by then — and copies the cross-shard relevance view. It returns
-// the new epoch's number. epochMu must be held, so epochs are numbered in
-// snapshot order.
+// it cuts LINK and swaps each shard's change log for its emptied one in
+// c.changes; the first cut seeds the logs from the oid directories. It
+// returns the snapshot and the new epoch, numbered in order: epochMu is held.
 //
 //focuslint:lock requires=epoch
-func (c *Crawler) distillSnapshot() (int64, epochCut, map[int64]float64, error) {
+func (c *Crawler) distillSnapshot() (*linkgraph.Snapshot, int64, error) {
 	c.lockAll()
 	defer c.unlockAll()
-	rel := c.relevanceLocked()
 	snap, err := c.links.SnapshotLocked()
 	if err != nil {
-		return 0, epochCut{}, nil, err
+		return nil, 0, err
 	}
-	cut := epochCut{snap, make([][]HarvestPoint, len(c.shards)), c.snapEpoch.Add(1)}
-	for i, sh := range c.shards {
-		cut.visits[i] = sh.visits[:len(sh.visits):len(sh.visits)]
-	}
-	return cut.epoch, cut, rel, nil
-}
-
-// relevanceLocked copies the cross-shard oid -> relevance view from the oid
-// directories, reading no CRAWL page. The barrier must be held.
-//
-//focuslint:lock requires=stripe*,shard*
-func (c *Crawler) relevanceLocked() map[int64]float64 {
-	var rows int
-	for _, sh := range c.shards {
-		rows += len(sh.rids)
-	}
-	rel := make(map[int64]float64, rows) // sized once: growing it would be barrier time
-	for _, sh := range c.shards {
-		for oid, d := range sh.rids {
-			rel[oid] = d.rel
+	if c.arr == nil {
+		c.arr, c.changes = distiller.NewArrangement(c.cfg.Distill), make([][]distiller.Change, len(c.shards))
+		for _, sh := range c.shards {
+			sh.logging, sh.changes = true, make([]distiller.Change, 0, len(sh.rids))
+			for oid, d := range sh.rids {
+				sh.setLocked(oid, d)
+			}
 		}
 	}
-	return rel
+	for i, sh := range c.shards {
+		if len(c.changes[i]) > 0 { // an epoch failed before merging them
+			c.changes[i], sh.changes = append(c.changes[i], sh.changes...), sh.changes[:0]
+		} else {
+			c.changes[i], sh.changes = sh.changes, c.changes[i]
+		}
+	}
+	return snap, c.snapEpoch.Add(1), nil
 }
 
-// distillEpoch computes a snapshotted epoch and publishes it. The snapshot
-// and relevance view are immutable, so the computation runs without any
-// crawler lock, and epochMu makes this the only publisher. The kept
-// arrangement is extended by the cut's tails past the previous epoch's, so
-// an epoch reads and sorts only what LINK and the visit logs appended since.
-// Publish order matters: each side is ranked and the boost delta derived
-// from the hub ranking and the arrangement while both are private; then one
-// pointer store publishes the epoch (readers load the old scores or the
-// new, never a mix), dropping any HUBS/AUTH pair Tables handed out (this
-// epoch is newer); and only then is the §3.4 hub-neighbor boost applied
-// shard by shard against the live frontier.
-func (c *Crawler) distillEpoch(epoch int64, cut epochCut, rel map[int64]float64) error {
+// distillEpoch computes a snapshotted epoch and publishes it, without any
+// crawler lock: the snapshot and the drained changes are the epoch's, and
+// epochMu makes this the only publisher. It extends the kept arrangement by
+// LINK's tail past the last snapshot and by the changes. Publish order
+// matters: each side is ranked and the boosts derived while both are
+// private; one pointer store publishes the epoch (readers load the old
+// scores or the new, never a mix), dropping any HUBS/AUTH pair Tables handed
+// out; only then is the §3.4 boost applied shard by shard to the live rows.
+func (c *Crawler) distillEpoch(snap *linkgraph.Snapshot, epoch int64) error {
 	if c.distillFault != nil {
 		if err := c.distillFault(epoch); err != nil {
 			return err
@@ -1025,18 +1007,18 @@ func (c *Crawler) distillEpoch(epoch int64, cut epochCut, rel map[int64]float64)
 	}
 	t0 := time.Now()
 	defer func() { c.computeNS.Add(time.Since(t0).Nanoseconds()) }()
-	if c.arr == nil {
-		c.arr = distiller.NewArrangement(c.cfg.Distill)
-	}
-	tail, err := cut.link.Since(c.arrAt.link)
+	tail, err := snap.Since(c.arrAt)
 	if err == nil {
-		err = c.arr.Extend(tail, cut.loggedSince(c.arrAt), int(cut.epoch-c.arrAt.epoch))
+		err = c.arr.Extend(tail, c.changes, int(epoch-c.arrEpoch))
 	}
 	if err != nil {
 		return err
 	}
-	c.arrAt = cut
-	hubs, auth, _ := c.arr.Run(rel)
+	c.arrAt, c.arrEpoch = snap, epoch
+	for i := range c.changes {
+		c.changes[i] = c.changes[i][:0]
+	}
+	hubs, auth, _ := c.arr.Run()
 	r := &scores{epoch: epoch, hubs: c.arr.Rank(hubs), auth: c.arr.Rank(auth)}
 	var boosts []distiller.Page
 	if top := topDecileHubs(r.hubs); c.cfg.HubNeighborBoost >= 0 && len(top) > 0 {
@@ -1045,23 +1027,15 @@ func (c *Crawler) distillEpoch(epoch int64, cut epochCut, rel map[int64]float64)
 	c.handed.Store(nil)
 	c.pub.Store(r)
 
-	// Apply the boost delta against the live shards, each shard's targets
-	// under one hold of its lock. Boosts are idempotent threshold raises, so
-	// the order does not matter.
-	byShard := make([][]int64, len(c.shards))
-	for _, p := range boosts {
-		i := c.shardIndex(p.Sid)
-		byShard[i] = append(byShard[i], p.OID)
-	}
-	for i, oids := range byShard {
-		if len(oids) == 0 {
-			continue
-		}
+	// Apply the boost delta against the live shards, a shard at a time under
+	// one hold of its lock. Boosts are idempotent threshold raises, so the
+	// order does not matter.
+	for i := 0; i < len(c.shards) && len(boosts) > 0; i++ {
 		sh := c.shards[i]
 		sh.mu.Lock()
-		for _, oid := range oids {
-			if err = sh.boostLocked(oid, c.cfg.HubNeighborBoost); err != nil {
-				break
+		for _, p := range boosts {
+			if c.shardIndex(p.Sid) == i && err == nil {
+				err = sh.boostLocked(p.OID, c.cfg.HubNeighborBoost)
 			}
 		}
 		sh.mu.Unlock()
@@ -1070,23 +1044,6 @@ func (c *Crawler) distillEpoch(epoch int64, cut epochCut, rel map[int64]float64)
 		}
 	}
 	return nil
-}
-
-// loggedSince yields each visit cut holds past prev, an earlier cut (the
-// zero cut: every visit), as its page and relevance.
-func (cut epochCut) loggedSince(prev epochCut) iter.Seq2[int64, float64] {
-	return func(yield func(int64, float64) bool) {
-		for i, log := range cut.visits {
-			if i < len(prev.visits) {
-				log = log[len(prev.visits[i]):]
-			}
-			for _, h := range log {
-				if !yield(h.OID, h.Relevance) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // topDecileHubs returns the hubs scoring strictly above the ranking's 90th

@@ -2,9 +2,11 @@ package crawler
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
+	"focus/internal/distiller"
 	"focus/internal/relstore"
 )
 
@@ -127,14 +129,15 @@ func TestExpandLinksPoolFetches(t *testing.T) {
 }
 
 // TestDistillSnapshotFetchesNoPage: an epoch's world-stopped snapshot reads
-// no page. The relevance view comes from the oid directories, the LINK
-// snapshot is a cut of row counts and the visit logs are cut by length, so
-// the barrier's cost does not grow with CRAWL's or LINK's pages. The view
-// still equals the heap's relevance column, and the cut visit logs are the
-// shards' logs as they stood, unmoved by a later visit.
+// no page. The first cut seeds the arrangement's changes from the oid
+// directories, every later one swaps out the shards' change logs, and the
+// LINK snapshot is a cut of row counts, so the barrier's cost does not grow
+// with CRAWL's or LINK's pages. The seed still equals the heap's relevance
+// and status columns, and a later cut drains exactly the changes written
+// since, unmoved by a later visit.
 func TestDistillSnapshotFetchesNoPage(t *testing.T) {
 	c, db := warmExpandCrawler(t)
-	visit := func(rel float64) {
+	visit := func(rel float64) int64 {
 		t.Helper()
 		sh, rid, row, ok, _, err := c.checkout(0)
 		if err != nil || !ok {
@@ -143,29 +146,38 @@ func TestDistillSnapshotFetchesNoPage(t *testing.T) {
 		if err := c.complete(sh, rid, row, &Fetch{URL: row[CURL].S, ServerID: SIDOf(row[CURL].S)}, rel, 0); err != nil {
 			t.Fatal(err)
 		}
+		return row[COID].Int()
+	}
+	cut := func() []distiller.Change {
+		t.Helper()
+		before := db.Pool().Stats()
+		snap, _, err := c.distillSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := db.Pool().Stats()
+		if n := (after.Hits + after.Misses) - (before.Hits + before.Misses); n != 0 {
+			t.Errorf("the distill snapshot fetched %d pages, want 0", n)
+		}
+		if snap.Rows() != c.links.Rows() {
+			t.Fatalf("the LINK snapshot holds %d rows, the store %d", snap.Rows(), c.links.Rows())
+		}
+		return slices.Concat(c.changes...)
 	}
 	for i := range 20 {
 		visit(float64(i) / 20)
 	}
-	logs := make([][]HarvestPoint, len(c.shards))
-	for i, sh := range c.shards {
-		logs[i] = slices.Clone(sh.visits)
-	}
-	before := db.Pool().Stats()
-	_, cut, rel, err := c.distillSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := db.Pool().Stats()
-	if n := (after.Hits + after.Misses) - (before.Hits + before.Misses); n != 0 {
-		t.Errorf("the distill snapshot fetched %d pages, want 0", n)
+	seed := map[int64]distiller.Change{}
+	for _, ch := range cut() {
+		seed[ch.OID] = ch
 	}
 	var rows int
 	for _, sh := range c.shards {
-		err := sh.crawl.ScanCols([]int{COID, CRel}, func(_ relstore.RID, v []relstore.Value) (bool, error) {
+		err := sh.crawl.ScanCols([]int{COID, CRel, CStatus}, func(_ relstore.RID, v []relstore.Value) (bool, error) {
 			rows++
-			if got, ok := rel[v[0].Int()]; !ok || got != v[1].Float() {
-				t.Fatalf("oid %d: relevance view has %v (%v), the heap %v", v[0].Int(), got, ok, v[1].Float())
+			want := distiller.Change{OID: v[0].Int(), Rel: v[1].Float(), Visited: int32(v[2].Int()) == StatusVisited}
+			if got, ok := seed[want.OID]; !ok || got != want {
+				t.Fatalf("oid %d: the seed has %+v (%v), the heap %+v", want.OID, got, ok, want)
 			}
 			return false, nil
 		})
@@ -173,21 +185,74 @@ func TestDistillSnapshotFetchesNoPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rows != len(rel) || rows != 4400 {
-		t.Fatalf("relevance view holds %d oids for %d rows, want 4400", len(rel), rows)
+	if rows != len(seed) || rows != 4400 {
+		t.Fatalf("the seed holds %d oids for %d rows, want 4400", len(seed), rows)
 	}
-	if cut.link.Rows() != c.links.Rows() {
-		t.Fatalf("the LINK snapshot holds %d rows, the store %d", cut.link.Rows(), c.links.Rows())
+
+	for i := range c.changes { // as the cut's Extend leaves them
+		c.changes[i] = c.changes[i][:0]
 	}
+	oid := visit(0.5)
+	drained := cut()
 	visit(1) // lands past the cut
-	var cutVisits int
-	for i, log := range cut.visits {
-		cutVisits += len(log)
-		if !slices.Equal(log, logs[i]) {
-			t.Fatalf("shard %d: the cut holds %d visits, differing from the %d its log held", i, len(log), len(logs[i]))
-		}
+	if want := []distiller.Change{{OID: oid, Rel: 0.5, Visited: true}}; !slices.Equal(drained, want) || !slices.Equal(slices.Concat(c.changes...), want) {
+		t.Fatalf("the cut drained %+v, and holds %+v after a later visit, want %+v", drained, slices.Concat(c.changes...), want)
 	}
-	if cutVisits != 20 {
-		t.Fatalf("the cut holds %d visits, want 20", cutVisits)
+}
+
+// TestDistillSnapshotAllocsFlatInRows is the barrier's growth law: after a
+// crawl's first cut, which seeds the arrangement from the oid directories,
+// a cut allocates the same bytes at 4 400 rows as at 17 600 — it swaps the
+// shards' change logs, whatever CRAWL holds. A crawl that never distills
+// keeps no change log.
+func TestDistillSnapshotAllocsFlatInRows(t *testing.T) {
+	cutBytes := func(pages int) uint64 {
+		c, _ := newTestCrawler(t, &stubFetcher{}, Config{Workers: 2, HubNeighborBoost: -1})
+		expand := func(from, to int) {
+			for n := from; n < to; n++ {
+				src, f := expandPage(n, n)
+				if err := c.expandLinks(src, f, 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		expand(0, pages)
+		if err := c.distill(); err != nil {
+			t.Fatal(err)
+		}
+		expand(pages, pages+5) // 220 rows, each a change
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := c.distillSnapshot()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(slices.Concat(c.changes...)); n != 220 {
+			t.Fatalf("%d pages: the cut drained %d changes, want 220", pages, n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := cutBytes(100), cutBytes(400)
+	t.Logf("a cut allocates %d B at 4 400 rows, %d B at 17 600", small, large)
+	if large > small+512 {
+		t.Errorf("a cut allocates %d B at 4 400 rows and %d B at 17 600: the barrier copies per row", small, large)
+	}
+
+	f := genSite(47, 300, 12, 5)
+	c, _ := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 200})
+	if err := c.Seed(seedURLs(f, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tables(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range c.shards {
+		if sh.logging || sh.changes != nil {
+			t.Fatalf("shard %d of a crawl that never distilled logs changes (%d)", sh.id, len(sh.changes))
+		}
 	}
 }

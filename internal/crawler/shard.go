@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"focus/internal/distiller"
 	"focus/internal/relstore"
 )
 
@@ -15,8 +16,9 @@ import (
 // (named CRAWL#<id>), its own in-memory oid directory — each row's RID with
 // a mirror of its status and relevance (dirEntry) — its own in-memory
 // frontier set — the checkout order over the rows checkout can return — and
-// its own visit log, all guarded by the shard mutex. All three are rebuilt
-// from the table's heap on resume; the heap is the only durable state.
+// its own visit and change logs, all guarded by the shard mutex. All but the
+// change log are rebuilt from the table's heap on resume; the heap is the
+// only durable state.
 // Hosts are assigned to shards by hashing the server id (shardFor), so
 // every URL of a server — and therefore that server's serverload
 // accounting — lives in exactly one shard.
@@ -44,6 +46,11 @@ type shard struct {
 	// visits is the visit log: one point per StatusVisited row, ascending by
 	// Seq, appended where complete marks the row visited (see eachVisit).
 	visits []HarvestPoint
+	// changes is the change log: from the first distillation cut on
+	// (logging), every entry write logs the row's relevance (setLocked),
+	// and each later cut drains it (distillSnapshot).
+	changes []distiller.Change
+	logging bool
 
 	// Scratch of admitLocked, guarded by mu: the tuple each new row is
 	// encoded from, and the rows the current group adds to the heap.
@@ -98,11 +105,11 @@ func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
 }
 
 // dirEntry is a CRAWL row's oid-directory entry: where the row lies, and a
-// mirror of its status and relevance columns, so that link expansion, the
-// hub-neighbor boost and the distill barrier decide what to do with a row
-// without reading its heap page. Every write of either column updates the
-// entry in the critical section that writes the heap (writeLocked,
-// admitLocked; attachShard while it rebuilds). One status lives only here:
+// mirror of its status and relevance columns, so that link expansion and the
+// hub-neighbor boost decide what to do with a row without reading its heap
+// page. Every write of either column updates the entry, and logs it, in the
+// critical section that writes the heap (writeLocked, admitLocked;
+// attachShard while it rebuilds). One status lives only here:
 // checkout marks a row StatusInflight in its entry and leaves its heap row
 // the frontier row, which is what a resume makes of a row in flight, so no
 // heap row is ever in flight. 16 bytes, no pointer.
@@ -221,7 +228,7 @@ func (sh *shard) admitLocked(group []target, prio float64, raise bool) error {
 			continue
 		}
 		rid := rows.RID(r)
-		sh.rids[b.oid] = newDirEntry(rid, StatusFrontier, prio)
+		sh.setLocked(b.oid, newDirEntry(rid, StatusFrontier, prio))
 		sh.enterLocked(b.key, rid)
 	}
 	return err
@@ -447,16 +454,27 @@ func (sh *shard) raiseLocked(rid relstore.RID, row relstore.Tuple, rel float64) 
 
 // writeLocked rewrites the row at rid, which holds old, as row
 // (relstore.Table.UpdateFrom) and mirrors its status and relevance into its
-// directory entry; sh.mu must be held. Every update of a CRAWL row goes
-// through it.
+// directory entry (setLocked); sh.mu must be held. Every update of a CRAWL
+// row goes through it.
 //
 //focuslint:lock requires=shard
 func (sh *shard) writeLocked(rid relstore.RID, old, row relstore.Tuple) error {
 	if err := sh.crawl.UpdateFrom(rid, old, row); err != nil {
 		return err
 	}
-	sh.rids[row[COID].Int()] = entryOf(rid, row)
+	sh.setLocked(row[COID].Int(), entryOf(rid, row))
 	return nil
+}
+
+// setLocked writes oid's directory entry d and logs its relevance in the
+// change log, if one is kept; sh.mu must be held.
+//
+//focuslint:lock requires=shard
+func (sh *shard) setLocked(oid int64, d dirEntry) {
+	sh.rids[oid] = d
+	if sh.logging {
+		sh.changes = append(sh.changes, distiller.Change{OID: oid, Rel: d.rel, Visited: int32(d.status) == StatusVisited})
+	}
 }
 
 // lookupLocked finds the row for oid in this shard; sh.mu must be held.

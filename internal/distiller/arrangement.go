@@ -2,7 +2,6 @@ package distiller
 
 import (
 	"cmp"
-	"iter"
 	"slices"
 	"time"
 
@@ -12,10 +11,10 @@ import (
 // Arrangement is LINK arranged for the join and kept across epochs, as a
 // dataflow keeps a shared arrangement: every edge that passes the nepotism
 // filter, grouped by destination in (dst, src, stored fwd, rev) order. A
-// group holds its page and its logged forward weight, if any; an edge its
-// source's slot in the source table, which is in oid order, and its stored
-// weights. LINK is append-only, so an epoch Extends it by LINK's tail, and
-// a Run looks up one relevance per group and nothing per edge.
+// group holds its page and its latest Change; an edge its source's slot in
+// the source table, which is in oid order, and its stored weights. LINK is
+// append-only, so an epoch Extends it by LINK's tail and the changes since,
+// and a Run reads only what it holds.
 //
 // Its arrays are kept: an Extend merges the tail in, in place, and they and
 // the scratch Extend, Run, Rank and Cited reslice are reallocated only when
@@ -24,27 +23,27 @@ import (
 //
 // Run's scores equal Distill's bit for bit when no (src, dst) pair repeats,
 // as in the linkgraph store, whose Apply dedups: a repeated pair's terms are
-// ordered by their stored forward weights, not by the logged one.
+// ordered by their stored forward weights, not by the relevance.
 type Arrangement struct {
 	cfg  Config
 	span int    // epochs the last Extend's tail spans; 0 in a one-shot arrangement
 	srcs []Page // the source table
-	// groups, ascending oid, one per destination of a held edge or of a
-	// logged weight; group g's edges are edges[off[g]:off[g+1]].
+	// groups, ascending oid, one per destination of a held edge or page of
+	// a change; group g's edges are edges[off[g]:off[g+1]].
 	groups []dstGroup
 	off    []int32
 	edges  []heldEdge
 
-	// Scratch of Extend (logged[i]'s weight is fwd[logged[i].at]), insert,
+	// Scratch of Extend (changed[i] is changes[slot][at]), insert,
 	// addSources (the other source table), Run's layout, Rank and Cited.
-	plan                    []planEdge
-	logged, runs, keys, tmp []sortKey
-	spareSrcs, cited        []Page
-	moved, rank, elig, next []int32
-	fwd, revs, hubs, auths  []float64
-	authOrder, hubOrder     edgeOrder
-	ranked                  []Scored
-	top                     []bool
+	plan                     []planEdge
+	changed, runs, keys, tmp []sortKey
+	spareSrcs, cited         []Page
+	moved, rank, next        []int32
+	revs, hubs, auths        []float64
+	authOrder, hubOrder      edgeOrder
+	ranked                   []Scored
+	top                      []bool
 }
 
 // Page is a page and its server.
@@ -53,11 +52,20 @@ type Page struct {
 	Sid int32
 }
 
+// Change is a page's relevance as a write of its CRAWL row left it. A
+// visited page's is the forward weight of every edge into it (EF[u,v] =
+// relevance(v)); an unvisited one's edges keep the weight LINK stored.
+type Change struct {
+	OID     int64
+	Rel     float64
+	Visited bool
+}
+
 type dstGroup struct {
-	oid    int64
-	fwd    float64 // the last logged forward weight, when logged
-	sid    int32
-	logged bool
+	oid     int64
+	rel     float64
+	sid     int32
+	visited bool
 }
 
 type heldEdge struct {
@@ -78,31 +86,32 @@ type sortKey struct {
 	at, slot int32
 }
 
-// NewArrangement returns an empty arrangement for runs under cfg; Run takes
-// the relevance view, so cfg.Relevance is not read.
+// NewArrangement returns an empty arrangement for runs under cfg; relevance
+// comes as Extend's changes, so cfg.Relevance is not read.
 func NewArrangement(cfg Config) *Arrangement {
 	return &Arrangement{cfg: cfg.withDefaults(), off: []int32{0}}
 }
 
 // Extend adds tail's edges, LINK's tail since the last Extend, and then the
-// weights logged since, each a page and the forward weight of the edges into
-// it (a visit's relevance), a later one superseding an earlier one. The tail,
-// of epochs epochs, is sorted and merged in; on error nothing is added.
-func (a *Arrangement) Extend(tail linkgraph.Tail, logged iter.Seq2[int64, float64], epochs int) error {
+// changes since, a later one (or one in a later log) superseding an earlier
+// one; a page with no group gets one. The tail, of epochs epochs, is sorted
+// and merged in; on error nothing is added.
+func (a *Arrangement) Extend(tail linkgraph.Tail, changes [][]Change, epochs int) error {
 	a.span = max(epochs, 1)
 	rows := int(tail.Rows())
 	plan, err := a.read(tail, nil, fit(a, a.plan, rows, 0)[:0])
 	if err != nil {
 		return err
 	}
-	a.plan, a.logged, a.fwd = plan, a.logged[:0], a.fwd[:0]
-	for dst, w := range logged {
-		a.logged = append(a.logged, sortKey{key: flip(dst), at: int32(len(a.fwd))})
-		a.fwd = append(a.fwd, w)
+	a.plan, a.changed = plan, a.changed[:0]
+	for l, log := range changes {
+		for at, ch := range log {
+			a.changed = append(a.changed, sortKey{flip(ch.OID), int32(at), int32(l)})
+		}
 	}
-	a.insert(plan)
+	a.insert(plan, changes)
 	if a.span > 1 { // no epoch's tail needs this scratch
-		a.plan, a.logged, a.fwd, a.runs, a.keys, a.tmp = nil, nil, nil, nil, nil, nil
+		a.plan, a.changed, a.runs, a.keys, a.tmp = nil, nil, nil, nil, nil
 	}
 	return nil
 }
@@ -119,19 +128,19 @@ func (a *Arrangement) read(link LinkRel, rel map[int64]float64, tail []planEdge)
 	return tail, err
 }
 
-// insert merges tail and the logged weights in. tail is ordered by radix
-// sorts: its runs of one source's edges (LINK stores a page's out-links
-// together) by source, then every edge stably by destination, so only a
-// repeated pair is left to order by its weights. The log entries are sorted
-// stably by destination, so a later one still supersedes an earlier one.
-func (a *Arrangement) insert(tail []planEdge) {
+// insert merges tail and the changes a.changed lists in. tail is ordered by
+// radix sorts: its runs of one source's edges (LINK stores a page's
+// out-links together) by source, then every edge stably by destination, so
+// only a repeated pair is left to order by its weights. The changes are
+// sorted stably by page, so a later one still supersedes an earlier one.
+func (a *Arrangement) insert(tail []planEdge, changes [][]Change) {
 	runs := a.runs[:0]
 	for i := range tail {
 		if i == 0 || tail[i].src != tail[i-1].src {
 			runs = append(runs, sortKey{key: flip(tail[i].src), at: int32(i)})
 		}
 	}
-	n := max(len(tail), len(a.logged))
+	n := max(len(tail), len(a.changed))
 	a.tmp = fit(a, a.tmp, n, 0)
 	radixSort(runs, a.tmp)
 	a.addSources(tail, runs)
@@ -152,9 +161,9 @@ func (a *Arrangement) insert(tail []planEdge) {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	radixSort(a.logged, a.tmp)
+	radixSort(a.changed, a.tmp)
 	a.runs, a.keys = runs, keys
-	a.merge(tail, keys, len(a.groups)+dsts+len(a.logged))
+	a.merge(tail, keys, changes, len(a.groups)+dsts+len(a.changed))
 }
 
 // fit returns s resliced to length n, its contents stale. Only when short is
@@ -169,6 +178,10 @@ func fit[T any](a *Arrangement, s []T, n, added int) []T {
 	}
 	return make([]T, n, n+2*added/a.span+n/4)
 }
+
+// grown is fit for Run's layout: s, as long as the last Run needed, grows
+// by the epoch's growth.
+func grown[T any](a *Arrangement, s []T, n int) []T { return fit(a, s, n, n-len(s)) }
 
 // flip maps int64 order onto uint64 order, and unflip back.
 func flip(x int64) uint64   { return uint64(x) ^ 1<<63 }
@@ -241,19 +254,18 @@ func (a *Arrangement) addSources(tail []planEdge, bySrc []sortKey) {
 }
 
 // merge merges tail, in the order of keys order (compareEdges', each key
-// its destination), and the logged weights, in ascending destination order,
-// into the groups, of which there will be at most most. It works in place,
-// from the last group back, so a held group or edge only moves toward the
-// end, past what is still to be read; the groups neither touches move as
-// blocks.
-func (a *Arrangement) merge(tail []planEdge, order []sortKey, most int) {
-	logged, fwd := a.logged, a.fwd
+// its destination), and the changes, in a.changed's page order, into the
+// groups, of which there will be at most most. It works in place, from the
+// last group back, so a held group or edge only moves toward the end, past
+// what is still to be read; the groups neither touches move as blocks.
+func (a *Arrangement) merge(tail []planEdge, order []sortKey, changes [][]Change, most int) {
+	changed := a.changed
 	ne := len(a.edges) + len(order)
 	groups, off := fit(a, a.groups, most, most-len(a.groups)), fit(a, a.off, most+1, most-len(a.groups))
 	edges := fit(a, a.edges, ne, len(order))
 	// Old group i-1 and its edges, ending at hi, are next to move; new group
 	// w-1 and its edges, ending at we, next to be written.
-	i, j, k, w := len(a.groups), len(order), len(logged), most
+	i, j, k, w := len(a.groups), len(order), len(changed), most
 	hi, we := int32(len(a.edges)), int32(ne)
 	off[w] = we
 	for {
@@ -261,8 +273,8 @@ func (a *Arrangement) merge(tail []planEdge, order []sortKey, most int) {
 		if j > 0 {
 			next = order[j-1].key
 		}
-		if k > 0 && logged[k-1].key >= next {
-			next = logged[k-1].key
+		if k > 0 && changed[k-1].key >= next {
+			next = changed[k-1].key
 		}
 		start := i
 		for start > 0 && (!more || flip(a.groups[start-1].oid) > next) {
@@ -292,10 +304,11 @@ func (a *Arrangement) merge(tail []planEdge, order []sortKey, most int) {
 		if lo == hi && j > j0 {
 			g.sid = tail[order[j0].at].sidDst
 		}
-		if k > 0 && logged[k-1].key == next { // the latest entry
-			g.fwd, g.logged = fwd[logged[k-1].at], true
+		if k > 0 && changed[k-1].key == next { // the latest change
+			ch := changes[changed[k-1].slot][changed[k-1].at]
+			g.rel, g.visited = ch.Rel, ch.Visited
 		}
-		for k > 0 && logged[k-1].key == next {
+		for k > 0 && changed[k-1].key == next {
 			k--
 		}
 		for ; j > j0; j-- {
@@ -322,65 +335,64 @@ func compareHeld(a, b heldEdge) int {
 	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.fwd, b.fwd), cmp.Compare(a.rev, b.rev))
 }
 
-// Run computes the configured HITS iterations over the held edges with the
-// relevance view rel (nil applies no rho filter) and returns each side's
-// scores as Distill does, in new slices; its layout is the arrangement's
-// scratch. A group is checked for eligibility, and its forward weight
-// resolved, once. Breakdown.Scan covers the eligibility pass, the source
-// ranking and the authorities' layout, Sort the counting sort, Update the
-// iterations.
-func (a *Arrangement) Run(rel map[int64]float64) (hubs, auth []Scored, bd Breakdown) {
+// Run computes the configured HITS iterations over the edges of the groups
+// above Rho and returns each side's scores as Distill does, in new slices;
+// its layout is the arrangement's scratch (see grown). An edge into a
+// visited page weighs its relevance forward, any other its stored weight.
+// Breakdown.Scan covers the two passes over the groups, the source ranking and the
+// authorities' layout, Sort the counting sort, Update the iterations.
+func (a *Arrangement) Run() (hubs, auth []Scored, bd Breakdown) {
 	t0 := time.Now()
 	ao, ho := &a.authOrder, &a.hubOrder
-	// The eligible groups, and at each source of their edges 1, then its
-	// hub rank.
-	elig, terms := a.elig[:0], 0
-	rank := fit(a, a.rank, len(a.srcs), 0)
+	// The eligible groups, their terms and their sources, and at each
+	// source 1, then its hub rank.
+	auths, terms, hubsN := 0, 0, 0
+	rank := grown(a, a.rank, len(a.srcs))
 	clear(rank)
 	for g, grp := range a.groups {
-		held := a.edges[a.off[g]:a.off[g+1]]
-		if len(held) == 0 || (rel != nil && !(rel[grp.oid] > a.cfg.Rho)) {
-			continue
-		}
-		elig, terms = append(elig, int32(g)), terms+len(held)
-		for _, e := range held {
-			rank[e.src] = 1
+		if held := a.edges[a.off[g]:a.off[g+1]]; grp.rel > a.cfg.Rho {
+			auths, terms = auths+min(len(held), 1), terms+len(held)
+			for _, e := range held {
+				hubsN += int(1 - rank[e.src])
+				rank[e.src] = 1
+			}
 		}
 	}
-	ho.oids = ho.oids[:0]
+	ho.oids = grown(a, ho.oids, hubsN)[:0]
 	for src, used := range rank {
 		if used == 1 {
 			rank[src], ho.oids = int32(len(ho.oids)), append(ho.oids, a.srcs[src].OID)
 		}
 	}
-	ao.oids, ao.off = fit(a, ao.oids, len(elig), 0), fit(a, ao.off, len(elig)+1, 0)
-	ao.off[0] = 0
-	ao.peers, ao.weights = fit(a, ao.peers, terms, 0)[:0], fit(a, ao.weights, terms, 0)[:0]
-	revs := fit(a, a.revs, terms, 0)[:0]
-	for x, g := range elig {
-		grp := a.groups[g]
-		for _, e := range a.edges[a.off[g]:a.off[g+1]] {
+	ao.oids, ao.off = grown(a, ao.oids, auths)[:0], append(grown(a, ao.off, auths+1)[:0], 0)
+	ao.peers, ao.weights = grown(a, ao.peers, terms)[:0], grown(a, ao.weights, terms)[:0]
+	revs := grown(a, a.revs, terms)[:0]
+	for g, grp := range a.groups {
+		held := a.edges[a.off[g]:a.off[g+1]]
+		if len(held) == 0 || !(grp.rel > a.cfg.Rho) {
+			continue
+		}
+		for _, e := range held {
 			fwd := e.fwd
-			if grp.logged {
-				fwd = grp.fwd
+			if grp.visited {
+				fwd = grp.rel
 			}
 			fwd, rev := a.cfg.weights(fwd, e.rev)
 			ao.peers, ao.weights, revs = append(ao.peers, rank[e.src]), append(ao.weights, fwd), append(revs, rev)
 		}
-		ao.oids[x], ao.off[x+1] = grp.oid, int32(len(revs))
+		ao.oids, ao.off = append(ao.oids, grp.oid), append(ao.off, int32(len(revs)))
 	}
-	a.elig, a.rank, a.revs = elig, rank, revs
+	a.rank, a.revs = rank, revs
 	bd.Scan = time.Since(t0)
 
 	t0 = time.Now()
-	hubsN := len(ho.oids)
-	ho.off, a.next = fit(a, ho.off, hubsN+1, 0), fit(a, a.next, hubsN+1, 0)
-	ho.peers, ho.weights = fit(a, ho.peers, terms, 0), fit(a, ho.weights, terms, 0)
+	ho.off, a.next = grown(a, ho.off, hubsN+1), grown(a, a.next, hubsN+1)
+	ho.peers, ho.weights = grown(a, ho.peers, terms), grown(a, ho.weights, terms)
 	ao.bySource(ho, revs, a.next)
 	bd.Sort = time.Since(t0)
 
 	t0 = time.Now()
-	a.hubs, a.auths = fit(a, a.hubs, hubsN, 0), fit(a, a.auths, len(elig), 0)
+	a.hubs, a.auths = grown(a, a.hubs, hubsN), grown(a, a.auths, auths)
 	for i := range a.hubs {
 		a.hubs[i] = 1 // the standard HITS start vector
 	}

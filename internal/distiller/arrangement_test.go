@@ -3,7 +3,6 @@ package distiller
 import (
 	"cmp"
 	"fmt"
-	"iter"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -14,18 +13,21 @@ import (
 )
 
 // linkWeb grows a LINK relation the way a crawl does: each visit ingests one
-// page's out-links into a striped linkgraph store (which dedups them), logs
-// the page's relevance as the forward weight of every edge into it, and
-// moves the relevance view. Pages have 64-bit oids and a server that is a
-// function of the oid, as a URL's host is. The log is the harness's own, as
-// the crawler's visit logs are its own: LINK stores no logged weight.
+// page's out-links into a striped linkgraph store (which dedups them) and
+// moves the page's relevance, which from then on is the forward weight of
+// every edge into it. Pages have 64-bit oids and a server that is a function
+// of the oid, as a URL's host is. Every relevance write is logged as a
+// Change, the first of each page's before any epoch, as the crawler's first
+// cut seeds its arrangement; the log is the harness's own, as the crawler's
+// change logs are its own: LINK stores no relevance.
 type linkWeb struct {
 	rng     *rand.Rand
 	store   *linkgraph.Store
-	log     []logged
+	log     []Change
 	pages   []int64
 	servers int64
 	rel     map[int64]float64
+	done    map[int64]bool // visited
 	visited int
 	levels  []float64
 }
@@ -37,11 +39,11 @@ func newLinkWeb(tb testing.TB, seed int64, pages, stripes int) *linkWeb {
 		tb.Fatal(err)
 	}
 	w := &linkWeb{rng: rand.New(rand.NewSource(seed)), store: store, servers: 1 + int64(pages)/20,
-		rel: map[int64]float64{}, levels: []float64{0, 0.05, 0.1, 0.2, 0.25, 0.5, 0.9, 1}}
+		rel: map[int64]float64{}, done: map[int64]bool{}, levels: []float64{0, 0.05, 0.1, 0.2, 0.25, 0.5, 0.9, 1}}
 	for len(w.pages) < pages {
 		oid := int64(w.rng.Uint64())
 		w.pages = append(w.pages, oid)
-		w.rel[oid] = w.level()
+		w.setRel(oid)
 	}
 	return w
 }
@@ -55,29 +57,27 @@ func (w *linkWeb) level() float64 {
 	return w.levels[w.rng.Intn(4)]
 }
 
-func (w *linkWeb) sid(oid int64) int32 { return int32(uint64(oid) % uint64(w.servers)) }
-
-// logged is one log entry: the forward weight of every edge into a page.
-type logged struct {
-	oid int64
-	fwd float64
+// setRel draws a new relevance for oid and logs it.
+func (w *linkWeb) setRel(oid int64) {
+	w.rel[oid] = w.level()
+	w.log = append(w.log, Change{oid, w.rel[oid], w.done[oid]})
 }
 
-// logs yields log's entries as Extend reads them.
-func logs(log []logged) iter.Seq2[int64, float64] {
-	return func(yield func(int64, float64) bool) {
-		for _, l := range log {
-			if !yield(l.oid, l.fwd) {
-				return
-			}
-		}
+func (w *linkWeb) sid(oid int64) int32 { return int32(uint64(oid) % uint64(w.servers)) }
+
+// logs splits log into k logs by page, as the crawler's shards keep theirs.
+func logs(log []Change, k int) [][]Change {
+	out := make([][]Change, k)
+	for _, ch := range log {
+		i := uint64(ch.OID) % uint64(k)
+		out[i] = append(out[i], ch)
 	}
+	return out
 }
 
 // visit crawls the next n pages: each links to about deg pages, now and
-// then to one on its own server or to itself, then its relevance is
-// logged. A few other pages' relevance moves, and now and then one is
-// logged again or logged before anything links to it.
+// then to one on its own server or to itself, then its relevance moves. A
+// few other pages' relevance moves too, a visited one's as a revisit would.
 func (w *linkWeb) visit(tb testing.TB, n, deg int) {
 	tb.Helper()
 	for ; n > 0; n-- {
@@ -98,25 +98,20 @@ func (w *linkWeb) visit(tb testing.TB, n, deg int) {
 		if _, err := w.store.Apply(&b, nil); err != nil {
 			tb.Fatal(err)
 		}
-		w.rel[src] = w.level()
-		w.log = append(w.log, logged{src, w.rel[src]})
+		w.done[src] = true
+		w.setRel(src)
 		if w.rng.Intn(4) == 0 {
-			other := w.pages[w.rng.Intn(len(w.pages))]
-			w.rel[other] = w.level()
-			if w.rng.Intn(2) == 0 {
-				w.log = append(w.log, logged{other, w.rel[other]})
-			}
+			w.setRel(w.pages[w.rng.Intn(len(w.pages))])
 		}
 	}
 }
 
 // webCut is a snapshot of the web's LINK and its log as they stood. Its
-// ScanEdges reads the snapshot with each edge's wgt_fwd resolved against the
-// log, a later entry superseding an earlier one: the relation Extend
-// arranges.
+// ScanEdges reads the snapshot with each edge into a visited page weighing
+// that page's latest relevance forward: the relation Extend arranges.
 type webCut struct {
 	sn  *linkgraph.Snapshot
-	log []logged
+	log []Change
 }
 
 func (w *linkWeb) snapshot(tb testing.TB) webCut {
@@ -132,8 +127,10 @@ func (w *linkWeb) snapshot(tb testing.TB) webCut {
 
 func (c webCut) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
 	fwd := make(map[int64]float64, len(c.log))
-	for _, l := range c.log {
-		fwd[l.oid] = l.fwd
+	for _, ch := range c.log {
+		if ch.Visited {
+			fwd[ch.OID] = ch.Rel
+		}
 	}
 	return c.sn.ScanEdges(func(e linkgraph.Edge) (bool, error) {
 		if w, ok := fwd[e.Dst]; ok {
@@ -143,12 +140,13 @@ func (c webCut) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
 	})
 }
 
-// extend extends a by c's LINK tail and log tail past prev's.
+// extend extends a by c's LINK tail and log tail past prev's, the log in
+// three.
 func extend(tb testing.TB, a *Arrangement, c, prev webCut) {
 	tb.Helper()
 	tail, err := c.sn.Since(prev.sn)
 	if err == nil {
-		err = a.Extend(tail, logs(c.log[len(prev.log):]), 1)
+		err = a.Extend(tail, logs(c.log[len(prev.log):], 3), 1)
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -156,8 +154,8 @@ func extend(tb testing.TB, a *Arrangement, c, prev webCut) {
 }
 
 // TestArrangementMatchesFreshBuildProperty: an arrangement kept across
-// random LINK-shaped epoch sequences — page visits appending edges, logged
-// forward weights, relevance changes — scores each epoch bit for bit as a
+// random LINK-shaped epoch sequences — page visits appending edges,
+// relevance changes, visited and not — scores each epoch bit for bit as a
 // fresh Distill of that epoch's snapshot and as the two-sort plan, under
 // all four filter ablations, and its boost targets are the set the
 // snapshot's edges give: every cross-server destination of a top hub.
@@ -175,7 +173,7 @@ func TestArrangementMatchesFreshBuildProperty(t *testing.T) {
 				prev = sn
 				name := fmt.Sprintf("trial %d, %+v, epoch %d, %d edges", trial, cfg, epoch, sn.sn.Rows())
 
-				hubs, auth, _ := a.Run(w.rel)
+				hubs, auth, _ := a.Run()
 				c := cfg
 				c.Relevance = w.rel
 				freshHubs, freshAuth, _, err := Distill(Tables{Link: sn}, c)
@@ -219,8 +217,8 @@ func TestArrangementMatchesFreshBuildProperty(t *testing.T) {
 // runEpoch runs on a, once extended, what the crawler's distillation epoch
 // runs: a Run, both sides ranked, and the boost targets of the hubs above
 // the 90th percentile score, as the crawler's top decile.
-func runEpoch(a *Arrangement, rel map[int64]float64) (hubs, auth Ranking, cited []Page) {
-	h, au, _ := a.Run(rel)
+func runEpoch(a *Arrangement) (hubs, auth Ranking, cited []Page) {
+	h, au, _ := a.Run()
 	hubs, auth = a.Rank(h), a.Rank(au)
 	if psi, ok := hubs.Percentile(0.9); ok && psi > 0 {
 		cited = a.Cited(hubs.Above(psi))
@@ -233,6 +231,8 @@ func runEpoch(a *Arrangement, rel map[int64]float64) (hubs, auth Ranking, cited 
 // allocates the two sides Run publishes and a small constant more, however
 // many edges the arrangement holds. The first small epoch after the large
 // ones may find an array full and reallocate it, with room for the rest.
+// While the held edges grow fast, a warmed Run allocates only what it
+// returns.
 func TestArrangementEpochAllocs(t *testing.T) {
 	w := newLinkWeb(t, 46, 4000, 2)
 	a := NewArrangement(Config{})
@@ -248,14 +248,14 @@ func TestArrangementEpochAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log := logs(sn.log[len(prev.log):])
+		log := logs(sn.log[len(prev.log):], 2)
 		prev = sn
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := a.Extend(tail, log, 1); err != nil {
 			t.Fatal(err)
 		}
-		hubs, auth, cited := runEpoch(a, w.rel)
+		hubs, auth, cited := runEpoch(a)
 		runtime.ReadMemStats(&after)
 		if epoch < 9 {
 			continue
@@ -267,6 +267,33 @@ func TestArrangementEpochAllocs(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > published+slack {
 			t.Errorf("epoch %d (%d edges held, %d hubs, %d authorities, %d cited) allocated %d B, want at most the %d B published and %d",
 				epoch, len(a.edges), len(hubs), len(auth), len(cited), got, published, slack)
+		}
+	}
+
+	// A crawl's first epochs, as standard's three: equal tails, so the held
+	// edges double and then grow by half. A Run after the first, its
+	// layout sized by that epoch's growth, allocates only the two sides it
+	// returns.
+	w = newLinkWeb(t, 48, 20000, 2)
+	a, prev = NewArrangement(Config{}), webCut{}
+	for epoch, held := 0, 0; epoch < 3; epoch++ {
+		w.visit(t, 300, 8)
+		sn := w.snapshot(t)
+		extend(t, a, sn, prev)
+		prev = sn
+		if epoch > 0 && 4*len(a.edges) <= 5*held {
+			t.Fatalf("epoch %d: the held edges grew from %d to %d, not by more than a quarter", epoch, held, len(a.edges))
+		}
+		held = len(a.edges)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		hubs, auth, _ := a.Run()
+		runtime.ReadMemStats(&after)
+		const slack = 4 << 10
+		published := uint64(16 * (len(hubs) + len(auth)))
+		if got := after.TotalAlloc - before.TotalAlloc; epoch > 0 && got > published+slack {
+			t.Errorf("growing epoch %d (%d edges held, %d hubs, %d authorities): Run allocated %d B, want at most the %d B it returns and %d",
+				epoch, held, len(hubs), len(auth), got, published, slack)
 		}
 	}
 }
@@ -283,7 +310,7 @@ func TestArrangementCatchUp(t *testing.T) {
 	a := NewArrangement(Config{})
 	tail, err := prev.sn.Since(nil)
 	if err == nil {
-		err = a.Extend(tail, logs(prev.log), epochs)
+		err = a.Extend(tail, logs(prev.log, 2), epochs)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +323,7 @@ func TestArrangementCatchUp(t *testing.T) {
 		sn := w.snapshot(t)
 		extend(t, a, sn, prev)
 		prev = sn
-		hubs, auth, _ := a.Run(w.rel)
+		hubs, auth, _ := a.Run()
 		freshHubs, freshAuth, _, err := Distill(Tables{Link: sn}, Config{Relevance: w.rel})
 		if err != nil {
 			t.Fatal(err)
@@ -332,7 +359,7 @@ func BenchmarkDistillEpochs(b *testing.B) {
 		for _, sn := range snaps {
 			extend(b, a, sn, prev)
 			prev = sn
-			if hubs, _, _ := runEpoch(a, w.rel); len(hubs) == 0 {
+			if hubs, _, _ := runEpoch(a); len(hubs) == 0 {
 				b.Fatal("no hubs")
 			}
 		}

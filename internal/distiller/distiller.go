@@ -15,16 +15,18 @@
 //     of Figure 4. The paper measures this a factor of three faster. The
 //     plan is compiled once per run: LINK is read and filtered once, sorted
 //     once and laid out in its two join orders, and the iterations are
-//     group-sum passes over those orders. Distill is that plan in memory and returns the scores as
-//     arrays (it states the row-set rule and the summation order); RunJoin
-//     is Distill plus one load of HUBS and AUTH.
+//     group-sum passes over those orders. Distill is that plan in memory
+//     and returns the scores as arrays (it states the row-set rule and the
+//     summation order); RunJoin is Distill plus one load of HUBS and AUTH.
 //
-// LINK only grows, so the crawler does not rebuild the plan each epoch: it
-// keeps one Arrangement, LINK sorted into the join's order, extends it by
-// what LINK appended since the last epoch, and runs it. Each epoch ranks
-// the run's arrays (Rank) and publishes them whole; the crawler keeps no
-// score table, and its score reads are index reads on the Ranking. HUBS and AUTH exist only where a caller builds them — the
-// crawler's Tables and Figure 8(d)'s fixture.
+// LINK only grows and a page's relevance changes where its CRAWL row is
+// written, so the crawler does not rebuild the plan each epoch: it keeps
+// one Arrangement, LINK sorted into the join's order, extends it by what
+// LINK appended and the relevance changes logged since the last epoch, and
+// runs it. Each epoch ranks the run's arrays (Rank) and publishes them
+// whole; the crawler keeps no score table, and its score reads are index
+// reads on the Ranking. HUBS and AUTH exist only where a caller builds
+// them — the crawler's Tables and Figure 8(d)'s fixture.
 package distiller
 
 import (

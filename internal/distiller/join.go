@@ -3,6 +3,7 @@ package distiller
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"time"
 
 	"focus/internal/relstore"
@@ -83,9 +84,17 @@ func Distill(tb Tables, cfg Config) (hubs, auth []Scored, bd Breakdown, err erro
 	}
 	bd.Scan += time.Since(t0)
 	t0 = time.Now()
-	a.insert(tail)
+	a.insert(tail, nil)
 	bd.Sort += time.Since(t0)
-	hubs, auth, run := a.Run(rel)
+	t0 = time.Now()
+	for g := range a.groups {
+		a.groups[g].rel = math.Inf(1) // no relevance view: no rho filter
+		if rel != nil {
+			a.groups[g].rel = rel[a.groups[g].oid]
+		}
+	}
+	bd.Scan += time.Since(t0)
+	hubs, auth, run := a.Run()
 	bd.add(run)
 	return hubs, auth, bd, nil
 }
