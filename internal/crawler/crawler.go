@@ -961,8 +961,9 @@ func (c *Crawler) distill() error {
 
 // distillSnapshot is the short world-stopped phase: under the full barrier
 // it cuts LINK and swaps each shard's change log for its emptied one in
-// c.changes; the first cut seeds the logs from the oid directories. It
-// returns the snapshot and the new epoch, numbered in order: epochMu is held.
+// c.changes. The first cut logs every oid directory entry and seeds the
+// arrangement with them, once. It returns the snapshot and the new epoch,
+// numbered in order: epochMu is held.
 //
 //focuslint:lock requires=epoch
 func (c *Crawler) distillSnapshot() (*linkgraph.Snapshot, int64, error) {
@@ -974,12 +975,15 @@ func (c *Crawler) distillSnapshot() (*linkgraph.Snapshot, int64, error) {
 	}
 	if c.arr == nil {
 		c.arr, c.changes = distiller.NewArrangement(c.cfg.Distill), make([][]distiller.Change, len(c.shards))
-		for _, sh := range c.shards {
+		for i, sh := range c.shards {
 			sh.logging, sh.changes = true, make([]distiller.Change, 0, len(sh.rids))
 			for oid, d := range sh.rids {
-				sh.setLocked(oid, d)
+				sh.logLocked(oid, d)
 			}
+			c.changes[i], sh.changes = sh.changes, nil
 		}
+		c.arr.Seed(c.changes)
+		c.merged()
 	}
 	for i, sh := range c.shards {
 		if len(c.changes[i]) > 0 { // an epoch failed before merging them
@@ -989,6 +993,14 @@ func (c *Crawler) distillSnapshot() (*linkgraph.Snapshot, int64, error) {
 		}
 	}
 	return snap, c.snapEpoch.Add(1), nil
+}
+
+// merged empties the drained change logs once the arrangement holds them;
+// epochMu must be held.
+func (c *Crawler) merged() {
+	for i := range c.changes {
+		c.changes[i] = c.changes[i][:0]
+	}
 }
 
 // distillEpoch computes a snapshotted epoch and publishes it, without any
@@ -1015,9 +1027,7 @@ func (c *Crawler) distillEpoch(snap *linkgraph.Snapshot, epoch int64) error {
 		return err
 	}
 	c.arrAt, c.arrEpoch = snap, epoch
-	for i := range c.changes {
-		c.changes[i] = c.changes[i][:0]
-	}
+	c.merged()
 	hubs, auth, _ := c.arr.Run()
 	r := &scores{epoch: epoch, hubs: c.arr.Rank(hubs), auth: c.arr.Rank(auth)}
 	var boosts []distiller.Page

@@ -47,8 +47,8 @@ type shard struct {
 	// Seq, appended where complete marks the row visited (see eachVisit).
 	visits []HarvestPoint
 	// changes is the change log: from the first distillation cut on
-	// (logging), every entry write logs the row's relevance (setLocked),
-	// and each later cut drains it (distillSnapshot).
+	// (logging), each directory entry written is logged (logLocked), and
+	// each later cut drains it (distillSnapshot).
 	changes []distiller.Change
 	logging bool
 
@@ -466,12 +466,20 @@ func (sh *shard) writeLocked(rid relstore.RID, old, row relstore.Tuple) error {
 	return nil
 }
 
-// setLocked writes oid's directory entry d and logs its relevance in the
-// change log, if one is kept; sh.mu must be held.
+// setLocked writes oid's directory entry d and logs it (logLocked); sh.mu
+// must be held.
 //
 //focuslint:lock requires=shard
 func (sh *shard) setLocked(oid int64, d dirEntry) {
 	sh.rids[oid] = d
+	sh.logLocked(oid, d)
+}
+
+// logLocked logs oid's entry d in the change log, if one is kept; sh.mu
+// must be held.
+//
+//focuslint:lock requires=shard
+func (sh *shard) logLocked(oid int64, d dirEntry) {
 	if sh.logging {
 		sh.changes = append(sh.changes, distiller.Change{OID: oid, Rel: d.rel, Visited: int32(d.status) == StatusVisited})
 	}

@@ -103,18 +103,18 @@ func (a *Arrangement) Extend(tail linkgraph.Tail, changes [][]Change, epochs int
 	if err != nil {
 		return err
 	}
-	a.plan, a.changed = plan, a.changed[:0]
-	for l, log := range changes {
-		for at, ch := range log {
-			a.changed = append(a.changed, sortKey{flip(ch.OID), int32(at), int32(l)})
-		}
-	}
+	a.plan = plan
 	a.insert(plan, changes)
 	if a.span > 1 { // no epoch's tail needs this scratch
 		a.plan, a.changed, a.runs, a.keys, a.tmp = nil, nil, nil, nil, nil
 	}
 	return nil
 }
+
+// Seed adds changes as Extend does, before any edge and reading no LINK
+// page: a crawl's first cut seeds its arrangement with every page's
+// relevance this way, so no epoch sorts the whole crawl's pages.
+func (a *Arrangement) Seed(changes [][]Change) { a.insert(nil, changes) }
 
 // read appends to tail link's edges that pass the nepotism filter and,
 // given a relevance view rel, lead to a page above Rho.
@@ -128,20 +128,26 @@ func (a *Arrangement) read(link LinkRel, rel map[int64]float64, tail []planEdge)
 	return tail, err
 }
 
-// insert merges tail and the changes a.changed lists in. tail is ordered by
-// radix sorts: its runs of one source's edges (LINK stores a page's
-// out-links together) by source, then every edge stably by destination, so
-// only a repeated pair is left to order by its weights. The changes are
-// sorted stably by page, so a later one still supersedes an earlier one.
+// insert merges tail and changes in. tail is ordered by radix sorts: its
+// runs of one source's edges (LINK stores a page's out-links together) by
+// source, then every edge stably by destination, so only a repeated pair is
+// left to order by its weights. The changes are sorted stably by page, each
+// key naming its change by log and position, so a later one still
+// supersedes an earlier one.
 func (a *Arrangement) insert(tail []planEdge, changes [][]Change) {
+	changed := a.changed[:0]
+	for l, log := range changes {
+		for at, ch := range log {
+			changed = append(changed, sortKey{flip(ch.OID), int32(at), int32(l)})
+		}
+	}
 	runs := a.runs[:0]
 	for i := range tail {
 		if i == 0 || tail[i].src != tail[i-1].src {
 			runs = append(runs, sortKey{key: flip(tail[i].src), at: int32(i)})
 		}
 	}
-	n := max(len(tail), len(a.changed))
-	a.tmp = fit(a, a.tmp, n, 0)
+	a.tmp = fit(a, a.tmp, max(len(tail), len(changed)), 0)
 	radixSort(runs, a.tmp)
 	a.addSources(tail, runs)
 	keys := fit(a, a.keys, len(tail), 0)[:0]
@@ -151,19 +157,36 @@ func (a *Arrangement) insert(tail []planEdge, changes [][]Change) {
 		}
 	}
 	radixSort(keys, a.tmp)
-	dsts := 0
 	for i := range keys {
-		if i == 0 || keys[i].key != keys[i-1].key {
-			dsts++
-		}
 		for j := i; j > 0 && keys[j].key == keys[j-1].key && keys[j].slot == keys[j-1].slot &&
 			compareEdges(tail[keys[j].at], tail[keys[j-1].at]) < 0; j-- {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	radixSort(a.changed, a.tmp)
-	a.runs, a.keys = runs, keys
-	a.merge(tail, keys, changes, len(a.groups)+dsts+len(a.changed))
+	radixSort(changed, a.tmp)
+	// The groups there will be: the held ones and a new one for each page
+	// the tail or the changes name that has none.
+	most, g, i, j := len(a.groups), 0, 0, 0
+	for i < len(keys) || j < len(changed) {
+		k := ^uint64(0)
+		if i < len(keys) {
+			k = keys[i].key
+		}
+		if j < len(changed) {
+			k = min(k, changed[j].key)
+		}
+		for ; g < len(a.groups) && flip(a.groups[g].oid) < k; g++ {
+		}
+		if g == len(a.groups) || flip(a.groups[g].oid) != k {
+			most++
+		}
+		for ; i < len(keys) && keys[i].key == k; i++ {
+		}
+		for ; j < len(changed) && changed[j].key == k; j++ {
+		}
+	}
+	a.runs, a.keys, a.changed = runs, keys, changed
+	a.merge(tail, keys, changes, most)
 }
 
 // fit returns s resliced to length n, its contents stale. Only when short is
