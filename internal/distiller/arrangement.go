@@ -34,7 +34,7 @@ type Arrangement struct {
 	off    []int32
 	edges  []heldEdge
 
-	// Scratch of Extend (changed[i] is changes[slot][at]), insert,
+	// Scratch of Extend, insert (a changed key names changes[slot][at]),
 	// addSources (the other source table), Run's layout, Rank and Cited.
 	plan                     []planEdge
 	changed, runs, keys, tmp []sortKey
@@ -362,8 +362,9 @@ func compareHeld(a, b heldEdge) int {
 // above Rho and returns each side's scores as Distill does, in new slices;
 // its layout is the arrangement's scratch (see grown). An edge into a
 // visited page weighs its relevance forward, any other its stored weight.
-// Breakdown.Scan covers the two passes over the groups, the source ranking and the
-// authorities' layout, Sort the counting sort, Update the iterations.
+// Breakdown.Scan covers the two passes over the groups, the source ranking
+// and the authorities' layout, Sort the counting sort, Update the
+// iterations.
 func (a *Arrangement) Run() (hubs, auth []Scored, bd Breakdown) {
 	t0 := time.Now()
 	ao, ho := &a.authOrder, &a.hubOrder
