@@ -32,7 +32,6 @@ package crawler
 // from the uninterrupted run.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -125,12 +124,12 @@ type CheckpointState struct {
 	Epoch int64 `json:"epoch"`
 
 	// The physical partitioning, fixed at creation; Resume attaches exactly
-	// these tables and refuses a mode or policy mismatch. Shards holds one
-	// entry per frontier shard.
-	FrontierShards int    `json:"frontier_shards"`
-	LinkStripes    int    `json:"link_stripes"`
-	Mode           Mode   `json:"mode"`
-	Policy         string `json:"policy"`
+	// these tables and refuses a mode mismatch. The mode fixes the checkout
+	// order, so no order is persisted. Shards holds one entry per frontier
+	// shard.
+	FrontierShards int  `json:"frontier_shards"`
+	LinkStripes    int  `json:"link_stripes"`
+	Mode           Mode `json:"mode"`
 
 	Shards []CheckpointShard `json:"shards"`
 
@@ -291,7 +290,6 @@ func (c *Crawler) checkpointLocked() error {
 		FrontierShards: len(c.shards),
 		LinkStripes:    c.links.NumStripes(),
 		Mode:           c.cfg.Mode,
-		Policy:         c.policy.Name,
 	}
 	if st.Fetches < 0 {
 		st.Fetches = 0
@@ -402,24 +400,6 @@ func ReadCheckpoint(db *relstore.DB) (*CheckpointState, error) {
 	return st, nil
 }
 
-// policyByName resolves a persisted checkout-policy name back to its
-// constructor. Key functions are closures and cannot be persisted, so resume
-// only works under the built-in policies; a crawl that installed a custom
-// Policy via SetPolicy cannot be resumed and fails here by name.
-func policyByName(name string) (Policy, bool) {
-	switch name {
-	case "aggressive":
-		return AggressiveDiscovery(), true
-	case "fifo":
-		return FIFO(), true
-	case "relevance":
-		return RelevanceOnly(), true
-	case "maintenance":
-		return Maintenance(), true
-	}
-	return Policy{}, false
-}
-
 // Resume rebuilds a crawler from the checkpoint in a reopened durable DB and
 // leaves it ready to Run with the remaining budget. The persisted relations
 // are attached — a row in flight at the checkpoint is a frontier row there —
@@ -429,9 +409,10 @@ func policyByName(name string) (Policy, bool) {
 // forward weights. The checkpoint's published scores are published again.
 // cfg supplies the knobs for the continued crawl (budget, workers,
 // politeness); the shard and stripe counts (a property of the stored
-// tables, whatever cfg.Workers says), mode, and policy come from the
-// checkpoint, and a cfg.Mode mismatch is refused, as is a file without the
-// score table. The fetcher must be positioned to continue (see
+// tables, whatever cfg.Workers says) and the mode come from the checkpoint.
+// A cfg.Mode mismatch is refused, and so is a mode outside the three; the
+// mode fixes the checkout order, as in New. A file without the score table
+// is refused too. The fetcher must be positioned to continue (see
 // CheckpointState.Extra).
 func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
 	if !db.Durable() {
@@ -444,19 +425,18 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	if cfg.Mode != st.Mode {
 		return nil, fmt.Errorf("crawler: resume with mode %d, checkpoint was taken under mode %d", cfg.Mode, st.Mode)
 	}
-	pol, ok := policyByName(st.Policy)
-	if !ok {
-		return nil, fmt.Errorf("crawler: checkpoint uses unknown checkout policy %q", st.Policy)
-	}
 	if db.Table(ckptScoresTable) == nil {
 		return nil, fmt.Errorf("crawler: resume: the checkpoint has no %s table", ckptScoresTable)
 	}
-	c := newCrawler(db, model, fetcher, cfg, pol)
+	c, err := newCrawler(db, model, fetcher, cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	now := time.Now()
 	var visited int64
 	for i, ss := range st.Shards {
-		sh, err := attachShard(db, i, pol, ss, now)
+		sh, err := attachShard(db, i, c.policy, ss, now)
 		if err != nil {
 			return nil, err
 		}
@@ -507,58 +487,20 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	return c, nil
 }
 
-// attachShard reopens one CRAWL partition: rebuilds the oid directory (with
-// each row's status and relevance), the frontier set,
-// serverSeen/insertSeq/frontierN and the visit log (sorted by Seq) from the
-// rows, republishes the head hint, and rebases the persisted politeness
-// clocks. It reads the file and writes nothing: a row that was in flight at
-// the checkpoint is a frontier row in its heap, so its fetch, which died
-// with the crashed process, is simply spent again, and nothing starts in
-// flight.
+// attachShard reopens one CRAWL partition: its in-memory state derived from
+// its heap (shardFromHeap) and the persisted politeness clocks rebased on
+// now. It writes nothing: a row that was in flight at the checkpoint is a
+// frontier row in its heap, so its fetch, which died with the crashed
+// process, is simply spent again, and nothing starts in flight.
 func attachShard(db *relstore.DB, id int, pol Policy, ss CheckpointShard, now time.Time) (*shard, error) {
 	tab := db.Table(fmt.Sprintf("CRAWL#%d", id))
 	if tab == nil {
 		return nil, fmt.Errorf("crawler: resume: missing table CRAWL#%d", id)
 	}
-	sh := &shard{
-		id: id, policy: pol, crawl: tab,
-		rids:       make(map[int64]dirEntry, tab.Rows()),
-		serverSeen: make(map[int32]int32),
-		hosts:      make(map[int32]*hostState),
-		notBefore:  make(map[int64]time.Time),
-	}
-	var entries []frontierEntry
-	// One tuple serves every row.
-	err := tab.ScanShared(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
-		sh.rids[t[COID].Int()] = entryOf(rid, t)
-		sh.serverSeen[SIDOf(t[CURL].S)]++
-		if s := t[CSeq].Int(); s > sh.insertSeq {
-			sh.insertSeq = s
-		}
-		switch int32(t[CStatus].Int()) {
-		case StatusFrontier:
-			key, err := frontierKeyOf(pol, t)
-			if err != nil {
-				return true, err
-			}
-			entries = append(entries, frontierEntry{key, rid})
-		case StatusVisited:
-			sh.visits = append(sh.visits, HarvestPoint{
-				Seq: t[CLast].Int(), OID: t[COID].Int(), URL: t[CURL].S,
-				Relevance: t[CRel].Float(), Kcid: int32(t[CKcid].Int()),
-			})
-		}
-		return false, nil
-	})
+	sh, err := shardFromHeap(id, tab, pol)
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(sh.visits, func(a, b HarvestPoint) int { return cmp.Compare(a.Seq, b.Seq) })
-	sh.front = buildFrontierSet(entries)
-	sh.frontierN.Store(int64(len(entries)))
-	sh.mu.Lock()
-	sh.recomputeHeadLocked()
-	sh.mu.Unlock()
 	for sid, ch := range ss.Hosts {
 		hs := &hostState{fails: ch.Fails, breaker: ch.Breaker}
 		if ch.OpenRemain > 0 {

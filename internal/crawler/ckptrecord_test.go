@@ -286,8 +286,10 @@ func TestResumeRefusesScoreRecordOfAnotherEpoch(t *testing.T) {
 
 // TestResumeRefusesOtherLayouts: Resume refuses by name what only another
 // layout of the file holds — a state in unframed rows, a state with shard
-// records for another shard count, and no score table — and each refusal
-// leaves the file resumable.
+// records for another shard count, no score table, and a CRAWL heap row in
+// flight — and a state whose mode is outside the three, which names no
+// checkout order, even resumed under that mode; each refusal leaves the file
+// resumable.
 func TestResumeRefusesOtherLayouts(t *testing.T) {
 	f := genSite(29, 120, 8, 0)
 	_, m := tinyModel(t)
@@ -325,6 +327,12 @@ func TestResumeRefusesOtherLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unknown := *st
+	unknown.Mode = 7
+	unknownState, err := json.Marshal(&unknown)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// setState replaces the state record with rows written by write.
 	setState := func(db *relstore.DB, write func(*relstore.Table) error) {
 		t.Helper()
@@ -340,28 +348,45 @@ func TestResumeRefusesOtherLayouts(t *testing.T) {
 		name    string
 		edit    func(*relstore.DB)
 		refusal string
+		mode    Mode
 	}{
 		{"unframed state", func(db *relstore.DB) {
 			setState(db, func(ck *relstore.Table) error {
 				_, err := ck.Insert(relstore.Tuple{relstore.Str("state"), relstore.Str(string(state))})
 				return err
 			})
-		}, `row "state" names no record chunk`},
+		}, `row "state" names no record chunk`, 0},
 		{"short shard records", func(db *relstore.DB) {
 			setState(db, func(ck *relstore.Table) error { return writeRecord(ck, recState, st.Epoch, shortState) })
-		}, "2 shard records for 3 frontier shards"},
+		}, "2 shard records for 3 frontier shards", 0},
 		{"no score table", func(db *relstore.DB) {
 			if err := db.DropTable(ckptScoresTable); err != nil {
 				t.Fatal(err)
 			}
-		}, "has no " + ckptScoresTable},
+		}, "has no " + ckptScoresTable, 0},
+		{"heap row in flight", func(db *relstore.DB) {
+			tab := db.Table("CRAWL#0")
+			err := tab.Scan(func(rid relstore.RID, row relstore.Tuple) (bool, error) {
+				inflight := row.Clone()
+				inflight[CStatus] = relstore.I32(StatusInflight)
+				return true, tab.UpdateFrom(rid, row, inflight)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, "is in flight", 0},
+		{"unknown mode", func(db *relstore.DB) {
+			setState(db, func(ck *relstore.Table) error { return writeRecord(ck, recState, st.Epoch, unknownState) })
+		}, "unknown mode 7", 7},
 	} {
 		db2, err := relstore.OpenDurable(disk, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.edit(db2)
-		if _, err := Resume(db2, m, f, cfg); err == nil || !strings.Contains(err.Error(), tc.refusal) {
+		under := cfg
+		under.Mode = tc.mode
+		if _, err := Resume(db2, m, f, under); err == nil || !strings.Contains(err.Error(), tc.refusal) {
 			t.Errorf("%s: Resume returned %v, want a refusal naming %q", tc.name, err, tc.refusal)
 		}
 		// Nothing was checkpointed: the file as written still resumes.

@@ -17,7 +17,8 @@ import (
 	"focus/internal/textproc"
 )
 
-// Mode selects the link-expansion rule (§2.1.2).
+// Mode selects the link-expansion rule (§2.1.2), and with it the checkout
+// order (policyFor).
 type Mode int
 
 const (
@@ -48,7 +49,8 @@ type Config struct {
 	// MaxFetches is the fetch-attempt budget; the crawl stops after this
 	// many attempts (default 1000).
 	MaxFetches int64
-	// Mode selects soft focus, hard focus, or the unfocused baseline.
+	// Mode selects soft focus, hard focus, or the unfocused baseline; New
+	// and Resume refuse any other value.
 	Mode Mode
 	// RetryBackoff enables exponential backoff for retries: a transiently
 	// failed row re-enters the frontier with a not-before eligibility time
@@ -218,9 +220,9 @@ type Crawler struct {
 	//focuslint:lock rank=epoch order=5
 	epochMu sync.Mutex
 
-	// policy is written only under the barrier, so any one shard lock reads
-	// it; a CompareAndSwap of sinceCkpt to 0 claims the checkpoint count
-	// trigger.
+	// policy is the checkout order the mode fixes (policyFor), set at
+	// construction; a CompareAndSwap of sinceCkpt to 0 claims the checkpoint
+	// count trigger.
 	policy    Policy
 	sinceCkpt atomic.Int64
 
@@ -287,8 +289,13 @@ type Crawler struct {
 }
 
 // newCrawler is the construction New and Resume share: cfg with its defaults
-// applied and no relation created or attached yet.
-func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, pol Policy) *Crawler {
+// applied, the checkout order its mode fixes, and no relation created or
+// attached yet. A mode outside the three is refused.
+func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) (*Crawler, error) {
+	pol, err := policyFor(cfg.Mode)
+	if err != nil {
+		return nil, err
+	}
 	c := &Crawler{
 		cfg:         cfg.withDefaults(),
 		db:          db,
@@ -302,7 +309,7 @@ func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg C
 		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
 	c.pub.Store(&scores{})
 	c.ckptScores = c.pub.Load() // an empty score table is epoch 0's record
-	return c
+	return c, nil
 }
 
 // scores is what a distillation epoch publishes: each side ranked
@@ -323,11 +330,10 @@ func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) 
 // newPartitioned is New with the partitioning given: shards frontier shards,
 // stripes LINK stripes.
 func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config, shards, stripes int) (*Crawler, error) {
-	pol := AggressiveDiscovery()
-	if cfg.Mode == ModeUnfocused {
-		pol = FIFO()
+	c, err := newCrawler(db, model, fetcher, cfg)
+	if err != nil {
+		return nil, err
 	}
-	c := newCrawler(db, model, fetcher, cfg, pol)
 	if c.cfg.CheckpointEvery > 0 && !db.Durable() {
 		return nil, errors.New("crawler: Config.CheckpointEvery requires a durable DB (relstore.CreateFile or OpenDurable)")
 	}
@@ -341,13 +347,16 @@ func newPartitioned(db *relstore.DB, model *classifier.Model, fetcher Fetcher, c
 		}
 	}
 	for i := 0; i < shards; i++ {
-		sh, err := newShard(db, i, c.policy)
+		tab, err := db.CreateTable(fmt.Sprintf("CRAWL#%d", i), CrawlSchema())
+		if err != nil {
+			return nil, err
+		}
+		sh, err := shardFromHeap(i, tab, c.policy)
 		if err != nil {
 			return nil, err
 		}
 		c.shards = append(c.shards, sh)
 	}
-	var err error
 	if c.links, err = linkgraph.New(db, stripes); err != nil {
 		return nil, err
 	}
@@ -485,42 +494,6 @@ func (l linkRel) ScanEdges(fn func(linkgraph.Edge) (bool, error)) error {
 
 // Model returns the classifier guiding this crawl.
 func (c *Crawler) Model() *classifier.Model { return c.model }
-
-// SetPolicy swaps the frontier checkout order, rebuilding every shard's
-// frontier set from a scan of its heap under the barrier — the "policy
-// changed dynamically" capability of §3.1. A row's status is read from its
-// directory entry: a row in flight is a frontier row in the heap. A policy
-// whose keys do not lead with the row's status or do not fit the set's
-// width is refused by name, and the crawl keeps its old order.
-func (c *Crawler) SetPolicy(p Policy) error {
-	c.lockAll()
-	defer c.unlockAll()
-	if err := checkPolicy(p); err != nil {
-		return err
-	}
-	sets := make([]*frontierSet, len(c.shards))
-	for i, sh := range c.shards {
-		var entries []frontierEntry
-		err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
-			if int32(sh.rids[t[COID].Int()].status) != StatusFrontier {
-				return false, nil
-			}
-			key, err := frontierKeyOf(p, t)
-			entries = append(entries, frontierEntry{key, rid})
-			return err != nil, err
-		})
-		if err != nil {
-			return err
-		}
-		sets[i] = buildFrontierSet(entries)
-	}
-	for i, sh := range c.shards {
-		sh.front, sh.policy = sets[i], p
-		sh.recomputeHeadLocked()
-	}
-	c.policy = p
-	return nil
-}
 
 // Seed inserts the start set D(C*) with relevance 1, each URL into its
 // host's home shard unless it is there already.
@@ -802,15 +775,11 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 				sh.notBefore[oid] = time.Now().Add(d)
 			}
 		}
-		key, err := frontierKeyOf(sh.policy, row)
-		if err != nil {
-			return err
-		}
 		if err := sh.writeLocked(rid, old, row); err != nil {
 			return err
 		}
 		sh.inflightRows--
-		sh.enterLocked(key, rid)
+		sh.enterLocked(frontierKeyOf(sh.policy, row), rid)
 		return nil
 	}
 
@@ -1109,10 +1078,6 @@ func (c *Crawler) FrontierSize() int64 {
 
 // String describes the crawler state briefly.
 func (c *Crawler) String() string {
-	sh := c.shards[0] // any shard lock excludes SetPolicy's barrier
-	sh.mu.Lock()
-	name := c.policy.Name
-	sh.mu.Unlock()
 	return fmt.Sprintf("crawler{visited=%d fetches=%d frontier=%d shards=%d policy=%s}",
-		c.visited.Load(), c.fetches.Load(), c.FrontierSize(), len(c.shards), name)
+		c.visited.Load(), c.fetches.Load(), c.FrontierSize(), len(c.shards), c.policy.Name)
 }

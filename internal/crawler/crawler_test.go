@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -366,9 +367,11 @@ func TestLinkDedupAcrossBatchesStress(t *testing.T) {
 	}
 }
 
-func TestSetPolicyMidCrawl(t *testing.T) {
+// TestUnfocusedCrawlIsFIFO: the unfocused baseline's mode fixes the FIFO
+// order, so it fetches its twenty seeds in seed order, whatever their hashes.
+func TestUnfocusedCrawlIsFIFO(t *testing.T) {
 	f := &stubFetcher{pages: map[string]*Fetch{}}
-	c, _ := newTestCrawler(t, f, Config{Workers: 1, MaxFetches: 1})
+	c, _ := newTestCrawler(t, f, Config{Workers: 1, MaxFetches: 20, Mode: ModeUnfocused})
 	for i := 0; i < 20; i++ {
 		url := fmt.Sprintf("http://s%d.test/p", i)
 		f.pages[url] = page(url, "alpha")
@@ -380,18 +383,23 @@ func TestSetPolicyMidCrawl(t *testing.T) {
 	if err := c.Seed(urls); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetPolicy(FIFO()); err != nil {
-		t.Fatal(err)
-	}
 	if c.FrontierSize() != 20 {
 		t.Fatalf("frontier = %d", c.FrontierSize())
 	}
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// FIFO drains in seed order: the first fetched URL is the first seeded.
-	if f.order[0] != urls[0] {
-		t.Fatalf("fifo order broken: fetched %s first, seeded %s first", f.order[0], urls[0])
+	if !slices.Equal(f.order, urls) {
+		t.Fatalf("fifo order broken: fetched %v, seeded %v", f.order, urls)
+	}
+}
+
+// TestNewRefusesUnknownMode: a mode outside the three has no checkout order,
+// so New refuses it by number instead of crawling it as soft focus.
+func TestNewRefusesUnknownMode(t *testing.T) {
+	db, m := tinyModel(t)
+	if c, err := New(db, m, &stubFetcher{}, Config{Workers: 1, Mode: Mode(7)}); err == nil || !strings.Contains(err.Error(), "unknown mode 7") {
+		t.Fatalf("New with mode 7 = %v, %v; want a refusal naming mode 7", c, err)
 	}
 }
 

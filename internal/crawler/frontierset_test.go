@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"focus/internal/relstore"
@@ -16,7 +15,7 @@ import (
 // operation is an opcode byte and two argument bytes:
 //
 //	0, 6-9 insert a new key         3 pop past the rows a polite walk skips
-//	1 re-key an entry (a raise)     4 rebuild under another order (SetPolicy)
+//	1 re-key an entry (a raise)     4 rebuild under another order
 //	2 pop the first entry           5 delete or find an absent key
 //
 // Keys lie in a small space, so neighbours are common, and inserts outnumber
@@ -94,7 +93,7 @@ func runFrontierOps(ops []byte) (blocks int, err error) {
 			}
 		case 4:
 			// A new order: every key's bytes rotated by a, so the order
-			// changes wholesale, as it does when SetPolicy swaps policies.
+			// changes wholesale, and the set is built from scratch.
 			entries := make([]frontierEntry, len(model))
 			for i, e := range model {
 				var k frontierKey
@@ -195,43 +194,6 @@ func FuzzFrontierSet(f *testing.F) {
 	})
 }
 
-// TestSetPolicyRefusesUnfitKeys: a policy whose key is wider than the
-// frontier set's, or does not lead with the row's status, is refused with an
-// error naming it, and the crawl keeps its order and a consistent frontier.
-func TestSetPolicyRefusesUnfitKeys(t *testing.T) {
-	c, _ := newTestCrawler(t, &stubFetcher{}, Config{Workers: 2})
-	for i := 0; i < 20; i++ {
-		if err := c.Seed([]string{fmt.Sprintf("http://h%02d.test/p%d", i%4, i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []Policy{
-		{Name: "wide", Key: func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(t[CStatus], t[CLast], t[CSeq], t[CRel], t[COID])
-		}},
-		{Name: "statusless", Key: func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(t[CSeq], t[COID])
-		}},
-	} {
-		err := c.SetPolicy(p)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", p.Name)) {
-			t.Fatalf("SetPolicy(%s) = %v, want an error naming the policy", p.Name, err)
-		}
-		if c.policy.Name != "aggressive" {
-			t.Fatalf("after a refused SetPolicy the crawl orders by %q", c.policy.Name)
-		}
-		if err := c.CheckDirectory(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.SetPolicy(RelevanceOnly()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckDirectory(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCheckFrontierSetCatchesDrift: CheckDirectory passes on a freshly
 // expanded crawl and fails once a shard's frontier set disagrees with its
 // heap in each way the crawl could make it: a raised row still under its old
@@ -251,10 +213,7 @@ func TestCheckFrontierSetCatchesDrift(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lookup: %v, %v", ok, err)
 	}
-	key, err := frontierKeyOf(sh.policy, row)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := frontierKeyOf(sh.policy, row)
 	rewrite := func(col int, v relstore.Value) func() {
 		return func() {
 			stored, err := sh.crawl.Get(rid)

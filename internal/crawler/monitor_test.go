@@ -31,9 +31,9 @@ func plantVisited(t *testing.T, c *Crawler, url string, rel float64) {
 	if err != nil || !ok {
 		t.Fatalf("planted row lost: %v ok=%v", err, ok)
 	}
-	key, err := frontierKeyOf(sh.policy, row)
-	if err != nil || !sh.front.delete(&key) {
-		t.Fatalf("planted row not in the frontier set: %v", err)
+	key := frontierKeyOf(sh.policy, row)
+	if !sh.front.delete(&key) {
+		t.Fatal("planted row not in the frontier set")
 	}
 	sh.recomputeHeadLocked()
 	seq := c.visited.Add(1)

@@ -1,11 +1,6 @@
 package crawler
 
-import (
-	"bytes"
-	"testing"
-
-	"focus/internal/relstore"
-)
+import "testing"
 
 // crawlQuerySite builds a small site exercising the §1 query shapes:
 // alpha pages citing beta pages and one beta page cited by two alphas.
@@ -97,25 +92,5 @@ func TestNeighborhoodCensus(t *testing.T) {
 	// Targets of alpha pages: b1 (x2), a2, b2.
 	if census[beta] != 3 || census[alpha] != 1 {
 		t.Fatalf("census = %v", census)
-	}
-}
-
-func TestMaintenanceOrder(t *testing.T) {
-	key := Maintenance().Key
-	// Least recently visited first.
-	older := crawlRow(1, 0.1, 0, 0, StatusFrontier, 1)
-	older[CLast] = relstore.I64(5)
-	newer := crawlRow(2, 0.9, 0, 0, StatusFrontier, 2)
-	newer[CLast] = relstore.I64(9)
-	if bytes.Compare(key(older), key(newer)) >= 0 {
-		t.Fatal("maintenance must prefer least recently visited")
-	}
-	// Ties broken by descending relevance.
-	a := crawlRow(3, 0.9, 0, 0, StatusFrontier, 3)
-	a[CLast] = relstore.I64(5)
-	b := crawlRow(4, 0.1, 0, 0, StatusFrontier, 4)
-	b[CLast] = relstore.I64(5)
-	if bytes.Compare(key(a), key(b)) >= 0 {
-		t.Fatal("maintenance tie-break must prefer higher relevance")
 	}
 }

@@ -1,8 +1,9 @@
 // Package crawler implements the paper's goal-directed crawler (§3.2): a
 // multi-threaded fetch loop whose frontier lives in the CRAWL table and is
 // checked out through an in-memory ordered set over that table's unvisited
-// rows, in a dynamically replaceable lexicographic order — aggressive
-// discovery order (numtries ASC, relevance DESC, serverload ASC) by default.
+// rows, in a lexicographic order the crawl's mode fixes — aggressive
+// discovery order (numtries ASC, relevance DESC, serverload ASC) when
+// focused, FIFO for the unfocused baseline.
 // The classifier supplies the soft-focus relevance that drives link
 // expansion priorities, classifying each page in the worker that fetched it;
 // the distiller runs concurrently and periodically raises the priority of
@@ -142,10 +143,11 @@ func SIDOf(url string) int32 {
 }
 
 // Policy maps a CRAWL row to its checkout-order key: the row's status, then
-// the crawl priority, ending in the oid so that keys are unique. A key must
-// be fixed-width, as EncodeKey of fixed-width columns is. Only StatusFrontier
+// the crawl priority, ending in the oid so that keys are unique. A key is
+// fixed-width, as EncodeKey of fixed-width columns is. Only StatusFrontier
 // rows are ordered, so the frontier set drops the status and holds the rest,
-// at most 24 bytes; SetPolicy refuses a wider key.
+// at most frontierKeyWidth bytes. The crawl's mode picks one of the two
+// below (policyFor).
 type Policy struct {
 	Name string
 	Key  func(relstore.Tuple) []byte
@@ -176,34 +178,15 @@ func FIFO() Policy {
 	}
 }
 
-// RelevanceOnly orders purely by descending relevance (ignoring retry
-// count), one of the alternative lexicographic orders of §3.2.
-func RelevanceOnly() Policy {
-	return Policy{
-		Name: "relevance",
-		Key: func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(
-				t[CStatus],
-				relstore.F64(-t[CRel].Float()),
-				t[COID],
-			)
-		},
+// policyFor is the checkout order mode fixes: aggressive discovery for a
+// focused crawl, FIFO for the unfocused baseline. A mode outside the three
+// is refused by number.
+func policyFor(m Mode) (Policy, error) {
+	switch m {
+	case ModeSoftFocus, ModeHardFocus:
+		return AggressiveDiscovery(), nil
+	case ModeUnfocused:
+		return FIFO(), nil
 	}
-}
-
-// Maintenance is the §3.2 crawl-maintenance order: least-recently-visited
-// first (lastvisited ASC), breaking ties by descending relevance, so good
-// hubs get checked frequently for new resource links. Useful once a crawl
-// switches from discovery to upkeep.
-func Maintenance() Policy {
-	return Policy{
-		Name: "maintenance",
-		Key: func(t relstore.Tuple) []byte {
-			return relstore.EncodeKey(
-				t[CStatus], t[CLast],
-				relstore.F64(-t[CRel].Float()),
-				t[COID],
-			)
-		},
-	}
+	return Policy{}, fmt.Errorf("crawler: unknown mode %d", m)
 }

@@ -82,11 +82,35 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestRelevanceOnlyOrder(t *testing.T) {
-	key := RelevanceOnly().Key
-	hi := key(crawlRow(1, 0.9, 7, 0, StatusFrontier, 1))
-	lo := key(crawlRow(2, 0.1, 0, 0, StatusFrontier, 2))
-	if bytes.Compare(hi, lo) >= 0 {
-		t.Fatal("relevance-only must ignore numtries")
+// TestPolicyKeysFitFrontierSet: both checkout orders encode, for any row,
+// a key of one fixed width that leads with the row's status, ends in its oid
+// and fits the frontier set once the status is dropped — what frontierKeyOf
+// assumes without checking.
+func TestPolicyKeysFitFrontierSet(t *testing.T) {
+	rows := []relstore.Tuple{
+		crawlRow(1, 0, 0, 0, StatusFrontier, 0),
+		crawlRow(-1<<63, 1, 1<<31-1, 1<<31-1, StatusVisited, 1<<62),
+		crawlRow(42, -0.5, 2, 3, StatusDead, 7),
+		crawlRow(1<<63-1, 0.25, 1, 9, StatusInflight, 3),
+	}
+	for _, p := range []Policy{AggressiveDiscovery(), FIFO()} {
+		width := -1
+		for _, row := range rows {
+			key := p.Key(row)
+			status := relstore.EncodeKey(row[CStatus])
+			if !bytes.HasPrefix(key, status) {
+				t.Errorf("%s: key %x does not lead with status %d", p.Name, key, row[CStatus].Int())
+			}
+			if !bytes.HasSuffix(key, relstore.EncodeKey(row[COID])) {
+				t.Errorf("%s: key %x does not end in oid %d", p.Name, key, row[COID].Int())
+			}
+			if n := len(key) - len(status); n > frontierKeyWidth {
+				t.Errorf("%s: %d key bytes after the status, the frontier set holds %d", p.Name, n, frontierKeyWidth)
+			}
+			if width >= 0 && len(key) != width {
+				t.Errorf("%s: keys of %d and %d bytes: not fixed-width", p.Name, width, len(key))
+			}
+			width = len(key)
+		}
 	}
 }

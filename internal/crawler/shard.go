@@ -1,7 +1,9 @@
 package crawler
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -17,8 +19,8 @@ import (
 // a mirror of its status and relevance (dirEntry) — its own in-memory
 // frontier set — the checkout order over the rows checkout can return — and
 // its own visit and change logs, all guarded by the shard mutex. All but the
-// change log are rebuilt from the table's heap on resume; the heap is the
-// only durable state.
+// change log are derived from the table's heap (shardFromHeap); the heap is
+// the only durable state.
 // Hosts are assigned to shards by hashing the server id (shardFor), so
 // every URL of a server — and therefore that server's serverload
 // accounting — lives in exactly one shard.
@@ -27,9 +29,9 @@ import (
 // top of the lock tower: only leaf locks are taken under it. Link stripe
 // mutexes rank *below* shard mutexes, because the barrier takes them
 // first, and are never acquired while a shard mutex is held. Whole-frontier
-// operations (distillation, checkpoints, policy swaps, the missed-neighbors
-// query) take every link stripe lock, then every shard mutex, each in
-// ascending id order — see Crawler.lockAll.
+// operations (Tables, distillation, checkpoints, the missed-neighbors query)
+// take every link stripe lock, then every shard mutex, each in ascending id
+// order — see Crawler.lockAll.
 type shard struct {
 	id int
 	// Tower rank 20: above link stripes, the top of the tower. Table
@@ -39,7 +41,7 @@ type shard struct {
 	//focuslint:lock rank=shard order=20 noblockdirect=io,chan,sleep
 	mu     sync.Mutex
 	crawl  *relstore.Table
-	policy Policy
+	policy Policy // the crawl's, fixed at construction
 
 	rids  map[int64]dirEntry // oid directory: rows are never moved or deleted
 	front *frontierSet       // the StatusFrontier rows, ascending by policy key
@@ -86,20 +88,54 @@ type shard struct {
 	notBefore map[int64]time.Time
 }
 
-// newShard creates the shard's CRAWL partition table and an empty frontier
-// set.
-func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
+// shardFromHeap builds shard id's in-memory state from one scan of its CRAWL
+// partition tab: the oid directory (each row's RID, status and relevance),
+// the frontier set under pol with its counter and head hint, serverSeen and
+// insertSeq, and the visit log, sorted by Seq. It is the one derivation of
+// that state: New builds each shard over its empty heap with it, Resume over
+// the checkpoint's, and CheckDirectory compares a live shard to it. A heap
+// row in flight (checkout marks a row in flight only in its directory entry)
+// or an oid with two rows is refused. It reads the heap and writes nothing;
+// the politeness state starts empty.
+func shardFromHeap(id int, tab *relstore.Table, pol Policy) (*shard, error) {
 	sh := &shard{
-		id: id, policy: policy,
-		rids:       make(map[int64]dirEntry),
-		front:      &frontierSet{},
+		id: id, policy: pol, crawl: tab,
+		rids:       make(map[int64]dirEntry, tab.Rows()),
 		serverSeen: make(map[int32]int32),
 		hosts:      make(map[int32]*hostState),
 		notBefore:  make(map[int64]time.Time),
 	}
-	var err error
-	if sh.crawl, err = db.CreateTable(fmt.Sprintf("CRAWL#%d", id), CrawlSchema()); err != nil {
+	var entries []frontierEntry
+	// One tuple serves every row.
+	err := tab.ScanShared(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
+		oid := t[COID].Int()
+		if d, dup := sh.rids[oid]; dup {
+			return true, fmt.Errorf("crawler: shard %d: oid %d has rows at %v and %v", id, oid, d.rid(), rid)
+		}
+		sh.rids[oid] = entryOf(rid, t)
+		sh.serverSeen[SIDOf(t[CURL].S)]++
+		sh.insertSeq = max(sh.insertSeq, t[CSeq].Int())
+		switch int32(t[CStatus].Int()) {
+		case StatusFrontier:
+			entries = append(entries, frontierEntry{frontierKeyOf(pol, t), rid})
+		case StatusVisited:
+			sh.visits = append(sh.visits, HarvestPoint{
+				Seq: t[CLast].Int(), OID: oid, URL: t[CURL].S,
+				Relevance: t[CRel].Float(), Kcid: int32(t[CKcid].Int()),
+			})
+		case StatusInflight:
+			return true, fmt.Errorf("crawler: shard %d: oid %d's heap row at %v is in flight", id, oid, rid)
+		}
+		return false, nil
+	})
+	if err != nil {
 		return nil, err
+	}
+	slices.SortFunc(sh.visits, func(a, b HarvestPoint) int { return cmp.Compare(a.Seq, b.Seq) })
+	sh.front = buildFrontierSet(entries)
+	sh.frontierN.Store(int64(len(entries)))
+	if e, ok := sh.front.first(); ok {
+		sh.head.Store(&e.key)
 	}
 	return sh, nil
 }
@@ -109,7 +145,7 @@ func newShard(db *relstore.DB, id int, policy Policy) (*shard, error) {
 // hub-neighbor boost decide what to do with a row without reading its heap
 // page. Every write of either column updates the entry, and logs it, in the
 // critical section that writes the heap (writeLocked, admitLocked;
-// attachShard while it rebuilds). One status lives only here:
+// shardFromHeap derives it). One status lives only here:
 // checkout marks a row StatusInflight in its entry and leaves its heap row
 // the frontier row, which is what a resume makes of a row in flight, so no
 // heap row is ever in flight. 16 bytes, no pointer.
@@ -163,10 +199,10 @@ func (c *Crawler) shardFor(sid int32) *shard { return c.shards[c.shardIndex(sid)
 
 // lockAll acquires every link stripe mutex, then every shard mutex, each in
 // ascending id order — the stop-the-world barrier used by distillation
-// snapshots, checkpoints, policy swaps, Tables, and the missed-neighbors
-// query. Stripes come first because they rank lowest in the lock order: an
-// ingesting worker holding a stripe lock may be waiting for a shard lock,
-// so taking stripes before shards lets it drain.
+// snapshots, checkpoints, Tables, and the missed-neighbors query. Stripes
+// come first because they rank lowest in the lock order: an ingesting
+// worker holding a stripe lock may be waiting for a shard lock, so taking
+// stripes before shards lets it drain.
 //
 //focuslint:lock sequence=stripe*,shard* exit=held
 func (c *Crawler) lockAll() {
@@ -270,15 +306,11 @@ func (sh *shard) stageLocked(rows *relstore.RowBatch, group []target, prio float
 		row[CKcid] = relstore.I32(0)
 		row[CStatus] = relstore.I32(StatusFrontier)
 		row[CSeq] = relstore.I64(sh.insertSeq)
-		key, err := frontierKeyOf(sh.policy, row)
-		if err != nil {
-			return err
-		}
 		if err := rows.AddRecord(row); err != nil {
 			return err
 		}
 		sh.rids[t.oid] = newDirEntry(relstore.RID{}, StatusFrontier, prio) // placed by admitLocked
-		sh.born = append(sh.born, bornRow{t.oid, key})
+		sh.born = append(sh.born, bornRow{t.oid, frontierKeyOf(sh.policy, row)})
 	}
 	return nil
 }
@@ -436,20 +468,13 @@ func (sh *shard) boostLocked(oid int64, boost float64) error {
 //
 //focuslint:lock requires=shard
 func (sh *shard) raiseLocked(rid relstore.RID, row relstore.Tuple, rel float64) error {
-	from, err := frontierKeyOf(sh.policy, row)
-	if err != nil {
-		return err
-	}
+	from := frontierKeyOf(sh.policy, row)
 	old := row.Clone()
 	row[CRel] = relstore.F64(rel)
-	to, err := frontierKeyOf(sh.policy, row)
-	if err != nil {
-		return err
-	}
 	if err := sh.writeLocked(rid, old, row); err != nil {
 		return err
 	}
-	return sh.rekeyLocked(from, to, rid)
+	return sh.rekeyLocked(from, frontierKeyOf(sh.policy, row), rid)
 }
 
 // writeLocked rewrites the row at rid, which holds old, as row
@@ -500,21 +525,18 @@ func (sh *shard) lookupLocked(oid int64) (relstore.RID, relstore.Tuple, bool, er
 	return d.rid(), row, true, nil
 }
 
-// CheckDirectory verifies every shard's in-memory state against a heap scan
-// of its CRAWL partition, and then the LINK stripes' directories
-// (linkgraph.Store.CheckDirectory). A shard's oid directory must hold one
-// entry per row, each at that row's RID and carrying its status and
-// relevance, the latter bit for bit — but for the rows in flight, whose
-// entries say StatusInflight over a StatusFrontier heap row: no heap row may
-// be in flight, and the in-flight entries must number inflightRows. Its
-// frontier set must be well formed and hold each row whose entry is
-// StatusFrontier exactly once, at its RID, under the policy's key, and no
-// other row; its size must equal the frontier counter, and the published
-// head must be its first key. Its visit log must hold exactly its
-// StatusVisited rows, ascending by Seq, each entry with its row's oid, URL,
-// class and relevance (bit for bit) and lastvisited = Seq; across the
-// shards the Seqs must be exactly 1..visited. It takes one shard or stripe
-// lock at a time, so it is exact on a crawl that is not running.
+// CheckDirectory verifies every shard's in-memory state against what
+// shardFromHeap derives from a scan of its CRAWL partition, and then the LINK
+// stripes' directories (linkgraph.Store.CheckDirectory). A shard must equal
+// its derivation — the oid directory entry for entry, relevance bit for bit;
+// the frontier set entry for entry, in order, and well formed; the frontier
+// counter, serverSeen, insertSeq and the visit log — but for the rows in
+// flight: an entry in flight says StatusInflight over a frontier heap row and
+// is absent from the live frontier set, and such entries must number
+// inflightRows. The published head must be the live set's first key. Across
+// the shards the visit logs' Seqs must be exactly 1..visited. It takes one
+// shard or stripe lock at a time, so it is exact on a crawl that is not
+// running.
 func (c *Crawler) CheckDirectory() error {
 	var seqs []int64
 	for _, sh := range c.shards {
@@ -542,75 +564,61 @@ func (c *Crawler) CheckDirectory() error {
 
 //focuslint:lock requires=shard
 func (sh *shard) checkDirectoryLocked() error {
-	if err := sh.front.check(); err != nil {
-		return fmt.Errorf("crawler: shard %d: frontier set: %w", sh.id, err)
-	}
-	var frontier int
-	var inflight int64
-	visited := make(map[int64]HarvestPoint)
-	err := sh.crawl.Scan(func(rid relstore.RID, t relstore.Tuple) (bool, error) {
-		d, ok := sh.rids[t[COID].Int()]
-		if !ok || d.rid() != rid {
-			return true, fmt.Errorf("crawler: shard %d: oid %d lies at %v, directory has %v", sh.id, t[COID].Int(), rid, d.rid())
-		}
-		want := entryOf(rid, t)
-		if int32(d.status) == StatusInflight && int32(want.status) == StatusFrontier {
-			want.status = d.status
-			inflight++
-		}
-		if int32(t[CStatus].Int()) == StatusInflight || d.status != want.status || math.Float64bits(d.rel) != math.Float64bits(want.rel) {
-			return true, fmt.Errorf("crawler: shard %d: oid %d has status %d and relevance %v, directory has %d and %v",
-				sh.id, t[COID].Int(), t[CStatus].Int(), want.rel, d.status, d.rel)
-		}
-		if int32(t[CStatus].Int()) == StatusVisited {
-			visited[t[COID].Int()] = HarvestPoint{
-				Seq: t[CLast].Int(), OID: t[COID].Int(), URL: t[CURL].S,
-				Relevance: t[CRel].Float(), Kcid: int32(t[CKcid].Int()),
-			}
-		}
-		if int32(d.status) != StatusFrontier {
-			return false, nil
-		}
-		frontier++
-		key, err := frontierKeyOf(sh.policy, t)
-		if err != nil {
-			return true, err
-		}
-		if at, ok := sh.front.find(&key); !ok || at != rid {
-			return true, fmt.Errorf("crawler: shard %d: frontier row %d at %v is not in the frontier set under its key", sh.id, t[COID].Int(), rid)
-		}
-		return false, nil
-	})
+	want, err := shardFromHeap(sh.id, sh.crawl, sh.policy)
 	if err != nil {
 		return err
 	}
-	if n := sh.crawl.Rows(); int64(len(sh.rids)) != n {
-		return fmt.Errorf("crawler: shard %d: directory holds %d oids for %d rows", sh.id, len(sh.rids), n)
+	if len(sh.rids) != len(want.rids) {
+		return fmt.Errorf("crawler: shard %d: directory holds %d oids for %d rows", sh.id, len(sh.rids), len(want.rids))
 	}
-	if sh.front.Len() != frontier {
-		return fmt.Errorf("crawler: shard %d: frontier set holds %d entries for %d frontier rows", sh.id, sh.front.Len(), frontier)
+	inflight := make(map[relstore.RID]bool, sh.inflightRows)
+	for oid, w := range want.rids {
+		d, ok := sh.rids[oid]
+		if ok && int32(d.status) == StatusInflight && int32(w.status) == StatusFrontier {
+			w.status = d.status
+			inflight[w.rid()] = true
+		}
+		if !ok || d.rid() != w.rid() || d.status != w.status || math.Float64bits(d.rel) != math.Float64bits(w.rel) {
+			return fmt.Errorf("crawler: shard %d: oid %d's row reads %+v, its directory entry %+v (present %v)", sh.id, oid, w, d, ok)
+		}
 	}
-	if n := sh.frontierN.Load(); n != int64(frontier) {
-		return fmt.Errorf("crawler: shard %d: frontier counter says %d, the heap holds %d frontier rows", sh.id, n, frontier)
+	if int64(len(inflight)) != sh.inflightRows {
+		return fmt.Errorf("crawler: shard %d: %d directory entries are in flight, inflightRows says %d", sh.id, len(inflight), sh.inflightRows)
 	}
-	if inflight != sh.inflightRows {
-		return fmt.Errorf("crawler: shard %d: %d directory entries are in flight, inflightRows says %d", sh.id, inflight, sh.inflightRows)
+	if err := sh.front.check(); err != nil {
+		return fmt.Errorf("crawler: shard %d: frontier set: %w", sh.id, err)
+	}
+	var live, front []frontierEntry
+	sh.front.walk(func(e *frontierEntry) bool { live = append(live, *e); return false })
+	want.front.walk(func(e *frontierEntry) bool {
+		if !inflight[e.rid] {
+			front = append(front, *e)
+		}
+		return false
+	})
+	if !slices.Equal(live, front) {
+		return fmt.Errorf("crawler: shard %d: frontier set of %d entries is not the heap's %d frontier rows under their keys", sh.id, len(live), len(front))
+	}
+	if n := sh.frontierN.Load(); n != int64(len(front)) {
+		return fmt.Errorf("crawler: shard %d: frontier counter says %d, the heap holds %d frontier rows", sh.id, n, len(front))
 	}
 	first, ok := sh.front.first()
 	if h := sh.head.Load(); ok != (h != nil) || ok && *h != first.key {
 		return fmt.Errorf("crawler: shard %d: published head is not the frontier set's first key", sh.id)
 	}
-	if len(sh.visits) != len(visited) {
-		return fmt.Errorf("crawler: shard %d: visit log holds %d entries for %d visited rows", sh.id, len(sh.visits), len(visited))
+	if !maps.Equal(sh.serverSeen, want.serverSeen) {
+		return fmt.Errorf("crawler: shard %d: serverSeen's counts of %d servers are not the heap's of %d", sh.id, len(sh.serverSeen), len(want.serverSeen))
+	}
+	if sh.insertSeq != want.insertSeq {
+		return fmt.Errorf("crawler: shard %d: insertSeq is %d, the heap's highest seq %d", sh.id, sh.insertSeq, want.insertSeq)
+	}
+	if len(sh.visits) != len(want.visits) {
+		return fmt.Errorf("crawler: shard %d: visit log holds %d entries for %d visited rows", sh.id, len(sh.visits), len(want.visits))
 	}
 	for i, h := range sh.visits {
-		if i > 0 && sh.visits[i-1].Seq >= h.Seq {
-			return fmt.Errorf("crawler: shard %d: visit log is not ascending at entry %d: seq %d then %d", sh.id, i, sh.visits[i-1].Seq, h.Seq)
-		}
-		want, ok := visited[h.OID]
-		if !ok || h.URL != want.URL || h.Seq != want.Seq || h.Kcid != want.Kcid ||
-			math.Float64bits(h.Relevance) != math.Float64bits(want.Relevance) {
-			return fmt.Errorf("crawler: shard %d: visit log entry %+v, its row reads %+v", sh.id, h, want)
+		if w := want.visits[i]; h.Seq != w.Seq || h.OID != w.OID || h.URL != w.URL || h.Kcid != w.Kcid ||
+			math.Float64bits(h.Relevance) != math.Float64bits(w.Relevance) {
+			return fmt.Errorf("crawler: shard %d: visit log entry %d is %+v, the heap's is %+v", sh.id, i, h, w)
 		}
 	}
 	return nil

@@ -147,8 +147,10 @@ func TestShardedConcurrentCrawl(t *testing.T) {
 // TestCheckDirectoryCatchesDrift: the directory checker passes on a crawl
 // holding a frontier row and a visited one, and fails once an entry is
 // missing, points at another row, has no row behind it, or mirrors a stale
-// status or relevance — and once the visit log misses a visit, logs a row
-// that is not visited, disagrees with its row, or with the visited counter.
+// status or relevance — once the visit log misses a visit, logs a row that
+// is not visited, disagrees with its row, or with the visited counter — and
+// once a server's count or the insert sequence drifts from the heap, or a
+// heap row is written in flight.
 func TestCheckDirectoryCatchesDrift(t *testing.T) {
 	c, _ := newTestCrawler(t, &stubFetcher{}, Config{Workers: 2})
 	a, b := "http://h00.test/a", "http://h00.test/b"
@@ -206,6 +208,40 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 		c.visited.Store(1)
 		if err := c.CheckDirectory(); err != nil {
 			t.Fatalf("after undoing the %s: %v", name, err)
+		}
+	}
+
+	// The counters derived from the heap, and the heap itself: checkout
+	// marks a row in flight only in its directory entry.
+	sid := SIDOf(a)
+	stored, err := sh.crawl.Get(da.rid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := stored.Clone()
+	inflight[CStatus] = relstore.I32(StatusInflight)
+	write := func(from, to relstore.Tuple) func() {
+		return func() {
+			if err := sh.crawl.UpdateFrom(da.rid(), from, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, drift := range []struct {
+		name       string
+		make, undo func()
+	}{
+		{"wrong serverSeen count", func() { sh.serverSeen[sid]++ }, func() { sh.serverSeen[sid]-- }},
+		{"stale insertSeq", func() { sh.insertSeq-- }, func() { sh.insertSeq++ }},
+		{"heap row in flight", write(stored, inflight), write(inflight, stored)},
+	} {
+		drift.make()
+		if err := c.CheckDirectory(); err == nil {
+			t.Errorf("%s: CheckDirectory passed", drift.name)
+		}
+		drift.undo()
+		if err := c.CheckDirectory(); err != nil {
+			t.Fatalf("after undoing the %s: %v", drift.name, err)
 		}
 	}
 }

@@ -630,8 +630,10 @@ func TestBreakdownAccounting(t *testing.T) {
 
 	// Every step is in some phase: the phases add up to Distill's wall
 	// time, so no step — the counting sort included — runs untimed. With
-	// every edge eligible, in no useful order, and one iteration, the
-	// sort is the largest phase.
+	// every edge eligible, in no useful order, and one iteration, the sort
+	// outweighs the iteration by about twenty times. Sort and Scan are
+	// not compared: since the sorts became radix sorts they lie within
+	// each other's noise.
 	big, _ := crawlShapedGraph(t, 100000)
 	t0 := time.Now()
 	_, _, bd4, err := Distill(big, Config{Iterations: 1, Rho: 1e-300, NoNepotismFilter: true})
@@ -642,8 +644,8 @@ func TestBreakdownAccounting(t *testing.T) {
 	if bd4.Total() < wall*99/100 { // an untimed counting sort leaves ~3% out
 		t.Fatalf("the phases cover %v of Distill's %v (%+v)", bd4.Total(), wall, bd4)
 	}
-	if bd4.Sort <= bd4.Scan || bd4.Sort <= bd4.Update {
-		t.Fatalf("sorting 100k edges was not the largest phase: %+v", bd4)
+	if bd4.Sort <= bd4.Update {
+		t.Fatalf("sorting 100k edges took no longer than one iteration over them: %+v", bd4)
 	}
 }
 
