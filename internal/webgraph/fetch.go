@@ -67,6 +67,9 @@ type fetchState struct {
 	outages  atomic.Int64
 }
 
+// pageRngs holds Fetch's generators: a *rand.Rand over a pageSource, reseeded per page.
+var pageRngs = sync.Pool{New: func() any { return rand.New(new(pageSource)) }}
+
 // countingSource wraps the failure RNG's source and counts every state
 // advance. The count is the whole RNG state for checkpointing purposes: the
 // source is seeded deterministically, and both Int63 and Uint64 advance the
@@ -230,13 +233,16 @@ func (w *Web) Fetch(url string) (*FetchResult, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, url)
 	}
 	p := w.Pages[idx]
+	rng := pageRngs.Get().(*rand.Rand)
+	rng.Seed(p.seed)
 	res := &FetchResult{
 		URL:      p.URL,
 		Server:   p.Server,
 		ServerID: p.ServerID,
-		Tokens:   w.tokensOf(p),
+		Tokens:   w.tokensOf(p, rng),
 		Outlinks: make([]string, 0, len(p.Links)+p.Dead),
 	}
+	pageRngs.Put(rng)
 	for _, dst := range p.Links {
 		res.Outlinks = append(res.Outlinks, w.Pages[dst].URL)
 	}

@@ -230,6 +230,7 @@ type vocabulary struct {
 	background []string
 	bgCum      []float64
 	topic      map[taxonomy.NodeID][]string
+	ancestors  map[taxonomy.NodeID][][]string // each node's ancestors' words, parent first
 }
 
 // Generate builds a web from the configuration. Generation is deterministic
@@ -342,7 +343,7 @@ func (w *Web) Build() {
 
 func (w *Web) buildVocab() {
 	cfg := w.Cfg
-	v := &vocabulary{topic: make(map[taxonomy.NodeID][]string)}
+	v := &vocabulary{topic: make(map[taxonomy.NodeID][]string), ancestors: make(map[taxonomy.NodeID][][]string)}
 	v.background = make([]string, cfg.BackgroundVocab)
 	v.bgCum = make([]float64, cfg.BackgroundVocab)
 	var sum float64
@@ -354,8 +355,9 @@ func (w *Web) buildVocab() {
 	for i := range v.bgCum {
 		v.bgCum[i] /= sum
 	}
-	var walk func(n *taxonomy.Node)
-	walk = func(n *taxonomy.Node) {
+	var walk func(n *taxonomy.Node, ancestors [][]string)
+	walk = func(n *taxonomy.Node, ancestors [][]string) {
+		v.ancestors[n.ID] = ancestors
 		size := cfg.TopicVocab
 		if !n.IsLeaf() {
 			size = cfg.AncestorVocab
@@ -367,10 +369,10 @@ func (w *Web) buildVocab() {
 		}
 		v.topic[n.ID] = words
 		for _, c := range n.Children {
-			walk(c)
+			walk(c, append([][]string{words}, ancestors...))
 		}
 	}
-	walk(cfg.Tree.Root)
+	walk(cfg.Tree.Root, nil)
 	w.vocab = v
 }
 
@@ -589,24 +591,23 @@ func (w *Web) TopicPages(c taxonomy.NodeID) []int32 { return w.topicPages[c] }
 // NumServersUsed returns the configured server count.
 func (w *Web) NumServersUsed() int { return w.Cfg.NumServers }
 
-// tokensOf regenerates the page's token stream from its seed.
+// tokensOf regenerates the page's token stream from rng, seeded with p.seed.
 //
 //focuslint:rng baseline
-func (w *Web) tokensOf(p *Page) []string {
+func (w *Web) tokensOf(p *Page, rng *rand.Rand) []string {
 	cfg := w.Cfg
-	rng := rand.New(rand.NewSource(p.seed))
 	n := cfg.DocLenMean/2 + rng.Intn(cfg.DocLenMean+1)
-	node := cfg.Tree.Node(p.Topic)
-	ancestors := node.Ancestors() // parent ... root
+	words := w.vocab.topic[p.Topic]
+	ancestors := w.vocab.ancestors[p.Topic]
 	toks := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		u := rng.Float64()
 		switch {
 		case u < cfg.TopicMix:
-			toks = append(toks, pickTopicWord(w.vocab.topic[p.Topic], rng))
+			toks = append(toks, pickTopicWord(words, rng))
 		case u < cfg.TopicMix+cfg.AncestorMix && len(ancestors) > 0:
 			a := ancestors[rng.Intn(len(ancestors))]
-			toks = append(toks, pickTopicWord(w.vocab.topic[a.ID], rng))
+			toks = append(toks, pickTopicWord(a, rng))
 		default:
 			toks = append(toks, w.pickBackground(rng))
 		}
@@ -650,7 +651,7 @@ func (w *Web) ExampleDocs(c taxonomy.NodeID, n int) [][]string {
 			Topic: c,
 			seed:  w.Cfg.Seed ^ -(int64(c)*1000003 + int64(i) + 7),
 		}
-		out[i] = w.tokensOf(fake)
+		out[i] = w.tokensOf(fake, rand.New(rand.NewSource(fake.seed)))
 	}
 	return out
 }
