@@ -60,9 +60,7 @@ func main() {
 		MaxFetches:   *budget,
 		Mode:         m,
 		DistillEvery: *distill,
-	}
-	if *polite {
-		ccfg = eval.PoliteCrawl(ccfg)
+		Polite:       *polite,
 	}
 	if (*ckevery > 0 || *resume) && *dbpath == "" {
 		fmt.Fprintln(os.Stderr, "-checkpointevery and -resume need -dbpath")

@@ -213,12 +213,13 @@ func TestResumeRefusesAnotherWeb(t *testing.T) {
 
 // TestResumeRefusesOlderLayout: ResumeSystem over a file whose manifest
 // roots carry an older layout version — 1, 2, whose CRAWL heaps could hold
-// rows in flight, or 3, whose state record names a checkout policy —
-// returns relstore.ErrLayoutVersion, releases the file
+// rows in flight, 3, whose state record names a checkout policy, or 4, whose
+// fetch state's web digest hashes generator settings that are now
+// constants — returns relstore.ErrLayoutVersion, releases the file
 // and the build goroutine, and leaves the file's bytes as they were.
 func TestResumeRefusesOlderLayout(t *testing.T) {
 	cfg := durableCrawl(t)
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		b, err := os.ReadFile(cfg.DBPath)
 		if err != nil {
 			t.Fatal(err)

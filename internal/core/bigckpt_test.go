@@ -22,7 +22,7 @@ func TestPoliteHostileCrawlCheckpointsAndResumes(t *testing.T) {
 		Web:        web,
 		GoodTopics: []string{"cycling"},
 		DBPath:     filepath.Join(t.TempDir(), "crawl.db"),
-		Crawl:      eval.PoliteCrawl(crawler.Config{Workers: 8, MaxFetches: 900, CheckpointEvery: 200}),
+		Crawl:      crawler.Config{Workers: 8, MaxFetches: 900, CheckpointEvery: 200, Polite: true},
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

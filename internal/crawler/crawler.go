@@ -32,14 +32,9 @@ const (
 	ModeUnfocused
 )
 
-const (
-	// maxRetries is the per-URL transient failure budget: a row's third
-	// transient failure kills it.
-	maxRetries = 3
-	// breakerCooldown is the open-breaker cooling period before the
-	// half-open probe (Config.BreakerAfter).
-	breakerCooldown = 50 * time.Millisecond
-)
+// maxRetries is the per-URL transient failure budget: a row's third
+// transient failure kills it.
+const maxRetries = 3
 
 // Config tunes a crawl.
 type Config struct {
@@ -52,26 +47,14 @@ type Config struct {
 	// Mode selects soft focus, hard focus, or the unfocused baseline; New
 	// and Resume refuse any other value.
 	Mode Mode
-	// RetryBackoff enables exponential backoff for retries: a transiently
-	// failed row re-enters the frontier with a not-before eligibility time
-	// of RetryBackoff·2^(tries-1), capped at 32×RetryBackoff, plus
-	// deterministic jitter, and checkout skips it until then. 0 disables
-	// (immediate requeue, the pre-politeness behavior).
-	RetryBackoff time.Duration
-	// HostMaxInflight caps concurrent fetches per server id: checkout
-	// skips rows whose host already has that many fetches in flight, so a
-	// worker picks a different host's page instead of blocking. 0 disables.
-	HostMaxInflight int
-	// HostDelay is the minimum delay between fetch starts against one
-	// server id, enforced at checkout (token-bucket politeness).
-	// 0 disables.
-	HostDelay time.Duration
-	// BreakerAfter opens a per-host circuit breaker after this many
-	// consecutive failures: the host's rows stay queued — skipped at
-	// checkout, not burned against MaxFetches — for a 50 ms cooldown, then
-	// a single half-open probe decides whether to close the breaker or
-	// re-open it. 0 disables.
-	BreakerAfter int
+	// Polite turns on the politeness stack, whose settings are constants
+	// in politeness.go: per-host pacing, exponential retry backoff (or the
+	// server's retry-after hint) before checkout may take a failed row
+	// again, and per-host circuit breakers that keep a failing host's rows
+	// queued — skipped at checkout, not burned against MaxFetches — until a
+	// half-open probe succeeds. Off, checkout admits every row and a failed
+	// row re-enters the frontier at once.
+	Polite bool
 	// DistillEvery runs the distiller after every k page visits
 	// (0 disables distillation).
 	DistillEvery int64
@@ -260,12 +243,6 @@ type Crawler struct {
 	checkpoints atomic.Int64
 	stop        atomic.Bool
 
-	// politeOn caches "any politeness/backoff feature is enabled": the
-	// checkout and failure paths branch on it, and with it false every
-	// new code path is skipped, keeping the pre-politeness behavior (and
-	// the goldens pinned to it) bit-identical. See politeness.go.
-	politeOn bool
-
 	// Failure-breakdown counters for Result (see politeness.go for the
 	// dead-cause enum).
 	timeoutFails  atomic.Int64
@@ -275,11 +252,15 @@ type Crawler struct {
 	breakerTrips  atomic.Int64
 	deadCause     [dcCount]atomic.Int64
 
-	// retryBudget is the transient failure budget and cooldown the open
-	// breaker's cooling period: maxRetries and breakerCooldown, which tests
-	// may change before Run.
-	retryBudget int32
-	cooldown    time.Duration
+	// retryBudget is the transient failure budget, maxRetries; the rest are
+	// the politeness stack's settings (politeness.go). newCrawler sets them
+	// from the constants, and tests may change them before Run.
+	retryBudget     int32
+	cooldown        time.Duration
+	retryBackoff    time.Duration
+	hostMaxInflight int
+	hostDelay       time.Duration
+	breakerAfter    int
 	// checkoutHook, when set before Run, observes every frontier checkout
 	// (shard, row at checkout time) under the shard lock. Test-only.
 	checkoutHook func(*shard, relstore.Tuple)
@@ -297,16 +278,18 @@ func newCrawler(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg C
 		return nil, err
 	}
 	c := &Crawler{
-		cfg:         cfg.withDefaults(),
-		db:          db,
-		model:       model,
-		fetcher:     fetcher,
-		policy:      pol,
-		retryBudget: maxRetries,
-		cooldown:    breakerCooldown,
+		cfg:             cfg.withDefaults(),
+		db:              db,
+		model:           model,
+		fetcher:         fetcher,
+		policy:          pol,
+		retryBudget:     maxRetries,
+		cooldown:        breakerCooldown,
+		retryBackoff:    retryBackoff,
+		hostMaxInflight: hostMaxInflight,
+		hostDelay:       hostDelay,
+		breakerAfter:    breakerAfter,
 	}
-	c.politeOn = c.cfg.HostMaxInflight > 0 || c.cfg.HostDelay > 0 ||
-		c.cfg.BreakerAfter > 0 || c.cfg.RetryBackoff > 0
 	c.pub.Store(&scores{})
 	c.ckptScores = c.pub.Load() // an empty score table is epoch 0's record
 	return c, nil
@@ -666,7 +649,7 @@ func (c *Crawler) worker(w int) error {
 			continue
 		}
 		res, ferr := c.fetcher.Fetch(row[CURL].S)
-		if c.politeOn {
+		if c.cfg.Polite {
 			c.hostFetchDone(sh, SIDOf(row[CURL].S), ferr)
 		}
 		err = c.process(sh, rid, row, res, ferr)
@@ -767,13 +750,11 @@ func (c *Crawler) process(sh *shard, rid relstore.RID, row relstore.Tuple, res *
 		}
 		row[CStatus] = relstore.I32(StatusFrontier)
 		c.retries.Add(1)
-		if c.politeOn {
+		if c.cfg.Polite {
 			// The row re-enters the frontier but checkout must not touch it
 			// before its backoff (or the server's retry-after hint) has
 			// elapsed.
-			if d := c.retryDelay(oid, tries, rle); d > 0 {
-				sh.notBefore[oid] = time.Now().Add(d)
-			}
+			sh.notBefore[oid] = time.Now().Add(c.retryDelay(oid, tries, rle))
 		}
 		if err := sh.writeLocked(rid, old, row); err != nil {
 			return err

@@ -6,9 +6,9 @@ package crawler
 // (shardFor), so a server's pacing and breaker state live in its home
 // shard under the shard mutex, and the lock tower is unchanged: no new
 // lock is introduced and no politeness decision ever takes a second lock.
-// All features are opt-in (Crawler.politeOn); with them off, checkout
-// admits every row and creates no host state, which is what keeps the
-// golden crawls bit-identical.
+// The stack is one switch, Config.Polite, and with it on every feature is
+// on; with it off, checkout admits every row and creates no host state,
+// which is what keeps the golden crawls bit-identical.
 
 import (
 	"errors"
@@ -47,11 +47,35 @@ var deadCauseName = [dcCount]DeadCause{
 	CauseNotFound, CauseTimeoutBudget, CauseRateLimited, CauseBreaker,
 }
 
+// The politeness stack's settings, matched to HostileWeb's default window
+// (internal/eval): pacing keeps a host near its budget instead of slamming
+// into it, backoff outlasts outages instead of burning the retry budget
+// inside one, and the breaker stops paying for hosts that are down.
+// newCrawler copies them into the Crawler, where tests may shorten them.
+const (
+	// hostMaxInflight caps concurrent fetches per server id: checkout skips
+	// rows whose host already has that many fetches in flight, so a worker
+	// picks a different host's page instead of blocking.
+	hostMaxInflight = 2
+	// hostDelay is the minimum delay between fetch starts against one
+	// server id (token-bucket pacing).
+	hostDelay = 15 * time.Millisecond
+	// retryBackoff is the first retry's delay; each further try doubles it,
+	// up to retryBackoffCap times it.
+	retryBackoff = 8 * time.Millisecond
+	// breakerAfter is the run of consecutive failures that opens a host's
+	// circuit breaker.
+	breakerAfter = 3
+	// breakerCooldown is the open breaker's cooling period before the
+	// half-open probe.
+	breakerCooldown = 50 * time.Millisecond
+)
+
 // hostState is one server's politeness state: the token bucket (in-flight
 // count plus pacing clock) and the circuit breaker.
 type hostState struct {
 	inflight  int
-	nextFetch time.Time // earliest next checkout under HostDelay pacing
+	nextFetch time.Time // earliest next checkout under hostDelay pacing
 	fails     int       // consecutive failed fetches (timeouts, 429s)
 	breaker   int
 	probing   bool // half-open probe checked out, outcome pending
@@ -65,7 +89,7 @@ const (
 )
 
 // retryBackoffCap bounds the pre-jitter retry delay, as a multiple of
-// Config.RetryBackoff. A power of two, so doubling lands on it exactly.
+// retryBackoff. A power of two, so doubling lands on it exactly.
 const retryBackoffCap = 32
 
 // noteWake keeps the earliest non-zero wake time.
@@ -86,24 +110,22 @@ func (c *Crawler) admitLocked(sh *shard, row relstore.Tuple, now time.Time) (boo
 	if hs == nil {
 		return true, time.Time{}
 	}
-	if c.cfg.BreakerAfter > 0 {
-		switch hs.breaker {
-		case bkOpen:
-			if now.Before(hs.openUntil) {
-				return false, hs.openUntil
-			}
-			hs.breaker = bkHalfOpen
-			hs.probing = false
-		case bkHalfOpen:
-			if hs.probing {
-				return false, time.Time{}
-			}
+	switch hs.breaker {
+	case bkOpen:
+		if now.Before(hs.openUntil) {
+			return false, hs.openUntil
+		}
+		hs.breaker = bkHalfOpen
+		hs.probing = false
+	case bkHalfOpen:
+		if hs.probing {
+			return false, time.Time{}
 		}
 	}
-	if c.cfg.HostMaxInflight > 0 && hs.inflight >= c.cfg.HostMaxInflight {
+	if hs.inflight >= c.hostMaxInflight {
 		return false, time.Time{}
 	}
-	if c.cfg.HostDelay > 0 && now.Before(hs.nextFetch) {
+	if now.Before(hs.nextFetch) {
 		return false, hs.nextFetch
 	}
 	return true, time.Time{}
@@ -119,9 +141,7 @@ func (c *Crawler) acquireHostLocked(sh *shard, sid int32, now time.Time) {
 		sh.hosts[sid] = hs
 	}
 	hs.inflight++
-	if c.cfg.HostDelay > 0 {
-		hs.nextFetch = now.Add(c.cfg.HostDelay)
-	}
+	hs.nextFetch = now.Add(c.hostDelay)
 	if hs.breaker == bkHalfOpen {
 		hs.probing = true
 	}
@@ -155,11 +175,8 @@ func (c *Crawler) hostFetchDone(sh *shard, sid int32, ferr error) {
 		return
 	}
 	hs.fails++
-	if c.cfg.BreakerAfter <= 0 {
-		return
-	}
 	if hs.breaker == bkHalfOpen ||
-		(hs.breaker == bkClosed && hs.fails >= c.cfg.BreakerAfter) {
+		(hs.breaker == bkClosed && hs.fails >= c.breakerAfter) {
 		hs.breaker = bkOpen
 		hs.probing = false
 		hs.openUntil = time.Now().Add(c.cooldown)
@@ -176,11 +193,8 @@ func (c *Crawler) retryDelay(oid int64, tries int32, rle *RateLimitedError) time
 	if rle != nil && rle.RetryAfter > 0 {
 		return rle.RetryAfter
 	}
-	if c.cfg.RetryBackoff <= 0 {
-		return 0
-	}
-	d := c.cfg.RetryBackoff
-	for i := int32(1); i < tries && d < retryBackoffCap*c.cfg.RetryBackoff; i++ {
+	d := c.retryBackoff
+	for i := int32(1); i < tries && d < retryBackoffCap*c.retryBackoff; i++ {
 		d *= 2
 	}
 	// Jitter in [1.0, 1.5)×d, splitmix-style.
@@ -200,10 +214,8 @@ func (c *Crawler) deadCauseLocked(sh *shard, row relstore.Tuple, retryable, limi
 	if !retryable {
 		return dcNotFound
 	}
-	if c.cfg.BreakerAfter > 0 {
-		if hs := sh.hosts[SIDOf(row[CURL].S)]; hs != nil && hs.breaker == bkOpen {
-			return dcBreaker
-		}
+	if hs := sh.hosts[SIDOf(row[CURL].S)]; hs != nil && hs.breaker == bkOpen {
+		return dcBreaker
 	}
 	if limited {
 		return dcRateLimited

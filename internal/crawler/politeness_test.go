@@ -100,9 +100,8 @@ func TestRetryBackoffDelaysRequeue(t *testing.T) {
 		}
 		return page(url, "alpha"), nil
 	}}
-	c, _ := newTestCrawler(t, f, Config{
-		Workers: 2, MaxFetches: 10, RetryBackoff: 40 * time.Millisecond,
-	})
+	c, _ := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 10, Polite: true})
+	c.retryBackoff = 40 * time.Millisecond
 	c.Seed([]string{u})
 	res, err := c.Run()
 	if err != nil {
@@ -111,7 +110,7 @@ func TestRetryBackoffDelaysRequeue(t *testing.T) {
 	if res.Visited != 1 || res.Retries != 1 {
 		t.Fatalf("visited=%d retries=%d", res.Visited, res.Retries)
 	}
-	// First retry backs off RetryBackoff·[1.0,1.5); allow scheduler slack
+	// First retry backs off retryBackoff·[1.0,1.5); allow scheduler slack
 	// downward only.
 	if g := f.gap(u); g < 35*time.Millisecond {
 		t.Fatalf("retry after %v; backoff not honored", g)
@@ -129,11 +128,11 @@ func TestRateLimitedRetryAfterHonored(t *testing.T) {
 		}}
 	}
 
-	// Polite config: the retry-after hint gates the requeue.
+	// Polite config: the retry-after hint, not the far shorter backoff,
+	// gates the requeue.
 	f := mk()
-	c, _ := newTestCrawler(t, f, Config{
-		Workers: 2, MaxFetches: 10, RetryBackoff: time.Millisecond,
-	})
+	c, _ := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 10, Polite: true})
+	c.retryBackoff = time.Millisecond
 	c.Seed([]string{u})
 	res, err := c.Run()
 	if err != nil {
@@ -192,9 +191,10 @@ func (f *concurrencyFetcher) Fetch(url string) (*Fetch, error) {
 }
 
 func TestHostPoliteness(t *testing.T) {
-	// Six pages on one hot host, a few elsewhere; HostMaxInflight 1 and
-	// HostDelay must cap concurrency at one fetch per host and space out
-	// fetch starts, while other hosts proceed meanwhile.
+	// Six pages on one hot host, a few elsewhere; an in-flight cap of 1 and
+	// the pacing delay must cap concurrency at one fetch per host and space
+	// out fetch starts, while other hosts proceed meanwhile. No fetch fails,
+	// so backoff and the breaker stay idle.
 	f := &concurrencyFetcher{
 		cur: map[string]int{}, peak: map[string]int{},
 		starts: map[string][]time.Time{}, latency: 2 * time.Millisecond,
@@ -212,10 +212,8 @@ func TestHostPoliteness(t *testing.T) {
 		seeds = append(seeds, u)
 	}
 	const delay = 10 * time.Millisecond
-	c, _ := newTestCrawler(t, f, Config{
-		Workers: 4, MaxFetches: 20,
-		HostMaxInflight: 1, HostDelay: delay,
-	})
+	c, _ := newTestCrawler(t, f, Config{Workers: 4, MaxFetches: 20, Polite: true})
+	c.hostMaxInflight, c.hostDelay = 1, delay
 	c.Seed(seeds)
 	res, err := c.Run()
 	if err != nil {
@@ -225,7 +223,7 @@ func TestHostPoliteness(t *testing.T) {
 		t.Fatalf("visited = %d, want 9", res.Visited)
 	}
 	if p := f.peak["hot.test"]; p > 1 {
-		t.Fatalf("hot host peak concurrency = %d with HostMaxInflight 1", p)
+		t.Fatalf("hot host peak concurrency = %d with an in-flight cap of 1", p)
 	}
 	starts := f.starts["hot.test"]
 	if len(starts) != 6 {
@@ -239,10 +237,11 @@ func TestHostPoliteness(t *testing.T) {
 }
 
 func TestBreakerOpensAndRecovers(t *testing.T) {
-	// Host A fails its first 3 fetches transiently, then heals. With
-	// BreakerAfter 2 the breaker trips on the second failure, the failed
-	// half-open probe re-trips it, and the next probe closes it; every
-	// page must still be visited.
+	// Host A fails its first 3 fetches transiently, then heals. With a
+	// breaker threshold of 2 the breaker trips on the second failure, the
+	// failed half-open probe re-trips it, and the next probe closes it;
+	// every page must still be visited. A's two pages fit its in-flight
+	// cap, and pacing only spaces its fetches out.
 	var mu sync.Mutex
 	aFails := 0
 	f := &timedFetcher{fetch: func(url string, _ int) (*Fetch, error) {
@@ -256,11 +255,9 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		}
 		return page(url, "alpha"), nil
 	}}
-	c, _ := newTestCrawler(t, f, Config{
-		Workers: 2, MaxFetches: 50,
-		RetryBackoff: 2 * time.Millisecond, BreakerAfter: 2,
-	})
+	c, _ := newTestCrawler(t, f, Config{Workers: 2, MaxFetches: 50, Polite: true})
 	c.retryBudget, c.cooldown = 10, 15*time.Millisecond
+	c.retryBackoff, c.breakerAfter = 2*time.Millisecond, 2
 	c.Seed([]string{"http://a.test/1", "http://a.test/2", "http://b.test/1"})
 	res, err := c.Run()
 	if err != nil {
@@ -275,19 +272,23 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 }
 
 // darkHostFetcher serves a multi-host site and turns one host permanently
-// dark after a fetch threshold — the hot-host-goes-dark stress scenario.
+// dark after that host's own darkAt-th fetch — the hot-host-goes-dark
+// stress scenario.
 type darkHostFetcher struct {
-	mu       sync.Mutex
-	pages    map[string]*Fetch
-	fetches  int
-	darkHost string
-	darkAt   int
+	mu          sync.Mutex
+	pages       map[string]*Fetch
+	hostFetches int // fetches of darkHost so far
+	darkHost    string
+	darkAt      int
 }
 
 func (f *darkHostFetcher) Fetch(url string) (*Fetch, error) {
 	f.mu.Lock()
-	f.fetches++
-	dark := f.fetches > f.darkAt && HostOf(url) == f.darkHost
+	dark := false
+	if HostOf(url) == f.darkHost {
+		f.hostFetches++
+		dark = f.hostFetches > f.darkAt
+	}
 	p, ok := f.pages[url]
 	f.mu.Unlock()
 	time.Sleep(200 * time.Microsecond)
@@ -306,7 +307,15 @@ func TestPoliteHostDarkStress(t *testing.T) {
 	// crawl must finish without losing rows: inflight returns to zero, no
 	// row is left checked out, the breaker trips, and the outcome
 	// counters balance.
-	f := &darkHostFetcher{pages: map[string]*Fetch{}, darkHost: "hot.test", darkAt: 40}
+	//
+	// The host goes dark after its own fifth fetch, so at least five of
+	// the hot pages c4 links to (p0-p9) are still unfetched; c4 is crawled
+	// whole, so each is found and fails twice before the retry budget of
+	// 2 kills it, and the failures run well past the breaker's three.
+	// Darkness keyed to the crawl's fetch count could come after the hot
+	// chain reached p9, leaving one row whose two failures never reach
+	// three.
+	f := &darkHostFetcher{pages: map[string]*Fetch{}, darkHost: "hot.test", darkAt: 5}
 	hosts := []string{"hot.test", "c0.test", "c1.test", "c2.test", "c3.test", "c4.test"}
 	var seeds []string
 	for hi, h := range hosts {
@@ -326,12 +335,9 @@ func TestPoliteHostDarkStress(t *testing.T) {
 			}
 		}
 	}
-	c, _ := newTestCrawler(t, f, Config{
-		Workers: 8, MaxFetches: 300,
-		RetryBackoff: time.Millisecond, HostMaxInflight: 2,
-		HostDelay: 500 * time.Microsecond, BreakerAfter: 3,
-	})
+	c, _ := newTestCrawler(t, f, Config{Workers: 8, MaxFetches: 300, Polite: true})
 	c.retryBudget, c.cooldown = 2, 5*time.Millisecond
+	c.retryBackoff, c.hostDelay = time.Millisecond, 500*time.Microsecond
 	c.Seed(seeds)
 	res, err := c.Run()
 	if err != nil {
@@ -393,9 +399,8 @@ func TestPendingBackoffIsNotStagnation(t *testing.T) {
 		}
 		return page(url, "alpha"), nil
 	}}
-	c, _ := newTestCrawler(t, f, Config{
-		Workers: 4, MaxFetches: 10, RetryBackoff: 30 * time.Millisecond,
-	})
+	c, _ := newTestCrawler(t, f, Config{Workers: 4, MaxFetches: 10, Polite: true})
+	c.retryBackoff = 30 * time.Millisecond
 	c.Seed([]string{u})
 	res, err := c.Run()
 	if err != nil {

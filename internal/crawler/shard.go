@@ -80,7 +80,7 @@ type shard struct {
 	head atomic.Pointer[frontierKey]
 
 	// Politeness state, guarded by mu and populated only when the
-	// crawler's politeness/backoff features are on (see politeness.go).
+	// crawl is polite (Config.Polite, politeness.go).
 	// A host maps to exactly one shard, so its token bucket and breaker
 	// need no lock of their own. hosts holds per-server pacing and
 	// breaker state; notBefore holds per-row retry eligibility times.
@@ -390,7 +390,7 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var now time.Time
-	if c.politeOn {
+	if c.cfg.Polite {
 		now = time.Now()
 	}
 	// The walk reads each row it passes; with politeness off the first
@@ -406,7 +406,7 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 		if t, err = sh.crawl.Get(e.rid); err != nil {
 			return true
 		}
-		if c.politeOn {
+		if c.cfg.Polite {
 			ok, w := c.admitLocked(sh, t, now)
 			noteWake(&wake, w)
 			if !ok {
@@ -436,7 +436,7 @@ func (sh *shard) checkout(c *Crawler) (relstore.RID, relstore.Tuple, bool, time.
 	// Skipped rows stay in the set ahead of the popped one, so its first key
 	// is the best remaining one either way.
 	sh.recomputeHeadLocked()
-	if c.politeOn {
+	if c.cfg.Polite {
 		c.acquireHostLocked(sh, SIDOf(row[CURL].S), now)
 		delete(sh.notBefore, oid)
 	}

@@ -19,10 +19,11 @@ type CoverageConfig struct {
 	SeedsEach int
 	Budget    int64
 	Workers   int
-	// MinRelevance includes a reference page when its relevance exceeds
-	// this (default e^-1, the paper's log R > -1 threshold).
-	MinRelevance float64
 }
+
+// refMinRelevance is e^-1, the paper's log R > -1 threshold: the reference
+// crawl's relevant URLs are the visited pages whose relevance exceeds it.
+const refMinRelevance = 1 / math.E
 
 func (c CoverageConfig) withDefaults() CoverageConfig {
 	if c.Topic == "" {
@@ -36,11 +37,6 @@ func (c CoverageConfig) withDefaults() CoverageConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.MinRelevance == 0 {
-		c.MinRelevance = math.Exp(-1)
-	} else if c.MinRelevance < 0 {
-		c.MinRelevance = 0 // explicit zero: count every scored page
 	}
 	return c
 }
@@ -84,7 +80,7 @@ func RunCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	refURLs, refServers, err := ref.Crawler.VisitedURLs(cfg.MinRelevance)
+	refURLs, refServers, err := ref.Crawler.VisitedURLs(refMinRelevance)
 	if err != nil {
 		return nil, err
 	}

@@ -50,20 +50,6 @@ func HostileWeb(seed int64, pages, level int) webgraph.Config {
 	return cfg
 }
 
-// PoliteCrawl is the politeness stack the study (and cmd/focuscrawl's
-// -polite flag) layers onto a crawl config: paced, breakered, backing off.
-// The knobs are matched to HostileWeb's default window — pacing keeps a
-// host near its budget instead of slamming into it, backoff outlasts
-// outages instead of burning the retry budget inside one, and the breaker
-// stops paying for hosts that are down.
-func PoliteCrawl(c crawler.Config) crawler.Config {
-	c.HostMaxInflight = 2
-	c.HostDelay = 15 * time.Millisecond
-	c.RetryBackoff = 8 * time.Millisecond
-	c.BreakerAfter = 3
-	return c
-}
-
 // HostileConfig drives the hostile-web study.
 type HostileConfig struct {
 	Seed    int64
@@ -150,9 +136,9 @@ type HostileResult struct {
 // per fetch attempt) and throughput across hostility levels, naive vs
 // polite, both runs on the same web per level with the fetch state reset
 // between them. The naive config is the pre-politeness crawler: immediate
-// requeue on failure, no pacing, no breaker. The polite config is
-// PoliteCrawl. Everything else — seeds, budget, workers, classifier — is
-// identical.
+// requeue on failure, no pacing, no breaker. The polite config sets
+// crawler.Config.Polite: paced, breakered, backing off. Everything else —
+// seeds, budget, workers, classifier — is identical.
 func RunHostile(cfg HostileConfig) (*HostileResult, error) {
 	cfg = cfg.withDefaults()
 	out := &HostileResult{Workers: cfg.Workers, Budget: cfg.Budget}
@@ -171,7 +157,7 @@ func RunHostile(cfg HostileConfig) (*HostileResult, error) {
 			mode := "naive"
 			if polite {
 				mode = "polite"
-				r.Crawl = PoliteCrawl(r.Crawl)
+				r.Crawl.Polite = true
 			}
 			if cfg.DBPath != "" {
 				r.DBPath = fmt.Sprintf("%s.l%d.%s", cfg.DBPath, level, mode)

@@ -19,7 +19,6 @@ type ClassifierPerfConfig struct {
 	Seed   int64
 	Docs   int
 	Frames int
-	Train  classifier.TrainConfig
 	// DiskLatency adds simulated per-page-I/O delay, amplifying the
 	// access-path differences the way a 1999 SCSI disk did.
 	DiskLatency time.Duration
@@ -70,13 +69,12 @@ type classifierFixture struct {
 
 func newClassifierFixture(o ClassifierPerfConfig) (*classifierFixture, error) {
 	webCfg := webgraph.Config{Seed: o.Seed, NumPages: 1000}
+	var train classifier.TrainConfig
 	if o.BigVocab {
 		webCfg.BackgroundVocab = 6000
 		webCfg.TopicVocab = 200
 		webCfg.DocLenMean = 220
-		if o.Train.FeaturesPerNode <= 0 {
-			o.Train.FeaturesPerNode = 3000
-		}
+		train.FeaturesPerNode = 3000
 	}
 	web, err := webgraph.Generate(webCfg)
 	if err != nil {
@@ -89,7 +87,7 @@ func newClassifierFixture(o ClassifierPerfConfig) (*classifierFixture, error) {
 	for _, leaf := range tree.Leaves() {
 		examples[leaf.ID] = web.ExampleDocs(leaf.ID, 25)
 	}
-	model, err := classifier.Train(nil, tree, examples, o.Train)
+	model, err := classifier.Train(nil, tree, examples, train)
 	if err != nil {
 		return nil, err
 	}

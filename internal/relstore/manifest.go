@@ -73,7 +73,7 @@ import (
 const (
 	manifestMagic   = 0x4D434F46 // "FOCM" little-endian
 	journalMagic    = 0x4B434F46 // "FOCK": image CRCs in the payload
-	manifestVersion = 4          // the file's layout version (see above)
+	manifestVersion = 5          // the file's layout version (see above)
 	manifestHdr     = 28
 	chainHdr        = 4
 	manifestRootA   = PageID(1)

@@ -8,9 +8,9 @@
 //
 //   - Radius-1 rule: a relevant page is much more likely than a random page
 //     to cite another relevant page. Pages here link to same-topic pages
-//     with probability PSameTopic, to "related" topics (an affinity list,
+//     with probability pSameTopic, to "related" topics (an affinity list,
 //     e.g. cycling→first aid, which also powers the paper's citation
-//     sociology example) with probability PRelated, and uniformly otherwise.
+//     sociology example) with probability pRelated, and uniformly otherwise.
 //   - Radius-2 rule: pages that point to one page of a topic are likely to
 //     point to more (the paper measures ~45% on Yahoo!). Same-topic links
 //     here come in bursts, and a fraction of pages are explicit hubs with

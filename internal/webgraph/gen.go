@@ -28,9 +28,6 @@ type Config struct {
 	NumPages int
 	// NumServers is the number of web servers (default NumPages/60, min 8).
 	NumServers int
-	// GeneralWeight is the page-mass multiplier for leaves under the
-	// "general" subtree, if present (default 4).
-	GeneralWeight float64
 	// TopicWeights overrides the page-mass multiplier for named leaf
 	// topics (e.g. give a crawl target a larger community).
 	TopicWeights map[string]float64
@@ -38,37 +35,13 @@ type Config struct {
 	// DocLenMean is the mean token count per page (default 150; the paper
 	// cites 200-500 terms per page, we stay at the low end for speed).
 	DocLenMean int
-	// TopicVocab / AncestorVocab / BackgroundVocab are vocabulary sizes
-	// (defaults 80 per leaf, 60 per internal node, 1500 shared).
+	// TopicVocab / BackgroundVocab are vocabulary sizes (defaults 80 per
+	// leaf, 1500 shared; an internal node has ancestorVocab words).
 	TopicVocab      int
-	AncestorVocab   int
 	BackgroundVocab int
-	// TopicMix / AncestorMix are the fractions of a page's tokens drawn
-	// from its leaf topic's vocabulary and its ancestors' vocabularies
-	// (defaults 0.22 and 0.13; the remainder is shared background). The
-	// defaults are chosen so classifier posteriors come out graded rather
-	// than saturated — real relevance scores spread over (0, 1), which is
-	// what makes relevance-ordered frontiers informative.
-	TopicMix    float64
-	AncestorMix float64
 
 	// OutDegreeMean is the mean out-degree of ordinary pages (default 14).
 	OutDegreeMean int
-	// PSameTopic is the probability an ordinary link targets the page's own
-	// topic (radius-1 rule; default 0.42 — far above the ~1/24 random
-	// baseline but deliberately not a majority: a breadth-first crawler
-	// must dilute wave by wave, as the paper's Figure 5(a) baseline does).
-	PSameTopic float64
-	// PRelated is the probability an ordinary link targets one of the
-	// page's related topics (default 0.2).
-	PRelated float64
-	// PSecondary is the probability that a cross-topic link goes to the
-	// page's single secondary interest rather than a uniform page (radius-2
-	// rule; default 0.6).
-	PSecondary float64
-	// Affinity maps topic name to related topic names (default
-	// DefaultAffinities).
-	Affinity map[string][]string
 
 	// LocalityWindow is the half-width, in topic-chain positions, of a
 	// same-topic link's target window (default 30).
@@ -77,22 +50,11 @@ type Config struct {
 	// and lands uniformly in the topic (default 0.06). Small values keep
 	// community diameter large, as Figure 7 requires.
 	ShortcutProb float64
-	// PopularSkew is the probability an off-topic noise link targets one of
-	// the web's few popular pages rather than a uniform one (default 0.5).
-	// "Pages of all topics point to Netscape and Free Speech Online" (§2.2.2):
-	// junk links concentrate, so a crawler sees heavy duplication among them.
-	PopularSkew float64
-	// PopularPages is the size of that popular core (default NumPages/100,
-	// min 50).
-	PopularPages int
 
 	// HubFrac is the fraction of pages that are hubs (default 0.05).
 	HubFrac float64
 	// HubOutDegree is the mean out-degree of hubs (default 34).
 	HubOutDegree int
-	// HubSameTopic is the fraction of a hub's links on its own topic
-	// (default 0.8).
-	HubSameTopic float64
 
 	// NavLinksMean is the mean number of same-server navigation links per
 	// page, the distiller's nepotism fodder (default 2).
@@ -127,6 +89,47 @@ type Config struct {
 	OutageLength time.Duration
 }
 
+// The generator's calibration: the values every web takes, which no Config
+// field varies. They shape the radius-1 and radius-2 citation rules of §2.2
+// and the page text the classifier grades.
+const (
+	// generalWeight is the page-mass multiplier for leaves under the
+	// "general" subtree, if present.
+	generalWeight = 4
+	// ancestorVocab is the vocabulary size of an internal taxonomy node.
+	ancestorVocab = 60
+	// topicMix / ancestorMix are the fractions of a page's tokens drawn
+	// from its leaf topic's vocabulary and its ancestors' vocabularies (the
+	// remainder is shared background). They are chosen so classifier
+	// posteriors come out graded rather than saturated — real relevance
+	// scores spread over (0, 1), which is what makes relevance-ordered
+	// frontiers informative.
+	topicMix    float64 = 0.22
+	ancestorMix float64 = 0.13
+	// pSameTopic is the probability an ordinary link targets the page's own
+	// topic (radius-1 rule; far above the ~1/24 random baseline but
+	// deliberately not a majority: a breadth-first crawler must dilute wave
+	// by wave, as the paper's Figure 5(a) baseline does).
+	pSameTopic = 0.42
+	// pRelated is the probability an ordinary link targets one of the
+	// page's related topics (DefaultAffinities).
+	pRelated = 0.2
+	// pSecondary is the probability that a cross-topic link goes to the
+	// page's single secondary interest rather than a uniform page (radius-2
+	// rule).
+	pSecondary = 0.6
+	// popularSkew is the probability an off-topic noise link targets one of
+	// the web's few popular pages rather than a uniform one. "Pages of all
+	// topics point to Netscape and Free Speech Online" (§2.2.2): junk links
+	// concentrate, so a crawler sees heavy duplication among them.
+	popularSkew = 0.5
+	// The popular core is NumPages/popularShare pages, at least minPopular.
+	popularShare = 100
+	minPopular   = 50
+	// hubSameTopic is the fraction of a hub's links on its own topic.
+	hubSameTopic = 0.8
+)
+
 func (c Config) withDefaults() Config {
 	if c.Tree == nil {
 		c.Tree = DefaultTree()
@@ -153,32 +156,14 @@ func (c Config) withDefaults() Config {
 			c.NumServers = 8
 		}
 	}
-	deff(&c.GeneralWeight, 4)
 	def(&c.DocLenMean, 150)
 	def(&c.TopicVocab, 80)
-	def(&c.AncestorVocab, 60)
 	def(&c.BackgroundVocab, 1500)
-	deff(&c.TopicMix, 0.22)
-	deff(&c.AncestorMix, 0.13)
 	def(&c.OutDegreeMean, 14)
-	deff(&c.PSameTopic, 0.42)
-	deff(&c.PRelated, 0.2)
-	deff(&c.PSecondary, 0.6)
-	if c.Affinity == nil {
-		c.Affinity = DefaultAffinities
-	}
 	def(&c.LocalityWindow, 30)
 	deff(&c.ShortcutProb, 0.06)
-	deff(&c.PopularSkew, 0.5)
-	if c.PopularPages <= 0 {
-		c.PopularPages = c.NumPages / 100
-		if c.PopularPages < 50 {
-			c.PopularPages = 50
-		}
-	}
 	deff(&c.HubFrac, 0.05)
 	def(&c.HubOutDegree, 34)
-	deff(&c.HubSameTopic, 0.8)
 	deff(&c.NavLinksMean, 2)
 	deff(&c.DeadLinkRate, 0.04)
 	deff(&c.TimeoutRate, 0.01)
@@ -288,7 +273,7 @@ func (w *Web) Build() {
 		if gen != nil {
 			for _, a := range leaf.Ancestors() {
 				if a == gen {
-					weights[i] = cfg.GeneralWeight
+					weights[i] = generalWeight
 				}
 			}
 		}
@@ -360,7 +345,7 @@ func (w *Web) buildVocab() {
 		v.ancestors[n.ID] = ancestors
 		size := cfg.TopicVocab
 		if !n.IsLeaf() {
-			size = cfg.AncestorVocab
+			size = ancestorVocab
 		}
 		words := make([]string, size)
 		words[0] = n.Name // the topic's own name is its most frequent word
@@ -377,7 +362,7 @@ func (w *Web) buildVocab() {
 }
 
 func (w *Web) buildAffinities() {
-	for name, rel := range w.Cfg.Affinity {
+	for name, rel := range DefaultAffinities {
 		n := w.Cfg.Tree.ByName(name)
 		if n == nil {
 			continue
@@ -483,7 +468,7 @@ func pickNear(chain []int32, center, window int, rng *rand.Rand) (int32, bool) {
 func (w *Web) generateLinks(rng *rand.Rand) {
 	cfg := w.Cfg
 	leaves := cfg.Tree.Leaves()
-	popular := make([]int32, cfg.PopularPages)
+	popular := make([]int32, max(cfg.NumPages/popularShare, minPopular))
 	for i := range popular {
 		popular[i] = int32(rng.Intn(len(w.Pages)))
 	}
@@ -511,11 +496,11 @@ func (w *Web) generateLinks(rng *rand.Rand) {
 
 		deg := cfg.OutDegreeMean/2 + rng.Intn(cfg.OutDegreeMean+1)
 		window := cfg.LocalityWindow
-		pSame := cfg.PSameTopic
+		pSame := pSameTopic
 		if p.IsHub {
 			deg = cfg.HubOutDegree*3/4 + rng.Intn(cfg.HubOutDegree/2+1)
 			window = cfg.LocalityWindow * 3
-			pSame = cfg.HubSameTopic
+			pSame = hubSameTopic
 		}
 		for k := 0; k < deg; k++ {
 			u := rng.Float64()
@@ -529,7 +514,7 @@ func (w *Web) generateLinks(rng *rand.Rand) {
 				} else if dst, ok := pickNear(chain, p.pos, window, rng); ok {
 					p.Links = append(p.Links, dst)
 				}
-			case u < pSame+cfg.PRelated && len(secChain) > 1 && rng.Float64() < cfg.PSecondary:
+			case u < pSame+pRelated && len(secChain) > 1 && rng.Float64() < pSecondary:
 				// Secondary-interest links come in bursts near the page's
 				// anchor there: the structure behind the radius-2 rule.
 				burst := 1
@@ -545,7 +530,7 @@ func (w *Web) generateLinks(rng *rand.Rand) {
 					}
 				}
 			default:
-				if rng.Float64() < cfg.PopularSkew {
+				if rng.Float64() < popularSkew {
 					p.Links = append(p.Links, popular[rng.Intn(len(popular))])
 				} else {
 					p.Links = append(p.Links, int32(rng.Intn(len(w.Pages))))
@@ -603,9 +588,9 @@ func (w *Web) tokensOf(p *Page, rng *rand.Rand) []string {
 	for i := 0; i < n; i++ {
 		u := rng.Float64()
 		switch {
-		case u < cfg.TopicMix:
+		case u < topicMix:
 			toks = append(toks, pickTopicWord(words, rng))
-		case u < cfg.TopicMix+cfg.AncestorMix && len(ancestors) > 0:
+		case u < topicMix+ancestorMix && len(ancestors) > 0:
 			a := ancestors[rng.Intn(len(ancestors))]
 			toks = append(toks, pickTopicWord(a, rng))
 		default:
