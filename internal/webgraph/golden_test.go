@@ -2,7 +2,6 @@ package webgraph
 
 import (
 	"encoding/binary"
-	"hash"
 	"hash/fnv"
 	"testing"
 )
@@ -13,25 +12,30 @@ import (
 // error of one that failed (the failure stream is part of the web too).
 func webDigest(w *Web) uint64 {
 	h := fnv.New64a()
+	var b [8]byte
+	num := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
 	str := func(s string) {
-		num(h, int64(len(s)))
+		num(int64(len(s)))
 		h.Write([]byte(s))
 	}
 	for _, p := range w.Pages {
 		str(p.URL)
 		str(p.Server)
-		num(h, int64(p.ServerID))
-		num(h, int64(p.Topic))
+		num(int64(p.ServerID))
+		num(int64(p.Topic))
 		if p.IsHub {
-			num(h, 1)
+			num(1)
 		} else {
-			num(h, 0)
+			num(0)
 		}
-		num(h, int64(len(p.Links)))
+		num(int64(len(p.Links)))
 		for _, dst := range p.Links {
-			num(h, int64(dst))
+			num(int64(dst))
 		}
-		num(h, int64(p.Dead))
+		num(int64(p.Dead))
 	}
 	const samples = 64
 	for i := range samples {
@@ -40,22 +44,16 @@ func webDigest(w *Web) uint64 {
 			str(err.Error())
 			continue
 		}
-		num(h, int64(len(res.Tokens)))
+		num(int64(len(res.Tokens)))
 		for _, tok := range res.Tokens {
 			str(tok)
 		}
-		num(h, int64(len(res.Outlinks)))
+		num(int64(len(res.Outlinks)))
 		for _, u := range res.Outlinks {
 			str(u)
 		}
 	}
 	return h.Sum64()
-}
-
-func num(h hash.Hash64, v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	h.Write(b[:])
 }
 
 // TestGeneratedWebGolden pins the generator's calibration: the default web
