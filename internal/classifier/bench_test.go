@@ -28,14 +28,14 @@ var benchWebs = []struct {
 
 // benchFixture trains a model on cfg's web and returns it with 64 fresh
 // documents drawn across the leaves, disjoint from the training examples.
-func benchFixture(b *testing.B, cfg webgraph.Config) (*Model, [][]string) {
+func benchFixture(b *testing.B, cfg webgraph.Config) (*Model, []textproc.TermVector) {
 	b.Helper()
 	w, err := webgraph.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ex := Examples{}
-	var docs [][]string
+	var docs []textproc.TermVector
 	for _, leaf := range w.Cfg.Tree.Leaves() {
 		all := w.ExampleDocs(leaf.ID, 29)
 		ex[leaf.ID] = all[:25]
@@ -48,10 +48,24 @@ func benchFixture(b *testing.B, cfg webgraph.Config) (*Model, [][]string) {
 	return m, docs[:64]
 }
 
+// BenchmarkVectorOfTokens vectorizes the token lists of cfg's first 64
+// pages that fetch.
 func BenchmarkVectorOfTokens(b *testing.B) {
 	for _, bw := range benchWebs {
 		b.Run(bw.name, func(b *testing.B) {
-			_, docs := benchFixture(b, bw.cfg)
+			w, err := webgraph.Generate(bw.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var docs [][]string
+			for _, p := range w.Pages {
+				if len(docs) == 64 {
+					break
+				}
+				if res, err := w.Fetch(p.URL); err == nil {
+					docs = append(docs, res.Tokens)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -64,11 +78,7 @@ func BenchmarkVectorOfTokens(b *testing.B) {
 func BenchmarkClassify(b *testing.B) {
 	for _, bw := range benchWebs {
 		b.Run(bw.name, func(b *testing.B) {
-			m, docs := benchFixture(b, bw.cfg)
-			vecs := make([]textproc.TermVector, len(docs))
-			for i, d := range docs {
-				vecs[i] = textproc.VectorOfTokens(d)
-			}
+			m, vecs := benchFixture(b, bw.cfg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -83,11 +93,7 @@ func BenchmarkClassify(b *testing.B) {
 func BenchmarkInsertDoc(b *testing.B) {
 	for _, bw := range benchWebs {
 		b.Run(bw.name, func(b *testing.B) {
-			_, docs := benchFixture(b, bw.cfg)
-			vecs := make([]textproc.TermVector, len(docs))
-			for i, d := range docs {
-				vecs[i] = textproc.VectorOfTokens(d)
-			}
+			_, vecs := benchFixture(b, bw.cfg)
 			db := relstore.Open(relstore.Options{Frames: 4096})
 			var doc *relstore.Table
 			b.ReportAllocs()

@@ -82,7 +82,7 @@ func TestTrainRejectsBadInput(t *testing.T) {
 	if _, err := Train(db, tree, Examples{}, TrainConfig{}); err == nil {
 		t.Fatal("empty training set accepted")
 	}
-	if _, err := Train(db, tree, Examples{999: {{"x"}}}, TrainConfig{}); err == nil {
+	if _, err := Train(db, tree, Examples{999: {textproc.VectorOfTokens([]string{"x"})}}, TrainConfig{}); err == nil {
 		t.Fatal("unknown topic accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestPosteriorIsProbability(t *testing.T) {
 	cyc := m.Tree.ByName("cycling")
 	docs := w.ExampleDocs(cyc.ID, 3)
 	for _, d := range docs {
-		p := m.ClassifyTokens(d)
+		p := m.Classify(d)
 		if got := p[m.Tree.Root.ID]; got != 1 {
 			t.Fatalf("root prob = %f", got)
 		}
@@ -120,7 +120,7 @@ func TestClassifierAccuracyOnFreshDocs(t *testing.T) {
 	for _, leaf := range leaves {
 		// Fresh docs: different index range than any training call above.
 		for _, d := range w.ExampleDocs(leaf.ID, 40)[30:] {
-			p := m.ClassifyTokens(d)
+			p := m.Classify(d)
 			if m.BestLeaf(p) == leaf.ID {
 				correct++
 			}
@@ -142,8 +142,8 @@ func TestRelevanceSoftFocus(t *testing.T) {
 	offTopic := w.ExampleDocs(m.Tree.ByName("news").ID, 5)
 	var rOn, rOff float64
 	for i := range onTopic {
-		rOn += m.Relevance(m.ClassifyTokens(onTopic[i]))
-		rOff += m.Relevance(m.ClassifyTokens(offTopic[i]))
+		rOn += m.Relevance(m.Classify(onTopic[i]))
+		rOff += m.Relevance(m.Classify(offTopic[i]))
 	}
 	rOn /= 5
 	rOff /= 5
@@ -158,7 +158,7 @@ func TestRelevanceSoftFocus(t *testing.T) {
 	if err := m.Tree.MarkGood(m.Tree.ByName("recreation").ID); err != nil {
 		t.Fatal(err)
 	}
-	r := m.Relevance(m.ClassifyTokens(onTopic[0]))
+	r := m.Relevance(m.Classify(onTopic[0]))
 	if r < 0.5 {
 		t.Fatalf("internal-good relevance %.3f too low", r)
 	}
@@ -178,8 +178,7 @@ func TestAllPathsAgree(t *testing.T) {
 	var dids []int64
 	did := int64(0)
 	for _, leaf := range []string{"cycling", "news", "hiv", "databases"} {
-		for _, toks := range w.ExampleDocs(m.Tree.ByName(leaf).ID, 6) {
-			v := textproc.VectorOfTokens(toks)
+		for _, v := range w.ExampleDocs(m.Tree.ByName(leaf).ID, 6) {
 			vecs = append(vecs, v)
 			dids = append(dids, did)
 			if err := InsertDoc(doc, did, v); err != nil {
@@ -246,7 +245,7 @@ func TestBestLeaf(t *testing.T) {
 	m, w := trainedModel(t, 12)
 	hiv := m.Tree.ByName("hiv")
 	d := w.ExampleDocs(hiv.ID, 1)[0]
-	if got := m.BestLeaf(m.ClassifyTokens(d)); got != hiv.ID {
+	if got := m.BestLeaf(m.Classify(d)); got != hiv.ID {
 		t.Fatalf("best leaf = %v, want hiv", m.Tree.Node(got).Name)
 	}
 }
@@ -267,7 +266,7 @@ func TestProbeIOCounts(t *testing.T) {
 	// same document: it pays a range scan plus one heap fetch per child
 	// entry where BLOB pays a single point probe.
 	m, w := trainedModel(t, 12)
-	d := textproc.VectorOfTokens(w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0])
+	d := w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0]
 	pool := m.DB.Pool()
 
 	pool.ResetStats()
@@ -327,10 +326,12 @@ func TestClassifyFeatureSideWalkIsBitIdentical(t *testing.T) {
 		}
 		return nil
 	}
-	var pooled []string
+	pooled := map[uint32]int32{}
 	for _, leaf := range m.Tree.Leaves() {
-		for _, toks := range w.ExampleDocs(leaf.ID, 4) {
-			pooled = append(pooled, toks...)
+		for _, v := range w.ExampleDocs(leaf.ID, 4) {
+			for _, t := range v {
+				pooled[t.TID] += t.Freq
+			}
 		}
 	}
 	cases := []struct {
@@ -340,8 +341,8 @@ func TestClassifyFeatureSideWalkIsBitIdentical(t *testing.T) {
 		{"empty", nil},
 		{"non-feature", textproc.VectorOfTokens([]string{"zzzznotaword", "zzzznotaword"})},
 		{"feature", textproc.VectorOfTokens([]string{"cycling"})},
-		{"page", textproc.VectorOfTokens(w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0])},
-		{"pooled", textproc.VectorOfTokens(pooled)},
+		{"page", w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0]},
+		{"pooled", vectorOf(pooled)},
 	}
 	root := m.Tree.Root.ID
 	if n := len(cases[3].v); n >= m.NumFeatures(root) {
@@ -364,7 +365,7 @@ func TestClassifyFeatureSideWalkIsBitIdentical(t *testing.T) {
 			counts[textproc.TermID(w)] += int32(reps%5) + 1
 		}
 		for _, p := range picks {
-			counts[textproc.TermID(vocab[int(p)%len(vocab)])]++
+			counts[vocab[int(p)%len(vocab)].TID]++
 		}
 		err := same(vectorOf(counts))
 		if err != nil {
@@ -387,7 +388,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	m, w := trainedModel(t, 10)
-	v := textproc.VectorOfTokens(w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0])
+	v := w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0]
 	if a := testing.AllocsPerRun(100, func() { m.Classify(v) }); a > 5 {
 		t.Errorf("Classify: %v allocations, want <= 5", a)
 	}

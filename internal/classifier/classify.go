@@ -140,11 +140,6 @@ func (m *Model) Classify(v textproc.TermVector) Posterior {
 	return post
 }
 
-// ClassifyTokens tokenizes nothing (tokens are given) and classifies.
-func (m *Model) ClassifyTokens(tokens []string) Posterior {
-	return m.Classify(textproc.VectorOfTokens(tokens))
-}
-
 // ProbeLayout selects a SingleProbeTimed statistics layout (Figure 8a's bars).
 type ProbeLayout int
 

@@ -108,9 +108,11 @@ type kidTerm struct {
 	w    float64
 }
 
-// Examples supplies training documents (token lists) per leaf topic — the
-// D(c) sets of the problem formulation.
-type Examples map[taxonomy.NodeID][][]string
+// Examples supplies training documents per leaf topic — the D(c) sets of
+// the problem formulation — each as its term vector, the (did, tid, freq)
+// rows of §2.1.3 (textproc.VectorOfTokens of its tokens). Train reads the
+// vectors and keeps none of the slices.
+type Examples map[taxonomy.NodeID][]textproc.TermVector
 
 // Train builds a Model from example documents, in memory only: it writes
 // no relation (Materialize does, for Figure 8). The db parameter is unused:
@@ -126,24 +128,20 @@ func Train(_ *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainConf
 		leaves:   tree.Leaves(),
 	}
 
-	// Vectorize examples and pool them bottom-up: docsUnder(n) is D(n), the
-	// union of examples in n's subtree.
-	vecs := make(map[taxonomy.NodeID][]textproc.TermVector)
-	for id, docs := range examples {
+	for id := range examples {
 		if tree.Node(id) == nil {
 			return nil, fmt.Errorf("classifier: examples for unknown topic %d", id)
 		}
-		for _, toks := range docs {
-			vecs[id] = append(vecs[id], textproc.VectorOfTokens(toks))
-		}
 	}
+	// Pool the examples bottom-up: docsUnder(n) is D(n), the union of
+	// examples in n's subtree.
 	var docsUnder func(n *taxonomy.Node) []textproc.TermVector
 	memo := make(map[taxonomy.NodeID][]textproc.TermVector)
 	docsUnder = func(n *taxonomy.Node) []textproc.TermVector {
 		if d, ok := memo[n.ID]; ok {
 			return d
 		}
-		out := append([]textproc.TermVector(nil), vecs[n.ID]...)
+		out := append([]textproc.TermVector(nil), examples[n.ID]...)
 		for _, c := range n.Children {
 			out = append(out, docsUnder(c)...)
 		}

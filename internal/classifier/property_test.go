@@ -61,11 +61,11 @@ func TestRelevanceMonotoneInGoodSet(t *testing.T) {
 	if err := m.Tree.MarkGood(m.Tree.ByName("cycling").ID); err != nil {
 		t.Fatal(err)
 	}
-	r1 := m.Relevance(m.ClassifyTokens(doc))
+	r1 := m.Relevance(m.Classify(doc))
 	if err := m.Tree.MarkGood(m.Tree.ByName("running").ID); err != nil {
 		t.Fatal(err)
 	}
-	r2 := m.Relevance(m.ClassifyTokens(doc))
+	r2 := m.Relevance(m.Classify(doc))
 	if r2 < r1-1e-12 {
 		t.Fatalf("relevance shrank when good set grew: %.6f -> %.6f", r1, r2)
 	}
@@ -145,7 +145,7 @@ func TestSingleProbeTimedCountsProbes(t *testing.T) {
 // dereferencing a missing BLOB or returning empty posteriors as a success.
 func TestUnmaterializedModelRefusesFigure8Paths(t *testing.T) {
 	m, w := train(t, nil, 8)
-	v := textproc.VectorOfTokens(w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0])
+	v := w.ExampleDocs(m.Tree.ByName("cycling").ID, 1)[0]
 	if p := m.Classify(v); p[m.Tree.Root.ID] != 1 {
 		t.Fatalf("Classify on an unmaterialized model: root %v", p[m.Tree.Root.ID])
 	}
@@ -173,8 +173,8 @@ func TestTrainingDeterminism(t *testing.T) {
 	m1, w := trainedModel(t, 8)
 	m2, _ := trainedModel(t, 8)
 	doc := w.ExampleDocs(m1.Tree.ByName("hiv").ID, 1)[0]
-	p1 := m1.ClassifyTokens(doc)
-	p2 := m2.ClassifyTokens(doc)
+	p1 := m1.Classify(doc)
+	p2 := m2.Classify(doc)
 	for id, want := range p1 {
 		if math.Abs(p2[id]-want) > 1e-12 {
 			t.Fatalf("nondeterministic training at node %d", id)

@@ -16,8 +16,8 @@ func TestStreamMatchesClassify(t *testing.T) {
 	var docs []BatchDoc
 	did := int64(0)
 	for _, leaf := range []string{"cycling", "news", "hiv", "databases"} {
-		for _, toks := range w.ExampleDocs(m.Tree.ByName(leaf).ID, 6) {
-			docs = append(docs, BatchDoc{DID: did, Vec: textproc.VectorOfTokens(toks)})
+		for _, v := range w.ExampleDocs(m.Tree.ByName(leaf).ID, 6) {
+			docs = append(docs, BatchDoc{DID: did, Vec: v})
 			did++
 		}
 	}

@@ -58,7 +58,7 @@ func TestConcurrentBuildMatchesSerialProperty(t *testing.T) {
 			for _, leaf := range ref.Cfg.Tree.Leaves() {
 				docs := ref.ExampleDocs(leaf.ID, examples+heldOut)[examples:]
 				for i, doc := range docs {
-					got, want := sys.Model.ClassifyTokens(doc), serial.Model.ClassifyTokens(doc)
+					got, want := sys.Model.Classify(doc), serial.Model.Classify(doc)
 					if err := samePosterior(got, want); err != "" {
 						t.Fatalf("%s seed %d: held-out document %d of %s: %s", name, seed, i, leaf.Name, err)
 					}

@@ -12,6 +12,7 @@ import (
 	"focus/internal/linkgraph"
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
+	"focus/internal/textproc"
 )
 
 // tinyModel trains a two-topic classifier (alpha vs beta) good on alpha,
@@ -30,10 +31,10 @@ func trainTiny(t testing.TB, db *relstore.DB) *classifier.Model {
 	beta := tree.MustAdd(tree.Root, "beta")
 	ex := classifier.Examples{}
 	for i := 0; i < 12; i++ {
-		ex[alpha.ID] = append(ex[alpha.ID], strings.Fields(fmt.Sprintf(
-			"alpha alpha alphaone alphatwo alphavar%d common filler", i%4)))
-		ex[beta.ID] = append(ex[beta.ID], strings.Fields(fmt.Sprintf(
-			"beta beta betaone betatwo betavar%d common filler", i%4)))
+		ex[alpha.ID] = append(ex[alpha.ID], textproc.VectorOfTokens(strings.Fields(fmt.Sprintf(
+			"alpha alpha alphaone alphatwo alphavar%d common filler", i%4))))
+		ex[beta.ID] = append(ex[beta.ID], textproc.VectorOfTokens(strings.Fields(fmt.Sprintf(
+			"beta beta betaone betatwo betavar%d common filler", i%4))))
 	}
 	m, err := classifier.Train(db, tree, ex, classifier.TrainConfig{FeaturesPerNode: 60, MinDocFreq: 1})
 	if err != nil {

@@ -102,15 +102,14 @@ func newClassifierFixture(o ClassifierPerfConfig) (*classifierFixture, error) {
 	f := &classifierFixture{db: db, disk: disk, model: model, doc: doc}
 	// Fresh test documents per leaf, disjoint from the training range.
 	perLeaf := o.Docs/len(leaves) + 1
-	pools := make(map[int]([][]string), len(leaves))
+	pools := make(map[int][]textproc.TermVector, len(leaves))
 	for li, leaf := range leaves {
 		pools[li] = web.ExampleDocs(leaf.ID, 100+perLeaf)[100:]
 	}
 	for i := 0; i < o.Docs; i++ {
 		li := i % len(leaves)
-		toks := pools[li][i/len(leaves)]
 		did := int64(i + 1)
-		if err := classifier.InsertDoc(doc, did, textproc.VectorOfTokens(toks)); err != nil {
+		if err := classifier.InsertDoc(doc, did, pools[li][i/len(leaves)]); err != nil {
 			return nil, err
 		}
 		f.dids = append(f.dids, did)

@@ -1,72 +1,13 @@
-// Package textproc provides the tokenization and term-hashing pipeline that
-// feeds the classifier its term vectors. As in the paper (§2.1.3), terms are
-// identified by 32-bit hash codes, so the classifier's statistics tables key
-// on small fixed-width integers rather than strings.
+// Package textproc turns a document's tokens into the term vector the
+// classifier reads. As in the paper (§2.1.3), terms are identified by 32-bit
+// hash codes, so the classifier's statistics tables key on small fixed-width
+// integers rather than strings.
 package textproc
 
 import (
 	"slices"
-	"strings"
 	"sync"
-	"unicode"
 )
-
-// stopwords is a small English stopword list; the generative model of the
-// paper treats such terms as noise, and dropping them keeps the feature
-// selector's job honest.
-var stopwords = map[string]bool{
-	"a": true, "about": true, "after": true, "all": true, "also": true,
-	"an": true, "and": true, "any": true, "are": true, "as": true, "at": true,
-	"be": true, "because": true, "been": true, "but": true, "by": true,
-	"can": true, "come": true, "could": true, "day": true, "do": true,
-	"even": true, "first": true, "for": true, "from": true, "get": true,
-	"give": true, "go": true, "had": true, "has": true, "have": true,
-	"he": true, "her": true, "him": true, "his": true, "how": true,
-	"i": true, "if": true, "in": true, "into": true, "is": true, "it": true,
-	"its": true, "just": true, "know": true, "like": true, "look": true,
-	"make": true, "man": true, "many": true, "me": true, "more": true,
-	"most": true, "my": true, "new": true, "no": true, "not": true,
-	"now": true, "of": true, "on": true, "one": true, "only": true,
-	"or": true, "other": true, "our": true, "out": true, "over": true,
-	"people": true, "say": true, "see": true, "she": true, "so": true,
-	"some": true, "take": true, "than": true, "that": true, "the": true,
-	"their": true, "them": true, "then": true, "there": true, "these": true,
-	"they": true, "think": true, "this": true, "time": true, "to": true,
-	"two": true, "up": true, "us": true, "use": true, "very": true,
-	"want": true, "was": true, "way": true, "we": true, "well": true,
-	"were": true, "what": true, "when": true, "which": true, "who": true,
-	"will": true, "with": true, "would": true, "year": true, "you": true,
-	"your": true,
-}
-
-// IsStopword reports whether the (lowercase) token is a stopword.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
-// Tokenize splits text into lowercase alphanumeric tokens, dropping
-// stopwords and single-character tokens.
-func Tokenize(text string) []string {
-	var out []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() >= 2 {
-			tok := b.String()
-			if !stopwords[tok] {
-				out = append(out, tok)
-			}
-		}
-		b.Reset()
-	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
-		}
-	}
-	flush()
-	return out
-}
 
 // TermID hashes a token to its 32-bit term ID (FNV-1a), as the paper's
 // system does for its tid columns.
@@ -103,11 +44,6 @@ func (v TermVector) Length() int64 {
 		n += int64(t.Freq)
 	}
 	return n
-}
-
-// VectorOf tokenizes text and returns its term vector.
-func VectorOf(text string) TermVector {
-	return VectorOfTokens(Tokenize(text))
 }
 
 // hashScratch is VectorOfTokens' reusable working memory: the token hashes

@@ -4,38 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 )
-
-func TestTokenize(t *testing.T) {
-	got := Tokenize("The Quick, brown FOX-42 jumps!! over the lazy dog")
-	want := []string{"quick", "brown", "fox", "42", "jumps", "lazy", "dog"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestTokenizeDropsStopwordsAndShortTokens(t *testing.T) {
-	got := Tokenize("a I to x yz")
-	if !reflect.DeepEqual(got, []string{"yz"}) {
-		t.Fatalf("got %v", got)
-	}
-	if !IsStopword("the") || IsStopword("bicycle") {
-		t.Fatal("stopword predicate broken")
-	}
-}
-
-func TestTokenizeEmptyAndPunctuation(t *testing.T) {
-	if got := Tokenize(""); len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-	if got := Tokenize("!!! ... ???"); len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
 
 func TestTermIDDeterministicAndSpread(t *testing.T) {
 	if TermID("cycling") != TermID("cycling") {
@@ -73,7 +45,7 @@ func freqOf(v TermVector, tid uint32) int32 {
 }
 
 func TestVectorOf(t *testing.T) {
-	v := VectorOf("bike bike ride")
+	v := VectorOfTokens([]string{"bike", "bike", "ride"})
 	if freqOf(v, TermID("bike")) != 2 || freqOf(v, TermID("ride")) != 1 || freqOf(v, TermID("walk")) != 0 {
 		t.Fatalf("v = %v", v)
 	}

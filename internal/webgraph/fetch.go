@@ -239,7 +239,7 @@ func (w *Web) Fetch(url string) (*FetchResult, error) {
 		URL:      p.URL,
 		Server:   p.Server,
 		ServerID: p.ServerID,
-		Tokens:   w.tokensOf(p, rng),
+		Tokens:   w.tokensOf(p, rng, nil),
 		Outlinks: make([]string, 0, len(p.Links)+p.Dead),
 	}
 	pageRngs.Put(rng)

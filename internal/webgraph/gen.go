@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"focus/internal/taxonomy"
+	"focus/internal/textproc"
 )
 
 // Off is the explicit-zero sentinel for rate and probability knobs whose
@@ -214,8 +215,12 @@ type Web struct {
 type vocabulary struct {
 	background []string
 	bgCum      []float64
-	topic      map[taxonomy.NodeID][]string
-	ancestors  map[taxonomy.NodeID][][]string // each node's ancestors' words, parent first
+	// bgGuide is bgCum's guide table (Chen and Asau, 1974): entry j is the
+	// first i with bgCum[i]·m ≥ j, m = len(bgCum), where the product is the
+	// one backgroundIndex takes of its draw (DESIGN.md "Page streams").
+	bgGuide   []int32
+	topic     map[taxonomy.NodeID][]string
+	ancestors map[taxonomy.NodeID][][]string // each node's ancestors' words, parent first
 }
 
 // Generate builds a web from the configuration. Generation is deterministic
@@ -339,6 +344,15 @@ func (w *Web) buildVocab() {
 	}
 	for i := range v.bgCum {
 		v.bgCum[i] /= sum
+	}
+	// bgCum ends at exactly 1, whose product is m: every entry is filled.
+	m := float64(len(v.bgCum))
+	v.bgGuide = make([]int32, len(v.bgCum)+1)
+	j := 0
+	for i, c := range v.bgCum {
+		for ; j <= int(c*m); j++ {
+			v.bgGuide[j] = int32(i)
+		}
 	}
 	var walk func(n *taxonomy.Node, ancestors [][]string)
 	walk = func(n *taxonomy.Node, ancestors [][]string) {
@@ -576,15 +590,19 @@ func (w *Web) TopicPages(c taxonomy.NodeID) []int32 { return w.topicPages[c] }
 // NumServersUsed returns the configured server count.
 func (w *Web) NumServersUsed() int { return w.Cfg.NumServers }
 
-// tokensOf regenerates the page's token stream from rng, seeded with p.seed.
+// tokensOf regenerates the page's token stream from rng, seeded with p.seed,
+// into buf when it has room and into a fresh list otherwise.
 //
 //focuslint:rng baseline
-func (w *Web) tokensOf(p *Page, rng *rand.Rand) []string {
+func (w *Web) tokensOf(p *Page, rng *rand.Rand, buf []string) []string {
 	cfg := w.Cfg
 	n := cfg.DocLenMean/2 + rng.Intn(cfg.DocLenMean+1)
 	words := w.vocab.topic[p.Topic]
 	ancestors := w.vocab.ancestors[p.Topic]
-	toks := make([]string, 0, n)
+	toks := buf[:0]
+	if cap(toks) < n {
+		toks = make([]string, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		u := rng.Float64()
 		switch {
@@ -618,25 +636,40 @@ func pickTopicWord(words []string, rng *rand.Rand) string {
 //
 //focuslint:rng baseline
 func (w *Web) pickBackground(rng *rand.Rand) string {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(w.vocab.bgCum, u)
-	if i >= len(w.vocab.background) {
-		i = len(w.vocab.background) - 1
-	}
-	return w.vocab.background[i]
+	return w.vocab.background[w.vocab.backgroundIndex(rng.Float64())]
 }
 
-// ExampleDocs returns n example documents (token lists) for training topic
-// c. They are drawn from the same generative model as real pages of c but
-// correspond to no crawlable page, preserving train/test separation.
-func (w *Web) ExampleDocs(c taxonomy.NodeID, n int) [][]string {
-	out := make([][]string, n)
-	for i := 0; i < n; i++ {
-		fake := &Page{
+// backgroundIndex returns the first i with bgCum[i] ≥ u for u in [0, 1),
+// sort.SearchFloat64s(bgCum, u), by a scan from u's guide entry: every
+// earlier entry's product, and so the entry itself, is below u's.
+func (v *vocabulary) backgroundIndex(u float64) int {
+	i := int(v.bgGuide[int(u*float64(len(v.bgCum)))])
+	for i < len(v.bgCum)-1 && v.bgCum[i] < u {
+		i++
+	}
+	return i
+}
+
+// ExampleDocs returns n example documents for training topic c, each as
+// its term vector: textproc.VectorOfTokens of the document's token stream,
+// which is the paper's (did, tid, freq) form of a training document
+// (§2.1.3). They are drawn from the same generative model as real pages of c
+// but correspond to no crawlable page, preserving train/test separation.
+// Each document's tokens are generated into one buffer the call reuses and
+// vectorized at once, so no token list outlives its document.
+func (w *Web) ExampleDocs(c taxonomy.NodeID, n int) []textproc.TermVector {
+	out := make([]textproc.TermVector, n)
+	rng := pageRngs.Get().(*rand.Rand)
+	defer pageRngs.Put(rng)
+	toks := make([]string, 0, w.Cfg.DocLenMean/2+w.Cfg.DocLenMean) // tokensOf's longest
+	for i := range out {
+		fake := Page{
 			Topic: c,
 			seed:  w.Cfg.Seed ^ -(int64(c)*1000003 + int64(i) + 7),
 		}
-		out[i] = w.tokensOf(fake, rand.New(rand.NewSource(fake.seed)))
+		rng.Seed(fake.seed)
+		toks = w.tokensOf(&fake, rng, toks)
+		out[i] = textproc.VectorOfTokens(toks)
 	}
 	return out
 }

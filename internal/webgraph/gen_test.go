@@ -2,6 +2,7 @@ package webgraph
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -162,13 +163,13 @@ func TestExampleDocsDistinctFromPages(t *testing.T) {
 		t.Fatalf("docs = %d", len(docs))
 	}
 	for _, d := range docs {
-		if len(d) < 20 {
-			t.Fatalf("example doc too short: %d", len(d))
+		if d.Length() < 20 {
+			t.Fatalf("example doc too short: %d", d.Length())
 		}
 	}
 	// Deterministic.
 	again := w.ExampleDocs(cyc.ID, 5)
-	if strings.Join(docs[0], " ") != strings.Join(again[0], " ") {
+	if !reflect.DeepEqual(docs, again) {
 		t.Fatal("example docs nondeterministic")
 	}
 }

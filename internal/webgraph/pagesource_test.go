@@ -94,7 +94,7 @@ func TestConcurrentFetchStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if want := w.tokensOf(p, rand.New(rand.NewSource(p.seed))); !slices.Equal(res.Tokens, want) {
+				if want := w.tokensOf(p, rand.New(rand.NewSource(p.seed)), nil); !slices.Equal(res.Tokens, want) {
 					t.Errorf("page %d: pooled tokens differ from math/rand's", p.ID)
 					return
 				}
