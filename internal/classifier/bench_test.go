@@ -117,3 +117,24 @@ func BenchmarkInsertDoc(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTrain trains the crawl's model (25 examples per leaf, default
+// TrainConfig) on each web's example set, which is built off the clock.
+func BenchmarkTrain(b *testing.B) {
+	for _, bw := range benchWebs {
+		b.Run(bw.name, func(b *testing.B) {
+			w, err := webgraph.Generate(bw.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ex := crawlExamples(w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(nil, w.Cfg.Tree, ex, TrainConfig{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

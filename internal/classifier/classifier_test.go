@@ -406,3 +406,26 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("InsertDoc: %v allocations, want <= 2", a)
 	}
 }
+
+// TestTrainAllocs gates training's allocations on the doc-heavy web's
+// example set (23 leaves x 25 documents, ~20 000 distinct terms). Counting
+// over a term dictionary allocates its table and arrays once a call and a
+// feature list a node, ~3 100 objects in all; the map trainer it replaced
+// made ~243 500 (a map entry, a df slice and a count per term and node).
+func TestTrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	w, err := webgraph.Generate(benchWebs[1].cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := crawlExamples(w)
+	if a := testing.AllocsPerRun(2, func() {
+		if _, err := Train(nil, w.Cfg.Tree, ex, TrainConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 5000 {
+		t.Errorf("Train: %v allocations, want <= 5000", a)
+	}
+}

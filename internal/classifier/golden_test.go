@@ -14,8 +14,8 @@ import (
 // eachFeature calls fn for node n's feature terms in ascending tid order,
 // with each term's children's statistics in ascending kcid.
 func eachFeature(m *Model, n classNode, fn func(tid uint32, es []childTheta)) {
-	for _, tid := range m.featTids[n.id] {
-		fn(tid, m.statsMem[n.id][tid])
+	for _, f := range n.feats {
+		fn(f.tid, f.thetas)
 	}
 }
 

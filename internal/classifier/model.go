@@ -12,9 +12,9 @@ package classifier
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"focus/internal/relstore"
 	"focus/internal/taxonomy"
@@ -26,20 +26,18 @@ type TrainConfig struct {
 	// FeaturesPerNode is |F(c0)|, the number of discriminating terms kept
 	// per internal node (default 400).
 	FeaturesPerNode int
-	// MinDocFreq drops terms appearing in fewer training documents
-	// (default 2).
-	MinDocFreq int
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
 	if c.FeaturesPerNode <= 0 {
 		c.FeaturesPerNode = 400
 	}
-	if c.MinDocFreq <= 0 {
-		c.MinDocFreq = 2
-	}
 	return c
 }
+
+// minDocFreq drops terms appearing in fewer training documents under a
+// node's children from its feature candidates.
+const minDocFreq = 2
 
 // childTheta is one sparse statistics entry: child class and log theta.
 type childTheta struct {
@@ -68,21 +66,17 @@ type Model struct {
 
 	logPrior map[taxonomy.NodeID]float64
 	logDenom map[taxonomy.NodeID]float64
-	// statsMem holds the statistics: internal node -> tid -> entries.
-	statsMem map[taxonomy.NodeID]map[uint32][]childTheta
-	// featTids is statsMem's key set per internal node, ascending: the
-	// stream plan accumulates in feature order, and float accumulation
-	// order must not vary run to run.
-	featTids map[taxonomy.NodeID][]uint32
 
-	// nodes are the internal nodes in Tree.Internal() (push-down) order.
-	// Node n's children own score slots n.off … n.off+len(n.kids)-1 of one
-	// flat row; prior and denom hold each slot's logprior and logdenom.
+	// nodes are the internal nodes in Tree.Internal() (push-down) order,
+	// each with its features. Node n's children own score slots
+	// n.off … n.off+len(n.kids)-1 of one flat row; prior and denom hold
+	// each slot's logprior and logdenom.
 	nodes        []classNode
 	prior, denom []float64
-	// termIdx is the term-major mirror of statsMem that Classify probes once
-	// per document term: every internal node that selects tid as a feature,
-	// in nodes order, with its present children's slots and weights.
+	// termIdx is the term-major mirror of the nodes' features that Classify
+	// probes once per document term: every internal node that selects tid
+	// as a feature, in nodes order, with its present children's slots and
+	// weights.
 	termIdx map[uint32][]nodeTerm
 	// leaves are Tree.Leaves() at training, in ID order.
 	leaves []*taxonomy.Node
@@ -93,6 +87,16 @@ type classNode struct {
 	id   taxonomy.NodeID
 	kids []*taxonomy.Node
 	off  int
+	// feats is F(c0) in ascending tid, the only copy of the node's
+	// statistics; nil when no training document is under the node.
+	feats []feature
+}
+
+// feature is one feature term of a node and its STAT_c0 entries: the
+// children whose examples hold the term, in ascending kcid.
+type feature struct {
+	tid    uint32
+	thetas []childTheta
 }
 
 // nodeTerm is one (feature term, internal node) pair of the term-major
@@ -123,8 +127,6 @@ func Train(_ *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainConf
 		Tree:     tree,
 		logPrior: make(map[taxonomy.NodeID]float64),
 		logDenom: make(map[taxonomy.NodeID]float64),
-		statsMem: make(map[taxonomy.NodeID]map[uint32][]childTheta),
-		featTids: make(map[taxonomy.NodeID][]uint32),
 		leaves:   tree.Leaves(),
 	}
 
@@ -152,63 +154,15 @@ func Train(_ *relstore.DB, tree *taxonomy.Tree, examples Examples, cfg TrainConf
 		return nil, fmt.Errorf("classifier: no training documents")
 	}
 
-	internal := tree.Internal()
-	for _, c0 := range internal {
-		parentDocs := docsUnder(c0)
-		if len(parentDocs) == 0 {
-			continue
+	tc := newTermCounts(docsUnder(tree.Root))
+	for _, c0 := range tree.Internal() {
+		n := classNode{id: c0.ID, kids: c0.Children}
+		if len(docsUnder(c0)) > 0 {
+			n.feats = tc.train(m, c0, examples[c0.ID], docsUnder, cfg.FeaturesPerNode)
 		}
-		feats := selectFeatures(c0, docsUnder, cfg)
-
-		// Vocabulary size |union over D(c0) of {t in d}| for Eq (1).
-		vocab := make(map[uint32]bool)
-		for _, d := range parentDocs {
-			for _, t := range d {
-				vocab[t.TID] = true
-			}
-		}
-
-		mem := make(map[uint32][]childTheta)
-		m.statsMem[c0.ID] = mem
-		for _, ci := range c0.Children {
-			ciDocs := docsUnder(ci)
-			var mass int64
-			counts := make(map[uint32]int64)
-			for _, d := range ciDocs {
-				for _, t := range d {
-					if feats[t.TID] {
-						counts[t.TID] += int64(t.Freq)
-					}
-					mass += int64(t.Freq)
-				}
-			}
-			denom := float64(len(vocab)) + float64(mass)
-			m.logDenom[ci.ID] = math.Log(denom)
-			prior := float64(len(ciDocs)) / float64(len(parentDocs))
-			if prior == 0 {
-				prior = 1e-9 // children without examples get a tiny prior
-			}
-			m.logPrior[ci.ID] = math.Log(prior)
-			for t, n := range counts {
-				if n == 0 {
-					continue
-				}
-				lt := math.Log(1+float64(n)) - math.Log(denom)
-				mem[t] = append(mem[t], childTheta{kcid: ci.ID, logTheta: lt})
-			}
-		}
-		// Keep per-tid entries in child order for deterministic packing.
-		tids := make([]uint32, 0, len(mem))
-		for t := range mem {
-			es := mem[t]
-			sort.Slice(es, func(i, j int) bool { return es[i].kcid < es[j].kcid })
-			mem[t] = es
-			tids = append(tids, t)
-		}
-		slices.Sort(tids)
-		m.featTids[c0.ID] = tids
+		m.nodes = append(m.nodes, n)
 	}
-	m.indexTerms(internal)
+	m.indexTerms()
 	return m, nil
 }
 
@@ -227,22 +181,21 @@ func (m *Model) Materialize(db *relstore.DB) error {
 	stats := make(map[taxonomy.NodeID]*relstore.Table, len(m.nodes))
 	indexes := make(map[taxonomy.NodeID]*relstore.Index, len(m.nodes))
 	for _, n := range m.nodes {
-		mem := m.statsMem[n.id]
-		if mem == nil {
+		if n.feats == nil {
 			continue // no training documents under the node: no statistics
 		}
 		st, err := db.CreateTable("STAT_"+m.Tree.Node(n.id).Name, statSchema)
 		if err != nil {
 			return err
 		}
-		order := loadOrder(m.featTids[n.id])
+		order := loadOrder(n.feats)
 		for _, ci := range n.kids {
-			for _, t := range order {
-				for _, e := range mem[t] {
+			for _, f := range order {
+				for _, e := range f.thetas {
 					if e.kcid != ci.ID {
 						continue
 					}
-					row := relstore.Tuple{relstore.I32(int32(ci.ID)), relstore.I64(int64(t)), relstore.F64(e.logTheta)}
+					row := relstore.Tuple{relstore.I32(int32(ci.ID)), relstore.I64(int64(f.tid)), relstore.F64(e.logTheta)}
 					if _, err := st.Insert(row); err != nil {
 						return err
 					}
@@ -262,10 +215,9 @@ func (m *Model) Materialize(db *relstore.DB) error {
 		return err
 	}
 	for _, n := range m.nodes {
-		mem := m.statsMem[n.id]
-		for _, t := range loadOrder(m.featTids[n.id]) {
-			key := relstore.EncodeKey(relstore.I32(int32(n.id)), relstore.I64(int64(t)))
-			if err := blob.Insert(key, encodeThetas(mem[t])); err != nil {
+		for _, f := range loadOrder(n.feats) {
+			key := relstore.EncodeKey(relstore.I32(int32(n.id)), relstore.I64(int64(f.tid)))
+			if err := blob.Insert(key, encodeThetas(f.thetas)); err != nil {
 				return err
 			}
 		}
@@ -275,123 +227,190 @@ func (m *Model) Materialize(db *relstore.DB) error {
 }
 
 // loadOrder is the order Materialize inserts a node's feature terms in: a
-// fixed permutation of tids, unrelated to key order. A B+tree node splits in
+// fixed permutation by tid, unrelated to key order. A B+tree node splits in
 // half when full, so a load in key order would leave every leaf half full;
 // this one fills the trees the way a random-order load does.
-func loadOrder(tids []uint32) []uint32 {
-	out := slices.Clone(tids)
-	slices.SortFunc(out, func(a, b uint32) int { return cmp.Compare(a*0x9E3779B1, b*0x9E3779B1) })
+func loadOrder(feats []feature) []feature {
+	out := slices.Clone(feats)
+	slices.SortFunc(out, func(a, b feature) int { return cmp.Compare(a.tid*0x9E3779B1, b.tid*0x9E3779B1) })
 	return out
 }
 
-// selectFeatures picks the FeaturesPerNode terms with the highest mutual
-// information between term presence and child class at node c0.
-func selectFeatures(c0 *taxonomy.Node, docsUnder func(*taxonomy.Node) []textproc.TermVector, cfg TrainConfig) map[uint32]bool {
-	type termStat struct {
-		df    []int64 // per-child document frequency
-		total int64
+// termCounts is Train's scratch, reused at every internal node. The
+// examples' distinct tids are numbered in ascending order, so id order is
+// tid order; the examples are read in place, each term's id looked up in
+// ids.
+type termCounts struct {
+	ids  map[uint32]int32
+	tids []uint32 // id -> tid
+	// cells[id*G+g] are term id's document frequency and total frequency
+	// over group g of a node's documents: its K children's, then its own
+	// examples (G = K+1).
+	cells []struct{ df, n int64 }
+	cand  []scored
+}
+
+// scored is a feature candidate: a term id and its mutual information.
+type scored struct {
+	id int32
+	mi float64
+}
+
+// rank is the feature ranking, a total order: mutual information
+// descending, then tid ascending (ids are in tid order). Being total, it
+// makes the top F the same whatever way they are found.
+func rank(a, b scored) int { return cmp.Or(cmp.Compare(b.mi, a.mi), cmp.Compare(a.id, b.id)) }
+
+func newTermCounts(docs []textproc.TermVector) *termCounts {
+	tc := &termCounts{ids: make(map[uint32]int32)}
+	for _, d := range docs {
+		for _, e := range d {
+			tc.ids[e.TID] = 0
+		}
 	}
-	nKids := len(c0.Children)
-	stats := make(map[uint32]*termStat)
-	nDocs := make([]int64, nKids)
-	var total int64
-	for ki, ci := range c0.Children {
-		docs := docsUnder(ci)
-		nDocs[ki] = int64(len(docs))
-		total += nDocs[ki]
+	tc.tids = slices.Sorted(maps.Keys(tc.ids))
+	for i, t := range tc.tids {
+		tc.ids[t] = int32(i)
+	}
+	return tc
+}
+
+// train counts the documents under c0 (own are its own examples), sets its
+// children's logprior and logdenom of Eq. (1) in m, and returns c0's
+// features: the f terms with the highest mutual information between term
+// presence and child class, each with its children's logthetas.
+func (tc *termCounts) train(m *Model, c0 *taxonomy.Node, own []textproc.TermVector, docsUnder func(*taxonomy.Node) []textproc.TermVector, f int) []feature {
+	kids := c0.Children
+	K, G := len(kids), len(kids)+1
+	if len(tc.cells) < G*len(tc.tids) {
+		tc.cells = make([]struct{ df, n int64 }, G*len(tc.tids))
+	}
+	cells := tc.cells[:G*len(tc.tids)]
+	clear(cells)
+	nDocs, mass := make([]int64, G), make([]int64, G)
+	for g := range G {
+		docs := own
+		if g < K {
+			docs = docsUnder(kids[g])
+		}
+		nDocs[g] = int64(len(docs))
 		for _, d := range docs {
 			for _, e := range d {
-				t := e.TID
-				s := stats[t]
-				if s == nil {
-					s = &termStat{df: make([]int64, nKids)}
-					stats[t] = s
-				}
-				s.df[ki]++
-				s.total++
+				c := &cells[int(tc.ids[e.TID])*G+g]
+				c.df++
+				c.n += int64(e.Freq)
+				mass[g] += int64(e.Freq)
 			}
 		}
 	}
-	if total == 0 {
-		return map[uint32]bool{}
-	}
-	type scored struct {
-		t  uint32
-		mi float64
-	}
-	var cand []scored
-	N := float64(total)
-	for t, s := range stats {
-		if s.total < int64(cfg.MinDocFreq) {
+
+	// Rank the terms in at least minDocFreq of the children's documents,
+	// keeping the best f in rank order. Ids follow hashed tids, not mutual
+	// information, so few candidates enter once the list is full. vocab is
+	// |union over D(c0) of {t in d}|, Eq. (1)'s vocabulary size.
+	N := float64(len(docsUnder(c0)) - len(own))
+	vocab := 0
+	h := tc.cand[:0]
+	for id := range tc.tids {
+		row := cells[id*G : id*G+G]
+		var t int64
+		for _, c := range row[:K] {
+			t += c.df
+		}
+		if t > 0 || row[K].df > 0 {
+			vocab++
+		}
+		if t < minDocFreq {
 			continue
 		}
-		pT := float64(s.total) / N
+		pT := float64(t) / N
 		var mi float64
-		for ki := range c0.Children {
+		for ki := range K {
 			if nDocs[ki] == 0 {
 				continue
 			}
 			pC := float64(nDocs[ki]) / N
 			// Presence cell.
-			p11 := float64(s.df[ki]) / N
+			p11 := float64(row[ki].df) / N
 			if p11 > 0 {
 				mi += p11 * math.Log(p11/(pT*pC))
 			}
 			// Absence cell.
-			p01 := float64(nDocs[ki]-s.df[ki]) / N
+			p01 := float64(nDocs[ki]-row[ki].df) / N
 			if p01 > 0 {
 				mi += p01 * math.Log(p01/((1-pT)*pC))
 			}
 		}
-		cand = append(cand, scored{t, mi})
-	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].mi != cand[j].mi {
-			return cand[i].mi > cand[j].mi
+		if c := (scored{int32(id), mi}); len(h) < f || rank(c, h[len(h)-1]) < 0 {
+			i, _ := slices.BinarySearchFunc(h, c, rank)
+			h = slices.Insert(h, i, c)[:min(len(h)+1, f)]
 		}
-		return cand[i].t < cand[j].t
-	})
-	if len(cand) > cfg.FeaturesPerNode {
-		cand = cand[:cfg.FeaturesPerNode]
 	}
-	out := make(map[uint32]bool, len(cand))
-	for _, c := range cand {
-		out[c.t] = true
+	tc.cand = h
+	slices.SortFunc(h, func(a, b scored) int { return cmp.Compare(a.id, b.id) })
+
+	for ki, ci := range kids {
+		m.logDenom[ci.ID] = math.Log(float64(vocab) + float64(mass[ki]))
+		prior := float64(nDocs[ki]) / float64(len(docsUnder(c0)))
+		if prior == 0 {
+			prior = 1e-9 // children without examples get a tiny prior
+		}
+		m.logPrior[ci.ID] = math.Log(prior)
 	}
-	return out
+	feats := make([]feature, 0, len(h))
+	thetas := make([]childTheta, 0, len(h)*K)
+	for _, c := range h {
+		start := len(thetas)
+		// Children are in ascending kcid: taxonomy numbers them in order.
+		for ki, ci := range kids {
+			if n := cells[int(c.id)*G+ki].n; n != 0 {
+				lt := math.Log(1+float64(n)) - m.logDenom[ci.ID]
+				thetas = append(thetas, childTheta{kcid: ci.ID, logTheta: lt})
+			}
+		}
+		if len(thetas) > start {
+			feats = append(feats, feature{tid: tc.tids[c.id], thetas: thetas[start:len(thetas):len(thetas)]})
+		}
+	}
+	return feats
 }
 
 // indexTerms lays out the internal nodes' score slots and builds termIdx
-// from statsMem, once every node's logprior and logdenom are known.
-func (m *Model) indexTerms(internal []*taxonomy.Node) {
+// from their features, once every node's logprior and logdenom are known.
+func (m *Model) indexTerms() {
 	m.termIdx = make(map[uint32][]nodeTerm)
-	for _, c0 := range internal {
+	for i := range m.nodes {
+		n := &m.nodes[i]
 		lo := len(m.prior)
-		slot := make(map[taxonomy.NodeID]int, len(c0.Children))
-		for i, k := range c0.Children {
+		n.off = lo
+		slot := make(map[taxonomy.NodeID]int, len(n.kids))
+		for i, k := range n.kids {
 			slot[k.ID] = lo + i
 			m.prior = append(m.prior, m.logPrior[k.ID])
 			m.denom = append(m.denom, m.logDenom[k.ID])
 		}
 		hi := len(m.prior)
-		m.nodes = append(m.nodes, classNode{id: c0.ID, kids: c0.Children, off: lo})
-		mem := m.statsMem[c0.ID]
-		n := 0
-		for _, es := range mem {
-			n += len(es)
+		size := 0
+		for _, f := range n.feats {
+			size += len(f.thetas)
 		}
-		flat := make([]kidTerm, 0, n)
-		for _, tid := range m.featTids[c0.ID] {
+		flat := make([]kidTerm, 0, size)
+		for _, f := range n.feats {
 			start := len(flat)
-			for _, e := range mem[tid] {
+			for _, e := range f.thetas {
 				// w is the sum posterior forms per term, formed once: the
 				// same float64 addition, so the same bits.
 				flat = append(flat, kidTerm{slot: slot[e.kcid], w: e.logTheta + m.logDenom[e.kcid]})
 			}
-			m.termIdx[tid] = append(m.termIdx[tid], nodeTerm{lo: lo, hi: hi, kids: flat[start:len(flat):len(flat)]})
+			m.termIdx[f.tid] = append(m.termIdx[f.tid], nodeTerm{lo: lo, hi: hi, kids: flat[start:len(flat):len(flat)]})
 		}
 	}
 }
 
 // NumFeatures reports |F(c0)|, the features selected at an internal node.
-func (m *Model) NumFeatures(c0 taxonomy.NodeID) int { return len(m.statsMem[c0]) }
+func (m *Model) NumFeatures(c0 taxonomy.NodeID) int {
+	if i := slices.IndexFunc(m.nodes, func(n classNode) bool { return n.id == c0 }); i >= 0 {
+		return len(m.nodes[i].feats)
+	}
+	return 0
+}

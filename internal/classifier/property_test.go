@@ -105,11 +105,18 @@ func TestEmptyDocumentFallsBackToPriors(t *testing.T) {
 // discriminators by construction) must be selected at the root.
 func TestFeatureSelectionPicksDiscriminators(t *testing.T) {
 	m, _ := trainedModel(t, 10)
-	root := m.Tree.Root
-	feats := m.statsMem[root.ID]
+	feats := map[uint32]bool{}
+	for _, n := range m.nodes {
+		if n.id != m.Tree.Root.ID {
+			continue
+		}
+		for _, f := range n.feats {
+			feats[f.tid] = true
+		}
+	}
 	found := 0
 	for _, name := range []string{"recreation", "health", "business", "general"} {
-		if _, ok := feats[textproc.TermID(name)]; ok {
+		if feats[textproc.TermID(name)] {
 			found++
 		}
 	}

@@ -96,13 +96,12 @@ func (m *Model) BulkClassifyStream(docs []BatchDoc, _ BulkOptions) (map[int64]Po
 		// output row (the PARTIAL side), folded straight into the
 		// document's score row. Features are walked in ascending tid order
 		// so each row's float accumulation order is fixed.
-		mem := m.statsMem[n.id]
-		for _, tid := range m.featTids[n.id] {
-			idx, ok := head[tid]
+		for _, ft := range n.feats {
+			idx, ok := head[ft.tid]
 			if !ok {
 				continue
 			}
-			entries := mem[tid]
+			entries := ft.thetas
 			for ; idx >= 0; idx = next[idx] {
 				d, f := int(docOf[idx]), freqOf[idx]
 				docLen[d] += f

@@ -26,8 +26,6 @@ type Config struct {
 	// ExamplesPerTopic is the number of training documents per leaf topic
 	// (default 25) — the D(c) example sets.
 	ExamplesPerTopic int
-	// Train tunes the classifier.
-	Train classifier.TrainConfig
 	// Crawl tunes the crawler, including Workers (the host-partitioned
 	// frontier has one shard per worker).
 	Crawl crawler.Config
@@ -128,7 +126,7 @@ func trainModel(web *webgraph.Web, tree *taxonomy.Tree, cfg Config) (*classifier
 	for _, leaf := range tree.Leaves() {
 		examples[leaf.ID] = web.ExampleDocs(leaf.ID, cfg.ExamplesPerTopic)
 	}
-	return classifier.Train(nil, tree, examples, cfg.Train)
+	return classifier.Train(nil, tree, examples, classifier.TrainConfig{})
 }
 
 // NewSystemOnWeb builds a system over an existing web (so experiments can

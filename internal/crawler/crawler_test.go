@@ -36,7 +36,7 @@ func trainTiny(t testing.TB, db *relstore.DB) *classifier.Model {
 		ex[beta.ID] = append(ex[beta.ID], textproc.VectorOfTokens(strings.Fields(fmt.Sprintf(
 			"beta beta betaone betatwo betavar%d common filler", i%4))))
 	}
-	m, err := classifier.Train(db, tree, ex, classifier.TrainConfig{FeaturesPerNode: 60, MinDocFreq: 1})
+	m, err := classifier.Train(db, tree, ex, classifier.TrainConfig{FeaturesPerNode: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

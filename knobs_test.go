@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"focus/internal/classifier"
 	"focus/internal/crawler"
 	"focus/internal/webgraph"
 )
@@ -53,6 +54,9 @@ func TestConfigKnobBudget(t *testing.T) {
 			"ServerWindow":    "eval.HostileWeb",
 			"OutageRate":      "eval.HostileWeb",
 			"OutageLength":    "eval.HostileWeb",
+		}},
+		{reflect.TypeOf(classifier.TrainConfig{}), 1, map[string]string{
+			"FeaturesPerNode": "Figure 8's fixture (BigVocab)",
 		}},
 	} {
 		if n := c.typ.NumField(); n > c.max {
