@@ -11,14 +11,6 @@ import (
 	"focus/internal/webgraph"
 )
 
-// eachFeature calls fn for node n's feature terms in ascending tid order,
-// with each term's children's statistics in ascending kcid.
-func eachFeature(m *Model, n classNode, fn func(tid uint32, es []childTheta)) {
-	for _, f := range n.feats {
-		fn(f.tid, f.thetas)
-	}
-}
-
 // modelDigest is an FNV-64a hash of every bit a trained model carries: each
 // child's logprior and logdenom in ascending node id, each internal node's
 // feature terms with their (kcid, logtheta) entries, the flat prior and
@@ -47,14 +39,14 @@ func modelDigest(m *Model) uint64 {
 		num(uint64(n.id))
 		num(uint64(n.off))
 		num(uint64(m.NumFeatures(n.id)))
-		eachFeature(m, n, func(tid uint32, es []childTheta) {
-			num(uint64(tid))
-			num(uint64(len(es)))
-			for _, e := range es {
+		for _, f := range n.feats {
+			num(uint64(f.tid))
+			num(uint64(len(f.thetas)))
+			for _, e := range f.thetas {
 				num(uint64(e.kcid))
 				flt(e.logTheta)
 			}
-		})
+		}
 	}
 	num(uint64(len(m.prior)))
 	for i := range m.prior {

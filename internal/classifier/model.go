@@ -310,7 +310,7 @@ func (tc *termCounts) train(m *Model, c0 *taxonomy.Node, own []textproc.TermVect
 	// |union over D(c0) of {t in d}|, Eq. (1)'s vocabulary size.
 	N := float64(len(docsUnder(c0)) - len(own))
 	vocab := 0
-	h := tc.cand[:0]
+	best := tc.cand[:0]
 	for id := range tc.tids {
 		row := cells[id*G : id*G+G]
 		var t int64
@@ -341,13 +341,13 @@ func (tc *termCounts) train(m *Model, c0 *taxonomy.Node, own []textproc.TermVect
 				mi += p01 * math.Log(p01/((1-pT)*pC))
 			}
 		}
-		if c := (scored{int32(id), mi}); len(h) < f || rank(c, h[len(h)-1]) < 0 {
-			i, _ := slices.BinarySearchFunc(h, c, rank)
-			h = slices.Insert(h, i, c)[:min(len(h)+1, f)]
+		if c := (scored{int32(id), mi}); len(best) < f || rank(c, best[len(best)-1]) < 0 {
+			i, _ := slices.BinarySearchFunc(best, c, rank)
+			best = slices.Insert(best, i, c)[:min(len(best)+1, f)]
 		}
 	}
-	tc.cand = h
-	slices.SortFunc(h, func(a, b scored) int { return cmp.Compare(a.id, b.id) })
+	tc.cand = best
+	slices.SortFunc(best, func(a, b scored) int { return cmp.Compare(a.id, b.id) })
 
 	for ki, ci := range kids {
 		m.logDenom[ci.ID] = math.Log(float64(vocab) + float64(mass[ki]))
@@ -357,9 +357,9 @@ func (tc *termCounts) train(m *Model, c0 *taxonomy.Node, own []textproc.TermVect
 		}
 		m.logPrior[ci.ID] = math.Log(prior)
 	}
-	feats := make([]feature, 0, len(h))
-	thetas := make([]childTheta, 0, len(h)*K)
-	for _, c := range h {
+	feats := make([]feature, 0, len(best))
+	thetas := make([]childTheta, 0, len(best)*K)
+	for _, c := range best {
 		start := len(thetas)
 		// Children are in ascending kcid: taxonomy numbers them in order.
 		for ki, ci := range kids {
